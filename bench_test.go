@@ -269,7 +269,7 @@ func benchServe(b *testing.B, cfg serve.Config) {
 		b.Fatal(err)
 	}
 	cfg.MaxPending = 1 << 16 // never shed inside the benchmark
-	s := serve.NewMat(g.N(), eng.QueryInto, cfg)
+	s := serve.NewRanked(serve.Ranked{N: g.N(), Query: eng.QueryRankInto}, cfg)
 	defer s.Close()
 
 	var next atomic.Int64

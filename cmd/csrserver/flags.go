@@ -1,0 +1,150 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+	"time"
+
+	"csrplus/internal/reload"
+	"csrplus/internal/serve"
+	"csrplus/internal/wire"
+)
+
+// mode is what one csrserver process is: it decides where router
+// generations come from (source.go), and nothing after that.
+type mode int
+
+const (
+	modeLocal  mode = iota // the graph's index in this process, K >= 1 local slots
+	modeIngest             // modeLocal at K=1 plus the WAL-backed edge stream
+	modeRouter             // remote slots: the frontend of a worker cluster
+	modeWorker             // one shard behind the wire protocol, no frontend
+)
+
+const (
+	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
+	frontFlags = "addr admintoken cache maxbatch linger workers pending maxk timeout degraderank degradebudget degradequeue " +
+		"reloadretries reloadbackoff breakerfails breakercooldown "
+)
+
+// modes is the whole compatibility contract between flags: each mode
+// lists every flag it reads, and a flag set on the command line that the
+// mode does not list is rejected instead of silently ignored. -waldir is
+// K=1-only because a per-shard-snapshot boot has no whole index to anchor
+// the ingest service on — hence no -shards in its row.
+var modes = [...]struct{ when, flags string }{
+	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "shards quantize"},
+	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
+	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wiretimeout wireretries wirebackoff wirehedge wirehedgemin wirebreakerfails wirebreakercooldown"},
+	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
+}
+
+func (m mode) reads(name string) bool {
+	for _, f := range strings.Fields(modes[m].flags) {
+		if f == name {
+			return true
+		}
+	}
+	return false
+}
+
+// config is the parsed command line.
+type config struct {
+	mode mode
+
+	dataset, graphPath            string
+	dscale                        int64
+	n, rank                       int
+	damping                       float64
+	indexPath, saveIndex, snapDir string
+	quantize                      string
+	shards, shardWorker           int
+	shardAddrs                    string
+	walDir                        string
+	driftBudget                   float64
+
+	addr, adminToken string
+	cacheSize        int
+	serve            serve.Config
+	policy           reload.Policy
+	wire             wire.Options
+}
+
+// parseFlags registers every flag on fs, parses args, picks the mode and
+// holds the command line to that mode's row of the table.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	fs.StringVar(&c.dataset, "dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
+	fs.Int64Var(&c.dscale, "dscale", 0, "dataset downscale factor (0 = default)")
+	fs.StringVar(&c.graphPath, "graph", "", "edge-list file")
+	fs.IntVar(&c.n, "n", 0, "node count for -graph")
+	fs.IntVar(&c.rank, "r", 5, "SVD rank")
+	fs.Float64Var(&c.damping, "c", 0.6, "damping factor")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.indexPath, "index", "", "load a persisted CSR+ index instead of precomputing")
+	fs.StringVar(&c.saveIndex, "saveindex", "", "persist the boot index to this path")
+	fs.StringVar(&c.quantize, "quantize", "", "factor tier for -saveindex and snapshot publishes: f32 or int8 (default exact f64); the serving index stays exact")
+	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shards > 1 and -shardworker); boot from it when populated, publish the boot index into it otherwise")
+	fs.IntVar(&c.shards, "shards", 1, "partition the index into this many node-range shard slots behind the scatter-gather router")
+	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
+	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
+	fs.DurationVar(&c.wire.Timeout, "wiretimeout", 5*time.Second, "per-attempt deadline for shard worker requests")
+	fs.IntVar(&c.wire.MaxAttempts, "wireretries", 3, "attempts per shard worker request (1 = no retry)")
+	fs.DurationVar(&c.wire.BaseBackoff, "wirebackoff", 25*time.Millisecond, "base backoff between shard request retries (exponential, jittered)")
+	fs.Float64Var(&c.wire.HedgeQuantile, "wirehedge", 0.9, "observed-latency quantile past which a shard request is hedged (negative disables)")
+	fs.DurationVar(&c.wire.HedgeMinDelay, "wirehedgemin", time.Millisecond, "floor on the hedge delay")
+	fs.IntVar(&c.wire.BreakerThreshold, "wirebreakerfails", 5, "consecutive failed shard calls that open that shard's circuit breaker (0 disables)")
+	fs.DurationVar(&c.wire.BreakerCooldown, "wirebreakercooldown", 5*time.Second, "how long an open shard breaker fails fast before probing")
+	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")
+	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
+	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
+	fs.IntVar(&c.cacheSize, "cache", 1024, "top-k result cache entries (0 disables)")
+	fs.IntVar(&c.serve.MaxBatch, "maxbatch", 32, "max query nodes coalesced per engine call")
+	fs.DurationVar(&c.serve.Linger, "linger", 2*time.Millisecond, "max wait for co-batching a partial batch")
+	fs.IntVar(&c.serve.Workers, "workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
+	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "admission queue bound; beyond it requests get 429")
+	fs.IntVar(&c.serve.MaxK, "maxk", serve.DefaultMaxK, "server-side cap on requested k")
+	fs.DurationVar(&c.serve.Timeout, "timeout", 5*time.Second, "per-request deadline (0 disables)")
+	fs.IntVar(&c.serve.Degrade.Rank, "degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
+	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
+	fs.Float64Var(&c.serve.Degrade.QueueFraction, "degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which whole batches degrade")
+	fs.IntVar(&c.policy.MaxAttempts, "reloadretries", 3, "reload attempts per trigger (1 = no retry)")
+	fs.DurationVar(&c.policy.BaseBackoff, "reloadbackoff", 50*time.Millisecond, "base backoff between reload retries (exponential, jittered)")
+	fs.IntVar(&c.policy.BreakerThreshold, "breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")
+	fs.DurationVar(&c.policy.BreakerCooldown, "breakercooldown", 10*time.Second, "how long an open breaker rejects reload triggers")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	switch {
+	case c.shardWorker >= 0:
+		c.mode = modeWorker
+	case c.shardAddrs != "":
+		c.mode = modeRouter
+	case c.walDir != "":
+		c.mode = modeIngest
+	}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if stray == nil && !c.mode.reads(f.Name) {
+			var where []string
+			for m := range modes {
+				if mode(m).reads(f.Name) {
+					where = append(where, modes[m].when)
+				}
+			}
+			stray = fmt.Errorf("-%s is not supported %s (it applies %s)", f.Name, modes[c.mode].when, strings.Join(where, "; "))
+		}
+	})
+	switch {
+	case stray != nil:
+		return nil, stray
+	case c.shards < 1:
+		return nil, fmt.Errorf("-shards must be >= 1")
+	case c.mode == modeWorker && c.snapDir == "":
+		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
+	}
+	c.wire.AdminToken = c.adminToken
+	return c, nil
+}

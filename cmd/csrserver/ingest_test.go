@@ -4,47 +4,28 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"csrplus"
+	"time"
 
 	"csrplus/internal/core"
 	"csrplus/internal/ingest"
-	"csrplus/internal/reload"
-	"csrplus/internal/serve"
 )
 
-// ingestFixture boots the monolithic serving stack with streaming
-// ingestion the way main does: engine, cold ingest service, drift-aware
-// serve layer, mux. Recovery is left to the caller so the readiness
-// gating is testable.
+// ingestFixture boots a -waldir server the way main does. Recovery is
+// left to the caller so the readiness gating is testable, and the
+// drift-triggered rebuild is disarmed so the over-budget state the
+// assertions read holds still (TestDriftBudgetTriggersRebuild arms it).
 func ingestFixture(t *testing.T, walDir string, budget float64, token string) (*ingest.Service, *httptest.Server) {
 	t.Helper()
-	g := testGraph(t)
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := &reload.Candidate{}
-	svc, err := setupIngest(g, eng, cand, walDir, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	st := eng.Stats()
-	sv := serve.NewRanked(serve.Ranked{
-		N:     st.N,
-		Rank:  st.Rank,
-		Bound: eng.TruncationBound,
-		Query: eng.QueryRankInto,
-		Drift: cand.Drift,
-	}, serve.Config{Linger: -1})
-	t.Cleanup(sv.Close)
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, token, nil, svc))
+	s := bootArgs(t, "-r", "6", "-waldir", walDir, "-driftbudget", fmt.Sprint(budget), "-admintoken", token)
+	t.Cleanup(func() { s.ing.Close() })
+	s.ing.SetRebuildTrigger(nil)
+	srv := httptest.NewServer(s.mux())
 	t.Cleanup(srv.Close)
-	return svc, srv
+	return s.ing, srv
 }
 
 func postEdges(t *testing.T, srv *httptest.Server, token, body string) (int, map[string]interface{}) {
@@ -125,18 +106,71 @@ func TestAdminEdgesLifecycle(t *testing.T) {
 	}
 }
 
+// One over-budget append must, through the trigger boot wires, rebuild
+// from the live graph and swap the result in with its drift absorbed.
+func TestDriftBudgetTriggersRebuild(t *testing.T) {
+	s := bootArgs(t, "-waldir", t.TempDir(), "-driftbudget", "1e-9")
+	defer s.ing.Close()
+	if err := s.ing.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ing.Append([]ingest.Edge{{Src: 1, Dst: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.man.Current().Generation < 2 || s.ing.Stats().Rebuilding {
+		if time.Now().After(deadline) {
+			t.Fatalf("no rebuild swapped in: status %+v, ingest %+v", s.man.Current(), s.ing.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.man.Current(); st.Source != "ingest-rebuild" || st.M != testGraph(t).M()+1 {
+		t.Fatalf("rebuilt status = %+v", st)
+	}
+	if d := s.ing.DriftBound(); d > 1e-12 {
+		t.Fatalf("post-rebuild drift %g", d)
+	}
+}
+
+// The ingest service keeps the boot index's U as its frozen basis, so a
+// boot from a mapped snapshot must keep that mapping alive after a
+// rebuild retires the boot generation: the next append reads the basis
+// (releasing it was a SIGSEGV).
+func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
+	snapDir := t.TempDir()
+	if _, _, err := testEngine(t).SaveSnapshot(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
+	defer s.ing.Close()
+	if st := s.man.Current(); st.Source != "snapshot" {
+		t.Fatalf("boot source %q, want the mapped snapshot", st.Source)
+	}
+	if err := s.ing.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := s.reload(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ing.Append([]ingest.Edge{{Src: round, Dst: 5}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.sv.Search(context.Background(), []int{5}, 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 	g := testGraph(t)
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := &reload.Candidate{}
-	svc, err := setupIngest(g, eng, cand, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapDir := t.TempDir()
+	s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
+	svc := s.ing
 	defer svc.Close()
+	if _, err := s.reload(context.Background()); err == nil {
+		t.Fatal("rebuild before WAL replay succeeded: it would cut a graph missing acknowledged edges")
+	}
 	if err := svc.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +181,7 @@ func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 		t.Fatal("appends accrued no drift")
 	}
 
-	snapDir := t.TempDir()
-	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, damping: 0.6, snapDir: snapDir}
-	st := eng.Stats()
-	sv := serve.NewRanked(serve.Ranked{
-		N: st.N, Rank: st.Rank, Bound: eng.TruncationBound,
-		Query: eng.QueryRankInto, Drift: cand.Drift,
-	}, serve.Config{Linger: -1})
-	defer sv.Close()
-	man := reload.New(sv, ingestLoader(src, svc), reload.Meta{Source: "boot"})
-
-	status, err := reloadAndCommit(context.Background(), man, svc)
+	status, err := s.reload(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

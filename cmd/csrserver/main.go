@@ -12,37 +12,49 @@
 // Usage:
 //
 //	csrserver -dataset WT -addr :8080
-//	csrserver -graph edges.txt -n 100000 -r 8
+//	csrserver -graph edges.txt -n 100000 -r 8 -snapshots /var/lib/csr
+//	csrserver -dataset WT -shards 4 -snapshots /var/lib/csr
+//	csrserver -dataset WT -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T
+//	csrserver -shardworker 2 -snapshots /var/lib/csr -addr :9102
+//	csrserver -shardaddrs host0:9100,host1:9101,host2:9102 -addr :8080
 //
-// The index can be hot-reloaded with zero downtime: SIGHUP (or an
-// authenticated POST /admin/reload) builds or loads the next index
-// generation off the serving path, validates it with a smoke query, and
-// atomically swaps it in while in-flight batches drain on the old one.
-// With -snapshots DIR the server boots from the versioned snapshot the
-// directory's CURRENT file names (index-<gen>.csrx), and each reload
-// re-resolves CURRENT — publish a new snapshot, repoint CURRENT, send
-// SIGHUP, and traffic moves to the new index without dropping a request.
+// There is one serving path. Every index generation is a shard.Router
+// over K node-range slots, and the answer is bitwise the same at every
+// K: a plain server is the K=1 router over the whole index, -shards K
+// partitions it in-process, and -shardaddrs puts each slot in its own
+// -shardworker process behind the wire protocol. Which flags each of
+// those modes reads is one table (flags.go); a flag the mode does not
+// read is rejected, never ignored. Where generations come from, and who
+// owns their memory, is source.go.
 //
-// With -shards K (CSR+ only) the index is partitioned into K contiguous
-// node-range shards behind an in-process scatter-gather router. Every
-// query fans out to all shards in parallel and the per-shard partial
-// top-k lists are merged into the exact global answer — results are
-// bitwise-identical to a monolithic server at any K. Each shard has its
-// own generation and snapshot directory (<dir>/shard-<s>), and reloads
-// roll shard by shard: a failure mid-roll leaves a mixed-generation
-// router that still answers every query exactly.
+// The index hot-reloads with zero downtime: SIGHUP (or an authenticated
+// POST /admin/reload) loads the next generation off the serving path —
+// the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), each
+// shard-<s>/ directory's CURRENT rolled in slot by slot with -shards K,
+// every worker's own reload with -shardaddrs — validates it with a smoke
+// query and swaps it in while in-flight batches drain on the old one.
+//
+// With -waldir the graph is mutable: POST /admin/edges appends edge
+// batches to a write-ahead log (the 200 means fsynced), applies them to
+// the live graph, and charges the drift they cause to every answer's
+// error_bound; past -driftbudget a rebuild from the live graph is
+// triggered. A restart replays the log tail the snapshot does not cover.
 //
 // Endpoints:
 //
 //	GET /health, /healthz             liveness (process up)
-//	GET /readyz                       readiness (generation serving, breaker closed)
-//	GET /stats                        graph + engine + serving counters
-//	GET /metrics                      serving metrics (batching, queue, cache)
+//	GET /readyz                       readiness (generation serving, WAL replayed, breaker closed)
+//	GET /stats                        graph + index + per-shard + serving counters
+//	GET /metrics                      serving metrics (batching, queue, cache, remote slots)
 //	GET /topk?node=17&k=10            top-k most similar to one node
 //	GET /topk?nodes=17,42&k=10        top-k by aggregate similarity
 //	GET /similarity?node=17&targets=1,2,3   raw scores for chosen pairs
-//	GET /admin/index                  live generation: source, path, build cost
+//	GET /admin/index                  live generation: source, path, build cost, shards
 //	POST /admin/reload                trigger a reload (Bearer -admintoken)
+//	POST /admin/edges                 append edges durably (-waldir; Bearer -admintoken)
+//
+// A -shardworker serves /shard/* (internal/wire) plus /healthz, /readyz
+// and POST /admin/reload instead.
 //
 // With -degraderank R the server degrades gracefully under pressure:
 // requests admitted with little deadline budget (-degradebudget) or
@@ -61,6 +73,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -69,11 +82,8 @@ import (
 	"syscall"
 	"time"
 
-	"csrplus"
-
 	"csrplus/internal/auth"
 	"csrplus/internal/cache"
-	"csrplus/internal/core"
 	"csrplus/internal/ingest"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
@@ -82,552 +92,116 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
-	scale := flag.Int64("dscale", 0, "dataset downscale factor (0 = default)")
-	graphPath := flag.String("graph", "", "edge-list file")
-	n := flag.Int("n", 0, "node count for -graph")
-	algo := flag.String("algo", csrplus.AlgoCSRPlus, "algorithm")
-	rank := flag.Int("r", 5, "SVD rank / iteration count")
-	damping := flag.Float64("c", 0.6, "damping factor")
-	addr := flag.String("addr", ":8080", "listen address")
-	indexPath := flag.String("index", "", "load a persisted CSR+ index instead of precomputing")
-	saveIndex := flag.String("saveindex", "", "persist the precomputed CSR+ index to this path")
-	quantize := flag.String("quantize", "", "factor tier for -saveindex and snapshot publishes: f32 or int8 (default exact f64); the serving engine stays exact")
-	snapDir := flag.String("snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT); boot from CURRENT when present, publish the boot index otherwise")
-	shards := flag.Int("shards", 1, "partition the index into this many node-range shards behind a scatter-gather router (CSR+ only; 1 = monolithic)")
-	shardWorker := flag.Int("shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests (requires -snapshots; graph flags are ignored)")
-	shardAddrs := flag.String("shardaddrs", "", "comma-separated shard worker addresses; serve as the shard router over these remote workers (graph flags are ignored)")
-	wireTimeout := flag.Duration("wiretimeout", 5*time.Second, "per-attempt deadline for shard worker requests")
-	wireRetries := flag.Int("wireretries", 3, "attempts per shard worker request (1 = no retry)")
-	wireBackoff := flag.Duration("wirebackoff", 25*time.Millisecond, "base backoff between shard request retries (exponential, jittered)")
-	wireHedge := flag.Float64("wirehedge", 0.9, "observed-latency quantile past which a shard request is hedged (negative disables)")
-	wireHedgeMin := flag.Duration("wirehedgemin", time.Millisecond, "floor on the hedge delay")
-	wireBreakerFails := flag.Int("wirebreakerfails", 5, "consecutive failed shard calls that open that shard's circuit breaker (0 disables)")
-	wireBreakerCooldown := flag.Duration("wirebreakercooldown", 5*time.Second, "how long an open shard breaker fails fast before probing")
-	adminToken := flag.String("admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")
-	walDir := flag.String("waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay (monolithic CSR+ only)")
-	driftBudget := flag.Float64("driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables; requires -waldir)")
-	cacheSize := flag.Int("cache", 1024, "top-k result cache entries (0 disables)")
-	maxBatch := flag.Int("maxbatch", 32, "max query nodes coalesced per engine call")
-	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for co-batching a partial batch")
-	workers := flag.Int("workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
-	maxPending := flag.Int("pending", 1024, "admission queue bound; beyond it requests get 429")
-	maxK := flag.Int("maxk", serve.DefaultMaxK, "server-side cap on requested k")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 disables)")
-	degradeRank := flag.Int("degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
-	degradeBudget := flag.Duration("degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
-	degradeQueue := flag.Float64("degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which whole batches degrade")
-	reloadRetries := flag.Int("reloadretries", 3, "reload attempts per trigger (1 = no retry)")
-	reloadBackoff := flag.Duration("reloadbackoff", 50*time.Millisecond, "base backoff between reload retries (exponential, jittered)")
-	breakerFails := flag.Int("breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")
-	breakerCooldown := flag.Duration("breakercooldown", 10*time.Second, "how long an open breaker rejects reload triggers")
-	flag.Parse()
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalln("csrserver:", err)
+	}
 	armFaultsFromEnv()
-
-	// The wire modes serve without a local graph: a worker's identity is
-	// its snapshot, a router's is its workers.
-	if *shardWorker >= 0 && *shardAddrs != "" {
-		log.Fatalln("csrserver: -shardworker and -shardaddrs are different processes; pick one")
-	}
-	if *walDir != "" && (*shardWorker >= 0 || *shardAddrs != "") {
-		log.Fatalln("csrserver: -waldir needs the graph in-process; it is not supported in the wire modes (-shardworker/-shardaddrs)")
-	}
-	if *shardWorker >= 0 {
-		runShardWorker(*shardWorker, *snapDir, *addr, *adminToken)
+	if cfg.mode == modeWorker {
+		runShardWorker(cfg)
 		return
 	}
-	if *shardAddrs != "" {
-		var lru *cache.LRU
-		if *cacheSize > 0 {
-			lru = cache.New(*cacheSize)
-		}
-		runWireRouter(wireRouterConfig{
-			addrs:      strings.Split(*shardAddrs, ","),
-			addr:       *addr,
-			adminToken: *adminToken,
-			lru:        lru,
-			serveCfg: serve.Config{
-				MaxBatch:   *maxBatch,
-				Linger:     *linger,
-				Workers:    *workers,
-				MaxPending: *maxPending,
-				MaxK:       *maxK,
-				Timeout:    *timeout,
-				Cache:      lru,
-				Degrade: serve.DegradeConfig{
-					Rank:          *degradeRank,
-					QueueFraction: *degradeQueue,
-					MinBudget:     *degradeBudget,
-				},
-			},
-			policy: reload.Policy{
-				MaxAttempts:      *reloadRetries,
-				BaseBackoff:      *reloadBackoff,
-				BreakerThreshold: *breakerFails,
-				BreakerCooldown:  *breakerCooldown,
-			},
-			opt: wire.Options{
-				Timeout:          *wireTimeout,
-				MaxAttempts:      *wireRetries,
-				BaseBackoff:      *wireBackoff,
-				HedgeQuantile:    *wireHedge,
-				HedgeMinDelay:    *wireHedgeMin,
-				BreakerThreshold: *wireBreakerFails,
-				BreakerCooldown:  *wireBreakerCooldown,
-				AdminToken:       *adminToken,
-			},
-		})
-		return
-	}
-
-	g, err := loadGraph(*dataset, *scale, *graphPath, *n)
+	s, err := boot(context.Background(), cfg)
 	if err != nil {
 		log.Fatalln("csrserver:", err)
 	}
-	if *snapDir != "" && *algo != csrplus.AlgoCSRPlus {
-		log.Fatalln("csrserver: -snapshots requires the CSR+ algorithm (only CSR+ has a persistable index)")
-	}
-	if *shards < 1 {
-		log.Fatalln("csrserver: -shards must be >= 1")
-	}
-	if *shards > 1 && *algo != csrplus.AlgoCSRPlus {
-		log.Fatalln("csrserver: -shards requires the CSR+ algorithm (only CSR+ factors partition by node range)")
-	}
-	if *walDir != "" {
-		switch {
-		case *algo != csrplus.AlgoCSRPlus:
-			log.Fatalln("csrserver: -waldir requires the CSR+ algorithm (streamed edges maintain CSR+ factors)")
-		case *shards > 1:
-			log.Fatalln("csrserver: -waldir requires a monolithic server (-shards 1)")
-		case *quantize != "":
-			log.Fatalln("csrserver: -waldir maintains exact f64 factors; drop -quantize")
-		}
-	} else if *driftBudget > 0 {
-		log.Fatalln("csrserver: -driftbudget requires -waldir")
-	}
-	var lru *cache.LRU
-	if *cacheSize > 0 {
-		lru = cache.New(*cacheSize)
-	}
-	src := &source{
-		g:         g,
-		algo:      *algo,
-		rank:      *rank,
-		damping:   *damping,
-		indexPath: *indexPath,
-		snapDir:   *snapDir,
-		shards:    *shards,
-		lru:       lru,
-	}
-	cand, eng, err := src.build(context.Background())
-	if err != nil {
-		log.Fatalln("csrserver:", err)
-	}
-	if *saveIndex != "" {
-		if eng == nil {
-			log.Fatalln("csrserver: -saveindex needs a full index, but the boot came from per-shard snapshots")
-		}
-		if err := eng.SaveIndexTier(*saveIndex, *quantize); err != nil {
-			log.Fatalln("csrserver:", err)
-		}
-		log.Printf("index persisted to %s (tier %s)", *saveIndex, tierName(*quantize))
-	}
-	// Prime an empty snapshot directory with the boot index so the first
-	// SIGHUP has a CURRENT to resolve and operators can roll back to the
-	// generation the server came up with. Sharded servers prime one
-	// snapshot directory per shard (<dir>/shard-<s>) instead.
-	switch {
-	case *snapDir != "" && src.router != nil && cand.Meta.Source != "shard-snapshots":
-		ix, ok := eng.CoreIndex()
-		if !ok {
-			log.Fatalln("csrserver: sharded boot without a CSR+ index")
-		}
-		if err := publishShardSnapshots(*snapDir, ix, src.router.Plan()); err != nil {
-			log.Fatalln("csrserver:", err)
-		}
-		log.Printf("boot index published as %d per-shard snapshots under %s", src.router.K(), *snapDir)
-	case *snapDir != "" && src.router == nil && cand.Meta.Source != "snapshot":
-		gen, path, err := eng.SaveSnapshotTier(*snapDir, *quantize)
-		if err != nil {
-			log.Fatalln("csrserver:", err)
-		}
-		cand.Meta.Path, cand.Meta.SnapshotGen = path, gen
-		log.Printf("boot index published as snapshot generation %d (%s, tier %s)", gen, path, tierName(*quantize))
-	}
-	log.Printf("ready in %v (source=%s peak %d bytes)", cand.Meta.BuildTime, cand.Meta.Source, cand.Meta.PeakBytes)
-
-	// Streaming ingestion: the WAL-backed service layers streamed edges
-	// onto the boot graph and accounts the drift the boot factors accrue
-	// against the live graph. It comes up cold here; replay runs in the
-	// background below so /readyz tracks it honestly.
-	var ing *ingest.Service
-	if *walDir != "" {
-		if ing, err = setupIngest(g, eng, cand, *walDir, *driftBudget); err != nil {
-			log.Fatalln("csrserver:", err)
-		}
-	}
-
-	// NewRanked: engine passes reuse a pooled n x |Q| scratch matrix and
-	// see the batch context (an abandoned batch stops mid-pass); engines
-	// with rank structure additionally serve truncated under pressure.
-	sv := serve.NewRanked(serve.Ranked{
-		N:     cand.N,
-		Rank:  cand.Rank,
-		Bound: cand.Bound,
-		Query: cand.RankQuery,
-		Drift: cand.Drift,
-	}, serve.Config{
-		MaxBatch:   *maxBatch,
-		Linger:     *linger,
-		Workers:    *workers,
-		MaxPending: *maxPending,
-		MaxK:       *maxK,
-		Timeout:    *timeout,
-		Cache:      lru,
-		Degrade: serve.DegradeConfig{
-			Rank:          *degradeRank,
-			QueueFraction: *degradeQueue,
-			MinBudget:     *degradeBudget,
-		},
-	})
-	if src.router != nil {
-		sv.Metrics().SetShards(src.router.K())
-	}
-	loadFn := src.loader()
-	if ing != nil {
-		loadFn = ingestLoader(src, ing)
-	}
-	man := reload.NewWithPolicy(sv, loadFn, cand.Meta, reload.Policy{
-		MaxAttempts:      *reloadRetries,
-		BaseBackoff:      *reloadBackoff,
-		BreakerThreshold: *breakerFails,
-		BreakerCooldown:  *breakerCooldown,
-	})
-	// The boot generation may pin a snapshot mapping too; the Manager
-	// frees it after the first successful reload swaps it out.
-	man.SetBootRelease(cand.Release)
-	if ing != nil {
-		ing.SetRebuildTrigger(func() {
-			log.Println("csrserver: drift budget exceeded, rebuilding from the live graph ...")
-			if _, err := reloadAndCommit(context.Background(), man, ing); err != nil {
-				log.Println("csrserver: drift rebuild failed:", err)
-			}
-		})
+	if s.ing != nil {
 		// Replay off the serving path: the listener comes up immediately,
 		// /readyz reports not-ready and /admin/edges 503s until the tail is
 		// back inside the graph. A log the boot factors can't replay onto
 		// is fatal — serving would silently drop acknowledged edges.
 		go func() {
 			start := time.Now()
-			if err := ing.Recover(); err != nil {
+			if err := s.ing.Recover(); err != nil {
 				log.Fatalln("csrserver: WAL recovery failed:", err)
 			}
-			st := ing.Stats()
+			st := s.ing.Stats()
 			log.Printf("csrserver: WAL replay complete in %v (seq %d, drift %.3g)", time.Since(start), st.LastSeq, st.Drift)
-			ing.TriggerIfExceeded()
+			s.ing.TriggerIfExceeded()
 		}()
 	}
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
-	go reloadOnHUP(hup, man, ing)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newMux(man, sv, lru, *adminToken, src.router, ing),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	serveAndWait(srv, sv, fmt.Sprintf("server (maxbatch=%d linger=%v)", *maxBatch, *linger))
+	go s.reloadOnHUP(hup)
+	srv := &http.Server{Addr: cfg.addr, Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
+	serveAndWait(srv, s.sv, fmt.Sprintf("server (maxbatch=%d linger=%v)", cfg.serve.MaxBatch, cfg.serve.Linger))
 }
 
-// source describes where index generations come from. build runs once at
-// boot and once per reload, off the serving path; the precedence mirrors
-// the flags: a snapshot directory's CURRENT pointer wins, then a pinned
-// -index file, then an in-process precompute over the graph.
-type source struct {
-	g         *csrplus.Graph
-	algo      string
-	rank      int
-	damping   float64
-	indexPath string
-	snapDir   string
-
-	// shards > 1 routes serving through a scatter-gather router; the
-	// router persists across reloads (only shard factors roll), and lru is
-	// invalidated on a partial roll so no cached answer outlives a shard
-	// whose factors changed without a serve-generation bump.
-	shards int
-	router *shard.Router
-	lru    *cache.LRU
+// server is the booted serving stack: one serve.Server over the router
+// generations of one source, whatever the mode.
+type server struct {
+	sv         *serve.Server
+	man        *reload.Manager
+	lru        *cache.LRU
+	ing        *ingest.Service // nil without -waldir
+	adminToken string
 }
 
-// build produces the next engine generation plus its provenance. The
-// engine handle is returned alongside the candidate because boot-time
-// callers need it (-saveindex, snapshot priming); reloads only keep the
-// candidate. Sharded sources may return a nil engine (a boot straight
-// from per-shard snapshots never materialises the monolithic index).
-func (s *source) build(ctx context.Context) (*reload.Candidate, *csrplus.Engine, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// boot opens cfg's source and wires its first generation through the
+// serve layer and the reload manager.
+func boot(ctx context.Context, cfg *config) (*server, error) {
+	var lru *cache.LRU
+	if cfg.cacheSize > 0 {
+		lru = cache.New(cfg.cacheSize)
 	}
-	if s.shards > 1 {
-		return s.buildSharded(ctx)
-	}
-	return s.buildMono(ctx)
-}
-
-// buildMono is the monolithic path: one engine serves the whole graph.
-func (s *source) buildMono(ctx context.Context) (*reload.Candidate, *csrplus.Engine, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	var (
-		eng  *csrplus.Engine
-		meta reload.Meta
-		err  error
-	)
-	switch {
-	case s.snapDir != "" && snapshotAvailable(s.snapDir):
-		log.Printf("loading snapshot directory %s over n=%d m=%d ...", s.snapDir, s.g.N(), s.g.M())
-		var snap csrplus.RecoveredSnapshot
-		eng, snap, err = csrplus.RecoverEngine(s.g, s.snapDir)
-		if err == nil {
-			if snap.Recovered {
-				log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
-			}
-			meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: snap.Recovered}
-		}
-	case s.indexPath != "":
-		log.Printf("loading index %s over n=%d m=%d ...", s.indexPath, s.g.N(), s.g.M())
-		eng, err = csrplus.LoadEngine(s.g, s.indexPath)
-		meta = reload.Meta{Source: "index", Path: s.indexPath}
-	default:
-		log.Printf("precomputing %s index over n=%d m=%d ...", s.algo, s.g.N(), s.g.M())
-		eng, err = csrplus.NewEngine(s.g, csrplus.Options{Algorithm: s.algo, Rank: s.rank, Damping: s.damping})
-		meta = reload.Meta{Source: "rebuild"}
-	}
+	src, err := openSource(ctx, cfg, lru)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st := eng.Stats()
-	meta.Algorithm, meta.N, meta.M, meta.Rank = st.Algorithm, st.N, st.M, st.Rank
-	meta.BuildTime = time.Since(start)
-	meta.PeakBytes = st.PeakBytes
-	return &reload.Candidate{
-		N:         st.N,
-		Query:     eng.QueryInto,
-		RankQuery: eng.QueryRankInto, // rank-aware generation: context + degradation
-		Rank:      st.Rank,
-		Bound:     eng.TruncationBound,
-		Meta:      meta,
-		// Engines loaded from a v2 snapshot pin a memory mapping; the
-		// Manager releases it only after a later generation has swapped
-		// in and the old batches drained.
-		Release: func() { _ = eng.Close() },
-	}, eng, nil
-}
+	meta := src.boot.Meta
+	shards := len(meta.ShardStatus())
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes)", meta.BuildTime, meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes)
 
-// buildSharded produces the next sharded generation. Sources, in
-// precedence order: per-shard snapshot directories (<snapDir>/shard-<s>,
-// each with its own index-<gen>.csrx + CURRENT) when every slot
-// resolves, else a full monolithic build (buildMono's precedence) sliced
-// by node range. The first build assembles the router; every later build
-// is a rolling shard-by-shard swap into it — load, validate, swap one
-// slot at a time, so a reload never has more than one shard's worth of
-// the index in motion and a failure leaves a mixed-generation router
-// that still answers every query exactly.
-func (s *source) buildSharded(ctx context.Context) (*reload.Candidate, *csrplus.Engine, error) {
-	start := time.Now()
-	if s.snapDir != "" && shardSnapshotsAvailable(s.snapDir, s.shards) {
-		cand, err := s.buildFromShardSnapshots(ctx, start)
-		return cand, nil, err
-	}
-	cand, eng, err := s.buildMono(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix, ok := eng.CoreIndex()
-	if !ok {
-		return nil, nil, fmt.Errorf("-shards requires the CSR+ algorithm")
-	}
-	if s.router == nil {
-		rt, err := shard.NewRouterFromIndex(ix, s.shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.router = rt
-	} else {
-		swapped, err := reload.RollShards(ctx, s.router, func(_ context.Context, _, lo, hi int) (*core.IndexShard, error) {
-			return ix.Shard(lo, hi)
-		})
-		if err != nil {
-			s.invalidateAfterPartialRoll(swapped)
-			return nil, nil, err
-		}
-	}
-	meta := cand.Meta
-	meta.Shards = s.router.K()
-	meta.BuildTime = time.Since(start)
-	sc := s.shardCandidate(meta)
-	// The router's shards COPY the mono index's factors (core.Shard
-	// detaches from mappings), so the mono engine — possibly backed by a
-	// mapped snapshot — can be released once this generation retires;
-	// boot-time uses of eng (-saveindex, snapshot priming) all happen
-	// before the first reload could trigger that.
-	sc.Release = func() { _ = eng.Close() }
-	return sc, eng, nil
-}
-
-// buildFromShardSnapshots loads every slot from its own snapshot
-// directory. On the first build it assembles the router from the loaded
-// shards (their ranges define the plan); on reloads it rolls them in
-// slot by slot.
-func (s *source) buildFromShardSnapshots(ctx context.Context, start time.Time) (*reload.Candidate, error) {
-	loadSlot := func(slot int) (*core.IndexShard, error) {
-		dir := core.ShardDir(s.snapDir, slot)
-		sh, snap, recovered, err := core.RecoverShardSnapshot(dir)
-		if err != nil {
-			return nil, err
-		}
-		if recovered {
-			log.Printf("WARNING: shard %d CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", slot, snap.Gen, snap.Path)
-		}
-		if sh.N() != s.g.N() {
-			return nil, fmt.Errorf("shard %d snapshot built for %d nodes, graph has %d", slot, sh.N(), s.g.N())
-		}
-		return sh, nil
-	}
-	if s.router == nil {
-		shards := make([]*core.IndexShard, s.shards)
-		for slot := range shards {
-			var err error
-			if shards[slot], err = loadSlot(slot); err != nil {
-				return nil, err
+	sc := cfg.serve
+	sc.Cache = lru
+	sv := serve.NewRanked(src.boot.Ranked, sc)
+	sv.Metrics().SetShards(shards)
+	if len(src.engines) > 0 {
+		sv.Metrics().RegisterExtra("wire_shards", func() any {
+			stats := make([]wire.SlotStats, len(src.engines))
+			for i, e := range src.engines {
+				stats[i] = e.Stats()
 			}
-		}
-		rt, err := shard.NewRouter(shards)
-		if err != nil {
-			return nil, err
-		}
-		s.router = rt
-	} else {
-		swapped, err := reload.RollShards(ctx, s.router, func(_ context.Context, slot, _, _ int) (*core.IndexShard, error) {
-			return loadSlot(slot)
+			return stats
 		})
-		if err != nil {
-			s.invalidateAfterPartialRoll(swapped)
-			return nil, err
-		}
 	}
-	meta := reload.Meta{
-		Source:    "shard-snapshots",
-		Path:      s.snapDir,
-		Algorithm: csrplus.AlgoCSRPlus,
-		N:         s.router.N(),
-		M:         s.g.M(),
-		Rank:      s.router.Rank(),
-		Shards:    s.router.K(),
-		BuildTime: time.Since(start),
+	man := reload.NewWithPolicy(sv, src.next, meta, cfg.policy)
+	// The boot generation may pin a snapshot mapping too; the Manager
+	// frees it after the first successful reload swaps it out.
+	man.SetBootRelease(src.boot.Release)
+	s := &server{sv: sv, man: man, lru: lru, ing: src.ing, adminToken: cfg.adminToken}
+	if s.ing != nil {
+		s.ing.SetRebuildTrigger(func() {
+			log.Println("csrserver: drift budget exceeded, rebuilding from the live graph ...")
+			if _, err := s.reload(context.Background()); err != nil {
+				log.Println("csrserver: drift rebuild failed:", err)
+			}
+		})
 	}
-	return s.shardCandidate(meta), nil
+	return s, nil
 }
 
-// shardCandidate wraps the router as a reload candidate. The closures
-// are rebuilt each reload so the Manager's swap installs a fresh serve
-// generation — that generation bump is what invalidates every cached
-// result computed before the roll.
-func (s *source) shardCandidate(meta reload.Meta) *reload.Candidate {
-	rt := s.router
-	return &reload.Candidate{
-		N:         rt.N(),
-		Query:     rt.QueryInto,
-		RankQuery: rt.QueryRankInto,
-		Rank:      rt.Rank(),
-		Bound:     rt.TruncationBound,
-		Meta:      meta,
+// reload runs one reload and settles the ingest drift baseline: a
+// successful swap absorbs everything up to the loader's cut
+// (RebuildDone(true)); a failure keeps the old baseline — and its honest
+// drift accounting — so the next over-budget append re-fires the rebuild
+// trigger. A coalesced trigger is left to the in-flight reload's own
+// commit.
+func (s *server) reload(ctx context.Context) (reload.Status, error) {
+	st, err := s.man.Reload(ctx)
+	if s.ing != nil && !errors.Is(err, reload.ErrCoalesced) {
+		s.ing.RebuildDone(err == nil)
 	}
-}
-
-// invalidateAfterPartialRoll clears the result cache when a rolling
-// reload failed after swapping at least one shard: the serve generation
-// never bumped (the reload errored before the Manager's swap), but some
-// shards now answer from new factors, so pre-roll cache entries could
-// otherwise be served against a changed index.
-func (s *source) invalidateAfterPartialRoll(swapped int) {
-	if swapped > 0 && s.lru != nil {
-		s.lru.Clear()
-		log.Printf("csrserver: rolling reload failed after %d shard swap(s); result cache cleared", swapped)
-	}
-}
-
-// shardSnapshotsAvailable reports whether every one of the k per-shard
-// snapshot directories under dir can resolve a snapshot. All-or-nothing:
-// a partially published set falls back to a full rebuild rather than
-// mixing snapshot shards with rebuild shards in one boot.
-func shardSnapshotsAvailable(dir string, k int) bool {
-	for s := 0; s < k; s++ {
-		if !snapshotAvailable(core.ShardDir(dir, s)) {
-			return false
-		}
-	}
-	return true
-}
-
-// publishShardSnapshots slices ix by plan and publishes each slice as
-// the next generation of its shard directory.
-func publishShardSnapshots(dir string, ix *core.Index, plan shard.Plan) error {
-	for s := 0; s < plan.K(); s++ {
-		lo, hi := plan.Range(s)
-		sh, err := ix.Shard(lo, hi)
-		if err != nil {
-			return err
-		}
-		if _, _, err := core.WriteShardSnapshot(core.ShardDir(dir, s), sh); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// snapshotAvailable reports whether dir holds anything a boot could
-// serve — a resolvable CURRENT or, failing that, any index-<gen>.csrx
-// file crash recovery could fall back to. An empty or still-
-// unprovisioned directory falls through to the other sources instead of
-// failing the boot.
-func snapshotAvailable(dir string) bool {
-	if _, _, err := core.CurrentSnapshot(dir); err == nil {
-		return true
-	}
-	snaps, err := core.ListSnapshots(dir)
-	return err == nil && len(snaps) > 0
-}
-
-// loader adapts build for the reload manager.
-func (s *source) loader() reload.LoadFunc {
-	return func(ctx context.Context) (*reload.Candidate, error) {
-		cand, _, err := s.build(ctx)
-		return cand, err
-	}
-}
-
-// tierName renders the -quantize flag value for logs ("" is the exact
-// f64 tier).
-func tierName(q string) string {
-	if q == "" {
-		return "f64"
-	}
-	return q
+	return st, err
 }
 
 // reloadOnHUP runs one reload per SIGHUP — the operator's signal that a
 // new snapshot was published (or that the graph should be re-indexed).
-// Failures are logged and the previous generation keeps serving. svc is
-// the streaming-ingestion service when one is configured (nil otherwise);
-// a successful operator reload commits its drift baseline like a
-// drift-triggered one would.
-func reloadOnHUP(ch <-chan os.Signal, man *reload.Manager, svc *ingest.Service) {
+// Failures are logged and the previous generation keeps serving.
+func (s *server) reloadOnHUP(ch <-chan os.Signal) {
 	for range ch {
 		log.Println("csrserver: SIGHUP, reloading index ...")
-		st, err := reloadAndCommit(context.Background(), man, svc)
+		st, err := s.reload(context.Background())
 		if err != nil {
 			log.Println("csrserver: reload failed:", err)
 			continue
@@ -637,32 +211,13 @@ func reloadOnHUP(ch <-chan os.Signal, man *reload.Manager, svc *ingest.Service) 
 	}
 }
 
-func loadGraph(dataset string, scale int64, graphPath string, n int) (*csrplus.Graph, error) {
-	switch {
-	case dataset != "" && graphPath != "":
-		return nil, fmt.Errorf("use either -dataset or -graph, not both")
-	case dataset != "":
-		return csrplus.GenerateDataset(dataset, scale)
-	case graphPath != "":
-		if n <= 0 {
-			return nil, fmt.Errorf("-graph requires -n")
-		}
-		return csrplus.LoadGraph(graphPath, n)
-	default:
-		return nil, fmt.Errorf("one of -dataset or -graph is required")
-	}
-}
-
-// newMux wires the HTTP routes: query traffic goes through the serve
-// layer sv; the reload manager man answers /stats and the /admin routes.
-// Split from main so the handlers are testable with httptest. adminToken
-// guards the POST /admin/* routes; empty disables them. rt is the
-// scatter-gather router when -shards > 1 (nil otherwise) and only adds
-// per-shard detail to /stats and /admin/index — their unsharded shapes
-// are unchanged. svc is the streaming-ingestion service when -waldir is
-// set (nil otherwise): it registers POST /admin/edges, gates /readyz on
-// WAL replay, and adds an "ingest" section to /stats.
-func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken string, rt *shard.Router, svc *ingest.Service) *http.ServeMux {
+// mux wires the HTTP routes: query traffic goes through the serve layer;
+// the reload manager answers /stats and the /admin routes. adminToken
+// guards the POST /admin/* routes; empty disables them. With an ingest
+// service the mux also registers POST /admin/edges, gates /readyz on WAL
+// replay, and adds an "ingest" section to /stats.
+func (s *server) mux() *http.ServeMux {
+	man, sv, lru, adminToken, svc := s.man, s.sv, s.lru, s.adminToken, s.ing
 	mux := http.NewServeMux()
 	// /health and /healthz are liveness: the process is up and able to
 	// answer HTTP. They stay 200 through failed reloads and degraded mode
@@ -716,6 +271,7 @@ func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken st
 			"source":             st.Source,
 			"precompute_seconds": st.BuildSeconds,
 			"peak_bytes":         st.PeakBytes,
+			"shards":             st.ShardStatus(),
 			"serving":            sv.Metrics().Snapshot(),
 			"reload_breaker":     man.Breaker(),
 		}
@@ -725,9 +281,6 @@ func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken st
 			body["cache_misses"] = misses
 			body["cache_entries"] = lru.Len()
 		}
-		if rt != nil {
-			body["shards"] = rt.Status()
-		}
 		if svc != nil {
 			body["ingest"] = svc.Stats()
 		}
@@ -735,24 +288,10 @@ func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken st
 	})
 	mux.HandleFunc("/admin/index", func(w http.ResponseWriter, r *http.Request) {
 		st := man.Current()
-		if rt == nil {
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		// Re-marshal the status struct into a map so the per-shard
-		// generations ride along without changing the unsharded shape.
-		raw, err := json.Marshal(st)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body := map[string]interface{}{}
-		if err := json.Unmarshal(raw, &body); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body["shards"] = rt.Status()
-		writeJSON(w, http.StatusOK, body)
+		writeJSON(w, http.StatusOK, struct {
+			reload.Status
+			Shards []shard.ShardStatus `json:"shards"`
+		}{st, st.ShardStatus()})
 	})
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -763,7 +302,7 @@ func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken st
 		if !auth.Require(w, r, adminToken, failAuth) {
 			return
 		}
-		st, err := reloadAndCommit(r.Context(), man, svc)
+		st, err := s.reload(r.Context())
 		switch {
 		case errors.Is(err, reload.ErrCoalesced):
 			// The trigger was folded into the in-flight reload's pending
@@ -772,7 +311,9 @@ func newMux(man *reload.Manager, sv *serve.Server, lru *cache.LRU, adminToken st
 				"status": "coalesced", "current": st,
 			})
 		case errors.Is(err, reload.ErrBreakerOpen):
-			w.Header().Set("Retry-After", "10")
+			// Whole seconds until the breaker admits a probe, never 0.
+			wait := time.Until(man.Breaker().RetryAt).Seconds()
+			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(wait)))))
 			writeError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
 			writeError(w, http.StatusInternalServerError, err)

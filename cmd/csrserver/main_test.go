@@ -3,11 +3,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -15,12 +19,13 @@ import (
 
 	"csrplus"
 
-	"csrplus/internal/core"
-
 	"csrplus/internal/cache"
+	"csrplus/internal/core"
+	"csrplus/internal/dense"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/wire"
 )
 
 func testGraph(t testing.TB) *csrplus.Graph {
@@ -44,41 +49,97 @@ func testEngine(t testing.TB) *csrplus.Engine {
 	return eng
 }
 
-// testManager wraps an engine in a reload.Manager the way main does; its
-// loader rebuilds a candidate over the same engine, so reload tests can
-// advance the generation without paying for a second precompute.
-func testManager(tb testing.TB, eng *csrplus.Engine, sv *serve.Server) *reload.Manager {
-	tb.Helper()
-	st := eng.Stats()
-	meta := reload.Meta{
-		Source: "boot", Algorithm: st.Algorithm, N: st.N, M: st.M, Rank: st.Rank,
-		BuildTime: st.PrecomputeTime, PeakBytes: st.PeakBytes,
+// graphFile writes testGraph's edge list where -graph can load it.
+func graphFile(t testing.TB) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "edges.txt")
+	edges := "3 0\n0 1\n2 1\n4 1\n3 2\n0 3\n4 3\n5 3\n2 4\n5 4\n3 5\n"
+	if err := os.WriteFile(path, []byte(edges), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	load := func(context.Context) (*reload.Candidate, error) {
-		m := meta
-		m.Source = "rebuild"
-		return &reload.Candidate{N: st.N, Query: eng.QueryInto, Meta: m}, nil
-	}
-	return reload.New(sv, load, meta)
+	return path
 }
 
-// testServer wires a real engine through the serve layer the way main
-// does. Linger < 0 flushes immediately so sequential tests stay fast.
+// parse runs args through the real flag table.
+func parse(args ...string) (*config, error) {
+	fs := flag.NewFlagSet("csrserver", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// bootArgs boots a server from a command line the way main does; the
+// graph flags for testGraph (rank 3) come first.
+func bootArgs(t testing.TB, args ...string) *server {
+	t.Helper()
+	cfg, err := parse(append([]string{"-graph", graphFile(t), "-n", "6", "-r", "3", "-linger", "-1ns"}, args...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := boot(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.sv.Close)
+	return s
+}
+
+// testStack wires an engine through the one candidate constructor, the
+// serve layer and a reload.Manager the way boot does, over a k-slot
+// router; its loader rebuilds a candidate over the same router, so
+// reload tests can advance the generation without paying for a second
+// precompute. wrap, when non-nil, decorates the engine pass (gates,
+// delays).
+func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, adminToken string, wrap func(serve.RankQueryFunc) serve.RankQueryFunc) *server {
+	tb.Helper()
+	ix, ok := eng.CoreIndex()
+	if !ok {
+		tb.Fatal("engine has no core index")
+	}
+	rt, err := shard.NewRouterFromIndex(ix, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := eng.Stats()
+	meta := reload.Meta{
+		Source: "boot", Algorithm: st.Algorithm, M: st.M,
+		BuildTime: st.PrecomputeTime, PeakBytes: st.PeakBytes,
+	}
+	candidate := func(source string) *reload.Candidate {
+		m := meta
+		m.Source = source
+		cand := newCandidate(rt, m, nil, nil)
+		if wrap != nil {
+			cand.Query = wrap(cand.Query)
+		}
+		return cand
+	}
+	bootCand := candidate("boot")
+	sv := serve.NewRanked(bootCand.Ranked, cfg)
+	sv.Metrics().SetShards(k)
+	load := func(context.Context) (*reload.Candidate, error) { return candidate("rebuild"), nil }
+	return &server{sv: sv, man: reload.New(sv, load, bootCand.Meta), lru: cfg.Cache, adminToken: adminToken}
+}
+
+// testServer serves a K=1 stack over testEngine. Linger < 0 flushes
+// immediately so sequential tests stay fast.
 func testServer(t *testing.T, cfg serve.Config, lru *cache.LRU) *httptest.Server {
 	return testServerAuth(t, cfg, lru, "")
 }
 
 func testServerAuth(t *testing.T, cfg serve.Config, lru *cache.LRU, adminToken string) *httptest.Server {
 	t.Helper()
-	eng := testEngine(t)
 	if cfg.Linger == 0 {
 		cfg.Linger = -1
 	}
 	cfg.Cache = lru
-	sv := serve.New(6, eng.Query, cfg)
-	t.Cleanup(sv.Close)
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, lru, adminToken, nil, nil))
+	return serveStack(t, testStack(t, testEngine(t), 1, cfg, adminToken, nil))
+}
+
+func serveStack(t testing.TB, s *server) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(s.mux())
 	t.Cleanup(srv.Close)
+	t.Cleanup(s.sv.Close)
 	return srv
 }
 
@@ -237,18 +298,18 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestOverloadReturns429(t *testing.T) {
-	eng := testEngine(t)
 	gate := make(chan struct{})
-	blocking := func(queries []int) ([][]float64, error) {
-		<-gate
-		return eng.Query(queries)
+	blocking := func(query serve.RankQueryFunc) serve.RankQueryFunc {
+		return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+			<-gate
+			return query(ctx, queries, rank, scratch)
+		}
 	}
-	sv := serve.New(6, blocking, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1})
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", nil, nil))
+	s := testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", blocking)
+	sv := s.sv
 	var gateOnce sync.Once
 	release := func() { gateOnce.Do(func() { close(gate) }) }
-	defer srv.Close()
-	defer sv.Close()
+	srv := serveStack(t, s)
 	defer release()
 
 	type result struct{ code int }
@@ -291,15 +352,13 @@ func TestOverloadReturns429(t *testing.T) {
 }
 
 func TestDeadlineReturns504(t *testing.T) {
-	eng := testEngine(t)
-	slow := func(queries []int) ([][]float64, error) {
-		time.Sleep(100 * time.Millisecond)
-		return eng.Query(queries)
+	slow := func(query serve.RankQueryFunc) serve.RankQueryFunc {
+		return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+			time.Sleep(100 * time.Millisecond)
+			return query(ctx, queries, rank, scratch)
+		}
 	}
-	sv := serve.New(6, slow, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond})
-	defer sv.Close()
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", nil, nil))
-	defer srv.Close()
+	srv := serveStack(t, testStack(t, testEngine(t), 1, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond}, "", slow))
 	code, body := get(t, srv, "/topk?node=1&k=2")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -353,10 +412,7 @@ func TestTopKCachePath(t *testing.T) {
 func BenchmarkTopKHandler(b *testing.B) {
 	eng := testEngine(b)
 	run := func(b *testing.B, lru *cache.LRU) {
-		sv := serve.New(6, eng.Query, serve.Config{Linger: -1, Cache: lru})
-		defer sv.Close()
-		srv := httptest.NewServer(newMux(testManager(b, eng, sv), sv, lru, "", nil, nil))
-		defer srv.Close()
+		srv := serveStack(b, testStack(b, eng, 1, serve.Config{Linger: -1, Cache: lru}, "", nil))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(srv.URL + "/topk?node=1&k=3")
@@ -437,14 +493,13 @@ func TestAdminReloadAuthAndSwap(t *testing.T) {
 }
 
 func TestReloadOnHUP(t *testing.T) {
-	eng := testEngine(t)
-	sv := serve.NewMat(6, eng.QueryInto, serve.Config{Linger: -1})
-	defer sv.Close()
-	man := testManager(t, eng, sv)
+	s := testStack(t, testEngine(t), 1, serve.Config{Linger: -1}, "", nil)
+	defer s.sv.Close()
+	man := s.man
 	ch := make(chan os.Signal) // unbuffered: a send returns only once the loop is ready again
 	done := make(chan struct{})
 	go func() {
-		reloadOnHUP(ch, man, nil)
+		s.reloadOnHUP(ch)
 		close(done)
 	}()
 	ch <- syscall.SIGHUP
@@ -456,34 +511,18 @@ func TestReloadOnHUP(t *testing.T) {
 	}
 }
 
-// TestSourceSnapshotResolution covers main's boot-source precedence: a
-// provisioned snapshot directory wins, an empty one falls back to an
-// in-process rebuild.
+// TestSourceSnapshotResolution covers the boot-source precedence: an
+// empty snapshot directory falls back to an in-process rebuild and is
+// primed with it; a provisioned one wins.
 func TestSourceSnapshotResolution(t *testing.T) {
-	g := testGraph(t)
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if _, _, err := eng.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
+	cold := bootArgs(t, "-snapshots", dir).man.Current()
+	if cold.Source != "rebuild" || cold.SnapshotGen != 1 {
+		t.Fatalf("empty snapshot dir: boot status = %+v, want a rebuild published as generation 1", cold)
 	}
-	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, snapDir: dir}
-	cand, _, err := src.build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.Meta.Source != "snapshot" || cand.Meta.SnapshotGen != 1 || cand.Meta.Rank != 3 {
-		t.Fatalf("snapshot boot meta = %+v", cand.Meta)
-	}
-	empty := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, snapDir: t.TempDir()}
-	cand, _, err = empty.build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.Meta.Source != "rebuild" {
-		t.Fatalf("empty snapshot dir: source = %q, want rebuild", cand.Meta.Source)
+	warm := bootArgs(t, "-snapshots", dir).man.Current()
+	if warm.Source != "snapshot" || warm.SnapshotGen != 1 || warm.Rank != 3 {
+		t.Fatalf("snapshot boot status = %+v", warm)
 	}
 }
 
@@ -491,24 +530,13 @@ func TestSourceSnapshotResolution(t *testing.T) {
 // end: boot from a snapshot directory, publish a new generation into it,
 // trigger an authenticated reload, and watch traffic move over.
 func TestAdminReloadPicksUpNewSnapshot(t *testing.T) {
-	g := testGraph(t)
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
+	eng := testEngine(t)
 	if _, _, err := eng.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, snapDir: dir}
-	cand, _, err := src.build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := serve.NewMat(cand.N, cand.Query, serve.Config{Linger: -1})
-	defer sv.Close()
-	man := reload.New(sv, src.loader(), cand.Meta)
-	srv := httptest.NewServer(newMux(man, sv, nil, "sesame", nil, nil))
+	s := bootArgs(t, "-snapshots", dir, "-admintoken", "sesame")
+	srv := httptest.NewServer(s.mux())
 	defer srv.Close()
 
 	if _, _, err := eng.SaveSnapshot(dir); err != nil { // publish generation 2
@@ -545,19 +573,18 @@ func TestHealthzAndReadyz(t *testing.T) {
 }
 
 // An open reload breaker must flip readiness to 503 while query traffic
-// keeps being answered by the old generation.
-func TestReadyzReportsOpenBreaker(t *testing.T) {
-	eng := testEngine(t)
-	sv := serve.NewMat(6, eng.QueryInto, serve.Config{Linger: -1})
-	t.Cleanup(sv.Close)
-	man := reload.NewWithPolicy(sv,
+// keeps being answered by the old generation, and POST /admin/reload must
+// tell the caller how long the breaker stays open — the configured
+// cooldown, not a constant.
+func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
+	s := testStack(t, testEngine(t), 1, serve.Config{Linger: -1}, "sesame", nil)
+	s.man = reload.NewWithPolicy(s.sv,
 		func(context.Context) (*reload.Candidate, error) { return nil, errTestDown },
-		reload.Meta{Source: "boot"},
-		reload.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
-	srv := httptest.NewServer(newMux(man, sv, nil, "", nil, nil))
-	t.Cleanup(srv.Close)
+		s.man.Current().Meta,
+		reload.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: 90 * time.Second})
+	srv := serveStack(t, s)
 
-	if _, err := man.Reload(context.Background()); err == nil {
+	if _, err := s.man.Reload(context.Background()); err == nil {
 		t.Fatal("reload against a down source succeeded")
 	}
 	code, body := get(t, srv, "/readyz")
@@ -570,6 +597,24 @@ func TestReadyzReportsOpenBreaker(t *testing.T) {
 	if code, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatal("liveness flipped with the breaker; only readiness should")
 	}
+
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/admin/reload", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer sesame")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("reload against an open breaker: code=%d", resp.StatusCode)
+	}
+	// Milliseconds into a 90 s cooldown, the ceiling is still 90.
+	if got := resp.Header.Get("Retry-After"); got != "90" {
+		t.Fatalf("Retry-After = %q, want the 90 s left of -breakercooldown", got)
+	}
 }
 
 var errTestDown = fmt.Errorf("snapshot source down")
@@ -578,18 +623,13 @@ var errTestDown = fmt.Errorf("snapshot source down")
 func TestTopKDegradedTagging(t *testing.T) {
 	eng := testEngine(t)
 	st := eng.Stats()
-	sv := serve.NewRanked(serve.Ranked{
-		N: st.N, Rank: st.Rank, Bound: eng.TruncationBound, Query: eng.QueryRankInto,
-	}, serve.Config{
+	srv := serveStack(t, testStack(t, eng, 1, serve.Config{
 		Linger: -1,
 		// The server-imposed Timeout is the deadline the budget check
 		// sees; with MinBudget above it, every request votes to degrade.
 		Timeout: 5 * time.Second,
 		Degrade: serve.DegradeConfig{Rank: 1, MinBudget: time.Hour},
-	})
-	t.Cleanup(sv.Close)
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", nil, nil))
-	t.Cleanup(srv.Close)
+	}, "", nil))
 
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/topk?node=1&k=3", nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -622,11 +662,7 @@ func TestTopKDegradedTagging(t *testing.T) {
 // missing generation: crash recovery serves the newest valid one and
 // flags it.
 func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
-	g := testGraph(t)
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := testEngine(t)
 	dir := t.TempDir()
 	for i := 0; i < 2; i++ {
 		if _, _, err := eng.SaveSnapshot(dir); err != nil {
@@ -637,85 +673,51 @@ func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, core.CurrentFile), []byte(core.SnapshotName(9)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, snapDir: dir}
-	cand, _, err := src.build(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.Meta.Source != "snapshot" || !cand.Meta.Recovered || cand.Meta.SnapshotGen != 2 {
-		t.Fatalf("recovery boot meta = %+v, want recovered snapshot gen 2", cand.Meta)
-	}
-	if cand.RankQuery == nil || cand.Rank != 3 {
-		t.Fatalf("candidate missing rank structure: rank=%d", cand.Rank)
+	st := bootArgs(t, "-snapshots", dir).man.Current()
+	if st.Source != "snapshot" || !st.Recovered || st.SnapshotGen != 2 || st.Rank != 3 {
+		t.Fatalf("recovery boot status = %+v, want recovered snapshot gen 2 at rank 3", st)
 	}
 }
 
-// A sharded source boots by slicing a monolithic build, publishes
-// per-shard snapshots, and then reloads by rolling those snapshots in
-// shard by shard.
+// A -shards K server over a snapshot directory fills the K per-shard
+// directories on its first boot, serves from them, and reloads by
+// rolling them in slot by slot; the next boot needs no build.
 func TestShardedSourceBuildAndRoll(t *testing.T) {
-	g := testGraph(t)
 	dir := t.TempDir()
-	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, snapDir: dir, shards: 3}
-	cand, eng, err := src.build(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	s := bootArgs(t, "-shards", "3", "-snapshots", dir)
+	st := s.man.Current()
+	if st.Source != "shard-snapshots" || len(st.ShardStatus()) != 3 {
+		t.Fatalf("boot status = %+v with %d shards", st, len(st.ShardStatus()))
 	}
-	if src.router == nil || src.router.K() != 3 || cand.Meta.Shards != 3 {
-		t.Fatalf("boot meta = %+v, router = %v", cand.Meta, src.router)
-	}
-	for s, gen := range src.router.Generations() {
-		if gen != 1 {
-			t.Fatalf("shard %d at generation %d after boot, want 1", s, gen)
+	for slot := 0; slot < 3; slot++ {
+		if !snapshotAvailable(core.ShardDir(dir, slot)) {
+			t.Fatalf("first boot left shard directory %d empty", slot)
 		}
 	}
-	ix, ok := eng.CoreIndex()
-	if !ok {
-		t.Fatal("sharded boot without a core index")
+	for _, sh := range st.ShardStatus() {
+		if sh.Generation != 1 {
+			t.Fatalf("shard %d at generation %d after boot, want 1", sh.Shard, sh.Generation)
+		}
 	}
-	if err := publishShardSnapshots(dir, ix, src.router.Plan()); err != nil {
-		t.Fatal(err)
-	}
-	if !shardSnapshotsAvailable(dir, 3) {
-		t.Fatal("published shard snapshots not detected")
-	}
-	cand2, eng2, err := src.build(context.Background())
+	st, err := s.reload(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng2 != nil {
-		t.Fatal("shard-snapshot reload should not build a monolithic engine")
+	if st.Source != "shard-snapshots" || st.Generation != 2 {
+		t.Fatalf("reload status = %+v", st)
 	}
-	if cand2.Meta.Source != "shard-snapshots" || cand2.Meta.Shards != 3 {
-		t.Fatalf("reload meta = %+v", cand2.Meta)
-	}
-	for s, gen := range src.router.Generations() {
-		if gen != 2 {
-			t.Fatalf("shard %d at generation %d after roll, want 2", s, gen)
+	for _, sh := range st.ShardStatus() {
+		if sh.Generation != 2 {
+			t.Fatalf("shard %d at generation %d after roll, want 2", sh.Shard, sh.Generation)
 		}
 	}
 }
 
-// The sharded mux serves bitwise-identical top-k to the monolithic one
-// and surfaces per-shard detail on /stats and /admin/index without
-// changing the unsharded response shapes.
+// Every server reports its shard slots — a plain one reports the single
+// slot covering [0, n) — and a K-slot router answers bitwise-identically
+// to it.
 func TestShardedMuxEndpoints(t *testing.T) {
-	eng := testEngine(t)
-	ix, ok := eng.CoreIndex()
-	if !ok {
-		t.Fatal("engine has no core index")
-	}
-	rt, err := shard.NewRouterFromIndex(ix, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := serve.NewRanked(serve.Ranked{
-		N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Query: rt.QueryRankInto,
-	}, serve.Config{Linger: -1})
-	t.Cleanup(sv.Close)
-	sv.Metrics().SetShards(rt.K())
-	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", rt, nil))
-	t.Cleanup(srv.Close)
+	srv := serveStack(t, testStack(t, testEngine(t), 3, serve.Config{Linger: -1}, "", nil))
 	mono := testServer(t, serve.Config{}, nil)
 
 	for _, path := range []string{"/topk?node=1&k=5", "/topk?nodes=1,3&k=4"} {
@@ -731,31 +733,212 @@ func TestShardedMuxEndpoints(t *testing.T) {
 		}
 	}
 
-	code, body := get(t, srv, "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("/stats code=%d", code)
+	for _, tc := range []struct {
+		srv *httptest.Server
+		k   int
+	}{{srv, 3}, {mono, 1}} {
+		code, body := get(t, tc.srv, "/stats")
+		if code != http.StatusOK {
+			t.Fatalf("/stats code=%d", code)
+		}
+		shardList, ok := body["shards"].([]interface{})
+		if !ok || len(shardList) != tc.k {
+			t.Fatalf("/stats shards = %v, want %d", body["shards"], tc.k)
+		}
+		first := shardList[0].(map[string]interface{})
+		if first["lo"].(float64) != 0 || first["generation"].(float64) != 1 {
+			t.Fatalf("/stats shard 0 = %v", first)
+		}
+		if last := shardList[tc.k-1].(map[string]interface{}); last["hi"].(float64) != 6 {
+			t.Fatalf("/stats last shard = %v, want it to end at n", last)
+		}
+		serving := body["serving"].(map[string]interface{})
+		if serving["shard_count"].(float64) != float64(tc.k) {
+			t.Fatalf("shard_count = %v", serving["shard_count"])
+		}
+
+		code, body = get(t, tc.srv, "/admin/index")
+		if code != http.StatusOK {
+			t.Fatalf("/admin/index code=%d", code)
+		}
+		if list, ok := body["shards"].([]interface{}); !ok || len(list) != tc.k {
+			t.Fatalf("/admin/index shards = %v, want %d", body["shards"], tc.k)
+		}
+		if _, ok := body["generation"]; !ok {
+			t.Fatalf("/admin/index lost generation key: %v", body)
+		}
 	}
-	shardList, ok := body["shards"].([]interface{})
-	if !ok || len(shardList) != 3 {
-		t.Fatalf("/stats shards = %v", body["shards"])
+}
+
+// TestModeTable holds the binary to "every mode combination is supported
+// and tested or does not exist": each command line either boots through
+// the one candidate constructor and answers top-k bitwise-equal to
+// Engine.TopK / TopKMulti, or is rejected with a message naming the flag.
+func TestModeTable(t *testing.T) {
+	eng := testEngine(t)
+	ix, _ := eng.CoreIndex()
+	single, err := eng.TopK(1, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := shardList[0].(map[string]interface{})
-	if first["lo"].(float64) != 0 || first["generation"].(float64) != 1 {
-		t.Fatalf("/stats shard 0 = %v", first)
+	multi, err := eng.TopKMulti([]int{1, 3, 3}, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serving := body["serving"].(map[string]interface{})
-	if serving["shard_count"].(float64) != 3 {
-		t.Fatalf("shard_count = %v", serving["shard_count"])
+	check := func(t *testing.T, s *server) {
+		t.Helper()
+		for _, tc := range []struct {
+			queries []int
+			want    []csrplus.Match
+		}{{[]int{1}, single}, {[]int{1, 3, 3}, multi}} {
+			res, err := s.sv.Search(context.Background(), tc.queries, len(tc.want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != len(tc.want) {
+				t.Fatalf("top-k of %v = %v, want %v", tc.queries, res.Matches, tc.want)
+			}
+			for i, m := range res.Matches {
+				if m.Node != tc.want[i].Node || math.Float64bits(m.Score) != math.Float64bits(tc.want[i].Score) {
+					t.Fatalf("top-k of %v = %v, want %v bit for bit", tc.queries, res.Matches, tc.want)
+				}
+			}
+		}
 	}
 
-	code, body = get(t, srv, "/admin/index")
-	if code != http.StatusOK {
-		t.Fatalf("/admin/index code=%d", code)
+	snaps, shardSnaps, indexFile := t.TempDir(), t.TempDir(), filepath.Join(t.TempDir(), "ix.csrx")
+	boots := []struct {
+		name   string
+		args   []string
+		source string
+		shards int
+	}{
+		{"K=1", nil, "rebuild", 1},
+		{"K=1 priming -snapshots", []string{"-snapshots", snaps, "-saveindex", indexFile, "-quantize", "f64"}, "rebuild", 1},
+		{"K=1 from the mapped snapshot", []string{"-snapshots", snaps}, "snapshot", 1},
+		{"K=1 from -index", []string{"-index", indexFile}, "index", 1},
+		{"-shards 3", []string{"-shards", "3"}, "rebuild", 3},
+		{"-shards 3 from the mapped -index", []string{"-shards", "3", "-index", indexFile}, "index", 3},
+		{"-shards 3 filling per-shard snapshots", []string{"-shards", "3", "-snapshots", shardSnaps}, "shard-snapshots", 3},
+		{"-shards 3 from per-shard snapshots", []string{"-shards", "3", "-snapshots", shardSnaps}, "shard-snapshots", 3},
+		{"-waldir", []string{"-waldir", t.TempDir(), "-driftbudget", "0", "-admintoken", "sesame"}, "rebuild", 1},
+		{"-waldir from the mapped snapshot", []string{"-waldir", t.TempDir(), "-snapshots", snaps}, "snapshot", 1},
 	}
-	if _, ok := body["shards"].([]interface{}); !ok {
-		t.Fatalf("/admin/index missing shards: %v", body)
+	for _, tc := range boots {
+		t.Run(tc.name, func(t *testing.T) {
+			s := bootArgs(t, tc.args...)
+			if s.ing != nil {
+				defer s.ing.Close()
+				if err := s.ing.Recover(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s.man.Current()
+			if st.Source != tc.source || len(st.ShardStatus()) != tc.shards {
+				t.Fatalf("booted source=%s with %d shards, want %s with %d", st.Source, len(st.ShardStatus()), tc.source, tc.shards)
+			}
+			check(t, s)
+			// The generation after a reload answers the same bits.
+			if _, err := s.reload(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			check(t, s)
+		})
 	}
-	if _, ok := body["generation"]; !ok {
-		t.Fatalf("/admin/index lost generation key: %v", body)
+
+	// Remote slots: the workers boot the way -shardworker does, from the
+	// per-shard snapshots published above, behind httptest listeners.
+	t.Run("-shardaddrs", func(t *testing.T) {
+		addrs := make([]string, 3)
+		for slot := range addrs {
+			cfg, err := parse("-shardworker", fmt.Sprint(slot), "-snapshots", shardSnaps, "-admintoken", "sesame")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := wire.BootWorker(wire.WorkerConfig{Shard: slot, SnapshotDir: core.ShardDir(cfg.snapDir, slot), AdminToken: cfg.adminToken})
+			if err != nil {
+				t.Fatal(err)
+			}
+			worker := httptest.NewServer(w.Handler())
+			defer worker.Close()
+			addrs[slot] = strings.TrimPrefix(worker.URL, "http://") // a bare host:port, as operators write them
+		}
+		cfg, err := parse("-shardaddrs", strings.Join(addrs, ","), "-admintoken", "sesame", "-wirehedge", "-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := boot(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.sv.Close()
+		if st := s.man.Current(); st.Source != "wire" || len(st.ShardStatus()) != 3 || st.N != ix.N() {
+			t.Fatalf("router boot status = %+v", st)
+		}
+		check(t, s)
+		if _, err := s.reload(context.Background()); err != nil { // rolls the three workers
+			t.Fatal(err)
+		}
+		check(t, s)
+		if stats, ok := s.sv.Metrics().Snapshot()["wire_shards"].([]wire.SlotStats); !ok || len(stats) != 3 {
+			t.Fatalf("router /metrics wire_shards = %v", s.sv.Metrics().Snapshot()["wire_shards"])
+		}
+	})
+
+	rejects := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-shardworker", "0", "-snapshots", "d", "-shardaddrs", "a:1"}, "-shardaddrs"},
+		{[]string{"-shardworker", "0", "-snapshots", "d", "-shards", "4"}, "-shards"},
+		{[]string{"-shardworker", "0", "-snapshots", "d", "-dataset", "FB"}, "-dataset"},
+		{[]string{"-shardworker", "0", "-snapshots", "d", "-cache", "0"}, "-cache"},
+		{[]string{"-shardworker", "0"}, "-snapshots"},
+		{[]string{"-shardaddrs", "a:1", "-waldir", "d"}, "-waldir"},
+		{[]string{"-shardaddrs", "a:1", "-driftbudget", "0.1"}, "-driftbudget"},
+		{[]string{"-shardaddrs", "a:1", "-snapshots", "d"}, "-snapshots"},
+		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
+		{[]string{"-shardaddrs", "a:1", "-shards", "3"}, "-shards"},
+		{[]string{"-dataset", "FB", "-waldir", "d", "-shards", "1"}, "-shards"},
+		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
+		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
+		{[]string{"-dataset", "FB", "-wiretimeout", "1s"}, "-wiretimeout"},
+		{[]string{"-dataset", "FB", "-shards", "0"}, "-shards"},
+		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
+	}
+	for _, tc := range rejects {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want a rejection naming %s", tc.args, err, tc.flag)
+		}
+	}
+	// A boot-time rejection: the mode is fine, the input on disk is not.
+	if cfg, err := parse("-graph", graphFile(t), "-n", "6", "-shards", "3", "-snapshots", shardSnaps, "-saveindex", indexFile); err != nil {
+		t.Fatal(err)
+	} else if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "-saveindex") {
+		t.Errorf("-saveindex over per-shard snapshots: err = %v, want a rejection naming -saveindex", err)
+	}
+
+	// The table and the flag set describe each other exactly: every flag
+	// is read by some mode, and every name in a row is a flag.
+	fs := flag.NewFlagSet("csrserver", flag.ContinueOnError)
+	if _, err := parseFlags(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		count++
+		if !(modeLocal.reads(f.Name) || modeIngest.reads(f.Name) || modeRouter.reads(f.Name) || modeWorker.reads(f.Name)) {
+			t.Errorf("flag -%s is read by no mode", f.Name)
+		}
+	})
+	if count != 38 {
+		t.Errorf("csrserver has %d flags, want 38", count)
+	}
+	for m := range modes {
+		for _, name := range strings.Fields(modes[m].flags) {
+			if fs.Lookup(name) == nil {
+				t.Errorf("mode table names -%s, which is not a flag", name)
+			}
+		}
 	}
 }

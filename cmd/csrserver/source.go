@@ -1,0 +1,409 @@
+package main
+
+// source.go is where serving generations come from. Every generation is
+// a *shard.Router — a monolithic index is the K=1 router — wrapped by
+// newCandidate; the inputs differ only in how the router's slots are
+// filled and how long they live:
+//
+//   - one whole index per generation (K=1, -shards K without per-shard
+//     snapshots, -waldir): a FRESH router of zero-copy shard views per
+//     generation. The index may be a memory-mapped snapshot, so the
+//     generation owns it: Candidate.Release closes it after serve's swap
+//     has drained the batches still running on the views.
+//   - K slots that outlive reloads (-shards K over per-shard snapshot
+//     directories, -shardaddrs over remote workers): ONE router for the
+//     life of the process; a reload rolls new factors into its slots one
+//     at a time. Nothing to release — decoded shards are heap memory and
+//     remote slots own nothing here.
+
+import (
+	"context"
+	"fmt"
+	"log"
+	"strings"
+	"time"
+
+	"csrplus"
+
+	"csrplus/internal/cache"
+	"csrplus/internal/core"
+	"csrplus/internal/ingest"
+	"csrplus/internal/reload"
+	"csrplus/internal/serve"
+	"csrplus/internal/shard"
+	"csrplus/internal/topk"
+	"csrplus/internal/wire"
+)
+
+// source is a booted input: the generation to start serving and the
+// loader of every later one.
+type source struct {
+	boot *reload.Candidate
+	next reload.LoadFunc
+	// ing is the streaming-ingestion service (nil without -waldir), cold:
+	// the caller runs Recover.
+	ing *ingest.Service
+	// engines are the remote slots' clients (nil when every slot is local).
+	engines []*wire.RemoteEngine
+}
+
+// newCandidate describes one serving generation over rt. Local slots
+// serve through the column batcher — concurrent requests coalesce into
+// one multi-source pass; remote slots serve through the router's direct
+// top-k and targeted-score paths, because no n x |Q| matrix ever crosses
+// the wire. The closures are rebuilt per generation even when rt
+// persists, so each swap installs a fresh serve generation — which is
+// what invalidates every result cached before a roll.
+func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
+	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Drift: drift}
+	if rt.Remote() {
+		ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
+			res, err := rt.TopKTagged(ctx, queries, k, rank)
+			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
+		}
+		ranked.Scores = rt.Scores
+	} else {
+		ranked.Query = rt.QueryRankInto
+	}
+	meta.N, meta.Rank, meta.ShardStatus = rt.N(), rt.Rank(), rt.Status
+	return &reload.Candidate{Ranked: ranked, Meta: meta, Release: release}
+}
+
+// openSource boots cfg's input.
+func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, error) {
+	if cfg.mode == modeRouter {
+		return openRemote(ctx, cfg, lru)
+	}
+	g, err := loadGraph(cfg.dataset, cfg.dscale, cfg.graphPath, cfg.n)
+	if err != nil {
+		return nil, err
+	}
+	w := &wholeIndex{cfg: cfg, g: g}
+	if cfg.shards > 1 && cfg.snapDir != "" {
+		return openShardDirs(ctx, w, lru)
+	}
+	return openIndex(ctx, w)
+}
+
+// rolling serves every generation from one persistent router: a reload
+// runs roll, which swaps new factors into the slots one at a time and
+// reports how many it swapped. A roll that failed part-way leaves a
+// mixed-generation router that still answers every query exactly, but
+// the serve generation never bumped (the reload errored before the
+// Manager's swap), so the result cache is cleared here: no entry cached
+// before the roll may be served against a slot whose factors changed.
+func rolling(rt *shard.Router, meta reload.Meta, lru *cache.LRU, roll func(context.Context) (int, error)) *source {
+	return &source{
+		boot: newCandidate(rt, meta, nil, nil),
+		next: func(ctx context.Context) (*reload.Candidate, error) {
+			start := time.Now()
+			if swapped, err := roll(ctx); err != nil {
+				if swapped > 0 && lru != nil {
+					lru.Clear()
+					log.Printf("csrserver: rolling reload failed after %d slot swap(s); result cache cleared", swapped)
+				}
+				return nil, err
+			}
+			rolled := meta
+			rolled.BuildTime = time.Since(start)
+			return newCandidate(rt, rolled, nil, nil), nil
+		},
+	}
+}
+
+// openRemote dials every worker and assembles the router over the remote
+// slots. A reload rolls the workers through their own /admin/reload.
+func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, error) {
+	start := time.Now()
+	dialCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
+	addrs := strings.Split(cfg.shardAddrs, ",")
+	engines := make([]*wire.RemoteEngine, len(addrs))
+	slots := make([]shard.Slot, len(addrs))
+	for i, a := range addrs {
+		if !strings.Contains(a, "://") {
+			a = "http://" + a
+		}
+		opt := cfg.wire
+		opt.Shard = i
+		e, err := wire.Dial(dialCtx, a, opt)
+		if err != nil {
+			return nil, err
+		}
+		engines[i], slots[i] = e, e
+		log.Printf("shard %d: %s serving nodes [%d, %d) generation %d", i, e.Addr(), e.Lo(), e.Hi(), e.Generation())
+	}
+	rt, err := shard.NewRouterSlots(slots)
+	if err != nil {
+		return nil, err
+	}
+	// The bound cache must be primed while every worker is reachable:
+	// degraded serving later needs the missing-shard bound, and a dead
+	// worker is exactly when it cannot be fetched fresh.
+	if err := rt.PrimeBound(); err != nil {
+		return nil, fmt.Errorf("priming error bounds: %w", err)
+	}
+	meta := reload.Meta{Source: "wire", Path: cfg.shardAddrs, Algorithm: csrplus.AlgoCSRPlus, BuildTime: time.Since(start)}
+	src := rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return wire.RollWorkers(ctx, engines) })
+	src.engines = engines
+	return src, nil
+}
+
+// openShardDirs serves -shards K from the K per-shard snapshot
+// directories <snapshots>/shard-<s>, each with its own CURRENT and
+// generations. A first boot finds them empty and fills them from one
+// whole-index build; from then on the directories are the index, and a
+// reload rolls whatever each CURRENT names into its slot.
+func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source, error) {
+	start := time.Now()
+	cfg := w.cfg
+	populated := true
+	for s := 0; s < cfg.shards; s++ {
+		// All-or-nothing: a partially published set is refilled from a
+		// build rather than mixed with it.
+		populated = populated && snapshotAvailable(core.ShardDir(cfg.snapDir, s))
+	}
+	switch {
+	case !populated:
+		eng, _, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
+		if err == nil {
+			err = saveIndex(cfg, eng)
+			_ = eng.Close()
+		}
+		if err != nil {
+			return nil, err
+		}
+	case cfg.saveIndex != "":
+		return nil, fmt.Errorf("-saveindex needs a whole index, but the boot came from per-shard snapshots")
+	}
+	loadSlot := func(_ context.Context, slot, _, _ int) (*core.IndexShard, error) {
+		sh, snap, recovered, err := core.RecoverShardSnapshot(core.ShardDir(cfg.snapDir, slot))
+		if err != nil {
+			return nil, err
+		}
+		if recovered {
+			log.Printf("WARNING: shard %d CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", slot, snap.Gen, snap.Path)
+		}
+		if sh.N() != w.g.N() {
+			return nil, fmt.Errorf("shard %d snapshot built for %d nodes, graph has %d", slot, sh.N(), w.g.N())
+		}
+		return sh, nil
+	}
+	shards := make([]*core.IndexShard, cfg.shards)
+	for slot := range shards {
+		var err error
+		if shards[slot], err = loadSlot(ctx, slot, 0, 0); err != nil {
+			return nil, err
+		}
+	}
+	rt, err := shard.NewRouter(shards)
+	if err != nil {
+		return nil, err
+	}
+	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.g.M(), BuildTime: time.Since(start)}
+	return rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return reload.RollShards(ctx, rt, loadSlot) }), nil
+}
+
+// openIndex serves a fresh router of views over one whole index per
+// generation. With -waldir the boot index also anchors the ingest
+// service, after which every reload rebuilds from the live graph.
+func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
+	start := time.Now()
+	eng, meta, _, err := w.build(ctx)
+	if err == nil {
+		err = saveIndex(w.cfg, eng)
+	}
+	if err != nil {
+		return nil, err
+	}
+	boot, err := w.candidate(eng, meta, nil, start)
+	if err != nil {
+		return nil, err
+	}
+	if w.cfg.mode == modeIngest {
+		w.ing, err = ingest.NewService(w.g.CoreGraph(), coreIndex(eng), ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
+		if err != nil {
+			return nil, err
+		}
+		// Anchored at baseline zero: Recover charges exactly the WAL tail
+		// past the snapshot's recorded sequence, which is exactly what the
+		// boot factors don't cover. The service keeps those factors as its
+		// frozen basis for the life of the process, so the boot index —
+		// possibly a mapping — is never released.
+		boot.Drift, boot.Release = w.ing.DriftFrom(0), nil
+	}
+	return &source{boot: boot, next: w.load, ing: w.ing}, nil
+}
+
+// wholeIndex resolves one whole CSR+ index per call, off the serving
+// path. Precedence mirrors the flags: the live graph once ingestion is
+// up, else the snapshot directory's CURRENT, else a pinned -index file,
+// else an in-process precompute over the graph.
+type wholeIndex struct {
+	cfg *config
+	g   *csrplus.Graph
+	ing *ingest.Service // set by openIndex once the boot index exists
+}
+
+// load is the reload.LoadFunc of a whole-index source.
+func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
+	start := time.Now()
+	eng, meta, drift, err := w.build(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return w.candidate(eng, meta, drift, start)
+}
+
+// candidate slices eng's index into cfg.shards zero-copy views behind a
+// fresh router that owns it: the generation's Release closes eng.
+func (w *wholeIndex) candidate(eng *csrplus.Engine, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
+	rt, err := shard.NewRouterFromIndex(coreIndex(eng), w.cfg.shards)
+	if err != nil {
+		_ = eng.Close()
+		return nil, err
+	}
+	meta.BuildTime = time.Since(start)
+	return newCandidate(rt, meta, drift, func() { _ = eng.Close() }), nil
+}
+
+// build produces the next whole index and, when it did not come from
+// the snapshot directory, publishes it there — so an empty directory is
+// primed with the boot index (the first SIGHUP has a CURRENT to resolve,
+// operators can roll back to the generation the server came up with) and
+// every live-graph rebuild lands on disk stamped with the WAL sequence
+// it covers, so the next boot replays only the tail. -shards K > 1
+// publishes one snapshot per shard directory instead. drift is the
+// generation's ingest drift closure, anchored at the cut its factors
+// were built from (nil without ingestion).
+func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reload.Meta, drift serve.DriftFunc, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, meta, nil, err
+	}
+	cfg := w.cfg
+	opts := csrplus.Options{Rank: cfg.rank, Damping: cfg.damping}
+	switch {
+	case w.ing != nil:
+		if !w.ing.Ready() {
+			return nil, meta, nil, fmt.Errorf("ingest replay still in progress")
+		}
+		live, seq, d0, cerr := w.ing.Cut()
+		if cerr != nil {
+			return nil, meta, nil, cerr
+		}
+		log.Printf("rebuilding index over live graph n=%d m=%d (wal seq %d, drift %.3g) ...", live.N(), live.M(), seq, d0)
+		if eng, err = csrplus.NewEngine(csrplus.FromCoreGraph(live), opts); err == nil {
+			coreIndex(eng).SetWalSeq(seq)
+		}
+		meta = reload.Meta{Source: "ingest-rebuild"}
+		drift = w.ing.DriftFrom(d0)
+	case cfg.snapDir != "" && snapshotAvailable(cfg.snapDir):
+		log.Printf("loading snapshot directory %s over n=%d m=%d ...", cfg.snapDir, w.g.N(), w.g.M())
+		var snap csrplus.RecoveredSnapshot
+		eng, snap, err = csrplus.RecoverEngine(w.g, cfg.snapDir)
+		if snap.Recovered {
+			log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
+		}
+		meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: snap.Recovered}
+	case cfg.indexPath != "":
+		log.Printf("loading index %s over n=%d m=%d ...", cfg.indexPath, w.g.N(), w.g.M())
+		eng, err = csrplus.LoadEngine(w.g, cfg.indexPath)
+		meta = reload.Meta{Source: "index", Path: cfg.indexPath}
+	default:
+		log.Printf("precomputing index over n=%d m=%d ...", w.g.N(), w.g.M())
+		eng, err = csrplus.NewEngine(w.g, opts)
+		meta = reload.Meta{Source: "rebuild"}
+	}
+	if err != nil {
+		return nil, meta, nil, err
+	}
+	st := eng.Stats()
+	meta.Algorithm, meta.M, meta.PeakBytes = st.Algorithm, st.M, st.PeakBytes
+	switch {
+	case cfg.snapDir == "":
+	case cfg.shards > 1:
+		err = publishShardSnapshots(cfg.snapDir, eng, cfg.shards)
+	case meta.Source != "snapshot":
+		if meta.SnapshotGen, meta.Path, err = eng.SaveSnapshotTier(cfg.snapDir, cfg.quantize); err == nil {
+			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
+		}
+	}
+	if err != nil {
+		_ = eng.Close()
+		return nil, meta, nil, err
+	}
+	return eng, meta, drift, nil
+}
+
+// publishShardSnapshots slices eng's index k ways and publishes each
+// slice as the next generation of its shard directory.
+func publishShardSnapshots(dir string, eng *csrplus.Engine, k int) error {
+	shards, err := shard.Split(coreIndex(eng), k)
+	if err != nil {
+		return err
+	}
+	for s, sh := range shards {
+		if _, _, err := core.WriteShardSnapshot(core.ShardDir(dir, s), sh); err != nil {
+			return err
+		}
+	}
+	log.Printf("index published as %d per-shard snapshots under %s", k, dir)
+	return nil
+}
+
+// coreIndex unwraps the CSR+ index every engine built here has: the
+// server runs no other algorithm.
+func coreIndex(eng *csrplus.Engine) *core.Index {
+	ix, _ := eng.CoreIndex()
+	return ix
+}
+
+// saveIndex honours -saveindex for the boot index.
+func saveIndex(cfg *config, eng *csrplus.Engine) error {
+	if cfg.saveIndex == "" {
+		return nil
+	}
+	if err := eng.SaveIndexTier(cfg.saveIndex, cfg.quantize); err != nil {
+		return err
+	}
+	log.Printf("index persisted to %s (tier %s)", cfg.saveIndex, tierName(cfg.quantize))
+	return nil
+}
+
+// tierName renders the -quantize flag value for logs ("" is the exact
+// f64 tier).
+func tierName(q string) string {
+	if q == "" {
+		return "f64"
+	}
+	return q
+}
+
+// snapshotAvailable reports whether dir holds anything a boot could
+// serve — a resolvable CURRENT or, failing that, any index-<gen>.csrx
+// file crash recovery could fall back to. An empty or still-
+// unprovisioned directory falls through to the other sources instead of
+// failing the boot.
+func snapshotAvailable(dir string) bool {
+	if _, _, err := core.CurrentSnapshot(dir); err == nil {
+		return true
+	}
+	snaps, err := core.ListSnapshots(dir)
+	return err == nil && len(snaps) > 0
+}
+
+func loadGraph(dataset string, scale int64, graphPath string, n int) (*csrplus.Graph, error) {
+	switch {
+	case dataset != "" && graphPath != "":
+		return nil, fmt.Errorf("use either -dataset or -graph, not both")
+	case dataset != "":
+		return csrplus.GenerateDataset(dataset, scale)
+	case graphPath != "":
+		if n <= 0 {
+			return nil, fmt.Errorf("-graph requires -n")
+		}
+		return csrplus.LoadGraph(graphPath, n)
+	default:
+		return nil, fmt.Errorf("one of -dataset or -graph is required")
+	}
+}

@@ -284,11 +284,10 @@ func (e *Engine) Query(queries []int) ([][]float64, error) {
 // n x |Q| similarity block is written into scratch's backing array when
 // its capacity suffices (contents overwritten; nil scratch allocates) and
 // the result matrix is returned, so a server can pool one scratch matrix
-// per in-flight batch instead of allocating n x |Q| per engine call.
-// It satisfies internal/serve.MatQueryFunc. The scratch type is
-// module-internal, so the method is a hook for this module's cmd/
-// binaries and benchmarks rather than part of the stable public surface;
-// external callers should use Query. Algorithms without a scratch-aware
+// per in-flight batch instead of allocating n x |Q| per engine call. The
+// scratch type is module-internal, so the method is a hook for this
+// module's cmd/ binaries and benchmarks rather than part of the stable
+// public surface; external callers should use Query. Algorithms without a scratch-aware
 // query phase (every non-CSR+ baseline) silently fall back to a fresh
 // allocation.
 func (e *Engine) QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error) {

@@ -163,11 +163,8 @@ func TestChaosMappedGenerationSwapUnderLoad(t *testing.T) {
 				live[mapped] = true
 				mu.Unlock()
 				return &reload.Candidate{
-					N:         mapped.N(),
-					RankQuery: rankQuery(mapped),
-					Rank:      mapped.Rank(),
-					Bound:     mapped.TruncationBound,
-					Meta:      reload.Meta{Source: "snapshot", Algorithm: "csrplus", N: mapped.N()},
+					Ranked: rankedEngine(mapped),
+					Meta:   reload.Meta{Source: "snapshot", Algorithm: "csrplus", N: mapped.N()},
 					Release: func() {
 						mu.Lock()
 						if !live[mapped] {

@@ -180,10 +180,7 @@ func snapshotLoader(dir string) reload.LoadFunc {
 			return nil, err
 		}
 		return &reload.Candidate{
-			N:         ix.N(),
-			RankQuery: rankQuery(ix),
-			Rank:      ix.Rank(),
-			Bound:     ix.TruncationBound,
+			Ranked: rankedEngine(ix),
 			Meta: reload.Meta{
 				Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen,
 				Recovered: recovered, Algorithm: "csrplus", N: ix.N(), Rank: ix.Rank(),

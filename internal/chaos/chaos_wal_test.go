@@ -292,10 +292,10 @@ func TestChaosWALRebuildFailureKeepsServingAndLog(t *testing.T) {
 					return nil, err
 				}
 				ix2.SetWalSeq(seq)
+				ranked := rankedEngine(ix2)
+				ranked.Drift = svc.DriftFrom(d0)
 				return &reload.Candidate{
-					N: ix2.N(), RankQuery: rankQuery(ix2), Rank: ix2.Rank(),
-					Bound: ix2.TruncationBound,
-					Drift: svc.DriftFrom(d0),
+					Ranked: ranked,
 					Meta: reload.Meta{
 						Source: "ingest-rebuild", Algorithm: "csrplus",
 						N: ix2.N(), Rank: ix2.Rank(),

@@ -332,7 +332,7 @@ func (ix *Index) QueryInto(queries []int, scratch *dense.Mat, track *memtrack.Tr
 	return s, nil
 }
 
-// queryBandRows is how many output rows QueryRankInto computes between
+// queryBandRows is how many output rows PartialInto computes between
 // cancellation checks: large enough that the check cost vanishes in the
 // band's O(rows · r · |Q|) flops, small enough that an abandoned batch
 // releases its pool worker within a fraction of a millisecond of work.
@@ -347,10 +347,9 @@ const queryBandRows = 1 << 15
 // is a slice of the existing factors — no rebuild — and its entrywise
 // error against the full-rank answer is bounded by TruncationBound(rank).
 // rank ≤ 0 or ≥ the index rank answers at full rank (making this a strict
-// generalisation of QueryInto); the GEMM runs in row bands with a
-// cancellation check between bands, so a batch whose callers have all
-// gone away stops consuming its worker mid-pass instead of running to
-// completion. Returns ctx.Err() on cancellation.
+// generalisation of QueryInto). It validates, gathers the query rows of U
+// and runs IndexShard.PartialInto over the [0, n) view — the monolithic
+// index is the K=1 partition. Returns ctx.Err() on cancellation.
 func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
@@ -360,9 +359,6 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 			return nil, fmt.Errorf("core: node %d not in [0, %d): %w", q, ix.n, ErrQuery)
 		}
 	}
-	if rank <= 0 || rank > ix.rank {
-		rank = ix.rank
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -370,26 +366,9 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	track.Alloc("query/UQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())
-	cols := len(queries)
-	for lo := 0; lo < ix.n; lo += queryBandRows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + queryBandRows
-		if hi > ix.n {
-			hi = ix.n
-		}
-		sBand := &dense.Mat{Rows: hi - lo, Cols: cols, Data: s.Data[lo*cols : hi*cols]}
-		if ix.zt != nil {
-			dense.MulTRankTypedInto(sBand, ix.zt.SliceRowsView(lo, hi), uq, rank)
-		} else {
-			zBand := &dense.Mat{Rows: hi - lo, Cols: ix.rank, Data: ix.z.Data[lo*ix.rank : hi*ix.rank]}
-			dense.MulTRankInto(sBand, zBand, uq, rank)
-		}
-	}
-	s.Scale(ix.c)
-	for j, q := range queries {
-		s.Set(q, j, s.At(q, j)+1)
+	whole := ix.view(0, ix.n)
+	if err := whole.PartialInto(ctx, queries, uq, rank, s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

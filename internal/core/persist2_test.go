@@ -448,65 +448,6 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardFromMappedQuantizedDetaches pins the mapping-lifetime
-// contract for quantized shards: a shard cut from a mapped index must
-// not alias any mmap'd section — the typed factors AND the rank-length
-// error vectors — so Close of the source index is safe the moment Shard
-// returns, and the shard keeps serving QuantErrs/WriteToV2 afterwards.
-func TestShardFromMappedQuantizedDetaches(t *testing.T) {
-	exact := buildIndex(t)
-	q, err := exact.Quantize(TierI8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeV2File(t, q)
-	mapped, err := MapIndex(path)
-	if err != nil {
-		if errors.Is(err, errMapUnsupported) {
-			t.Skipf("mmap unavailable here: %v", err)
-		}
-		t.Fatal(err)
-	}
-	sh, err := mapped.Shard(0, mapped.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	zerr, uerr := sh.QuantErrs()
-	if zerr == nil || uerr == nil {
-		t.Fatal("quantized shard lost its error vectors")
-	}
-	if &zerr[0] == &mapped.zqerr[0] || &uerr[0] == &mapped.uqerr[0] {
-		t.Fatal("shard error vectors alias the mapping")
-	}
-	wantZ := append([]float64(nil), mapped.zqerr...)
-	wantU := append([]float64(nil), mapped.uqerr...)
-	if err := mapped.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Every accessor the router bound and a re-save need must survive the
-	// source munmap.
-	zerr, uerr = sh.QuantErrs()
-	for j := range wantZ {
-		if zerr[j] != wantZ[j] || uerr[j] != wantU[j] {
-			t.Fatalf("error vector entry %d changed after Close", j)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := sh.WriteToV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadShard(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bz, bu := back.QuantErrs()
-	for j := range wantZ {
-		if bz[j] != wantZ[j] || bu[j] != wantU[j] {
-			t.Fatalf("round-tripped error vector entry %d differs", j)
-		}
-	}
-}
-
 // TestV2WalSeqRoundTrip pins the walSeq header field: preserved through
 // the v2 decode and map paths, absent (zero) through v1, zero-forgiving
 // for pre-field v2 files (zero bytes at the offset mean walSeq 0), and

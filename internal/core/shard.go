@@ -67,53 +67,33 @@ type IndexShard struct {
 	mapped *mapping
 }
 
-// Shard slices the index to the node range [lo, hi). The shard shares the
-// index's backing arrays (no copy): slicing an index into K shards costs
-// O(K), not O(rn).
+// Shard slices the index to the node range [lo, hi). The shard is a
+// zero-copy view: it shares the index's backing arrays, so slicing an
+// index into K shards costs O(K), not O(rn). When the index is memory-
+// mapped the view aliases the mapping, and the caller owns the lifetime:
+// the index must stay open until no query can still reach the shard (a
+// serving generation closes it from reload.Candidate.Release, after the
+// swap that retired the generation has drained).
 func (ix *Index) Shard(lo, hi int) (*IndexShard, error) {
 	if lo < 0 || hi > ix.n || lo >= hi {
 		return nil, fmt.Errorf("core: shard range [%d, %d) not within [0, %d): %w", lo, hi, ix.n, ErrParams)
 	}
-	sh := &IndexShard{
-		n:    ix.n,
-		lo:   lo,
-		hi:   hi,
-		c:    ix.c,
-		rank: ix.rank,
-	}
+	sh := ix.view(lo, hi)
+	return &sh, nil
+}
+
+// view is Shard without the range check, by value so the whole-index
+// view QueryRankInto runs on stays off the heap.
+func (ix *Index) view(lo, hi int) IndexShard {
+	sh := IndexShard{n: ix.n, lo: lo, hi: hi, c: ix.c, rank: ix.rank, zqerr: ix.zqerr, uqerr: ix.uqerr}
 	if ix.zt != nil {
 		sh.zt = ix.zt.SliceRowsView(lo, hi)
 		sh.ut = ix.ut.SliceRowsView(lo, hi)
-		sh.zqerr = ix.zqerr
-		sh.uqerr = ix.uqerr
-		if ix.mapped != nil {
-			// Detach from the mapping (see below) — including the
-			// rank-length error vectors, which otherwise keep aliasing
-			// the mmap'd qerr sections and break the contract that Close
-			// of the source index is safe the moment Shard returns.
-			sh.zt = sh.zt.Copy()
-			sh.ut = sh.ut.Copy()
-			sh.zqerr = append([]float64(nil), ix.zqerr...)
-			sh.uqerr = append([]float64(nil), ix.uqerr...)
-		}
-		return sh, nil
+		return sh
 	}
-	viewRows := func(m *dense.Mat) *dense.Mat {
-		return &dense.Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-	}
-	sh.z = viewRows(ix.z)
-	sh.u = viewRows(ix.u)
-	if ix.mapped != nil {
-		// Shards cut from a memory-mapped index copy their factor rows
-		// instead of aliasing the mapping: the shard router swaps slots
-		// without a drain barrier, so a shard's factors must stay valid
-		// for as long as the GC can see the shard — a guarantee only
-		// heap memory gives. This keeps Close of the source index safe
-		// the moment Shard returns.
-		sh.z = sh.z.Clone()
-		sh.u = sh.u.Clone()
-	}
-	return sh, nil
+	sh.z = &dense.Mat{Rows: hi - lo, Cols: ix.rank, Data: ix.z.Data[lo*ix.rank : hi*ix.rank]}
+	sh.u = &dense.Mat{Rows: hi - lo, Cols: ix.rank, Data: ix.u.Data[lo*ix.rank : hi*ix.rank]}
+	return sh
 }
 
 // N returns the GLOBAL node count of the graph the shard was cut from.
@@ -185,11 +165,13 @@ func (sh *IndexShard) URow(q int) []float64 {
 // shards. queries are global ids and are only used here to place the +1
 // self-similarity for query nodes this shard owns.
 //
-// The kernel, banding, and per-element operation order (dot product in
-// column index order, then ×c, then +1) are exactly those of
-// Index.QueryRankInto, so stitching every shard's PartialInto output
-// together reproduces the monolithic answer bitwise. Honours ctx between
-// row bands like QueryRankInto; returns ctx.Err() on cancellation.
+// This is the one banded phase-II loop: Index.QueryRankInto runs it over
+// the [0, n) view, so stitching every shard's PartialInto output together
+// reproduces the monolithic answer bitwise (each output element is one dot
+// product in column index order, then ×c, then +1, whatever the banding).
+// The GEMM runs in row bands with a cancellation check between bands, so a
+// batch whose callers have all gone away stops consuming its worker
+// mid-pass; returns ctx.Err() on cancellation.
 func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
 	cols := len(queries)
 	if cols == 0 {

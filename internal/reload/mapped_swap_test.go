@@ -4,7 +4,9 @@ package reload
 // index served from a memory-mapped snapshot answers bitwise-identically
 // to the v1 decode of the same factors — including THROUGH reload swaps
 // under concurrent query load, where a lifetime bug (early munmap, torn
-// generation) would surface as a wrong score or a crash. Run with -race.
+// generation) would surface as a wrong score or a crash — first through
+// the index's own query path, then through the K=1 and K=3 routers of
+// zero-copy shard views csrserver serves from. Run with -race.
 
 import (
 	"bytes"
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +22,7 @@ import (
 	"csrplus/internal/dense"
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
+	"csrplus/internal/shard"
 )
 
 func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
@@ -71,11 +75,8 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 			mu.Unlock()
 		}
 		return &Candidate{
-			N:         mapped.N(),
-			RankQuery: rankQuery(mapped),
-			Rank:      mapped.Rank(),
-			Bound:     mapped.TruncationBound,
-			Meta:      Meta{Source: "snapshot"},
+			Ranked: serve.Ranked{N: mapped.N(), Rank: mapped.Rank(), Bound: mapped.TruncationBound, Query: rankQuery(mapped)},
+			Meta:   Meta{Source: "snapshot"},
 			Release: func() {
 				if mapped.Mapped() {
 					mu.Lock()
@@ -157,6 +158,187 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 			if math.Float64bits(col[i]) != math.Float64bits(ref[q][i]) {
 				t.Fatalf("column %d entry %d: mapped %x, v1 %x", q, i, col[i], ref[q][i])
 			}
+		}
+	}
+}
+
+// TestViewRouterReloadUnderFire is the lifetime csrserver relies on: each
+// generation is a fresh router of zero-copy shard views over one mapped
+// snapshot, and Candidate.Release munmaps it. Under concurrent queries
+// and repeated reloads no request may fail or see a wrong bit, no query
+// may run on a generation whose mapping is closed, and every retired
+// mapping is closed exactly once — after its generation drained.
+func TestViewRouterReloadUnderFire(t *testing.T) {
+	g, err := graph.ErdosRenyi(80, 400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Precompute(g, core.Options{Rank: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ix.N()
+	ref := make([][]float64, n)
+	for q := range ref {
+		if ref[q], err = ix.QueryOne(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if _, _, err := core.WriteSnapshot(dir, ix); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			// One lifetime record per generation loaded, in load order.
+			type lifetime struct {
+				ix       *core.Index
+				inflight atomic.Int64
+				closes   atomic.Int64
+			}
+			var (
+				mu   sync.Mutex
+				gens []*lifetime
+			)
+			loader := func(context.Context) (*Candidate, error) {
+				mapped, _, _, err := core.RecoverSnapshot(dir)
+				if err != nil {
+					return nil, err
+				}
+				rt, err := shard.NewRouterFromIndex(mapped, k)
+				if err != nil {
+					return nil, err
+				}
+				lt := &lifetime{ix: mapped}
+				mu.Lock()
+				gens = append(gens, lt)
+				mu.Unlock()
+				return &Candidate{
+					Ranked: serve.Ranked{
+						N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound,
+						Query: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+							lt.inflight.Add(1)
+							defer lt.inflight.Add(-1)
+							if lt.closes.Load() != 0 {
+								t.Error("query admitted on a generation whose mapping is closed")
+							}
+							return rt.QueryRankInto(ctx, queries, rank, scratch)
+						},
+					},
+					Meta: Meta{Source: "snapshot"},
+					Release: func() {
+						if busy := lt.inflight.Load(); busy != 0 {
+							t.Errorf("mapping released with %d queries still in flight", busy)
+						}
+						lt.closes.Add(1)
+						mapped.Close()
+					},
+				}, nil
+			}
+
+			boot, err := loader(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv := serve.NewRanked(boot.Ranked, serve.Config{MaxBatch: 8, Linger: 100 * time.Microsecond, Workers: 4, MaxPending: 256})
+			man := New(sv, loader, boot.Meta)
+			man.SetBootRelease(boot.Release)
+
+			stop := make(chan struct{})
+			var hwg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				hwg.Add(1)
+				go func(w int) {
+					defer hwg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						q := (w*41 + i*13) % n
+						tgt := (q + 7) % n
+						res, err := sv.Score(context.Background(), []int{q}, []int{tgt})
+						if err != nil {
+							t.Errorf("query during view-router swaps: %v", err)
+							return
+						}
+						if got, want := res.Pairs[0].Score, ref[q][tgt]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("view-router answer (%d,%d) = %x, want %x", q, tgt, got, want)
+							return
+						}
+					}
+				}(w)
+			}
+			const swaps = 5
+			for i := 0; i < swaps; i++ {
+				if _, err := man.Reload(context.Background()); err != nil {
+					t.Fatalf("reload %d: %v", i, err)
+				}
+			}
+			close(stop)
+			hwg.Wait()
+			sv.Close()
+
+			if len(gens) != swaps+1 {
+				t.Fatalf("%d generations loaded, want %d", len(gens), swaps+1)
+			}
+			for i, lt := range gens {
+				want := int64(1)
+				if i == swaps {
+					want = 0 // still serving: the manager never frees the live generation
+				}
+				if got := lt.closes.Load(); got != want {
+					t.Errorf("generation %d mapping closed %d times, want %d", i+1, got, want)
+				}
+			}
+			gens[swaps].ix.Close() // the server is closed: the live mapping is ours to free
+		})
+	}
+}
+
+// TestShardOfMappedIndexIsAView pins what the view routers above rest on:
+// slicing a mapped index allocates the shard header and nothing else, and
+// two shards of one range alias the same mapped factor rows.
+func TestShardOfMappedIndexIsAView(t *testing.T) {
+	g, err := graph.ErdosRenyi(80, 400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Precompute(g, core.Options{Rank: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []core.Tier{core.TierF64, core.TierI8} {
+		q, err := ix.Quantize(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, path, err := core.WriteSnapshot(t.TempDir(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := core.LoadIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		if !mapped.Mapped() {
+			t.Skip("mmap unavailable here")
+		}
+		// The header, plus one matrix (or typed-view) header per factor.
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := mapped.Shard(0, mapped.N()); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 3 {
+			t.Errorf("%v tier: Shard of a mapped index makes %v allocations; a view needs at most 3", tier, allocs)
+		}
+		a, _ := mapped.Shard(10, 20)
+		b, _ := mapped.Shard(10, 20)
+		if tier == core.TierF64 && &a.URow(10)[0] != &b.URow(10)[0] {
+			t.Error("two shards of one mapped range do not alias the same U rows: Shard copied")
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 func TestReleaseDeferredUntilNextSwap(t *testing.T) {
 	n := 8
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{Linger: -1})
 	t.Cleanup(sv.Close)
 
 	var bootFreed, aFreed, bFreed atomic.Int64
@@ -57,12 +57,12 @@ func TestReleaseDeferredUntilNextSwap(t *testing.T) {
 
 func TestReleaseOnValidationFailure(t *testing.T) {
 	n := 8
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{Linger: -1})
 	t.Cleanup(sv.Close)
 
 	var rejectedFreed, servingFreed atomic.Int64
 	load := func(ctx context.Context) (*Candidate, error) {
-		c := &Candidate{N: 0, Query: fakeEngine(n, 2)} // fails Validate
+		c := &Candidate{Ranked: serve.Ranked{N: 0, Query: fakeEngine(n, 2)}} // fails Validate
 		c.Release = func() { rejectedFreed.Add(1) }
 		return c, nil
 	}
@@ -84,7 +84,7 @@ func TestReleaseOnValidationFailure(t *testing.T) {
 
 func TestReleaseOnSwapRefused(t *testing.T) {
 	n := 8
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{Linger: -1})
 
 	var freed atomic.Int64
 	load := func(ctx context.Context) (*Candidate, error) {

@@ -34,9 +34,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"csrplus/internal/dense"
 	"csrplus/internal/fault"
+	"csrplus/internal/retry"
 	"csrplus/internal/serve"
+	"csrplus/internal/shard"
 )
 
 // Errors returned by Reload. ErrCoalesced means another reload holds the
@@ -51,42 +52,16 @@ var (
 	ErrValidation  = errors.New("reload: candidate failed validation")
 )
 
-// Candidate is a fully built engine generation proposed for swap-in. The
-// query function must be ready to serve the moment Reload validates it —
-// all expensive work (index build, snapshot load) happens before the
-// Candidate is returned by a LoadFunc.
+// Candidate is a fully built engine generation proposed for swap-in: the
+// serve.Ranked contract the server will install, plus provenance and the
+// hook that frees what the generation pins. The engine must be ready to
+// serve the moment Reload validates it — all expensive work (index build,
+// snapshot load) happens before the Candidate is returned by a LoadFunc.
+// A Drift closure must be anchored to THIS candidate's cut point — a
+// failed or refused swap leaves the previous generation's closure
+// untouched.
 type Candidate struct {
-	// N is the node count Query serves; requests are validated against it
-	// once the candidate becomes the live generation.
-	N int
-	// Query answers one multi-source pass (csrplus.(*Engine).QueryInto).
-	// Optional when RankQuery is set.
-	Query serve.MatQueryFunc
-	// RankQuery, when set, upgrades the generation to a rank-aware
-	// backend (serve.SwapRanked): context propagation into the engine
-	// pass plus graceful degradation per the server's DegradeConfig.
-	// csrplus.(*Engine).QueryRankInto satisfies it.
-	RankQuery serve.RankQueryFunc
-	// Rank is the engine's full SVD rank (degradation headroom); only
-	// meaningful with RankQuery.
-	Rank int
-	// Bound reports the entrywise error of answering truncated
-	// (csrplus.(*Engine).TruncationBound); only meaningful with RankQuery.
-	Bound func(rank int) float64
-	// TopK, when set, serves Search directly instead of through the
-	// column batcher (shard.Router.TopKTagged over wire slots satisfies
-	// it). A candidate may set TopK with no Query/RankQuery at all —
-	// wire routers have no column path. Scores is its targeted-score
-	// companion (shard.Router.Scores).
-	TopK   serve.DirectTopKFunc
-	Scores serve.DirectScoreFunc
-	// Drift, when set, reports the generation's live ingestion drift
-	// bound (serve.DriftFunc): streamed edges applied after this
-	// candidate's factors were cut taint its answers, and the server
-	// composes the bound into every response's error_bound. The closure
-	// must be anchored to THIS candidate's cut point — a failed or
-	// refused swap leaves the previous generation's closure untouched.
-	Drift serve.DriftFunc
+	serve.Ranked
 	// Meta describes the candidate for /admin/index and logs.
 	Meta Meta
 	// Release, when set, frees resources the generation pins for its
@@ -124,8 +99,10 @@ type Meta struct {
 	N         int    `json:"n"`
 	M         int64  `json:"m"`
 	Rank      int    `json:"rank,omitempty"`
-	// Shards is the shard count of a sharded backend, 0 when monolithic.
-	Shards int `json:"shards,omitempty"`
+	// ShardStatus reports the generation's shard slots — ranges, live
+	// slot generations, resident bytes — for status endpoints
+	// (shard.(*Router).Status; a monolithic index is one slot).
+	ShardStatus func() []shard.ShardStatus `json:"-"`
 	// BuildTime is the candidate's load/precompute wall time.
 	BuildTime time.Duration `json:"-"`
 	// PeakBytes is the build's analytic memory peak, 0 when unknown.
@@ -196,20 +173,6 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// backoff returns the jittered delay before retry attempt (1-based).
-// Half the nominal delay is kept deterministic and half randomised —
-// enough spread that replicas reloading off the same failed publish do
-// not retry in lockstep, while the minimum wait still grows
-// exponentially.
-func (p Policy) backoff(attempt int) time.Duration {
-	nominal := float64(p.BaseBackoff) * math.Pow(2, float64(attempt-1))
-	if limit := float64(p.MaxBackoff); nominal > limit {
-		nominal = limit
-	}
-	half := nominal / 2
-	return time.Duration(half + rand.Float64()*half)
-}
-
 // Breaker is a point-in-time view of the circuit breaker for status
 // endpoints (/readyz, /stats).
 type Breaker struct {
@@ -241,9 +204,8 @@ type Manager struct {
 	// read and replaced inside the serialised lifecycle.
 	release func()
 
-	bmu       sync.Mutex // guards the breaker state below
-	fails     int        // consecutive failed runs
-	openUntil time.Time
+	clock   retry.Clock // retry.System outside tests
+	breaker retry.Breaker
 }
 
 // New wires a Manager with DefaultPolicy over a server already serving
@@ -254,12 +216,16 @@ func New(server *serve.Server, load LoadFunc, boot Meta) *Manager {
 
 // NewWithPolicy is New with explicit retry/breaker tuning.
 func NewWithPolicy(server *serve.Server, load LoadFunc, boot Meta, policy Policy) *Manager {
-	m := &Manager{server: server, load: load, policy: policy.withDefaults()}
+	policy = policy.withDefaults()
+	m := &Manager{
+		server: server, load: load, policy: policy, clock: retry.System,
+		breaker: retry.Breaker{Threshold: policy.BreakerThreshold, Cooldown: policy.BreakerCooldown, Clock: retry.System},
+	}
 	m.cur.Store(&Status{
 		Generation:   server.Generation(),
 		Meta:         boot,
 		BuildSeconds: boot.BuildTime.Seconds(),
-		SwappedAt:    time.Now(),
+		SwappedAt:    m.clock.Now(),
 	})
 	return m
 }
@@ -279,42 +245,12 @@ func (m *Manager) SetBootRelease(release func()) {
 	m.release = release
 }
 
-// Breaker returns the circuit breaker's current state.
+// Breaker returns the circuit breaker's current state. An open breaker
+// past its cooldown admits one probe run (half-open); the probe's
+// outcome re-opens or resets it.
 func (m *Manager) Breaker() Breaker {
-	m.bmu.Lock()
-	defer m.bmu.Unlock()
-	b := Breaker{ConsecutiveFailures: m.fails}
-	if !m.openUntil.IsZero() && time.Now().Before(m.openUntil) {
-		b.Open = true
-		b.RetryAt = m.openUntil
-	}
-	return b
-}
-
-// breakerAdmits reports whether a reload run may proceed. An open breaker
-// past its cooldown admits one probe run (half-open); the probe's outcome
-// re-opens or resets it.
-func (m *Manager) breakerAdmits() (bool, time.Time) {
-	m.bmu.Lock()
-	defer m.bmu.Unlock()
-	if !m.openUntil.IsZero() && time.Now().Before(m.openUntil) {
-		return false, m.openUntil
-	}
-	return true, time.Time{}
-}
-
-func (m *Manager) breakerRecord(failed bool) {
-	m.bmu.Lock()
-	defer m.bmu.Unlock()
-	if !failed {
-		m.fails = 0
-		m.openUntil = time.Time{}
-		return
-	}
-	m.fails++
-	if m.policy.BreakerThreshold > 0 && m.fails >= m.policy.BreakerThreshold {
-		m.openUntil = time.Now().Add(m.policy.BreakerCooldown)
-	}
+	fails, retryAt := m.breaker.State()
+	return Breaker{Open: !retryAt.IsZero(), ConsecutiveFailures: fails, RetryAt: retryAt}
 }
 
 // Reload runs one lifecycle pass: load a candidate, validate it, swap it
@@ -350,25 +286,25 @@ func (m *Manager) Reload(ctx context.Context) (Status, error) {
 // lifecycle passes with backoff between them.
 func (m *Manager) runWithRetry(ctx context.Context) (Status, error) {
 	metrics := m.server.Metrics()
-	if ok, until := m.breakerAdmits(); !ok {
+	if b := m.Breaker(); b.Open {
 		metrics.ReloadFailed()
-		return m.Current(), fmt.Errorf("%w (retry after %s)", ErrBreakerOpen, time.Until(until).Round(time.Millisecond))
+		return m.Current(), fmt.Errorf("%w (retry after %s)", ErrBreakerOpen, b.RetryAt.Sub(m.clock.Now()).Round(time.Millisecond))
 	}
 	var lastErr error
 	for attempt := 1; attempt <= m.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			metrics.ReloadRetried()
 			select {
-			case <-time.After(m.policy.backoff(attempt - 1)):
+			case <-m.clock.After(retry.Backoff(m.policy.BaseBackoff, m.policy.MaxBackoff, attempt-1, rand.Float64())):
 			case <-ctx.Done():
-				m.breakerRecord(true)
+				m.breaker.Record(true)
 				metrics.ReloadFailed()
 				return m.Current(), fmt.Errorf("reload: %w (after %v)", ctx.Err(), lastErr)
 			}
 		}
 		st, err := m.runOnce(ctx)
 		if err == nil {
-			m.breakerRecord(false)
+			m.breaker.Record(false)
 			return st, nil
 		}
 		lastErr = err
@@ -378,7 +314,7 @@ func (m *Manager) runWithRetry(ctx context.Context) (Status, error) {
 			break
 		}
 	}
-	m.breakerRecord(true)
+	m.breaker.Record(true)
 	metrics.ReloadFailed()
 	return m.Current(), lastErr
 }
@@ -386,7 +322,7 @@ func (m *Manager) runWithRetry(ctx context.Context) (Status, error) {
 // runOnce is a single load→validate→swap pass.
 func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 	metrics := m.server.Metrics()
-	start := time.Now()
+	start := m.clock.Now()
 	if err := fault.Hit(fault.SiteReloadLoad); err != nil {
 		return m.Current(), fmt.Errorf("reload: loading candidate: %w", err)
 	}
@@ -403,16 +339,7 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		}
 		return m.Current(), err
 	}
-	var gen uint64
-	if cand.RankQuery != nil || cand.TopK != nil {
-		gen = m.server.SwapRanked(serve.Ranked{
-			N: cand.N, Rank: cand.Rank, Bound: cand.Bound,
-			Query: cand.RankQuery, TopK: cand.TopK, Scores: cand.Scores,
-			Drift: cand.Drift,
-		})
-	} else {
-		gen = m.server.SwapMat(cand.N, cand.Query)
-	}
+	gen := m.server.SwapRanked(cand.Ranked)
 	if gen == 0 {
 		if cand.Release != nil {
 			cand.Release()
@@ -432,10 +359,10 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		Generation:   gen,
 		Meta:         cand.Meta,
 		BuildSeconds: cand.Meta.BuildTime.Seconds(),
-		SwappedAt:    time.Now(),
+		SwappedAt:    m.clock.Now(),
 	}
 	m.cur.Store(&st)
-	metrics.ReloadSucceeded(time.Since(start).Seconds())
+	metrics.ReloadSucceeded(m.clock.Now().Sub(start).Seconds())
 	return st, nil
 }
 
@@ -452,37 +379,27 @@ func probeNodes(n int) []int {
 	return probes
 }
 
-// smokeQuery runs the candidate's engine once, preferring the rank-aware
-// entry point (at full rank — validation must exercise the path real
-// traffic takes, and degraded serving still derives from the same
-// factors).
-func smokeQuery(c *Candidate, probes []int) (*dense.Mat, error) {
-	if c.RankQuery != nil {
-		return c.RankQuery(context.Background(), probes, 0, nil)
-	}
-	return c.Query(probes, nil)
-}
-
 // Validate smoke-tests a candidate before it may take traffic: the shape
 // must be plausible and a real multi-source query against probe nodes
-// must come back with the right dimensions, finite scores, and a positive
+// (at full rank — validation exercises the path real traffic takes, and
+// degraded serving derives from the same factors) must come back with the right dimensions, finite scores, and a positive
 // self-similarity (CoSimRank scores a node against itself as 1 plus a
 // damped correction, so a zero or negative diagonal means the factors are
 // garbage — e.g. an index loaded against the wrong graph orientation).
 // This is the gate that turns "the file parsed" into "the engine
 // answers"; CRC and header checks live below it in core.ReadIndex.
 func Validate(c *Candidate) error {
-	if c == nil || (c.Query == nil && c.RankQuery == nil && c.TopK == nil) {
+	if c == nil || (c.Query == nil && c.TopK == nil) {
 		return fmt.Errorf("%w: no query engine", ErrValidation)
 	}
 	if c.N <= 0 {
 		return fmt.Errorf("%w: implausible node count %d", ErrValidation, c.N)
 	}
 	probes := probeNodes(c.N)
-	if c.Query == nil && c.RankQuery == nil {
+	if c.Query == nil {
 		return validateDirect(c, probes)
 	}
-	mat, err := smokeQuery(c, probes)
+	mat, err := c.Query(context.Background(), probes, 0, nil)
 	if err != nil {
 		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
 	}

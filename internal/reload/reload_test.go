@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"csrplus/internal/dense"
+	"csrplus/internal/retry"
 	"csrplus/internal/serve"
 )
 
 // fakeEngine answers multi-source passes with score gen + i/(2n) for node
 // i, mirroring the generation-encoded engines of the serve swap tests.
-func fakeEngine(n int, gen uint64) serve.MatQueryFunc {
-	return func(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
+func fakeEngine(n int, gen uint64) serve.RankQueryFunc {
+	return func(_ context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
 		m := scratch.Reuse(n, len(queries))
 		for j := range queries {
 			for i := 0; i < n; i++ {
@@ -28,18 +29,47 @@ func fakeEngine(n int, gen uint64) serve.MatQueryFunc {
 	}
 }
 
+// fakeClock is a manual clock for the breaker and backoff: Now moves only
+// through advance, and After fires at once so retries never sleep.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	ch <- c.Now()
+	return ch
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// setClock swaps the manager's time source; call before the first Reload.
+func (m *Manager) setClock(c retry.Clock) {
+	m.clock, m.breaker.Clock = c, c
+}
+
 func candidate(n int, gen uint64) *Candidate {
 	return &Candidate{
-		N:     n,
-		Query: fakeEngine(n, gen),
-		Meta:  Meta{Source: "rebuild", Algorithm: "fake", N: n, M: int64(n), Rank: 3},
+		Ranked: serve.Ranked{N: n, Query: fakeEngine(n, gen)},
+		Meta:   Meta{Source: "rebuild", Algorithm: "fake", N: n, M: int64(n), Rank: 3},
 	}
 }
 
 func newManager(t *testing.T, n int) (*Manager, *serve.Server, *uint64) {
 	t.Helper()
 	gen := uint64(1)
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{Linger: -1})
 	t.Cleanup(sv.Close)
 	load := func(ctx context.Context) (*Candidate, error) {
 		return candidate(n, gen), nil
@@ -91,7 +121,7 @@ func TestManagerReloadSwapsGeneration(t *testing.T) {
 var noRetry = Policy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
 
 func TestManagerLoadFailureKeepsServing(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	boom := errors.New("disk on fire")
 	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) { return nil, boom }, Meta{Source: "boot"}, noRetry)
@@ -114,28 +144,31 @@ func TestManagerLoadFailureKeepsServing(t *testing.T) {
 }
 
 func TestManagerValidationFailureKeepsServing(t *testing.T) {
+	engine := func(n int, query serve.RankQueryFunc) *Candidate {
+		return &Candidate{Ranked: serve.Ranked{N: n, Query: query}}
+	}
 	bad := map[string]*Candidate{
 		"nil candidate":  nil,
-		"no engine":      {N: 8},
-		"non-positive n": {N: 0, Query: fakeEngine(8, 2)},
-		"query error": {N: 8, Query: func([]int, *dense.Mat) (*dense.Mat, error) {
+		"no engine":      engine(8, nil),
+		"non-positive n": engine(0, fakeEngine(8, 2)),
+		"query error": engine(8, func(context.Context, []int, int, *dense.Mat) (*dense.Mat, error) {
 			return nil, errors.New("broken index")
-		}},
-		"wrong shape": {N: 8, Query: fakeEngine(4, 2)},
-		"nan scores": {N: 8, Query: func(q []int, s *dense.Mat) (*dense.Mat, error) {
+		}),
+		"wrong shape": engine(8, fakeEngine(4, 2)),
+		"nan scores": engine(8, func(_ context.Context, q []int, _ int, s *dense.Mat) (*dense.Mat, error) {
 			m := s.Reuse(8, len(q))
 			m.Set(3, 0, math.NaN())
 			return m, nil
-		}},
-		"zero self-similarity": {N: 8, Query: func(q []int, s *dense.Mat) (*dense.Mat, error) {
+		}),
+		"zero self-similarity": engine(8, func(_ context.Context, q []int, _ int, s *dense.Mat) (*dense.Mat, error) {
 			m := s.Reuse(8, len(q))
 			return m, nil // all-zero matrix: diagonal violates the floor
-		}},
+		}),
 	}
 	for name, cand := range bad {
 		cand := cand
 		t.Run(name, func(t *testing.T) {
-			sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+			sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 			defer sv.Close()
 			m := NewWithPolicy(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{}, noRetry)
 			st, err := m.Reload(context.Background())
@@ -156,7 +189,7 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 // ErrCoalesced immediately and the in-flight reload runs the lifecycle
 // once more before releasing the lock.
 func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	entered := make(chan struct{}, 4)
@@ -194,7 +227,7 @@ func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
 // A failing lifecycle pass must be retried with backoff inside one Reload
 // call — transient I/O clears, the operator never sees it.
 func TestManagerRetriesTransientFailure(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) {
@@ -222,7 +255,7 @@ func TestManagerRetriesTransientFailure(t *testing.T) {
 // load attempt until the cooldown elapses, then one probe run closes it
 // again on success.
 func TestManagerBreakerOpensAndRecovers(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	var healthy atomic.Bool
@@ -234,15 +267,17 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 		return candidate(8, 2), nil
 	}, Meta{}, Policy{
 		MaxAttempts: 1, BaseBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
+		BreakerThreshold: 2, BreakerCooldown: time.Hour,
 	})
+	clk := &fakeClock{now: time.Unix(1, 0)}
+	m.setClock(clk)
 
 	for i := 0; i < 2; i++ {
 		if _, err := m.Reload(context.Background()); err == nil {
 			t.Fatalf("reload %d unexpectedly succeeded", i)
 		}
 	}
-	if b := m.Breaker(); !b.Open || b.ConsecutiveFailures != 2 {
+	if b := m.Breaker(); !b.Open || b.ConsecutiveFailures != 2 || !b.RetryAt.Equal(clk.Now().Add(time.Hour)) {
 		t.Fatalf("breaker after threshold failures: %+v", b)
 	}
 	before := calls.Load()
@@ -257,7 +292,7 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	healthy.Store(true)
-	time.Sleep(60 * time.Millisecond) // cooldown elapses; next trigger is the probe
+	clk.advance(time.Hour) // cooldown elapses; next trigger is the probe
 	st, err := m.Reload(context.Background())
 	if err != nil {
 		t.Fatalf("probe reload after cooldown: %v", err)
@@ -270,31 +305,33 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// A candidate carrying a RankQuery must install a rank-aware generation:
+// A candidate advertising a Rank must install a rank-aware generation:
 // degradation works after the swap.
 func TestManagerRankedCandidateSwap(t *testing.T) {
 	const n, fullRank = 8, 6
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{
 		Linger:  -1,
 		Degrade: serve.DegradeConfig{Rank: 2, MinBudget: time.Hour},
 	})
 	defer sv.Close()
 	cand := &Candidate{
-		N:     n,
-		Rank:  fullRank,
-		Bound: func(rank int) float64 { return float64(fullRank - rank) },
-		RankQuery: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-			effective := fullRank
-			if rank > 0 && rank < fullRank {
-				effective = rank
-			}
-			m := scratch.Reuse(n, len(queries))
-			for j := range queries {
-				for i := 0; i < n; i++ {
-					m.Set(i, j, float64(effective))
+		Ranked: serve.Ranked{
+			N:     n,
+			Rank:  fullRank,
+			Bound: func(rank int) float64 { return float64(fullRank - rank) },
+			Query: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+				effective := fullRank
+				if rank > 0 && rank < fullRank {
+					effective = rank
 				}
-			}
-			return m, nil
+				m := scratch.Reuse(n, len(queries))
+				for j := range queries {
+					for i := 0; i < n; i++ {
+						m.Set(i, j, float64(effective))
+					}
+				}
+				return m, nil
+			},
 		},
 		Meta: Meta{Source: "snapshot", Rank: fullRank},
 	}
@@ -317,7 +354,7 @@ func TestManagerRankedCandidateSwap(t *testing.T) {
 }
 
 func TestManagerReloadAfterServerClose(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	m := New(sv, func(context.Context) (*Candidate, error) { return candidate(8, 2), nil }, Meta{})
 	sv.Close()
 	if _, err := m.Reload(context.Background()); !errors.Is(err, serve.ErrClosed) {
@@ -331,7 +368,7 @@ func TestManagerReloadUnderTraffic(t *testing.T) {
 	const n = 32
 	var mu sync.Mutex
 	next := uint64(1)
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{
 		Linger: 100 * time.Microsecond, MaxPending: 1 << 14,
 	})
 	defer sv.Close()
@@ -389,7 +426,7 @@ func TestValidateProbeNodes(t *testing.T) {
 }
 
 func ExampleManager() {
-	sv := serve.NewMat(4, fakeEngine(4, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 4, Query: fakeEngine(4, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	m := New(sv, func(context.Context) (*Candidate, error) { return candidate(4, 2), nil },
 		Meta{Source: "boot"})

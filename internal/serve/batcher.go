@@ -11,13 +11,13 @@ import (
 )
 
 // QueryFunc answers one multi-source engine pass: cols[j] is the full
-// similarity column of queries[j]. csrplus.(*Engine).Query satisfies it.
+// similarity column of queries[j]. It exists as NewBatcher's seam for
+// driving a Batcher without a Server; servers take a RankQueryFunc.
 type QueryFunc func(queries []int) ([][]float64, error)
 
 // batchQueryFunc is the batcher's internal engine signature: one
 // multi-source pass at a chosen rank (0 = full), honouring ctx so an
-// abandoned batch can stop mid-pass. The public QueryFunc / MatQueryFunc /
-// RankQueryFunc flavours are all adapted onto it.
+// abandoned batch can stop mid-pass.
 type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]float64, error)
 
 // Batcher coalesces concurrent column requests into multi-source engine
@@ -83,7 +83,13 @@ type response struct {
 // batches always wait for the size or linger trigger, maximising batch
 // occupancy (throughput) at the cost of light-load latency.
 func NewBatcher(queryFn QueryFunc, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics) *Batcher {
-	return newBatcher(wrapQuery(queryFn), maxBatch, linger, maxPending, workers, strict, m, 0, 0)
+	plain := func(ctx context.Context, queries []int, _ int) ([][]float64, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return queryFn(queries)
+	}
+	return newBatcher(plain, maxBatch, linger, maxPending, workers, strict, m, 0, 0)
 }
 
 // newBatcher is the full-control constructor used by Server: degradedRank

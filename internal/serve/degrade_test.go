@@ -109,15 +109,15 @@ func TestDegradeDisabledWithoutRankStructure(t *testing.T) {
 		t.Fatalf("degraded with nothing to truncate: %+v", res.Info)
 	}
 
-	plain := New(16, func(queries []int) ([][]float64, error) {
+	unranked := NewRanked(plain(16, func(queries []int) ([][]float64, error) {
 		cols := make([][]float64, len(queries))
 		for j := range cols {
 			cols[j] = make([]float64, 16)
 		}
 		return cols, nil
-	}, Config{Linger: -1, Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
-	defer plain.Close()
-	res, err = plain.Search(ctxShort, []int{3}, 2)
+	}), Config{Linger: -1, Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
+	defer unranked.Close()
+	res, err = unranked.Search(ctxShort, []int{3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

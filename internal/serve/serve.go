@@ -10,12 +10,13 @@
 // registry, and graceful drain on Close.
 //
 // The engine behind the server is not fixed: each engine lives in a
-// numbered generation, and Swap installs a new generation RCU-style —
-// requests admitted after the swap see the new engine while in-flight
-// batches finish on the old one — so an index rebuild or snapshot reload
-// never pauses traffic (see internal/reload for the lifecycle around it).
+// numbered generation described by one Ranked value, and SwapRanked
+// installs a new generation RCU-style — requests admitted after the swap
+// see the new engine while in-flight batches finish on the old one — so
+// an index rebuild or snapshot reload never pauses traffic (see
+// internal/reload for the lifecycle around it).
 //
-// Engines with rank structure (SwapRanked) additionally get graceful
+// Generations with rank structure additionally get graceful
 // degradation: under pressure — a request admitted with too little
 // deadline budget, the admission queue past a depth threshold, or
 // requests being shed — batches run at a truncated rank r' < r, trading
@@ -53,8 +54,8 @@ const DefaultMaxK = 1000
 const DefaultDegradeQueueFraction = 0.75
 
 // DegradeConfig tunes graceful degradation. It only takes effect on
-// backends installed with SwapRanked/NewRanked (plain QueryFunc backends
-// have no rank to truncate).
+// generations that advertise a Rank (Ranked.Rank 0 has nothing to
+// truncate).
 type DegradeConfig struct {
 	// Rank is the truncated rank served under pressure. 0 disables
 	// degradation; values >= the engine's full rank also disable it
@@ -103,7 +104,7 @@ type Config struct {
 	Timeout time.Duration
 	// Cache, when non-nil, memoises TopK results and is instrumented
 	// through the server's metrics registry. Keys are namespaced by
-	// engine generation, so a Swap implicitly invalidates every earlier
+	// engine generation, so a swap implicitly invalidates every earlier
 	// entry (and Clear is called on swap to release the memory early).
 	// Only full-rank results are cached: a degraded answer must never
 	// outlive the pressure that justified it.
@@ -206,8 +207,8 @@ type backend struct {
 // Server answers top-k and similarity requests over one engine, batching
 // concurrent requests into multi-source passes. Safe for concurrent use.
 //
-// The engine is held behind an atomic generation pointer: Swap installs a
-// replacement without pausing the worker pool, so callers never observe
+// The engine is held behind an atomic generation pointer: SwapRanked
+// installs a replacement without pausing the worker pool, so callers never observe
 // downtime across an index reload. Every request resolves the generation
 // once at admission and completes entirely on it — node-id validation,
 // engine routing and cache keys all derive from that one snapshot, which
@@ -218,39 +219,17 @@ type Server struct {
 	metrics *Metrics
 
 	be     atomic.Pointer[backend]
-	swapMu sync.Mutex // serialises Swap and Close
+	swapMu sync.Mutex // serialises SwapRanked and Close
 	gen    uint64     // last installed generation; guarded by swapMu
 	closed bool       // guarded by swapMu
 }
 
-// New builds a Server over a graph of n nodes whose columns are produced
-// by queryFn (normally csrplus.(*Engine).Query). The engine becomes
-// generation 1; Swap installs successors.
-func New(n int, queryFn QueryFunc, cfg Config) *Server {
-	s := newServer(cfg)
-	s.Swap(n, queryFn)
-	return s
-}
-
-func newServer(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	m := NewMetrics()
-	if cfg.Cache != nil {
-		cfg.Cache.SetRecorder(m)
-	}
-	return &Server{cfg: cfg, metrics: m}
-}
-
-// MatQueryFunc answers one multi-source engine pass into a reusable
-// scratch matrix: the n x |Q| result reuses scratch's backing array when
-// its capacity suffices (nil scratch allocates) and is returned.
-// csrplus.(*Engine).QueryInto satisfies it.
-type MatQueryFunc func(queries []int, scratch *dense.Mat) (*dense.Mat, error)
-
 // RankQueryFunc answers one multi-source engine pass at a chosen rank
-// (0 or >= the engine's rank = full), honouring ctx between row bands so
-// an abandoned batch stops consuming its worker mid-pass.
-// csrplus.(*Engine).QueryRankInto satisfies it.
+// (0 or >= the engine's rank = full) into a reusable scratch matrix: the
+// n x |Q| result reuses scratch's backing array when its capacity
+// suffices (nil scratch allocates) and is returned. It honours ctx
+// between row bands so an abandoned batch stops consuming its worker
+// mid-pass. shard.(*Router).QueryRankInto satisfies it.
 type RankQueryFunc func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error)
 
 // TopKProvenance reports how a direct top-k answer was assembled: how
@@ -281,8 +260,10 @@ type DirectTopKFunc func(ctx context.Context, queries []int, k, rank int) ([]top
 // missing shards fail the call.
 type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error)
 
-// Ranked describes an engine generation with rank structure — the full
-// contract graceful degradation needs.
+// Ranked describes one engine generation — the single contract between
+// the server and whatever answers its queries. A generation serves
+// through the column batcher (Query), through direct calls (TopK and
+// Scores), or both.
 type Ranked struct {
 	// N is the node count requests are validated against.
 	N int
@@ -290,7 +271,7 @@ type Ranked struct {
 	// this generation.
 	Rank int
 	// Bound reports the entrywise error bound of answering at a
-	// truncated rank (csrplus.(*Engine).TruncationBound). nil means "no
+	// truncated rank (shard.(*Router).TruncationBound). nil means "no
 	// bound advertised" and reports 0.
 	Bound func(rank int) float64
 	// Query answers one multi-source pass at a chosen rank. May be nil
@@ -315,70 +296,26 @@ type Ranked struct {
 // concurrent use.
 type DriftFunc func() (bound float64, exceeded bool)
 
-// NewMat is New for a scratch-aware engine: every engine pass borrows an
-// n x maxBatch-capacity matrix from a sync.Pool instead of allocating
-// n x |Q| afresh, which keeps the steady-state serving hot path
-// allocation-light (the per-column copies handed to callers remain — they
-// outlive the batch). Everything else matches New.
-func NewMat(n int, queryFn MatQueryFunc, cfg Config) *Server {
-	s := newServer(cfg)
-	s.SwapMat(n, queryFn)
-	return s
-}
-
-// NewRanked is New for an engine with rank structure: scratch pooling as
-// in NewMat, plus context propagation into the engine pass and graceful
-// degradation per cfg.Degrade.
+// NewRanked builds a Server whose generation 1 is e; SwapRanked installs
+// successors.
 func NewRanked(e Ranked, cfg Config) *Server {
-	s := newServer(cfg)
+	cfg = cfg.withDefaults()
+	m := NewMetrics()
+	if cfg.Cache != nil {
+		cfg.Cache.SetRecorder(m)
+	}
+	s := &Server{cfg: cfg, metrics: m}
 	s.SwapRanked(e)
 	return s
 }
 
-// wrapQuery adapts a plain engine to the batcher's internal signature:
-// the context is checked once at the engine boundary (the engine itself
-// cannot be interrupted) and the rank is ignored (nothing to truncate).
-func wrapQuery(queryFn QueryFunc) batchQueryFunc {
-	return func(ctx context.Context, queries []int, _ int) ([][]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return queryFn(queries)
-	}
-}
-
-// wrapMatQuery adapts a scratch-aware engine to the batcher, giving it a
-// private sync.Pool of scratch matrices. Each generation gets its own
-// pool, so scratch dimensioned for an old graph never leaks into a new
-// engine's passes.
-func wrapMatQuery(queryFn MatQueryFunc) batchQueryFunc {
-	var pool sync.Pool
-	return func(ctx context.Context, queries []int, _ int) ([][]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if fault.ShouldFailAlloc(fault.SiteScratchAlloc) {
-			return nil, fault.ErrAllocFailed
-		}
-		scratch, _ := pool.Get().(*dense.Mat)
-		s, err := queryFn(queries, scratch)
-		if err != nil {
-			if scratch != nil {
-				pool.Put(scratch)
-			}
-			return nil, err
-		}
-		cols := make([][]float64, len(queries))
-		for j := range queries {
-			cols[j] = s.Col(j, nil)
-		}
-		pool.Put(s) // s is scratch when it had capacity, else its grown replacement
-		return cols, nil
-	}
-}
-
-// wrapRankQuery is wrapMatQuery for a rank-aware engine: the context and
-// rank reach the engine pass itself.
+// wrapRankQuery adapts an engine to the batcher, giving it a private
+// sync.Pool of scratch matrices: every engine pass borrows an
+// n x maxBatch-capacity matrix instead of allocating n x |Q| afresh, which
+// keeps the steady-state hot path allocation-light (the per-column copies
+// handed to callers remain — they outlive the batch). Each generation
+// gets its own pool, so scratch dimensioned for an old graph never leaks
+// into a new engine's passes.
 func wrapRankQuery(queryFn RankQueryFunc) batchQueryFunc {
 	var pool sync.Pool
 	return func(ctx context.Context, queries []int, rank int) ([][]float64, error) {
@@ -397,7 +334,7 @@ func wrapRankQuery(queryFn RankQueryFunc) batchQueryFunc {
 		for j := range queries {
 			cols[j] = s.Col(j, nil)
 		}
-		pool.Put(s)
+		pool.Put(s) // s is scratch when it had capacity, else its grown replacement
 		return cols, nil
 	}
 }
@@ -409,47 +346,35 @@ func stubQuery(context.Context, []int, int) ([][]float64, error) {
 	return nil, fmt.Errorf("%w: this backend serves top-k and targeted scores only (no column path)", ErrBadRequest)
 }
 
-// Swap atomically installs a new engine generation and returns its
-// number. Requests admitted after Swap returns are validated against n,
-// answered by queryFn, and cached under the new generation's key space;
+// SwapRanked atomically installs a new engine generation and returns its
+// number. Requests admitted after it returns are validated against e.N,
+// answered by e, and cached under the new generation's key space;
 // batches already in flight finish on the old engine (RCU-style: readers
-// drain, they are never interrupted). Swap then closes the old
-// generation's batcher — flushing its pending requests — and clears the
+// drain, they are never interrupted). SwapRanked then closes the old
+// generation's batcher — flushing its pending requests, which is the
+// drain barrier reload.Candidate.Release relies on — and clears the
 // result cache so superseded entries release their memory immediately
 // (they are already unreachable: cache keys embed the generation).
 // Returns 0 without swapping when the server is already closed.
-func (s *Server) Swap(n int, queryFn QueryFunc) uint64 {
-	return s.swapBackend(n, 0, nil, wrapQuery(queryFn), nil, nil, nil)
-}
-
-// SwapMat is Swap for a scratch-aware engine (see NewMat).
-func (s *Server) SwapMat(n int, queryFn MatQueryFunc) uint64 {
-	return s.swapBackend(n, 0, nil, wrapMatQuery(queryFn), nil, nil, nil)
-}
-
-// SwapRanked is Swap for an engine with rank structure (see NewRanked).
 func (s *Server) SwapRanked(e Ranked) uint64 {
 	var queryFn batchQueryFunc = stubQuery
 	if e.Query != nil {
 		queryFn = wrapRankQuery(e.Query)
 	}
-	return s.swapBackend(e.N, e.Rank, e.Bound, queryFn, e.TopK, e.Scores, e.Drift)
-}
-
-func (s *Server) swapBackend(n, rank int, bound func(int) float64, queryFn batchQueryFunc, topkFn DirectTopKFunc, scoresFn DirectScoreFunc, driftFn DriftFunc) uint64 {
+	bound := e.Bound
+	if bound == nil {
+		bound = func(int) float64 { return 0 }
+	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.closed {
 		return 0
 	}
-	if bound == nil {
-		bound = func(int) float64 { return 0 }
-	}
 	// Degradation only arms when the configured truncated rank is a real
 	// truncation of this engine; the queue-depth trigger needs a positive
 	// fraction of the admission bound.
 	degradedRank, overloadDepth := 0, int64(0)
-	if rank > 0 && s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < rank {
+	if s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < e.Rank {
 		degradedRank = s.cfg.Degrade.Rank
 		if f := s.cfg.Degrade.QueueFraction; f > 0 {
 			overloadDepth = int64(f * float64(s.cfg.MaxPending))
@@ -458,14 +383,14 @@ func (s *Server) swapBackend(n, rank int, bound func(int) float64, queryFn batch
 	s.gen++
 	nb := &backend{
 		gen:          s.gen,
-		n:            n,
-		rank:         rank,
+		n:            e.N,
+		rank:         e.Rank,
 		degradedRank: degradedRank,
 		bound:        bound,
 		batcher:      newBatcher(queryFn, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxPending, s.cfg.Workers, s.cfg.StrictLinger, s.metrics, degradedRank, overloadDepth),
-		topkFn:       topkFn,
-		scoresFn:     scoresFn,
-		drift:        driftFn,
+		topkFn:       e.TopK,
+		scoresFn:     e.Scores,
+		drift:        e.Drift,
 	}
 	old := s.be.Swap(nb)
 	s.metrics.SetGeneration(s.gen)
@@ -566,7 +491,7 @@ func (s *Server) columns(ctx context.Context, nodes []int, degrade bool) (*backe
 		cols, rank, err := be.batcher.ColumnsDegrade(ctx, nodes, degrade)
 		if err != nil {
 			if errors.Is(err, ErrClosed) && s.be.Load() != be {
-				continue // lost the race with a Swap; the successor is live
+				continue // lost the race with a swap; the successor is live
 			}
 			return be, nil, 0, err
 		}
@@ -819,7 +744,7 @@ func selectTopK(cols map[int][]float64, queries []int, k int) []Match {
 	return out
 }
 
-// topKKey namespaces cache entries by engine generation: after a Swap,
+// topKKey namespaces cache entries by engine generation: after a swap,
 // every pre-swap entry becomes unreachable by construction, so a stale
 // column can never be served against a new index even while old and new
 // generations briefly coexist.

@@ -9,7 +9,30 @@ import (
 	"time"
 
 	"csrplus/internal/cache"
+	"csrplus/internal/dense"
 )
+
+// plain wraps a column func with no rank structure as a generation: the
+// columns are laid into the scratch matrix the batcher hands out, and
+// the context is checked once at the engine boundary.
+func plain(n int, queryFn QueryFunc) Ranked {
+	return Ranked{N: n, Query: func(ctx context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cols, err := queryFn(queries)
+		if err != nil {
+			return nil, err
+		}
+		m := scratch.Reuse(n, len(queries))
+		for j, col := range cols {
+			for i, v := range col {
+				m.Set(i, j, v)
+			}
+		}
+		return m, nil
+	}}
+}
 
 // rankEngine serves columns with a distinct, known ranking: the column of
 // node q scores node i as 1/(1+|i-q|), so nearer ids are more similar.
@@ -41,7 +64,7 @@ func (e *rankEngine) query(queries []int) ([][]float64, error) {
 
 func newTestServer(t *testing.T, eng *rankEngine, cfg Config) *Server {
 	t.Helper()
-	s := New(eng.n, eng.query, cfg)
+	s := NewRanked(plain(eng.n, eng.query), cfg)
 	t.Cleanup(s.Close)
 	return s
 }
@@ -204,7 +227,7 @@ func TestServerTimeout(t *testing.T) {
 
 func TestServerClose(t *testing.T) {
 	eng := &rankEngine{n: 6}
-	s := New(eng.n, eng.query, Config{Linger: -1})
+	s := NewRanked(plain(eng.n, eng.query), Config{Linger: -1})
 	if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func scoreGen(t *testing.T, matches []Match) uint64 {
 }
 
 func TestServerSwapBasic(t *testing.T) {
-	s := New(8, genQuery(8, 1), Config{Linger: -1, Cache: cache.New(32)})
+	s := NewRanked(plain(8, genQuery(8, 1)), Config{Linger: -1, Cache: cache.New(32)})
 	defer s.Close()
 	if got := s.Generation(); got != 1 {
 		t.Fatalf("boot generation = %d, want 1", got)
@@ -64,7 +64,7 @@ func TestServerSwapBasic(t *testing.T) {
 	if _, cached, _ = s.TopK(context.Background(), []int{3}, 2); !cached {
 		t.Fatal("warm-up query not cached")
 	}
-	if gen := s.Swap(8, genQuery(8, 2)); gen != 2 {
+	if gen := s.SwapRanked(plain(8, genQuery(8, 2))); gen != 2 {
 		t.Fatalf("Swap returned generation %d, want 2", gen)
 	}
 	if got := s.Metrics().Generation(); got != 2 {
@@ -87,12 +87,12 @@ func TestServerSwapBasic(t *testing.T) {
 }
 
 func TestServerSwapChangesN(t *testing.T) {
-	s := New(10, genQuery(10, 1), Config{Linger: -1, MaxK: 100})
+	s := NewRanked(plain(10, genQuery(10, 1)), Config{Linger: -1, MaxK: 100})
 	defer s.Close()
 	if _, _, err := s.TopK(context.Background(), []int{9}, 3); err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(4, genQuery(4, 2)) // the new graph shrank
+	s.SwapRanked(plain(4, genQuery(4, 2))) // the new graph shrank
 	if _, _, err := s.TopK(context.Background(), []int{9}, 3); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("node 9 on a 4-node generation: err = %v, want ErrBadRequest", err)
 	}
@@ -109,9 +109,9 @@ func TestServerSwapChangesN(t *testing.T) {
 }
 
 func TestServerSwapAfterCloseRefused(t *testing.T) {
-	s := New(4, genQuery(4, 1), Config{Linger: -1})
+	s := NewRanked(plain(4, genQuery(4, 1)), Config{Linger: -1})
 	s.Close()
-	if gen := s.Swap(4, genQuery(4, 2)); gen != 0 {
+	if gen := s.SwapRanked(plain(4, genQuery(4, 2))); gen != 0 {
 		t.Fatalf("Swap after Close returned %d, want 0", gen)
 	}
 	if _, _, err := s.TopK(context.Background(), []int{1}, 2); !errors.Is(err, ErrClosed) {
@@ -133,7 +133,7 @@ func TestReloadUnderFire(t *testing.T) {
 		workers = 8
 	)
 	var current atomic.Uint64 // highest generation Swap has returned
-	s := New(n, genQuery(n, 1), Config{
+	s := NewRanked(plain(n, genQuery(n, 1)), Config{
 		MaxBatch:   8,
 		Linger:     100 * time.Microsecond,
 		Workers:    4,
@@ -181,7 +181,7 @@ func TestReloadUnderFire(t *testing.T) {
 
 	for g := uint64(2); g <= swaps+1; g++ {
 		time.Sleep(3 * time.Millisecond)
-		if gen := s.Swap(n, genQuery(n, g)); gen != g {
+		if gen := s.SwapRanked(plain(n, genQuery(n, g))); gen != g {
 			t.Fatalf("swap %d returned generation %d", g, gen)
 		}
 		// Only after Swap returns may workers treat g as the floor: a
@@ -225,7 +225,7 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 		<-release
 		return genQuery(n, 1)(queries)
 	}
-	s := New(n, slow, Config{Linger: -1, Workers: 1})
+	s := NewRanked(plain(n, slow), Config{Linger: -1, Workers: 1})
 	defer s.Close()
 
 	done := make(chan []Match, 1)
@@ -240,7 +240,7 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 
 	swapped := make(chan struct{})
 	go func() {
-		s.Swap(n, genQuery(n, 2))
+		s.SwapRanked(plain(n, genQuery(n, 2)))
 		close(swapped)
 	}()
 	select {

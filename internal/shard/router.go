@@ -18,10 +18,11 @@ import (
 // resolves its slot's current generation once at entry and computes
 // entirely on that snapshot — so it is safe for concurrent use, including
 // concurrently with rolling SwapShard calls (or remote worker rolls). Its
-// QueryRankInto satisfies serve.RankQueryFunc, making the router a
-// drop-in serving backend with batching, degradation and generation-swap
-// support unchanged; TopKTagged and Scores are the direct paths a wire
-// deployment serves from (see internal/wire).
+// QueryRankInto satisfies serve.RankQueryFunc: the router is csrserver's
+// one serving backend — a monolithic index is the K=1 router — with
+// batching, degradation and generation swaps on top; TopKTagged and
+// Scores are the direct paths a wire deployment serves from (see
+// internal/wire).
 type Router struct {
 	n    int
 	rank int
@@ -321,8 +322,7 @@ func (r *Router) fanout(cols int, body func(s int) error) []error {
 // The assembled matrix is bitwise-identical to
 // core.Index.QueryRankInto's at any shard count (see the package doc for
 // why). rank <= 0 or >= the index rank answers at full rank; honours ctx
-// between row bands. It satisfies serve.RankQueryFunc, so a Router slots
-// into serve.Server exactly where a monolithic engine does. Remote slots
+// between row bands. It satisfies serve.RankQueryFunc. Remote slots
 // reject this path — the wire never ships n x |Q| columns; wire
 // deployments serve through TopKTagged and Scores instead.
 func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
@@ -350,12 +350,6 @@ func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 		}
 	}
 	return s, nil
-}
-
-// QueryInto is QueryRankInto at full rank without a context — it
-// satisfies serve.MatQueryFunc.
-func (r *Router) QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
-	return r.QueryRankInto(context.Background(), queries, 0, scratch)
 }
 
 // TopK returns the exact global top-k for a query set via scatter–gather:

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -18,22 +17,16 @@ import (
 
 	"csrplus/internal/dense"
 	"csrplus/internal/fault"
+	"csrplus/internal/retry"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
 	"csrplus/internal/topk"
 )
 
-// Clock abstracts time for the client's hedging and breaker machinery so
-// tests can drive both deterministically. The real clock is the default.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+// Clock abstracts time for the client's hedging, backoff and breaker
+// machinery so tests can drive them deterministically. The real clock is
+// the default.
+type Clock = retry.Clock
 
 // Options tunes one RemoteEngine. The zero value selects the documented
 // defaults.
@@ -47,7 +40,7 @@ type Options struct {
 	// Default 3.
 	MaxAttempts int
 	// BaseBackoff is the first retry's nominal delay; attempt i waits
-	// BaseBackoff * 2^(i-1), halved-and-jittered like reload.Policy.
+	// BaseBackoff * 2^(i-1), halved-and-jittered (retry.Backoff).
 	// Default 25ms. MaxBackoff caps the nominal delay; default 1s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
@@ -101,7 +94,7 @@ func (o Options) withDefaults() Options {
 		o.BreakerCooldown = 5 * time.Second
 	}
 	if o.Clock == nil {
-		o.Clock = realClock{}
+		o.Clock = retry.System
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -192,9 +185,7 @@ type RemoteEngine struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	bmu       sync.Mutex
-	fails     int
-	openUntil time.Time
+	breaker retry.Breaker
 
 	requests  atomic.Int64
 	errCount  atomic.Int64
@@ -211,11 +202,12 @@ type RemoteEngine struct {
 func Dial(ctx context.Context, addr string, opt Options) (*RemoteEngine, error) {
 	opt = opt.withDefaults()
 	e := &RemoteEngine{
-		addr:  strings.TrimSuffix(addr, "/"),
-		opt:   opt,
-		clock: opt.Clock,
-		httpc: opt.Client,
-		rng:   rand.New(rand.NewSource(opt.Seed)),
+		addr:    strings.TrimSuffix(addr, "/"),
+		opt:     opt,
+		clock:   opt.Clock,
+		httpc:   opt.Client,
+		rng:     rand.New(rand.NewSource(opt.Seed)),
+		breaker: retry.Breaker{Threshold: opt.BreakerThreshold, Cooldown: opt.BreakerCooldown, Clock: opt.Clock},
 		lat: serve.NewHistogram(
 			100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3,
 			10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1),
@@ -252,10 +244,7 @@ func (e *RemoteEngine) Bytes() int64 { return e.bytes.Load() }
 
 // Stats snapshots the engine's traffic counters and breaker state.
 func (e *RemoteEngine) Stats() SlotStats {
-	e.bmu.Lock()
-	open := !e.openUntil.IsZero() && e.clock.Now().Before(e.openUntil)
-	fails := e.fails
-	e.bmu.Unlock()
+	fails, retryAt := e.breaker.State()
 	return SlotStats{
 		Shard:               e.opt.Shard,
 		Addr:                e.addr,
@@ -265,7 +254,7 @@ func (e *RemoteEngine) Stats() SlotStats {
 		Retries:             e.retries.Load(),
 		Hedges:              e.hedges.Load(),
 		HedgeWins:           e.hedgeWins.Load(),
-		BreakerOpen:         open,
+		BreakerOpen:         !retryAt.IsZero(),
 		ConsecutiveFailures: fails,
 		Latency:             e.lat.Snapshot(),
 	}
@@ -373,9 +362,9 @@ func (e *RemoteEngine) observeGen(gen uint64) {
 // evidence the worker is down.
 func (e *RemoteEngine) call(ctx context.Context, method, path string, req, resp any) error {
 	e.requests.Add(1)
-	if wait, open := e.breakerOpen(); open {
+	if _, retryAt := e.breaker.State(); !retryAt.IsZero() {
 		e.errCount.Add(1)
-		return fmt.Errorf("wire: %s breaker open, retry in %v: %w", e.addr, wait.Round(time.Millisecond), shard.ErrSlotDown)
+		return fmt.Errorf("wire: %s breaker open, retry in %v: %w", e.addr, retryAt.Sub(e.clock.Now()).Round(time.Millisecond), shard.ErrSlotDown)
 	}
 	var body []byte
 	if req != nil {
@@ -403,7 +392,7 @@ func (e *RemoteEngine) call(ctx context.Context, method, path string, req, resp 
 					continue
 				}
 			}
-			e.breakerRecord(false)
+			e.breaker.Record(false)
 			return nil
 		}
 		lastErr = err
@@ -416,7 +405,7 @@ func (e *RemoteEngine) call(ctx context.Context, method, path string, req, resp 
 		return fmt.Errorf("wire: %s %s: %w", e.addr, path, lastErr)
 	}
 	if retryable(lastErr) {
-		e.breakerRecord(true)
+		e.breaker.Record(true)
 		return fmt.Errorf("wire: %s %s failed after %d attempts: %v: %w", e.addr, path, e.opt.MaxAttempts, lastErr, shard.ErrSlotDown)
 	}
 	return fmt.Errorf("wire: %s %s: %w", e.addr, path, lastErr)
@@ -544,19 +533,13 @@ func (e *RemoteEngine) hedgeDelay() (time.Duration, bool) {
 	return d, true
 }
 
-// backoff mirrors reload.Policy: nominal BaseBackoff·2^(attempt-1)
-// capped at MaxBackoff, half deterministic and half jittered so replicas
-// retrying against one struggling worker spread out.
+// backoff draws the jittered delay before retry attempt (1-based) from
+// the engine's seeded source.
 func (e *RemoteEngine) backoff(attempt int) time.Duration {
-	nominal := float64(e.opt.BaseBackoff) * math.Pow(2, float64(attempt-1))
-	if limit := float64(e.opt.MaxBackoff); nominal > limit {
-		nominal = limit
-	}
-	half := nominal / 2
 	e.rngMu.Lock()
 	j := e.rng.Float64()
 	e.rngMu.Unlock()
-	return time.Duration(half + j*half)
+	return retry.Backoff(e.opt.BaseBackoff, e.opt.MaxBackoff, attempt, j)
 }
 
 func (e *RemoteEngine) sleepCtx(ctx context.Context, d time.Duration) error {
@@ -565,33 +548,6 @@ func (e *RemoteEngine) sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-func (e *RemoteEngine) breakerOpen() (time.Duration, bool) {
-	if e.opt.BreakerThreshold <= 0 {
-		return 0, false
-	}
-	e.bmu.Lock()
-	defer e.bmu.Unlock()
-	now := e.clock.Now()
-	if !e.openUntil.IsZero() && now.Before(e.openUntil) {
-		return e.openUntil.Sub(now), true
-	}
-	return 0, false
-}
-
-func (e *RemoteEngine) breakerRecord(failed bool) {
-	e.bmu.Lock()
-	defer e.bmu.Unlock()
-	if !failed {
-		e.fails = 0
-		e.openUntil = time.Time{}
-		return
-	}
-	e.fails++
-	if e.opt.BreakerThreshold > 0 && e.fails >= e.opt.BreakerThreshold {
-		e.openUntil = e.clock.Now().Add(e.opt.BreakerCooldown)
 	}
 }
 
