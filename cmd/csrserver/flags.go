@@ -85,7 +85,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.indexPath, "index", "", "load a persisted CSR+ index instead of precomputing")
 	fs.StringVar(&c.saveIndex, "saveindex", "", "persist the boot index to this path")
 	fs.StringVar(&c.quantize, "quantize", "", "factor tier for -saveindex and snapshot publishes: f32 or int8 (default exact f64); the serving index stays exact")
-	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shards > 1 and -shardworker); boot from it when populated, publish the boot index into it otherwise")
+	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shards > 1 and -shardworker); boot from it when populated; every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shards, "shards", 1, "partition the index into this many node-range shard slots behind the scatter-gather router")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")

@@ -212,3 +212,68 @@ func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 		t.Fatalf("rebuilt over m=%d, want %d", status.M, g.M()+2)
 	}
 }
+
+// TestPublishPrunesSnapshots pins the retention rule on both publish
+// paths: however many generations the server publishes, a snapshot
+// directory holds at most keepSnapshots of them, and the one CURRENT
+// names is always among the survivors and still loads.
+func TestPublishPrunesSnapshots(t *testing.T) {
+	check := func(t *testing.T, dir string, load func(path string) error) {
+		t.Helper()
+		snaps, err := core.ListSnapshots(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) > keepSnapshots {
+			t.Fatalf("%s holds %d generations, want at most %d", dir, len(snaps), keepSnapshots)
+		}
+		path, _, err := core.CurrentSnapshot(dir)
+		if err != nil {
+			t.Fatalf("CURRENT's target was pruned: %v", err)
+		}
+		if err := load(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const publishes = keepSnapshots + 3
+
+	t.Run("drift rebuilds", func(t *testing.T) {
+		snapDir := t.TempDir()
+		s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
+		defer s.ing.Close()
+		if err := s.ing.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < publishes; i++ { // boot priming was publish number one
+			if _, err := s.reload(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			check(t, snapDir, func(path string) error {
+				ix, err := core.LoadIndex(path)
+				if err == nil {
+					err = ix.Close()
+				}
+				return err
+			})
+		}
+		if _, gen, _ := core.CurrentSnapshot(snapDir); gen != publishes+1 {
+			t.Fatalf("CURRENT at generation %d after %d publishes", gen, publishes+1)
+		}
+	})
+
+	t.Run("per-shard publishes", func(t *testing.T) {
+		root := t.TempDir()
+		eng := testEngine(t)
+		for i := 0; i < publishes; i++ {
+			if err := publishShardSnapshots(root, eng, 3); err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < 3; slot++ {
+				check(t, core.ShardDir(root, slot), func(path string) error {
+					_, err := core.LoadShard(path)
+					return err
+				})
+			}
+		}
+	})
+}

@@ -326,6 +326,7 @@ func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reloa
 	case meta.Source != "snapshot":
 		if meta.SnapshotGen, meta.Path, err = eng.SaveSnapshotTier(cfg.snapDir, cfg.quantize); err == nil {
 			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
+			pruneSnapshots(cfg.snapDir)
 		}
 	}
 	if err != nil {
@@ -346,9 +347,28 @@ func publishShardSnapshots(dir string, eng *csrplus.Engine, k int) error {
 		if _, _, err := core.WriteShardSnapshot(core.ShardDir(dir, s), sh); err != nil {
 			return err
 		}
+		pruneSnapshots(core.ShardDir(dir, s))
 	}
 	log.Printf("index published as %d per-shard snapshots under %s", k, dir)
 	return nil
+}
+
+// keepSnapshots is how many generations a publish leaves in a snapshot
+// directory: the one CURRENT names plus two older ones — what the
+// recovery ladder falls back to when the newest is torn, and what an
+// operator can roll back to. Everything the server publishes (boot
+// priming, drift rebuilds, per-shard slices) would otherwise accumulate
+// until the disk fills.
+const keepSnapshots = 3
+
+// pruneSnapshots trims dir after a publish has committed. The new
+// generation is already durable and live, so a failure to delete old
+// ones is logged, never returned. A generation still mapped by the
+// serving process keeps its pages after the unlink.
+func pruneSnapshots(dir string) {
+	if _, err := core.PruneSnapshots(dir, keepSnapshots); err != nil {
+		log.Printf("WARNING: pruning old snapshot generations: %v", err)
+	}
 }
 
 // coreIndex unwraps the CSR+ index every engine built here has: the

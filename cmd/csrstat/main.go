@@ -7,13 +7,14 @@
 //
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
-//	csrstat -index snap.csrx
+//	csrstat -index snap.csrx                                  # whole index or one shard's file
 //	csrstat -index old-v1.csrx -convert new.csrx              # v1 -> v2 migration
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ func main() {
 	graphPath := flag.String("graph", "", "edge-list file")
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
-	indexPath := flag.String("index", "", "inspect a persisted CSR+ index instead of a graph")
+	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
 	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v2, mmap-able) layout")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	walDir := flag.String("wal", "", "inspect a streaming-ingestion WAL directory instead of a graph")
@@ -62,6 +63,15 @@ func main() {
 // LoadIndex reads both layouts, so converting is load + save.
 func runIndex(out io.Writer, path, convert, quantize string) error {
 	ix, err := core.LoadIndex(path)
+	if errors.Is(err, core.ErrCorrupt) {
+		// Not a whole index; a shard file is the same factors under the
+		// other header, and loads only as one.
+		sh, serr := core.LoadShard(path)
+		if serr == nil {
+			return runShard(out, path, sh, convert != "" || quantize != "")
+		}
+		err = fmt.Errorf("%w; as a shard file: %v", err, serr)
+	}
 	if err != nil {
 		return err
 	}
@@ -103,6 +113,26 @@ func runIndex(out io.Writer, path, convert, quantize string) error {
 		return err
 	}
 	fmt.Fprintf(out, "written:       %s (tier %s)\n", convert, outIx.Tier())
+	return nil
+}
+
+// runShard reports a shard file — what an operator is told to
+// investigate when a shard directory recovers to an older generation.
+func runShard(out io.Writer, path string, sh *core.IndexShard, rewrite bool) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "file:          %s (%d bytes)\n", path, fi.Size())
+	fmt.Fprintf(out, "nodes:         %d\n", sh.N())
+	fmt.Fprintf(out, "shard rows:    [%d, %d)\n", sh.Lo(), sh.Hi())
+	fmt.Fprintf(out, "rank:          %d\n", sh.Rank())
+	fmt.Fprintf(out, "damping:       %g\n", sh.Damping())
+	fmt.Fprintf(out, "tier:          %s\n", sh.Tier())
+	fmt.Fprintf(out, "factor bytes:  %d\n", sh.Bytes())
+	if rewrite {
+		return fmt.Errorf("%s is a shard file: -convert and -quantize need a whole index", path)
+	}
 	return nil
 }
 

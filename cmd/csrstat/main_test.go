@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +92,40 @@ func TestRunIndexInspect(t *testing.T) {
 	}
 	if err := runIndex(&buf, path, "", "int8"); err == nil {
 		t.Fatal("-quantize without -convert accepted")
+	}
+}
+
+// TestRunIndexOnShardFile: -index opens the CSRS file of a shard
+// directory too, reports the rows it holds, and refuses to rewrite it.
+func TestRunIndexOnShardFile(t *testing.T) {
+	sh, err := buildTestIndex(t).Shard(10, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, path, err := core.WriteShardSnapshot(core.ShardDir(t.TempDir(), 1), sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runIndex(&buf, path, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"nodes:         40", "shard rows:    [10, 25)", "rank:          4", "tier:          f64"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("shard output missing %q:\n%s", want, buf.String())
+		}
+	}
+	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), ""); err == nil {
+		t.Fatal("-convert of a shard file accepted")
+	}
+	// A file that loads as neither kind reports both failures, so a torn
+	// shard file names its failing check, not just "not an index".
+	if err := os.Truncate(path, 5000); err != nil {
+		t.Fatal(err)
+	}
+	err = runIndex(&buf, path, "", "")
+	if !errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), "as a shard file") {
+		t.Fatalf("torn shard file: err = %v, want wrapped ErrCorrupt naming the shard load", err)
 	}
 }
 

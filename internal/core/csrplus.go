@@ -83,23 +83,17 @@ func (o Options) validate(n int) error {
 
 // Index holds CSR+'s precomputed state (Algorithm 1, phase I): the factors
 // Z and U such that [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ. Both are
-// n x r, giving the paper's O(rn) resident memory.
+// n x r, giving the paper's O(rn) resident memory. Phase II is
+// row-separable, so the factors are nothing but the [0, n) IndexShard —
+// embedded, which is where N, Rank, Damping, Tier, ColMaxes and the banded
+// PartialInto live — and an Index adds the build metadata and whatever
+// owns the factors' memory.
 type Index struct {
-	n       int
-	c       float64
-	rank    int
-	iters   int        // repeated-squaring iterations performed
-	z       *dense.Mat // U (Σ P Σ), n x r — exact tier only; nil when quantized
-	u       *dense.Mat // left singular vectors, n x r — exact tier only
-	sigma   []float64  // singular values (diagnostics)
-	precomp time.Duration
+	IndexShard
 
-	// Quantized tiers (tier.go) store the factors as dense.Typed with
-	// per-column scales instead of z/u, plus the measured per-column
-	// dequantisation errors that feed QuantizationBound. Exactly one of
-	// (z, u) and (zt, ut) is populated.
-	zt, ut       *dense.Typed
-	zqerr, uqerr []float64
+	iters   int       // repeated-squaring iterations performed
+	sigma   []float64 // singular values (diagnostics)
+	precomp time.Duration
 
 	// walSeq is the last ingest-WAL sequence number whose edge is baked
 	// into the factors (0 for indexes built outside the ingestion path).
@@ -108,9 +102,10 @@ type Index struct {
 	walSeq uint64
 
 	// mapped is non-nil when the factor slices are zero-copy views over
-	// an mmap'd snapshot (core.MapIndex); Close releases it. The serving
-	// lifecycle must keep the Index alive until every in-flight query has
-	// drained — see DESIGN.md's mapping-lifetime rules.
+	// an mmap'd snapshot (MapIndex); Close releases it. Only the Index
+	// that mapped the file holds it — a Shard view aliases the pages but
+	// cannot close them — so the serving lifecycle must keep the Index
+	// alive until every in-flight query has drained (DESIGN.md §13).
 	mapped *mapping
 
 	// boundOnce lazily computes boundTail, the truncation error bounds of
@@ -123,15 +118,6 @@ type Index struct {
 	quantOnce  sync.Once
 	quantBound float64
 }
-
-// N returns the node count the index was built for.
-func (ix *Index) N() int { return ix.n }
-
-// Rank returns the SVD rank of the index.
-func (ix *Index) Rank() int { return ix.rank }
-
-// Damping returns the damping factor baked into the index.
-func (ix *Index) Damping() float64 { return ix.c }
 
 // WalSeq returns the last ingest-WAL sequence baked into the factors,
 // 0 for indexes built outside the ingestion path or loaded from v1
@@ -155,12 +141,10 @@ func (ix *Index) SingularValues() []float64 {
 func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
 
 // Bytes reports the resident memory of the index: the Z and U factors —
-// the O(rn) of Theorem 3.7 — at the tier's element width.
+// the O(rn) of Theorem 3.7 — at the tier's element width, plus the
+// rank-length metadata vectors.
 func (ix *Index) Bytes() int64 {
-	if ix.zt != nil {
-		return ix.zt.Bytes() + ix.ut.Bytes() + int64(len(ix.sigma)+len(ix.zqerr)+len(ix.uqerr))*8
-	}
-	return ix.z.Bytes() + ix.u.Bytes() + int64(len(ix.sigma))*8
+	return ix.IndexShard.Bytes() + int64(len(ix.sigma)+len(ix.zqerr)+len(ix.uqerr))*8
 }
 
 // SquaringIterations returns the paper's iteration bound
@@ -228,14 +212,10 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Free("precompute/P", p.Bytes())
 
 	return &Index{
-		n:       n,
-		c:       c,
-		rank:    r,
-		iters:   iters,
-		z:       z,
-		u:       um,
-		sigma:   fac.S,
-		precomp: time.Since(start),
+		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, z: z, u: um},
+		iters:      iters,
+		sigma:      fac.S,
+		precomp:    time.Since(start),
 	}, nil
 }
 
@@ -305,31 +285,10 @@ func (ix *Index) Query(queries []int, track *memtrack.Tracker) (*dense.Mat, erro
 // (contents are overwritten) and allocates otherwise. Passing nil scratch
 // is exactly Query. The returned matrix is the result — scratch itself
 // whenever it had capacity — so serving layers can pool one matrix per
-// in-flight batch instead of allocating n x |Q| per engine call.
+// in-flight batch instead of allocating n x |Q| per engine call. It is
+// QueryRankInto at full rank with nothing to cancel it.
 func (ix *Index) QueryInto(queries []int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
-	}
-	for _, q := range queries {
-		if q < 0 || q >= ix.n {
-			return nil, fmt.Errorf("core: node %d not in [0, %d): %w", q, ix.n, ErrQuery)
-		}
-	}
-	// [U]_{Q,*} is |Q| x r; Z [U]_{Q,*}ᵀ is n x |Q|.
-	uq := ix.pickURows(queries)
-	track.Alloc("query/UQ", uq.Bytes())
-	var s *dense.Mat
-	if ix.zt != nil {
-		s = dense.MulTRankTypedInto(scratch, ix.zt, uq, ix.rank)
-	} else {
-		s = dense.MulTInto(scratch, ix.z, uq)
-	}
-	track.Alloc("query/S", s.Bytes())
-	s.Scale(ix.c)
-	for j, q := range queries {
-		s.Set(q, j, s.At(q, j)+1)
-	}
-	return s, nil
+	return ix.QueryRankInto(context.Background(), queries, 0, scratch, track)
 }
 
 // queryBandRows is how many output rows PartialInto computes between
@@ -348,7 +307,7 @@ const queryBandRows = 1 << 15
 // error against the full-rank answer is bounded by TruncationBound(rank).
 // rank ≤ 0 or ≥ the index rank answers at full rank (making this a strict
 // generalisation of QueryInto). It validates, gathers the query rows of U
-// and runs IndexShard.PartialInto over the [0, n) view — the monolithic
+// and runs PartialInto on the [0, n) shard the index is — the monolithic
 // index is the K=1 partition. Returns ctx.Err() on cancellation.
 func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
 	if len(queries) == 0 {
@@ -366,8 +325,7 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	track.Alloc("query/UQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())
-	whole := ix.view(0, ix.n)
-	if err := whole.PartialInto(ctx, queries, uq, rank, s); err != nil {
+	if err := ix.PartialInto(ctx, queries, uq, rank, s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -390,7 +348,7 @@ func (ix *Index) TruncationBound(rank int) float64 {
 		return ix.QuantizationBound()
 	}
 	ix.boundOnce.Do(func() {
-		zmax, umax := ix.colAbsMaxes()
+		zmax, umax := ix.ColMaxes()
 		ix.boundTail = TailBound(ix.c, zmax, umax)
 	})
 	return ix.boundTail[rank] + ix.QuantizationBound()

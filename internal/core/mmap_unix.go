@@ -2,7 +2,7 @@
 
 package core
 
-// mmap_unix.go is the thin platform layer under MapIndex/MapShard: a
+// mmap_unix.go is the thin platform layer under MapIndex: a
 // read-only shared mapping of a snapshot file. MAP_SHARED means two
 // generations mapped during a swap share the page cache instead of
 // doubling RSS, and PROT_READ turns any stray write through a factor

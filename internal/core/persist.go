@@ -1,24 +1,26 @@
 package core
 
-// persist.go implements binary serialisation of a precomputed Index so the
-// expensive phase I of Algorithm 1 can run once (offline, on a beefy box)
-// and the cheap phase II can be served from anywhere — the deployment
+// persist.go implements binary serialisation of the precomputed factors so
+// the expensive phase I of Algorithm 1 can run once (offline, on a beefy
+// box) and the cheap phase II can be served from anywhere — the deployment
 // split the paper's preprocessing/query architecture implies.
 //
-// Format (little endian):
+// A snapshot file is one factor block (Z then U, row-major) under one of
+// two headers: "CSRX", a whole index with its build metadata, and "CSRS",
+// the row range [lo, hi) of one. Everything here and in persist2.go is
+// written once and takes the header kind as an argument. Files are written
+// in the mmap-able v2 layout (persist2.go); v1, the original streaming
+// layout, is decode-only and stays readable forever behind the golden
+// files in testdata/:
 //
-//	magic   [4]byte  "CSRX"
-//	version uint32   currently 1
-//	n       uint64   node count
-//	rank    uint64   SVD rank r
-//	c       float64  damping factor
-//	iters   uint64   squaring iterations performed
-//	sigma   [rank]float64
-//	z       [n*rank]float64   (row-major)
-//	u       [n*rank]float64   (row-major)
+//	magic   [4]byte  "CSRX" / "CSRS"
+//	version uint32   1
+//	CSRX:   n, rank uint64; c float64; iters uint64; sigma [rank]float64
+//	CSRS:   n, lo, hi, rank uint64; c float64
+//	z, u    [rows*rank]float64 each (rows = n, or hi-lo)
 //	crc     uint32   IEEE CRC-32 of everything after the magic
 //
-// The CRC detects truncation and bit rot; version gates format evolution.
+// DESIGN.md §13 has the v2 byte layout.
 
 import (
 	"bufio"
@@ -36,9 +38,19 @@ import (
 	"csrplus/internal/fault"
 )
 
-var indexMagic = [4]byte{'C', 'S', 'R', 'X'}
+// snapKind is one of the two headers a snapshot file can carry.
+type snapKind struct {
+	magic [4]byte
+	name  string // names the kind in error messages
+	whole bool   // CSRX: rows are [0, n) and sigma, iters and walSeq travel along
+}
 
-// indexVersion is the current on-disk format version.
+var (
+	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true}
+	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard"}
+)
+
+// indexVersion is the decode-only v1 format version.
 const indexVersion = 1
 
 // maxIndexElems caps n*rank at load time so a corrupt header cannot make
@@ -60,18 +72,63 @@ var maxPlatformElems = uint64(math.MaxInt)
 // precompute could produce.
 const maxIndexIters = 1 << 16
 
-// checkElemCount validates a header's n/rank pair against both the
-// format bound and the platform int width, so int(nNodes*rank) below is
-// safe. Shared by the v1 and v2 readers for indexes and shards (rows is
-// n for an index, hi-lo for a shard).
-func checkElemCount(what string, rows, rank uint64) error {
-	if rank == 0 || rows > 0 && rank > maxIndexElems/rows {
-		return fmt.Errorf("core: implausible %s shape rows=%d r=%d: %w", what, rows, rank, ErrCorrupt)
+// snapHeader is the header of either kind in either version, decoded but
+// not yet trusted.
+type snapHeader struct {
+	n, rank uint64
+	c       float64
+	lo, hi  uint64 // owned rows; [0, n) for an index
+	iters   uint64 // index only
+	walSeq  uint64 // index only, v2 only
+}
+
+// validate rejects every header a real writer could not have produced,
+// so the int conversions and allocations that follow are safe.
+func (h *snapHeader) validate(k *snapKind) error {
+	// The product test divides rather than multiplies: a forged header with
+	// both words near 2^64 would overflow n*rank back into plausible range
+	// and sail past a multiplication-based bound.
+	if h.n == 0 || h.rank == 0 || h.rank > h.n || h.n > maxIndexElems/h.rank {
+		return fmt.Errorf("core: implausible %s shape n=%d r=%d: %w", k.name, h.n, h.rank, ErrCorrupt)
 	}
-	if rank > maxPlatformElems || rows*rank > maxPlatformElems {
-		return fmt.Errorf("core: %s shape rows=%d r=%d exceeds platform int: %w", what, rows, rank, ErrCorrupt)
+	if k.whole {
+		if h.iters > maxIndexIters {
+			return fmt.Errorf("core: implausible iteration count %d: %w", h.iters, ErrCorrupt)
+		}
+	} else {
+		if h.lo >= h.hi || h.hi > h.n {
+			return fmt.Errorf("core: implausible shard range [%d, %d) of n=%d: %w", h.lo, h.hi, h.n, ErrCorrupt)
+		}
+		if h.walSeq != 0 {
+			return fmt.Errorf("core: shard carries WAL sequence %d: %w", h.walSeq, ErrCorrupt)
+		}
+	}
+	// n*rank fits the format cap, so nothing below overflows; it must also
+	// survive conversion to int. The global count is converted too: on a
+	// 32-bit build a 2^33-node shard header would wrap even when the
+	// shard's own slice fits.
+	if h.n > maxPlatformElems || (h.hi-h.lo)*h.rank > maxPlatformElems {
+		return fmt.Errorf("core: %s shape n=%d rows=%d r=%d exceeds platform int: %w", k.name, h.n, h.hi-h.lo, h.rank, ErrCorrupt)
+	}
+	if h.c <= 0 || h.c >= 1 || math.IsNaN(h.c) {
+		return fmt.Errorf("core: implausible damping %v: %w", h.c, ErrCorrupt)
 	}
 	return nil
+}
+
+// rows is the factor-block row count of a validated header.
+func (h *snapHeader) rows() int { return int(h.hi - h.lo) }
+
+// index starts the Index a validated header describes; the caller fills
+// in the factors. For a shard file only the embedded IndexShard means
+// anything, and the shard-typed entry points return just that.
+func (h *snapHeader) index(sigma []float64) *Index {
+	return &Index{
+		IndexShard: IndexShard{n: int(h.n), lo: int(h.lo), hi: int(h.hi), c: h.c, rank: int(h.rank)},
+		iters:      int(h.iters),
+		sigma:      sigma,
+		walSeq:     h.walSeq,
+	}
 }
 
 // checkSigma rejects non-finite or negative singular values: NaN/±Inf
@@ -89,44 +146,6 @@ func checkSigma(sigma []float64) error {
 // ErrCorrupt is returned (wrapped) when an index file fails validation.
 var ErrCorrupt = errors.New("core: corrupt index file")
 
-// WriteTo serialises the index in the v1 format. It implements
-// io.WriterTo. v1 has no tier field, so quantized indexes must be
-// written as v2 (WriteToV2); SaveIndex picks the right writer.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	if ix.zt != nil {
-		return 0, fmt.Errorf("core: v1 format cannot hold a %v-tier index: %w", ix.Tier(), ErrParams)
-	}
-	bw := bufio.NewWriter(w)
-	n := &countingWriter{w: bw}
-	if _, err := n.Write(indexMagic[:]); err != nil {
-		return n.n, fmt.Errorf("core: writing index magic: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	body := io.MultiWriter(n, crc)
-	le := binary.LittleEndian
-	if err := binary.Write(body, le, uint32(indexVersion)); err != nil {
-		return n.n, fmt.Errorf("core: writing index version: %w", err)
-	}
-	header := []uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters)}
-	for _, s := range header {
-		if err := binary.Write(body, le, s); err != nil {
-			return n.n, fmt.Errorf("core: writing index header: %w", err)
-		}
-	}
-	for _, block := range [][]float64{ix.sigma, ix.z.Data, ix.u.Data} {
-		if err := writeFloats(body, block); err != nil {
-			return n.n, fmt.Errorf("core: writing index payload: %w", err)
-		}
-	}
-	if err := binary.Write(n, le, crc.Sum32()); err != nil {
-		return n.n, fmt.Errorf("core: writing index checksum: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return n.n, fmt.Errorf("core: flushing index: %w", err)
-	}
-	return n.n, nil
-}
-
 // corruptEOF folds premature end-of-stream into ErrCorrupt: a truncated
 // index file is a corrupt index file, and callers branch on errors.Is
 // (ErrCorrupt), not on which section the bytes ran out in. Genuine I/O
@@ -138,93 +157,106 @@ func corruptEOF(err error) error {
 	return err
 }
 
-// ReadIndex deserialises an index written by WriteTo (v1) or WriteToV2,
-// validating magic, version, shape bounds and checksums. Every
-// validation failure — bad magic, unknown version, implausible header,
-// truncation in any section, checksum mismatch — is reported as a
-// wrapped ErrCorrupt. v2 streams are decoded into fresh allocations;
-// use MapIndex for the zero-copy path.
+// ReadIndex deserialises a CSRX stream, v1 or v2, validating magic,
+// version, shape bounds and checksums. Every validation failure — bad
+// magic, unknown version, implausible header, truncation in any section,
+// checksum mismatch — is reported as a wrapped ErrCorrupt. v2 streams are
+// decoded into fresh allocations; use MapIndex for the zero-copy path.
 func ReadIndex(r io.Reader) (*Index, error) {
+	return readSnapshot(r, indexKind)
+}
+
+// ReadShard is ReadIndex for CSRS streams.
+func ReadShard(r io.Reader) (*IndexShard, error) {
+	return shardOf(readSnapshot(r, shardKind))
+}
+
+// shardOf narrows what the shared readers return for a shard file to the
+// part of it that means anything (see snapHeader.index).
+func shardOf(ix *Index, err error) (*IndexShard, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &ix.IndexShard, nil
+}
+
+// readSnapshot is the one stream reader: it sniffs the version and hands
+// v2 images to decodeV2 and everything else to the v1 decoder below.
+func readSnapshot(r io.Reader, k *snapKind) (*Index, error) {
 	br := bufio.NewReader(r)
-	if v, err := sniffVersion(br); err == nil && v == indexVersion2 {
+	if head, err := br.Peek(8); err == nil && binary.LittleEndian.Uint32(head[4:]) == indexVersion2 {
 		data, err := io.ReadAll(br)
 		if err != nil {
-			return nil, fmt.Errorf("core: reading v2 index: %w", corruptEOF(err))
+			return nil, fmt.Errorf("core: reading v2 %s: %w", k.name, corruptEOF(err))
 		}
-		return decodeIndexV2(data)
+		return decodeV2(data, k)
 	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading index magic: %w", corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s magic: %w", k.name, corruptEOF(err))
 	}
-	if magic != indexMagic {
-		return nil, fmt.Errorf("core: bad magic %q: %w", magic, ErrCorrupt)
+	if magic != k.magic {
+		return nil, fmt.Errorf("core: bad %s magic %q: %w", k.name, magic, ErrCorrupt)
 	}
 	crc := crc32.NewIEEE()
 	body := io.TeeReader(br, crc)
 	le := binary.LittleEndian
 	var version uint32
 	if err := binary.Read(body, le, &version); err != nil {
-		return nil, fmt.Errorf("core: reading index version: %w", corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s version: %w", k.name, corruptEOF(err))
 	}
 	if version != indexVersion {
-		return nil, fmt.Errorf("core: index version %d, want %d: %w", version, indexVersion, ErrCorrupt)
+		return nil, fmt.Errorf("core: %s version %d, want %d: %w", k.name, version, indexVersion, ErrCorrupt)
 	}
-	var nNodes, rank, iters uint64
+	var h snapHeader
 	var cBits uint64
-	for _, dst := range []*uint64{&nNodes, &rank, &cBits, &iters} {
+	words := []*uint64{&h.n, &h.lo, &h.hi, &h.rank, &cBits}
+	if k.whole {
+		words = []*uint64{&h.n, &h.rank, &cBits, &h.iters}
+	}
+	for _, dst := range words {
 		if err := binary.Read(body, le, dst); err != nil {
-			return nil, fmt.Errorf("core: reading index header: %w", corruptEOF(err))
+			return nil, fmt.Errorf("core: reading %s header: %w", k.name, corruptEOF(err))
 		}
 	}
-	c := math.Float64frombits(cBits)
-	// The product test divides rather than multiplies: a forged header with
-	// both words near 2^64 would overflow nNodes*rank back into plausible
-	// range and sail past a multiplication-based bound.
-	if nNodes == 0 || rank == 0 || rank > nNodes || nNodes > maxIndexElems/rank {
-		return nil, fmt.Errorf("core: implausible index shape n=%d r=%d: %w", nNodes, rank, ErrCorrupt)
+	h.c = math.Float64frombits(cBits)
+	if k.whole {
+		h.hi = h.n
 	}
-	if err := checkElemCount("index", nNodes, rank); err != nil {
+	if err := h.validate(k); err != nil {
 		return nil, err
 	}
-	if c <= 0 || c >= 1 || math.IsNaN(c) {
-		return nil, fmt.Errorf("core: implausible damping %v: %w", c, ErrCorrupt)
+	var sigma []float64
+	if k.whole {
+		var err error
+		if sigma, err = readFloats(body, int(h.rank)); err != nil {
+			return nil, fmt.Errorf("core: reading sigma: %w", corruptEOF(err))
+		}
+		if err := checkSigma(sigma); err != nil {
+			return nil, err
+		}
 	}
-	if iters > maxIndexIters {
-		return nil, fmt.Errorf("core: implausible iteration count %d: %w", iters, ErrCorrupt)
-	}
-	sigma, err := readFloats(body, int(rank))
+	rows, rank := h.rows(), int(h.rank)
+	zdata, err := readFloats(body, rows*rank)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading sigma: %w", corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s Z: %w", k.name, corruptEOF(err))
 	}
-	if err := checkSigma(sigma); err != nil {
-		return nil, err
-	}
-	zdata, err := readFloats(body, int(nNodes*rank))
+	udata, err := readFloats(body, rows*rank)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading Z: %w", corruptEOF(err))
-	}
-	udata, err := readFloats(body, int(nNodes*rank))
-	if err != nil {
-		return nil, fmt.Errorf("core: reading U: %w", corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s U: %w", k.name, corruptEOF(err))
 	}
 	sum := crc.Sum32()
 	var want uint32
 	if err := binary.Read(br, le, &want); err != nil {
-		return nil, fmt.Errorf("core: reading checksum: %w", corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s checksum: %w", k.name, corruptEOF(err))
 	}
 	if sum != want {
-		return nil, fmt.Errorf("core: checksum %08x, want %08x: %w", sum, want, ErrCorrupt)
+		return nil, fmt.Errorf("core: %s checksum %08x, want %08x: %w", k.name, sum, want, ErrCorrupt)
 	}
-	return &Index{
-		n:     int(nNodes),
-		c:     c,
-		rank:  int(rank),
-		iters: int(iters),
-		z:     dense.NewMatFrom(int(nNodes), int(rank), zdata),
-		u:     dense.NewMatFrom(int(nNodes), int(rank), udata),
-		sigma: sigma,
-	}, nil
+	ix := h.index(sigma)
+	ix.z = dense.NewMatFrom(rows, rank, zdata)
+	ix.u = dense.NewMatFrom(rows, rank, udata)
+	return ix, nil
 }
 
 // SaveIndex writes the index to path atomically and crash-consistently:
@@ -233,10 +265,15 @@ func ReadIndex(r io.Reader) (*Index, error) {
 // path; the parent directory is fsynced afterwards so the rename itself
 // survives a crash. A kill at any point leaves either the old file, the
 // new file, or a stray temp file — never a truncated index at path.
-// Indexes are written in the mmap-able v2 layout (persist2.go); v1 files
+// Files are written in the mmap-able v2 layout (persist2.go); v1 files
 // remain readable via LoadIndex/ReadIndex forever.
 func SaveIndex(ix *Index, path string) error {
 	return saveAtomic("SaveIndex", path, ix.WriteToV2)
+}
+
+// SaveShard is SaveIndex for one shard, under the CSRS header.
+func SaveShard(sh *IndexShard, path string) error {
+	return saveAtomic("SaveShard", path, sh.WriteToV2)
 }
 
 // saveAtomic is the write-temp/fsync/rename/fsync-dir discipline shared
@@ -301,23 +338,37 @@ func syncDir(dir string) error {
 // older generation. Callers own Close on the returned index (a no-op
 // for decoded indexes).
 func LoadIndex(path string) (*Index, error) {
-	ix, err := mapIndexAt(path, true)
-	if err == nil {
-		return ix, nil
-	}
-	if !errors.Is(err, errMapUnsupported) {
-		return nil, err
+	return loadSnapshot(path, indexKind)
+}
+
+// LoadShard reads a shard file from path into heap memory.
+func LoadShard(path string) (*IndexShard, error) {
+	return shardOf(loadSnapshot(path, shardKind))
+}
+
+// loadSnapshot is the one file loader. Whole indexes map first: every
+// generation served from one gets a fresh router whose Candidate.Release
+// closes the mapping after serve's swap has drained. Shard files always
+// decode: they fill the slots of a persistent router, and Local.Swap has
+// no drain barrier, so a mapped slot's munmap would race in-flight
+// partials.
+func loadSnapshot(path string, k *snapKind) (*Index, error) {
+	if k.whole {
+		ix, err := mapIndexAt(path, true)
+		if err == nil || !errors.Is(err, errMapUnsupported) {
+			return ix, err
+		}
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: LoadIndex: %w", err)
+		return nil, fmt.Errorf("core: loading %s: %w", k.name, err)
 	}
 	defer f.Close()
 	// The fault wrapper (chaos builds only) injects read errors and
 	// latency — a degraded disk during a reload.
-	ix, err = ReadIndex(fault.Reader(fault.SiteIndexRead, f))
+	ix, err := readSnapshot(fault.Reader(fault.SiteIndexRead, f), k)
 	if err != nil {
-		return nil, fmt.Errorf("core: LoadIndex %s: %w", path, err)
+		return nil, fmt.Errorf("core: loading %s %s: %w", k.name, path, err)
 	}
 	return ix, nil
 }
@@ -369,7 +420,7 @@ func readFloats(r io.Reader, count int) ([]float64, error) {
 	return out, nil
 }
 
-// countingWriter tracks bytes written for WriteTo's contract.
+// countingWriter tracks bytes written for WriteToV2's contract.
 type countingWriter struct {
 	w io.Writer
 	n int64

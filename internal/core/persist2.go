@@ -1,32 +1,16 @@
 package core
 
-// persist2.go implements CSRX/CSRS v2: a page-aligned snapshot layout a
+// persist2.go implements snapshot format v2: a page-aligned layout a
 // server can memory-map and serve from without decoding — reload latency
 // becomes O(1) in index size, pages fault in lazily, and two generations
 // mapped during a swap share the page cache instead of doubling RSS.
 //
-// Layout (little endian; one 4 KiB header page, then page-aligned
-// sections in a fixed order):
-//
-//	[0:4]      magic    "CSRX" (index) / "CSRS" (shard)
-//	[4:8]      version  uint32, 2
-//	[8:12]     tier     uint32 (0 = f64, 1 = f32, 2 = int8)
-//	[12:16]    sections uint32 (7 for an index, 6 for a shard)
-//	[16:24]    n        uint64  node count (global, for shards too)
-//	[24:32]    rank     uint64
-//	[32:40]    c        float64 bits
-//	[40:48]    iters    uint64 (index) / lo (shard)
-//	[48:56]    0        uint64 (index) / hi (shard)
-//	[56:64]    fileSize uint64  — O(1) truncation detection
-//	[64:...]   section table, 24 bytes each: off u64, len u64, crc u32, 0 u32
-//	[240:248]  walSeq   uint64 — last ingest-WAL sequence baked into the
-//	           factors (index; 0 for shards and pre-ingestion files)
-//	[4092:4096] header CRC32-IEEE of bytes [0:4092]
-//
-// Index sections, in order: sigma, zscale, uscale, zqerr, uqerr, z, u.
-// Shard sections drop sigma. Quantisation metadata sections are empty
-// (len 0) for tiers that lack them: scales exist only for int8, the
-// measured per-column dequantisation errors for both quantized tiers.
+// One 4 KiB header page (offsets in the v2* constants below and in
+// DESIGN.md §13), then page-aligned sections in a fixed order: sigma (CSRX
+// only), then the factor block — zscale, uscale, zqerr, uqerr, z, u — the
+// same six sections under either header. Quantisation metadata sections
+// are empty (len 0) for tiers that lack them: scales exist only for int8,
+// the measured per-column dequantisation errors for both quantized tiers.
 // Every non-empty section starts exactly at the next page boundary and
 // its CRC covers the section plus its zero padding up to the following
 // boundary, so every byte of the file outside the two CRC words is
@@ -39,8 +23,7 @@ package core
 // bytes, which requires native little-endian byte order and the 8-byte
 // alignment the page-aligned offsets guarantee; anywhere that doesn't
 // hold (or mmap itself is unavailable), loading transparently falls back
-// to a copying decode of the same bytes. v1 files remain readable
-// forever through the original decode path.
+// to a copying decode of the same bytes.
 
 import (
 	"bytes"
@@ -64,8 +47,9 @@ const (
 	v2DescSize    = 24
 	v2HeaderCRC   = v2Page - 4
 
-	v2IndexSections = 7
-	v2ShardSections = 6
+	// v2FactorSections is the factor block both kinds share; a CSRX file
+	// puts its sigma section in front of it.
+	v2FactorSections = 6
 
 	// v2WalSeqOff holds the index's last-applied ingest-WAL sequence.
 	// It sits past the section table (which ends at 64 + 7·24 = 232),
@@ -78,8 +62,8 @@ const (
 // errMapUnsupported reports that a file could not be memory-mapped for
 // an environmental (not data-corruption) reason: unsupported platform,
 // big-endian host, a v1 file, mmap syscall failure, or an injected map
-// fault. LoadIndex/LoadShard fall back to the decode path on it; real
-// corruption never wears it.
+// fault. LoadIndex falls back to the decode path on it; real corruption
+// never wears it.
 var errMapUnsupported = errors.New("core: memory mapping unavailable")
 
 // nativeLE reports whether this host stores multi-byte words little-
@@ -128,29 +112,31 @@ func factorSections(m *dense.Mat, t *dense.Typed, qerr []float64) (scale, qe, pa
 	}
 }
 
-// WriteToV2 serialises the index in the v2 layout.
+// factorBlock renders the shard's six factor-block sections.
+func (sh *IndexShard) factorBlock() []v2section {
+	zscale, zqe, z := factorSections(sh.z, sh.zt, sh.zqerr)
+	uscale, uqe, u := factorSections(sh.u, sh.ut, sh.uqerr)
+	return []v2section{zscale, uscale, zqe, uqe, z, u}
+}
+
+// WriteToV2 serialises the index in the v2 layout (magic "CSRX").
 func (ix *Index) WriteToV2(w io.Writer) (int64, error) {
-	zscale, zqe, z := factorSections(ix.z, ix.zt, ix.zqerr)
-	uscale, uqe, u := factorSections(ix.u, ix.ut, ix.uqerr)
-	secs := []v2section{f64Section(ix.sigma), zscale, uscale, zqe, uqe, z, u}
+	secs := append([]v2section{f64Section(ix.sigma)}, ix.factorBlock()...)
 	hdr := [5]uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters), 0}
-	return writeV2(w, indexMagic, ix.Tier(), hdr, ix.walSeq, secs)
+	return writeV2(w, indexKind, ix.Tier(), hdr, ix.walSeq, secs)
 }
 
 // WriteToV2 serialises the shard in the v2 layout (magic "CSRS").
 func (sh *IndexShard) WriteToV2(w io.Writer) (int64, error) {
-	zscale, zqe, z := factorSections(sh.z, sh.zt, sh.zqerr)
-	uscale, uqe, u := factorSections(sh.u, sh.ut, sh.uqerr)
-	secs := []v2section{zscale, uscale, zqe, uqe, z, u}
 	hdr := [5]uint64{uint64(sh.n), uint64(sh.rank), math.Float64bits(sh.c), uint64(sh.lo), uint64(sh.hi)}
-	return writeV2(w, shardMagic, sh.Tier(), hdr, 0, secs)
+	return writeV2(w, shardKind, sh.Tier(), hdr, 0, sh.factorBlock())
 }
 
 // writeV2 lays out and writes a v2 file: header page, then each section
 // at the next page boundary followed by zero padding. Section CRCs are
 // computed in a first encode pass (over payload plus padding), so the
 // writer streams — it never materialises a quantized payload in memory.
-func writeV2(w io.Writer, magic [4]byte, tier Tier, hdr [5]uint64, walSeq uint64, secs []v2section) (int64, error) {
+func writeV2(w io.Writer, k *snapKind, tier Tier, hdr [5]uint64, walSeq uint64, secs []v2section) (int64, error) {
 	le := binary.LittleEndian
 
 	// Pass 1: place sections and checksum their padded extents.
@@ -178,7 +164,7 @@ func writeV2(w io.Writer, magic [4]byte, tier Tier, hdr [5]uint64, walSeq uint64
 	fileSize := cur
 
 	head := make([]byte, v2Page)
-	copy(head, magic[:])
+	copy(head, k.magic[:])
 	le.PutUint32(head[4:], indexVersion2)
 	le.PutUint32(head[8:], uint32(tier))
 	le.PutUint32(head[12:], uint32(len(secs)))
@@ -238,74 +224,69 @@ func (s v2sec) end() uint64 { return alignPage(s.off + s.length) }
 
 // v2file is a validated v2 header over its raw bytes.
 type v2file struct {
-	tier    Tier
-	n, rank uint64
-	c       float64
-	w4, w5  uint64 // iters/0 for an index, lo/hi for a shard
-	walSeq  uint64 // last ingest-WAL sequence baked in (index only)
-	secs    []v2sec
-	data    []byte
+	snapHeader
+	tier Tier
+	secs []v2sec
+	data []byte
 }
 
-// parseV2Header validates everything cheap about a v2 byte image —
-// magic, version, header CRC, fileSize against the actual length, field
-// plausibility, and the full section-table geometry (alignment, no
+// parseV2Header validates everything cheap about a v2 byte image of kind
+// k — magic, version, header CRC, fileSize against the actual length,
+// field plausibility, and the full section-table geometry (alignment, no
 // overlap with the header or each other, exact expected lengths) — and
 // eagerly CRC-checks every section except the two factor blocks, whose
 // verification cost is O(index size) and is the caller's choice.
-// rowsFor maps the header to the factor-block row count (n for an
-// index, hi-lo for a shard) after format-specific field checks.
-func parseV2Header(data []byte, magic [4]byte, wantSecs int, rowsFor func(*v2file) (uint64, error)) (*v2file, error) {
+func parseV2Header(data []byte, k *snapKind) (*v2file, error) {
 	le := binary.LittleEndian
 	if len(data) < v2Page {
 		return nil, fmt.Errorf("core: v2 header truncated at %d bytes: %w", len(data), ErrCorrupt)
 	}
-	if !bytes.Equal(data[:4], magic[:]) {
-		return nil, fmt.Errorf("core: bad magic %q: %w", data[:4], ErrCorrupt)
+	if !bytes.Equal(data[:4], k.magic[:]) {
+		return nil, fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
 	}
 	if v := le.Uint32(data[4:]); v != indexVersion2 {
-		return nil, fmt.Errorf("core: index version %d, want %d: %w", v, indexVersion2, ErrCorrupt)
+		return nil, fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion2, ErrCorrupt)
 	}
 	if got, want := crc32.ChecksumIEEE(data[:v2HeaderCRC]), le.Uint32(data[v2HeaderCRC:]); got != want {
 		return nil, fmt.Errorf("core: v2 header checksum %08x, want %08x: %w", got, want, ErrCorrupt)
 	}
-	f := &v2file{
-		n:      le.Uint64(data[16:]),
-		rank:   le.Uint64(data[24:]),
-		c:      math.Float64frombits(le.Uint64(data[32:])),
-		w4:     le.Uint64(data[40:]),
-		w5:     le.Uint64(data[48:]),
-		walSeq: le.Uint64(data[v2WalSeqOff:]),
-		data:   data,
+	f := &v2file{data: data}
+	f.n = le.Uint64(data[16:])
+	f.rank = le.Uint64(data[24:])
+	f.c = math.Float64frombits(le.Uint64(data[32:]))
+	f.walSeq = le.Uint64(data[v2WalSeqOff:])
+	// Words 4 and 5 are iters/0 for an index, lo/hi for a shard.
+	w4, w5 := le.Uint64(data[40:]), le.Uint64(data[48:])
+	if k.whole {
+		if w5 != 0 {
+			return nil, fmt.Errorf("core: v2 index reserved word %d: %w", w5, ErrCorrupt)
+		}
+		f.iters, f.hi = w4, f.n
+	} else {
+		f.lo, f.hi = w4, w5
 	}
 	tier := le.Uint32(data[8:])
 	if tier > uint32(TierI8) {
 		return nil, fmt.Errorf("core: unknown tier %d: %w", tier, ErrCorrupt)
 	}
 	f.tier = Tier(tier)
+	wantSecs := v2FactorSections
+	if k.whole {
+		wantSecs++ // sigma
+	}
 	if got := le.Uint32(data[12:]); got != uint32(wantSecs) {
 		return nil, fmt.Errorf("core: v2 section count %d, want %d: %w", got, wantSecs, ErrCorrupt)
 	}
 	if size := le.Uint64(data[56:]); size != uint64(len(data)) {
 		return nil, fmt.Errorf("core: v2 file is %d bytes, header says %d: %w", len(data), size, ErrCorrupt)
 	}
-	if f.n == 0 || f.rank == 0 || f.rank > f.n || f.n > maxIndexElems/f.rank {
-		return nil, fmt.Errorf("core: implausible index shape n=%d r=%d: %w", f.n, f.rank, ErrCorrupt)
-	}
-	if f.c <= 0 || f.c >= 1 || math.IsNaN(f.c) {
-		return nil, fmt.Errorf("core: implausible damping %v: %w", f.c, ErrCorrupt)
-	}
-	rows, err := rowsFor(f)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkElemCount("index", rows, f.rank); err != nil {
+	if err := f.validate(k); err != nil {
 		return nil, err
 	}
 
 	// Expected section lengths from the validated header. Order matches
 	// the writer: [sigma,] zscale, uscale, zqerr, uqerr, z, u.
-	elem := uint64(f.tier.kind().ElemSize())
+	factorLen := (f.hi - f.lo) * f.rank * uint64(f.tier.kind().ElemSize())
 	metaLen := uint64(0) // scale/qerr vectors are rank float64s when present
 	if f.tier != TierF64 {
 		metaLen = f.rank * 8
@@ -315,10 +296,10 @@ func parseV2Header(data []byte, magic [4]byte, wantSecs int, rowsFor func(*v2fil
 		scaleLen = f.rank * 8
 	}
 	want := make([]uint64, 0, wantSecs)
-	if wantSecs == v2IndexSections {
+	if k.whole {
 		want = append(want, f.rank*8) // sigma
 	}
-	want = append(want, scaleLen, scaleLen, metaLen, metaLen, rows*f.rank*elem, rows*f.rank*elem)
+	want = append(want, scaleLen, scaleLen, metaLen, metaLen, factorLen, factorLen)
 
 	f.secs = make([]v2sec, wantSecs)
 	cur := uint64(v2Page)
@@ -480,120 +461,40 @@ func (f *v2file) factorsFromV2(rows int, scaleIdx, qerrIdx, payloadIdx int, zero
 	}
 }
 
-// indexRows validates the index-specific header words (iters, reserved).
-func indexRows(f *v2file) (uint64, error) {
-	if f.w4 > maxIndexIters {
-		return 0, fmt.Errorf("core: implausible iteration count %d: %w", f.w4, ErrCorrupt)
+// fromV2 builds the Index (for a shard image, the IndexShard inside it)
+// over a parsed v2 image — the one from-image constructor, shared by the
+// decoder (zeroCopy false: fresh allocations) and the mapper.
+func (f *v2file) fromV2(zeroCopy bool) (*Index, error) {
+	base := len(f.secs) - v2FactorSections // 1 when a sigma section leads
+	var sigma []float64
+	if base == 1 {
+		sigma = f.f64Of(0, zeroCopy)
+		if err := checkSigma(sigma); err != nil {
+			return nil, err
+		}
 	}
-	if f.w5 != 0 {
-		return 0, fmt.Errorf("core: v2 index reserved word %d: %w", f.w5, ErrCorrupt)
+	ix := f.index(sigma)
+	var err error
+	if ix.z, ix.zt, ix.zqerr, err = f.factorsFromV2(f.rows(), base, base+2, base+4, zeroCopy); err != nil {
+		return nil, err
 	}
-	return f.n, nil
+	if ix.u, ix.ut, ix.uqerr, err = f.factorsFromV2(f.rows(), base+1, base+3, base+5, zeroCopy); err != nil {
+		return nil, err
+	}
+	return ix, nil
 }
 
-// shardRows validates the shard range words and returns the owned rows.
-func shardRows(f *v2file) (uint64, error) {
-	if f.w4 >= f.w5 || f.w5 > f.n {
-		return 0, fmt.Errorf("core: implausible shard range [%d, %d) of n=%d: %w", f.w4, f.w5, f.n, ErrCorrupt)
-	}
-	if f.n > maxPlatformElems {
-		return 0, fmt.Errorf("core: shard global n=%d exceeds platform int: %w", f.n, ErrCorrupt)
-	}
-	if f.walSeq != 0 {
-		return 0, fmt.Errorf("core: v2 shard carries WAL sequence %d: %w", f.walSeq, ErrCorrupt)
-	}
-	return f.w5 - f.w4, nil
-}
-
-// indexFromV2 builds an Index over a parsed v2 image.
-func indexFromV2(f *v2file, zeroCopy bool) (*Index, error) {
-	sigma := f.f64Of(0, zeroCopy)
-	if err := checkSigma(sigma); err != nil {
-		return nil, err
-	}
-	n := int(f.n)
-	z, zt, zqerr, err := f.factorsFromV2(n, 1, 3, 5, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	u, ut, uqerr, err := f.factorsFromV2(n, 2, 4, 6, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{
-		n:      n,
-		c:      f.c,
-		rank:   int(f.rank),
-		iters:  int(f.w4),
-		walSeq: f.walSeq,
-		z:      z,
-		u:      u,
-		zt:     zt,
-		ut:     ut,
-		zqerr:  zqerr,
-		uqerr:  uqerr,
-		sigma:  sigma,
-	}, nil
-}
-
-// shardFromV2 builds an IndexShard over a parsed v2 image.
-func shardFromV2(f *v2file, zeroCopy bool) (*IndexShard, error) {
-	rows := int(f.w5 - f.w4)
-	z, zt, zqerr, err := f.factorsFromV2(rows, 0, 2, 4, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	u, ut, uqerr, err := f.factorsFromV2(rows, 1, 3, 5, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexShard{
-		n:     int(f.n),
-		lo:    int(f.w4),
-		hi:    int(f.w5),
-		c:     f.c,
-		rank:  int(f.rank),
-		z:     z,
-		u:     u,
-		zt:    zt,
-		ut:    ut,
-		zqerr: zqerr,
-		uqerr: uqerr,
-	}, nil
-}
-
-// decodeIndexV2 is the copying read of a v2 byte image: full validation
+// decodeV2 is the copying read of a v2 byte image: full validation
 // including the factor CRCs, fresh allocations, no mapping to manage.
-func decodeIndexV2(data []byte) (*Index, error) {
-	f, err := parseV2Header(data, indexMagic, v2IndexSections, indexRows)
+func decodeV2(data []byte, k *snapKind) (*Index, error) {
+	f, err := parseV2Header(data, k)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.verifyFactors(); err != nil {
 		return nil, err
 	}
-	return indexFromV2(f, false)
-}
-
-func decodeShardV2(data []byte) (*IndexShard, error) {
-	f, err := parseV2Header(data, shardMagic, v2ShardSections, shardRows)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.verifyFactors(); err != nil {
-		return nil, err
-	}
-	return shardFromV2(f, false)
-}
-
-// sniffVersion peeks the magic and version of a snapshot file without
-// consuming the reader.
-func sniffVersion(br interface{ Peek(int) ([]byte, error) }) (uint32, error) {
-	head, err := br.Peek(8)
-	if err != nil {
-		return 0, corruptEOF(err)
-	}
-	return binary.LittleEndian.Uint32(head[4:]), nil
+	return f.fromV2(false)
 }
 
 // mapFile opens, sizes and maps path read-only, peeking the version
@@ -673,13 +574,13 @@ func mapIndexAt(path string, verify bool) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: MapIndex %s: %w", path, err)
 	}
-	f, err := parseV2Header(data, indexMagic, v2IndexSections, indexRows)
+	f, err := parseV2Header(data, indexKind)
 	if err == nil && verify {
 		err = f.verifyFactors()
 	}
 	var ix *Index
 	if err == nil {
-		ix, err = indexFromV2(f, true)
+		ix, err = f.fromV2(true)
 	}
 	if err != nil {
 		m.close()
@@ -698,32 +599,6 @@ func (ix *Index) VerifyPayload() error {
 		return nil
 	}
 	return ix.mapped.verify()
-}
-
-// MapShard is MapIndex for CSRS v2 shard snapshots. The same lifetime
-// rules apply; note the in-process shard router swaps slots without a
-// drain barrier, so the default shard loading path decodes instead of
-// mapping — MapShard is for embedders that manage generation lifetime
-// themselves (see DESIGN.md).
-func MapShard(path string) (*IndexShard, error) {
-	data, m, err := mapFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: MapShard %s: %w", path, err)
-	}
-	f, err := parseV2Header(data, shardMagic, v2ShardSections, shardRows)
-	if err == nil {
-		err = f.verifyFactors()
-	}
-	var sh *IndexShard
-	if err == nil {
-		sh, err = shardFromV2(f, true)
-	}
-	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("core: MapShard %s: %w", path, err)
-	}
-	sh.mapped = m
-	return sh, nil
 }
 
 func writeFloats32(w io.Writer, data []float32) error {

@@ -35,7 +35,7 @@ func synthBenchIndex(n, rank int) *Index {
 	for i := range sigma {
 		sigma[i] = float64(rank-i) * 0.5
 	}
-	return &Index{n: n, c: 0.8, rank: rank, iters: 8, z: z, u: u, sigma: sigma}
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, z: z, u: u}, iters: 8, sigma: sigma}
 }
 
 // benchLoadFiles writes one v1 and one v2 file per size and hands the
@@ -46,14 +46,7 @@ func benchLoadFiles(b *testing.B, load func(b *testing.B, v1, v2 string)) {
 		ix := synthBenchIndex(n, 16)
 		dir := b.TempDir()
 		v1 := filepath.Join(dir, "v1.csrx")
-		f, err := os.Create(v1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ix.WriteTo(f); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(v1, v1IndexBytes(ix), 0o644); err != nil {
 			b.Fatal(err)
 		}
 		v2 := filepath.Join(dir, "v2.csrx")

@@ -62,11 +62,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	want := queryBits(t, ix, queries)
 
 	// v1 path, for the cross-format leg of the property.
-	var v1 bytes.Buffer
-	if _, err := ix.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := ReadIndex(&v1)
+	fromV1, err := ReadIndex(bytes.NewReader(v1IndexBytes(ix)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func TestV2LoadIndexServesV2(t *testing.T) {
 	wantBitwise(t, "LoadIndex v2", queryBits(t, back, queries), want)
 
 	v1path := filepath.Join(t.TempDir(), "v1.csrx")
-	if err := saveAtomic("test", v1path, ix.WriteTo); err != nil {
+	if err := os.WriteFile(v1path, v1IndexBytes(ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	old, err := LoadIndex(v1path)
@@ -202,7 +198,7 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			return d
 		},
 		"forged section count": func(d []byte) []byte {
-			le.PutUint32(d[12:], v2ShardSections)
+			le.PutUint32(d[12:], v2FactorSections)
 			repatchV2HeaderCRC(d)
 			return d
 		},
@@ -326,12 +322,6 @@ func TestV2QuantizedRoundTrip(t *testing.T) {
 			}
 		}
 		back.Close()
-
-		// v1 cannot hold a quantized index — the writer must say so
-		// rather than drop the tier silently.
-		if _, err := q.WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrParams) {
-			t.Fatalf("v1 WriteTo of %v index: err = %v, want ErrParams", tier, err)
-		}
 	}
 	// Re-quantization would compound errors invisibly.
 	q, _ := exact.Quantize(TierI8)
@@ -340,8 +330,8 @@ func TestV2QuantizedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2ShardRoundTrip exercises the CSRS v2 twin: save/load/map a
-// shard, bitwise-identical partials, and the same corruption discipline.
+// TestV2ShardRoundTrip exercises the CSRS header: save/load a shard,
+// bitwise-identical partials, and the same corruption discipline.
 func TestV2ShardRoundTrip(t *testing.T) {
 	ix := buildIndex(t)
 	mid := ix.N() / 2
@@ -370,27 +360,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 		}
 	}
 
-	mapped, err := MapShard(path)
-	if err != nil {
-		if errors.Is(err, errMapUnsupported) {
-			t.Skipf("mmap unavailable here: %v", err)
-		}
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if !mapped.Mapped() {
-		t.Fatal("MapShard returned an unmapped shard")
-	}
-	for i := sh.Lo(); i < sh.Hi(); i++ {
-		a, b := sh.URow(i), mapped.URow(i)
-		for j := range a {
-			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-				t.Fatalf("mapped URow(%d)[%d] differs", i, j)
-			}
-		}
-	}
-
-	// Corrupt a factor byte: decode and map must both refuse.
+	// Corrupt a factor byte: the load must refuse.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +373,6 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadShard(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt shard load: err = %v, want wrapped ErrCorrupt", err)
-	}
-	if _, err := MapShard(bad); err == nil || (!errors.Is(err, ErrCorrupt) && !errors.Is(err, errMapUnsupported)) {
-		t.Fatalf("corrupt shard map: err = %v, want wrapped ErrCorrupt", err)
 	}
 }
 
@@ -477,11 +444,7 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 	}
 
 	// v1 predates the field: it round-trips to zero, never an error.
-	var v1 bytes.Buffer
-	if _, err := ix.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := ReadIndex(&v1)
+	fromV1, err := ReadIndex(bytes.NewReader(v1IndexBytes(ix)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +460,7 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint64(data[v2WalSeqOff:], 0)
 	repatchV2HeaderCRC(data)
-	old, err := decodeIndexV2(data)
+	old, err := decodeV2(data, indexKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +480,7 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 	sdata := sb.Bytes()
 	binary.LittleEndian.PutUint64(sdata[v2WalSeqOff:], 7)
 	repatchV2HeaderCRC(sdata)
-	if _, err := decodeShardV2(sdata); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeV2(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged shard walSeq accepted: %v", err)
 	}
 }

@@ -24,16 +24,6 @@ func repatchV1CRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
 }
 
-func writeV1(t *testing.T) []byte {
-	t.Helper()
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestReadIndexPlatformElemBound simulates a 32-bit build by shrinking
 // maxPlatformElems to MaxInt32 and forging a header whose n*rank passes
 // the maxIndexElems (2^34) bound but would wrap int(nNodes*rank)
@@ -43,7 +33,7 @@ func TestReadIndexPlatformElemBound(t *testing.T) {
 	defer func(prev uint64) { maxPlatformElems = prev }(maxPlatformElems)
 	maxPlatformElems = math.MaxInt32
 
-	data := writeV1(t)
+	data := golden(t, goldenIndexV1)
 	le := binary.LittleEndian
 	// n = 2^31, rank = 4: product 2^33 ≤ maxIndexElems but > MaxInt32.
 	le.PutUint64(data[8:], 1<<31)
@@ -64,19 +54,10 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 	defer func(prev uint64) { maxPlatformElems = prev }(maxPlatformElems)
 	maxPlatformElems = math.MaxInt32
 
-	ix := buildIndex(t)
-	sh, err := ix.Shard(0, ix.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sh.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	le := binary.LittleEndian
 	// Shard header: magic 4, version 4, then n, lo, hi, rank, c.
 	forge := func(n, lo, hi, rank uint64) []byte {
-		data := append([]byte(nil), buf.Bytes()...)
+		data := golden(t, goldenShardV1)
 		le.PutUint64(data[8:], n)
 		le.PutUint64(data[16:], lo)
 		le.PutUint64(data[24:], hi)
@@ -101,7 +82,7 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 // TestReadIndexForgedIters pins the iters validation: a 2^63 header word
 // used to convert silently to a negative int and flow into Iterations().
 func TestReadIndexForgedIters(t *testing.T) {
-	data := writeV1(t)
+	data := golden(t, goldenIndexV1)
 	binary.LittleEndian.PutUint64(data[32:], 1<<63)
 	repatchV1CRC(data)
 	_, err := ReadIndex(bytes.NewReader(data))
@@ -124,7 +105,7 @@ func TestReadIndexNonFiniteSigma(t *testing.T) {
 		"-Inf":     math.Float64bits(math.Inf(-1)),
 		"negative": math.Float64bits(-1.0),
 	} {
-		data := writeV1(t)
+		data := golden(t, goldenIndexV1)
 		// sigma[0] sits right after the header: magic 4 + version 4 + 4x8.
 		binary.LittleEndian.PutUint64(data[40:], bits)
 		repatchV1CRC(data)

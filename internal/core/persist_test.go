@@ -23,12 +23,12 @@ func buildIndex(t *testing.T) *Index {
 func TestIndexRoundTrip(t *testing.T) {
 	ix := buildIndex(t)
 	var buf bytes.Buffer
-	n, err := ix.WriteTo(&buf)
+	n, err := ix.WriteToV2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Fatalf("WriteToV2 reported %d bytes, wrote %d", n, buf.Len())
 	}
 	back, err := ReadIndex(&buf)
 	if err != nil {
@@ -85,12 +85,7 @@ func TestReadIndexBadMagic(t *testing.T) {
 }
 
 func TestReadIndexTruncated(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := golden(t, goldenIndexV1)
 	for _, cut := range []int{3, 5, 20, len(full) / 2, len(full) - 2} {
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
@@ -99,12 +94,7 @@ func TestReadIndexTruncated(t *testing.T) {
 }
 
 func TestReadIndexBitFlip(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := golden(t, goldenIndexV1)
 	// Flip a payload bit (past the header) — the CRC must catch it.
 	data[len(data)-20] ^= 0x40
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -113,12 +103,7 @@ func TestReadIndexBitFlip(t *testing.T) {
 }
 
 func TestReadIndexVersionMismatch(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := golden(t, goldenIndexV1)
 	data[4] = 99 // version byte
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -126,12 +111,7 @@ func TestReadIndexVersionMismatch(t *testing.T) {
 }
 
 func TestReadIndexImplausibleShape(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := golden(t, goldenIndexV1)
 	// Overwrite n (offset 8: magic 4 + version 4) with an absurd value.
 	for i := 0; i < 8; i++ {
 		data[8+i] = 0xFF
@@ -141,9 +121,9 @@ func TestReadIndexImplausibleShape(t *testing.T) {
 	}
 }
 
-func TestWriteToPropagatesWriteErrors(t *testing.T) {
+func TestWriteToV2PropagatesWriteErrors(t *testing.T) {
 	ix := buildIndex(t)
-	if _, err := ix.WriteTo(failingWriter{}); err == nil {
+	if _, err := ix.WriteToV2(failingWriter{}); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }
@@ -159,12 +139,8 @@ func (failingWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 // validator relies on: any torn file a crashed writer could leave behind
 // is rejected with one recognisable sentinel.
 func TestReadIndexCorruptionMatrix(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := golden(t, goldenIndexV1)
+	ix := goldenIndex(t)
 	n, r := ix.N(), ix.Rank()
 	boundaries := map[string]int{
 		"empty":         0,
@@ -197,12 +173,7 @@ func TestReadIndexCorruptionMatrix(t *testing.T) {
 // TestReadIndexFlippedCRCByte corrupts the stored checksum itself (the
 // payload is intact) — the mismatch must still read as corruption.
 func TestReadIndexFlippedCRCByte(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := golden(t, goldenIndexV1)
 	data[len(data)-1] ^= 0x01
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -212,12 +183,7 @@ func TestReadIndexFlippedCRCByte(t *testing.T) {
 // TestReadIndexFutureVersion pins forward-compatibility behaviour: a
 // higher version is rejected as ErrCorrupt, not misparsed as v1.
 func TestReadIndexFutureVersion(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := golden(t, goldenIndexV1)
 	binary.LittleEndian.PutUint32(data[4:], indexVersion+1)
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -229,12 +195,7 @@ func TestReadIndexFutureVersion(t *testing.T) {
 // ErrCorrupt, no panic, and crucially no allocation proportional to the
 // forged sizes (bounded by a modest Alloc delta measurement).
 func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pristine := buf.Bytes()
+	pristine := golden(t, goldenIndexV1)
 	forge := func(n, rank uint64) []byte {
 		data := append([]byte(nil), pristine...)
 		binary.LittleEndian.PutUint64(data[8:], n)
@@ -267,12 +228,7 @@ func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
 // over a stream that ends immediately: readFloats must fail after one
 // chunk instead of committing the full forged allocation.
 func TestReadIndexForgedCountShortStream(t *testing.T) {
-	ix := buildIndex(t)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()[:40]...) // header only
+	data := golden(t, goldenIndexV1)[:40] // header only
 	// n=2^25, rank=512: n*rank = 2^34 = exactly the cap, so the header
 	// passes plausibility, but the stream holds no payload at all.
 	binary.LittleEndian.PutUint64(data[8:], 1<<25)
@@ -304,7 +260,7 @@ func TestSaveIndexCrashConsistency(t *testing.T) {
 	// Simulate a writer killed mid-write: a stray temp file with a
 	// truncated payload sits next to the published index.
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WriteToV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tornPath := filepath.Join(dir, ".csrx-torn")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -116,4 +117,48 @@ func TestRecoverSnapshotMatrix(t *testing.T) {
 			t.Fatalf("err = %v, want ErrNoSnapshot", err)
 		}
 	})
+}
+
+// TestRecoverEmptyVersusCorrupt pins the one ladder's two failure
+// readings for both directory kinds: an empty directory is the plain
+// ErrNoSnapshot, while a directory whose every generation is corrupt
+// also names the last load failure — so the two read differently in logs.
+func TestRecoverEmptyVersusCorrupt(t *testing.T) {
+	ix := buildIndex(t)
+	sh, err := ix.Shard(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]struct {
+		publish func(dir string) error
+		recover func(dir string) error
+	}{
+		"CSRX": {
+			func(dir string) error { _, _, err := WriteSnapshot(dir, ix); return err },
+			func(dir string) error { _, _, _, err := RecoverSnapshot(dir); return err },
+		},
+		"CSRS": {
+			func(dir string) error { _, _, err := WriteShardSnapshot(dir, sh); return err },
+			func(dir string) error { _, _, _, err := RecoverShardSnapshot(dir); return err },
+		},
+	}
+	for name, k := range kinds {
+		empty := k.recover(t.TempDir())
+		if !errors.Is(empty, ErrNoSnapshot) || strings.Contains(empty.Error(), "last failure") {
+			t.Errorf("%s empty directory: err = %v, want the plain ErrNoSnapshot", name, empty)
+		}
+
+		dir := t.TempDir()
+		for gen := uint64(1); gen <= 2; gen++ {
+			if err := k.publish(dir); err != nil {
+				t.Fatal(err)
+			}
+			truncateFile(t, filepath.Join(dir, SnapshotName(gen)), 16)
+		}
+		corrupt := k.recover(dir)
+		if !errors.Is(corrupt, ErrNoSnapshot) || !strings.Contains(corrupt.Error(), "last failure") ||
+			!strings.Contains(corrupt.Error(), ErrCorrupt.Error()) {
+			t.Errorf("%s all generations corrupt: err = %v, want ErrNoSnapshot naming the corrupt load", name, corrupt)
+		}
+	}
 }

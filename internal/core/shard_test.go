@@ -173,12 +173,12 @@ func TestShardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	wrote, err := sh.WriteTo(&buf)
+	wrote, err := sh.WriteToV2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wrote != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", wrote, buf.Len())
+		t.Fatalf("WriteToV2 reported %d bytes, wrote %d", wrote, buf.Len())
 	}
 	back, err := ReadShard(&buf)
 	if err != nil {
@@ -207,16 +207,7 @@ func TestShardRoundTrip(t *testing.T) {
 }
 
 func TestReadShardRejectsCorruption(t *testing.T) {
-	ix := buildIndex(t)
-	sh, err := ix.Shard(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sh.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := golden(t, goldenShardV1)
 
 	check := func(name string, raw []byte) {
 		t.Helper()

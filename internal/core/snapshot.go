@@ -7,6 +7,10 @@ package core
 //	index-<gen>.csrx   immutable index files, generation strictly increasing
 //	CURRENT            one line naming the live snapshot ("index-<gen>.csrx")
 //
+// A directory holds generations of one kind: whole indexes, or the slices
+// of one shard (<root>/shard-<s>, see ShardDir); the lifecycle below is
+// written once and takes the kind as an argument.
+//
 // Writers append: WriteSnapshot persists a new generation next to the old
 // ones (crash-consistently, via SaveIndex) and then atomically repoints
 // CURRENT. Readers resolve CURRENT to a path and load it. Because
@@ -59,8 +63,8 @@ var staleTempAge = 10 * time.Minute
 // strands the temp forever; on a snapshot directory rewritten every
 // publish the strays accumulate until the disk fills. The sweep runs
 // from the housekeeping path (PruneSnapshots) and the crash-recovery
-// paths (RecoverSnapshot, RecoverShardSnapshot) — the places that
-// execute exactly when leftovers can exist. Best-effort by design:
+// path (recoverSnapshot) — the places that execute exactly when
+// leftovers can exist. Best-effort by design:
 // errors are swallowed so the sweep can never turn a successful
 // recovery into a failure over an unlinkable stray.
 func sweepStaleTemps(dir string) (removed int) {
@@ -141,28 +145,30 @@ func ListSnapshots(dir string) ([]Snapshot, error) {
 	return snaps, nil
 }
 
+// ShardDir returns the conventional snapshot directory of shard s under
+// root: <root>/shard-<s>. Each shard gets its own snapshot directory so
+// generations advance (and roll back) independently per shard — the unit
+// of a rolling reload.
+func ShardDir(root string, s int) string {
+	return filepath.Join(root, fmt.Sprintf("shard-%d", s))
+}
+
 // WriteSnapshot persists ix as the next generation in dir (max existing
 // generation + 1) and repoints CURRENT at it. Both steps are atomic and
 // fsynced, so a crash anywhere leaves the directory serving its previous
 // generation. The directory is created if missing.
 func WriteSnapshot(dir string, ix *Index) (gen uint64, path string, err error) {
-	gen, path, err = nextSnapshotPath(dir)
-	if err != nil {
-		return 0, "", err
-	}
-	if err := SaveIndex(ix, path); err != nil {
-		return 0, "", err
-	}
-	if err := SetCurrent(dir, gen); err != nil {
-		return 0, "", err
-	}
-	return gen, path, nil
+	return publishSnapshot(dir, func(path string) error { return SaveIndex(ix, path) })
 }
 
-// nextSnapshotPath creates dir if missing and reserves the next
-// generation number and file path — the shared front half of
-// WriteSnapshot and WriteShardSnapshot.
-func nextSnapshotPath(dir string) (gen uint64, path string, err error) {
+// WriteShardSnapshot is WriteSnapshot for a shard directory.
+func WriteShardSnapshot(dir string, sh *IndexShard) (gen uint64, path string, err error) {
+	return publishSnapshot(dir, func(path string) error { return SaveShard(sh, path) })
+}
+
+// publishSnapshot is the one publish: reserve the next generation's
+// path, save to it, flip CURRENT.
+func publishSnapshot(dir string, save func(path string) error) (gen uint64, path string, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, "", fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
@@ -174,7 +180,14 @@ func nextSnapshotPath(dir string) (gen uint64, path string, err error) {
 	if len(snaps) > 0 {
 		gen = snaps[len(snaps)-1].Gen + 1
 	}
-	return gen, filepath.Join(dir, SnapshotName(gen)), nil
+	path = filepath.Join(dir, SnapshotName(gen))
+	if err := save(path); err != nil {
+		return 0, "", err
+	}
+	if err := SetCurrent(dir, gen); err != nil {
+		return 0, "", err
+	}
+	return gen, path, nil
 }
 
 // SetCurrent atomically repoints CURRENT at generation gen, which must
@@ -259,11 +272,23 @@ func CurrentSnapshot(dir string) (path string, gen uint64, err error) {
 // failure so "empty directory" and "every generation corrupt" read
 // differently in logs.
 func RecoverSnapshot(dir string) (ix *Index, snap Snapshot, recovered bool, err error) {
+	return recoverSnapshot(dir, indexKind)
+}
+
+// RecoverShardSnapshot is RecoverSnapshot for a shard directory.
+func RecoverShardSnapshot(dir string) (sh *IndexShard, snap Snapshot, recovered bool, err error) {
+	ix, snap, recovered, err := recoverSnapshot(dir, shardKind)
+	sh, err = shardOf(ix, err)
+	return sh, snap, recovered, err
+}
+
+// recoverSnapshot is the one fallback ladder, over files of kind k.
+func recoverSnapshot(dir string, k *snapKind) (ix *Index, snap Snapshot, recovered bool, err error) {
 	sweepStaleTemps(dir)
 	var loadErr error // most recent load failure, for the final error
 	skip := ""
 	if p, g, cerr := CurrentSnapshot(dir); cerr == nil {
-		ix, loadErr = LoadIndex(p)
+		ix, loadErr = loadSnapshot(p, k)
 		if loadErr == nil {
 			return ix, Snapshot{Gen: g, Path: p}, false, nil
 		}
@@ -282,7 +307,7 @@ func RecoverSnapshot(dir string) (ix *Index, snap Snapshot, recovered bool, err 
 		if s.Path == skip {
 			continue
 		}
-		ix, err := LoadIndex(s.Path)
+		ix, err := loadSnapshot(s.Path, k)
 		if err != nil {
 			loadErr = err
 			continue
@@ -290,7 +315,7 @@ func RecoverSnapshot(dir string) (ix *Index, snap Snapshot, recovered bool, err 
 		return ix, s, true, nil
 	}
 	if loadErr != nil {
-		return nil, Snapshot{}, false, fmt.Errorf("core: %s: no loadable snapshot (last failure: %v): %w", dir, loadErr, ErrNoSnapshot)
+		return nil, Snapshot{}, false, fmt.Errorf("core: %s: no loadable %s snapshot (last failure: %v): %w", dir, k.name, loadErr, ErrNoSnapshot)
 	}
 	return nil, Snapshot{}, false, fmt.Errorf("core: %s: %w", dir, ErrNoSnapshot)
 }

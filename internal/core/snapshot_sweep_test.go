@@ -115,11 +115,10 @@ func TestRecoverShardSnapshotSweepsStaleTemps(t *testing.T) {
 	}
 	stale := plantTemp(t, dir, tempSavePrefix+"dead", true)
 
-	back, _, recovered, err := RecoverShardSnapshot(dir)
+	_, _, recovered, err := RecoverShardSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
 	if recovered {
 		t.Fatal("healthy shard directory reported as recovered")
 	}

@@ -165,6 +165,39 @@ func TestPruneSnapshots(t *testing.T) {
 	}
 }
 
+// TestPruneUnderMappedGeneration is why the server may prune while it
+// serves: a generation that is still memory-mapped keeps answering,
+// bitwise, after prune has unlinked its file.
+func TestPruneUnderMappedGeneration(t *testing.T) {
+	ix := buildIndex(t)
+	dir := t.TempDir()
+	_, first, err := WriteSnapshot(dir, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := MapIndex(first)
+	if err != nil {
+		if errors.Is(err, errMapUnsupported) {
+			t.Skipf("mmap unavailable here: %v", err)
+		}
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for i := 0; i < 3; i++ {
+		if _, _, err := WriteSnapshot(dir, ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := PruneSnapshots(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(first); !os.IsNotExist(err) {
+		t.Fatalf("generation 1 survived the prune: %v", err)
+	}
+	queries := []int{0, 3, ix.N() - 1}
+	wantBitwise(t, "mapped after unlink", queryBits(t, mapped, queries), queryBits(t, ix, queries))
+}
+
 // TestSaveIndexLeavesNoTempDebris verifies the crash-safety scaffolding
 // cleans up after itself on the success path.
 func TestSaveIndexLeavesNoTempDebris(t *testing.T) {

@@ -1,9 +1,9 @@
 package core
 
-// tier.go implements the quantized factor tiers: an Index (or shard)
-// whose Z and U are stored as float32 or int8 with per-column scales
-// instead of float64, cutting the O(rn) footprint 2x/8x at a bounded,
-// measured entrywise cost surfaced through TruncationBound. Tiers are
+// tier.go implements the quantized factor tiers: factors (an IndexShard,
+// and so an Index) whose Z and U are stored as float32 or int8 with
+// per-column scales instead of float64, cutting the O(rn) footprint 2x/8x
+// at a bounded, measured entrywise cost surfaced through TruncationBound. Tiers are
 // chosen at save time (csrstat -quantize, csrserver -quantize) and
 // travel in the CSRX v2 layout (persist2.go); serving code is oblivious —
 // the query paths branch to the dense typed-source kernels internally.
@@ -11,13 +11,12 @@ package core
 // It also owns the mmap lifetime handle: an Index returned by MapIndex
 // views factor blocks of a memory mapping, and Close releases it. The
 // rules for who calls Close when generations swap live in DESIGN.md
-// ("Mapping lifetime"); the short version is that the reload manager
+// §13; the short version is that the reload manager
 // releases a generation only after the serve layer's drain-on-swap
 // guarantee says no in-flight query can still touch it.
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"csrplus/internal/dense"
@@ -75,19 +74,6 @@ func (t Tier) kind() dense.Kind {
 	}
 }
 
-// Tier returns the storage tier of the index's factors.
-func (ix *Index) Tier() Tier {
-	if ix.zt == nil {
-		return TierF64
-	}
-	switch ix.zt.Kind {
-	case dense.F32:
-		return TierF32
-	default:
-		return TierI8
-	}
-}
-
 // pickURows gathers [U]_{Q,*} as float64, dequantising when needed.
 func (ix *Index) pickURows(queries []int) *dense.Mat {
 	if ix.ut != nil {
@@ -96,38 +82,17 @@ func (ix *Index) pickURows(queries []int) *dense.Mat {
 	return ix.u.PickRows(queries)
 }
 
-// colAbsMaxes returns the per-column maxima of |Z| and |U| as the
-// serving tier stores them (dequantised for quantized tiers) — the
-// inputs of the truncation-bound recurrence.
-func (ix *Index) colAbsMaxes() (zmax, umax []float64) {
-	if ix.zt != nil {
-		return ix.zt.ColAbsMax(), ix.ut.ColAbsMax()
-	}
-	colMax := func(m *dense.Mat) []float64 {
-		mx := make([]float64, m.Cols)
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				if a := math.Abs(v); a > mx[j] {
-					mx[j] = a
-				}
-			}
-		}
-		return mx
-	}
-	return colMax(ix.z), colMax(ix.u)
-}
-
-// quantTerm is the shared entrywise quantisation bound: with measured
+// QuantBound is the shared entrywise quantisation bound: with measured
 // per-column dequantisation errors zerr/uerr and served column maxima
 // zmax/umax (so Z' = Z + ΔZ with |ΔZ_{*,j}| ≤ zerr_j, |Z'_{*,j}| ≤ zmax_j),
 //
 //	|c·(Z'U'ᵀ − ZUᵀ)_ik| ≤ c·Σ_j (zmax_j·uerr_j + umax_j·zerr_j + zerr_j·uerr_j)
 //
 // (expand Z'U'ᵀ − ZUᵀ = Z'ΔUᵀ − ΔZ U'ᵀ + ΔZ ΔUᵀ and bound each term by
-// column). Exposed as a function so the sharded router can evaluate the
-// identical formula from combined per-shard maxima.
-func quantTerm(c float64, zmax, umax, zerr, uerr []float64) float64 {
+// column). Index.QuantizationBound evaluates it over the whole factors;
+// the sharded router evaluates the identical formula from combined
+// per-shard maxima (ColMaxes) and any shard's QuantErrs.
+func QuantBound(c float64, zmax, umax, zerr, uerr []float64) float64 {
 	if zerr == nil && uerr == nil {
 		return 0
 	}
@@ -157,8 +122,8 @@ func (ix *Index) QuantizationBound() float64 {
 		return 0
 	}
 	ix.quantOnce.Do(func() {
-		zmax, umax := ix.colAbsMaxes()
-		ix.quantBound = quantTerm(ix.c, zmax, umax, ix.zqerr, ix.uqerr)
+		zmax, umax := ix.ColMaxes()
+		ix.quantBound = QuantBound(ix.c, zmax, umax, ix.zqerr, ix.uqerr)
 	})
 	return ix.quantBound
 }
@@ -182,17 +147,11 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 	zt, zqerr := quant(ix.z)
 	ut, uqerr := quant(ix.u)
 	return &Index{
-		n:       ix.n,
-		c:       ix.c,
-		rank:    ix.rank,
-		iters:   ix.iters,
-		sigma:   append([]float64(nil), ix.sigma...),
-		precomp: ix.precomp,
-		zt:      zt,
-		ut:      ut,
-		zqerr:   zqerr,
-		uqerr:   uqerr,
-		walSeq:  ix.walSeq,
+		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, zt: zt, ut: ut, zqerr: zqerr, uqerr: uqerr},
+		iters:      ix.iters,
+		sigma:      append([]float64(nil), ix.sigma...),
+		precomp:    ix.precomp,
+		walSeq:     ix.walSeq,
 	}, nil
 }
 
@@ -226,12 +185,3 @@ func (ix *Index) Close() error {
 // Mapped reports whether the index's factors are zero-copy views over a
 // memory-mapped file (and therefore whether Close is load-bearing).
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
-
-// Close releases the memory mapping backing a mapped shard (MapShard);
-// a no-op for decoded shards, safe to call more than once.
-func (sh *IndexShard) Close() error {
-	return sh.mapped.close()
-}
-
-// Mapped reports whether the shard's factors view a memory mapping.
-func (sh *IndexShard) Mapped() bool { return sh.mapped != nil }

@@ -32,9 +32,10 @@ import (
 // Injection sites compiled into the serving stack. A site name is an
 // address: Arm(site, plan) makes the hooks at that site start firing.
 const (
-	// SiteIndexWrite guards every payload write of core.(*Index).WriteTo —
-	// torn/short writes and write errors land mid-file, upstream of the
-	// CRC, exactly like a disk filling up or a kernel page-out failure.
+	// SiteIndexWrite guards every payload write of core.SaveIndex and
+	// core.SaveShard — torn/short writes and write errors land mid-file,
+	// upstream of the CRC, exactly like a disk filling up or a kernel
+	// page-out failure.
 	SiteIndexWrite = "core/index.write"
 	// SiteIndexSync guards the pre-rename fsync in core.SaveIndex.
 	SiteIndexSync = "core/index.fsync"
@@ -43,7 +44,7 @@ const (
 	// degraded disk or a network filesystem hiccup during reload.
 	SiteIndexRead = "core/index.read"
 	// SiteIndexMap fires immediately before the mmap syscall in
-	// core.MapIndex/MapShard. An injected fault models mmap refusal
+	// core.MapIndex. An injected fault models mmap refusal
 	// (ulimit, address-space fragmentation) — an environmental failure,
 	// so core.LoadIndex degrades to the buffered decode path instead of
 	// failing the load.

@@ -57,7 +57,8 @@ const (
 
 	// defaultSegmentBytes rotates segments at 4 MiB (~130k records) —
 	// large enough that rotation fsyncs are rare, small enough that
-	// PruneWAL and inspection work in segment-sized units.
+	// inspection works in segment-sized units. Segments are never
+	// pruned: the WAL is the only durable copy of streamed edges.
 	defaultSegmentBytes = 4 << 20
 )
 

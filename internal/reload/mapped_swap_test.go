@@ -36,12 +36,12 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 	}
 	n := ix.N()
 
-	// The reference: the same index through the v1 encode/decode path.
-	var v1 bytes.Buffer
-	if _, err := ix.WriteTo(&v1); err != nil {
+	// The reference: the same index through the heap encode/decode path.
+	var heap bytes.Buffer
+	if _, err := ix.WriteToV2(&heap); err != nil {
 		t.Fatal(err)
 	}
-	refIx, err := core.ReadIndex(&v1)
+	refIx, err := core.ReadIndex(&heap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func copyShard(ix *core.Index, lo, hi int) *core.IndexShard {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if _, err := sh.WriteTo(&buf); err != nil {
+	if _, err := sh.WriteToV2(&buf); err != nil {
 		panic(err)
 	}
 	back, err := core.ReadShard(&buf)
