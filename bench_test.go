@@ -14,6 +14,7 @@ import (
 
 	"csrplus/internal/baseline"
 	"csrplus/internal/bench"
+	"csrplus/internal/core"
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/svd"
@@ -186,6 +187,26 @@ func BenchmarkCSRPlusPrecompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := baseline.NewCSRPlus(cfg)
 		if err := r.Precompute(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrecomputeWT is phase I on the serving benchmark's fixture
+// (the WT stand-in, n = 131072, at csrload's r = 16, c = 0.6): the cost of
+// a cold csrserver boot and of every drift-budget rebuild.
+func BenchmarkPrecomputeWT(b *testing.B) {
+	ds, err := graph.DatasetByKey("WT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := ds.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Precompute(g, core.Options{Rank: 16, Damping: 0.6}); err != nil {
 			b.Fatal(err)
 		}
 	}

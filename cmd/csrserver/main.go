@@ -150,7 +150,7 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	}
 	meta := src.boot.Meta
 	shards := len(meta.ShardStatus())
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes)", meta.BuildTime, meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes)
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes)%s", meta.BuildTime, meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes, stagesSuffix(meta))
 
 	sc := cfg.serve
 	sc.Cache = lru
@@ -173,9 +173,12 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	if s.ing != nil {
 		s.ing.SetRebuildTrigger(func() {
 			log.Println("csrserver: drift budget exceeded, rebuilding from the live graph ...")
-			if _, err := s.reload(context.Background()); err != nil {
+			st, err := s.reload(context.Background())
+			if err != nil {
 				log.Println("csrserver: drift rebuild failed:", err)
+				return
 			}
+			logGeneration(st)
 		})
 	}
 	return s, nil
@@ -206,9 +209,23 @@ func (s *server) reloadOnHUP(ch <-chan os.Signal) {
 			log.Println("csrserver: reload failed:", err)
 			continue
 		}
-		log.Printf("csrserver: serving generation %d (source=%s path=%s build=%v)",
-			st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)))
+		logGeneration(st)
 	}
+}
+
+// logGeneration reports a generation a reload just put in service.
+func logGeneration(st reload.Status) {
+	log.Printf("csrserver: serving generation %d (source=%s path=%s build=%v)%s",
+		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), stagesSuffix(st.Meta))
+}
+
+// stagesSuffix renders where an in-process precompute spent its time, for
+// the boot and reload log lines; empty for a generation that was loaded.
+func stagesSuffix(meta reload.Meta) string {
+	if meta.Stages == "" {
+		return ""
+	}
+	return " precompute: " + meta.Stages
 }
 
 // mux wires the HTTP routes: query traffic goes through the serve layer;

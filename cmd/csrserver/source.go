@@ -319,6 +319,9 @@ func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reloa
 	}
 	st := eng.Stats()
 	meta.Algorithm, meta.M, meta.PeakBytes = st.Algorithm, st.M, st.PeakBytes
+	if stages := coreIndex(eng).Stages(); stages != (core.Stages{}) {
+		meta.Stages = stages.String()
+	}
 	switch {
 	case cfg.snapDir == "":
 	case cfg.shards > 1:

@@ -94,6 +94,7 @@ type Index struct {
 	iters   int       // repeated-squaring iterations performed
 	sigma   []float64 // singular values (diagnostics)
 	precomp time.Duration
+	stages  Stages
 
 	// walSeq is the last ingest-WAL sequence number whose edge is baked
 	// into the factors (0 for indexes built outside the ingestion path).
@@ -139,6 +140,27 @@ func (ix *Index) SingularValues() []float64 {
 
 // PrecomputeTime returns the wall-clock duration of index construction.
 func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
+
+// Stages splits PrecomputeTime by the layer of phase I that spent it:
+// the truncated SVD's three (sparse passes, orthonormalisation, the small
+// projected problem), then the subspace solve and the Z build. The
+// remainder of PrecomputeTime is the transition matrix, the sketch draw
+// and copies. All zero for an index that was loaded, not built.
+type Stages struct {
+	svd.Stages
+	Subspace time.Duration // lines 3–5: P = c H P Hᵀ + I_r
+	BuildZ   time.Duration // line 6: Z = U (Σ P Σ)
+}
+
+// String renders the split for log lines.
+func (s Stages) String() string {
+	ms := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
+	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v",
+		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ))
+}
+
+// Stages returns where PrecomputeTime went.
+func (ix *Index) Stages() Stages { return ix.stages }
 
 // Bytes reports the resident memory of the index: the Z and U factors —
 // the O(rn) of Theorem 3.7 — at the tier's element width, plus the
@@ -189,6 +211,8 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Free("precompute/Q", q.Bytes()) // Q not needed past the SVD
 
 	// Lines 3–5: subspace solve (variant-selectable for the ablation).
+	stages := Stages{Stages: fac.Stages}
+	lap := time.Now()
 	var p *dense.Mat
 	var iters int
 	switch opts.Solver {
@@ -205,9 +229,12 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("core: precompute: %w", err)
 	}
 	track.Alloc("precompute/P", p.Bytes())
+	stages.Subspace = time.Since(lap)
 
 	// Line 6: Z = U (Σ P Σ).
+	lap = time.Now()
 	z := BuildZ(um, fac.S, p)
+	stages.BuildZ = time.Since(lap)
 	track.Alloc("precompute/Z", z.Bytes())
 	track.Free("precompute/P", p.Bytes())
 
@@ -216,6 +243,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		iters:      iters,
 		sigma:      fac.S,
 		precomp:    time.Since(start),
+		stages:     stages,
 	}, nil
 }
 

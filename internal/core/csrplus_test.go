@@ -206,6 +206,10 @@ func TestOptionDefaults(t *testing.T) {
 	if ix.PrecomputeTime() <= 0 {
 		t.Fatal("PrecomputeTime not recorded")
 	}
+	st := ix.Stages()
+	if sum := st.Sparse + st.Ortho + st.Small + st.Subspace + st.BuildZ; sum <= 0 || sum > ix.PrecomputeTime() {
+		t.Fatalf("stages %v sum to %v, PrecomputeTime is %v", st, sum, ix.PrecomputeTime())
+	}
 }
 
 func TestParameterValidation(t *testing.T) {

@@ -151,6 +151,7 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 		iters:      ix.iters,
 		sigma:      append([]float64(nil), ix.sigma...),
 		precomp:    ix.precomp,
+		stages:     ix.stages,
 		walSeq:     ix.walSeq,
 	}, nil
 }

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"csrplus/internal/par"
 )
 
 // ErrShape is returned (wrapped) when matrix dimensions do not conform.
@@ -113,20 +115,28 @@ func (m *Mat) IsShape(r, c int) bool { return m.Rows == r && m.Cols == c }
 // T returns the transpose of m as a new matrix.
 func (m *Mat) T() *Mat {
 	t := NewMat(m.Cols, m.Rows)
+	transposeInto(t.Data, m.Data, m.Rows, m.Cols)
+	return t
+}
+
+// transposeInto writes the transpose of the rows x cols row-major src
+// into dst (cols x rows row-major). The slices must not overlap.
+func transposeInto(dst, src []float64, rows, cols int) {
 	const bs = 64 // cache-friendly block transpose
-	for ii := 0; ii < m.Rows; ii += bs {
-		iMax := min(ii+bs, m.Rows)
-		for jj := 0; jj < m.Cols; jj += bs {
-			jMax := min(jj+bs, m.Cols)
-			for i := ii; i < iMax; i++ {
-				row := m.Data[i*m.Cols:]
-				for j := jj; j < jMax; j++ {
-					t.Data[j*m.Rows+i] = row[j]
+	par.Do((rows+bs-1)/bs, int64(rows)*int64(cols), func(lo, hi int) {
+		for ii := lo * bs; ii < min(hi*bs, rows); ii += bs {
+			iMax := min(ii+bs, rows)
+			for jj := 0; jj < cols; jj += bs {
+				jMax := min(jj+bs, cols)
+				for i := ii; i < iMax; i++ {
+					row := src[i*cols:]
+					for j := jj; j < jMax; j++ {
+						dst[j*rows+i] = row[j]
+					}
 				}
 			}
 		}
-	}
-	return t
+	})
 }
 
 // Scale multiplies every element of m by a, in place, and returns m.

@@ -211,6 +211,23 @@ func BenchmarkKernelTMul(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelQRThin is Phase I's orthonormaliser at the two shapes
+// that matter: the WT serving fixture's sketch (n = 131072, r = 16 +
+// oversample 8) and a Table-3 rank sweep cell (n = 20000, r = 50 + 8).
+func BenchmarkKernelQRThin(b *testing.B) {
+	for _, sh := range [][2]int{{131072, 24}, {20000, 58}} {
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			a := randMat(rand.New(rand.NewSource(4)), sh[0], sh[1])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dense.QRThin(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKernelMulTQueryShapeWorkers sweeps the worker count on the
 // query-shaped GEMM so the speedup curve (or, on a single-core box, the
 // dispatch overhead) is measured directly. EXPERIMENTS.md records runs.

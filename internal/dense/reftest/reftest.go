@@ -1,10 +1,12 @@
 // Package reftest holds the frozen reference kernels the tiled matmul
-// implementations in internal/dense and internal/sparse are differentially
-// tested against. Each reference is the plain naive loop — one accumulator
-// per output element, summed in a single fixed index order, with no
-// value-dependent skips — and is therefore the *definition* of each
-// kernel's semantics, including IEEE-754 corner behaviour (0·NaN = NaN,
-// 0·±Inf = NaN, signed-zero accumulation, subnormals).
+// implementations in internal/dense and internal/sparse, and the
+// column-major Householder QR, are differentially tested against. Each
+// reference is the plain naive loop — one accumulator per output element
+// (per column dot, for the QR), summed in a single fixed index order, with
+// no value-dependent skips beyond the reference's own — and is therefore
+// the *definition* of each kernel's semantics, including IEEE-754 corner
+// behaviour (0·NaN = NaN, 0·±Inf = NaN, signed-zero accumulation,
+// subnormals).
 //
 // The references are deliberately slow and must never be "optimised":
 // any change to a loop here changes the contract every production kernel
@@ -167,6 +169,134 @@ func DenseMulCSR(b *dense.Mat, rowptr []int64, colidx []int32, val []float64, co
 		}
 	}
 	return out
+}
+
+// QRThin is the row-major Householder thin QR that dense.QRThin was before
+// it became a column-major panel: reflector k is built from column k by
+// an i-ascending sum of squares, applied to each later column j as one
+// i-ascending dot and one axpy, and thin Q is accumulated by applying the
+// reflectors, last first, to every column of I. It walks columns of a
+// row-major matrix with At/Set and is slow for exactly that reason; the
+// production kernel performs the same per-element arithmetic in the same
+// order on contiguous columns and is held to this loop bitwise — Q, R and
+// the IEEE corners (a zero column leaves its reflector out, NaN and ±Inf
+// spread exactly as far as this loop spreads them). a must have
+// Rows >= Cols.
+func QRThin(a *dense.Mat) (q, r *dense.Mat) {
+	m, n := a.Rows, a.Cols
+	work := a.Clone()
+	betas := make([]float64, n)
+	for k := 0; k < n; k++ {
+		normx := 0.0
+		for i := k; i < m; i++ {
+			v := work.At(i, k)
+			normx += v * v
+		}
+		normx = math.Sqrt(normx)
+		if normx == 0 {
+			betas[k] = 0
+			continue
+		}
+		alpha := work.At(k, k)
+		sign := 1.0
+		if alpha < 0 {
+			sign = -1.0
+		}
+		v1 := alpha + sign*normx
+		betas[k] = sign * v1 / normx
+		for i := k + 1; i < m; i++ {
+			work.Set(i, k, work.At(i, k)/v1)
+		}
+		work.Set(k, k, -sign*normx)
+		beta := betas[k]
+		for j := k + 1; j < n; j++ {
+			s := work.At(k, j)
+			for i := k + 1; i < m; i++ {
+				s += work.At(i, k) * work.At(i, j)
+			}
+			s *= beta
+			work.Set(k, j, work.At(k, j)-s)
+			for i := k + 1; i < m; i++ {
+				work.Set(i, j, work.At(i, j)-s*work.At(i, k))
+			}
+		}
+	}
+	r = dense.NewMat(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			r.Set(i, j, work.At(i, j))
+		}
+	}
+	q = dense.NewMat(m, n)
+	for j := 0; j < n; j++ {
+		q.Set(j, j, 1)
+	}
+	for k := n - 1; k >= 0; k-- {
+		beta := betas[k]
+		if beta == 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			s := q.At(k, j)
+			for i := k + 1; i < m; i++ {
+				s += work.At(i, k) * q.At(i, j)
+			}
+			s *= beta
+			q.Set(k, j, q.At(k, j)-s)
+			for i := k + 1; i < m; i++ {
+				q.Set(i, j, q.At(i, j)-s*work.At(i, k))
+			}
+		}
+	}
+	return q, r
+}
+
+// Orthonormalize is dense.Orthonormalize as it stood on top of the
+// row-major QRThin: columns whose |r_kk| <= tol·|r_00| are replaced by the
+// first coordinate vector that survives two modified Gram-Schmidt passes
+// against the other columns, each pass a j-ascending sequence of
+// i-ascending dots and axpys.
+func Orthonormalize(a *dense.Mat, tol float64) *dense.Mat {
+	q, r := QRThin(a)
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	r00 := math.Abs(r.At(0, 0))
+	if r00 == 0 {
+		r00 = 1
+	}
+	for k := 0; k < r.Rows; k++ {
+		if math.Abs(r.At(k, k)) > tol*r00 {
+			continue
+		}
+		col := make([]float64, q.Rows)
+		for e := 0; e < q.Rows; e++ {
+			for i := range col {
+				col[i] = 0
+			}
+			col[e] = 1
+			for pass := 0; pass < 2; pass++ {
+				for j := 0; j < q.Cols; j++ {
+					if j == k {
+						continue
+					}
+					d := 0.0
+					for i := 0; i < q.Rows; i++ {
+						d += q.At(i, j) * col[i]
+					}
+					for i := 0; i < q.Rows; i++ {
+						col[i] -= d * q.At(i, j)
+					}
+				}
+			}
+			if nrm := dense.Norm2(col); nrm > 1e-8 {
+				dense.ScaleVec(1/nrm, col)
+				q.SetCol(k, col)
+				break
+			}
+		}
+	}
+	return q
 }
 
 // BitEqual reports whether x and y are identical bit for bit, except

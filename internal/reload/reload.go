@@ -105,6 +105,9 @@ type Meta struct {
 	ShardStatus func() []shard.ShardStatus `json:"-"`
 	// BuildTime is the candidate's load/precompute wall time.
 	BuildTime time.Duration `json:"-"`
+	// Stages is the per-stage split of an in-process precompute
+	// (core.Stages.String), "" for a generation that was loaded.
+	Stages string `json:"-"`
 	// PeakBytes is the build's analytic memory peak, 0 when unknown.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }

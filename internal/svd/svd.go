@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"csrplus/internal/dense"
 	"csrplus/internal/sparse"
@@ -82,6 +83,32 @@ type Result struct {
 	U *dense.Mat
 	S []float64
 	V *dense.Mat
+	// Stages is where the decomposition's wall time went.
+	Stages Stages
+}
+
+// Stages splits a Truncated call's wall time by the layer that spent it.
+// What the three leave out of the call's total is the sketch draw and
+// the final truncation copy.
+type Stages struct {
+	// Sparse is the passes over the matrix: A·X and Aᵀ·X products.
+	Sparse time.Duration
+	// Ortho is orthonormalisation: the Householder QRs of the randomized
+	// driver, the Krylov reorthogonalisation of the Lanczos one.
+	Ortho time.Duration
+	// Small is the projected problem: the Gram matrix and its
+	// eigensolve (or the bidiagonal's Jacobi SVD) and the products that
+	// carry its vectors back to n rows.
+	Small time.Duration
+}
+
+// stopwatch charges the time since its last lap to a stage.
+type stopwatch struct{ last time.Time }
+
+func (w *stopwatch) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(w.last)
+	w.last = now
 }
 
 // Bytes reports the memory footprint of the factors.
@@ -123,22 +150,29 @@ func randomized(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	for i := range omega.Data {
 		omega.Data[i] = rng.NormFloat64()
 	}
+	var st Stages
+	sw := stopwatch{time.Now()}
 	// Y = A Ω, refined by power iterations with re-orthonormalisation
 	// between sparse passes to avoid losing small singular directions.
 	y := a.MulDense(omega)
+	sw.lap(&st.Sparse)
 	for it := 0; it < opts.PowerIters; it++ {
 		q, err := dense.Orthonormalize(y, 0)
 		if err != nil {
 			return nil, fmt.Errorf("svd: randomized power iteration %d: %w", it, err)
 		}
+		sw.lap(&st.Ortho)
 		y = a.MulDense(a.MulDenseT(q))
+		sw.lap(&st.Sparse)
 	}
 	q, err := dense.Orthonormalize(y, 0)
 	if err != nil {
 		return nil, fmt.Errorf("svd: randomized range finder: %w", err)
 	}
+	sw.lap(&st.Ortho)
 	// B = Qᵀ A, computed as (Aᵀ Q)ᵀ so the sparse pass stays row-major.
 	bt := a.MulDenseT(q) // cols x k
+	sw.lap(&st.Sparse)
 	// Finish through the k x k Gram matrix G = B Bᵀ = btᵀ bt: its
 	// eigendecomposition G = Z diag(σ²) Zᵀ gives A ≈ (Q Z) Σ (bt Z Σ⁻¹)ᵀ.
 	// One O(n k²) pass plus an O(k³) Jacobi — far cheaper than a Jacobi
@@ -157,19 +191,26 @@ func randomized(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	u := dense.Mul(q, z)
 	v := dense.Mul(bt, z)
 	// Normalise V's columns by σ; zero-σ directions carry no mass.
-	for j := 0; j < v.Cols; j++ {
-		if s[j] == 0 {
-			for i := 0; i < v.Rows; i++ {
-				v.Set(i, j, 0)
-			}
-			continue
-		}
-		inv := 1 / s[j]
-		for i := 0; i < v.Rows; i++ {
-			v.Set(i, j, v.At(i, j)*inv)
+	inv := make([]float64, len(s))
+	for j, sj := range s {
+		if sj != 0 {
+			inv[j] = 1 / sj
 		}
 	}
-	return truncate(u, s, v, r), nil
+	for i := 0; i < v.Rows; i++ {
+		row := v.Row(i)
+		for j := range row {
+			if s[j] == 0 {
+				row[j] = 0
+			} else {
+				row[j] *= inv[j]
+			}
+		}
+	}
+	sw.lap(&st.Small)
+	res := truncate(u, s, v, r)
+	res.Stages = st
+	return res, nil
 }
 
 // lanczos implements Golub–Kahan bidiagonalisation with full
@@ -199,10 +240,13 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	normalise(v)
 	u := make([]float64, rows)
 	var beta float64
+	var st Stages
+	sw := stopwatch{time.Now()}
 	for j := 0; j < steps; j++ {
 		vBasis = append(vBasis, append([]float64(nil), v...))
 		// u_j = A v_j - beta_{j-1} u_{j-1}
 		au := a.MulVec(v, nil)
+		sw.lap(&st.Sparse)
 		if j > 0 {
 			dense.Axpy(-beta, u, au)
 		}
@@ -227,8 +271,10 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 		u = au
 		uBasis = append(uBasis, append([]float64(nil), u...))
 		alphas = append(alphas, alpha)
+		sw.lap(&st.Ortho)
 		// v_{j+1} = Aᵀ u_j - alpha_j v_j
 		av := a.MulVecT(u, nil)
+		sw.lap(&st.Sparse)
 		dense.Axpy(-alpha, v, av)
 		reorthogonalise(av, vBasis)
 		beta = dense.Norm2(av)
@@ -239,7 +285,9 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 		dense.ScaleVec(1/beta, av)
 		v = av
 		betas = append(betas, beta)
+		sw.lap(&st.Ortho)
 	}
+	sw.lap(&st.Ortho) // whatever a breakdown exit left unclocked
 	k := len(alphas)
 	if k == 0 {
 		// Zero matrix: all singular values are 0.
@@ -261,7 +309,11 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	// A ≈ U_k B V_kᵀ = (U_k W) Σ (V_k Z)ᵀ.
 	uk := basisMat(uBasis, rows, k)
 	vk := basisMat(vBasis, cols, k)
-	return truncate(dense.Mul(uk, small.U), small.S, dense.Mul(vk, small.V), r), nil
+	um, vm := dense.Mul(uk, small.U), dense.Mul(vk, small.V)
+	sw.lap(&st.Small)
+	res := truncate(um, small.S, vm, r)
+	res.Stages = st
+	return res, nil
 }
 
 // truncate keeps the leading r singular triplets. When the driver found
@@ -302,9 +354,13 @@ func normalise(x []float64) {
 
 func basisMat(basis [][]float64, n, k int) *dense.Mat {
 	m := dense.NewMat(n, k)
-	for j := 0; j < k && j < len(basis); j++ {
-		for i := 0; i < n; i++ {
-			m.Set(i, j, basis[j][i])
+	if len(basis) < k {
+		k = len(basis)
+	}
+	for i := 0; i < n; i++ {
+		row := m.Row(i)
+		for j, b := range basis[:k] {
+			row[j] = b[i]
 		}
 	}
 	return m

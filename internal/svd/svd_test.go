@@ -5,8 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"csrplus/internal/dense"
+	"csrplus/internal/dense/reftest"
+	"csrplus/internal/par"
 	"csrplus/internal/sparse"
 )
 
@@ -220,6 +223,52 @@ func TestTruncatedDeterminism(t *testing.T) {
 		}
 		if !r1.U.Equal(r2.U, 0) || !r1.V.Equal(r2.V, 0) {
 			t.Fatalf("%v: same seed produced different factors", method)
+		}
+	}
+}
+
+// TestTruncatedWorkerCountInvariant runs the randomized driver at a size
+// where its sparse passes, the QR's column fan-out and the Gram reduction
+// all clear the parallel threshold (n = 2¹⁵, sketch width 16), and holds
+// U, σ, V to the same bits at 1, 2 and 7 workers. It also checks the
+// stage clock: the three stages are measured and fit inside the call.
+func TestTruncatedWorkerCountInvariant(t *testing.T) {
+	const n, perRow = 1 << 15, 4
+	rng := rand.New(rand.NewSource(35))
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for e := 0; e < perRow; e++ {
+			if err := coo.Add(i, rng.Intn(n), rng.NormFloat64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := coo.ToCSR()
+	var want *Result
+	for _, w := range []int{1, 2, 7} {
+		prev := par.SetMaxWorkers(w)
+		start := time.Now()
+		got, err := Truncated(a, 8, Options{Seed: 3})
+		elapsed := time.Since(start)
+		par.SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := got.Stages
+		if st.Sparse <= 0 || st.Ortho <= 0 || st.Small <= 0 || st.Sparse+st.Ortho+st.Small > elapsed {
+			t.Fatalf("workers=%d: stages %+v do not fit the call's %v", w, st, elapsed)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reftest.BitEqual(got.U, want.U) || !reftest.BitEqual(got.V, want.V) {
+			t.Fatalf("workers=%d: factors differ from the 1-worker run", w)
+		}
+		for i, s := range got.S {
+			if math.Float64bits(s) != math.Float64bits(want.S[i]) {
+				t.Fatalf("workers=%d: σ[%d] = %v, 1 worker gave %v", w, i, s, want.S[i])
+			}
 		}
 	}
 }
