@@ -24,8 +24,11 @@ const (
 
 const (
 	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
-	frontFlags = "addr admintoken cache maxbatch linger workers pending maxk timeout degraderank degradebudget degradequeue " +
+	frontFlags = "addr admintoken cache workers pending maxk timeout degraderank degradebudget degradequeue " +
 		"reloadretries reloadbackoff breakerfails breakercooldown "
+	// columnFlags tune the coalescing of column requests into one engine
+	// pass; a router over remote slots has no column engine to coalesce for.
+	columnFlags = "maxbatch linger "
 )
 
 // modes is the whole compatibility contract between flags: each mode
@@ -34,8 +37,8 @@ const (
 // K=1-only because a per-shard-snapshot boot has no whole index to anchor
 // the ingest service on — hence no -shards in its row.
 var modes = [...]struct{ when, flags string }{
-	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "shards quantize"},
-	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
+	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + columnFlags + "shards quantize"},
+	modeIngest: {"with -waldir", graphFlags + frontFlags + columnFlags + "waldir driftbudget"},
 	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wiretimeout wireretries wirebackoff wirehedge wirehedgemin wirebreakerfails wirebreakercooldown"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
 }
@@ -100,7 +103,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
 	fs.IntVar(&c.cacheSize, "cache", 1024, "top-k result cache entries (0 disables)")
-	fs.IntVar(&c.serve.MaxBatch, "maxbatch", 32, "max query nodes coalesced per engine call")
+	fs.IntVar(&c.serve.MaxBatch, "maxbatch", 32, "max query nodes coalesced per column engine call")
 	fs.DurationVar(&c.serve.Linger, "linger", 2*time.Millisecond, "max wait for co-batching a partial batch")
 	fs.IntVar(&c.serve.Workers, "workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
 	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "admission queue bound; beyond it requests get 429")
@@ -108,7 +111,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.DurationVar(&c.serve.Timeout, "timeout", 5*time.Second, "per-request deadline (0 disables)")
 	fs.IntVar(&c.serve.Degrade.Rank, "degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
 	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
-	fs.Float64Var(&c.serve.Degrade.QueueFraction, "degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which whole batches degrade")
+	fs.Float64Var(&c.serve.Degrade.QueueFraction, "degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which engine calls degrade")
 	fs.IntVar(&c.policy.MaxAttempts, "reloadretries", 3, "reload attempts per trigger (1 = no retry)")
 	fs.DurationVar(&c.policy.BaseBackoff, "reloadbackoff", 50*time.Millisecond, "base backoff between reload retries (exponential, jittered)")
 	fs.IntVar(&c.policy.BreakerThreshold, "breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")

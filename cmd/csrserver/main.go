@@ -2,12 +2,13 @@
 // "online multi-source query" phase of CSR+ as a long-lived service: the
 // index is precomputed once at startup, queries are answered from it.
 //
-// Requests are routed through internal/serve, which dynamically batches
-// concurrent queries into multi-source engine passes (the paper's
-// O(r(m + n(r + |Q|))) bound makes the marginal query nearly free),
-// bounds concurrency with a worker pool, sheds load when the admission
-// queue fills (HTTP 429), enforces per-request deadlines (504), and
-// drains gracefully on SIGINT/SIGTERM.
+// Requests are routed through internal/serve, which in every mode sheds
+// load when the admission queue fills (HTTP 429), bounds concurrent
+// engine calls with a worker pool, enforces per-request deadlines (504)
+// and drains gracefully on SIGINT/SIGTERM; over local slots it also
+// batches concurrent queries into multi-source engine passes (the
+// paper's O(r(m + n(r + |Q|))) bound makes the marginal query nearly
+// free).
 //
 // Usage:
 //
@@ -32,7 +33,7 @@
 // the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), each
 // shard-<s>/ directory's CURRENT rolled in slot by slot with -shards K,
 // every worker's own reload with -shardaddrs — validates it with a smoke
-// query and swaps it in while in-flight batches drain on the old one.
+// query and swaps it in while in-flight engine calls drain on the old one.
 //
 // With -waldir the graph is mutable: POST /admin/edges appends edge
 // batches to a write-ahead log (the 200 means fsynced), applies them to
@@ -58,8 +59,8 @@
 //
 // With -degraderank R the server degrades gracefully under pressure:
 // requests admitted with little deadline budget (-degradebudget) or
-// batches flushed while the admission queue is past -degradequeue of its
-// bound are answered at truncated rank R — cheaper by roughly R/r — and
+// reaching a worker while the admission queue is past -degradequeue of
+// its bound are answered at truncated rank R — cheaper by roughly R/r — and
 // tagged with a "degraded" object carrying the effective rank and the
 // index's entrywise error bound. Reload failures retry with exponential
 // backoff (-reloadretries, -reloadbackoff); persistent failure opens a
@@ -432,13 +433,16 @@ func (s *server) mux() *http.ServeMux {
 }
 
 // writeServeError maps the serve layer's typed errors onto HTTP status
-// codes: shed load is 429 (retryable), deadline expiry 504, shutdown 503,
-// validation 400.
+// codes: shed load is 429 and a shard slot the answer cannot do without
+// 503 (both retryable), deadline expiry 504, shutdown 503, validation 400.
 func writeServeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, serve.ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, shard.ErrSlotDown):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, serve.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

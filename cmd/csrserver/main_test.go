@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/topk"
 	"csrplus/internal/wire"
 )
 
@@ -297,58 +299,100 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// Every mode sheds the same way: with one worker, a queue of one and the
+// one engine call held — a gated column pass, or a router's scatter-gather
+// stuck on a shard worker that does not answer — a request past what the
+// pool, the dispatch loop and the queue hold gets 429 and a Retry-After.
 func TestOverloadReturns429(t *testing.T) {
-	gate := make(chan struct{})
-	blocking := func(query serve.RankQueryFunc) serve.RankQueryFunc {
-		return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-			<-gate
-			return query(ctx, queries, rank, scratch)
+	column := func(t *testing.T, gate chan struct{}) *server {
+		blocking := func(query serve.RankQueryFunc) serve.RankQueryFunc {
+			return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+				<-gate
+				return query(ctx, queries, rank, scratch)
+			}
 		}
+		return testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", blocking)
 	}
-	s := testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", blocking)
-	sv := s.sv
-	var gateOnce sync.Once
-	release := func() { gateOnce.Do(func() { close(gate) }) }
-	srv := serveStack(t, s)
-	defer release()
+	router := func(t *testing.T, gate chan struct{}) *server {
+		snaps := t.TempDir()
+		bootArgs(t, "-shards", "2", "-snapshots", snaps) // publishes the per-shard snapshots
+		var booted atomic.Bool                           // the router dials every worker at boot
+		addrs := wireWorkers(t, snaps, 2, func(slot int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if slot == 1 && booted.Load() {
+					<-gate
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		cfg, err := parse("-shardaddrs", addrs, "-workers", "1", "-pending", "1", "-cache", "0", "-wirehedge", "-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := boot(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted.Store(true)
+		return s
+	}
+	for name, stack := range map[string]func(*testing.T, chan struct{}) *server{"column": column, "router": router} {
+		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var gateOnce sync.Once
+			release := func() { gateOnce.Do(func() { close(gate) }) }
+			s := stack(t, gate)
+			sv := s.sv
+			srv := serveStack(t, s)
+			defer release()
 
-	type result struct{ code int }
-	results := make(chan result, 8)
-	var wg sync.WaitGroup
-	// Capacity with the worker gated is 3 (executing + dispatch-held +
-	// queued); each sequential launch raises either admitted or shed, so
-	// by the 4th a 429 is guaranteed.
-	for i := 0; i < 4; i++ {
-		admitted, shed := sv.Metrics().Admitted(), sv.Metrics().Shed()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(srv.URL + "/topk?node=1&k=2")
-			if err != nil {
-				return
+			results := make(chan *http.Response, 8)
+			var wg sync.WaitGroup
+			// Capacity with the worker gated is 3 (executing + dispatch-held +
+			// queued); each sequential launch raises either admitted or shed, so
+			// by the 4th a 429 is guaranteed.
+			for i := 0; i < 4; i++ {
+				admitted, shed := sv.Metrics().Admitted(), sv.Metrics().Shed()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Get(srv.URL + "/topk?node=1&k=2")
+					if err != nil {
+						return
+					}
+					resp.Body.Close()
+					results <- resp
+				}()
+				deadline := time.Now().Add(5 * time.Second)
+				for sv.Metrics().Admitted() == admitted && sv.Metrics().Shed() == shed {
+					if time.Now().After(deadline) {
+						t.Fatal("request neither admitted nor shed")
+					}
+					time.Sleep(200 * time.Microsecond)
+				}
+				if sv.Metrics().Shed() > 0 {
+					break
+				}
 			}
-			resp.Body.Close()
-			results <- result{resp.StatusCode}
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for sv.Metrics().Admitted() == admitted && sv.Metrics().Shed() == shed {
-			if time.Now().After(deadline) {
-				t.Fatal("request neither admitted nor shed")
+			if sv.Metrics().Shed() == 0 {
+				t.Fatal("no request was shed")
 			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		if sv.Metrics().Shed() > 0 {
-			break
-		}
+			shed := <-results
+			if got := shed.StatusCode; got != http.StatusTooManyRequests {
+				t.Fatalf("shed request got HTTP %d, want 429", got)
+			}
+			if shed.Header.Get("Retry-After") == "" {
+				t.Fatal("429 without a Retry-After")
+			}
+			release()
+			wg.Wait()
+			for i := int64(0); i < sv.Metrics().Admitted(); i++ {
+				if resp := <-results; resp.StatusCode != http.StatusOK {
+					t.Fatalf("admitted request got HTTP %d once the engine unblocked", resp.StatusCode)
+				}
+			}
+		})
 	}
-	if sv.Metrics().Shed() == 0 {
-		t.Fatal("no request was shed")
-	}
-	if got := (<-results).code; got != http.StatusTooManyRequests {
-		t.Fatalf("shed request got HTTP %d, want 429", got)
-	}
-	release()
-	wg.Wait()
 }
 
 func TestDeadlineReturns504(t *testing.T) {
@@ -774,6 +818,88 @@ func TestShardedMuxEndpoints(t *testing.T) {
 // and tested or does not exist": each command line either boots through
 // the one candidate constructor and answers top-k bitwise-equal to
 // Engine.TopK / TopKMulti, or is rejected with a message naming the flag.
+// wireWorkers boots k workers the way -shardworker does, from the
+// per-shard snapshots under snapDir, behind httptest listeners, and
+// returns their addresses as a -shardaddrs value. wrap, when non-nil,
+// decorates one worker's handler (gates, failures).
+func wireWorkers(t *testing.T, snapDir string, k int, wrap func(slot int, h http.Handler) http.Handler) string {
+	t.Helper()
+	addrs := make([]string, k)
+	for slot := range addrs {
+		cfg, err := parse("-shardworker", fmt.Sprint(slot), "-snapshots", snapDir, "-admintoken", "sesame")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := wire.BootWorker(wire.WorkerConfig{Shard: slot, SnapshotDir: core.ShardDir(cfg.snapDir, slot), AdminToken: cfg.adminToken})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := w.Handler()
+		if wrap != nil {
+			h = wrap(slot, h)
+		}
+		worker := httptest.NewServer(h)
+		t.Cleanup(worker.Close)
+		addrs[slot] = strings.TrimPrefix(worker.URL, "http://") // a bare host:port, as operators write them
+	}
+	return strings.Join(addrs, ",")
+}
+
+// downSlot is a slot whose worker is unreachable: every query call fails
+// the way the wire client reports it.
+type downSlot struct{ *shard.Local }
+
+func (downSlot) URows(context.Context, []int) (*dense.Mat, error) { return nil, shard.ErrSlotDown }
+func (downSlot) PartialTopK(context.Context, []int, *dense.Mat, int, int) ([]topk.Item, error) {
+	return nil, shard.ErrSlotDown
+}
+func (downSlot) ScoreRows(context.Context, []int, *dense.Mat, []int, int) ([]float64, error) {
+	return nil, shard.ErrSlotDown
+}
+
+// A slot the answer cannot do without is as retryable as shed load: 503
+// with a Retry-After, not a 500.
+func TestSlotDownReturns503(t *testing.T) {
+	ix, _ := testEngine(t).CoreIndex()
+	shards, err := shard.Split(ix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		down []bool
+		path string
+	}{
+		{"query node's owner", []bool{true, false}, "/topk?node=0&k=2"},
+		{"target's owner", []bool{false, true}, fmt.Sprintf("/similarity?node=0&targets=%d", ix.N()-1)},
+		{"every shard", []bool{true, true}, "/topk?node=0&k=2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slots := make([]shard.Slot, len(shards))
+			for i, sh := range shards {
+				if slots[i] = shard.NewLocal(sh); tc.down[i] {
+					slots[i] = downSlot{shard.NewLocal(sh)}
+				}
+			}
+			rt, err := shard.NewRouterSlots(slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv := serve.NewRanked(newCandidate(rt, reload.Meta{}, nil, nil).Ranked, serve.Config{Linger: -1})
+			srv := serveStack(t, &server{sv: sv, man: reload.New(sv, nil, reload.Meta{})})
+			resp, err := http.Get(srv.URL + tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+				body, _ := io.ReadAll(resp.Body)
+				t.Fatalf("HTTP %d Retry-After=%q body=%s, want 503 with Retry-After: 1", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+			}
+		})
+	}
+}
+
 func TestModeTable(t *testing.T) {
 	eng := testEngine(t)
 	ix, _ := eng.CoreIndex()
@@ -849,21 +975,7 @@ func TestModeTable(t *testing.T) {
 	// Remote slots: the workers boot the way -shardworker does, from the
 	// per-shard snapshots published above, behind httptest listeners.
 	t.Run("-shardaddrs", func(t *testing.T) {
-		addrs := make([]string, 3)
-		for slot := range addrs {
-			cfg, err := parse("-shardworker", fmt.Sprint(slot), "-snapshots", shardSnaps, "-admintoken", "sesame")
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := wire.BootWorker(wire.WorkerConfig{Shard: slot, SnapshotDir: core.ShardDir(cfg.snapDir, slot), AdminToken: cfg.adminToken})
-			if err != nil {
-				t.Fatal(err)
-			}
-			worker := httptest.NewServer(w.Handler())
-			defer worker.Close()
-			addrs[slot] = strings.TrimPrefix(worker.URL, "http://") // a bare host:port, as operators write them
-		}
-		cfg, err := parse("-shardaddrs", strings.Join(addrs, ","), "-admintoken", "sesame", "-wirehedge", "-1")
+		cfg, err := parse("-shardaddrs", wireWorkers(t, shardSnaps, 3, nil), "-admintoken", "sesame", "-wirehedge", "-1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -899,6 +1011,8 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-shardaddrs", "a:1", "-snapshots", "d"}, "-snapshots"},
 		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
 		{[]string{"-shardaddrs", "a:1", "-shards", "3"}, "-shards"},
+		{[]string{"-shardaddrs", "a:1", "-maxbatch", "8"}, "-maxbatch"}, // nothing to coalesce over remote slots
+		{[]string{"-shardaddrs", "a:1", "-linger", "1ms"}, "-linger"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-shards", "1"}, "-shards"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},

@@ -47,13 +47,15 @@ type source struct {
 	engines []*wire.RemoteEngine
 }
 
-// newCandidate describes one serving generation over rt. Local slots
-// serve through the column batcher — concurrent requests coalesce into
-// one multi-source pass; remote slots serve through the router's direct
-// top-k and targeted-score paths, because no n x |Q| matrix ever crosses
-// the wire. The closures are rebuilt per generation even when rt
-// persists, so each swap installs a fresh serve generation — which is
-// what invalidates every result cached before a roll.
+// newCandidate describes one serving generation over rt. The engine call
+// is all that depends on the slots: local slots answer a multi-source
+// column pass that concurrent requests coalesce into; remote slots answer
+// each request with the router's top-k or targeted-score scatter-gather,
+// because no n x |Q| matrix ever crosses the wire. Admission, shedding,
+// degradation and drain are serve's and the same for both. The closures
+// are rebuilt per generation even when rt persists, so each swap installs
+// a fresh serve generation — which is what invalidates every result
+// cached before a roll.
 func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
 	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Drift: drift}
 	if rt.Remote() {

@@ -62,8 +62,9 @@ const (
 	// attempt, before the LoadFunc runs: a flapping snapshot source.
 	SiteReloadLoad = "reload/load"
 	// SiteBatchQuery fires on a pool worker immediately before each
-	// coalesced engine pass: engine-level latency spikes and failures
-	// that every co-batched request observes at once.
+	// engine call — a coalesced column pass or one request's direct
+	// top-k / targeted scores: engine-level latency spikes and failures
+	// that every request in the batch observes at once.
 	SiteBatchQuery = "serve/batch.query"
 	// SiteWireDial fires in the wire client immediately before each HTTP
 	// request to a shard worker — the place a connect timeout, refused

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csrplus/internal/dense"
 	"csrplus/internal/fault"
 	"csrplus/internal/retry"
 	"csrplus/internal/serve"
@@ -70,8 +71,9 @@ type Candidate struct {
 	// and must stay valid for every in-flight query. The Manager calls
 	// it exactly once: immediately if the candidate fails validation or
 	// the swap is refused, otherwise only after a LATER generation's
-	// swap has returned — serve's swap blocks on the old batcher
-	// draining, so by then no query can still touch the old factors.
+	// swap has returned — serve's swap blocks until the old generation's
+	// queue and worker pool have drained, whichever engine calls it made,
+	// so by then no query can still touch the old factors.
 	// Release must be idempotent-safe in its own right only against the
 	// Manager calling it once; core.(*Index).Close already tolerates
 	// double closes for defence in depth.
@@ -383,14 +385,20 @@ func probeNodes(n int) []int {
 }
 
 // Validate smoke-tests a candidate before it may take traffic: the shape
-// must be plausible and a real multi-source query against probe nodes
-// (at full rank — validation exercises the path real traffic takes, and
-// degraded serving derives from the same factors) must come back with the right dimensions, finite scores, and a positive
-// self-similarity (CoSimRank scores a node against itself as 1 plus a
-// damped correction, so a zero or negative diagonal means the factors are
-// garbage — e.g. an index loaded against the wrong graph orientation).
-// This is the gate that turns "the file parsed" into "the engine
-// answers"; CRC and header checks live below it in core.ReadIndex.
+// must be plausible and real engine calls against probe nodes (at full
+// rank — validation exercises the calls real traffic makes, and degraded
+// serving derives from the same factors) must come back with the right
+// dimensions, finite scores, and a positive self-similarity (CoSimRank
+// scores a node against itself as 1 plus a damped correction, so a zero
+// or negative diagonal means the factors are garbage — an index loaded
+// against the wrong graph orientation, a cluster whose shards disagree
+// about the graph). The scores come from whichever call answers targeted
+// scores on this generation: the probes x probes matrix of Scores, or the
+// probes' full columns of Query. A generation with TopK additionally
+// answers a single-source top-k per probe — the gather, fan-out and
+// merge a router runs per request — which no shard may sit out. This is
+// the gate that turns "the file parsed" into "the engine answers"; CRC
+// and header checks live below it in core.ReadIndex.
 func Validate(c *Candidate) error {
 	if c == nil || (c.Query == nil && c.TopK == nil) {
 		return fmt.Errorf("%w: no query engine", ErrValidation)
@@ -398,50 +406,55 @@ func Validate(c *Candidate) error {
 	if c.N <= 0 {
 		return fmt.Errorf("%w: implausible node count %d", ErrValidation, c.N)
 	}
-	probes := probeNodes(c.N)
-	if c.Query == nil {
-		return validateDirect(c, probes)
+	ctx, probes := context.Background(), probeNodes(c.N)
+
+	// mat holds the probes' scores, one probe per column; row i is node(i).
+	var (
+		mat  *dense.Mat
+		err  error
+		rows = c.N
+		node = func(i int) int { return i }
+	)
+	switch {
+	case c.Scores != nil:
+		mat, err = c.Scores(ctx, probes, probes, 0)
+		rows, node = len(probes), func(i int) int { return probes[i] }
+	case c.Query != nil:
+		mat, err = c.Query(ctx, probes, 0, nil)
+	default:
+		rows = 0 // top-k is all this generation answers
 	}
-	mat, err := c.Query(context.Background(), probes, 0, nil)
-	if err != nil {
+	switch {
+	case err != nil:
 		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
-	}
-	if mat == nil {
+	case rows == 0:
+	case mat == nil:
 		return fmt.Errorf("%w: smoke query returned no matrix", ErrValidation)
-	}
-	if mat.Rows != c.N || mat.Cols != len(probes) {
+	case !mat.IsShape(rows, len(probes)):
 		return fmt.Errorf("%w: smoke query shape %dx%d, want %dx%d",
-			ErrValidation, mat.Rows, mat.Cols, c.N, len(probes))
+			ErrValidation, mat.Rows, mat.Cols, rows, len(probes))
 	}
 	for j, q := range probes {
-		for i := 0; i < mat.Rows; i++ {
-			if v := mat.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: non-finite score %v for pair (%d, %d)", ErrValidation, v, i, q)
+		for i := 0; i < rows; i++ {
+			v := mat.At(i, j)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: non-finite score %v for pair (%d, %d)", ErrValidation, v, node(i), q)
+			}
+			if node(i) == q && v <= 0 {
+				return fmt.Errorf("%w: self-similarity of node %d is %v, want > 0", ErrValidation, q, v)
 			}
 		}
-		if self := mat.At(q, j); self <= 0 {
-			return fmt.Errorf("%w: self-similarity of node %d is %v, want > 0", ErrValidation, q, self)
-		}
 	}
-	return nil
-}
-
-// validateDirect smoke-tests a candidate that only serves through direct
-// funcs (no column path to shape-check an n x |Q| matrix against). Each
-// probe node gets a real single-source top-k — exercising the gather,
-// fan-out and merge a wire router runs per request — and, when targeted
-// scores are offered, a probes x probes score matrix whose diagonal must
-// be positive (self-similarity is 1 plus a damped correction, so zero or
-// negative means the cluster's shards disagree about the graph).
-func validateDirect(c *Candidate, probes []int) error {
-	ctx := context.Background()
+	if c.TopK == nil {
+		return nil
+	}
 	for _, q := range probes {
 		items, prov, err := c.TopK(ctx, []int{q}, 3, 0)
 		if err != nil {
-			return fmt.Errorf("%w: direct top-k probe of node %d: %v", ErrValidation, q, err)
+			return fmt.Errorf("%w: top-k probe of node %d: %v", ErrValidation, q, err)
 		}
 		if prov.MissingShards > 0 {
-			return fmt.Errorf("%w: direct top-k probe of node %d answered with %d shards missing", ErrValidation, q, prov.MissingShards)
+			return fmt.Errorf("%w: top-k probe of node %d answered with %d shards missing", ErrValidation, q, prov.MissingShards)
 		}
 		for _, it := range items {
 			if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
@@ -450,26 +463,6 @@ func validateDirect(c *Candidate, probes []int) error {
 			if it.Node == q {
 				return fmt.Errorf("%w: top-k of node %d contains the query node", ErrValidation, q)
 			}
-		}
-	}
-	if c.Scores == nil {
-		return nil
-	}
-	mat, err := c.Scores(ctx, probes, probes, 0)
-	if err != nil {
-		return fmt.Errorf("%w: direct score probe: %v", ErrValidation, err)
-	}
-	if mat == nil || !mat.IsShape(len(probes), len(probes)) {
-		return fmt.Errorf("%w: direct score probe shape, want %dx%d", ErrValidation, len(probes), len(probes))
-	}
-	for i := range probes {
-		for j := range probes {
-			if v := mat.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: non-finite score %v for pair (%d, %d)", ErrValidation, v, probes[i], probes[j])
-			}
-		}
-		if self := mat.At(i, i); self <= 0 {
-			return fmt.Errorf("%w: self-similarity of node %d is %v, want > 0", ErrValidation, probes[i], self)
 		}
 	}
 	return nil

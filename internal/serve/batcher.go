@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"csrplus/internal/dense"
 	"csrplus/internal/fault"
+	"csrplus/internal/topk"
 )
 
 // QueryFunc answers one multi-source engine pass: cols[j] is the full
@@ -20,16 +23,30 @@ type QueryFunc func(queries []int) ([][]float64, error)
 // abandoned batch can stop mid-pass.
 type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]float64, error)
 
-// Batcher coalesces concurrent column requests into multi-source engine
-// calls. The paper's complexity bound O(r(m + n(r + |Q|))) makes the
-// marginal cost of one more query node tiny next to the per-call
-// O(r(m + nr)) floor, so |Q| requests answered by one pass cost far less
-// than |Q| passes — the same economics as dynamic batching in inference
-// serving. A pending batch flushes when it reaches maxBatch unique nodes,
-// when a pool worker is idle (waiting longer would add latency without
-// improving throughput), or — with every worker busy — when the linger
-// window expires. Duplicate nodes across co-batched requests are computed
-// once and shared.
+// engine is what a generation's pool workers call, and the only thing
+// that differs between a column generation and a direct one: everything
+// before the call (admission, shedding, the pressure rule) and after it
+// (tagging, drain) is shared.
+type engine struct {
+	columns batchQueryFunc  // one coalesced multi-source pass; nil = no column path
+	topk    DirectTopKFunc  // non-nil: a top-k request is its own engine call
+	scores  DirectScoreFunc // non-nil: a targeted-score request is its own engine call
+}
+
+// Batcher is one generation's admission queue, dispatch loop and worker
+// pool. Requests whose answer is read out of similarity columns are
+// coalesced into multi-source engine calls: the paper's complexity bound
+// O(r(m + n(r + |Q|))) makes the marginal cost of one more query node
+// tiny next to the per-call O(r(m + nr)) floor, so |Q| requests answered
+// by one pass cost far less than |Q| passes — the same economics as
+// dynamic batching in inference serving. A pending batch flushes when it
+// reaches maxBatch unique nodes, when a pool worker is idle (waiting
+// longer would add latency without improving throughput), or — with
+// every worker busy — when the linger window expires. Duplicate nodes
+// across co-batched requests are computed once and shared. A request the
+// engine answers directly (top-k or targeted scores that never
+// materialise n x |Q|) has nothing to coalesce: the dispatch loop hands
+// it to the pool as a batch of one.
 //
 // When a degraded rank is configured, a batch runs truncated — trading
 // accuracy bounded by the factor tail for an r'/r cost reduction — if any
@@ -39,7 +56,7 @@ type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]floa
 // batch). The effective rank travels back with every response so callers
 // can tag what they served.
 type Batcher struct {
-	queryFn  batchQueryFunc
+	eng      engine
 	maxBatch int
 	linger   time.Duration
 	strict   bool
@@ -57,17 +74,48 @@ type Batcher struct {
 	once   sync.Once
 }
 
+// request is one caller's ask. k > 0 marks a top-k request and targets a
+// targeted-score one; either is answered from columns unless the
+// generation's engine has the matching direct func.
 type request struct {
 	ctx     context.Context
 	nodes   []int
-	degrade bool          // admission-time vote to answer truncated
-	out     chan response // buffered(1): abandoned callers never block a worker
+	k       int
+	targets []int
+	degrade bool // admission-time vote to answer truncated
+	// direct, set at admission, is the engine call that answers this
+	// request on its own; nil when it coalesces into a column pass.
+	direct func(ctx context.Context, rank int) response
+	out    chan response // buffered(1): abandoned callers never block a worker
 }
 
+// response carries whichever shape the engine call produced: the batch's
+// shared columns, a direct top-k list with its provenance, or a direct
+// |nodes| x |targets| score matrix.
 type response struct {
-	cols map[int][]float64
-	rank int // effective rank of the answering pass; 0 = full
-	err  error
+	cols   map[int][]float64
+	items  []topk.Item
+	prov   TopKProvenance
+	scores *dense.Mat
+	rank   int // effective rank of the answering pass; 0 = full
+	err    error
+}
+
+// direct picks req's own engine call, if the generation has one.
+func (e engine) direct(req *request) func(context.Context, int) response {
+	switch {
+	case req.k > 0 && e.topk != nil:
+		return func(ctx context.Context, rank int) response {
+			items, prov, err := e.topk(ctx, req.nodes, req.k, rank)
+			return response{items: items, prov: prov, err: err}
+		}
+	case len(req.targets) > 0 && e.scores != nil:
+		return func(ctx context.Context, rank int) response {
+			m, err := e.scores(ctx, req.nodes, req.targets, rank)
+			return response{scores: m, err: err}
+		}
+	}
+	return nil
 }
 
 // NewBatcher starts the dispatch loop and worker pool over a plain
@@ -89,13 +137,13 @@ func NewBatcher(queryFn QueryFunc, maxBatch int, linger time.Duration, maxPendin
 		}
 		return queryFn(queries)
 	}
-	return newBatcher(plain, maxBatch, linger, maxPending, workers, strict, m, 0, 0)
+	return newBatcher(engine{columns: plain}, maxBatch, linger, maxPending, workers, strict, m, 0, 0)
 }
 
 // newBatcher is the full-control constructor used by Server: degradedRank
 // and overloadDepth wire the graceful-degradation policy (both 0 for
 // backends without rank structure).
-func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics, degradedRank int, overloadDepth int64) *Batcher {
+func newBatcher(eng engine, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics, degradedRank int, overloadDepth int64) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -106,7 +154,7 @@ func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxP
 		m = NewMetrics()
 	}
 	b := &Batcher{
-		queryFn:       queryFn,
+		eng:           eng,
 		maxBatch:      maxBatch,
 		linger:        linger,
 		strict:        strict,
@@ -127,18 +175,23 @@ func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxP
 // admission queue is full, ErrClosed after Close, and ctx.Err() when the
 // caller's deadline expires before the batch completes.
 func (b *Batcher) Columns(ctx context.Context, nodes []int) (map[int][]float64, error) {
-	cols, _, err := b.ColumnsDegrade(ctx, nodes, false)
-	return cols, err
+	resp, err := b.do(&request{ctx: ctx, nodes: nodes})
+	return resp.cols, err
 }
 
-// ColumnsDegrade is Columns with a degradation vote: degrade asks the
-// answering batch to run at the truncated rank. The returned rank is the
+// do admits req and waits for its answer. The response's rank is the
 // effective rank of the pass that answered (0 = full) — it can be
-// truncated even when this caller did not ask (overload pressure, or a
-// co-batched caller's vote), and full when it did (degradation not
-// configured on this backend).
-func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool) (map[int][]float64, int, error) {
-	req := &request{ctx: ctx, nodes: nodes, degrade: degrade, out: make(chan response, 1)}
+// truncated even when this caller did not vote for it (overload
+// pressure, or a co-batched caller's vote), and full when it did
+// (degradation not configured on this generation). A request the queue
+// refused (ErrClosed, ErrOverloaded, no engine for it) was never
+// enqueued, so the caller may offer the same req to another batcher.
+func (b *Batcher) do(req *request) (response, error) {
+	req.out = make(chan response, 1)
+	if req.direct = b.eng.direct(req); req.direct == nil && b.eng.columns == nil {
+		b.metrics.rejected.Add(1)
+		return response{}, fmt.Errorf("%w: this generation's engine has no column path to answer the request from", ErrBadRequest)
+	}
 
 	// The read-lock spans only the non-blocking enqueue, so Close's write
 	// lock cannot be acquired mid-send: after Close sets closed, no sender
@@ -147,7 +200,7 @@ func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool)
 	if b.closed {
 		b.mu.RUnlock()
 		b.metrics.rejected.Add(1)
-		return nil, 0, ErrClosed
+		return response{}, ErrClosed
 	}
 	select {
 	case b.queue <- req:
@@ -157,15 +210,15 @@ func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool)
 	default:
 		b.mu.RUnlock()
 		b.metrics.shed.Add(1)
-		return nil, 0, ErrOverloaded
+		return response{}, ErrOverloaded
 	}
 
 	select {
 	case resp := <-req.out:
-		return resp.cols, resp.rank, resp.err
-	case <-ctx.Done():
+		return resp, resp.err
+	case <-req.ctx.Done():
 		b.metrics.expired.Add(1)
-		return nil, 0, ctx.Err()
+		return response{}, req.ctx.Err()
 	}
 }
 
@@ -182,8 +235,9 @@ func (b *Batcher) Close() {
 	})
 }
 
-// run is the dispatch loop: it accumulates requests, tracking the unique
-// node set, and flushes to the worker pool on size or linger triggers.
+// run is the dispatch loop: it hands direct requests straight to the
+// worker pool, accumulates column requests, tracking the unique node
+// set, and flushes those to the pool on size or linger triggers.
 func (b *Batcher) run() {
 	defer close(b.done)
 	var (
@@ -192,11 +246,18 @@ func (b *Batcher) run() {
 		timer   *time.Timer
 		lingerC <-chan time.Time
 	)
-	absorb := func(req *request) {
-		pending = append(pending, req)
-		for _, n := range req.nodes {
-			uniq[n] = struct{}{}
+	flush := func() {
+		if len(pending) == 0 {
+			return
 		}
+		batch := pending
+		pending = nil
+		uniq = make(map[int]struct{})
+		if timer != nil {
+			timer.Stop()
+		}
+		lingerC = nil
+		b.pool.Submit(func() { b.runBatch(batch) })
 	}
 	// overflows reports whether absorbing req would push the batch past
 	// maxBatch unique nodes. A request is indivisible, so the bound can
@@ -215,18 +276,20 @@ func (b *Batcher) run() {
 		}
 		return len(uniq)+fresh > b.maxBatch
 	}
-	flush := func() {
-		if len(pending) == 0 {
+	absorb := func(req *request) {
+		if req.direct != nil {
+			b.pool.Submit(func() { b.runBatch([]*request{req}) })
 			return
 		}
-		batch := pending
-		pending = nil
-		uniq = make(map[int]struct{})
-		if timer != nil {
-			timer.Stop()
+		// A request that would overflow the unique-node bound closes the
+		// current batch (it is as full as it can get) and seeds the next.
+		if overflows(req) {
+			flush()
 		}
-		lingerC = nil
-		b.pool.Submit(func() { b.runBatch(batch) })
+		pending = append(pending, req)
+		for _, n := range req.nodes {
+			uniq[n] = struct{}{}
+		}
 	}
 	for {
 		select {
@@ -234,12 +297,6 @@ func (b *Batcher) run() {
 			if !ok {
 				flush()
 				return
-			}
-			// A request that would overflow the unique-node bound closes
-			// the current batch (it is as full as it can get) and seeds
-			// the next one.
-			if overflows(req) {
-				flush()
 			}
 			absorb(req)
 			// Greedily absorb whatever is already queued: back-to-back
@@ -251,9 +308,6 @@ func (b *Batcher) run() {
 					if !ok {
 						flush()
 						return
-					}
-					if overflows(more) {
-						flush()
 					}
 					absorb(more)
 				default:
@@ -267,7 +321,7 @@ func (b *Batcher) run() {
 			// on queueing delay.
 			if len(uniq) >= b.maxBatch || b.linger <= 0 || (!b.strict && b.pool.Idle()) {
 				flush()
-			} else if lingerC == nil {
+			} else if lingerC == nil && len(pending) > 0 {
 				timer = time.NewTimer(b.linger)
 				lingerC = timer.C
 			}
@@ -324,8 +378,9 @@ func batchContext(reqs []*request) (context.Context, func()) {
 	}
 }
 
-// runBatch executes one coalesced engine call on a pool worker and fans
-// the shared column map back out to every caller.
+// runBatch executes one engine call on a pool worker — a direct
+// request's own, or one coalesced column pass whose shared column map
+// fans back out to every caller.
 func (b *Batcher) runBatch(reqs []*request) {
 	defer b.metrics.queueDepth.Add(-int64(len(reqs)))
 
@@ -341,19 +396,23 @@ func (b *Batcher) runBatch(reqs []*request) {
 	if len(live) == 0 {
 		return
 	}
-	uniq := make(map[int]struct{})
-	degrade := false
-	for _, req := range live {
-		degrade = degrade || req.degrade
-		for _, n := range req.nodes {
-			uniq[n] = struct{}{}
+	direct := live[0].direct // a direct request is always a batch of one
+	nodes := live[0].nodes   // ... and its engine sees the node list as asked
+	degrade := live[0].degrade
+	if direct == nil {
+		uniq := make(map[int]struct{})
+		for _, req := range live {
+			degrade = degrade || req.degrade
+			for _, n := range req.nodes {
+				uniq[n] = struct{}{}
+			}
 		}
+		nodes = make([]int, 0, len(uniq))
+		for n := range uniq {
+			nodes = append(nodes, n)
+		}
+		sort.Ints(nodes) // deterministic engine input regardless of arrival order
 	}
-	nodes := make([]int, 0, len(uniq))
-	for n := range uniq {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes) // deterministic engine input regardless of arrival order
 
 	rank := 0
 	if b.degradedRank > 0 && (degrade || b.overloaded()) {
@@ -366,23 +425,31 @@ func (b *Batcher) runBatch(reqs []*request) {
 	b.metrics.BatchOccupancy.Observe(float64(len(nodes)))
 
 	ctx, release := batchContext(live)
-	err := fault.Hit(fault.SiteBatchQuery) // chaos builds: engine-level latency/failure
-	var cols [][]float64
-	if err == nil {
-		cols, err = b.queryFn(ctx, nodes, rank)
+	var resp response
+	switch err := fault.Hit(fault.SiteBatchQuery); { // chaos builds: engine-level latency/failure
+	case err != nil:
+		resp.err = err
+	case direct != nil:
+		resp = direct(ctx, rank)
+	default:
+		resp = b.columns(ctx, nodes, rank)
 	}
 	release()
+	resp.rank = rank
+	for _, req := range live {
+		req.out <- resp
+	}
+}
+
+// columns runs one multi-source column pass and keys its columns by node.
+func (b *Batcher) columns(ctx context.Context, nodes []int, rank int) response {
+	cols, err := b.eng.columns(ctx, nodes, rank)
 	if err != nil {
-		for _, req := range live {
-			req.out <- response{err: err}
-		}
-		return
+		return response{err: err}
 	}
 	byNode := make(map[int][]float64, len(nodes))
 	for j, n := range nodes {
 		byNode[n] = cols[j]
 	}
-	for _, req := range live {
-		req.out <- response{cols: byNode, rank: rank}
-	}
+	return response{cols: byNode}
 }

@@ -58,36 +58,38 @@ func TestRankedFullRankByDefault(t *testing.T) {
 // A request admitted with less deadline budget than MinBudget must be
 // answered at the truncated rank and tagged with rank + error bound.
 func TestDegradeOnDeadlineBudget(t *testing.T) {
-	sv := NewRanked(fakeRanked(16, 8), Config{
-		Linger:  -1,
-		Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		sv := NewRanked(kind(fakeRanked(16, 8)), Config{
+			Linger:  -1,
+			Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
+		})
+		defer sv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := sv.Search(ctx, []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Info.Degraded || res.Info.EffectiveRank != 2 || res.Info.FullRank != 8 {
+			t.Fatalf("info = %+v, want degraded at rank 2 of 8", res.Info)
+		}
+		if res.Info.ErrorBound != 6 {
+			t.Fatalf("error bound = %v, want engine's advertised 6", res.Info.ErrorBound)
+		}
+		if int(res.Matches[0].Score) != 2 {
+			t.Fatalf("score %v did not come from a rank-2 pass", res.Matches[0].Score)
+		}
+		if sv.Metrics().Degraded() != 1 || sv.Metrics().DegradedBatches() != 1 {
+			t.Fatalf("degraded counters: %d/%d", sv.Metrics().Degraded(), sv.Metrics().DegradedBatches())
+		}
+		pr, err := sv.Score(ctx, []int{3}, []int{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pr.Info.Degraded || len(pr.Pairs) != 2 {
+			t.Fatalf("Score under budget pressure: %+v", pr)
+		}
 	})
-	defer sv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := sv.Search(ctx, []int{3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Info.Degraded || res.Info.EffectiveRank != 2 || res.Info.FullRank != 8 {
-		t.Fatalf("info = %+v, want degraded at rank 2 of 8", res.Info)
-	}
-	if res.Info.ErrorBound != 6 {
-		t.Fatalf("error bound = %v, want engine's advertised 6", res.Info.ErrorBound)
-	}
-	if int(res.Matches[0].Score) != 2 {
-		t.Fatalf("score %v did not come from a rank-2 pass", res.Matches[0].Score)
-	}
-	if sv.Metrics().Degraded() != 1 || sv.Metrics().DegradedBatches() != 1 {
-		t.Fatalf("degraded counters: %d/%d", sv.Metrics().Degraded(), sv.Metrics().DegradedBatches())
-	}
-	pr, err := sv.Score(ctx, []int{3}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Info.Degraded || len(pr.Pairs) != 2 {
-		t.Fatalf("Score under budget pressure: %+v", pr)
-	}
 }
 
 // Degradation must not arm when the configured rank is not a real
@@ -129,43 +131,45 @@ func TestDegradeDisabledWithoutRankStructure(t *testing.T) {
 // Degraded results must never enter the cache: the next unpressured
 // request recomputes at full rank rather than inheriting a cheap answer.
 func TestDegradedResultsAreNotCached(t *testing.T) {
-	sv := NewRanked(fakeRanked(16, 8), Config{
-		Linger:  -1,
-		Cache:   cache.New(8),
-		Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		sv := NewRanked(kind(fakeRanked(16, 8)), Config{
+			Linger:  -1,
+			Cache:   cache.New(8),
+			Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
+		})
+		defer sv.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := sv.Search(ctx, []int{3}, 2)
+		if err != nil || !res.Info.Degraded {
+			t.Fatalf("degraded search: %+v, %v", res.Info, err)
+		}
+
+		res, err = sv.Search(context.Background(), []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatal("full-rank request served the degraded request's cache entry")
+		}
+		if res.Info.Degraded || int(res.Matches[0].Score) != 8 {
+			t.Fatalf("recomputation not full rank: %+v score=%v", res.Info, res.Matches[0].Score)
+		}
+
+		// The full-rank result is cacheable as usual.
+		res, err = sv.Search(context.Background(), []int{3}, 2)
+		if err != nil || !res.Cached {
+			t.Fatalf("full-rank result not cached: %+v, %v", res, err)
+		}
 	})
-	defer sv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := sv.Search(ctx, []int{3}, 2)
-	if err != nil || !res.Info.Degraded {
-		t.Fatalf("degraded search: %+v, %v", res.Info, err)
-	}
-
-	res, err = sv.Search(context.Background(), []int{3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatal("full-rank request served the degraded request's cache entry")
-	}
-	if res.Info.Degraded || int(res.Matches[0].Score) != 8 {
-		t.Fatalf("recomputation not full rank: %+v score=%v", res.Info, res.Matches[0].Score)
-	}
-
-	// The full-rank result is cacheable as usual.
-	res, err = sv.Search(context.Background(), []int{3}, 2)
-	if err != nil || !res.Cached {
-		t.Fatalf("full-rank result not cached: %+v, %v", res, err)
-	}
 }
 
 // overloaded() is the batch-level pressure trigger: queue depth past the
 // threshold, or any shed since the last batch.
 func TestBatcherOverloadSignal(t *testing.T) {
 	m := NewMetrics()
-	b := newBatcher(func(context.Context, []int, int) ([][]float64, error) { return nil, nil },
+	b := newBatcher(engine{columns: func(context.Context, []int, int) ([][]float64, error) { return nil, nil }},
 		1, 0, 4, 1, false, m, 2, 3)
 	defer b.Close()
 
@@ -185,7 +189,7 @@ func TestBatcherOverloadSignal(t *testing.T) {
 		t.Fatal("stale shed still counts as overload")
 	}
 
-	off := newBatcher(func(context.Context, []int, int) ([][]float64, error) { return nil, nil },
+	off := newBatcher(engine{columns: func(context.Context, []int, int) ([][]float64, error) { return nil, nil }},
 		1, 0, 4, 1, false, m, 0, 0)
 	defer off.Close()
 	m.queueDepth.Store(100)
@@ -289,50 +293,151 @@ func TestBatchContextSurvivesPartialAbandonment(t *testing.T) {
 // report drift as of NOW, not as of the entry's insert — and an
 // exhausted drift budget marks answers Degraded even at full rank.
 func TestDriftTaintsAnswers(t *testing.T) {
-	var bound float64
-	var exceeded bool
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		var bound float64
+		var exceeded bool
+		e := fakeRanked(16, 8)
+		e.Drift = func() (float64, bool) { return bound, exceeded }
+		sv := NewRanked(kind(e), Config{Linger: -1, Cache: cache.New(8)})
+		defer sv.Close()
+
+		res, err := sv.Search(context.Background(), []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Info.Degraded || res.Info.DriftBound != 0 || res.Info.ErrorBound != 0 {
+			t.Fatalf("zero drift tainted the answer: %+v", res.Info)
+		}
+
+		bound = 0.25
+		res, err = sv.Search(context.Background(), []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached {
+			t.Fatal("second identical search missed the cache")
+		}
+		if res.Info.DriftBound != 0.25 || res.Info.ErrorBound != 0.25 {
+			t.Fatalf("cache hit not tagged with live drift: %+v", res.Info)
+		}
+		if res.Info.Degraded {
+			t.Fatalf("drift inside budget marked degraded: %+v", res.Info)
+		}
+
+		exceeded = true
+		res, err = sv.Search(context.Background(), []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Info.Degraded || res.Info.DriftBound != 0.25 {
+			t.Fatalf("exhausted drift budget not surfaced: %+v", res.Info)
+		}
+
+		pr, err := sv.Score(context.Background(), []int{3}, []int{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pr.Info.Degraded || pr.Info.DriftBound != 0.25 || pr.Info.ErrorBound != 0.25 {
+			t.Fatalf("score path not tainted: %+v", pr.Info)
+		}
+	})
+}
+
+// Queue depth past QueueFraction x MaxPending is pressure on the
+// generation, whichever engine call its workers make: with the one
+// worker held, requests piling up behind it are answered truncated once
+// the worker reaches them.
+func TestDegradeOnQueueDepth(t *testing.T) {
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		gate := make(chan struct{})
+		e := fakeRanked(16, 8)
+		query := e.Query
+		e.Query = func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+			<-gate
+			return query(ctx, queries, rank, scratch)
+		}
+		sv := NewRanked(kind(e), Config{
+			Linger: -1, MaxBatch: 1, Workers: 1, MaxPending: 8,
+			Degrade: DegradeConfig{Rank: 2, QueueFraction: 0.25}, // pressure past depth 2
+		})
+		defer sv.Close()
+
+		const clients = 5
+		results := make(chan SearchResult, clients)
+		for i := 0; i < clients; i++ {
+			go func(node int) {
+				res, err := sv.Search(context.Background(), []int{node}, 2)
+				if err != nil {
+					t.Error(err)
+				}
+				results <- res
+			}(i)
+			waitFor(t, func() bool { return sv.Metrics().Admitted() == int64(i+1) })
+		}
+		close(gate)
+		degraded := 0
+		for i := 0; i < clients; i++ {
+			res := <-results
+			if !res.Info.Degraded {
+				continue
+			}
+			degraded++
+			if res.Info.EffectiveRank != 2 || res.Info.ErrorBound != 6 || int(res.Matches[0].Score) != 2 {
+				t.Fatalf("degraded answer not a tagged rank-2 pass: %+v score=%v", res.Info, res.Matches[0].Score)
+			}
+		}
+		// The first request reached the worker at depth 1 and the last two
+		// were answered with the queue back under the threshold.
+		if degraded == 0 || degraded == clients {
+			t.Fatalf("%d of %d queued requests degraded, want only those answered past depth 2", degraded, clients)
+		}
+		if got := sv.Metrics().DegradedBatches(); got != int64(degraded) {
+			t.Fatalf("degraded batches = %d, want %d", got, degraded)
+		}
+	})
+}
+
+// A direct top-k merged without some shards is a degraded answer: tagged
+// with the missing-shard count, its bound the sum of truncation, drift
+// and the missing shards' inflation, and never cached — it must not
+// outlive the outage.
+func TestMissingShardsTaintAnswers(t *testing.T) {
+	prov := TopKProvenance{MissingShards: 1, ErrorBound: 0.5}
 	e := fakeRanked(16, 8)
-	e.Drift = func() (float64, bool) { return bound, exceeded }
-	sv := NewRanked(e, Config{Linger: -1, Cache: cache.New(8)})
+	e.Drift = func() (float64, bool) { return 0.25, false }
+	sv := NewRanked(direct(e, prov), Config{
+		Linger:  -1,
+		Cache:   cache.New(8),
+		Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
+	})
 	defer sv.Close()
 
-	res, err := sv.Search(context.Background(), []int{3}, 2)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // the second ask must not be a cache hit
+		res, err := sv.Search(context.Background(), []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatal("missing-shard answer was cached")
+		}
+		want := QueryInfo{Degraded: true, FullRank: 8, MissingShards: 1, DriftBound: 0.25, ErrorBound: 0.25 + 0.5}
+		if res.Info != want {
+			t.Fatalf("info = %+v, want %+v", res.Info, want)
+		}
 	}
-	if res.Info.Degraded || res.Info.DriftBound != 0 || res.Info.ErrorBound != 0 {
-		t.Fatalf("zero drift tainted the answer: %+v", res.Info)
-	}
-
-	bound = 0.25
-	res, err = sv.Search(context.Background(), []int{3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cached {
-		t.Fatal("second identical search missed the cache")
-	}
-	if res.Info.DriftBound != 0.25 || res.Info.ErrorBound != 0.25 {
-		t.Fatalf("cache hit not tagged with live drift: %+v", res.Info)
-	}
-	if res.Info.Degraded {
-		t.Fatalf("drift inside budget marked degraded: %+v", res.Info)
+	if got := sv.Metrics().Degraded(); got != 2 {
+		t.Fatalf("requests_degraded = %d, want 2", got)
 	}
 
-	exceeded = true
-	res, err = sv.Search(context.Background(), []int{3}, 2)
+	// Under deadline pressure the truncation bound joins the sum.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := sv.Search(ctx, []int{3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Info.Degraded || res.Info.DriftBound != 0.25 {
-		t.Fatalf("exhausted drift budget not surfaced: %+v", res.Info)
-	}
-
-	pr, err := sv.Score(context.Background(), []int{3}, []int{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Info.Degraded || pr.Info.DriftBound != 0.25 || pr.Info.ErrorBound != 0.25 {
-		t.Fatalf("score path not tainted: %+v", pr.Info)
+	want := QueryInfo{Degraded: true, EffectiveRank: 2, FullRank: 8, MissingShards: 1, DriftBound: 0.25, ErrorBound: 6 + 0.25 + 0.5}
+	if res.Info != want {
+		t.Fatalf("info = %+v, want %+v", res.Info, want)
 	}
 }

@@ -1,27 +1,35 @@
 // Package serve is the production serving layer between an HTTP frontend
-// and a csrplus engine. Its core move exploits the paper's multi-source
+// and a csrplus engine. Every request takes one path: it is validated
+// against the serving generation, probed in the optional instrumented
+// LRU result cache, given its deadline and its degradation vote, admitted
+// through the generation's bounded queue (shed with ErrOverloaded beyond
+// it, ErrClosed after Close), run on the generation's bounded worker
+// pool, tagged with how it was answered, and counted in one metrics
+// registry; Close and SwapRanked drain whatever is queued or in flight.
+//
+// The only thing that varies is the engine call a pool worker makes. A
+// column engine (Ranked.Query) exploits the paper's multi-source
 // complexity O(r(m + n(r + |Q|))): because the per-call cost is dominated
-// by terms independent of |Q|, concurrent single-source requests are
-// dynamically batched — coalesced into one multi-source engine pass and
-// fanned back out — instead of issued one-by-one (the same pattern used in
-// inference serving). Around that batcher it layers a bounded worker pool,
-// admission control (bounded queue shedding with ErrOverloaded, deadlines
-// via context), an optional instrumented LRU result cache, a metrics
-// registry, and graceful drain on Close.
+// by terms independent of |Q|, concurrent requests are dynamically
+// batched — coalesced into one multi-source engine pass and fanned back
+// out — instead of issued one-by-one (the same pattern used in inference
+// serving). A direct engine (Ranked.TopK, Ranked.Scores) answers top-k
+// and targeted scores without ever materialising n x |Q|, so each such
+// request is its own engine call: a batch of one.
 //
 // The engine behind the server is not fixed: each engine lives in a
 // numbered generation described by one Ranked value, and SwapRanked
 // installs a new generation RCU-style — requests admitted after the swap
-// see the new engine while in-flight batches finish on the old one — so
-// an index rebuild or snapshot reload never pauses traffic (see
+// see the new engine while in-flight engine calls finish on the old one
+// — so an index rebuild or snapshot reload never pauses traffic (see
 // internal/reload for the lifecycle around it).
 //
 // Generations with rank structure additionally get graceful
 // degradation: under pressure — a request admitted with too little
 // deadline budget, the admission queue past a depth threshold, or
-// requests being shed — batches run at a truncated rank r' < r, trading
-// entrywise accuracy bounded by the factor tail for an r'/r cost cut.
-// Every degraded response is tagged with its effective rank and the
+// requests being shed — engine calls run at a truncated rank r' < r,
+// trading entrywise accuracy bounded by the factor tail for an r'/r cost
+// cut. Every degraded response is tagged with its effective rank and the
 // engine's advertised error bound, so clients can tell an exact answer
 // from a cheap one.
 package serve
@@ -76,12 +84,12 @@ type DegradeConfig struct {
 // Config tunes a Server. The zero value selects sensible production
 // defaults (documented per field).
 type Config struct {
-	// MaxBatch is the most unique query nodes coalesced into one engine
-	// call. Default 32. 1 disables coalescing (each request is its own
-	// engine call) — the "unbatched" baseline in benchmarks.
+	// MaxBatch is the most unique query nodes coalesced into one column
+	// engine call. Default 32. 1 disables coalescing (each request is its
+	// own engine call) — the "unbatched" baseline in benchmarks.
 	MaxBatch int
-	// Linger is how long a request may wait for co-batching before a
-	// partial batch is flushed. Default 2ms; 0 flushes immediately,
+	// Linger is how long a column request may wait for co-batching before
+	// a partial batch is flushed. Default 2ms; 0 flushes immediately,
 	// batching only requests that are already queued.
 	Linger time.Duration
 	// Workers bounds concurrent engine calls. Default GOMAXPROCS.
@@ -187,25 +195,22 @@ type PairsResult struct {
 	Info  QueryInfo `json:"info"`
 }
 
-// backend is one engine generation: the batcher feeding it, the node
-// count requests are validated against, the rank structure degradation
-// works with, and the generation number that namespaces its cache
-// entries. Immutable once installed — a reload builds a fresh backend and
-// swaps the pointer.
+// backend is one engine generation: the batcher (queue, dispatch loop,
+// worker pool) feeding its engine, the node count requests are validated
+// against, the rank structure answers are tagged with, and the
+// generation number that namespaces its cache entries. Immutable once
+// installed — a reload builds a fresh backend and swaps the pointer.
 type backend struct {
-	gen          uint64
-	n            int
-	rank         int               // engine's full rank; 0 = no rank structure
-	degradedRank int               // rank served under pressure; 0 = degradation off
-	bound        func(int) float64 // entrywise truncation bound; never nil
-	batcher      *Batcher
-	topkFn       DirectTopKFunc  // non-nil routes Search around the batcher
-	scoresFn     DirectScoreFunc // non-nil routes Score around the batcher
-	drift        DriftFunc       // non-nil taints answers with ingestion drift
+	gen     uint64
+	n       int
+	rank    int               // engine's full rank; 0 = no rank structure
+	bound   func(int) float64 // entrywise truncation bound; never nil
+	batcher *Batcher
+	drift   DriftFunc // non-nil taints answers with ingestion drift
 }
 
-// Server answers top-k and similarity requests over one engine, batching
-// concurrent requests into multi-source passes. Safe for concurrent use.
+// Server answers top-k and similarity requests over one engine through
+// one admission, degradation and drain path. Safe for concurrent use.
 //
 // The engine is held behind an atomic generation pointer: SwapRanked
 // installs a replacement without pausing the worker pool, so callers never observe
@@ -245,25 +250,25 @@ type TopKProvenance struct {
 	ErrorBound float64
 }
 
-// DirectTopKFunc answers a top-k request in one call, bypassing the
-// column batcher — the contract a scatter–gather router satisfies
-// (shard.Router.TopKTagged): shards return rank-limited partial top-k
-// lists and the router merges them exactly, so no n x |Q| matrix ever
-// materialises and the batcher's coalescing economics don't apply.
-// rank <= 0 means full rank.
+// DirectTopKFunc answers one top-k request in one engine call — the
+// contract a scatter–gather router satisfies (shard.Router.TopKTagged):
+// shards return rank-limited partial top-k lists and the router merges
+// them exactly, so no n x |Q| matrix ever materialises and there is
+// nothing to coalesce. rank <= 0 means full rank.
 type DirectTopKFunc func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, TopKProvenance, error)
 
-// DirectScoreFunc answers targeted (query, target) scores in one call,
-// returning a |queries| x |targets| matrix (shard.Router.Scores
+// DirectScoreFunc answers targeted (query, target) scores in one engine
+// call, returning a |queries| x |targets| matrix (shard.Router.Scores
 // satisfies it). Unlike DirectTopKFunc there is no degraded variant: a
 // targeted score from a dead shard has no meaningful substitute, so
 // missing shards fail the call.
 type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error)
 
 // Ranked describes one engine generation — the single contract between
-// the server and whatever answers its queries. A generation serves
-// through the column batcher (Query), through direct calls (TopK and
-// Scores), or both.
+// the server and whatever answers its queries. Query, TopK and Scores are
+// the engine calls the generation's pool workers may make; which of them
+// are set is the only difference between generations — admission,
+// shedding, degradation, tagging, caching and drain are the same.
 type Ranked struct {
 	// N is the node count requests are validated against.
 	N int
@@ -274,12 +279,14 @@ type Ranked struct {
 	// truncated rank (shard.(*Router).TruncationBound). nil means "no
 	// bound advertised" and reports 0.
 	Bound func(rank int) float64
-	// Query answers one multi-source pass at a chosen rank. May be nil
-	// when TopK is set: wire backends have no column path (the batcher
-	// then rejects column requests with ErrBadRequest).
+	// Query answers one multi-source column pass at a chosen rank;
+	// concurrent requests coalesce into it. May be nil when TopK is set
+	// (wire backends never materialise columns); a request with no
+	// engine call to answer it is then refused with ErrBadRequest.
 	Query RankQueryFunc
-	// TopK, when non-nil, serves Search/TopK directly instead of through
-	// the column batcher. Scores does the same for Score/Similarity.
+	// TopK, when non-nil, answers each Search/TopK request as its own
+	// engine call instead of out of Query's columns. Scores does the
+	// same for Score/Similarity.
 	TopK   DirectTopKFunc
 	Scores DirectScoreFunc
 	// Drift, when non-nil, reports the live ingestion drift bound for
@@ -339,27 +346,21 @@ func wrapRankQuery(queryFn RankQueryFunc) batchQueryFunc {
 	}
 }
 
-// stubQuery is the batcher's engine func for backends that only serve
-// through direct funcs: wire routers never materialise n x |Q| columns,
-// so the column path is a caller error, not a missing feature.
-func stubQuery(context.Context, []int, int) ([][]float64, error) {
-	return nil, fmt.Errorf("%w: this backend serves top-k and targeted scores only (no column path)", ErrBadRequest)
-}
-
 // SwapRanked atomically installs a new engine generation and returns its
 // number. Requests admitted after it returns are validated against e.N,
 // answered by e, and cached under the new generation's key space;
-// batches already in flight finish on the old engine (RCU-style: readers
-// drain, they are never interrupted). SwapRanked then closes the old
-// generation's batcher — flushing its pending requests, which is the
-// drain barrier reload.Candidate.Release relies on — and clears the
+// engine calls already in flight finish on the old engine (RCU-style:
+// readers drain, they are never interrupted). SwapRanked then closes the
+// old generation's batcher — flushing its queued requests and waiting
+// for its pool, which is the drain barrier reload.Candidate.Release
+// relies on — and clears the
 // result cache so superseded entries release their memory immediately
 // (they are already unreachable: cache keys embed the generation).
 // Returns 0 without swapping when the server is already closed.
 func (s *Server) SwapRanked(e Ranked) uint64 {
-	var queryFn batchQueryFunc = stubQuery
+	eng := engine{topk: e.TopK, scores: e.Scores}
 	if e.Query != nil {
-		queryFn = wrapRankQuery(e.Query)
+		eng.columns = wrapRankQuery(e.Query)
 	}
 	bound := e.Bound
 	if bound == nil {
@@ -382,20 +383,17 @@ func (s *Server) SwapRanked(e Ranked) uint64 {
 	}
 	s.gen++
 	nb := &backend{
-		gen:          s.gen,
-		n:            e.N,
-		rank:         e.Rank,
-		degradedRank: degradedRank,
-		bound:        bound,
-		batcher:      newBatcher(queryFn, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxPending, s.cfg.Workers, s.cfg.StrictLinger, s.metrics, degradedRank, overloadDepth),
-		topkFn:       e.TopK,
-		scoresFn:     e.Scores,
-		drift:        e.Drift,
+		gen:     s.gen,
+		n:       e.N,
+		rank:    e.Rank,
+		bound:   bound,
+		batcher: newBatcher(eng, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxPending, s.cfg.Workers, s.cfg.StrictLinger, s.metrics, degradedRank, overloadDepth),
+		drift:   e.Drift,
 	}
 	old := s.be.Swap(nb)
 	s.metrics.SetGeneration(s.gen)
 	if old != nil {
-		old.batcher.Close() // graceful: pending batches flush on the old engine
+		old.batcher.Close() // graceful: queued requests are answered by the old engine
 	}
 	if s.cfg.Cache != nil && old != nil {
 		s.cfg.Cache.Clear()
@@ -415,8 +413,8 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // MaxK reports the effective server-side k cap.
 func (s *Server) MaxK() int { return s.cfg.MaxK }
 
-// Close drains the server: admission stops (ErrClosed), pending batches
-// flush, in-flight engine calls finish. Idempotent.
+// Close drains the server: admission stops (ErrClosed), queued requests
+// are answered, in-flight engine calls finish. Idempotent.
 func (s *Server) Close() {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -429,13 +427,20 @@ func (s *Server) Close() {
 	}
 }
 
-func validateNodes(nodes []int, n int) error {
+// validate checks a request's node ids against one generation: the
+// query set must be non-empty and every query and target in [0, n).
+func validate(nodes, targets []int, n int) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("%w: empty query set", ErrBadRequest)
 	}
 	for _, q := range nodes {
 		if q < 0 || q >= n {
 			return fmt.Errorf("%w: node %d out of range [0, %d)", ErrBadRequest, q, n)
+		}
+	}
+	for _, t := range targets {
+		if t < 0 || t >= n {
+			return fmt.Errorf("%w: target %d out of range [0, %d)", ErrBadRequest, t, n)
 		}
 	}
 	return nil
@@ -469,78 +474,84 @@ func (s *Server) degradeVote(ctx context.Context) bool {
 	return ok && time.Until(dl) < mb
 }
 
-// columns resolves the current generation and runs one batched engine
-// pass on it. When the resolved generation is superseded between the
-// load and the enqueue — its batcher rejects with ErrClosed but the
-// server as a whole is still open — the request transparently retries on
-// the successor, so a reload in progress never surfaces as a caller
-// error. Each retry re-resolves the generation, and the returned backend
-// is the one that actually answered (its gen names the cache key space,
-// its rank structure interprets the returned effective rank).
-func (s *Server) columns(ctx context.Context, nodes []int, degrade bool) (*backend, map[int][]float64, int, error) {
-	for first := true; ; first = false {
+// admit gives the request its deadline and degradation vote, resolves
+// the current generation and runs the request on it. When the resolved
+// generation is superseded between the load and the enqueue — its
+// batcher rejects with ErrClosed but the server as a whole is still open
+// — the request transparently retries on the successor, so a reload in
+// progress never surfaces as a caller error. Each retry re-resolves the
+// generation, and the returned backend is the one that actually answered
+// (its gen names the cache key space, its rank structure interprets the
+// response's effective rank).
+func (s *Server) admit(ctx context.Context, req request) (*backend, response, error) {
+	ctx, cancel := s.deadline(ctx)
+	defer cancel()
+	req.ctx, req.degrade = ctx, s.degradeVote(ctx)
+	for {
 		be := s.be.Load()
-		if !first {
-			// The successor may serve a different graph; a node id valid
-			// under the superseded generation must fail validation, not
-			// reach the new engine.
-			if err := validateNodes(nodes, be.n); err != nil {
-				return be, nil, 0, s.reject(err)
-			}
+		// This may not be the generation the caller validated against: a
+		// successor can serve a different graph, and a node id valid under
+		// the superseded generation must fail here, not reach its engine.
+		if err := validate(req.nodes, req.targets, be.n); err != nil {
+			return be, response{}, s.reject(err)
 		}
-		cols, rank, err := be.batcher.ColumnsDegrade(ctx, nodes, degrade)
-		if err != nil {
-			if errors.Is(err, ErrClosed) && s.be.Load() != be {
-				continue // lost the race with a swap; the successor is live
-			}
-			return be, nil, 0, err
+		resp, err := be.batcher.do(&req)
+		if errors.Is(err, ErrClosed) && s.be.Load() != be {
+			continue // lost the race with a swap; the successor is live
 		}
-		return be, cols, rank, nil
+		return be, resp, err
 	}
 }
 
-// info tags a response with the rank that answered it and the
-// generation's live ingestion drift, counting degraded answers in the
-// metrics registry. Drift composes additively into ErrorBound — the
-// same rule the truncation and quantization bounds follow — and an
-// exhausted drift budget marks the answer Degraded even at full rank.
-func (s *Server) info(be *backend, rank int) QueryInfo {
+// info tags a response with the rank that answered it, the generation's
+// live ingestion drift and the shards a direct top-k had to do without,
+// counting degraded answers in the metrics registry. Drift and the
+// missing-shard inflation compose additively into ErrorBound — the same
+// rule the truncation and quantization bounds follow — and an exhausted
+// drift budget or a missing shard marks the answer Degraded even at full
+// rank.
+func (s *Server) info(be *backend, resp response) QueryInfo {
 	info := QueryInfo{FullRank: be.rank}
-	if rank > 0 {
-		s.metrics.degraded.Add(1)
+	if resp.rank > 0 {
 		info.Degraded = true
-		info.EffectiveRank = rank
-		info.ErrorBound = be.bound(rank)
+		info.EffectiveRank = resp.rank
+		info.ErrorBound = be.bound(resp.rank)
 	}
 	if be.drift != nil {
 		if d, exceeded := be.drift(); d > 0 || exceeded {
 			info.DriftBound = d
 			info.ErrorBound += d
-			if exceeded && !info.Degraded {
-				s.metrics.degraded.Add(1)
-				info.Degraded = true
-			}
+			info.Degraded = info.Degraded || exceeded
 		}
+	}
+	if resp.prov.MissingShards > 0 {
+		info.Degraded = true
+		info.MissingShards = resp.prov.MissingShards
+		info.ErrorBound += resp.prov.ErrorBound
+	}
+	if info.Degraded {
+		s.metrics.degraded.Add(1)
 	}
 	return info
 }
 
 // TopK returns the k nodes most similar to the query set (aggregate
-// similarity for multi-node sets, each query node excluded), batched with
-// concurrent requests. cached reports a cache hit. k is clamped to n and
-// rejected beyond Config.MaxK. For degradation tagging, use Search.
+// similarity for multi-node sets, each query node excluded). cached
+// reports a cache hit. k is clamped to n and rejected beyond Config.MaxK.
+// For degradation tagging, use Search.
 func (s *Server) TopK(ctx context.Context, queries []int, k int) (matches []Match, cached bool, err error) {
 	res, err := s.Search(ctx, queries, k)
 	return res.Matches, res.Cached, err
 }
 
 // Search is TopK with response provenance: the result reports whether it
-// came from cache and, when the answering batch ran degraded, the
-// effective rank and the engine's advertised error bound.
+// came from cache and, when the answering engine call ran degraded or
+// without some shards, the effective rank, the missing-shard count and
+// the advertised error bound.
 func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult, error) {
 	start := time.Now()
 	be := s.be.Load()
-	if err := validateNodes(queries, be.n); err != nil {
+	if err := validate(queries, nil, be.n); err != nil {
 		return SearchResult{}, s.reject(err)
 	}
 	if k < 1 {
@@ -559,35 +570,35 @@ func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult
 			// A cached entry was exact when computed, but drift is a
 			// property of the factors against the *live* graph: tag it
 			// with the bound as of now, not as of the entry's insert.
-			return SearchResult{Matches: v.([]Match), Cached: true, Info: s.info(be, 0)}, nil
+			return SearchResult{Matches: v.([]Match), Cached: true, Info: s.info(be, response{})}, nil
 		}
 	}
 
-	if be.topkFn != nil {
-		return s.searchDirect(ctx, start, be, queries, k)
-	}
-
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	served, cols, rank, err := s.columns(ctx, queries, s.degradeVote(ctx))
+	served, resp, err := s.admit(ctx, request{nodes: queries, k: k})
 	if err != nil {
 		return SearchResult{}, err
 	}
-	matches := selectTopK(cols, queries, k)
-	if s.cfg.Cache != nil && rank <= 0 {
-		// Key by the generation that served the batch (it may be newer
+	var matches []Match
+	if resp.cols != nil {
+		matches = selectTopK(resp.cols, queries, k)
+	} else {
+		matches = toMatches(resp.items)
+	}
+	if s.cfg.Cache != nil && resp.rank <= 0 && resp.prov.MissingShards == 0 {
+		// Key by the generation that served the request (it may be newer
 		// than the one the cache was probed under): the entry must only
-		// ever answer lookups against the engine that produced it.
-		// Degraded results are never cached — the cache would keep
-		// serving them long after the pressure has passed.
+		// ever answer lookups against the engine that produced it. Only
+		// full-fidelity answers are cached — a degraded rank or a
+		// missing-shard merge must not outlive the pressure or the outage
+		// that justified it.
 		s.cfg.Cache.Put(topKKey(served.gen, queries, k), matches)
 	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return SearchResult{Matches: matches, Info: s.info(served, rank)}, nil
+	return SearchResult{Matches: matches, Info: s.info(served, resp)}, nil
 }
 
-// Similarity returns the score of every (query, target) pair, batched
-// with concurrent requests. For degradation tagging, use Score.
+// Similarity returns the score of every (query, target) pair. For
+// degradation tagging, use Score.
 func (s *Server) Similarity(ctx context.Context, queries, targets []int) ([]Pair, error) {
 	res, err := s.Score(ctx, queries, targets)
 	return res.Pairs, err
@@ -596,120 +607,30 @@ func (s *Server) Similarity(ctx context.Context, queries, targets []int) ([]Pair
 // Score is Similarity with response provenance (see Search).
 func (s *Server) Score(ctx context.Context, queries, targets []int) (PairsResult, error) {
 	start := time.Now()
-	be := s.be.Load()
-	if err := validateNodes(queries, be.n); err != nil {
-		return PairsResult{}, s.reject(err)
-	}
 	if len(targets) == 0 {
 		return PairsResult{}, s.reject(fmt.Errorf("%w: empty target set", ErrBadRequest))
 	}
-	for _, t := range targets {
-		if t < 0 || t >= be.n {
-			return PairsResult{}, s.reject(fmt.Errorf("%w: target %d out of range [0, %d)", ErrBadRequest, t, be.n))
-		}
+	if err := validate(queries, targets, s.be.Load().n); err != nil {
+		return PairsResult{}, s.reject(err)
 	}
-	if be.scoresFn != nil {
-		return s.scoreDirect(ctx, start, be, queries, targets)
-	}
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	served, cols, rank, err := s.columns(ctx, queries, s.degradeVote(ctx))
+	served, resp, err := s.admit(ctx, request{nodes: queries, targets: targets})
 	if err != nil {
-		return PairsResult{}, err
-	}
-	out := make([]Pair, 0, len(queries)*len(targets))
-	for _, q := range queries {
-		col := cols[q]
-		for _, t := range targets {
-			out = append(out, Pair{Query: q, Target: t, Score: col[t]})
-		}
-	}
-	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return PairsResult{Pairs: out, Info: s.info(served, rank)}, nil
-}
-
-// directRank is the admission-time degradation decision for direct-path
-// requests. The batcher's queue-depth trigger has no meaning here (there
-// is no admission queue in front of a direct call), so only the
-// per-request deadline-budget vote applies.
-func (s *Server) directRank(ctx context.Context, be *backend) int {
-	if be.degradedRank > 0 && s.degradeVote(ctx) {
-		return be.degradedRank
-	}
-	return 0
-}
-
-// admitDirect mirrors the batcher's per-engine-call accounting for a
-// direct call, so /metrics reads the same whichever path answered: one
-// admission, one engine call, |Q| nodes at occupancy |Q|.
-func (s *Server) admitDirect(queries []int, rank int) {
-	s.metrics.admitted.Add(1)
-	s.metrics.batches.Add(1)
-	s.metrics.nodes.Add(int64(len(queries)))
-	s.metrics.BatchOccupancy.Observe(float64(len(queries)))
-	if rank > 0 {
-		s.metrics.degradedBatches.Add(1)
-	}
-}
-
-// searchDirect answers Search through the backend's direct top-k func.
-// Caller has validated queries and k and probed the cache.
-func (s *Server) searchDirect(ctx context.Context, start time.Time, be *backend, queries []int, k int) (SearchResult, error) {
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	rank := s.directRank(ctx, be)
-	s.admitDirect(queries, rank)
-	items, prov, err := be.topkFn(ctx, queries, k, rank)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.metrics.expired.Add(1)
-		}
-		return SearchResult{}, err
-	}
-	matches := make([]Match, len(items))
-	for i, it := range items {
-		matches[i] = Match{Node: it.Node, Score: it.Score}
-	}
-	info := s.info(be, rank)
-	if prov.MissingShards > 0 {
-		if !info.Degraded {
-			s.metrics.degraded.Add(1)
-			info.Degraded = true
-		}
-		info.MissingShards = prov.MissingShards
-		info.ErrorBound += prov.ErrorBound
-	}
-	// Only full-fidelity answers are cached: a missing-shard merge is as
-	// transient as a degraded rank and must not outlive the outage.
-	if s.cfg.Cache != nil && rank <= 0 && prov.MissingShards == 0 {
-		s.cfg.Cache.Put(topKKey(be.gen, queries, k), matches)
-	}
-	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return SearchResult{Matches: matches, Info: info}, nil
-}
-
-// scoreDirect answers Score through the backend's direct scores func.
-// Caller has validated queries and targets.
-func (s *Server) scoreDirect(ctx context.Context, start time.Time, be *backend, queries, targets []int) (PairsResult, error) {
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	rank := s.directRank(ctx, be)
-	s.admitDirect(queries, rank)
-	m, err := be.scoresFn(ctx, queries, targets, rank)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.metrics.expired.Add(1)
-		}
 		return PairsResult{}, err
 	}
 	out := make([]Pair, 0, len(queries)*len(targets))
 	for qi, q := range queries {
 		for ti, t := range targets {
-			out = append(out, Pair{Query: q, Target: t, Score: m.At(qi, ti)})
+			score := 0.0
+			if resp.cols != nil {
+				score = resp.cols[q][t]
+			} else {
+				score = resp.scores.At(qi, ti)
+			}
+			out = append(out, Pair{Query: q, Target: t, Score: score})
 		}
 	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return PairsResult{Pairs: out, Info: s.info(be, rank)}, nil
+	return PairsResult{Pairs: out, Info: s.info(served, resp)}, nil
 }
 
 // selectTopK mirrors csrplus.Engine.TopK / TopKMulti exactly: single
@@ -719,12 +640,7 @@ func (s *Server) scoreDirect(ctx context.Context, start time.Time, be *backend, 
 func selectTopK(cols map[int][]float64, queries []int, k int) []Match {
 	if len(queries) == 1 {
 		q := queries[0]
-		items := topk.Select(cols[q], k, q)
-		out := make([]Match, len(items))
-		for i, it := range items {
-			out[i] = Match{Node: it.Node, Score: it.Score}
-		}
-		return out
+		return toMatches(topk.Select(cols[q], k, q))
 	}
 	agg := make([]float64, len(cols[queries[0]]))
 	for _, q := range queries {
@@ -736,10 +652,13 @@ func selectTopK(cols map[int][]float64, queries []int, k int) []Match {
 	for _, q := range queries {
 		exclude[q] = true
 	}
-	items := topk.SelectSet(agg, k, exclude)
-	out := make([]Match, 0, len(items))
-	for _, it := range items {
-		out = append(out, Match{Node: it.Node, Score: it.Score})
+	return toMatches(topk.SelectSet(agg, k, exclude))
+}
+
+func toMatches(items []topk.Item) []Match {
+	out := make([]Match, len(items))
+	for i, it := range items {
+		out[i] = Match{Node: it.Node, Score: it.Score}
 	}
 	return out
 }

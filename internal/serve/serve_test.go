@@ -10,6 +10,7 @@ import (
 
 	"csrplus/internal/cache"
 	"csrplus/internal/dense"
+	"csrplus/internal/topk"
 )
 
 // plain wraps a column func with no rank structure as a generation: the
@@ -32,6 +33,62 @@ func plain(n int, queryFn QueryFunc) Ranked {
 		}
 		return m, nil
 	}}
+}
+
+// direct turns a column generation into a direct one answering from the
+// same columns: TopK selects out of them, Scores reads them, and no
+// column path is left. Top-k answers carry prov.
+func direct(e Ranked, prov TopKProvenance) Ranked {
+	columns := func(ctx context.Context, queries []int, rank int) (map[int][]float64, error) {
+		m, err := e.Query(ctx, queries, rank, nil)
+		if err != nil {
+			return nil, err
+		}
+		cols := make(map[int][]float64, len(queries))
+		for j, q := range queries {
+			cols[q] = m.Col(j, nil)
+		}
+		return cols, nil
+	}
+	d := e
+	d.Query = nil
+	d.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, TopKProvenance, error) {
+		cols, err := columns(ctx, queries, rank)
+		if err != nil {
+			return nil, TopKProvenance{}, err
+		}
+		matches := selectTopK(cols, queries, k)
+		items := make([]topk.Item, len(matches))
+		for i, m := range matches {
+			items[i] = topk.Item{Node: m.Node, Score: m.Score}
+		}
+		return items, prov, nil
+	}
+	d.Scores = func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
+		cols, err := columns(ctx, queries, rank)
+		if err != nil {
+			return nil, err
+		}
+		m := dense.NewMat(len(queries), len(targets))
+		for qi, q := range queries {
+			for ti, t := range targets {
+				m.Set(qi, ti, cols[q][t])
+			}
+		}
+		return m, nil
+	}
+	return d
+}
+
+// eachEngine runs a suite over both engine kinds: kind leaves a column
+// generation as it is, or rebuilds it as the direct generation answering
+// from the same columns. Everything around the engine call is shared, so
+// every assertion must hold for both.
+func eachEngine(t *testing.T, suite func(t *testing.T, kind func(Ranked) Ranked)) {
+	t.Run("column", func(t *testing.T) { suite(t, func(e Ranked) Ranked { return e }) })
+	t.Run("direct", func(t *testing.T) {
+		suite(t, func(e Ranked) Ranked { return direct(e, TopKProvenance{}) })
+	})
 }
 
 // rankEngine serves columns with a distinct, known ranking: the column of
@@ -217,23 +274,86 @@ func TestServerCacheInstrumented(t *testing.T) {
 }
 
 func TestServerTimeout(t *testing.T) {
-	eng := &rankEngine{n: 6, delay: 50 * time.Millisecond}
-	s := newTestServer(t, eng, Config{Linger: -1, Timeout: 5 * time.Millisecond})
-	_, _, err := s.TopK(context.Background(), []int{1}, 3)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		eng := &rankEngine{n: 6, delay: 50 * time.Millisecond}
+		s := NewRanked(kind(plain(eng.n, eng.query)), Config{Linger: -1, Timeout: 5 * time.Millisecond})
+		defer s.Close()
+		_, _, err := s.TopK(context.Background(), []int{1}, 3)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want DeadlineExceeded", err)
+		}
+	})
 }
 
 func TestServerClose(t *testing.T) {
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		eng := &rankEngine{n: 6}
+		s := NewRanked(kind(plain(eng.n, eng.query)), Config{Linger: -1})
+		if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if _, _, err := s.TopK(context.Background(), []int{1}, 3); !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+		s.Close() // idempotent
+	})
+}
+
+// Admission is the generation's, not the engine's: with the one worker
+// held and the queue bounded at one, a request past what the worker, the
+// dispatch loop and the queue can hold is shed — whichever engine call
+// the worker is stuck in.
+func TestServerOverload(t *testing.T) {
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		gate := make(chan struct{})
+		eng := &fakeEngine{n: 8, gate: gate}
+		s := NewRanked(kind(plain(eng.n, eng.query)), Config{Linger: -1, MaxBatch: 1, MaxPending: 1, Workers: 1})
+		defer s.Close()
+		m := s.Metrics()
+
+		results := make(chan error, 4)
+		for i := 0; i < 4 && m.Shed() == 0; i++ {
+			admitted, shed := m.Admitted(), m.Shed()
+			go func(node int) {
+				_, _, err := s.TopK(context.Background(), []int{node}, 2)
+				results <- err
+			}(i)
+			waitFor(t, func() bool { return m.Admitted() > admitted || m.Shed() > shed })
+		}
+		if m.Shed() == 0 {
+			t.Fatal("requests beyond capacity were never shed")
+		}
+		if got := m.Snapshot()["requests_shed"].(int64); got != m.Shed() {
+			t.Fatalf("requests_shed = %d, want %d", got, m.Shed())
+		}
+		for i := int64(0); i < m.Shed(); i++ {
+			if err := <-results; !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("shed request err = %v, want ErrOverloaded", err)
+			}
+		}
+		close(gate)
+		for i := int64(0); i < m.Admitted(); i++ {
+			if err := <-results; err != nil {
+				t.Fatalf("admitted request: %v", err)
+			}
+		}
+	})
+}
+
+// A generation is refused a request only when none of its engine calls
+// can answer it: a top-k-only generation has nothing to read targeted
+// scores out of.
+func TestServerNoEngineForRequest(t *testing.T) {
 	eng := &rankEngine{n: 6}
-	s := NewRanked(plain(eng.n, eng.query), Config{Linger: -1})
+	e := direct(plain(eng.n, eng.query), TopKProvenance{})
+	e.Scores = nil
+	s := NewRanked(e, Config{Linger: -1})
+	defer s.Close()
 	if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, _, err := s.TopK(context.Background(), []int{1}, 3); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if _, err := s.Similarity(context.Background(), []int{1}, []int{2}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
-	s.Close() // idempotent
 }

@@ -127,137 +127,141 @@ func TestServerSwapAfterCloseRefused(t *testing.T) {
 // before the request started. Run under -race this also shakes out every
 // swap/serve data race.
 func TestReloadUnderFire(t *testing.T) {
-	const (
-		n       = 64
-		swaps   = 10
-		workers = 8
-	)
-	var current atomic.Uint64 // highest generation Swap has returned
-	s := NewRanked(plain(n, genQuery(n, 1)), Config{
-		MaxBatch:   8,
-		Linger:     100 * time.Microsecond,
-		Workers:    4,
-		MaxPending: 1 << 16, // admission shedding would show up as failures; give headroom
-		Cache:      cache.New(256),
-	})
-	defer s.Close()
-	current.Store(1)
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		const (
+			n       = 64
+			swaps   = 10
+			workers = 8
+		)
+		var current atomic.Uint64 // highest generation Swap has returned
+		s := NewRanked(kind(plain(n, genQuery(n, 1))), Config{
+			MaxBatch:   8,
+			Linger:     100 * time.Microsecond,
+			Workers:    4,
+			MaxPending: 1 << 16, // admission shedding would show up as failures; give headroom
+			Cache:      cache.New(256),
+		})
+		defer s.Close()
+		current.Store(1)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var served, cachedHits atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var served, cachedHits atomic.Int64
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// A small node universe keeps the within-generation cache
+					// hit rate high, which is exactly where a missing
+					// generation namespace would leak stale entries.
+					floor := current.Load()
+					matches, cached, err := s.TopK(context.Background(), []int{rng.Intn(8)}, 3)
+					if err != nil {
+						t.Errorf("request failed during reload: %v", err)
+						return
+					}
+					got := scoreGen(t, matches)
+					if got < floor {
+						t.Errorf("request started at generation >= %d answered by generation %d (cached=%v)", floor, got, cached)
+						return
+					}
+					served.Add(1)
+					if cached {
+						cachedHits.Add(1)
+					}
 				}
-				// A small node universe keeps the within-generation cache
-				// hit rate high, which is exactly where a missing
-				// generation namespace would leak stale entries.
-				floor := current.Load()
-				matches, cached, err := s.TopK(context.Background(), []int{rng.Intn(8)}, 3)
-				if err != nil {
-					t.Errorf("request failed during reload: %v", err)
-					return
-				}
-				got := scoreGen(t, matches)
-				if got < floor {
-					t.Errorf("request started at generation >= %d answered by generation %d (cached=%v)", floor, got, cached)
-					return
-				}
-				served.Add(1)
-				if cached {
-					cachedHits.Add(1)
-				}
-			}
-		}(int64(w))
-	}
-
-	for g := uint64(2); g <= swaps+1; g++ {
-		time.Sleep(3 * time.Millisecond)
-		if gen := s.SwapRanked(plain(n, genQuery(n, g))); gen != g {
-			t.Fatalf("swap %d returned generation %d", g, gen)
+			}(int64(w))
 		}
-		// Only after Swap returns may workers treat g as the floor: a
-		// request started before the swap may legitimately be answered by
-		// the outgoing generation.
-		current.Store(g)
-	}
-	time.Sleep(3 * time.Millisecond)
-	close(stop)
-	wg.Wait()
 
-	if t.Failed() {
-		return
-	}
-	if served.Load() == 0 {
-		t.Fatal("no requests served")
-	}
-	if cachedHits.Load() == 0 {
-		t.Error("no cache hits at all — the cache path was not exercised under fire")
-	}
-	if got := s.Generation(); got != swaps+1 {
-		t.Fatalf("final generation %d, want %d", got, swaps+1)
-	}
-	snap := s.Metrics().Snapshot()
-	if snap["generation"].(uint64) != swaps+1 {
-		t.Fatalf("metrics generation = %v", snap["generation"])
-	}
-	t.Logf("served %d requests (%d cached) across %d swaps with zero failures",
-		served.Load(), cachedHits.Load(), swaps)
+		for g := uint64(2); g <= swaps+1; g++ {
+			time.Sleep(3 * time.Millisecond)
+			if gen := s.SwapRanked(kind(plain(n, genQuery(n, g)))); gen != g {
+				t.Fatalf("swap %d returned generation %d", g, gen)
+			}
+			// Only after Swap returns may workers treat g as the floor: a
+			// request started before the swap may legitimately be answered by
+			// the outgoing generation.
+			current.Store(g)
+		}
+		time.Sleep(3 * time.Millisecond)
+		close(stop)
+		wg.Wait()
+
+		if t.Failed() {
+			return
+		}
+		if served.Load() == 0 {
+			t.Fatal("no requests served")
+		}
+		if cachedHits.Load() == 0 {
+			t.Error("no cache hits at all — the cache path was not exercised under fire")
+		}
+		if got := s.Generation(); got != swaps+1 {
+			t.Fatalf("final generation %d, want %d", got, swaps+1)
+		}
+		snap := s.Metrics().Snapshot()
+		if snap["generation"].(uint64) != swaps+1 {
+			t.Fatalf("metrics generation = %v", snap["generation"])
+		}
+		t.Logf("served %d requests (%d cached) across %d swaps with zero failures",
+			served.Load(), cachedHits.Load(), swaps)
+	})
 }
 
 // TestServerSwapDrainsOldGeneration pins the RCU contract directly: a
 // batch in flight on the old engine when Swap begins completes on that
 // engine, and Swap waits for it.
 func TestServerSwapDrainsOldGeneration(t *testing.T) {
-	const n = 8
-	enter := make(chan struct{}, 1)
-	release := make(chan struct{})
-	slow := func(queries []int) ([][]float64, error) {
-		enter <- struct{}{}
-		<-release
-		return genQuery(n, 1)(queries)
-	}
-	s := NewRanked(plain(n, slow), Config{Linger: -1, Workers: 1})
-	defer s.Close()
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		const n = 8
+		enter := make(chan struct{}, 1)
+		release := make(chan struct{})
+		slow := func(queries []int) ([][]float64, error) {
+			enter <- struct{}{}
+			<-release
+			return genQuery(n, 1)(queries)
+		}
+		s := NewRanked(kind(plain(n, slow)), Config{Linger: -1, Workers: 1})
+		defer s.Close()
 
-	done := make(chan []Match, 1)
-	go func() {
+		done := make(chan []Match, 1)
+		go func() {
+			m, _, err := s.TopK(context.Background(), []int{2}, 2)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- m
+		}()
+		<-enter // the old engine now owns an in-flight batch
+
+		swapped := make(chan struct{})
+		go func() {
+			s.SwapRanked(kind(plain(n, genQuery(n, 2))))
+			close(swapped)
+		}()
+		select {
+		case <-swapped:
+			t.Fatal("Swap returned while a batch was in flight on the old generation")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		<-swapped
+		if g := scoreGen(t, <-done); g != 1 {
+			t.Fatalf("in-flight batch answered by generation %d, want 1", g)
+		}
 		m, _, err := s.TopK(context.Background(), []int{2}, 2)
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		done <- m
-	}()
-	<-enter // the old engine now owns an in-flight batch
-
-	swapped := make(chan struct{})
-	go func() {
-		s.SwapRanked(plain(n, genQuery(n, 2)))
-		close(swapped)
-	}()
-	select {
-	case <-swapped:
-		t.Fatal("Swap returned while a batch was in flight on the old generation")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	<-swapped
-	if g := scoreGen(t, <-done); g != 1 {
-		t.Fatalf("in-flight batch answered by generation %d, want 1", g)
-	}
-	m, _, err := s.TopK(context.Background(), []int{2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := scoreGen(t, m); g != 2 {
-		t.Fatalf("post-swap request answered by generation %d, want 2", g)
-	}
+		if g := scoreGen(t, m); g != 2 {
+			t.Fatalf("post-swap request answered by generation %d, want 2", g)
+		}
+	})
 }

@@ -45,20 +45,6 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 0.5\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n-1 0 0\n")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, input string) {
-		m, err := ReadMatrixMarket(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		checkValid(t, m)
-	})
-}
-
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid serialisation plus mutations of its prefix.
 	coo := NewCOO(3, 3)

@@ -4,68 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 )
-
-func TestMatrixMarketRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	m, _ := randCSR(rng, 15, 12, 0.25)
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.ToDense().Equal(m.ToDense(), 1e-15) {
-		t.Fatal("MatrixMarket round trip changed values")
-	}
-}
-
-func TestMatrixMarketPattern(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate pattern general
-% a comment
-3 3 2
-1 2
-3 1
-`
-	m, err := ReadMatrixMarket(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 1 || m.At(2, 0) != 1 {
-		t.Fatal("pattern entries wrong")
-	}
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ = %d", m.NNZ())
-	}
-}
-
-func TestMatrixMarketErrors(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"bad banner", "%%MatrixMarket matrix array real general\n1 1 0\n"},
-		{"bad size", "%%MatrixMarket matrix coordinate real general\nxxx\n"},
-		{"negative dims", "%%MatrixMarket matrix coordinate real general\n-1 3 0\n"},
-		{"short entry", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n"},
-		{"bad row", "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 2 1.0\n"},
-		{"bad col", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n"},
-		{"bad value", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 zz\n"},
-		{"count mismatch", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n"},
-		{"out of range", "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadMatrixMarket(strings.NewReader(tc.in)); err == nil {
-				t.Fatalf("input %q accepted", tc.in)
-			}
-		})
-	}
-}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -333,29 +333,6 @@ func TestReadEdgeListGarbageNeverPanics(t *testing.T) {
 	}
 }
 
-// TestReadMatrixMarketGarbageNeverPanics does the same for the
-// MatrixMarket reader (with a valid banner so parsing goes deeper).
-func TestReadMatrixMarketGarbageNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(100))
-	alphabet := []byte("0123456789 .-e\n%")
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(300)
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		in := "%%MatrixMarket matrix coordinate real general\n" + string(buf)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on input %q: %v", in, r)
-				}
-			}()
-			_, _ = ReadMatrixMarket(strings.NewReader(in))
-		}()
-	}
-}
-
 func TestWeightedEdgeListRoundTrip(t *testing.T) {
 	in := "# weighted\n0 1 2.5\n1 2 0.75\n0 1 0.5\n"
 	coo, err := ReadWeightedEdgeList(strings.NewReader(in), 3)
