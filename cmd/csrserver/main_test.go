@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,9 +90,9 @@ func bootArgs(t testing.TB, args ...string) *server {
 // serve layer and a reload.Manager the way boot does, over a k-slot
 // router; its loader rebuilds a candidate over the same router, so
 // reload tests can advance the generation without paying for a second
-// precompute. wrap, when non-nil, decorates the engine pass (gates,
-// delays).
-func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, adminToken string, wrap func(serve.RankQueryFunc) serve.RankQueryFunc) *server {
+// precompute. before, when non-nil, runs on the pool worker ahead of every
+// /topk engine call (gates, delays).
+func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, adminToken string, before func()) *server {
 	tb.Helper()
 	ix, ok := eng.CoreIndex()
 	if !ok {
@@ -110,8 +111,12 @@ func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, admi
 		m := meta
 		m.Source = source
 		cand := newCandidate(rt, m, nil, nil)
-		if wrap != nil {
-			cand.Query = wrap(cand.Query)
+		if before != nil {
+			topK := cand.TopK
+			cand.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
+				before()
+				return topK(ctx, queries, k, rank)
+			}
 		}
 		return cand
 	}
@@ -300,18 +305,12 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // Every mode sheds the same way: with one worker, a queue of one and the
-// one engine call held — a gated column pass, or a router's scatter-gather
+// one engine call held — a gated top-k over local slots, or a scatter-gather
 // stuck on a shard worker that does not answer — a request past what the
 // pool, the dispatch loop and the queue hold gets 429 and a Retry-After.
 func TestOverloadReturns429(t *testing.T) {
-	column := func(t *testing.T, gate chan struct{}) *server {
-		blocking := func(query serve.RankQueryFunc) serve.RankQueryFunc {
-			return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-				<-gate
-				return query(ctx, queries, rank, scratch)
-			}
-		}
-		return testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", blocking)
+	local := func(t *testing.T, gate chan struct{}) *server {
+		return testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", func() { <-gate })
 	}
 	router := func(t *testing.T, gate chan struct{}) *server {
 		snaps := t.TempDir()
@@ -336,7 +335,7 @@ func TestOverloadReturns429(t *testing.T) {
 		booted.Store(true)
 		return s
 	}
-	for name, stack := range map[string]func(*testing.T, chan struct{}) *server{"column": column, "router": router} {
+	for name, stack := range map[string]func(*testing.T, chan struct{}) *server{"local": local, "router": router} {
 		t.Run(name, func(t *testing.T) {
 			gate := make(chan struct{})
 			var gateOnce sync.Once
@@ -396,12 +395,7 @@ func TestOverloadReturns429(t *testing.T) {
 }
 
 func TestDeadlineReturns504(t *testing.T) {
-	slow := func(query serve.RankQueryFunc) serve.RankQueryFunc {
-		return func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-			time.Sleep(100 * time.Millisecond)
-			return query(ctx, queries, rank, scratch)
-		}
-	}
+	slow := func() { time.Sleep(100 * time.Millisecond) }
 	srv := serveStack(t, testStack(t, testEngine(t), 1, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond}, "", slow))
 	code, body := get(t, srv, "/topk?node=1&k=2")
 	if code != http.StatusGatewayTimeout {
@@ -699,6 +693,69 @@ func TestTopKDegradedTagging(t *testing.T) {
 	}
 	if deg["error_bound"].(float64) <= 0 {
 		t.Fatalf("degraded response missing error bound: %v", deg)
+	}
+}
+
+// The advertised error_bound must hold for what /topk actually returns. A
+// multi-source score is a sum over |Q| columns of S, so a rank-truncated
+// answer may sit |Q| entrywise bounds away from the full-rank aggregate:
+// on a random graph, at every truncated rank and |Q| in {1, 3, 16}, every
+// served score is within error_bound of the full-rank column sum.
+func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
+	const n, fullRank = 240, 6
+	rng := rand.New(rand.NewSource(67))
+	edges := make([][2]int, 0, 5*n)
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n})
+		for e := 0; e < 4; e++ {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+	}
+	g, err := csrplus.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: fullRank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 1; rank < fullRank; rank++ {
+		s := testStack(t, eng, 2, serve.Config{
+			Linger:  -1,
+			Timeout: 5 * time.Second, // under MinBudget: every request degrades
+			Degrade: serve.DegradeConfig{Rank: rank, MinBudget: time.Hour},
+		}, "", nil)
+		for _, q := range []int{1, 3, 16} {
+			queries := make([]int, q)
+			for i := range queries {
+				queries[i] = rng.Intn(n)
+			}
+			cols, err := eng.Query(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.sv.Search(context.Background(), queries, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Info.Degraded || res.Info.EffectiveRank != rank {
+				t.Fatalf("rank=%d |Q|=%d: answer not served truncated: %+v", rank, q, res.Info)
+			}
+			if want := float64(q) * eng.TruncationBound(rank); res.Info.ErrorBound != want {
+				t.Fatalf("rank=%d |Q|=%d: error_bound %v, want |Q| x TruncationBound = %v", rank, q, res.Info.ErrorBound, want)
+			}
+			for _, m := range res.Matches {
+				full := 0.0
+				for _, col := range cols {
+					full += col[m.Node]
+				}
+				if d := math.Abs(m.Score - full); d > res.Info.ErrorBound {
+					t.Fatalf("rank=%d |Q|=%d node %d: served %v, full-rank aggregate %v: off by %v, advertised bound %v",
+						rank, q, m.Node, m.Score, full, d, res.Info.ErrorBound)
+				}
+			}
+		}
+		s.sv.Close()
 	}
 }
 

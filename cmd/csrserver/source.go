@@ -47,22 +47,25 @@ type source struct {
 	engines []*wire.RemoteEngine
 }
 
-// newCandidate describes one serving generation over rt. The engine call
-// is all that depends on the slots: local slots answer a multi-source
-// column pass that concurrent requests coalesce into; remote slots answer
-// each request with the router's top-k or targeted-score scatter-gather,
-// because no n x |Q| matrix ever crosses the wire. Admission, shedding,
-// degradation and drain are serve's and the same for both. The closures
-// are rebuilt per generation even when rt persists, so each swap installs
-// a fresh serve generation — which is what invalidates every result
-// cached before a roll.
+// newCandidate describes one serving generation over rt. Every mode
+// answers /topk through the same call, the router's scatter-gather top-k:
+// each slot streams its band scores into a selector, so no n x |Q| block
+// exists anywhere and there is nothing for concurrent requests to share.
+// /similarity is all that depends on the slots: local slots answer it out
+// of a multi-source column pass that concurrent requests coalesce into
+// (reload.Validate smoke-tests that pass too); remote slots answer it with
+// the router's targeted-score scatter-gather, because no column ever
+// crosses the wire. Admission, shedding, degradation and drain are
+// serve's and the same for both. The closures are rebuilt per generation
+// even when rt persists, so each swap installs a fresh serve generation —
+// which is what invalidates every result cached before a roll.
 func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
 	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Drift: drift}
+	ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
+		res, err := rt.TopKTagged(ctx, queries, k, rank)
+		return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
+	}
 	if rt.Remote() {
-		ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
-			res, err := rt.TopKTagged(ctx, queries, k, rank)
-			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
-		}
 		ranked.Scores = rt.Scores
 	} else {
 		ranked.Query = rt.QueryRankInto

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -56,7 +57,15 @@ func runShardWorker(cfg *config) {
 // serveAndWait runs srv until SIGINT/SIGTERM, then drains it gracefully.
 // sv, when non-nil, is closed after HTTP shutdown so pending batches
 // flush before the process exits. name labels the log lines.
+//
+// Every mode, frontend or shard worker, comes here once, straight from its
+// boot load, which left several times the index in garbage (phase I's
+// scratch, a snapshot's decode buffers). A /topk allocates a few KB, so
+// serving no longer brings the next collection forward: without this one
+// the process would sit at its load-time peak until the runtime's
+// two-minute forced GC, which is also what returns a reload's garbage.
 func serveAndWait(srv *http.Server, sv *serve.Server, name string) {
+	debug.FreeOSMemory()
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalln("csrserver:", err)

@@ -20,8 +20,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"csrplus/internal/dense"
+	"csrplus/internal/par"
+	"csrplus/internal/topk"
 )
 
 // IndexShard is the contiguous node range [Lo, Hi) of the factors: the
@@ -186,6 +189,138 @@ func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.
 		}
 	}
 	return nil
+}
+
+// topkTileFloats bounds PartialTopK's working set: a worker scores
+// topkTileFloats/|Q| rows (at most topkMaxBand, at least topkMinBand)
+// against every query between selector pushes, so the 256 KiB tile of
+// scores is summed and selected out of L2 while it is hot and the band of
+// Z behind it is the only thing streamed from memory.
+const (
+	topkTileFloats = 1 << 15
+	topkMaxBand    = 4096
+	topkMinBand    = 64
+)
+
+// topkBand returns how many rows PartialTopK scores per selector push for
+// a cols-source query. The tile is band x cols floats, so an oversized
+// query set grows it linearly (64 rows per source) but never to n x |Q|.
+func topkBand(cols int) int {
+	return max(topkMinBand, min(topkMaxBand, topkTileFloats/cols))
+}
+
+// topkScratch is what one PartialTopK worker scores through: the tile of
+// band x |Q| scores, their per-row sums, and the quantized tiers'
+// dequantisation buffer. Pooled, so a request allocates none of it.
+type topkScratch struct {
+	tile *dense.Mat
+	sums []float64
+	deq  []float64
+}
+
+var topkScratchPool = sync.Pool{New: func() any { return new(topkScratch) }}
+
+// PartialTopK returns the shard's k best owned nodes for a query set by
+// summed similarity Σ_j S'[i, queries[j]], every query node excluded,
+// without materialising anything of the shard's length: each band of rows
+// is scored against all |Q| gathered query rows into a cache-sized tile
+// (PartialInto's micro-kernel, then ×c), the tile's rows are summed left
+// to right and the band of sums goes straight into a bounded selector.
+// The +1 of S = I + c·Z·Uᵀ sits on query nodes only, and those are never
+// ranked, so it drops out.
+//
+// Per node that is PartialInto's dot, ×c for each column, then 0 + col₀ +
+// col₁ + … in query order — the sum csrplus.Engine.TopKMulti takes over
+// the materialised columns — so the answer is that reference's bit for
+// bit, at any shard cut, band size and worker count; a single source is
+// not summed at all (no 0 + x: a -0.0 score keeps its sign) and is bit for
+// bit Select over PartialInto's column. The row range is split across par
+// workers above its flop threshold, each with its own selector and
+// scratch; topk.Merge of the per-worker lists is order-independent. uq is
+// the gathered |Q| x r query broadcast (see PartialInto); items carry
+// global node ids. Honours ctx between bands.
+func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
+	cols := len(queries)
+	if cols == 0 {
+		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
+	}
+	if !uq.IsShape(cols, sh.rank) {
+		return nil, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, cols, sh.rank, ErrParams)
+	}
+	if rank <= 0 || rank > sh.rank {
+		rank = sh.rank
+	}
+	exclude := make(map[int]bool, cols)
+	for _, q := range queries {
+		exclude[q] = true
+	}
+	var (
+		mu    sync.Mutex
+		lists [][]topk.Item
+		first error
+	)
+	band := topkBand(cols)
+	flops := int64(sh.Rows()) * int64(rank) * int64(cols)
+	par.DoAligned(sh.Rows(), band, flops, func(lo, hi int) {
+		items, err := sh.scanTopK(ctx, lo, hi, band, uq, k, rank, exclude)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil && first == nil {
+			first = err
+		}
+		lists = append(lists, items)
+	})
+	if first != nil {
+		return nil, first
+	}
+	if len(lists) == 1 {
+		return lists[0], nil
+	}
+	return topk.Merge(k, lists...), nil
+}
+
+// scanTopK is one worker's share of PartialTopK: the k best of the
+// shard's rows [lo, hi), scored band rows at a time.
+func (sh *IndexShard) scanTopK(ctx context.Context, lo, hi, band int, uq *dense.Mat, k, rank int, exclude map[int]bool) ([]topk.Item, error) {
+	sc := topkScratchPool.Get().(*topkScratch)
+	defer func() {
+		// A query set past 512 sources outgrows the tile budget (64 rows
+		// each); that tile is the request's, not the pool's to keep.
+		if sc.tile == nil || cap(sc.tile.Data) <= topkTileFloats {
+			topkScratchPool.Put(sc)
+		}
+	}()
+	cols := uq.Rows
+	if cols > 1 && cap(sc.sums) < band {
+		sc.sums = make([]float64, band)
+	}
+	sel := topk.NewSelector(k, exclude)
+	for b := lo; b < hi; b += band {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e := min(b+band, hi)
+		if sh.zt != nil {
+			sc.tile, sc.deq = dense.MulTRankTypedRowsInto(sc.tile, sh.zt, uq, rank, b, e, sc.deq)
+		} else {
+			sc.tile = dense.MulTRankRowsInto(sc.tile, sh.z, uq, rank, b, e)
+		}
+		scores := sc.tile.Data
+		if cols == 1 {
+			sc.tile.Scale(sh.c)
+		} else {
+			scores = sc.sums[:e-b]
+			for i := range scores {
+				sum := 0.0
+				for _, v := range sc.tile.Data[i*cols : (i+1)*cols] {
+					sum += float64(v * sh.c) // rounded before the add, as Scale then += would
+				}
+				scores[i] = sum
+			}
+		}
+		sel.Push(sh.lo+b, scores)
+	}
+	return sel.Items(), nil
 }
 
 // ScoreRows computes the scores of chosen owned rows against every query

@@ -88,6 +88,34 @@ func MulTRankInto(out, a, b *Mat, rank int) *Mat {
 	return out
 }
 
+// MulTRankRowsInto computes rows [lo, hi) of a[:, :rank] * (b[:, :rank])ᵀ
+// into out, reshaped to (hi-lo) x b.Rows, on the calling goroutine — the
+// kernel for a caller that partitions a's rows itself (core's streaming
+// top-k scores one row band per selector push inside its own par.Do). It
+// allocates nothing once out has the capacity, and every element is
+// MulTRankInto's bit for bit: the same dot product in index order.
+func MulTRankRowsInto(out, a, b *Mat, rank, lo, hi int) *Mat {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("dense: MulTRankRows %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
+	}
+	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
+		panic(fmt.Sprintf("dense: MulTRankRows rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
+	}
+	if rank > a.Cols {
+		rank = a.Cols
+	}
+	out = out.Reuse(hi-lo, b.Rows)
+	if rank == 0 {
+		for i := range out.Data {
+			out.Data[i] = 0
+		}
+		return out
+	}
+	band := Mat{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
+	mulTDot(out, &band, b, rank, 0, hi-lo)
+	return out
+}
+
 // tmulMaxChunks bounds TMul's reduction grid: at most this many partial
 // output buffers exist at once (the deterministic reduction sums them in
 // chunk order). tmulMaxPartial bounds their combined footprint in floats,

@@ -297,27 +297,62 @@ func MulTRankTypedInto(out *Mat, a *Typed, b *Mat, rank int) *Mat {
 		}
 		return out
 	}
-	m := b.Rows
-	flops := int64(a.Rows) * int64(m) * int64(rank)
+	flops := int64(a.Rows) * int64(b.Rows) * int64(rank)
 	par.DoAligned(a.Rows, mr, flops, func(lo, hi int) {
-		band := dequantBandRows
-		if hi-lo < band {
-			band = hi - lo
-		}
-		buf := make([]float64, band*a.Cols)
-		for bl := lo; bl < hi; bl += band {
-			bh := bl + band
-			if bh > hi {
-				bh = hi
-			}
-			rows := bh - bl
-			aBand := &Mat{Rows: rows, Cols: a.Cols, Data: buf[:rows*a.Cols]}
-			for i := bl; i < bh; i++ {
-				a.RowInto(i, aBand.Row(i-bl))
-			}
-			outBand := &Mat{Rows: rows, Cols: m, Data: out.Data[bl*m : bh*m]}
-			mulTDot(outBand, aBand, b, rank, 0, rows)
-		}
+		buf := make([]float64, min(dequantBandRows, hi-lo)*a.Cols)
+		mulTDequantRows(out, 0, a, b, rank, lo, hi, buf)
 	})
 	return out
+}
+
+// mulTDequantRows writes rows [lo, hi) of a quantised a[:, :rank] *
+// (b[:, :rank])ᵀ to rows [lo-outLo, hi-outLo) of out, dequantising a
+// through buf dequantBandRows rows at a time. buf holds at least
+// min(dequantBandRows, hi-lo) * a.Cols floats.
+func mulTDequantRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, buf []float64) {
+	m := b.Rows
+	var aBand, outBand Mat
+	for bl := lo; bl < hi; bl += dequantBandRows {
+		bh := min(bl+dequantBandRows, hi)
+		rows := bh - bl
+		aBand = Mat{Rows: rows, Cols: a.Cols, Data: buf[:rows*a.Cols]}
+		for i := bl; i < bh; i++ {
+			a.RowInto(i, aBand.Row(i-bl))
+		}
+		outBand = Mat{Rows: rows, Cols: m, Data: out.Data[(bl-outLo)*m : (bh-outLo)*m]}
+		mulTDot(&outBand, &aBand, b, rank, 0, rows)
+	}
+}
+
+// MulTRankTypedRowsInto is MulTRankRowsInto for a typed a: rows [lo, hi)
+// of the product into out ((hi-lo) x b.Rows) on the calling goroutine,
+// bit for bit MulTRankTypedInto's. deq is the caller's dequantisation
+// scratch, grown when too small and returned for the next call, so a
+// banded caller allocates nothing per band; the F64 kind never touches it.
+func MulTRankTypedRowsInto(out *Mat, a *Typed, b *Mat, rank, lo, hi int, deq []float64) (*Mat, []float64) {
+	if a.Kind == F64 {
+		view := Mat{Rows: a.Rows, Cols: a.Cols, Data: a.F64}
+		return MulTRankRowsInto(out, &view, b, rank, lo, hi), deq
+	}
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("dense: MulTRankTypedRows %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
+	}
+	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
+		panic(fmt.Sprintf("dense: MulTRankTypedRows rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
+	}
+	if rank > a.Cols {
+		rank = a.Cols
+	}
+	out = out.Reuse(hi-lo, b.Rows)
+	if rank == 0 {
+		for i := range out.Data {
+			out.Data[i] = 0
+		}
+		return out, deq
+	}
+	if need := min(dequantBandRows, hi-lo) * a.Cols; cap(deq) < need {
+		deq = make([]float64, need)
+	}
+	mulTDequantRows(out, lo, a, b, rank, lo, hi, deq[:cap(deq)])
+	return out, deq
 }

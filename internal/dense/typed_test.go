@@ -66,6 +66,44 @@ func TestTypedQuantizedMatchesDequantReference(t *testing.T) {
 	}
 }
 
+// TestRowsKernelsMatchWholeProduct holds the serial row-range entry points
+// to the whole-matrix kernels bit for bit, on every kind, for ranges that
+// start and end inside dequantisation bands, at rank 0, truncated and
+// full, with the output and the dequantisation scratch reused across
+// calls — and checks that the reuse really allocates nothing.
+func TestRowsKernelsMatchWholeProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	a := randTyped(t, rng, 2*dequantBandRows+91, 24)
+	b := randTyped(t, rng, 5, 24)
+	f32, _ := QuantizeF32(a)
+	i8, _ := QuantizeI8(a)
+	ranges := [][2]int{{0, a.Rows}, {0, 0}, {7, 8}, {3, dequantBandRows + 2}, {dequantBandRows, 2 * dequantBandRows}, {a.Rows - 5, a.Rows}}
+	for name, ty := range map[string]*Typed{"f64": TypedFromMat(a), "f32": f32, "i8": i8} {
+		var out *Mat
+		var deq []float64
+		for _, rank := range []int{0, 5, 24, 100} {
+			whole := MulTRankTypedInto(nil, ty, b, rank)
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				out, deq = MulTRankTypedRowsInto(out, ty, b, rank, lo, hi, deq)
+				if out.Rows != hi-lo || out.Cols != b.Rows {
+					t.Fatalf("%s rows [%d, %d): shape %dx%d", name, lo, hi, out.Rows, out.Cols)
+				}
+				for i, v := range out.Data {
+					if w := whole.Data[lo*b.Rows+i]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%s rank %d rows [%d, %d): elem %d = %g, whole product has %g", name, rank, lo, hi, i, v, w)
+					}
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			out, deq = MulTRankTypedRowsInto(out, ty, b, 24, 3, dequantBandRows+2, deq)
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per call with reused out and scratch, want 0", name, n)
+		}
+	}
+}
+
 func TestQuantizeF32ErrorMeasured(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randTyped(t, rng, 300, 8)

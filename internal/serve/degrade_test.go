@@ -92,6 +92,60 @@ func TestDegradeOnDeadlineBudget(t *testing.T) {
 	})
 }
 
+// A top-k score sums |Q| entries of S, so a truncated answer may sit |Q|
+// entrywise bounds from the full-rank one. fakeRanked attains its
+// advertised bound on every entry (each score is off by exactly
+// fullRank - rank), which makes the aggregate sit exactly |Q| bounds away:
+// an error_bound that charged the entrywise bound once would be violated
+// by every multi-source answer here. Pair scores are single entries and
+// keep the bound as it is.
+func TestDegradedBoundCoversMultiSourceAggregate(t *testing.T) {
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		const n, fullRank, rank = 40, 8, 2
+		exact := NewRanked(kind(fakeRanked(n, fullRank)), Config{Linger: -1})
+		defer exact.Close()
+		sv := NewRanked(kind(fakeRanked(n, fullRank)), Config{
+			Linger:  -1,
+			Degrade: DegradeConfig{Rank: rank, MinBudget: time.Hour},
+		})
+		defer sv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		for _, q := range []int{1, 3, 16} {
+			queries := make([]int, q)
+			for i := range queries {
+				queries[i] = 2 * i
+			}
+			full, err := exact.Search(context.Background(), queries, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sv.Search(ctx, queries, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(q * (fullRank - rank)); res.Info.ErrorBound != want {
+				t.Fatalf("|Q|=%d: error bound %v, want |Q| x the entrywise %d = %v", q, res.Info.ErrorBound, fullRank-rank, want)
+			}
+			for i, m := range res.Matches {
+				if m.Node != full.Matches[i].Node {
+					t.Fatalf("|Q|=%d: match %d is node %d, exact ranking has %d", q, i, m.Node, full.Matches[i].Node)
+				}
+				if d := full.Matches[i].Score - m.Score; d > res.Info.ErrorBound+1e-9 { // rounding of the fake's scores
+					t.Fatalf("|Q|=%d node %d: served %v, exact %v: off by %v, advertised bound %v", q, m.Node, m.Score, full.Matches[i].Score, d, res.Info.ErrorBound)
+				}
+			}
+			pr, err := sv.Score(ctx, queries, []int{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.Info.ErrorBound != fullRank-rank {
+				t.Fatalf("|Q|=%d: pair-score bound %v, want the entrywise %d", q, pr.Info.ErrorBound, fullRank-rank)
+			}
+		}
+	})
+}
+
 // Degradation must not arm when the configured rank is not a real
 // truncation of the engine's rank, or the backend has no rank at all.
 func TestDegradeDisabledWithoutRankStructure(t *testing.T) {

@@ -7,15 +7,18 @@
 // pool, tagged with how it was answered, and counted in one metrics
 // registry; Close and SwapRanked drain whatever is queued or in flight.
 //
-// The only thing that varies is the engine call a pool worker makes. A
-// column engine (Ranked.Query) exploits the paper's multi-source
-// complexity O(r(m + n(r + |Q|))): because the per-call cost is dominated
-// by terms independent of |Q|, concurrent requests are dynamically
-// batched — coalesced into one multi-source engine pass and fanned back
-// out — instead of issued one-by-one (the same pattern used in inference
-// serving). A direct engine (Ranked.TopK, Ranked.Scores) answers top-k
-// and targeted scores without ever materialising n x |Q|, so each such
-// request is its own engine call: a batch of one.
+// The only thing that varies is the engine call a pool worker makes,
+// chosen per request kind from what the generation offers. A column call
+// (Ranked.Query) exploits the paper's multi-source complexity
+// O(r(m + n(r + |Q|))): because the per-call cost is dominated by terms
+// independent of |Q|, concurrent requests are dynamically batched —
+// coalesced into one multi-source engine pass and fanned back out —
+// instead of issued one-by-one (the same pattern used in inference
+// serving). A direct call (Ranked.TopK, Ranked.Scores) answers top-k and
+// targeted scores without ever materialising n x |Q|, so each such
+// request is its own engine call: a batch of one. csrserver sets TopK on
+// every generation, so /topk is always direct; Query is what /similarity
+// coalesces into on local slots, and Scores replaces it over remote ones.
 //
 // The engine behind the server is not fixed: each engine lives in a
 // numbered generation described by one Ranked value, and SwapRanked
@@ -168,17 +171,21 @@ type QueryInfo struct {
 	// FullRank is the engine's full rank, for r'/r context. 0 when the
 	// backend has no rank structure.
 	FullRank int `json:"full_rank,omitempty"`
-	// ErrorBound is the engine's advertised entrywise bound on
-	// |degraded - exact| for this rank; 0 for exact answers. When shards
-	// are missing it additionally absorbs the missing-shard inflation.
+	// ErrorBound bounds |served score - exact score|; 0 for exact
+	// answers. A pair score is one entry of S, so it carries the engine's
+	// advertised entrywise bound for this rank plus the drift. A top-k
+	// score is a sum over the |Q| query columns, so it carries |Q| times
+	// that. When shards are missing it additionally absorbs the
+	// missing-shard inflation.
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// MissingShards counts shards that could not contribute to this
 	// answer (wire backends only); > 0 implies Degraded.
 	MissingShards int `json:"missing_shards,omitempty"`
 	// DriftBound is the streaming-ingestion drift bound of the serving
 	// generation: how far any score may sit from the live graph's exact
-	// value because edges arrived after the factors were built. Already
-	// included in ErrorBound. 0 when the backend has no ingestion.
+	// value because edges arrived after the factors were built — per entry
+	// of S, whatever the request. Already included in ErrorBound (once per
+	// query column). 0 when the backend has no ingestion.
 	DriftBound float64 `json:"drift_bound,omitempty"`
 }
 
@@ -505,22 +512,25 @@ func (s *Server) admit(ctx context.Context, req request) (*backend, response, er
 
 // info tags a response with the rank that answered it, the generation's
 // live ingestion drift and the shards a direct top-k had to do without,
-// counting degraded answers in the metrics registry. Drift and the
-// missing-shard inflation compose additively into ErrorBound — the same
-// rule the truncation and quantization bounds follow — and an exhausted
-// drift budget or a missing shard marks the answer Degraded even at full
-// rank.
-func (s *Server) info(be *backend, resp response) QueryInfo {
+// counting degraded answers in the metrics registry. Truncation (with the
+// tier's quantization term inside it) and drift are entrywise bounds on S,
+// and cols is how many entries of S one reported score sums: 1 for a pair
+// score, |Q| for a top-k aggregate (duplicates counted — they weigh
+// double in the score too), so each is charged cols times. The
+// missing-shard inflation arrives already scaled by |Q|. The terms compose
+// additively into ErrorBound, and an exhausted drift budget or a missing
+// shard marks the answer Degraded even at full rank.
+func (s *Server) info(be *backend, resp response, cols int) QueryInfo {
 	info := QueryInfo{FullRank: be.rank}
 	if resp.rank > 0 {
 		info.Degraded = true
 		info.EffectiveRank = resp.rank
-		info.ErrorBound = be.bound(resp.rank)
+		info.ErrorBound = float64(cols) * be.bound(resp.rank)
 	}
 	if be.drift != nil {
 		if d, exceeded := be.drift(); d > 0 || exceeded {
 			info.DriftBound = d
-			info.ErrorBound += d
+			info.ErrorBound += float64(cols) * d
 			info.Degraded = info.Degraded || exceeded
 		}
 	}
@@ -570,7 +580,7 @@ func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult
 			// A cached entry was exact when computed, but drift is a
 			// property of the factors against the *live* graph: tag it
 			// with the bound as of now, not as of the entry's insert.
-			return SearchResult{Matches: v.([]Match), Cached: true, Info: s.info(be, response{})}, nil
+			return SearchResult{Matches: v.([]Match), Cached: true, Info: s.info(be, response{}, len(queries))}, nil
 		}
 	}
 
@@ -594,7 +604,7 @@ func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult
 		s.cfg.Cache.Put(topKKey(served.gen, queries, k), matches)
 	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return SearchResult{Matches: matches, Info: s.info(served, resp)}, nil
+	return SearchResult{Matches: matches, Info: s.info(served, resp, len(queries))}, nil
 }
 
 // Similarity returns the score of every (query, target) pair. For
@@ -630,13 +640,15 @@ func (s *Server) Score(ctx context.Context, queries, targets []int) (PairsResult
 		}
 	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return PairsResult{Pairs: out, Info: s.info(served, resp)}, nil
+	return PairsResult{Pairs: out, Info: s.info(served, resp, 1)}, nil
 }
 
-// selectTopK mirrors csrplus.Engine.TopK / TopKMulti exactly: single
-// queries exclude themselves; multi-source queries rank by summed
-// similarity (duplicates in the query set weigh double) excluding every
-// query node.
+// selectTopK ranks out of materialised columns — the path of a generation
+// with no TopK of its own (csrserver always sets one). It mirrors
+// csrplus.Engine.TopK / TopKMulti exactly: single queries exclude
+// themselves; multi-source queries rank by the columns summed in query
+// order (duplicates in the query set weigh double) excluding every query
+// node — the sum the direct path takes band by band, bit for bit.
 func selectTopK(cols map[int][]float64, queries []int, k int) []Match {
 	if len(queries) == 1 {
 		q := queries[0]

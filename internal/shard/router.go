@@ -17,12 +17,12 @@ import (
 // exact global answers. It is stateless per request — every fan-out leg
 // resolves its slot's current generation once at entry and computes
 // entirely on that snapshot — so it is safe for concurrent use, including
-// concurrently with rolling SwapShard calls (or remote worker rolls). Its
-// QueryRankInto satisfies serve.RankQueryFunc: the router is csrserver's
-// one serving backend — a monolithic index is the K=1 router — with
-// batching, degradation and generation swaps on top; TopKTagged and
-// Scores are the direct paths a wire deployment serves from (see
-// internal/wire).
+// concurrently with rolling SwapShard calls (or remote worker rolls). The
+// router is csrserver's one serving backend — a monolithic index is the
+// K=1 router — with admission, degradation and generation swaps on top:
+// TopKTagged answers /topk in every mode; /similarity is answered out of
+// QueryRankInto's columns (it satisfies serve.RankQueryFunc) over local
+// slots and by Scores over remote ones (see internal/wire).
 type Router struct {
 	n    int
 	rank int
@@ -322,9 +322,10 @@ func (r *Router) fanout(cols int, body func(s int) error) []error {
 // The assembled matrix is bitwise-identical to
 // core.Index.QueryRankInto's at any shard count (see the package doc for
 // why). rank <= 0 or >= the index rank answers at full rank; honours ctx
-// between row bands. It satisfies serve.RankQueryFunc. Remote slots
-// reject this path — the wire never ships n x |Q| columns; wire
-// deployments serve through TopKTagged and Scores instead.
+// between row bands. It satisfies serve.RankQueryFunc: the explicit block
+// /similarity reads from on local slots. Remote slots reject this path —
+// the wire never ships n x |Q| columns; wire deployments answer
+// /similarity through Scores instead.
 func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 	if err := r.validate(queries); err != nil {
 		return nil, err
@@ -353,14 +354,17 @@ func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 }
 
 // TopK returns the exact global top-k for a query set via scatter–gather:
-// every shard selects the top-k of the nodes it owns from its own partial
-// scores, and the k best of the union is the answer. Semantics mirror
-// csrplus.Engine.TopK / TopKMulti bitwise: a single query ranks its own
-// column excluding itself; a multi-source set ranks by summed similarity
-// (duplicate queries weigh double) excluding every query node. Unlike
-// QueryRankInto this path never materialises the n x |Q| score matrix on
-// any one allocation larger than a shard — the shape the wire ships
-// between processes.
+// every shard selects the top-k of the nodes it owns
+// (core.IndexShard.PartialTopK), and the k best of the union is the
+// answer. A multi-source set ranks by summed similarity (duplicate queries
+// weigh double) with every query node excluded, computed top-k-first:
+// each shard scores a cache-sized band of its rows against the gathered
+// query rows, sums the band's columns in query order and streams the sums
+// into a bounded selector — nothing of length n, let alone n x |Q|, is
+// ever allocated. Answers are bitwise csrplus.Engine.TopK for a single
+// query (its own column, itself excluded) and bitwise
+// csrplus.Engine.TopKMulti (the materialised columns, summed) for a set,
+// at every shard count, tier and retained rank.
 func (r *Router) TopK(ctx context.Context, queries []int, k int) ([]topk.Item, error) {
 	return r.TopKRank(ctx, queries, k, 0)
 }

@@ -197,28 +197,13 @@ func (l *Local) BoundTerms(ctx context.Context) (BoundTerms, error) {
 }
 
 // PartialTopK computes sh's partial top-k list for a gathered query set:
-// the shard's band of the column matrix, aggregated per node in query
-// order (j outer, matching Engine.TopKMulti's summation order element for
-// element; for a single query this adds one column onto zeros, which is
-// exact), then the top-k of the owned nodes with every query node
-// excluded. It is the one computation both the in-process Local slot and
-// the wire worker's /shard/query handler run, so the bytes a worker ships
-// are the bytes the in-process router would have merged.
+// core.IndexShard.PartialTopK's fused scan — each band of owned rows
+// scored against the gathered query rows, the band's columns summed in
+// query order (Engine.TopKMulti's summation order, element for element)
+// and streamed into the selector — with every query node excluded. It is
+// the one computation both the in-process Local slot and the wire worker's
+// /shard/query handler run, so the bytes a worker ships are the bytes the
+// in-process router would have merged.
 func PartialTopK(ctx context.Context, sh *core.IndexShard, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
-	cols := len(queries)
-	partial := dense.NewMat(sh.Rows(), cols)
-	if err := sh.PartialInto(ctx, queries, uq, rank, partial); err != nil {
-		return nil, err
-	}
-	agg := make([]float64, sh.Rows())
-	for j := 0; j < cols; j++ {
-		for row := 0; row < sh.Rows(); row++ {
-			agg[row] += partial.At(row, j)
-		}
-	}
-	exclude := make(map[int]bool, cols)
-	for _, q := range queries {
-		exclude[q] = true
-	}
-	return topk.SelectRange(agg, k, sh.Lo(), exclude), nil
+	return sh.PartialTopK(ctx, queries, uq, k, rank)
 }

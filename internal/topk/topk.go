@@ -1,7 +1,8 @@
 // Package topk selects the k highest-scoring nodes from a similarity
 // column using a bounded min-heap — O(n log k) instead of a full sort,
 // which matters when similarity searches over million-node graphs only
-// need a short result list.
+// need a short result list. The heap is fed in bands (Selector), so the
+// column never has to exist in one piece.
 //
 // Ordering contract: every selection and merge in this package orders
 // items by descending score with ties broken by ascending node id, and
@@ -12,7 +13,6 @@
 package topk
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -25,7 +25,7 @@ type Item struct {
 
 // itemLess is the package's one ordering: higher scores first, ties
 // broken by smaller node id. Select's result order, Merge's result
-// order, and the heap's eviction rule are all derived from it, so the
+// order, and the selector's eviction rule are all derived from it, so the
 // selection is a deterministic function of the (score, node) multiset —
 // never of input order, partitioning, or sort stability.
 func itemLess(a, b Item) bool {
@@ -35,25 +35,111 @@ func itemLess(a, b Item) bool {
 	return a.Node < b.Node
 }
 
-// itemHeap is a min-heap on Score (ties broken by larger Node so that the
-// worst-ranked item under itemLess is always at the root).
-type itemHeap []Item
+// worse reports whether a ranks strictly below b under itemLess — the
+// selector's heap keeps its worst item at the root.
+func worse(a, b Item) bool { return itemLess(b, a) }
 
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Node > h[j].Node
+// Selector is the package's one selection loop: a bounded top-k over
+// scores that arrive in bands. Push feeds it successive score slices (any
+// split, any order — the result is a function of the (score, node)
+// multiset alone), Items finishes it. Holding at most k items, it lets a
+// caller rank n scores while only ever materialising one band of them.
+//
+// The k kept items live in a binary heap with the worst-ranked item at
+// the root, hand-rolled over []Item: no container/heap, so no interface
+// boxing per admitted item.
+type Selector struct {
+	k       int
+	exclude map[int]bool
+	h       []Item
 }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// NewSelector returns a selector for the k best items, dropping every
+// node with exclude[node] == true (nil excludes nothing). k <= 0 selects
+// nothing.
+func NewSelector(k int, exclude map[int]bool) *Selector {
+	s := &Selector{k: k, exclude: exclude}
+	if k > 0 {
+		s.h = make([]Item, 0, k)
+	}
+	return s
+}
+
+// Push offers one band: scores[i] belongs to node base+i. NaN scores are
+// skipped: NaN compares false with everything, so letting one into the
+// heap would corrupt the heap invariant (and a NaN can reach here from a
+// diverged or denormal similarity column). ±Inf orders normally and is
+// kept.
+//
+// Once k items are held, a score is tested against the k-th best before
+// anything else: almost every score of a long scan fails that one
+// comparison (which NaN fails too), so the exclusion map is consulted
+// only for the few that would displace a kept item.
+func (s *Selector) Push(base int, scores []float64) {
+	if s.k <= 0 {
+		return
+	}
+	i := 0
+	for ; i < len(scores) && len(s.h) < s.k; i++ {
+		score, node := scores[i], base+i
+		if math.IsNaN(score) || s.exclude[node] {
+			continue
+		}
+		s.h = append(s.h, Item{node, score})
+		s.up(len(s.h) - 1)
+	}
+	h := s.h
+	for ; i < len(scores); i++ {
+		score, node := scores[i], base+i
+		if !(score >= h[0].Score) || score == h[0].Score && node > h[0].Node || s.exclude[node] {
+			continue
+		}
+		h[0] = Item{node, score}
+		s.down(0, len(h))
+	}
+}
+
+// Items returns the kept items ordered by descending score (ascending
+// node id among ties) and ends the selection: the selector must not be
+// pushed to afterwards. The heap is sorted in place — popping the worst
+// item to the back until none is left — so finishing allocates nothing.
+func (s *Selector) Items() []Item {
+	for n := len(s.h) - 1; n > 0; n-- {
+		s.h[0], s.h[n] = s.h[n], s.h[0]
+		s.down(0, n)
+	}
+	return s.h
+}
+
+func (s *Selector) up(i int) {
+	h := s.h
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !worse(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// down restores the heap below i within h[:n].
+func (s *Selector) down(i, n int) {
+	h := s.h
+	for {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if r := child + 1; r < n && worse(h[r], h[child]) {
+			child = r
+		}
+		if !worse(h[child], h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
 }
 
 // Select returns the k highest-scoring items of scores, ordered by
@@ -79,38 +165,19 @@ func SelectSet(scores []float64, k int, exclude map[int]bool) []Item {
 	return SelectRange(scores, k, 0, exclude)
 }
 
-// SelectRange is the core selection: scores[i] belongs to node base+i,
-// and the exclusion set holds those global node ids. It exists for
-// row-partitioned shards, where a shard scores only its contiguous node
-// range [base, base+len(scores)) but results and exclusions are in
-// global ids; base 0 recovers SelectSet.
-//
-// NaN scores are skipped: NaN compares false with everything, so letting
-// one into the min-heap would corrupt the heap invariant (and a NaN can
-// reach here from a diverged or denormal similarity column). ±Inf orders
-// normally and is kept.
+// SelectRange is the one-shot selection over a materialised score slice:
+// scores[i] belongs to node base+i, and the exclusion set holds those
+// global node ids. It exists for row-partitioned shards, where a shard
+// scores only its contiguous node range [base, base+len(scores)) but
+// results and exclusions are in global ids; base 0 recovers SelectSet.
+// It is a Selector pushed once — NaN handling and ordering are Push's.
 func SelectRange(scores []float64, k, base int, exclude map[int]bool) []Item {
 	if k <= 0 {
 		return nil
 	}
-	h := make(itemHeap, 0, k)
-	for i, score := range scores {
-		node := base + i
-		if exclude[node] || math.IsNaN(score) {
-			continue
-		}
-		if len(h) < k {
-			heap.Push(&h, Item{node, score})
-			continue
-		}
-		if h[0].Score < score || (h[0].Score == score && h[0].Node > node) {
-			h[0] = Item{node, score}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := []Item(h)
-	sort.Slice(out, func(i, j int) bool { return itemLess(out[i], out[j]) })
-	return out
+	s := NewSelector(k, exclude)
+	s.Push(base, scores)
+	return s.Items()
 }
 
 // Merge combines per-shard partial top-k lists into the exact global

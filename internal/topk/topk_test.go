@@ -2,6 +2,7 @@ package topk
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -274,6 +275,52 @@ func TestMergeEdgeCases(t *testing.T) {
 	}
 }
 
+// itemHeap and selectRangeOneShot are the pre-Selector implementation of
+// SelectRange — container/heap over the whole materialised slice — kept
+// frozen here as the reference the streaming selector is held to.
+type itemHeap []Item
+
+func (h itemHeap) Len() int { return len(h) }
+func (h itemHeap) Less(i, j int) bool {
+	if h[i].Score != h[j].Score {
+		return h[i].Score < h[j].Score
+	}
+	return h[i].Node > h[j].Node
+}
+func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
+func (h *itemHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+func selectRangeOneShot(scores []float64, k, base int, exclude map[int]bool) []Item {
+	if k <= 0 {
+		return nil
+	}
+	h := make(itemHeap, 0, k)
+	for i, score := range scores {
+		node := base + i
+		if exclude[node] || math.IsNaN(score) {
+			continue
+		}
+		if len(h) < k {
+			heap.Push(&h, Item{node, score})
+			continue
+		}
+		if h[0].Score < score || (h[0].Score == score && h[0].Node > node) {
+			h[0] = Item{node, score}
+			heap.Fix(&h, 0)
+		}
+	}
+	out := []Item(h)
+	sort.Slice(out, func(i, j int) bool { return itemLess(out[i], out[j]) })
+	return out
+}
+
 func TestHeapInterfaceDirect(t *testing.T) {
 	// Exercise the container/heap contract (Push/Pop) directly.
 	h := &itemHeap{}
@@ -288,4 +335,119 @@ func TestHeapInterfaceDirect(t *testing.T) {
 	if got.Node != 1 { // min-heap pops the smallest score
 		t.Fatalf("popped %+v, want node 1", got)
 	}
+}
+
+// sameItems compares two selections bit for bit: -0.0 and +0.0 tie under
+// the ordering but are different answers on the wire.
+func sameItems(a, b []Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Node != b[i].Node || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBandSplits is the selector's defining property, shared by the
+// seeded test and the fuzz target: however a score vector is cut into
+// bands, pushing the bands equals a full sort of the candidates and equals
+// the frozen one-shot implementation. cuts are band boundaries in
+// [0, len(scores)], any order, duplicates allowed (empty bands).
+func checkBandSplits(t *testing.T, scores []float64, k, base int, exclude map[int]bool, cuts []int) {
+	t.Helper()
+	var oracle []Item
+	for i, s := range scores {
+		if !math.IsNaN(s) && !exclude[base+i] {
+			oracle = append(oracle, Item{base + i, s})
+		}
+	}
+	sort.Slice(oracle, func(i, j int) bool { return itemLess(oracle[i], oracle[j]) })
+	if k < len(oracle) {
+		oracle = oracle[:max(k, 0)]
+	}
+
+	bounds := append([]int{0, len(scores)}, cuts...)
+	sort.Ints(bounds)
+	sel := NewSelector(k, exclude)
+	for b := 0; b+1 < len(bounds); b++ {
+		sel.Push(base+bounds[b], scores[bounds[b]:bounds[b+1]])
+	}
+	got := sel.Items()
+	if !sameItems(got, oracle) {
+		t.Fatalf("k=%d base=%d cuts=%v: banded selection %v, sorted oracle %v", k, base, cuts, got, oracle)
+	}
+	if old := selectRangeOneShot(scores, k, base, exclude); !sameItems(got, old) {
+		t.Fatalf("k=%d base=%d cuts=%v: banded selection %v, one-shot heap %v", k, base, cuts, got, old)
+	}
+	if one := SelectRange(scores, k, base, exclude); !sameItems(got, one) {
+		t.Fatalf("k=%d base=%d cuts=%v: banded selection %v, SelectRange %v", k, base, cuts, got, one)
+	}
+}
+
+// awkwardScores draws from a palette built to collide: few distinct
+// values (ties everywhere), both zeros, both infinities and NaN.
+func awkwardScores(rng *rand.Rand, n int) []float64 {
+	palette := []float64{0, math.Copysign(0, -1), 0.25, 0.25, 0.5, -0.5, 1, math.Inf(1), math.Inf(-1), math.NaN()}
+	scores := make([]float64, n)
+	for i := range scores {
+		if rng.Intn(3) == 0 {
+			scores[i] = rng.NormFloat64()
+		} else {
+			scores[i] = palette[rng.Intn(len(palette))]
+		}
+	}
+	return scores
+}
+
+func Test_SelectorBandSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(300)
+		scores := awkwardScores(rng, n)
+		var exclude map[int]bool
+		base := rng.Intn(3) * 1000
+		if rng.Intn(4) > 0 {
+			exclude = map[int]bool{}
+			for e := rng.Intn(6); e > 0 && n > 0; e-- {
+				exclude[base+rng.Intn(n)] = true
+			}
+		}
+		cuts := make([]int, rng.Intn(8))
+		for i := range cuts {
+			cuts[i] = rng.Intn(n + 1)
+		}
+		for _, k := range []int{1, 1 + rng.Intn(20), n, n + 5} {
+			checkBandSplits(t, scores, k, base, exclude, cuts)
+		}
+	}
+	// k <= 0 keeps nothing, whatever is pushed.
+	sel := NewSelector(0, nil)
+	sel.Push(0, []float64{1, 2})
+	if got := sel.Items(); len(got) != 0 {
+		t.Fatalf("k=0 selector kept %v", got)
+	}
+}
+
+// FuzzSelectorBandSplits lets the fuzzer choose the score bytes, k, the
+// exclusions and the band boundaries.
+func FuzzSelectorBandSplits(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(2), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, k, excl, cut uint8) {
+		scores := make([]float64, len(raw)/8)
+		for i := range scores {
+			scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		}
+		n := len(scores)
+		exclude := map[int]bool{}
+		if n > 0 && excl > 0 {
+			exclude[int(excl)%n] = true
+			exclude[int(excl)*7%n] = true
+		}
+		cuts := []int{int(cut) % (n + 1), int(cut) * 3 % (n + 1), int(cut) % (n + 1)}
+		checkBandSplits(t, scores, int(k), 0, exclude, cuts)
+	})
 }
