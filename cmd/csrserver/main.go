@@ -145,13 +145,17 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	if cfg.cacheSize > 0 {
 		lru = cache.New(cfg.cacheSize)
 	}
+	start := time.Now()
 	src, err := openSource(ctx, cfg, lru)
 	if err != nil {
 		return nil, err
 	}
 	meta := src.boot.Meta
 	shards := len(meta.ShardStatus())
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes)%s", meta.BuildTime, meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes, stagesSuffix(meta))
+	// Clocked from before the graph load, so the figure is the process's
+	// set-up time as a caller polling /readyz sees it, less exec and flags.
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes) graph=%v%s", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes, src.graphLoad, clocksSuffix(meta))
 
 	sc := cfg.serve
 	sc.Cache = lru
@@ -217,16 +221,16 @@ func (s *server) reloadOnHUP(ch <-chan os.Signal) {
 // logGeneration reports a generation a reload just put in service.
 func logGeneration(st reload.Status) {
 	log.Printf("csrserver: serving generation %d (source=%s path=%s build=%v)%s",
-		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), stagesSuffix(st.Meta))
+		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), clocksSuffix(st.Meta))
 }
 
-// stagesSuffix renders where an in-process precompute spent its time, for
-// the boot and reload log lines; empty for a generation that was loaded.
-func stagesSuffix(meta reload.Meta) string {
-	if meta.Stages == "" {
+// clocksSuffix renders where a generation's build time went, for the boot
+// and reload log lines; empty when the source clocked nothing.
+func clocksSuffix(meta reload.Meta) string {
+	if meta.Clocks == "" {
 		return ""
 	}
-	return " precompute: " + meta.Stages
+	return " " + meta.Clocks
 }
 
 // mux wires the HTTP routes: query traffic goes through the serve layer;

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -561,6 +562,41 @@ func TestSourceSnapshotResolution(t *testing.T) {
 	warm := bootArgs(t, "-snapshots", dir).man.Current()
 	if warm.Source != "snapshot" || warm.SnapshotGen != 1 || warm.Rank != 3 {
 		t.Fatalf("snapshot boot status = %+v", warm)
+	}
+}
+
+// TestBuildClocks pins what the boot and reload log lines say about where
+// a generation's build time went: a precompute names the support it
+// decomposed and its six stages, a publish is clocked after it, a rebuild
+// over the live graph leads with the cut, and a generation that was only
+// loaded clocks nothing.
+func TestBuildClocks(t *testing.T) {
+	dir := t.TempDir()
+	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ eig=\S+ solve=\S+ z=\S+ rest=\S+`
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"cold boot, published", "^" + precompute + ` publish=\S+$`, []string{"-snapshots", dir}},
+		{"snapshot boot", "^$", []string{"-snapshots", dir}},
+		{"plain rebuild", "^" + precompute + "$", nil},
+		{"cold boot into shard directories", "^" + precompute + ` publish=\S+$`, []string{"-shards", "2", "-snapshots", t.TempDir()}},
+	} {
+		if got := bootArgs(t, tc.args...).man.Current().Clocks; !regexp.MustCompile(tc.want).MatchString(got) {
+			t.Errorf("%s: clocks %q, want %s", tc.name, got, tc.want)
+		}
+	}
+	s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", t.TempDir())
+	defer s.ing.Close()
+	if err := s.ing.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.reload(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `^graph=\S+ ` + precompute + ` publish=\S+$`; !regexp.MustCompile(want).MatchString(st.Clocks) {
+		t.Errorf("ingest rebuild: clocks %q, want %s", st.Clocks, want)
 	}
 }
 

@@ -45,6 +45,9 @@ type source struct {
 	ing *ingest.Service
 	// engines are the remote slots' clients (nil when every slot is local).
 	engines []*wire.RemoteEngine
+	// graphLoad is what loading or generating the graph cost (0 for a
+	// router, which has none).
+	graphLoad time.Duration
 }
 
 // newCandidate describes one serving generation over rt. Every mode
@@ -79,15 +82,24 @@ func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 	if cfg.mode == modeRouter {
 		return openRemote(ctx, cfg, lru)
 	}
+	start := time.Now()
 	g, err := loadGraph(cfg.dataset, cfg.dscale, cfg.graphPath, cfg.n)
 	if err != nil {
 		return nil, err
 	}
+	graphLoad := time.Since(start)
 	w := &wholeIndex{cfg: cfg, g: g}
+	var src *source
 	if cfg.shards > 1 && cfg.snapDir != "" {
-		return openShardDirs(ctx, w, lru)
+		src, err = openShardDirs(ctx, w, lru)
+	} else {
+		src, err = openIndex(ctx, w)
 	}
-	return openIndex(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	src.graphLoad = graphLoad
+	return src, nil
 }
 
 // rolling serves every generation from one persistent router: a reload
@@ -110,7 +122,7 @@ func rolling(rt *shard.Router, meta reload.Meta, lru *cache.LRU, roll func(conte
 				return nil, err
 			}
 			rolled := meta
-			rolled.BuildTime = time.Since(start)
+			rolled.BuildTime, rolled.Clocks = time.Since(start), "" // the boot's clocks were the boot's
 			return newCandidate(rt, rolled, nil, nil), nil
 		},
 	}
@@ -168,9 +180,10 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 		// build rather than mixed with it.
 		populated = populated && snapshotAvailable(core.ShardDir(cfg.snapDir, s))
 	}
+	var clocks string
 	switch {
 	case !populated:
-		eng, _, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
+		eng, built, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
 		if err == nil {
 			err = saveIndex(cfg, eng)
 			_ = eng.Close()
@@ -178,6 +191,7 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 		if err != nil {
 			return nil, err
 		}
+		clocks = built.Clocks
 	case cfg.saveIndex != "":
 		return nil, fmt.Errorf("-saveindex needs a whole index, but the boot came from per-shard snapshots")
 	}
@@ -205,7 +219,7 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 	if err != nil {
 		return nil, err
 	}
-	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.g.M(), BuildTime: time.Since(start)}
+	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.g.M(), BuildTime: time.Since(start), Clocks: clocks}
 	return rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return reload.RollShards(ctx, rt, loadSlot) }), nil
 }
 
@@ -287,15 +301,18 @@ func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reloa
 	}
 	cfg := w.cfg
 	opts := csrplus.Options{Rank: cfg.rank, Damping: cfg.damping}
+	var clocks []string // meta.Clocks, in the order the work ran
 	switch {
 	case w.ing != nil:
 		if !w.ing.Ready() {
 			return nil, meta, nil, fmt.Errorf("ingest replay still in progress")
 		}
+		cutStart := time.Now()
 		live, seq, d0, cerr := w.ing.Cut()
 		if cerr != nil {
 			return nil, meta, nil, cerr
 		}
+		clocks = append(clocks, fmt.Sprintf("graph=%v", clockSince(cutStart)))
 		log.Printf("rebuilding index over live graph n=%d m=%d (wal seq %d, drift %.3g) ...", live.N(), live.M(), seq, d0)
 		if eng, err = csrplus.NewEngine(csrplus.FromCoreGraph(live), opts); err == nil {
 			coreIndex(eng).SetWalSeq(seq)
@@ -324,25 +341,29 @@ func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reloa
 	}
 	st := eng.Stats()
 	meta.Algorithm, meta.M, meta.PeakBytes = st.Algorithm, st.M, st.PeakBytes
-	if stages := coreIndex(eng).Stages(); stages != (core.Stages{}) {
-		meta.Stages = stages.String()
+	if ix := coreIndex(eng); ix.Stages() != (core.Stages{}) {
+		nr, nc := ix.Support()
+		clocks = append(clocks, fmt.Sprintf("precompute: support=%dx%d/%d %v", nr, nc, ix.N(), ix.Stages()))
 	}
-	switch {
-	case cfg.snapDir == "":
-	case cfg.shards > 1:
-		err = publishShardSnapshots(cfg.snapDir, eng, cfg.shards)
-	case meta.Source != "snapshot":
-		if meta.SnapshotGen, meta.Path, err = eng.SaveSnapshotTier(cfg.snapDir, cfg.quantize); err == nil {
+	if publishStart := time.Now(); cfg.snapDir != "" && (cfg.shards > 1 || meta.Source != "snapshot") {
+		if cfg.shards > 1 {
+			err = publishShardSnapshots(cfg.snapDir, eng, cfg.shards)
+		} else if meta.SnapshotGen, meta.Path, err = eng.SaveSnapshotTier(cfg.snapDir, cfg.quantize); err == nil {
 			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
 			pruneSnapshots(cfg.snapDir)
 		}
+		clocks = append(clocks, fmt.Sprintf("publish=%v", clockSince(publishStart)))
 	}
 	if err != nil {
 		_ = eng.Close()
 		return nil, meta, nil, err
 	}
+	meta.Clocks = strings.Join(clocks, " ")
 	return eng, meta, drift, nil
 }
+
+// clockSince is the time since t at the log lines' resolution.
+func clockSince(t time.Time) time.Duration { return time.Since(t).Round(100 * time.Microsecond) }
 
 // publishShardSnapshots slices eng's index k ways and publishes each
 // slice as the next generation of its shard directory.

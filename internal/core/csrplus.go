@@ -95,6 +95,7 @@ type Index struct {
 	sigma   []float64 // singular values (diagnostics)
 	precomp time.Duration
 	stages  Stages
+	support [2]int // rows x cols of Q that phase I decomposed; see Support
 
 	// walSeq is the last ingest-WAL sequence number whose edge is baked
 	// into the factors (0 for indexes built outside the ingestion path).
@@ -143,9 +144,10 @@ func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
 
 // Stages splits PrecomputeTime by the layer of phase I that spent it:
 // the truncated SVD's three (sparse passes, orthonormalisation, the small
-// projected problem), then the subspace solve and the Z build. The
-// remainder of PrecomputeTime is the transition matrix, the sketch draw
-// and copies. All zero for an index that was loaded, not built.
+// projected problem), then the subspace solve and the Z build. Rest is what
+// surrounds them — the transition matrix, and the SVD's own support scan,
+// sketch draw and scatter — so the six sum to PrecomputeTime. All zero for
+// an index that was loaded, not built.
 type Stages struct {
 	svd.Stages
 	Subspace time.Duration // lines 3–5: P = c H P Hᵀ + I_r
@@ -155,12 +157,19 @@ type Stages struct {
 // String renders the split for log lines.
 func (s Stages) String() string {
 	ms := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
-	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v",
-		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ))
+	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v rest=%v",
+		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Rest))
 }
 
 // Stages returns where PrecomputeTime went.
 func (ix *Index) Stages() Stages { return ix.stages }
+
+// Support returns the shape of the block of Q that phase I decomposed: its
+// non-empty rows (nodes with an out-link) by its non-empty columns (nodes
+// with an in-link), or n x n when Q was decomposed as given. A node off the
+// column support has zero rows in Z and U: its similarity column is e_q.
+// Zero for an index that was loaded, not built.
+func (ix *Index) Support() (rows, cols int) { return ix.support[0], ix.support[1] }
 
 // Bytes reports the resident memory of the index: the Z and U factors —
 // the O(rn) of Theorem 3.7 — at the tier's element width, plus the
@@ -195,6 +204,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: precompute: %w", err)
 	}
+	transition := time.Since(start)
 	track.Alloc("precompute/Q", q.Bytes())
 
 	// Line 2: rank-r SVD. Algorithm 1 is phrased over the operator that
@@ -212,6 +222,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 
 	// Lines 3–5: subspace solve (variant-selectable for the ablation).
 	stages := Stages{Stages: fac.Stages}
+	stages.Rest += transition
 	lap := time.Now()
 	var p *dense.Mat
 	var iters int
@@ -244,6 +255,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		sigma:      fac.S,
 		precomp:    time.Since(start),
 		stages:     stages,
+		support:    [2]int{fac.SupportRows, fac.SupportCols},
 	}, nil
 }
 

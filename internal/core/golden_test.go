@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -255,6 +256,37 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 		wantSameBytes(t, "WriteSnapshot "+name, fileBytes(p, err), wantIx)
 		_, p, err = WriteShardSnapshot(ShardDir(filepath.Join(dir, "snap-"+name), 0), qs)
 		wantSameBytes(t, "WriteShardSnapshot "+name, fileBytes(p, err), wantSh)
+	}
+}
+
+// TestGoldenWritersPortableEncoder holds the two float64 section encoders
+// to each other: a little-endian host writes a section's own memory, any
+// other host encodes it element by element, and both must emit the golden
+// bytes. The portable encoder is reached here by telling the writer the
+// host is not little-endian.
+func TestGoldenWritersPortableEncoder(t *testing.T) {
+	defer func(le bool) { nativeLE = le }(nativeLE)
+	for _, le := range []bool{true, false} {
+		nativeLE = le
+		for _, tier := range goldenTiers {
+			for name, k := range map[string]*snapKind{goldenIndexV2(tier): indexKind, goldenShardV2(tier): shardKind} {
+				want := golden(t, name)
+				ix, err := readSnapshot(bytes.NewReader(want), k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if k.whole {
+					_, err = ix.WriteToV2(&buf)
+				} else {
+					_, err = ix.IndexShard.WriteToV2(&buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSameBytes(t, fmt.Sprintf("%s re-encoded with nativeLE=%v", name, le), buf.Bytes(), want)
+			}
+		}
 	}
 }
 

@@ -163,12 +163,12 @@ func corruptEOF(err error) error {
 // checksum mismatch — is reported as a wrapped ErrCorrupt. v2 streams are
 // decoded into fresh allocations; use MapIndex for the zero-copy path.
 func ReadIndex(r io.Reader) (*Index, error) {
-	return readSnapshot(r, indexKind)
+	return readSnapshot(r, indexKind, 0)
 }
 
 // ReadShard is ReadIndex for CSRS streams.
 func ReadShard(r io.Reader) (*IndexShard, error) {
-	return shardOf(readSnapshot(r, shardKind))
+	return shardOf(readSnapshot(r, shardKind, 0))
 }
 
 // shardOf narrows what the shared readers return for a shard file to the
@@ -181,11 +181,12 @@ func shardOf(ix *Index, err error) (*IndexShard, error) {
 }
 
 // readSnapshot is the one stream reader: it sniffs the version and hands
-// v2 images to decodeV2 and everything else to the v1 decoder below.
-func readSnapshot(r io.Reader, k *snapKind) (*Index, error) {
+// v2 images to decodeV2 and everything else to the v1 decoder below. size is
+// the stream's length where the caller knows it (a file's), 0 where not.
+func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	br := bufio.NewReader(r)
 	if head, err := br.Peek(8); err == nil && binary.LittleEndian.Uint32(head[4:]) == indexVersion2 {
-		data, err := io.ReadAll(br)
+		data, err := readImage(br, size)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading v2 %s: %w", k.name, corruptEOF(err))
 		}
@@ -366,11 +367,39 @@ func loadSnapshot(path string, k *snapKind) (*Index, error) {
 	defer f.Close()
 	// The fault wrapper (chaos builds only) injects read errors and
 	// latency — a degraded disk during a reload.
-	ix, err := readSnapshot(fault.Reader(fault.SiteIndexRead, f), k)
+	var size int64
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	ix, err := readSnapshot(fault.Reader(fault.SiteIndexRead, f), k, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s %s: %w", k.name, path, err)
 	}
 	return ix, nil
+}
+
+// readImage reads r to its end, into one buffer of size bytes when the
+// caller knows the stream's length: io.ReadAll grows its buffer by
+// reallocation and leaves several times the image behind as garbage, which
+// for a shard worker is most of the boot's heap. size comes from the file
+// system, never from the image's header, so a forged header cannot size the
+// allocation; a stream that turns out shorter or longer than size is still
+// returned whole, for decodeV2 to reject against the length its header
+// records. An unknown (or unrepresentable) size falls back to ReadAll.
+func readImage(r io.Reader, size int64) ([]byte, error) {
+	if size <= 0 || uint64(size) > maxPlatformElems {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return buf[:n], nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	rest, err := io.ReadAll(r) // empty unless the file grew since Stat
+	return append(buf, rest...), err
 }
 
 func writeFloats(w io.Writer, data []float64) error {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"csrplus/internal/dense"
@@ -270,5 +271,50 @@ func TestShardSnapshotDirRoundTrip(t *testing.T) {
 
 	if _, _, _, err := RecoverShardSnapshot(t.TempDir()); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty dir: err = %v, want ErrNoSnapshot", err)
+	}
+}
+
+// TestLoadShardReadsIntoOneBuffer holds the decode path of a snapshot file
+// to one image-sized read buffer: LoadShard may allocate the image and its
+// decoded factors, about twice the file, where growing a buffer through
+// io.ReadAll cost seven times it — most of a shard worker's boot heap. The
+// file's length comes from the file system, so a file cut short or grown
+// after it was written is still ErrCorrupt, by the length its own header
+// records.
+func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
+	sh, err := bigIndex(t, 20000, 16).Shard(0, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.csrs")
+	if err := SaveShard(sh, path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := LoadShard(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameFactors(t, "loaded shard", back, sh)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(raw)/2); got > limit {
+		t.Fatalf("LoadShard of a %d-byte file allocated %d bytes, want at most %d (image + decoded factors)", len(raw), got, limit)
+	}
+
+	for name, data := range map[string][]byte{
+		"cut short": raw[:len(raw)-v2Page],
+		"grown":     append(append([]byte(nil), raw...), make([]byte, v2Page)...),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadShard(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -107,9 +107,11 @@ type Meta struct {
 	ShardStatus func() []shard.ShardStatus `json:"-"`
 	// BuildTime is the candidate's load/precompute wall time.
 	BuildTime time.Duration `json:"-"`
-	// Stages is the per-stage split of an in-process precompute
-	// (core.Stages.String), "" for a generation that was loaded.
-	Stages string `json:"-"`
+	// Clocks renders, for the log line that announces the generation, where
+	// BuildTime went: the graph cut and the snapshot publish when there was
+	// one, and for an in-process precompute the support it decomposed and
+	// its per-stage split (core.Stages.String). "" when none applies.
+	Clocks string `json:"-"`
 	// PeakBytes is the build's analytic memory peak, 0 when unknown.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }

@@ -90,6 +90,61 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
+// Support returns m restricted to its support — the rows and the columns
+// that hold at least one stored entry — together with the original index of
+// every row and column it kept, ascending. Dropping an empty row or column
+// moves no entry relative to the others, so s stores m's entries in m's
+// order: Val is shared with m, and RowPtr and ColIdx are too unless a row
+// (respectively a column) was dropped, when they are rebuilt with the
+// kept rows' extents and the column ids renumbered. A nil index slice means
+// that side lost nothing and s's indices there are m's own; a matrix with no
+// empty row or column is returned as it is. An explicitly stored zero counts
+// as an entry. O(nnz + rows + cols).
+func (m *CSR) Support() (s *CSR, rows, cols []int32) {
+	renum := make([]int32, m.cols) // 1 marks a column seen, then its new id
+	for _, j := range m.ColIdx {
+		renum[j] = 1
+	}
+	nc := 0
+	for _, seen := range renum {
+		nc += int(seen)
+	}
+	nr := 0
+	for i := 0; i < m.rows; i++ {
+		if m.RowPtr[i+1] > m.RowPtr[i] {
+			nr++
+		}
+	}
+	if nr == m.rows && nc == m.cols {
+		return m, nil, nil
+	}
+	s = &CSR{rows: nr, cols: nc, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: m.Val}
+	if nr < m.rows {
+		rows = make([]int32, 0, nr)
+		s.RowPtr = make([]int64, 1, nr+1)
+		for i := 0; i < m.rows; i++ {
+			if end := m.RowPtr[i+1]; end > m.RowPtr[i] {
+				rows = append(rows, int32(i))
+				s.RowPtr = append(s.RowPtr, end)
+			}
+		}
+	}
+	if nc < m.cols {
+		cols = make([]int32, 0, nc)
+		for j, seen := range renum {
+			if seen != 0 {
+				renum[j] = int32(len(cols))
+				cols = append(cols, int32(j))
+			}
+		}
+		s.ColIdx = make([]int32, len(m.ColIdx))
+		for p, j := range m.ColIdx {
+			s.ColIdx[p] = renum[j]
+		}
+	}
+	return s, rows, cols
+}
+
 // MulVec computes y = m * x, reusing y when it has the right length.
 // It panics on dimension mismatch.
 func (m *CSR) MulVec(x, y []float64) []float64 {

@@ -51,23 +51,47 @@ func serialScatterMulDenseT(m *CSR, b *dense.Mat) *dense.Mat {
 	return out
 }
 
+// TestMulDenseTParallelMatchesSerialScatterBitwise holds the three ways of
+// forming mᵀ·b — the serial scatter, MulDenseT on each of its paths, and
+// MulDense on a transpose built once, which is what the truncated SVD does —
+// to the same bits, on a dense fixture and on one whose empty rows and
+// columns leave output rows that no entry ever touches.
 func TestMulDenseTParallelMatchesSerialScatterBitwise(t *testing.T) {
-	m, _, _, bT, _ := parallelCSR(41)
-	want := serialScatterMulDenseT(m, bT)
-
-	// Force the serial scatter branch inside MulDenseT...
-	prev := par.SetMaxWorkers(1)
-	serial := m.MulDenseT(bT)
-	// ...then the transpose+row-parallel branch.
-	par.SetMaxWorkers(4)
-	parallel := m.MulDenseT(bT)
-	par.SetMaxWorkers(prev)
-
-	if !serial.Equal(want, 0) {
-		t.Fatal("single-worker MulDenseT differs from reference scatter")
+	full, _, _, bT, _ := parallelCSR(41)
+	// Every fifth row and every seventh column emptied: still ≈ 61k entries,
+	// so the 24-column product clears the parallel threshold.
+	coo := NewCOO(full.rows, full.cols)
+	for i := 0; i < full.rows; i++ {
+		for p := full.RowPtr[i]; p < full.RowPtr[i+1]; p++ {
+			if j := int(full.ColIdx[p]); i%5 != 0 && j%7 != 0 {
+				if err := coo.Add(i, j, full.Val[p]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	if !parallel.Equal(want, 0) {
-		t.Fatal("transpose-parallel MulDenseT not bitwise equal to serial scatter")
+	holed := coo.ToCSR()
+	if _, rows, cols := holed.Support(); len(rows) != full.rows-full.rows/5 || len(cols) != full.cols-(full.cols+6)/7 {
+		t.Fatalf("fixture keeps %d rows and %d columns", len(rows), len(cols))
+	}
+	if flops := holed.NNZ() * int64(bT.Cols); flops < par.DefaultThreshold {
+		t.Fatalf("fixture's product is %d flops, under the parallel threshold", flops)
+	}
+	for name, m := range map[string]*CSR{"full": full, "holed": holed} {
+		want := serialScatterMulDenseT(m, bT)
+
+		// Force the serial scatter branch inside MulDenseT...
+		prev := par.SetMaxWorkers(1)
+		serial := m.MulDenseT(bT)
+		// ...then the transpose+row-parallel branch.
+		par.SetMaxWorkers(4)
+		parallel := m.MulDenseT(bT)
+		once := m.Transpose().MulDense(bT)
+		par.SetMaxWorkers(prev)
+
+		sparseBitEq(t, name+": single-worker MulDenseT vs reference scatter", serial, want)
+		sparseBitEq(t, name+": transpose-parallel MulDenseT vs reference scatter", parallel, want)
+		sparseBitEq(t, name+": Transpose().MulDense vs reference scatter", once, want)
 	}
 }
 

@@ -386,3 +386,77 @@ func TestMulDenseParallelPath(t *testing.T) {
 		t.Fatal("parallel MulDense not deterministic")
 	}
 }
+
+// TestSupport checks the restriction to non-empty rows and columns: what
+// is kept and under which index, what is shared with the receiver, and that
+// a matrix with nothing empty comes back as it is.
+func TestSupport(t *testing.T) {
+	build := func(rows, cols int, entries [][3]float64) *CSR {
+		coo := NewCOO(rows, cols)
+		for _, e := range entries {
+			if err := coo.Add(int(e[0]), int(e[1]), e[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return coo.ToCSR()
+	}
+	for _, tc := range []struct {
+		name       string
+		m          *CSR
+		rows, cols []int32 // nil: that side keeps everything
+	}{
+		{"nothing empty", build(2, 2, [][3]float64{{0, 1, 1}, {1, 0, 2}}), nil, nil},
+		{"empty rows only", build(4, 2, [][3]float64{{1, 0, 1}, {1, 1, 2}, {3, 1, 3}}), []int32{1, 3}, nil},
+		{"empty columns only", build(2, 5, [][3]float64{{0, 4, 1}, {1, 1, 2}, {1, 4, 3}}), nil, []int32{1, 4}},
+		{"both, interleaved", build(5, 6, [][3]float64{{0, 2, 1}, {2, 5, 2}, {2, 0, 3}, {4, 2, 4}}), []int32{0, 2, 4}, []int32{0, 2, 5}},
+		{"all zero", build(3, 4, nil), []int32{}, []int32{}},
+		{"stored zero is an entry", build(3, 3, [][3]float64{{1, 1, 0}}), []int32{1}, []int32{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, rows, cols := tc.m.Support()
+			if (rows == nil) != (tc.rows == nil) || (cols == nil) != (tc.cols == nil) {
+				t.Fatalf("index maps rows=%v cols=%v, want %v / %v", rows, cols, tc.rows, tc.cols)
+			}
+			if tc.rows == nil && tc.cols == nil && s != tc.m {
+				t.Fatal("a matrix with nothing empty must be returned as it is")
+			}
+			wantRows, wantCols := tc.m.Dims()
+			if tc.rows != nil {
+				wantRows = len(tc.rows)
+			}
+			if tc.cols != nil {
+				wantCols = len(tc.cols)
+			}
+			if r, c := s.Dims(); r != wantRows || c != wantCols || s.NNZ() != tc.m.NNZ() {
+				t.Fatalf("support is %dx%d with %d entries, want %dx%d with %d", r, c, s.NNZ(), wantRows, wantCols, tc.m.NNZ())
+			}
+			checkValid(t, s)
+			orig := func(idx []int32, i int) int {
+				if idx == nil {
+					return i
+				}
+				return int(idx[i])
+			}
+			for i := range rows {
+				if rows[i] != tc.rows[i] {
+					t.Fatalf("rows = %v, want %v", rows, tc.rows)
+				}
+			}
+			for j := range cols {
+				if cols[j] != tc.cols[j] {
+					t.Fatalf("cols = %v, want %v", cols, tc.cols)
+				}
+			}
+			for i := 0; i < wantRows; i++ {
+				for j := 0; j < wantCols; j++ {
+					if got, want := s.At(i, j), tc.m.At(orig(rows, i), orig(cols, j)); got != want {
+						t.Fatalf("support[%d,%d] = %v, original [%d,%d] = %v", i, j, got, orig(rows, i), orig(cols, j), want)
+					}
+				}
+			}
+			if len(s.Val) > 0 && &s.Val[0] != &tc.m.Val[0] {
+				t.Fatal("values were copied, not shared")
+			}
+		})
+	}
+}

@@ -1,0 +1,457 @@
+package svd
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"csrplus/internal/dense"
+	"csrplus/internal/dense/reftest"
+	"csrplus/internal/graph"
+	"csrplus/internal/sparse"
+)
+
+// asGiven decomposes a without looking at its support: the run Truncated
+// made before it restricted its drivers, and the reference the restricted
+// run is held to. Same drivers, same sketch stream, n-sized panels.
+func asGiven(tb testing.TB, a *sparse.CSR, r int, opts Options) *Result {
+	tb.Helper()
+	rows, cols := a.Dims()
+	p := &problem{a: a, rows: rows, cols: cols}
+	res, err := p.decompose(r, opts.withDefaults(), &clock{last: time.Now()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// embedded scatters a random nr x nc matrix with no empty row or column
+// (every row and column gets one entry, then Bernoulli(density) more) into
+// a rows x cols matrix at random ascending positions, so empty rows and
+// columns are interleaved with the support. rank > 0 makes the block an
+// exact rank-rank product instead.
+func embedded(rng *rand.Rand, rows, cols, nr, nc int, density float64, rank int) (a *sparse.CSR, rowIdx, colIdx []int32) {
+	pick := func(n, k int) []int32 {
+		idx := rng.Perm(n)[:k]
+		sort.Ints(idx) // ascending, as Support reports them
+		out := make([]int32, k)
+		for i, v := range idx {
+			out[i] = int32(v)
+		}
+		return out
+	}
+	rowIdx, colIdx = pick(rows, nr), pick(cols, nc)
+	block := dense.NewMat(nr, nc)
+	if rank > 0 {
+		l, r := dense.NewMat(nr, rank), dense.NewMat(rank, nc)
+		for i := range l.Data {
+			l.Data[i] = rng.NormFloat64()
+		}
+		for i := range r.Data {
+			r.Data[i] = rng.NormFloat64()
+		}
+		block = dense.Mul(l, r)
+	} else {
+		for i := 0; i < nr; i++ {
+			block.Set(i, rng.Intn(nc), rng.NormFloat64())
+		}
+		for j := 0; j < nc; j++ {
+			block.Set(rng.Intn(nr), j, rng.NormFloat64())
+		}
+		for i := range block.Data {
+			if rng.Float64() < density {
+				block.Data[i] = rng.NormFloat64()
+			}
+		}
+	}
+	coo := sparse.NewCOO(rows, cols)
+	for i := 0; i < nr; i++ {
+		for j := 0; j < nc; j++ {
+			if v := block.At(i, j); v != 0 {
+				if err := coo.Add(int(rowIdx[i]), int(colIdx[j]), v); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return coo.ToCSR(), rowIdx, colIdx
+}
+
+// offSupportExactlyZero fails unless every row of m outside idx is +0 bits.
+func offSupportExactlyZero(t *testing.T, what string, m *dense.Mat, idx []int32) {
+	t.Helper()
+	on := make(map[int]bool, len(idx))
+	for _, i := range idx {
+		on[int(i)] = true
+	}
+	for i := 0; i < m.Rows; i++ {
+		if on[i] {
+			continue
+		}
+		for j, v := range m.Row(i) {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s[%d,%d] = %v off the support, want exactly 0", what, i, j, v)
+			}
+		}
+	}
+}
+
+// product returns UΣVᵀ, the one thing a decomposition's sign and basis
+// choices cannot change.
+func product(r *Result) *dense.Mat {
+	return dense.MulT(dense.Mul(r.U, dense.Diag(r.S)), r.V)
+}
+
+// sameBits reports whether two decompositions are equal bit for bit.
+func sameBits(got, want *Result) bool {
+	return reftest.BitEqual(got.U, want.U) && reftest.BitEqual(got.V, want.V) &&
+		reftest.BitEqual(dense.Diag(got.S), dense.Diag(want.S))
+}
+
+// sameDecomposition holds got to want as decompositions, not as arrays: a
+// Householder reflector takes its sign from the pivot entry, which is a
+// zero row's 0 in one run and a support row's value in the other, so
+// singular vector pairs may come out negated together. What cannot differ
+// beyond rounding is σ, the projectors UUᵀ and VVᵀ, and UΣVᵀ.
+func sameDecomposition(t *testing.T, got, want *Result, tol float64) {
+	t.Helper()
+	for i, s := range got.S {
+		if d := math.Abs(s - want.S[i]); d > tol*math.Max(1, want.S[0]) {
+			t.Fatalf("σ[%d] = %v, as given %v (diff %g)", i, s, want.S[i], d)
+		}
+	}
+	proj := func(m *dense.Mat) *dense.Mat { return dense.MulT(m, m) }
+	if d := proj(got.U).Sub(proj(want.U)).MaxAbs(); d > tol {
+		t.Fatalf("UUᵀ differs from the as-given run by %g", d)
+	}
+	if d := proj(got.V).Sub(proj(want.V)).MaxAbs(); d > tol {
+		t.Fatalf("VVᵀ differs from the as-given run by %g", d)
+	}
+	if d := product(got).Sub(product(want)).MaxAbs(); d > tol*math.Max(1, want.S[0]) {
+		t.Fatalf("UΣVᵀ differs from the as-given run by %g", d)
+	}
+}
+
+// TestTruncatedEmbeddingDifferential is the support rule's contract: a
+// matrix with empty rows and columns interleaved decomposes, restricted to
+// its support, to what it decomposes to as given, and puts exactly nothing
+// off the support.
+//
+// For the randomized driver "the same" means to rounding — σ, subspaces and
+// product to 1e-12 — because both runs multiply the same sketch numbers
+// against the same entries in the same order and differ only where a
+// blocked reduction regroups. The Lanczos runs are two different Krylov
+// spaces: as given, the start vector's mass on empty columns never reaches
+// A·v but stays in the basis, so unconverged Ritz values differ by their
+// own error, not by rounding. It is held to 1e-9 with enough steps (40 on a
+// support at most 80 wide) for the leading six triplets to have converged
+// in both.
+func TestTruncatedEmbeddingDifferential(t *testing.T) {
+	for _, m := range []struct {
+		method        Method
+		r, oversample int
+		tol           float64
+	}{
+		{Randomized, 12, 8, 1e-12},
+		{Lanczos, 6, 34, 1e-9},
+	} {
+		k := m.r + m.oversample
+		shapes := []struct{ rows, cols, nr, nc int }{
+			{160, 160, 60, 50},   // square, both sides thinned
+			{90, 200, 90, 70},    // wide, no empty row: only the column map is live
+			{220, 80, 64, 80},    // tall, no empty column
+			{300, 310, k + 1, k}, // support exactly as wide as the sketch
+		}
+		for si, sh := range shapes {
+			t.Run(fmt.Sprintf("%v/%dx%d", m.method, sh.rows, sh.cols), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(700 + si)))
+				a, rowIdx, colIdx := embedded(rng, sh.rows, sh.cols, sh.nr, sh.nc, 0.15, 0)
+				opts := Options{Method: m.method, Oversample: m.oversample, Seed: int64(si)}
+				got, err := Truncated(a, m.r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.SupportRows != sh.nr || got.SupportCols != sh.nc {
+					t.Fatalf("support %dx%d, want %dx%d", got.SupportRows, got.SupportCols, sh.nr, sh.nc)
+				}
+				if !got.U.IsShape(sh.rows, m.r) || !got.V.IsShape(sh.cols, m.r) {
+					t.Fatalf("factors %dx%d / %dx%d, want %d and %d rows", got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, sh.rows, sh.cols)
+				}
+				offSupportExactlyZero(t, "U", got.U, rowIdx)
+				offSupportExactlyZero(t, "V", got.V, colIdx)
+				sameDecomposition(t, got, asGiven(t, a, m.r, opts), m.tol)
+			})
+		}
+	}
+}
+
+// TestTruncatedSupportEdges walks the shapes where restricting could go
+// wrong: nothing to restrict to, a support too narrow for the sketch (the
+// matrix must be decomposed as given, bit for bit), a rank request wider
+// than the support, and a rank-deficient support, where Orthonormalize
+// substitutes coordinate vectors for the dependent sketch columns — on the
+// matrix as given those could be coordinates of empty rows; restricted,
+// there are none to pick.
+func TestTruncatedSupportEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, method := range []Method{Randomized, Lanczos} {
+		opts := Options{Method: method, Seed: 5}
+		bitsAsGiven := func(t *testing.T, a *sparse.CSR, r int) *Result {
+			t.Helper()
+			got, err := Truncated(a, r, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := asGiven(t, a, r, opts)
+			if rows, cols := a.Dims(); got.SupportRows != rows || got.SupportCols != cols {
+				t.Fatalf("support %dx%d: a %dx%d matrix this narrow is decomposed as given", got.SupportRows, got.SupportCols, rows, cols)
+			}
+			if !sameBits(got, want) {
+				t.Fatal("factors are not the as-given run's bits")
+			}
+			return got
+		}
+		t.Run(method.String()+"/all-zero", func(t *testing.T) {
+			res := bitsAsGiven(t, sparse.NewCOO(40, 30).ToCSR(), 3)
+			if dense.Diag(res.S).MaxAbs() > 1e-10 {
+				t.Fatalf("zero matrix: σ = %v", res.S)
+			}
+		})
+		t.Run(method.String()+"/one-row", func(t *testing.T) {
+			coo := sparse.NewCOO(30, 30)
+			norm := 0.0
+			for j := 0; j < 30; j += 2 {
+				v := rng.NormFloat64()
+				norm += v * v
+				if err := coo.Add(17, j, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := bitsAsGiven(t, coo.ToCSR(), 2)
+			if math.Abs(res.S[0]-math.Sqrt(norm)) > 1e-12 || res.S[1] > 1e-12 {
+				t.Fatalf("σ = %v, want [%v 0]", res.S, math.Sqrt(norm))
+			}
+			if math.Abs(math.Abs(res.U.At(17, 0))-1) > 1e-12 {
+				t.Fatalf("U[17,0] = %v, want ±1", res.U.At(17, 0))
+			}
+		})
+		t.Run(method.String()+"/narrower-than-sketch", func(t *testing.T) {
+			a, _, _ := embedded(rng, 60, 60, 11, 40, 0.3, 0) // r + oversample = 12 > 11 rows
+			bitsAsGiven(t, a, 4)
+		})
+		t.Run(method.String()+"/rank-wider-than-support", func(t *testing.T) {
+			a, _, _ := embedded(rng, 50, 50, 5, 6, 0.5, 0)
+			res := bitsAsGiven(t, a, 8)
+			for _, s := range res.S[5:] {
+				if s > 1e-8 {
+					t.Fatalf("σ = %v: a 5-row support has 5 non-zero singular values", res.S)
+				}
+			}
+		})
+		t.Run(method.String()+"/rank-deficient-support", func(t *testing.T) {
+			a, rowIdx, colIdx := embedded(rng, 120, 110, 40, 36, 0, 3)
+			const r = 6
+			res, err := Truncated(a, r, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SupportRows != 40 || res.SupportCols != 36 {
+				t.Fatalf("support %dx%d, want 40x36", res.SupportRows, res.SupportCols)
+			}
+			offSupportExactlyZero(t, "U", res.U, rowIdx)
+			offSupportExactlyZero(t, "V", res.V, colIdx)
+			for i, s := range res.S {
+				if (i < 3) != (s > 1e-8) {
+					t.Fatalf("σ = %v, want exactly three non-zero", res.S)
+				}
+			}
+			want := asGiven(t, a, r, opts)
+			if d := product(res).Sub(product(want)).MaxAbs(); d > 1e-12*math.Max(1, want.S[0]) {
+				t.Fatalf("UΣVᵀ differs from the as-given run by %g", d)
+			}
+			if method == Randomized {
+				// The range finder's repair keeps U orthonormal past the rank.
+				if g := dense.TMul(res.U, res.U); !g.Equal(dense.Eye(r), 1e-8) {
+					t.Fatalf("U not orthonormal (dev %g)", g.Sub(dense.Eye(r)).MaxAbs())
+				}
+			}
+		})
+	}
+}
+
+// The two shapes Test_TruncatedSupport and Benchmark_TruncatedSupport share:
+// the transition matrices of the serving benchmark's graph (the WT stand-in,
+// n = 131072, 71 % of rows and of columns empty) and of FB (n = 4039, none
+// empty).
+var (
+	shapesOnce sync.Once
+	shapeWT    *sparse.CSR
+	shapeFB    *sparse.CSR
+	shapesErr  error
+)
+
+func supportShapes(tb testing.TB) (wt, fb *sparse.CSR) {
+	tb.Helper()
+	shapesOnce.Do(func() {
+		for _, s := range []struct {
+			key string
+			dst **sparse.CSR
+		}{{"WT", &shapeWT}, {"FB", &shapeFB}} {
+			d, err := graph.DatasetByKey(s.key)
+			if err != nil {
+				shapesErr = err
+				return
+			}
+			g, err := d.Generate()
+			if err != nil {
+				shapesErr = err
+				return
+			}
+			if *s.dst, shapesErr = g.Transition(); shapesErr != nil {
+				return
+			}
+		}
+	})
+	if shapesErr != nil {
+		tb.Fatal(shapesErr)
+	}
+	return shapeWT, shapeFB
+}
+
+// Test_TruncatedSupport is the differential at serving scale, where the
+// panels clear every parallel threshold: on WT the restricted run works on
+// the 38306 x 38369 support and agrees with the as-given run; on FB there
+// is nothing to restrict and the run is the as-given run, bit for bit.
+func Test_TruncatedSupport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decomposes the n = 131072 fixture twice")
+	}
+	wt, fb := supportShapes(t)
+	opts := Options{}
+	const r = 16
+
+	got, err := Truncated(wt, r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rowIdx, colIdx := wt.Support()
+	if got.SupportRows != len(rowIdx) || got.SupportCols != len(colIdx) || got.SupportRows != 38306 || got.SupportCols != 38369 {
+		t.Fatalf("WT support %dx%d, scan counts %dx%d, want 38306x38369", got.SupportRows, got.SupportCols, len(rowIdx), len(colIdx))
+	}
+	want := asGiven(t, wt, r, opts)
+	for i, s := range got.S {
+		if d := math.Abs(s - want.S[i]); d > 1e-12 {
+			t.Fatalf("WT σ[%d] = %v, as given %v (diff %g)", i, s, want.S[i], d)
+		}
+	}
+	// An n x n projector is out of reach; r x r cross-Grams say the same:
+	// UgᵀUw is orthogonal (|det| = 1, here: its Gram is I) iff the two
+	// column spaces coincide.
+	for _, f := range []struct {
+		name string
+		g, w *dense.Mat
+	}{{"U", got.U, want.U}, {"V", got.V, want.V}} {
+		cross := dense.TMul(f.g, f.w)
+		if d := dense.TMul(cross, cross).Sub(dense.Eye(r)).MaxAbs(); d > 1e-10 {
+			t.Fatalf("WT %s spans a different subspace than the as-given run's (dev %g)", f.name, d)
+		}
+	}
+	offSupportExactlyZero(t, "WT U", got.U, rowIdx)
+	offSupportExactlyZero(t, "WT V", got.V, colIdx)
+
+	gotFB, err := Truncated(fb, r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFB := asGiven(t, fb, r, opts)
+	if n, _ := fb.Dims(); gotFB.SupportRows != n || gotFB.SupportCols != n {
+		t.Fatalf("FB support %dx%d, want the whole %dx%d", gotFB.SupportRows, gotFB.SupportCols, n, n)
+	}
+	if !sameBits(gotFB, wantFB) {
+		t.Fatal("FB has no empty row or column, yet the factors are not the as-given run's bits")
+	}
+}
+
+// Benchmark_TruncatedSupport prices Truncated against the as-given run on
+// Test_TruncatedSupport's two shapes: the gain where most of the matrix is
+// empty, and what the scan costs where none of it is.
+//
+//	go test -run='^$' -bench=_TruncatedSupport -benchtime=5x ./internal/svd/
+func Benchmark_TruncatedSupport(b *testing.B) {
+	wt, fb := supportShapes(b)
+	for _, s := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"WT", wt}, {"FB", fb}} {
+		b.Run(s.name+"/support", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Truncated(s.a, 16, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(s.name+"/as-given", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				asGiven(b, s.a, 16, Options{})
+			}
+		})
+	}
+}
+
+// FuzzTruncatedSupport drives random sparsity patterns — which rows and
+// columns are empty, how dense the rest is — through both drivers: the
+// restricted run must decompose exactly the support, keep its factors on
+// it, exactly, and return descending finite σ. The randomized driver must
+// also agree with the as-given run on the product UΣVᵀ; Lanczos is not held
+// to that here, because short of convergence its two runs are different
+// Krylov spaces (see TestTruncatedEmbeddingDifferential).
+func FuzzTruncatedSupport(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(40), uint8(20), uint8(20), uint8(40), false)
+	f.Add(int64(2), uint8(90), uint8(30), uint8(30), uint8(30), uint8(10), true)
+	f.Add(int64(3), uint8(25), uint8(120), uint8(14), uint8(13), uint8(200), false)
+	f.Add(int64(4), uint8(60), uint8(60), uint8(3), uint8(50), uint8(80), true)
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, nr, nc, density uint8, lanczos bool) {
+		R, C := int(rows)%120+4, int(cols)%120+4
+		NR, NC := int(nr)%R+1, int(nc)%C+1
+		rng := rand.New(rand.NewSource(seed))
+		a, rowIdx, colIdx := embedded(rng, R, C, NR, NC, float64(density)/255, 0)
+		opts := Options{Oversample: 4, Seed: seed}
+		if lanczos {
+			opts.Method = Lanczos
+		}
+		const r = 3
+		got, err := Truncated(a, r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows, wantCols := R, C
+		if min(NR, NC) >= min(r+opts.Oversample, R, C) { // as wide as the sketch: restricted to
+			wantRows, wantCols = NR, NC
+		}
+		if got.SupportRows != wantRows || got.SupportCols != wantCols {
+			t.Fatalf("%dx%d support of a %dx%d matrix: decomposed %dx%d, want %dx%d", NR, NC, R, C, got.SupportRows, got.SupportCols, wantRows, wantCols)
+		}
+		if got.SupportRows == NR {
+			offSupportExactlyZero(t, "U", got.U, rowIdx)
+		}
+		if got.SupportCols == NC {
+			offSupportExactlyZero(t, "V", got.V, colIdx)
+		}
+		for i, s := range got.S {
+			if !(s >= 0) || math.IsInf(s, 0) || (i > 0 && s > got.S[i-1]+1e-9) {
+				t.Fatalf("σ = %v: want finite, non-negative, descending", got.S)
+			}
+		}
+		if lanczos {
+			return
+		}
+		want := asGiven(t, a, r, opts)
+		if d := product(got).Sub(product(want)).MaxAbs(); d > 1e-9*math.Max(1, want.S[0]) {
+			t.Fatalf("UΣVᵀ differs from the as-given run by %g (σ %v vs %v)", d, got.S, want.S)
+		}
+	})
+}

@@ -77,38 +77,49 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result holds a rank-r truncated SVD A ≈ U diag(S) Vᵀ with U, V of shape
-// n x r (orthonormal columns) and S sorted descending.
+// Result holds a rank-r truncated SVD A ≈ U diag(S) Vᵀ with U (rows x r)
+// and V (cols x r) having orthonormal columns and S sorted descending.
 type Result struct {
 	U *dense.Mat
 	S []float64
 	V *dense.Mat
-	// Stages is where the decomposition's wall time went.
+	// SupportRows x SupportCols is the shape of the matrix the driver
+	// worked on: A's non-empty rows and columns, or A's own shape when it
+	// was decomposed as given. Rows of U and V outside it are exactly zero.
+	SupportRows, SupportCols int
+	// Stages is where the decomposition's wall time went; the four sum to
+	// the call's.
 	Stages Stages
 }
 
 // Stages splits a Truncated call's wall time by the layer that spent it.
-// What the three leave out of the call's total is the sketch draw and
-// the final truncation copy.
 type Stages struct {
-	// Sparse is the passes over the matrix: A·X and Aᵀ·X products.
+	// Sparse is the passes over the matrix: its transpose and the A·X and
+	// Aᵀ·X products.
 	Sparse time.Duration
 	// Ortho is orthonormalisation: the Householder QRs of the randomized
 	// driver, the Krylov reorthogonalisation of the Lanczos one.
 	Ortho time.Duration
 	// Small is the projected problem: the Gram matrix and its
 	// eigensolve (or the bidiagonal's Jacobi SVD) and the products that
-	// carry its vectors back to n rows.
+	// carry its vectors back to the support's rows.
 	Small time.Duration
+	// Rest is everything around the driver: the support scan, the Gaussian
+	// draw, and the copy that truncates the factors to rank r and scatters
+	// them to the input's rows.
+	Rest time.Duration
 }
 
-// stopwatch charges the time since its last lap to a stage.
-type stopwatch struct{ last time.Time }
+// clock charges the time since its last lap to a stage.
+type clock struct {
+	Stages
+	last time.Time
+}
 
-func (w *stopwatch) lap(stage *time.Duration) {
+func (c *clock) lap(stage *time.Duration) {
 	now := time.Now()
-	*stage += now.Sub(w.last)
-	w.last = now
+	*stage += now.Sub(c.last)
+	c.last = now
 }
 
 // Bytes reports the memory footprint of the factors.
@@ -118,61 +129,159 @@ func (r *Result) Bytes() int64 {
 
 // Truncated computes the rank-r truncated SVD of the sparse matrix a.
 // It returns ErrRank (wrapped) when r < 1 or r exceeds min(rows, cols).
+//
+// The drivers run on a's support (see restrict): an empty row of a is a
+// zero row of every A·X, an empty column a zero row of every Aᵀ·X, and the
+// SVD of a zero-padded matrix is the zero-padded SVD of its non-zero block,
+// so the dense work — and every tall allocation — is sized by the rows and
+// columns that hold entries, and U and V are scattered back to a's shape at
+// the end. The Gaussian vectors are still drawn as the full-size streams and
+// cut down to the support, so the randomized driver multiplies the numbers
+// it would have multiplied against a's entries and its factors are those of
+// the full-size run to rounding (singular vector pairs possibly negated
+// together); a matrix with no empty row or column is decomposed by the same
+// arithmetic, bit for bit. Lanczos agrees with its full-size run only as far
+// as both have converged: there the start vector's mass on empty columns
+// stayed in the Krylov basis.
 func Truncated(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	rows, cols := a.Dims()
 	if r < 1 || r > rows || r > cols {
 		return nil, fmt.Errorf("svd: rank %d on %dx%d matrix: %w", r, rows, cols, ErrRank)
 	}
 	opts = opts.withDefaults()
+	ck := &clock{last: time.Now()}
+	p := restrict(a, r+opts.Oversample)
+	ck.lap(&ck.Rest)
+	return p.decompose(r, opts, ck)
+}
+
+// decompose runs opts.Method's driver on p and carries its factors back to
+// the shape of the matrix p was cut from.
+func (p *problem) decompose(r int, opts Options, ck *clock) (*Result, error) {
+	var drive func(*problem, int, Options, *clock) (u *dense.Mat, s []float64, v *dense.Mat, err error)
 	switch opts.Method {
 	case Randomized:
-		return randomized(a, r, opts)
+		drive = randomized
 	case Lanczos:
-		return lanczos(a, r, opts)
+		drive = lanczos
 	default:
 		return nil, fmt.Errorf("svd: unknown method %d", int(opts.Method))
 	}
+	u, s, v, err := drive(p, r, opts, ck)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{U: embed(u, r, p.rows, p.rowIdx), S: make([]float64, r), V: embed(v, r, p.cols, p.colIdx)}
+	copy(res.S, s) // the leading r; a driver that found fewer leaves σ = 0 behind them
+	res.SupportRows, res.SupportCols = p.a.Dims()
+	ck.lap(&ck.Rest)
+	res.Stages = ck.Stages
+	return res, nil
+}
+
+// problem is what a driver decomposes: the input restricted to its support,
+// and what it takes to stay the decomposition of the input — the input's
+// shape, which sizes the Gaussian streams, and the original index of every
+// row and column kept (nil: all of them, in place).
+type problem struct {
+	a              *sparse.CSR
+	rows, cols     int
+	rowIdx, colIdx []int32
+}
+
+// restrict returns the problem of decomposing a with sketches up to width
+// columns wide. A support narrower than the sketch is not restricted to:
+// the sketch width is clamped to the matrix's shape, so a narrower matrix
+// would get a narrower sketch than a does and the two runs would stop
+// multiplying the same numbers. Everything small enough for that — the
+// paper's worked example, the golden fixtures — is decomposed as given.
+func restrict(a *sparse.CSR, width int) *problem {
+	rows, cols := a.Dims()
+	p := &problem{a: a, rows: rows, cols: cols}
+	s, rowIdx, colIdx := a.Support()
+	if nr, nc := s.Dims(); min(nr, nc) >= min(width, rows, cols) {
+		p.a, p.rowIdx, p.colIdx = s, rowIdx, colIdx
+	}
+	return p
+}
+
+// gaussian draws an n x k standard normal matrix from rng, row by row, and
+// returns its rows keep (all n when keep is nil). The whole stream is drawn
+// whatever is kept, so entry (i, j) of the full matrix has one value per
+// seed and rng ends in one state.
+func gaussian(rng *rand.Rand, n, k int, keep []int32) *dense.Mat {
+	kept := n
+	if keep != nil {
+		kept = len(keep)
+	}
+	m := dense.NewMat(kept, k)
+	next := 0
+	for i := 0; i < n; i++ {
+		if keep != nil && (next == len(keep) || int(keep[next]) != i) {
+			for j := 0; j < k; j++ {
+				rng.NormFloat64()
+			}
+			continue
+		}
+		row := m.Row(next)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+		next++
+	}
+	return m
+}
+
+// embed returns the rows x r matrix holding the leading min(r, m.Cols)
+// columns of m, row i of m at row idx[i] (row i when idx is nil), and zero
+// everywhere else: the truncation to rank r and the scatter off the support
+// in one copy.
+func embed(m *dense.Mat, r, rows int, idx []int32) *dense.Mat {
+	out := dense.NewMat(rows, r)
+	k := min(r, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		at := i
+		if idx != nil {
+			at = int(idx[i])
+		}
+		copy(out.Row(at), m.Row(i)[:k])
+	}
+	return out
 }
 
 // randomized implements Halko et al.'s prototype: sketch, power-iterate,
 // orthonormalise, project, small SVD.
-func randomized(a *sparse.CSR, r int, opts Options) (*Result, error) {
+func randomized(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64, *dense.Mat, error) {
+	a := p.a
 	rows, cols := a.Dims()
-	k := r + opts.Oversample
-	if k > cols {
-		k = cols
-	}
-	if k > rows {
-		k = rows
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	omega := dense.NewMat(cols, k)
-	for i := range omega.Data {
-		omega.Data[i] = rng.NormFloat64()
-	}
-	var st Stages
-	sw := stopwatch{time.Now()}
+	k := min(r+opts.Oversample, rows, cols)
+	omega := gaussian(rand.New(rand.NewSource(opts.Seed)), p.cols, k, p.colIdx)
+	ck.lap(&ck.Rest)
+	// Aᵀ is built once for the three Aᵀ·X passes below. at.MulDense sums
+	// each output row in ascending original-row order, which is MulDenseT's
+	// order on both of its paths, so the bits are MulDenseT's.
+	at := a.Transpose()
 	// Y = A Ω, refined by power iterations with re-orthonormalisation
 	// between sparse passes to avoid losing small singular directions.
 	y := a.MulDense(omega)
-	sw.lap(&st.Sparse)
+	ck.lap(&ck.Sparse)
 	for it := 0; it < opts.PowerIters; it++ {
 		q, err := dense.Orthonormalize(y, 0)
 		if err != nil {
-			return nil, fmt.Errorf("svd: randomized power iteration %d: %w", it, err)
+			return nil, nil, nil, fmt.Errorf("svd: randomized power iteration %d: %w", it, err)
 		}
-		sw.lap(&st.Ortho)
-		y = a.MulDense(a.MulDenseT(q))
-		sw.lap(&st.Sparse)
+		ck.lap(&ck.Ortho)
+		y = a.MulDense(at.MulDense(q))
+		ck.lap(&ck.Sparse)
 	}
 	q, err := dense.Orthonormalize(y, 0)
 	if err != nil {
-		return nil, fmt.Errorf("svd: randomized range finder: %w", err)
+		return nil, nil, nil, fmt.Errorf("svd: randomized range finder: %w", err)
 	}
-	sw.lap(&st.Ortho)
+	ck.lap(&ck.Ortho)
 	// B = Qᵀ A, computed as (Aᵀ Q)ᵀ so the sparse pass stays row-major.
-	bt := a.MulDenseT(q) // cols x k
-	sw.lap(&st.Sparse)
+	bt := at.MulDense(q) // cols x k
+	ck.lap(&ck.Sparse)
 	// Finish through the k x k Gram matrix G = B Bᵀ = btᵀ bt: its
 	// eigendecomposition G = Z diag(σ²) Zᵀ gives A ≈ (Q Z) Σ (bt Z Σ⁻¹)ᵀ.
 	// One O(n k²) pass plus an O(k³) Jacobi — far cheaper than a Jacobi
@@ -180,7 +289,7 @@ func randomized(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	gram := dense.TMul(bt, bt)
 	evals, z, err := dense.SymEig(gram)
 	if err != nil {
-		return nil, fmt.Errorf("svd: randomized Gram eigensolve: %w", err)
+		return nil, nil, nil, fmt.Errorf("svd: randomized Gram eigensolve: %w", err)
 	}
 	s := make([]float64, len(evals))
 	for i, ev := range evals {
@@ -207,23 +316,16 @@ func randomized(a *sparse.CSR, r int, opts Options) (*Result, error) {
 			}
 		}
 	}
-	sw.lap(&st.Small)
-	res := truncate(u, s, v, r)
-	res.Stages = st
-	return res, nil
+	ck.lap(&ck.Small)
+	return u, s, v, nil
 }
 
 // lanczos implements Golub–Kahan bidiagonalisation with full
 // reorthogonalisation of both Krylov bases.
-func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
+func lanczos(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64, *dense.Mat, error) {
+	a := p.a
 	rows, cols := a.Dims()
-	steps := r + opts.Oversample
-	if steps > rows {
-		steps = rows
-	}
-	if steps > cols {
-		steps = cols
-	}
+	steps := min(r+opts.Oversample, rows, cols)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Right Krylov basis V (cols x steps), left basis U (rows x steps),
@@ -233,20 +335,16 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	alphas := make([]float64, 0, steps)
 	betas := make([]float64, 0, steps)
 
-	v := make([]float64, cols)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
+	v := gaussian(rng, p.cols, 1, p.colIdx).Data
 	normalise(v)
 	u := make([]float64, rows)
 	var beta float64
-	var st Stages
-	sw := stopwatch{time.Now()}
+	ck.lap(&ck.Rest)
 	for j := 0; j < steps; j++ {
 		vBasis = append(vBasis, append([]float64(nil), v...))
 		// u_j = A v_j - beta_{j-1} u_{j-1}
 		au := a.MulVec(v, nil)
-		sw.lap(&st.Sparse)
+		ck.lap(&ck.Sparse)
 		if j > 0 {
 			dense.Axpy(-beta, u, au)
 		}
@@ -255,9 +353,7 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 		if alpha < 1e-14 {
 			// Invariant subspace found: restart with a fresh random
 			// direction orthogonal to the basis.
-			for i := range au {
-				au[i] = rng.NormFloat64()
-			}
+			au = gaussian(rng, p.rows, 1, p.rowIdx).Data
 			reorthogonalise(au, uBasis)
 			if n := dense.Norm2(au); n < 1e-14 {
 				break
@@ -271,10 +367,10 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 		u = au
 		uBasis = append(uBasis, append([]float64(nil), u...))
 		alphas = append(alphas, alpha)
-		sw.lap(&st.Ortho)
+		ck.lap(&ck.Ortho)
 		// v_{j+1} = Aᵀ u_j - alpha_j v_j
 		av := a.MulVecT(u, nil)
-		sw.lap(&st.Sparse)
+		ck.lap(&ck.Sparse)
 		dense.Axpy(-alpha, v, av)
 		reorthogonalise(av, vBasis)
 		beta = dense.Norm2(av)
@@ -285,14 +381,15 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 		dense.ScaleVec(1/beta, av)
 		v = av
 		betas = append(betas, beta)
-		sw.lap(&st.Ortho)
+		ck.lap(&ck.Ortho)
 	}
-	sw.lap(&st.Ortho) // whatever a breakdown exit left unclocked
+	ck.lap(&ck.Ortho) // whatever a breakdown exit left unclocked
+	// Fewer than r triplets (early breakdown on a low-rank or zero matrix)
+	// is a valid answer: the missing directions carry singular value 0 and
+	// contribute nothing downstream, and the caller zero-pads them.
 	k := len(alphas)
 	if k == 0 {
-		// Zero matrix: all singular values are 0.
-		res := &Result{U: dense.NewMat(rows, r), S: make([]float64, r), V: dense.NewMat(cols, r)}
-		return res, nil
+		return dense.NewMat(rows, 0), nil, dense.NewMat(cols, 0), nil
 	}
 	// Small bidiagonal B (k x k): B[i][i] = alpha_i, B[i][i+1] = beta_i.
 	b := dense.NewMat(k, k)
@@ -304,36 +401,14 @@ func lanczos(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	}
 	small, err := dense.SVDJacobi(b)
 	if err != nil {
-		return nil, fmt.Errorf("svd: lanczos small SVD: %w", err)
+		return nil, nil, nil, fmt.Errorf("svd: lanczos small SVD: %w", err)
 	}
 	// A ≈ U_k B V_kᵀ = (U_k W) Σ (V_k Z)ᵀ.
 	uk := basisMat(uBasis, rows, k)
 	vk := basisMat(vBasis, cols, k)
 	um, vm := dense.Mul(uk, small.U), dense.Mul(vk, small.V)
-	sw.lap(&st.Small)
-	res := truncate(um, small.S, vm, r)
-	res.Stages = st
-	return res, nil
-}
-
-// truncate keeps the leading r singular triplets. When the driver found
-// fewer than r triplets (early Lanczos breakdown on a low-rank or zero
-// matrix), the remainder is zero-padded: the missing directions carry
-// singular value 0 and contribute nothing downstream.
-func truncate(u *dense.Mat, s []float64, v *dense.Mat, r int) *Result {
-	res := &Result{U: dense.NewMat(u.Rows, r), S: make([]float64, r), V: dense.NewMat(v.Rows, r)}
-	k := len(s)
-	if k > r {
-		k = r
-	}
-	copy(res.S, s[:k])
-	for i := 0; i < u.Rows; i++ {
-		copy(res.U.Row(i), u.Row(i)[:k])
-	}
-	for i := 0; i < v.Rows; i++ {
-		copy(res.V.Row(i), v.Row(i)[:k])
-	}
-	return res
+	ck.lap(&ck.Small)
+	return um, small.S, vm, nil
 }
 
 // reorthogonalise removes from x its components along every basis vector
