@@ -25,7 +25,7 @@ const (
 const (
 	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
 	frontFlags = "addr admintoken cache workers pending maxk timeout degraderank degradebudget degradequeue " +
-		"reloadretries reloadbackoff breakerfails breakercooldown "
+		"reloadretries breakerfails breakercooldown "
 	// columnFlags tune the coalescing of column requests into one engine
 	// pass; a router over remote slots has no column engine to coalesce for.
 	columnFlags = "maxbatch linger "
@@ -39,7 +39,7 @@ const (
 var modes = [...]struct{ when, flags string }{
 	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + columnFlags + "shards quantize"},
 	modeIngest: {"with -waldir", graphFlags + frontFlags + columnFlags + "waldir driftbudget"},
-	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wiretimeout wireretries wirebackoff wirehedge wirehedgemin wirebreakerfails wirebreakercooldown"},
+	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wirehedge"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
 }
 
@@ -92,13 +92,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.shards, "shards", 1, "partition the index into this many node-range shard slots behind the scatter-gather router")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
-	fs.DurationVar(&c.wire.Timeout, "wiretimeout", 5*time.Second, "per-attempt deadline for shard worker requests")
-	fs.IntVar(&c.wire.MaxAttempts, "wireretries", 3, "attempts per shard worker request (1 = no retry)")
-	fs.DurationVar(&c.wire.BaseBackoff, "wirebackoff", 25*time.Millisecond, "base backoff between shard request retries (exponential, jittered)")
 	fs.Float64Var(&c.wire.HedgeQuantile, "wirehedge", 0.9, "observed-latency quantile past which a shard request is hedged (negative disables)")
-	fs.DurationVar(&c.wire.HedgeMinDelay, "wirehedgemin", time.Millisecond, "floor on the hedge delay")
-	fs.IntVar(&c.wire.BreakerThreshold, "wirebreakerfails", 5, "consecutive failed shard calls that open that shard's circuit breaker (0 disables)")
-	fs.DurationVar(&c.wire.BreakerCooldown, "wirebreakercooldown", 5*time.Second, "how long an open shard breaker fails fast before probing")
 	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
@@ -113,7 +107,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
 	fs.Float64Var(&c.serve.Degrade.QueueFraction, "degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which engine calls degrade")
 	fs.IntVar(&c.policy.MaxAttempts, "reloadretries", 3, "reload attempts per trigger (1 = no retry)")
-	fs.DurationVar(&c.policy.BaseBackoff, "reloadbackoff", 50*time.Millisecond, "base backoff between reload retries (exponential, jittered)")
 	fs.IntVar(&c.policy.BreakerThreshold, "breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")
 	fs.DurationVar(&c.policy.BreakerCooldown, "breakercooldown", 10*time.Second, "how long an open breaker rejects reload triggers")
 	if err := fs.Parse(args); err != nil {

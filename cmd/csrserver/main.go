@@ -63,7 +63,7 @@
 // its bound are answered at truncated rank R — cheaper by roughly R/r — and
 // tagged with a "degraded" object carrying the effective rank and the
 // index's entrywise error bound. Reload failures retry with exponential
-// backoff (-reloadretries, -reloadbackoff); persistent failure opens a
+// backoff (-reloadretries); persistent failure opens a
 // circuit breaker (-breakerfails, -breakercooldown) surfaced on /readyz.
 package main
 

@@ -1109,7 +1109,7 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-waldir", "d", "-shards", "1"}, "-shards"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
-		{[]string{"-dataset", "FB", "-wiretimeout", "1s"}, "-wiretimeout"},
+		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "-wirehedge"},
 		{[]string{"-dataset", "FB", "-shards", "0"}, "-shards"},
 		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
 	}
@@ -1138,8 +1138,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 38 {
-		t.Errorf("csrserver has %d flags, want 38", count)
+	if count != 31 {
+		t.Errorf("csrserver has %d flags, want 31", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

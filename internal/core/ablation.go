@@ -119,12 +119,12 @@ func (ix *Index) QueryDense(queries []int) (*dense.Mat, error) {
 			return nil, fmt.Errorf("core: node %d not in [0, %d): %w", q, ix.n, ErrQuery)
 		}
 	}
-	if ix.zt != nil {
+	if ix.Tier() != TierF64 {
 		// The ablation baseline exists to measure the exact algorithm's
 		// cost; a lossy tier would measure something else entirely.
 		return nil, fmt.Errorf("core: QueryDense requires an exact (f64) index, have %v: %w", ix.Tier(), ErrParams)
 	}
-	full := dense.MulT(ix.z, ix.u).Scale(ix.c).AddEye(1)
+	full := dense.MulT(ix.z.Mat(), ix.u.Mat()).Scale(ix.c).AddEye(1)
 	out := dense.NewMat(ix.n, len(queries))
 	for j, q := range queries {
 		for i := 0; i < ix.n; i++ {

@@ -250,7 +250,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Free("precompute/P", p.Bytes())
 
 	return &Index{
-		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, z: z, u: um},
+		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, z: dense.TypedFromMat(z), u: dense.TypedFromMat(um)},
 		iters:      iters,
 		sigma:      fac.S,
 		precomp:    time.Since(start),
@@ -331,12 +331,6 @@ func (ix *Index) QueryInto(queries []int, scratch *dense.Mat, track *memtrack.Tr
 	return ix.QueryRankInto(context.Background(), queries, 0, scratch, track)
 }
 
-// queryBandRows is how many output rows PartialInto computes between
-// cancellation checks: large enough that the check cost vanishes in the
-// band's O(rows · r · |Q|) flops, small enough that an abandoned batch
-// releases its pool worker within a fraction of a millisecond of work.
-const queryBandRows = 1 << 15
-
 // QueryRankInto is phase II answered from a rank-r' truncation of the
 // index, honouring ctx. Because the factor columns are ordered by
 // descending singular value, the truncated answer
@@ -361,7 +355,7 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	uq := ix.pickURows(queries)
+	uq := ix.u.PickRows(queries) // [U]_{Q,*} as float64, dequantised on a quantized tier
 	track.Alloc("query/UQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())
@@ -392,27 +386,6 @@ func (ix *Index) TruncationBound(rank int) float64 {
 		ix.boundTail = TailBound(ix.c, zmax, umax)
 	})
 	return ix.boundTail[rank] + ix.QuantizationBound()
-}
-
-// QueryPair returns the single similarity value [S]_{a,b} in O(r) time:
-// δ_{ab} + c·⟨Z_{a,*}, U_{b,*}⟩ — the single-pair special case the
-// original CoSimRank paper optimised for, free once the index exists.
-func (ix *Index) QueryPair(a, b int) (float64, error) {
-	if a < 0 || a >= ix.n || b < 0 || b >= ix.n {
-		return 0, fmt.Errorf("core: pair (%d, %d) not in [0, %d): %w", a, b, ix.n, ErrQuery)
-	}
-	var s float64
-	if ix.zt != nil {
-		zr := make([]float64, ix.rank)
-		ur := make([]float64, ix.rank)
-		s = ix.c * dense.Dot(ix.zt.RowInto(a, zr), ix.ut.RowInto(b, ur))
-	} else {
-		s = ix.c * dense.Dot(ix.z.Row(a), ix.u.Row(b))
-	}
-	if a == b {
-		s++
-	}
-	return s, nil
 }
 
 // QueryOne returns the single-source similarity vector [S]_{*,q}.

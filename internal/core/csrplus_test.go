@@ -359,33 +359,6 @@ func TestSelfSimilarityDominatesRow(t *testing.T) {
 	}
 }
 
-func TestQueryPairMatchesColumn(t *testing.T) {
-	g := paperGraph(t)
-	ix, err := Precompute(g, Options{Rank: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := ix.QueryOne(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < 6; a++ {
-		got, err := ix.QueryPair(a, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-col[a]) > 1e-12 {
-			t.Fatalf("QueryPair(%d, 3) = %v, column says %v", a, got, col[a])
-		}
-	}
-	if _, err := ix.QueryPair(-1, 0); !errors.Is(err, ErrQuery) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := ix.QueryPair(0, 6); !errors.Is(err, ErrQuery) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestQueryIntoMatchesQueryAndReusesScratch pins the serving hot path's
 // contract: QueryInto returns the same bits as Query, reuses an
 // adequately-sized scratch matrix instead of allocating, and tolerates

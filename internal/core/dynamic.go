@@ -69,7 +69,7 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 	if g.N() != ix.n {
 		return nil, fmt.Errorf("core: dynamic state over n=%d graph for n=%d index: %w", g.N(), ix.n, ErrParams)
 	}
-	if ix.u == nil {
+	if ix.Tier() != TierF64 {
 		return nil, fmt.Errorf("core: dynamic maintenance requires the exact factor tier, have %v: %w", ix.Tier(), ErrParams)
 	}
 	d := &Dynamic{
@@ -77,7 +77,7 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 		r:        ix.rank,
 		c:        ix.c,
 		weighted: g.Weighted(),
-		u:        ix.u,
+		u:        ix.u.Mat(),
 		in:       make([][]dynEdge, ix.n),
 		totw:     make([]float64, ix.n),
 	}

@@ -40,7 +40,7 @@ func maxAbsDiff(a, b *dense.Mat) float64 {
 // scoresFrom evaluates S = I + c·U·A·Uᵀ column by column for the
 // refreshed factor Z' = U·A, i.e. S = I + c·Z'·Uᵀ.
 func scoresFrom(ix *Index, z *dense.Mat) *dense.Mat {
-	return dense.MulT(z, ix.u).Scale(ix.c).AddEye(1)
+	return dense.MulT(z, ix.u.Mat()).Scale(ix.c).AddEye(1)
 }
 
 func TestDynamicBootRefreshReproducesServedFactors(t *testing.T) {
@@ -57,7 +57,7 @@ func TestDynamicBootRefreshReproducesServedFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := maxAbsDiff(z, ix.z); diff > 1e-8 {
+	if diff := maxAbsDiff(z, ix.z.Mat()); diff > 1e-8 {
 		t.Fatalf("zero-edge refresh drifts from the served Z by %g", diff)
 	}
 	if d.Drift() != 0 || d.Edges() != 0 {
@@ -103,7 +103,7 @@ func TestDynamicRefreshTracksLiveGraphAtFullRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := scoresFrom(ix, z)
-	want := scoresFrom(ixLive, ixLive.z)
+	want := scoresFrom(ixLive, ixLive.z.Mat())
 	if diff := maxAbsDiff(got, want); diff > 1e-6 {
 		t.Fatalf("full-rank refresh off the live graph's exact scores by %g", diff)
 	}
@@ -162,8 +162,8 @@ func TestDynamicDriftBoundHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := scoresFrom(ix, ix.z)
-	exact := scoresFrom(ixLive, ixLive.z)
+	stale := scoresFrom(ix, ix.z.Mat())
+	exact := scoresFrom(ixLive, ixLive.z.Mat())
 	// Both score evaluations carry the squaring series' own ~eps error;
 	// leave it a little slack on top of the drift bound.
 	if diff := maxAbsDiff(stale, exact); diff > d.Drift()+1e-4 {

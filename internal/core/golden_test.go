@@ -88,12 +88,12 @@ func v1Bytes(k *snapKind, words []uint64, blocks ...[]float64) []byte {
 
 func v1IndexBytes(ix *Index) []byte {
 	words := []uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters)}
-	return v1Bytes(indexKind, words, ix.sigma, ix.z.Data, ix.u.Data)
+	return v1Bytes(indexKind, words, ix.sigma, ix.z.F64, ix.u.F64)
 }
 
 func v1ShardBytes(sh *IndexShard) []byte {
 	words := []uint64{uint64(sh.n), uint64(sh.lo), uint64(sh.hi), uint64(sh.rank), math.Float64bits(sh.c)}
-	return v1Bytes(shardKind, words, sh.z.Data, sh.u.Data)
+	return v1Bytes(shardKind, words, sh.z.F64, sh.u.F64)
 }
 
 func wantSameBytes(t *testing.T, label string, got, want []byte) {
@@ -109,8 +109,8 @@ func wantSameFactors(t *testing.T, label string, got, want *IndexShard) {
 		t.Fatalf("%s: header %d [%d, %d) r=%d c=%v, want %d [%d, %d) r=%d c=%v", label,
 			got.n, got.lo, got.hi, got.rank, got.c, want.n, want.lo, want.hi, want.rank, want.c)
 	}
-	wantBitwise(t, label+" Z", got.z.Data, want.z.Data)
-	wantBitwise(t, label+" U", got.u.Data, want.u.Data)
+	wantBitwise(t, label+" Z", got.z.F64, want.z.F64)
+	wantBitwise(t, label+" U", got.u.F64, want.u.F64)
 }
 
 // TestGoldenUpdate regenerates the fixtures under -update and is a no-op

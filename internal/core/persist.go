@@ -255,8 +255,8 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 		return nil, fmt.Errorf("core: %s checksum %08x, want %08x: %w", k.name, sum, want, ErrCorrupt)
 	}
 	ix := h.index(sigma)
-	ix.z = dense.NewMatFrom(rows, rank, zdata)
-	ix.u = dense.NewMatFrom(rows, rank, udata)
+	ix.z = dense.TypedFromMat(dense.NewMatFrom(rows, rank, zdata))
+	ix.u = dense.TypedFromMat(dense.NewMatFrom(rows, rank, udata))
 	return ix, nil
 }
 
@@ -355,7 +355,7 @@ func LoadShard(path string) (*IndexShard, error) {
 // partials.
 func loadSnapshot(path string, k *snapKind) (*Index, error) {
 	if k.whole {
-		ix, err := mapIndexAt(path, true)
+		ix, err := MapIndex(path)
 		if err == nil || !errors.Is(err, errMapUnsupported) {
 			return ix, err
 		}

@@ -14,10 +14,7 @@ package core
 // Every non-empty section starts exactly at the next page boundary and
 // its CRC covers the section plus its zero padding up to the following
 // boundary, so every byte of the file outside the two CRC words is
-// checksummed and per-section validation can be lazy: MapIndex verifies
-// the header and small sections eagerly and the factor blocks either up
-// front (MapIndex, LoadIndex) or on demand (MapIndexLazy + VerifyPayload,
-// which is what makes map-time O(1)).
+// checksummed.
 //
 // Zero-copy rules: the float64/float32 factor views reinterpret mapped
 // bytes, which requires native little-endian byte order and the 8-byte
@@ -124,25 +121,24 @@ func i8Section(data []int8) v2section {
 var emptySection = v2section{0, func(io.Writer) error { return nil }}
 
 // factorSections renders one factor matrix (and its quantisation
-// metadata) as the scale/qerr/payload section triple, from either the
-// exact or the typed representation.
-func factorSections(m *dense.Mat, t *dense.Typed, qerr []float64) (scale, qe, payload v2section) {
-	if t == nil {
-		return emptySection, emptySection, f64Section(m.Data)
-	}
-	qe = f64Section(qerr)
+// metadata) as the scale/qerr/payload section triple. Sections a tier
+// lacks are empty: scales exist only for int8, qerr for both quantized
+// tiers.
+func factorSections(t *dense.Typed, qerr []float64) (scale, qe, payload v2section) {
 	switch t.Kind {
+	case dense.F64:
+		return emptySection, emptySection, f64Section(t.F64)
 	case dense.F32:
-		return emptySection, qe, f32Section(t.F32)
+		return emptySection, f64Section(qerr), f32Section(t.F32)
 	default:
-		return f64Section(t.Scale), qe, i8Section(t.I8)
+		return f64Section(t.Scale), f64Section(qerr), i8Section(t.I8)
 	}
 }
 
 // factorBlock renders the shard's six factor-block sections.
 func (sh *IndexShard) factorBlock() []v2section {
-	zscale, zqe, z := factorSections(sh.z, sh.zt, sh.zqerr)
-	uscale, uqe, u := factorSections(sh.u, sh.ut, sh.uqerr)
+	zscale, zqe, z := factorSections(sh.z, sh.zqerr)
+	uscale, uqe, u := factorSections(sh.u, sh.uqerr)
 	return []v2section{zscale, uscale, zqe, uqe, z, u}
 }
 
@@ -374,7 +370,7 @@ func (f *v2file) verifySection(i int) error {
 }
 
 // verifyFactors checks the two factor-block CRCs — the O(size) half of
-// validation that MapIndexLazy defers.
+// validation.
 func (f *v2file) verifyFactors() error {
 	if err := fault.Hit(fault.SiteIndexVerify); err != nil {
 		return fmt.Errorf("core: verifying factor blocks: %w", err)
@@ -457,35 +453,33 @@ func checkQuantVec(name string, v []float64) error {
 	return nil
 }
 
-// factorsFromV2 materialises one factor matrix from its scale/qerr/
-// payload sections (already shape-validated). Returns exactly one of
-// mat (f64 tier) or typed+qerr.
-func (f *v2file) factorsFromV2(rows int, scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool) (mat *dense.Mat, typed *dense.Typed, qerr []float64, err error) {
-	r := int(f.rank)
+// factorsFromV2 materialises one factor matrix and its measured
+// dequantisation errors from its scale/qerr/payload sections (already
+// shape-validated). The payload is wrapped, never copied: f64Of and its
+// siblings already return either the mmap view (zeroCopy) or a fresh
+// decode, and copying here would put every factor entry back on the heap
+// — the exact cost mapping exists to avoid. The view is PROT_READ; queries
+// only read.
+func (f *v2file) factorsFromV2(rows int, scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
+	t = &dense.Typed{Kind: f.tier.kind(), Rows: rows, Cols: int(f.rank)}
 	switch f.tier {
 	case TierF64:
-		// Wrap, don't NewMatFrom: f64Of already returns either the mmap
-		// view (zeroCopy) or a fresh decode, and copying here would put
-		// every factor entry back on the heap — the exact cost mapping
-		// exists to avoid. The view is PROT_READ; queries only read.
-		return &dense.Mat{Rows: rows, Cols: r, Data: f.f64Of(payloadIdx, zeroCopy)}, nil, nil, nil
+		t.F64 = f.f64Of(payloadIdx, zeroCopy)
+		return t, nil, nil
 	case TierF32:
-		qerr = f.f64Of(qerrIdx, zeroCopy)
-		if err := checkQuantVec("qerr", qerr); err != nil {
-			return nil, nil, nil, err
-		}
-		return nil, &dense.Typed{Kind: dense.F32, Rows: rows, Cols: r, F32: f.f32Of(payloadIdx, zeroCopy)}, qerr, nil
+		t.F32 = f.f32Of(payloadIdx, zeroCopy)
 	default:
-		scale := f.f64Of(scaleIdx, zeroCopy)
-		if err := checkQuantVec("scale", scale); err != nil {
-			return nil, nil, nil, err
+		t.I8 = f.i8Of(payloadIdx, zeroCopy)
+		t.Scale = f.f64Of(scaleIdx, zeroCopy)
+		if err := checkQuantVec("scale", t.Scale); err != nil {
+			return nil, nil, err
 		}
-		qerr = f.f64Of(qerrIdx, zeroCopy)
-		if err := checkQuantVec("qerr", qerr); err != nil {
-			return nil, nil, nil, err
-		}
-		return nil, &dense.Typed{Kind: dense.I8, Rows: rows, Cols: r, I8: f.i8Of(payloadIdx, zeroCopy), Scale: scale}, qerr, nil
 	}
+	qerr = f.f64Of(qerrIdx, zeroCopy)
+	if err := checkQuantVec("qerr", qerr); err != nil {
+		return nil, nil, err
+	}
+	return t, qerr, nil
 }
 
 // fromV2 builds the Index (for a shard image, the IndexShard inside it)
@@ -502,10 +496,10 @@ func (f *v2file) fromV2(zeroCopy bool) (*Index, error) {
 	}
 	ix := f.index(sigma)
 	var err error
-	if ix.z, ix.zt, ix.zqerr, err = f.factorsFromV2(f.rows(), base, base+2, base+4, zeroCopy); err != nil {
+	if ix.z, ix.zqerr, err = f.factorsFromV2(f.rows(), base, base+2, base+4, zeroCopy); err != nil {
 		return nil, err
 	}
-	if ix.u, ix.ut, ix.uqerr, err = f.factorsFromV2(f.rows(), base+1, base+3, base+5, zeroCopy); err != nil {
+	if ix.u, ix.uqerr, err = f.factorsFromV2(f.rows(), base+1, base+3, base+5, zeroCopy); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -572,37 +566,21 @@ func mapFile(path string) ([]byte, *mapping, error) {
 }
 
 // MapIndex memory-maps a v2 snapshot and returns an Index whose factor
-// matrices are zero-copy views over the mapping: load time is O(1) in
-// index size (header and metadata validation plus one CRC pass over the
-// factor blocks; use MapIndexLazy to defer even that), pages fault in
-// on first access, and RSS is shared with any other mapping of the same
-// generation. The caller owns the mapping lifetime: Close the index
-// only after every query that might touch it has drained (the serve
-// layer's swap guarantees exactly this — see DESIGN.md). Returns
-// errMapUnsupported-wrapped errors for v1 files and unmappable
-// environments, ErrCorrupt-wrapped for bad bytes.
+// matrices are zero-copy views over the mapping: the load copies nothing
+// (header and metadata validation plus one CRC pass over the factor
+// blocks), pages fault in on first access, and RSS is shared with any
+// other mapping of the same generation. The caller owns the mapping
+// lifetime: Close the index only after every query that might touch it
+// has drained (the serve layer's swap guarantees exactly this — see
+// DESIGN.md). Returns errMapUnsupported-wrapped errors for v1 files and
+// unmappable environments, ErrCorrupt-wrapped for bad bytes.
 func MapIndex(path string) (*Index, error) {
-	return mapIndexAt(path, true)
-}
-
-// MapIndexLazy is MapIndex without the eager factor-block CRC pass —
-// true O(1) mapping. The header, section geometry, sigma and
-// quantisation metadata are still verified; call VerifyPayload to check
-// the factor blocks (e.g. concurrently with warming traffic). Intended
-// for callers that can tolerate detecting factor corruption after
-// serving starts; LoadIndex and the recovery ladder use the verified
-// MapIndex.
-func MapIndexLazy(path string) (*Index, error) {
-	return mapIndexAt(path, false)
-}
-
-func mapIndexAt(path string, verify bool) (*Index, error) {
 	data, m, err := mapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: MapIndex %s: %w", path, err)
 	}
 	f, err := parseV2Header(data, indexKind)
-	if err == nil && verify {
+	if err == nil {
 		err = f.verifyFactors()
 	}
 	var ix *Index
@@ -614,18 +592,7 @@ func mapIndexAt(path string, verify bool) (*Index, error) {
 		return nil, fmt.Errorf("core: MapIndex %s: %w", path, err)
 	}
 	ix.mapped = m
-	ix.mapped.verify = f.verifyFactors
 	return ix, nil
-}
-
-// VerifyPayload runs the factor-block CRC pass a MapIndexLazy call
-// deferred. It is a no-op (nil) for decoded and eagerly-verified
-// indexes, idempotent, and safe to call while the index serves.
-func (ix *Index) VerifyPayload() error {
-	if ix.mapped == nil || ix.mapped.verify == nil {
-		return nil
-	}
-	return ix.mapped.verify()
 }
 
 func writeFloats32(w io.Writer, data []float32) error {

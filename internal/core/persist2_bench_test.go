@@ -35,7 +35,7 @@ func synthBenchIndex(n, rank int) *Index {
 	for i := range sigma {
 		sigma[i] = float64(rank-i) * 0.5
 	}
-	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, z: z, u: u}, iters: 8, sigma: sigma}
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, z: dense.TypedFromMat(z), u: dense.TypedFromMat(u)}, iters: 8, sigma: sigma}
 }
 
 // benchLoadFiles writes one v1 and one v2 file per size and hands the
@@ -85,25 +85,6 @@ func BenchmarkSnapshotLoadV2MapVerified(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ix, err := LoadIndex(v2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix.Close()
-		}
-	})
-}
-
-func BenchmarkSnapshotLoadV2MapLazy(b *testing.B) {
-	benchLoadFiles(b, func(b *testing.B, _, v2 string) {
-		probe, err := MapIndexLazy(v2)
-		if err != nil {
-			b.Skipf("mmap unavailable on this platform: %v", err)
-		}
-		probe.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix, err := MapIndexLazy(v2)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -104,10 +105,15 @@ func TestV2RoundTripBitwise(t *testing.T) {
 		t.Fatal("MapIndex returned an unmapped index")
 	}
 	wantBitwise(t, "v2 mapped", queryBits(t, mapped, queries), want)
-	if b, err := mapped.QueryPair(1, 3); err != nil {
-		t.Fatal(err)
-	} else if d, _ := ix.QueryPair(1, 3); math.Float64bits(b) != math.Float64bits(d) {
-		t.Fatal("mapped QueryPair differs")
+	pair := func(ix *Index) uint64 {
+		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.u.PickRows([]int{3}), []int{1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64bits(s[0])
+	}
+	if pair(mapped) != pair(ix) {
+		t.Fatal("mapped pair score differs")
 	}
 	if mapped.TruncationBound(2) != ix.TruncationBound(2) {
 		t.Fatal("mapped truncation bound differs")
@@ -243,38 +249,6 @@ func TestV2CorruptionMatrix(t *testing.T) {
 		if _, err := LoadIndex(p); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("load %s: err = %v, want wrapped ErrCorrupt", name, err)
 		}
-	}
-}
-
-// TestV2LazyVerifyCatchesPayloadCorruption pins the MapIndexLazy
-// contract: mapping succeeds in O(1) without touching the factor
-// blocks, and VerifyPayload finds the corruption the lazy map skipped.
-func TestV2LazyVerifyCatchesPayloadCorruption(t *testing.T) {
-	ix := buildIndex(t)
-	path := writeV2File(t, ix)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zOff := binary.LittleEndian.Uint64(data[v2TableOff+5*v2DescSize:])
-	data[zOff] ^= 0x80
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := MapIndexLazy(path)
-	if err != nil {
-		if errors.Is(err, errMapUnsupported) {
-			t.Skipf("mmap unavailable here: %v", err)
-		}
-		t.Fatalf("lazy map must not read factor blocks, got %v", err)
-	}
-	defer lazy.Close()
-	if err := lazy.VerifyPayload(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("VerifyPayload = %v, want wrapped ErrCorrupt", err)
-	}
-	// The verified paths reject the same file outright.
-	if _, err := MapIndex(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("MapIndex = %v, want wrapped ErrCorrupt", err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func factorCRC(ix *Index) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
-	for _, s := range [][]float64{ix.z.Data, ix.u.Data, ix.sigma} {
+	for _, s := range [][]float64{ix.z.F64, ix.u.F64, ix.sigma} {
 		for _, v := range s {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])

@@ -1,15 +1,24 @@
 package core
 
-// shard.go holds the one factor type. Because phase II is
-// [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ, output row i depends only
-// on row i of Z (plus the |Q| broadcast rows of U), so the factor matrices
-// partition cleanly by contiguous node range. An IndexShard owns rows
-// [lo, hi) of both Z and U and can score exactly its own nodes; a router
-// that gathers the U rows of the query nodes from their owner shards and
-// broadcasts them reproduces the monolithic answer bitwise — same
-// dot-product kernel, same per-element operation order (dot, ×c, +1). An
-// Index is its [0, n) shard plus build metadata (csrplus.go), so every
-// method here runs on whole indexes too.
+// shard.go holds the one factor type and the one phase-II loop. Because
+// phase II is [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ, output row i
+// depends only on row i of Z (plus the |Q| broadcast rows of U), so the
+// factor matrices partition cleanly by contiguous node range. An IndexShard
+// owns rows [lo, hi) of both Z and U and can score exactly its own nodes; a
+// router that gathers the U rows of the query nodes from their owner shards
+// and broadcasts them reproduces the monolithic answer bitwise. An Index is
+// its [0, n) shard plus build metadata (csrplus.go), so every method here
+// runs on whole indexes too.
+//
+// One scan, three consumers, one representation: the factors are stored
+// once, as dense.Typed at the tier's element width (the F64 kind is the
+// exact tier), and every score the package serves is produced by scan —
+// a band of rows through the dense row-range kernel, then ×c. PartialInto
+// lands the bands in the caller's column block, PartialTopK streams each
+// band, summed over the query set, into a selector, ScoreRows scans
+// one-row bands; the +1 of the identity is each consumer's last step. Per
+// element that is dot, ×c, +1 whatever the consumer, tier, banding, shard
+// cut or worker count — what keeps them bitwise-equal to each other.
 //
 // Shards persist under the "CSRS" header of the snapshot format
 // (persist.go, persist2.go; byte layout in DESIGN.md §13). The global n
@@ -19,7 +28,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"csrplus/internal/dense"
@@ -38,15 +46,15 @@ type IndexShard struct {
 	lo, hi int
 	c      float64
 	rank   int
-	z      *dense.Mat // rows [lo, hi) of Z, (hi-lo) x rank — exact tier only; nil when quantized
-	u      *dense.Mat // rows [lo, hi) of U, (hi-lo) x rank — exact tier only
 
-	// Quantized tiers (tier.go) store the factors as dense.Typed with
-	// per-column scales instead of z/u, plus the measured per-column
+	// z and u are rows [lo, hi) of Z and U, (hi-lo) x rank, at the tier's
+	// element width. The F64 kind is the exact tier: a view over the heap
+	// or mmap'd []float64. Quantized tiers (tier.go) carry their per-column
+	// scales inside the Typed, and zqerr/uqerr hold the measured per-column
 	// dequantisation errors that feed QuantBound (global per-column, shared
 	// by all shards cut from one index, so routers can recompose the
-	// bound). Exactly one of (z, u) and (zt, ut) is populated.
-	zt, ut       *dense.Typed
+	// bound); both are nil on the exact tier.
+	z, u         *dense.Typed
 	zqerr, uqerr []float64
 }
 
@@ -64,13 +72,8 @@ func (ix *Index) Shard(lo, hi int) (*IndexShard, error) {
 	}
 	sh := ix.IndexShard // copies the shard part only: Index carries sync.Once fields
 	sh.lo, sh.hi = lo, hi
-	if ix.zt != nil {
-		sh.zt = ix.zt.SliceRowsView(lo, hi)
-		sh.ut = ix.ut.SliceRowsView(lo, hi)
-	} else {
-		sh.z = &dense.Mat{Rows: hi - lo, Cols: ix.rank, Data: ix.z.Data[lo*ix.rank : hi*ix.rank]}
-		sh.u = &dense.Mat{Rows: hi - lo, Cols: ix.rank, Data: ix.u.Data[lo*ix.rank : hi*ix.rank]}
-	}
+	sh.z = ix.z.SliceRowsView(lo, hi)
+	sh.u = ix.u.SliceRowsView(lo, hi)
 	return &sh, nil
 }
 
@@ -95,22 +98,17 @@ func (sh *IndexShard) Damping() float64 { return sh.c }
 // Bytes reports the resident memory of the shard's factors — the 1/K
 // slice of the index's O(rn) that actually lives on this shard, at the
 // tier's element width.
-func (sh *IndexShard) Bytes() int64 {
-	if sh.zt != nil {
-		return sh.zt.Bytes() + sh.ut.Bytes()
-	}
-	return sh.z.Bytes() + sh.u.Bytes()
-}
+func (sh *IndexShard) Bytes() int64 { return sh.z.Bytes() + sh.u.Bytes() }
 
 // Tier returns the storage tier of the factors.
 func (sh *IndexShard) Tier() Tier {
-	if sh.zt == nil {
-		return TierF64
-	}
-	if sh.zt.Kind == dense.F32 {
+	switch sh.z.Kind {
+	case dense.F32:
 		return TierF32
+	case dense.I8:
+		return TierI8
 	}
-	return TierI8
+	return TierF64
 }
 
 // Owns reports whether global node q falls in the shard's range.
@@ -128,10 +126,147 @@ func (sh *IndexShard) URow(q int) []float64 {
 	if !sh.Owns(q) {
 		panic(fmt.Sprintf("core: URow(%d) outside shard [%d, %d)", q, sh.lo, sh.hi))
 	}
-	if sh.ut != nil {
-		return sh.ut.RowInto(q-sh.lo, make([]float64, sh.rank))
+	i := q - sh.lo
+	if sh.u.Kind == dense.F64 {
+		return sh.u.F64[i*sh.rank : (i+1)*sh.rank]
 	}
-	return sh.u.Row(q - sh.lo)
+	return sh.u.RowInto(i, make([]float64, sh.rank))
+}
+
+// scanTileFloats bounds the scan's working set: a band is
+// scanTileFloats/|Q| rows (at most scanMaxBand, at least scanMinBand), so
+// its 256 KiB tile of scores is scaled — and, when ranked, summed and
+// selected — out of L2 while it is hot, and the band of Z behind it is the
+// only thing streamed from memory. A band is also the cancellation
+// granule: an abandoned request releases its worker within one band.
+const (
+	scanTileFloats = 1 << 15
+	scanMaxBand    = 4096
+	scanMinBand    = 64
+)
+
+// scanBand returns how many rows one band of a cols-source scan covers.
+// The tile is band x cols floats, so an oversized query set grows it
+// linearly (64 rows per source) but never to n x |Q|.
+func scanBand(cols int) int {
+	return max(scanMinBand, min(scanMaxBand, scanTileFloats/cols))
+}
+
+// scanScratch is what one scan scores through: the band x |Q| tile and its
+// per-row sums for a caller that ranks rows, the header that views a band
+// of the destination of one that wants the block, and the quantized tiers'
+// dequantisation buffer. Pooled, so a request allocates none of it.
+type scanScratch struct {
+	tile *dense.Mat
+	sums []float64
+	view dense.Mat
+	deq  []float64
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// scan is the one phase-II loop: it scores the shard's rows [lo, hi)
+// against the gathered query rows uq (|Q| x r, row j for the j-th query),
+// band rows at a time — Z_{band,<rank} · (uq_{*,<rank})ᵀ through the dense
+// row-range kernel, then ×c — checking ctx once per band, and finishes a
+// band one of two ways. With a dst ((hi-lo) x |Q|) the tile is the band's
+// view of dst: the scaled scores land where the caller wants them. With a
+// visit func the tile is pooled scratch and visit gets the band's first
+// row and one score a row (rowScores), valid until it returns.
+func (sh *IndexShard) scan(ctx context.Context, uq *dense.Mat, rank, lo, hi, band int, dst *dense.Mat, visit func(b int, scores []float64)) error {
+	sc := scanPool.Get().(*scanScratch)
+	defer func() {
+		sc.view = dense.Mat{} // the pool must not keep the caller's dst alive
+		// A query set past 512 sources outgrows the tile budget (64 rows
+		// each); that tile is the request's, not the pool's to keep.
+		if sc.tile == nil || cap(sc.tile.Data) <= scanTileFloats {
+			scanPool.Put(sc)
+		}
+	}()
+	cols := uq.Rows
+	for b := lo; b < hi; b += band {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		e := min(b+band, hi)
+		tile := sc.tile
+		if dst != nil {
+			sc.view = dense.Mat{Rows: e - b, Cols: cols, Data: dst.Data[(b-lo)*cols : (e-lo)*cols]}
+			tile = &sc.view
+		}
+		tile, sc.deq = dense.MulTRankTypedRowsInto(tile, sh.z, uq, rank, b, e, sc.deq)
+		if dst != nil {
+			tile.Scale(sh.c)
+		} else {
+			sc.tile = tile
+			visit(b, sh.rowScores(sc))
+		}
+	}
+	return nil
+}
+
+// rowScores finishes a band that is being ranked: one score a row, the
+// row's |Q| scores — each ×c — summed left to right in query order. The ×c
+// is fused into the sum, one pass over the tile instead of two with the
+// same roundings, and the sums go to their own buffer: written over the
+// tile's head they cost 8 % of a 16-source scan in 4 KiB store-load
+// aliasing. A single source is not summed at all: no 0 + x, so a -0.0 score
+// keeps its sign.
+func (sh *IndexShard) rowScores(sc *scanScratch) []float64 {
+	tile := sc.tile
+	cols := tile.Cols
+	if cols == 1 {
+		return tile.Scale(sh.c).Data
+	}
+	if cap(sc.sums) < tile.Rows {
+		sc.sums = make([]float64, tile.Rows)
+	}
+	scores := sc.sums[:tile.Rows]
+	for i := range scores {
+		sum := 0.0
+		for _, v := range tile.Data[i*cols : (i+1)*cols] {
+			sum += float64(v * sh.c) // rounded before the add, as Scale then += would
+		}
+		scores[i] = sum
+	}
+	return scores
+}
+
+// eachRange splits the shard's rows across par workers on band boundaries
+// (above par's flop threshold), runs body once per worker range and
+// returns the first error.
+func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) error) error {
+	var first struct {
+		sync.Mutex
+		err error
+	}
+	band := scanBand(cols)
+	flops := int64(sh.Rows()) * int64(rank) * int64(cols)
+	par.DoAligned(sh.Rows(), band, flops, func(lo, hi int) {
+		if err := body(lo, hi, band); err != nil {
+			first.Lock()
+			defer first.Unlock()
+			if first.err == nil {
+				first.err = err
+			}
+		}
+	})
+	return first.err
+}
+
+// checkQuery validates a consumer's query set against its gathered rows
+// and resolves the rank to scan at (rank <= 0 or > the factors' is full).
+func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, error) {
+	if len(queries) == 0 {
+		return 0, fmt.Errorf("core: empty query set: %w", ErrParams)
+	}
+	if !uq.IsShape(len(queries), sh.rank) {
+		return 0, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, len(queries), sh.rank, ErrParams)
+	}
+	if rank <= 0 || rank > sh.rank {
+		rank = sh.rank
+	}
+	return rank, nil
 }
 
 // PartialInto computes the shard's slice of a (possibly rank-truncated)
@@ -143,185 +278,89 @@ func (sh *IndexShard) URow(q int) []float64 {
 // shards. queries are global ids and are only used here to place the +1
 // self-similarity for query nodes this shard owns.
 //
-// This is the one banded phase-II loop: Index.QueryRankInto runs it on
-// the [0, n) shard the index is, so stitching every shard's PartialInto output together
-// reproduces the monolithic answer bitwise (each output element is one dot
-// product in column index order, then ×c, then +1, whatever the banding).
-// The GEMM runs in row bands with a cancellation check between bands, so a
-// batch whose callers have all gone away stops consuming its worker
-// mid-pass; returns ctx.Err() on cancellation.
+// Index.QueryRankInto runs it on the [0, n) shard the index is, so
+// stitching every shard's PartialInto output together reproduces the
+// monolithic answer bitwise. The scan writes each scaled band straight
+// into out, split across par workers; returns ctx.Err() on cancellation.
 func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
+	rank, err := sh.checkQuery(queries, uq, rank)
+	if err != nil {
+		return err
+	}
 	cols := len(queries)
-	if cols == 0 {
-		return fmt.Errorf("core: empty query set: %w", ErrParams)
-	}
-	if !uq.IsShape(cols, sh.rank) {
-		return fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, cols, sh.rank, ErrParams)
-	}
 	if !out.IsShape(sh.Rows(), cols) {
 		return fmt.Errorf("core: out is %dx%d, want %dx%d: %w", out.Rows, out.Cols, sh.Rows(), cols, ErrParams)
 	}
-	if rank <= 0 || rank > sh.rank {
-		rank = sh.rank
+	err = sh.eachRange(cols, rank, func(lo, hi, band int) error {
+		dst := &dense.Mat{Rows: hi - lo, Cols: cols, Data: out.Data[lo*cols : hi*cols]}
+		return sh.scan(ctx, uq, rank, lo, hi, band, dst, nil)
+	})
+	if err != nil {
+		return err
 	}
-	rows := sh.Rows()
-	for lo := 0; lo < rows; lo += queryBandRows {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := lo + queryBandRows
-		if hi > rows {
-			hi = rows
-		}
-		sBand := &dense.Mat{Rows: hi - lo, Cols: cols, Data: out.Data[lo*cols : hi*cols]}
-		if sh.zt != nil {
-			dense.MulTRankTypedInto(sBand, sh.zt.SliceRowsView(lo, hi), uq, rank)
-		} else {
-			zBand := &dense.Mat{Rows: hi - lo, Cols: sh.rank, Data: sh.z.Data[lo*sh.rank : hi*sh.rank]}
-			dense.MulTRankInto(sBand, zBand, uq, rank)
-		}
-	}
-	out.Scale(sh.c)
 	for j, q := range queries {
 		if sh.Owns(q) {
-			i := q - sh.lo
-			out.Set(i, j, out.At(i, j)+1)
+			out.Data[(q-sh.lo)*cols+j]++
 		}
 	}
 	return nil
 }
 
-// topkTileFloats bounds PartialTopK's working set: a worker scores
-// topkTileFloats/|Q| rows (at most topkMaxBand, at least topkMinBand)
-// against every query between selector pushes, so the 256 KiB tile of
-// scores is summed and selected out of L2 while it is hot and the band of
-// Z behind it is the only thing streamed from memory.
-const (
-	topkTileFloats = 1 << 15
-	topkMaxBand    = 4096
-	topkMinBand    = 64
-)
-
-// topkBand returns how many rows PartialTopK scores per selector push for
-// a cols-source query. The tile is band x cols floats, so an oversized
-// query set grows it linearly (64 rows per source) but never to n x |Q|.
-func topkBand(cols int) int {
-	return max(topkMinBand, min(topkMaxBand, topkTileFloats/cols))
-}
-
-// topkScratch is what one PartialTopK worker scores through: the tile of
-// band x |Q| scores, their per-row sums, and the quantized tiers'
-// dequantisation buffer. Pooled, so a request allocates none of it.
-type topkScratch struct {
-	tile *dense.Mat
-	sums []float64
-	deq  []float64
-}
-
-var topkScratchPool = sync.Pool{New: func() any { return new(topkScratch) }}
-
 // PartialTopK returns the shard's k best owned nodes for a query set by
 // summed similarity Σ_j S'[i, queries[j]], every query node excluded,
-// without materialising anything of the shard's length: each band of rows
-// is scored against all |Q| gathered query rows into a cache-sized tile
-// (PartialInto's micro-kernel, then ×c), the tile's rows are summed left
-// to right and the band of sums goes straight into a bounded selector.
-// The +1 of S = I + c·Z·Uᵀ sits on query nodes only, and those are never
-// ranked, so it drops out.
+// without materialising anything of the shard's length: the scan hands over
+// each band as one score a row (rowScores) and the band goes straight into
+// a bounded selector. The +1 of S = I + c·Z·Uᵀ sits on query nodes only,
+// and those are never ranked, so it drops out.
 //
-// Per node that is PartialInto's dot, ×c for each column, then 0 + col₀ +
+// Per node that is the scan's dot, ×c for each column, then 0 + col₀ +
 // col₁ + … in query order — the sum csrplus.Engine.TopKMulti takes over
 // the materialised columns — so the answer is that reference's bit for
-// bit, at any shard cut, band size and worker count; a single source is
-// not summed at all (no 0 + x: a -0.0 score keeps its sign) and is bit for
-// bit Select over PartialInto's column. The row range is split across par
-// workers above its flop threshold, each with its own selector and
-// scratch; topk.Merge of the per-worker lists is order-independent. uq is
-// the gathered |Q| x r query broadcast (see PartialInto); items carry
-// global node ids. Honours ctx between bands.
+// bit, at any shard cut, band size and worker count, and a single source
+// is bit for bit Select over PartialInto's column. Each par worker has its
+// own selector — holding at most the rows it scans, so k is only ever an
+// upper bound, never an allocation size — and topk.Merge of the per-worker
+// lists is order-independent. uq is the gathered |Q| x r query broadcast
+// (see PartialInto); items carry global node ids. Honours ctx between
+// bands.
 func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
+	rank, err := sh.checkQuery(queries, uq, rank)
+	if err != nil {
+		return nil, err
+	}
 	cols := len(queries)
-	if cols == 0 {
-		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
-	}
-	if !uq.IsShape(cols, sh.rank) {
-		return nil, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, cols, sh.rank, ErrParams)
-	}
-	if rank <= 0 || rank > sh.rank {
-		rank = sh.rank
-	}
 	exclude := make(map[int]bool, cols)
 	for _, q := range queries {
 		exclude[q] = true
 	}
-	var (
-		mu    sync.Mutex
+	var kept struct {
+		sync.Mutex
 		lists [][]topk.Item
-		first error
-	)
-	band := topkBand(cols)
-	flops := int64(sh.Rows()) * int64(rank) * int64(cols)
-	par.DoAligned(sh.Rows(), band, flops, func(lo, hi int) {
-		items, err := sh.scanTopK(ctx, lo, hi, band, uq, k, rank, exclude)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && first == nil {
-			first = err
+	}
+	err = sh.eachRange(cols, rank, func(lo, hi, band int) error {
+		sel := topk.NewSelector(min(k, hi-lo), exclude)
+		err := sh.scan(ctx, uq, rank, lo, hi, band, nil, func(b int, scores []float64) {
+			sel.Push(sh.lo+b, scores)
+		})
+		if err != nil {
+			return err
 		}
-		lists = append(lists, items)
+		kept.Lock()
+		defer kept.Unlock()
+		kept.lists = append(kept.lists, sel.Items())
+		return nil
 	})
-	if first != nil {
-		return nil, first
+	if err != nil {
+		return nil, err
 	}
-	if len(lists) == 1 {
-		return lists[0], nil
+	if len(kept.lists) == 1 {
+		return kept.lists[0], nil
 	}
-	return topk.Merge(k, lists...), nil
+	return topk.Merge(k, kept.lists...), nil
 }
 
-// scanTopK is one worker's share of PartialTopK: the k best of the
-// shard's rows [lo, hi), scored band rows at a time.
-func (sh *IndexShard) scanTopK(ctx context.Context, lo, hi, band int, uq *dense.Mat, k, rank int, exclude map[int]bool) ([]topk.Item, error) {
-	sc := topkScratchPool.Get().(*topkScratch)
-	defer func() {
-		// A query set past 512 sources outgrows the tile budget (64 rows
-		// each); that tile is the request's, not the pool's to keep.
-		if sc.tile == nil || cap(sc.tile.Data) <= topkTileFloats {
-			topkScratchPool.Put(sc)
-		}
-	}()
-	cols := uq.Rows
-	if cols > 1 && cap(sc.sums) < band {
-		sc.sums = make([]float64, band)
-	}
-	sel := topk.NewSelector(k, exclude)
-	for b := lo; b < hi; b += band {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e := min(b+band, hi)
-		if sh.zt != nil {
-			sc.tile, sc.deq = dense.MulTRankTypedRowsInto(sc.tile, sh.zt, uq, rank, b, e, sc.deq)
-		} else {
-			sc.tile = dense.MulTRankRowsInto(sc.tile, sh.z, uq, rank, b, e)
-		}
-		scores := sc.tile.Data
-		if cols == 1 {
-			sc.tile.Scale(sh.c)
-		} else {
-			scores = sc.sums[:e-b]
-			for i := range scores {
-				sum := 0.0
-				for _, v := range sc.tile.Data[i*cols : (i+1)*cols] {
-					sum += float64(v * sh.c) // rounded before the add, as Scale then += would
-				}
-				scores[i] = sum
-			}
-		}
-		sel.Push(sh.lo+b, scores)
-	}
-	return sel.Items(), nil
-}
+// maxScoreCells caps |rows| x |Q| of one ScoreRows: both arrive in a /shard/scores body; serve admits 2^20 pairs.
+const maxScoreCells = 1 << 20
 
 // ScoreRows computes the scores of chosen owned rows against every query
 // column — the targeted-pair primitive behind /similarity in the wire
@@ -330,54 +369,39 @@ func (sh *IndexShard) scanTopK(ctx context.Context, lo, hi, band int, uq *dense.
 // bandwidth. out[i*|Q|+j] scores global row rows[i] against queries[j]:
 // s = 1{rows[i]==queries[j]} + c · Σ_{k<rank} Z[rows[i]][k]·uq[j][k].
 //
-// Each element is bitwise-equal to the same element of PartialInto's
-// band: the GEMM kernels accumulate every output element independently in
-// ascending column order (see dense.MulTRankInto), which is exactly the
-// plain dot product below, and the per-element operation order (dot, ×c,
-// +1) is shared. Quantized tiers dequantise the Z row elementwise first,
-// matching MulTRankTypedInto's row bands.
+// Each row is a one-row band of the scan, so every element is
+// bitwise-equal to the same element of PartialInto's band: the dense
+// kernels accumulate every output element independently in ascending
+// column order, whatever the band height, and ×c, +1 follow in the same
+// order.
 func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
-	cols := len(queries)
-	if cols == 0 {
-		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
+	rank, err := sh.checkQuery(queries, uq, rank)
+	if err != nil {
+		return nil, err
 	}
+	cols := len(queries)
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: empty row set: %w", ErrParams)
 	}
-	if !uq.IsShape(cols, sh.rank) {
-		return nil, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, cols, sh.rank, ErrParams)
+	if len(rows) > maxScoreCells/cols {
+		return nil, fmt.Errorf("core: %d rows x %d queries exceeds %d scores per call: %w", len(rows), cols, maxScoreCells, ErrParams)
 	}
-	if rank <= 0 || rank > sh.rank {
-		rank = sh.rank
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(rows)*cols)
-	var zrow []float64
-	if sh.zt != nil {
-		zrow = make([]float64, sh.rank)
-	}
-	for i, t := range rows {
+	for _, t := range rows {
 		if !sh.Owns(t) {
 			return nil, fmt.Errorf("core: row %d outside shard [%d, %d): %w", t, sh.lo, sh.hi, ErrQuery)
 		}
-		if sh.zt != nil {
-			sh.zt.RowInto(t-sh.lo, zrow)
-		} else {
-			zrow = sh.z.Row(t - sh.lo)
+	}
+	out := make([]float64, len(rows)*cols)
+	var dst dense.Mat
+	for i, t := range rows {
+		dst = dense.Mat{Rows: 1, Cols: cols, Data: out[i*cols : (i+1)*cols]}
+		if err := sh.scan(ctx, uq, rank, t-sh.lo, t-sh.lo+1, 1, &dst, nil); err != nil {
+			return nil, err
 		}
 		for j, q := range queries {
-			urow := uq.Row(j)
-			s := 0.0
-			for k := 0; k < rank; k++ {
-				s += zrow[k] * urow[k]
-			}
-			s *= sh.c
 			if t == q {
-				s++
+				dst.Data[j]++
 			}
-			out[i*cols+j] = s
 		}
 	}
 	return out, nil
@@ -389,22 +413,7 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 // runs Index.TruncationBound's recurrence to get a truncation bound
 // bitwise-equal to the monolithic one.
 func (sh *IndexShard) ColMaxes() (zmax, umax []float64) {
-	if sh.zt != nil {
-		return sh.zt.ColAbsMax(), sh.ut.ColAbsMax()
-	}
-	colMax := func(m *dense.Mat) []float64 {
-		mx := make([]float64, m.Cols)
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				if a := math.Abs(v); a > mx[j] {
-					mx[j] = a
-				}
-			}
-		}
-		return mx
-	}
-	return colMax(sh.z), colMax(sh.u)
+	return sh.z.ColAbsMax(), sh.u.ColAbsMax()
 }
 
 // QuantErrs returns the measured per-column dequantisation error vectors

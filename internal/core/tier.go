@@ -6,7 +6,8 @@ package core
 // at a bounded, measured entrywise cost surfaced through TruncationBound. Tiers are
 // chosen at save time (csrstat -quantize, csrserver -quantize) and
 // travel in the CSRX v2 layout (persist2.go); serving code is oblivious —
-// the query paths branch to the dense typed-source kernels internally.
+// every tier is a dense.Typed and the one scan (shard.go) reads them all
+// through the same kernel entry.
 //
 // It also owns the mmap lifetime handle: an Index returned by MapIndex
 // views factor blocks of a memory mapping, and Close releases it. The
@@ -74,14 +75,6 @@ func (t Tier) kind() dense.Kind {
 	}
 }
 
-// pickURows gathers [U]_{Q,*} as float64, dequantising when needed.
-func (ix *Index) pickURows(queries []int) *dense.Mat {
-	if ix.ut != nil {
-		return ix.ut.PickRows(queries)
-	}
-	return ix.u.PickRows(queries)
-}
-
 // QuantBound is the shared entrywise quantisation bound: with measured
 // per-column dequantisation errors zerr/uerr and served column maxima
 // zmax/umax (so Z' = Z + ΔZ with |ΔZ_{*,j}| ≤ zerr_j, |Z'_{*,j}| ≤ zmax_j),
@@ -137,17 +130,17 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 	if tier == TierF64 {
 		return ix, nil
 	}
-	if ix.zt != nil {
+	if ix.Tier() != TierF64 {
 		return nil, fmt.Errorf("core: cannot re-quantize a %v-tier index: %w", ix.Tier(), ErrParams)
 	}
 	quant := dense.QuantizeF32
 	if tier == TierI8 {
 		quant = dense.QuantizeI8
 	}
-	zt, zqerr := quant(ix.z)
-	ut, uqerr := quant(ix.u)
+	z, zqerr := quant(ix.z.Mat())
+	u, uqerr := quant(ix.u.Mat())
 	return &Index{
-		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, zt: zt, ut: ut, zqerr: zqerr, uqerr: uqerr},
+		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, z: z, u: u, zqerr: zqerr, uqerr: uqerr},
 		iters:      ix.iters,
 		sigma:      append([]float64(nil), ix.sigma...),
 		precomp:    ix.precomp,
@@ -157,13 +150,11 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 }
 
 // mapping owns one memory-mapped snapshot file. munmapFile is idempotent
-// through the Once so double-Close is safe. verify, when set, replays
-// the deferred factor-block CRC pass of MapIndexLazy.
+// through the Once so double-Close is safe.
 type mapping struct {
-	data   []byte
-	verify func() error
-	once   sync.Once
-	err    error
+	data []byte
+	once sync.Once
+	err  error
 }
 
 func (m *mapping) close() error {

@@ -29,7 +29,7 @@ func syntheticIndex(n, r int, seed int64) *Index {
 			u.Data[i] = math.Copysign(0, -1)
 		}
 	}
-	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.6, rank: r, z: z, u: u}}
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.6, rank: r, z: dense.TypedFromMat(z), u: dense.TypedFromMat(u)}}
 }
 
 func sameBits(a, b []topk.Item) bool {
@@ -79,7 +79,7 @@ func columnTopK(t *testing.T, ix *Index, queries []int, k, rank int) []topk.Item
 // full and truncated rank, wherever the shard cuts, the band edges and the
 // worker boundaries fall.
 func Test_PartialTopKMatchesUnfused(t *testing.T) {
-	const n, r = 2*topkMaxBand + 37, 6
+	const n, r = 2*scanMaxBand + 37, 6
 	exact := syntheticIndex(n, r, 1)
 	ctx := context.Background()
 	wide := make([]int, 48) // n·r·48 multiply-adds: past par's threshold, 682-row bands
@@ -90,16 +90,16 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 	querySets := [][]int{
 		{5},
 		{n - 1},
-		{topkMaxBand}, // first row of the second band
-		{3, topkMaxBand - 1, n - 2},
+		{scanMaxBand}, // first row of the second band
+		{3, scanMaxBand - 1, n - 2},
 		{17, 17, 4100, 8000, 17},
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		wide,
 	}
 	cuts := [][]int{
 		{0, n},
-		{0, topkMaxBand, n},        // a shard that is exactly one band
-		{0, 1, topkMaxBand + 5, n}, // a one-row shard, bands offset from the shard edge
+		{0, scanMaxBand, n},        // a shard that is exactly one band
+		{0, 1, scanMaxBand + 5, n}, // a one-row shard, bands offset from the shard edge
 		{0, 4100, 4101, 8000, n},   // cuts on query nodes
 	}
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
@@ -112,7 +112,7 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 			}
 			for _, rank := range []int{0, 2, r} {
 				for _, queries := range querySets {
-					uq := ix.pickURows(queries)
+					uq := ix.u.PickRows(queries)
 					for _, k := range []int{1, 10, 100} {
 						want := columnTopK(t, ix, queries, k, rank)
 						for _, bounds := range cuts {
@@ -141,9 +141,9 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 
 // The tile is sized by the query set, never by the shard.
 func TestTopKBand(t *testing.T) {
-	for _, c := range []struct{ cols, want int }{{1, topkMaxBand}, {8, topkMaxBand}, {16, 2048}, {48, 682}, {512, topkMinBand}, {100000, topkMinBand}} {
-		if got := topkBand(c.cols); got != c.want {
-			t.Errorf("topkBand(%d) = %d, want %d", c.cols, got, c.want)
+	for _, c := range []struct{ cols, want int }{{1, scanMaxBand}, {8, scanMaxBand}, {16, 2048}, {48, 682}, {512, scanMinBand}, {100000, scanMinBand}} {
+		if got := scanBand(c.cols); got != c.want {
+			t.Errorf("scanBand(%d) = %d, want %d", c.cols, got, c.want)
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestTopKBand(t *testing.T) {
 func TestPartialTopKValidation(t *testing.T) {
 	ix := syntheticIndex(50, 4, 2)
 	ctx := context.Background()
-	uq := ix.pickURows([]int{1, 2})
+	uq := ix.u.PickRows([]int{1, 2})
 	if _, err := ix.PartialTopK(ctx, nil, uq, 3, 0); !errors.Is(err, ErrParams) {
 		t.Fatalf("empty query set: err = %v, want ErrParams", err)
 	}
@@ -160,6 +160,10 @@ func TestPartialTopKValidation(t *testing.T) {
 	}
 	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, 0, 0); err != nil || len(items) != 0 {
 		t.Fatalf("k=0: items=%v err=%v", items, err)
+	}
+	// k is an upper bound, never an allocation size: 2^63 used to be handed to make().
+	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, math.MaxInt, 0); err != nil || len(items) != 48 {
+		t.Fatalf("k=MaxInt over 50 rows, 2 of them queries: %d items, err=%v", len(items), err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()

@@ -60,59 +60,22 @@ func MulTInto(out, a, b *Mat) *Mat {
 // columns of both operands (which must share a column count ≥ rank). With
 // factor columns ordered by singular value this is how a degraded query
 // answers from a cheaper low-rank slice of the same index without
-// rebuilding anything. rank ≥ a.Cols delegates to the full kernel;
-// rank 0 yields the zero matrix; negative rank panics. Parallelism and
-// determinism match MulTInto: each output element is one dot product
-// accumulated in index order by exactly one goroutine.
+// rebuilding anything. rank ≥ a.Cols is the full product; rank 0 yields
+// the zero matrix; negative rank panics. It is the parallel wrapper over
+// the row-range kernel (MulTRankTypedRowsInto, typed.go): output rows are
+// partitioned across par workers on register-tile boundaries, and each
+// output element is one dot product accumulated in index order by exactly
+// one goroutine.
 func MulTRankInto(out, a, b *Mat, rank int) *Mat {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulTRank %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
-	}
-	if rank < 0 {
-		panic(fmt.Sprintf("dense: MulTRank rank %d: %v", rank, ErrShape))
-	}
-	if rank > a.Cols {
-		rank = a.Cols
-	}
-	out = out.Reuse(a.Rows, b.Rows)
+	ta := TypedFromMat(a)
+	out, rank = mulTRankPrep(out, ta, b, rank, 0, a.Rows)
 	if rank == 0 {
-		for i := range out.Data {
-			out.Data[i] = 0
-		}
 		return out
 	}
 	flops := int64(a.Rows) * int64(b.Rows) * int64(rank)
 	par.DoAligned(a.Rows, mr, flops, func(lo, hi int) {
-		mulTDot(out, a, b, rank, lo, hi)
+		mulTRows(out, 0, ta, b, rank, lo, hi, nil)
 	})
-	return out
-}
-
-// MulTRankRowsInto computes rows [lo, hi) of a[:, :rank] * (b[:, :rank])ᵀ
-// into out, reshaped to (hi-lo) x b.Rows, on the calling goroutine — the
-// kernel for a caller that partitions a's rows itself (core's streaming
-// top-k scores one row band per selector push inside its own par.Do). It
-// allocates nothing once out has the capacity, and every element is
-// MulTRankInto's bit for bit: the same dot product in index order.
-func MulTRankRowsInto(out, a, b *Mat, rank, lo, hi int) *Mat {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulTRankRows %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
-	}
-	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
-		panic(fmt.Sprintf("dense: MulTRankRows rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
-	}
-	if rank > a.Cols {
-		rank = a.Cols
-	}
-	out = out.Reuse(hi-lo, b.Rows)
-	if rank == 0 {
-		for i := range out.Data {
-			out.Data[i] = 0
-		}
-		return out
-	}
-	band := Mat{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
-	mulTDot(out, &band, b, rank, 0, hi-lo)
 	return out
 }
 

@@ -288,10 +288,3 @@ func (m *Mat) String() string {
 	}
 	return s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -52,7 +52,10 @@ const (
 // b rows for one panel — take the register-tiled loop directly; larger
 // problems run the same micro-kernels under MC×NC×KC panel blocking.
 func mulTDot(out, a, b *Mat, rank, lo, hi int) {
-	if useDotAsm() {
+	// Fewer than mr rows hold no full register tile: the assembly path
+	// would pack b (and zero its 32 KiB stack panel) only to run the same
+	// row-edge kernel the loops below run — core scores single rows here.
+	if useDotAsm() && hi-lo >= mr {
 		mulTDotAsm(out, a, b, rank, lo, hi)
 		return
 	}

@@ -1,27 +1,27 @@
 package dense
 
-// typed.go is the typed-source path behind the quantized index tiers: a
-// read-only matrix whose elements are stored as float64, float32, or int8
-// with per-column dequantisation scales, plus a rank-truncated GEMM that
-// dequantises rows in cache-sized bands and feeds them to the same
-// register-tiled micro-kernels the float64 path uses.
+// typed.go holds the factor representation phase II reads — a read-only
+// matrix whose elements are stored as float64, float32, or int8 with
+// per-column dequantisation scales — and the one kernel that multiplies a
+// row range of it: MulTRankTypedRowsInto, which every phase-II product goes
+// through (core's banded scan directly, whole float64 matrices via
+// MulTRankInto in blas.go).
 //
-// The float64 kind is a zero-cost view over a []float64 (the mmap'd
-// snapshot blocks), and every Typed entry point delegates straight to the
-// float64 kernels for it — bitwise-identical to the untyped path. The
-// quantised kinds trade entrywise accuracy (bounded, measured at
-// quantisation time) for a 2x/8x smaller footprint and proportionally
-// less memory bandwidth on the factor streams.
+// The float64 kind is the exact tier: a zero-cost view over a []float64
+// (heap factors, or the mmap'd snapshot blocks) fed to the register-tiled
+// micro-kernels as it lies. The quantised kinds trade entrywise accuracy
+// (bounded, measured at quantisation time) for a 2x/8x smaller footprint
+// and proportionally less memory bandwidth on the factor streams; their
+// rows are dequantised in cache-sized bands in front of the same
+// micro-kernels.
 //
 // Determinism contract: dequantisation is elementwise (value = stored *
-// scale, in IEEE double), so every kernel here inherits the bitwise
-// worker-count-independence of the kernels it feeds.
+// scale, in IEEE double), so the kernel inherits the bitwise
+// worker-count-independence of the micro-kernels it feeds.
 
 import (
 	"fmt"
 	"math"
-
-	"csrplus/internal/par"
 )
 
 // Kind enumerates the element storage of a Typed matrix.
@@ -160,33 +160,22 @@ func (t *Typed) SliceRowsView(lo, hi int) *Typed {
 	return v
 }
 
-// Copy returns a Typed whose payload and scale vector live in freshly
-// allocated memory — for detaching a view from storage the caller does
-// not control the lifetime of, e.g. factor slices over an mmap.
-func (t *Typed) Copy() *Typed {
-	c := &Typed{Kind: t.Kind, Rows: t.Rows, Cols: t.Cols}
-	if t.Scale != nil {
-		c.Scale = append([]float64(nil), t.Scale...)
-	}
-	switch t.Kind {
-	case F64:
-		c.F64 = append([]float64(nil), t.F64...)
-	case F32:
-		c.F32 = append([]float32(nil), t.F32...)
-	default:
-		c.I8 = append([]int8(nil), t.I8...)
-	}
-	return c
-}
-
 // ColAbsMax returns the per-column maxima max_i |t_ij| of the
 // dequantised matrix — the inputs of the truncation/quantisation error
-// bounds.
+// bounds. The kind is resolved once per row, not per element: this pass
+// runs over the exact tier's n x r factors on every bound rebuild.
 func (t *Typed) ColAbsMax() []float64 {
 	mx := make([]float64, t.Cols)
+	buf := make([]float64, t.Cols)
 	for i := 0; i < t.Rows; i++ {
-		for j := 0; j < t.Cols; j++ {
-			if a := math.Abs(t.At(i, j)); a > mx[j] {
+		row := buf
+		if t.Kind == F64 {
+			row = t.F64[i*t.Cols : (i+1)*t.Cols]
+		} else {
+			t.RowInto(i, buf)
+		}
+		for j, v := range row {
+			if a := math.Abs(v); a > mx[j] {
 				mx[j] = a
 			}
 		}
@@ -262,55 +251,70 @@ func QuantizeI8(m *Mat) (*Typed, []float64) {
 	return t, errs
 }
 
-// dequantBandRows is how many rows MulTRankTypedInto dequantises per
+// dequantBandRows is how many rows the row-range kernel dequantises per
 // inner band: band*Cols float64s must stay comfortably L2-resident next
 // to the b operand, and the band must be long enough to amortise the
 // dequantisation pass over the |Q| dot products each row feeds.
 const dequantBandRows = 512
 
-// MulTRankTypedInto computes a[:, :rank] * (b[:, :rank])ᵀ into out — the
-// typed-source counterpart of MulTRankInto. The F64 kind delegates to
-// MulTRankInto on a zero-copy view, so its results are bitwise-identical
-// to the untyped path. Quantised kinds dequantise a in row bands into a
-// per-worker scratch buffer and run the same register-tiled micro-kernels
-// over the dequantised band; results are bitwise-deterministic at every
-// worker count (each output row is produced by exactly one goroutine from
-// elementwise-dequantised inputs) but differ from the exact answer by the
-// quantisation error the tier's bound reports.
-func MulTRankTypedInto(out *Mat, a *Typed, b *Mat, rank int) *Mat {
-	if a.Kind == F64 {
-		return MulTRankInto(out, a.Mat(), b, rank)
+// MulTRankTypedRowsInto computes rows [lo, hi) of a[:, :rank] *
+// (b[:, :rank])ᵀ into out, reshaped to (hi-lo) x b.Rows, on the calling
+// goroutine — the one kernel entry behind phase II: core's banded scan
+// partitions a's rows itself and calls it once per band, and MulTRankInto
+// is its parallel wrapper for a whole float64 matrix. The F64 kind runs
+// the register-tiled micro-kernels straight over the stored rows;
+// quantised kinds dequantise dequantBandRows rows at a time into deq — the
+// caller's scratch, grown when too small and returned for the next call,
+// so a banded caller allocates nothing per band — and run the same
+// micro-kernels over that. Every element is one dot product in index
+// order over elementwise-dequantised inputs: bit for bit the product of
+// the fully dequantised matrix, whatever the banding or the partition.
+func MulTRankTypedRowsInto(out *Mat, a *Typed, b *Mat, rank, lo, hi int, deq []float64) (*Mat, []float64) {
+	out, rank = mulTRankPrep(out, a, b, rank, lo, hi)
+	if rank == 0 {
+		return out, deq
 	}
+	if need := min(dequantBandRows, hi-lo) * a.Cols; a.Kind != F64 && cap(deq) < need {
+		deq = make([]float64, need)
+	}
+	mulTRows(out, lo, a, b, rank, lo, hi, deq[:cap(deq)])
+	return out, deq
+}
+
+// mulTRankPrep is the one preamble of the rank-truncated a·bᵀ family: it
+// panics on mismatched column counts, a negative rank or a row range
+// outside a, clamps rank to the shared column count, shapes out to
+// (hi-lo) x b.Rows and — at rank 0, where nothing is left to multiply —
+// zero-fills it.
+func mulTRankPrep(out *Mat, a *Typed, b *Mat, rank, lo, hi int) (*Mat, int) {
 	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulTRankTyped %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
+		panic(fmt.Sprintf("dense: MulTRank %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
 	}
-	if rank < 0 {
-		panic(fmt.Sprintf("dense: MulTRankTyped rank %d: %v", rank, ErrShape))
+	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
+		panic(fmt.Sprintf("dense: MulTRank rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
 	}
-	if rank > a.Cols {
-		rank = a.Cols
-	}
-	out = out.Reuse(a.Rows, b.Rows)
+	rank = min(rank, a.Cols)
+	out = out.Reuse(hi-lo, b.Rows)
 	if rank == 0 {
 		for i := range out.Data {
 			out.Data[i] = 0
 		}
-		return out
 	}
-	flops := int64(a.Rows) * int64(b.Rows) * int64(rank)
-	par.DoAligned(a.Rows, mr, flops, func(lo, hi int) {
-		buf := make([]float64, min(dequantBandRows, hi-lo)*a.Cols)
-		mulTDequantRows(out, 0, a, b, rank, lo, hi, buf)
-	})
-	return out
+	return out, rank
 }
 
-// mulTDequantRows writes rows [lo, hi) of a quantised a[:, :rank] *
-// (b[:, :rank])ᵀ to rows [lo-outLo, hi-outLo) of out, dequantising a
-// through buf dequantBandRows rows at a time. buf holds at least
+// mulTRows writes rows [lo, hi) of a[:, :rank] * (b[:, :rank])ᵀ to rows
+// [lo-outLo, hi-outLo) of out. A quantised a goes through buf
+// dequantBandRows rows at a time; buf then holds at least
 // min(dequantBandRows, hi-lo) * a.Cols floats.
-func mulTDequantRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, buf []float64) {
+func mulTRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, buf []float64) {
 	m := b.Rows
+	if a.Kind == F64 { // nothing to dequantise: one band, the stored rows
+		aBand := Mat{Rows: hi - lo, Cols: a.Cols, Data: a.F64[lo*a.Cols : hi*a.Cols]}
+		outBand := Mat{Rows: hi - lo, Cols: m, Data: out.Data[(lo-outLo)*m : (hi-outLo)*m]}
+		mulTDot(&outBand, &aBand, b, rank, 0, hi-lo)
+		return
+	}
 	var aBand, outBand Mat
 	for bl := lo; bl < hi; bl += dequantBandRows {
 		bh := min(bl+dequantBandRows, hi)
@@ -322,37 +326,4 @@ func mulTDequantRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, bu
 		outBand = Mat{Rows: rows, Cols: m, Data: out.Data[(bl-outLo)*m : (bh-outLo)*m]}
 		mulTDot(&outBand, &aBand, b, rank, 0, rows)
 	}
-}
-
-// MulTRankTypedRowsInto is MulTRankRowsInto for a typed a: rows [lo, hi)
-// of the product into out ((hi-lo) x b.Rows) on the calling goroutine,
-// bit for bit MulTRankTypedInto's. deq is the caller's dequantisation
-// scratch, grown when too small and returned for the next call, so a
-// banded caller allocates nothing per band; the F64 kind never touches it.
-func MulTRankTypedRowsInto(out *Mat, a *Typed, b *Mat, rank, lo, hi int, deq []float64) (*Mat, []float64) {
-	if a.Kind == F64 {
-		view := Mat{Rows: a.Rows, Cols: a.Cols, Data: a.F64}
-		return MulTRankRowsInto(out, &view, b, rank, lo, hi), deq
-	}
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulTRankTypedRows %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
-	}
-	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
-		panic(fmt.Sprintf("dense: MulTRankTypedRows rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
-	}
-	if rank > a.Cols {
-		rank = a.Cols
-	}
-	out = out.Reuse(hi-lo, b.Rows)
-	if rank == 0 {
-		for i := range out.Data {
-			out.Data[i] = 0
-		}
-		return out, deq
-	}
-	if need := min(dequantBandRows, hi-lo) * a.Cols; cap(deq) < need {
-		deq = make([]float64, need)
-	}
-	mulTDequantRows(out, lo, a, b, rank, lo, hi, deq[:cap(deq)])
-	return out, deq
 }

@@ -25,7 +25,7 @@ func TestTypedF64Delegates(t *testing.T) {
 	}
 	for _, rank := range []int{0, 1, 7, 32, 100} {
 		want := MulTRankInto(nil, a, b, rank)
-		got := MulTRankTypedInto(nil, ty, b, rank)
+		got, _ := MulTRankTypedRowsInto(nil, ty, b, rank, 0, ty.Rows, nil)
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("rank %d: shape %dx%d, want %dx%d", rank, got.Rows, got.Cols, want.Rows, want.Cols)
 		}
@@ -56,7 +56,7 @@ func TestTypedQuantizedMatchesDequantReference(t *testing.T) {
 		}
 		for _, rank := range []int{0, 5, 24} {
 			want := MulTRankInto(nil, deq, b, rank)
-			got := MulTRankTypedInto(nil, ty, b, rank)
+			got, _ := MulTRankTypedRowsInto(nil, ty, b, rank, 0, ty.Rows, nil)
 			for i, v := range want.Data {
 				if got.Data[i] != v {
 					t.Fatalf("%s rank %d: elem %d = %g, want %g", name, rank, i, got.Data[i], v)
@@ -66,11 +66,12 @@ func TestTypedQuantizedMatchesDequantReference(t *testing.T) {
 	}
 }
 
-// TestRowsKernelsMatchWholeProduct holds the serial row-range entry points
-// to the whole-matrix kernels bit for bit, on every kind, for ranges that
-// start and end inside dequantisation bands, at rank 0, truncated and
-// full, with the output and the dequantisation scratch reused across
-// calls — and checks that the reuse really allocates nothing.
+// TestRowsKernelsMatchWholeProduct holds the serial row-range entry point
+// to the whole-matrix kernel (MulTRankInto over the dequantised rows) bit
+// for bit, on every kind, for ranges that start and end inside
+// dequantisation bands, at rank 0, truncated and full, with the output and
+// the dequantisation scratch reused across calls — and checks that the
+// reuse really allocates nothing.
 func TestRowsKernelsMatchWholeProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randTyped(t, rng, 2*dequantBandRows+91, 24)
@@ -81,8 +82,13 @@ func TestRowsKernelsMatchWholeProduct(t *testing.T) {
 	for name, ty := range map[string]*Typed{"f64": TypedFromMat(a), "f32": f32, "i8": i8} {
 		var out *Mat
 		var deq []float64
+		all := make([]int, ty.Rows)
+		for i := range all {
+			all[i] = i
+		}
+		dequantised := ty.PickRows(all)
 		for _, rank := range []int{0, 5, 24, 100} {
-			whole := MulTRankTypedInto(nil, ty, b, rank)
+			whole := MulTRankInto(nil, dequantised, b, rank)
 			for _, r := range ranges {
 				lo, hi := r[0], r[1]
 				out, deq = MulTRankTypedRowsInto(out, ty, b, rank, lo, hi, deq)

@@ -50,9 +50,9 @@ const (
 	// failing the load.
 	SiteIndexMap = "core/index.mmap"
 	// SiteIndexVerify fires before the factor-block CRC pass of a v2
-	// snapshot (eager in MapIndex, deferred in VerifyPayload). Unlike a
-	// map fault, a verify failure means the bytes cannot be trusted, so
-	// it fails the load and drives the recovery ladder.
+	// snapshot. Unlike a map fault, a verify failure means the bytes
+	// cannot be trusted, so it fails the load and drives the recovery
+	// ladder.
 	SiteIndexVerify = "core/index.verify"
 	// SiteCurrentWrite guards the CURRENT pointer write in
 	// core.SetCurrent — the torn-CURRENT crash the recovery path must

@@ -60,12 +60,6 @@ func DatasetByKey(key string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("graph: unknown dataset %q (known: %v)", key, known)
 }
 
-// TargetN returns the scaled node count the generator aims for.
-func (d Dataset) TargetN() int { return int(d.PaperN / d.Scale) }
-
-// TargetM returns the scaled edge count the generator aims for.
-func (d Dataset) TargetM() int64 { return d.PaperM / d.Scale }
-
 // Generate builds the synthetic stand-in graph at the dataset's default
 // scale. The result is deterministic for a given descriptor.
 func (d Dataset) Generate() (*Graph, error) {

@@ -28,10 +28,14 @@ type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]floa
 // before the call (admission, shedding, the pressure rule) and after it
 // (tagging, drain) is shared.
 type engine struct {
+	n       int             // rows of a column: a column pass materialises n x |Q|
 	columns batchQueryFunc  // one coalesced multi-source pass; nil = no column path
 	topk    DirectTopKFunc  // non-nil: a top-k request is its own engine call
 	scores  DirectScoreFunc // non-nil: a targeted-score request is its own engine call
 }
+
+// maxColumnBlockBytes caps the n x |Q| block one column request sizes by itself (MaxBatch bounds coalescing).
+const maxColumnBlockBytes = 256 << 20
 
 // Batcher is one generation's admission queue, dispatch loop and worker
 // pool. Requests whose answer is read out of similarity columns are
@@ -188,9 +192,17 @@ func (b *Batcher) Columns(ctx context.Context, nodes []int) (map[int][]float64, 
 // enqueued, so the caller may offer the same req to another batcher.
 func (b *Batcher) do(req *request) (response, error) {
 	req.out = make(chan response, 1)
-	if req.direct = b.eng.direct(req); req.direct == nil && b.eng.columns == nil {
-		b.metrics.rejected.Add(1)
-		return response{}, fmt.Errorf("%w: this generation's engine has no column path to answer the request from", ErrBadRequest)
+	if req.direct = b.eng.direct(req); req.direct == nil {
+		// Distinct nodes size the block, and there are at most n of them.
+		block := int64(min(len(req.nodes), b.eng.n)) * int64(b.eng.n) * 8
+		switch {
+		case b.eng.columns == nil:
+			b.metrics.rejected.Add(1)
+			return response{}, fmt.Errorf("%w: this generation's engine has no column path to answer the request from", ErrBadRequest)
+		case block > maxColumnBlockBytes:
+			b.metrics.rejected.Add(1)
+			return response{}, fmt.Errorf("%w: %d nodes x %d rows is a %d MiB column block, over the %d MiB one request may ask for", ErrBadRequest, len(req.nodes), b.eng.n, block>>20, maxColumnBlockBytes>>20)
+		}
 	}
 
 	// The read-lock spans only the non-blocking enqueue, so Close's write

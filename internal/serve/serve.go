@@ -365,7 +365,7 @@ func wrapRankQuery(queryFn RankQueryFunc) batchQueryFunc {
 // (they are already unreachable: cache keys embed the generation).
 // Returns 0 without swapping when the server is already closed.
 func (s *Server) SwapRanked(e Ranked) uint64 {
-	eng := engine{topk: e.TopK, scores: e.Scores}
+	eng := engine{n: e.N, topk: e.TopK, scores: e.Scores}
 	if e.Query != nil {
 		eng.columns = wrapRankQuery(e.Query)
 	}
@@ -614,11 +614,17 @@ func (s *Server) Similarity(ctx context.Context, queries, targets []int) ([]Pair
 	return res.Pairs, err
 }
 
+// maxScorePairs caps |Q| x |T| of one Score: both lengths are the caller's, and each pair is 32 B before JSON.
+const maxScorePairs = 1 << 20
+
 // Score is Similarity with response provenance (see Search).
 func (s *Server) Score(ctx context.Context, queries, targets []int) (PairsResult, error) {
 	start := time.Now()
 	if len(targets) == 0 {
 		return PairsResult{}, s.reject(fmt.Errorf("%w: empty target set", ErrBadRequest))
+	}
+	if len(queries) > maxScorePairs/len(targets) {
+		return PairsResult{}, s.reject(fmt.Errorf("%w: %d nodes x %d targets exceeds %d pairs per request", ErrBadRequest, len(queries), len(targets), maxScorePairs))
 	}
 	if err := validate(queries, targets, s.be.Load().n); err != nil {
 		return PairsResult{}, s.reject(err)

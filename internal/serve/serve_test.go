@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +184,7 @@ func TestServerValidation(t *testing.T) {
 		func() error { _, err := s.Similarity(ctx, []int{1}, nil); return err },
 		func() error { _, err := s.Similarity(ctx, []int{1}, []int{99}); return err },
 		func() error { _, err := s.Similarity(ctx, []int{99}, []int{1}); return err },
+		func() error { _, err := s.Similarity(ctx, make([]int, 1025), make([]int, 1024)); return err }, // one pair past maxScorePairs
 	}
 	for i, call := range cases {
 		if err := call(); !errors.Is(err, ErrBadRequest) {
@@ -339,6 +341,52 @@ func TestServerOverload(t *testing.T) {
 			}
 		}
 	})
+}
+
+// One column request may not size an n x |Q| block past
+// maxColumnBlockBytes by itself: it is refused before the engine — whose
+// first act is to allocate that block — is reached, whether the columns are
+// wanted for scores or for a top-k. A direct engine call materialises no
+// block and is not held to the budget.
+func TestServerColumnBlockBudget(t *testing.T) {
+	const n = 1 << 20 // 8 MiB a column: 32 fill the budget, 33 exceed it
+	var reached atomic.Int64
+	e := Ranked{N: n, Query: func(_ context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
+		reached.Add(1)
+		return scratch.Reuse(n, len(queries)), nil
+	}}
+	s := NewRanked(e, Config{Linger: -1})
+	defer s.Close()
+	ctx := context.Background()
+	nodes := make([]int, 33)
+	for i := range nodes {
+		nodes[i] = i
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Similarity(ctx, nodes, []int{1})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("264 MiB of columns for scores: err = %v, want ErrBadRequest", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("the refused request allocated %d bytes", grew)
+	}
+	if _, _, err := s.TopK(ctx, nodes, 3); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("264 MiB of columns for a top-k: err = %v, want ErrBadRequest", err)
+	}
+	if reached.Load() != 0 {
+		t.Fatalf("over-budget requests reached the engine %d times", reached.Load())
+	}
+
+	e.Scores = func(_ context.Context, queries, targets []int, _ int) (*dense.Mat, error) {
+		return dense.NewMat(len(queries), len(targets)), nil
+	}
+	s.SwapRanked(e)
+	if _, err := s.Similarity(ctx, nodes, []int{1}); err != nil {
+		t.Fatalf("the same request on a direct engine: %v", err)
+	}
 }
 
 // A generation is refused a request only when none of its engine calls

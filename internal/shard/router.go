@@ -22,7 +22,11 @@ import (
 // K=1 router — with admission, degradation and generation swaps on top:
 // TopKTagged answers /topk in every mode; /similarity is answered out of
 // QueryRankInto's columns (it satisfies serve.RankQueryFunc) over local
-// slots and by Scores over remote ones (see internal/wire).
+// slots and by Scores over remote ones (see internal/wire). The three are
+// one skeleton — admit (validate, ctx, gather the query rows of U), fan a
+// leg out to every slot, fold the per-slot errors — over the three
+// consumers of core's one phase-II scan (PartialInto, PartialTopK,
+// ScoreRows).
 type Router struct {
 	n    int
 	rank int
@@ -218,6 +222,20 @@ func (r *Router) validate(queries []int) error {
 	return nil
 }
 
+// admit is the entry QueryRankInto, topK and Scores share: it validates
+// the query ids, refuses a context that is already done and gathers the
+// query rows of U. The three then differ only in the leg they fan out to
+// the slots and in how they fold its per-slot errors.
+func (r *Router) admit(ctx context.Context, queries []int) (*dense.Mat, error) {
+	if err := r.validate(queries); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r.gatherU(ctx, queries)
+}
+
 // gatherU assembles the |Q| x r broadcast matrix of the query nodes' U
 // rows from their owner slots — the only cross-shard data a query needs.
 // The copied values are the exact float64s of the monolithic U, so the
@@ -276,28 +294,22 @@ func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error)
 		}(s)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errFirst(errs); err != nil {
+		return nil, err
 	}
 	return uq, nil
 }
 
-// queryFlops estimates one fan-out's multiply-adds for par's threshold
-// gate — the same n·r·|Q| the monolithic GEMM costs.
-func (r *Router) queryFlops(cols int) int64 {
-	return int64(r.n) * int64(r.rank) * int64(cols)
-}
-
 // fanout runs body for every slot and returns the per-slot errors. Local
-// fan-outs go through par.Do (flop-gated, worker-bounded — the slots are
-// CPU-bound); remote fan-outs get a goroutine per slot, because a
-// serialised RPC chain would stack network latencies.
+// fan-outs go through par.Do (worker-bounded — the slots are CPU-bound —
+// and gated on the n·r·|Q| multiply-adds the monolithic pass costs); remote
+// fan-outs get a goroutine per slot, because a serialised RPC chain would
+// stack network latencies.
 func (r *Router) fanout(cols int, body func(s int) error) []error {
 	errs := make([]error, r.K())
 	if !r.remote {
-		par.Do(r.K(), r.queryFlops(cols), func(lo, hi int) {
+		flops := int64(r.n) * int64(r.rank) * int64(cols)
+		par.Do(r.K(), flops, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
 				errs[s] = body(s)
 			}
@@ -327,28 +339,19 @@ func (r *Router) fanout(cols int, body func(s int) error) []error {
 // the wire never ships n x |Q| columns; wire deployments answer
 // /similarity through Scores instead.
 func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-	if err := r.validate(queries); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	uq, err := r.gatherU(ctx, queries)
+	uq, err := r.admit(ctx, queries)
 	if err != nil {
 		return nil, err
 	}
 	cols := len(queries)
 	s := scratch.Reuse(r.n, cols)
 	errs := r.fanout(cols, func(i int) error {
-		sl := r.slots[i]
 		lo, hi := r.plan.Range(i)
 		band := &dense.Mat{Rows: hi - lo, Cols: cols, Data: s.Data[lo*cols : hi*cols]}
-		return sl.PartialInto(ctx, queries, uq, rank, band)
+		return r.slots[i].PartialInto(ctx, queries, uq, rank, band)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errFirst(errs); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -374,11 +377,8 @@ func (r *Router) TopK(ctx context.Context, queries []int, k int) ([]topk.Item, e
 // scores the truncation produces. Any slot failure fails the query; for
 // the degrading variant a wire deployment serves from, see TopKTagged.
 func (r *Router) TopKRank(ctx context.Context, queries []int, k, rank int) ([]topk.Item, error) {
-	res, err := r.topK(ctx, queries, k, rank, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Items, nil
+	res, err := r.topK(ctx, queries, k, rank, false) // the zero result on error
+	return res.Items, err
 }
 
 // TopKResult is TopKTagged's answer plus its provenance.
@@ -411,16 +411,10 @@ func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (To
 }
 
 func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade bool) (TopKResult, error) {
-	if err := r.validate(queries); err != nil {
-		return TopKResult{}, err
-	}
 	if k <= 0 {
-		return TopKResult{}, nil
+		return TopKResult{}, r.validate(queries)
 	}
-	if err := ctx.Err(); err != nil {
-		return TopKResult{}, err
-	}
-	uq, err := r.gatherU(ctx, queries)
+	uq, err := r.admit(ctx, queries)
 	if err != nil {
 		return TopKResult{}, err
 	}
@@ -487,13 +481,10 @@ func errFirst(errs []error) error {
 // targets[j]. Any owner failure fails the call — a targeted score has no
 // degraded form, unlike top-k set membership.
 func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
-	if err := r.validate(queries); err != nil {
-		return nil, err
-	}
 	if err := r.validate(targets); err != nil {
 		return nil, err
 	}
-	uq, err := r.gatherU(ctx, queries)
+	uq, err := r.admit(ctx, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -526,10 +517,8 @@ func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errFirst(errs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -219,10 +220,18 @@ func TestRouterValidation(t *testing.T) {
 	if items, err := rt.TopK(context.Background(), []int{1}, 0); err != nil || items != nil {
 		t.Fatalf("k=0: items=%v err=%v, want nil, nil", items, err)
 	}
+	if items, err := rt.TopK(context.Background(), []int{1}, math.MaxInt); err != nil || len(items) != testN-1 {
+		t.Fatalf("k=MaxInt: %d items, err=%v, want every other node", len(items), err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := rt.TopK(ctx, []int{1}, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v", err)
+	}
+	// Scores shares the entry: refused before any slot is asked, so the
+	// error is ctx's own, not one a slot's gather wrapped.
+	if _, err := rt.Scores(ctx, []int{1}, []int{2}, 0); err != context.Canceled {
+		t.Fatalf("Scores on a cancelled ctx: err = %v, want bare context.Canceled", err)
 	}
 }
 

@@ -176,7 +176,7 @@ func (l *Local) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, r
 // PartialTopK selects the slot's top-k candidates (see Slot).
 func (l *Local) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
 	sh, _ := l.Current()
-	return PartialTopK(ctx, sh, queries, uq, k, rank)
+	return sh.PartialTopK(ctx, queries, uq, k, rank)
 }
 
 // ScoreRows scores owned rows against the query columns (see Slot).
@@ -194,16 +194,4 @@ func (l *Local) BoundTerms(ctx context.Context) (BoundTerms, error) {
 	zmax, umax := sh.ColMaxes()
 	zerr, uerr := sh.QuantErrs()
 	return BoundTerms{ZMax: zmax, UMax: umax, ZErr: zerr, UErr: uerr}, nil
-}
-
-// PartialTopK computes sh's partial top-k list for a gathered query set:
-// core.IndexShard.PartialTopK's fused scan — each band of owned rows
-// scored against the gathered query rows, the band's columns summed in
-// query order (Engine.TopKMulti's summation order, element for element)
-// and streamed into the selector — with every query node excluded. It is
-// the one computation both the in-process Local slot and the wire worker's
-// /shard/query handler run, so the bytes a worker ships are the bytes the
-// in-process router would have merged.
-func PartialTopK(ctx context.Context, sh *core.IndexShard, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
-	return sh.PartialTopK(ctx, queries, uq, k, rank)
 }

@@ -81,11 +81,11 @@ const chunkElems = 1 << 16
 // readChunkedInt64 reads count little-endian int64s, growing the slice
 // chunk by chunk so truncated streams fail before large allocations.
 func readChunkedInt64(r io.Reader, count uint64) ([]int64, error) {
-	out := make([]int64, 0, minU64(count, chunkElems))
+	out := make([]int64, 0, min(count, chunkElems))
 	buf := make([]byte, 8*chunkElems)
 	le := binary.LittleEndian
 	for read := uint64(0); read < count; {
-		n := minU64(count-read, chunkElems)
+		n := min(count-read, chunkElems)
 		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
 			return nil, err
 		}
@@ -99,11 +99,11 @@ func readChunkedInt64(r io.Reader, count uint64) ([]int64, error) {
 
 // readChunkedInt32 is readChunkedInt64 for int32 payloads.
 func readChunkedInt32(r io.Reader, count uint64) ([]int32, error) {
-	out := make([]int32, 0, minU64(count, chunkElems))
+	out := make([]int32, 0, min(count, chunkElems))
 	buf := make([]byte, 4*chunkElems)
 	le := binary.LittleEndian
 	for read := uint64(0); read < count; {
-		n := minU64(count-read, chunkElems)
+		n := min(count-read, chunkElems)
 		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
 			return nil, err
 		}
@@ -117,11 +117,11 @@ func readChunkedInt32(r io.Reader, count uint64) ([]int32, error) {
 
 // readChunkedFloat64 is readChunkedInt64 for float64 payloads.
 func readChunkedFloat64(r io.Reader, count uint64) ([]float64, error) {
-	out := make([]float64, 0, minU64(count, chunkElems))
+	out := make([]float64, 0, min(count, chunkElems))
 	buf := make([]byte, 8*chunkElems)
 	le := binary.LittleEndian
 	for read := uint64(0); read < count; {
-		n := minU64(count-read, chunkElems)
+		n := min(count-read, chunkElems)
 		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
 			return nil, err
 		}
@@ -131,13 +131,6 @@ func readChunkedFloat64(r io.Reader, count uint64) ([]float64, error) {
 		read += n
 	}
 	return out, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReadBinary deserialises a matrix written by WriteBinary, validating the

@@ -302,6 +302,39 @@ func TestWorkerAuthAndValidation(t *testing.T) {
 	if code := post("/shard/query", "", `{"queries":[],"k":3}`); code != http.StatusBadRequest {
 		t.Fatalf("query with no queries: %d, want 400", code)
 	}
+	// A k nobody can mean: 2^40 used to reach make([]Item, 0, k) and take
+	// the worker down with an out-of-memory throw. k = n is the most a
+	// router ever asks for.
+	uq, _ := json.Marshal(make(wire.F64s, tRank))
+	query := func(k string) string { return `{"queries":[1],"uq":` + string(uq) + `,"k":` + k + `}` }
+	if code := post("/shard/query", "", query("1099511627776")); code != http.StatusBadRequest {
+		t.Fatalf("query with k = 2^40: %d, want 400", code)
+	}
+	if code := post("/shard/query", "", query(itoa(tN+1))); code != http.StatusBadRequest {
+		t.Fatalf("query with k = n+1: %d, want 400", code)
+	}
+	if code := post("/shard/query", "", query(itoa(tN))); code != http.StatusOK {
+		t.Fatalf("query with k = n: %d, want 200", code)
+	}
+	// |rows| x |Q| is a product of two lengths the body chooses: 1025 x 1024
+	// is one past the 2^20 scores a call may ask for.
+	many := func(n, v int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = v
+		}
+		return ids
+	}
+	scores := func(rows int) string {
+		raw, _ := json.Marshal(wire.ScoresRequest{Queries: many(1024, 1), UQ: make(wire.F64s, 1024*tRank), Rows: many(rows, lo)})
+		return string(raw)
+	}
+	if code := post("/shard/scores", "", scores(1025)); code != http.StatusBadRequest {
+		t.Fatalf("scores for 1025 rows x 1024 queries: %d, want 400", code)
+	}
+	if code := post("/shard/scores", "", scores(1024)); code != http.StatusOK {
+		t.Fatalf("scores for 1024 rows x 1024 queries: %d, want 200", code)
+	}
 	getResp, err := http.Get(srv.URL + "/shard/query")
 	if err != nil {
 		t.Fatal(err)

@@ -186,11 +186,11 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	if req.K < 1 {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
+	if req.K < 1 || req.K > sh.N() {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("k must be in [1, %d], got %d", sh.N(), req.K))
 		return
 	}
-	items, err := shard.PartialTopK(r.Context(), sh, req.Queries, uq, req.K, req.Rank)
+	items, err := sh.PartialTopK(r.Context(), req.Queries, uq, req.K, req.Rank)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, err)
 		return
