@@ -15,6 +15,7 @@ import (
 	"csrplus/internal/baseline"
 	"csrplus/internal/bench"
 	"csrplus/internal/core"
+	"csrplus/internal/dense"
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/svd"
@@ -289,8 +290,13 @@ func benchServe(b *testing.B, cfg serve.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ix, _ := eng.CoreIndex()
 	cfg.MaxPending = 1 << 16 // never shed inside the benchmark
-	s := serve.NewRanked(serve.Ranked{N: g.N(), Query: eng.QueryRankInto}, cfg)
+	// The column engine csrserver no longer uses: serve's coalescing over
+	// the library's n x |Q| query.
+	s := serve.NewRanked(serve.Ranked{N: g.N(), Query: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
+		return ix.QueryRankInto(ctx, queries, rank, scratch, nil)
+	}}, cfg)
 	defer s.Close()
 
 	var next atomic.Int64

@@ -26,9 +26,6 @@ const (
 	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
 	frontFlags = "addr admintoken cache workers pending maxk timeout degraderank degradebudget degradequeue " +
 		"reloadretries breakerfails breakercooldown "
-	// columnFlags tune the coalescing of column requests into one engine
-	// pass; a router over remote slots has no column engine to coalesce for.
-	columnFlags = "maxbatch linger "
 )
 
 // modes is the whole compatibility contract between flags: each mode
@@ -37,8 +34,8 @@ const (
 // K=1-only because a per-shard-snapshot boot has no whole index to anchor
 // the ingest service on — hence no -shards in its row.
 var modes = [...]struct{ when, flags string }{
-	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + columnFlags + "shards quantize"},
-	modeIngest: {"with -waldir", graphFlags + frontFlags + columnFlags + "waldir driftbudget"},
+	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "shards quantize"},
+	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
 	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wirehedge"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
 }
@@ -97,8 +94,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
 	fs.IntVar(&c.cacheSize, "cache", 1024, "top-k result cache entries (0 disables)")
-	fs.IntVar(&c.serve.MaxBatch, "maxbatch", 32, "max query nodes coalesced per column engine call")
-	fs.DurationVar(&c.serve.Linger, "linger", 2*time.Millisecond, "max wait for co-batching a partial batch")
 	fs.IntVar(&c.serve.Workers, "workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
 	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "admission queue bound; beyond it requests get 429")
 	fs.IntVar(&c.serve.MaxK, "maxk", serve.DefaultMaxK, "server-side cap on requested k")

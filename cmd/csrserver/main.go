@@ -2,13 +2,12 @@
 // "online multi-source query" phase of CSR+ as a long-lived service: the
 // index is precomputed once at startup, queries are answered from it.
 //
-// Requests are routed through internal/serve, which in every mode sheds
-// load when the admission queue fills (HTTP 429), bounds concurrent
-// engine calls with a worker pool, enforces per-request deadlines (504)
-// and drains gracefully on SIGINT/SIGTERM; over local slots it also
-// batches concurrent queries into multi-source engine passes (the
-// paper's O(r(m + n(r + |Q|))) bound makes the marginal query nearly
-// free).
+// Requests are routed through internal/serve, which sheds load when the
+// admission queue fills (HTTP 429), bounds concurrent engine calls with a
+// worker pool, enforces per-request deadlines (504) and drains gracefully
+// on SIGINT/SIGTERM. Every request is its own engine call: /topk streams
+// score bands into a selector and /similarity scores just the target rows,
+// so neither materialises a column for concurrent requests to share.
 //
 // Usage:
 //
@@ -32,8 +31,10 @@
 // POST /admin/reload) loads the next generation off the serving path —
 // the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), each
 // shard-<s>/ directory's CURRENT rolled in slot by slot with -shards K,
-// every worker's own reload with -shardaddrs — validates it with a smoke
-// query and swaps it in while in-flight engine calls drain on the old one.
+// every worker's own reload with -shardaddrs — scans its factors for a
+// non-finite score, validates it with a smoke query and swaps it in while
+// in-flight engine calls drain on the old one. The boot generation passes
+// the same two checks or the process does not start.
 //
 // With -waldir the graph is mutable: POST /admin/edges appends edge
 // batches to a write-ahead log (the 200 means fsynced), applies them to
@@ -46,7 +47,7 @@
 //	GET /health, /healthz             liveness (process up)
 //	GET /readyz                       readiness (generation serving, WAL replayed, breaker closed)
 //	GET /stats                        graph + index + per-shard + serving counters
-//	GET /metrics                      serving metrics (batching, queue, cache, remote slots)
+//	GET /metrics                      serving metrics (engine calls, queue, cache, remote slots)
 //	GET /topk?node=17&k=10            top-k most similar to one node
 //	GET /topk?nodes=17,42&k=10        top-k by aggregate similarity
 //	GET /similarity?node=17&targets=1,2,3   raw scores for chosen pairs
@@ -125,7 +126,7 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go s.reloadOnHUP(hup)
 	srv := &http.Server{Addr: cfg.addr, Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
-	serveAndWait(srv, s.sv, fmt.Sprintf("server (maxbatch=%d linger=%v)", cfg.serve.MaxBatch, cfg.serve.Linger))
+	serveAndWait(srv, s.sv, "server")
 }
 
 // server is the booted serving stack: one serve.Server over the router
@@ -148,6 +149,16 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	start := time.Now()
 	src, err := openSource(ctx, cfg, lru)
 	if err != nil {
+		return nil, err
+	}
+	// The boot generation passes the smoke test every later one must.
+	if err := reload.Validate(src.boot); err != nil {
+		if src.boot.Release != nil {
+			src.boot.Release()
+		}
+		if src.ing != nil {
+			_ = src.ing.Close()
+		}
 		return nil, err
 	}
 	meta := src.boot.Meta

@@ -71,11 +71,17 @@ func parse(args ...string) (*config, error) {
 	return parseFlags(fs, args)
 }
 
-// bootArgs boots a server from a command line the way main does; the
-// graph flags for testGraph (rank 3) come first.
+// bootArgs boots a server over testGraph (rank 3) from the rest of a
+// command line.
 func bootArgs(t testing.TB, args ...string) *server {
 	t.Helper()
-	cfg, err := parse(append([]string{"-graph", graphFile(t), "-n", "6", "-r", "3", "-linger", "-1ns"}, args...)...)
+	return bootFlags(t, append([]string{"-graph", graphFile(t), "-n", "6", "-r", "3"}, args...)...)
+}
+
+// bootFlags boots a server from a whole command line the way main does.
+func bootFlags(t testing.TB, args ...string) *server {
+	t.Helper()
+	cfg, err := parse(args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +134,13 @@ func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, admi
 	return &server{sv: sv, man: reload.New(sv, load, bootCand.Meta), lru: cfg.Cache, adminToken: adminToken}
 }
 
-// testServer serves a K=1 stack over testEngine. Linger < 0 flushes
-// immediately so sequential tests stay fast.
+// testServer serves a K=1 stack over testEngine.
 func testServer(t *testing.T, cfg serve.Config, lru *cache.LRU) *httptest.Server {
 	return testServerAuth(t, cfg, lru, "")
 }
 
 func testServerAuth(t *testing.T, cfg serve.Config, lru *cache.LRU, adminToken string) *httptest.Server {
 	t.Helper()
-	if cfg.Linger == 0 {
-		cfg.Linger = -1
-	}
 	cfg.Cache = lru
 	return serveStack(t, testStack(t, testEngine(t), 1, cfg, adminToken, nil))
 }
@@ -311,7 +313,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // pool, the dispatch loop and the queue hold gets 429 and a Retry-After.
 func TestOverloadReturns429(t *testing.T) {
 	local := func(t *testing.T, gate chan struct{}) *server {
-		return testStack(t, testEngine(t), 1, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1}, "", func() { <-gate })
+		return testStack(t, testEngine(t), 1, serve.Config{MaxPending: 1, Workers: 1}, "", func() { <-gate })
 	}
 	router := func(t *testing.T, gate chan struct{}) *server {
 		snaps := t.TempDir()
@@ -397,7 +399,7 @@ func TestOverloadReturns429(t *testing.T) {
 
 func TestDeadlineReturns504(t *testing.T) {
 	slow := func() { time.Sleep(100 * time.Millisecond) }
-	srv := serveStack(t, testStack(t, testEngine(t), 1, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond}, "", slow))
+	srv := serveStack(t, testStack(t, testEngine(t), 1, serve.Config{Timeout: 5 * time.Millisecond}, "", slow))
 	code, body := get(t, srv, "/topk?node=1&k=2")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -451,7 +453,7 @@ func TestTopKCachePath(t *testing.T) {
 func BenchmarkTopKHandler(b *testing.B) {
 	eng := testEngine(b)
 	run := func(b *testing.B, lru *cache.LRU) {
-		srv := serveStack(b, testStack(b, eng, 1, serve.Config{Linger: -1, Cache: lru}, "", nil))
+		srv := serveStack(b, testStack(b, eng, 1, serve.Config{Cache: lru}, "", nil))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(srv.URL + "/topk?node=1&k=3")
@@ -532,7 +534,7 @@ func TestAdminReloadAuthAndSwap(t *testing.T) {
 }
 
 func TestReloadOnHUP(t *testing.T) {
-	s := testStack(t, testEngine(t), 1, serve.Config{Linger: -1}, "", nil)
+	s := testStack(t, testEngine(t), 1, serve.Config{}, "", nil)
 	defer s.sv.Close()
 	man := s.man
 	ch := make(chan os.Signal) // unbuffered: a send returns only once the loop is ready again
@@ -651,7 +653,7 @@ func TestHealthzAndReadyz(t *testing.T) {
 // tell the caller how long the breaker stays open — the configured
 // cooldown, not a constant.
 func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
-	s := testStack(t, testEngine(t), 1, serve.Config{Linger: -1}, "sesame", nil)
+	s := testStack(t, testEngine(t), 1, serve.Config{}, "sesame", nil)
 	s.man = reload.NewWithPolicy(s.sv,
 		func(context.Context) (*reload.Candidate, error) { return nil, errTestDown },
 		s.man.Current().Meta,
@@ -698,7 +700,6 @@ func TestTopKDegradedTagging(t *testing.T) {
 	eng := testEngine(t)
 	st := eng.Stats()
 	srv := serveStack(t, testStack(t, eng, 1, serve.Config{
-		Linger: -1,
 		// The server-imposed Timeout is the deadline the budget check
 		// sees; with MinBudget above it, every request votes to degrade.
 		Timeout: 5 * time.Second,
@@ -757,7 +758,6 @@ func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
 	}
 	for rank := 1; rank < fullRank; rank++ {
 		s := testStack(t, eng, 2, serve.Config{
-			Linger:  -1,
 			Timeout: 5 * time.Second, // under MinBudget: every request degrades
 			Degrade: serve.DegradeConfig{Rank: rank, MinBudget: time.Hour},
 		}, "", nil)
@@ -777,7 +777,7 @@ func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
 			if !res.Info.Degraded || res.Info.EffectiveRank != rank {
 				t.Fatalf("rank=%d |Q|=%d: answer not served truncated: %+v", rank, q, res.Info)
 			}
-			if want := float64(q) * eng.TruncationBound(rank); res.Info.ErrorBound != want {
+			if want := float64(q) * coreIndex(eng).TruncationBound(rank); res.Info.ErrorBound != want {
 				t.Fatalf("rank=%d |Q|=%d: error_bound %v, want |Q| x TruncationBound = %v", rank, q, res.Info.ErrorBound, want)
 			}
 			for _, m := range res.Matches {
@@ -854,7 +854,7 @@ func TestShardedSourceBuildAndRoll(t *testing.T) {
 // slot covering [0, n) — and a K-slot router answers bitwise-identically
 // to it.
 func TestShardedMuxEndpoints(t *testing.T) {
-	srv := serveStack(t, testStack(t, testEngine(t), 3, serve.Config{Linger: -1}, "", nil))
+	srv := serveStack(t, testStack(t, testEngine(t), 3, serve.Config{}, "", nil))
 	mono := testServer(t, serve.Config{}, nil)
 
 	for _, path := range []string{"/topk?node=1&k=5", "/topk?nodes=1,3&k=4"} {
@@ -978,7 +978,7 @@ func TestSlotDownReturns503(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv := serve.NewRanked(newCandidate(rt, reload.Meta{}, nil, nil).Ranked, serve.Config{Linger: -1})
+			sv := serve.NewRanked(newCandidate(rt, reload.Meta{}, nil, nil).Ranked, serve.Config{})
 			srv := serveStack(t, &server{sv: sv, man: reload.New(sv, nil, reload.Meta{})})
 			resp, err := http.Get(srv.URL + tc.path)
 			if err != nil {
@@ -1104,14 +1104,15 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-shardaddrs", "a:1", "-snapshots", "d"}, "-snapshots"},
 		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
 		{[]string{"-shardaddrs", "a:1", "-shards", "3"}, "-shards"},
-		{[]string{"-shardaddrs", "a:1", "-maxbatch", "8"}, "-maxbatch"}, // nothing to coalesce over remote slots
-		{[]string{"-shardaddrs", "a:1", "-linger", "1ms"}, "-linger"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-shards", "1"}, "-shards"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
 		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "-wirehedge"},
 		{[]string{"-dataset", "FB", "-shards", "0"}, "-shards"},
 		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
+		// No mode coalesces: these are not flags any more.
+		{[]string{"-dataset", "FB", "-maxbatch", "8"}, "-maxbatch"},
+		{[]string{"-dataset", "FB", "-linger", "1ms"}, "-linger"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1138,8 +1139,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 31 {
-		t.Errorf("csrserver has %d flags, want 31", count)
+	if count != 29 {
+		t.Errorf("csrserver has %d flags, want 29", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

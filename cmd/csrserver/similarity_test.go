@@ -1,0 +1,212 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"csrplus"
+
+	"csrplus/internal/reload"
+	"csrplus/internal/serve"
+)
+
+// TestSimilarityOneAnswerEveryMode holds /similarity to one answer: the
+// same request returns byte-identical bodies from a plain server, a
+// -shards 3 server and a -shardaddrs router over three wire workers, at
+// full and at degraded rank, and every cell is, bit for bit, the entry of
+// the library's n x |Q| block (core.Index.QueryRankInto). The last request
+// is one a column engine could not admit on this graph: 5600 query ids x
+// 6000 rows x 8 B is past the 256 MiB a column request may size, while the
+// answer is 16800 pairs.
+func TestSimilarityOneAnswerEveryMode(t *testing.T) {
+	const n, rank, degradedRank = 6000, 4, 2
+	rng := rand.New(rand.NewSource(19))
+	var edges strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&edges, "%d %d\n", i, (i+1)%n)
+		for e := 0; e < 4; e++ {
+			fmt.Fprintf(&edges, "%d %d\n", rng.Intn(n), rng.Intn(n))
+		}
+	}
+	graphPath := filepath.Join(t.TempDir(), "edges.txt")
+	if err := os.WriteFile(graphPath, []byte(edges.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := csrplus.LoadGraph(graphPath, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: rank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := coreIndex(eng)
+
+	ids := func(nodes ...int) string {
+		parts := make([]string, len(nodes))
+		for i, v := range nodes {
+			parts[i] = strconv.Itoa(v)
+		}
+		return strings.Join(parts, ",")
+	}
+	wide := make([]int, 0, 5600) // 8 distinct ids, 700 times over
+	for len(wide) < cap(wide) {
+		wide = append(wide, 17, 1999, 2000, 2500, 3999, 4000, 4100, n-1)
+	}
+	requests := []struct{ name, nodes, targets string }{
+		{"single source, a target on every shard", "17", ids(3, 2500, n-1)},
+		{"multi-source, targets on the shard boundaries", ids(17, 2500, 4100), ids(0, 1999, 2000, 3999, 4000, n-1)},
+		{"duplicate nodes and targets, a node as its own target", "5,5,9", "7,7,5"},
+		{"more query ids than a column block admits", ids(wide...), ids(3, 2500, n-1)},
+	}
+
+	graphArgs := []string{"-graph", graphPath, "-n", strconv.Itoa(n), "-r", strconv.Itoa(rank), "-cache", "0"}
+	snaps := t.TempDir()
+	bootFlags(t, append(graphArgs, "-shards", "3", "-snapshots", snaps)...) // publishes what the workers boot from
+	addrs := wireWorkers(t, snaps, 3, nil)
+
+	for _, depth := range []struct {
+		name string
+		args []string
+		rank int
+	}{
+		{"full rank", nil, 0},
+		// Every request's deadline is under the budget, so every one degrades.
+		{"degraded", []string{"-degraderank", strconv.Itoa(degradedRank), "-degradebudget", "1h", "-timeout", "1m"}, degradedRank},
+	} {
+		t.Run(depth.name, func(t *testing.T) {
+			modes := []struct {
+				name string
+				s    *server
+			}{
+				{"K=1", bootFlags(t, append(graphArgs, depth.args...)...)},
+				{"-shards 3", bootFlags(t, append(append(graphArgs, "-shards", "3"), depth.args...)...)},
+				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs, "-cache", "0", "-wirehedge", "-1"}, depth.args...)...)},
+			}
+			for _, req := range requests {
+				var body []byte
+				for _, m := range modes {
+					rec := httptest.NewRecorder()
+					m.s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/similarity?nodes="+req.nodes+"&targets="+req.targets, nil))
+					if rec.Code != http.StatusOK {
+						t.Fatalf("%s, %s: HTTP %d %s", req.name, m.name, rec.Code, rec.Body)
+					}
+					if body == nil {
+						body = rec.Body.Bytes()
+					} else if !bytes.Equal(rec.Body.Bytes(), body) {
+						t.Fatalf("%s: %s answers\n%.300s\nbut %s answered\n%.300s", req.name, m.name, rec.Body, modes[0].name, body)
+					}
+				}
+
+				var got struct {
+					Pairs    []serve.Pair     `json:"pairs"`
+					Degraded *serve.QueryInfo `json:"degraded"`
+				}
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatal(err)
+				}
+				if (got.Degraded != nil) != (depth.rank > 0) || got.Degraded != nil && got.Degraded.EffectiveRank != depth.rank {
+					t.Fatalf("%s: degraded tag %+v, want effective rank %d", req.name, got.Degraded, depth.rank)
+				}
+				nodes, _ := parseIDs(req.nodes)
+				targets, _ := parseIDs(req.targets)
+				col := map[int]int{} // node -> its column of the oracle block
+				var distinct []int
+				for _, q := range nodes {
+					if _, ok := col[q]; !ok {
+						col[q] = len(distinct)
+						distinct = append(distinct, q)
+					}
+				}
+				want, err := ix.QueryRankInto(context.Background(), distinct, depth.rank, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Pairs) != len(nodes)*len(targets) {
+					t.Fatalf("%s: %d pairs, want %d", req.name, len(got.Pairs), len(nodes)*len(targets))
+				}
+				for i, p := range got.Pairs {
+					q, tgt := nodes[i/len(targets)], targets[i%len(targets)]
+					if w := want.At(tgt, col[q]); p.Query != q || p.Target != tgt || math.Float64bits(p.Score) != math.Float64bits(w) {
+						t.Fatalf("%s: pair %d = %+v, want (%d, %d) scoring %v (%#x)", req.name, i, p, q, tgt, w, math.Float64bits(w))
+					}
+				}
+			}
+		})
+	}
+}
+
+// poisonZ rewrites entry (row, 0) of the Z factor in the CSRX file at path
+// as NaN and re-seals the section and header checksums (layout: DESIGN.md
+// §13), so the file loads — the way an index published from a bad build
+// would.
+func poisonZ(t *testing.T, path string, row, rank int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const page, table, desc, zSection = 4096, 64, 24, 5 // sigma, zscale, uscale, zqerr, uqerr, z, u
+	le := binary.LittleEndian
+	d := data[table+zSection*desc:]
+	off, length := le.Uint64(d), le.Uint64(d[8:])
+	le.PutUint64(data[off+uint64(row*rank)*8:], math.Float64bits(math.NaN()))
+	le.PutUint32(d[16:], crc32.ChecksumIEEE(data[off:off+(length+page-1)&^(page-1)]))
+	le.PutUint32(data[page-4:], crc32.ChecksumIEEE(data[:page-4]))
+	tmp := path + ".tmp" // a new inode: a generation may have the old file mapped
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The smoke test of a generation reads nine cells of S and three top-3
+// lists, and a selector drops NaN rows without a word, so a non-finite
+// factor entry in a row no probe owns is only ever seen by the scan of
+// every row: the whole-index path must run it, at boot and on reload.
+func TestNonFiniteFactorRowRefused(t *testing.T) {
+	for _, shards := range []string{"1", "3"} {
+		t.Run("-shards "+shards, func(t *testing.T) {
+			index := filepath.Join(t.TempDir(), "ix.csrx")
+			if err := testEngine(t).SaveIndex(index); err != nil {
+				t.Fatal(err)
+			}
+			s := bootArgs(t, "-index", index, "-shards", shards, "-reloadretries", "1")
+			poisonZ(t, index, 1, 3) // the probes are nodes 0, 3 and 5
+			st, err := s.reload(context.Background())
+			if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
+				t.Fatalf("reload of the poisoned index: err = %v, want ErrValidation naming a non-finite score", err)
+			}
+			if st.Generation != 1 {
+				t.Fatalf("generation %d serving after the refused reload, want 1", st.Generation)
+			}
+			if res, err := s.sv.Score(context.Background(), []int{0}, []int{1}); err != nil || math.IsNaN(res.Pairs[0].Score) {
+				t.Fatalf("boot generation after the refused reload: %+v, %v", res, err)
+			}
+
+			cfg, err := parse("-graph", graphFile(t), "-n", "6", "-r", "3", "-index", index, "-shards", shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := boot(context.Background(), cfg); !errors.Is(err, reload.ErrValidation) {
+				t.Fatalf("boot from the poisoned index: err = %v, want ErrValidation", err)
+			}
+		})
+	}
+}

@@ -50,28 +50,21 @@ type source struct {
 	graphLoad time.Duration
 }
 
-// newCandidate describes one serving generation over rt. Every mode
-// answers /topk through the same call, the router's scatter-gather top-k:
-// each slot streams its band scores into a selector, so no n x |Q| block
-// exists anywhere and there is nothing for concurrent requests to share.
-// /similarity is all that depends on the slots: local slots answer it out
-// of a multi-source column pass that concurrent requests coalesce into
-// (reload.Validate smoke-tests that pass too); remote slots answer it with
-// the router's targeted-score scatter-gather, because no column ever
-// crosses the wire. Admission, shedding, degradation and drain are
-// serve's and the same for both. The closures are rebuilt per generation
-// even when rt persists, so each swap installs a fresh serve generation —
-// which is what invalidates every result cached before a roll.
+// newCandidate describes one serving generation over rt. Every mode makes
+// the same two engine calls, the router's scatter-gather top-k for /topk and
+// its targeted-score scatter-gather for /similarity: each slot scans only
+// the rows it owns (a band at a time into a selector, or just the target
+// rows), so no n x |Q| block exists anywhere, nothing crosses a wire that a
+// local slot would not also compute, and there is nothing for concurrent
+// requests to share. Admission, shedding, degradation and drain are serve's.
+// The closures are rebuilt per generation even when rt persists, so each
+// swap installs a fresh serve generation — which is what invalidates every
+// result cached before a roll.
 func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
-	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Drift: drift}
+	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Scores: rt.Scores, Drift: drift}
 	ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
 		res, err := rt.TopKTagged(ctx, queries, k, rank)
 		return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
-	}
-	if rt.Remote() {
-		ranked.Scores = rt.Scores
-	} else {
-		ranked.Query = rt.QueryRankInto
 	}
 	meta.N, meta.Rank, meta.ShardStatus = rt.N(), rt.Rank(), rt.Status
 	return &reload.Candidate{Ranked: ranked, Meta: meta, Release: release}
@@ -214,6 +207,10 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 		if shards[slot], err = loadSlot(ctx, slot, 0, 0); err != nil {
 			return nil, err
 		}
+		// A roll validates what loadSlot returns before swapping it in; so does the boot.
+		if err := reload.ValidateShard(shards[slot]); err != nil {
+			return nil, fmt.Errorf("shard %d/%d: %w", slot, cfg.shards, err)
+		}
 	}
 	rt, err := shard.NewRouter(shards)
 	if err != nil {
@@ -275,9 +272,16 @@ func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 }
 
 // candidate slices eng's index into cfg.shards zero-copy views behind a
-// fresh router that owns it: the generation's Release closes eng.
+// fresh router that owns it: the generation's Release closes eng. The
+// generation's smoke test (reload.Validate) reads a few cells of S and a
+// top-k selector drops NaN rows silently, so every row of the factors is
+// scanned here first, as a roll and a worker boot do per shard.
 func (w *wholeIndex) candidate(eng *csrplus.Engine, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
-	rt, err := shard.NewRouterFromIndex(coreIndex(eng), w.cfg.shards)
+	ix := coreIndex(eng)
+	rt, err := shard.NewRouterFromIndex(ix, w.cfg.shards)
+	if err == nil {
+		err = reload.ValidateShard(&ix.IndexShard)
+	}
 	if err != nil {
 		_ = eng.Close()
 		return nil, err

@@ -22,7 +22,6 @@
 package csrplus
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +31,6 @@ import (
 
 	"csrplus/internal/baseline"
 	"csrplus/internal/core"
-	"csrplus/internal/dense"
 	"csrplus/internal/graph"
 	"csrplus/internal/memtrack"
 	"csrplus/internal/sparse"
@@ -280,52 +278,6 @@ func (e *Engine) Query(queries []int) ([][]float64, error) {
 	return out, nil
 }
 
-// QueryInto is the serving layer's allocation-light variant of Query: the
-// n x |Q| similarity block is written into scratch's backing array when
-// its capacity suffices (contents overwritten; nil scratch allocates) and
-// the result matrix is returned, so a server can pool one scratch matrix
-// per in-flight batch instead of allocating n x |Q| per engine call. The
-// scratch type is module-internal, so the method is a hook for this
-// module's cmd/ binaries and benchmarks rather than part of the stable
-// public surface; external callers should use Query. Algorithms without a scratch-aware
-// query phase (every non-CSR+ baseline) silently fall back to a fresh
-// allocation.
-func (e *Engine) QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
-	if sq, ok := e.runner.(baseline.ScratchQuerier); ok {
-		return sq.QueryInto(queries, scratch)
-	}
-	return e.runner.Query(queries)
-}
-
-// QueryRankInto is QueryInto answered from a rank-truncated slice of a
-// CSR+ index, honouring ctx: the serving layer's degraded mode. rank <= 0
-// or >= the index rank answers at full rank; the entrywise error of a
-// truncated answer is bounded by TruncationBound(rank). Engines without a
-// rank-structured index (every non-CSR+ baseline) ignore rank and answer
-// exactly, checking ctx only at entry. It satisfies
-// internal/serve.RankQueryFunc; like QueryInto it is a serving hook, not
-// part of the stable public surface.
-func (e *Engine) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-	if cp, ok := e.runner.(*baseline.CSRPlus); ok {
-		return cp.QueryRankInto(ctx, queries, rank, scratch)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.QueryInto(queries, scratch)
-}
-
-// TruncationBound bounds the entrywise error of a rank-truncated query
-// against the full-rank answer (see core.Index.TruncationBound). It
-// returns 0 for full rank and for engines without a rank-structured index,
-// whose answers never degrade.
-func (e *Engine) TruncationBound(rank int) float64 {
-	if cp, ok := e.runner.(*baseline.CSRPlus); ok && cp.Index() != nil {
-		return cp.Index().TruncationBound(rank)
-	}
-	return 0
-}
-
 // QueryBatch answers a large query set with a pool of worker goroutines,
 // splitting the set into per-worker chunks and merging the columns in
 // order. Results are identical to Query; the speed-up applies to the
@@ -426,10 +378,10 @@ func (e *Engine) TopKMulti(queries []int, k int) ([]Match, error) {
 }
 
 // CoreIndex returns the engine's underlying CSR+ index, reporting false
-// for algorithms without one (every non-CSR+ baseline). Like QueryInto,
-// this is a module-internal serving hook — internal/shard slices the
-// index into node-range shards through it — not part of the stable
-// public surface.
+// for algorithms without one (every non-CSR+ baseline). The index type is
+// module-internal, so this is a hook for this module's cmd/ binaries —
+// internal/shard slices the index into node-range shards through it — not
+// part of the stable public surface.
 func (e *Engine) CoreIndex() (*core.Index, bool) {
 	if cp, ok := e.runner.(*baseline.CSRPlus); ok {
 		return cp.Index(), true
@@ -464,8 +416,8 @@ func (e *Engine) SaveIndex(path string) error {
 // save time: "" or "f64" writes the exact index, "f32" and "int8" write
 // narrowed factors (2x and 8x smaller) whose measured per-column
 // quantization errors ship in the file, so a loaded index reports the
-// entrywise error of its answers through TruncationBound. The engine's
-// own in-memory index stays exact.
+// entrywise error of its answers through core.Index.TruncationBound. The
+// engine's own in-memory index stays exact.
 func (e *Engine) SaveIndexTier(path, tier string) error {
 	ix, err := e.tieredIndex(tier)
 	if err != nil {

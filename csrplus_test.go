@@ -527,7 +527,8 @@ func TestSaveIndexTierQuantizedRoundTrip(t *testing.T) {
 		}
 		// The quantized engine reports a positive error bound even at
 		// full rank, and its answers honour it against the exact engine.
-		bound := back.TruncationBound(back.Stats().Rank)
+		ix, _ := back.CoreIndex()
+		bound := ix.TruncationBound(back.Stats().Rank)
 		if bound <= 0 {
 			t.Fatalf("%s: full-rank bound %g, want > 0", tier, bound)
 		}
@@ -586,7 +587,7 @@ func TestSaveSnapshotTierPublishesQuantized(t *testing.T) {
 	if snap.Recovered {
 		t.Fatal("clean publish reported as recovered")
 	}
-	if bound := back.TruncationBound(back.Stats().Rank); bound <= 0 {
+	if ix, _ := back.CoreIndex(); ix.TruncationBound(back.Stats().Rank) <= 0 {
 		t.Fatal("recovered engine lost its quantization bound")
 	}
 }

@@ -91,15 +91,6 @@ type Runner interface {
 	Query(queries []int) (*dense.Mat, error)
 }
 
-// ScratchQuerier is the optional Runner extension for allocation-light
-// serving: QueryInto writes the n x |Q| block into scratch's backing
-// array when its capacity suffices (contents overwritten; nil scratch
-// allocates), returning the result matrix. CSRPlus implements it; the
-// iterative baselines, whose query cost dwarfs one allocation, do not.
-type ScratchQuerier interface {
-	QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error)
-}
-
 // New returns a Runner by the paper's algorithm name: "CSR+", "CSR-NI",
 // "CSR-IT", "CSR-RLS", "CoSimMate", "RP-CoSim" or "Exact".
 func New(name string, cfg Config) (Runner, error) {

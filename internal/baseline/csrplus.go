@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"csrplus/internal/core"
@@ -74,40 +73,14 @@ func (a *CSRPlus) Index() *core.Index { return a.ix }
 
 // Query implements Runner (Algorithm 1, phase II).
 func (a *CSRPlus) Query(queries []int) (*dense.Mat, error) {
-	return a.QueryInto(queries, nil)
-}
-
-// QueryInto implements ScratchQuerier: phase II writing into reusable
-// scratch (see core.Index.QueryInto).
-func (a *CSRPlus) QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
 	if a.ix == nil {
 		return nil, ErrNotPrecomputed
 	}
 	if err := validateQueries(queries, a.ix.N()); err != nil {
 		return nil, err
 	}
-	s, err := a.ix.QueryInto(queries, scratch, a.cfg.Tracker)
+	s, err := a.ix.QueryInto(queries, nil, a.cfg.Tracker)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: CSR+: %w", err)
-	}
-	return s, nil
-}
-
-// QueryRankInto is phase II at a truncated rank, honouring ctx for
-// mid-pass cancellation (see core.Index.QueryRankInto). rank <= 0 answers
-// at full rank.
-func (a *CSRPlus) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-	if a.ix == nil {
-		return nil, ErrNotPrecomputed
-	}
-	if err := validateQueries(queries, a.ix.N()); err != nil {
-		return nil, err
-	}
-	s, err := a.ix.QueryRankInto(ctx, queries, rank, scratch, a.cfg.Tracker)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err // cancellation is the caller's error, not the engine's
-		}
 		return nil, fmt.Errorf("baseline: CSR+: %w", err)
 	}
 	return s, nil

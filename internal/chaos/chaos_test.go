@@ -21,6 +21,7 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/shard/shardtest"
 )
 
 // defaultSeeds is the fixed seed matrix every chaos test iterates. CI
@@ -539,11 +540,11 @@ func TestChaosShardReloadFailureServesOldGenerationOnThatShardOnly(t *testing.T)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.QueryRankInto(context.Background(), queries, 0, nil)
+			want, err := shardtest.Columns(context.Background(), ref, queries, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rt.QueryRankInto(context.Background(), queries, 0, nil)
+			got, err := shardtest.Columns(context.Background(), rt, queries, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -559,7 +560,7 @@ func TestChaosShardReloadFailureServesOldGenerationOnThatShardOnly(t *testing.T)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotB, err := rt.QueryRankInto(context.Background(), queries, 0, nil)
+			gotB, err := shardtest.Columns(context.Background(), rt, queries, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

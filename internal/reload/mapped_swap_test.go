@@ -23,6 +23,8 @@ import (
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/shard/shardtest"
+	"csrplus/internal/topk"
 )
 
 func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
@@ -214,19 +216,27 @@ func TestViewRouterReloadUnderFire(t *testing.T) {
 				mu.Lock()
 				gens = append(gens, lt)
 				mu.Unlock()
+				// csrserver's wiring, each engine call counted in and out.
+				ranked := shardtest.Ranked(rt)
+				enter := func() func() {
+					lt.inflight.Add(1)
+					if lt.closes.Load() != 0 {
+						t.Error("query admitted on a generation whose mapping is closed")
+					}
+					return func() { lt.inflight.Add(-1) }
+				}
+				topK, scores := ranked.TopK, ranked.Scores
+				ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
+					defer enter()()
+					return topK(ctx, queries, k, rank)
+				}
+				ranked.Scores = func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
+					defer enter()()
+					return scores(ctx, queries, targets, rank)
+				}
 				return &Candidate{
-					Ranked: serve.Ranked{
-						N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound,
-						Query: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-							lt.inflight.Add(1)
-							defer lt.inflight.Add(-1)
-							if lt.closes.Load() != 0 {
-								t.Error("query admitted on a generation whose mapping is closed")
-							}
-							return rt.QueryRankInto(ctx, queries, rank, scratch)
-						},
-					},
-					Meta: Meta{Source: "snapshot"},
+					Ranked: ranked,
+					Meta:   Meta{Source: "snapshot"},
 					Release: func() {
 						if busy := lt.inflight.Load(); busy != 0 {
 							t.Errorf("mapping released with %d queries still in flight", busy)
@@ -241,7 +251,7 @@ func TestViewRouterReloadUnderFire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv := serve.NewRanked(boot.Ranked, serve.Config{MaxBatch: 8, Linger: 100 * time.Microsecond, Workers: 4, MaxPending: 256})
+			sv := serve.NewRanked(boot.Ranked, serve.Config{Workers: 4, MaxPending: 256})
 			man := New(sv, loader, boot.Meta)
 			man.SetBootRelease(boot.Release)
 
@@ -267,6 +277,17 @@ func TestViewRouterReloadUnderFire(t *testing.T) {
 						if got, want := res.Pairs[0].Score, ref[q][tgt]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Errorf("view-router answer (%d,%d) = %x, want %x", q, tgt, got, want)
 							return
+						}
+						top, err := sv.Search(context.Background(), []int{q}, 3)
+						if err != nil {
+							t.Errorf("top-k during view-router swaps: %v", err)
+							return
+						}
+						for _, m := range top.Matches {
+							if want := ref[q][m.Node]; math.Float64bits(m.Score) != math.Float64bits(want) {
+								t.Errorf("view-router top-k of %d scores node %d %x, want %x", q, m.Node, m.Score, want)
+								return
+							}
 						}
 					}
 				}(w)

@@ -395,8 +395,10 @@ func probeNodes(n int) []int {
 // or negative diagonal means the factors are garbage — an index loaded
 // against the wrong graph orientation, a cluster whose shards disagree
 // about the graph). The scores come from whichever call answers targeted
-// scores on this generation: the probes x probes matrix of Scores, or the
-// probes' full columns of Query. A generation with TopK additionally
+// scores on this generation: the probes x probes matrix of Scores — every
+// csrserver generation, nine cells, which is why the factors' every-row
+// scan is ValidateShard's — or the probes' full columns of Query, the arm
+// of a column-engine generation. A generation with TopK additionally
 // answers a single-source top-k per probe — the gather, fan-out and
 // merge a router runs per request — which no shard may sit out. This is
 // the gate that turns "the file parsed" into "the engine answers"; CRC

@@ -59,12 +59,16 @@ func RollShards(ctx context.Context, rt *shard.Router, load ShardLoadFunc) (swap
 	return swapped, nil
 }
 
-// ValidateShard smoke-tests a shard candidate before it may take traffic,
-// mirroring Validate's contract at shard granularity: a partial query
-// against probe nodes the shard owns must return finite scores and a
-// positive self-similarity for each probe. The probes' U rows come from
-// the candidate itself, so validation is self-contained — no cross-shard
-// gather — and exercises the exact kernel (PartialInto) serving will use.
+// ValidateShard smoke-tests a shard candidate before it may take traffic:
+// it scores EVERY row the shard owns against probe nodes the shard owns
+// (one column pass, core.IndexShard.PartialInto) and requires finite
+// scores throughout and a positive self-similarity for each probe. It is
+// the every-owned-row finite scan of the factors — what Validate's few
+// cells and a top-k selector, which drops NaN rows silently, cannot be —
+// so every way a shard enters service runs it: a roll, a worker boot and
+// reload, and csrserver's local boots and reloads (whole index = the
+// [0, n) shard). The probes' U rows come from the candidate itself, so
+// validation is self-contained — no cross-shard gather.
 func ValidateShard(sh *core.IndexShard) error {
 	if sh == nil {
 		return fmt.Errorf("%w: nil shard", ErrValidation)

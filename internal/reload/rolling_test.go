@@ -16,6 +16,7 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/shard/shardtest"
 )
 
 const rollN, rollRank = 97, 4
@@ -71,7 +72,7 @@ func TestRollShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rt.QueryRankInto(context.Background(), []int{5, 60}, 0, nil)
+	got, err := shardtest.Columns(context.Background(), rt, []int{5, 60}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestRollShardsPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rt.QueryRankInto(context.Background(), []int{5, 60}, 0, nil)
+	got, err := shardtest.Columns(context.Background(), rt, []int{5, 60}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +210,7 @@ func TestShardedReloadUnderFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := serve.NewRanked(serve.Ranked{
-		N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Query: rt.QueryRankInto,
-	}, serve.Config{Linger: -1, MaxPending: 4096, Workers: 4})
+	sv := serve.NewRanked(shardtest.Ranked(rt), serve.Config{MaxPending: 4096, Workers: 4})
 	defer sv.Close()
 
 	queries := []int{5, 60}

@@ -16,9 +16,15 @@
 // instead of issued one-by-one (the same pattern used in inference
 // serving). A direct call (Ranked.TopK, Ranked.Scores) answers top-k and
 // targeted scores without ever materialising n x |Q|, so each such
-// request is its own engine call: a batch of one. csrserver sets TopK on
-// every generation, so /topk is always direct; Query is what /similarity
-// coalesces into on local slots, and Scores replaces it over remote ones.
+// request is its own engine call: a batch of one.
+//
+// csrserver sets TopK and Scores on every generation and never Query, so
+// nothing it serves coalesces: the column engine (Ranked.Query,
+// Config.MaxBatch/Linger/StrictLinger, the coalescing dispatch loop, the
+// column-block budget) is a capability of this library with no caller in
+// the server. It stays because the benchmark's in-process probe
+// (csrload/layers.go) and the root BenchmarkServe* pair drive it; deleting
+// it waits for that probe to be re-pointed at the direct calls.
 //
 // The engine behind the server is not fixed: each engine lives in a
 // numbered generation described by one Ranked value, and SwapRanked
@@ -241,7 +247,7 @@ type Server struct {
 // n x |Q| result reuses scratch's backing array when its capacity
 // suffices (nil scratch allocates) and is returned. It honours ctx
 // between row bands so an abandoned batch stops consuming its worker
-// mid-pass. shard.(*Router).QueryRankInto satisfies it.
+// mid-pass. core.(*Index).QueryRankInto, less its tracker, satisfies it.
 type RankQueryFunc func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error)
 
 // TopKProvenance reports how a direct top-k answer was assembled: how
@@ -288,8 +294,8 @@ type Ranked struct {
 	Bound func(rank int) float64
 	// Query answers one multi-source column pass at a chosen rank;
 	// concurrent requests coalesce into it. May be nil when TopK is set
-	// (wire backends never materialise columns); a request with no
-	// engine call to answer it is then refused with ErrBadRequest.
+	// (csrserver's generations never materialise columns); a request with
+	// no engine call to answer it is then refused with ErrBadRequest.
 	Query RankQueryFunc
 	// TopK, when non-nil, answers each Search/TopK request as its own
 	// engine call instead of out of Query's columns. Scores does the

@@ -10,7 +10,6 @@ import (
 	"csrplus"
 
 	"csrplus/internal/core"
-	"csrplus/internal/dense"
 	"csrplus/internal/shard"
 )
 
@@ -56,36 +55,6 @@ func benchIndex(b *testing.B) *core.Index {
 		b.Fatal(benchErr)
 	}
 	return benchIx
-}
-
-// BenchmarkRouterQueryShardSweep measures the scatter phase (full n x |Q|
-// score matrix assembled from per-shard bands) across shard counts. On a
-// multi-core host the fan-out parallelises across shards; on one core
-// the sweep measures pure routing overhead — the price of sharding when
-// it cannot pay, which should stay within noise of K=1.
-//
-//	go test -run='^$' -bench=RouterQueryShardSweep -benchtime=20x ./internal/shard/
-func BenchmarkRouterQueryShardSweep(b *testing.B) {
-	ix := benchIndex(b)
-	queries := []int{17, 4211, 9973, 13007, 19999, 512, 7777, 15000}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			rt, err := shard.NewRouterFromIndex(ix, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var scratch *dense.Mat
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := rt.QueryRankInto(context.Background(), queries, 0, scratch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scratch = m
-			}
-		})
-	}
 }
 
 // BenchmarkRouterTopKShardSweep measures the full scatter–gather top-k

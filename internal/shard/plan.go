@@ -9,7 +9,7 @@
 // depends only on row i of Z plus the U rows of the query nodes, so a
 // shard holding rows [lo, hi) computes exactly the same float64 for every
 // node it owns as the monolithic engine — same kernel, same accumulation
-// order (core.IndexShard.PartialInto). Selection: each candidate node
+// order (core.IndexShard's one scan). Selection: each candidate node
 // lives on exactly one shard, so any node in the global top-k is in the
 // top-k of its own shard, and the deterministic merge of per-shard top-k
 // lists (topk.Merge, under the package-wide score-desc/node-asc ordering)

@@ -20,13 +20,13 @@ import (
 // concurrently with rolling SwapShard calls (or remote worker rolls). The
 // router is csrserver's one serving backend — a monolithic index is the
 // K=1 router — with admission, degradation and generation swaps on top:
-// TopKTagged answers /topk in every mode; /similarity is answered out of
-// QueryRankInto's columns (it satisfies serve.RankQueryFunc) over local
-// slots and by Scores over remote ones (see internal/wire). The three are
+// TopKTagged answers /topk and Scores answers /similarity, in every mode,
+// over local slots and remote ones (see internal/wire) alike. The two are
 // one skeleton — admit (validate, ctx, gather the query rows of U), fan a
-// leg out to every slot, fold the per-slot errors — over the three
-// consumers of core's one phase-II scan (PartialInto, PartialTopK,
-// ScoreRows).
+// leg out to every slot, fold the per-slot errors — over the two consumers
+// of core's one phase-II scan that never touch a whole column
+// (PartialTopK, ScoreRows). The n x |Q| block itself is the library's
+// (core.Index.QueryRankInto), not the router's.
 type Router struct {
 	n    int
 	rank int
@@ -154,9 +154,6 @@ func (r *Router) K() int { return r.plan.K() }
 // Plan returns the router's partition plan.
 func (r *Router) Plan() Plan { return r.plan }
 
-// Remote reports whether any slot answers over the wire.
-func (r *Router) Remote() bool { return r.remote }
-
 // ShardStatus describes one shard slot for /stats and /admin/index.
 type ShardStatus struct {
 	Shard      int    `json:"shard"`
@@ -210,24 +207,26 @@ func (r *Router) SwapShard(s int, sh *core.IndexShard) (uint64, error) {
 	return l.Swap(sh), nil
 }
 
-func (r *Router) validate(queries []int) error {
-	if len(queries) == 0 {
-		return fmt.Errorf("shard: empty query set: %w", core.ErrParams)
+// validate checks one id list of a request; what names it in the error:
+// "query" for the query set, "target" for the rows Scores is asked for.
+func (r *Router) validate(what string, ids []int) error {
+	if len(ids) == 0 {
+		return fmt.Errorf("shard: empty %s set: %w", what, core.ErrParams)
 	}
-	for _, q := range queries {
-		if q < 0 || q >= r.n {
-			return fmt.Errorf("shard: node %d not in [0, %d): %w", q, r.n, core.ErrQuery)
+	for _, id := range ids {
+		if id < 0 || id >= r.n {
+			return fmt.Errorf("shard: %s node %d not in [0, %d): %w", what, id, r.n, core.ErrQuery)
 		}
 	}
 	return nil
 }
 
-// admit is the entry QueryRankInto, topK and Scores share: it validates
-// the query ids, refuses a context that is already done and gathers the
-// query rows of U. The three then differ only in the leg they fan out to
-// the slots and in how they fold its per-slot errors.
+// admit is the entry topK and Scores share: it validates the query ids,
+// refuses a context that is already done and gathers the query rows of U.
+// The two then differ only in the leg they fan out to the slots and in how
+// they fold its per-slot errors.
 func (r *Router) admit(ctx context.Context, queries []int) (*dense.Mat, error) {
-	if err := r.validate(queries); err != nil {
+	if err := r.validate("query", queries); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -328,34 +327,6 @@ func (r *Router) fanout(cols int, body func(s int) error) []error {
 	return errs
 }
 
-// QueryRankInto answers phase II at a chosen rank by scattering row bands
-// across shards: each shard writes its rows of the n x |Q| result
-// directly into the shared scratch matrix, in parallel via internal/par.
-// The assembled matrix is bitwise-identical to
-// core.Index.QueryRankInto's at any shard count (see the package doc for
-// why). rank <= 0 or >= the index rank answers at full rank; honours ctx
-// between row bands. It satisfies serve.RankQueryFunc: the explicit block
-// /similarity reads from on local slots. Remote slots reject this path —
-// the wire never ships n x |Q| columns; wire deployments answer
-// /similarity through Scores instead.
-func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-	uq, err := r.admit(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-	cols := len(queries)
-	s := scratch.Reuse(r.n, cols)
-	errs := r.fanout(cols, func(i int) error {
-		lo, hi := r.plan.Range(i)
-		band := &dense.Mat{Rows: hi - lo, Cols: cols, Data: s.Data[lo*cols : hi*cols]}
-		return r.slots[i].PartialInto(ctx, queries, uq, rank, band)
-	})
-	if err := errFirst(errs); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // TopK returns the exact global top-k for a query set via scatter–gather:
 // every shard selects the top-k of the nodes it owns
 // (core.IndexShard.PartialTopK), and the k best of the union is the
@@ -412,7 +383,7 @@ func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (To
 
 func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade bool) (TopKResult, error) {
 	if k <= 0 {
-		return TopKResult{}, r.validate(queries)
+		return TopKResult{}, r.validate("query", queries)
 	}
 	uq, err := r.admit(ctx, queries)
 	if err != nil {
@@ -481,7 +452,7 @@ func errFirst(errs []error) error {
 // targets[j]. Any owner failure fails the call — a targeted score has no
 // degraded form, unlike top-k set membership.
 func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
-	if err := r.validate(targets); err != nil {
+	if err := r.validate("target", targets); err != nil {
 		return nil, err
 	}
 	uq, err := r.admit(ctx, queries)

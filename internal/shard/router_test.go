@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"csrplus/internal/core"
 	"csrplus/internal/par"
 	"csrplus/internal/shard"
+	"csrplus/internal/shard/shardtest"
 	"csrplus/internal/topk"
 )
 
@@ -138,7 +140,7 @@ func assertRouterMatches(t *testing.T, rt *shard.Router, eng *csrplus.Engine, ix
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rt.QueryRankInto(ctx, queries, rank, nil)
+			got, err := shardtest.Columns(ctx, rt, queries, rank)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +166,7 @@ func assertRouterMatches(t *testing.T, rt *shard.Router, eng *csrplus.Engine, ix
 		}
 	}
 	for rank := 0; rank <= testRank; rank++ {
-		if got, want := rt.TruncationBound(rank), eng.TruncationBound(rank); got != want {
+		if got, want := rt.TruncationBound(rank), ix.TruncationBound(rank); got != want {
 			t.Fatalf("K=%d TruncationBound(%d) = %v, want %v", rt.K(), rank, got, want)
 		}
 	}
@@ -211,11 +213,27 @@ func TestRouterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.QueryRankInto(context.Background(), nil, 0, nil); !errors.Is(err, core.ErrParams) {
+	if _, err := shardtest.Columns(context.Background(), rt, nil, 0); !errors.Is(err, core.ErrParams) {
 		t.Fatalf("empty queries: err = %v, want ErrParams", err)
 	}
-	if _, err := rt.QueryRankInto(context.Background(), []int{testN}, 0, nil); !errors.Is(err, core.ErrQuery) {
+	if _, err := shardtest.Columns(context.Background(), rt, []int{testN}, 0); !errors.Is(err, core.ErrQuery) {
 		t.Fatalf("out-of-range query: err = %v, want ErrQuery", err)
+	}
+	// Scores names the list that is wrong: an empty target list is not an
+	// "empty query set".
+	for _, tc := range []struct {
+		queries, targets []int
+		is               error
+		names            string
+	}{
+		{[]int{1}, nil, core.ErrParams, "empty target set"},
+		{nil, []int{2}, core.ErrParams, "empty query set"},
+		{[]int{1}, []int{testN}, core.ErrQuery, "target node"},
+		{[]int{-1}, []int{2}, core.ErrQuery, "query node"},
+	} {
+		if _, err := rt.Scores(context.Background(), tc.queries, tc.targets, 0); !errors.Is(err, tc.is) || !strings.Contains(err.Error(), tc.names) {
+			t.Fatalf("Scores(%v, %v): err = %v, want %v naming the %s", tc.queries, tc.targets, err, tc.is, tc.names)
+		}
 	}
 	if items, err := rt.TopK(context.Background(), []int{1}, 0); err != nil || items != nil {
 		t.Fatalf("k=0: items=%v err=%v, want nil, nil", items, err)
@@ -312,11 +330,11 @@ func TestMixedGenerationsStayExact(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, queries := range querySets() {
-		want, err := ref.QueryRankInto(ctx, queries, 0, nil)
+		want, err := shardtest.Columns(ctx, ref, queries, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rt.QueryRankInto(ctx, queries, 0, nil)
+		got, err := shardtest.Columns(ctx, rt, queries, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +411,7 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 						return
 					}
 				}
-				got, err := rt.QueryRankInto(context.Background(), queries, 0, nil)
+				got, err := shardtest.Columns(context.Background(), rt, queries, 0)
 				if err != nil {
 					t.Error(err)
 					return

@@ -13,12 +13,14 @@ import (
 
 // Slot is one shard slot as the Router consumes it: the node range it
 // owns, its shape metadata, and the per-shard query primitives the
-// scatter–gather paths fan out to. Two implementations exist — Local
-// wraps an in-process *core.IndexShard behind an atomic generation
-// pointer, and wire.RemoteEngine speaks the same contract to a
-// csrserver -shardworker process over HTTP — so the router's exact
-// merge, generation-keyed bound cache, and degradation tagging work
-// identically in-process and across the wire.
+// scatter–gather paths fan out to — each bounded by what the request asks
+// for (k items, |rows| x |Q| scores, |nodes| U rows), never by the slot's
+// row count, so every one of them can cross a wire. Two implementations
+// exist — Local wraps an in-process *core.IndexShard behind an atomic
+// generation pointer, and wire.RemoteEngine speaks the same contract to a
+// csrserver -shardworker process over HTTP — so the router's exact merge,
+// generation-keyed bound cache, and degradation tagging work identically
+// in-process and across the wire.
 //
 // Each method resolves the slot's current generation independently (a
 // remote process cannot pin a generation across calls), so a query whose
@@ -53,11 +55,6 @@ type Slot interface {
 	// nodes[i]. The returned float64s are bitwise those of the shard's
 	// own URow.
 	URows(ctx context.Context, nodes []int) (*dense.Mat, error)
-
-	// PartialInto computes the slot's band of the n x |Q| column matrix
-	// (core.IndexShard.PartialInto). Remote slots reject it: the wire
-	// ships K·|Q|·k partial top-k items, never an n x |Q| matrix.
-	PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error
 
 	// PartialTopK returns the slot's top-k candidates among the nodes it
 	// owns, scored against the gathered query rows uq at the given rank,
@@ -165,12 +162,6 @@ func (l *Local) URows(ctx context.Context, nodes []int) (*dense.Mat, error) {
 		copy(out.Row(i), sh.URow(q))
 	}
 	return out, nil
-}
-
-// PartialInto computes the slot's band of the column matrix (see Slot).
-func (l *Local) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
-	sh, _ := l.Current()
-	return sh.PartialInto(ctx, queries, uq, rank, out)
 }
 
 // PartialTopK selects the slot's top-k candidates (see Slot).

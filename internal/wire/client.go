@@ -273,13 +273,6 @@ func (e *RemoteEngine) URows(ctx context.Context, nodes []int) (*dense.Mat, erro
 	return dense.NewMatFrom(len(nodes), e.rank, resp.Rows), nil
 }
 
-// PartialInto rejects the column path: the wire ships K·|Q|·k partial
-// top-k items, never an n x |Q| matrix (see BENCH_shard.json). Wire
-// deployments serve through the router's TopKTagged and Scores paths.
-func (e *RemoteEngine) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
-	return fmt.Errorf("wire: column scatter is not supported over the wire; serve through the top-k path")
-}
-
 // PartialTopK implements shard.Slot over POST /shard/query.
 func (e *RemoteEngine) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
 	var resp QueryResponse

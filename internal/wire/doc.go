@@ -10,9 +10,10 @@
 // Workers expose a small JSON protocol. Bulk float64 payloads travel as
 // base64-encoded little-endian IEEE-754 bit patterns (proto.go's F64s),
 // which round-trips every value bitwise by construction — the wire must
-// not be the place the bitwise-exactness contract dies. The payload shape
-// is the one BENCH_shard.json committed to: K·|Q|·k partial top-k items
-// plus |Q|·r gathered U rows, never an n x |Q| column matrix.
+// not be the place the bitwise-exactness contract dies. Every payload is
+// sized by the request, never by the shard: K·|Q|·k partial top-k items,
+// |T|·|Q| targeted scores, |Q|·r gathered U rows. No call of the
+// shard.Slot contract returns a column, so there is none to refuse.
 //
 //	GET  /healthz       liveness: the process is up.
 //	GET  /readyz        readiness: a generation is loaded and serving.

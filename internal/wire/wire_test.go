@@ -230,18 +230,6 @@ func TestWireRouterMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestWireRejectsColumnPath pins the payload contract: no n x |Q| column
-// matrix crosses the wire, so the router's column entry point fails on
-// remote slots instead of silently shipping gigabytes.
-func TestWireRejectsColumnPath(t *testing.T) {
-	_, ix := testEngineIndex(t, 1)
-	servers, _ := startWorkers(t, ix, 2)
-	rt, _ := wireRouter(t, servers, testOptions())
-	if _, err := rt.QueryRankInto(context.Background(), []int{3}, 0, nil); err == nil {
-		t.Fatal("column scatter over the wire succeeded; it must be rejected")
-	}
-}
-
 func TestWorkerAuthAndValidation(t *testing.T) {
 	_, ix := testEngineIndex(t, 1)
 	shards, err := shard.Split(ix, 2)
