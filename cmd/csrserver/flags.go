@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"csrplus/internal/graph"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/wire"
@@ -53,8 +54,10 @@ func (m mode) reads(name string) bool {
 type config struct {
 	mode mode
 
-	dataset, graphPath            string
-	dscale                        int64
+	dataset, graphPath string
+	dscale             int64
+	// n is the node count of the graph the flags name — -n for -graph,
+	// the descriptor's for -dataset — known without reading the graph.
 	n, rank                       int
 	damping                       float64
 	indexPath, saveIndex, snapDir string
@@ -136,6 +139,36 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	case c.mode == modeWorker && c.snapDir == "":
 		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
 	}
+	if c.mode == modeLocal || c.mode == modeIngest {
+		if err := c.nameGraph(); err != nil {
+			return nil, err
+		}
+	}
 	c.wire.AdminToken = c.adminToken
 	return c, nil
+}
+
+// nameGraph holds the flags to naming exactly one graph and resolves its
+// node count without reading it: most boots never do (source.go), and a
+// loaded index is checked against c.n instead.
+func (c *config) nameGraph() error {
+	switch {
+	case c.dataset != "" && c.graphPath != "":
+		return fmt.Errorf("use either -dataset or -graph, not both")
+	case c.dataset != "":
+		d, err := graph.DatasetByKey(c.dataset)
+		if err != nil {
+			return err
+		}
+		scale := c.dscale
+		if scale <= 0 {
+			scale = d.Scale // as csrplus.GenerateDataset reads -dscale
+		}
+		c.n = d.Nodes(scale)
+	case c.graphPath == "":
+		return fmt.Errorf("one of -dataset or -graph is required")
+	case c.n <= 0:
+		return fmt.Errorf("-graph requires -n")
+	}
+	return nil
 }

@@ -265,7 +265,7 @@ func TestPublishPrunesSnapshots(t *testing.T) {
 		root := t.TempDir()
 		eng := testEngine(t)
 		for i := 0; i < publishes; i++ {
-			if err := publishShardSnapshots(root, eng, 3); err != nil {
+			if err := publishShardSnapshots(root, coreIndex(eng), 3); err != nil {
 				t.Fatal(err)
 			}
 			for slot := 0; slot < 3; slot++ {

@@ -406,15 +406,50 @@ func TestDeadlineReturns504(t *testing.T) {
 	}
 }
 
+// The flags must name exactly one graph, and its node count, before
+// anything is read: most boots never open it. A -dataset's n comes from
+// its descriptor.
 func TestLoadGraphValidation(t *testing.T) {
-	if _, err := loadGraph("", 0, "", 0); err == nil {
-		t.Fatal("no source accepted")
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"one of -dataset or -graph is required", nil},
+		{"one of -dataset or -graph is required", []string{"-waldir", "d"}},
+		{"use either -dataset or -graph, not both", []string{"-dataset", "FB", "-graph", "x.txt", "-n", "5"}},
+		{"-graph requires -n", []string{"-graph", "x.txt"}},
+		{`unknown dataset "NOPE"`, []string{"-dataset", "NOPE"}},
+	} {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
-	if _, err := loadGraph("FB", 0, "x.txt", 5); err == nil {
-		t.Fatal("both sources accepted")
+	for _, tc := range []struct {
+		n    int
+		args []string
+	}{
+		{4039, []string{"-dataset", "FB"}},
+		{131072, []string{"-dataset", "WT", "-n", "7"}},
+		{2048, []string{"-dataset", "WT", "-dscale", "1200", "-waldir", "d"}},
+		{6, []string{"-graph", "x.txt", "-n", "6"}},
+	} {
+		if cfg, err := parse(tc.args...); err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+		} else if cfg.n != tc.n {
+			t.Errorf("%v: n = %d, want %d", tc.args, cfg.n, tc.n)
+		}
 	}
-	if _, err := loadGraph("", 0, "x.txt", 0); err == nil {
-		t.Fatal("-graph without -n accepted")
+	// A mistyped -graph fails the boot even when a snapshot would serve it.
+	dir := t.TempDir()
+	if _, _, err := testEngine(t).SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parse("-graph", filepath.Join(dir, "nope.txt"), "-n", "6", "-snapshots", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "-graph") {
+		t.Fatalf("boot over a missing -graph file: err = %v", err)
 	}
 }
 
@@ -1129,7 +1164,7 @@ func TestModeTable(t *testing.T) {
 	// The table and the flag set describe each other exactly: every flag
 	// is read by some mode, and every name in a row is a flag.
 	fs := flag.NewFlagSet("csrserver", flag.ContinueOnError)
-	if _, err := parseFlags(fs, nil); err != nil {
+	if _, err := parseFlags(fs, []string{"-dataset", "FB"}); err != nil {
 		t.Fatal(err)
 	}
 	count := 0

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -45,8 +46,9 @@ type source struct {
 	ing *ingest.Service
 	// engines are the remote slots' clients (nil when every slot is local).
 	engines []*wire.RemoteEngine
-	// graphLoad is what loading or generating the graph cost (0 for a
-	// router, which has none).
+	// graphLoad is what loading or generating the graph cost: 0 when the
+	// boot did not read it (a router has none; a boot from a snapshot or an
+	// -index file has no use for it).
 	graphLoad time.Duration
 }
 
@@ -75,14 +77,18 @@ func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 	if cfg.mode == modeRouter {
 		return openRemote(ctx, cfg, lru)
 	}
-	start := time.Now()
-	g, err := loadGraph(cfg.dataset, cfg.dscale, cfg.graphPath, cfg.n)
-	if err != nil {
-		return nil, err
+	if cfg.graphPath != "" {
+		// The file may not be opened until a reload finds no snapshot: a
+		// mistyped path fails the boot, not that reload.
+		if _, err := os.Stat(cfg.graphPath); err != nil {
+			return nil, fmt.Errorf("-graph: %w", err)
+		}
 	}
-	graphLoad := time.Since(start)
-	w := &wholeIndex{cfg: cfg, g: g}
-	var src *source
+	w := &wholeIndex{cfg: cfg}
+	var (
+		src *source
+		err error
+	)
 	if cfg.shards > 1 && cfg.snapDir != "" {
 		src, err = openShardDirs(ctx, w, lru)
 	} else {
@@ -91,7 +97,7 @@ func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 	if err != nil {
 		return nil, err
 	}
-	src.graphLoad = graphLoad
+	src.graphLoad = w.graphLoad
 	return src, nil
 }
 
@@ -176,10 +182,10 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 	var clocks string
 	switch {
 	case !populated:
-		eng, built, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
+		ix, built, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
 		if err == nil {
-			err = saveIndex(cfg, eng)
-			_ = eng.Close()
+			err = saveIndex(cfg, ix)
+			_ = ix.Close()
 		}
 		if err != nil {
 			return nil, err
@@ -196,8 +202,8 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 		if recovered {
 			log.Printf("WARNING: shard %d CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", slot, snap.Gen, snap.Path)
 		}
-		if sh.N() != w.g.N() {
-			return nil, fmt.Errorf("shard %d snapshot built for %d nodes, graph has %d", slot, sh.N(), w.g.N())
+		if sh.N() != cfg.n {
+			return nil, fmt.Errorf("shard %d snapshot built for %d nodes, graph has %d", slot, sh.N(), cfg.n)
 		}
 		return sh, nil
 	}
@@ -216,7 +222,7 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 	if err != nil {
 		return nil, err
 	}
-	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.g.M(), BuildTime: time.Since(start), Clocks: clocks}
+	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.m(), BuildTime: time.Since(start), Clocks: clocks}
 	return rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return reload.RollShards(ctx, rt, loadSlot) }), nil
 }
 
@@ -225,20 +231,26 @@ func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source,
 // service, after which every reload rebuilds from the live graph.
 func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 	start := time.Now()
-	eng, meta, _, err := w.build(ctx)
+	ix, meta, _, err := w.build(ctx)
 	if err == nil {
-		err = saveIndex(w.cfg, eng)
+		err = saveIndex(w.cfg, ix)
 	}
 	if err != nil {
 		return nil, err
 	}
-	boot, err := w.candidate(eng, meta, nil, start)
+	boot, err := w.candidate(ix, meta, nil, start)
 	if err != nil {
 		return nil, err
 	}
 	if w.cfg.mode == modeIngest {
-		w.ing, err = ingest.NewService(w.g.CoreGraph(), coreIndex(eng), ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
+		// The live graph starts from the flags' graph whatever the index
+		// came from: an ingest boot always reads it.
+		g, err := w.graph()
+		if err == nil {
+			w.ing, err = ingest.NewService(g.CoreGraph(), ix, ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
+		}
 		if err != nil {
+			boot.Release()
 			return nil, err
 		}
 		// Anchored at baseline zero: Recover charges exactly the WAL tail
@@ -254,40 +266,77 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 // wholeIndex resolves one whole CSR+ index per call, off the serving
 // path. Precedence mirrors the flags: the live graph once ingestion is
 // up, else the snapshot directory's CURRENT, else a pinned -index file,
-// else an in-process precompute over the graph.
+// else an in-process precompute over the graph. Only the last reads the
+// graph the flags name; a loaded index is held to the flags' node count
+// (cfg.n) instead. Calls never overlap: the boot makes the first, and
+// reload.Manager runs one load at a time.
 type wholeIndex struct {
 	cfg *config
-	g   *csrplus.Graph
 	ing *ingest.Service // set by openIndex once the boot index exists
+
+	g         *csrplus.Graph // nil until graph has read it
+	graphLoad time.Duration  // what that read cost
+}
+
+// graph returns the graph the flags name, reading or generating it on
+// first use. A failure is returned and not remembered, so the next caller
+// — a retry, the next SIGHUP — reads again.
+func (w *wholeIndex) graph() (*csrplus.Graph, error) {
+	if w.g == nil {
+		start := time.Now()
+		g, err := loadGraph(w.cfg)
+		if err != nil {
+			return nil, err
+		}
+		w.g, w.graphLoad = g, time.Since(start)
+	}
+	return w.g, nil
+}
+
+// m is the graph's edge count, 0 until the graph has been read: a boot
+// that skipped it reports m = 0, as a router always has.
+func (w *wholeIndex) m() int64 {
+	if w.g == nil {
+		return 0
+	}
+	return w.g.M()
+}
+
+// shape renders what is known of the graph for the log lines: n from the
+// flags, m once the graph has been read.
+func (w *wholeIndex) shape() string {
+	if w.g == nil {
+		return fmt.Sprintf("n=%d", w.cfg.n)
+	}
+	return fmt.Sprintf("n=%d m=%d", w.cfg.n, w.g.M())
 }
 
 // load is the reload.LoadFunc of a whole-index source.
 func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 	start := time.Now()
-	eng, meta, drift, err := w.build(ctx)
+	ix, meta, drift, err := w.build(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return w.candidate(eng, meta, drift, start)
+	return w.candidate(ix, meta, drift, start)
 }
 
-// candidate slices eng's index into cfg.shards zero-copy views behind a
-// fresh router that owns it: the generation's Release closes eng. The
+// candidate slices ix into cfg.shards zero-copy views behind a fresh
+// router that owns it: the generation's Release closes ix. The
 // generation's smoke test (reload.Validate) reads a few cells of S and a
 // top-k selector drops NaN rows silently, so every row of the factors is
 // scanned here first, as a roll and a worker boot do per shard.
-func (w *wholeIndex) candidate(eng *csrplus.Engine, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
-	ix := coreIndex(eng)
+func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
 	rt, err := shard.NewRouterFromIndex(ix, w.cfg.shards)
 	if err == nil {
 		err = reload.ValidateShard(&ix.IndexShard)
 	}
 	if err != nil {
-		_ = eng.Close()
+		_ = ix.Close()
 		return nil, err
 	}
 	meta.BuildTime = time.Since(start)
-	return newCandidate(rt, meta, drift, func() { _ = eng.Close() }), nil
+	return newCandidate(rt, meta, drift, func() { _ = ix.Close() }), nil
 }
 
 // build produces the next whole index and, when it did not come from
@@ -299,13 +348,21 @@ func (w *wholeIndex) candidate(eng *csrplus.Engine, meta reload.Meta, drift serv
 // publishes one snapshot per shard directory instead. drift is the
 // generation's ingest drift closure, anchored at the cut its factors
 // were built from (nil without ingestion).
-func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reload.Meta, drift serve.DriftFunc, err error) {
+func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Meta, drift serve.DriftFunc, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, meta, nil, err
 	}
 	cfg := w.cfg
-	opts := csrplus.Options{Rank: cfg.rank, Damping: cfg.damping}
 	var clocks []string // meta.Clocks, in the order the work ran
+	// precompute runs Phase I over g in this process.
+	precompute := func(g *csrplus.Graph) error {
+		eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: cfg.rank, Damping: cfg.damping})
+		if err != nil {
+			return err
+		}
+		ix, meta.M, meta.PeakBytes = coreIndex(eng), g.M(), eng.Stats().PeakBytes
+		return nil
+	}
 	switch {
 	case w.ing != nil:
 		if !w.ing.Ready() {
@@ -318,61 +375,73 @@ func (w *wholeIndex) build(ctx context.Context) (eng *csrplus.Engine, meta reloa
 		}
 		clocks = append(clocks, fmt.Sprintf("graph=%v", clockSince(cutStart)))
 		log.Printf("rebuilding index over live graph n=%d m=%d (wal seq %d, drift %.3g) ...", live.N(), live.M(), seq, d0)
-		if eng, err = csrplus.NewEngine(csrplus.FromCoreGraph(live), opts); err == nil {
-			coreIndex(eng).SetWalSeq(seq)
-		}
 		meta = reload.Meta{Source: "ingest-rebuild"}
+		if err = precompute(csrplus.FromCoreGraph(live)); err == nil {
+			ix.SetWalSeq(seq)
+		}
 		drift = w.ing.DriftFrom(d0)
 	case cfg.snapDir != "" && snapshotAvailable(cfg.snapDir):
-		log.Printf("loading snapshot directory %s over n=%d m=%d ...", cfg.snapDir, w.g.N(), w.g.M())
-		var snap csrplus.RecoveredSnapshot
-		eng, snap, err = csrplus.RecoverEngine(w.g, cfg.snapDir)
-		if snap.Recovered {
+		log.Printf("loading snapshot directory %s over %s ...", cfg.snapDir, w.shape())
+		var snap core.Snapshot
+		var recovered bool
+		ix, snap, recovered, err = core.RecoverSnapshot(cfg.snapDir)
+		if recovered {
 			log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
 		}
-		meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: snap.Recovered}
+		meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m()}
 	case cfg.indexPath != "":
-		log.Printf("loading index %s over n=%d m=%d ...", cfg.indexPath, w.g.N(), w.g.M())
-		eng, err = csrplus.LoadEngine(w.g, cfg.indexPath)
-		meta = reload.Meta{Source: "index", Path: cfg.indexPath}
+		log.Printf("loading index %s over %s ...", cfg.indexPath, w.shape())
+		ix, err = core.LoadIndex(cfg.indexPath)
+		meta = reload.Meta{Source: "index", Path: cfg.indexPath, M: w.m()}
 	default:
-		log.Printf("precomputing index over n=%d m=%d ...", w.g.N(), w.g.M())
-		eng, err = csrplus.NewEngine(w.g, opts)
+		var g *csrplus.Graph
+		if g, err = w.graph(); err != nil {
+			return nil, meta, nil, err
+		}
+		log.Printf("precomputing index over n=%d m=%d ...", g.N(), g.M())
 		meta = reload.Meta{Source: "rebuild"}
+		err = precompute(g)
+	}
+	if err == nil && ix.N() != cfg.n {
+		// What csrplus.LoadEngine checks against a graph in hand, checked
+		// against the node count the flags name with the graph unread.
+		err = fmt.Errorf("index built for %d nodes, graph has %d", ix.N(), cfg.n)
+		_ = ix.Close()
 	}
 	if err != nil {
 		return nil, meta, nil, err
 	}
-	st := eng.Stats()
-	meta.Algorithm, meta.M, meta.PeakBytes = st.Algorithm, st.M, st.PeakBytes
-	if ix := coreIndex(eng); ix.Stages() != (core.Stages{}) {
+	meta.Algorithm = csrplus.AlgoCSRPlus
+	if ix.Stages() != (core.Stages{}) {
 		nr, nc := ix.Support()
 		clocks = append(clocks, fmt.Sprintf("precompute: support=%dx%d/%d %v", nr, nc, ix.N(), ix.Stages()))
 	}
 	if publishStart := time.Now(); cfg.snapDir != "" && (cfg.shards > 1 || meta.Source != "snapshot") {
 		if cfg.shards > 1 {
-			err = publishShardSnapshots(cfg.snapDir, eng, cfg.shards)
-		} else if meta.SnapshotGen, meta.Path, err = eng.SaveSnapshotTier(cfg.snapDir, cfg.quantize); err == nil {
+			err = publishShardSnapshots(cfg.snapDir, ix, cfg.shards)
+		} else if tix, terr := tiered(ix, cfg.quantize); terr != nil {
+			err = terr
+		} else if meta.SnapshotGen, meta.Path, err = core.WriteSnapshot(cfg.snapDir, tix); err == nil {
 			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
 			pruneSnapshots(cfg.snapDir)
 		}
 		clocks = append(clocks, fmt.Sprintf("publish=%v", clockSince(publishStart)))
 	}
 	if err != nil {
-		_ = eng.Close()
+		_ = ix.Close()
 		return nil, meta, nil, err
 	}
 	meta.Clocks = strings.Join(clocks, " ")
-	return eng, meta, drift, nil
+	return ix, meta, drift, nil
 }
 
 // clockSince is the time since t at the log lines' resolution.
 func clockSince(t time.Time) time.Duration { return time.Since(t).Round(100 * time.Microsecond) }
 
-// publishShardSnapshots slices eng's index k ways and publishes each
-// slice as the next generation of its shard directory.
-func publishShardSnapshots(dir string, eng *csrplus.Engine, k int) error {
-	shards, err := shard.Split(coreIndex(eng), k)
+// publishShardSnapshots slices ix k ways and publishes each slice as the
+// next generation of its shard directory.
+func publishShardSnapshots(dir string, ix *core.Index, k int) error {
+	shards, err := shard.Split(ix, k)
 	if err != nil {
 		return err
 	}
@@ -404,7 +473,7 @@ func pruneSnapshots(dir string) {
 	}
 }
 
-// coreIndex unwraps the CSR+ index every engine built here has: the
+// coreIndex unwraps the CSR+ index every engine precomputed here has: the
 // server runs no other algorithm.
 func coreIndex(eng *csrplus.Engine) *core.Index {
 	ix, _ := eng.CoreIndex()
@@ -412,15 +481,29 @@ func coreIndex(eng *csrplus.Engine) *core.Index {
 }
 
 // saveIndex honours -saveindex for the boot index.
-func saveIndex(cfg *config, eng *csrplus.Engine) error {
+func saveIndex(cfg *config, ix *core.Index) error {
 	if cfg.saveIndex == "" {
 		return nil
 	}
-	if err := eng.SaveIndexTier(cfg.saveIndex, cfg.quantize); err != nil {
+	tix, err := tiered(ix, cfg.quantize)
+	if err == nil {
+		err = core.SaveIndex(tix, cfg.saveIndex)
+	}
+	if err != nil {
 		return err
 	}
 	log.Printf("index persisted to %s (tier %s)", cfg.saveIndex, tierName(cfg.quantize))
 	return nil
+}
+
+// tiered resolves ix at the -quantize tier, quantizing a copy when the tier
+// is lossy: what csrplus.Engine.SaveIndexTier does for an engine.
+func tiered(ix *core.Index, tier string) (*core.Index, error) {
+	t, err := core.ParseTier(tier)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Quantize(t)
 }
 
 // tierName renders the -quantize flag value for logs ("" is the exact
@@ -445,18 +528,11 @@ func snapshotAvailable(dir string) bool {
 	return err == nil && len(snaps) > 0
 }
 
-func loadGraph(dataset string, scale int64, graphPath string, n int) (*csrplus.Graph, error) {
-	switch {
-	case dataset != "" && graphPath != "":
-		return nil, fmt.Errorf("use either -dataset or -graph, not both")
-	case dataset != "":
-		return csrplus.GenerateDataset(dataset, scale)
-	case graphPath != "":
-		if n <= 0 {
-			return nil, fmt.Errorf("-graph requires -n")
-		}
-		return csrplus.LoadGraph(graphPath, n)
-	default:
-		return nil, fmt.Errorf("one of -dataset or -graph is required")
+// loadGraph reads or generates the graph the flags name; parseFlags has
+// held them to naming exactly one.
+func loadGraph(cfg *config) (*csrplus.Graph, error) {
+	if cfg.dataset != "" {
+		return csrplus.GenerateDataset(cfg.dataset, cfg.dscale)
 	}
+	return csrplus.LoadGraph(cfg.graphPath, cfg.n)
 }

@@ -82,6 +82,19 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 		totw:     make([]float64, ix.n),
 	}
 	adj := g.Adj()
+	// Every list is carved out of one backing array, in-degree long and
+	// with no capacity to spare: the fill below appends in place, and
+	// ApplyEdge's first append to in[v] copies that list out instead of
+	// writing over the head of in[v+1].
+	start := make([]int, d.n+1)
+	for _, v := range adj.ColIdx {
+		start[v+1]++
+	}
+	backing := make([]dynEdge, len(adj.ColIdx))
+	for v := range d.in {
+		start[v+1] += start[v]
+		d.in[v] = backing[start[v]:start[v]:start[v+1]]
+	}
 	for u := 0; u < d.n; u++ {
 		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
 			v, w := int(adj.ColIdx[p]), adj.Val[p]
@@ -210,7 +223,11 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 // MaterializeCOO renders the live edge set as a COO adjacency. The COO
 // canonicalisation in ToCSR (sort by (row, col), merge duplicates) makes
 // the downstream graph — and therefore a rebuild's Precompute output —
-// bitwise-independent of the order edges were applied in.
+// bitwise-independent of the order edges were applied in. ToCSR sums
+// duplicates in insertion order, which would let that order show, but
+// none reach it from here: in[v] holds each source once (ApplyEdge folds a
+// repeated edge into its entry's weight), so every (row, col) is emitted
+// exactly once and only the sort decides the layout.
 func (d *Dynamic) MaterializeCOO() (*sparse.COO, error) {
 	coo := sparse.NewCOO(d.n, d.n)
 	for v := 0; v < d.n; v++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"csrplus/internal/dense"
@@ -333,5 +334,107 @@ func TestDynamicStructureOnlyReplayChargesNoDrift(t *testing.T) {
 	}
 	if d.Drift() <= 0 || d.Edges() != 1 {
 		t.Fatalf("drift-counted apply recorded drift %g / %d edges", d.Drift(), d.Edges())
+	}
+}
+
+// appendBuiltDynamic is NewDynamic's construction as it stood until PR 20 —
+// every in-neighbour list grown by one single-element append per edge — kept
+// as the reference the carved lists are held to.
+func appendBuiltDynamic(g *graph.Graph, ix *Index) *Dynamic {
+	d := &Dynamic{
+		n: ix.n, r: ix.rank, c: ix.c, weighted: g.Weighted(), u: ix.u.Mat(),
+		in: make([][]dynEdge, ix.n), totw: make([]float64, ix.n),
+	}
+	adj := g.Adj()
+	for u := 0; u < d.n; u++ {
+		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
+			v, w := int(adj.ColIdx[p]), adj.Val[p]
+			d.in[v] = append(d.in[v], dynEdge{src: int32(u), w: w})
+			d.totw[v] += w
+			d.m++
+		}
+	}
+	d.w = dense.NewMat(d.n, d.r)
+	for v := 0; v < d.n; v++ {
+		if d.totw[v] == 0 {
+			continue
+		}
+		urow := d.u.Row(v)
+		for _, e := range d.in[v] {
+			wrow := d.w.Row(int(e.src))
+			q := e.w / d.totw[v]
+			for j := 0; j < d.r; j++ {
+				wrow[j] += q * urow[j]
+			}
+		}
+	}
+	return d
+}
+
+// NewDynamic carves every in-neighbour list out of one array. On a skewed
+// graph the lists, the column normalisers, the edge count, W = QU and the
+// materialised graph are, bit for bit, what per-edge appends built; and
+// each list ends where the next begins, so none may have room to grow into.
+func TestDynamicCarvedListsMatchAppendBuilt(t *testing.T) {
+	g, err := graph.RMAT(10, 6000, graph.DefaultRMAT, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Precompute(g, Options{Rank: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := appendBuiltDynamic(g, ix)
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for v := range want.in {
+		if !slices.Equal(d.in[v], want.in[v]) {
+			t.Fatalf("in[%d] = %v, want %v", v, d.in[v], want.in[v])
+		}
+		if cap(d.in[v]) != len(d.in[v]) {
+			t.Fatalf("in[%d] has len %d but cap %d: an append would write into in[%d]", v, len(d.in[v]), cap(d.in[v]), v+1)
+		}
+	}
+	if d.m != want.m || d.m != g.M() || !slices.EqualFunc(d.totw, want.totw, sameBits) {
+		t.Fatalf("m = %d, want %d; totw equal = %v", d.m, want.m, slices.EqualFunc(d.totw, want.totw, sameBits))
+	}
+	if !slices.EqualFunc(d.w.Data, want.w.Data, sameBits) {
+		t.Fatal("W = QU differs from the append-built construction")
+	}
+	live, err := d.MaterializeGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, adj := live.Adj(), g.Adj()
+	if !slices.Equal(got.RowPtr, adj.RowPtr) || !slices.Equal(got.ColIdx, adj.ColIdx) || !slices.EqualFunc(got.Val, adj.Val, sameBits) {
+		t.Fatal("materialised graph is not the graph the state was built from")
+	}
+}
+
+// An edge into v grows in[v] only: its neighbours in the shared backing
+// array keep every entry.
+func TestDynamicApplyEdgeLeavesNeighbouringListsAlone(t *testing.T) {
+	g, ix := fullRankFixture(t, 20, 120, 29)
+	d, err := NewDynamic(g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < d.n-1; v++ {
+		src := 0
+		for src == v || g.HasEdge(src, v) {
+			src++
+		}
+		before, after := slices.Clone(d.in[v-1]), slices.Clone(d.in[v+1])
+		grown := append(slices.Clone(d.in[v]), dynEdge{src: int32(src), w: 1})
+		if applied, _, err := d.ApplyEdge(src, v, 1, true); err != nil || !applied {
+			t.Fatalf("ApplyEdge(%d, %d): applied=%v err=%v", src, v, applied, err)
+		}
+		if !slices.Equal(d.in[v], grown) || !slices.Equal(d.in[v-1], before) || !slices.Equal(d.in[v+1], after) {
+			t.Fatalf("edge %d -> %d: in[%d] = %v (want %v), in[%d] = %v (was %v), in[%d] = %v (was %v)",
+				src, v, v, d.in[v], grown, v-1, d.in[v-1], before, v+1, d.in[v+1], after)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func (d Dataset) GenerateScaled(scale int64) (*Graph, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("graph: dataset %s: scale %d < 1", d.Key, scale)
 	}
-	n := int(d.PaperN / scale)
+	n := d.Nodes(scale)
 	m := d.PaperM / scale
 	switch d.Kind {
 	case GenBA:
@@ -85,12 +85,24 @@ func (d Dataset) GenerateScaled(scale int64) (*Graph, error) {
 	case GenER:
 		return ErdosRenyi(n, m, d.Seed)
 	case GenRMAT:
-		// Round node count up to the next power of two (R-MAT's domain).
-		sc := bitsFor(n)
-		return RMAT(sc, m, DefaultRMAT, d.Seed)
+		return RMAT(bitsFor(n), m, DefaultRMAT, d.Seed)
 	default:
 		return nil, fmt.Errorf("graph: dataset %s: unknown generator kind %d", d.Key, int(d.Kind))
 	}
+}
+
+// Nodes returns the node count GenerateScaled(scale) produces, without
+// generating anything: PaperN/scale, rounded up to the next power of two
+// (R-MAT's domain) for an R-MAT stand-in. scale must be at least 1.
+func (d Dataset) Nodes(scale int64) int {
+	if scale < 1 {
+		return 0
+	}
+	n := int(d.PaperN / scale)
+	if d.Kind == GenRMAT {
+		n = 1 << bitsFor(n)
+	}
+	return n
 }
 
 // bitsFor returns ceil(log2(n)) clamped to at least 1.

@@ -22,23 +22,52 @@ func ErdosRenyi(n int, m int64, seed int64) (*Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
 	coo := sparse.NewCOO(n, n)
 	coo.Grow(int(m))
-	seen := make(map[int64]bool, m)
-	for int64(len(seen)) < m {
+	seen := newEdgeSet(m)
+	for int64(coo.NNZ()) < m {
 		u := rng.Intn(n)
 		v := rng.Intn(n)
-		if u == v {
+		if u == v || !seen.add(int64(u)*int64(n)+int64(v)) {
 			continue
 		}
-		key := int64(u)*int64(n) + int64(v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		if err := coo.Add(u, v, 1); err != nil {
 			return nil, fmt.Errorf("graph: ErdosRenyi: %w", err)
 		}
 	}
 	return New(coo), nil
+}
+
+// edgeSet is the generators' duplicate filter: an insert-only open-addressed
+// set of edge keys u*n + v, linear probing over a power-of-two table sized up
+// front for the edges the caller will keep, so it never rehashes and a
+// probe touches one cache line where the built-in map walks a bucket.
+type edgeSet struct {
+	slots []int64 // key + 1; 0 is an empty slot
+	shift uint
+}
+
+// newEdgeSet returns a set with room for capacity keys at a load of at most
+// one half.
+func newEdgeSet(capacity int64) *edgeSet {
+	bits := uint(4)
+	for uint64(1)<<bits < 2*uint64(capacity) {
+		bits++
+	}
+	return &edgeSet{slots: make([]int64, uint64(1)<<bits), shift: 64 - bits}
+}
+
+// add inserts key >= 0 and reports whether it was absent.
+func (s *edgeSet) add(key int64) bool {
+	mask := len(s.slots) - 1
+	// Fibonacci hashing: the product's high bits mix every bit of the key.
+	for i := int(uint64(key) * 0x9E3779B97F4A7C15 >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key + 1
+			return true
+		case key + 1:
+			return false
+		}
+	}
 }
 
 // BarabasiAlbert generates an undirected preferential-attachment graph
@@ -185,41 +214,47 @@ func RMAT(scale int, m int64, p RMATParams, seed int64) (*Graph, error) {
 	if m < 0 || m > int64(n)*int64(n-1)/2 {
 		return nil, fmt.Errorf("graph: RMAT m=%d out of range for n=%d", m, n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	// The draws are rand.New(src).Float64()'s value stream, bit for bit —
+	// float64(Int63())/2^63, resampled on the one value that rounds up to 1 —
+	// taken straight off the source: every committed number stands on the
+	// graphs this loop has always produced (TestDatasetDigests).
+	src := rand.NewSource(seed)
 	coo := sparse.NewCOO(n, n)
 	coo.Grow(int(m))
-	seen := make(map[int64]bool, m)
+	seen := newEdgeSet(m)
 	// Bounded oversampling: R-MAT's quadrant skew makes duplicates common;
 	// cap attempts so adversarial parameters cannot loop forever.
 	attempts := int64(0)
 	maxAttempts := 20 * m
 	ab := p.A + p.B
 	abc := ab + p.C
-	for int64(len(seen)) < m && attempts < maxAttempts {
+	for int64(coo.NNZ()) < m && attempts < maxAttempts {
 		attempts++
 		u, v := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64() * sum
-			switch {
-			case r < p.A:
-				// top-left: no bits set
-			case r < ab:
-				v |= 1 << bit
-			case r < abc:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+		for bit := 0; bit < scale; bit++ {
+			f := float64(src.Int63()) / (1 << 63)
+			for f == 1 {
+				f = float64(src.Int63()) / (1 << 63)
 			}
+			// The quadrant as a count of thresholds passed — 0 top-left,
+			// 1 top-right (a v bit), 2 bottom-left (a u bit), 3 both: the
+			// comparisons of a four-way switch on r, without its jumps
+			// into four bodies.
+			r, q := f*sum, 0
+			if r >= p.A {
+				q++
+			}
+			if r >= ab {
+				q++
+			}
+			if r >= abc {
+				q++
+			}
+			u, v = u<<1|q>>1, v<<1|q&1
 		}
-		if u == v {
+		if u == v || !seen.add(int64(u)*int64(n)+int64(v)) {
 			continue
 		}
-		key := int64(u)*int64(n) + int64(v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		if err := coo.Add(u, v, 1); err != nil {
 			return nil, fmt.Errorf("graph: RMAT: %w", err)
 		}

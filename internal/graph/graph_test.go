@@ -376,6 +376,11 @@ func TestDatasetGenerateSmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.Key, err)
 		}
+		// Nodes is what csrserver checks a loaded index against instead of
+		// generating: it must be the n Generate produces, for every key.
+		if got := d.Nodes(scale); got != g.N() {
+			t.Fatalf("%s: Nodes(%d) = %d, but GenerateScaled produced n = %d", d.Key, scale, got, g.N())
+		}
 		wantN := int(d.PaperN / scale)
 		if d.Kind == GenRMAT {
 			// R-MAT rounds up to a power of two.

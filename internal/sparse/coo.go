@@ -63,46 +63,74 @@ func (c *COO) Grow(n int) {
 	}
 }
 
-// ToCSR converts to CSR, sorting by (row, col) and summing duplicates.
-// The receiver's entry slice is sorted in place as a side effect.
+// ToCSR converts to CSR: rows in order, columns ascending within a row,
+// duplicate (row, col) entries summed in the order they were added. It is a
+// counting sort by row, O(nnz + rows), then a stable sort of each row by
+// column, which is one pass over a row that arrives in column order (an edge
+// list written row by row, core.Dynamic's column-major cut) and sort.Stable
+// on one that does not. The receiver is left as it was.
 func (c *COO) ToCSR() *CSR {
-	sort.Slice(c.entries, func(a, b int) bool {
-		ea, eb := c.entries[a], c.entries[b]
-		if ea.Row != eb.Row {
-			return ea.Row < eb.Row
-		}
-		return ea.Col < eb.Col
-	})
-	// Count unique entries per row (after merging duplicates).
 	m := &CSR{rows: c.rows, cols: c.cols, RowPtr: make([]int64, c.rows+1)}
-	uniq := 0
-	for k := 0; k < len(c.entries); {
-		j := k + 1
-		for j < len(c.entries) && c.entries[j].Row == c.entries[k].Row && c.entries[j].Col == c.entries[k].Col {
-			j++
-		}
-		uniq++
-		k = j
+	// end[i] counts row i, then is where row i starts, then — advanced by
+	// the scatter — where it ends, which is where row i+1 starts.
+	end := make([]int, c.rows+1)
+	for _, e := range c.entries {
+		end[e.Row]++
 	}
-	m.ColIdx = make([]int32, uniq)
-	m.Val = make([]float64, uniq)
-	pos := 0
-	for k := 0; k < len(c.entries); {
-		e := c.entries[k]
-		sum := e.Val
-		j := k + 1
-		for j < len(c.entries) && c.entries[j].Row == e.Row && c.entries[j].Col == e.Col {
-			sum += c.entries[j].Val
-			j++
-		}
-		m.ColIdx[pos] = int32(e.Col)
-		m.Val[pos] = sum
-		m.RowPtr[e.Row+1]++
-		pos++
-		k = j
+	total := 0
+	for i, cnt := range end {
+		end[i], total = total, total+cnt
 	}
+	cols, vals := make([]int32, len(c.entries)), make([]float64, len(c.entries))
+	for _, e := range c.entries {
+		p := end[e.Row]
+		cols[p], vals[p] = int32(e.Col), e.Val
+		end[e.Row] = p + 1
+	}
+	// Sort each row and merge its duplicates, compacting in place: the write
+	// position never passes the read position.
+	scratch := &rowByCol{}
+	pos, lo := 0, 0
 	for i := 0; i < c.rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+		hi := end[i]
+		sortRow(cols[lo:hi], vals[lo:hi], scratch)
+		for k := lo; k < hi; {
+			col, sum := cols[k], vals[k]
+			for k++; k < hi && cols[k] == col; k++ {
+				sum += vals[k]
+			}
+			cols[pos], vals[pos] = col, sum
+			pos++
+		}
+		m.RowPtr[i+1] = int64(pos)
+		lo = hi
 	}
+	m.ColIdx, m.Val = cols[:pos:pos], vals[:pos:pos]
 	return m
+}
+
+// sortRow stably sorts one row's (column, value) pairs by column, unless
+// they arrive sorted. scratch is the caller's sort.Interface adapter, reused
+// so that a row costs no allocation.
+func sortRow(cols []int32, vals []float64, scratch *rowByCol) {
+	for k := 1; k < len(cols); k++ {
+		if cols[k] < cols[k-1] {
+			scratch.cols, scratch.vals = cols, vals
+			sort.Stable(scratch)
+			return
+		}
+	}
+}
+
+// rowByCol orders one row's parallel slices by column.
+type rowByCol struct {
+	cols []int32
+	vals []float64
+}
+
+func (r *rowByCol) Len() int           { return len(r.cols) }
+func (r *rowByCol) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
+func (r *rowByCol) Swap(i, j int) {
+	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
+	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }

@@ -37,6 +37,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 3\n")
 	f.Add("0 1 extra fields ok\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		checkEdgeListReaders(t, input) // verdict, entries and error text of the pre-PR-20 parser
 		coo, err := ReadEdgeList(strings.NewReader(input), 10)
 		if err != nil {
 			return

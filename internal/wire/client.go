@@ -53,9 +53,9 @@ type Options struct {
 	// does not get every request doubled. Default 1ms.
 	HedgeMinDelay time.Duration
 	// BreakerThreshold consecutive failed logical calls open the
-	// circuit breaker; 0 disables. Default 5. BreakerCooldown is how
-	// long an open breaker fails fast before admitting a probe call;
-	// default 5s.
+	// circuit breaker; 0 means the default 5; negative disables.
+	// BreakerCooldown is how long an open breaker fails fast before
+	// admitting a probe call; default 5s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// AdminToken authenticates RollWorkers' /admin/reload calls.
