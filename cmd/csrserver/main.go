@@ -163,10 +163,11 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	}
 	meta := src.boot.Meta
 	shards := len(meta.ShardStatus())
+	stored, indexBytes := indexSize(meta.ShardStatus())
 	// Clocked from before the graph load, so the figure is the process's
 	// set-up time as a caller polling /readyz sees it, less exec and flags.
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d peak %d bytes) graph=%v%s", time.Since(start),
-		meta.Source, shards, meta.N, meta.Rank, meta.PeakBytes, src.graphLoad, clocksSuffix(meta))
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d peak %d bytes) graph=%v%s", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, meta.PeakBytes, src.graphLoad, clocksSuffix(meta))
 
 	sc := cfg.serve
 	sc.Cache = lru
@@ -235,6 +236,16 @@ func logGeneration(st reload.Status) {
 		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), clocksSuffix(st.Meta))
 }
 
+// indexSize sums what the slots hold: the factor rows stored — of the n the
+// index covers; the rest are implicit zero rows nothing maps, checks or
+// scans — and their resident bytes.
+func indexSize(slots []shard.ShardStatus) (stored int, bytes int64) {
+	for _, sl := range slots {
+		stored, bytes = stored+sl.Stored, bytes+sl.Bytes
+	}
+	return stored, bytes
+}
+
 // clocksSuffix renders where a generation's build time went, for the boot
 // and reload log lines; empty when the source clocked nothing.
 func clocksSuffix(meta reload.Meta) string {
@@ -296,15 +307,19 @@ func (s *server) mux() *http.ServeMux {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := man.Current()
+		shards := st.ShardStatus()
+		stored, indexBytes := indexSize(shards)
 		body := map[string]interface{}{
 			"algorithm":          st.Algorithm,
 			"n":                  st.N,
+			"rows_stored":        stored,
+			"index_bytes":        indexBytes,
 			"m":                  st.M,
 			"generation":         st.Generation,
 			"source":             st.Source,
 			"precompute_seconds": st.BuildSeconds,
 			"peak_bytes":         st.PeakBytes,
-			"shards":             st.ShardStatus(),
+			"shards":             shards,
 			"serving":            sv.Metrics().Snapshot(),
 			"reload_breaker":     man.Breaker(),
 		}

@@ -160,7 +160,7 @@ func poisonZ(t *testing.T, path string, row, rank int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const page, table, desc, zSection = 4096, 64, 24, 5 // sigma, zscale, uscale, zqerr, uqerr, z, u
+	const page, table, desc, zSection = 4096, 128, 24, 6 // v3: sigma, ids, zscale, uscale, zqerr, uqerr, z, u
 	le := binary.LittleEndian
 	d := data[table+zSection*desc:]
 	off, length := le.Uint64(d), le.Uint64(d[8:])

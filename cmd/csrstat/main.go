@@ -8,12 +8,13 @@
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
-//	csrstat -index old-v1.csrx -convert new.csrx              # v1 -> v2 migration
+//	csrstat -index old-v2.csrx -convert new.csrx              # v1/v2 -> v3 migration, all-zero rows dropped
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +33,7 @@ func main() {
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v2, mmap-able) layout")
+	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v3, mmap-able) layout, without its all-zero rows")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	walDir := flag.String("wal", "", "inspect a streaming-ingestion WAL directory instead of a graph")
 	flag.Parse()
@@ -59,8 +60,10 @@ func main() {
 }
 
 // runIndex is index mode: print the metadata a persisted index carries,
-// and optionally rewrite it (v1 -> v2 migration, tier conversion).
-// LoadIndex reads both layouts, so converting is load + save.
+// and optionally rewrite it (v1/v2 -> v3 migration, tier conversion).
+// LoadIndex reads every layout, so converting is load + save — less the
+// rows that are all zero in both factors, which only v3 can leave out
+// (core.Index.Compact: the answers do not move).
 func runIndex(out io.Writer, path, convert, quantize string) error {
 	ix, err := core.LoadIndex(path)
 	if errors.Is(err, core.ErrCorrupt) {
@@ -77,18 +80,15 @@ func runIndex(out io.Writer, path, convert, quantize string) error {
 	}
 	defer ix.Close()
 
-	fi, err := os.Stat(path)
-	if err != nil {
+	if err := printFile(out, path, &ix.IndexShard); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "file:          %s (%d bytes)\n", path, fi.Size())
-	fmt.Fprintf(out, "nodes:         %d\n", ix.N())
 	fmt.Fprintf(out, "rank:          %d\n", ix.Rank())
 	fmt.Fprintf(out, "damping:       %g\n", ix.Damping())
 	fmt.Fprintf(out, "iterations:    %d\n", ix.Iterations())
 	fmt.Fprintf(out, "tier:          %s\n", ix.Tier())
 	fmt.Fprintf(out, "mapped:        %t\n", ix.Mapped())
-	fmt.Fprintf(out, "factor bytes:  %d\n", ix.Bytes())
+	printSize(out, &ix.IndexShard, ix.Bytes())
 	if b := ix.QuantizationBound(); b > 0 {
 		fmt.Fprintf(out, "quant bound:   %g (entrywise, vs the exact index)\n", b)
 	}
@@ -99,37 +99,68 @@ func runIndex(out io.Writer, path, convert, quantize string) error {
 		}
 		return nil
 	}
-	outIx := ix
+	outIx := ix.Compact()
 	if quantize != "" {
 		tier, err := core.ParseTier(quantize)
 		if err != nil {
 			return err
 		}
-		if outIx, err = ix.Quantize(tier); err != nil {
+		if outIx, err = outIx.Quantize(tier); err != nil {
 			return err
 		}
 	}
 	if err := core.SaveIndex(outIx, convert); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "written:       %s (tier %s)\n", convert, outIx.Tier())
+	fmt.Fprintf(out, "written:       %s (tier %s, %d of %d rows stored)\n", convert, outIx.Tier(), outIx.Stored(), outIx.N())
 	return nil
+}
+
+// printFile prints what every snapshot file starts its report with: the
+// file, the format version it was written in (the word after the magic, in
+// every version) and the node count.
+func printFile(out io.Writer, path string, sh *core.IndexShard) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var head [8]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "file:          %s (%d bytes)\n", path, fi.Size())
+	fmt.Fprintf(out, "format:        v%d\n", binary.LittleEndian.Uint32(head[4:]))
+	fmt.Fprintf(out, "nodes:         %d\n", sh.N())
+	return nil
+}
+
+// printSize prints how much of its node range the file stores and what
+// that costs: bytes is the resident size of what was loaded.
+func printSize(out io.Writer, sh *core.IndexShard, bytes int64) {
+	fmt.Fprintf(out, "rows stored:   %d of %d", sh.Stored(), sh.Rows())
+	if sh.Stored() < sh.Rows() {
+		fmt.Fprint(out, " (the rest are all-zero rows, left out)")
+	}
+	fmt.Fprintln(out)
+	fmt.Fprintf(out, "factor bytes:  %d (%.1f per node)\n", bytes, float64(bytes)/float64(sh.Rows()))
 }
 
 // runShard reports a shard file — what an operator is told to
 // investigate when a shard directory recovers to an older generation.
 func runShard(out io.Writer, path string, sh *core.IndexShard, rewrite bool) error {
-	fi, err := os.Stat(path)
-	if err != nil {
+	if err := printFile(out, path, sh); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "file:          %s (%d bytes)\n", path, fi.Size())
-	fmt.Fprintf(out, "nodes:         %d\n", sh.N())
 	fmt.Fprintf(out, "shard rows:    [%d, %d)\n", sh.Lo(), sh.Hi())
 	fmt.Fprintf(out, "rank:          %d\n", sh.Rank())
 	fmt.Fprintf(out, "damping:       %g\n", sh.Damping())
 	fmt.Fprintf(out, "tier:          %s\n", sh.Tier())
-	fmt.Fprintf(out, "factor bytes:  %d\n", sh.Bytes())
+	printSize(out, sh, sh.Bytes())
 	if rewrite {
 		return fmt.Errorf("%s is a shard file: -convert and -quantize need a whole index", path)
 	}

@@ -155,10 +155,8 @@ func waitReady(t *testing.T, url string, deadline time.Duration) {
 	t.Fatalf("%s never became ready: %s", url, last)
 }
 
-// bootCluster writes the graph + per-shard snapshots, then spawns
-// 4 shard workers, a wire router over them, and a monolithic csrserver
-// over the same edge list.
-func bootCluster(t *testing.T) *harness {
+// newHarness resolves the binary under test and the log directory.
+func newHarness(t *testing.T) *harness {
 	bin := os.Getenv("CSRSERVER_BIN")
 	if bin == "" {
 		t.Skip("CSRSERVER_BIN not set; build cmd/csrserver and point CSRSERVER_BIN at it")
@@ -169,8 +167,14 @@ func bootCluster(t *testing.T) *harness {
 	} else if err := os.MkdirAll(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, bin: bin, logDir: logDir}
+	return &harness{t: t, bin: bin, logDir: logDir}
+}
 
+// bootCluster writes the graph + per-shard snapshots, then spawns
+// 4 shard workers, a wire router over them, and a monolithic csrserver
+// over the same edge list.
+func bootCluster(t *testing.T) *harness {
+	h := newHarness(t)
 	tmp := t.TempDir()
 	edges := edgeList()
 	edgePath := filepath.Join(tmp, "edges.txt")
@@ -189,12 +193,25 @@ func bootCluster(t *testing.T) *harness {
 	if !ok {
 		t.Fatal("CSR+ engine without a core index")
 	}
+	h.serve(ix, filepath.Join(tmp, "snapshots"),
+		"-graph", edgePath,
+		"-n", fmt.Sprint(clusterN),
+		"-r", fmt.Sprint(clusterRank),
+		"-c", fmt.Sprint(clusterC),
+	)
+	return h
+}
+
+// serve cuts ix into per-shard snapshots under snapRoot and spawns the 4
+// workers that boot from them, a wire router over those, and a monolithic
+// csrserver from monoArgs.
+func (h *harness) serve(ix *core.Index, snapRoot string, monoArgs ...string) {
+	t := h.t
 	plan, err := shard.SplitEven(ix.N(), workerCount)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.plan = plan
-	snapRoot := filepath.Join(tmp, "snapshots")
 	for s := 0; s < workerCount; s++ {
 		lo, hi := plan.Range(s)
 		sh, err := ix.Shard(lo, hi)
@@ -232,17 +249,10 @@ func bootCluster(t *testing.T) *harness {
 	)
 	monoAddr := fmt.Sprintf("127.0.0.1:%d", ports[workerCount+1])
 	h.monoURL = "http://" + monoAddr
-	h.mono = h.spawn("monolithic",
-		"-graph", edgePath,
-		"-n", fmt.Sprint(clusterN),
-		"-r", fmt.Sprint(clusterRank),
-		"-c", fmt.Sprint(clusterC),
-		"-addr", monoAddr,
-	)
+	h.mono = h.spawn("monolithic", append(monoArgs, "-addr", monoAddr)...)
 
 	waitReady(t, h.routerURL, 60*time.Second)
 	waitReady(t, h.monoURL, 60*time.Second)
-	return h
 }
 
 type topkBody struct {
@@ -289,49 +299,7 @@ func getJSON(t *testing.T, url string, out interface{}) int {
 // keeps serving tagged degraded answers after one worker is killed.
 func TestClusterMatchesMonolithicAndSurvivesWorkerKill(t *testing.T) {
 	h := bootCluster(t)
-	querySets := []string{"7", "0", "13,42,99", "3,50,50,120"}
-	for _, nodes := range querySets {
-		for _, k := range []int{1, 4, 10} {
-			path := fmt.Sprintf("/topk?nodes=%s&k=%d", nodes, k)
-			var got, want topkBody
-			if code := getJSON(t, h.routerURL+path, &got); code != http.StatusOK {
-				t.Fatalf("router %s: %d", path, code)
-			}
-			if code := getJSON(t, h.monoURL+path, &want); code != http.StatusOK {
-				t.Fatalf("monolithic %s: %d", path, code)
-			}
-			if got.Degraded != nil {
-				t.Fatalf("healthy cluster tagged degraded on %s: %+v", path, got.Degraded)
-			}
-			if len(got.Matches) != len(want.Matches) {
-				t.Fatalf("%s: router %d matches, monolithic %d", path, len(got.Matches), len(want.Matches))
-			}
-			for i := range want.Matches {
-				if got.Matches[i].Node != want.Matches[i].Node ||
-					math.Float64bits(got.Matches[i].Score) != math.Float64bits(want.Matches[i].Score) {
-					t.Fatalf("%s match %d: router (%d, %x), monolithic (%d, %x)", path, i,
-						got.Matches[i].Node, math.Float64bits(got.Matches[i].Score),
-						want.Matches[i].Node, math.Float64bits(want.Matches[i].Score))
-				}
-			}
-		}
-		simPath := fmt.Sprintf("/similarity?nodes=%s&targets=0,17,88,150", nodes)
-		var got, want pairsBody
-		if code := getJSON(t, h.routerURL+simPath, &got); code != http.StatusOK {
-			t.Fatalf("router %s: %d", simPath, code)
-		}
-		if code := getJSON(t, h.monoURL+simPath, &want); code != http.StatusOK {
-			t.Fatalf("monolithic %s: %d", simPath, code)
-		}
-		if len(got.Pairs) != len(want.Pairs) {
-			t.Fatalf("%s: router %d pairs, monolithic %d", simPath, len(got.Pairs), len(want.Pairs))
-		}
-		for i := range want.Pairs {
-			if got.Pairs[i] != want.Pairs[i] {
-				t.Fatalf("%s pair %d: router %+v, monolithic %+v", simPath, i, got.Pairs[i], want.Pairs[i])
-			}
-		}
-	}
+	h.wantSameAnswers([]string{"7", "0", "13,42,99", "3,50,50,120"}, []int{1, 4, 10}, "0,17,88,150")
 
 	// Kill the last worker with prejudice. Queries whose nodes live on
 	// other shards must keep answering — degraded and tagged, not erroring
@@ -381,4 +349,88 @@ func TestClusterMatchesMonolithicAndSurvivesWorkerKill(t *testing.T) {
 	if code := getJSON(t, h.routerURL+fmt.Sprintf("/topk?nodes=%d&k=5", lo), &gone); code == http.StatusOK {
 		t.Fatalf("query owned by the killed shard returned 200: %+v", gone)
 	}
+}
+
+// wantSameAnswers holds the router and the monolithic server to each other
+// bit for bit: /topk of every query set at every k, and /similarity of every
+// query set against targets.
+func (h *harness) wantSameAnswers(querySets []string, ks []int, targets string) {
+	t := h.t
+	t.Helper()
+	for _, nodes := range querySets {
+		for _, k := range ks {
+			path := fmt.Sprintf("/topk?nodes=%s&k=%d", nodes, k)
+			var got, want topkBody
+			if code := getJSON(t, h.routerURL+path, &got); code != http.StatusOK {
+				t.Fatalf("router %s: %d", path, code)
+			}
+			if code := getJSON(t, h.monoURL+path, &want); code != http.StatusOK {
+				t.Fatalf("monolithic %s: %d", path, code)
+			}
+			if got.Degraded != nil {
+				t.Fatalf("healthy cluster tagged degraded on %s: %+v", path, got.Degraded)
+			}
+			if len(got.Matches) != len(want.Matches) {
+				t.Fatalf("%s: router %d matches, monolithic %d", path, len(got.Matches), len(want.Matches))
+			}
+			for i := range want.Matches {
+				if got.Matches[i].Node != want.Matches[i].Node ||
+					math.Float64bits(got.Matches[i].Score) != math.Float64bits(want.Matches[i].Score) {
+					t.Fatalf("%s match %d: router (%d, %x), monolithic (%d, %x)", path, i,
+						got.Matches[i].Node, math.Float64bits(got.Matches[i].Score),
+						want.Matches[i].Node, math.Float64bits(want.Matches[i].Score))
+				}
+			}
+		}
+		simPath := fmt.Sprintf("/similarity?nodes=%s&targets=%s", nodes, targets)
+		var got, want pairsBody
+		if code := getJSON(t, h.routerURL+simPath, &got); code != http.StatusOK {
+			t.Fatalf("router %s: %d", simPath, code)
+		}
+		if code := getJSON(t, h.monoURL+simPath, &want); code != http.StatusOK {
+			t.Fatalf("monolithic %s: %d", simPath, code)
+		}
+		if len(got.Pairs) != len(want.Pairs) {
+			t.Fatalf("%s: router %d pairs, monolithic %d", simPath, len(got.Pairs), len(want.Pairs))
+		}
+		for i := range want.Pairs {
+			if got.Pairs[i] != want.Pairs[i] {
+				t.Fatalf("%s pair %d: router %+v, monolithic %+v", simPath, i, got.Pairs[i], want.Pairs[i])
+			}
+		}
+	}
+
+}
+
+// TestClusterCompactedMatchesDenseV2 is the cross-version run over the
+// wire: the monolithic server boots from the v2 file the last v2 writer
+// left of an index — every row stored, a quarter of them all zero — and the
+// workers from per-shard v3 files cut from the same index with those rows
+// left out. The two deployments must answer /topk and /similarity bit for
+// bit, for sources, targets and excluded nodes among the rows nobody
+// stores, and for k past what is stored.
+func TestClusterCompactedMatchesDenseV2(t *testing.T) {
+	h := newHarness(t)
+	v2, err := filepath.Abs(filepath.Join("..", "core", "testdata", "index.v2-sparse.csrx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := core.LoadIndex(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dense.Close()
+	compact := dense.Compact()
+	if compact.Stored() >= dense.Stored() {
+		t.Fatalf("fixture compacts %d rows to %d: nothing was left out", dense.Stored(), compact.Stored())
+	}
+	tmp := t.TempDir()
+	graphPath := filepath.Join(tmp, "edges.txt") // named by the flags, read by no boot from an -index file
+	if err := os.WriteFile(graphPath, []byte("0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h.serve(compact, filepath.Join(tmp, "snapshots"), "-graph", graphPath, "-n", fmt.Sprint(dense.N()), "-index", v2)
+	// 3, 7, 11 and 47 are rows the workers do not store.
+	h.wantSameAnswers([]string{"0", "3", "47", "8,16", "3,8,47,8", "3,7,11", "46,0,3"},
+		[]int{1, 5, compact.Stored(), compact.Stored() + 1, dense.N()}, "0,3,7,8,16,46,47")
 }

@@ -124,7 +124,8 @@ func (ix *Index) QueryDense(queries []int) (*dense.Mat, error) {
 		// cost; a lossy tier would measure something else entirely.
 		return nil, fmt.Errorf("core: QueryDense requires an exact (f64) index, have %v: %w", ix.Tier(), ErrParams)
 	}
-	full := dense.MulT(ix.z.Mat(), ix.u.Mat()).Scale(ix.c).AddEye(1)
+	z, u := ix.denseF64()
+	full := dense.MulT(z, u).Scale(ix.c).AddEye(1)
 	out := dense.NewMat(ix.n, len(queries))
 	for j, q := range queries {
 		for i := 0; i < ix.n; i++ {

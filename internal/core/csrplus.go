@@ -83,7 +83,8 @@ func (o Options) validate(n int) error {
 
 // Index holds CSR+'s precomputed state (Algorithm 1, phase I): the factors
 // Z and U such that [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ. Both are
-// n x r, giving the paper's O(rn) resident memory. Phase II is
+// n x r, giving the paper's O(rn) resident memory — less the rows that are
+// all zero, which are not stored (shard.go). Phase II is
 // row-separable, so the factors are nothing but the [0, n) IndexShard —
 // embedded, which is where N, Rank, Damping, Tier, ColMaxes and the banded
 // PartialInto live — and an Index adds the build metadata and whatever
@@ -95,7 +96,7 @@ type Index struct {
 	sigma   []float64 // singular values (diagnostics)
 	precomp time.Duration
 	stages  Stages
-	support [2]int // rows x cols of Q that phase I decomposed; see Support
+	qrows   int // non-empty rows of Q that phase I decomposed; see Support
 
 	// walSeq is the last ingest-WAL sequence number whose edge is baked
 	// into the factors (0 for indexes built outside the ingestion path).
@@ -167,9 +168,10 @@ func (ix *Index) Stages() Stages { return ix.stages }
 // Support returns the shape of the block of Q that phase I decomposed: its
 // non-empty rows (nodes with an out-link) by its non-empty columns (nodes
 // with an in-link), or n x n when Q was decomposed as given. A node off the
-// column support has zero rows in Z and U: its similarity column is e_q.
-// Zero for an index that was loaded, not built.
-func (ix *Index) Support() (rows, cols int) { return ix.support[0], ix.support[1] }
+// column support has zero rows in Z and U, which the index does not store:
+// its similarity column is e_q. cols is therefore Stored(), and survives a
+// save and a load; rows is 0 for an index that was loaded, not built.
+func (ix *Index) Support() (rows, cols int) { return ix.qrows, ix.Stored() }
 
 // Bytes reports the resident memory of the index: the Z and U factors —
 // the O(rn) of Theorem 3.7 — at the tier's element width, plus the
@@ -242,20 +244,26 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Alloc("precompute/P", p.Bytes())
 	stages.Subspace = time.Since(lap)
 
-	// Line 6: Z = U (Σ P Σ).
+	// Line 6: Z = U (Σ P Σ), over the rows of U that can be non-zero: the
+	// SVD's column support, when that is not every node. Each row of Z is a
+	// function of its row of U alone, so the rows kept are the rows the full
+	// product would hold, bit for bit, and the rest would be +0.
 	lap = time.Now()
+	if fac.ColSupport != nil {
+		um = dense.TypedFromMat(um).GatherRows(fac.ColSupport).Mat()
+	}
 	z := BuildZ(um, fac.S, p)
 	stages.BuildZ = time.Since(lap)
 	track.Alloc("precompute/Z", z.Bytes())
 	track.Free("precompute/P", p.Bytes())
 
 	return &Index{
-		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, z: dense.TypedFromMat(z), u: dense.TypedFromMat(um)},
+		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, ids: fac.ColSupport, z: dense.TypedFromMat(z), u: dense.TypedFromMat(um)},
 		iters:      iters,
 		sigma:      fac.S,
 		precomp:    time.Since(start),
 		stages:     stages,
-		support:    [2]int{fac.SupportRows, fac.SupportCols},
+		qrows:      fac.SupportRows,
 	}, nil
 }
 
@@ -355,7 +363,7 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	uq := ix.u.PickRows(queries) // [U]_{Q,*} as float64, dequantised on a quantized tier
+	uq := ix.gatherU(queries) // [U]_{Q,*} as float64, dequantised on a quantized tier
 	track.Alloc("query/UQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())

@@ -51,8 +51,8 @@ type Dynamic struct {
 	c        float64
 	weighted bool
 
-	u *dense.Mat // frozen basis (the index's U; never mutated)
-	w *dense.Mat // W = Q·U, maintained per edge in O(indeg·r)
+	u *IndexShard // frozen basis (the index's U, read a row at a time; never mutated)
+	w *dense.Mat  // W = Q·U, maintained per edge in O(indeg·r)
 
 	in   [][]dynEdge // in[v] = in-neighbours of v with weights
 	totw []float64   // totw[v] = Σ weights into v (Q's column normaliser)
@@ -77,7 +77,7 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 		r:        ix.rank,
 		c:        ix.c,
 		weighted: g.Weighted(),
-		u:        ix.u.Mat(),
+		u:        &ix.IndexShard,
 		in:       make([][]dynEdge, ix.n),
 		totw:     make([]float64, ix.n),
 	}
@@ -103,13 +103,17 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 			d.m++
 		}
 	}
-	// W = Q·U: row i accumulates Q_{iv}·U_{v,*} over i's out-edges v.
+	// W = Q·U: row i accumulates Q_{iv}·U_{v,*} over i's out-edges v, in
+	// ascending v. Only the stored rows of U are walked: a row the index
+	// leaves out is zeros and adds nothing.
 	d.w = dense.NewMat(d.n, d.r)
-	for v := 0; v < d.n; v++ {
+	stored := ix.u.Mat()
+	for i := 0; i < stored.Rows; i++ {
+		v := ix.StoredNode(i)
 		if d.totw[v] == 0 {
 			continue
 		}
-		urow := d.u.Row(v)
+		urow := stored.Row(i)
 		for _, e := range d.in[v] {
 			wrow := d.w.Row(int(e.src))
 			q := e.w / d.totw[v]
@@ -175,7 +179,7 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 	oldT := d.totw[dst]
 	newT := oldT + weight
 	var delta float64
-	urow := d.u.Row(dst)
+	urow := d.u.URow(dst)
 	apply := func(i int, change float64) {
 		wrow := d.w.Row(i)
 		for j := 0; j < d.r; j++ {
@@ -268,7 +272,8 @@ func (d *Dynamic) Refresh(eps float64) (*dense.Mat, error) {
 	if eps <= 0 {
 		eps = DefaultEps
 	}
-	k := dense.TMul(d.w, d.u) // K = WᵀU
+	_, u := d.u.denseF64()
+	k := dense.TMul(d.w, u)   // K = WᵀU
 	a := dense.TMul(d.w, d.w) // C0 = WᵀW
 	limit := 1e6 / (1 - d.c)
 	weight := d.c
@@ -283,5 +288,5 @@ func (d *Dynamic) Refresh(eps float64) (*dense.Mat, error) {
 		h = dense.Mul(h, h)
 		weight *= weight
 	}
-	return dense.Mul(d.u, a), nil
+	return dense.Mul(u, a), nil
 }

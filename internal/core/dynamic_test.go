@@ -342,7 +342,7 @@ func TestDynamicStructureOnlyReplayChargesNoDrift(t *testing.T) {
 // as the reference the carved lists are held to.
 func appendBuiltDynamic(g *graph.Graph, ix *Index) *Dynamic {
 	d := &Dynamic{
-		n: ix.n, r: ix.rank, c: ix.c, weighted: g.Weighted(), u: ix.u.Mat(),
+		n: ix.n, r: ix.rank, c: ix.c, weighted: g.Weighted(), u: &ix.IndexShard,
 		in: make([][]dynEdge, ix.n), totw: make([]float64, ix.n),
 	}
 	adj := g.Adj()
@@ -359,7 +359,7 @@ func appendBuiltDynamic(g *graph.Graph, ix *Index) *Dynamic {
 		if d.totw[v] == 0 {
 			continue
 		}
-		urow := d.u.Row(v)
+		urow := d.u.URow(v)
 		for _, e := range d.in[v] {
 			wrow := d.w.Row(int(e.src))
 			q := e.w / d.totw[v]

@@ -9,9 +9,9 @@ package core
 // two headers: "CSRX", a whole index with its build metadata, and "CSRS",
 // the row range [lo, hi) of one. Everything here and in persist2.go is
 // written once and takes the header kind as an argument. Files are written
-// in the mmap-able v2 layout (persist2.go); v1, the original streaming
-// layout, is decode-only and stays readable forever behind the golden
-// files in testdata/:
+// in the mmap-able v3 layout (persist2.go); its predecessor v2 and v1, the
+// original streaming layout, are read-only and stay readable forever behind
+// the golden files in testdata/. v1:
 //
 //	magic   [4]byte  "CSRX" / "CSRS"
 //	version uint32   1
@@ -20,7 +20,7 @@ package core
 //	z, u    [rows*rank]float64 each (rows = n, or hi-lo)
 //	crc     uint32   IEEE CRC-32 of everything after the magic
 //
-// DESIGN.md §13 has the v2 byte layout.
+// DESIGN.md §13 has the v2 and v3 byte layouts.
 
 import (
 	"bufio"
@@ -157,11 +157,12 @@ func corruptEOF(err error) error {
 	return err
 }
 
-// ReadIndex deserialises a CSRX stream, v1 or v2, validating magic,
+// ReadIndex deserialises a CSRX stream of any version, validating magic,
 // version, shape bounds and checksums. Every validation failure — bad
 // magic, unknown version, implausible header, truncation in any section,
-// checksum mismatch — is reported as a wrapped ErrCorrupt. v2 streams are
-// decoded into fresh allocations; use MapIndex for the zero-copy path.
+// checksum mismatch — is reported as a wrapped ErrCorrupt. v2 and v3
+// streams are decoded into fresh allocations; use MapIndex for the
+// zero-copy path.
 func ReadIndex(r io.Reader) (*Index, error) {
 	return readSnapshot(r, indexKind, 0)
 }
@@ -181,16 +182,19 @@ func shardOf(ix *Index, err error) (*IndexShard, error) {
 }
 
 // readSnapshot is the one stream reader: it sniffs the version and hands
-// v2 images to decodeV2 and everything else to the v1 decoder below. size is
-// the stream's length where the caller knows it (a file's), 0 where not.
+// v2 and v3 images to decodePaged and everything else to the v1 decoder
+// below. size is the stream's length where the caller knows it (a file's),
+// 0 where not.
 func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	br := bufio.NewReader(r)
-	if head, err := br.Peek(8); err == nil && binary.LittleEndian.Uint32(head[4:]) == indexVersion2 {
-		data, err := readImage(br, size)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading v2 %s: %w", k.name, corruptEOF(err))
+	if head, err := br.Peek(8); err == nil {
+		if v := binary.LittleEndian.Uint32(head[4:]); v == indexVersion2 || v == indexVersion3 {
+			data, err := readImage(br, size)
+			if err != nil {
+				return nil, fmt.Errorf("core: reading v%d %s: %w", v, k.name, corruptEOF(err))
+			}
+			return decodePaged(data, k)
 		}
-		return decodeV2(data, k)
 	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -230,7 +234,7 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	var sigma []float64
 	if k.whole {
 		var err error
-		if sigma, err = readFloats(body, int(h.rank)); err != nil {
+		if sigma, err = readFloats(body, int(h.rank), size); err != nil {
 			return nil, fmt.Errorf("core: reading sigma: %w", corruptEOF(err))
 		}
 		if err := checkSigma(sigma); err != nil {
@@ -238,11 +242,11 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 		}
 	}
 	rows, rank := h.rows(), int(h.rank)
-	zdata, err := readFloats(body, rows*rank)
+	zdata, err := readFloats(body, rows*rank, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading %s Z: %w", k.name, corruptEOF(err))
 	}
-	udata, err := readFloats(body, rows*rank)
+	udata, err := readFloats(body, rows*rank, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading %s U: %w", k.name, corruptEOF(err))
 	}
@@ -255,8 +259,9 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 		return nil, fmt.Errorf("core: %s checksum %08x, want %08x: %w", k.name, sum, want, ErrCorrupt)
 	}
 	ix := h.index(sigma)
-	ix.z = dense.TypedFromMat(dense.NewMatFrom(rows, rank, zdata))
-	ix.u = dense.TypedFromMat(dense.NewMatFrom(rows, rank, udata))
+	// Wrapped, not copied: the decoded slices are this index's alone.
+	ix.z = &dense.Typed{Kind: dense.F64, Rows: rows, Cols: rank, F64: zdata}
+	ix.u = &dense.Typed{Kind: dense.F64, Rows: rows, Cols: rank, F64: udata}
 	return ix, nil
 }
 
@@ -266,15 +271,15 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 // path; the parent directory is fsynced afterwards so the rename itself
 // survives a crash. A kill at any point leaves either the old file, the
 // new file, or a stray temp file — never a truncated index at path.
-// Files are written in the mmap-able v2 layout (persist2.go); v1 files
-// remain readable via LoadIndex/ReadIndex forever.
+// Files are written in the mmap-able v3 layout (persist2.go); v1 and v2
+// files remain readable via LoadIndex/ReadIndex forever.
 func SaveIndex(ix *Index, path string) error {
-	return saveAtomic("SaveIndex", path, ix.WriteToV2)
+	return saveAtomic("SaveIndex", path, ix.WriteTo)
 }
 
 // SaveShard is SaveIndex for one shard, under the CSRS header.
 func SaveShard(sh *IndexShard, path string) error {
-	return saveAtomic("SaveShard", path, sh.WriteToV2)
+	return saveAtomic("SaveShard", path, sh.WriteTo)
 }
 
 // saveAtomic is the write-temp/fsync/rename/fsync-dir discipline shared
@@ -331,11 +336,11 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// LoadIndex reads an index from path. v2 snapshots are memory-mapped
+// LoadIndex reads an index from path. v2 and v3 snapshots are memory-mapped
 // (verified, zero-copy — O(1) in index size) where the platform allows;
 // v1 files, non-mmap platforms, big-endian hosts and injected map
 // faults fall back to the buffered decode path. Corruption never falls
-// back: a bad v2 file fails here so the recovery ladder can move to an
+// back: a bad mappable file fails here so the recovery ladder can move to an
 // older generation. Callers own Close on the returned index (a no-op
 // for decoded indexes).
 func LoadIndex(path string) (*Index, error) {
@@ -384,7 +389,7 @@ func loadSnapshot(path string, k *snapKind) (*Index, error) {
 // for a shard worker is most of the boot's heap. size comes from the file
 // system, never from the image's header, so a forged header cannot size the
 // allocation; a stream that turns out shorter or longer than size is still
-// returned whole, for decodeV2 to reject against the length its header
+// returned whole, for decodePaged to reject against the length its header
 // records. An unknown (or unrepresentable) size falls back to ReadAll.
 func readImage(r io.Reader, size int64) ([]byte, error) {
 	if size <= 0 || uint64(size) > maxPlatformElems {
@@ -421,13 +426,17 @@ func writeFloats(w io.Writer, data []float64) error {
 	return nil
 }
 
-func readFloats(r io.Reader, count int) ([]float64, error) {
+// readFloats reads count float64s of a stream whose length is size bytes
+// where the caller knows it (a file's, from the file system), 0 where not.
+func readFloats(r io.Reader, count int, size int64) ([]float64, error) {
 	// Grow the slice only as bytes actually arrive: a forged header
 	// claiming a huge payload on a short stream must fail after one
-	// chunk, not commit a multi-gigabyte allocation up front.
+	// chunk, not commit a multi-gigabyte allocation up front. A payload the
+	// file is long enough to hold is no forgery of that kind, and is
+	// allocated once.
 	const chunkElems = 4096
 	capHint := count
-	if capHint > chunkElems {
+	if capHint > chunkElems && uint64(count)*8 > uint64(max(size, 0)) {
 		capHint = chunkElems
 	}
 	out := make([]float64, 0, capHint)
@@ -449,7 +458,7 @@ func readFloats(r io.Reader, count int) ([]float64, error) {
 	return out, nil
 }
 
-// countingWriter tracks bytes written for WriteToV2's contract.
+// countingWriter tracks bytes written for WriteTo's contract.
 type countingWriter struct {
 	w io.Writer
 	n int64

@@ -1,10 +1,9 @@
 package core
 
 // Reload-latency benchmarks behind BENCH_snapshot.json: the v1 buffered
-// decode against the v2 verified map and the v2 lazy map, at two index
-// sizes. The lazy map is the O(1) claim — its time must not move with n;
-// the verified map still walks the factor bytes once for the CRC pass
-// but allocates nothing for them; the v1 decode pays a heap copy of
+// decode against the verified map of the layout that is written (v3), at
+// two index sizes. The verified map walks the factor bytes once for the CRC
+// pass but allocates nothing for them; the v1 decode pays one heap copy of
 // every factor entry.
 
 import (
@@ -38,9 +37,9 @@ func synthBenchIndex(n, rank int) *Index {
 	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, z: dense.TypedFromMat(z), u: dense.TypedFromMat(u)}, iters: 8, sigma: sigma}
 }
 
-// benchLoadFiles writes one v1 and one v2 file per size and hands the
+// benchLoadFiles writes one v1 and one v3 file per size and hands the
 // paths to each sub-benchmark.
-func benchLoadFiles(b *testing.B, load func(b *testing.B, v1, v2 string)) {
+func benchLoadFiles(b *testing.B, load func(b *testing.B, v1, v3 string)) {
 	b.Helper()
 	for _, n := range []int{2500, 20000} {
 		ix := synthBenchIndex(n, 16)
@@ -49,11 +48,11 @@ func benchLoadFiles(b *testing.B, load func(b *testing.B, v1, v2 string)) {
 		if err := os.WriteFile(v1, v1IndexBytes(ix), 0o644); err != nil {
 			b.Fatal(err)
 		}
-		v2 := filepath.Join(dir, "v2.csrx")
-		if err := SaveIndex(ix, v2); err != nil {
+		v3 := filepath.Join(dir, "v3.csrx")
+		if err := SaveIndex(ix, v3); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { load(b, v1, v2) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { load(b, v1, v3) })
 	}
 }
 
@@ -70,21 +69,21 @@ func BenchmarkSnapshotLoadV1Decode(b *testing.B) {
 	})
 }
 
-func BenchmarkSnapshotLoadV2MapVerified(b *testing.B) {
-	benchLoadFiles(b, func(b *testing.B, _, v2 string) {
-		probe, err := LoadIndex(v2)
+func BenchmarkSnapshotLoadV3MapVerified(b *testing.B) {
+	benchLoadFiles(b, func(b *testing.B, _, v3 string) {
+		probe, err := LoadIndex(v3)
 		if err != nil {
 			b.Fatal(err)
 		}
 		mapped := probe.Mapped()
 		probe.Close()
 		if !mapped {
-			b.Skip("mmap unavailable on this platform; v2 loads via the decode fallback")
+			b.Skip("mmap unavailable on this platform; v3 loads via the decode fallback")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix, err := LoadIndex(v2)
+			ix, err := LoadIndex(v3)
 			if err != nil {
 				b.Fatal(err)
 			}

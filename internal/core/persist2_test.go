@@ -1,15 +1,18 @@
 package core
 
-// persist2_test.go pins the CSRX v2 contract: mapped, decoded and v1
-// engines answer bitwise-identically; every forgery the layout can
-// express is rejected as ErrCorrupt; quantized tiers round-trip with
-// their measured error vectors intact.
+// persist2_test.go pins the contract of the page-aligned snapshot layout
+// (written as v3; the TestV2 names date from its first version, whose
+// files golden_test.go keeps readable): mapped, decoded and v1 engines
+// answer bitwise-identically; every forgery the layout can express is
+// rejected as ErrCorrupt; quantized tiers round-trip with their measured
+// error vectors intact; rows an index leaves out stay out.
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -17,13 +20,13 @@ import (
 	"testing"
 )
 
-// repatchV2HeaderCRC makes a forged v2 header self-consistent so the
+// repatchV2HeaderCRC makes a forged v2 or v3 header self-consistent so the
 // validation under test — not the header checksum — rejects it.
 func repatchV2HeaderCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[v2HeaderCRC:], crc32.ChecksumIEEE(data[:v2HeaderCRC]))
 }
 
-func writeV2File(t *testing.T, ix *Index) string {
+func writeSnapFile(t *testing.T, ix *Index) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.csrx")
 	if err := SaveIndex(ix, path); err != nil {
@@ -69,7 +72,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	}
 	wantBitwise(t, "v1 decode", queryBits(t, fromV1, queries), want)
 
-	path := writeV2File(t, ix)
+	path := writeSnapFile(t, ix)
 	decoded, err := func() (*Index, error) {
 		f, err := os.Open(path)
 		if err != nil {
@@ -106,7 +109,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	}
 	wantBitwise(t, "v2 mapped", queryBits(t, mapped, queries), want)
 	pair := func(ix *Index) uint64 {
-		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.u.PickRows([]int{3}), []int{1}, 0)
+		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.gatherU([]int{3}), []int{1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +136,7 @@ func TestV2LoadIndexServesV2(t *testing.T) {
 	queries := []int{2, 5}
 	want := queryBits(t, ix, queries)
 
-	back, err := LoadIndex(writeV2File(t, ix))
+	back, err := LoadIndex(writeSnapFile(t, ix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +162,15 @@ func TestV2LoadIndexServesV2(t *testing.T) {
 // wrapped ErrCorrupt.
 func TestV2CorruptionMatrix(t *testing.T) {
 	ix := buildIndex(t)
-	path := writeV2File(t, ix)
+	path := writeSnapFile(t, ix)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	// Section table offsets for the z section (index layout: sections
-	// 0..6, z is 5).
-	zDesc := v2TableOff + 5*v2DescSize
+	// Section table offsets for the z section (index layout: sigma, ids,
+	// zscale, uscale, zqerr, uqerr, z, u — z is 6).
+	zDesc := v3TableOff + 6*v2DescSize
 	zOff := le.Uint64(pristine[zDesc:])
 
 	corruptions := map[string]func([]byte) []byte{
@@ -219,12 +222,32 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			return d
 		},
 		"NaN sigma": func(d []byte) []byte {
-			sOff := le.Uint64(d[v2TableOff:])
+			sOff := le.Uint64(d[v3TableOff:])
 			le.PutUint64(d[sOff:], math.Float64bits(math.NaN()))
 			// Re-checksum the sigma section's padded extent too: the NaN
 			// check, not the CRC, must fire.
-			sLen := le.Uint64(d[v2TableOff+8:])
-			le.PutUint32(d[v2TableOff+16:], crc32.ChecksumIEEE(d[sOff:alignPage(sOff+sLen)]))
+			resealSection(d, v3TableOff, 0)
+			return d
+		},
+		"forged version 2": func(d []byte) []byte {
+			// A v3 image relabelled v2: the reader looks for a v2 table.
+			le.PutUint32(d[4:], indexVersion2)
+			repatchV2HeaderCRC(d)
+			return d
+		},
+		"forged version 4": func(d []byte) []byte {
+			le.PutUint32(d[4:], 4)
+			repatchV2HeaderCRC(d)
+			return d
+		},
+		"forged stored count above n": func(d []byte) []byte {
+			le.PutUint64(d[v3StoredOff:], uint64(ix.N())+1)
+			repatchV2HeaderCRC(d)
+			return d
+		},
+		"forged stored count below n": func(d []byte) []byte {
+			// Fewer rows than the factor sections hold, and no ids for them.
+			le.PutUint64(d[v3StoredOff:], uint64(ix.N())-1)
 			repatchV2HeaderCRC(d)
 			return d
 		},
@@ -272,7 +295,7 @@ func TestV2QuantizedRoundTrip(t *testing.T) {
 			t.Fatalf("%v: quantization bound %g, want > 0", tier, wantBound)
 		}
 
-		path := writeV2File(t, q)
+		path := writeSnapFile(t, q)
 		back, err := LoadIndex(path)
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +362,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zOff := binary.LittleEndian.Uint64(data[v2TableOff+4*v2DescSize:])
+	zOff := binary.LittleEndian.Uint64(data[v3TableOff+5*v2DescSize:]) // ids, 4 metadata sections, z
 	data[zOff+1] ^= 0x10
 	bad := filepath.Join(dir, "bad.csrs")
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
@@ -390,13 +413,13 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 }
 
 // TestV2WalSeqRoundTrip pins the walSeq header field: preserved through
-// the v2 decode and map paths, absent (zero) through v1, zero-forgiving
+// the decode and map paths, absent (zero) through v1, zero-forgiving
 // for pre-field v2 files (zero bytes at the offset mean walSeq 0), and
 // rejected on shard files, which never carry one.
 func TestV2WalSeqRoundTrip(t *testing.T) {
 	ix := buildIndex(t)
 	ix.SetWalSeq(0xdeadbeef12)
-	path := writeV2File(t, ix)
+	path := writeSnapFile(t, ix)
 
 	decoded, err := LoadIndex(path)
 	if err != nil {
@@ -426,15 +449,12 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 		t.Fatalf("v1 round-trip invented walSeq %d", fromV1.WalSeq())
 	}
 
-	// A pre-field v2 file has zeros at the offset; zeroing it (and
-	// repatching the CRC) must read back as walSeq 0.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A pre-field v2 file has zeros at the offset; zeroing it in the v2
+	// fixture (and repatching the CRC) must read back as walSeq 0.
+	data := golden(t, goldenIndexV2(TierF64))
 	binary.LittleEndian.PutUint64(data[v2WalSeqOff:], 0)
 	repatchV2HeaderCRC(data)
-	old, err := decodeV2(data, indexKind)
+	old, err := decodePaged(data, indexKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,13 +468,127 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb bytes.Buffer
-	if _, err := sh.WriteToV2(&sb); err != nil {
+	if _, err := sh.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	sdata := sb.Bytes()
+	binary.LittleEndian.PutUint64(sdata[v3WalSeqOff:], 7)
+	repatchV2HeaderCRC(sdata)
+	if _, err := decodePaged(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged shard walSeq accepted: %v", err)
+	}
+	// So is one in a v2 shard file, where the word lives elsewhere.
+	sdata = golden(t, goldenShardV2(TierF64))
 	binary.LittleEndian.PutUint64(sdata[v2WalSeqOff:], 7)
 	repatchV2HeaderCRC(sdata)
-	if _, err := decodeV2(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("forged shard walSeq accepted: %v", err)
+	if _, err := decodePaged(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged v2 shard walSeq accepted: %v", err)
+	}
+}
+
+// resealSection recomputes the checksum of section i of the table at
+// tableOff over its padded extent, then the header's: a forged payload that
+// only the validation under test can reject.
+func resealSection(d []byte, tableOff, i int) {
+	le := binary.LittleEndian
+	desc := d[tableOff+i*v2DescSize:]
+	off, length := le.Uint64(desc), le.Uint64(desc[8:])
+	le.PutUint32(desc[16:], crc32.ChecksumIEEE(d[off:alignPage(off+length)]))
+	repatchV2HeaderCRC(d)
+}
+
+// TestV3CompactCorruptionMatrix is the corruption matrix of what v3 added:
+// the stored-row count and the ids section, forged every way the layout can
+// express over an index (and a shard) that leaves rows out. Decoder, mapper
+// and loader must each refuse with a wrapped ErrCorrupt.
+func TestV3CompactCorruptionMatrix(t *testing.T) {
+	le := binary.LittleEndian
+	// ids is section 1 of an index (behind sigma) and section 0 of a shard.
+	setID := func(section, i int, id int32) func([]byte) []byte {
+		return func(d []byte) []byte {
+			off := le.Uint64(d[v3TableOff+section*v2DescSize:])
+			le.PutUint32(d[off+uint64(i)*4:], uint32(id))
+			resealSection(d, v3TableOff, section)
+			return d
+		}
+	}
+	setStored := func(stored uint64) func([]byte) []byte {
+		return func(d []byte) []byte {
+			le.PutUint64(d[v3StoredOff:], stored)
+			repatchV2HeaderCRC(d)
+			return d
+		}
+	}
+	cases := []struct {
+		name    string
+		file    string
+		corrupt func([]byte) []byte
+	}{
+		// The fixture stores rows 0 1 2 4 5 6 8 … 46: 36 of 48.
+		{"ids flip under the section CRC", goldenCompactV3, func(d []byte) []byte {
+			d[le.Uint64(d[v3TableOff+v2DescSize:])+5] ^= 0x01
+			return d
+		}},
+		{"ids out of order", goldenCompactV3, setID(1, 3, 1)},
+		{"ids repeat", goldenCompactV3, setID(1, 3, 2)},
+		{"id at n", goldenCompactV3, setID(1, compactStored-1, compactN)},
+		{"id negative", goldenCompactV3, setID(1, 0, -1)},
+		{"stored count above n", goldenCompactV3, setStored(compactN + 1)},
+		{"stored count says every row", goldenCompactV3, setStored(compactN)},
+		{"stored count below the ids", goldenCompactV3, setStored(compactStored - 1)},
+		{"stored count zero", goldenCompactV3, setStored(0)},
+		// The shard fixture is rows [5, 30): it stores 5 6 8 9 10 12 … 29.
+		{"shard id below lo", goldenCompactShardV3, setID(0, 0, 4)},
+		{"shard id at hi", goldenCompactShardV3, setID(0, 18, 30)},
+		{"shard stored count above its rows", goldenCompactShardV3, setStored(26)},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		k := goldenFiles()[tc.file]
+		data := tc.corrupt(golden(t, tc.file))
+		if _, err := readSnapshot(bytes.NewReader(data), k, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("decode %s: err = %v, want wrapped ErrCorrupt", tc.name, err)
+		}
+		p := filepath.Join(dir, "bad")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err := loadSnapshot(p, k); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("load %s: err = %v, want wrapped ErrCorrupt", tc.name, err)
+			if err == nil {
+				ix.Close()
+			}
+		}
+	}
+}
+
+// TestV3EmptyShardRoundTrip saves a cut that stores nothing — every node
+// in it is implicit — and one that stores everything: the first comes back
+// listing no rows (not "every row"), the second as the identity map.
+func TestV3EmptyShardRoundTrip(t *testing.T) {
+	ix := compactIndex(t)
+	for _, cut := range []struct{ lo, hi, stored int }{{3, 4, 0}, {47, 48, 0}, {8, 11, 3}, {7, 8, 0}} {
+		sh, err := ix.Shard(cut.lo, cut.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "sh.csrs")
+		if err := SaveShard(sh, path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadShard(path)
+		if err != nil {
+			t.Fatalf("[%d, %d): %v", cut.lo, cut.hi, err)
+		}
+		wantSameFactors(t, fmt.Sprintf("[%d, %d)", cut.lo, cut.hi), back, sh)
+		if back.Stored() != cut.stored || (back.ids == nil) != (cut.stored == cut.hi-cut.lo) {
+			t.Fatalf("[%d, %d): %d rows stored, ids %v", cut.lo, cut.hi, back.Stored(), back.ids)
+		}
+		if err := back.CheckStored(); err != nil {
+			t.Fatal(err)
+		}
+		for q := cut.lo; q < cut.hi; q++ {
+			wantBitwise(t, fmt.Sprintf("URow(%d)", q), back.URow(q), ix.URow(q))
+		}
 	}
 }

@@ -23,7 +23,7 @@ func buildIndex(t *testing.T) *Index {
 func TestIndexRoundTrip(t *testing.T) {
 	ix := buildIndex(t)
 	var buf bytes.Buffer
-	n, err := ix.WriteToV2(&buf)
+	n, err := ix.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReadIndexImplausibleShape(t *testing.T) {
 
 func TestWriteToV2PropagatesWriteErrors(t *testing.T) {
 	ix := buildIndex(t)
-	if _, err := ix.WriteToV2(failingWriter{}); err == nil {
+	if _, err := ix.WriteTo(failingWriter{}); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }
@@ -260,7 +260,7 @@ func TestSaveIndexCrashConsistency(t *testing.T) {
 	// Simulate a writer killed mid-write: a stray temp file with a
 	// truncated payload sits next to the published index.
 	var buf bytes.Buffer
-	if _, err := ix.WriteToV2(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tornPath := filepath.Join(dir, ".csrx-torn")

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"csrplus/internal/graph"
@@ -12,11 +13,14 @@ import (
 )
 
 // factorCRC is the CRC-32 of Z‖U‖σ as little-endian float64 bit patterns:
-// one number that moves if any bit of Phase I's output does.
+// one number that moves if any bit of Phase I's output does. Z and U are
+// taken n x r, the rows the index leaves out as the +0 rows they stand for,
+// so the pins recorded when every row was stored still hold the stored ones.
 func factorCRC(ix *Index) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
-	for _, s := range [][]float64{ix.z.F64, ix.u.F64, ix.sigma} {
+	z, u := ix.denseF64()
+	for _, s := range [][]float64{z.Data, u.Data, ix.sigma} {
 		for _, v := range s {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
@@ -117,9 +121,12 @@ func TestPrecomputeIdentitySupportPinned(t *testing.T) {
 // TestNodesWithoutInLinksAreExactlyIsolated checks what the support buys
 // promises downstream. A node j nobody links to has an empty column of Q,
 // so S[·,j] = e_j and nothing else (THEORY.md §5): its rows of Z and U are
-// never computed, only zero-filled, so they must be zero bits, and a query
-// for it must return the unit vector exactly. It also holds the stage clock
-// to its promise: the six stages sum to PrecomputeTime.
+// never computed and never stored — the index stores exactly the column
+// support, and those rows hold the bits they held when every row was stored
+// (phase1Pins' second CRC, over the rows spread back over zeros) — its U row
+// reads as zeros, and a query for it must return the unit vector exactly.
+// It also holds the stage clock to its promise: the six stages sum to
+// PrecomputeTime.
 func TestNodesWithoutInLinksAreExactlyIsolated(t *testing.T) {
 	g, err := graph.RMAT(15, 131072, graph.DefaultRMAT, 20240914)
 	if err != nil {
@@ -137,6 +144,18 @@ func TestNodesWithoutInLinksAreExactlyIsolated(t *testing.T) {
 	if nr, nc := ix.Support(); nr != len(rows) || nc != len(cols) || nc == g.N() {
 		t.Fatalf("index support %dx%d, Q has %d non-empty rows and %d non-empty columns of %d", nr, nc, len(rows), len(cols), g.N())
 	}
+	if !slices.Equal(ix.ids, cols) || ix.Stored() != len(cols) || ix.z.Rows != len(cols) || ix.u.Rows != len(cols) {
+		t.Fatalf("index stores %d rows (Z %d, U %d), Q's column support is %d: want exactly those", len(ix.ids), ix.z.Rows, ix.u.Rows, len(cols))
+	}
+	if err := ix.CheckStored(); err != nil {
+		t.Fatal(err)
+	}
+	if got := factorCRC(ix); runtime.GOARCH == "amd64" && got != phase1Pins[1].crc {
+		t.Fatalf("CRC of the stored rows over zeros = %#08x, want %#08x: the bits of the n x r factors", got, phase1Pins[1].crc)
+	}
+	if want := int64(len(cols))*int64(ix.rank)*16 + int64(len(cols))*4 + int64(ix.rank)*8; ix.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d: two stored-rows x r factors, the ids and sigma", ix.Bytes(), want)
+	}
 	linked := make([]bool, g.N())
 	for _, j := range cols {
 		linked[j] = true
@@ -146,9 +165,12 @@ func TestNodesWithoutInLinksAreExactlyIsolated(t *testing.T) {
 		if linked[j] {
 			continue
 		}
-		for c := 0; c < ix.rank; c++ {
-			if math.Float64bits(ix.z.At(j, c)) != 0 || math.Float64bits(ix.u.At(j, c)) != 0 {
-				t.Fatalf("node %d has no in-link but Z[%d,%d] = %v, U[%d,%d] = %v", j, j, c, ix.z.At(j, c), j, c, ix.u.At(j, c))
+		if _, stored := ix.row(j); stored {
+			t.Fatalf("node %d has no in-link but its rows are stored", j)
+		}
+		for c, v := range ix.URow(j) {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("node %d has no in-link but U[%d,%d] reads %v", j, j, c, v)
 			}
 		}
 		if checked++; checked%97 != 1 { // a full column for a sample of them

@@ -10,6 +10,15 @@ package core
 // its [0, n) shard plus build metadata (csrplus.go), so every method here
 // runs on whole indexes too.
 //
+// A shard stores only the rows that can score. A node nobody links to is an
+// empty column of Q, so its rows of Z and U are all +0 (THEORY.md §5):
+// Precompute leaves them out and ids lists, ascending, the rows that are
+// there (nil: every row of [lo, hi), the identity map). A row left out is
+// implicit: its U row is zeros, and against finite query rows — checkQuery
+// holds every consumer to them — it scores exactly +0 under every kernel
+// (accumulators start at +0, +0 + ∓0 = +0, ×c keeps it), which is what
+// each consumer fills in without scanning it.
+//
 // One scan, three consumers, one representation: the factors are stored
 // once, as dense.Typed at the tier's element width (the F64 kind is the
 // exact tier), and every score the package serves is produced by scan —
@@ -28,6 +37,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"csrplus/internal/dense"
@@ -47,7 +58,12 @@ type IndexShard struct {
 	c      float64
 	rank   int
 
-	// z and u are rows [lo, hi) of Z and U, (hi-lo) x rank, at the tier's
+	// ids lists, ascending, the global ids of the rows z and u store; nil
+	// means every row of [lo, hi), in place. Rows left out are all +0 in
+	// both factors.
+	ids []int32
+
+	// z and u are the stored rows of Z and U, Stored() x rank, at the tier's
 	// element width. The F64 kind is the exact tier: a view over the heap
 	// or mmap'd []float64. Quantized tiers (tier.go) carry their per-column
 	// scales inside the Typed, and zqerr/uqerr hold the measured per-column
@@ -72,8 +88,16 @@ func (ix *Index) Shard(lo, hi int) (*IndexShard, error) {
 	}
 	sh := ix.IndexShard // copies the shard part only: Index carries sync.Once fields
 	sh.lo, sh.hi = lo, hi
-	sh.z = ix.z.SliceRowsView(lo, hi)
-	sh.u = ix.u.SliceRowsView(lo, hi)
+	a, b := lo, hi // the stored rows of [lo, hi)
+	if ix.ids != nil {
+		a, _ = slices.BinarySearch(ix.ids, int32(lo))
+		b, _ = slices.BinarySearch(ix.ids, int32(hi))
+		if sh.ids = ix.ids[a:b]; b-a == hi-lo {
+			sh.ids = nil
+		}
+	}
+	sh.z = ix.z.SliceRowsView(a, b)
+	sh.u = ix.u.SliceRowsView(a, b)
 	return &sh, nil
 }
 
@@ -89,16 +113,55 @@ func (sh *IndexShard) Hi() int { return sh.hi }
 // Rows returns how many nodes the shard owns.
 func (sh *IndexShard) Rows() int { return sh.hi - sh.lo }
 
+// Stored returns how many of its nodes the shard stores factor rows for;
+// the other Rows() - Stored() are implicit zero rows.
+func (sh *IndexShard) Stored() int { return sh.z.Rows }
+
+// StoredNode returns the global id of the i-th stored row, ascending in i.
+func (sh *IndexShard) StoredNode(i int) int {
+	if sh.ids == nil {
+		return sh.lo + i
+	}
+	return int(sh.ids[i])
+}
+
+// row returns where owned node q's factor rows are stored, false when they
+// are implicit.
+func (sh *IndexShard) row(q int) (int, bool) {
+	if sh.ids == nil {
+		return q - sh.lo, true
+	}
+	return slices.BinarySearch(sh.ids, int32(q))
+}
+
+// CheckStored reports whether the stored rows are ones the shard can own:
+// no more of them than nodes, ids strictly ascending inside [lo, hi). The
+// snapshot parser and reload.ValidateShard both refuse a shard that fails.
+func (sh *IndexShard) CheckStored() error {
+	stored, rows := sh.Stored(), sh.Rows()
+	if sh.u.Rows != stored || (sh.ids == nil && stored != rows) || (sh.ids != nil && (len(sh.ids) != stored || stored >= rows)) {
+		return fmt.Errorf("core: %d rows of Z, %d of U and %d ids stored for the %d nodes of [%d, %d)", stored, sh.u.Rows, len(sh.ids), rows, sh.lo, sh.hi)
+	}
+	prev := sh.lo - 1
+	for i, id := range sh.ids {
+		if int(id) <= prev || int(id) >= sh.hi {
+			return fmt.Errorf("core: stored row %d is node %d, want one in (%d, %d)", i, id, prev, sh.hi)
+		}
+		prev = int(id)
+	}
+	return nil
+}
+
 // Rank returns the SVD rank of the shard's factors.
 func (sh *IndexShard) Rank() int { return sh.rank }
 
 // Damping returns the damping factor baked into the shard.
 func (sh *IndexShard) Damping() float64 { return sh.c }
 
-// Bytes reports the resident memory of the shard's factors — the 1/K
-// slice of the index's O(rn) that actually lives on this shard, at the
-// tier's element width.
-func (sh *IndexShard) Bytes() int64 { return sh.z.Bytes() + sh.u.Bytes() }
+// Bytes reports the resident memory of the shard's factors — the stored
+// rows of the 1/K slice of the index's O(rn) that lives on this shard, at
+// the tier's element width, plus their id list.
+func (sh *IndexShard) Bytes() int64 { return sh.z.Bytes() + sh.u.Bytes() + int64(len(sh.ids))*4 }
 
 // Tier returns the storage tier of the factors.
 func (sh *IndexShard) Tier() Tier {
@@ -121,16 +184,49 @@ func (sh *IndexShard) Owns(q int) bool { return q >= sh.lo && q < sh.hi }
 // bitwise-identical to the monolithic path. Quantized tiers return a
 // fresh dequantised copy; because dequantisation is elementwise, the
 // copy's float64s still equal the ones a quantized monolith would gather,
-// preserving the bitwise contract tier-for-tier.
+// preserving the bitwise contract tier-for-tier. An implicit row is a fresh
+// row of zeros on every tier.
 func (sh *IndexShard) URow(q int) []float64 {
 	if !sh.Owns(q) {
 		panic(fmt.Sprintf("core: URow(%d) outside shard [%d, %d)", q, sh.lo, sh.hi))
 	}
-	i := q - sh.lo
-	if sh.u.Kind == dense.F64 {
+	i, ok := sh.row(q)
+	switch {
+	case !ok:
+		return make([]float64, sh.rank)
+	case sh.u.Kind == dense.F64:
 		return sh.u.F64[i*sh.rank : (i+1)*sh.rank]
 	}
 	return sh.u.RowInto(i, make([]float64, sh.rank))
+}
+
+// denseF64 returns the exact tier's factors with a row for every node of
+// [lo, hi): the stored matrices themselves under the identity map, else
+// copies with the stored rows spread over zeros. For the O(n²) ablation
+// baseline and the Galerkin refresh; nothing served calls it.
+func (sh *IndexShard) denseF64() (z, u *dense.Mat) {
+	z, u = sh.z.Mat(), sh.u.Mat()
+	if sh.ids == nil {
+		return z, u
+	}
+	spread := func(m *dense.Mat) *dense.Mat {
+		out := dense.NewMat(sh.Rows(), sh.rank)
+		for i, id := range sh.ids {
+			copy(out.Row(int(id)-sh.lo), m.Row(i))
+		}
+		return out
+	}
+	return spread(z), spread(u)
+}
+
+// gatherU returns [U]_{Q,*}, row j the U row of owned node queries[j], as
+// float64 (dequantised on a quantized tier).
+func (sh *IndexShard) gatherU(queries []int) *dense.Mat {
+	uq := dense.NewMat(len(queries), sh.rank)
+	for j, q := range queries {
+		copy(uq.Row(j), sh.URow(q))
+	}
+	return uq
 }
 
 // scanTileFloats bounds the scan's working set: a band is
@@ -165,8 +261,9 @@ type scanScratch struct {
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// scan is the one phase-II loop: it scores the shard's rows [lo, hi)
-// against the gathered query rows uq (|Q| x r, row j for the j-th query),
+// scan is the one phase-II loop: it scores the shard's stored rows [lo, hi)
+// (positions in z; the identity map makes them node offsets) against the
+// gathered query rows uq (|Q| x r, row j for the j-th query),
 // band rows at a time — Z_{band,<rank} · (uq_{*,<rank})ᵀ through the dense
 // row-range kernel, then ×c — checking ctx once per band, and finishes a
 // band one of two ways. With a dst ((hi-lo) x |Q|) the tile is the band's
@@ -232,17 +329,18 @@ func (sh *IndexShard) rowScores(sc *scanScratch) []float64 {
 	return scores
 }
 
-// eachRange splits the shard's rows across par workers on band boundaries
-// (above par's flop threshold), runs body once per worker range and
-// returns the first error.
+// eachRange splits the shard's stored rows across par workers on band
+// boundaries (above par's flop threshold on the work they are), runs body
+// once per worker range and returns the first error. A shard that stores
+// nothing runs no body.
 func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) error) error {
 	var first struct {
 		sync.Mutex
 		err error
 	}
 	band := scanBand(cols)
-	flops := int64(sh.Rows()) * int64(rank) * int64(cols)
-	par.DoAligned(sh.Rows(), band, flops, func(lo, hi int) {
+	flops := int64(sh.Stored()) * int64(rank) * int64(cols)
+	par.DoAligned(sh.Stored(), band, flops, func(lo, hi int) {
 		if err := body(lo, hi, band); err != nil {
 			first.Lock()
 			defer first.Unlock()
@@ -256,12 +354,20 @@ func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) erro
 
 // checkQuery validates a consumer's query set against its gathered rows
 // and resolves the rank to scan at (rank <= 0 or > the factors' is full).
+// The gathered rows must be finite: a zero row of Z scores +0 against those
+// and NaN against anything else, and the rows a shard leaves out are only
+// ever given the +0.
 func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, error) {
 	if len(queries) == 0 {
 		return 0, fmt.Errorf("core: empty query set: %w", ErrParams)
 	}
 	if !uq.IsShape(len(queries), sh.rank) {
 		return 0, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, len(queries), sh.rank, ErrParams)
+	}
+	for i, v := range uq.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("core: non-finite query row: U[%d, %d] = %v: %w", queries[i/sh.rank], i%sh.rank, v, ErrParams)
+		}
 	}
 	if rank <= 0 || rank > sh.rank {
 		rank = sh.rank
@@ -281,7 +387,9 @@ func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, e
 // Index.QueryRankInto runs it on the [0, n) shard the index is, so
 // stitching every shard's PartialInto output together reproduces the
 // monolithic answer bitwise. The scan writes each scaled band straight
-// into out, split across par workers; returns ctx.Err() on cancellation.
+// into out, split across par workers — the stored rows packed at out's
+// head, then spread to their own rows over zeros when some are implicit;
+// returns ctx.Err() on cancellation.
 func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
 	rank, err := sh.checkQuery(queries, uq, rank)
 	if err != nil {
@@ -297,6 +405,19 @@ func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.
 	})
 	if err != nil {
 		return err
+	}
+	// Last row first: row i belongs at or below where it lies, so no move
+	// lands on a row that has yet to make its own.
+	if end := sh.Rows(); sh.ids != nil {
+		for i := len(sh.ids) - 1; i >= 0; i-- {
+			at := int(sh.ids[i]) - sh.lo
+			clear(out.Data[(at+1)*cols : end*cols])
+			if at != i {
+				copy(out.Data[at*cols:(at+1)*cols], out.Data[i*cols:(i+1)*cols])
+			}
+			end = at
+		}
+		clear(out.Data[:end*cols])
 	}
 	for j, q := range queries {
 		if sh.Owns(q) {
@@ -320,9 +441,11 @@ func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.
 // is bit for bit Select over PartialInto's column. Each par worker has its
 // own selector — holding at most the rows it scans, so k is only ever an
 // upper bound, never an allocation size — and topk.Merge of the per-worker
-// lists is order-independent. uq is the gathered |Q| x r query broadcast
-// (see PartialInto); items carry global node ids. Honours ctx between
-// bands.
+// lists is order-independent. The implicit rows are one more list for it
+// (implicitTopK), node-disjoint from the rest like any other worker's,
+// whenever one of them could place. uq
+// is the gathered |Q| x r query broadcast (see PartialInto); items carry
+// global node ids. Honours ctx between bands.
 func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
 	rank, err := sh.checkQuery(queries, uq, rank)
 	if err != nil {
@@ -340,7 +463,11 @@ func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.
 	err = sh.eachRange(cols, rank, func(lo, hi, band int) error {
 		sel := topk.NewSelector(min(k, hi-lo), exclude)
 		err := sh.scan(ctx, uq, rank, lo, hi, band, nil, func(b int, scores []float64) {
-			sel.Push(sh.lo+b, scores)
+			if sh.ids == nil {
+				sel.Push(sh.lo+b, scores)
+			} else {
+				sel.PushIDs(sh.ids[b:b+len(scores)], scores)
+			}
 		})
 		if err != nil {
 			return err
@@ -353,10 +480,58 @@ func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.
 	if err != nil {
 		return nil, err
 	}
+	var best []topk.Item
 	if len(kept.lists) == 1 {
-		return kept.lists[0], nil
+		best = kept.lists[0]
+	} else {
+		best = topk.Merge(k, kept.lists...)
 	}
-	return topk.Merge(k, kept.lists...), nil
+	// The rows left out score +0: against k stored rows that all score
+	// above that they cannot place, and are not even listed.
+	if sh.ids != nil && (len(best) < k || !(best[len(best)-1].Score > 0)) {
+		best = topk.Merge(k, best, sh.implicitTopK(k, exclude))
+	}
+	return best, nil
+}
+
+// implicitTopK is the partial top-k of the rows the shard does not store.
+// Every one of them scores +0, so under the package ordering the best k are
+// the first k in id order that are not excluded: the gaps between stored
+// ids are walked until k are found — O(k + |Q|) past the stored ids the
+// walk steps over.
+func (sh *IndexShard) implicitTopK(k int, exclude map[int]bool) []topk.Item {
+	items := make([]topk.Item, 0, min(k, sh.Rows()-sh.Stored()))
+	next := sh.lo // where the gap before stored row j starts
+	for j := 0; j <= len(sh.ids) && len(items) < k; j++ {
+		end := sh.hi
+		if j < len(sh.ids) {
+			end = int(sh.ids[j])
+		}
+		for id := next; id < end && len(items) < k; id++ {
+			if !exclude[id] {
+				items = append(items, topk.Item{Node: id})
+			}
+		}
+		next = end + 1
+	}
+	return items
+}
+
+// VisitScores streams what PartialTopK ranks, before any selection: visit
+// gets every stored row's node and its score summed over the query set in
+// query order, query nodes included, without the +1 of the identity — band
+// by band on the calling goroutine. Implicit rows score +0 and are not
+// visited. It is the every-stored-row pass reload.ValidateShard makes.
+func (sh *IndexShard) VisitScores(ctx context.Context, queries []int, uq *dense.Mat, rank int, visit func(node int, score float64)) error {
+	rank, err := sh.checkQuery(queries, uq, rank)
+	if err != nil {
+		return err
+	}
+	return sh.scan(ctx, uq, rank, 0, sh.Stored(), scanBand(len(queries)), nil, func(b int, scores []float64) {
+		for i, v := range scores {
+			visit(sh.StoredNode(b+i), v)
+		}
+	})
 }
 
 // maxScoreCells caps |rows| x |Q| of one ScoreRows: both arrive in a /shard/scores body; serve admits 2^20 pairs.
@@ -369,11 +544,11 @@ const maxScoreCells = 1 << 20
 // bandwidth. out[i*|Q|+j] scores global row rows[i] against queries[j]:
 // s = 1{rows[i]==queries[j]} + c · Σ_{k<rank} Z[rows[i]][k]·uq[j][k].
 //
-// Each row is a one-row band of the scan, so every element is
+// Each stored row is a one-row band of the scan, so every element is
 // bitwise-equal to the same element of PartialInto's band: the dense
 // kernels accumulate every output element independently in ascending
 // column order, whatever the band height, and ×c, +1 follow in the same
-// order.
+// order. An implicit row keeps the +0 out was made with.
 func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
 	rank, err := sh.checkQuery(queries, uq, rank)
 	if err != nil {
@@ -395,8 +570,10 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 	var dst dense.Mat
 	for i, t := range rows {
 		dst = dense.Mat{Rows: 1, Cols: cols, Data: out[i*cols : (i+1)*cols]}
-		if err := sh.scan(ctx, uq, rank, t-sh.lo, t-sh.lo+1, 1, &dst, nil); err != nil {
-			return nil, err
+		if at, ok := sh.row(t); ok {
+			if err := sh.scan(ctx, uq, rank, at, at+1, 1, &dst, nil); err != nil {
+				return nil, err
+			}
 		}
 		for j, q := range queries {
 			if t == q {
@@ -408,7 +585,8 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 }
 
 // ColMaxes returns the per-column maxima max|Z_{[lo:hi),j}| and
-// max|U_{[lo:hi),j}| over the shard's rows. Because a max over the full
+// max|U_{[lo:hi),j}| over the shard's rows (an implicit row, all zeros,
+// never sets one). Because a max over the full
 // column is the max of the per-shard maxima, a router combines these and
 // runs Index.TruncationBound's recurrence to get a truncation bound
 // bitwise-equal to the monolithic one.

@@ -174,7 +174,7 @@ func TestShardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	wrote, err := sh.WriteToV2(&buf)
+	wrote, err := sh.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"csrplus/internal/dense"
@@ -122,7 +123,9 @@ func (ix *Index) QuantizationBound() float64 {
 }
 
 // Quantize returns a new Index whose factors are stored at tier,
-// quantized from ix's factors. TierF64 returns ix unchanged. Quantizing
+// quantized from ix's stored rows (an implicit row is zeros on every tier,
+// and a zero row moves neither a column's scale nor its measured error).
+// TierF64 returns ix unchanged. Quantizing
 // an already-quantized index is rejected: re-coding codes would compound
 // errors invisibly, and the measured error vectors would no longer be
 // against exact factors.
@@ -140,13 +143,44 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 	z, zqerr := quant(ix.z.Mat())
 	u, uqerr := quant(ix.u.Mat())
 	return &Index{
-		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, z: z, u: u, zqerr: zqerr, uqerr: uqerr},
+		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, ids: slices.Clone(ix.ids), z: z, u: u, zqerr: zqerr, uqerr: uqerr},
 		iters:      ix.iters,
 		sigma:      append([]float64(nil), ix.sigma...),
 		precomp:    ix.precomp,
 		stages:     ix.stages,
+		qrows:      ix.qrows,
 		walSeq:     ix.walSeq,
 	}, nil
+}
+
+// Compact returns ix without the stored rows that are all +0 in both
+// factors — rows that score exactly +0 whether they are scanned or left
+// out (shard.go) — or ix itself when it stores none. Precompute never
+// stores them in the first place; this is how an index from a v1 or v2
+// file, which could not leave a row out, sheds them (csrstat -convert).
+// The result owns its memory: it outlives a mapping ix views.
+func (ix *Index) Compact() *Index {
+	keep := make([]int32, 0, ix.Stored())
+	ids := make([]int32, 0, ix.Stored())
+	for i := 0; i < ix.Stored(); i++ {
+		if !ix.z.RowIsZero(i) || !ix.u.RowIsZero(i) {
+			keep, ids = append(keep, int32(i)), append(ids, int32(ix.StoredNode(i)))
+		}
+	}
+	if len(keep) == ix.Stored() {
+		return ix
+	}
+	return &Index{
+		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, ids: ids,
+			z: ix.z.GatherRows(keep), u: ix.u.GatherRows(keep),
+			zqerr: slices.Clone(ix.zqerr), uqerr: slices.Clone(ix.uqerr)},
+		iters:   ix.iters,
+		sigma:   slices.Clone(ix.sigma),
+		precomp: ix.precomp,
+		stages:  ix.stages,
+		qrows:   ix.qrows,
+		walSeq:  ix.walSeq,
+	}
 }
 
 // mapping owns one memory-mapped snapshot file. munmapFile is idempotent

@@ -22,6 +22,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind enumerates the element storage of a Typed matrix.
@@ -138,6 +139,58 @@ func (t *Typed) PickRows(idx []int) *Mat {
 	out := NewMat(len(idx), t.Cols)
 	for k, i := range idx {
 		t.RowInto(i, out.Row(k))
+	}
+	return out
+}
+
+// RowIsZero reports whether every element of row i is stored as +0 — the
+// bit pattern, so a row holding -0 is not.
+func (t *Typed) RowIsZero(i int) bool {
+	c := t.Cols
+	switch t.Kind {
+	case F64:
+		for _, v := range t.F64[i*c : (i+1)*c] {
+			if math.Float64bits(v) != 0 {
+				return false
+			}
+		}
+	case F32:
+		for _, v := range t.F32[i*c : (i+1)*c] {
+			if math.Float32bits(v) != 0 {
+				return false
+			}
+		}
+	default:
+		for _, v := range t.I8[i*c : (i+1)*c] {
+			if v != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// GatherRows returns a fresh matrix of the same kind holding the rows idx,
+// in order, as they are stored; it shares nothing with t.
+func (t *Typed) GatherRows(idx []int32) *Typed {
+	c := t.Cols
+	out := &Typed{Kind: t.Kind, Rows: len(idx), Cols: c, Scale: slices.Clone(t.Scale)}
+	switch t.Kind {
+	case F64:
+		out.F64 = make([]float64, len(idx)*c)
+		for k, i := range idx {
+			copy(out.F64[k*c:(k+1)*c], t.F64[int(i)*c:])
+		}
+	case F32:
+		out.F32 = make([]float32, len(idx)*c)
+		for k, i := range idx {
+			copy(out.F32[k*c:(k+1)*c], t.F32[int(i)*c:])
+		}
+	default:
+		out.I8 = make([]int8, len(idx)*c)
+		for k, i := range idx {
+			copy(out.I8[k*c:(k+1)*c], t.I8[int(i)*c:])
+		}
 	}
 	return out
 }

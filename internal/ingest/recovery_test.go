@@ -101,10 +101,10 @@ func TestBootRecoveryOrderingBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := shA.WriteToV2(&a); err != nil {
+				if _, err := shA.WriteTo(&a); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := shB.WriteToV2(&b); err != nil {
+				if _, err := shB.WriteTo(&b); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(a.Bytes(), b.Bytes()) {

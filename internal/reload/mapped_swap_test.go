@@ -40,7 +40,7 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 
 	// The reference: the same index through the heap encode/decode path.
 	var heap bytes.Buffer
-	if _, err := ix.WriteToV2(&heap); err != nil {
+	if _, err := ix.WriteTo(&heap); err != nil {
 		t.Fatal(err)
 	}
 	refIx, err := core.ReadIndex(&heap)

@@ -60,43 +60,62 @@ func RollShards(ctx context.Context, rt *shard.Router, load ShardLoadFunc) (swap
 }
 
 // ValidateShard smoke-tests a shard candidate before it may take traffic:
-// it scores EVERY row the shard owns against probe nodes the shard owns
-// (one column pass, core.IndexShard.PartialInto) and requires finite
-// scores throughout and a positive self-similarity for each probe. It is
-// the every-owned-row finite scan of the factors — what Validate's few
-// cells and a top-k selector, which drops NaN rows silently, cannot be —
-// so every way a shard enters service runs it: a roll, a worker boot and
-// reload, and csrserver's local boots and reloads (whole index = the
-// [0, n) shard). The probes' U rows come from the candidate itself, so
-// validation is self-contained — no cross-shard gather.
+// the rows it stores must be rows it can own (core.IndexShard.CheckStored),
+// and EVERY one of them is scored against probe nodes the shard owns — one
+// pass of the scan, a band at a time, nothing of the shard's length
+// allocated — and must come out finite, as must each probe's own positive
+// self-similarity. It is the every-stored-row finite scan of the factors —
+// what Validate's few cells and a top-k selector, which drops NaN rows
+// silently, cannot be — so every way a shard enters service runs it: a
+// roll, a worker boot and reload, and csrserver's local boots and reloads
+// (whole index = the [0, n) shard). The probes are stored rows where the
+// shard has any, so each row of Z meets U rows that are not all zero, and
+// their U rows come from the candidate itself: validation is
+// self-contained — no cross-shard gather. A row's scores are checked as
+// their sum over the probes, which is finite only if each of them is.
 func ValidateShard(sh *core.IndexShard) error {
 	if sh == nil {
 		return fmt.Errorf("%w: nil shard", ErrValidation)
 	}
-	lo, hi := sh.Lo(), sh.Hi()
-	probes := []int{lo}
-	if hi-lo > 2 {
-		probes = append(probes, lo+(hi-lo)/2)
+	if err := sh.CheckStored(); err != nil {
+		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
-	if hi-lo > 1 {
-		probes = append(probes, hi-1)
+	count, node := sh.Stored(), sh.StoredNode
+	if count == 0 { // nothing stored: every score is the identity's
+		count, node = sh.Rows(), func(i int) int { return sh.Lo() + i }
+	}
+	probes := []int{node(0)}
+	if count > 2 {
+		probes = append(probes, node(count/2))
+	}
+	if count > 1 {
+		probes = append(probes, node(count-1))
 	}
 	uq := dense.NewMat(len(probes), sh.Rank())
 	for j, q := range probes {
 		copy(uq.Row(j), sh.URow(q))
 	}
-	out := dense.NewMat(sh.Rows(), len(probes))
-	if err := sh.PartialInto(context.Background(), probes, uq, 0, out); err != nil {
+	ctx := context.Background()
+	var bad error
+	err := sh.VisitScores(ctx, probes, uq, 0, func(node int, score float64) {
+		if bad == nil && (math.IsNaN(score) || math.IsInf(score, 0)) {
+			bad = fmt.Errorf("%w: non-finite score %v for node %d against probes %v", ErrValidation, score, node, probes)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
+	}
+	if bad != nil {
+		return bad
+	}
+	self, err := sh.ScoreRows(ctx, probes, uq, probes, 0)
+	if err != nil {
 		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
 	}
 	for j, q := range probes {
-		for i := 0; i < out.Rows; i++ {
-			if v := out.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: non-finite score %v for pair (%d, %d)", ErrValidation, v, lo+i, q)
-			}
-		}
-		if self := out.At(q-lo, j); self <= 0 {
-			return fmt.Errorf("%w: self-similarity of node %d is %v, want > 0", ErrValidation, q, self)
+		// The diagonal of the probes x probes block. NaN fails the test too.
+		if v := self[j*len(probes)+j]; !(v > 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: self-similarity of node %d is %v, want finite and > 0", ErrValidation, q, v)
 		}
 	}
 	return nil

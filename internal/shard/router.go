@@ -161,13 +161,16 @@ type ShardStatus struct {
 	Hi         int    `json:"hi"`
 	Generation uint64 `json:"generation"`
 	Bytes      int64  `json:"bytes"`
+	// Stored is how many of the slot's Hi-Lo nodes have factor rows stored.
+	Stored int `json:"rows_stored"`
 }
 
-// Status reports every shard slot's range, generation and resident bytes.
+// Status reports every shard slot's range, generation, resident bytes and
+// stored rows.
 func (r *Router) Status() []ShardStatus {
 	out := make([]ShardStatus, r.K())
 	for s, sl := range r.slots {
-		out[s] = ShardStatus{Shard: s, Lo: sl.Lo(), Hi: sl.Hi(), Generation: sl.Generation(), Bytes: sl.Bytes()}
+		out[s] = ShardStatus{Shard: s, Lo: sl.Lo(), Hi: sl.Hi(), Generation: sl.Generation(), Bytes: sl.Bytes(), Stored: sl.Stored()}
 	}
 	return out
 }
@@ -301,13 +304,14 @@ func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error)
 
 // fanout runs body for every slot and returns the per-slot errors. Local
 // fan-outs go through par.Do (worker-bounded — the slots are CPU-bound —
-// and gated on the n·r·|Q| multiply-adds the monolithic pass costs); remote
-// fan-outs get a goroutine per slot, because a serialised RPC chain would
-// stack network latencies.
-func (r *Router) fanout(cols int, body func(s int) error) []error {
+// and gated on rows, the factor rows the legs multiply between them, times
+// the r·|Q| multiply-adds each costs: two target rows do not spin up the
+// pool); remote fan-outs get a goroutine per slot, because a serialised RPC
+// chain would stack network latencies.
+func (r *Router) fanout(rows, cols int, body func(s int) error) []error {
 	errs := make([]error, r.K())
 	if !r.remote {
-		flops := int64(r.n) * int64(r.rank) * int64(cols)
+		flops := int64(rows) * int64(r.rank) * int64(cols)
 		par.Do(r.K(), flops, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
 				errs[s] = body(s)
@@ -391,7 +395,11 @@ func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade b
 	}
 	cols := len(queries)
 	lists := make([][]topk.Item, r.K())
-	errs := r.fanout(cols, func(s int) error {
+	stored := 0 // a top-k scans every row the slots store
+	for _, sl := range r.slots {
+		stored += sl.Stored()
+	}
+	errs := r.fanout(stored, cols, func(s int) error {
 		items, err := r.slots[s].PartialTopK(ctx, queries, uq, k, rank)
 		if err != nil {
 			return err
@@ -465,7 +473,7 @@ func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (
 		byOwner[s] = append(byOwner[s], j)
 	}
 	out := dense.NewMat(len(queries), len(targets))
-	errs := r.fanout(len(queries), func(s int) error {
+	errs := r.fanout(len(targets), len(queries), func(s int) error {
 		js := byOwner[s]
 		if len(js) == 0 {
 			return nil

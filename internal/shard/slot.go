@@ -47,8 +47,11 @@ type Slot interface {
 	Generation() uint64
 
 	// Bytes reports the resident factor bytes of the serving generation
-	// (last observed, for remote slots).
+	// (last observed, for remote slots), and Stored how many of the slot's
+	// Hi-Lo nodes it stores factor rows for — the rows a top-k scans; the
+	// rest are implicit zero rows (core.IndexShard).
 	Bytes() int64
+	Stored() int
 
 	// URows gathers the U rows of the given nodes — all of which must be
 	// owned by this slot — as a |nodes| x Rank matrix, row i for
@@ -146,6 +149,11 @@ func (l *Local) Generation() uint64 {
 // Bytes reports the serving generation's resident factor bytes.
 func (l *Local) Bytes() int64 {
 	return l.cur.Load().sh.Bytes()
+}
+
+// Stored reports how many rows the serving generation stores.
+func (l *Local) Stored() int {
+	return l.cur.Load().sh.Stored()
 }
 
 // URows gathers the U rows of owned nodes (see Slot).

@@ -87,6 +87,10 @@ type Result struct {
 	// worked on: A's non-empty rows and columns, or A's own shape when it
 	// was decomposed as given. Rows of U and V outside it are exactly zero.
 	SupportRows, SupportCols int
+	// ColSupport lists, ascending, the columns of A the driver worked on —
+	// the only rows of V that can be non-zero — when they are a proper
+	// subset; nil when V has a computed row for every column of A.
+	ColSupport []int32
 	// Stages is where the decomposition's wall time went; the four sum to
 	// the call's.
 	Stages Stages
@@ -174,6 +178,7 @@ func (p *problem) decompose(r int, opts Options, ck *clock) (*Result, error) {
 	res := &Result{U: embed(u, r, p.rows, p.rowIdx), S: make([]float64, r), V: embed(v, r, p.cols, p.colIdx)}
 	copy(res.S, s) // the leading r; a driver that found fewer leaves σ = 0 behind them
 	res.SupportRows, res.SupportCols = p.a.Dims()
+	res.ColSupport = p.colIdx
 	ck.lap(&ck.Rest)
 	res.Stages = ck.Stages
 	return res, nil

@@ -73,15 +73,29 @@ func NewSelector(k int, exclude map[int]bool) *Selector {
 //
 // Once k items are held, a score is tested against the k-th best before
 // anything else: almost every score of a long scan fails that one
-// comparison (which NaN fails too), so the exclusion map is consulted
-// only for the few that would displace a kept item.
-func (s *Selector) Push(base int, scores []float64) {
+// comparison (which NaN fails too), so the node id and the exclusion map
+// are looked up only for the few that would displace a kept item.
+func (s *Selector) Push(base int, scores []float64) { s.push(base, nil, scores) }
+
+// PushIDs is Push for a band whose nodes are not consecutive: scores[i]
+// belongs to node ids[i] — the rows a support-compacted scan stores.
+func (s *Selector) PushIDs(ids []int32, scores []float64) { s.push(0, ids, scores) }
+
+// push is the one selection loop: node i of the band is ids[i], or base+i
+// when ids is nil.
+func (s *Selector) push(base int, ids []int32, scores []float64) {
 	if s.k <= 0 {
 		return
 	}
+	id := func(i int) int {
+		if ids != nil {
+			return int(ids[i])
+		}
+		return base + i
+	}
 	i := 0
 	for ; i < len(scores) && len(s.h) < s.k; i++ {
-		score, node := scores[i], base+i
+		score, node := scores[i], id(i)
 		if math.IsNaN(score) || s.exclude[node] {
 			continue
 		}
@@ -90,12 +104,17 @@ func (s *Selector) Push(base int, scores []float64) {
 	}
 	h := s.h
 	for ; i < len(scores); i++ {
-		score, node := scores[i], base+i
-		if !(score >= h[0].Score) || score == h[0].Score && node > h[0].Node || s.exclude[node] {
+		score := scores[i]
+		if !(score >= h[0].Score) {
 			continue
 		}
-		h[0] = Item{node, score}
-		s.down(0, len(h))
+		if node := id(i); score > h[0].Score || node < h[0].Node {
+			if s.exclude[node] {
+				continue
+			}
+			h[0] = Item{node, score}
+			s.down(0, len(h))
+		}
 	}
 }
 

@@ -379,6 +379,23 @@ func checkBandSplits(t *testing.T, scores []float64, k, base int, exclude map[in
 	if !sameItems(got, oracle) {
 		t.Fatalf("k=%d base=%d cuts=%v: banded selection %v, sorted oracle %v", k, base, cuts, got, oracle)
 	}
+	// The same bands offered with their node ids spelled out, every other
+	// one: an id slice and a base are two names for one band.
+	ids := make([]int32, len(scores))
+	for i := range ids {
+		ids[i] = int32(base + i)
+	}
+	sel = NewSelector(k, exclude)
+	for b := 0; b+1 < len(bounds); b++ {
+		if lo, hi := bounds[b], bounds[b+1]; b%2 == 0 {
+			sel.PushIDs(ids[lo:hi], scores[lo:hi])
+		} else {
+			sel.Push(base+lo, scores[lo:hi])
+		}
+	}
+	if byID := sel.Items(); !sameItems(byID, got) {
+		t.Fatalf("k=%d base=%d cuts=%v: selection by id slices %v, by base %v", k, base, cuts, byID, got)
+	}
 	if old := selectRangeOneShot(scores, k, base, exclude); !sameItems(got, old) {
 		t.Fatalf("k=%d base=%d cuts=%v: banded selection %v, one-shot heap %v", k, base, cuts, got, old)
 	}
@@ -426,8 +443,17 @@ func Test_SelectorBandSplits(t *testing.T) {
 	// k <= 0 keeps nothing, whatever is pushed.
 	sel := NewSelector(0, nil)
 	sel.Push(0, []float64{1, 2})
+	sel.PushIDs([]int32{7, 9}, []float64{1, 2})
 	if got := sel.Items(); len(got) != 0 {
 		t.Fatalf("k=0 selector kept %v", got)
+	}
+	// Ids with gaps: ties still break towards the smaller id, exclusions
+	// are looked up by id, and a full selector still turns later ties away.
+	sel = NewSelector(3, map[int]bool{40: true})
+	sel.PushIDs([]int32{5, 40, 41}, []float64{0.5, 9, 0.5})
+	sel.PushIDs([]int32{90, 97, 99}, []float64{0.5, 0.75, math.NaN()})
+	if got, want := sel.Items(), []Item{{97, 0.75}, {5, 0.5}, {41, 0.5}}; !sameItems(got, want) {
+		t.Fatalf("selection over id slices = %v, want %v", got, want)
 	}
 }
 

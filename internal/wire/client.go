@@ -179,8 +179,9 @@ type RemoteEngine struct {
 	n, lo, hi, rank int
 	c               float64
 
-	gen   atomic.Uint64 // last generation observed in any response
-	bytes atomic.Int64  // last resident-bytes figure from /shard/meta
+	gen    atomic.Uint64 // last generation observed in any response
+	bytes  atomic.Int64  // last resident-bytes figure from /shard/meta
+	stored atomic.Int64  // last stored-rows figure from /shard/meta
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -241,6 +242,9 @@ func (e *RemoteEngine) Generation() uint64 { return e.gen.Load() }
 
 // Bytes returns the worker's last reported resident factor bytes.
 func (e *RemoteEngine) Bytes() int64 { return e.bytes.Load() }
+
+// Stored returns the worker's last reported stored-row count.
+func (e *RemoteEngine) Stored() int { return int(e.stored.Load()) }
 
 // Stats snapshots the engine's traffic counters and breaker state.
 func (e *RemoteEngine) Stats() SlotStats {
@@ -321,6 +325,7 @@ func (e *RemoteEngine) fetchMeta(ctx context.Context) (MetaResponse, error) {
 	}
 	e.observeGen(meta.Generation)
 	e.bytes.Store(meta.Bytes)
+	e.stored.Store(int64(meta.Stored))
 	return meta, nil
 }
 

@@ -54,6 +54,7 @@ type MetaResponse struct {
 	Damping    float64 `json:"damping"`
 	Generation uint64  `json:"generation"`
 	Bytes      int64   `json:"bytes"`
+	Stored     int     `json:"rows_stored"`
 	Tier       string  `json:"tier"`
 	ZMax       F64s    `json:"zmax"`
 	UMax       F64s    `json:"umax"`

@@ -132,7 +132,7 @@ func (w *Worker) handleMeta(rw http.ResponseWriter, r *http.Request) {
 	zerr, uerr := sh.QuantErrs()
 	writeJSON(rw, http.StatusOK, MetaResponse{
 		N: sh.N(), Lo: sh.Lo(), Hi: sh.Hi(), Rank: sh.Rank(), Damping: sh.Damping(),
-		Generation: gen, Bytes: sh.Bytes(), Tier: sh.Tier().String(),
+		Generation: gen, Bytes: sh.Bytes(), Stored: sh.Stored(), Tier: sh.Tier().String(),
 		ZMax: zmax, UMax: umax, ZErr: zerr, UErr: uerr,
 	})
 }
