@@ -15,10 +15,11 @@ import (
 // format change: one index, as the v2 file the last v2 writer left of it
 // (every row stored, twelve of the 48 all zero) and as the v3 file that
 // leaves those rows out, answers /topk and /similarity with byte-identical
-// bodies — at K = 1, 2, 3 and 7 in-process shards and through a router over
-// wire workers booted from the compacted per-shard files — for sources,
-// targets and excluded nodes among the rows left out, and for k up to, at
-// and past the rows stored.
+// bodies — at K = 1 and through a router over three wire workers booted from
+// the compacted per-shard files — for sources, targets and excluded nodes
+// among the rows left out, and for k up to, at and past the rows stored.
+// (internal/shard holds the routers over K = 2, 3 and 7 slots, and over
+// slots that store nothing, to the same answers.)
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
 	v2 := filepath.Join("..", "..", "internal", "core", "testdata", "index.v2-sparse.csrx")
@@ -42,15 +43,11 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 		name string
 		s    *server
 	}
-	var modes []mode
-	for _, k := range []string{"1", "2", "3", "7"} {
-		modes = append(modes,
-			mode{"v2 file, -shards " + k, bootFlags(t, append(base, "-index", v2, "-shards", k)...)},
-			mode{"v3 file, -shards " + k, bootFlags(t, append(base, "-index", v3, "-shards", k)...)})
+	modes := []mode{
+		{"v2 file", bootFlags(t, append(base, "-index", v2)...)},
+		{"v3 file", bootFlags(t, append(base, "-index", v3)...)},
+		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil), "-cache", "0", "-wirehedge", "-1")},
 	}
-	snaps := t.TempDir()
-	bootFlags(t, append(base, "-index", v3, "-shards", "3", "-snapshots", snaps)...) // publishes what the workers boot from
-	modes = append(modes, mode{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-cache", "0", "-wirehedge", "-1")})
 
 	var paths []string
 	// 3, 7, 11 and 47 are left out; 0, 8, 16 and 46 are stored.

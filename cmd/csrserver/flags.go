@@ -17,8 +17,8 @@ import (
 type mode int
 
 const (
-	modeLocal  mode = iota // the graph's index in this process, K >= 1 local slots
-	modeIngest             // modeLocal at K=1 plus the WAL-backed edge stream
+	modeLocal  mode = iota // the graph's whole index in this process
+	modeIngest             // modeLocal plus the WAL-backed edge stream
 	modeRouter             // remote slots: the frontend of a worker cluster
 	modeWorker             // one shard behind the wire protocol, no frontend
 )
@@ -31,11 +31,9 @@ const (
 
 // modes is the whole compatibility contract between flags: each mode
 // lists every flag it reads, and a flag set on the command line that the
-// mode does not list is rejected instead of silently ignored. -waldir is
-// K=1-only because a per-shard-snapshot boot has no whole index to anchor
-// the ingest service on — hence no -shards in its row.
+// mode does not list is rejected instead of silently ignored.
 var modes = [...]struct{ when, flags string }{
-	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "shards quantize"},
+	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "quantize"},
 	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
 	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wirehedge"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
@@ -62,7 +60,7 @@ type config struct {
 	damping                       float64
 	indexPath, saveIndex, snapDir string
 	quantize                      string
-	shards, shardWorker           int
+	shardWorker                   int
 	shardAddrs                    string
 	walDir                        string
 	driftBudget                   float64
@@ -88,8 +86,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.indexPath, "index", "", "load a persisted CSR+ index instead of precomputing")
 	fs.StringVar(&c.saveIndex, "saveindex", "", "persist the boot index to this path")
 	fs.StringVar(&c.quantize, "quantize", "", "factor tier for -saveindex and snapshot publishes: f32 or int8 (default exact f64); the serving index stays exact")
-	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shards > 1 and -shardworker); boot from it when populated; every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
-	fs.IntVar(&c.shards, "shards", 1, "partition the index into this many node-range shard slots behind the scatter-gather router")
+	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shardworker); boot from it when populated; every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
 	fs.Float64Var(&c.wire.HedgeQuantile, "wirehedge", 0.9, "observed-latency quantile past which a shard request is hedged (negative disables)")
@@ -134,8 +131,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	switch {
 	case stray != nil:
 		return nil, stray
-	case c.shards < 1:
-		return nil, fmt.Errorf("-shards must be >= 1")
 	case c.mode == modeWorker && c.snapDir == "":
 		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
 	}

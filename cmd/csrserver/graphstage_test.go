@@ -6,9 +6,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"csrplus/internal/core"
 )
 
 // TestSnapshotBootSkipsGraph holds a boot that finds its index on disk to
@@ -17,7 +18,8 @@ import (
 // cold boot served and report m = 0; the file is read — and its parse error
 // surfaces — only once nothing on disk can serve, off the serving path when
 // that is a reload; and a snapshot for another node count is refused at boot
-// with the file still unread.
+// with the file still unread. A router over three workers names no graph at
+// all: it serves the same bodies with m = 0.
 func TestSnapshotBootSkipsGraph(t *testing.T) {
 	const poison = "3 0\n0 potato\n"
 	requests := []string{"/topk?node=1&k=4", "/topk?nodes=1,3,3&k=3", "/similarity?nodes=0,5&targets=1,2,5"}
@@ -49,91 +51,85 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 			}
 		}
 	}
-	empty := func(t *testing.T, dir string) {
+	graphPath, snaps := graphFile(t), t.TempDir()
+	edges, err := os.ReadFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := func(n string) []string {
+		return []string{"-graph", graphPath, "-n", n, "-r", "3", "-cache", "0",
+			"-snapshots", snaps, "-admintoken", "sesame", "-reloadretries", "1"}
+	}
+	cold := bootFlags(t, args("6")...)
+	if m := cold.man.Current().M; m != 11 {
+		t.Fatalf("cold boot reports m = %d, want the graph's 11", m)
+	}
+	want := bodies(t, cold)
+	if err := os.WriteFile(graphPath, []byte(poison), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	skipped := func(t *testing.T, s *server) {
 		t.Helper()
-		entries, err := os.ReadDir(dir)
+		same(t, "boot over the poisoned graph file", bodies(t, s), want)
+		if code, stats := do(t, s, http.MethodGet, "/stats"); code != http.StatusOK || !strings.Contains(stats, `"m":0,`) {
+			t.Fatalf("/stats of a boot that skipped the graph: HTTP %d %s, want m = 0", code, stats)
+		}
+	}
+
+	t.Run("shards=3", func(t *testing.T) {
+		path, _, err := core.CurrentSnapshot(snaps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := core.LoadIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-cache", "0", "-wirehedge", "-1"))
+	})
+
+	t.Run("shards=1", func(t *testing.T) {
+		warm := bootFlags(t, args("6")...)
+		skipped(t, warm)
+
+		// A snapshot for another node count is refused from the flags alone.
+		cfg, err := parse(args("7")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "built for 6 nodes, graph has 7") {
+			t.Fatalf("boot with -n 7 over a 6-node snapshot: err = %v", err)
+		}
+
+		// A reload that finds no snapshot falls through to a rebuild, reads
+		// the graph then, and fails without disturbing the generation in
+		// service — or the next attempt.
+		entries, err := os.ReadDir(snaps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+			if err := os.RemoveAll(filepath.Join(snaps, e.Name())); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-
-	for _, shards := range []int{1, 3} {
-		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
-			graphPath, snaps := graphFile(t), t.TempDir()
-			edges, err := os.ReadFile(graphPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			args := func(n string) []string {
-				return []string{"-graph", graphPath, "-n", n, "-r", "3", "-cache", "0", "-shards", strconv.Itoa(shards),
-					"-snapshots", snaps, "-admintoken", "sesame", "-reloadretries", "1"}
-			}
-			cold := bootFlags(t, args("6")...)
-			if m := cold.man.Current().M; m != 11 {
-				t.Fatalf("cold boot reports m = %d, want the graph's 11", m)
-			}
-			want := bodies(t, cold)
-
-			if err := os.WriteFile(graphPath, []byte(poison), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			warm := bootFlags(t, args("6")...)
-			same(t, "boot over the poisoned graph file", bodies(t, warm), want)
-			if code, stats := do(t, warm, http.MethodGet, "/stats"); code != http.StatusOK || !strings.Contains(stats, `"m":0,`) {
-				t.Fatalf("/stats of a boot that skipped the graph: HTTP %d %s, want m = 0", code, stats)
-			}
-
-			// A snapshot for another node count is refused from the flags alone.
-			cfg, err := parse(args("7")...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "built for 6 nodes, graph has 7") {
-				t.Fatalf("boot with -n 7 over a 6-node snapshot: err = %v", err)
-			}
-
-			empty(t, snaps)
-			if shards > 1 {
-				// Per-shard directories are only ever filled by a boot: with
-				// them gone the next one reads the graph, and only then.
-				cfg, err := parse(args("6")...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "potato") {
-					t.Fatalf("boot over emptied shard directories and a poisoned graph: err = %v", err)
-				}
-				if err := os.WriteFile(graphPath, edges, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				same(t, "refilled boot", bodies(t, bootFlags(t, args("6")...)), want)
-				return
-			}
-			// K = 1: a reload that finds no snapshot falls through to a
-			// rebuild, reads the graph then, and fails without disturbing
-			// the generation in service — or the next attempt.
-			if code, body := do(t, warm, http.MethodPost, "/admin/reload"); code != http.StatusInternalServerError || !strings.Contains(body, "potato") {
-				t.Fatalf("reload over an emptied snapshot directory and a poisoned graph: HTTP %d %s", code, body)
-			}
-			same(t, "after the failed reload", bodies(t, warm), want)
-			if gen := warm.man.Current().Generation; gen != 1 {
-				t.Fatalf("failed reload moved the generation to %d", gen)
-			}
-			if err := os.WriteFile(graphPath, edges, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if code, body := do(t, warm, http.MethodPost, "/admin/reload"); code != http.StatusOK {
-				t.Fatalf("reload over the restored graph: HTTP %d %s", code, body)
-			}
-			if st := warm.man.Current(); st.Source != "rebuild" || st.M != 11 || st.Generation != 2 {
-				t.Fatalf("rebuilt generation = %+v, want a rebuild over m = 11", st)
-			}
-			same(t, "rebuilt generation", bodies(t, warm), want)
-		})
-	}
+		if code, body := do(t, warm, http.MethodPost, "/admin/reload"); code != http.StatusInternalServerError || !strings.Contains(body, "potato") {
+			t.Fatalf("reload over an emptied snapshot directory and a poisoned graph: HTTP %d %s", code, body)
+		}
+		same(t, "after the failed reload", bodies(t, warm), want)
+		if gen := warm.man.Current().Generation; gen != 1 {
+			t.Fatalf("failed reload moved the generation to %d", gen)
+		}
+		if err := os.WriteFile(graphPath, edges, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, body := do(t, warm, http.MethodPost, "/admin/reload"); code != http.StatusOK {
+			t.Fatalf("reload over the restored graph: HTTP %d %s", code, body)
+		}
+		if st := warm.man.Current(); st.Source != "rebuild" || st.M != 11 || st.Generation != 2 {
+			t.Fatalf("rebuilt generation = %+v, want a rebuild over m = 11", st)
+		}
+		same(t, "rebuilt generation", bodies(t, warm), want)
+	})
 }

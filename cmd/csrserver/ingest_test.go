@@ -132,33 +132,61 @@ func TestDriftBudgetTriggersRebuild(t *testing.T) {
 	}
 }
 
-// The ingest service keeps the boot index's U as its frozen basis, so a
-// boot from a mapped snapshot must keep that mapping alive after a
-// rebuild retires the boot generation: the next append reads the basis
-// (releasing it was a SIGSEGV).
+// Nothing reads the boot index once the ingest service is built, so a boot
+// from a mapped snapshot releases that mapping after the first rebuild swap
+// like any other generation's — an append or a query that still read it
+// would be a SIGSEGV — and the snapshot may be of any tier: over an int8 one
+// the drift is added to the quantization bound exactly as it is to the
+// truncation bound.
 func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
-	snapDir := t.TempDir()
-	if _, _, err := testEngine(t).SaveSnapshot(snapDir); err != nil {
-		t.Fatal(err)
-	}
-	s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
-	defer s.ing.Close()
-	if st := s.man.Current(); st.Source != "snapshot" {
-		t.Fatalf("boot source %q, want the mapped snapshot", st.Source)
-	}
-	if err := s.ing.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		if _, err := s.reload(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.ing.Append([]ingest.Edge{{Src: round, Dst: 5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.sv.Search(context.Background(), []int{5}, 3); err != nil {
-		t.Fatal(err)
+	for _, tier := range []string{"f64", "int8"} {
+		t.Run(tier, func(t *testing.T) {
+			snapDir := t.TempDir()
+			_, path, err := testEngine(t).SaveSnapshotTier(snapDir, tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := core.LoadIndex(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer served.Close()
+			if quantized := served.QuantizationBound() > 0; quantized != (tier == "int8") {
+				t.Fatalf("snapshot at tier %s has quantization bound %v", served.Tier(), served.QuantizationBound())
+			}
+			// Every request's deadline is under the budget, so every one is
+			// answered at rank 2 and carries its bound.
+			s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir, "-degraderank", "2", "-degradebudget", "1h", "-timeout", "1m")
+			defer s.ing.Close()
+			if st := s.man.Current(); st.Source != "snapshot" {
+				t.Fatalf("boot source %q, want the mapped snapshot", st.Source)
+			}
+			if err := s.ing.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.ing.Append([]ingest.Edge{{Src: 4, Dst: 5}}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.sv.Score(context.Background(), []int{5}, []int{3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drift := res.Info.DriftBound; drift <= 0 || res.Info.ErrorBound != served.TruncationBound(2)+drift {
+				t.Fatalf("error_bound %v with drift %v, want the %s snapshot's rank-2 bound %v plus the drift",
+					res.Info.ErrorBound, drift, tier, served.TruncationBound(2))
+			}
+			for round := 0; round < 2; round++ {
+				if _, err := s.reload(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.ing.Append([]ingest.Edge{{Src: round, Dst: 5}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.sv.Search(context.Background(), []int{5}, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -213,30 +241,13 @@ func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 	}
 }
 
-// TestPublishPrunesSnapshots pins the retention rule on both publish
-// paths: however many generations the server publishes, a snapshot
-// directory holds at most keepSnapshots of them, and the one CURRENT
+// TestPublishPrunesSnapshots pins the retention rule on the server's
+// publish path (shard.TestPublishSnapshots holds the per-shard publisher to
+// the same): however many generations the server publishes, its snapshot
+// directory holds at most core.KeepSnapshots of them, and the one CURRENT
 // names is always among the survivors and still loads.
 func TestPublishPrunesSnapshots(t *testing.T) {
-	check := func(t *testing.T, dir string, load func(path string) error) {
-		t.Helper()
-		snaps, err := core.ListSnapshots(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snaps) > keepSnapshots {
-			t.Fatalf("%s holds %d generations, want at most %d", dir, len(snaps), keepSnapshots)
-		}
-		path, _, err := core.CurrentSnapshot(dir)
-		if err != nil {
-			t.Fatalf("CURRENT's target was pruned: %v", err)
-		}
-		if err := load(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const publishes = keepSnapshots + 3
-
+	const publishes = core.KeepSnapshots + 3
 	t.Run("drift rebuilds", func(t *testing.T) {
 		snapDir := t.TempDir()
 		s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
@@ -248,32 +259,27 @@ func TestPublishPrunesSnapshots(t *testing.T) {
 			if _, err := s.reload(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			check(t, snapDir, func(path string) error {
-				ix, err := core.LoadIndex(path)
-				if err == nil {
-					err = ix.Close()
-				}
-				return err
-			})
+			snaps, err := core.ListSnapshots(snapDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) > core.KeepSnapshots {
+				t.Fatalf("%s holds %d generations, want at most %d", snapDir, len(snaps), core.KeepSnapshots)
+			}
+			path, _, err := core.CurrentSnapshot(snapDir)
+			if err != nil {
+				t.Fatalf("CURRENT's target was pruned: %v", err)
+			}
+			ix, err := core.LoadIndex(path)
+			if err == nil {
+				err = ix.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, gen, _ := core.CurrentSnapshot(snapDir); gen != publishes+1 {
 			t.Fatalf("CURRENT at generation %d after %d publishes", gen, publishes+1)
-		}
-	})
-
-	t.Run("per-shard publishes", func(t *testing.T) {
-		root := t.TempDir()
-		eng := testEngine(t)
-		for i := 0; i < publishes; i++ {
-			if err := publishShardSnapshots(root, coreIndex(eng), 3); err != nil {
-				t.Fatal(err)
-			}
-			for slot := 0; slot < 3; slot++ {
-				check(t, core.ShardDir(root, slot), func(path string) error {
-					_, err := core.LoadShard(path)
-					return err
-				})
-			}
 		}
 	})
 }

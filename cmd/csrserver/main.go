@@ -13,24 +13,23 @@
 //
 //	csrserver -dataset WT -addr :8080
 //	csrserver -graph edges.txt -n 100000 -r 8 -snapshots /var/lib/csr
-//	csrserver -dataset WT -shards 4 -snapshots /var/lib/csr
 //	csrserver -dataset WT -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T
 //	csrserver -shardworker 2 -snapshots /var/lib/csr -addr :9102
 //	csrserver -shardaddrs host0:9100,host1:9101,host2:9102 -addr :8080
 //
 // There is one serving path. Every index generation is a shard.Router
 // over K node-range slots, and the answer is bitwise the same at every
-// K: a plain server is the K=1 router over the whole index, -shards K
-// partitions it in-process, and -shardaddrs puts each slot in its own
-// -shardworker process behind the wire protocol. Which flags each of
-// those modes reads is one table (flags.go); a flag the mode does not
-// read is rejected, never ignored. Where generations come from, and who
-// owns their memory, is source.go.
+// K: a plain server is the K=1 router over the whole index, and
+// -shardaddrs puts each of K slots in its own -shardworker process behind
+// the wire protocol (csrstat -convert DIR -split K writes the directories
+// the workers boot from). Which flags each of those modes reads is one
+// table (flags.go); a flag the mode does not read is rejected, never
+// ignored. Where generations come from, and who owns their memory, is
+// source.go.
 //
 // The index hot-reloads with zero downtime: SIGHUP (or an authenticated
 // POST /admin/reload) loads the next generation off the serving path —
-// the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), each
-// shard-<s>/ directory's CURRENT rolled in slot by slot with -shards K,
+// the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), or
 // every worker's own reload with -shardaddrs — scans its factors for a
 // non-finite score, validates it with a smoke query and swaps it in while
 // in-flight engine calls drain on the old one. The boot generation passes
@@ -359,8 +358,12 @@ func (s *server) mux() *http.ServeMux {
 				"status": "coalesced", "current": st,
 			})
 		case errors.Is(err, reload.ErrBreakerOpen):
-			// Whole seconds until the breaker admits a probe, never 0.
-			wait := time.Until(man.Breaker().RetryAt).Seconds()
+			// Whole seconds until the breaker admits a probe, never 0 — not
+			// even when the cooldown ran out since the reload was refused.
+			wait := 0.0
+			if at := man.Breaker().RetryAt; at != nil {
+				wait = time.Until(*at).Seconds()
+			}
 			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(wait)))))
 			writeError(w, http.StatusServiceUnavailable, err)
 		case err != nil:

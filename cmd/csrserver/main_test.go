@@ -94,18 +94,18 @@ func bootFlags(t testing.TB, args ...string) *server {
 }
 
 // testStack wires an engine through the one candidate constructor, the
-// serve layer and a reload.Manager the way boot does, over a k-slot
+// serve layer and a reload.Manager the way a local boot does, over the K=1
 // router; its loader rebuilds a candidate over the same router, so
 // reload tests can advance the generation without paying for a second
 // precompute. before, when non-nil, runs on the pool worker ahead of every
 // /topk engine call (gates, delays).
-func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, adminToken string, before func()) *server {
+func testStack(tb testing.TB, eng *csrplus.Engine, cfg serve.Config, adminToken string, before func()) *server {
 	tb.Helper()
 	ix, ok := eng.CoreIndex()
 	if !ok {
 		tb.Fatal("engine has no core index")
 	}
-	rt, err := shard.NewRouterFromIndex(ix, k)
+	rt, err := shard.NewRouterFromIndex(ix, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func testStack(tb testing.TB, eng *csrplus.Engine, k int, cfg serve.Config, admi
 	}
 	bootCand := candidate("boot")
 	sv := serve.NewRanked(bootCand.Ranked, cfg)
-	sv.Metrics().SetShards(k)
+	sv.Metrics().SetShards(1)
 	load := func(context.Context) (*reload.Candidate, error) { return candidate("rebuild"), nil }
 	return &server{sv: sv, man: reload.New(sv, load, bootCand.Meta), lru: cfg.Cache, adminToken: adminToken}
 }
@@ -142,7 +142,7 @@ func testServer(t *testing.T, cfg serve.Config, lru *cache.LRU) *httptest.Server
 func testServerAuth(t *testing.T, cfg serve.Config, lru *cache.LRU, adminToken string) *httptest.Server {
 	t.Helper()
 	cfg.Cache = lru
-	return serveStack(t, testStack(t, testEngine(t), 1, cfg, adminToken, nil))
+	return serveStack(t, testStack(t, testEngine(t), cfg, adminToken, nil))
 }
 
 func serveStack(t testing.TB, s *server) *httptest.Server {
@@ -313,13 +313,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // pool, the dispatch loop and the queue hold gets 429 and a Retry-After.
 func TestOverloadReturns429(t *testing.T) {
 	local := func(t *testing.T, gate chan struct{}) *server {
-		return testStack(t, testEngine(t), 1, serve.Config{MaxPending: 1, Workers: 1}, "", func() { <-gate })
+		return testStack(t, testEngine(t), serve.Config{MaxPending: 1, Workers: 1}, "", func() { <-gate })
 	}
 	router := func(t *testing.T, gate chan struct{}) *server {
-		snaps := t.TempDir()
-		bootArgs(t, "-shards", "2", "-snapshots", snaps) // publishes the per-shard snapshots
-		var booted atomic.Bool                           // the router dials every worker at boot
-		addrs := wireWorkers(t, snaps, 2, func(slot int, h http.Handler) http.Handler {
+		var booted atomic.Bool // the router dials every worker at boot
+		addrs := wireWorkers(t, publishShards(t, coreIndex(testEngine(t)), 2), 2, func(slot int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if slot == 1 && booted.Load() {
 					<-gate
@@ -399,7 +397,7 @@ func TestOverloadReturns429(t *testing.T) {
 
 func TestDeadlineReturns504(t *testing.T) {
 	slow := func() { time.Sleep(100 * time.Millisecond) }
-	srv := serveStack(t, testStack(t, testEngine(t), 1, serve.Config{Timeout: 5 * time.Millisecond}, "", slow))
+	srv := serveStack(t, testStack(t, testEngine(t), serve.Config{Timeout: 5 * time.Millisecond}, "", slow))
 	code, body := get(t, srv, "/topk?node=1&k=2")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -488,7 +486,7 @@ func TestTopKCachePath(t *testing.T) {
 func BenchmarkTopKHandler(b *testing.B) {
 	eng := testEngine(b)
 	run := func(b *testing.B, lru *cache.LRU) {
-		srv := serveStack(b, testStack(b, eng, 1, serve.Config{Cache: lru}, "", nil))
+		srv := serveStack(b, testStack(b, eng, serve.Config{Cache: lru}, "", nil))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(srv.URL + "/topk?node=1&k=3")
@@ -569,7 +567,7 @@ func TestAdminReloadAuthAndSwap(t *testing.T) {
 }
 
 func TestReloadOnHUP(t *testing.T) {
-	s := testStack(t, testEngine(t), 1, serve.Config{}, "", nil)
+	s := testStack(t, testEngine(t), serve.Config{}, "", nil)
 	defer s.sv.Close()
 	man := s.man
 	ch := make(chan os.Signal) // unbuffered: a send returns only once the loop is ready again
@@ -617,7 +615,6 @@ func TestBuildClocks(t *testing.T) {
 		{"cold boot, published", "^" + precompute + ` publish=\S+$`, []string{"-snapshots", dir}},
 		{"snapshot boot", "^$", []string{"-snapshots", dir}},
 		{"plain rebuild", "^" + precompute + "$", nil},
-		{"cold boot into shard directories", "^" + precompute + ` publish=\S+$`, []string{"-shards", "2", "-snapshots", t.TempDir()}},
 	} {
 		if got := bootArgs(t, tc.args...).man.Current().Clocks; !regexp.MustCompile(tc.want).MatchString(got) {
 			t.Errorf("%s: clocks %q, want %s", tc.name, got, tc.want)
@@ -686,14 +683,29 @@ func TestHealthzAndReadyz(t *testing.T) {
 // An open reload breaker must flip readiness to 503 while query traffic
 // keeps being answered by the old generation, and POST /admin/reload must
 // tell the caller how long the breaker stays open — the configured
-// cooldown, not a constant.
+// cooldown, not a constant. /readyz and /stats say when it closes again
+// (retry_at) while it is open, and say nothing of the kind while it is not.
 func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
-	s := testStack(t, testEngine(t), 1, serve.Config{}, "sesame", nil)
+	s := testStack(t, testEngine(t), serve.Config{}, "sesame", nil)
 	s.man = reload.NewWithPolicy(s.sv,
 		func(context.Context) (*reload.Candidate, error) { return nil, errTestDown },
 		s.man.Current().Meta,
 		reload.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: 90 * time.Second})
 	srv := serveStack(t, s)
+	breaker := func(path string) map[string]interface{} {
+		t.Helper()
+		_, body := get(t, srv, path)
+		b, ok := body["reload_breaker"].(map[string]interface{})
+		if !ok {
+			t.Fatalf("%s has no reload_breaker: %v", path, body)
+		}
+		return b
+	}
+	for _, path := range []string{"/readyz", "/stats"} {
+		if b := breaker(path); b["open"] != false || len(b) != 2 {
+			t.Fatalf("%s breaker while closed = %v, want open=false, consecutive_failures and no retry_at", path, b)
+		}
+	}
 
 	if _, err := s.man.Reload(context.Background()); err == nil {
 		t.Fatal("reload against a down source succeeded")
@@ -701,6 +713,13 @@ func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 	code, body := get(t, srv, "/readyz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with open breaker: code=%d body=%v", code, body)
+	}
+	for _, path := range []string{"/readyz", "/stats"} {
+		b := breaker(path)
+		at, err := time.Parse(time.RFC3339Nano, fmt.Sprint(b["retry_at"]))
+		if b["open"] != true || err != nil || time.Until(at) < 80*time.Second || time.Until(at) > 90*time.Second {
+			t.Fatalf("%s breaker while open = %v, want open=true and a retry_at about 90 s away", path, b)
+		}
 	}
 	if code, _ := get(t, srv, "/topk?node=1&k=3"); code != http.StatusOK {
 		t.Fatal("old generation stopped answering while breaker open")
@@ -734,7 +753,7 @@ var errTestDown = fmt.Errorf("snapshot source down")
 func TestTopKDegradedTagging(t *testing.T) {
 	eng := testEngine(t)
 	st := eng.Stats()
-	srv := serveStack(t, testStack(t, eng, 1, serve.Config{
+	srv := serveStack(t, testStack(t, eng, serve.Config{
 		// The server-imposed Timeout is the deadline the budget check
 		// sees; with MinBudget above it, every request votes to degrade.
 		Timeout: 5 * time.Second,
@@ -792,7 +811,7 @@ func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 1; rank < fullRank; rank++ {
-		s := testStack(t, eng, 2, serve.Config{
+		s := testStack(t, eng, serve.Config{
 			Timeout: 5 * time.Second, // under MinBudget: every request degrades
 			Degrade: serve.DegradeConfig{Rank: rank, MinBudget: time.Hour},
 		}, "", nil)
@@ -851,45 +870,12 @@ func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 	}
 }
 
-// A -shards K server over a snapshot directory fills the K per-shard
-// directories on its first boot, serves from them, and reloads by
-// rolling them in slot by slot; the next boot needs no build.
-func TestShardedSourceBuildAndRoll(t *testing.T) {
-	dir := t.TempDir()
-	s := bootArgs(t, "-shards", "3", "-snapshots", dir)
-	st := s.man.Current()
-	if st.Source != "shard-snapshots" || len(st.ShardStatus()) != 3 {
-		t.Fatalf("boot status = %+v with %d shards", st, len(st.ShardStatus()))
-	}
-	for slot := 0; slot < 3; slot++ {
-		if !snapshotAvailable(core.ShardDir(dir, slot)) {
-			t.Fatalf("first boot left shard directory %d empty", slot)
-		}
-	}
-	for _, sh := range st.ShardStatus() {
-		if sh.Generation != 1 {
-			t.Fatalf("shard %d at generation %d after boot, want 1", sh.Shard, sh.Generation)
-		}
-	}
-	st, err := s.reload(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != "shard-snapshots" || st.Generation != 2 {
-		t.Fatalf("reload status = %+v", st)
-	}
-	for _, sh := range st.ShardStatus() {
-		if sh.Generation != 2 {
-			t.Fatalf("shard %d at generation %d after roll, want 2", sh.Shard, sh.Generation)
-		}
-	}
-}
-
 // Every server reports its shard slots — a plain one reports the single
-// slot covering [0, n) — and a K-slot router answers bitwise-identically
-// to it.
+// slot covering [0, n), a router one per worker — and the router over three
+// workers answers bitwise-identically to the plain server.
 func TestShardedMuxEndpoints(t *testing.T) {
-	srv := serveStack(t, testStack(t, testEngine(t), 3, serve.Config{}, "", nil))
+	addrs := wireWorkers(t, publishShards(t, coreIndex(testEngine(t)), 3), 3, nil)
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs, "-wirehedge", "-1"))
 	mono := testServer(t, serve.Config{}, nil)
 
 	for _, path := range []string{"/topk?node=1&k=5", "/topk?nodes=1,3&k=4"} {
@@ -942,10 +928,18 @@ func TestShardedMuxEndpoints(t *testing.T) {
 	}
 }
 
-// TestModeTable holds the binary to "every mode combination is supported
-// and tested or does not exist": each command line either boots through
-// the one candidate constructor and answers top-k bitwise-equal to
-// Engine.TopK / TopKMulti, or is rejected with a message naming the flag.
+// publishShards cuts ix into the per-shard snapshot directories a cluster
+// of k workers boots from, as `csrstat -convert root -split k` does, and
+// returns their root.
+func publishShards(t testing.TB, ix *core.Index, k int) string {
+	t.Helper()
+	root := t.TempDir()
+	if err := shard.PublishSnapshots(root, ix, k); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
 // wireWorkers boots k workers the way -shardworker does, from the
 // per-shard snapshots under snapDir, behind httptest listeners, and
 // returns their addresses as a -shardaddrs value. wrap, when non-nil,
@@ -1028,6 +1022,10 @@ func TestSlotDownReturns503(t *testing.T) {
 	}
 }
 
+// TestModeTable holds the binary to "every mode combination is supported
+// and tested or does not exist": each command line either boots through
+// the one candidate constructor and answers top-k bitwise-equal to
+// Engine.TopK / TopKMulti, or is rejected with a message naming the flag.
 func TestModeTable(t *testing.T) {
 	eng := testEngine(t)
 	ix, _ := eng.CoreIndex()
@@ -1060,23 +1058,18 @@ func TestModeTable(t *testing.T) {
 		}
 	}
 
-	snaps, shardSnaps, indexFile := t.TempDir(), t.TempDir(), filepath.Join(t.TempDir(), "ix.csrx")
+	snaps, indexFile := t.TempDir(), filepath.Join(t.TempDir(), "ix.csrx")
 	boots := []struct {
 		name   string
 		args   []string
 		source string
-		shards int
 	}{
-		{"K=1", nil, "rebuild", 1},
-		{"K=1 priming -snapshots", []string{"-snapshots", snaps, "-saveindex", indexFile, "-quantize", "f64"}, "rebuild", 1},
-		{"K=1 from the mapped snapshot", []string{"-snapshots", snaps}, "snapshot", 1},
-		{"K=1 from -index", []string{"-index", indexFile}, "index", 1},
-		{"-shards 3", []string{"-shards", "3"}, "rebuild", 3},
-		{"-shards 3 from the mapped -index", []string{"-shards", "3", "-index", indexFile}, "index", 3},
-		{"-shards 3 filling per-shard snapshots", []string{"-shards", "3", "-snapshots", shardSnaps}, "shard-snapshots", 3},
-		{"-shards 3 from per-shard snapshots", []string{"-shards", "3", "-snapshots", shardSnaps}, "shard-snapshots", 3},
-		{"-waldir", []string{"-waldir", t.TempDir(), "-driftbudget", "0", "-admintoken", "sesame"}, "rebuild", 1},
-		{"-waldir from the mapped snapshot", []string{"-waldir", t.TempDir(), "-snapshots", snaps}, "snapshot", 1},
+		{"K=1", nil, "rebuild"},
+		{"K=1 priming -snapshots", []string{"-snapshots", snaps, "-saveindex", indexFile, "-quantize", "f64"}, "rebuild"},
+		{"K=1 from the mapped snapshot", []string{"-snapshots", snaps}, "snapshot"},
+		{"K=1 from -index", []string{"-index", indexFile}, "index"},
+		{"-waldir", []string{"-waldir", t.TempDir(), "-driftbudget", "0", "-admintoken", "sesame"}, "rebuild"},
+		{"-waldir from the mapped snapshot", []string{"-waldir", t.TempDir(), "-snapshots", snaps}, "snapshot"},
 	}
 	for _, tc := range boots {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1088,8 +1081,8 @@ func TestModeTable(t *testing.T) {
 				}
 			}
 			st := s.man.Current()
-			if st.Source != tc.source || len(st.ShardStatus()) != tc.shards {
-				t.Fatalf("booted source=%s with %d shards, want %s with %d", st.Source, len(st.ShardStatus()), tc.source, tc.shards)
+			if st.Source != tc.source || len(st.ShardStatus()) != 1 {
+				t.Fatalf("booted source=%s with %d shards, want %s with 1", st.Source, len(st.ShardStatus()), tc.source)
 			}
 			check(t, s)
 			// The generation after a reload answers the same bits.
@@ -1100,10 +1093,10 @@ func TestModeTable(t *testing.T) {
 		})
 	}
 
-	// Remote slots: the workers boot the way -shardworker does, from the
-	// per-shard snapshots published above, behind httptest listeners.
+	// Remote slots: the workers boot the way -shardworker does, from
+	// published per-shard snapshots, behind httptest listeners.
 	t.Run("-shardaddrs", func(t *testing.T) {
-		cfg, err := parse("-shardaddrs", wireWorkers(t, shardSnaps, 3, nil), "-admintoken", "sesame", "-wirehedge", "-1")
+		cfg, err := parse("-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-admintoken", "sesame", "-wirehedge", "-1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1130,7 +1123,6 @@ func TestModeTable(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-shardworker", "0", "-snapshots", "d", "-shardaddrs", "a:1"}, "-shardaddrs"},
-		{[]string{"-shardworker", "0", "-snapshots", "d", "-shards", "4"}, "-shards"},
 		{[]string{"-shardworker", "0", "-snapshots", "d", "-dataset", "FB"}, "-dataset"},
 		{[]string{"-shardworker", "0", "-snapshots", "d", "-cache", "0"}, "-cache"},
 		{[]string{"-shardworker", "0"}, "-snapshots"},
@@ -1138,29 +1130,21 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-shardaddrs", "a:1", "-driftbudget", "0.1"}, "-driftbudget"},
 		{[]string{"-shardaddrs", "a:1", "-snapshots", "d"}, "-snapshots"},
 		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
-		{[]string{"-shardaddrs", "a:1", "-shards", "3"}, "-shards"},
-		{[]string{"-dataset", "FB", "-waldir", "d", "-shards", "1"}, "-shards"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
 		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "-wirehedge"},
-		{[]string{"-dataset", "FB", "-shards", "0"}, "-shards"},
 		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
-		// No mode coalesces: these are not flags any more.
+		// No mode coalesces, and sharding is a cluster (-shardaddrs): these
+		// are not flags any more.
 		{[]string{"-dataset", "FB", "-maxbatch", "8"}, "-maxbatch"},
 		{[]string{"-dataset", "FB", "-linger", "1ms"}, "-linger"},
+		{[]string{"-dataset", "FB", "-shards", "2"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%v: err = %v, want a rejection naming %s", tc.args, err, tc.flag)
 		}
 	}
-	// A boot-time rejection: the mode is fine, the input on disk is not.
-	if cfg, err := parse("-graph", graphFile(t), "-n", "6", "-shards", "3", "-snapshots", shardSnaps, "-saveindex", indexFile); err != nil {
-		t.Fatal(err)
-	} else if _, err := boot(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "-saveindex") {
-		t.Errorf("-saveindex over per-shard snapshots: err = %v, want a rejection naming -saveindex", err)
-	}
-
 	// The table and the flag set describe each other exactly: every flag
 	// is read by some mode, and every name in a row is a flag.
 	fs := flag.NewFlagSet("csrserver", flag.ContinueOnError)
@@ -1174,8 +1158,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 29 {
-		t.Errorf("csrserver has %d flags, want 29", count)
+	if count != 28 {
+		t.Errorf("csrserver has %d flags, want 28", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

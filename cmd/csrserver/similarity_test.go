@@ -20,15 +20,17 @@ import (
 
 	"csrplus"
 
+	"csrplus/internal/core"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
+	"csrplus/internal/wire"
 )
 
 // TestSimilarityOneAnswerEveryMode holds /similarity to one answer: the
-// same request returns byte-identical bodies from a plain server, a
-// -shards 3 server and a -shardaddrs router over three wire workers, at
-// full and at degraded rank, and every cell is, bit for bit, the entry of
-// the library's n x |Q| block (core.Index.QueryRankInto). The last request
+// same request returns byte-identical bodies from a plain server and a
+// -shardaddrs router over three wire workers, at full and at degraded rank,
+// and every cell is, bit for bit, the entry of the library's n x |Q| block
+// (core.Index.QueryRankInto). The last request
 // is one a column engine could not admit on this graph: 5600 query ids x
 // 6000 rows x 8 B is past the 256 MiB a column request may size, while the
 // answer is 16800 pairs.
@@ -75,9 +77,7 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 	}
 
 	graphArgs := []string{"-graph", graphPath, "-n", strconv.Itoa(n), "-r", strconv.Itoa(rank), "-cache", "0"}
-	snaps := t.TempDir()
-	bootFlags(t, append(graphArgs, "-shards", "3", "-snapshots", snaps)...) // publishes what the workers boot from
-	addrs := wireWorkers(t, snaps, 3, nil)
+	addrs := wireWorkers(t, publishShards(t, ix, 3), 3, nil)
 
 	for _, depth := range []struct {
 		name string
@@ -94,7 +94,6 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 				s    *server
 			}{
 				{"K=1", bootFlags(t, append(graphArgs, depth.args...)...)},
-				{"-shards 3", bootFlags(t, append(append(graphArgs, "-shards", "3"), depth.args...)...)},
 				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs, "-cache", "0", "-wirehedge", "-1"}, depth.args...)...)},
 			}
 			for _, req := range requests {
@@ -150,17 +149,22 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 	}
 }
 
-// poisonZ rewrites entry (row, 0) of the Z factor in the CSRX file at path
-// as NaN and re-seals the section and header checksums (layout: DESIGN.md
-// §13), so the file loads — the way an index published from a bad build
-// would.
-func poisonZ(t *testing.T, path string, row, rank int) {
+// poisonZ rewrites entry (row, 0) of the Z factor in the snapshot file at
+// path — a whole index (CSRX), or with shard set one shard's file (CSRS),
+// which leads with no sigma section — as NaN and re-seals the section and
+// header checksums (layout: DESIGN.md §13), so the file loads — the way an
+// index published from a bad build would.
+func poisonZ(t *testing.T, path string, shard bool, row, rank int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const page, table, desc, zSection = 4096, 128, 24, 6 // v3: sigma, ids, zscale, uscale, zqerr, uqerr, z, u
+	const page, table, desc = 4096, 128, 24
+	zSection := 6 // v3: sigma, ids, zscale, uscale, zqerr, uqerr, z, u
+	if shard {
+		zSection = 5
+	}
 	le := binary.LittleEndian
 	d := data[table+zSection*desc:]
 	off, length := le.Uint64(d), le.Uint64(d[8:])
@@ -179,34 +183,58 @@ func poisonZ(t *testing.T, path string, row, rank int) {
 // The smoke test of a generation reads nine cells of S and three top-3
 // lists, and a selector drops NaN rows without a word, so a non-finite
 // factor entry in a row no probe owns is only ever seen by the scan of
-// every row: the whole-index path must run it, at boot and on reload.
+// every row: every way factors enter service must run it, at boot and on
+// reload — the whole-index path of a local server, and each worker of a
+// cluster over its own shard.
 func TestNonFiniteFactorRowRefused(t *testing.T) {
-	for _, shards := range []string{"1", "3"} {
-		t.Run("-shards "+shards, func(t *testing.T) {
-			index := filepath.Join(t.TempDir(), "ix.csrx")
-			if err := testEngine(t).SaveIndex(index); err != nil {
-				t.Fatal(err)
-			}
-			s := bootArgs(t, "-index", index, "-shards", shards, "-reloadretries", "1")
-			poisonZ(t, index, 1, 3) // the probes are nodes 0, 3 and 5
-			st, err := s.reload(context.Background())
-			if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
-				t.Fatalf("reload of the poisoned index: err = %v, want ErrValidation naming a non-finite score", err)
-			}
-			if st.Generation != 1 {
-				t.Fatalf("generation %d serving after the refused reload, want 1", st.Generation)
-			}
-			if res, err := s.sv.Score(context.Background(), []int{0}, []int{1}); err != nil || math.IsNaN(res.Pairs[0].Score) {
-				t.Fatalf("boot generation after the refused reload: %+v, %v", res, err)
-			}
+	t.Run("shards=1", func(t *testing.T) {
+		index := filepath.Join(t.TempDir(), "ix.csrx")
+		if err := testEngine(t).SaveIndex(index); err != nil {
+			t.Fatal(err)
+		}
+		s := bootArgs(t, "-index", index, "-reloadretries", "1")
+		poisonZ(t, index, false, 1, 3) // the probes are nodes 0, 3 and 5
+		st, err := s.reload(context.Background())
+		if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
+			t.Fatalf("reload of the poisoned index: err = %v, want ErrValidation naming a non-finite score", err)
+		}
+		if st.Generation != 1 {
+			t.Fatalf("generation %d serving after the refused reload, want 1", st.Generation)
+		}
+		if res, err := s.sv.Score(context.Background(), []int{0}, []int{1}); err != nil || math.IsNaN(res.Pairs[0].Score) {
+			t.Fatalf("boot generation after the refused reload: %+v, %v", res, err)
+		}
 
-			cfg, err := parse("-graph", graphFile(t), "-n", "6", "-r", "3", "-index", index, "-shards", shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := boot(context.Background(), cfg); !errors.Is(err, reload.ErrValidation) {
-				t.Fatalf("boot from the poisoned index: err = %v, want ErrValidation", err)
-			}
-		})
-	}
+		cfg, err := parse("-graph", graphFile(t), "-n", "6", "-r", "3", "-index", index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := boot(context.Background(), cfg); !errors.Is(err, reload.ErrValidation) {
+			t.Fatalf("boot from the poisoned index: err = %v, want ErrValidation", err)
+		}
+	})
+	// Three workers over two nodes each; the poisoned row is node 3, the
+	// second row of worker 1's shard file.
+	t.Run("shards=3", func(t *testing.T) {
+		snaps := publishShards(t, coreIndex(testEngine(t)), 3)
+		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame", "-reloadretries", "1", "-wirehedge", "-1")
+		path, _, err := core.CurrentSnapshot(core.ShardDir(snaps, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisonZ(t, path, true, 1, 3)
+		st, err := s.reload(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "non-finite score") {
+			t.Fatalf("roll onto the poisoned shard: err = %v, want worker 1's refusal naming a non-finite score", err)
+		}
+		if gens := st.ShardStatus(); st.Generation != 1 || gens[0].Generation != 2 || gens[1].Generation != 1 || gens[2].Generation != 1 {
+			t.Fatalf("after the refused roll: serve generation %d over slots %+v, want 1 over slot generations 2, 1, 1", st.Generation, gens)
+		}
+		if res, err := s.sv.Score(context.Background(), []int{0}, []int{3}); err != nil || math.IsNaN(res.Pairs[0].Score) {
+			t.Fatalf("worker 1 after its refused reload: %+v, %v", res, err)
+		}
+		if _, err := wire.BootWorker(wire.WorkerConfig{Shard: 1, SnapshotDir: core.ShardDir(snaps, 1)}); !errors.Is(err, reload.ErrValidation) {
+			t.Fatalf("worker boot from the poisoned shard: err = %v, want ErrValidation", err)
+		}
+	})
 }

@@ -2,19 +2,16 @@ package main
 
 // source.go is where serving generations come from. Every generation is
 // a *shard.Router — a monolithic index is the K=1 router — wrapped by
-// newCandidate; the inputs differ only in how the router's slots are
+// newCandidate; the two inputs differ in how the router's slots are
 // filled and how long they live:
 //
-//   - one whole index per generation (K=1, -shards K without per-shard
-//     snapshots, -waldir): a FRESH router of zero-copy shard views per
-//     generation. The index may be a memory-mapped snapshot, so the
-//     generation owns it: Candidate.Release closes it after serve's swap
-//     has drained the batches still running on the views.
-//   - K slots that outlive reloads (-shards K over per-shard snapshot
-//     directories, -shardaddrs over remote workers): ONE router for the
-//     life of the process; a reload rolls new factors into its slots one
-//     at a time. Nothing to release — decoded shards are heap memory and
-//     remote slots own nothing here.
+//   - one whole index per generation (local, -waldir): a FRESH K=1 router
+//     over the index per generation. The index may be a memory-mapped
+//     snapshot, so the generation owns it: Candidate.Release closes it
+//     after serve's swap has drained the calls still running on it.
+//   - remote slots that outlive reloads (-shardaddrs): ONE router for the
+//     life of the process; a reload rolls the workers one at a time.
+//     Nothing to release — remote slots own nothing here.
 
 import (
 	"context"
@@ -84,51 +81,16 @@ func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 			return nil, fmt.Errorf("-graph: %w", err)
 		}
 	}
-	w := &wholeIndex{cfg: cfg}
-	var (
-		src *source
-		err error
-	)
-	if cfg.shards > 1 && cfg.snapDir != "" {
-		src, err = openShardDirs(ctx, w, lru)
-	} else {
-		src, err = openIndex(ctx, w)
-	}
-	if err != nil {
-		return nil, err
-	}
-	src.graphLoad = w.graphLoad
-	return src, nil
-}
-
-// rolling serves every generation from one persistent router: a reload
-// runs roll, which swaps new factors into the slots one at a time and
-// reports how many it swapped. A roll that failed part-way leaves a
-// mixed-generation router that still answers every query exactly, but
-// the serve generation never bumped (the reload errored before the
-// Manager's swap), so the result cache is cleared here: no entry cached
-// before the roll may be served against a slot whose factors changed.
-func rolling(rt *shard.Router, meta reload.Meta, lru *cache.LRU, roll func(context.Context) (int, error)) *source {
-	return &source{
-		boot: newCandidate(rt, meta, nil, nil),
-		next: func(ctx context.Context) (*reload.Candidate, error) {
-			start := time.Now()
-			if swapped, err := roll(ctx); err != nil {
-				if swapped > 0 && lru != nil {
-					lru.Clear()
-					log.Printf("csrserver: rolling reload failed after %d slot swap(s); result cache cleared", swapped)
-				}
-				return nil, err
-			}
-			rolled := meta
-			rolled.BuildTime, rolled.Clocks = time.Since(start), "" // the boot's clocks were the boot's
-			return newCandidate(rt, rolled, nil, nil), nil
-		},
-	}
+	return openIndex(ctx, &wholeIndex{cfg: cfg})
 }
 
 // openRemote dials every worker and assembles the router over the remote
-// slots. A reload rolls the workers through their own /admin/reload.
+// slots, which serves every generation: a reload rolls the workers one at a
+// time through their own /admin/reload. A roll that failed part-way leaves
+// a mixed-generation router that still answers every query exactly, but the
+// serve generation never bumped (the reload errored before the Manager's
+// swap), so the result cache is cleared here: no entry cached before the
+// roll may be served against a slot whose factors changed.
 func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, error) {
 	start := time.Now()
 	dialCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
@@ -160,74 +122,24 @@ func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 		return nil, fmt.Errorf("priming error bounds: %w", err)
 	}
 	meta := reload.Meta{Source: "wire", Path: cfg.shardAddrs, Algorithm: csrplus.AlgoCSRPlus, BuildTime: time.Since(start)}
-	src := rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return wire.RollWorkers(ctx, engines) })
-	src.engines = engines
-	return src, nil
+	next := func(ctx context.Context) (*reload.Candidate, error) {
+		start := time.Now()
+		if swapped, err := wire.RollWorkers(ctx, engines); err != nil {
+			if swapped > 0 && lru != nil {
+				lru.Clear()
+				log.Printf("csrserver: rolling reload failed after %d slot swap(s); result cache cleared", swapped)
+			}
+			return nil, err
+		}
+		rolled := meta
+		rolled.BuildTime = time.Since(start)
+		return newCandidate(rt, rolled, nil, nil), nil
+	}
+	return &source{boot: newCandidate(rt, meta, nil, nil), next: next, engines: engines}, nil
 }
 
-// openShardDirs serves -shards K from the K per-shard snapshot
-// directories <snapshots>/shard-<s>, each with its own CURRENT and
-// generations. A first boot finds them empty and fills them from one
-// whole-index build; from then on the directories are the index, and a
-// reload rolls whatever each CURRENT names into its slot.
-func openShardDirs(ctx context.Context, w *wholeIndex, lru *cache.LRU) (*source, error) {
-	start := time.Now()
-	cfg := w.cfg
-	populated := true
-	for s := 0; s < cfg.shards; s++ {
-		// All-or-nothing: a partially published set is refilled from a
-		// build rather than mixed with it.
-		populated = populated && snapshotAvailable(core.ShardDir(cfg.snapDir, s))
-	}
-	var clocks string
-	switch {
-	case !populated:
-		ix, built, _, err := w.build(ctx) // publishes the per-shard snapshots read back below
-		if err == nil {
-			err = saveIndex(cfg, ix)
-			_ = ix.Close()
-		}
-		if err != nil {
-			return nil, err
-		}
-		clocks = built.Clocks
-	case cfg.saveIndex != "":
-		return nil, fmt.Errorf("-saveindex needs a whole index, but the boot came from per-shard snapshots")
-	}
-	loadSlot := func(_ context.Context, slot, _, _ int) (*core.IndexShard, error) {
-		sh, snap, recovered, err := core.RecoverShardSnapshot(core.ShardDir(cfg.snapDir, slot))
-		if err != nil {
-			return nil, err
-		}
-		if recovered {
-			log.Printf("WARNING: shard %d CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", slot, snap.Gen, snap.Path)
-		}
-		if sh.N() != cfg.n {
-			return nil, fmt.Errorf("shard %d snapshot built for %d nodes, graph has %d", slot, sh.N(), cfg.n)
-		}
-		return sh, nil
-	}
-	shards := make([]*core.IndexShard, cfg.shards)
-	for slot := range shards {
-		var err error
-		if shards[slot], err = loadSlot(ctx, slot, 0, 0); err != nil {
-			return nil, err
-		}
-		// A roll validates what loadSlot returns before swapping it in; so does the boot.
-		if err := reload.ValidateShard(shards[slot]); err != nil {
-			return nil, fmt.Errorf("shard %d/%d: %w", slot, cfg.shards, err)
-		}
-	}
-	rt, err := shard.NewRouter(shards)
-	if err != nil {
-		return nil, err
-	}
-	meta := reload.Meta{Source: "shard-snapshots", Path: cfg.snapDir, Algorithm: csrplus.AlgoCSRPlus, M: w.m(), BuildTime: time.Since(start), Clocks: clocks}
-	return rolling(rt, meta, lru, func(ctx context.Context) (int, error) { return reload.RollShards(ctx, rt, loadSlot) }), nil
-}
-
-// openIndex serves a fresh router of views over one whole index per
-// generation. With -waldir the boot index also anchors the ingest
+// openIndex serves a fresh K=1 router over one whole index per
+// generation. With -waldir the boot index's shape also anchors the ingest
 // service, after which every reload rebuilds from the live graph.
 func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 	start := time.Now()
@@ -255,12 +167,10 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 		}
 		// Anchored at baseline zero: Recover charges exactly the WAL tail
 		// past the snapshot's recorded sequence, which is exactly what the
-		// boot factors don't cover. The service keeps those factors as its
-		// frozen basis for the life of the process, so the boot index —
-		// possibly a mapping — is never released.
-		boot.Drift, boot.Release = w.ing.DriftFrom(0), nil
+		// boot factors don't cover.
+		boot.Drift = w.ing.DriftFrom(0)
 	}
-	return &source{boot: boot, next: w.load, ing: w.ing}, nil
+	return &source{boot: boot, next: w.load, ing: w.ing, graphLoad: w.graphLoad}, nil
 }
 
 // wholeIndex resolves one whole CSR+ index per call, off the serving
@@ -321,13 +231,13 @@ func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 	return w.candidate(ix, meta, drift, start)
 }
 
-// candidate slices ix into cfg.shards zero-copy views behind a fresh
-// router that owns it: the generation's Release closes ix. The
-// generation's smoke test (reload.Validate) reads a few cells of S and a
-// top-k selector drops NaN rows silently, so every row of the factors is
-// scanned here first, as a roll and a worker boot do per shard.
+// candidate puts ix behind a fresh K=1 router that owns it: the
+// generation's Release closes ix. The generation's smoke test
+// (reload.Validate) reads a few cells of S and a top-k selector drops NaN
+// rows silently, so every row of the factors is scanned here first, as a
+// worker's boot and reload do per shard.
 func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
-	rt, err := shard.NewRouterFromIndex(ix, w.cfg.shards)
+	rt, err := shard.NewRouterFromIndex(ix, 1)
 	if err == nil {
 		err = reload.ValidateShard(&ix.IndexShard)
 	}
@@ -344,8 +254,7 @@ func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.Dri
 // primed with the boot index (the first SIGHUP has a CURRENT to resolve,
 // operators can roll back to the generation the server came up with) and
 // every live-graph rebuild lands on disk stamped with the WAL sequence
-// it covers, so the next boot replays only the tail. -shards K > 1
-// publishes one snapshot per shard directory instead. drift is the
+// it covers, so the next boot replays only the tail. drift is the
 // generation's ingest drift closure, anchored at the cut its factors
 // were built from (nil without ingestion).
 func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Meta, drift serve.DriftFunc, err error) {
@@ -416,14 +325,17 @@ func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Met
 		nr, nc := ix.Support()
 		clocks = append(clocks, fmt.Sprintf("precompute: support=%dx%d/%d %v", nr, nc, ix.N(), ix.Stages()))
 	}
-	if publishStart := time.Now(); cfg.snapDir != "" && (cfg.shards > 1 || meta.Source != "snapshot") {
-		if cfg.shards > 1 {
-			err = publishShardSnapshots(cfg.snapDir, ix, cfg.shards)
-		} else if tix, terr := tiered(ix, cfg.quantize); terr != nil {
+	if publishStart := time.Now(); cfg.snapDir != "" && meta.Source != "snapshot" {
+		if tix, terr := tiered(ix, cfg.quantize); terr != nil {
 			err = terr
 		} else if meta.SnapshotGen, meta.Path, err = core.WriteSnapshot(cfg.snapDir, tix); err == nil {
 			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
-			pruneSnapshots(cfg.snapDir)
+			// The new generation is already durable and live, so a failure
+			// to delete old ones is logged, never returned. A generation
+			// still mapped by this process keeps its pages after the unlink.
+			if _, perr := core.PruneSnapshots(cfg.snapDir, core.KeepSnapshots); perr != nil {
+				log.Printf("WARNING: pruning old snapshot generations: %v", perr)
+			}
 		}
 		clocks = append(clocks, fmt.Sprintf("publish=%v", clockSince(publishStart)))
 	}
@@ -437,41 +349,6 @@ func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Met
 
 // clockSince is the time since t at the log lines' resolution.
 func clockSince(t time.Time) time.Duration { return time.Since(t).Round(100 * time.Microsecond) }
-
-// publishShardSnapshots slices ix k ways and publishes each slice as the
-// next generation of its shard directory.
-func publishShardSnapshots(dir string, ix *core.Index, k int) error {
-	shards, err := shard.Split(ix, k)
-	if err != nil {
-		return err
-	}
-	for s, sh := range shards {
-		if _, _, err := core.WriteShardSnapshot(core.ShardDir(dir, s), sh); err != nil {
-			return err
-		}
-		pruneSnapshots(core.ShardDir(dir, s))
-	}
-	log.Printf("index published as %d per-shard snapshots under %s", k, dir)
-	return nil
-}
-
-// keepSnapshots is how many generations a publish leaves in a snapshot
-// directory: the one CURRENT names plus two older ones — what the
-// recovery ladder falls back to when the newest is torn, and what an
-// operator can roll back to. Everything the server publishes (boot
-// priming, drift rebuilds, per-shard slices) would otherwise accumulate
-// until the disk fills.
-const keepSnapshots = 3
-
-// pruneSnapshots trims dir after a publish has committed. The new
-// generation is already durable and live, so a failure to delete old
-// ones is logged, never returned. A generation still mapped by the
-// serving process keeps its pages after the unlink.
-func pruneSnapshots(dir string) {
-	if _, err := core.PruneSnapshots(dir, keepSnapshots); err != nil {
-		log.Printf("WARNING: pruning old snapshot generations: %v", err)
-	}
-}
 
 // coreIndex unwraps the CSR+ index every engine precomputed here has: the
 // server runs no other algorithm.

@@ -10,6 +10,7 @@
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
 //	csrstat -index old-v2.csrx -convert new.csrx              # v1/v2 -> v3 migration, all-zero rows dropped
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
+//	csrstat -index whole.csrx -convert /data/snaps -split 4   # publish shard-<s>/ generations for 4 -shardworkers
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
 package main
 
@@ -20,10 +21,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"csrplus/internal/core"
 	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
+	"csrplus/internal/shard"
 )
 
 func main() {
@@ -35,6 +38,12 @@ func main() {
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
 	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v3, mmap-able) layout, without its all-zero rows")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
+	var split *int // nil unless given: -split 0 is refused, not read as "one file"
+	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
+		k, err := strconv.Atoi(s)
+		split = &k
+		return err
+	})
 	walDir := flag.String("wal", "", "inspect a streaming-ingestion WAL directory instead of a graph")
 	flag.Parse()
 
@@ -47,9 +56,9 @@ func main() {
 			err = runWal(os.Stdout, *walDir)
 		}
 	case *indexPath != "":
-		err = runIndex(os.Stdout, *indexPath, *convert, *quantize)
-	case *convert != "" || *quantize != "":
-		err = fmt.Errorf("-convert and -quantize require -index")
+		err = runIndex(os.Stdout, *indexPath, *convert, *quantize, split)
+	case *convert != "" || *quantize != "" || split != nil:
+		err = fmt.Errorf("-convert, -quantize and -split require -index")
 	default:
 		err = run(os.Stdout, *dataset, *scale, *graphPath, *n, *hubs)
 	}
@@ -60,18 +69,21 @@ func main() {
 }
 
 // runIndex is index mode: print the metadata a persisted index carries,
-// and optionally rewrite it (v1/v2 -> v3 migration, tier conversion).
-// LoadIndex reads every layout, so converting is load + save — less the
-// rows that are all zero in both factors, which only v3 can leave out
-// (core.Index.Compact: the answers do not move).
-func runIndex(out io.Writer, path, convert, quantize string) error {
+// and optionally rewrite it (v1/v2 -> v3 migration, tier conversion) as one
+// file or, with split (nil when -split was not given), as the per-shard
+// snapshot directories a cluster of *split workers boots from
+// (shard.PublishSnapshots). LoadIndex reads every
+// layout, so converting is load + save — less the rows that are all zero in
+// both factors, which only v3 can leave out (core.Index.Compact: the
+// answers do not move).
+func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	ix, err := core.LoadIndex(path)
 	if errors.Is(err, core.ErrCorrupt) {
 		// Not a whole index; a shard file is the same factors under the
 		// other header, and loads only as one.
 		sh, serr := core.LoadShard(path)
 		if serr == nil {
-			return runShard(out, path, sh, convert != "" || quantize != "")
+			return runShard(out, path, sh, convert != "" || quantize != "" || split != nil)
 		}
 		err = fmt.Errorf("%w; as a shard file: %v", err, serr)
 	}
@@ -97,6 +109,9 @@ func runIndex(out io.Writer, path, convert, quantize string) error {
 		if quantize != "" {
 			return fmt.Errorf("-quantize requires -convert (quantization happens at write time)")
 		}
+		if split != nil {
+			return fmt.Errorf("-split requires -convert (the snapshot root the shard directories go under)")
+		}
 		return nil
 	}
 	outIx := ix.Compact()
@@ -108,6 +123,13 @@ func runIndex(out io.Writer, path, convert, quantize string) error {
 		if outIx, err = outIx.Quantize(tier); err != nil {
 			return err
 		}
+	}
+	if split != nil {
+		if err := shard.PublishSnapshots(convert, outIx, *split); err != nil {
+			return fmt.Errorf("-split %d: %w", *split, err)
+		}
+		fmt.Fprintf(out, "published:     %s/shard-{0..%d} (tier %s, %d of %d rows stored)\n", convert, *split-1, outIx.Tier(), outIx.Stored(), outIx.N())
+		return nil
 	}
 	if err := core.SaveIndex(outIx, convert); err != nil {
 		return err
@@ -162,7 +184,7 @@ func runShard(out io.Writer, path string, sh *core.IndexShard, rewrite bool) err
 	fmt.Fprintf(out, "tier:          %s\n", sh.Tier())
 	printSize(out, sh, sh.Bytes())
 	if rewrite {
-		return fmt.Errorf("%s is a shard file: -convert and -quantize need a whole index", path)
+		return fmt.Errorf("%s is a shard file: -convert, -quantize and -split need a whole index", path)
 	}
 	return nil
 }

@@ -2,15 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"csrplus/internal/core"
 	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
+	"csrplus/internal/shard"
+	"csrplus/internal/wire"
 )
 
 func TestRunOnFile(t *testing.T) {
@@ -81,7 +87,7 @@ func TestRunIndexInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runIndex(&buf, path, "", ""); err != nil {
+	if err := runIndex(&buf, path, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -90,7 +96,7 @@ func TestRunIndexInspect(t *testing.T) {
 			t.Fatalf("index output missing %q:\n%s", want, out)
 		}
 	}
-	if err := runIndex(&buf, path, "", "int8"); err == nil {
+	if err := runIndex(&buf, path, "", "int8", nil); err == nil {
 		t.Fatal("-quantize without -convert accepted")
 	}
 }
@@ -107,7 +113,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runIndex(&buf, path, "", ""); err != nil {
+	if err := runIndex(&buf, path, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"nodes:         40", "shard rows:    [10, 25)", "rank:          4", "tier:          f64"} {
@@ -115,7 +121,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 			t.Fatalf("shard output missing %q:\n%s", want, buf.String())
 		}
 	}
-	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), ""); err == nil {
+	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), "", nil); err == nil {
 		t.Fatal("-convert of a shard file accepted")
 	}
 	// A file that loads as neither kind reports both failures, so a torn
@@ -123,7 +129,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 	if err := os.Truncate(path, 5000); err != nil {
 		t.Fatal(err)
 	}
-	err = runIndex(&buf, path, "", "")
+	err = runIndex(&buf, path, "", "", nil)
 	if !errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), "as a shard file") {
 		t.Fatalf("torn shard file: err = %v, want wrapped ErrCorrupt naming the shard load", err)
 	}
@@ -138,7 +144,7 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 	dst := filepath.Join(dir, "small.csrx")
 	var buf bytes.Buffer
-	if err := runIndex(&buf, src, dst, "int8"); err != nil {
+	if err := runIndex(&buf, src, dst, "int8", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "written:") {
@@ -157,11 +163,95 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 	// Inspecting the quantized file surfaces tier and bound.
 	buf.Reset()
-	if err := runIndex(&buf, dst, "", ""); err != nil {
+	if err := runIndex(&buf, dst, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "tier:          int8") || !strings.Contains(buf.String(), "quant bound:") {
 		t.Fatalf("quantized inspect output wrong:\n%s", buf.String())
+	}
+}
+
+// TestRunIndexSplit: -convert DIR -split K publishes what a cluster of K
+// workers boots from — three wire.BootWorkers over the output, behind a
+// router, answer top-k and scores with the whole index's bits — and a
+// -split that cannot be honoured is refused by name.
+func TestRunIndexSplit(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "whole.csrx")
+	ix := buildTestIndex(t)
+	if err := core.SaveIndex(ix, src); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	var buf bytes.Buffer
+	k := 3
+	if err := runIndex(&buf, src, root, "", &k); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "published:") {
+		t.Fatalf("no publish reported:\n%s", buf.String())
+	}
+	slots := make([]shard.Slot, k)
+	for s := range slots {
+		w, err := wire.BootWorker(wire.WorkerConfig{Shard: s, SnapshotDir: core.ShardDir(root, s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(w.Handler())
+		defer srv.Close()
+		e, err := wire.Dial(context.Background(), srv.URL, wire.Options{Shard: s, HedgeQuantile: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[s] = e
+	}
+	cluster, err := shard.NewRouterSlots(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := shard.NewRouterFromIndex(ix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, queries := range [][]int{{7}, {0, 39}, {13, 14, 26, 13}} { // 13 | 14 and 26 | 27 are the cuts
+		want, err := whole.TopK(ctx, queries, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cluster.TopK(ctx, queries, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("top-10 of %v over the split = %v, want %v", queries, got, want)
+		}
+		targets := []int{0, 13, 14, 26, 27, 39}
+		wantS, err := whole.Scores(ctx, queries, targets, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotS, err := cluster.Scores(ctx, queries, targets, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantS.Data {
+			if math.Float64bits(gotS.Data[i]) != math.Float64bits(wantS.Data[i]) {
+				t.Fatalf("scores of %v over the split = %v, want %v", queries, gotS.Data, wantS.Data)
+			}
+		}
+	}
+
+	// -quantize composes as with any -convert.
+	if err := runIndex(&buf, src, t.TempDir(), "int8", &k); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		convert string
+		k       int
+	}{{"", 3}, {t.TempDir(), 0}, {t.TempDir(), -2}, {t.TempDir(), ix.N() + 1}} {
+		if err := runIndex(&buf, src, tc.convert, "", &tc.k); err == nil || !strings.Contains(err.Error(), "-split") {
+			t.Errorf("-convert %q -split %d: err = %v, want a refusal naming -split", tc.convert, tc.k, err)
+		}
 	}
 }
 

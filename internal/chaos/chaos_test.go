@@ -20,8 +20,6 @@ import (
 	"csrplus/internal/graph"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
-	"csrplus/internal/shard"
-	"csrplus/internal/shard/shardtest"
 )
 
 // defaultSeeds is the fixed seed matrix every chaos test iterates. CI
@@ -394,188 +392,5 @@ func TestChaosTornSnapshotWritesAlwaysRecoverable(t *testing.T) {
 					snap.Gen, recovered, err, gen)
 			}
 		})
-	}
-}
-
-// shardFixtureB builds a second index with the same shape parameters as
-// the main fixture (n, rank, damping) but different factors — the "next
-// generation" a rolling reload tries to install.
-func shardFixtureB(t *testing.T) *core.Index {
-	t.Helper()
-	ix, _ := fixture(t)
-	g, err := graph.ErdosRenyi(ix.N(), 650, 1042)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ixB, err := core.Precompute(g, core.Options{Rank: ix.Rank()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ixB
-}
-
-// sliceRouter cuts ix by plan into a fresh shard set.
-func sliceShards(t *testing.T, ix *core.Index, plan shard.Plan) []*core.IndexShard {
-	t.Helper()
-	shards := make([]*core.IndexShard, plan.K())
-	for s := range shards {
-		lo, hi := plan.Range(s)
-		sh, err := ix.Shard(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[s] = sh
-	}
-	return shards
-}
-
-// TestChaosShardReloadFailureServesOldGenerationOnThatShardOnly is the
-// sharded rolling-reload scenario: per-shard snapshot directories hold a
-// new generation, but one shard's snapshot read fails (injected, chosen
-// by seed). The roll must stop at that slot, leaving slots before it on
-// the new factors and the failed slot onward on the old — and the router
-// must keep answering every concurrent query successfully throughout,
-// with post-roll answers bitwise-equal to a reference router assembled
-// over exactly that piecewise factor set. Disarming the site must let
-// the next roll converge every slot to the new index.
-func TestChaosShardReloadFailureServesOldGenerationOnThatShardOnly(t *testing.T) {
-	ixA, _ := fixture(t)
-	ixB := shardFixtureB(t)
-	const K = 3
-	for _, seed := range seeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			fault.Enable(seed)
-			defer fault.Disable()
-			failSlot := int(seed) % K
-
-			rt, err := shard.NewRouterFromIndex(ixA, K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Publish the next generation as per-shard snapshots.
-			root := t.TempDir()
-			for s, sh := range sliceShards(t, ixB, rt.Plan()) {
-				if _, _, err := core.WriteShardSnapshot(core.ShardDir(root, s), sh); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The loader reads each slot's snapshot through the injected
-			// read path; the chosen slot's storage "fails" deterministically.
-			var injected atomic.Int64
-			loader := func(ctx context.Context, s, lo, hi int) (*core.IndexShard, error) {
-				if s == failSlot {
-					fault.Arm(fault.SiteIndexRead, fault.Plan{ErrProb: 1})
-					defer func() {
-						injected.Add(fault.Injected(fault.SiteIndexRead))
-						fault.Disarm(fault.SiteIndexRead)
-					}()
-				}
-				sh, _, _, err := core.RecoverShardSnapshot(core.ShardDir(root, s))
-				return sh, err
-			}
-
-			// Hammer the router from several goroutines for the duration of
-			// the failing roll: zero failed requests, finite scores only.
-			stop := make(chan struct{})
-			var hammers sync.WaitGroup
-			queries := []int{3, 50, 110}
-			for w := 0; w < 4; w++ {
-				hammers.Add(1)
-				go func() {
-					defer hammers.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						items, err := rt.TopK(context.Background(), queries, 10)
-						if err != nil {
-							t.Errorf("seed %d: query failed during failing roll: %v", seed, err)
-							return
-						}
-						for _, it := range items {
-							if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
-								t.Errorf("seed %d: non-finite score during failing roll", seed)
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			swapped, err := reload.RollShards(context.Background(), rt, loader)
-			close(stop)
-			hammers.Wait()
-			// The injected read failure surfaces as the typed "no loadable
-			// snapshot" error: recovery tried every generation through the
-			// failing reader and exhausted the ladder.
-			if !errors.Is(err, core.ErrNoSnapshot) {
-				t.Fatalf("seed %d: roll error = %v, want ErrNoSnapshot", seed, err)
-			}
-			if injected.Load() == 0 {
-				t.Fatalf("seed %d: chaos never fired; the test asserted nothing", seed)
-			}
-			if swapped != failSlot {
-				t.Fatalf("seed %d: swapped %d slots before failing slot %d", seed, swapped, failSlot)
-			}
-			for s, gen := range rt.Generations() {
-				want := uint64(1)
-				if s < failSlot {
-					want = 2
-				}
-				if gen != want {
-					t.Fatalf("seed %d: generations = %v; slot %d at %d, want %d",
-						seed, rt.Generations(), s, gen, want)
-				}
-			}
-
-			// Post-roll answers are exactly the piecewise index: new factors
-			// before the failed slot, old from it onward.
-			mixed := sliceShards(t, ixA, rt.Plan())
-			for s := 0; s < failSlot; s++ {
-				mixed[s] = sliceShards(t, ixB, rt.Plan())[s]
-			}
-			ref, err := shard.NewRouter(mixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := shardtest.Columns(context.Background(), ref, queries, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := shardtest.Columns(context.Background(), rt, queries, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want, 0) {
-				t.Fatalf("seed %d: post-failure answers are not the piecewise index's", seed)
-			}
-
-			// Storage "recovers": the next roll must converge every slot.
-			if _, err := reload.RollShards(context.Background(), rt, loader2(root)); err != nil {
-				t.Fatalf("seed %d: convergence roll: %v", seed, err)
-			}
-			wantB, err := ixB.QueryRankInto(context.Background(), queries, 0, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotB, err := shardtest.Columns(context.Background(), rt, queries, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !gotB.Equal(wantB, 0) {
-				t.Fatalf("seed %d: converged router does not answer from the new index", seed)
-			}
-		})
-	}
-}
-
-// loader2 is the recovered-storage shard loader: plain per-shard
-// snapshot reads with no faults armed.
-func loader2(root string) reload.ShardLoadFunc {
-	return func(ctx context.Context, s, lo, hi int) (*core.IndexShard, error) {
-		sh, _, _, err := core.RecoverShardSnapshot(core.ShardDir(root, s))
-		return sh, err
 	}
 }

@@ -209,11 +209,10 @@ func TestChaosWireWorkerCrashMidRoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shardK = 3
-	shardsA, err := shard.Split(ixA, shardK)
-	if err != nil {
+	root := t.TempDir()
+	if err := shard.PublishSnapshots(root, ixA, shardK); err != nil {
 		t.Fatal(err)
 	}
-	root := t.TempDir()
 	dirs := make([]string, shardK)
 	engines := make([]*wire.RemoteEngine, shardK)
 	slots := make([]shard.Slot, shardK)
@@ -231,11 +230,8 @@ func TestChaosWireWorkerCrashMidRoll(t *testing.T) {
 		AdminToken:       "sesame",
 		Seed:             1,
 	}
-	for s, sh := range shardsA {
+	for s := range dirs {
 		dirs[s] = core.ShardDir(root, s)
-		if _, _, err := core.WriteShardSnapshot(dirs[s], sh); err != nil {
-			t.Fatal(err)
-		}
 		w, err := wire.BootWorker(wire.WorkerConfig{Shard: s, SnapshotDir: dirs[s], AdminToken: "sesame"})
 		if err != nil {
 			t.Fatal(err)
@@ -275,15 +271,8 @@ func TestChaosWireWorkerCrashMidRoll(t *testing.T) {
 	ctx := context.Background()
 
 	// Publish generation 2 and crash worker 1 before the roll reaches it.
-	for s := range dirs {
-		lo, hi := rt.Plan().Range(s)
-		sh, err := ixB.Shard(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := core.WriteShardSnapshot(dirs[s], sh); err != nil {
-			t.Fatal(err)
-		}
+	if err := shard.PublishSnapshots(root, ixB, shardK); err != nil {
+		t.Fatal(err)
 	}
 	crashServer.Close()
 	swapped, err := wire.RollWorkers(ctx, engines)

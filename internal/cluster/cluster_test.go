@@ -212,15 +212,8 @@ func (h *harness) serve(ix *core.Index, snapRoot string, monoArgs ...string) {
 		t.Fatal(err)
 	}
 	h.plan = plan
-	for s := 0; s < workerCount; s++ {
-		lo, hi := plan.Range(s)
-		sh, err := ix.Shard(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := core.WriteShardSnapshot(core.ShardDir(snapRoot, s), sh); err != nil {
-			t.Fatal(err)
-		}
+	if err := shard.PublishSnapshots(snapRoot, ix, workerCount); err != nil {
+		t.Fatal(err)
 	}
 
 	ports := freePorts(t, workerCount+2)

@@ -127,9 +127,9 @@ func TestQueryRejectsNonFiniteRows(t *testing.T) {
 }
 
 // TestDynamicOverCompactedIndex builds the ingestion state over an index
-// that leaves rows out and over its every-row twin: the Galerkin state W =
-// QU is the same bits, an edge into a node whose row is implicit (its first
-// in-link) applies with the same drift, and Refresh returns the same factor.
+// that leaves rows out and over its every-row twin: an edge into a node
+// whose row is implicit (its first in-link) applies with the same drift, and
+// the in-neighbour lists come out the same.
 func TestDynamicOverCompactedIndex(t *testing.T) {
 	compact := compactIndex(t)
 	z, u := compact.denseF64()
@@ -158,17 +158,7 @@ func TestDynamicOverCompactedIndex(t *testing.T) {
 			t.Fatalf("edge %v: drift %v over the compacted index, %v over its twin", e, da, db)
 		}
 	}
-	wantBitwise(t, "W = QU", a.w.Data, b.w.Data)
 	if !reflect.DeepEqual(a.in, b.in) || a.Drift() != b.Drift() {
 		t.Fatal("in-neighbour lists or drift differ")
 	}
-	za, err := a.Refresh(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zb, err := b.Refresh(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBitwise(t, "refreshed Z", za.Data, zb.Data)
 }

@@ -1,10 +1,8 @@
-// Dynamic is the incremental low-rank maintenance path behind streaming
-// edge ingestion (internal/ingest): it tracks the live graph's
-// in-neighbour structure next to a frozen factor basis, accumulates a
-// provable entrywise drift bound for serving stale factors against the
-// updated graph, and maintains the Galerkin subspace state (W = QU)
-// that lets the factors be refreshed in the frozen basis without a full
-// SVD.
+// Dynamic is the live-graph state behind streaming edge ingestion
+// (internal/ingest): it tracks the live graph's in-neighbour structure and
+// accumulates a provable entrywise drift bound for serving stale factors
+// against the updated graph. It keeps no factor state: the served index is
+// replaced by a rebuild over the materialised graph, never updated in place.
 //
 // Drift bound. Inserting (or up-weighting) an edge u -> v changes only
 // column v of the transition matrix Q; let δ = ‖q'_v − q_v‖₁ be the
@@ -27,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"csrplus/internal/dense"
 	"csrplus/internal/graph"
 	"csrplus/internal/sparse"
 )
@@ -43,16 +40,13 @@ type dynEdge struct {
 	w   float64
 }
 
-// Dynamic maintains the live in-neighbour lists, the frozen-basis
-// Galerkin state, and the cumulative drift bound. It is not safe for
-// concurrent use; the ingest service serializes access.
+// Dynamic maintains the live in-neighbour lists and the cumulative drift
+// bound. It is not safe for concurrent use; the ingest service serializes
+// access.
 type Dynamic struct {
-	n, r     int
+	n        int
 	c        float64
 	weighted bool
-
-	u *IndexShard // frozen basis (the index's U, read a row at a time; never mutated)
-	w *dense.Mat  // W = Q·U, maintained per edge in O(indeg·r)
 
 	in   [][]dynEdge // in[v] = in-neighbours of v with weights
 	totw []float64   // totw[v] = Σ weights into v (Q's column normaliser)
@@ -62,22 +56,17 @@ type Dynamic struct {
 	edges int64   // drift-counted edge applications
 }
 
-// NewDynamic builds the dynamic state for g served by ix's factors. The
-// index must carry exact f64 factors (quantized tiers have no basis to
-// maintain) and match g's node count.
+// NewDynamic builds the dynamic state for g served by ix's factors, which
+// must match g's node count. Only ix's n and damping are read and nothing
+// of it is retained, so any tier serves and the caller may close ix.
 func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 	if g.N() != ix.n {
 		return nil, fmt.Errorf("core: dynamic state over n=%d graph for n=%d index: %w", g.N(), ix.n, ErrParams)
 	}
-	if ix.Tier() != TierF64 {
-		return nil, fmt.Errorf("core: dynamic maintenance requires the exact factor tier, have %v: %w", ix.Tier(), ErrParams)
-	}
 	d := &Dynamic{
 		n:        ix.n,
-		r:        ix.rank,
 		c:        ix.c,
 		weighted: g.Weighted(),
-		u:        &ix.IndexShard,
 		in:       make([][]dynEdge, ix.n),
 		totw:     make([]float64, ix.n),
 	}
@@ -103,25 +92,6 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 			d.m++
 		}
 	}
-	// W = Q·U: row i accumulates Q_{iv}·U_{v,*} over i's out-edges v, in
-	// ascending v. Only the stored rows of U are walked: a row the index
-	// leaves out is zeros and adds nothing.
-	d.w = dense.NewMat(d.n, d.r)
-	stored := ix.u.Mat()
-	for i := 0; i < stored.Rows; i++ {
-		v := ix.StoredNode(i)
-		if d.totw[v] == 0 {
-			continue
-		}
-		urow := stored.Row(i)
-		for _, e := range d.in[v] {
-			wrow := d.w.Row(int(e.src))
-			q := e.w / d.totw[v]
-			for j := 0; j < d.r; j++ {
-				wrow[j] += q * urow[j]
-			}
-		}
-	}
 	return d, nil
 }
 
@@ -144,8 +114,8 @@ func (d *Dynamic) Edges() int64 { return d.edges }
 // ApplyEdge inserts edge src -> dst with the given weight (weight 1 on
 // an unweighted graph; on a weighted graph duplicate edges accumulate
 // weight, mirroring NewWeighted's duplicate-sum semantics). It updates
-// the in-neighbour structure and the Galerkin state, and — when
-// countDrift is true — charges the edge's drift contribution. On an
+// the in-neighbour structure and — when countDrift is true — charges the
+// edge's drift contribution. On an
 // unweighted graph a duplicate edge is a no-op (parallel edges collapse,
 // mirroring graph.New), applied=false, zero drift.
 //
@@ -174,22 +144,13 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 		return false, 0, nil
 	}
 
-	// Exact δ = ‖q'_dst − q_dst‖₁ for the column renormalisation, plus
-	// the per-entry changes needed for the rank-1 W update.
+	// Exact δ = ‖q'_dst − q_dst‖₁ for the column renormalisation.
 	oldT := d.totw[dst]
 	newT := oldT + weight
 	var delta float64
-	urow := d.u.URow(dst)
-	apply := func(i int, change float64) {
-		wrow := d.w.Row(i)
-		for j := 0; j < d.r; j++ {
-			wrow[j] += change * urow[j]
-		}
-	}
 	if oldT == 0 {
 		// First in-edge: the column goes from all-zero to e_src.
 		delta = 1
-		apply(src, 1)
 	} else {
 		for i := range list {
 			wOld := list[i].w
@@ -197,14 +158,10 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 			if int(list[i].src) == src {
 				wNew += weight
 			}
-			change := wNew/newT - wOld/oldT
-			delta += math.Abs(change)
-			apply(int(list[i].src), change)
+			delta += math.Abs(wNew/newT - wOld/oldT)
 		}
 		if pos < 0 {
-			change := weight / newT
-			delta += change
-			apply(src, change)
+			delta += weight / newT
 		}
 	}
 
@@ -255,38 +212,4 @@ func (d *Dynamic) MaterializeGraph() (*graph.Graph, error) {
 		return graph.NewWeighted(coo)
 	}
 	return graph.New(coo), nil
-}
-
-// Refresh solves the frozen-basis Galerkin compression of the CoSimRank
-// fixed point against the *live* graph and returns the refreshed factor
-// Z' = U·A, where A solves A = C0 + c·K·A·Kᵀ with K = WᵀU and C0 = WᵀW
-// (both r×r, assembled from the maintained W = QU in O(nr²)).
-//
-// Substituting S ≈ I + c·U·A·Uᵀ into S = c·QᵀSQ + I and projecting onto
-// the frozen basis yields exactly that equation; at boot — before any
-// edges — A equals the index's ΣPΣ (because QU = U_qΣ holds exactly
-// even for a truncated SVD), so Refresh reproduces the served Z, and
-// with a full-rank basis the projection is exact for any graph. eps is
-// the squaring-series tolerance (0 uses the precompute default).
-func (d *Dynamic) Refresh(eps float64) (*dense.Mat, error) {
-	if eps <= 0 {
-		eps = DefaultEps
-	}
-	_, u := d.u.denseF64()
-	k := dense.TMul(d.w, u)   // K = WᵀU
-	a := dense.TMul(d.w, d.w) // C0 = WᵀW
-	limit := 1e6 / (1 - d.c)
-	weight := d.c
-	h := k
-	for step := 0; step < SquaringIterations(d.c, eps); step++ {
-		// A ← A + weight · H A Hᵀ; H ← H²; weight ← weight².
-		ha := dense.Mul(h, a)
-		a.AddInPlace(dense.MulT(ha, h).Scale(weight))
-		if a.HasNaN() || a.MaxAbs() > limit {
-			return nil, fmt.Errorf("core: dynamic refresh after %d squaring steps ‖A‖=%g: %w", step+1, a.MaxAbs(), ErrDiverged)
-		}
-		h = dense.Mul(h, h)
-		weight *= weight
-	}
-	return dense.Mul(u, a), nil
 }

@@ -320,6 +320,13 @@ func recoverSnapshot(dir string, k *snapKind) (ix *Index, snap Snapshot, recover
 	return nil, Snapshot{}, false, fmt.Errorf("core: %s: %w", dir, ErrNoSnapshot)
 }
 
+// KeepSnapshots is how many generations a publisher leaves in a snapshot
+// directory: the one CURRENT names plus two older ones — what the recovery
+// ladder falls back to when the newest is torn, and what an operator can
+// roll back to. Everything published (boot priming, drift rebuilds,
+// per-shard slices) would otherwise accumulate until the disk fills.
+const KeepSnapshots = 3
+
 // PruneSnapshots deletes all but the newest keep generations from dir,
 // never deleting the one CURRENT points at, and sweeps crash-orphaned
 // temp files as a side effect. It returns how many snapshot files were

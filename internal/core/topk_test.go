@@ -112,7 +112,7 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 			}
 			for _, rank := range []int{0, 2, r} {
 				for _, queries := range querySets {
-					uq := ix.u.PickRows(queries)
+					uq := ix.gatherU(queries)
 					for _, k := range []int{1, 10, 100} {
 						want := columnTopK(t, ix, queries, k, rank)
 						for _, bounds := range cuts {
@@ -151,7 +151,7 @@ func TestTopKBand(t *testing.T) {
 func TestPartialTopKValidation(t *testing.T) {
 	ix := syntheticIndex(50, 4, 2)
 	ctx := context.Background()
-	uq := ix.u.PickRows([]int{1, 2})
+	uq := ix.gatherU([]int{1, 2})
 	if _, err := ix.PartialTopK(ctx, nil, uq, 3, 0); !errors.Is(err, ErrParams) {
 		t.Fatalf("empty query set: err = %v, want ErrParams", err)
 	}

@@ -227,9 +227,6 @@ func TestKronKnown(t *testing.T) {
 	if !got.Equal(want, 0) {
 		t.Fatalf("Kron = \n%v want \n%v", got, want)
 	}
-	if KronBytes(2, 2, 1, 2) != int64(len(got.Data))*8 {
-		t.Fatal("KronBytes mismatch")
-	}
 }
 
 // Property (Theorem 3.1's underpinnings): the mixed-product property

@@ -30,12 +30,6 @@ func Kron(a, b *Mat) *Mat {
 	return out
 }
 
-// KronBytes returns the number of bytes an explicit Kron(a, b) would
-// allocate, without allocating it. Used by the memory-budget guard.
-func KronBytes(aRows, aCols, bRows, bCols int) int64 {
-	return int64(aRows) * int64(bRows) * int64(aCols) * int64(bCols) * 8
-}
-
 // Vec stacks the columns of x into a single column vector, per
 // Definition 2.1: vec(X)[j*rows+i] = X[i, j].
 func Vec(x *Mat) []float64 {

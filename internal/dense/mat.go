@@ -211,16 +211,6 @@ func (m *Mat) SliceRows(from, to int) *Mat {
 	return out
 }
 
-// PickRows returns the |idx| x Cols matrix formed by the rows idx of m,
-// in order. Used to build [U]_{Q,*}.
-func (m *Mat) PickRows(idx []int) *Mat {
-	out := NewMat(len(idx), m.Cols)
-	for k, i := range idx {
-		copy(out.Row(k), m.Row(i))
-	}
-	return out
-}
-
 // MaxAbs returns max_ij |m_ij| (the max norm), 0 for an empty matrix.
 func (m *Mat) MaxAbs() float64 {
 	max := 0.0

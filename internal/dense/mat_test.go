@@ -139,15 +139,11 @@ func TestColSetCol(t *testing.T) {
 	}
 }
 
-func TestSliceAndPickRows(t *testing.T) {
+func TestSliceRows(t *testing.T) {
 	m := NewMatFrom(4, 2, []float64{0, 1, 10, 11, 20, 21, 30, 31})
 	s := m.SliceRows(1, 3)
 	if !s.Equal(NewMatFrom(2, 2, []float64{10, 11, 20, 21}), 0) {
 		t.Fatalf("SliceRows = %v", s)
-	}
-	p := m.PickRows([]int{3, 0})
-	if !p.Equal(NewMatFrom(2, 2, []float64{30, 31, 0, 1}), 0) {
-		t.Fatalf("PickRows = %v", p)
 	}
 }
 

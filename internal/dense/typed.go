@@ -132,17 +132,6 @@ func (t *Typed) RowInto(i int, dst []float64) []float64 {
 	return dst
 }
 
-// PickRows dequantises the rows idx, in order, into a fresh
-// len(idx) x Cols float64 matrix — the typed counterpart of
-// (*Mat).PickRows, used to gather [U]_{Q,*}.
-func (t *Typed) PickRows(idx []int) *Mat {
-	out := NewMat(len(idx), t.Cols)
-	for k, i := range idx {
-		t.RowInto(i, out.Row(k))
-	}
-	return out
-}
-
 // RowIsZero reports whether every element of row i is stored as +0 — the
 // bit pattern, so a row holding -0 is not.
 func (t *Typed) RowIsZero(i int) bool {

@@ -90,8 +90,8 @@ type Service struct {
 // NewService builds the cold service over the boot graph and the factors
 // serving it. The graph must be the same static base the factors'
 // lineage started from — the WAL replay in Recover layers every
-// streamed edge back on top of it. The index must carry exact f64
-// factors; quantized tiers cannot be incrementally maintained.
+// streamed edge back on top of it. Of ix only the shape and the WAL
+// sequence it covers are read; the service does not retain it.
 func NewService(g *graph.Graph, ix *core.Index, cfg Config) (*Service, error) {
 	dyn, err := core.NewDynamic(g, ix)
 	if err != nil {

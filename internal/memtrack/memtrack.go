@@ -11,8 +11,6 @@ package memtrack
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -107,27 +105,6 @@ func (t *Tracker) PeakByPrefix(prefix string) int64 {
 	return sum
 }
 
-// Labels returns the tracked labels in sorted order with their net bytes.
-func (t *Tracker) Labels() []LabelBytes {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]LabelBytes, 0, len(t.byLabel))
-	for label, b := range t.byLabel {
-		out = append(out, LabelBytes{label, b})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
-// LabelBytes pairs a label with its net byte count.
-type LabelBytes struct {
-	Label string
-	Bytes int64
-}
-
 // Human renders a byte count with binary-prefix units ("3.2 MiB").
 func Human(bytes int64) string {
 	const unit = 1024
@@ -140,14 +117,4 @@ func Human(bytes int64) string {
 		exp++
 	}
 	return fmt.Sprintf("%.1f %ciB", float64(bytes)/float64(div), "KMGTPE"[exp])
-}
-
-// RuntimeHeap returns the Go runtime's current heap-allocated bytes after
-// a GC pass — a coarse cross-check of the analytic numbers used only in
-// integration tests and diagnostics.
-func RuntimeHeap() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
 }

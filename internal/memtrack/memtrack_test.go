@@ -49,21 +49,11 @@ func TestPeakByPrefix(t *testing.T) {
 	}
 }
 
-func TestLabelsSorted(t *testing.T) {
-	tr := New()
-	tr.Alloc("z", 1)
-	tr.Alloc("a", 2)
-	labels := tr.Labels()
-	if len(labels) != 2 || labels[0].Label != "a" || labels[1].Label != "z" {
-		t.Fatalf("labels = %v", labels)
-	}
-}
-
 func TestNilTrackerIsNoop(t *testing.T) {
 	var tr *Tracker
 	tr.Alloc("x", 10) // must not panic
 	tr.Free("x", 10)
-	if tr.Current() != 0 || tr.Peak() != 0 || tr.PeakByPrefix("x") != 0 || tr.Labels() != nil {
+	if tr.Current() != 0 || tr.Peak() != 0 || tr.PeakByPrefix("x") != 0 {
 		t.Fatal("nil tracker returned nonzero state")
 	}
 }
@@ -115,11 +105,5 @@ func TestHuman(t *testing.T) {
 func TestHumanFraction(t *testing.T) {
 	if got := Human(1536); !strings.HasSuffix(got, "KiB") {
 		t.Fatalf("Human(1536) = %q", got)
-	}
-}
-
-func TestRuntimeHeapNonZero(t *testing.T) {
-	if RuntimeHeap() == 0 {
-		t.Fatal("RuntimeHeap returned 0")
 	}
 }

@@ -188,9 +188,9 @@ type Breaker struct {
 	// ConsecutiveFailures counts failed reload runs since the last
 	// success.
 	ConsecutiveFailures int `json:"consecutive_failures"`
-	// RetryAt is when an open breaker next admits a probe run; zero when
-	// closed.
-	RetryAt time.Time `json:"retry_at,omitempty"`
+	// RetryAt is when an open breaker next admits a probe run; nil (and
+	// absent from the JSON) when closed.
+	RetryAt *time.Time `json:"retry_at,omitempty"`
 }
 
 // Manager owns the reload lifecycle for one serve.Server. Reloads are
@@ -257,7 +257,10 @@ func (m *Manager) SetBootRelease(release func()) {
 // outcome re-opens or resets it.
 func (m *Manager) Breaker() Breaker {
 	fails, retryAt := m.breaker.State()
-	return Breaker{Open: !retryAt.IsZero(), ConsecutiveFailures: fails, RetryAt: retryAt}
+	if retryAt.IsZero() {
+		return Breaker{ConsecutiveFailures: fails}
+	}
+	return Breaker{Open: true, ConsecutiveFailures: fails, RetryAt: &retryAt}
 }
 
 // Reload runs one lifecycle pass: load a candidate, validate it, swap it

@@ -67,13 +67,12 @@ func (m *Metrics) CacheMiss()    { m.cacheMisses.Add(1) }
 func (m *Metrics) CacheEvict()   { m.cacheEvictions.Add(1) }
 func (m *Metrics) CacheRefresh() { m.cacheRefreshes.Add(1) }
 
-// Admitted, Shed, Expired, Batches and QueueDepth expose the counters the
-// tests and the /stats endpoint read directly.
-func (m *Metrics) Admitted() int64   { return m.admitted.Load() }
-func (m *Metrics) Shed() int64       { return m.shed.Load() }
-func (m *Metrics) Expired() int64    { return m.expired.Load() }
-func (m *Metrics) Batches() int64    { return m.batches.Load() }
-func (m *Metrics) QueueDepth() int64 { return m.queueDepth.Load() }
+// Admitted, Shed, Expired and Batches expose the counters the tests and the
+// /stats endpoint read directly.
+func (m *Metrics) Admitted() int64 { return m.admitted.Load() }
+func (m *Metrics) Shed() int64     { return m.shed.Load() }
+func (m *Metrics) Expired() int64  { return m.expired.Load() }
+func (m *Metrics) Batches() int64  { return m.batches.Load() }
 
 // Degraded counts requests answered at a truncated rank;
 // DegradedBatches counts the engine calls that ran truncated.

@@ -1,9 +1,11 @@
 // Package shard implements horizontal sharding for CSR+ serving: the
-// factor matrices are partitioned by contiguous node range into K
-// in-process shard engines, each with its own atomic generation
-// lifecycle, behind a stateless router that fans multi-source queries to
-// every shard in parallel and merges the per-shard partial top-k lists
-// into an exact global answer.
+// factor matrices are partitioned by contiguous node range into K shard
+// slots, each with its own atomic generation lifecycle, behind a
+// stateless router that fans multi-source queries to every shard in
+// parallel and merges the per-shard partial top-k lists into an exact
+// global answer. A csrserver's own index is the K=1 router; K > 1 is a
+// cluster of -shardworker processes (internal/wire), whose per-shard
+// snapshot directories PublishSnapshots writes.
 //
 // The exactness argument has two halves. Scores: output row i of phase II
 // depends only on row i of Z plus the U rows of the query nodes, so a
@@ -91,9 +93,6 @@ func (p Plan) N() int { return p.bounds[len(p.bounds)-1] }
 
 // Range returns shard s's node range [lo, hi).
 func (p Plan) Range(s int) (lo, hi int) { return p.bounds[s], p.bounds[s+1] }
-
-// Bounds returns a copy of the K+1 fenceposts.
-func (p Plan) Bounds() []int { return append([]int(nil), p.bounds...) }
 
 // Owner returns the shard owning global node q, which must be in [0, n).
 func (p Plan) Owner(q int) int {

@@ -17,7 +17,7 @@ import (
 // exact global answers. It is stateless per request — every fan-out leg
 // resolves its slot's current generation once at entry and computes
 // entirely on that snapshot — so it is safe for concurrent use, including
-// concurrently with rolling SwapShard calls (or remote worker rolls). The
+// concurrently with a slot's swap (Local.Swap, a remote worker's roll). The
 // router is csrserver's one serving backend — a monolithic index is the
 // K=1 router — with admission, degradation and generation swaps on top:
 // TopKTagged answers /topk and Scores answers /similarity, in every mode,
@@ -41,7 +41,7 @@ type Router struct {
 	remote bool
 
 	// bound caches the global truncation-bound tail, keyed by the shard
-	// generation vector that produced it; a rolling swap invalidates it by
+	// generation vector that produced it; a slot's swap invalidates it by
 	// changing a generation number. The hit-path comparison reads each
 	// slot's generation directly against the cached vector — no
 	// allocation per query (this sits on the degraded-tagging hot path,
@@ -58,8 +58,8 @@ type boundEntry struct {
 // NewRouter assembles a router over in-process shards, which must be
 // ordered by node range, contiguous from 0 to n, and cut from the same
 // index family (equal global n, rank, and damping). Shard boundaries
-// become the router's immutable Plan; SwapShard replaces a shard's
-// factors but never its range.
+// become the router's immutable Plan; a slot's swap replaces its factors
+// but never its range.
 func NewRouter(shards []*core.IndexShard) (*Router, error) {
 	slots := make([]Slot, len(shards))
 	for s, sh := range shards {
@@ -130,6 +130,34 @@ func Split(ix *core.Index, k int) ([]*core.IndexShard, error) {
 	return shards, nil
 }
 
+// PublishSnapshots cuts ix into k even shards (Split) and publishes shard s
+// as the next generation of core.ShardDir(root, s) — the directory the
+// worker of slot s boots and reloads from — then prunes each directory to
+// core.KeepSnapshots generations. k is the cluster's size and must not
+// exceed n: a publisher that quietly wrote fewer directories than the
+// address list has workers would leave some without a shard. A failure
+// part-way leaves the earlier directories on the new generation, which a
+// re-run converges.
+func PublishSnapshots(root string, ix *core.Index, k int) error {
+	if k > ix.N() {
+		return fmt.Errorf("%w: %d shards of %d nodes", ErrPlan, k, ix.N())
+	}
+	shards, err := Split(ix, k)
+	if err != nil {
+		return err
+	}
+	for s, sh := range shards {
+		dir := core.ShardDir(root, s)
+		if _, _, err := core.WriteShardSnapshot(dir, sh); err != nil {
+			return err
+		}
+		if _, err := core.PruneSnapshots(dir, core.KeepSnapshots); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewRouterFromIndex is NewRouter over an even k-way split of ix.
 func NewRouterFromIndex(ix *core.Index, k int) (*Router, error) {
 	shards, err := Split(ix, k)
@@ -182,32 +210,6 @@ func (r *Router) Generations() []uint64 {
 		gens[s] = sl.Generation()
 	}
 	return gens
-}
-
-// SwapShard atomically installs sh into slot s and returns the slot's new
-// generation. The replacement must cover exactly the slot's node range
-// and match the router's global shape — a rolling reload may change a
-// shard's factors, never the partition. Queries in flight on the old
-// generation finish on it; queries arriving after SwapShard returns see
-// the new one. Remote slots reject SwapShard: their factors roll inside
-// the worker process (wire.RollWorkers drives the admin endpoint).
-func (r *Router) SwapShard(s int, sh *core.IndexShard) (uint64, error) {
-	if s < 0 || s >= r.K() {
-		return 0, fmt.Errorf("%w: slot %d of %d", ErrShard, s, r.K())
-	}
-	l, ok := r.slots[s].(*Local)
-	if !ok {
-		return 0, fmt.Errorf("%w: slot %d is remote; roll it via its worker's admin endpoint", ErrShard, s)
-	}
-	lo, hi := r.plan.Range(s)
-	if sh.Lo() != lo || sh.Hi() != hi {
-		return 0, fmt.Errorf("%w: slot %d covers [%d, %d), shard covers [%d, %d)", ErrShard, s, lo, hi, sh.Lo(), sh.Hi())
-	}
-	if sh.N() != r.n || sh.Rank() != r.rank || sh.Damping() != r.c {
-		return 0, fmt.Errorf("%w: slot %d wants n=%d r=%d c=%v, shard has n=%d r=%d c=%v",
-			ErrShard, s, r.n, r.rank, r.c, sh.N(), sh.Rank(), sh.Damping())
-	}
-	return l.Swap(sh), nil
 }
 
 // validate checks one id list of a request; what names it in the error:

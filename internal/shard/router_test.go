@@ -253,51 +253,26 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
-func TestSwapShardValidation(t *testing.T) {
-	_, ix := testEngineIndex(t, 1)
-	rt, err := shard.NewRouterFromIndex(ix, 3)
+// localRouter assembles a router over k in-process slots cut from ix and
+// returns the slots too, so a test can swap one's factors the way a worker's
+// reload does (shard.Local.Swap).
+func localRouter(t testing.TB, ix *core.Index, k int) (*shard.Router, []*shard.Local) {
+	t.Helper()
+	shards, err := shard.Split(ix, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := rt.Plan().Range(1)
-	good, err := ix.Shard(lo, hi)
+	locals := make([]*shard.Local, len(shards))
+	slots := make([]shard.Slot, len(shards))
+	for s, sh := range shards {
+		locals[s] = shard.NewLocal(sh)
+		slots[s] = locals[s]
+	}
+	rt, err := shard.NewRouterSlots(slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SwapShard(-1, good); !errors.Is(err, shard.ErrShard) {
-		t.Fatalf("bad slot: err = %v", err)
-	}
-	if _, err := rt.SwapShard(3, good); !errors.Is(err, shard.ErrShard) {
-		t.Fatalf("slot past K: err = %v", err)
-	}
-	if _, err := rt.SwapShard(0, good); !errors.Is(err, shard.ErrShard) {
-		t.Fatalf("wrong range for slot: err = %v", err)
-	}
-	// A shard of the right range but wrong shape (different rank).
-	otherEng, err := csrplus.NewEngine(randomGraph(t, testN, 1), csrplus.Options{Rank: testRank - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherIx, _ := otherEng.CoreIndex()
-	wrongShape, err := otherIx.Shard(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.SwapShard(1, wrongShape); !errors.Is(err, shard.ErrShard) {
-		t.Fatalf("wrong shape: err = %v", err)
-	}
-	gen, err := rt.SwapShard(1, good)
-	if err != nil || gen != 2 {
-		t.Fatalf("valid swap: gen=%d err=%v, want 2, nil", gen, err)
-	}
-	gens := rt.Generations()
-	if gens[0] != 1 || gens[1] != 2 || gens[2] != 1 {
-		t.Fatalf("generations = %v, want [1 2 1]", gens)
-	}
-	st := rt.Status()
-	if st[1].Generation != 2 || st[1].Lo != lo || st[1].Hi != hi || st[1].Bytes <= 0 {
-		t.Fatalf("status[1] = %+v", st[1])
-	}
+	return rt, locals
 }
 
 // TestMixedGenerationsStayExact pins the mid-roll contract: after
@@ -308,10 +283,7 @@ func TestSwapShardValidation(t *testing.T) {
 func TestMixedGenerationsStayExact(t *testing.T) {
 	_, ixA := testEngineIndex(t, 1)
 	engB, ixB := testEngineIndex(t, 2)
-	rt, err := shard.NewRouterFromIndex(ixA, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, locals := localRouter(t, ixA, 3)
 	plan := rt.Plan()
 	sliceOf := func(ix *core.Index, s int) *core.IndexShard {
 		lo, hi := plan.Range(s)
@@ -321,8 +293,11 @@ func TestMixedGenerationsStayExact(t *testing.T) {
 		}
 		return sh
 	}
-	if _, err := rt.SwapShard(0, sliceOf(ixB, 0)); err != nil {
-		t.Fatal(err)
+	if gen := locals[0].Swap(sliceOf(ixB, 0)); gen != 2 {
+		t.Fatalf("first swap installed generation %d, want 2", gen)
+	}
+	if gens := rt.Generations(); gens[0] != 2 || gens[1] != 1 || gens[2] != 1 {
+		t.Fatalf("generations = %v, want [2 1 1]", gens)
 	}
 	ref, err := shard.NewRouter([]*core.IndexShard{sliceOf(ixB, 0), sliceOf(ixA, 1), sliceOf(ixA, 2)})
 	if err != nil {
@@ -343,9 +318,7 @@ func TestMixedGenerationsStayExact(t *testing.T) {
 		}
 	}
 	for s := 1; s < 3; s++ {
-		if _, err := rt.SwapShard(s, sliceOf(ixB, s)); err != nil {
-			t.Fatal(err)
-		}
+		locals[s].Swap(sliceOf(ixB, s))
 	}
 	assertRouterMatches(t, rt, engB, ixB)
 }
@@ -357,10 +330,7 @@ func TestMixedGenerationsStayExact(t *testing.T) {
 // response must stay bitwise-equal to the monolithic answer throughout.
 func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	eng, ix := testEngineIndex(t, 1)
-	rt, err := shard.NewRouterFromIndex(ix, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, locals := localRouter(t, ix, 3)
 	queries := []int{3, 50, 120}
 	wantTopK, err := eng.TopKMulti(queries, 10)
 	if err != nil {
@@ -388,10 +358,7 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := rt.SwapShard(s, sh); err != nil {
-				t.Error(err)
-				return
-			}
+			locals[s].Swap(sh)
 		}
 	}()
 	var queriers sync.WaitGroup
@@ -456,10 +423,7 @@ func TestRouterQuantizedBound(t *testing.T) {
 
 	// Rolling the quantized shards out for exact ones drops the quant
 	// term: the cached bound must follow the generation vector.
-	rt, err := shard.NewRouterFromIndex(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, locals := localRouter(t, q, 2)
 	if got, want := rt.TruncationBound(0), q.QuantizationBound(); got != want {
 		t.Fatalf("full-rank bound %v, want %v", got, want)
 	}
@@ -469,9 +433,7 @@ func TestRouterQuantizedBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.SwapShard(s, sh); err != nil {
-			t.Fatal(err)
-		}
+		locals[s].Swap(sh)
 	}
 	if got := rt.TruncationBound(0); got != 0 {
 		t.Fatalf("exact-tier full-rank bound %v, want 0 after roll", got)

@@ -1,5 +1,5 @@
-// Package shardtest is what the test suites of shard, reload and chaos
-// share to drive a router the way csrserver does: through the two engine
+// Package shardtest is what the test suites of shard and reload share to
+// drive a router the way csrserver does: through the two engine
 // calls of a serving generation, TopKTagged and Scores. The router has no
 // call that returns the n x |Q| block — core.Index.QueryRankInto is the
 // only producer of one — so the suites that hold a router to that oracle

@@ -27,8 +27,8 @@ import (
 // U-gather and partial legs straddle a rolling swap may combine rows
 // from adjacent generations of one shard. Every generation is cut from a
 // validated index, so the answer is exact for a graph state between the
-// two — the same guarantee the in-process mixed-generation roll already
-// documents at the whole-router level.
+// two — the guarantee a mixed-generation cluster gives at the whole-router
+// level (wire.RollWorkers).
 type Slot interface {
 	// N, Lo, Hi, Rank and Damping mirror core.IndexShard: the global
 	// node count, the owned range [Lo, Hi), and the factor shape. They
@@ -98,9 +98,8 @@ type generation struct {
 // Local is the in-process Slot: one shard slot with PR 3's atomic-swap
 // lifecycle scaled down to a single shard. Readers resolve the current
 // generation with one atomic load and compute entirely on that immutable
-// snapshot, while a rolling reload installs replacements one slot at a
-// time. wire.Worker serves a Local over HTTP, making the worker's swap
-// semantics identical to an in-process slot's.
+// snapshot, while Swap installs a replacement. wire.Worker serves a Local
+// over HTTP: a worker's reload is this swap.
 type Local struct {
 	cur    atomic.Pointer[generation]
 	swapMu sync.Mutex // serialises swaps; readers never take it
@@ -122,8 +121,8 @@ func (l *Local) Current() (*core.IndexShard, uint64) {
 // Swap installs sh as the next generation and returns its number.
 // Queries already computing on the old generation finish on it — shards
 // are immutable, so there is nothing to drain. The caller is responsible
-// for validating that sh covers the same range and shape (Router.SwapShard
-// and wire.Worker.Reload both do).
+// for validating that sh covers the same range and shape
+// (wire.Worker.Reload does).
 func (l *Local) Swap(sh *core.IndexShard) uint64 {
 	l.swapMu.Lock()
 	defer l.swapMu.Unlock()
@@ -132,9 +131,9 @@ func (l *Local) Swap(sh *core.IndexShard) uint64 {
 	return next
 }
 
-// N, Lo, Hi, Rank and Damping are fixed across swaps (SwapShard and
-// Worker.Reload validate replacements against them), so reading the
-// current generation's copy is exact.
+// N, Lo, Hi, Rank and Damping are fixed across swaps (wire.Worker.Reload
+// validates replacements against them), so reading the current
+// generation's copy is exact.
 func (l *Local) N() int           { return l.cur.Load().sh.N() }
 func (l *Local) Lo() int          { return l.cur.Load().sh.Lo() }
 func (l *Local) Hi() int          { return l.cur.Load().sh.Hi() }

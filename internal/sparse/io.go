@@ -126,23 +126,6 @@ func spaceLen(b []byte) int {
 	return 0
 }
 
-// WriteWeightedEdgeList emits m as "src dst weight" lines.
-func WriteWeightedEdgeList(w io.Writer, m *CSR) error {
-	bw := bufio.NewWriter(w)
-	rows, _ := m.Dims()
-	for i := 0; i < rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i, m.ColIdx[p], m.Val[p]); err != nil {
-				return fmt.Errorf("sparse: writing weighted edge list: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("sparse: flushing weighted edge list: %w", err)
-	}
-	return nil
-}
-
 // WriteEdgeList emits the nonzero pattern of m as a "src dst" edge list.
 // Values are not written; the format carries structure only.
 func WriteEdgeList(w io.Writer, m *CSR) error {

@@ -333,7 +333,7 @@ func TestReadEdgeListGarbageNeverPanics(t *testing.T) {
 	}
 }
 
-func TestWeightedEdgeListRoundTrip(t *testing.T) {
+func TestReadWeightedEdgeList(t *testing.T) {
 	in := "# weighted\n0 1 2.5\n1 2 0.75\n0 1 0.5\n"
 	coo, err := ReadWeightedEdgeList(strings.NewReader(in), 3)
 	if err != nil {
@@ -343,16 +343,8 @@ func TestWeightedEdgeListRoundTrip(t *testing.T) {
 	if m.At(0, 1) != 3.0 { // duplicates sum
 		t.Fatalf("At(0,1) = %v, want 3", m.At(0, 1))
 	}
-	var sb strings.Builder
-	if err := WriteWeightedEdgeList(&sb, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadWeightedEdgeList(strings.NewReader(sb.String()), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.ToCSR().ToDense().Equal(m.ToDense(), 1e-15) {
-		t.Fatal("weighted round trip changed values")
+	if m.At(1, 2) != 0.75 || m.NNZ() != 2 {
+		t.Fatalf("At(1,2) = %v over %d entries, want 0.75 over 2", m.At(1, 2), m.NNZ())
 	}
 }
 

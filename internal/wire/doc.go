@@ -25,8 +25,8 @@
 //	                    generation from the worker's shard-<s>/ dir).
 //
 // Every data response carries the generation that answered it, so the
-// router's bound cache observes worker rolls the same way it observes
-// in-process swaps.
+// router's bound cache observes worker rolls the way it observes a local
+// slot's swap.
 //
 // # Failure model
 //
@@ -43,9 +43,9 @@
 // dead shard still fail, because every other shard's partial needs their
 // U rows.
 //
-// Rolling reloads reuse reload.RollShards semantics one process further
-// out: RollWorkers walks the workers one at a time, triggering each
-// worker's own load→validate→swap (a worker that fails validation keeps
-// serving its old generation), and aborts on the first failure leaving a
-// mixed-generation cluster that still answers exactly per shard.
+// A rolling reload (RollWorkers) walks the workers one at a time,
+// triggering each worker's own load→validate→swap (a worker that fails
+// validation keeps serving its old generation), and aborts on the first
+// failure leaving a mixed-generation cluster that still answers exactly per
+// shard.
 package wire

@@ -5,8 +5,7 @@ import (
 	"fmt"
 )
 
-// RollWorkers rolls a remote cluster onto its next snapshot generation
-// with reload.RollShards semantics moved one process boundary out: it
+// RollWorkers rolls a remote cluster onto its next snapshot generation: it
 // triggers each worker's own load→validate→swap via POST /admin/reload,
 // strictly one worker at a time in slot order, and aborts on the first
 // failure. At every instant at most one worker is mid-swap, and a failed

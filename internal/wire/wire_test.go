@@ -362,20 +362,14 @@ func TestRollWorkersSnapshotLifecycle(t *testing.T) {
 	_, ixA := testEngineIndex(t, 1)
 	engB, ixB := testEngineIndex(t, 2)
 	const k = 3
-	shardsA, err := shard.Split(ixA, k)
-	if err != nil {
+	root := t.TempDir()
+	if err := shard.PublishSnapshots(root, ixA, k); err != nil {
 		t.Fatal(err)
 	}
-	dirs := make([]string, k)
 	servers := make([]*httptest.Server, k)
 	workers := make([]*wire.Worker, k)
-	root := t.TempDir()
-	for s, sh := range shardsA {
-		dirs[s] = core.ShardDir(root, s)
-		if _, _, err := core.WriteShardSnapshot(dirs[s], sh); err != nil {
-			t.Fatal(err)
-		}
-		w, err := wire.BootWorker(wire.WorkerConfig{Shard: s, SnapshotDir: dirs[s], AdminToken: "sesame"})
+	for s := range workers {
+		w, err := wire.BootWorker(wire.WorkerConfig{Shard: s, SnapshotDir: core.ShardDir(root, s), AdminToken: "sesame"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,15 +382,8 @@ func TestRollWorkersSnapshotLifecycle(t *testing.T) {
 	rt, engines := wireRouter(t, servers, opt)
 
 	// Publish index B's factors and roll the cluster onto them.
-	for s := range dirs {
-		lo, hi := rt.Plan().Range(s)
-		sh, err := ixB.Shard(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := core.WriteShardSnapshot(dirs[s], sh); err != nil {
-			t.Fatal(err)
-		}
+	if err := shard.PublishSnapshots(root, ixB, k); err != nil {
+		t.Fatal(err)
 	}
 	swapped, err := wire.RollWorkers(context.Background(), engines)
 	if err != nil || swapped != k {
@@ -422,18 +409,27 @@ func TestRollWorkersSnapshotLifecycle(t *testing.T) {
 		}
 	}
 
+	// A publish cut for a cluster of another size holds other ranges: the
+	// worker refuses it before the swap and the roll stops there, nothing
+	// swapped, index B still serving.
+	if err := shard.PublishSnapshots(root, ixA, k+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workers[0].Reload(); !errors.Is(err, shard.ErrShard) {
+		t.Fatalf("reload of a shard cut for another range: err = %v, want ErrShard", err)
+	}
+	if swapped, err := wire.RollWorkers(context.Background(), engines); err == nil || swapped != 0 {
+		t.Fatalf("roll onto shards cut for another range = %d, %v; want 0 and an error", swapped, err)
+	}
+	if got, err = rt.TopKTagged(context.Background(), queries, 10, 0); err != nil || got.Items[0].Node != want[0].Node || got.Items[0].Score != want[0].Score {
+		t.Fatalf("after the refused roll: %+v, %v; want index B's answer", got.Items, err)
+	}
+
 	// Kill worker 1 and roll again: worker 0 swaps, the roll aborts at
 	// worker 1, worker 2 is never touched — and the cluster still serves.
 	servers[1].Close()
-	for s := range dirs {
-		lo, hi := rt.Plan().Range(s)
-		sh, err := ixA.Shard(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := core.WriteShardSnapshot(dirs[s], sh); err != nil {
-			t.Fatal(err)
-		}
+	if err := shard.PublishSnapshots(root, ixA, k); err != nil {
+		t.Fatal(err)
 	}
 	swapped, err = wire.RollWorkers(context.Background(), engines)
 	if err == nil || swapped != 1 {

@@ -77,8 +77,7 @@ func (w *Worker) Slot() *shard.Local { return w.slot }
 
 // Reload loads the newest snapshot from the worker's directory, validates
 // it against the serving slot's shape, and swaps it in. A reload that
-// fails at any stage leaves the old generation serving — the same
-// guarantee reload.RollShards gives an in-process slot.
+// fails at any stage leaves the old generation serving.
 func (w *Worker) Reload() (ReloadResponse, error) {
 	w.reloadMu.Lock()
 	defer w.reloadMu.Unlock()
