@@ -78,6 +78,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -161,12 +162,13 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 		return nil, err
 	}
 	meta := src.boot.Meta
-	shards := len(meta.ShardStatus())
-	stored, indexBytes := indexSize(meta.ShardStatus())
+	slots := meta.ShardStatus()
+	shards := len(slots)
+	stored, indexBytes := indexSize(slots)
 	// Clocked from before the graph load, so the figure is the process's
 	// set-up time as a caller polling /readyz sees it, less exec and flags.
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d peak %d bytes) graph=%v%s", time.Since(start),
-		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, meta.PeakBytes, src.graphLoad, clocksSuffix(meta))
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t peak %d bytes VmHWM %d bytes) graph=%v%s", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta))
 
 	sc := cfg.serve
 	sc.Cache = lru
@@ -231,8 +233,28 @@ func (s *server) reloadOnHUP(ch <-chan os.Signal) {
 
 // logGeneration reports a generation a reload just put in service.
 func logGeneration(st reload.Status) {
-	log.Printf("csrserver: serving generation %d (source=%s path=%s build=%v)%s",
-		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), clocksSuffix(st.Meta))
+	log.Printf("csrserver: serving generation %d (source=%s path=%s build=%v mapped=%t peak %d bytes VmHWM %d bytes)%s",
+		st.Generation, st.Source, st.Path, time.Duration(st.BuildSeconds*float64(time.Second)), allMapped(st.ShardStatus()), st.PeakBytes, vmHWM(), clocksSuffix(st.Meta))
+}
+
+// vmHWM is the process's peak resident set so far as the kernel counts it
+// — what the analytic peak beside it in the log lines models — or 0 where
+// /proc does not say.
+func vmHWM() int64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	_, rest, ok := strings.Cut(string(status), "VmHWM:")
+	if !ok {
+		return 0
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 2 || fields[1] != "kB" {
+		return 0
+	}
+	kb, _ := strconv.ParseInt(fields[0], 10, 64)
+	return kb << 10
 }
 
 // indexSize sums what the slots hold: the factor rows stored — of the n the
@@ -243,6 +265,11 @@ func indexSize(slots []shard.ShardStatus) (stored int, bytes int64) {
 		stored, bytes = stored+sl.Stored, bytes+sl.Bytes
 	}
 	return stored, bytes
+}
+
+// allMapped reports whether every slot serves its rows from a mapped file.
+func allMapped(slots []shard.ShardStatus) bool {
+	return len(slots) > 0 && !slices.ContainsFunc(slots, func(sl shard.ShardStatus) bool { return !sl.Mapped })
 }
 
 // clocksSuffix renders where a generation's build time went, for the boot

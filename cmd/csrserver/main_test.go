@@ -602,9 +602,10 @@ func TestSourceSnapshotResolution(t *testing.T) {
 
 // TestBuildClocks pins what the boot and reload log lines say about where
 // a generation's build time went: a precompute names the support it
-// decomposed and its six stages, a publish is clocked after it, a rebuild
-// over the live graph leads with the cut, and a generation that was only
-// loaded clocks nothing.
+// decomposed and its six stages, a publish is clocked after it with the
+// read-back inside it, a rebuild over the live graph leads with the cut — as
+// a reload that had to read the flags' graph again leads with that — and a
+// generation that was only loaded clocks nothing.
 func TestBuildClocks(t *testing.T) {
 	dir := t.TempDir()
 	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ eig=\S+ solve=\S+ z=\S+ rest=\S+`
@@ -612,7 +613,7 @@ func TestBuildClocks(t *testing.T) {
 		name, want string
 		args       []string
 	}{
-		{"cold boot, published", "^" + precompute + ` publish=\S+$`, []string{"-snapshots", dir}},
+		{"cold boot, published", "^" + precompute + ` publish=\S+ remap=\S+$`, []string{"-snapshots", dir}},
 		{"snapshot boot", "^$", []string{"-snapshots", dir}},
 		{"plain rebuild", "^" + precompute + "$", nil},
 	} {
@@ -620,16 +621,22 @@ func TestBuildClocks(t *testing.T) {
 			t.Errorf("%s: clocks %q, want %s", tc.name, got, tc.want)
 		}
 	}
+	st, err := bootArgs(t).reload(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `^graph=\S+ ` + precompute + "$"; !regexp.MustCompile(want).MatchString(st.Clocks) {
+		t.Errorf("reload with nothing on disk: clocks %q, want %s", st.Clocks, want)
+	}
 	s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", t.TempDir())
 	defer s.ing.Close()
 	if err := s.ing.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.reload(context.Background())
-	if err != nil {
+	if st, err = s.reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if want := `^graph=\S+ ` + precompute + ` publish=\S+$`; !regexp.MustCompile(want).MatchString(st.Clocks) {
+	if want := `^graph=\S+ ` + precompute + ` publish=\S+ remap=\S+$`; !regexp.MustCompile(want).MatchString(st.Clocks) {
 		t.Errorf("ingest rebuild: clocks %q, want %s", st.Clocks, want)
 	}
 }

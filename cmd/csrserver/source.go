@@ -6,9 +6,12 @@ package main
 // filled and how long they live:
 //
 //   - one whole index per generation (local, -waldir): a FRESH K=1 router
-//     over the index per generation. The index may be a memory-mapped
-//     snapshot, so the generation owns it: Candidate.Release closes it
-//     after serve's swap has drained the calls still running on it.
+//     over the index per generation. A generation is its published file:
+//     with -snapshots the index is the memory-mapped snapshot whether this
+//     process found it there or has just written it, so the generation owns
+//     it and Candidate.Release closes it after serve's swap has drained the
+//     calls still running on it. Only an index nothing published (no
+//     -snapshots, or a lossy -quantize copy) is served from the heap.
 //   - remote slots that outlive reloads (-shardaddrs): ONE router for the
 //     life of the process; a reload rolls the workers one at a time.
 //     Nothing to release — remote slots own nothing here.
@@ -143,23 +146,28 @@ func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 // service, after which every reload rebuilds from the live graph.
 func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 	start := time.Now()
-	ix, meta, _, err := w.build(ctx)
+	b, err := w.build(ctx)
 	if err == nil {
-		err = saveIndex(w.cfg, ix)
+		if err = saveIndex(w.cfg, b.ix); err != nil {
+			_ = b.ix.Close()
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	boot, err := w.candidate(ix, meta, nil, start)
+	boot, err := w.candidate(b, start)
 	if err != nil {
 		return nil, err
 	}
 	if w.cfg.mode == modeIngest {
 		// The live graph starts from the flags' graph whatever the index
-		// came from: an ingest boot always reads it.
-		g, err := w.graph()
+		// came from: an ingest boot always reads it, once — a build that
+		// precomputed over it hands it on.
+		if b.g == nil {
+			b.g, b.graphLoad, err = w.readGraph()
+		}
 		if err == nil {
-			w.ing, err = ingest.NewService(g.CoreGraph(), ix, ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
+			w.ing, err = ingest.NewService(b.g.CoreGraph(), b.ix, ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
 		}
 		if err != nil {
 			boot.Release()
@@ -170,73 +178,70 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 		// boot factors don't cover.
 		boot.Drift = w.ing.DriftFrom(0)
 	}
-	return &source{boot: boot, next: w.load, ing: w.ing, graphLoad: w.graphLoad}, nil
+	return &source{boot: boot, next: w.load, ing: w.ing, graphLoad: b.graphLoad}, nil
 }
 
 // wholeIndex resolves one whole CSR+ index per call, off the serving
 // path. Precedence mirrors the flags: the live graph once ingestion is
 // up, else the snapshot directory's CURRENT, else a pinned -index file,
 // else an in-process precompute over the graph. Only the last reads the
-// graph the flags name; a loaded index is held to the flags' node count
-// (cfg.n) instead. Calls never overlap: the boot makes the first, and
-// reload.Manager runs one load at a time.
+// graph the flags name, and keeps it no longer than the call: a loaded
+// index is held to the flags' node count (cfg.n) instead, and a generation
+// rests at its published file, not at what it was computed from. Calls
+// never overlap: the boot makes the first, and reload.Manager runs one load
+// at a time.
 type wholeIndex struct {
 	cfg *config
 	ing *ingest.Service // set by openIndex once the boot index exists
 
-	g         *csrplus.Graph // nil until graph has read it
-	graphLoad time.Duration  // what that read cost
+	// m is the edge count of the graph as last read, 0 until it has been: a
+	// boot that skipped it reports m = 0, as a router always has.
+	m int64
 }
 
-// graph returns the graph the flags name, reading or generating it on
-// first use. A failure is returned and not remembered, so the next caller
-// — a retry, the next SIGHUP — reads again.
-func (w *wholeIndex) graph() (*csrplus.Graph, error) {
-	if w.g == nil {
-		start := time.Now()
-		g, err := loadGraph(w.cfg)
-		if err != nil {
-			return nil, err
-		}
-		w.g, w.graphLoad = g, time.Since(start)
+// readGraph reads or generates the graph the flags name and clocks it. The
+// graph is the caller's for the one call that needs it; only its edge count
+// is remembered.
+func (w *wholeIndex) readGraph() (*csrplus.Graph, time.Duration, error) {
+	start := time.Now()
+	g, err := loadGraph(w.cfg)
+	if err != nil {
+		return nil, 0, err
 	}
-	return w.g, nil
-}
-
-// m is the graph's edge count, 0 until the graph has been read: a boot
-// that skipped it reports m = 0, as a router always has.
-func (w *wholeIndex) m() int64 {
-	if w.g == nil {
-		return 0
-	}
-	return w.g.M()
+	w.m = g.M()
+	return g, time.Since(start), nil
 }
 
 // shape renders what is known of the graph for the log lines: n from the
 // flags, m once the graph has been read.
 func (w *wholeIndex) shape() string {
-	if w.g == nil {
+	if w.m == 0 {
 		return fmt.Sprintf("n=%d", w.cfg.n)
 	}
-	return fmt.Sprintf("n=%d m=%d", w.cfg.n, w.g.M())
+	return fmt.Sprintf("n=%d m=%d", w.cfg.n, w.m)
 }
 
 // load is the reload.LoadFunc of a whole-index source.
 func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 	start := time.Now()
-	ix, meta, drift, err := w.build(ctx)
+	b, err := w.build(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return w.candidate(ix, meta, drift, start)
+	if b.g != nil {
+		// A reload that found nothing on disk read the graph again.
+		b.meta.Clocks = fmt.Sprintf("graph=%v %s", clock(b.graphLoad), b.meta.Clocks)
+	}
+	return w.candidate(b, start)
 }
 
-// candidate puts ix behind a fresh K=1 router that owns it: the
-// generation's Release closes ix. The generation's smoke test
+// candidate puts b.ix behind a fresh K=1 router that owns it: the
+// generation's Release closes it. The generation's smoke test
 // (reload.Validate) reads a few cells of S and a top-k selector drops NaN
 // rows silently, so every row of the factors is scanned here first, as a
 // worker's boot and reload do per shard.
-func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.DriftFunc, start time.Time) (*reload.Candidate, error) {
+func (w *wholeIndex) candidate(b *built, start time.Time) (*reload.Candidate, error) {
+	ix := b.ix
 	rt, err := shard.NewRouterFromIndex(ix, 1)
 	if err == nil {
 		err = reload.ValidateShard(&ix.IndexShard)
@@ -245,8 +250,28 @@ func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.Dri
 		_ = ix.Close()
 		return nil, err
 	}
-	meta.BuildTime = time.Since(start)
-	return newCandidate(rt, meta, drift, func() { _ = ix.Close() }), nil
+	b.meta.BuildTime = time.Since(start)
+	c := newCandidate(rt, b.meta, b.drift, func() { _ = ix.Close() })
+	c.Meta.ShardStatus = func() []shard.ShardStatus {
+		slots := rt.Status()
+		slots[0].Mapped = ix.Mapped()
+		return slots
+	}
+	return c, nil
+}
+
+// built is one build's result: the index, which the caller owns, and how it
+// came to be.
+type built struct {
+	ix   *core.Index
+	meta reload.Meta
+	// drift is the generation's ingest drift closure, anchored at the cut
+	// its factors were built from (nil without ingestion).
+	drift serve.DriftFunc
+	// g is the graph the flags name and graphLoad what reading it cost, nil
+	// and 0 unless this build had to read it.
+	g         *csrplus.Graph
+	graphLoad time.Duration
 }
 
 // build produces the next whole index and, when it did not come from
@@ -254,14 +279,19 @@ func (w *wholeIndex) candidate(ix *core.Index, meta reload.Meta, drift serve.Dri
 // primed with the boot index (the first SIGHUP has a CURRENT to resolve,
 // operators can roll back to the generation the server came up with) and
 // every live-graph rebuild lands on disk stamped with the WAL sequence
-// it covers, so the next boot replays only the tail. drift is the
-// generation's ingest drift closure, anchored at the cut its factors
-// were built from (nil without ingestion).
-func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Meta, drift serve.DriftFunc, err error) {
+// it covers, so the next boot replays only the tail. A generation is its
+// published file: an exact-tier publish hands back the file as a boot from
+// the directory would open it — mapped, every CRC checked before CURRENT
+// named it — and that, not the heap factors it was written from, is what
+// build returns. A lossy -quantize publish is a copy for other readers; the
+// exact index keeps serving.
+func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, meta, nil, err
+		return nil, err
 	}
 	cfg := w.cfg
+	b := &built{}
+	var err error
 	var clocks []string // meta.Clocks, in the order the work ran
 	// precompute runs Phase I over g in this process.
 	precompute := func(g *csrplus.Graph) error {
@@ -269,86 +299,109 @@ func (w *wholeIndex) build(ctx context.Context) (ix *core.Index, meta reload.Met
 		if err != nil {
 			return err
 		}
-		ix, meta.M, meta.PeakBytes = coreIndex(eng), g.M(), eng.Stats().PeakBytes
+		b.ix, b.meta.M, b.meta.PeakBytes = coreIndex(eng), g.M(), eng.Stats().PeakBytes
 		return nil
 	}
 	switch {
 	case w.ing != nil:
 		if !w.ing.Ready() {
-			return nil, meta, nil, fmt.Errorf("ingest replay still in progress")
+			return nil, fmt.Errorf("ingest replay still in progress")
 		}
 		cutStart := time.Now()
 		live, seq, d0, cerr := w.ing.Cut()
 		if cerr != nil {
-			return nil, meta, nil, cerr
+			return nil, cerr
 		}
 		clocks = append(clocks, fmt.Sprintf("graph=%v", clockSince(cutStart)))
 		log.Printf("rebuilding index over live graph n=%d m=%d (wal seq %d, drift %.3g) ...", live.N(), live.M(), seq, d0)
-		meta = reload.Meta{Source: "ingest-rebuild"}
+		b.meta = reload.Meta{Source: "ingest-rebuild"}
 		if err = precompute(csrplus.FromCoreGraph(live)); err == nil {
-			ix.SetWalSeq(seq)
+			b.ix.SetWalSeq(seq)
 		}
-		drift = w.ing.DriftFrom(d0)
+		b.drift = w.ing.DriftFrom(d0)
 	case cfg.snapDir != "" && snapshotAvailable(cfg.snapDir):
 		log.Printf("loading snapshot directory %s over %s ...", cfg.snapDir, w.shape())
 		var snap core.Snapshot
 		var recovered bool
-		ix, snap, recovered, err = core.RecoverSnapshot(cfg.snapDir)
+		b.ix, snap, recovered, err = core.RecoverSnapshot(cfg.snapDir)
 		if recovered {
 			log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
 		}
-		meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m()}
+		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m}
 	case cfg.indexPath != "":
 		log.Printf("loading index %s over %s ...", cfg.indexPath, w.shape())
-		ix, err = core.LoadIndex(cfg.indexPath)
-		meta = reload.Meta{Source: "index", Path: cfg.indexPath, M: w.m()}
+		b.ix, err = core.LoadIndex(cfg.indexPath)
+		b.meta = reload.Meta{Source: "index", Path: cfg.indexPath, M: w.m}
 	default:
-		var g *csrplus.Graph
-		if g, err = w.graph(); err != nil {
-			return nil, meta, nil, err
+		if b.g, b.graphLoad, err = w.readGraph(); err != nil {
+			return nil, err
 		}
-		log.Printf("precomputing index over n=%d m=%d ...", g.N(), g.M())
-		meta = reload.Meta{Source: "rebuild"}
-		err = precompute(g)
+		log.Printf("precomputing index over n=%d m=%d ...", b.g.N(), b.g.M())
+		b.meta = reload.Meta{Source: "rebuild"}
+		err = precompute(b.g)
 	}
-	if err == nil && ix.N() != cfg.n {
+	if err == nil && b.ix.N() != cfg.n {
 		// What csrplus.LoadEngine checks against a graph in hand, checked
 		// against the node count the flags name with the graph unread.
-		err = fmt.Errorf("index built for %d nodes, graph has %d", ix.N(), cfg.n)
-		_ = ix.Close()
+		err = fmt.Errorf("index built for %d nodes, graph has %d", b.ix.N(), cfg.n)
+		_ = b.ix.Close()
 	}
 	if err != nil {
-		return nil, meta, nil, err
+		return nil, err
 	}
-	meta.Algorithm = csrplus.AlgoCSRPlus
-	if ix.Stages() != (core.Stages{}) {
-		nr, nc := ix.Support()
-		clocks = append(clocks, fmt.Sprintf("precompute: support=%dx%d/%d %v", nr, nc, ix.N(), ix.Stages()))
+	b.meta.Algorithm = csrplus.AlgoCSRPlus
+	if b.ix.Stages() != (core.Stages{}) {
+		nr, nc := b.ix.Support()
+		clocks = append(clocks, fmt.Sprintf("precompute: support=%dx%d/%d %v", nr, nc, b.ix.N(), b.ix.Stages()))
 	}
-	if publishStart := time.Now(); cfg.snapDir != "" && meta.Source != "snapshot" {
-		if tix, terr := tiered(ix, cfg.quantize); terr != nil {
-			err = terr
-		} else if meta.SnapshotGen, meta.Path, err = core.WriteSnapshot(cfg.snapDir, tix); err == nil {
-			log.Printf("index published as snapshot generation %d (%s, tier %s)", meta.SnapshotGen, meta.Path, tierName(cfg.quantize))
-			// The new generation is already durable and live, so a failure
-			// to delete old ones is logged, never returned. A generation
-			// still mapped by this process keeps its pages after the unlink.
-			if _, perr := core.PruneSnapshots(cfg.snapDir, core.KeepSnapshots); perr != nil {
-				log.Printf("WARNING: pruning old snapshot generations: %v", perr)
-			}
+	if cfg.snapDir != "" && b.meta.Source != "snapshot" {
+		published, err := w.publish(b)
+		if err != nil {
+			_ = b.ix.Close()
+			return nil, err
 		}
-		clocks = append(clocks, fmt.Sprintf("publish=%v", clockSince(publishStart)))
+		clocks = append(clocks, published)
 	}
-	if err != nil {
-		_ = ix.Close()
-		return nil, meta, nil, err
-	}
-	meta.Clocks = strings.Join(clocks, " ")
-	return ix, meta, drift, nil
+	b.meta.Clocks = strings.Join(clocks, " ")
+	return b, nil
 }
 
-// clockSince is the time since t at the log lines' resolution.
-func clockSince(t time.Time) time.Duration { return time.Since(t).Round(100 * time.Microsecond) }
+// publish writes b.ix to the snapshot directory at the -quantize tier and,
+// when that is the exact tier, swaps b.ix for the generation as published
+// (see build); the index it replaces is closed — a mapped -index file — or
+// left to the collector. It returns its clocks: publish=, and the read-back
+// inside it as remap=.
+func (w *wholeIndex) publish(b *built) (string, error) {
+	cfg := w.cfg
+	start := time.Now()
+	tix, err := b.ix.QuantizeTo(cfg.quantize)
+	if err != nil {
+		return "", err
+	}
+	served, snap, readBack, err := core.PublishSnapshot(cfg.snapDir, tix)
+	if err != nil {
+		return "", err
+	}
+	b.meta.SnapshotGen, b.meta.Path = snap.Gen, snap.Path
+	log.Printf("index published as snapshot generation %d (%s, tier %s)", snap.Gen, snap.Path, tierName(cfg.quantize))
+	if tix == b.ix {
+		_ = b.ix.Close()
+		b.ix = served
+	} else {
+		_ = served.Close()
+	}
+	// The new generation is already durable and live, so a failure to
+	// delete old ones is logged, never returned. A generation still mapped
+	// by this process keeps its pages after the unlink.
+	if _, perr := core.PruneSnapshots(cfg.snapDir, core.KeepSnapshots); perr != nil {
+		log.Printf("WARNING: pruning old snapshot generations: %v", perr)
+	}
+	return fmt.Sprintf("publish=%v remap=%v", clockSince(start), clock(readBack)), nil
+}
+
+// clock is d at the log lines' resolution, and clockSince the time since t.
+func clock(d time.Duration) time.Duration  { return d.Round(100 * time.Microsecond) }
+func clockSince(t time.Time) time.Duration { return clock(time.Since(t)) }
 
 // coreIndex unwraps the CSR+ index every engine precomputed here has: the
 // server runs no other algorithm.
@@ -362,7 +415,7 @@ func saveIndex(cfg *config, ix *core.Index) error {
 	if cfg.saveIndex == "" {
 		return nil
 	}
-	tix, err := tiered(ix, cfg.quantize)
+	tix, err := ix.QuantizeTo(cfg.quantize)
 	if err == nil {
 		err = core.SaveIndex(tix, cfg.saveIndex)
 	}
@@ -371,16 +424,6 @@ func saveIndex(cfg *config, ix *core.Index) error {
 	}
 	log.Printf("index persisted to %s (tier %s)", cfg.saveIndex, tierName(cfg.quantize))
 	return nil
-}
-
-// tiered resolves ix at the -quantize tier, quantizing a copy when the tier
-// is lossy: what csrplus.Engine.SaveIndexTier does for an engine.
-func tiered(ix *core.Index, tier string) (*core.Index, error) {
-	t, err := core.ParseTier(tier)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Quantize(t)
 }
 
 // tierName renders the -quantize flag value for logs ("" is the exact

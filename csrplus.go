@@ -223,7 +223,8 @@ type Stats struct {
 // Every algorithm's query phase reads only precomputed state and per-call
 // scratch, so an Engine is safe for concurrent Query/TopK calls.
 type Engine struct {
-	gr      *Graph
+	n       int
+	m       int64 // 0 when the engine was loaded without its graph
 	runner  baseline.Runner
 	tracker *memtrack.Tracker
 	algo    string
@@ -256,7 +257,8 @@ func NewEngine(g *Graph, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		gr:      g,
+		n:       g.N(),
+		m:       g.M(),
 		runner:  runner,
 		tracker: tracker,
 		algo:    algo,
@@ -359,7 +361,7 @@ func (e *Engine) TopKMulti(queries []int, k int) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := make([]float64, e.gr.N())
+	agg := make([]float64, e.n)
 	for _, col := range cols {
 		for i, v := range col {
 			agg[i] += v
@@ -451,20 +453,14 @@ func (e *Engine) tieredIndex(tier string) (*core.Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w (engine runs %s)", ErrNotCSRPlus, e.algo)
 	}
-	t, err := core.ParseTier(tier)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Index().Quantize(t)
+	return cp.Index().QuantizeTo(tier)
 }
 
 // LoadEngine builds a query-ready CSR+ engine from an index previously
 // written by SaveIndex. The graph is only consulted for Stats (it must be
-// the one the index was built from; a node-count mismatch is rejected).
+// the one the index was built from; a node-count mismatch is rejected) and
+// may be nil: Stats then reports the index's node count and M = 0.
 func LoadEngine(g *Graph, path string) (*Engine, error) {
-	if g == nil || g.g == nil {
-		return nil, errors.New("csrplus: nil graph")
-	}
 	ix, err := core.LoadIndex(path)
 	if err != nil {
 		return nil, err
@@ -473,8 +469,13 @@ func LoadEngine(g *Graph, path string) (*Engine, error) {
 }
 
 func engineFromIndex(g *Graph, ix *core.Index) (*Engine, error) {
-	if ix.N() != g.N() {
-		return nil, fmt.Errorf("csrplus: index built for %d nodes, graph has %d", ix.N(), g.N())
+	var m int64
+	if g != nil && g.g != nil {
+		if ix.N() != g.N() {
+			_ = ix.Close()
+			return nil, fmt.Errorf("csrplus: index built for %d nodes, graph has %d", ix.N(), g.N())
+		}
+		m = g.M()
 	}
 	tracker := memtrack.New()
 	runner := baseline.CSRPlusFromIndex(ix, baseline.Config{
@@ -482,7 +483,7 @@ func engineFromIndex(g *Graph, ix *core.Index) (*Engine, error) {
 		Rank:    ix.Rank(),
 		Tracker: tracker,
 	})
-	return &Engine{gr: g, runner: runner, tracker: tracker, algo: AlgoCSRPlus}, nil
+	return &Engine{n: ix.N(), m: m, runner: runner, tracker: tracker, algo: AlgoCSRPlus}, nil
 }
 
 // RecoveredSnapshot describes the snapshot RecoverEngine actually served.
@@ -501,11 +502,8 @@ type RecoveredSnapshot struct {
 // cleanly, and otherwise falls back to the newest generation that still
 // deserialises (torn CURRENT writes, truncated or missing index files —
 // the states a crash mid-publish leaves behind). See core.RecoverSnapshot
-// for the exact fallback order.
+// for the exact fallback order. Like LoadEngine's, the graph may be nil.
 func RecoverEngine(g *Graph, dir string) (*Engine, RecoveredSnapshot, error) {
-	if g == nil || g.g == nil {
-		return nil, RecoveredSnapshot{}, errors.New("csrplus: nil graph")
-	}
 	ix, snap, recovered, err := core.RecoverSnapshot(dir)
 	if err != nil {
 		return nil, RecoveredSnapshot{}, err
@@ -521,8 +519,8 @@ func RecoverEngine(g *Graph, dir string) (*Engine, RecoveredSnapshot, error) {
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Algorithm:      e.algo,
-		N:              e.gr.N(),
-		M:              e.gr.M(),
+		N:              e.n,
+		M:              e.m,
 		PrecomputeTime: e.precomp,
 		PeakBytes:      e.tracker.Peak(),
 	}

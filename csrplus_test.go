@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,8 +391,47 @@ func TestLoadEngineNodeCountMismatch(t *testing.T) {
 	if _, err := LoadEngine(other, path); err == nil {
 		t.Fatal("node-count mismatch accepted")
 	}
-	if _, err := LoadEngine(nil, path); err == nil {
-		t.Fatal("nil graph accepted")
+}
+
+// An index can be served without the graph it was built from: the loaded
+// engine answers like the one that built it and reports the index's node
+// count with m = 0.
+func TestLoadEngineWithoutGraph(t *testing.T) {
+	g := paperGraph(t)
+	eng, err := NewEngine(g, Options{Rank: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.csrx")
+	if err := eng.SaveIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.SaveSnapshot(filepath.Join(dir, "snaps")); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	recovered, _, err := RecoverEngine(nil, filepath.Join(dir, "snaps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	want, err := eng.TopKMulti([]int{1, 4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, back := range map[string]*Engine{"LoadEngine": loaded, "RecoverEngine": recovered} {
+		if st := back.Stats(); st.N != g.N() || st.M != 0 || st.Rank != 3 {
+			t.Fatalf("%s(nil, ...).Stats() = %+v, want n = %d, m = 0, rank 3", name, st, g.N())
+		}
+		got, err := back.TopKMulti([]int{1, 4}, 3)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s(nil, ...).TopKMulti = %v, %v; want %v", name, got, err, want)
+		}
 	}
 }
 

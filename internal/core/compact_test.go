@@ -158,7 +158,7 @@ func TestDynamicOverCompactedIndex(t *testing.T) {
 			t.Fatalf("edge %v: drift %v over the compacted index, %v over its twin", e, da, db)
 		}
 	}
-	if !reflect.DeepEqual(a.in, b.in) || a.Drift() != b.Drift() {
+	if !reflect.DeepEqual(a.src, b.src) || a.Drift() != b.Drift() {
 		t.Fatal("in-neighbour lists or drift differ")
 	}
 }

@@ -35,21 +35,22 @@ func DriftContribution(c, delta float64) float64 {
 	return c * (2*delta + delta*delta) / ((1 - c) * (1 - c))
 }
 
-type dynEdge struct {
-	src int32
-	w   float64
-}
-
 // Dynamic maintains the live in-neighbour lists and the cumulative drift
 // bound. It is not safe for concurrent use; the ingest service serializes
 // access.
+//
+// It holds what the live graph needs and nothing more: 4 B an edge plus a
+// slice header a node on an unweighted graph, where every weight is 1 and
+// Q's column normaliser is the list's length; the weights and their sums
+// exist only on a weighted one.
 type Dynamic struct {
 	n        int
 	c        float64
 	weighted bool
 
-	in   [][]dynEdge // in[v] = in-neighbours of v with weights
-	totw []float64   // totw[v] = Σ weights into v (Q's column normaliser)
+	src  [][]int32   // src[v] = in-neighbours of v, each once, in arrival order
+	w    [][]float64 // w[v][i] = weight of src[v][i] -> v; nil unless weighted
+	totw []float64   // totw[v] = Σ w[v], Q's column normaliser; nil unless weighted
 	m    int64       // live edge count (distinct (u,v) pairs)
 
 	drift float64 // cumulative drift bound over drift-counted edges
@@ -58,37 +59,44 @@ type Dynamic struct {
 
 // NewDynamic builds the dynamic state for g served by ix's factors, which
 // must match g's node count. Only ix's n and damping are read and nothing
-// of it is retained, so any tier serves and the caller may close ix.
+// of it or of g is retained, so any tier serves and the caller may close ix
+// and drop g.
 func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 	if g.N() != ix.n {
 		return nil, fmt.Errorf("core: dynamic state over n=%d graph for n=%d index: %w", g.N(), ix.n, ErrParams)
 	}
-	d := &Dynamic{
-		n:        ix.n,
-		c:        ix.c,
-		weighted: g.Weighted(),
-		in:       make([][]dynEdge, ix.n),
-		totw:     make([]float64, ix.n),
-	}
+	d := &Dynamic{n: ix.n, c: ix.c, weighted: g.Weighted(), src: make([][]int32, ix.n)}
 	adj := g.Adj()
 	// Every list is carved out of one backing array, in-degree long and
 	// with no capacity to spare: the fill below appends in place, and
-	// ApplyEdge's first append to in[v] copies that list out instead of
-	// writing over the head of in[v+1].
+	// ApplyEdge's first append to a list copies it out instead of writing
+	// over the head of its neighbour's.
 	start := make([]int, d.n+1)
 	for _, v := range adj.ColIdx {
 		start[v+1]++
 	}
-	backing := make([]dynEdge, len(adj.ColIdx))
-	for v := range d.in {
+	for v := 0; v < d.n; v++ {
 		start[v+1] += start[v]
-		d.in[v] = backing[start[v]:start[v]:start[v+1]]
+	}
+	srcs := make([]int32, len(adj.ColIdx))
+	for v := range d.src {
+		d.src[v] = srcs[start[v]:start[v]:start[v+1]]
+	}
+	if d.weighted {
+		d.w, d.totw = make([][]float64, d.n), make([]float64, d.n)
+		ws := make([]float64, len(adj.ColIdx))
+		for v := range d.w {
+			d.w[v] = ws[start[v]:start[v]:start[v+1]]
+		}
 	}
 	for u := 0; u < d.n; u++ {
 		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
-			v, w := int(adj.ColIdx[p]), adj.Val[p]
-			d.in[v] = append(d.in[v], dynEdge{src: int32(u), w: w})
-			d.totw[v] += w
+			v := int(adj.ColIdx[p])
+			d.src[v] = append(d.src[v], int32(u))
+			if d.weighted {
+				d.w[v] = append(d.w[v], adj.Val[p])
+				d.totw[v] += adj.Val[p]
+			}
 			d.m++
 		}
 	}
@@ -132,10 +140,10 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 		return false, 0, fmt.Errorf("core: edge (%d, %d) weight %v must be positive and finite: %w", src, dst, weight, ErrParams)
 	}
 
-	list := d.in[dst]
+	list := d.src[dst]
 	pos := -1
 	for i := range list {
-		if int(list[i].src) == src {
+		if int(list[i]) == src {
 			pos = i
 			break
 		}
@@ -143,9 +151,16 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 	if pos >= 0 && !d.weighted {
 		return false, 0, nil
 	}
+	// On an unweighted graph every weight is 1 and a sum of ones is exact,
+	// so the terms below are the ones a stored weight list and its running
+	// total gave.
+	oldT := float64(len(list))
+	var ws []float64
+	if d.weighted {
+		ws, oldT = d.w[dst], d.totw[dst]
+	}
 
 	// Exact δ = ‖q'_dst − q_dst‖₁ for the column renormalisation.
-	oldT := d.totw[dst]
 	newT := oldT + weight
 	var delta float64
 	if oldT == 0 {
@@ -153,9 +168,12 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 		delta = 1
 	} else {
 		for i := range list {
-			wOld := list[i].w
+			wOld := 1.0
+			if d.weighted {
+				wOld = ws[i]
+			}
 			wNew := wOld
-			if int(list[i].src) == src {
+			if i == pos {
 				wNew += weight
 			}
 			delta += math.Abs(wNew/newT - wOld/oldT)
@@ -166,12 +184,17 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 	}
 
 	if pos >= 0 {
-		d.in[dst][pos].w += weight
+		ws[pos] += weight
 	} else {
-		d.in[dst] = append(d.in[dst], dynEdge{src: int32(src), w: weight})
+		d.src[dst] = append(d.src[dst], int32(src))
+		if d.weighted {
+			d.w[dst] = append(ws, weight)
+		}
 		d.m++
 	}
-	d.totw[dst] = newT
+	if d.weighted {
+		d.totw[dst] = newT
+	}
 
 	if countDrift {
 		driftDelta = DriftContribution(d.c, delta)
@@ -186,14 +209,18 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 // the downstream graph — and therefore a rebuild's Precompute output —
 // bitwise-independent of the order edges were applied in. ToCSR sums
 // duplicates in insertion order, which would let that order show, but
-// none reach it from here: in[v] holds each source once (ApplyEdge folds a
+// none reach it from here: src[v] holds each source once (ApplyEdge folds a
 // repeated edge into its entry's weight), so every (row, col) is emitted
 // exactly once and only the sort decides the layout.
 func (d *Dynamic) MaterializeCOO() (*sparse.COO, error) {
 	coo := sparse.NewCOO(d.n, d.n)
 	for v := 0; v < d.n; v++ {
-		for _, e := range d.in[v] {
-			if err := coo.Add(int(e.src), v, e.w); err != nil {
+		for i, u := range d.src[v] {
+			w := 1.0
+			if d.weighted {
+				w = d.w[v][i]
+			}
+			if err := coo.Add(int(u), v, w); err != nil {
 				return nil, fmt.Errorf("core: materialize dynamic graph: %w", err)
 			}
 		}

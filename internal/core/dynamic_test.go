@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -242,19 +244,31 @@ func TestDynamicStructureOnlyReplayChargesNoDrift(t *testing.T) {
 	}
 }
 
-// appendBuiltDynamic is NewDynamic's construction as it stood until PR 20 —
-// every in-neighbour list grown by one single-element append per edge — kept
-// as the reference the carved lists are held to.
-func appendBuiltDynamic(g *graph.Graph, ix *Index) *Dynamic {
-	d := &Dynamic{
-		n: ix.n, c: ix.c, weighted: g.Weighted(),
-		in: make([][]dynEdge, ix.n), totw: make([]float64, ix.n),
-	}
+// refDynamic is Dynamic as it stood before the unweighted layout: a weight
+// beside every source, a running total per node, lists grown by one append
+// per edge. Kept as the oracle Test_Dynamic holds the live state to.
+type refDynamic struct {
+	n        int
+	c        float64
+	weighted bool
+	in       [][]refEdge
+	totw     []float64
+	m        int64
+	drift    float64
+}
+
+type refEdge struct {
+	src int32
+	w   float64
+}
+
+func newRefDynamic(g *graph.Graph, c float64) *refDynamic {
+	d := &refDynamic{n: g.N(), c: c, weighted: g.Weighted(), in: make([][]refEdge, g.N()), totw: make([]float64, g.N())}
 	adj := g.Adj()
 	for u := 0; u < d.n; u++ {
 		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
 			v, w := int(adj.ColIdx[p]), adj.Val[p]
-			d.in[v] = append(d.in[v], dynEdge{src: int32(u), w: w})
+			d.in[v] = append(d.in[v], refEdge{src: int32(u), w: w})
 			d.totw[v] += w
 			d.m++
 		}
@@ -262,48 +276,226 @@ func appendBuiltDynamic(g *graph.Graph, ix *Index) *Dynamic {
 	return d
 }
 
-// NewDynamic carves every in-neighbour list out of one array. On a skewed
-// graph the lists, the column normalisers, the edge count and the
-// materialised graph are, bit for bit, what per-edge appends built; and
-// each list ends where the next begins, so none may have room to grow into.
-func TestDynamicCarvedListsMatchAppendBuilt(t *testing.T) {
-	g, err := graph.RMAT(10, 6000, graph.DefaultRMAT, 31)
+func (d *refDynamic) applyEdge(src, dst int, weight float64) (applied bool, driftDelta float64) {
+	if !d.weighted {
+		weight = 1
+	}
+	list := d.in[dst]
+	pos := -1
+	for i := range list {
+		if int(list[i].src) == src {
+			pos = i
+			break
+		}
+	}
+	if pos >= 0 && !d.weighted {
+		return false, 0
+	}
+	oldT := d.totw[dst]
+	newT := oldT + weight
+	var delta float64
+	if oldT == 0 {
+		delta = 1
+	} else {
+		for i := range list {
+			wOld := list[i].w
+			wNew := wOld
+			if int(list[i].src) == src {
+				wNew += weight
+			}
+			delta += math.Abs(wNew/newT - wOld/oldT)
+		}
+		if pos < 0 {
+			delta += weight / newT
+		}
+	}
+	if pos >= 0 {
+		d.in[dst][pos].w += weight
+	} else {
+		d.in[dst] = append(d.in[dst], refEdge{src: int32(src), w: weight})
+		d.m++
+	}
+	d.totw[dst] = newT
+	driftDelta = DriftContribution(d.c, delta)
+	d.drift += driftDelta
+	return true, driftDelta
+}
+
+func (d *refDynamic) materialize(t *testing.T) *graph.Graph {
+	t.Helper()
+	coo := sparse.NewCOO(d.n, d.n)
+	for v := 0; v < d.n; v++ {
+		for _, e := range d.in[v] {
+			if err := coo.Add(int(e.src), v, e.w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !d.weighted {
+		return graph.New(coo)
+	}
+	g, err := graph.NewWeighted(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Precompute(g, Options{Rank: 8})
+	return g
+}
+
+// shapeOnly is an index NewDynamic can be built over: it reads n and c.
+func shapeOnly(n int, c float64) *Index {
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: c}}
+}
+
+func sameCSR(a, b *sparse.CSR) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) && slices.EqualFunc(a.Val, b.Val, sameBits)
+}
+
+// Test_Dynamic holds the live state to refDynamic over skewed streams that
+// repeat edges and give nodes their first in-edge: the same applied verdict
+// and drift term for every edge, Drift() equal by bits after each, the same
+// edge count and, materialised, the same CSR. As built, every in-neighbour
+// list ends where its capacity does: none has room to grow into its
+// neighbour's.
+func Test_Dynamic(t *testing.T) {
+	base, err := graph.RMAT(10, 6000, graph.DefaultRMAT, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
+	weightedBase := func() *graph.Graph {
+		adj := base.Adj()
+		coo := sparse.NewCOO(base.N(), base.N())
+		for u := 0; u < base.N(); u++ {
+			for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
+				if err := coo.Add(u, int(adj.ColIdx[p]), 0.25+float64((u*7+int(adj.ColIdx[p]))%13)/3); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g, err := graph.NewWeighted(coo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unweighted", base},
+		{"weighted", weightedBase()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			d, err := NewDynamic(g, shapeOnly(g.N(), 0.6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newRefDynamic(g, 0.6)
+			if d.M() != want.m || d.M() != g.M() {
+				t.Fatalf("M() = %d, want %d", d.M(), want.m)
+			}
+			// No capacity to spare as built: an append must copy the list out.
+			for v := range d.src {
+				if cap(d.src[v]) != len(d.src[v]) || (d.w != nil && cap(d.w[v]) != len(d.w[v])) {
+					t.Fatalf("list %d has len %d but cap %d: an append would write into list %d", v, len(d.src[v]), cap(d.src[v]), v+1)
+				}
+			}
+			if built, err := d.MaterializeGraph(); err != nil || !sameCSR(built.Adj(), g.Adj()) {
+				t.Fatalf("materialised graph is not the graph the state was built from (err = %v)", err)
+			}
+
+			// In-degree-0 nodes get their first in-edge; every third edge is
+			// one the graph already has (or the stream already sent).
+			var empty []int
+			for v, deg := range g.InDegrees() {
+				if deg == 0 {
+					empty = append(empty, v)
+				}
+			}
+			if len(empty) < 10 {
+				t.Fatalf("fixture has %d nodes without an in-link, want a skewed graph", len(empty))
+			}
+			rng := rand.New(rand.NewSource(23))
+			adj := g.Adj()
+			var sent [][2]int
+			for i := 0; i < 600; i++ {
+				var e [2]int
+				switch {
+				case i%3 == 0 && len(sent) > 0 && i%2 == 0:
+					e = sent[rng.Intn(len(sent))]
+				case i%3 == 0:
+					u := rng.Intn(g.N())
+					for adj.RowPtr[u] == adj.RowPtr[u+1] {
+						u = rng.Intn(g.N())
+					}
+					e = [2]int{u, int(adj.ColIdx[adj.RowPtr[u]])}
+				case i%3 == 1:
+					e = [2]int{rng.Intn(g.N()), empty[rng.Intn(len(empty))]}
+				default:
+					e = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+				}
+				sent = append(sent, e)
+				weight := 0.5 + 4*rng.Float64()
+				applied, dd, err := d.ApplyEdge(e[0], e[1], weight, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantApplied, wantDD := want.applyEdge(e[0], e[1], weight)
+				if applied != wantApplied || math.Float64bits(dd) != math.Float64bits(wantDD) ||
+					math.Float64bits(d.Drift()) != math.Float64bits(want.drift) || d.M() != want.m {
+					t.Fatalf("edge %d %v: applied=%v drift term %v total %v m=%d, want %v %v %v %d",
+						i, e, applied, dd, d.Drift(), d.M(), wantApplied, wantDD, want.drift, want.m)
+				}
+			}
+			live, err := d.MaterializeGraph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCSR(live.Adj(), want.materialize(t).Adj()) {
+				t.Fatal("materialised live graph differs from the reference's")
+			}
+			if live.M() != d.M() {
+				t.Fatalf("materialised graph has m = %d, state says %d", live.M(), d.M())
+			}
+		})
+	}
+}
+
+// TestDynamicBytes holds the unweighted state to the graph's own size: on
+// the WT stand-in it keeps 4 B an edge and a slice header a node.
+func TestDynamicBytes(t *testing.T) {
+	ds, err := graph.DatasetByKey("WT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ds.GenerateScaled(ds.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := shapeOnly(g.N(), 0.6)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
 	d, err := NewDynamic(g, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := appendBuiltDynamic(g, ix)
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for v := range want.in {
-		if !slices.Equal(d.in[v], want.in[v]) {
-			t.Fatalf("in[%d] = %v, want %v", v, d.in[v], want.in[v])
-		}
-		if cap(d.in[v]) != len(d.in[v]) {
-			t.Fatalf("in[%d] has len %d but cap %d: an append would write into in[%d]", v, len(d.in[v]), cap(d.in[v]), v+1)
-		}
+	after := heap()
+	n, m := int64(g.N()), g.M()
+	if held, limit := int64(after)-int64(before), 4*m+24*n+(64<<10); held > limit {
+		t.Fatalf("NewDynamic over n=%d m=%d holds %d bytes, want at most 4m + 24n + 64 KB = %d", n, m, held, limit)
 	}
-	if d.m != want.m || d.m != g.M() || !slices.EqualFunc(d.totw, want.totw, sameBits) {
-		t.Fatalf("m = %d, want %d; totw equal = %v", d.m, want.m, slices.EqualFunc(d.totw, want.totw, sameBits))
-	}
-	live, err := d.MaterializeGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, adj := live.Adj(), g.Adj()
-	if !slices.Equal(got.RowPtr, adj.RowPtr) || !slices.Equal(got.ColIdx, adj.ColIdx) || !slices.EqualFunc(got.Val, adj.Val, sameBits) {
-		t.Fatal("materialised graph is not the graph the state was built from")
-	}
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(g)
 }
 
-// An edge into v grows in[v] only: its neighbours in the shared backing
-// array keep every entry.
+// An edge into v grows v's lists only: its neighbours in the shared backing
+// arrays keep every entry.
 func TestDynamicApplyEdgeLeavesNeighbouringListsAlone(t *testing.T) {
 	g, ix := fullRankFixture(t, 20, 120, 29)
 	d, err := NewDynamic(g, ix)
@@ -315,14 +507,14 @@ func TestDynamicApplyEdgeLeavesNeighbouringListsAlone(t *testing.T) {
 		for src == v || g.HasEdge(src, v) {
 			src++
 		}
-		before, after := slices.Clone(d.in[v-1]), slices.Clone(d.in[v+1])
-		grown := append(slices.Clone(d.in[v]), dynEdge{src: int32(src), w: 1})
+		before, after := slices.Clone(d.src[v-1]), slices.Clone(d.src[v+1])
+		grown := append(slices.Clone(d.src[v]), int32(src))
 		if applied, _, err := d.ApplyEdge(src, v, 1, true); err != nil || !applied {
 			t.Fatalf("ApplyEdge(%d, %d): applied=%v err=%v", src, v, applied, err)
 		}
-		if !slices.Equal(d.in[v], grown) || !slices.Equal(d.in[v-1], before) || !slices.Equal(d.in[v+1], after) {
-			t.Fatalf("edge %d -> %d: in[%d] = %v (want %v), in[%d] = %v (was %v), in[%d] = %v (was %v)",
-				src, v, v, d.in[v], grown, v-1, d.in[v-1], before, v+1, d.in[v+1], after)
+		if !slices.Equal(d.src[v], grown) || !slices.Equal(d.src[v-1], before) || !slices.Equal(d.src[v+1], after) {
+			t.Fatalf("edge %d -> %d: src[%d] = %v (want %v), src[%d] = %v (was %v), src[%d] = %v (was %v)",
+				src, v, v, d.src[v], grown, v-1, d.src[v-1], before, v+1, d.src[v+1], after)
 		}
 	}
 }

@@ -12,8 +12,8 @@ package core
 // written once and takes the kind as an argument.
 //
 // Writers append: WriteSnapshot persists a new generation next to the old
-// ones (crash-consistently, via SaveIndex) and then atomically repoints
-// CURRENT. Readers resolve CURRENT to a path and load it. Because
+// ones (crash-consistently, via SaveIndex), reads it back, and then
+// atomically repoints CURRENT. Readers resolve CURRENT to a path and load it. Because
 // published files are never mutated and both the file write and the
 // pointer flip are atomic, a reader racing a writer sees either the old
 // generation or the new one — never a torn index — and a crash mid-publish
@@ -158,36 +158,62 @@ func ShardDir(root string, s int) string {
 // fsynced, so a crash anywhere leaves the directory serving its previous
 // generation. The directory is created if missing.
 func WriteSnapshot(dir string, ix *Index) (gen uint64, path string, err error) {
-	return publishSnapshot(dir, func(path string) error { return SaveIndex(ix, path) })
+	back, snap, _, err := PublishSnapshot(dir, ix)
+	if err != nil {
+		return 0, "", err
+	}
+	_ = back.Close() // a view nobody has queried
+	return snap.Gen, snap.Path, nil
+}
+
+// PublishSnapshot is WriteSnapshot for a publisher that goes on to serve
+// what it published: it also returns the generation as opened from its file
+// — the mapping a boot from dir would serve, a heap decode where mapping is
+// unavailable — so the caller can drop ix and rest at the file, and what
+// that open cost out of the publish. The caller owns Close on the returned
+// index.
+func PublishSnapshot(dir string, ix *Index) (served *Index, snap Snapshot, readBack time.Duration, err error) {
+	return publishSnapshot(dir, indexKind, func(path string) error { return SaveIndex(ix, path) })
 }
 
 // WriteShardSnapshot is WriteSnapshot for a shard directory.
 func WriteShardSnapshot(dir string, sh *IndexShard) (gen uint64, path string, err error) {
-	return publishSnapshot(dir, func(path string) error { return SaveShard(sh, path) })
+	_, snap, _, err := publishSnapshot(dir, shardKind, func(path string) error { return SaveShard(sh, path) })
+	return snap.Gen, snap.Path, err
 }
 
-// publishSnapshot is the one publish: reserve the next generation's
-// path, save to it, flip CURRENT.
-func publishSnapshot(dir string, save func(path string) error) (gen uint64, path string, err error) {
+// publishSnapshot is the one publish: reserve the next generation's path,
+// save to it, open it the way a boot would — every CRC checked — and only
+// then flip CURRENT, so CURRENT never names a file this process could not
+// read back. A file that fails the read-back is removed and CURRENT keeps
+// naming the previous generation.
+func publishSnapshot(dir string, k *snapKind, save func(path string) error) (back *Index, snap Snapshot, readBack time.Duration, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, "", fmt.Errorf("core: WriteSnapshot: %w", err)
+		return nil, Snapshot{}, 0, fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
 	snaps, err := ListSnapshots(dir)
 	if err != nil {
-		return 0, "", err
+		return nil, Snapshot{}, 0, err
 	}
-	gen = 1
+	snap.Gen = 1
 	if len(snaps) > 0 {
-		gen = snaps[len(snaps)-1].Gen + 1
+		snap.Gen = snaps[len(snaps)-1].Gen + 1
 	}
-	path = filepath.Join(dir, SnapshotName(gen))
-	if err := save(path); err != nil {
-		return 0, "", err
+	snap.Path = filepath.Join(dir, SnapshotName(snap.Gen))
+	if err := save(snap.Path); err != nil {
+		return nil, Snapshot{}, 0, err
 	}
-	if err := SetCurrent(dir, gen); err != nil {
-		return 0, "", err
+	start := time.Now()
+	if back, err = loadSnapshot(snap.Path, k); err != nil {
+		_ = os.Remove(snap.Path) // best effort: nothing names it
+		return nil, Snapshot{}, 0, fmt.Errorf("core: WriteSnapshot: reading back generation %d: %w", snap.Gen, err)
 	}
-	return gen, path, nil
+	readBack = time.Since(start)
+	if err := SetCurrent(dir, snap.Gen); err != nil {
+		_ = back.Close()
+		return nil, Snapshot{}, 0, err
+	}
+	return back, snap, readBack, nil
 }
 
 // SetCurrent atomically repoints CURRENT at generation gen, which must

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"csrplus/internal/fault"
 )
 
 func TestSnapshotNameRoundTrip(t *testing.T) {
@@ -217,4 +219,113 @@ func TestSaveIndexLeavesNoTempDebris(t *testing.T) {
 		}
 		t.Fatalf("directory contents %v, want [a.csrx]", names)
 	}
+}
+
+// TestPublishVerifiesBeforeCurrent: a publish whose file does not read back
+// — cut short, a flipped factor byte, and under -tags faultinject a torn
+// write, a failed read and a failed verify at the sites a real disk fails at
+// — returns an error with CURRENT still naming the previous generation and
+// the new file gone; the next clean publish takes the generation over and
+// hands back the file it wrote, mapped where mapping works (a refused mmap
+// degrades to the heap decode and still publishes).
+func TestPublishVerifiesBeforeCurrent(t *testing.T) {
+	ix := buildIndex(t)
+	dir := t.TempDir()
+	_, first, err := WriteSnapshot(dir, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := filepath.Join(dir, SnapshotName(2))
+	refused := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("publish succeeded")
+		}
+		if p, g, cerr := CurrentSnapshot(dir); cerr != nil || g != 1 || p != first {
+			t.Fatalf("after %v: CURRENT = %s, %d, %v; want generation 1", err, p, g, cerr)
+		}
+		if _, serr := os.Stat(second); !os.IsNotExist(serr) {
+			t.Fatalf("after %v: %s still there (stat: %v)", err, second, serr)
+		}
+		if _, snap, recovered, rerr := RecoverSnapshot(dir); rerr != nil || recovered || snap.Gen != 1 {
+			t.Fatalf("after %v: recovery serves generation %d (recovered=%v, err=%v)", err, snap.Gen, recovered, rerr)
+		}
+	}
+	// damaged saves ix to path whole, then damages the file in place: what a
+	// disk that lies about a write leaves behind.
+	damaged := func(damage func(data []byte) []byte) func(path string) error {
+		return func(path string) error {
+			if err := SaveIndex(ix, path); err != nil {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, damage(data), 0o644)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		{"cut short", func(data []byte) []byte { return data[:len(data)-v2Page] }},
+		{"factor byte flipped", func(data []byte) []byte { data[len(data)-v2Page-3] ^= 0x40; return data }},
+		{"header byte flipped", func(data []byte) []byte { data[20] ^= 1; return data }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, err := publishSnapshot(dir, indexKind, damaged(tc.damage))
+			refused(t, err)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+
+	fault.Enable(7)
+	defer fault.Disable()
+	if fault.Enabled() {
+		for _, tc := range []struct {
+			site string
+			plan fault.Plan
+		}{
+			{fault.SiteIndexWrite, fault.Plan{TornProb: 1, TornBytes: 100}},
+			{fault.SiteIndexRead, fault.Plan{ErrProb: 1}},
+			{fault.SiteIndexVerify, fault.Plan{ErrProb: 1}},
+		} {
+			t.Run(tc.site, func(t *testing.T) {
+				fault.Arm(tc.site, tc.plan)
+				_, _, _, err := PublishSnapshot(dir, ix)
+				fired := fault.Injected(tc.site)
+				fault.Disarm(tc.site) // the checks below read the directory
+				refused(t, err)
+				if fired == 0 {
+					t.Fatal("the site never fired; the test asserted nothing")
+				}
+			})
+		}
+		t.Run(fault.SiteIndexMap, func(t *testing.T) {
+			fault.Arm(fault.SiteIndexMap, fault.Plan{ErrProb: 1})
+			defer fault.Disarm(fault.SiteIndexMap)
+			sub := t.TempDir()
+			back, snap, _, err := PublishSnapshot(sub, ix)
+			if err != nil || back.Mapped() || snap.Gen != 1 {
+				t.Fatalf("publish with mmap refused: gen %d mapped=%v err=%v, want a decoded generation 1", snap.Gen, back != nil && back.Mapped(), err)
+			}
+		})
+	}
+
+	back, snap, _, err := PublishSnapshot(dir, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if p, g, cerr := CurrentSnapshot(dir); cerr != nil || g != 2 || p != second || snap != (Snapshot{Gen: 2, Path: second}) {
+		t.Fatalf("clean publish: CURRENT = %s, %d, %v and snap = %+v; want generation 2", p, g, cerr, snap)
+	}
+	if want := mmapSupported && nativeLE; back.Mapped() != want {
+		t.Fatalf("published generation Mapped() = %v, want %v", back.Mapped(), want)
+	}
+	queries := []int{0, 3, ix.N() - 1}
+	wantBitwise(t, "the generation as published", queryBits(t, back, queries), queryBits(t, ix, queries))
 }

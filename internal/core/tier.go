@@ -153,6 +153,16 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 	}, nil
 }
 
+// QuantizeTo is Quantize at the tier a flag or an option names (see
+// ParseTier): the one place a save-time tier name becomes an index.
+func (ix *Index) QuantizeTo(tier string) (*Index, error) {
+	t, err := ParseTier(tier)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Quantize(t)
+}
+
 // Compact returns ix without the stored rows that are all +0 in both
 // factors — rows that score exactly +0 whether they are scanned or left
 // out (shard.go) — or ix itself when it stores none. Precompute never

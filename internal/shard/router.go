@@ -191,6 +191,10 @@ type ShardStatus struct {
 	Bytes      int64  `json:"bytes"`
 	// Stored is how many of the slot's Hi-Lo nodes have factor rows stored.
 	Stored int `json:"rows_stored"`
+	// Mapped reports factors served from a memory-mapped snapshot file, not
+	// from the heap. Set by whoever owns the index behind the slot: a slot
+	// itself sees rows either way.
+	Mapped bool `json:"mapped"`
 }
 
 // Status reports every shard slot's range, generation, resident bytes and
