@@ -602,13 +602,13 @@ func TestSourceSnapshotResolution(t *testing.T) {
 
 // TestBuildClocks pins what the boot and reload log lines say about where
 // a generation's build time went: a precompute names the support it
-// decomposed and its six stages, a publish is clocked after it with the
+// decomposed and its eight stages, a publish is clocked after it with the
 // read-back inside it, a rebuild over the live graph leads with the cut — as
 // a reload that had to read the flags' graph again leads with that — and a
 // generation that was only loaded clocks nothing.
 func TestBuildClocks(t *testing.T) {
 	dir := t.TempDir()
-	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ eig=\S+ solve=\S+ z=\S+ rest=\S+`
+	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ eig=\S+ solve=\S+ z=\S+ draw=\S+ scatter=\S+ rest=\S+`
 	for _, tc := range []struct {
 		name, want string
 		args       []string

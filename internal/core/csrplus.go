@@ -145,10 +145,11 @@ func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
 
 // Stages splits PrecomputeTime by the layer of phase I that spent it:
 // the truncated SVD's three (sparse passes, orthonormalisation, the small
-// projected problem), then the subspace solve and the Z build. Rest is what
-// surrounds them — the transition matrix, and the SVD's own support scan,
-// sketch draw and scatter — so the six sum to PrecomputeTime. All zero for
-// an index that was loaded, not built.
+// projected problem), then the subspace solve and the Z build, then what
+// surrounds them: the SVD's sketch draw and its scatter of the factors back
+// to Q's rows, and in Rest the transition matrix and the support scan — so
+// the eight sum to PrecomputeTime. All zero for an index that was loaded,
+// not built.
 type Stages struct {
 	svd.Stages
 	Subspace time.Duration // lines 3–5: P = c H P Hᵀ + I_r
@@ -158,8 +159,8 @@ type Stages struct {
 // String renders the split for log lines.
 func (s Stages) String() string {
 	ms := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
-	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v rest=%v",
-		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Rest))
+	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v draw=%v scatter=%v rest=%v",
+		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Draw), ms(s.Scatter), ms(s.Rest))
 }
 
 // Stages returns where PrecomputeTime went.

@@ -191,8 +191,8 @@ func TestNodesWithoutInLinksAreExactlyIsolated(t *testing.T) {
 	}
 
 	st, total := ix.Stages(), ix.PrecomputeTime()
-	sum := st.Sparse + st.Ortho + st.Small + st.Subspace + st.BuildZ + st.Rest
-	if st.Rest <= 0 || sum > total || float64(sum) < 0.98*float64(total) {
+	sum := st.Sparse + st.Ortho + st.Small + st.Subspace + st.BuildZ + st.Draw + st.Scatter + st.Rest
+	if st.Draw <= 0 || st.Scatter <= 0 || st.Rest <= 0 || sum > total || float64(sum) < 0.98*float64(total) {
 		t.Fatalf("stages %v sum to %v, PrecomputeTime is %v: want within 2 %%", st, sum, total)
 	}
 }

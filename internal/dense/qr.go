@@ -22,29 +22,32 @@ import (
 // row-major loop reftest.QRThin: Q and R are bitwise equal to it at every
 // worker count.
 func QRThin(a *Mat) (q, r *Mat, err error) {
-	qc, spare, r, err := qrPanel(a)
-	if err != nil {
+	w, qc := make([]float64, a.Rows*a.Cols), make([]float64, a.Rows*a.Cols)
+	if r, err = qrPanel(a, w, qc); err != nil {
 		return nil, nil, err
 	}
-	return fromColumns(spare, qc, a.Rows, a.Cols), r, nil
+	return fromColumns(w, qc, a.Rows, a.Cols), r, nil
 }
 
-// qrPanel is QRThin on a column-major panel. It returns thin Q as n
-// contiguous length-m columns (column j is qc[j*m:(j+1)*m]), R, and the
-// m*n-element factorisation workspace, which is dead by then and which
-// the caller transposes Q into — so a factorisation allocates two panels,
-// as the row-major loop did (its work copy and its Q).
+// qrPanel is QRThin on column-major panels the caller supplies, m*n
+// elements each: w is the factorisation's workspace and qc receives thin Q
+// as n contiguous length-m columns (column j is qc[j*m:(j+1)*m]). a is read
+// once, by the transpose into w, before qc is first written — so qc may be
+// a's own storage when the caller is done with a — and w is dead on return,
+// which is where the caller transposes Q back out: a factorisation works in
+// two panels, as the row-major loop did (its work copy and its Q), and a
+// caller that owns two allocates none.
 //
 // Reflector k is applied to the columns right of k, and later to the
 // columns of I, one column per par.Do index: a column's dot and axpy run
 // i-ascending inside one goroutine and nothing is reduced across workers,
 // so the bits do not depend on the worker count.
-func qrPanel(a *Mat) (qc, spare []float64, r *Mat, err error) {
+func qrPanel(a *Mat, w, qc []float64) (r *Mat, err error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, nil, nil, fmt.Errorf("dense: QRThin %dx%d needs rows >= cols: %w", m, n, ErrShape)
+		return nil, fmt.Errorf("dense: QRThin %dx%d needs rows >= cols: %w", m, n, ErrShape)
 	}
-	w := a.T().Data // n x m row-major = m x n column-major
+	transposeInto(w, a.Data, m, n) // n x m row-major = m x n column-major
 	// betas[k] and the essential part of each Householder vector (stored
 	// below the diagonal of w) define Q implicitly.
 	betas := make([]float64, n)
@@ -75,7 +78,7 @@ func qrPanel(a *Mat) (qc, spare []float64, r *Mat, err error) {
 	// or ±Inf does change those zeros (0·NaN), and everything it has
 	// touched stays changed, so from the first such reflector on the
 	// whole square is computed.
-	qc = make([]float64, m*n)
+	clear(qc)
 	for j := 0; j < n; j++ {
 		qc[j*m+j] = 1
 	}
@@ -95,7 +98,7 @@ func qrPanel(a *Mat) (qc, spare []float64, r *Mat, err error) {
 			reflectColumns(beta, v, qc, m, first+lo, first+hi)
 		})
 	}
-	return qc, w, r, nil
+	return r, nil
 }
 
 // householder overwrites x, the part of a column from the diagonal down,
@@ -214,7 +217,22 @@ func fromColumns(dst, columns []float64, rows, cols int) *Mat {
 // Gram-Schmidt), so the result always has full column rank. The repair
 // runs on the column-major Q, before it is transposed out.
 func Orthonormalize(a *Mat, tol float64) (*Mat, error) {
-	qc, spare, r, err := qrPanel(a)
+	return orthonormalize(a, make([]float64, a.Rows*a.Cols), make([]float64, a.Rows*a.Cols), tol)
+}
+
+// OrthonormalizeInto is Orthonormalize for a caller that owns its panels:
+// the result is returned in panel's storage, which must hold a.Rows*a.Cols
+// elements and share none with a, and a is consumed — its storage is the
+// factorisation's second panel, left holding scratch. Nothing the size of a
+// is allocated, and the result is Orthonormalize's bit for bit.
+func OrthonormalizeInto(a *Mat, panel []float64, tol float64) (*Mat, error) {
+	return orthonormalize(a, panel[:a.Rows*a.Cols], a.Data, tol)
+}
+
+// orthonormalize is Orthonormalize over qrPanel's two panels; the result is
+// returned in w.
+func orthonormalize(a *Mat, w, qc []float64, tol float64) (*Mat, error) {
+	r, err := qrPanel(a, w, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -260,5 +278,5 @@ func Orthonormalize(a *Mat, tol float64) (*Mat, error) {
 			}
 		}
 	}
-	return fromColumns(spare, qc, m, n), nil
+	return fromColumns(w, qc, m, n), nil
 }

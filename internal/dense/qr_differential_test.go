@@ -157,6 +157,7 @@ func TestOrthonormalizeMatchesReferenceBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			bitEq(t, fmt.Sprintf("%s tol=%g", what, tol), got, reftest.Orthonormalize(a, tol))
+			bitEq(t, fmt.Sprintf("%s tol=%g, into a panel", what, tol), orthonormalizeInto(t, a, tol), got)
 		}
 	}
 	for _, sh := range [][2]int{{1, 1}, {6, 6}, {40, 7}} {
@@ -170,6 +171,24 @@ func TestOrthonormalizeMatchesReferenceBitwise(t *testing.T) {
 	for _, name := range []string{"normals", "zero column", "duplicate columns"} {
 		check("32768x12 "+name, big[name])
 	}
+}
+
+// orthonormalizeInto runs the consuming form on a copy of a and a dirty,
+// oversized panel, and checks the result lives at the panel's head.
+func orthonormalizeInto(t *testing.T, a *dense.Mat, tol float64) *dense.Mat {
+	t.Helper()
+	panel := make([]float64, len(a.Data)+3)
+	for i := range panel {
+		panel[i] = math.NaN()
+	}
+	q, err := dense.OrthonormalizeInto(a.Clone(), panel, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Rows != a.Rows || q.Cols != a.Cols || len(q.Data) != len(a.Data) || (len(q.Data) > 0 && &q.Data[0] != &panel[0]) {
+		t.Fatalf("OrthonormalizeInto returned %dx%d outside the panel it was given", q.Rows, q.Cols)
+	}
+	return q
 }
 
 // FuzzQRThin explores the same contract with raw-bit payloads: garbage
@@ -198,5 +217,6 @@ func FuzzQRThin(f *testing.F) {
 			t.Fatal(err)
 		}
 		fuzzBitEq(t, "Orthonormalize vs reftest.Orthonormalize", got, reftest.Orthonormalize(a, 0))
+		fuzzBitEq(t, "OrthonormalizeInto vs Orthonormalize", orthonormalizeInto(t, a, 0), got)
 	})
 }

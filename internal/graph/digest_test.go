@@ -74,7 +74,9 @@ func TestDatasetDigests(t *testing.T) {
 }
 
 // BenchmarkDatasetWT prices the graph stage of a csrload cold boot: the WT
-// stand-in's R-MAT draws, its duplicate filter and COO.ToCSR.
+// stand-in's R-MAT draws, deduplicated by sorted rounds straight into CSR
+// (Benchmark_DistinctEdges has the same request beside the hash set, the
+// triples and COO.ToCSR it replaced).
 func BenchmarkDatasetWT(b *testing.B) {
 	d, err := DatasetByKey("WT")
 	if err != nil {

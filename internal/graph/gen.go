@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"csrplus/internal/sparse"
 )
@@ -20,54 +23,128 @@ func ErdosRenyi(n int, m int64, seed int64) (*Graph, error) {
 		return nil, fmt.Errorf("graph: ErdosRenyi m=%d out of range [0, %d]", m, maxEdges)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := sparse.NewCOO(n, n)
-	coo.Grow(int(m))
-	seen := newEdgeSet(m)
-	for int64(coo.NNZ()) < m {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v || !seen.add(int64(u)*int64(n)+int64(v)) {
+	adj, err := distinctEdges(n, m, math.MaxInt64, func() (u, v int) {
+		u = rng.Intn(n)
+		return u, rng.Intn(n)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graph: ErdosRenyi: %w", err)
+	}
+	return &Graph{adj: adj}, nil
+}
+
+// distinctEdges is the draw loop ErdosRenyi and RMAT share: it returns, as a
+// unit-valued adjacency, the first m distinct edges u -> v, u != v, among the
+// first maxAttempts that draw produces — fewer than m when the attempts run
+// out first.
+//
+// The graph is that set and nothing else (the rows of a CSR are sorted), so
+// the loop never asks of one attempt whether it is new. It draws attempts in
+// rounds of exactly the current deficit: however many of a round's attempts
+// turn out to be loops or repeats, one-at-a-time drawing would have had to
+// make every one of them too, and the round that closes the deficit does so
+// on its last attempt — so the generator's stream is consumed to the same
+// attempt, and the set is the same, as a loop that filtered each draw through
+// a hash set. A round's keys are radix-sorted and merged into the sorted
+// distinct set, and the CSR arrays are written off the sorted keys: no hash
+// table, no triples, no per-row sort. A request close to the n(n-1) capacity
+// ends in many small rounds, each at most a merge.
+func distinctEdges(n int, m, maxAttempts int64, draw func() (u, v int)) (*sparse.CSR, error) {
+	shift := uint(bits.Len(uint(n - 1))) // key = u<<shift | v, ordered as (u, v)
+	set := make([]uint64, 0, m)
+	round := make([]uint64, 0, m)
+	scratch := make([]uint64, m)
+	for attempts := int64(0); int64(len(set)) < m && attempts < maxAttempts; {
+		d := min(m-int64(len(set)), maxAttempts-attempts)
+		attempts += d
+		round = round[:0]
+		for ; d > 0; d-- {
+			if u, v := draw(); u != v {
+				round = append(round, uint64(u)<<shift|uint64(v))
+			}
+		}
+		radixSort(round, scratch[:len(round)], 2*shift)
+		set = mergeDistinct(set, round)
+	}
+	rowPtr := make([]int64, n+1)
+	colIdx := make([]int32, len(set))
+	val := make([]float64, len(set))
+	for p, key := range set {
+		rowPtr[key>>shift+1]++
+		colIdx[p] = int32(key & (1<<shift - 1))
+		val[p] = 1
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	return sparse.NewCSR(n, n, rowPtr, colIdx, val)
+}
+
+// radixSort sorts keys, all below 1<<keyBits, ascending: least-significant-
+// digit counting passes between keys and scratch (same length), with the
+// digit width chosen so the fewest passes of at most 12 bits cover keyBits.
+func radixSort(keys, scratch []uint64, keyBits uint) {
+	passes := (keyBits + 11) / 12
+	if passes == 0 || len(keys) < 2 {
+		return
+	}
+	width := (keyBits + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	src, dst := keys, scratch
+	for shift := uint(0); shift < passes*width; shift += width {
+		var next [1 << 12]int
+		for _, k := range src {
+			next[k>>shift&mask]++
+		}
+		at := 0
+		for d, c := range next[:mask+1] {
+			next[d], at = at, at+c
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(keys, scratch)
+	}
+}
+
+// mergeDistinct merges the sorted keys into the sorted duplicate-free set,
+// in set's storage (which must have room), and drops what set already holds
+// and keys' own repeats. keys is overwritten. The keys that are new are
+// found by galloping down set — a small round costs its own length times a
+// logarithm, not set's — and merged in from the back, which moves only the
+// part of set above the smallest of them.
+func mergeDistinct(set, keys []uint64) []uint64 {
+	fresh, at := keys[:0], 0 // at: the first of set not below the current key
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
 			continue
 		}
-		if err := coo.Add(u, v, 1); err != nil {
-			return nil, fmt.Errorf("graph: ErdosRenyi: %w", err)
+		lo, hi := at, at
+		for step := 1; hi < len(set) && set[hi] < k; step *= 2 {
+			lo, hi = hi+1, hi+step
+		}
+		j, found := slices.BinarySearch(set[lo:min(hi+1, len(set))], k)
+		if at = lo + j; !found {
+			fresh = append(fresh, k)
 		}
 	}
-	return New(coo), nil
-}
-
-// edgeSet is the generators' duplicate filter: an insert-only open-addressed
-// set of edge keys u*n + v, linear probing over a power-of-two table sized up
-// front for the edges the caller will keep, so it never rehashes and a
-// probe touches one cache line where the built-in map walks a bucket.
-type edgeSet struct {
-	slots []int64 // key + 1; 0 is an empty slot
-	shift uint
-}
-
-// newEdgeSet returns a set with room for capacity keys at a load of at most
-// one half.
-func newEdgeSet(capacity int64) *edgeSet {
-	bits := uint(4)
-	for uint64(1)<<bits < 2*uint64(capacity) {
-		bits++
-	}
-	return &edgeSet{slots: make([]int64, uint64(1)<<bits), shift: 64 - bits}
-}
-
-// add inserts key >= 0 and reports whether it was absent.
-func (s *edgeSet) add(key int64) bool {
-	mask := len(s.slots) - 1
-	// Fibonacci hashing: the product's high bits mix every bit of the key.
-	for i := int(uint64(key) * 0x9E3779B97F4A7C15 >> s.shift); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = key + 1
-			return true
-		case key + 1:
-			return false
+	i, w := len(set)-1, len(set)+len(fresh)-1
+	set = set[:w+1]
+	for j := len(fresh) - 1; j >= 0; w-- {
+		if i >= 0 && set[i] > fresh[j] {
+			set[w] = set[i]
+			i--
+		} else {
+			set[w] = fresh[j]
+			j--
 		}
 	}
+	return set
 }
 
 // BarabasiAlbert generates an undirected preferential-attachment graph
@@ -211,7 +288,7 @@ func RMAT(scale int, m int64, p RMATParams, seed int64) (*Graph, error) {
 		return nil, fmt.Errorf("graph: RMAT params %+v invalid (need positive, sum ~1)", p)
 	}
 	n := 1 << scale
-	if m < 0 || m > int64(n)*int64(n-1)/2 {
+	if m < 0 || m > int64(n)*int64(n-1) {
 		return nil, fmt.Errorf("graph: RMAT m=%d out of range for n=%d", m, n)
 	}
 	// The draws are rand.New(src).Float64()'s value stream, bit for bit —
@@ -219,18 +296,11 @@ func RMAT(scale int, m int64, p RMATParams, seed int64) (*Graph, error) {
 	// taken straight off the source: every committed number stands on the
 	// graphs this loop has always produced (TestDatasetDigests).
 	src := rand.NewSource(seed)
-	coo := sparse.NewCOO(n, n)
-	coo.Grow(int(m))
-	seen := newEdgeSet(m)
-	// Bounded oversampling: R-MAT's quadrant skew makes duplicates common;
-	// cap attempts so adversarial parameters cannot loop forever.
-	attempts := int64(0)
-	maxAttempts := 20 * m
 	ab := p.A + p.B
 	abc := ab + p.C
-	for int64(coo.NNZ()) < m && attempts < maxAttempts {
-		attempts++
-		u, v := 0, 0
+	// Bounded oversampling: R-MAT's quadrant skew makes duplicates common;
+	// cap attempts at 20 m so adversarial parameters cannot loop forever.
+	adj, err := distinctEdges(n, m, 20*m, func() (u, v int) {
 		for bit := 0; bit < scale; bit++ {
 			f := float64(src.Int63()) / (1 << 63)
 			for f == 1 {
@@ -252,12 +322,10 @@ func RMAT(scale int, m int64, p RMATParams, seed int64) (*Graph, error) {
 			}
 			u, v = u<<1|q>>1, v<<1|q&1
 		}
-		if u == v || !seen.add(int64(u)*int64(n)+int64(v)) {
-			continue
-		}
-		if err := coo.Add(u, v, 1); err != nil {
-			return nil, fmt.Errorf("graph: RMAT: %w", err)
-		}
+		return u, v
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graph: RMAT: %w", err)
 	}
-	return New(coo), nil
+	return &Graph{adj: adj}, nil
 }

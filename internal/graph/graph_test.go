@@ -349,6 +349,13 @@ func TestRMATErrors(t *testing.T) {
 	if _, err := RMAT(5, 10, RMATParams{A: 1, B: 1, C: 1, D: 1}, 1); err == nil {
 		t.Fatal("bad params accepted")
 	}
+	// The edges are directed: n(n-1) of them fit, not n(n-1)/2.
+	if _, err := RMAT(3, 56, DefaultRMAT, 1); err != nil {
+		t.Fatalf("m = n(n-1) refused: %v", err)
+	}
+	if _, err := RMAT(3, 57, DefaultRMAT, 1); err == nil || err.Error() != "graph: RMAT m=57 out of range for n=8" {
+		t.Fatalf("m = n(n-1)+1: err = %v", err)
+	}
 }
 
 func TestDatasetByKey(t *testing.T) {

@@ -7,7 +7,8 @@
 //   - the worker count, defaulting to GOMAXPROCS with a process-wide
 //     override for tests and embedders;
 //   - deterministic contiguous index partitioning: [0, n) is split into
-//     at most workers chunks of ⌈n/workers⌉ consecutive indices, so a
+//     at most workers chunks of ⌈n/workers⌉ consecutive indices (or, for
+//     indices of unequal cost, of equal weight: DoWeighted), so a
 //     kernel that writes disjoint output rows per index range produces
 //     bitwise-identical results at every worker count.
 //
@@ -22,6 +23,7 @@ package par
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -92,6 +94,45 @@ func Do(n int, flops int64, body func(lo, hi int)) {
 			defer wg.Done()
 			body(lo, hi)
 		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+// DoWeighted is Do for indices of unequal cost. prefix holds the running
+// weight of the n = len(prefix)-1 indices — index i weighs
+// prefix[i+1]-prefix[i] ≥ 0, as a CSR's row pointers weigh its rows by their
+// stored entries — and the chunks are cut where it crosses each worker's
+// equal share of the total, so a few heavy indices at one end do not leave
+// one worker with most of the work. Chunks are contiguous, disjoint and
+// cover [0, n) exactly as Do's do, with the same serial fast path, so the
+// same kernels stay race-free and bitwise-deterministic under it.
+func DoWeighted(prefix []int64, flops int64, body func(lo, hi int)) {
+	n := len(prefix) - 1
+	if n <= 0 {
+		return
+	}
+	workers := Workers()
+	if flops < DefaultThreshold || workers == 1 || n < 2 {
+		body(0, n)
+		return
+	}
+	total := prefix[n] - prefix[0]
+	var wg sync.WaitGroup
+	for w, lo := 1, 0; w <= workers && lo < n; w++ {
+		hi := n
+		if w < workers {
+			share := prefix[0] + total*int64(w)/int64(workers)
+			hi = lo + sort.Search(n-lo, func(i int) bool { return prefix[lo+i] >= share })
+		}
+		if hi == lo {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(lo, hi)
+		lo = hi
 	}
 	wg.Wait()
 }

@@ -82,6 +82,67 @@ func TestDoWorkerCountIndependence(t *testing.T) {
 	}
 }
 
+// TestDoWeightedCoversRangeAndBalances: whatever the weights — hubs first,
+// hubs last, runs of weightless indices, one index outweighing the rest, no
+// weight at all — every index is visited once, and no chunk outweighs an
+// equal share by more than its own heaviest index.
+func TestDoWeightedCoversRangeAndBalances(t *testing.T) {
+	weights := map[string]func(i int) int64{
+		"uniform":       func(i int) int64 { return 3 },
+		"hubs first":    func(i int) int64 { return int64(2000 / (1 + i)) },
+		"hubs last":     func(i int) int64 { return int64(2000 / (997 - i)) },
+		"mostly zero":   func(i int) int64 { return int64((i % 50) / 49 * 7) },
+		"one heavy":     func(i int) int64 { return int64(1 + (i/500)*(1-i/501)*100000) },
+		"all zero":      func(i int) int64 { return 0 },
+		"leading zeros": func(i int) int64 { return int64(i / 900) },
+	}
+	for name, weight := range weights {
+		for _, n := range []int{1, 2, 3, 997} {
+			prefix := make([]int64, n+1)
+			prefix[0] = 11 // a sub-range of a longer prefix sum does not start at zero
+			heaviest := int64(0)
+			for i := 0; i < n; i++ {
+				prefix[i+1] = prefix[i] + weight(i)
+				heaviest = max(heaviest, weight(i))
+			}
+			for _, w := range []int{1, 2, 3, 5, 16} {
+				for _, flops := range []int64{DefaultThreshold, DefaultThreshold - 1} {
+					prev := SetMaxWorkers(w)
+					var mu sync.Mutex
+					seen := make([]int, n)
+					DoWeighted(prefix, flops, func(lo, hi int) {
+						mu.Lock()
+						defer mu.Unlock()
+						if lo < 0 || hi > n || lo >= hi {
+							t.Errorf("%s n=%d workers=%d: bad range [%d, %d)", name, n, w, lo, hi)
+							return
+						}
+						for i := lo; i < hi; i++ {
+							seen[i]++
+						}
+						if share := (prefix[n] - prefix[0]) / int64(w); flops >= DefaultThreshold && prefix[hi]-prefix[lo] > share+heaviest+1 {
+							t.Errorf("%s n=%d workers=%d: chunk [%d, %d) weighs %d, an equal share is %d and the heaviest index %d",
+								name, n, w, lo, hi, prefix[hi]-prefix[lo], share, heaviest)
+						}
+					})
+					SetMaxWorkers(prev)
+					for i, c := range seen {
+						if c != 1 {
+							t.Fatalf("%s n=%d workers=%d: index %d visited %d times", name, n, w, i, c)
+						}
+					}
+				}
+			}
+		}
+	}
+	called := false
+	DoWeighted(nil, DefaultThreshold, func(lo, hi int) { called = true })
+	DoWeighted([]int64{0}, DefaultThreshold, func(lo, hi int) { called = true })
+	if called {
+		t.Fatal("DoWeighted must not invoke body for n <= 0")
+	}
+}
+
 // alignedCoverage verifies DoAligned visits every index exactly once and
 // that every chunk boundary except the final hi lands on a multiple of
 // align.

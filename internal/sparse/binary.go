@@ -35,7 +35,8 @@ const csrBinaryVersion = 1
 // values) so corrupt headers cannot trigger huge allocations.
 const maxBinaryNNZ = 1 << 33
 
-// ErrCorrupt is returned (wrapped) when binary CSR input fails validation.
+// ErrCorrupt is returned (wrapped) when binary CSR input, or the arrays
+// handed to NewCSR, fail validation.
 var ErrCorrupt = errors.New("sparse: corrupt binary matrix")
 
 // WriteBinary serialises m.
@@ -178,13 +179,6 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading values: %w", err)
 	}
-	m := &CSR{
-		rows:   int(rows),
-		cols:   int(cols),
-		RowPtr: rowPtr,
-		ColIdx: colIdx,
-		Val:    val,
-	}
 	sum := crc.Sum32()
 	var want uint32
 	if err := binary.Read(br, le, &want); err != nil {
@@ -193,19 +187,5 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if sum != want {
 		return nil, fmt.Errorf("sparse: checksum %08x, want %08x: %w", sum, want, ErrCorrupt)
 	}
-	// Structural validation: monotone row pointers, in-range columns.
-	if m.RowPtr[0] != 0 || m.RowPtr[rows] != int64(nnz) {
-		return nil, fmt.Errorf("sparse: row pointers do not bracket nnz: %w", ErrCorrupt)
-	}
-	for i := 0; i < int(rows); i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return nil, fmt.Errorf("sparse: row pointer %d decreases: %w", i, ErrCorrupt)
-		}
-	}
-	for _, j := range m.ColIdx {
-		if j < 0 || int(j) >= int(cols) {
-			return nil, fmt.Errorf("sparse: column index %d out of range: %w", j, ErrCorrupt)
-		}
-	}
-	return m, nil
+	return NewCSR(int(rows), int(cols), rowPtr, colIdx, val)
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"csrplus/internal/dense"
 	"csrplus/internal/par"
@@ -16,6 +17,32 @@ type CSR struct {
 	RowPtr     []int64
 	ColIdx     []int32
 	Val        []float64
+}
+
+// NewCSR returns the rows x cols matrix over the given arrays, which it
+// keeps, once they hold the format's structural invariants: one row pointer
+// past every row, a value per column index, row pointers that start at 0,
+// never decrease and end at the entry count, and column indices inside the
+// shape. Anything else is ErrCorrupt (wrapped).
+func NewCSR(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) (*CSR, error) {
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || len(val) != len(colIdx) {
+		return nil, fmt.Errorf("sparse: %d row pointers, %d column indices and %d values for %dx%d: %w",
+			len(rowPtr), len(colIdx), len(val), rows, cols, ErrCorrupt)
+	}
+	if rowPtr[0] != 0 || rowPtr[rows] != int64(len(colIdx)) {
+		return nil, fmt.Errorf("sparse: row pointers do not bracket nnz: %w", ErrCorrupt)
+	}
+	for i := 0; i < rows; i++ {
+		if rowPtr[i] > rowPtr[i+1] {
+			return nil, fmt.Errorf("sparse: row pointer %d decreases: %w", i, ErrCorrupt)
+		}
+	}
+	for _, j := range colIdx {
+		if j < 0 || int(j) >= cols {
+			return nil, fmt.Errorf("sparse: column index %d out of range: %w", j, ErrCorrupt)
+		}
+	}
+	return &CSR{rows: rows, cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
 }
 
 // Dims returns the matrix shape.
@@ -146,7 +173,10 @@ func (m *CSR) Support() (s *CSR, rows, cols []int32) {
 }
 
 // MulVec computes y = m * x, reusing y when it has the right length.
-// It panics on dimension mismatch.
+// It panics on dimension mismatch. Large products split their rows across
+// par.Workers goroutines at equal shares of the stored entries; a row is
+// summed by one goroutine in storage order, so y has the same bits at every
+// worker count.
 func (m *CSR) MulVec(x, y []float64) []float64 {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec %dx%d * vec(%d)", m.rows, m.cols, len(x)))
@@ -154,13 +184,15 @@ func (m *CSR) MulVec(x, y []float64) []float64 {
 	if len(y) != m.rows {
 		y = make([]float64, m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.ColIdx[p]]
+	par.DoWeighted(m.RowPtr[:m.rows+1], m.NNZ(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := 0.0
+			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+				s += m.Val[p] * x[m.ColIdx[p]]
+			}
+			y[i] = s
 		}
-		y[i] = s
-	}
+	})
 	return y
 }
 
@@ -190,32 +222,62 @@ func (m *CSR) MulVecT(x, y []float64) []float64 {
 }
 
 // MulDense computes m * b for a dense b, i.e. the SpMM kernel used by the
-// truncated SVD (A * Omega) and by the dense-iteration baselines. Output
-// rows are partitioned across par.Workers goroutines for large products;
-// each row is written by exactly one goroutine in a fixed order, so the
+// truncated SVD (A * Omega) and by the dense-iteration baselines, into a
+// new matrix. See MulDenseInto.
+func (m *CSR) MulDense(b *dense.Mat) *dense.Mat {
+	out := dense.NewMat(m.rows, b.Cols)
+	m.MulDenseInto(out, b)
+	return out
+}
+
+// spmmAsmDisabled lets tests force the pure-Go row body on builds that
+// carry the assembly kernel (SetGenericKernels in export_test.go). Atomic
+// because kernels run inside par workers while a test may flip it.
+var spmmAsmDisabled atomic.Bool
+
+// MulDenseInto computes out = m * b. out must be rows x b.Cols and share no
+// storage with b; every element of it is written and none is read, so it
+// need not be zeroed — a caller that owns its panels hands a dead one back.
+// It panics on a shape mismatch.
+//
+// Output rows are split across par.Workers goroutines for large products,
+// at row boundaries that give each an equal share of the stored entries
+// (a graph's hub rows would leave an even split of the row count lopsided).
+// Each row is written by exactly one goroutine in a fixed order, so the
 // result is bitwise-deterministic at every worker count.
 //
-// Within a row the output is computed four columns at a time with the
-// four accumulators held in registers across the row's stored entries
-// (the row's index/value slices are L1-resident on the repeat sweeps),
-// instead of streaming read-modify-write traffic through the output
-// row once per entry. Each output element still sums its products in
-// storage (ascending-p) order with no value-dependent skips, so the
-// result is bitwise-equal to reftest.CSRMulDense — 0·NaN and 0·Inf
-// corners included.
-func (m *CSR) MulDense(b *dense.Mat) *dense.Mat {
-	if m.cols != b.Rows {
-		panic(fmt.Sprintf("sparse: MulDense %dx%d * %dx%d", m.rows, m.cols, b.Rows, b.Cols))
+// Within a row, output columns are taken in groups — eight at a time by the
+// SSE2 kernel spmmRow8 where there is one, then four at a time, then singly
+// — with the group's accumulators held in registers across one sweep of the
+// row's stored entries (whose index/value slices are L1-resident on the
+// repeat sweeps), instead of streaming read-modify-write traffic through
+// the output row once per entry. Each output element still sums its
+// products from +0 in storage (ascending-p) order with no value-dependent
+// skips, so the result is bitwise-equal to reftest.CSRMulDense — 0·NaN and
+// 0·Inf corners included.
+func (m *CSR) MulDenseInto(out, b *dense.Mat) {
+	k := b.Cols
+	if m.cols != b.Rows || out.Rows != m.rows || out.Cols != k || len(b.Data) != b.Rows*k || len(out.Data) != m.rows*k {
+		panic(fmt.Sprintf("sparse: MulDenseInto %dx%d = %dx%d * %dx%d", out.Rows, out.Cols, m.rows, m.cols, b.Rows, b.Cols))
 	}
-	out := dense.NewMat(m.rows, b.Cols)
-	par.Do(m.rows, m.NNZ()*int64(b.Cols), func(lo, hi int) {
-		k := b.Cols
+	blocks := 0 // groups of eight columns the assembly kernel takes
+	if spmmAsmAvailable && !spmmAsmDisabled.Load() {
+		blocks = k / 8
+	}
+	par.DoWeighted(m.RowPtr[:m.rows+1], m.NNZ()*int64(k), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			plo, phi := m.RowPtr[i], m.RowPtr[i+1]
 			idx := m.ColIdx[plo:phi]
 			val := m.Val[plo:phi]
 			orow := out.Data[i*k : (i+1)*k]
-			c := 0
+			if len(val) == 0 {
+				clear(orow)
+				continue
+			}
+			if blocks > 0 {
+				spmmRow8(&orow[0], &b.Data[0], &val[0], &idx[0], int64(len(val)), int64(k), int64(blocks))
+			}
+			c := 8 * blocks
 			for ; c+4 <= k; c += 4 {
 				var s0, s1, s2, s3 float64
 				for p, v := range val {
@@ -237,7 +299,6 @@ func (m *CSR) MulDense(b *dense.Mat) *dense.Mat {
 			}
 		}
 	})
-	return out
 }
 
 // MulDenseT computes mᵀ * b for a dense b without materialising mᵀ —

@@ -64,40 +64,6 @@ func sparseBitEq(t *testing.T, what string, got, want *dense.Mat) {
 	}
 }
 
-// FuzzMulDense differentially fuzzes all three SpMM kernels — MulDense,
-// MulDenseT and DenseMulCSR — against the reftest CSR references, with
-// matrix shape, worker count, sparsity pattern and every float64 bit
-// drawn from the corpus.
-func FuzzMulDense(f *testing.F) {
-	seeds := [][]byte{
-		{},
-		[]byte("csrplus spmm fuzz seed fedcba9876543210"),
-		{0xff, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x7f,
-			0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xff,
-			0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80},
-	}
-	for _, raw := range seeds {
-		f.Add(uint8(3), uint8(4), uint8(4), uint8(1), raw)
-		f.Add(uint8(12), uint8(7), uint8(5), uint8(2), raw)
-		f.Add(uint8(1), uint8(0), uint8(3), uint8(0), raw)
-	}
-	f.Fuzz(func(t *testing.T, rows, cols, k, workers uint8, raw []byte) {
-		r, c, n := int(rows)%16, int(cols)%16, int(k)%16
-		m := csrFromBytes(r, c, raw)
-		b := fuzzMat(c, n, raw, 1)
-		bT := fuzzMat(r, n, raw, 2)
-		left := fuzzMat(n, r, raw, 5)
-		prevW := par.SetMaxWorkers(1 + int(workers)%4)
-		defer par.SetMaxWorkers(prevW)
-		sparseBitEq(t, "MulDense vs reftest.CSRMulDense",
-			m.MulDense(b), reftest.CSRMulDense(m.RowPtr, m.ColIdx, m.Val, r, b))
-		sparseBitEq(t, "MulDenseT vs reftest.CSRMulDenseT",
-			m.MulDenseT(bT), reftest.CSRMulDenseT(m.RowPtr, m.ColIdx, m.Val, r, c, bT))
-		sparseBitEq(t, "DenseMulCSR vs reftest.DenseMulCSR",
-			DenseMulCSR(left, m), reftest.DenseMulCSR(left, m.RowPtr, m.ColIdx, m.Val, c))
-	})
-}
-
 // TestSparseKernelsMatchReferenceBitwise holds the parallel-sized SpMM
 // kernels bitwise to the reftest references at several worker counts —
 // the reference comparison the worker-invariance tests alone don't give.

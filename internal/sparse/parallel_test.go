@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -29,6 +30,71 @@ func parallelCSR(seed int64) (m *CSR, ref, b, bT, left *dense.Mat) {
 		left.Data[i] = rng.NormFloat64()
 	}
 	return
+}
+
+// hubFixture is the hub-heavy matrix of the MulDense table (half of its
+// entries in the first 3 % of its rows, so an entry-balanced row split cuts
+// nowhere near the middle) with 24-column operands for m·b and mᵀ·bT; both
+// products clear the parallel threshold.
+func hubFixture() (m *CSR, b, bT *dense.Mat) {
+	m = hubCSR()
+	rng := rand.New(rand.NewSource(71))
+	b, bT = dense.NewMat(m.cols, 24), dense.NewMat(m.rows, 24)
+	for _, d := range []*dense.Mat{b, bT} {
+		for i := range d.Data {
+			d.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m, b, bT
+}
+
+// TestMulVecWorkerCountInvariant: MulVec fans out past a million entries,
+// split where MulDenseInto's rows are, and returns the serial loop's bits
+// at every worker count.
+func TestMulVecWorkerCountInvariant(t *testing.T) {
+	const rows, cols = 1200, 1000
+	rng := rand.New(rand.NewSource(73))
+	rowPtr := make([]int64, rows+1)
+	var colIdx []int32
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if i < 1000 || j%4 == 0 { // full rows, then quarter-full ones
+				colIdx = append(colIdx, int32(j))
+			}
+		}
+		rowPtr[i+1] = int64(len(colIdx))
+	}
+	val := make([]float64, len(colIdx))
+	for p := range val {
+		val[p] = rng.NormFloat64()
+	}
+	m, err := NewCSR(rows, cols, rowPtr, colIdx, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NNZ() < par.DefaultThreshold {
+		t.Fatalf("fixture holds %d entries, under the parallel threshold", m.NNZ())
+	}
+	x := make([]float64, cols)
+	for j := range x {
+		x[j] = rng.NormFloat64()
+	}
+	want := make([]float64, rows)
+	for i := range want {
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			want[i] += val[p] * x[colIdx[p]]
+		}
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		prev := par.SetMaxWorkers(w)
+		got := m.MulVec(x, nil)
+		par.SetMaxWorkers(prev)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d workers: y[%d] = %v, serial loop gives %v", w, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // serialScatterMulDenseT is the pre-parallelisation MulDenseT loop: a
@@ -99,10 +165,13 @@ func TestMulDenseTParallelMatchesSerialScatterBitwise(t *testing.T) {
 // kernel returns identical bits at any worker count.
 func TestSparseKernelsWorkerCountInvariant(t *testing.T) {
 	m, _, b, bT, left := parallelCSR(43)
+	hubs, hb, hbT := hubFixture()
 	kernels := map[string]func() *dense.Mat{
-		"MulDense":    func() *dense.Mat { return m.MulDense(b) },
-		"MulDenseT":   func() *dense.Mat { return m.MulDenseT(bT) },
-		"DenseMulCSR": func() *dense.Mat { return DenseMulCSR(left, m) },
+		"MulDense":       func() *dense.Mat { return m.MulDense(b) },
+		"MulDenseT":      func() *dense.Mat { return m.MulDenseT(bT) },
+		"DenseMulCSR":    func() *dense.Mat { return DenseMulCSR(left, m) },
+		"MulDense/hubs":  func() *dense.Mat { return hubs.MulDense(hb) },
+		"MulDenseT/hubs": func() *dense.Mat { return hubs.MulDenseT(hbT) },
 	}
 	for name, kern := range kernels {
 		prev := par.SetMaxWorkers(1)
@@ -123,10 +192,13 @@ func TestSparseKernelsWorkerCountInvariant(t *testing.T) {
 // parallelised kernel.
 func TestSparseKernelsGOMAXPROCSDeterminism(t *testing.T) {
 	m, _, b, bT, left := parallelCSR(47)
+	hubs, hb, hbT := hubFixture()
 	kernels := map[string]func() *dense.Mat{
-		"MulDense":    func() *dense.Mat { return m.MulDense(b) },
-		"MulDenseT":   func() *dense.Mat { return m.MulDenseT(bT) },
-		"DenseMulCSR": func() *dense.Mat { return DenseMulCSR(left, m) },
+		"MulDense":       func() *dense.Mat { return m.MulDense(b) },
+		"MulDenseT":      func() *dense.Mat { return m.MulDenseT(bT) },
+		"DenseMulCSR":    func() *dense.Mat { return DenseMulCSR(left, m) },
+		"MulDense/hubs":  func() *dense.Mat { return hubs.MulDense(hb) },
+		"MulDenseT/hubs": func() *dense.Mat { return hubs.MulDenseT(hbT) },
 	}
 	for name, kern := range kernels {
 		old := runtime.GOMAXPROCS(1)

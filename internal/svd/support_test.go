@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -454,4 +455,32 @@ func FuzzTruncatedSupport(f *testing.F) {
 			t.Fatalf("UΣVᵀ differs from the as-given run by %g (σ %v vs %v)", d, got.S, want.S)
 		}
 	})
+}
+
+// TestRandomizedAllocatesFourPanels bounds what a randomized decomposition
+// of the WT shape allocates: the factors it returns, and beside them four
+// sketch-sized panels (38369 x 24) — the range finder's two, U and V on the
+// support — plus Aᵀ and the support's index arrays, which fit in a fifth
+// panel's worth with 1 MB for everything small. A step that goes back to a
+// fresh matrix of its own adds a panel and fails.
+func TestRandomizedAllocatesFourPanels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decomposes the n = 131072 fixture")
+	}
+	wt, _ := supportShapes(t)
+	opts := Options{}.withDefaults()
+	const r = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Truncated(wt, r, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panel := int64(max(res.SupportRows, res.SupportCols)) * int64(r+opts.Oversample) * 8
+	got, bound := int64(after.TotalAlloc-before.TotalAlloc), res.Bytes()+5*panel+1<<20
+	t.Logf("allocated %d bytes: the factors' %d + %.2f panels of %d", got, res.Bytes(), float64(got-res.Bytes())/float64(panel), panel)
+	if got > bound {
+		t.Fatalf("Truncated allocated %d bytes, want at most the factors' %d + 5 panels of %d + 1 MiB = %d", got, res.Bytes(), panel, bound)
+	}
 }

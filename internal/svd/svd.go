@@ -91,7 +91,7 @@ type Result struct {
 	// the only rows of V that can be non-zero — when they are a proper
 	// subset; nil when V has a computed row for every column of A.
 	ColSupport []int32
-	// Stages is where the decomposition's wall time went; the four sum to
+	// Stages is where the decomposition's wall time went; the six sum to
 	// the call's.
 	Stages Stages
 }
@@ -108,9 +108,13 @@ type Stages struct {
 	// eigensolve (or the bidiagonal's Jacobi SVD) and the products that
 	// carry its vectors back to the support's rows.
 	Small time.Duration
-	// Rest is everything around the driver: the support scan, the Gaussian
-	// draw, and the copy that truncates the factors to rank r and scatters
+	// Draw is the Gaussian sketch (or Lanczos start vector): the whole
+	// stream for the input's shape, whatever part of it the support keeps.
+	Draw time.Duration
+	// Scatter is the copy that truncates the factors to rank r and scatters
 	// them to the input's rows.
+	Scatter time.Duration
+	// Rest is what is left around the driver: the support scan.
 	Rest time.Duration
 }
 
@@ -179,7 +183,7 @@ func (p *problem) decompose(r int, opts Options, ck *clock) (*Result, error) {
 	copy(res.S, s) // the leading r; a driver that found fewer leaves σ = 0 behind them
 	res.SupportRows, res.SupportCols = p.a.Dims()
 	res.ColSupport = p.colIdx
-	ck.lap(&ck.Rest)
+	ck.lap(&ck.Scatter)
 	res.Stages = ck.Stages
 	return res, nil
 }
@@ -210,20 +214,15 @@ func restrict(a *sparse.CSR, width int) *problem {
 	return p
 }
 
-// gaussian draws an n x k standard normal matrix from rng, row by row, and
-// returns its rows keep (all n when keep is nil). The whole stream is drawn
-// whatever is kept, so entry (i, j) of the full matrix has one value per
-// seed and rng ends in one state.
-func gaussian(rng *rand.Rand, n, k int, keep []int32) *dense.Mat {
-	kept := n
-	if keep != nil {
-		kept = len(keep)
-	}
-	m := dense.NewMat(kept, k)
+// gaussian draws an n x m.Cols standard normal matrix from rng, row by row,
+// and fills m with its rows keep (all n when keep is nil): m has one row per
+// row kept. The whole stream is drawn whatever is kept, so entry (i, j) of
+// the full matrix has one value per seed and rng ends in one state.
+func gaussian(m *dense.Mat, rng *rand.Rand, n int, keep []int32) *dense.Mat {
 	next := 0
 	for i := 0; i < n; i++ {
 		if keep != nil && (next == len(keep) || int(keep[next]) != i) {
-			for j := 0; j < k; j++ {
+			for j := 0; j < m.Cols; j++ {
 				rng.NormFloat64()
 			}
 			continue
@@ -260,32 +259,55 @@ func randomized(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float
 	a := p.a
 	rows, cols := a.Dims()
 	k := min(r+opts.Oversample, rows, cols)
-	omega := gaussian(rand.New(rand.NewSource(opts.Seed)), p.cols, k, p.colIdx)
-	ck.lap(&ck.Rest)
+	// The range finder owns two sketch-sized panels and every tall matrix
+	// in it lives in one of them: a product reads one and overwrites the
+	// other (MulDenseInto writes every row, so nothing is zeroed), an
+	// orthonormalisation consumes one and returns Q in the other, and
+	// either way the step's input is the next step's spare. With U and V
+	// below that is four tall allocations a call, where a fresh matrix per
+	// step was thirteen — each of them page-faulted in for one use.
+	size := max(rows, cols) * k
+	spare := make([]float64, size)
+	product := func(m *sparse.CSR, x *dense.Mat) *dense.Mat {
+		mr, _ := m.Dims()
+		out := &dense.Mat{Rows: mr, Cols: k, Data: spare[:mr*k]}
+		m.MulDenseInto(out, x)
+		spare = x.Data
+		return out
+	}
+	orthonormalize := func(y *dense.Mat) (*dense.Mat, error) {
+		q, err := dense.OrthonormalizeInto(y, spare, 0)
+		spare = y.Data
+		return q, err
+	}
+	omega := gaussian(&dense.Mat{Rows: cols, Cols: k, Data: make([]float64, size)[:cols*k]},
+		rand.New(rand.NewSource(opts.Seed)), p.cols, p.colIdx)
+	ck.lap(&ck.Draw)
 	// Aᵀ is built once for the three Aᵀ·X passes below. at.MulDense sums
 	// each output row in ascending original-row order, which is MulDenseT's
 	// order on both of its paths, so the bits are MulDenseT's.
 	at := a.Transpose()
 	// Y = A Ω, refined by power iterations with re-orthonormalisation
 	// between sparse passes to avoid losing small singular directions.
-	y := a.MulDense(omega)
+	y := product(a, omega)
 	ck.lap(&ck.Sparse)
 	for it := 0; it < opts.PowerIters; it++ {
-		q, err := dense.Orthonormalize(y, 0)
+		q, err := orthonormalize(y)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("svd: randomized power iteration %d: %w", it, err)
 		}
 		ck.lap(&ck.Ortho)
-		y = a.MulDense(at.MulDense(q))
+		y = product(a, product(at, q))
 		ck.lap(&ck.Sparse)
 	}
-	q, err := dense.Orthonormalize(y, 0)
+	q, err := orthonormalize(y)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("svd: randomized range finder: %w", err)
 	}
 	ck.lap(&ck.Ortho)
-	// B = Qᵀ A, computed as (Aᵀ Q)ᵀ so the sparse pass stays row-major.
-	bt := at.MulDense(q) // cols x k
+	// B = Qᵀ A, computed as (Aᵀ Q)ᵀ so the sparse pass stays row-major. It
+	// is the last step that writes a panel: Q is read again below.
+	bt := product(at, q) // cols x k
 	ck.lap(&ck.Sparse)
 	// Finish through the k x k Gram matrix G = B Bᵀ = btᵀ bt: its
 	// eigendecomposition G = Z diag(σ²) Zᵀ gives A ≈ (Q Z) Σ (bt Z Σ⁻¹)ᵀ.
@@ -340,11 +362,11 @@ func lanczos(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64,
 	alphas := make([]float64, 0, steps)
 	betas := make([]float64, 0, steps)
 
-	v := gaussian(rng, p.cols, 1, p.colIdx).Data
+	v := gaussian(dense.NewMat(cols, 1), rng, p.cols, p.colIdx).Data
 	normalise(v)
 	u := make([]float64, rows)
 	var beta float64
-	ck.lap(&ck.Rest)
+	ck.lap(&ck.Draw)
 	for j := 0; j < steps; j++ {
 		vBasis = append(vBasis, append([]float64(nil), v...))
 		// u_j = A v_j - beta_{j-1} u_{j-1}
@@ -358,7 +380,7 @@ func lanczos(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64,
 		if alpha < 1e-14 {
 			// Invariant subspace found: restart with a fresh random
 			// direction orthogonal to the basis.
-			au = gaussian(rng, p.rows, 1, p.rowIdx).Data
+			au = gaussian(dense.NewMat(rows, 1), rng, p.rows, p.rowIdx).Data
 			reorthogonalise(au, uBasis)
 			if n := dense.Norm2(au); n < 1e-14 {
 				break

@@ -231,7 +231,7 @@ func TestTruncatedDeterminism(t *testing.T) {
 // where its sparse passes, the QR's column fan-out and the Gram reduction
 // all clear the parallel threshold (n = 2¹⁵, sketch width 16), and holds
 // U, σ, V to the same bits at 1, 2 and 7 workers. It also checks the
-// stage clock: the three stages are measured and fit inside the call.
+// stage clock: every stage is measured and the six sum to the call.
 func TestTruncatedWorkerCountInvariant(t *testing.T) {
 	const n, perRow = 1 << 15, 4
 	rng := rand.New(rand.NewSource(35))
@@ -255,7 +255,8 @@ func TestTruncatedWorkerCountInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := got.Stages
-		if st.Sparse <= 0 || st.Ortho <= 0 || st.Small <= 0 || st.Sparse+st.Ortho+st.Small > elapsed {
+		sum := st.Sparse + st.Ortho + st.Small + st.Draw + st.Scatter + st.Rest
+		if st.Sparse <= 0 || st.Ortho <= 0 || st.Small <= 0 || st.Draw <= 0 || st.Scatter <= 0 || sum > elapsed || float64(sum) < 0.95*float64(elapsed) {
 			t.Fatalf("workers=%d: stages %+v do not fit the call's %v", w, st, elapsed)
 		}
 		if want == nil {
