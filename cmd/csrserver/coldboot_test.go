@@ -93,7 +93,7 @@ func TestColdBootServesWhatItPublished(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			flags := func(snaps string) []string {
-				args := []string{"-dataset", "FB", "-cache", "0"}
+				args := []string{"-dataset", "FB"}
 				if snaps != "" {
 					args = append(args, "-snapshots", snaps)
 				}

@@ -38,7 +38,7 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	}
 
 	// The flags must name a graph of the index's size; no boot below reads it.
-	base := []string{"-graph", graphFile(t), "-n", fmt.Sprint(n), "-cache", "0"}
+	base := []string{"-graph", graphFile(t), "-n", fmt.Sprint(n)}
 	type mode struct {
 		name string
 		s    *server
@@ -46,7 +46,7 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	modes := []mode{
 		{"v2 file", bootFlags(t, append(base, "-index", v2)...)},
 		{"v3 file", bootFlags(t, append(base, "-index", v3)...)},
-		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil), "-cache", "0", "-wirehedge", "-1")},
+		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil), "-wirehedge", "-1")},
 	}
 
 	var paths []string

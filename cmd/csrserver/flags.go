@@ -25,7 +25,7 @@ const (
 
 const (
 	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
-	frontFlags = "addr admintoken cache workers pending maxk timeout degraderank degradebudget degradequeue " +
+	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget degradequeue " +
 		"reloadretries breakerfails breakercooldown "
 )
 
@@ -66,7 +66,6 @@ type config struct {
 	driftBudget                   float64
 
 	addr, adminToken string
-	cacheSize        int
 	serve            serve.Config
 	policy           reload.Policy
 	wire             wire.Options
@@ -93,7 +92,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
-	fs.IntVar(&c.cacheSize, "cache", 1024, "top-k result cache entries (0 disables)")
 	fs.IntVar(&c.serve.Workers, "workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
 	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "admission queue bound; beyond it requests get 429")
 	fs.IntVar(&c.serve.MaxK, "maxk", serve.DefaultMaxK, "server-side cap on requested k")

@@ -57,7 +57,7 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := func(n string) []string {
-		return []string{"-graph", graphPath, "-n", n, "-r", "3", "-cache", "0",
+		return []string{"-graph", graphPath, "-n", n, "-r", "3",
 			"-snapshots", snaps, "-admintoken", "sesame", "-reloadretries", "1"}
 	}
 	cold := bootFlags(t, args("6")...)
@@ -86,7 +86,7 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-cache", "0", "-wirehedge", "-1"))
+		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-wirehedge", "-1"))
 	})
 
 	t.Run("shards=1", func(t *testing.T) {

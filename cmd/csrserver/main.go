@@ -46,7 +46,7 @@
 //	GET /health, /healthz             liveness (process up)
 //	GET /readyz                       readiness (generation serving, WAL replayed, breaker closed)
 //	GET /stats                        graph + index + per-shard + serving counters
-//	GET /metrics                      serving metrics (engine calls, queue, cache, remote slots)
+//	GET /metrics                      serving metrics (engine calls, queue, remote slots)
 //	GET /topk?node=17&k=10            top-k most similar to one node
 //	GET /topk?nodes=17,42&k=10        top-k by aggregate similarity
 //	GET /similarity?node=17&targets=1,2,3   raw scores for chosen pairs
@@ -85,7 +85,6 @@ import (
 	"time"
 
 	"csrplus/internal/auth"
-	"csrplus/internal/cache"
 	"csrplus/internal/ingest"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
@@ -134,7 +133,6 @@ func main() {
 type server struct {
 	sv         *serve.Server
 	man        *reload.Manager
-	lru        *cache.LRU
 	ing        *ingest.Service // nil without -waldir
 	adminToken string
 }
@@ -142,12 +140,8 @@ type server struct {
 // boot opens cfg's source and wires its first generation through the
 // serve layer and the reload manager.
 func boot(ctx context.Context, cfg *config) (*server, error) {
-	var lru *cache.LRU
-	if cfg.cacheSize > 0 {
-		lru = cache.New(cfg.cacheSize)
-	}
 	start := time.Now()
-	src, err := openSource(ctx, cfg, lru)
+	src, err := openSource(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -170,9 +164,7 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t peak %d bytes VmHWM %d bytes) graph=%v%s", time.Since(start),
 		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta))
 
-	sc := cfg.serve
-	sc.Cache = lru
-	sv := serve.NewRanked(src.boot.Ranked, sc)
+	sv := serve.NewRanked(src.boot.Ranked, cfg.serve)
 	sv.Metrics().SetShards(shards)
 	if len(src.engines) > 0 {
 		sv.Metrics().RegisterExtra("wire_shards", func() any {
@@ -187,7 +179,7 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	// The boot generation may pin a snapshot mapping too; the Manager
 	// frees it after the first successful reload swaps it out.
 	man.SetBootRelease(src.boot.Release)
-	s := &server{sv: sv, man: man, lru: lru, ing: src.ing, adminToken: cfg.adminToken}
+	s := &server{sv: sv, man: man, ing: src.ing, adminToken: cfg.adminToken}
 	if s.ing != nil {
 		s.ing.SetRebuildTrigger(func() {
 			log.Println("csrserver: drift budget exceeded, rebuilding from the live graph ...")
@@ -287,7 +279,7 @@ func clocksSuffix(meta reload.Meta) string {
 // service the mux also registers POST /admin/edges, gates /readyz on WAL
 // replay, and adds an "ingest" section to /stats.
 func (s *server) mux() *http.ServeMux {
-	man, sv, lru, adminToken, svc := s.man, s.sv, s.lru, s.adminToken, s.ing
+	man, sv, adminToken, svc := s.man, s.sv, s.adminToken, s.ing
 	mux := http.NewServeMux()
 	// /health and /healthz are liveness: the process is up and able to
 	// answer HTTP. They stay 200 through failed reloads and degraded mode
@@ -348,12 +340,6 @@ func (s *server) mux() *http.ServeMux {
 			"shards":             shards,
 			"serving":            sv.Metrics().Snapshot(),
 			"reload_breaker":     man.Breaker(),
-		}
-		if lru != nil {
-			hits, misses := lru.Stats()
-			body["cache_hits"] = hits
-			body["cache_misses"] = misses
-			body["cache_entries"] = lru.Len()
 		}
 		if svc != nil {
 			body["ingest"] = svc.Stats()
@@ -459,9 +445,6 @@ func (s *server) mux() *http.ServeMux {
 			return
 		}
 		body := map[string]interface{}{"queries": queries, "matches": res.Matches}
-		if res.Cached {
-			body["cached"] = true
-		}
 		if res.Info.Degraded {
 			body["degraded"] = res.Info
 		}

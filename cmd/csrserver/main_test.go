@@ -22,7 +22,6 @@ import (
 
 	"csrplus"
 
-	"csrplus/internal/cache"
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
 	"csrplus/internal/reload"
@@ -131,17 +130,16 @@ func testStack(tb testing.TB, eng *csrplus.Engine, cfg serve.Config, adminToken 
 	sv := serve.NewRanked(bootCand.Ranked, cfg)
 	sv.Metrics().SetShards(1)
 	load := func(context.Context) (*reload.Candidate, error) { return candidate("rebuild"), nil }
-	return &server{sv: sv, man: reload.New(sv, load, bootCand.Meta), lru: cfg.Cache, adminToken: adminToken}
+	return &server{sv: sv, man: reload.New(sv, load, bootCand.Meta), adminToken: adminToken}
 }
 
 // testServer serves a K=1 stack over testEngine.
-func testServer(t *testing.T, cfg serve.Config, lru *cache.LRU) *httptest.Server {
-	return testServerAuth(t, cfg, lru, "")
+func testServer(t *testing.T, cfg serve.Config) *httptest.Server {
+	return testServerAuth(t, cfg, "")
 }
 
-func testServerAuth(t *testing.T, cfg serve.Config, lru *cache.LRU, adminToken string) *httptest.Server {
+func testServerAuth(t *testing.T, cfg serve.Config, adminToken string) *httptest.Server {
 	t.Helper()
-	cfg.Cache = lru
 	return serveStack(t, testStack(t, testEngine(t), cfg, adminToken, nil))
 }
 
@@ -190,7 +188,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, map[string]inter
 }
 
 func TestHealth(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/health")
 	if code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -198,7 +196,7 @@ func TestHealth(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d", code)
@@ -212,7 +210,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestTopKSingle(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/topk?node=1&k=3")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -228,7 +226,7 @@ func TestTopKSingle(t *testing.T) {
 }
 
 func TestTopKMulti(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/topk?nodes=1,3&k=2")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -239,7 +237,7 @@ func TestTopKMulti(t *testing.T) {
 }
 
 func TestSimilarityPairs(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/similarity?node=1&targets=3,4")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -255,7 +253,7 @@ func TestSimilarityPairs(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	srv := testServer(t, serve.Config{MaxK: 100}, nil)
+	srv := testServer(t, serve.Config{MaxK: 100})
 	for _, path := range []string{
 		"/topk",                         // missing node
 		"/topk?node=zzz",                // unparsable id
@@ -278,7 +276,7 @@ func TestBadRequests(t *testing.T) {
 func TestKClampedToN(t *testing.T) {
 	// k above n but below MaxK clamps to the candidate count instead of
 	// erroring: 6-node graph, single query -> 5 matches.
-	srv := testServer(t, serve.Config{MaxK: 100}, nil)
+	srv := testServer(t, serve.Config{MaxK: 100})
 	code, body := get(t, srv, "/topk?node=1&k=50")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -289,7 +287,7 @@ func TestKClampedToN(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	if code, _ := get(t, srv, "/topk?node=1&k=3"); code != http.StatusOK {
 		t.Fatal("warm-up query failed")
 	}
@@ -325,7 +323,7 @@ func TestOverloadReturns429(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		})
-		cfg, err := parse("-shardaddrs", addrs, "-workers", "1", "-pending", "1", "-cache", "0", "-wirehedge", "-1")
+		cfg, err := parse("-shardaddrs", addrs, "-workers", "1", "-pending", "1", "-wirehedge", "-1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,60 +449,60 @@ func TestLoadGraphValidation(t *testing.T) {
 	}
 }
 
-func TestTopKCachePath(t *testing.T) {
-	lru := cache.New(8)
-	srv := testServer(t, serve.Config{}, lru)
-	code, first := get(t, srv, "/topk?node=1&k=2")
-	if code != http.StatusOK {
-		t.Fatalf("code=%d", code)
+// rawGet returns the body of a 200 answer to path, byte for byte.
+func rawGet(t *testing.T, srv *httptest.Server, path string) string {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first["cached"] != nil {
-		t.Fatal("first request marked cached")
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: HTTP %d %s %v", path, resp.StatusCode, body, err)
 	}
-	code, second := get(t, srv, "/topk?node=1&k=2")
-	if code != http.StatusOK || second["cached"] != true {
-		t.Fatalf("second request not cached: %v", second)
+	return string(body)
+}
+
+// A /topk body is a function of its request: asked again of a server at
+// default flags, the same request answers the same bytes, and neither /stats
+// nor /metrics counts anything about it but the engine calls.
+func TestTopKBodyIsAFunctionOfTheRequest(t *testing.T) {
+	srv := serveStack(t, bootArgs(t))
+	for _, path := range []string{"/topk?node=1&k=2", "/topk?nodes=1,3,3&k=4"} {
+		first := rawGet(t, srv, path)
+		for range 2 {
+			if again := rawGet(t, srv, path); again != first {
+				t.Fatalf("%s: repeat answered %s, first %s", path, again, first)
+			}
+		}
 	}
-	// Same node, different k must miss.
-	_, third := get(t, srv, "/topk?node=1&k=3")
-	if third["cached"] == true {
-		t.Fatal("different k hit the cache")
-	}
-	// Stats expose both the raw LRU counters and the serving metrics view.
-	_, stats := get(t, srv, "/stats")
-	if stats["cache_hits"].(float64) < 1 {
-		t.Fatalf("stats = %v", stats)
-	}
-	serving := stats["serving"].(map[string]interface{})
-	if serving["cache_hits"].(float64) < 1 {
-		t.Fatalf("serving metrics missed the cache hit: %v", serving)
+	for _, path := range []string{"/stats", "/metrics"} {
+		if body := rawGet(t, srv, path); strings.Contains(body, `"cache_`) {
+			t.Fatalf("%s still reports a result cache: %s", path, body)
+		}
 	}
 }
 
 // BenchmarkTopKHandler measures end-to-end request throughput of the
-// /topk route, cached and uncached.
+// /topk route.
 func BenchmarkTopKHandler(b *testing.B) {
-	eng := testEngine(b)
-	run := func(b *testing.B, lru *cache.LRU) {
-		srv := serveStack(b, testStack(b, eng, serve.Config{Cache: lru}, "", nil))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Get(srv.URL + "/topk?node=1&k=3")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
-			resp.Body.Close()
+	srv := serveStack(b, testStack(b, testEngine(b), serve.Config{}, "", nil))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Get(srv.URL + "/topk?node=1&k=3")
+		if err != nil {
+			b.Fatal(err)
 		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
 	}
-	b.Run("uncached", func(b *testing.B) { run(b, nil) })
-	b.Run("cached", func(b *testing.B) { run(b, cache.New(64)) })
 }
 
 func TestAdminIndexStatus(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/admin/index")
 	if code != http.StatusOK {
 		t.Fatalf("code=%d body=%v", code, body)
@@ -518,7 +516,7 @@ func TestAdminIndexStatus(t *testing.T) {
 }
 
 func TestAdminReloadDisabledWithoutToken(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	// With no -admintoken the endpoint refuses even well-formed requests.
 	code, body := doReq(t, srv, http.MethodPost, "/admin/reload", "anything")
 	if code != http.StatusForbidden {
@@ -527,7 +525,7 @@ func TestAdminReloadDisabledWithoutToken(t *testing.T) {
 }
 
 func TestAdminReloadAuthAndSwap(t *testing.T) {
-	srv := testServerAuth(t, serve.Config{}, nil, "sesame")
+	srv := testServerAuth(t, serve.Config{}, "sesame")
 	if code, _ := doReq(t, srv, http.MethodGet, "/admin/reload", "sesame"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /admin/reload: code=%d", code)
 	}
@@ -670,7 +668,7 @@ func TestAdminReloadPicksUpNewSnapshot(t *testing.T) {
 }
 
 func TestHealthzAndReadyz(t *testing.T) {
-	srv := testServer(t, serve.Config{}, nil)
+	srv := testServer(t, serve.Config{})
 	code, body := get(t, srv, "/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("healthz: code=%d body=%v", code, body)
@@ -883,7 +881,7 @@ func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 func TestShardedMuxEndpoints(t *testing.T) {
 	addrs := wireWorkers(t, publishShards(t, coreIndex(testEngine(t)), 3), 3, nil)
 	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs, "-wirehedge", "-1"))
-	mono := testServer(t, serve.Config{}, nil)
+	mono := testServer(t, serve.Config{})
 
 	for _, path := range []string{"/topk?node=1&k=5", "/topk?nodes=1,3&k=4"} {
 		codeA, bodyA := get(t, srv, path)
@@ -931,6 +929,110 @@ func TestShardedMuxEndpoints(t *testing.T) {
 		}
 		if _, ok := body["generation"]; !ok {
 			t.Fatalf("/admin/index lost generation key: %v", body)
+		}
+	}
+}
+
+// A worker that reloads on its own — its SIGHUP or its /admin/reload, not a
+// roll through the router — changes what the router answers at once: no
+// answer computed from superseded factors is served again. Worker 1 reloads
+// first, and the router answers from the old rows of shard 0 and the new
+// rows of shard 1 exactly as local slots holding those two shards do; once
+// worker 0 has reloaded too, every body is the one a plain server over the
+// new index answers.
+func TestWorkerReloadSupersedesAnswers(t *testing.T) {
+	old := coreIndex(testEngine(t))
+	root := publishShards(t, old, 2)
+	addrs := strings.Split(wireWorkers(t, root, 2, nil), ",")
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", strings.Join(addrs, ",")))
+	asks := []struct {
+		path    string
+		queries []int
+		k       int
+	}{
+		{"/topk?node=1&k=5", []int{1}, 5},
+		{"/topk?node=4&k=5", []int{4}, 5},
+		{"/topk?nodes=1,4&k=3", []int{1, 4}, 3},
+	}
+	before := make([]string, len(asks))
+	for i, a := range asks {
+		before[i] = rawGet(t, srv, a.path)
+	}
+
+	// The new index: testGraph with every edge reversed.
+	var reversed [][2]int
+	for _, e := range [][2]int{{3, 0}, {0, 1}, {2, 1}, {4, 1}, {3, 2}, {0, 3}, {4, 3}, {5, 3}, {2, 4}, {5, 4}, {3, 5}} {
+		reversed = append(reversed, [2]int{e[1], e[0]})
+	}
+	g, err := csrplus.NewGraph(6, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.PublishSnapshots(root, coreIndex(next), 2); err != nil {
+		t.Fatal(err)
+	}
+	reloadWorker := func(slot int) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, "http://"+addrs[slot]+"/admin/reload", nil)
+		req.Header.Set("Authorization", "Bearer sesame")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("worker %d reload: HTTP %d", slot, resp.StatusCode)
+		}
+	}
+
+	reloadWorker(1)
+	oldShards, err := shard.Split(old, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newShards, err := shard.Split(coreIndex(next), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := shard.NewRouterSlots([]shard.Slot{shard.NewLocal(oldShards[0]), shard.NewLocal(newShards[1])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range asks {
+		var body struct {
+			Matches []serve.Match `json:"matches"`
+		}
+		raw := rawGet(t, srv, a.path)
+		if err := json.Unmarshal([]byte(raw), &body); err != nil {
+			t.Fatal(err)
+		}
+		want, err := mixed.TopK(context.Background(), a.queries, a.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Matches) != len(want) {
+			t.Fatalf("%v after worker 1 reloaded: %s, want %v", a.queries, raw, want)
+		}
+		for i, m := range body.Matches {
+			if m.Node != want[i].Node || math.Float64bits(m.Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("%v after worker 1 reloaded: %s, want %v bit for bit", a.queries, raw, want)
+			}
+		}
+	}
+
+	reloadWorker(0)
+	plain := serveStack(t, testStack(t, next, serve.Config{}, "", nil))
+	for i, a := range asks {
+		got := rawGet(t, srv, a.path)
+		if want := rawGet(t, plain, a.path); got != want {
+			t.Fatalf("%s after both workers reloaded: %s, plain server over the new index %s", a.path, got, want)
+		}
+		if got == before[i] {
+			t.Fatalf("%s: the new index answers %s like the old one; the check proves nothing", a.path, got)
 		}
 	}
 }
@@ -1131,7 +1233,7 @@ func TestModeTable(t *testing.T) {
 	}{
 		{[]string{"-shardworker", "0", "-snapshots", "d", "-shardaddrs", "a:1"}, "-shardaddrs"},
 		{[]string{"-shardworker", "0", "-snapshots", "d", "-dataset", "FB"}, "-dataset"},
-		{[]string{"-shardworker", "0", "-snapshots", "d", "-cache", "0"}, "-cache"},
+		{[]string{"-shardworker", "0", "-snapshots", "d", "-workers", "2"}, "-workers"},
 		{[]string{"-shardworker", "0"}, "-snapshots"},
 		{[]string{"-shardaddrs", "a:1", "-waldir", "d"}, "-waldir"},
 		{[]string{"-shardaddrs", "a:1", "-driftbudget", "0.1"}, "-driftbudget"},
@@ -1146,6 +1248,8 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-maxbatch", "8"}, "-maxbatch"},
 		{[]string{"-dataset", "FB", "-linger", "1ms"}, "-linger"},
 		{[]string{"-dataset", "FB", "-shards", "2"}, "flag provided but not defined: -shards"},
+		// Nothing is memoised: there is no result cache to size.
+		{[]string{"-dataset", "FB", "-cache", "0"}, "flag provided but not defined: -cache"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1165,8 +1269,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 28 {
-		t.Errorf("csrserver has %d flags, want 28", count)
+	if count != 27 {
+		t.Errorf("csrserver has %d flags, want 27", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

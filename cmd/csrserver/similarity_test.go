@@ -76,7 +76,7 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 		{"more query ids than a column block admits", ids(wide...), ids(3, 2500, n-1)},
 	}
 
-	graphArgs := []string{"-graph", graphPath, "-n", strconv.Itoa(n), "-r", strconv.Itoa(rank), "-cache", "0"}
+	graphArgs := []string{"-graph", graphPath, "-n", strconv.Itoa(n), "-r", strconv.Itoa(rank)}
 	addrs := wireWorkers(t, publishShards(t, ix, 3), 3, nil)
 
 	for _, depth := range []struct {
@@ -94,7 +94,7 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 				s    *server
 			}{
 				{"K=1", bootFlags(t, append(graphArgs, depth.args...)...)},
-				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs, "-cache", "0", "-wirehedge", "-1"}, depth.args...)...)},
+				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs, "-wirehedge", "-1"}, depth.args...)...)},
 			}
 			for _, req := range requests {
 				var body []byte

@@ -26,13 +26,11 @@ import (
 
 	"csrplus"
 
-	"csrplus/internal/cache"
 	"csrplus/internal/core"
 	"csrplus/internal/ingest"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
-	"csrplus/internal/topk"
 	"csrplus/internal/wire"
 )
 
@@ -59,23 +57,17 @@ type source struct {
 // rows), so no n x |Q| block exists anywhere, nothing crosses a wire that a
 // local slot would not also compute, and there is nothing for concurrent
 // requests to share. Admission, shedding, degradation and drain are serve's.
-// The closures are rebuilt per generation even when rt persists, so each
-// swap installs a fresh serve generation — which is what invalidates every
-// result cached before a roll.
 func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
-	ranked := serve.Ranked{N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Scores: rt.Scores, Drift: drift}
-	ranked.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
-		res, err := rt.TopKTagged(ctx, queries, k, rank)
-		return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
-	}
+	ranked := rt.Ranked()
+	ranked.Drift = drift
 	meta.N, meta.Rank, meta.ShardStatus = rt.N(), rt.Rank(), rt.Status
 	return &reload.Candidate{Ranked: ranked, Meta: meta, Release: release}
 }
 
 // openSource boots cfg's input.
-func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, error) {
+func openSource(ctx context.Context, cfg *config) (*source, error) {
 	if cfg.mode == modeRouter {
-		return openRemote(ctx, cfg, lru)
+		return openRemote(ctx, cfg)
 	}
 	if cfg.graphPath != "" {
 		// The file may not be opened until a reload finds no snapshot: a
@@ -90,11 +82,9 @@ func openSource(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 // openRemote dials every worker and assembles the router over the remote
 // slots, which serves every generation: a reload rolls the workers one at a
 // time through their own /admin/reload. A roll that failed part-way leaves
-// a mixed-generation router that still answers every query exactly, but the
-// serve generation never bumped (the reload errored before the Manager's
-// swap), so the result cache is cleared here: no entry cached before the
-// roll may be served against a slot whose factors changed.
-func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, error) {
+// a mixed-generation router that still answers every query exactly: every
+// answer is computed from the slots as they stand.
+func openRemote(ctx context.Context, cfg *config) (*source, error) {
 	start := time.Now()
 	dialCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
@@ -127,11 +117,7 @@ func openRemote(ctx context.Context, cfg *config, lru *cache.LRU) (*source, erro
 	meta := reload.Meta{Source: "wire", Path: cfg.shardAddrs, Algorithm: csrplus.AlgoCSRPlus, BuildTime: time.Since(start)}
 	next := func(ctx context.Context) (*reload.Candidate, error) {
 		start := time.Now()
-		if swapped, err := wire.RollWorkers(ctx, engines); err != nil {
-			if swapped > 0 && lru != nil {
-				lru.Clear()
-				log.Printf("csrserver: rolling reload failed after %d slot swap(s); result cache cleared", swapped)
-			}
+		if _, err := wire.RollWorkers(ctx, engines); err != nil {
 			return nil, err
 		}
 		rolled := meta

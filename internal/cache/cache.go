@@ -1,28 +1,14 @@
-// Package cache provides a small, concurrency-safe LRU used by csrserver
-// to memoise top-k query results. CoSimRank queries against a static index
-// are pure functions of (query set, k), so caching is safe and turns the
-// common repeated-query pattern into O(1).
+// Package cache is a small, concurrency-safe LRU. Nothing in the serving
+// path uses it: csrserver answers every request from its generation and
+// keeps no results. What remains — LRU, New, Get and Put — is the surface
+// the benchmark harness (csrload/layers.go and its tests) still compiles
+// against; the package goes when that harness stops timing an LRU.
 package cache
 
 import (
 	"container/list"
 	"sync"
 )
-
-// Recorder receives cache events so an external metrics registry (e.g.
-// internal/serve.Metrics) can observe hit ratio and eviction pressure
-// without polling. Implementations must be cheap and non-blocking: calls
-// happen under the cache lock. Every event with an internal counter has a
-// Recorder counterpart, so external metrics never undercount relative to
-// Stats/Evictions/Refreshes.
-type Recorder interface {
-	CacheHit()
-	CacheMiss()
-	CacheEvict()
-	// CacheRefresh reports a Put that found its key already cached and
-	// replaced the value in place (no insert, no eviction).
-	CacheRefresh()
-}
 
 // LRU is a fixed-capacity least-recently-used map from string keys to
 // arbitrary values. The zero value is unusable; use New.
@@ -31,9 +17,6 @@ type LRU struct {
 	capacity int
 	order    *list.List // front = most recent
 	items    map[string]*list.Element
-	rec      Recorder
-
-	hits, misses, evictions, refreshes int64
 }
 
 type entry struct {
@@ -54,14 +37,6 @@ func New(capacity int) *LRU {
 	}
 }
 
-// SetRecorder attaches a Recorder; nil detaches. The internal hit/miss
-// counters keep working either way.
-func (c *LRU) SetRecorder(r Recorder) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rec = r
-}
-
 // Get returns the cached value and whether it was present, refreshing the
 // entry's recency.
 func (c *LRU) Get(key string) (interface{}, bool) {
@@ -69,15 +44,7 @@ func (c *LRU) Get(key string) (interface{}, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
-		if c.rec != nil {
-			c.rec.CacheMiss()
-		}
 		return nil, false
-	}
-	c.hits++
-	if c.rec != nil {
-		c.rec.CacheHit()
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*entry).value, true
@@ -91,62 +58,13 @@ func (c *LRU) Put(key string, value interface{}) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry).value = value
 		c.order.MoveToFront(el)
-		c.refreshes++
-		if c.rec != nil {
-			c.rec.CacheRefresh()
-		}
 		return
 	}
 	if c.order.Len() >= c.capacity {
-		oldest := c.order.Back()
-		if oldest != nil {
+		if oldest := c.order.Back(); oldest != nil {
 			c.order.Remove(oldest)
 			delete(c.items, oldest.Value.(*entry).key)
-			c.evictions++
-			if c.rec != nil {
-				c.rec.CacheEvict()
-			}
 		}
 	}
 	c.items[key] = c.order.PushFront(&entry{key, value})
-}
-
-// Clear drops every entry, keeping capacity, recorder and cumulative
-// counters. Used on engine generation swaps: superseded entries are
-// already unreachable (their keys embed the old generation), so clearing
-// only releases their memory early — it is not what guarantees freshness.
-func (c *LRU) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[string]*list.Element, c.capacity)
-}
-
-// Len returns the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Stats returns cumulative hit/miss counters.
-func (c *LRU) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Evictions returns the cumulative eviction count.
-func (c *LRU) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// Refreshes returns the cumulative count of Puts that replaced an
-// existing key's value in place.
-func (c *LRU) Refreshes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.refreshes
 }

@@ -20,7 +20,6 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
-	"csrplus/internal/shard/shardtest"
 )
 
 // defaultSeeds is the fixed seed matrix every chaos test iterates. CI
@@ -79,13 +78,13 @@ func fixture(t *testing.T) (*core.Index, [][]float64) {
 }
 
 // rankedEngine is the generation csrserver serves ix through: the K=1
-// router's top-k and targeted scores (shardtest.Ranked).
+// router's top-k and targeted scores (Router.Ranked).
 func rankedEngine(ix *core.Index) (serve.Ranked, error) {
 	rt, err := shard.NewRouterFromIndex(ix, 1)
 	if err != nil {
 		return serve.Ranked{}, err
 	}
-	return shardtest.Ranked(rt), nil
+	return rt.Ranked(), nil
 }
 
 // newServer serves ix through rankedEngine.

@@ -45,7 +45,7 @@ func TestColdBootRestsLikeSnapshotBoot(t *testing.T) {
 	ports := freePorts(t, 2)
 	boot := func(name string, port int) (*proc, string) {
 		addr := fmt.Sprintf("127.0.0.1:%d", port)
-		p := h.spawn(name, "-dataset", "WT", "-r", "16", "-c", "0.6", "-cache", "0", "-snapshots", snaps, "-addr", addr)
+		p := h.spawn(name, "-dataset", "WT", "-r", "16", "-c", "0.6", "-snapshots", snaps, "-addr", addr)
 		waitReady(t, "http://"+addr, 2*time.Minute)
 		return p, "http://" + addr
 	}

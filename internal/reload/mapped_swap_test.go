@@ -22,7 +22,6 @@ import (
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
-	"csrplus/internal/shard/shardtest"
 	"csrplus/internal/topk"
 )
 
@@ -75,7 +74,7 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 			mu.Unlock()
 		}
 		return &Candidate{
-			Ranked: shardtest.Ranked(rt),
+			Ranked: rt.Ranked(),
 			Meta:   Meta{Source: "snapshot"},
 			Release: func() {
 				if mapped.Mapped() {
@@ -92,7 +91,7 @@ func TestMappedReloadSwapBitwiseIdenticalToV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := serve.NewRanked(shardtest.Ranked(rt), serve.Config{Workers: 4, MaxPending: 256})
+	sv := serve.NewRanked(rt.Ranked(), serve.Config{Workers: 4, MaxPending: 256})
 	defer sv.Close()
 	man := New(sv, loader, Meta{Source: "boot"})
 
@@ -217,7 +216,7 @@ func TestViewRouterReloadUnderFire(t *testing.T) {
 				gens = append(gens, lt)
 				mu.Unlock()
 				// csrserver's wiring, each engine call counted in and out.
-				ranked := shardtest.Ranked(rt)
+				ranked := rt.Ranked()
 				enter := func() func() {
 					lt.inflight.Add(1)
 					if lt.closes.Load() != 0 {

@@ -14,10 +14,9 @@ import (
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
-	"csrplus/internal/shard/shardtest"
 )
 
-// routerRanked is the generation csrserver installs — shardtest.Ranked —
+// routerRanked is the generation csrserver installs — Router.Ranked —
 // over the K=1 router of a small real index.
 func routerRanked(t *testing.T) serve.Ranked {
 	t.Helper()
@@ -33,7 +32,7 @@ func routerRanked(t *testing.T) serve.Ranked {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shardtest.Ranked(rt)
+	return rt.Ranked()
 }
 
 func TestReleaseDeferredUntilNextSwap(t *testing.T) {

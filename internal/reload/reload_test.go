@@ -101,12 +101,12 @@ func TestManagerReloadSwapsGeneration(t *testing.T) {
 	if m.Current().Generation != 2 {
 		t.Fatalf("Current() = %+v", m.Current())
 	}
-	matches, _, err := sv.TopK(context.Background(), []int{3}, 2)
+	res, err := sv.Search(context.Background(), []int{3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(matches[0].Score) != 7 {
-		t.Fatalf("post-reload scores from wrong engine: %v", matches)
+	if uint64(res.Matches[0].Score) != 7 {
+		t.Fatalf("post-reload scores from wrong engine: %v", res.Matches)
 	}
 	if sv.Metrics().Reloads() != 1 || sv.Metrics().ReloadFailures() != 0 {
 		t.Fatalf("reload counters: %d/%d", sv.Metrics().Reloads(), sv.Metrics().ReloadFailures())
@@ -132,7 +132,7 @@ func TestManagerLoadFailureKeepsServing(t *testing.T) {
 	if st.Generation != 1 {
 		t.Fatalf("failed reload advanced the generation: %+v", st)
 	}
-	if _, _, err := sv.TopK(context.Background(), []int{1}, 2); err != nil {
+	if _, err := sv.Search(context.Background(), []int{1}, 2); err != nil {
 		t.Fatalf("old generation stopped serving after failed reload: %v", err)
 	}
 	if sv.Metrics().ReloadFailures() != 1 {
@@ -178,7 +178,7 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 			if st.Generation != 1 || sv.Generation() != 1 {
 				t.Fatalf("rejected candidate advanced the generation: %+v", st)
 			}
-			if _, _, err := sv.TopK(context.Background(), []int{1}, 2); err != nil {
+			if _, err := sv.Search(context.Background(), []int{1}, 2); err != nil {
 				t.Fatalf("old generation broken after rejection: %v", err)
 			}
 		})
@@ -391,7 +391,7 @@ func TestManagerReloadUnderTraffic(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := sv.TopK(context.Background(), []int{(w + i) % n}, 3); err != nil {
+				if _, err := sv.Search(context.Background(), []int{(w + i) % n}, 3); err != nil {
 					t.Errorf("request failed mid-reload: %v", err)
 					return
 				}

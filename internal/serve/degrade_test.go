@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"csrplus/internal/cache"
 	"csrplus/internal/dense"
 )
 
@@ -150,26 +149,24 @@ func TestDegradedBoundCoversMultiSourceAggregate(t *testing.T) {
 }
 
 // A quantized tier is not exact at full rank: Bound(full) is its
-// quantization term, and every answer carries it — |Q| times for a top-k,
-// cache hits included — without being tagged Degraded, which is about rank,
-// drift and shards only. Truncation adds on top of it.
+// quantization term, and every answer carries it — |Q| times for a top-k —
+// without being tagged Degraded, which is about rank, drift and shards
+// only. Truncation adds on top of it.
 func TestFullRankChargesQuantizationTerm(t *testing.T) {
 	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
 		const quant = 0.125
 		e := fakeRanked(16, 8)
 		truncation := e.Bound
 		e.Bound = func(rank int) float64 { return truncation(rank) + quant }
-		sv := NewRanked(kind(e), Config{Cache: cache.New(8), Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
+		sv := NewRanked(kind(e), Config{Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
 		defer sv.Close()
 
-		for i := 0; i < 2; i++ { // the second ask is a cache hit
-			res, err := sv.Search(context.Background(), []int{3, 5, 7}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := (QueryInfo{FullRank: 8, ErrorBound: 3 * quant}); res.Info != want || res.Cached != (i == 1) {
-				t.Fatalf("ask %d: info = %+v cached=%v, want %+v", i, res.Info, res.Cached, want)
-			}
+		res, err := sv.Search(context.Background(), []int{3, 5, 7}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (QueryInfo{FullRank: 8, ErrorBound: 3 * quant}); res.Info != want {
+			t.Fatalf("info = %+v, want %+v", res.Info, want)
 		}
 		pr, err := sv.Score(context.Background(), []int{3}, []int{4})
 		if err != nil {
@@ -181,7 +178,7 @@ func TestFullRankChargesQuantizationTerm(t *testing.T) {
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		res, err := sv.Search(ctx, []int{3, 5, 9}, 2) // not cached
+		res, err = sv.Search(ctx, []int{3, 5, 9}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,12 +223,11 @@ func TestDegradeDisabledWithoutRankStructure(t *testing.T) {
 	}
 }
 
-// Degraded results must never enter the cache: the next unpressured
-// request recomputes at full rank rather than inheriting a cheap answer.
-func TestDegradedResultsAreNotCached(t *testing.T) {
+// A degraded answer does not outlive the pressure that justified it: the
+// same request asked again without pressure is answered at full rank.
+func TestDegradedAnswerDoesNotOutlivePressure(t *testing.T) {
 	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
 		sv := NewRanked(kind(fakeRanked(16, 8)), Config{
-			Cache:   cache.New(8),
 			Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
 		})
 		defer sv.Close()
@@ -247,17 +243,8 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cached {
-			t.Fatal("full-rank request served the degraded request's cache entry")
-		}
 		if res.Info.Degraded || int(res.Matches[0].Score) != 8 {
-			t.Fatalf("recomputation not full rank: %+v score=%v", res.Info, res.Matches[0].Score)
-		}
-
-		// The full-rank result is cacheable as usual.
-		res, err = sv.Search(context.Background(), []int{3}, 2)
-		if err != nil || !res.Cached {
-			t.Fatalf("full-rank result not cached: %+v, %v", res, err)
+			t.Fatalf("unpressured repeat not full rank: %+v score=%v", res.Info, res.Matches[0].Score)
 		}
 	})
 }
@@ -266,7 +253,7 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 // threshold, or any shed since the last call.
 func TestBatcherOverloadSignal(t *testing.T) {
 	m := NewMetrics()
-	b := newBackend(fakeRanked(8, 4).Direct(), 1, 4, 1, m, 2, 3)
+	b := newBackend(fakeRanked(8, 4).Direct(), 4, 1, m, 2, 3)
 	defer b.close()
 
 	if b.overloaded() {
@@ -285,7 +272,7 @@ func TestBatcherOverloadSignal(t *testing.T) {
 		t.Fatal("stale shed still counts as overload")
 	}
 
-	off := newBackend(fakeRanked(8, 4).Direct(), 2, 4, 1, m, 0, 0)
+	off := newBackend(fakeRanked(8, 4).Direct(), 4, 1, m, 0, 0)
 	defer off.close()
 	m.queueDepth.Store(100)
 	if off.overloaded() {
@@ -327,16 +314,16 @@ func TestBatchContextCancelsAbandonedPass(t *testing.T) {
 }
 
 // TestDriftTaintsAnswers: a generation with a Drift func composes the
-// live drift bound into every answer — including cache hits, which must
-// report drift as of NOW, not as of the entry's insert — and an
-// exhausted drift budget marks answers Degraded even at full rank.
+// live drift bound into every answer — the bound as of the answer, so the
+// same request asked again reports the drift since — and an exhausted
+// drift budget marks answers Degraded even at full rank.
 func TestDriftTaintsAnswers(t *testing.T) {
 	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
 		var bound float64
 		var exceeded bool
 		e := fakeRanked(16, 8)
 		e.Drift = func() (float64, bool) { return bound, exceeded }
-		sv := NewRanked(kind(e), Config{Cache: cache.New(8)})
+		sv := NewRanked(kind(e), Config{})
 		defer sv.Close()
 
 		res, err := sv.Search(context.Background(), []int{3}, 2)
@@ -352,11 +339,8 @@ func TestDriftTaintsAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Cached {
-			t.Fatal("second identical search missed the cache")
-		}
 		if res.Info.DriftBound != 0.25 || res.Info.ErrorBound != 0.25 {
-			t.Fatalf("cache hit not tagged with live drift: %+v", res.Info)
+			t.Fatalf("repeat not tagged with live drift: %+v", res.Info)
 		}
 		if res.Info.Degraded {
 			t.Fatalf("drift inside budget marked degraded: %+v", res.Info)
@@ -437,25 +421,20 @@ func TestDegradeOnQueueDepth(t *testing.T) {
 
 // A direct top-k merged without some shards is a degraded answer: tagged
 // with the missing-shard count, its bound the sum of truncation, drift
-// and the missing shards' inflation, and never cached — it must not
-// outlive the outage.
+// and the missing shards' inflation.
 func TestMissingShardsTaintAnswers(t *testing.T) {
 	prov := TopKProvenance{MissingShards: 1, ErrorBound: 0.5}
 	e := fakeRanked(16, 8)
 	e.Drift = func() (float64, bool) { return 0.25, false }
 	sv := NewRanked(direct(e, prov), Config{
-		Cache:   cache.New(8),
 		Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour},
 	})
 	defer sv.Close()
 
-	for i := 0; i < 2; i++ { // the second ask must not be a cache hit
+	for i := 0; i < 2; i++ {
 		res, err := sv.Search(context.Background(), []int{3}, 2)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Cached {
-			t.Fatal("missing-shard answer was cached")
 		}
 		want := QueryInfo{Degraded: true, FullRank: 8, MissingShards: 1, DriftBound: 0.25, ErrorBound: 0.25 + 0.5}
 		if res.Info != want {

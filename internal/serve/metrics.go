@@ -10,9 +10,8 @@ import (
 
 // Metrics is the serving layer's registry of lock-free counters and
 // histograms. One instance is shared by every generation's queue and
-// workers, the admission gate and (via the cache.Recorder interface) the
-// result cache, so a single Snapshot describes the whole serving path.
-// All methods are safe for concurrent use.
+// workers and the admission gate, so a single Snapshot describes the whole
+// serving path. All methods are safe for concurrent use.
 type Metrics struct {
 	admitted   atomic.Int64 // requests accepted into the queue
 	shed       atomic.Int64 // requests rejected with ErrOverloaded
@@ -24,11 +23,6 @@ type Metrics struct {
 
 	degraded        atomic.Int64 // requests answered at truncated rank
 	degradedBatches atomic.Int64 // engine calls run at truncated rank
-
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheEvictions atomic.Int64
-	cacheRefreshes atomic.Int64
 
 	generation     atomic.Uint64 // engine generation taking new requests
 	shards         atomic.Int64  // shard count of the serving backend; 0 = unsharded
@@ -60,13 +54,6 @@ func NewMetrics() *Metrics {
 		ReloadDuration: NewHistogram(0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60, 300),
 	}
 }
-
-// CacheHit, CacheMiss, CacheEvict and CacheRefresh implement
-// cache.Recorder so an LRU can be instrumented with SetRecorder(metrics).
-func (m *Metrics) CacheHit()     { m.cacheHits.Add(1) }
-func (m *Metrics) CacheMiss()    { m.cacheMisses.Add(1) }
-func (m *Metrics) CacheEvict()   { m.cacheEvictions.Add(1) }
-func (m *Metrics) CacheRefresh() { m.cacheRefreshes.Add(1) }
 
 // Admitted, Shed, Expired and Batches expose the counters the tests and the
 // /stats endpoint read directly.
@@ -130,11 +117,6 @@ func (m *Metrics) Snapshot() map[string]interface{} {
 	if batches > 0 {
 		mean = float64(nodes) / float64(batches)
 	}
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
 	out := map[string]interface{}{
 		"requests_admitted":    m.admitted.Load(),
 		"requests_shed":        m.shed.Load(),
@@ -146,11 +128,6 @@ func (m *Metrics) Snapshot() map[string]interface{} {
 		"queue_depth":          m.queueDepth.Load(),
 		"requests_degraded":    m.degraded.Load(),
 		"degraded_batches":     m.degradedBatches.Load(),
-		"cache_hits":           hits,
-		"cache_misses":         misses,
-		"cache_evictions":      m.cacheEvictions.Load(),
-		"cache_refreshes":      m.cacheRefreshes.Load(),
-		"cache_hit_ratio":      ratio,
 		"generation":           m.generation.Load(),
 		"shard_count":          m.shards.Load(),
 		"reloads":              m.reloads.Load(),

@@ -12,11 +12,10 @@ import (
 )
 
 // backend is one engine generation: its engine calls, node count, rank
-// structure and drift (the Ranked it was installed from), the generation
-// number that namespaces its cache entries, and its bounded request queue
-// drained by Workers goroutines. Immutable once installed apart from the
-// queue's lifecycle — a reload builds a fresh backend and swaps the
-// pointer.
+// structure and drift (the Ranked it was installed from), and its bounded
+// request queue drained by Workers goroutines. Immutable once installed
+// apart from the queue's lifecycle — a reload builds a fresh backend and
+// swaps the pointer.
 //
 // When a degraded rank is configured, a request's engine call runs
 // truncated — trading accuracy bounded by the factor tail for an r'/r
@@ -27,7 +26,6 @@ import (
 // the caller can tag what it served.
 type backend struct {
 	Ranked // Direct: TopK and Scores are the engine calls; Bound is non-nil
-	gen    uint64
 
 	metrics       *Metrics
 	degradedRank  int   // truncated rank under pressure; 0 = never degrade
@@ -64,10 +62,9 @@ type response struct {
 // newBackend starts e's workers over a queue of maxPending requests;
 // degradedRank and overloadDepth wire the graceful-degradation policy
 // (both 0 for generations without rank structure).
-func newBackend(e Ranked, gen uint64, maxPending, workers int, m *Metrics, degradedRank int, overloadDepth int64) *backend {
+func newBackend(e Ranked, maxPending, workers int, m *Metrics, degradedRank int, overloadDepth int64) *backend {
 	b := &backend{
 		Ranked:        e,
-		gen:           gen,
 		metrics:       m,
 		degradedRank:  degradedRank,
 		overloadDepth: overloadDepth,

@@ -85,7 +85,7 @@ func TestBatcherOverload(t *testing.T) {
 	results := make(chan error, 3)
 	launch := func(node int) {
 		go func() {
-			_, err := s.Similarity(context.Background(), []int{node}, []int{0})
+			_, err := s.Score(context.Background(), []int{node}, []int{0})
 			results <- err
 		}()
 	}
@@ -120,14 +120,14 @@ func TestBatcherDeadline(t *testing.T) {
 	// Occupy the only worker so the deadline fires while queued.
 	held := make(chan error, 1)
 	go func() {
-		_, _, err := s.TopK(context.Background(), []int{0}, 2)
+		_, err := s.Search(context.Background(), []int{0}, 2)
 		held <- err
 	}()
 	waitFor(t, func() bool { return eng.calls.Load() == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, _, err := s.TopK(ctx, []int{1}, 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.Search(ctx, []int{1}, 2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if m.Expired() != 1 {
@@ -149,10 +149,10 @@ func TestBatcherPropagatesEngineError(t *testing.T) {
 		eng := &fakeEngine{n: 8, err: boom}
 		s := NewRanked(kind(plain(eng.n, eng.query)), Config{})
 		defer s.Close()
-		if _, _, err := s.TopK(context.Background(), []int{0}, 2); !errors.Is(err, boom) {
+		if _, err := s.Search(context.Background(), []int{0}, 2); !errors.Is(err, boom) {
 			t.Fatalf("top-k err = %v, want boom", err)
 		}
-		if _, err := s.Similarity(context.Background(), []int{0}, []int{1}); !errors.Is(err, boom) {
+		if _, err := s.Score(context.Background(), []int{0}, []int{1}); !errors.Is(err, boom) {
 			t.Fatalf("similarity err = %v, want boom", err)
 		}
 	})
@@ -167,7 +167,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		go func(i int) {
-			_, _, err := s.TopK(context.Background(), []int{i}, 2)
+			_, err := s.Search(context.Background(), []int{i}, 2)
 			errs <- err
 		}(i)
 	}
@@ -179,7 +179,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 			t.Fatalf("pre-close request failed: %v", err)
 		}
 	}
-	if _, _, err := s.TopK(context.Background(), []int{0}, 2); !errors.Is(err, ErrClosed) {
+	if _, err := s.Search(context.Background(), []int{0}, 2); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
@@ -196,7 +196,7 @@ func TestPoolRunsAllTasks(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Similarity(context.Background(), []int{i % eng.n}, []int{0}); err != nil {
+			if _, err := s.Score(context.Background(), []int{i % eng.n}, []int{0}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -235,7 +235,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := s.TopK(context.Background(), []int{i % 8}, 2); err != nil {
+			if _, err := s.Search(context.Background(), []int{i % 8}, 2); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -256,7 +256,7 @@ func TestPoolCloseWaitsForInFlight(t *testing.T) {
 		return (&fakeEngine{n: 8}).query(queries)
 	})
 	s := NewRanked(e, Config{Workers: 2})
-	go s.TopK(context.Background(), []int{1}, 2)
+	go s.Search(context.Background(), []int{1}, 2)
 	<-entered
 	s.Close() // must block until the sleeping engine call finishes
 	if !done.Load() {
@@ -271,7 +271,7 @@ func TestPoolMinimumOneWorker(t *testing.T) {
 	s := NewRanked(plain(eng.n, eng.query), Config{Workers: -1})
 	defer s.Close()
 	waitFor(t, func() bool { return serveGoroutines() == 1 })
-	if _, _, err := s.TopK(context.Background(), []int{3}, 2); err != nil {
+	if _, err := s.Search(context.Background(), []int{3}, 2); err != nil {
 		t.Fatal(err)
 	}
 }

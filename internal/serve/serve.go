@@ -1,12 +1,12 @@
 // Package serve is the production serving layer between an HTTP frontend
 // and a csrplus engine. Every request takes one path: it is validated
-// against the serving generation, probed in the optional instrumented
-// LRU result cache, given its deadline and its degradation vote, admitted
-// into the generation's bounded queue (shed with ErrOverloaded beyond
-// it, ErrClosed after Close), answered by one engine call on one of the
-// generation's Workers goroutines, tagged with how it was answered, and
-// counted in one metrics registry; Close and SwapRanked drain whatever is
-// queued or in flight.
+// against the serving generation, given its deadline and its degradation
+// vote, admitted into the generation's bounded queue (shed with
+// ErrOverloaded beyond it, ErrClosed after Close), answered by one engine
+// call on one of the generation's Workers goroutines, tagged with how it
+// was answered, and counted in one metrics registry; Close and SwapRanked
+// drain whatever is queued or in flight. Nothing is memoised: an answer
+// depends only on the generation that served it and the request.
 //
 // Every engine call answers exactly one request: Ranked.TopK for a top-k,
 // Ranked.Scores for targeted scores. Neither materialises n x |Q| — top-k
@@ -38,8 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,12 +97,7 @@ type Config struct {
 	// Timeout is the per-request deadline applied when the caller's
 	// context has none. Default 0 = no server-imposed deadline.
 	Timeout time.Duration
-	// Cache, when non-nil, memoises TopK results and is instrumented
-	// through the server's metrics registry. Keys are namespaced by
-	// engine generation, so a swap implicitly invalidates every earlier
-	// entry (and Clear is called on swap to release the memory early).
-	// Only full-rank results are cached: a degraded answer must never
-	// outlive the pressure that justified it.
+	// Deprecated: ignored, like MaxBatch. Nothing is memoised.
 	Cache *cache.LRU
 	// Degrade configures graceful degradation (see DegradeConfig).
 	Degrade DegradeConfig
@@ -171,14 +164,13 @@ type QueryInfo struct {
 	DriftBound float64 `json:"drift_bound,omitempty"`
 }
 
-// SearchResult is TopK's full-fidelity result shape.
+// SearchResult is a top-k answer and how it was answered.
 type SearchResult struct {
 	Matches []Match   `json:"matches"`
-	Cached  bool      `json:"cached"`
 	Info    QueryInfo `json:"info"`
 }
 
-// PairsResult is Similarity's full-fidelity result shape.
+// PairsResult is a targeted-score answer and how it was answered.
 type PairsResult struct {
 	Pairs []Pair    `json:"pairs"`
 	Info  QueryInfo `json:"info"`
@@ -190,10 +182,8 @@ type PairsResult struct {
 // The engine is held behind an atomic generation pointer: SwapRanked
 // installs a replacement without pausing the worker pool, so callers never observe
 // downtime across an index reload. Every request resolves the generation
-// once at admission and completes entirely on it — node-id validation,
-// engine routing and cache keys all derive from that one snapshot, which
-// is what makes a post-swap response provably never come from a pre-swap
-// cache entry.
+// once at admission and completes entirely on it — node-id validation and
+// the engine call both derive from that one snapshot.
 type Server struct {
 	cfg     Config
 	metrics *Metrics
@@ -242,7 +232,7 @@ type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int)
 // Ranked describes one engine generation — the single contract between
 // the server and whatever answers its queries. TopK and Scores are the
 // engine calls the generation's workers make, one per request;
-// admission, shedding, degradation, tagging, caching and drain do not
+// admission, shedding, degradation, tagging and drain do not
 // depend on what is behind them.
 type Ranked struct {
 	// N is the node count requests are validated against.
@@ -258,9 +248,9 @@ type Ranked struct {
 	// the request out of one column pass of its own. csrserver's
 	// generations never set it.
 	Query RankQueryFunc
-	// TopK answers each Search/TopK request, Scores each Score/Similarity
-	// request. A request whose call is nil (and not adapted from Query)
-	// is refused with ErrBadRequest.
+	// TopK answers each Search request, Scores each Score request. A
+	// request whose call is nil (and not adapted from Query) is refused
+	// with ErrBadRequest.
 	TopK   DirectTopKFunc
 	Scores DirectScoreFunc
 	// Drift, when non-nil, reports the live ingestion drift bound for
@@ -280,12 +270,7 @@ type DriftFunc func() (bound float64, exceeded bool)
 // NewRanked builds a Server whose generation 1 is e; SwapRanked installs
 // successors.
 func NewRanked(e Ranked, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	m := NewMetrics()
-	if cfg.Cache != nil {
-		cfg.Cache.SetRecorder(m)
-	}
-	s := &Server{cfg: cfg, metrics: m}
+	s := &Server{cfg: cfg.withDefaults(), metrics: NewMetrics()}
 	s.SwapRanked(e)
 	return s
 }
@@ -350,16 +335,13 @@ func (e Ranked) Direct() Ranked {
 }
 
 // SwapRanked atomically installs a new engine generation and returns its
-// number. Requests admitted after it returns are validated against e.N,
-// answered by e, and cached under the new generation's key space;
-// engine calls already in flight finish on the old engine (RCU-style:
-// readers drain, they are never interrupted). SwapRanked then closes the
-// old generation — its queued requests are answered and its workers
-// exit, which is the drain barrier reload.Candidate.Release relies on —
-// and clears the result cache so superseded entries release their memory
-// immediately (they are already unreachable: cache keys embed the
-// generation). Returns 0 without swapping when the server is already
-// closed.
+// number. Requests admitted after it returns are validated against e.N
+// and answered by e; engine calls already in flight finish on the old
+// engine (RCU-style: readers drain, they are never interrupted).
+// SwapRanked then closes the old generation — its queued requests are
+// answered and its workers exit, which is the drain barrier
+// reload.Candidate.Release relies on. Returns 0 without swapping when the
+// server is already closed.
 func (s *Server) SwapRanked(e Ranked) uint64 {
 	e = e.Direct()
 	if e.Bound == nil {
@@ -381,13 +363,10 @@ func (s *Server) SwapRanked(e Ranked) uint64 {
 		}
 	}
 	s.gen++
-	old := s.be.Swap(newBackend(e, s.gen, s.cfg.MaxPending, s.cfg.Workers, s.metrics, degradedRank, overloadDepth))
+	old := s.be.Swap(newBackend(e, s.cfg.MaxPending, s.cfg.Workers, s.metrics, degradedRank, overloadDepth))
 	s.metrics.SetGeneration(s.gen)
 	if old != nil {
 		old.close() // graceful: queued requests are answered by the old engine
-	}
-	if s.cfg.Cache != nil && old != nil {
-		s.cfg.Cache.Clear()
 	}
 	return s.gen
 }
@@ -471,8 +450,7 @@ func (s *Server) degradeVote(ctx context.Context) bool {
 // request transparently retries on the successor, so a reload in
 // progress never surfaces as a caller error. Each retry re-resolves the
 // generation, and the returned backend is the one that actually answered
-// (its gen names the cache key space, its rank structure interprets the
-// response's effective rank).
+// (its rank structure interprets the response's effective rank).
 func (s *Server) admit(ctx context.Context, req request) (*backend, response, error) {
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
@@ -529,19 +507,11 @@ func (s *Server) info(be *backend, resp response, cols int) QueryInfo {
 	return info
 }
 
-// TopK returns the k nodes most similar to the query set (aggregate
-// similarity for multi-node sets, each query node excluded). cached
-// reports a cache hit. k is clamped to n and rejected beyond Config.MaxK.
-// For degradation tagging, use Search.
-func (s *Server) TopK(ctx context.Context, queries []int, k int) (matches []Match, cached bool, err error) {
-	res, err := s.Search(ctx, queries, k)
-	return res.Matches, res.Cached, err
-}
-
-// Search is TopK with response provenance: the result reports whether it
-// came from cache, the advertised error bound and, when the answering
-// engine call ran degraded or without some shards, the effective rank and
-// the missing-shard count.
+// Search returns the k nodes most similar to the query set (aggregate
+// similarity for multi-node sets, each query node excluded), with response
+// provenance: the advertised error bound and, when the answering engine
+// call ran degraded or without some shards, the effective rank and the
+// missing-shard count. k is clamped to n and rejected beyond Config.MaxK.
 func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult, error) {
 	start := time.Now()
 	be := s.be.Load()
@@ -557,46 +527,19 @@ func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult
 	if k > be.N {
 		k = be.N // a graph has at most n candidates; clamp instead of erroring
 	}
-
-	if s.cfg.Cache != nil {
-		if v, ok := s.cfg.Cache.Get(topKKey(be.gen, queries, k)); ok {
-			s.metrics.Latency.Observe(time.Since(start).Seconds())
-			// A cached entry was exact when computed, but drift is a
-			// property of the factors against the *live* graph: tag it
-			// with the bound as of now, not as of the entry's insert.
-			return SearchResult{Matches: v.([]Match), Cached: true, Info: s.info(be, response{}, len(queries))}, nil
-		}
-	}
-
 	served, resp, err := s.admit(ctx, request{nodes: queries, k: k})
 	if err != nil {
 		return SearchResult{}, err
 	}
-	matches := toMatches(resp.items)
-	if s.cfg.Cache != nil && resp.rank <= 0 && resp.prov.MissingShards == 0 {
-		// Key by the generation that served the request (it may be newer
-		// than the one the cache was probed under): the entry must only
-		// ever answer lookups against the engine that produced it. Only
-		// full-fidelity answers are cached — a degraded rank or a
-		// missing-shard merge must not outlive the pressure or the outage
-		// that justified it.
-		s.cfg.Cache.Put(topKKey(served.gen, queries, k), matches)
-	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return SearchResult{Matches: matches, Info: s.info(served, resp, len(queries))}, nil
-}
-
-// Similarity returns the score of every (query, target) pair. For
-// degradation tagging, use Score.
-func (s *Server) Similarity(ctx context.Context, queries, targets []int) ([]Pair, error) {
-	res, err := s.Score(ctx, queries, targets)
-	return res.Pairs, err
+	return SearchResult{Matches: toMatches(resp.items), Info: s.info(served, resp, len(queries))}, nil
 }
 
 // maxScorePairs caps |Q| x |T| of one Score: both lengths are the caller's, and each pair is 32 B before JSON.
 const maxScorePairs = 1 << 20
 
-// Score is Similarity with response provenance (see Search).
+// Score returns the score of every (query, target) pair, with response
+// provenance (see Search).
 func (s *Server) Score(ctx context.Context, queries, targets []int) (PairsResult, error) {
 	start := time.Now()
 	if len(targets) == 0 {
@@ -652,16 +595,4 @@ func toMatches(items []topk.Item) []Match {
 		out[i] = Match{Node: it.Node, Score: it.Score}
 	}
 	return out
-}
-
-// topKKey namespaces cache entries by engine generation: after a swap,
-// every pre-swap entry becomes unreachable by construction, so a stale
-// column can never be served against a new index even while old and new
-// generations briefly coexist.
-func topKKey(gen uint64, queries []int, k int) string {
-	ids := make([]string, len(queries))
-	for i, q := range queries {
-		ids[i] = strconv.Itoa(q)
-	}
-	return fmt.Sprintf("g%d|topk|%s|%d", gen, strings.Join(ids, ","), k)
 }

@@ -3,12 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"csrplus/internal/cache"
 	"csrplus/internal/dense"
 	"csrplus/internal/topk"
 )
@@ -102,10 +102,11 @@ func newTestServer(t *testing.T, eng *rankEngine, cfg Config) *Server {
 func TestServerTopKSingle(t *testing.T) {
 	eng := &rankEngine{n: 6}
 	s := newTestServer(t, eng, Config{})
-	matches, cached, err := s.TopK(context.Background(), []int{2}, 3)
-	if err != nil || cached {
-		t.Fatalf("err=%v cached=%v", err, cached)
+	res, err := s.Search(context.Background(), []int{2}, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	matches := res.Matches
 	want := []int{1, 3, 0} // 0.5, 0.5 (tie -> smaller id), 1/3
 	if len(matches) != 3 {
 		t.Fatalf("matches = %v", matches)
@@ -120,10 +121,11 @@ func TestServerTopKSingle(t *testing.T) {
 func TestServerTopKMultiAggregates(t *testing.T) {
 	eng := &rankEngine{n: 6}
 	s := newTestServer(t, eng, Config{})
-	matches, _, err := s.TopK(context.Background(), []int{1, 4}, 2)
+	res, err := s.Search(context.Background(), []int{1, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	matches := res.Matches
 	// Aggregate similarity peaks at 2 and 3 once the query nodes
 	// themselves are excluded.
 	if len(matches) != 2 || matches[0].Node != 2 || matches[1].Node != 3 {
@@ -134,12 +136,12 @@ func TestServerTopKMultiAggregates(t *testing.T) {
 func TestServerTopKClampsKToN(t *testing.T) {
 	eng := &rankEngine{n: 6}
 	s := newTestServer(t, eng, Config{MaxK: 100})
-	matches, _, err := s.TopK(context.Background(), []int{0}, 50)
+	res, err := s.Search(context.Background(), []int{0}, 50)
 	if err != nil {
 		t.Fatalf("k above n should clamp, got %v", err)
 	}
-	if len(matches) != 5 { // n-1: every node except the query itself
-		t.Fatalf("got %d matches, want 5", len(matches))
+	if len(res.Matches) != 5 { // n-1: every node except the query itself
+		t.Fatalf("got %d matches, want 5", len(res.Matches))
 	}
 }
 
@@ -148,15 +150,15 @@ func TestServerValidation(t *testing.T) {
 	s := newTestServer(t, eng, Config{MaxK: 10})
 	ctx := context.Background()
 	cases := []func() error{
-		func() error { _, _, err := s.TopK(ctx, nil, 3); return err },
-		func() error { _, _, err := s.TopK(ctx, []int{99}, 3); return err },
-		func() error { _, _, err := s.TopK(ctx, []int{-1}, 3); return err },
-		func() error { _, _, err := s.TopK(ctx, []int{1}, 0); return err },
-		func() error { _, _, err := s.TopK(ctx, []int{1}, 11); return err }, // beyond MaxK
-		func() error { _, err := s.Similarity(ctx, []int{1}, nil); return err },
-		func() error { _, err := s.Similarity(ctx, []int{1}, []int{99}); return err },
-		func() error { _, err := s.Similarity(ctx, []int{99}, []int{1}); return err },
-		func() error { _, err := s.Similarity(ctx, make([]int, 1025), make([]int, 1024)); return err }, // one pair past maxScorePairs
+		func() error { _, err := s.Search(ctx, nil, 3); return err },
+		func() error { _, err := s.Search(ctx, []int{99}, 3); return err },
+		func() error { _, err := s.Search(ctx, []int{-1}, 3); return err },
+		func() error { _, err := s.Search(ctx, []int{1}, 0); return err },
+		func() error { _, err := s.Search(ctx, []int{1}, 11); return err }, // beyond MaxK
+		func() error { _, err := s.Score(ctx, []int{1}, nil); return err },
+		func() error { _, err := s.Score(ctx, []int{1}, []int{99}); return err },
+		func() error { _, err := s.Score(ctx, []int{99}, []int{1}); return err },
+		func() error { _, err := s.Score(ctx, make([]int, 1025), make([]int, 1024)); return err }, // one pair past maxScorePairs
 	}
 	for i, call := range cases {
 		if err := call(); !errors.Is(err, ErrBadRequest) {
@@ -174,44 +176,36 @@ func TestServerValidation(t *testing.T) {
 func TestServerSimilarityPairs(t *testing.T) {
 	eng := &rankEngine{n: 6}
 	s := newTestServer(t, eng, Config{})
-	pairs, err := s.Similarity(context.Background(), []int{2}, []int{2, 3})
+	res, err := s.Score(context.Background(), []int{2}, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := res.Pairs
 	if len(pairs) != 2 || pairs[0].Score != 1 || pairs[1].Score != 0.5 {
 		t.Fatalf("pairs = %v", pairs)
 	}
 }
 
-func TestServerCacheInstrumented(t *testing.T) {
+// Nothing is memoised: every request is its own engine call, and a repeat
+// of a request on the same generation is answered the same.
+func TestServerAnswersEveryRequest(t *testing.T) {
 	eng := &rankEngine{n: 6}
-	lru := cache.New(8)
-	s := newTestServer(t, eng, Config{Cache: lru})
-
-	if _, cached, err := s.TopK(context.Background(), []int{1}, 3); err != nil || cached {
-		t.Fatalf("first call: cached=%v err=%v", cached, err)
-	}
-	m1, _, err := s.TopK(context.Background(), []int{1}, 3)
+	s := newTestServer(t, eng, Config{})
+	first, err := s.Search(context.Background(), []int{1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err := s.TopK(context.Background(), []int{1}, 3)
-	if err != nil || !cached {
-		t.Fatalf("repeat call not cached: cached=%v err=%v", cached, err)
+	for range 2 {
+		again, err := s.Search(context.Background(), []int{1}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("repeat answered %+v, first %+v", again, first)
+		}
 	}
-	if eng.calls.Load() != 1 {
-		t.Fatalf("engine called %d times, want 1", eng.calls.Load())
-	}
-	if len(m1) != 3 {
-		t.Fatalf("cached matches = %v", m1)
-	}
-	// Cache events flowed into the serving metrics via cache.Recorder.
-	snap := s.Metrics().Snapshot()
-	if snap["cache_hits"].(int64) < 1 || snap["cache_misses"].(int64) < 1 {
-		t.Fatalf("cache not instrumented: %v", snap)
-	}
-	if snap["cache_hit_ratio"].(float64) <= 0 {
-		t.Fatalf("hit ratio %v", snap["cache_hit_ratio"])
+	if got := eng.calls.Load(); got != 3 {
+		t.Fatalf("engine called %d times for 3 requests", got)
 	}
 }
 
@@ -220,7 +214,7 @@ func TestServerTimeout(t *testing.T) {
 		eng := &rankEngine{n: 6, delay: 50 * time.Millisecond}
 		s := NewRanked(kind(plain(eng.n, eng.query)), Config{Timeout: 5 * time.Millisecond})
 		defer s.Close()
-		_, _, err := s.TopK(context.Background(), []int{1}, 3)
+		_, err := s.Search(context.Background(), []int{1}, 3)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want DeadlineExceeded", err)
 		}
@@ -231,11 +225,11 @@ func TestServerClose(t *testing.T) {
 	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
 		eng := &rankEngine{n: 6}
 		s := NewRanked(kind(plain(eng.n, eng.query)), Config{})
-		if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
+		if _, err := s.Search(context.Background(), []int{1}, 3); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
-		if _, _, err := s.TopK(context.Background(), []int{1}, 3); !errors.Is(err, ErrClosed) {
+		if _, err := s.Search(context.Background(), []int{1}, 3); !errors.Is(err, ErrClosed) {
 			t.Fatalf("err = %v, want ErrClosed", err)
 		}
 		s.Close() // idempotent
@@ -258,7 +252,7 @@ func TestServerOverload(t *testing.T) {
 		for i := 0; i < 4 && m.Shed() == 0; i++ {
 			admitted, shed := m.Admitted(), m.Shed()
 			go func(node int) {
-				_, _, err := s.TopK(context.Background(), []int{node}, 2)
+				_, err := s.Search(context.Background(), []int{node}, 2)
 				results <- err
 			}(i)
 			waitFor(t, func() bool { return m.Admitted() > admitted || m.Shed() > shed })
@@ -305,7 +299,7 @@ func TestServerColumnBlockBudget(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := s.Similarity(ctx, nodes, []int{1})
+	_, err := s.Score(ctx, nodes, []int{1})
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("264 MiB of columns for scores: err = %v, want ErrBadRequest", err)
@@ -313,7 +307,7 @@ func TestServerColumnBlockBudget(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("the refused request allocated %d bytes", grew)
 	}
-	if _, _, err := s.TopK(ctx, nodes, 3); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.Search(ctx, nodes, 3); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("264 MiB of columns for a top-k: err = %v, want ErrBadRequest", err)
 	}
 	if reached.Load() != 0 {
@@ -324,7 +318,7 @@ func TestServerColumnBlockBudget(t *testing.T) {
 		return dense.NewMat(len(queries), len(targets)), nil
 	}
 	s.SwapRanked(e)
-	if _, err := s.Similarity(ctx, nodes, []int{1}); err != nil {
+	if _, err := s.Score(ctx, nodes, []int{1}); err != nil {
 		t.Fatalf("the same request on a direct engine: %v", err)
 	}
 }
@@ -338,10 +332,10 @@ func TestServerNoEngineForRequest(t *testing.T) {
 	e.Scores = nil
 	s := NewRanked(e, Config{})
 	defer s.Close()
-	if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
+	if _, err := s.Search(context.Background(), []int{1}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Similarity(context.Background(), []int{1}, []int{2}); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.Score(context.Background(), []int{1}, []int{2}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
 }

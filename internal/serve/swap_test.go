@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"csrplus/internal/cache"
 )
 
 // genQuery builds a column func whose scores encode the generation that
@@ -47,61 +46,50 @@ func scoreGen(t *testing.T, matches []Match) uint64 {
 }
 
 func TestServerSwapBasic(t *testing.T) {
-	s := NewRanked(plain(8, genQuery(8, 1)), Config{Cache: cache.New(32)})
+	s := NewRanked(plain(8, genQuery(8, 1)), Config{})
 	defer s.Close()
 	if got := s.Generation(); got != 1 {
 		t.Fatalf("boot generation = %d, want 1", got)
 	}
-	m1, cached, err := s.TopK(context.Background(), []int{3}, 2)
-	if err != nil || cached {
-		t.Fatalf("err=%v cached=%v", err, cached)
+	r1, err := s.Search(context.Background(), []int{3}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g := scoreGen(t, m1); g != 1 {
+	if g := scoreGen(t, r1.Matches); g != 1 {
 		t.Fatalf("generation 1 scores, got %d", g)
 	}
-	// Warm the cache, then swap: the same query must miss and recompute
-	// on the new engine — a pre-swap entry may never answer post-swap.
-	if _, cached, _ = s.TopK(context.Background(), []int{3}, 2); !cached {
-		t.Fatal("warm-up query not cached")
-	}
+	// The same query after a swap is answered by the new engine.
 	if gen := s.SwapRanked(plain(8, genQuery(8, 2))); gen != 2 {
 		t.Fatalf("Swap returned generation %d, want 2", gen)
 	}
 	if got := s.Metrics().Generation(); got != 2 {
 		t.Fatalf("metrics generation gauge = %d, want 2", got)
 	}
-	m2, cached, err := s.TopK(context.Background(), []int{3}, 2)
+	r2, err := s.Search(context.Background(), []int{3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
-		t.Fatal("post-swap request served from pre-swap cache entry")
-	}
-	if g := scoreGen(t, m2); g != 2 {
+	if g := scoreGen(t, r2.Matches); g != 2 {
 		t.Fatalf("post-swap scores from generation %d, want 2", g)
-	}
-	// And the new generation's own entry is cached normally.
-	if _, cached, _ = s.TopK(context.Background(), []int{3}, 2); !cached {
-		t.Fatal("new generation's result not cached")
 	}
 }
 
 func TestServerSwapChangesN(t *testing.T) {
 	s := NewRanked(plain(10, genQuery(10, 1)), Config{MaxK: 100})
 	defer s.Close()
-	if _, _, err := s.TopK(context.Background(), []int{9}, 3); err != nil {
+	if _, err := s.Search(context.Background(), []int{9}, 3); err != nil {
 		t.Fatal(err)
 	}
 	s.SwapRanked(plain(4, genQuery(4, 2))) // the new graph shrank
-	if _, _, err := s.TopK(context.Background(), []int{9}, 3); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.Search(context.Background(), []int{9}, 3); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("node 9 on a 4-node generation: err = %v, want ErrBadRequest", err)
 	}
-	matches, _, err := s.TopK(context.Background(), []int{0}, 50)
+	res, err := s.Search(context.Background(), []int{0}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) != 3 { // k clamps to the new n: 4 nodes minus the query
-		t.Fatalf("got %d matches, want 3", len(matches))
+	if len(res.Matches) != 3 { // k clamps to the new n: 4 nodes minus the query
+		t.Fatalf("got %d matches, want 3", len(res.Matches))
 	}
 	if s.N() != 4 {
 		t.Fatalf("N() = %d, want 4", s.N())
@@ -114,15 +102,15 @@ func TestServerSwapAfterCloseRefused(t *testing.T) {
 	if gen := s.SwapRanked(plain(4, genQuery(4, 2))); gen != 0 {
 		t.Fatalf("Swap after Close returned %d, want 0", gen)
 	}
-	if _, _, err := s.TopK(context.Background(), []int{1}, 2); !errors.Is(err, ErrClosed) {
+	if _, err := s.Search(context.Background(), []int{1}, 2); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
 // TestReloadUnderFire is the acceptance test for the hot-reload tentpole:
-// concurrent TopK traffic across 10 generation swaps must see zero failed
-// requests and zero cross-generation cache hits. Generations are encoded
-// in the scores (genQuery), so a stale cache entry or a call answered by
+// concurrent top-k traffic across 10 generation swaps must see zero
+// failed requests and zero answers from a superseded generation.
+// Generations are encoded in the scores (genQuery), so a call answered by
 // the wrong engine shows up as floor(score) < the generation observed
 // before the request started. Run under -race this also shakes out every
 // swap/serve data race.
@@ -137,14 +125,13 @@ func TestReloadUnderFire(t *testing.T) {
 		s := NewRanked(kind(plain(n, genQuery(n, 1))), Config{
 			Workers:    4,
 			MaxPending: 1 << 16, // admission shedding would show up as failures; give headroom
-			Cache:      cache.New(256),
 		})
 		defer s.Close()
 		current.Store(1)
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		var served, cachedHits atomic.Int64
+		var served atomic.Int64
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(seed int64) {
@@ -156,24 +143,25 @@ func TestReloadUnderFire(t *testing.T) {
 						return
 					default:
 					}
-					// A small node universe keeps the within-generation cache
-					// hit rate high, which is exactly where a missing
-					// generation namespace would leak stale entries.
+					// A caller and a worker handing each request back and
+					// forth through channels inherit one time slice (the
+					// scheduler's runnext slot), and on a single P that chain
+					// can starve the outgoing generation's workers, so a swap
+					// waits on the scheduler rather than on serve. Yielding
+					// between requests, as a caller doing any I/O would,
+					// keeps GOMAXPROCS=1 runs about serve.
+					runtime.Gosched()
 					floor := current.Load()
-					matches, cached, err := s.TopK(context.Background(), []int{rng.Intn(8)}, 3)
+					res, err := s.Search(context.Background(), []int{rng.Intn(8)}, 3)
 					if err != nil {
 						t.Errorf("request failed during reload: %v", err)
 						return
 					}
-					got := scoreGen(t, matches)
-					if got < floor {
-						t.Errorf("request started at generation >= %d answered by generation %d (cached=%v)", floor, got, cached)
+					if got := scoreGen(t, res.Matches); got < floor {
+						t.Errorf("request started at generation >= %d answered by generation %d", floor, got)
 						return
 					}
 					served.Add(1)
-					if cached {
-						cachedHits.Add(1)
-					}
 				}
 			}(int64(w))
 		}
@@ -198,9 +186,6 @@ func TestReloadUnderFire(t *testing.T) {
 		if served.Load() == 0 {
 			t.Fatal("no requests served")
 		}
-		if cachedHits.Load() == 0 {
-			t.Error("no cache hits at all — the cache path was not exercised under fire")
-		}
 		if got := s.Generation(); got != swaps+1 {
 			t.Fatalf("final generation %d, want %d", got, swaps+1)
 		}
@@ -208,8 +193,7 @@ func TestReloadUnderFire(t *testing.T) {
 		if snap["generation"].(uint64) != swaps+1 {
 			t.Fatalf("metrics generation = %v", snap["generation"])
 		}
-		t.Logf("served %d requests (%d cached) across %d swaps with zero failures",
-			served.Load(), cachedHits.Load(), swaps)
+		t.Logf("served %d requests across %d swaps with zero failures", served.Load(), swaps)
 	})
 }
 
@@ -231,11 +215,11 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 
 		done := make(chan []Match, 1)
 		go func() {
-			m, _, err := s.TopK(context.Background(), []int{2}, 2)
+			res, err := s.Search(context.Background(), []int{2}, 2)
 			if err != nil {
 				t.Error(err)
 			}
-			done <- m
+			done <- res.Matches
 		}()
 		<-enter // the old engine now owns an in-flight call
 
@@ -254,11 +238,11 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 		if g := scoreGen(t, <-done); g != 1 {
 			t.Fatalf("in-flight call answered by generation %d, want 1", g)
 		}
-		m, _, err := s.TopK(context.Background(), []int{2}, 2)
+		res, err := s.Search(context.Background(), []int{2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := scoreGen(t, m); g != 2 {
+		if g := scoreGen(t, res.Matches); g != 2 {
 			t.Fatalf("post-swap request answered by generation %d, want 2", g)
 		}
 	})

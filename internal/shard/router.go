@@ -10,6 +10,7 @@ import (
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
 	"csrplus/internal/par"
+	"csrplus/internal/serve"
 	"csrplus/internal/topk"
 )
 
@@ -389,6 +390,19 @@ type TopKResult struct {
 // every partial, so there is nothing exact to serve).
 func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (TopKResult, error) {
 	return r.topK(ctx, queries, k, rank, true)
+}
+
+// Ranked is the serving generation over r: TopKTagged answers each top-k
+// with its missing-shard provenance, Scores each targeted score, and
+// TruncationBound reports the bound at a rank.
+func (r *Router) Ranked() serve.Ranked {
+	return serve.Ranked{
+		N: r.N(), Rank: r.Rank(), Bound: r.TruncationBound, Scores: r.Scores,
+		TopK: func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
+			res, err := r.TopKTagged(ctx, queries, k, rank)
+			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
+		},
+	}
 }
 
 func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade bool) (TopKResult, error) {

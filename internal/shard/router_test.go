@@ -14,6 +14,7 @@ import (
 	"csrplus"
 
 	"csrplus/internal/core"
+	"csrplus/internal/dense"
 	"csrplus/internal/par"
 	"csrplus/internal/shard"
 	"csrplus/internal/shard/shardtest"
@@ -475,5 +476,84 @@ func TestTruncationBoundHitPathNoAlloc(t *testing.T) {
 		_ = rt.MissingShardBound()
 	}); allocs != 0 {
 		t.Fatalf("MissingShardBound cache hit allocates %.1f times per call", allocs)
+	}
+}
+
+// partialDown is a slot whose partial top-k cannot be fetched, the way a
+// wire client reports a dead worker; its U rows still answer.
+type partialDown struct{ *shard.Local }
+
+func (partialDown) PartialTopK(context.Context, []int, *dense.Mat, int, int) ([]topk.Item, error) {
+	return nil, shard.ErrSlotDown
+}
+
+// TestRankedIsTheServingGeneration holds Router.Ranked — the generation
+// csrserver serves every mode through — to the router's own calls: its
+// top-k is TopKTagged with the missing-shard provenance carried over, its
+// scores are Scores, its bound TruncationBound.
+func TestRankedIsTheServingGeneration(t *testing.T) {
+	_, ix := testEngineIndex(t, 1)
+	ctx := context.Background()
+	shards, err := shard.Split(ix, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, down := range []bool{false, true} {
+		slots := make([]shard.Slot, len(shards))
+		for s, sh := range shards {
+			slots[s] = shard.NewLocal(sh)
+		}
+		if down {
+			slots[2] = partialDown{shard.NewLocal(shards[2])}
+		}
+		rt, err := shard.NewRouterSlots(slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rt.Ranked()
+		if r.N != testN || r.Rank != testRank {
+			t.Fatalf("Ranked N=%d Rank=%d, want %d and %d", r.N, r.Rank, testN, testRank)
+		}
+		for rank := 0; rank <= testRank; rank++ {
+			if got, want := r.Bound(rank), rt.TruncationBound(rank); got != want {
+				t.Fatalf("Bound(%d) = %v, want %v", rank, got, want)
+			}
+		}
+		for _, queries := range [][]int{{7}, {13, 42, 42}} {
+			want, err := rt.TopKTagged(ctx, queries, 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items, prov, err := r.TopK(ctx, queries, 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prov.MissingShards != want.Missing || prov.ErrorBound != want.ErrorBound || (prov.MissingShards > 0) != down {
+				t.Fatalf("down=%v %v: provenance %+v, router tagged %d missing, bound %v", down, queries, prov, want.Missing, want.ErrorBound)
+			}
+			if len(items) != len(want.Items) {
+				t.Fatalf("down=%v %v: %v, want %v", down, queries, items, want.Items)
+			}
+			for i := range items {
+				if items[i].Node != want.Items[i].Node || math.Float64bits(items[i].Score) != math.Float64bits(want.Items[i].Score) {
+					t.Fatalf("down=%v %v: %v, want %v bit for bit", down, queries, items, want.Items)
+				}
+			}
+		}
+		got, err := r.Scores(ctx, []int{7, 99}, []int{0, 50, 100}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rt.Scores(ctx, []int{7, 99}, []int{0, 50, 100}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 2; qi++ {
+			for ti := 0; ti < 3; ti++ {
+				if math.Float64bits(got.At(qi, ti)) != math.Float64bits(want.At(qi, ti)) {
+					t.Fatalf("Scores(%d, %d) = %v, want %v", qi, ti, got.At(qi, ti), want.At(qi, ti))
+				}
+			}
+		}
 	}
 }

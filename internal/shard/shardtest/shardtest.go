@@ -1,18 +1,15 @@
 // Package shardtest is what the test suites of shard and reload share to
-// drive a router the way csrserver does: through the two engine
-// calls of a serving generation, TopKTagged and Scores. The router has no
-// call that returns the n x |Q| block — core.Index.QueryRankInto is the
-// only producer of one — so the suites that hold a router to that oracle
-// entry by entry read the block through Scores.
+// read a router's scores as columns. The router has no call that returns
+// the n x |Q| block — core.Index.QueryRankInto is the only producer of one
+// — so the suites that hold a router to that oracle entry by entry read
+// the block through Scores.
 package shardtest
 
 import (
 	"context"
 
 	"csrplus/internal/dense"
-	"csrplus/internal/serve"
 	"csrplus/internal/shard"
-	"csrplus/internal/topk"
 )
 
 // Columns returns S[:, queries] at the given rank (<= 0 is full) as rt
@@ -29,17 +26,4 @@ func Columns(ctx context.Context, rt *shard.Router, queries []int, rank int) (*d
 		return nil, err
 	}
 	return scores.T(), nil
-}
-
-// Ranked is the serving generation csrserver builds over rt
-// (cmd/csrserver newCandidate): direct top-k and targeted scores, no
-// column engine.
-func Ranked(rt *shard.Router) serve.Ranked {
-	return serve.Ranked{
-		N: rt.N(), Rank: rt.Rank(), Bound: rt.TruncationBound, Scores: rt.Scores,
-		TopK: func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
-			res, err := rt.TopKTagged(ctx, queries, k, rank)
-			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
-		},
-	}
 }
