@@ -146,6 +146,7 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 		return nil, err
 	}
 	// The boot generation passes the smoke test every later one must.
+	validateStart := time.Now()
 	if err := reload.Validate(src.boot); err != nil {
 		if src.boot.Release != nil {
 			src.boot.Release()
@@ -161,8 +162,10 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	stored, indexBytes := indexSize(slots)
 	// Clocked from before the graph load, so the figure is the process's
 	// set-up time as a caller polling /readyz sees it, less exec and flags.
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t peak %d bytes VmHWM %d bytes) graph=%v%s", time.Since(start),
-		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta))
+	// validate= is the boot generation's smoke test, the last thing before
+	// ready; the source's own clocks come before it.
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t peak %d bytes VmHWM %d bytes) graph=%v%s validate=%v", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta), clockSince(validateStart))
 
 	sv := serve.NewRanked(src.boot.Ranked, cfg.serve)
 	sv.Metrics().SetShards(shards)

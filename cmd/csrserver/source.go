@@ -22,6 +22,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"csrplus"
@@ -83,27 +84,49 @@ func openSource(ctx context.Context, cfg *config) (*source, error) {
 // slots, which serves every generation: a reload rolls the workers one at a
 // time through their own /admin/reload. A roll that failed part-way leaves
 // a mixed-generation router that still answers every query exactly: every
-// answer is computed from the slots as they stand.
+// answer is computed from the slots as they stand. The boot makes one
+// concurrent round trip per worker: the dials run at once, and priming the
+// bound cache reuses the terms they fetched.
 func openRemote(ctx context.Context, cfg *config) (*source, error) {
 	start := time.Now()
 	dialCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	addrs := strings.Split(cfg.shardAddrs, ",")
 	engines := make([]*wire.RemoteEngine, len(addrs))
-	slots := make([]shard.Slot, len(addrs))
+	// The first failed dial cancels the rest: one bad address fails the
+	// boot at once rather than after every other dial's retries.
+	var (
+		wg      sync.WaitGroup
+		failed  sync.Once
+		dialErr error
+	)
 	for i, a := range addrs {
 		if !strings.Contains(a, "://") {
 			a = "http://" + a
 		}
 		opt := cfg.wire
 		opt.Shard = i
-		e, err := wire.Dial(dialCtx, a, opt)
-		if err != nil {
-			return nil, err
-		}
-		engines[i], slots[i] = e, e
-		log.Printf("shard %d: %s serving nodes [%d, %d) generation %d", i, e.Addr(), e.Lo(), e.Hi(), e.Generation())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := wire.Dial(dialCtx, a, opt)
+			if err != nil {
+				failed.Do(func() { dialErr = err; cancel() })
+				return
+			}
+			engines[i] = e
+		}()
 	}
+	wg.Wait()
+	if dialErr != nil {
+		return nil, dialErr
+	}
+	slots := make([]shard.Slot, len(engines))
+	for i, e := range engines {
+		slots[i] = e
+		log.Printf("shard %d: %s serving nodes [%d, %d) generation %d mapped=%t", i, e.Addr(), e.Lo(), e.Hi(), e.Generation(), e.Mapped())
+	}
+	dialed := time.Now()
 	rt, err := shard.NewRouterSlots(slots)
 	if err != nil {
 		return nil, err
@@ -114,17 +137,32 @@ func openRemote(ctx context.Context, cfg *config) (*source, error) {
 	if err := rt.PrimeBound(); err != nil {
 		return nil, fmt.Errorf("priming error bounds: %w", err)
 	}
-	meta := reload.Meta{Source: "wire", Path: cfg.shardAddrs, Algorithm: csrplus.AlgoCSRPlus, BuildTime: time.Since(start)}
+	meta := reload.Meta{Source: "wire", Path: cfg.shardAddrs, Algorithm: csrplus.AlgoCSRPlus, BuildTime: time.Since(start),
+		Clocks: fmt.Sprintf("dial=%v prime=%v", clock(dialed.Sub(start)), clockSince(dialed))}
+	// A worker, not the router, owns the index behind its slot, so it is
+	// the one that says whether the slot is mapped.
+	status := func() []shard.ShardStatus {
+		slots := rt.Status()
+		for i, e := range engines {
+			slots[i].Mapped = e.Mapped()
+		}
+		return slots
+	}
+	remote := func(meta reload.Meta) *reload.Candidate {
+		c := newCandidate(rt, meta, nil, nil)
+		c.Meta.ShardStatus = status
+		return c
+	}
 	next := func(ctx context.Context) (*reload.Candidate, error) {
 		start := time.Now()
 		if _, err := wire.RollWorkers(ctx, engines); err != nil {
 			return nil, err
 		}
 		rolled := meta
-		rolled.BuildTime = time.Since(start)
-		return newCandidate(rt, rolled, nil, nil), nil
+		rolled.BuildTime, rolled.Clocks = time.Since(start), ""
+		return remote(rolled), nil
 	}
-	return &source{boot: newCandidate(rt, meta, nil, nil), next: next, engines: engines}, nil
+	return &source{boot: remote(meta), next: next, engines: engines}, nil
 }
 
 // openIndex serves a fresh K=1 router over one whole index per

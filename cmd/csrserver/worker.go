@@ -37,8 +37,8 @@ func runShardWorker(cfg *config) {
 		log.Fatalln("csrserver:", err)
 	}
 	slot := w.Slot()
-	log.Printf("shard worker %d: serving nodes [%d, %d) of n=%d r=%d on %s",
-		shardIdx, slot.Lo(), slot.Hi(), slot.N(), slot.Rank(), addr)
+	log.Printf("shard worker %d: serving nodes [%d, %d) of n=%d r=%d mapped=%t on %s",
+		shardIdx, slot.Lo(), slot.Hi(), slot.N(), slot.Rank(), w.Mapped(), addr)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)

@@ -81,9 +81,10 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	if errors.Is(err, core.ErrCorrupt) {
 		// Not a whole index; a shard file is the same factors under the
 		// other header, and loads only as one.
-		sh, serr := core.LoadShard(path)
+		f, serr := core.LoadShard(path)
 		if serr == nil {
-			return runShard(out, path, sh, convert != "" || quantize != "" || split != nil)
+			defer f.Close()
+			return runShard(out, path, f, convert != "" || quantize != "" || split != nil)
 		}
 		err = fmt.Errorf("%w; as a shard file: %v", err, serr)
 	}
@@ -174,7 +175,8 @@ func printSize(out io.Writer, sh *core.IndexShard, bytes int64) {
 
 // runShard reports a shard file — what an operator is told to
 // investigate when a shard directory recovers to an older generation.
-func runShard(out io.Writer, path string, sh *core.IndexShard, rewrite bool) error {
+func runShard(out io.Writer, path string, f *core.ShardFile, rewrite bool) error {
+	sh := f.IndexShard
 	if err := printFile(out, path, sh); err != nil {
 		return err
 	}
@@ -182,6 +184,7 @@ func runShard(out io.Writer, path string, sh *core.IndexShard, rewrite bool) err
 	fmt.Fprintf(out, "rank:          %d\n", sh.Rank())
 	fmt.Fprintf(out, "damping:       %g\n", sh.Damping())
 	fmt.Fprintf(out, "tier:          %s\n", sh.Tier())
+	fmt.Fprintf(out, "mapped:        %t\n", f.Mapped())
 	printSize(out, sh, sh.Bytes())
 	if rewrite {
 		return fmt.Errorf("%s is a shard file: -convert, -quantize and -split need a whole index", path)

@@ -347,24 +347,58 @@ func LoadIndex(path string) (*Index, error) {
 	return loadSnapshot(path, indexKind)
 }
 
-// LoadShard reads a shard file from path into heap memory.
-func LoadShard(path string) (*IndexShard, error) {
-	return shardOf(loadSnapshot(path, shardKind))
+// LoadShard reads a shard file from path, mapped where LoadIndex would map
+// it and decoded where not. The caller owns Close on the returned file.
+func LoadShard(path string) (*ShardFile, error) {
+	return shardFileOf(loadSnapshot(path, shardKind))
 }
 
-// loadSnapshot is the one file loader. Whole indexes map first: every
-// generation served from one gets a fresh router whose Candidate.Release
-// closes the mapping after serve's swap has drained. Shard files always
-// decode: they fill the slots of a persistent router, and Local.Swap has
-// no drain barrier, so a mapped slot's munmap would race in-flight
-// partials.
-func loadSnapshot(path string, k *snapKind) (*Index, error) {
-	if k.whole {
-		ix, err := MapIndex(path)
-		if err == nil || !errors.Is(err, errMapUnsupported) {
-			return ix, err
-		}
+// ShardFile is a shard as loaded from its snapshot file: the IndexShard the
+// slots serve and, when the file is memory-mapped, the handle that owns the
+// pages behind it. As with Index, the owner holds the mapping and the view
+// does not (DESIGN.md §13, rule 3): Close unmaps, after which the shard must
+// not be touched — a worker closes a retired generation only once its slot's
+// swap has drained every call pinned to it.
+type ShardFile struct {
+	*IndexShard
+	mapped *mapping
+}
+
+// Close releases the mapping behind a mapped shard file; it is a no-op for a
+// decoded one and safe to call more than once.
+func (f *ShardFile) Close() error { return f.mapped.close() }
+
+// Mapped reports whether the shard's factors are views over a mapped file.
+func (f *ShardFile) Mapped() bool { return f.mapped != nil }
+
+// shardFileOf hands what the shared loaders return for a shard file on with
+// its mapping (see snapHeader.index).
+func shardFileOf(ix *Index, err error) (*ShardFile, error) {
+	if err != nil {
+		return nil, err
 	}
+	return &ShardFile{IndexShard: &ix.IndexShard, mapped: ix.mapped}, nil
+}
+
+// loadSnapshot is the one file loader: every v2 and v3 file maps, whole
+// indexes and shard files alike, and v1 files, non-mmap platforms,
+// big-endian hosts and injected map faults decode. The caller owns what
+// was mapped — a whole index's generation closes it from Candidate.Release
+// after serve's swap has drained, a worker after Local.Swap has drained.
+func loadSnapshot(path string, k *snapKind) (*Index, error) {
+	ix, err := mapSnapshot(path, k)
+	switch {
+	case err == nil:
+		return ix, nil
+	case !errors.Is(err, errMapUnsupported):
+		return nil, fmt.Errorf("core: loading %s %s: %w", k.name, path, err)
+	}
+	return decodeFile(path, k)
+}
+
+// decodeFile is loadSnapshot's fallback: the buffered decode of the file
+// into fresh heap allocations.
+func decodeFile(path string, k *snapKind) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s: %w", k.name, err)
@@ -386,7 +420,7 @@ func loadSnapshot(path string, k *snapKind) (*Index, error) {
 // readImage reads r to its end, into one buffer of size bytes when the
 // caller knows the stream's length: io.ReadAll grows its buffer by
 // reallocation and leaves several times the image behind as garbage, which
-// for a shard worker is most of the boot's heap. size comes from the file
+// on the decode fallback is most of a boot's heap. size comes from the file
 // system, never from the image's header, so a forged header cannot size the
 // allocation; a stream that turns out shorter or longer than size is still
 // returned whole, for decodePaged to reject against the length its header

@@ -653,21 +653,32 @@ func mapFile(path string) ([]byte, *mapping, error) {
 // DESIGN.md). Returns errMapUnsupported-wrapped errors for v1 files and
 // unmappable environments, ErrCorrupt-wrapped for bad bytes.
 func MapIndex(path string) (*Index, error) {
-	data, m, err := mapFile(path)
+	ix, err := mapSnapshot(path, indexKind)
 	if err != nil {
 		return nil, fmt.Errorf("core: MapIndex %s: %w", path, err)
 	}
-	f, err := parsePaged(data, indexKind)
+	return ix, nil
+}
+
+// mapSnapshot is the one mapper, for files of either kind: map, parse,
+// verify every factor CRC, build zero-copy views. The returned Index holds
+// the mapping; for a shard file the caller hands it on as a ShardFile.
+func mapSnapshot(path string, k *snapKind) (*Index, error) {
+	data, m, err := mapFile(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := parsePaged(data, k)
 	if err == nil {
 		err = f.verifyFactors()
 	}
 	var ix *Index
 	if err == nil {
-		ix, err = f.fromImage(indexKind, true)
+		ix, err = f.fromImage(k, true)
 	}
 	if err != nil {
 		m.close()
-		return nil, fmt.Errorf("core: MapIndex %s: %w", path, err)
+		return nil, err
 	}
 	ix.mapped = m
 	return ix, nil

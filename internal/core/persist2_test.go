@@ -345,6 +345,10 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
+	if back.Mapped() != (mmapSupported && nativeLE) {
+		t.Fatalf("LoadShard mapped = %v, want %v: a shard file maps wherever an index file does", back.Mapped(), mmapSupported && nativeLE)
+	}
 	if back.N() != sh.N() || back.Lo() != sh.Lo() || back.Hi() != sh.Hi() || back.Rank() != sh.Rank() {
 		t.Fatal("shard metadata mismatch")
 	}
@@ -580,7 +584,7 @@ func TestV3EmptyShardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("[%d, %d): %v", cut.lo, cut.hi, err)
 		}
-		wantSameFactors(t, fmt.Sprintf("[%d, %d)", cut.lo, cut.hi), back, sh)
+		wantSameFactors(t, fmt.Sprintf("[%d, %d)", cut.lo, cut.hi), back.IndexShard, sh)
 		if back.Stored() != cut.stored || (back.ids == nil) != (cut.stored == cut.hi-cut.lo) {
 			t.Fatalf("[%d, %d): %d rows stored, ids %v", cut.lo, cut.hi, back.Stored(), back.ids)
 		}

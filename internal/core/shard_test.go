@@ -275,10 +275,10 @@ func TestShardSnapshotDirRoundTrip(t *testing.T) {
 }
 
 // TestLoadShardReadsIntoOneBuffer holds the decode path of a snapshot file
-// to one image-sized read buffer: LoadShard may allocate the image and its
-// decoded factors, about twice the file, where growing a buffer through
-// io.ReadAll cost seven times it — most of a shard worker's boot heap. The
-// file's length comes from the file system, so a file cut short or grown
+// (what LoadShard falls back to where it cannot map) to one image-sized
+// read buffer: it may allocate the image and its decoded factors, about
+// twice the file, where growing a buffer through io.ReadAll cost seven
+// times it — most of a decoding boot's heap. The file's length comes from the file system, so a file cut short or grown
 // after it was written is still ErrCorrupt, by the length its own header
 // records.
 func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
@@ -296,12 +296,12 @@ func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	back, err := LoadShard(path)
+	back, err := shardFileOf(decodeFile(path, shardKind)) // what LoadShard falls back to where it cannot map
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSameFactors(t, "loaded shard", back, sh)
+	wantSameFactors(t, "loaded shard", back.IndexShard, sh)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(raw)/2); got > limit {
 		t.Fatalf("LoadShard of a %d-byte file allocated %d bytes, want at most %d (image + decoded factors)", len(raw), got, limit)
 	}
@@ -312,6 +312,9 @@ func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
 	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := decodeFile(path, shardKind); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: decode err = %v, want ErrCorrupt", name, err)
 		}
 		if _, err := LoadShard(path); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)

@@ -178,8 +178,12 @@ func PublishSnapshot(dir string, ix *Index) (served *Index, snap Snapshot, readB
 
 // WriteShardSnapshot is WriteSnapshot for a shard directory.
 func WriteShardSnapshot(dir string, sh *IndexShard) (gen uint64, path string, err error) {
-	_, snap, _, err := publishSnapshot(dir, shardKind, func(path string) error { return SaveShard(sh, path) })
-	return snap.Gen, snap.Path, err
+	back, snap, _, err := publishSnapshot(dir, shardKind, func(path string) error { return SaveShard(sh, path) })
+	if err != nil {
+		return 0, "", err
+	}
+	_ = back.Close() // a view nobody has queried
+	return snap.Gen, snap.Path, nil
 }
 
 // publishSnapshot is the one publish: reserve the next generation's path,
@@ -301,11 +305,12 @@ func RecoverSnapshot(dir string) (ix *Index, snap Snapshot, recovered bool, err 
 	return recoverSnapshot(dir, indexKind)
 }
 
-// RecoverShardSnapshot is RecoverSnapshot for a shard directory.
-func RecoverShardSnapshot(dir string) (sh *IndexShard, snap Snapshot, recovered bool, err error) {
+// RecoverShardSnapshot is RecoverSnapshot for a shard directory. The caller
+// owns Close on the returned file.
+func RecoverShardSnapshot(dir string) (f *ShardFile, snap Snapshot, recovered bool, err error) {
 	ix, snap, recovered, err := recoverSnapshot(dir, shardKind)
-	sh, err = shardOf(ix, err)
-	return sh, snap, recovered, err
+	f, err = shardFileOf(ix, err)
+	return f, snap, recovered, err
 }
 
 // recoverSnapshot is the one fallback ladder, over files of kind k.

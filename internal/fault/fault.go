@@ -42,11 +42,11 @@ const (
 	// core.LoadIndex): probabilistic read errors and latency model a
 	// degraded disk or a network filesystem hiccup during reload.
 	SiteIndexRead = "core/index.read"
-	// SiteIndexMap fires immediately before the mmap syscall in
-	// core.MapIndex. An injected fault models mmap refusal
-	// (ulimit, address-space fragmentation) — an environmental failure,
-	// so core.LoadIndex degrades to the buffered decode path instead of
-	// failing the load.
+	// SiteIndexMap fires immediately before the mmap syscall of every
+	// snapshot map, whole index or shard file. An injected fault models
+	// mmap refusal (ulimit, address-space fragmentation) — an
+	// environmental failure, so core.LoadIndex and core.LoadShard degrade
+	// to the buffered decode path instead of failing the load.
 	SiteIndexMap = "core/index.mmap"
 	// SiteIndexVerify fires before the factor-block CRC pass of a v2
 	// snapshot. Unlike a map fault, a verify failure means the bytes

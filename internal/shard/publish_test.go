@@ -37,7 +37,8 @@ func TestPublishSnapshots(t *testing.T) {
 			if err != nil || recovered || snap.Gen != uint64(publish) {
 				t.Fatalf("%s: generation %d (recovered=%v, err=%v), want CURRENT at %d", dir, snap.Gen, recovered, err, publish)
 			}
-			shards[s] = sh
+			t.Cleanup(func() { sh.Close() })
+			shards[s] = sh.IndexShard
 		}
 		if publish > 1 && publish < core.KeepSnapshots+3 {
 			continue // the answers are checked on the first and the last

@@ -602,28 +602,38 @@ func (r *Router) gensMatch(gens []uint64) bool {
 	return true
 }
 
+// rebuildBound fetches every slot's bound terms in one round — concurrent
+// over remote slots, like every other fan-out — and folds them.
 func (r *Router) rebuildBound() (*boundEntry, error) {
 	// Gens are captured before the term fetch: if a slot rolls mid-fetch,
 	// the entry lands keyed to the pre-roll vector and the next call
 	// refreshes again — transiently stale, never wedged.
 	gens := r.Generations()
+	terms := make([]BoundTerms, r.K())
+	errs := r.fanout(0, 0, func(s int) error {
+		t, err := r.slots[s].BoundTerms(context.Background())
+		if err != nil {
+			return fmt.Errorf("shard: bound terms from shard %d: %w", s, err)
+		}
+		terms[s] = t
+		return nil
+	})
+	if err := errFirst(errs); err != nil {
+		return nil, err
+	}
 	zmax := make([]float64, r.rank)
 	umax := make([]float64, r.rank)
 	var zerr, uerr []float64
-	for s, sl := range r.slots {
-		terms, err := sl.BoundTerms(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("shard: bound terms from shard %d: %w", s, err)
-		}
-		if len(terms.ZMax) != r.rank || len(terms.UMax) != r.rank {
-			return nil, fmt.Errorf("%w: shard %d returned %d/%d bound columns, want %d", ErrShard, s, len(terms.ZMax), len(terms.UMax), r.rank)
+	for s, t := range terms {
+		if len(t.ZMax) != r.rank || len(t.UMax) != r.rank {
+			return nil, fmt.Errorf("%w: shard %d returned %d/%d bound columns, want %d", ErrShard, s, len(t.ZMax), len(t.UMax), r.rank)
 		}
 		for j := 0; j < r.rank; j++ {
-			if terms.ZMax[j] > zmax[j] {
-				zmax[j] = terms.ZMax[j]
+			if t.ZMax[j] > zmax[j] {
+				zmax[j] = t.ZMax[j]
 			}
-			if terms.UMax[j] > umax[j] {
-				umax[j] = terms.UMax[j]
+			if t.UMax[j] > umax[j] {
+				umax[j] = t.UMax[j]
 			}
 		}
 		// The dequantisation errors are global per-column vectors,
@@ -632,8 +642,8 @@ func (r *Router) rebuildBound() (*boundEntry, error) {
 		// exact and quantized generations mixed, including the term
 		// over-states the error for exact rows — conservative, never
 		// under-stated.
-		if terms.ZErr != nil || terms.UErr != nil {
-			zerr, uerr = terms.ZErr, terms.UErr
+		if t.ZErr != nil || t.UErr != nil {
+			zerr, uerr = t.ZErr, t.UErr
 		}
 	}
 	return &boundEntry{

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,16 +91,51 @@ type BoundTerms struct {
 // generation is one immutable shard engine generation: the loaded factors
 // plus the number identifying them. Swapped as a unit so a reader always
 // sees a shard and its generation number together.
+//
+// pins counts the calls computing on it, plus one for as long as it is the
+// slot's serving generation. The count only reaches zero after a swap has
+// retired it, and once at zero the generation can never be pinned again:
+// that moment is when drained closes and its factors may be released.
 type generation struct {
-	gen uint64
-	sh  *core.IndexShard
+	gen     uint64
+	sh      *core.IndexShard
+	pins    atomic.Int64
+	drained chan struct{}
+}
+
+func newGeneration(gen uint64, sh *core.IndexShard) *generation {
+	g := &generation{gen: gen, sh: sh, drained: make(chan struct{})}
+	g.pins.Store(1)
+	return g
+}
+
+// tryPin takes a pin unless the generation has already drained.
+func (g *generation) tryPin() bool {
+	for {
+		p := g.pins.Load()
+		if p == 0 {
+			return false
+		}
+		if g.pins.CompareAndSwap(p, p+1) {
+			return true
+		}
+	}
+}
+
+// unpin drops a pin; the last one out closes drained.
+func (g *generation) unpin() {
+	if g.pins.Add(-1) == 0 {
+		close(g.drained)
+	}
 }
 
 // Local is the in-process Slot: one shard slot with PR 3's atomic-swap
-// lifecycle scaled down to a single shard. Readers resolve the current
-// generation with one atomic load and compute entirely on that immutable
-// snapshot, while Swap installs a replacement. wire.Worker serves a Local
-// over HTTP: a worker's reload is this swap.
+// lifecycle scaled down to a single shard. Every read pins the generation
+// it resolved and computes entirely on it, and Swap installs a replacement
+// and then waits for the old generation's pins to drain — the RCU rule
+// serve's swap follows — so the caller may release the retired factors
+// (a worker unmaps its old shard file) the moment Swap returns.
+// wire.Worker serves a Local over HTTP: a worker's reload is this swap.
 type Local struct {
 	cur    atomic.Pointer[generation]
 	swapMu sync.Mutex // serialises swaps; readers never take it
@@ -108,32 +144,49 @@ type Local struct {
 // NewLocal boots the slot at generation 1.
 func NewLocal(sh *core.IndexShard) *Local {
 	l := &Local{}
-	l.cur.Store(&generation{gen: 1, sh: sh})
+	l.cur.Store(newGeneration(1, sh))
 	return l
 }
 
-// Current returns the shard and generation serving new work.
-func (l *Local) Current() (*core.IndexShard, uint64) {
-	g := l.cur.Load()
-	return g.sh, g.gen
+// pin resolves the serving generation and holds it. A reader that loses
+// the race with a swap finds a drained generation and retries on the one
+// the swap installed before dropping the old generation's serving pin.
+func (l *Local) pin() *generation {
+	for {
+		if g := l.cur.Load(); g.tryPin() {
+			return g
+		}
+	}
 }
 
-// Swap installs sh as the next generation and returns its number.
-// Queries already computing on the old generation finish on it — shards
-// are immutable, so there is nothing to drain. The caller is responsible
-// for validating that sh covers the same range and shape
-// (wire.Worker.Reload does).
+// Pin resolves the serving generation for a caller that computes on the
+// shard directly (wire.Worker's handlers): the shard stays valid, and a
+// Swap retiring it waits, until release is called.
+func (l *Local) Pin() (sh *core.IndexShard, gen uint64, release func()) {
+	g := l.pin()
+	return g.sh, g.gen, g.unpin
+}
+
+// Swap installs sh as the next generation and returns its number once the
+// generation it retired has drained: every call pinned to it has returned,
+// and none can pin it again. The caller is responsible for validating that
+// sh covers the same range and shape (wire.Worker.Reload does) and owns
+// the release of the retired factors.
 func (l *Local) Swap(sh *core.IndexShard) uint64 {
 	l.swapMu.Lock()
 	defer l.swapMu.Unlock()
-	next := l.cur.Load().gen + 1
-	l.cur.Store(&generation{gen: next, sh: sh})
-	return next
+	old := l.cur.Load()
+	next := newGeneration(old.gen+1, sh)
+	l.cur.Store(next)
+	old.unpin()
+	<-old.drained
+	return next.gen
 }
 
 // N, Lo, Hi, Rank and Damping are fixed across swaps (wire.Worker.Reload
 // validates replacements against them), so reading the current
-// generation's copy is exact.
+// generation's copy is exact. Like Generation, Bytes and Stored they read
+// the shard's header, never its factors, so they need no pin.
 func (l *Local) N() int           { return l.cur.Load().sh.N() }
 func (l *Local) Lo() int          { return l.cur.Load().sh.Lo() }
 func (l *Local) Hi() int          { return l.cur.Load().sh.Hi() }
@@ -160,7 +213,9 @@ func (l *Local) URows(ctx context.Context, nodes []int) (*dense.Mat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sh, _ := l.Current()
+	g := l.pin()
+	defer g.unpin()
+	sh := g.sh
 	out := dense.NewMat(len(nodes), sh.Rank())
 	for i, q := range nodes {
 		if !sh.Owns(q) {
@@ -173,23 +228,27 @@ func (l *Local) URows(ctx context.Context, nodes []int) (*dense.Mat, error) {
 
 // PartialTopK selects the slot's top-k candidates (see Slot).
 func (l *Local) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
-	sh, _ := l.Current()
-	return sh.PartialTopK(ctx, queries, uq, k, rank)
+	g := l.pin()
+	defer g.unpin()
+	return g.sh.PartialTopK(ctx, queries, uq, k, rank)
 }
 
 // ScoreRows scores owned rows against the query columns (see Slot).
 func (l *Local) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
-	sh, _ := l.Current()
-	return sh.ScoreRows(ctx, queries, uq, rows, rank)
+	g := l.pin()
+	defer g.unpin()
+	return g.sh.ScoreRows(ctx, queries, uq, rows, rank)
 }
 
-// BoundTerms returns the serving generation's bound inputs (see Slot).
+// BoundTerms returns the serving generation's bound inputs (see Slot),
+// copied out of its factors: the caller keeps them past the pin.
 func (l *Local) BoundTerms(ctx context.Context) (BoundTerms, error) {
 	if err := ctx.Err(); err != nil {
 		return BoundTerms{}, err
 	}
-	sh, _ := l.Current()
-	zmax, umax := sh.ColMaxes()
-	zerr, uerr := sh.QuantErrs()
-	return BoundTerms{ZMax: zmax, UMax: umax, ZErr: zerr, UErr: uerr}, nil
+	g := l.pin()
+	defer g.unpin()
+	zmax, umax := g.sh.ColMaxes()
+	zerr, uerr := g.sh.QuantErrs()
+	return BoundTerms{ZMax: zmax, UMax: umax, ZErr: slices.Clone(zerr), UErr: slices.Clone(uerr)}, nil
 }

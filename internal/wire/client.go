@@ -182,6 +182,11 @@ type RemoteEngine struct {
 	gen    atomic.Uint64 // last generation observed in any response
 	bytes  atomic.Int64  // last resident-bytes figure from /shard/meta
 	stored atomic.Int64  // last stored-rows figure from /shard/meta
+	mapped atomic.Bool   // last mapped flag from /shard/meta
+
+	// dialed holds the bound terms Dial's /shard/meta carried until the
+	// first BoundTerms call takes them.
+	dialed atomic.Pointer[dialTerms]
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -222,7 +227,15 @@ func Dial(ctx context.Context, addr string, opt Options) (*RemoteEngine, error) 
 			addr, meta.N, meta.Lo, meta.Hi, meta.Rank, shard.ErrShard)
 	}
 	e.n, e.lo, e.hi, e.rank, e.c = meta.N, meta.Lo, meta.Hi, meta.Rank, meta.Damping
+	e.dialed.Store(&dialTerms{gen: meta.Generation, terms: meta.boundTerms()})
 	return e, nil
+}
+
+// dialTerms is what the worker reported of its bound terms at Dial, and
+// the generation that reported them.
+type dialTerms struct {
+	gen   uint64
+	terms shard.BoundTerms
 }
 
 // Addr returns the worker base URL the engine dials.
@@ -245,6 +258,10 @@ func (e *RemoteEngine) Bytes() int64 { return e.bytes.Load() }
 
 // Stored returns the worker's last reported stored-row count.
 func (e *RemoteEngine) Stored() int { return int(e.stored.Load()) }
+
+// Mapped reports whether the worker last said it serves its shard from a
+// mapped snapshot file.
+func (e *RemoteEngine) Mapped() bool { return e.mapped.Load() }
 
 // Stats snapshots the engine's traffic counters and breaker state.
 func (e *RemoteEngine) Stats() SlotStats {
@@ -309,15 +326,23 @@ func (e *RemoteEngine) ScoreRows(ctx context.Context, queries []int, uq *dense.M
 	return resp.Scores, nil
 }
 
-// BoundTerms implements shard.Slot over GET /shard/meta.
+// BoundTerms implements shard.Slot over GET /shard/meta. The first call
+// answers from the terms Dial fetched, while the worker still serves the
+// generation that reported them, so a router primed right after Dial asks
+// no worker twice.
 func (e *RemoteEngine) BoundTerms(ctx context.Context) (shard.BoundTerms, error) {
+	if d := e.dialed.Swap(nil); d != nil && d.gen == e.gen.Load() {
+		return d.terms, nil
+	}
 	meta, err := e.fetchMeta(ctx)
 	if err != nil {
 		return shard.BoundTerms{}, err
 	}
-	return shard.BoundTerms{ZMax: meta.ZMax, UMax: meta.UMax, ZErr: meta.ZErr, UErr: meta.UErr}, nil
+	return meta.boundTerms(), nil
 }
 
+// fetchMeta runs GET /shard/meta and keeps what it reports of the
+// generation serving.
 func (e *RemoteEngine) fetchMeta(ctx context.Context) (MetaResponse, error) {
 	var meta MetaResponse
 	if err := e.call(ctx, http.MethodGet, "/shard/meta", nil, &meta); err != nil {
@@ -326,6 +351,7 @@ func (e *RemoteEngine) fetchMeta(ctx context.Context) (MetaResponse, error) {
 	e.observeGen(meta.Generation)
 	e.bytes.Store(meta.Bytes)
 	e.stored.Store(int64(meta.Stored))
+	e.mapped.Store(meta.Mapped)
 	return meta, nil
 }
 

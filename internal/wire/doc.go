@@ -17,7 +17,7 @@
 //
 //	GET  /healthz       liveness: the process is up.
 //	GET  /readyz        readiness: a generation is loaded and serving.
-//	GET  /shard/meta    shape, node range, generation, tier, bound terms.
+//	GET  /shard/meta    shape, node range, generation, tier, mapped, bound terms.
 //	POST /shard/urows   U rows of owned nodes (the query-broadcast gather).
 //	POST /shard/query   partial top-k of owned nodes for a query set.
 //	POST /shard/scores  targeted row scores (the /similarity primitive).

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"csrplus/internal/shard"
 )
 
 // F64s is a float64 slice that marshals as base64-encoded little-endian
@@ -42,10 +44,10 @@ func (f *F64s) UnmarshalJSON(b []byte) error {
 }
 
 // MetaResponse is GET /shard/meta: the slot's static shape, its current
-// generation, and the bound terms the router folds into the global
-// truncation bound. Damping rides as plain JSON — Go's float64 encoding
-// round-trips exactly, and it is a single scalar compared for equality
-// at assembly, not bulk payload.
+// generation, whether its factors are a mapped file, and the bound terms
+// the router folds into the global truncation bound. Damping rides as
+// plain JSON — Go's float64 encoding round-trips exactly, and it is a
+// single scalar compared for equality at assembly, not bulk payload.
 type MetaResponse struct {
 	N          int     `json:"n"`
 	Lo         int     `json:"lo"`
@@ -56,10 +58,15 @@ type MetaResponse struct {
 	Bytes      int64   `json:"bytes"`
 	Stored     int     `json:"rows_stored"`
 	Tier       string  `json:"tier"`
+	Mapped     bool    `json:"mapped"`
 	ZMax       F64s    `json:"zmax"`
 	UMax       F64s    `json:"umax"`
 	ZErr       F64s    `json:"zerr,omitempty"`
 	UErr       F64s    `json:"uerr,omitempty"`
+}
+
+func (m MetaResponse) boundTerms() shard.BoundTerms {
+	return shard.BoundTerms{ZMax: m.ZMax, UMax: m.UMax, ZErr: m.ZErr, UErr: m.UErr}
 }
 
 // URowsRequest is POST /shard/urows: gather the U rows of owned nodes.

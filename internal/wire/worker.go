@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"csrplus/internal/auth"
 	"csrplus/internal/core"
@@ -38,15 +40,23 @@ type WorkerConfig struct {
 
 // Worker serves one core.IndexShard over HTTP behind the same
 // atomic-generation slot an in-process router uses, so a reload swaps
-// factors under in-flight requests with identical semantics: requests
-// resolve the generation once at entry and finish on it.
+// factors under in-flight requests with identical semantics: each request
+// pins the generation it resolved at entry and finishes on it, and a
+// reload unmaps the shard file it retired only once the slot's swap has
+// drained every such pin.
 type Worker struct {
-	cfg  WorkerConfig
-	slot *shard.Local
+	cfg    WorkerConfig
+	slot   *shard.Local
+	mapped atomic.Bool // the serving generation's factors are a mapped file
 
-	reloadMu sync.Mutex // serialises Reload's load→validate→swap
-	snapGen  uint64     // snapshot generation serving; guarded by reloadMu
+	reloadMu sync.Mutex      // serialises Reload's load→validate→swap→close
+	snapGen  uint64          // snapshot generation serving; guarded by reloadMu
+	file     *core.ShardFile // the serving generation's file, nil for a shard built in process; guarded by reloadMu
 }
+
+// closeFile releases a retired generation's file; a variable so a test can
+// count and order the closes.
+var closeFile = (*core.ShardFile).Close
 
 // NewWorker wraps an already-loaded shard. snapGen names the snapshot
 // generation it came from (0 when built in process).
@@ -55,46 +65,61 @@ func NewWorker(sh *core.IndexShard, snapGen uint64, cfg WorkerConfig) *Worker {
 }
 
 // BootWorker recovers the newest loadable snapshot from cfg.SnapshotDir
-// (core.RecoverShardSnapshot's fallback ladder), validates it, and
-// returns a serving worker.
+// (core.RecoverShardSnapshot's fallback ladder) — mapped where the
+// platform allows — validates it, and returns a worker serving it.
 func BootWorker(cfg WorkerConfig) (*Worker, error) {
-	sh, snap, recovered, err := core.RecoverShardSnapshot(cfg.SnapshotDir)
+	f, snap, recovered, err := core.RecoverShardSnapshot(cfg.SnapshotDir)
 	if err != nil {
 		return nil, fmt.Errorf("wire: booting shard %d from %s: %w", cfg.Shard, cfg.SnapshotDir, err)
 	}
-	if err := reload.ValidateShard(sh); err != nil {
+	if err := reload.ValidateShard(f.IndexShard); err != nil {
+		_ = f.Close()
 		return nil, fmt.Errorf("wire: booting shard %d: %w", cfg.Shard, err)
 	}
 	if recovered {
 		logf(cfg.Log, "shard %d: recovered to snapshot generation %d (CURRENT was not loadable)", cfg.Shard, snap.Gen)
 	}
-	return NewWorker(sh, snap.Gen, cfg), nil
+	w := NewWorker(f.IndexShard, snap.Gen, cfg)
+	w.file = f
+	w.mapped.Store(f.Mapped())
+	return w, nil
 }
 
 // Slot exposes the worker's slot for in-process embedding (tests, and a
 // future hybrid local+remote deployment).
 func (w *Worker) Slot() *shard.Local { return w.slot }
 
+// Mapped reports whether the serving generation's factors are a mapped
+// snapshot file rather than heap memory.
+func (w *Worker) Mapped() bool { return w.mapped.Load() }
+
 // Reload loads the newest snapshot from the worker's directory, validates
-// it against the serving slot's shape, and swaps it in. A reload that
-// fails at any stage leaves the old generation serving.
+// it against the serving slot's shape, and swaps it in; once the swap has
+// drained the old generation, its file is closed. A reload that fails at
+// any stage leaves the old generation serving.
 func (w *Worker) Reload() (ReloadResponse, error) {
 	w.reloadMu.Lock()
 	defer w.reloadMu.Unlock()
-	sh, snap, recovered, err := core.RecoverShardSnapshot(w.cfg.SnapshotDir)
+	f, snap, recovered, err := core.RecoverShardSnapshot(w.cfg.SnapshotDir)
 	if err != nil {
 		return ReloadResponse{}, fmt.Errorf("wire: reloading shard %d: %w", w.cfg.Shard, err)
 	}
-	cur, _ := w.slot.Current()
+	cur, sh := w.slot, f.IndexShard
 	if sh.N() != cur.N() || sh.Lo() != cur.Lo() || sh.Hi() != cur.Hi() || sh.Rank() != cur.Rank() || sh.Damping() != cur.Damping() {
+		_ = f.Close()
 		return ReloadResponse{}, fmt.Errorf("wire: shard %d snapshot covers [%d, %d) of n=%d r=%d, serving [%d, %d) of n=%d r=%d: %w",
 			w.cfg.Shard, sh.Lo(), sh.Hi(), sh.N(), sh.Rank(), cur.Lo(), cur.Hi(), cur.N(), cur.Rank(), shard.ErrShard)
 	}
 	if err := reload.ValidateShard(sh); err != nil {
+		_ = f.Close()
 		return ReloadResponse{}, fmt.Errorf("wire: reloading shard %d: %w", w.cfg.Shard, err)
 	}
-	gen := w.slot.Swap(sh)
-	w.snapGen = snap.Gen
+	gen := w.slot.Swap(sh) // returns once nothing can touch the old generation
+	w.mapped.Store(f.Mapped())
+	if w.file != nil {
+		_ = closeFile(w.file)
+	}
+	w.file, w.snapGen = f, snap.Gen
 	logf(w.cfg.Log, "shard %d: serving generation %d (snapshot %d%s)", w.cfg.Shard, gen, snap.Gen,
 		map[bool]string{true: ", recovered", false: ""}[recovered])
 	return ReloadResponse{Generation: gen, SnapshotGen: snap.Gen, Recovered: recovered}, nil
@@ -126,52 +151,62 @@ func (w *Worker) handleMeta(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	sh, gen := w.slot.Current()
+	sh, gen, release := w.slot.Pin()
 	zmax, umax := sh.ColMaxes()
 	zerr, uerr := sh.QuantErrs()
-	writeJSON(rw, http.StatusOK, MetaResponse{
+	meta := MetaResponse{
 		N: sh.N(), Lo: sh.Lo(), Hi: sh.Hi(), Rank: sh.Rank(), Damping: sh.Damping(),
-		Generation: gen, Bytes: sh.Bytes(), Stored: sh.Stored(), Tier: sh.Tier().String(),
-		ZMax: zmax, UMax: umax, ZErr: zerr, UErr: uerr,
-	})
+		Generation: gen, Bytes: sh.Bytes(), Stored: sh.Stored(), Tier: sh.Tier().String(), Mapped: w.mapped.Load(),
+		ZMax: zmax, UMax: umax, ZErr: slices.Clone(zerr), UErr: slices.Clone(uerr),
+	}
+	release()
+	writeJSON(rw, http.StatusOK, meta)
 }
+
+// Every handler below validates its request against the slot's shape,
+// which no swap changes, then pins the serving generation for the compute
+// alone: the pin is dropped before the response is written, so a slow
+// reader never holds up a reload's drain.
 
 func (w *Worker) handleURows(rw http.ResponseWriter, r *http.Request) {
 	var req URowsRequest
 	if !readJSON(rw, r, &req) {
 		return
 	}
-	sh, gen := w.slot.Current()
 	if len(req.Nodes) == 0 {
 		writeError(rw, http.StatusBadRequest, errors.New("empty node set"))
 		return
 	}
-	rows := make([]float64, 0, len(req.Nodes)*sh.Rank())
 	for _, q := range req.Nodes {
-		if !sh.Owns(q) {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("node %d outside shard [%d, %d)", q, sh.Lo(), sh.Hi()))
+		if q < w.slot.Lo() || q >= w.slot.Hi() {
+			writeError(rw, http.StatusBadRequest, fmt.Errorf("node %d outside shard [%d, %d)", q, w.slot.Lo(), w.slot.Hi()))
 			return
 		}
+	}
+	sh, gen, release := w.slot.Pin()
+	rows := make([]float64, 0, len(req.Nodes)*sh.Rank())
+	for _, q := range req.Nodes {
 		rows = append(rows, sh.URow(q)...)
 	}
+	release()
 	writeJSON(rw, http.StatusOK, URowsResponse{Generation: gen, Rows: rows})
 }
 
 // decodeUQ validates and shapes the query broadcast common to /shard/query
 // and /shard/scores.
-func decodeUQ(sh *core.IndexShard, queries []int, uq F64s) (*dense.Mat, error) {
+func decodeUQ(sl *shard.Local, queries []int, uq F64s) (*dense.Mat, error) {
 	if len(queries) == 0 {
 		return nil, errors.New("empty query set")
 	}
 	for _, q := range queries {
-		if q < 0 || q >= sh.N() {
-			return nil, fmt.Errorf("query node %d not in [0, %d)", q, sh.N())
+		if q < 0 || q >= sl.N() {
+			return nil, fmt.Errorf("query node %d not in [0, %d)", q, sl.N())
 		}
 	}
-	if len(uq) != len(queries)*sh.Rank() {
-		return nil, fmt.Errorf("uq has %d floats, want %d (|Q|=%d x r=%d)", len(uq), len(queries)*sh.Rank(), len(queries), sh.Rank())
+	if len(uq) != len(queries)*sl.Rank() {
+		return nil, fmt.Errorf("uq has %d floats, want %d (|Q|=%d x r=%d)", len(uq), len(queries)*sl.Rank(), len(queries), sl.Rank())
 	}
-	return dense.NewMatFrom(len(queries), sh.Rank(), uq), nil
+	return dense.NewMatFrom(len(queries), sl.Rank(), uq), nil
 }
 
 func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
@@ -179,17 +214,18 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	if !readJSON(rw, r, &req) {
 		return
 	}
-	sh, gen := w.slot.Current()
-	uq, err := decodeUQ(sh, req.Queries, req.UQ)
+	uq, err := decodeUQ(w.slot, req.Queries, req.UQ)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	if req.K < 1 || req.K > sh.N() {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("k must be in [1, %d], got %d", sh.N(), req.K))
+	if n := w.slot.N(); req.K < 1 || req.K > n {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("k must be in [1, %d], got %d", n, req.K))
 		return
 	}
+	sh, gen, release := w.slot.Pin()
 	items, err := sh.PartialTopK(r.Context(), req.Queries, uq, req.K, req.Rank)
+	release()
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, err)
 		return
@@ -207,13 +243,14 @@ func (w *Worker) handleScores(rw http.ResponseWriter, r *http.Request) {
 	if !readJSON(rw, r, &req) {
 		return
 	}
-	sh, gen := w.slot.Current()
-	uq, err := decodeUQ(sh, req.Queries, req.UQ)
+	uq, err := decodeUQ(w.slot, req.Queries, req.UQ)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	sh, gen, release := w.slot.Pin()
 	scores, err := sh.ScoreRows(r.Context(), req.Queries, uq, req.Rows, req.Rank)
+	release()
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, core.ErrParams) || errors.Is(err, core.ErrQuery) {
