@@ -46,7 +46,7 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	modes := []mode{
 		{"v2 file", bootFlags(t, append(base, "-index", v2)...)},
 		{"v3 file", bootFlags(t, append(base, "-index", v3)...)},
-		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil), "-wirehedge", "-1")},
+		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil))},
 	}
 
 	var paths []string

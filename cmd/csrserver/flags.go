@@ -35,7 +35,7 @@ const (
 var modes = [...]struct{ when, flags string }{
 	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "quantize"},
 	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
-	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs wirehedge"},
+	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
 }
 
@@ -88,7 +88,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shardworker); boot from it when populated; every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
-	fs.Float64Var(&c.wire.HedgeQuantile, "wirehedge", 0.9, "observed-latency quantile past which a shard request is hedged (negative disables)")
 	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")

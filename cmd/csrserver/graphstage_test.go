@@ -86,7 +86,7 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-wirehedge", "-1"))
+		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil)))
 	})
 
 	t.Run("shards=1", func(t *testing.T) {

@@ -323,7 +323,7 @@ func TestOverloadReturns429(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		})
-		cfg, err := parse("-shardaddrs", addrs, "-workers", "1", "-pending", "1", "-wirehedge", "-1")
+		cfg, err := parse("-shardaddrs", addrs, "-workers", "1", "-pending", "1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -880,7 +880,7 @@ func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 // workers answers bitwise-identically to the plain server.
 func TestShardedMuxEndpoints(t *testing.T) {
 	addrs := wireWorkers(t, publishShards(t, coreIndex(testEngine(t)), 3), 3, nil)
-	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs, "-wirehedge", "-1"))
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs))
 	mono := testServer(t, serve.Config{})
 
 	for _, path := range []string{"/topk?node=1&k=5", "/topk?nodes=1,3&k=4"} {
@@ -1205,7 +1205,7 @@ func TestModeTable(t *testing.T) {
 	// Remote slots: the workers boot the way -shardworker does, from
 	// published per-shard snapshots, behind httptest listeners.
 	t.Run("-shardaddrs", func(t *testing.T) {
-		cfg, err := parse("-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-admintoken", "sesame", "-wirehedge", "-1")
+		cfg, err := parse("-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil), "-admintoken", "sesame")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1241,7 +1241,6 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
 		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
-		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "-wirehedge"},
 		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
 		// No mode coalesces, and sharding is a cluster (-shardaddrs): these
 		// are not flags any more.
@@ -1250,6 +1249,8 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-shards", "2"}, "flag provided but not defined: -shards"},
 		// Nothing is memoised: there is no result cache to size.
 		{[]string{"-dataset", "FB", "-cache", "0"}, "flag provided but not defined: -cache"},
+		// A shard call is one request: there is no hedge quantile to set.
+		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "flag provided but not defined: -wirehedge"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1269,8 +1270,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 27 {
-		t.Errorf("csrserver has %d flags, want 27", count)
+	if count != 26 {
+		t.Errorf("csrserver has %d flags, want 26", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

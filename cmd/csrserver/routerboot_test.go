@@ -128,7 +128,7 @@ func (c *metaCounter) counts() string {
 func TestRouterBootRoundTrips(t *testing.T) {
 	var c metaCounter
 	addrs := wireWorkers(t, publishShards(t, coreIndex(testEngine(t)), 2), 2, c.wrap)
-	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs, "-wirehedge", "-1"))
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs))
 	if got := c.counts(); got != "[1 1]" {
 		t.Fatalf("router boot made %s /shard/meta calls per worker, want [1 1]", got)
 	}

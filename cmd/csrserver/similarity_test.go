@@ -94,7 +94,7 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 				s    *server
 			}{
 				{"K=1", bootFlags(t, append(graphArgs, depth.args...)...)},
-				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs, "-wirehedge", "-1"}, depth.args...)...)},
+				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs}, depth.args...)...)},
 			}
 			for _, req := range requests {
 				var body []byte
@@ -217,7 +217,7 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 	// second row of worker 1's shard file.
 	t.Run("shards=3", func(t *testing.T) {
 		snaps := publishShards(t, coreIndex(testEngine(t)), 3)
-		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame", "-reloadretries", "1", "-wirehedge", "-1")
+		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame", "-reloadretries", "1")
 		path, _, err := core.CurrentSnapshot(core.ShardDir(snaps, 1))
 		if err != nil {
 			t.Fatal(err)

@@ -83,8 +83,9 @@ func openSource(ctx context.Context, cfg *config) (*source, error) {
 // openRemote dials every worker and assembles the router over the remote
 // slots, which serves every generation: a reload rolls the workers one at a
 // time through their own /admin/reload. A roll that failed part-way leaves
-// a mixed-generation router that still answers every query exactly: every
-// answer is computed from the slots as they stand. The boot makes one
+// a mixed-generation router that keeps answering, but from factors of two
+// index builds, exact for neither and not tagged as such (wire's package
+// comment); rolling again until every worker swaps fixes it. The boot makes one
 // concurrent round trip per worker: the dials run at once, and priming the
 // bound cache reuses the terms they fetched.
 func openRemote(ctx context.Context, cfg *config) (*source, error) {

@@ -198,7 +198,7 @@ func TestRunIndexSplit(t *testing.T) {
 		}
 		srv := httptest.NewServer(w.Handler())
 		defer srv.Close()
-		e, err := wire.Dial(context.Background(), srv.URL, wire.Options{Shard: s, HedgeQuantile: -1})
+		e, err := wire.Dial(context.Background(), srv.URL, wire.Options{Shard: s})
 		if err != nil {
 			t.Fatal(err)
 		}

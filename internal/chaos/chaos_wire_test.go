@@ -117,10 +117,7 @@ func TestChaosWireAnswersExactOrTaggedOrTyped(t *testing.T) {
 				MaxAttempts: 2,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  4 * time.Millisecond,
-				// Hedging under injected dial faults just doubles the
-				// fault dice per call; keep the taxonomy the variable.
-				HedgeQuantile: -1,
-				Seed:          seed,
+				Seed:        seed,
 			})
 			fault.Enable(seed)
 			defer fault.Disable()
@@ -226,7 +223,6 @@ func TestChaosWireWorkerCrashMidRoll(t *testing.T) {
 		// turn that into a 5s real-time cooldown stall. Breakers have
 		// their own test — this one is about the roll.
 		BreakerThreshold: -1,
-		HedgeQuantile:    -1,
 		AdminToken:       "sesame",
 		Seed:             1,
 	}

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time so tests can drive backoff sleeps, hedge timers
-// and breaker cooldowns deterministically.
+// Clock abstracts time so tests can drive backoff sleeps and breaker
+// cooldowns deterministically.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time

@@ -379,8 +379,8 @@ type TopKResult struct {
 }
 
 // TopKTagged is TopKRank with graceful shard-failure degradation: a slot
-// whose partial list cannot be fetched (after the wire client's retries
-// and hedging) is skipped, the merge runs over the shards that answered,
+// whose partial list cannot be fetched (after the wire client's retries)
+// is skipped, the merge runs over the shards that answered,
 // and the result is tagged with how many shards are missing plus a bound
 // on the aggregate score any omitted candidate could have carried — the
 // provenance the serving layer folds into its degraded/error_bound

@@ -27,9 +27,11 @@ import (
 // remote process cannot pin a generation across calls), so a query whose
 // U-gather and partial legs straddle a rolling swap may combine rows
 // from adjacent generations of one shard. Every generation is cut from a
-// validated index, so the answer is exact for a graph state between the
-// two — the guarantee a mixed-generation cluster gives at the whole-router
-// level (wire.RollWorkers).
+// validated index, but when two generations come from different index
+// builds such an answer mixes their factors and is exact for neither —
+// as is every answer of a mixed-generation cluster (wire.RollWorkers).
+// Nothing tags it: a generation number counts swaps, it does not name
+// the build.
 type Slot interface {
 	// N, Lo, Hi, Rank and Damping mirror core.IndexShard: the global
 	// node count, the owned range [Lo, Hi), and the factor shape. They

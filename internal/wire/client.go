@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,9 +22,9 @@ import (
 	"csrplus/internal/topk"
 )
 
-// Clock abstracts time for the client's hedging, backoff and breaker
-// machinery so tests can drive them deterministically. The real clock is
-// the default.
+// Clock abstracts time for the client's backoff, breaker and latency
+// clocks so tests can drive them deterministically. The real clock is the
+// default.
 type Clock = retry.Clock
 
 // Options tunes one RemoteEngine. The zero value selects the documented
@@ -44,14 +43,6 @@ type Options struct {
 	// Default 25ms. MaxBackoff caps the nominal delay; default 1s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeQuantile is the observed-latency quantile after which a
-	// second identical request is launched (first response wins, the
-	// loser is cancelled). Default 0.9; negative disables hedging.
-	// Hedging only arms once hedgeMinSamples latencies are observed.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge delay so a microsecond-fast worker
-	// does not get every request doubled. Default 1ms.
-	HedgeMinDelay time.Duration
 	// BreakerThreshold consecutive failed logical calls open the
 	// circuit breaker; 0 means the default 5; negative disables.
 	// BreakerCooldown is how long an open breaker fails fast before
@@ -81,12 +72,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = time.Second
 	}
-	if o.HedgeQuantile == 0 {
-		o.HedgeQuantile = 0.9
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
 	}
@@ -105,62 +90,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// hedgeMinSamples is how many latency observations must exist before the
-// hedge quantile means anything.
-const hedgeMinSamples = 16
-
-// latRingSize is the latency ring's window: recent enough to track a
-// worker's current behaviour, wide enough that one outlier cannot own
-// the quantile.
-const latRingSize = 64
-
-type latRing struct {
-	mu  sync.Mutex
-	buf [latRingSize]time.Duration
-	n   int
-}
-
-func (r *latRing) observe(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.n%latRingSize] = d
-	r.n++
-	r.mu.Unlock()
-}
-
-func (r *latRing) quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < hedgeMinSamples {
-		return 0, false
-	}
-	m := r.n
-	if m > latRingSize {
-		m = latRingSize
-	}
-	cp := make([]time.Duration, m)
-	copy(cp, r.buf[:m])
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(q * float64(m-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= m {
-		idx = m - 1
-	}
-	return cp[idx], true
-}
-
 // SlotStats is one remote slot's health and traffic counters, merged
 // into the router process's /metrics registry.
 type SlotStats struct {
-	Shard               int                     `json:"shard"`
-	Addr                string                  `json:"addr"`
-	Generation          uint64                  `json:"generation"`
-	Requests            int64                   `json:"requests"`
-	Errors              int64                   `json:"errors"`
-	Retries             int64                   `json:"retries"`
+	Shard      int    `json:"shard"`
+	Addr       string `json:"addr"`
+	Generation uint64 `json:"generation"`
+	Requests   int64  `json:"requests"`
+	Errors     int64  `json:"errors"`
+	Retries    int64  `json:"retries"`
+	// Deprecated: Hedges is always 0; the client no longer hedges, and
+	// every attempt of a call is one HTTP request. It stays for readers
+	// of the "hedges" key.
 	Hedges              int64                   `json:"hedges"`
-	HedgeWins           int64                   `json:"hedge_wins"`
 	BreakerOpen         bool                    `json:"breaker_open"`
 	ConsecutiveFailures int                     `json:"consecutive_failures"`
 	Latency             serve.HistogramSnapshot `json:"latency_seconds"`
@@ -193,13 +135,10 @@ type RemoteEngine struct {
 
 	breaker retry.Breaker
 
-	requests  atomic.Int64
-	errCount  atomic.Int64
-	retries   atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-	lat       *serve.Histogram
-	ring      latRing
+	requests atomic.Int64
+	errCount atomic.Int64
+	retries  atomic.Int64
+	lat      *serve.Histogram
 }
 
 // Dial connects to a shard worker, resolves its shape metadata (with the
@@ -273,8 +212,6 @@ func (e *RemoteEngine) Stats() SlotStats {
 		Requests:            e.requests.Load(),
 		Errors:              e.errCount.Load(),
 		Retries:             e.retries.Load(),
-		Hedges:              e.hedges.Load(),
-		HedgeWins:           e.hedgeWins.Load(),
 		BreakerOpen:         !retryAt.IsZero(),
 		ConsecutiveFailures: fails,
 		Latency:             e.lat.Snapshot(),
@@ -377,10 +314,12 @@ func (e *RemoteEngine) observeGen(gen uint64) {
 	}
 }
 
-// call runs one logical RPC: breaker gate, then up to MaxAttempts hedged
-// attempts with jittered backoff between them. Transport-class failures
-// (connect errors, timeouts, 5xx, torn responses) are wrapped in
-// shard.ErrSlotDown so the router can degrade around this shard; caller
+// call runs one logical RPC: breaker gate, then up to MaxAttempts
+// attempts — one HTTP request each, the next only after the last failed —
+// with jittered backoff between them, so one response reaches the caller
+// per logical call and a shard's partials are never merged twice.
+// Transport-class failures (connect errors, timeouts, 5xx, torn
+// responses) are wrapped in shard.ErrSlotDown so the router can degrade around this shard; caller
 // errors (4xx) surface as-is and are not retried. Context cancellation
 // is never counted against the breaker — a caller giving up is not
 // evidence the worker is down.
@@ -406,7 +345,7 @@ func (e *RemoteEngine) call(ctx context.Context, method, path string, req, resp 
 				break
 			}
 		}
-		data, err := e.hedged(ctx, method, path, body)
+		data, err := e.post(ctx, method, path, body)
 		if err == nil {
 			if resp != nil {
 				if derr := json.Unmarshal(data, resp); derr != nil {
@@ -433,64 +372,6 @@ func (e *RemoteEngine) call(ctx context.Context, method, path string, req, resp 
 		return fmt.Errorf("wire: %s %s failed after %d attempts: %v: %w", e.addr, path, e.opt.MaxAttempts, lastErr, shard.ErrSlotDown)
 	}
 	return fmt.Errorf("wire: %s %s: %w", e.addr, path, lastErr)
-}
-
-// hedged runs one attempt, launching a second identical request if the
-// first is still outstanding past the observed latency quantile. The
-// first response wins: the shared context is cancelled on return, and
-// the loser's body is never decoded — which is the structural reason a
-// hedged request can never double-count a shard's partials in the merge
-// (exactly one response object reaches the router per logical call).
-func (e *RemoteEngine) hedged(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		data  []byte
-		err   error
-		hedge bool
-	}
-	ch := make(chan result, 2)
-	launch := func(isHedge bool) {
-		go func() {
-			data, err := e.post(hctx, method, path, body)
-			ch <- result{data, err, isHedge}
-		}()
-	}
-	launch(false)
-	outstanding := 1
-	var hedgeTimer <-chan time.Time
-	if d, ok := e.hedgeDelay(); ok {
-		hedgeTimer = e.clock.After(d)
-	}
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				if r.hedge {
-					e.hedgeWins.Add(1)
-				}
-				return r.data, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				// Both legs (or the only leg) failed; the outer retry
-				// loop owns what happens next. No hedge is launched
-				// after a failure — that is a retry's job, with backoff.
-				return nil, firstErr
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			e.hedges.Add(1)
-			launch(true)
-			outstanding++
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 func (e *RemoteEngine) post(ctx context.Context, method, path string, body []byte) ([]byte, error) {
@@ -529,9 +410,7 @@ func (e *RemoteEngine) post(ctx context.Context, method, path string, body []byt
 	if err != nil {
 		return nil, err
 	}
-	elapsed := e.clock.Now().Sub(start)
-	e.ring.observe(elapsed)
-	e.lat.Observe(elapsed.Seconds())
+	e.lat.Observe(e.clock.Now().Sub(start).Seconds())
 	if resp.StatusCode != http.StatusOK {
 		msg := strings.TrimSpace(string(data))
 		var er ErrorResponse
@@ -541,20 +420,6 @@ func (e *RemoteEngine) post(ctx context.Context, method, path string, body []byt
 		return nil, &httpError{code: resp.StatusCode, msg: msg}
 	}
 	return data, nil
-}
-
-func (e *RemoteEngine) hedgeDelay() (time.Duration, bool) {
-	if e.opt.HedgeQuantile < 0 {
-		return 0, false
-	}
-	d, ok := e.ring.quantile(e.opt.HedgeQuantile)
-	if !ok {
-		return 0, false
-	}
-	if d < e.opt.HedgeMinDelay {
-		d = e.opt.HedgeMinDelay
-	}
-	return d, true
 }
 
 // backoff draws the jittered delay before retry attempt (1-based) from

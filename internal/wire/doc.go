@@ -31,21 +31,26 @@
 // # Failure model
 //
 // The client wraps each logical call in bounded retries with jittered
-// exponential backoff, hedges a second attempt after the observed
-// latency quantile (first response wins; the loser's context is
-// cancelled and its response is never decoded, so a hedged request can
-// never double-count a shard's partials in the merge), and trips a
-// per-shard circuit breaker after consecutive failures so a dead worker
-// costs a fast local error instead of a timeout per query. All of these
-// surface as shard.ErrSlotDown to the router, which skips the shard and
-// tags the response degraded with an inflated error_bound
-// (shard.Router.TopKTagged); queries whose own query nodes live on the
-// dead shard still fail, because every other shard's partial needs their
-// U rows.
+// exponential backoff — every attempt is exactly one HTTP request, so one
+// response per logical call reaches the merge and a shard's partials are
+// never counted twice — and trips a per-shard circuit breaker after
+// consecutive failures so a dead worker costs a fast local error instead
+// of a timeout per query. All of these surface as shard.ErrSlotDown to the
+// router, which skips the shard and tags the response degraded with an
+// inflated error_bound (shard.Router.TopKTagged); queries whose own query
+// nodes live on the dead shard still fail, because every other shard's
+// partial needs their U rows.
 //
 // A rolling reload (RollWorkers) walks the workers one at a time,
 // triggering each worker's own load→validate→swap (a worker that fails
 // validation keeps serving its old generation), and aborts on the first
-// failure leaving a mixed-generation cluster that still answers exactly per
-// shard.
+// failure. The mixed cluster it leaves keeps serving, but not exactly: a
+// query's U rows come from their owner's factors and each partial from its
+// own shard's, so when workers hold shards of different index builds an
+// answer mixes them, matches neither build, and is still tagged exact
+// (missing 0, bound 0). The router cannot see it: a slot's generation is
+// the worker's process-local swap count, not the build its factors came
+// from. A restarted worker counts from 1 again while the client keeps the
+// highest generation it has seen, so its bound terms are not re-fetched
+// either. Answers are exact again once every worker serves one build.
 package wire

@@ -10,9 +10,10 @@ import (
 // strictly one worker at a time in slot order, and aborts on the first
 // failure. At every instant at most one worker is mid-swap, and a failed
 // worker keeps serving its old generation — so the cluster is always
-// fully serving, at worst with mixed generations, which the router's
-// merge answers exactly per shard (each leg is internally consistent; see
-// the package comment).
+// fully serving, at worst with mixed generations. A mixed cluster's
+// answers combine factors of two index builds and are exact for neither,
+// though they are tagged exact (see the package comment); only a roll
+// that reaches every worker restores exact answers.
 //
 // Returns how many workers swapped. On error, workers [0, swapped) serve
 // the new generation and the rest the old one; re-running after fixing

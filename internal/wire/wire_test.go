@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,13 +74,12 @@ func startWorkers(t testing.TB, ix *core.Index, k int) ([]*httptest.Server, []*c
 }
 
 // testOptions returns client options tuned for tests: deterministic
-// jitter, no hedging (tests that want it opt back in), no breaker.
+// jitter, one attempt per call.
 func testOptions() wire.Options {
 	return wire.Options{
-		Timeout:       30 * time.Second,
-		MaxAttempts:   1,
-		HedgeQuantile: -1,
-		Seed:          1,
+		Timeout:     30 * time.Second,
+		MaxAttempts: 1,
+		Seed:        1,
 	}
 }
 
@@ -450,150 +447,83 @@ func TestRollWorkersSnapshotLifecycle(t *testing.T) {
 	}
 }
 
-// fakeClock drives the client's hedge timers and breaker deterministically.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []fakeTimer
-}
+// frozenClock is a clock whose time never moves: an open breaker stays
+// open, and nothing the client waits on fires.
+type frozenClock struct{ now time.Time }
 
-type fakeTimer struct {
-	at time.Time
-	ch chan time.Time
-}
+func (c frozenClock) Now() time.Time                       { return c.now }
+func (c frozenClock) After(time.Duration) <-chan time.Time { return nil }
 
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	at := c.now.Add(d)
-	if !at.After(c.now) {
-		ch <- c.now
-		return ch
-	}
-	c.timers = append(c.timers, fakeTimer{at, ch})
-	return ch
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	kept := c.timers[:0]
-	for _, tm := range c.timers {
-		if !tm.at.After(c.now) {
-			tm.ch <- c.now
-		} else {
-			kept = append(kept, tm)
-		}
-	}
-	c.timers = kept
-}
-
-// TestHedgedRequestNeverDoubleCounts pins the hedging invariant with a
-// deterministic clock: the primary request to one shard is held hostage,
-// the fake clock fires the hedge, the hedge's response answers — and the
-// merged top-k is still bitwise-exact, because exactly one response per
-// logical call ever reaches the merge.
-func TestHedgedRequestNeverDoubleCounts(t *testing.T) {
-	eng, ix := testEngineIndex(t, 1)
+// TestSlowWorkerIsAskedOnce is the structural form of "a shard's partials
+// are never counted twice": a worker that has answered 16 fast queries
+// and then takes 20 ms over the next is asked that query exactly once —
+// no second request races the first — and the merge is bitwise the
+// in-process router's.
+func TestSlowWorkerIsAskedOnce(t *testing.T) {
+	_, ix := testEngineIndex(t, 1)
 	shards, err := shard.Split(ix, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local, err := shard.NewRouter(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var queryCalls atomic.Int64
-	primaryArrived := make(chan struct{})
-	w0 := wire.NewWorker(shards[0], 0, wire.WorkerConfig{Shard: 0})
-	inner := w0.Handler()
+	var slowNext atomic.Bool
+	inner := wire.NewWorker(shards[0], 0, wire.WorkerConfig{Shard: 0}).Handler()
 	srv0 := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shard/query" {
-			if queryCalls.Add(1) == 1 {
-				// Drain the body so net/http starts its background
-				// connection reader — without that the server never
-				// notices the client cancelling, and r.Context() would
-				// never fire.
-				io.Copy(io.Discard, r.Body)
-				close(primaryArrived)
-				<-r.Context().Done() // hold the primary hostage until it is cancelled
-				return
+			queryCalls.Add(1)
+			if slowNext.CompareAndSwap(true, false) {
+				time.Sleep(20 * time.Millisecond)
 			}
 		}
 		inner.ServeHTTP(rw, r)
 	}))
 	defer srv0.Close()
-	w1 := wire.NewWorker(shards[1], 0, wire.WorkerConfig{Shard: 1})
-	srv1 := httptest.NewServer(w1.Handler())
+	srv1 := httptest.NewServer(wire.NewWorker(shards[1], 0, wire.WorkerConfig{Shard: 1}).Handler())
 	defer srv1.Close()
+	rt, engines := wireRouter(t, []*httptest.Server{srv0, srv1}, testOptions())
 
-	clk := newFakeClock()
-	opt := testOptions()
-	opt.Clock = clk
-	opt.HedgeQuantile = 0.5
-	opt.HedgeMinDelay = time.Millisecond
-	rt, engines := wireRouter(t, []*httptest.Server{srv0, srv1}, opt)
-	// Warm the latency ring past the hedge-arming sample floor.
-	for i := 0; i < 20; i++ {
-		if _, err := engines[0].BoundTerms(context.Background()); err != nil {
+	ctx := context.Background()
+	queries := []int{3, 77}
+	for i := 0; i < 16; i++ {
+		if _, err := rt.TopKTagged(ctx, queries, 10, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	queries := []int{3, 77}
-	want, err := eng.TopKMulti(queries, 10)
+	want, err := local.TopKRank(ctx, queries, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	var res shard.TopKResult
-	var qerr error
-	go func() {
-		defer close(done)
-		res, qerr = rt.TopKTagged(context.Background(), queries, 10, 0)
-	}()
-	<-primaryArrived
-	deadline := time.After(20 * time.Second)
-wait:
-	for {
-		select {
-		case <-done:
-			break wait
-		case <-deadline:
-			t.Fatal("hedge never fired")
-		default:
-			clk.Advance(2 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
+	before := queryCalls.Load()
+	slowNext.Store(true)
+	res, err := rt.TopKTagged(ctx, queries, 10, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qerr != nil {
-		t.Fatal(qerr)
+	if calls := queryCalls.Load() - before; calls != 1 {
+		t.Fatalf("worker 0 saw %d /shard/query requests for one logical call, want 1", calls)
 	}
-	if res.Missing != 0 {
-		t.Fatalf("hedged query tagged %d missing shards", res.Missing)
+	if slowNext.Load() {
+		t.Fatal("the slow request never reached worker 0")
+	}
+	if res.Missing != 0 || res.ErrorBound != 0 {
+		t.Fatalf("slow-worker query tagged missing=%d bound=%v", res.Missing, res.ErrorBound)
 	}
 	if len(res.Items) != len(want) {
 		t.Fatalf("%d items, want %d", len(res.Items), len(want))
 	}
 	for i := range want {
-		if res.Items[i].Node != want[i].Node || res.Items[i].Score != want[i].Score {
-			t.Fatalf("hedged merge item %d: got (%d, %x), want (%d, %x) — a double-counted partial would land here",
-				i, res.Items[i].Node, math.Float64bits(res.Items[i].Score),
+		if res.Items[i] != want[i] {
+			t.Fatalf("item %d: got (%d, %x), want (%d, %x)", i,
+				res.Items[i].Node, math.Float64bits(res.Items[i].Score),
 				want[i].Node, math.Float64bits(want[i].Score))
 		}
 	}
-	st := engines[0].Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
-	}
-	if calls := queryCalls.Load(); calls != 2 {
-		t.Fatalf("worker saw %d query calls, want 2 (primary + hedge)", calls)
+	if st := engines[0].Stats(); st.Hedges != 0 || st.Retries != 0 {
+		t.Fatalf("worker 0 stats %+v, want no hedges and no retries", st)
 	}
 }
 
@@ -604,9 +534,8 @@ wait:
 func TestBreakerOpensAndFailsFast(t *testing.T) {
 	_, ix := testEngineIndex(t, 1)
 	servers, _ := startWorkers(t, ix, 2)
-	clk := newFakeClock()
 	opt := testOptions()
-	opt.Clock = clk
+	opt.Clock = frozenClock{time.Unix(1, 0)}
 	opt.Timeout = 2 * time.Second
 	opt.BreakerThreshold = 1
 	opt.BreakerCooldown = time.Hour
