@@ -66,9 +66,10 @@ func (a *NI) Precompute(g *graph.Graph) error {
 		return fmt.Errorf("baseline: NI: truncated SVD: %w", err)
 	}
 	// Same operator convention as core: the method works on M = Qᵀ, so
-	// with Q ≈ UΣVᵀ the roles swap — um = V, vm = U.
-	um, vm := fac.V, fac.U
-	track.Alloc("precompute/USV", fac.Bytes())
+	// with Q ≈ UΣVᵀ the roles swap — um = V, vm = U. The factors come on
+	// Q's support; the tensors are indexed by node, so they go to n rows.
+	um, vm := allRows(fac.V, fac.ColSupport, a.n), allRows(fac.U, fac.RowSupport, a.n)
+	track.Alloc("precompute/USV", um.Bytes()+vm.Bytes()+int64(len(fac.S))*8)
 
 	// The deliberate inefficiency: materialise both tensor products.
 	a.uu = dense.Kron(um, um)
@@ -107,6 +108,19 @@ func (a *NI) Precompute(g *graph.Graph) error {
 	a.lam = lam
 	track.Alloc("precompute/Lambda", lam.Bytes())
 	return nil
+}
+
+// allRows returns m's rows at the rows ids name of an n-row matrix that is
+// zero everywhere else; nil ids means m already has every row.
+func allRows(m *dense.Mat, ids []int32, n int) *dense.Mat {
+	if ids == nil {
+		return m
+	}
+	out := dense.NewMat(n, m.Cols)
+	for i, id := range ids {
+		copy(out.Row(int(id)), m.Row(i))
+	}
+	return out
 }
 
 // Query implements Runner: Eq. (6a), reading the materialised tensors.

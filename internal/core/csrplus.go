@@ -145,11 +145,12 @@ func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
 
 // Stages splits PrecomputeTime by the layer of phase I that spent it:
 // the truncated SVD's three (sparse passes, orthonormalisation, the small
-// projected problem), then the subspace solve and the Z build, then what
-// surrounds them: the SVD's sketch draw and its scatter of the factors back
-// to Q's rows, and in Rest the transition matrix and the support scan — so
-// the eight sum to PrecomputeTime. All zero for an index that was loaded,
-// not built.
+// projected problem), then the subspace solve — with the gather of the rows
+// both factors hold — and the Z build, then what surrounds them: the SVD's
+// sketch draw, and in Rest the transition matrix and the support scan — so
+// the seven durations sum to PrecomputeTime. OrthoPasses counts the
+// CholeskyQR passes beside them. All zero for an index that was loaded, not
+// built.
 type Stages struct {
 	svd.Stages
 	Subspace time.Duration // lines 3–5: P = c H P Hᵀ + I_r
@@ -159,8 +160,8 @@ type Stages struct {
 // String renders the split for log lines.
 func (s Stages) String() string {
 	ms := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
-	return fmt.Sprintf("sparse=%v ortho=%v eig=%v solve=%v z=%v draw=%v scatter=%v rest=%v",
-		ms(s.Sparse), ms(s.Ortho), ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Draw), ms(s.Scatter), ms(s.Rest))
+	return fmt.Sprintf("sparse=%v ortho=%v ortho_passes=%d eig=%v solve=%v z=%v draw=%v rest=%v",
+		ms(s.Sparse), ms(s.Ortho), s.OrthoPasses, ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Draw), ms(s.Rest))
 }
 
 // Stages returns where PrecomputeTime went.
@@ -215,6 +216,10 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	// prints the factors of Qᵀ under the name Q = UΣVᵀ). Decomposing
 	// Q ≈ U Σ Vᵀ therefore gives M = Qᵀ ≈ V Σ Uᵀ: the roles of U and V
 	// swap. First-order sanity check: S ≈ I + cQᵀQ = I + cVΣ²Vᵀ.
+	//
+	// The factors come on Q's support: U (= fac.V) has a row for each node
+	// with an in-link, ids fac.ColSupport, and V (= fac.U) one for each node
+	// with an out-link, ids fac.RowSupport; every other row is +0.
 	fac, err := svd.Truncated(q, r, opts.SVD)
 	if err != nil {
 		return nil, fmt.Errorf("core: precompute: truncated SVD: %w", err)
@@ -224,18 +229,26 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Free("precompute/Q", q.Bytes()) // Q not needed past the SVD
 
 	// Lines 3–5: subspace solve (variant-selectable for the ablation).
+	// H₀ = VᵀUΣ sums over nodes, and a node outside either support is +0
+	// in one factor and adds nothing, so the solvers see the rows both hold.
 	stages := Stages{Stages: fac.Stages}
 	stages.Rest += transition
 	lap := time.Now()
+	uh, vh := um, vm
+	if fac.ColSupport != nil || fac.RowSupport != nil {
+		iu, iv := commonRows(fac.ColSupport, fac.RowSupport, n)
+		uh = dense.TypedFromMat(um).GatherRows(iu).Mat()
+		vh = dense.TypedFromMat(vm).GatherRows(iv).Mat()
+	}
 	var p *dense.Mat
 	var iters int
 	switch opts.Solver {
 	case SolverSquaring:
-		p, iters, err = SolveSubspace(um, fac.S, vm, c, opts.Eps)
+		p, iters, err = SolveSubspace(uh, fac.S, vh, c, opts.Eps)
 	case SolverPlain:
-		p, iters, err = SolveSubspacePlain(um, fac.S, vm, c, opts.Eps)
+		p, iters, err = SolveSubspacePlain(uh, fac.S, vh, c, opts.Eps)
 	case SolverExplicitLambda:
-		p, err = SolveSubspaceLambda(um, fac.S, vm, c)
+		p, err = SolveSubspaceLambda(uh, fac.S, vh, c)
 	default:
 		err = fmt.Errorf("core: unknown solver %d: %w", int(opts.Solver), ErrParams)
 	}
@@ -245,14 +258,11 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Alloc("precompute/P", p.Bytes())
 	stages.Subspace = time.Since(lap)
 
-	// Line 6: Z = U (Σ P Σ), over the rows of U that can be non-zero: the
-	// SVD's column support, when that is not every node. Each row of Z is a
-	// function of its row of U alone, so the rows kept are the rows the full
-	// product would hold, bit for bit, and the rest would be +0.
+	// Line 6: Z = U (Σ P Σ), over the rows U has: the SVD's column support.
+	// Each row of Z is a function of its row of U alone, so these are the
+	// rows the full product would hold, bit for bit, and the rest would be
+	// +0.
 	lap = time.Now()
-	if fac.ColSupport != nil {
-		um = dense.TypedFromMat(um).GatherRows(fac.ColSupport).Mat()
-	}
 	z := BuildZ(um, fac.S, p)
 	stages.BuildZ = time.Since(lap)
 	track.Alloc("precompute/Z", z.Bytes())
@@ -266,6 +276,38 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		stages:     stages,
 		qrows:      fac.SupportRows,
 	}, nil
+}
+
+// commonRows merges two ascending id lists over [0, n) — nil meaning every
+// id — and returns, for each id both hold, its position in a and in b.
+func commonRows(a, b []int32, n int) (ia, ib []int32) {
+	id := func(s []int32, i int) int32 {
+		if s == nil {
+			return int32(i)
+		}
+		return s[i]
+	}
+	na, nb := len(a), len(b)
+	if a == nil {
+		na = n
+	}
+	if b == nil {
+		nb = n
+	}
+	ia, ib = make([]int32, 0, min(na, nb)), make([]int32, 0, min(na, nb))
+	for i, j := 0, 0; i < na && j < nb; {
+		switch x, y := id(a, i), id(b, j); {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			ia, ib = append(ia, int32(i)), append(ib, int32(j))
+			i++
+			j++
+		}
+	}
+	return ia, ib
 }
 
 // SolveSubspace runs lines 3–5 of Algorithm 1: form H₀ = VᵀUΣ and solve

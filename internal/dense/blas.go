@@ -113,6 +113,23 @@ func TMul(a, b *Mat) *Mat {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("dense: TMul (%dx%d)ᵀ * %dx%d: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
 	}
+	return tmul(a, b, false)
+}
+
+// Gram returns aᵀa, TMul(a, a) bit for bit (NaN payloads aside): it runs
+// only the register tiles on or above the diagonal and mirrors them, as
+// entry (i, j) sums the products (j, i) does, in the same order.
+func Gram(a *Mat) *Mat {
+	g := tmul(a, a, true)
+	for i := 1; i < g.Rows; i++ {
+		for j := 0; j < i; j++ {
+			g.Data[i*g.Cols+j] = g.Data[j*g.Cols+i]
+		}
+	}
+	return g
+}
+
+func tmul(a, b *Mat, upper bool) *Mat {
 	out := NewMat(a.Cols, b.Cols)
 	outLen := a.Cols * b.Cols
 	flops := int64(a.Rows) * int64(outLen)
@@ -121,7 +138,7 @@ func TMul(a, b *Mat) *Mat {
 		maxChunks = tmulMaxPartial / outLen
 	}
 	if flops < par.DefaultThreshold || maxChunks < 2 || outLen == 0 {
-		tmulRangeTiled(out.Data, a, b, 0, a.Rows)
+		tmulRangeTiled(out.Data, a, b, 0, a.Rows, upper)
 		return out
 	}
 	// Per-row flops is outLen; size chunks to ≥ ~128k flops each so the
@@ -129,7 +146,7 @@ func TMul(a, b *Mat) *Mat {
 	minChunk := 1 + (1<<17)/outLen
 	chunk, count := par.Grid(a.Rows, minChunk, maxChunks)
 	if count < 2 {
-		tmulRangeTiled(out.Data, a, b, 0, a.Rows)
+		tmulRangeTiled(out.Data, a, b, 0, a.Rows, upper)
 		return out
 	}
 	partials := make([]float64, count*outLen)
@@ -137,7 +154,7 @@ func TMul(a, b *Mat) *Mat {
 		for c := lo; c < hi; c++ {
 			klo := c * chunk
 			khi := min(klo+chunk, a.Rows)
-			tmulRangeTiled(partials[c*outLen:(c+1)*outLen], a, b, klo, khi)
+			tmulRangeTiled(partials[c*outLen:(c+1)*outLen], a, b, klo, khi, upper)
 		}
 	})
 	for c := 0; c < count; c++ {

@@ -16,47 +16,6 @@ func checkOrthonormalCols(t *testing.T, q *Mat, tol float64) {
 	}
 }
 
-func TestQRThinReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, dims := range [][2]int{{1, 1}, {5, 3}, {12, 12}, {40, 7}, {100, 25}} {
-		a := randMat(rng, dims[0], dims[1])
-		q, r, err := QRThin(a)
-		if err != nil {
-			t.Fatalf("QRThin(%v): %v", dims, err)
-		}
-		checkOrthonormalCols(t, q, 1e-10)
-		if !Mul(q, r).Equal(a, 1e-10) {
-			t.Fatalf("QR != A at dims %v", dims)
-		}
-		// R upper triangular.
-		for i := 0; i < r.Rows; i++ {
-			for j := 0; j < i; j++ {
-				if r.At(i, j) != 0 {
-					t.Fatalf("R not upper triangular at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestQRThinWideRejected(t *testing.T) {
-	if _, _, err := QRThin(NewMat(2, 5)); !errors.Is(err, ErrShape) {
-		t.Fatalf("QRThin wide: err = %v, want ErrShape", err)
-	}
-}
-
-func TestQRThinZeroColumn(t *testing.T) {
-	a := NewMat(4, 2)
-	a.Set(0, 1, 3) // first column all zeros
-	q, r, err := QRThin(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Mul(q, r).Equal(a, 1e-12) {
-		t.Fatal("QR != A with zero column")
-	}
-}
-
 func TestOrthonormalizeRankDeficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// Build a 20x4 matrix of rank 2: two independent columns duplicated.

@@ -164,6 +164,43 @@ func TestKernelsWorkerSweepBitwiseVsReference(t *testing.T) {
 	}
 }
 
+// TestTriangularKernelsMatchReference holds the two kernels CholeskyQR2
+// runs to the full products' references bit for bit, on every kernel path:
+// mulTDotLower, which leaves out the products against b's zero triangle, on
+// finite inputs laced with signed zeros and subnormals (where a dropped ±0
+// could show) and b up to past one panel; and Gram, which mirrors its upper
+// triangle, serial and chunk-reduced.
+func TestTriangularKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	finite := func(r, c int) *dense.Mat {
+		m := randMat(rng, r, c)
+		for i := 0; i < len(m.Data); i += 5 {
+			m.Data[i] = specials[3+(i/5)%4] // −0, +0, ±the smallest subnormal
+		}
+		return m
+	}
+	for _, generic := range kernelPaths() {
+		prev := dense.SetGenericKernels(generic)
+		for _, k := range []int{1, 2, 3, 4, 5, 11, 24, 58, 130} {
+			b := finite(k, k)
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					b.Set(i, j, math.Copysign(0, float64(j%2)-0.5))
+				}
+			}
+			for _, rows := range []int{0, 1, 3, 4, 5, 11, 300} {
+				a := finite(rows, k)
+				bitEq(t, fmt.Sprintf("MulTLower generic=%v %dx%d", generic, rows, k), dense.MulTLower(a, b), reftest.MulT(a, b))
+			}
+		}
+		for _, sh := range [][2]int{{11, 5}, {300, 24}, {70001, 15}} {
+			a := finite(sh[0], sh[1])
+			bitEq(t, fmt.Sprintf("Gram generic=%v %dx%d", generic, sh[0], sh[1]), dense.Gram(a), dense.TMul(a, a))
+		}
+		dense.SetGenericKernels(prev)
+	}
+}
+
 // TestAsmAndGenericKernelsAgree pins the two compiled implementations
 // against each other directly on panel-crossing shapes (a stronger
 // statement than each-vs-reference when the reference shapes are

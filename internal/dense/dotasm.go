@@ -40,8 +40,8 @@ func packBPairs(dst []float64, b *Mat, jlo, pairs, klo, khi int) {
 // built once and reused by every row band; for an output element the k
 // panels still arrive in ascending order with exact accumulator spills
 // into out, so per-element accumulation order — and hence every bit —
-// matches the pure-Go path and the reference.
-func mulTDotAsm(out, a, b *Mat, rank, lo, hi int) {
+// matches the pure-Go path and the reference. lower is mulTDotLower's.
+func mulTDotAsm(out, a, b *Mat, rank, lo, hi int, lower bool) {
 	m := b.Rows
 	fast := rank <= kcPanel && m <= ncPanel
 	if !fast {
@@ -74,7 +74,7 @@ func mulTDotAsm(out, a, b *Mat, rank, lo, hi int) {
 			packBPairs(pack, b, jlo, pairs, klo, khi)
 			for ilo := lo; ilo < hi; ilo += mcPanel {
 				ihi := min(ilo+mcPanel, hi)
-				mulTBlockAsm(out, a, b, pack, ilo, ihi, jlo, jhi, klo, khi, fast)
+				mulTBlockAsm(out, a, b, pack, ilo, ihi, jlo, jhi, klo, khi, fast, lower)
 			}
 		}
 	}
@@ -84,8 +84,8 @@ func mulTDotAsm(out, a, b *Mat, rank, lo, hi int) {
 // dotKernel4x2 against the packed b panel. Column and row edges reuse
 // the pure-Go edge kernels — they are bitwise-identical by the same
 // structural argument, so mixing implementations inside one output is
-// sound.
-func mulTBlockAsm(out, a, b *Mat, pack []float64, ilo, ihi, jlo, jhi, klo, khi int, zero bool) {
+// sound. lower is mulTDotLower's.
+func mulTBlockAsm(out, a, b *Mat, pack []float64, ilo, ihi, jlo, jhi, klo, khi int, zero, lower bool) {
 	an, m := a.Cols, b.Rows
 	kk := khi - klo
 	acc := int64(1)
@@ -95,22 +95,23 @@ func mulTBlockAsm(out, a, b *Mat, pack []float64, ilo, ihi, jlo, jhi, klo, khi i
 	pairs := (jhi - jlo) / 2
 	i := ilo
 	for ; i+mr <= ihi; i += mr {
+		a0 := a.Data[(i+0)*an+klo : (i+0)*an+khi]
+		a1 := a.Data[(i+1)*an+klo : (i+1)*an+khi]
+		a2 := a.Data[(i+2)*an+klo : (i+2)*an+khi]
+		a3 := a.Data[(i+3)*an+klo : (i+3)*an+khi]
+		o0 := out.Data[(i+0)*m : (i+0)*m+m]
+		o1 := out.Data[(i+1)*m : (i+1)*m+m]
+		o2 := out.Data[(i+2)*m : (i+2)*m+m]
+		o3 := out.Data[(i+3)*m : (i+3)*m+m]
 		for p := 0; p < pairs; p++ {
-			j := jlo + 2*p
-			dotKernel4x2(
-				&out.Data[(i+0)*m+j], &out.Data[(i+1)*m+j], &out.Data[(i+2)*m+j], &out.Data[(i+3)*m+j],
-				&a.Data[(i+0)*an+klo], &a.Data[(i+1)*an+klo], &a.Data[(i+2)*an+klo], &a.Data[(i+3)*an+klo],
-				&pack[p*2*kk], int64(kk), acc)
+			j, k := jlo+2*p, kk
+			if lower {
+				k = min(j+2, kk)
+			}
+			dotKernel4x2(&o0[j], &o1[j], &o2[j], &o3[j], &a0[0], &a1[0], &a2[0], &a3[0],
+				&pack[p*2*kk], int64(k), acc)
 		}
 		if j := jlo + 2*pairs; j < jhi {
-			a0 := a.Data[(i+0)*an+klo : (i+0)*an+khi]
-			a1 := a.Data[(i+1)*an+klo : (i+1)*an+khi]
-			a2 := a.Data[(i+2)*an+klo : (i+2)*an+khi]
-			a3 := a.Data[(i+3)*an+klo : (i+3)*an+khi]
-			o0 := out.Data[(i+0)*m : (i+0)*m+m]
-			o1 := out.Data[(i+1)*m : (i+1)*m+m]
-			o2 := out.Data[(i+2)*m : (i+2)*m+m]
-			o3 := out.Data[(i+3)*m : (i+3)*m+m]
 			bj := b.Data[j*b.Cols+klo : j*b.Cols+khi]
 			dotTile4x1(o0, o1, o2, o3, j, a0, a1, a2, a3, bj, zero)
 		}

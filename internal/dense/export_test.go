@@ -16,6 +16,14 @@ func SetGenericKernels(disabled bool) bool {
 	return prev
 }
 
+// MulTLower is mulTDotLower over every row of a: a·bᵀ for a square, lower
+// triangular b, each tile's reduction stopped where b's zero triangle starts.
+func MulTLower(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Rows)
+	mulTDotLower(out, a, b, 0, a.Rows)
+	return out
+}
+
 // TMulChunkFor replays TMul's reduction-grid sizing for a given operand
 // pair: the chunk length its deterministic chunk-ordered reduction will
 // use, or 0 when the product runs the serial single-chunk path. The

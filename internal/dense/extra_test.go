@@ -152,10 +152,10 @@ func TestKronEmptyAndIdentity(t *testing.T) {
 }
 
 func TestMulTransposeIdentity(t *testing.T) {
-	// Q Qᵀ for orthonormal-column Q built by QR.
+	// QᵀQ for orthonormal-column Q built by Orthonormalize.
 	rng := rand.New(rand.NewSource(82))
 	a := randMat(rng, 12, 4)
-	q, _, err := QRThin(a)
+	q, err := Orthonormalize(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,9 @@ type SVDResult struct {
 // re-orthonormalise (the truncated-SVD driver discards those columns
 // anyway).
 //
-// The rotations walk columns of the row-major matrix. That is the access
-// pattern QRThin had to leave, and it stays here because the one caller
-// (the Lanczos driver) hands in the k x k bidiagonal factor, k = rank +
-// oversampling: the whole matrix sits in L1/L2, so the stride costs nothing.
-// A caller with an n-row input should transpose into a panel as QRThin does.
+// The rotations walk columns of the row-major matrix. The one caller (the
+// Lanczos driver) hands in the k x k bidiagonal factor, k = rank +
+// oversampling, which sits in L1/L2, so the stride costs nothing.
 func SVDJacobi(a *Mat) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {

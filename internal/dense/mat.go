@@ -112,31 +112,24 @@ func (m *Mat) Bytes() int64 { return int64(len(m.Data)) * 8 }
 // IsShape reports whether m has exactly r rows and c columns.
 func (m *Mat) IsShape(r, c int) bool { return m.Rows == r && m.Cols == c }
 
-// T returns the transpose of m as a new matrix.
+// T returns the transpose of m as a new matrix, by cache-friendly blocks.
 func (m *Mat) T() *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	transposeInto(t.Data, m.Data, m.Rows, m.Cols)
-	return t
-}
-
-// transposeInto writes the transpose of the rows x cols row-major src
-// into dst (cols x rows row-major). The slices must not overlap.
-func transposeInto(dst, src []float64, rows, cols int) {
-	const bs = 64 // cache-friendly block transpose
+	const bs = 64
+	rows, cols := m.Rows, m.Cols
+	t := NewMat(cols, rows)
 	par.Do((rows+bs-1)/bs, int64(rows)*int64(cols), func(lo, hi int) {
 		for ii := lo * bs; ii < min(hi*bs, rows); ii += bs {
-			iMax := min(ii+bs, rows)
 			for jj := 0; jj < cols; jj += bs {
-				jMax := min(jj+bs, cols)
-				for i := ii; i < iMax; i++ {
-					row := src[i*cols:]
-					for j := jj; j < jMax; j++ {
-						dst[j*rows+i] = row[j]
+				for i := ii; i < min(ii+bs, rows); i++ {
+					row := m.Row(i)
+					for j := jj; j < min(jj+bs, cols); j++ {
+						t.Data[j*rows+i] = row[j]
 					}
 				}
 			}
 		}
 	})
+	return t
 }
 
 // Scale multiplies every element of m by a, in place, and returns m.

@@ -211,16 +211,18 @@ func BenchmarkKernelTMul(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelQRThin is Phase I's orthonormaliser at the two shapes
-// that matter: the WT serving fixture's sketch (n = 131072, r = 16 +
-// oversample 8) and a Table-3 rank sweep cell (n = 20000, r = 50 + 8).
-func BenchmarkKernelQRThin(b *testing.B) {
-	for _, sh := range [][2]int{{131072, 24}, {20000, 58}} {
+// BenchmarkKernelOrthonormalize is Phase I's orthonormaliser at the two
+// shapes that matter: the WT serving fixture's support panel (38306 rows,
+// r = 16 + oversample 8) and a Table-3 rank sweep cell (n = 20000, r = 50 +
+// 8).
+func BenchmarkKernelOrthonormalize(b *testing.B) {
+	for _, sh := range [][2]int{{38306, 24}, {20000, 58}} {
 		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
 			a := randMat(rand.New(rand.NewSource(4)), sh[0], sh[1])
+			panel := make([]float64, len(a.Data))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dense.QRThin(a); err != nil {
+				if _, err := dense.OrthonormalizeInto(a, panel, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

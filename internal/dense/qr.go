@@ -1,282 +1,254 @@
 package dense
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"csrplus/internal/par"
 )
 
-// QRThin computes the thin QR factorisation of an m x n matrix a (m >= n)
-// using Householder reflections: a = Q R with Q (m x n) having orthonormal
-// columns and R (n x n) upper triangular.
+// ErrNotFinite is returned (wrapped) for an input holding NaN or ±Inf, or
+// a column whose squared norm overflows.
+var ErrNotFinite = errors.New("dense: non-finite entry")
+
+// unitRoundoff is u, half the gap between 1 and the next float64.
+const unitRoundoff = 0x1p-53
+
+// Orthonormalize returns a matrix with orthonormal columns spanning the
+// column space of a (m x k, m >= k). A column of the result that carries at
+// most tol of every column of a (tol <= 0 means 1e-12; a column's norm
+// counts within a factor √2) — or that a dependent column left empty — is
+// replaced by a coordinate vector orthogonalised against the rest, so the
+// result has full column rank and spans each column of a to within 2k·tol.
+// a is only read; a NaN or ±Inf in it, or a column past 1e154 whose squared
+// norm overflows, is ErrNotFinite.
+func Orthonormalize(a *Mat, tol float64) (*Mat, error) {
+	return OrthonormalizeInto(a, make([]float64, len(a.Data)), tol)
+}
+
+// OrthonormalizeInto is Orthonormalize into the first a.Rows*a.Cols
+// elements of panel, which must share no storage with a.
+func OrthonormalizeInto(a *Mat, panel []float64, tol float64) (*Mat, error) {
+	q, _, err := OrthonormalizePasses(a, panel, tol)
+	return q, err
+}
+
+// OrthonormalizePasses is OrthonormalizeInto reporting how many CholeskyQR
+// passes it ran: 2, or more when it shifted or R was slow to settle.
 //
-// The randomized truncated SVD uses this as its range orthonormaliser; it
-// replaces MATLAB's qr(Y, 0).
-//
-// Householder QR is column work — a reflector is built from one column and
-// applied to the others as a dot and an axpy down each — so the kernel
-// transposes the row-major input once into a column-major panel, runs
-// every inner loop over contiguous memory, and transposes thin Q back out
-// (see qrPanel). The arithmetic, and its order, are those of the frozen
-// row-major loop reftest.QRThin: Q and R are bitwise equal to it at every
-// worker count.
-func QRThin(a *Mat) (q, r *Mat, err error) {
-	w, qc := make([]float64, a.Rows*a.Cols), make([]float64, a.Rows*a.Cols)
-	if r, err = qrPanel(a, w, qc); err != nil {
-		return nil, nil, err
+// CholeskyQR2 (Yamamoto et al. 2015): a pass forms G = XᵀX, factors
+// G = RᵀR (upper, positive diagonal) and replaces X by X·R⁻¹, a GEMM
+// against R's inverse. One pass leaves X orthonormal to O(κ(X)²·u), the
+// second to O(u), while κ(X) ≲ u^-½. The first pass scales G to a diagonal
+// in [1/2, 2) by powers of two (exact, folded into R⁻¹), so pivots measure
+// angles. A pivot at or below s = 11(mk + k(k+1))·u·tr G, the scale of G's
+// rounding, or ‖R‖·‖R⁻¹‖ (max entries) above 10⁶, past which the GEMM's
+// own rounding grows, refactors G + sI (Fukaya et al. 2020) and two
+// unshifted passes follow, or more until R settles near I: shifted
+// CholeskyQR3, once a call. From the shift on, X·R⁻¹ is a substitution
+// along each row, backward stable however R is conditioned, and a pivot at
+// or below k·u·max G_jj drops its column. G's reduction grid is fixed by
+// the shape and each row of X·R⁻¹ is one goroutine's, so the bits do not
+// depend on the worker count.
+func OrthonormalizePasses(a *Mat, panel []float64, tol float64) (q *Mat, passes int, err error) {
+	m, k := a.Rows, a.Cols
+	if m < k {
+		return nil, 0, fmt.Errorf("dense: Orthonormalize %dx%d needs rows >= cols: %w", m, k, ErrShape)
 	}
-	return fromColumns(w, qc, a.Rows, a.Cols), r, nil
-}
-
-// qrPanel is QRThin on column-major panels the caller supplies, m*n
-// elements each: w is the factorisation's workspace and qc receives thin Q
-// as n contiguous length-m columns (column j is qc[j*m:(j+1)*m]). a is read
-// once, by the transpose into w, before qc is first written — so qc may be
-// a's own storage when the caller is done with a — and w is dead on return,
-// which is where the caller transposes Q back out: a factorisation works in
-// two panels, as the row-major loop did (its work copy and its Q), and a
-// caller that owns two allocates none.
-//
-// Reflector k is applied to the columns right of k, and later to the
-// columns of I, one column per par.Do index: a column's dot and axpy run
-// i-ascending inside one goroutine and nothing is reduced across workers,
-// so the bits do not depend on the worker count.
-func qrPanel(a *Mat, w, qc []float64) (r *Mat, err error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, fmt.Errorf("dense: QRThin %dx%d needs rows >= cols: %w", m, n, ErrShape)
+	if tol <= 0 {
+		tol = 1e-12
 	}
-	transposeInto(w, a.Data, m, n) // n x m row-major = m x n column-major
-	// betas[k] and the essential part of each Householder vector (stored
-	// below the diagonal of w) define Q implicitly.
-	betas := make([]float64, n)
-	for k := 0; k < n; k++ {
-		v := w[k*m+k : (k+1)*m] // column k from the diagonal down
-		beta := householder(v)
-		betas[k] = beta
-		if beta == 0 {
-			continue
+	q = &Mat{Rows: m, Cols: k, Data: panel[:m*k]}
+	x, g := a, Gram(a)
+	d, dropped, err := equilibrate(g)
+	if err != nil {
+		return nil, 0, err
+	}
+	// acc is R so far: a·D = X·acc, the columns of a·D of norm 2^±½. The
+	// passes stop at eight, which shifted CholeskyQR3 never nears.
+	r, acc, shifted, calm := NewMat(k, k), Eye(k), false, false
+	for clean := 0; k > 0 && passes < 8 && (clean < 2 || !calm); passes++ {
+		if passes > 0 {
+			g, d = Gram(x), nil
 		}
-		// Apply reflector to remaining columns: A -= beta * v (vᵀ A).
-		rest := n - k - 1
-		par.Do(rest, 4*int64(rest)*int64(len(v)), func(lo, hi int) {
-			reflectColumns(beta, v, w, m, k+1+lo, k+1+hi)
-		})
+		top, trace := 0.0, 0.0 // over every column: a dropped one is zero
+		for j := 0; j < k; j++ {
+			top, trace = max(top, g.At(j, j)), trace+g.At(j, j)
+		}
+		shift := 11 * float64(m*k+k*(k+1)) * unitRoundoff * trace
+		switch clean++; {
+		case shifted:
+			cholesky(g, r, 0, float64(k)*unitRoundoff*top, 0, dropped)
+		case !cholesky(g, r, 0, math.Inf(-1), shift, dropped) || r.MaxAbs()*invertUpperT(r, dropped, nil).MaxAbs() > 1e6:
+			shifted, clean = true, 0
+			cholesky(g, r, shift, 0, 0, dropped)
+		}
+		calm = true // R near I: this pass's input was orthonormal, however its pivots read
+		for j := 0; j < k; j++ {
+			calm = calm && math.Abs(r.At(j, j)-1) <= 0.5
+		}
+		acc = Mul(r, acc)
+		if shifted {
+			solveRows(q, x, r, dropped, d)
+		} else {
+			mulInverse(q, x, invertUpperT(r, dropped, d))
+		}
+		x = q
 	}
-	r = NewMat(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Data[i*n+j] = w[j*m+i]
+	var bad []int // column l of a·D is Σ_j Q_j·acc[j][l]: row j is what Q_j carries
+	for j, drop := range dropped {
+		if drop || (&Mat{Rows: 1, Cols: k - j, Data: acc.Row(j)[j:]}).MaxAbs() <= tol {
+			bad = append(bad, j)
+			q.SetCol(j, make([]float64, m))
 		}
 	}
-	// Accumulate thin Q by applying reflectors to I_{m x n}, backwards.
-	// Until reflector k has touched it, column j < k is still e_j — zero
-	// from row k down — so a finite reflector leaves it as it is, bit for
-	// bit (s = 0, then 0 - 0·v), and only columns k.. need the work:
-	// LAPACK dorg2r's triangle, half the square. A reflector holding NaN
-	// or ±Inf does change those zeros (0·NaN), and everything it has
-	// touched stays changed, so from the first such reflector on the
-	// whole square is computed.
-	clear(qc)
-	for j := 0; j < n; j++ {
-		qc[j*m+j] = 1
-	}
-	square := false
-	for k := n - 1; k >= 0; k-- {
-		beta := betas[k]
-		if beta == 0 {
-			continue
+	repair(q, bad)
+	return q, passes, nil
+}
+
+// equilibrate scales g to a diagonal in [1/2, 2) by powers of two, g ← DGD,
+// and returns D and the all-zero columns, those with a zero diagonal; a NaN
+// or ±Inf there is ErrNotFinite.
+func equilibrate(g *Mat) (d []float64, dropped []bool, err error) {
+	d, dropped = make([]float64, g.Rows), make([]bool, g.Rows)
+	for j := range d {
+		switch v := g.At(j, j); {
+		case v-v != 0:
+			return nil, nil, fmt.Errorf("dense: Orthonormalize: column %d's squared norm is %v: %w", j, v, ErrNotFinite)
+		case v > 0:
+			_, e := math.Frexp(v)
+			d[j] = math.Ldexp(1, -(e >> 1))
+		default:
+			dropped[j] = true
 		}
-		v := w[k*m+k : (k+1)*m]
-		square = square || !allFinite(beta, v[1:])
-		first := k
-		if square {
-			first = 0
+	}
+	for i := range d {
+		row := g.Row(i)
+		for j := range row {
+			row[j] = row[j] * d[i] * d[j] // in this order: d[i]·d[j] can overflow
 		}
-		par.Do(n-first, 4*int64(n-first)*int64(len(v)), func(lo, hi int) {
-			reflectColumns(beta, v, qc, m, first+lo, first+hi)
-		})
 	}
-	return r, nil
+	return d, dropped, nil
 }
 
-// householder overwrites x, the part of a column from the diagonal down,
-// with its Householder reflector — x[0] becomes the diagonal entry of R,
-// x[1:] the reflector's tail v/v₁ (its head is an implicit 1) — and
-// returns the reflector's beta, 0 when x is all zero and there is nothing
-// to reflect.
-func householder(x []float64) (beta float64) {
-	normx := 0.0
-	for _, v := range x {
-		normx += v * v
-	}
-	normx = math.Sqrt(normx)
-	if normx == 0 {
-		return 0
-	}
-	alpha := x[0]
-	sign := 1.0
-	if alpha < 0 {
-		sign = -1.0
-	}
-	v1 := alpha + sign*normx
-	for i := 1; i < len(x); i++ {
-		x[i] /= v1
-	}
-	x[0] = -sign * normx
-	return sign * v1 / normx
-}
-
-// reflectColumns applies the reflector (beta, v), which covers the last
-// len(v) rows, to columns [jlo, jhi) of the column-major panel p (column
-// length m).
-// Columns go four at a time: one column's dot is a single dependent chain
-// of adds, four columns' are four independent ones over one read of v.
-// Each column still owns one accumulator advancing i-ascending, so the
-// grouping — like the worker split above it — never shows in the bits.
-func reflectColumns(beta float64, v, p []float64, m, jlo, jhi int) {
-	x := func(j int) []float64 { return p[(j+1)*m-len(v) : (j+1)*m] }
-	j := jlo
-	for ; j+4 <= jhi; j += 4 {
-		applyReflector4(beta, v, x(j), x(j+1), x(j+2), x(j+3))
-	}
-	for ; j < jhi; j++ {
-		applyReflector(beta, v, x(j))
-	}
-}
-
-// applyReflector applies the reflector (beta, v) to x in place: x -= beta·v·(vᵀx),
-// with v[0] read as 1. One accumulator, i ascending.
-func applyReflector(beta float64, v, x []float64) {
-	x = x[:len(v)]
-	s := x[0]
-	for i := 1; i < len(v); i++ {
-		s += v[i] * x[i]
-	}
-	s *= beta
-	x[0] -= s
-	for i := 1; i < len(v); i++ {
-		x[i] -= s * v[i]
-	}
-}
-
-// applyReflector4 is applyReflector on four columns at once.
-func applyReflector4(beta float64, v, x0, x1, x2, x3 []float64) {
-	x0, x1, x2, x3 = x0[:len(v)], x1[:len(v)], x2[:len(v)], x3[:len(v)]
-	s0, s1, s2, s3 := x0[0], x1[0], x2[0], x3[0]
-	for i := 1; i < len(v); i++ {
-		vi := v[i]
-		s0 += vi * x0[i]
-		s1 += vi * x1[i]
-		s2 += vi * x2[i]
-		s3 += vi * x3[i]
-	}
-	s0 *= beta
-	s1 *= beta
-	s2 *= beta
-	s3 *= beta
-	x0[0] -= s0
-	x1[0] -= s1
-	x2[0] -= s2
-	x3[0] -= s3
-	for i := 1; i < len(v); i++ {
-		vi := v[i]
-		x0[i] -= s0 * vi
-		x1[i] -= s1 * vi
-		x2[i] -= s2 * vi
-		x3[i] -= s3 * vi
-	}
-}
-
-// allFinite reports whether beta and every element of v are finite.
-func allFinite(beta float64, v []float64) bool {
-	if beta-beta != 0 {
-		return false
-	}
-	for _, x := range v {
-		if x-x != 0 { // NaN - NaN and Inf - Inf are both NaN
+// cholesky factors g + shift·I = RᵀR into r from g's upper triangle,
+// column by column, and reports false at the first pivot at or below fail.
+// A pivot at or below drop drops its column: its row of R becomes e_jᵀ, so
+// it enters no later column, and its column keeps its coefficients on the
+// ones before it, which is where its content went.
+func cholesky(g, r *Mat, shift, drop, fail float64, dropped []bool) bool {
+	clear(r.Data)
+	for j := 0; j < g.Rows; j++ {
+		d := g.At(j, j) + shift
+		for i := 0; i < j && !dropped[j]; i++ {
+			if !dropped[i] {
+				s := g.At(i, j)
+				for p := 0; p < i; p++ {
+					s -= r.At(p, i) * r.At(p, j)
+				}
+				r.Set(i, j, s/r.At(i, i))
+				d -= r.At(i, j) * r.At(i, j)
+			}
+		}
+		switch {
+		case dropped[j] || d <= drop:
+			r.Set(j, j, 1)
+			dropped[j] = true
+		case d <= fail:
 			return false
+		default:
+			r.Set(j, j, math.Sqrt(d))
 		}
 	}
 	return true
 }
 
-// fromColumns returns the rows x cols matrix whose column j is
-// columns[j*rows:(j+1)*rows], stored row-major in dst (len rows*cols).
-func fromColumns(dst, columns []float64, rows, cols int) *Mat {
-	transposeInto(dst, columns, cols, rows)
-	return &Mat{Rows: rows, Cols: cols, Data: dst}
-}
-
-// Orthonormalize returns a matrix with orthonormal columns spanning the
-// column space of a, dropping numerically dependent columns. It is QRThin
-// followed by a rank check on R's diagonal: columns whose |r_kk| falls
-// below tol * |r_00| are replaced by fresh unit vectors orthogonal to the
-// rest (deterministic coordinate vectors re-orthogonalised by modified
-// Gram-Schmidt), so the result always has full column rank. The repair
-// runs on the column-major Q, before it is transposed out.
-func Orthonormalize(a *Mat, tol float64) (*Mat, error) {
-	return orthonormalize(a, make([]float64, a.Rows*a.Cols), make([]float64, a.Rows*a.Cols), tol)
-}
-
-// OrthonormalizeInto is Orthonormalize for a caller that owns its panels:
-// the result is returned in panel's storage, which must hold a.Rows*a.Cols
-// elements and share none with a, and a is consumed — its storage is the
-// factorisation's second panel, left holding scratch. Nothing the size of a
-// is allocated, and the result is Orthonormalize's bit for bit.
-func OrthonormalizeInto(a *Mat, panel []float64, tol float64) (*Mat, error) {
-	return orthonormalize(a, panel[:a.Rows*a.Cols], a.Data, tol)
-}
-
-// orthonormalize is Orthonormalize over qrPanel's two panels; the result is
-// returned in w.
-func orthonormalize(a *Mat, w, qc []float64, tol float64) (*Mat, error) {
-	r, err := qrPanel(a, w, qc)
-	if err != nil {
-		return nil, err
-	}
-	m, n := a.Rows, a.Cols
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	r00 := math.Abs(r.At(0, 0))
-	if r00 == 0 {
-		r00 = 1
-	}
-	for k := 0; k < n; k++ {
-		if math.Abs(r.At(k, k)) > tol*r00 {
+// invertUpperT returns (D·R⁻¹)ᵀ for upper triangular r (D = I when d is
+// nil), zero in each dropped column's row and column: row l, zero past l,
+// weights column l of X·R⁻¹ in the dot layout mulTDotLower reads.
+func invertUpperT(r *Mat, dropped []bool, d []float64) *Mat {
+	k, t := r.Rows, NewMat(r.Rows, r.Rows)
+	for l := 0; l < k; l++ {
+		if dropped[l] {
 			continue
 		}
-		// Deficient column: substitute a coordinate vector orthogonalised
-		// against all current columns (two MGS passes for stability).
-		col := make([]float64, m)
-		for e := 0; e < m; e++ {
-			for i := range col {
-				col[i] = 0
-			}
-			col[e] = 1
-			for pass := 0; pass < 2; pass++ {
-				for j := 0; j < n; j++ {
-					if j == k {
-						continue
-					}
-					qj := qc[j*m : (j+1)*m]
-					d := 0.0
-					for i, v := range qj {
-						d += v * col[i]
-					}
-					for i, v := range qj {
-						col[i] -= d * v
-					}
+		tl := t.Row(l)
+		tl[l] = 1 / r.At(l, l)
+		for i := l - 1; i >= 0; i-- {
+			if !dropped[i] {
+				s := 0.0
+				for p := i + 1; p <= l; p++ {
+					s += r.At(i, p) * tl[p]
 				}
+				tl[i] = -s / r.At(i, i)
 			}
-			if nrm := Norm2(col); nrm > 1e-8 {
-				ScaleVec(1/nrm, col)
-				copy(qc[k*m:(k+1)*m], col)
+		}
+		for i := range d {
+			tl[i] *= d[i]
+		}
+	}
+	return t
+}
+
+// mulInverse writes dst = src·tᵀ for t from invertUpperT; dst may be src.
+// A worker copies each band of rows aside and multiplies it back with the
+// register-tiled kernel, which skips t's zero triangle.
+func mulInverse(dst, src, t *Mat) {
+	const band = 4 * mcPanel
+	m, k := src.Rows, src.Cols
+	par.DoAligned(m, band, int64(m)*int64(k)*int64(k)/2, func(lo, hi int) {
+		buf := &Mat{Rows: band, Cols: k, Data: make([]float64, band*k)}
+		for blo := lo; blo < hi; blo += band {
+			bhi := min(blo+band, hi)
+			copy(buf.Data, src.Data[blo*k:bhi*k])
+			mulTDotLower(&Mat{Rows: bhi - blo, Cols: k, Data: dst.Data[blo*k : bhi*k]}, buf, t, 0, bhi-blo)
+		}
+	})
+}
+
+// solveRows writes dst = src·D·R⁻¹ (D = I when d is nil), zero in dropped
+// columns, by substitution along each row, y·R = x·D; dst may be src.
+func solveRows(dst, src, r *Mat, dropped []bool, d []float64) {
+	par.Do(src.Rows, int64(src.Rows)*int64(r.Rows*r.Rows), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, y := src.Row(i), dst.Row(i)
+			for l, xl := range x {
+				s := 0.0
+				if !dropped[l] {
+					s = xl
+					if d != nil {
+						s *= d[l]
+					}
+					for p := 0; p < l; p++ {
+						s -= y[p] * r.At(p, l)
+					}
+					s /= r.At(l, l)
+				}
+				y[l] = s
+			}
+		}
+	})
+}
+
+// repair fills the zeroed columns bad of q, each with the first coordinate
+// vector that two classical Gram–Schmidt passes (x −= Q·Qᵀx) leave with a
+// norm above 1e-8, normalised. A search starts past the last vector taken:
+// the span only grows, so no earlier one can pass again.
+func repair(q *Mat, bad []int) {
+	e := 0
+	for _, j := range bad {
+		for ; e < q.Rows; e++ {
+			x := NewMat(q.Rows, 1)
+			x.Data[e] = 1
+			for pass := 0; pass < 2; pass++ {
+				x = x.Sub(Mul(q, TMul(q, x)))
+			}
+			if nrm := Norm2(x.Data); nrm > 1e-8 {
+				q.SetCol(j, x.Scale(1/nrm).Data)
+				e++
 				break
 			}
 		}
 	}
-	return fromColumns(w, qc, m, n), nil
 }

@@ -56,7 +56,7 @@ func mulTDot(out, a, b *Mat, rank, lo, hi int) {
 	// would pack b (and zero its 32 KiB stack panel) only to run the same
 	// row-edge kernel the loops below run — core scores single rows here.
 	if useDotAsm() && hi-lo >= mr {
-		mulTDotAsm(out, a, b, rank, lo, hi)
+		mulTDotAsm(out, a, b, rank, lo, hi, false)
 		return
 	}
 	m := b.Rows
@@ -86,6 +86,20 @@ func mulTDot(out, a, b *Mat, rank, lo, hi int) {
 			}
 		}
 	}
+}
+
+// mulTDotLower is mulTDot at full rank for a square, lower triangular b
+// (row j zero past column j) and a finite a. On the assembly path the 4×2
+// tile of output columns j, j+1 reduces over k < j+2 only: what it leaves
+// out are products with an exact zero, ±0, and an accumulator that starts at
+// +0 never reaches −0 under round-to-nearest, so adding them would change no
+// bit. The result is mulTDot's, for about half the work.
+func mulTDotLower(out, a, b *Mat, lo, hi int) {
+	if useDotAsm() && hi-lo >= mr && b.Rows <= ncPanel {
+		mulTDotAsm(out, a, b, b.Cols, lo, hi, true)
+		return
+	}
+	mulTDot(out, a, b, b.Cols, lo, hi)
 }
 
 // mulTBlock runs the register-tiled micro-kernels over the output block
@@ -260,8 +274,8 @@ func tmulKBlock(ac, bc int) int {
 // tiles of 4×4 output elements traverse k panels; each element's
 // accumulator is spilled exactly between panels, so per-element
 // accumulation stays in ascending-k order — bitwise the reference
-// scatter loop's order.
-func tmulRangeTiled(dst []float64, a, b *Mat, klo, khi int) {
+// scatter loop's order. upper skips the tiles wholly below the diagonal.
+func tmulRangeTiled(dst []float64, a, b *Mat, klo, khi int, upper bool) {
 	ac, bc := a.Cols, b.Cols
 	kb := tmulKBlock(ac, bc)
 	asm := useDotAsm()
@@ -270,6 +284,9 @@ func tmulRangeTiled(dst []float64, a, b *Mat, klo, khi int) {
 		i := 0
 		for ; i+mr <= ac; i += mr {
 			j := 0
+			if upper {
+				j = i // a multiple of mr, so of nr: columns left of it are below rows i..i+3
+			}
 			for ; j+nr <= bc; j += nr {
 				if asm {
 					tmulKernel4x2(

@@ -55,7 +55,8 @@ type response struct {
 	items  []topk.Item
 	prov   TopKProvenance
 	scores *dense.Mat
-	rank   int // effective rank of the answering call; 0 = full
+	rank   int     // effective rank of the answering call; 0 = full
+	bound  float64 // Bound(rank), taken while the worker still holds the generation
 	err    error
 }
 
@@ -153,7 +154,10 @@ func (b *backend) overloaded() bool {
 }
 
 // answer makes req's one engine call on a worker, on the request's own
-// context, unless its caller has already left.
+// context, unless its caller has already left. The answer's bound is read
+// here too: a cold Bound reads the generation's factors, and only a worker
+// holds the generation — close waits for it, so the factors cannot be
+// released under the read, as they can once the caller has its response.
 func (b *backend) answer(req *request) {
 	defer b.metrics.queueDepth.Add(-1)
 	if req.ctx.Err() != nil {
@@ -175,6 +179,9 @@ func (b *backend) answer(req *request) {
 		resp.items, resp.prov, resp.err = b.TopK(req.ctx, req.nodes, req.k, rank)
 	default:
 		resp.scores, resp.err = b.Scores(req.ctx, req.nodes, req.targets, rank)
+	}
+	if resp.err == nil {
+		resp.bound = b.Bound(rank)
 	}
 	req.out <- resp
 }

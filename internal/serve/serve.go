@@ -484,7 +484,7 @@ func (s *Server) admit(ctx context.Context, req request) (*backend, response, er
 // rank, an exhausted drift budget or a missing shard — not that its bound
 // is non-zero.
 func (s *Server) info(be *backend, resp response, cols int) QueryInfo {
-	info := QueryInfo{FullRank: be.Rank, ErrorBound: float64(cols) * be.Bound(resp.rank)}
+	info := QueryInfo{FullRank: be.Rank, ErrorBound: float64(cols) * resp.bound}
 	if resp.rank > 0 {
 		info.Degraded = true
 		info.EffectiveRank = resp.rank

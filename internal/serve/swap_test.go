@@ -247,3 +247,63 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 		}
 	})
 }
+
+// TestServerSwapWaitsForBound: an answer's error bound is part of the
+// answer, and a cold Bound reads the generation's factors — which the
+// caller of SwapRanked may unmap as soon as it returns. So a Bound still
+// running on the old generation holds the swap exactly as an engine call
+// does, for both request kinds.
+func TestServerSwapWaitsForBound(t *testing.T) {
+	for _, kind := range []string{"search", "score"} {
+		t.Run(kind, func(t *testing.T) {
+			const n = 8
+			enter := make(chan struct{}, 1)
+			release := make(chan struct{})
+			e := plain(n, genQuery(n, 1))
+			e.Rank = 4
+			e.Bound = func(int) float64 {
+				enter <- struct{}{}
+				<-release
+				return 0.25
+			}
+			s := NewRanked(e, Config{Workers: 1})
+			defer s.Close()
+
+			bound := make(chan float64, 1)
+			go func() {
+				var info QueryInfo
+				var err error
+				if kind == "search" {
+					var res SearchResult
+					res, err = s.Search(context.Background(), []int{2}, 2)
+					info = res.Info
+				} else {
+					var res PairsResult
+					res, err = s.Score(context.Background(), []int{2}, []int{5})
+					info = res.Info
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				bound <- info.ErrorBound
+			}()
+			<-enter // the old generation's Bound is running
+
+			swapped := make(chan struct{})
+			go func() {
+				s.SwapRanked(plain(n, genQuery(n, 2)))
+				close(swapped)
+			}()
+			select {
+			case <-swapped:
+				t.Fatal("SwapRanked returned while the old generation's Bound was running")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			<-swapped
+			if got := <-bound; got != 0.25 {
+				t.Fatalf("ErrorBound = %v, want the old generation's 0.25", got)
+			}
+		})
+	}
+}

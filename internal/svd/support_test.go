@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -82,27 +83,59 @@ func embedded(rng *rand.Rand, rows, cols, nr, nc int, density float64, rank int)
 	return coo.ToCSR(), rowIdx, colIdx
 }
 
-// offSupportExactlyZero fails unless every row of m outside idx is +0 bits.
-func offSupportExactlyZero(t *testing.T, what string, m *dense.Mat, idx []int32) {
-	t.Helper()
-	on := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		on[int(i)] = true
-	}
-	for i := 0; i < m.Rows; i++ {
-		if on[i] {
-			continue
+// onSupport cuts the as-given run want down to the rows got holds — U to
+// got.RowSupport, V to got.ColSupport. strict fails unless every row it
+// drops is +0 bits: the full-size factors are the support's, padded with
+// zeros.
+func onSupport(tb testing.TB, want, got *Result, strict bool) *Result {
+	tb.Helper()
+	cut := func(what string, m *dense.Mat, ids []int32) *dense.Mat {
+		if ids == nil {
+			return m
 		}
-		for j, v := range m.Row(i) {
-			if math.Float64bits(v) != 0 {
-				t.Fatalf("%s[%d,%d] = %v off the support, want exactly 0", what, i, j, v)
+		out := dense.NewMat(len(ids), m.Cols)
+		on := make(map[int]bool, len(ids))
+		for i, id := range ids {
+			copy(out.Row(i), m.Row(int(id)))
+			on[int(id)] = true
+		}
+		for i := 0; i < m.Rows && strict; i++ {
+			for j, v := range m.Row(i) {
+				if !on[i] && math.Float64bits(v) != 0 {
+					tb.Fatalf("as-given %s[%d,%d] = %v off the support, want exactly 0", what, i, j, v)
+				}
 			}
+		}
+		return out
+	}
+	return &Result{U: cut("U", want.U, got.RowSupport), S: want.S, V: cut("V", want.V, got.ColSupport)}
+}
+
+// supportIDs holds got to one factor row per support row and column, r
+// wide, named by RowSupport and ColSupport — nil on a side of a that has
+// no empty row (column) to leave out.
+func supportIDs(tb testing.TB, got *Result, a *sparse.CSR, rowIdx, colIdx []int32, r int) {
+	tb.Helper()
+	if !got.U.IsShape(len(rowIdx), r) || !got.V.IsShape(len(colIdx), r) {
+		tb.Fatalf("factors %dx%d / %dx%d, want %d and %d rows, %d wide", got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, len(rowIdx), len(colIdx), r)
+	}
+	rows, cols := a.Dims()
+	for _, s := range []struct {
+		what      string
+		got, want []int32
+		n         int
+	}{{"RowSupport", got.RowSupport, rowIdx, rows}, {"ColSupport", got.ColSupport, colIdx, cols}} {
+		if len(s.want) == s.n {
+			s.want = nil
+		}
+		if (s.got == nil) != (s.want == nil) || !slices.Equal(s.got, s.want) {
+			tb.Fatalf("%s = %v, want %v", s.what, s.got, s.want)
 		}
 	}
 }
 
-// product returns UΣVᵀ, the one thing a decomposition's sign and basis
-// choices cannot change.
+// product returns UΣVᵀ, the one thing a decomposition's basis choices
+// cannot change.
 func product(r *Result) *dense.Mat {
 	return dense.MulT(dense.Mul(r.U, dense.Diag(r.S)), r.V)
 }
@@ -113,11 +146,13 @@ func sameBits(got, want *Result) bool {
 		reftest.BitEqual(dense.Diag(got.S), dense.Diag(want.S))
 }
 
-// sameDecomposition holds got to want as decompositions, not as arrays: a
-// Householder reflector takes its sign from the pivot entry, which is a
-// zero row's 0 in one run and a support row's value in the other, so
-// singular vector pairs may come out negated together. What cannot differ
-// beyond rounding is σ, the projectors UUᵀ and VVᵀ, and UΣVᵀ.
+// sameDecomposition holds got to want (cut to got's support) entry by
+// entry: σ, U and V — so UΣVᵀ, which at serving scale is an n x n matrix
+// no test forms. A CholeskyQR factor has a positive diagonal, which fixes Q
+// whatever rows of zeros sit between the support's: the sign a Householder
+// reflector took from its pivot entry (a zero row's 0 in one run, a
+// support row's value in the other) is gone, and the two runs' vectors
+// differ by rounding, not by sign.
 func sameDecomposition(t *testing.T, got, want *Result, tol float64) {
 	t.Helper()
 	for i, s := range got.S {
@@ -125,32 +160,30 @@ func sameDecomposition(t *testing.T, got, want *Result, tol float64) {
 			t.Fatalf("σ[%d] = %v, as given %v (diff %g)", i, s, want.S[i], d)
 		}
 	}
-	proj := func(m *dense.Mat) *dense.Mat { return dense.MulT(m, m) }
-	if d := proj(got.U).Sub(proj(want.U)).MaxAbs(); d > tol {
-		t.Fatalf("UUᵀ differs from the as-given run by %g", d)
+	if d := got.U.Sub(want.U).MaxAbs(); d > tol {
+		t.Fatalf("U differs from the as-given run's support rows by %g", d)
 	}
-	if d := proj(got.V).Sub(proj(want.V)).MaxAbs(); d > tol {
-		t.Fatalf("VVᵀ differs from the as-given run by %g", d)
-	}
-	if d := product(got).Sub(product(want)).MaxAbs(); d > tol*math.Max(1, want.S[0]) {
-		t.Fatalf("UΣVᵀ differs from the as-given run by %g", d)
+	if d := got.V.Sub(want.V).MaxAbs(); d > tol {
+		t.Fatalf("V differs from the as-given run's support rows by %g", d)
 	}
 }
 
 // TestTruncatedEmbeddingDifferential is the support rule's contract: a
 // matrix with empty rows and columns interleaved decomposes, restricted to
-// its support, to what it decomposes to as given, and puts exactly nothing
-// off the support.
+// its support, to factors with one row per support row and column, named
+// by RowSupport and ColSupport, that are what it decomposes to as given on
+// those rows.
 //
-// For the randomized driver "the same" means to rounding — σ, subspaces and
-// product to 1e-12 — because both runs multiply the same sketch numbers
-// against the same entries in the same order and differ only where a
-// blocked reduction regroups. The Lanczos runs are two different Krylov
-// spaces: as given, the start vector's mass on empty columns never reaches
-// A·v but stays in the basis, so unconverged Ritz values differ by their
-// own error, not by rounding. It is held to 1e-9 with enough steps (40 on a
-// support at most 80 wide) for the leading six triplets to have converged
-// in both.
+// For the randomized driver "the same" means to rounding — σ, U and V
+// entry by entry to 1e-12 — because both runs multiply the same sketch
+// numbers against the same entries in the same order and differ only where
+// a blocked reduction regroups; as given, every other row is exactly zero.
+// The Lanczos runs are two different Krylov spaces: as given, the start
+// vector's mass on empty columns never reaches A·v but stays in the basis
+// (and in V's rows off the support), so unconverged Ritz values differ by
+// their own error, not by rounding. It is held to 1e-9 with enough steps
+// (40 on a support at most 80 wide) for the leading six triplets to have
+// converged in both.
 func TestTruncatedEmbeddingDifferential(t *testing.T) {
 	for _, m := range []struct {
 		method        Method
@@ -179,12 +212,8 @@ func TestTruncatedEmbeddingDifferential(t *testing.T) {
 				if got.SupportRows != sh.nr || got.SupportCols != sh.nc {
 					t.Fatalf("support %dx%d, want %dx%d", got.SupportRows, got.SupportCols, sh.nr, sh.nc)
 				}
-				if !got.U.IsShape(sh.rows, m.r) || !got.V.IsShape(sh.cols, m.r) {
-					t.Fatalf("factors %dx%d / %dx%d, want %d and %d rows", got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, sh.rows, sh.cols)
-				}
-				offSupportExactlyZero(t, "U", got.U, rowIdx)
-				offSupportExactlyZero(t, "V", got.V, colIdx)
-				sameDecomposition(t, got, asGiven(t, a, m.r, opts), m.tol)
+				supportIDs(t, got, a, rowIdx, colIdx, m.r)
+				sameDecomposition(t, got, onSupport(t, asGiven(t, a, m.r, opts), got, m.method == Randomized), m.tol)
 			})
 		}
 	}
@@ -263,14 +292,13 @@ func TestTruncatedSupportEdges(t *testing.T) {
 			if res.SupportRows != 40 || res.SupportCols != 36 {
 				t.Fatalf("support %dx%d, want 40x36", res.SupportRows, res.SupportCols)
 			}
-			offSupportExactlyZero(t, "U", res.U, rowIdx)
-			offSupportExactlyZero(t, "V", res.V, colIdx)
+			supportIDs(t, res, a, rowIdx, colIdx, r)
 			for i, s := range res.S {
 				if (i < 3) != (s > 1e-8) {
 					t.Fatalf("σ = %v, want exactly three non-zero", res.S)
 				}
 			}
-			want := asGiven(t, a, r, opts)
+			want := onSupport(t, asGiven(t, a, r, opts), res, false)
 			if d := product(res).Sub(product(want)).MaxAbs(); d > 1e-12*math.Max(1, want.S[0]) {
 				t.Fatalf("UΣVᵀ differs from the as-given run by %g", d)
 			}
@@ -325,8 +353,9 @@ func supportShapes(tb testing.TB) (wt, fb *sparse.CSR) {
 
 // Test_TruncatedSupport is the differential at serving scale, where the
 // panels clear every parallel threshold: on WT the restricted run works on
-// the 38306 x 38369 support and agrees with the as-given run; on FB there
-// is nothing to restrict and the run is the as-given run, bit for bit.
+// the 38306 x 38369 support and its factors are the as-given run's support
+// rows, entry by entry; on FB there is nothing to restrict and the run is
+// the as-given run, bit for bit.
 func Test_TruncatedSupport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decomposes the n = 131072 fixture twice")
@@ -343,26 +372,8 @@ func Test_TruncatedSupport(t *testing.T) {
 	if got.SupportRows != len(rowIdx) || got.SupportCols != len(colIdx) || got.SupportRows != 38306 || got.SupportCols != 38369 {
 		t.Fatalf("WT support %dx%d, scan counts %dx%d, want 38306x38369", got.SupportRows, got.SupportCols, len(rowIdx), len(colIdx))
 	}
-	want := asGiven(t, wt, r, opts)
-	for i, s := range got.S {
-		if d := math.Abs(s - want.S[i]); d > 1e-12 {
-			t.Fatalf("WT σ[%d] = %v, as given %v (diff %g)", i, s, want.S[i], d)
-		}
-	}
-	// An n x n projector is out of reach; r x r cross-Grams say the same:
-	// UgᵀUw is orthogonal (|det| = 1, here: its Gram is I) iff the two
-	// column spaces coincide.
-	for _, f := range []struct {
-		name string
-		g, w *dense.Mat
-	}{{"U", got.U, want.U}, {"V", got.V, want.V}} {
-		cross := dense.TMul(f.g, f.w)
-		if d := dense.TMul(cross, cross).Sub(dense.Eye(r)).MaxAbs(); d > 1e-10 {
-			t.Fatalf("WT %s spans a different subspace than the as-given run's (dev %g)", f.name, d)
-		}
-	}
-	offSupportExactlyZero(t, "WT U", got.U, rowIdx)
-	offSupportExactlyZero(t, "WT V", got.V, colIdx)
+	supportIDs(t, got, wt, rowIdx, colIdx, r)
+	sameDecomposition(t, got, onSupport(t, asGiven(t, wt, r, opts), got, true), 1e-12)
 
 	gotFB, err := Truncated(fb, r, opts)
 	if err != nil {
@@ -405,8 +416,8 @@ func Benchmark_TruncatedSupport(b *testing.B) {
 
 // FuzzTruncatedSupport drives random sparsity patterns — which rows and
 // columns are empty, how dense the rest is — through both drivers: the
-// restricted run must decompose exactly the support, keep its factors on
-// it, exactly, and return descending finite σ. The randomized driver must
+// restricted run must decompose exactly the support, return one factor row
+// per support row and column, and descending finite σ. The randomized driver must
 // also agree with the as-given run on the product UΣVᵀ; Lanczos is not held
 // to that here, because short of convergence its two runs are different
 // Krylov spaces (see TestTruncatedEmbeddingDifferential).
@@ -436,11 +447,8 @@ func FuzzTruncatedSupport(f *testing.F) {
 		if got.SupportRows != wantRows || got.SupportCols != wantCols {
 			t.Fatalf("%dx%d support of a %dx%d matrix: decomposed %dx%d, want %dx%d", NR, NC, R, C, got.SupportRows, got.SupportCols, wantRows, wantCols)
 		}
-		if got.SupportRows == NR {
-			offSupportExactlyZero(t, "U", got.U, rowIdx)
-		}
-		if got.SupportCols == NC {
-			offSupportExactlyZero(t, "V", got.V, colIdx)
+		if wantRows == NR {
+			supportIDs(t, got, a, rowIdx, colIdx, r)
 		}
 		for i, s := range got.S {
 			if !(s >= 0) || math.IsInf(s, 0) || (i > 0 && s > got.S[i-1]+1e-9) {
@@ -450,7 +458,7 @@ func FuzzTruncatedSupport(f *testing.F) {
 		if lanczos {
 			return
 		}
-		want := asGiven(t, a, r, opts)
+		want := onSupport(t, asGiven(t, a, r, opts), got, false)
 		if d := product(got).Sub(product(want)).MaxAbs(); d > 1e-9*math.Max(1, want.S[0]) {
 			t.Fatalf("UΣVᵀ differs from the as-given run by %g (σ %v vs %v)", d, got.S, want.S)
 		}
@@ -458,11 +466,13 @@ func FuzzTruncatedSupport(f *testing.F) {
 }
 
 // TestRandomizedAllocatesFourPanels bounds what a randomized decomposition
-// of the WT shape allocates: the factors it returns, and beside them four
-// sketch-sized panels (38369 x 24) — the range finder's two, U and V on the
-// support — plus Aᵀ and the support's index arrays, which fit in a fifth
-// panel's worth with 1 MB for everything small. A step that goes back to a
-// fresh matrix of its own adds a panel and fails.
+// of the WT shape allocates: the factors it returns — r wide and on the
+// support, no n x r matrix (16.8 MB, 2.3 panels) anywhere — and beside them
+// four sketch-sized panels' worth (38369 x 24): the range finder's two, Aᵀ,
+// the support's index arrays and the Gram reductions' partials (≈ 3.3 in
+// all), with 1 MB for everything small. Until U and V came on the support
+// and r wide, two of the four were theirs. A step that goes back to a fresh
+// matrix of its own adds a panel and fails.
 func TestRandomizedAllocatesFourPanels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decomposes the n = 131072 fixture")
@@ -477,10 +487,13 @@ func TestRandomizedAllocatesFourPanels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !res.U.IsShape(res.SupportRows, r) || !res.V.IsShape(res.SupportCols, r) {
+		t.Fatalf("factors %dx%d / %dx%d, want the support's %d and %d rows", res.U.Rows, res.U.Cols, res.V.Rows, res.V.Cols, res.SupportRows, res.SupportCols)
+	}
 	panel := int64(max(res.SupportRows, res.SupportCols)) * int64(r+opts.Oversample) * 8
-	got, bound := int64(after.TotalAlloc-before.TotalAlloc), res.Bytes()+5*panel+1<<20
+	got, bound := int64(after.TotalAlloc-before.TotalAlloc), res.Bytes()+4*panel+1<<20
 	t.Logf("allocated %d bytes: the factors' %d + %.2f panels of %d", got, res.Bytes(), float64(got-res.Bytes())/float64(panel), panel)
 	if got > bound {
-		t.Fatalf("Truncated allocated %d bytes, want at most the factors' %d + 5 panels of %d + 1 MiB = %d", got, res.Bytes(), panel, bound)
+		t.Fatalf("Truncated allocated %d bytes, want at most the factors' %d + 4 panels of %d + 1 MiB = %d", got, res.Bytes(), panel, bound)
 	}
 }

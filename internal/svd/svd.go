@@ -5,7 +5,7 @@
 //
 //   - Randomized subspace iteration (Halko, Martinsson & Tropp 2011):
 //     a Gaussian range sketch refined by power iterations, orthonormalised
-//     with Householder QR, finished through the k x k Gram matrix of the
+//     by CholeskyQR2, finished through the k x k Gram matrix of the
 //     projected factor (a Jacobi eigensolve). O(q · r · m) sparse work.
 //     This is the default method.
 //
@@ -77,45 +77,50 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result holds a rank-r truncated SVD A ≈ U diag(S) Vᵀ with U (rows x r)
-// and V (cols x r) having orthonormal columns and S sorted descending.
+// Result holds a rank-r truncated SVD A ≈ U diag(S) Vᵀ with U and V
+// having orthonormal columns and S sorted descending. U and V hold only
+// the rows the driver computed, A's support: row i of U is row RowSupport[i]
+// of the full left factor, row i of V row ColSupport[i] of the right one,
+// and every row left out is exactly zero.
 type Result struct {
 	U *dense.Mat
 	S []float64
 	V *dense.Mat
 	// SupportRows x SupportCols is the shape of the matrix the driver
 	// worked on: A's non-empty rows and columns, or A's own shape when it
-	// was decomposed as given. Rows of U and V outside it are exactly zero.
+	// was decomposed as given. U has SupportRows rows, V SupportCols.
 	SupportRows, SupportCols int
-	// ColSupport lists, ascending, the columns of A the driver worked on —
-	// the only rows of V that can be non-zero — when they are a proper
-	// subset; nil when V has a computed row for every column of A.
-	ColSupport []int32
-	// Stages is where the decomposition's wall time went; the six sum to
-	// the call's.
+	// RowSupport and ColSupport list, ascending, the rows and the columns
+	// of A the driver worked on — the rows of U and of V — when they are a
+	// proper subset; nil means every row (every column), in place.
+	RowSupport, ColSupport []int32
+	// Stages is where the decomposition's wall time went; the five
+	// durations sum to the call's.
 	Stages Stages
 }
 
 // Stages splits a Truncated call's wall time by the layer that spent it.
 type Stages struct {
-	// Sparse is the passes over the matrix: its transpose and the A·X and
-	// Aᵀ·X products.
+	// Sparse is the passes over the matrix: the A·X and Aᵀ·X products.
 	Sparse time.Duration
-	// Ortho is orthonormalisation: the Householder QRs of the randomized
+	// Ortho is orthonormalisation: the CholeskyQR2 passes of the randomized
 	// driver, the Krylov reorthogonalisation of the Lanczos one.
 	Ortho time.Duration
-	// Small is the projected problem: the Gram matrix and its
-	// eigensolve (or the bidiagonal's Jacobi SVD) and the products that
-	// carry its vectors back to the support's rows.
+	// Small is the projected problem: the Gram matrix and its eigensolve
+	// (or the bidiagonal's Jacobi SVD) and the products that carry its
+	// leading r vectors back to the support's rows.
 	Small time.Duration
 	// Draw is the Gaussian sketch (or Lanczos start vector): the whole
 	// stream for the input's shape, whatever part of it the support keeps.
+	// The randomized driver builds the matrix's transpose beside it.
 	Draw time.Duration
-	// Scatter is the copy that truncates the factors to rank r and scatters
-	// them to the input's rows.
-	Scatter time.Duration
 	// Rest is what is left around the driver: the support scan.
 	Rest time.Duration
+	// OrthoPasses counts the randomized driver's CholeskyQR passes: two
+	// per orthonormalisation, PowerIters + 1 of them, and more for each
+	// that had to shift (dense.OrthonormalizePasses) — the sign that a
+	// sketch came near CholeskyQR's conditioning limit.
+	OrthoPasses int
 }
 
 // clock charges the time since its last lap to a stage.
@@ -141,13 +146,12 @@ func (r *Result) Bytes() int64 {
 // The drivers run on a's support (see restrict): an empty row of a is a
 // zero row of every A·X, an empty column a zero row of every Aᵀ·X, and the
 // SVD of a zero-padded matrix is the zero-padded SVD of its non-zero block,
-// so the dense work — and every tall allocation — is sized by the rows and
-// columns that hold entries, and U and V are scattered back to a's shape at
-// the end. The Gaussian vectors are still drawn as the full-size streams and
-// cut down to the support, so the randomized driver multiplies the numbers
-// it would have multiplied against a's entries and its factors are those of
-// the full-size run to rounding (singular vector pairs possibly negated
-// together); a matrix with no empty row or column is decomposed by the same
+// so the dense work — every tall allocation, and the factors returned — is
+// sized by the rows and columns that hold entries. The Gaussian vectors
+// are still drawn as the full-size streams and cut down to the support, so
+// the randomized driver multiplies the numbers it would have multiplied
+// against a's entries and its factors are those of the full-size run to
+// rounding; a matrix with no empty row or column is decomposed by the same
 // arithmetic, bit for bit. Lanczos agrees with its full-size run only as far
 // as both have converged: there the start vector's mass on empty columns
 // stayed in the Krylov basis.
@@ -163,8 +167,8 @@ func Truncated(a *sparse.CSR, r int, opts Options) (*Result, error) {
 	return p.decompose(r, opts, ck)
 }
 
-// decompose runs opts.Method's driver on p and carries its factors back to
-// the shape of the matrix p was cut from.
+// decompose runs opts.Method's driver on p: rank-r factors over p's rows
+// and columns.
 func (p *problem) decompose(r int, opts Options, ck *clock) (*Result, error) {
 	var drive func(*problem, int, Options, *clock) (u *dense.Mat, s []float64, v *dense.Mat, err error)
 	switch opts.Method {
@@ -179,11 +183,9 @@ func (p *problem) decompose(r int, opts Options, ck *clock) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{U: embed(u, r, p.rows, p.rowIdx), S: make([]float64, r), V: embed(v, r, p.cols, p.colIdx)}
+	res := &Result{U: u, S: make([]float64, r), V: v, RowSupport: p.rowIdx, ColSupport: p.colIdx}
 	copy(res.S, s) // the leading r; a driver that found fewer leaves σ = 0 behind them
 	res.SupportRows, res.SupportCols = p.a.Dims()
-	res.ColSupport = p.colIdx
-	ck.lap(&ck.Scatter)
 	res.Stages = ck.Stages
 	return res, nil
 }
@@ -236,19 +238,13 @@ func gaussian(m *dense.Mat, rng *rand.Rand, n int, keep []int32) *dense.Mat {
 	return m
 }
 
-// embed returns the rows x r matrix holding the leading min(r, m.Cols)
-// columns of m, row i of m at row idx[i] (row i when idx is nil), and zero
-// everywhere else: the truncation to rank r and the scatter off the support
-// in one copy.
-func embed(m *dense.Mat, r, rows int, idx []int32) *dense.Mat {
-	out := dense.NewMat(rows, r)
-	k := min(r, m.Cols)
+// leading returns the m.Rows x r matrix holding the leading min(r, m.Cols)
+// columns of m and zero beyond them: the small factor's vectors that rank r
+// keeps, so the products that carry them to the support compute no others.
+func leading(m *dense.Mat, r int) *dense.Mat {
+	out := dense.NewMat(m.Rows, r)
 	for i := 0; i < m.Rows; i++ {
-		at := i
-		if idx != nil {
-			at = int(idx[i])
-		}
-		copy(out.Row(at), m.Row(i)[:k])
+		copy(out.Row(i), m.Row(i)[:min(r, m.Cols)])
 	}
 	return out
 }
@@ -276,17 +272,26 @@ func randomized(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float
 		return out
 	}
 	orthonormalize := func(y *dense.Mat) (*dense.Mat, error) {
-		q, err := dense.OrthonormalizeInto(y, spare, 0)
+		q, passes, err := dense.OrthonormalizePasses(y, spare, 0)
 		spare = y.Data
+		ck.OrthoPasses += passes
 		return q, err
 	}
+	// Aᵀ is built once for the three Aᵀ·X passes below, on a second
+	// goroutine while this one draws Ω: both are serial and neither reads
+	// the other. at.MulDense sums each output row in ascending original-row
+	// order, which is MulDenseT's order on both of its paths, so the bits
+	// are MulDenseT's.
+	var at *sparse.CSR
+	built := make(chan struct{})
+	go func() {
+		at = a.Transpose()
+		close(built)
+	}()
 	omega := gaussian(&dense.Mat{Rows: cols, Cols: k, Data: make([]float64, size)[:cols*k]},
 		rand.New(rand.NewSource(opts.Seed)), p.cols, p.colIdx)
+	<-built
 	ck.lap(&ck.Draw)
-	// Aᵀ is built once for the three Aᵀ·X passes below. at.MulDense sums
-	// each output row in ascending original-row order, which is MulDenseT's
-	// order on both of its paths, so the bits are MulDenseT's.
-	at := a.Transpose()
 	// Y = A Ω, refined by power iterations with re-orthonormalisation
 	// between sparse passes to avoid losing small singular directions.
 	y := product(a, omega)
@@ -312,8 +317,11 @@ func randomized(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float
 	// Finish through the k x k Gram matrix G = B Bᵀ = btᵀ bt: its
 	// eigendecomposition G = Z diag(σ²) Zᵀ gives A ≈ (Q Z) Σ (bt Z Σ⁻¹)ᵀ.
 	// One O(n k²) pass plus an O(k³) Jacobi — far cheaper than a Jacobi
-	// SVD of the n x k factor at the large ranks Table 3 sweeps.
-	gram := dense.TMul(bt, bt)
+	// SVD of the n x k factor at the large ranks Table 3 sweeps — and the
+	// products carry only Z's leading r columns: an output entry is one dot
+	// over k, so they are the first r columns of the full products, bit for
+	// bit.
+	gram := dense.Gram(bt)
 	evals, z, err := dense.SymEig(gram)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("svd: randomized Gram eigensolve: %w", err)
@@ -324,11 +332,12 @@ func randomized(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float
 			s[i] = math.Sqrt(ev)
 		}
 	}
+	z = leading(z, r)
 	u := dense.Mul(q, z)
 	v := dense.Mul(bt, z)
 	// Normalise V's columns by σ; zero-σ directions carry no mass.
-	inv := make([]float64, len(s))
-	for j, sj := range s {
+	inv := make([]float64, r)
+	for j, sj := range s[:r] {
 		if sj != 0 {
 			inv[j] = 1 / sj
 		}
@@ -416,7 +425,7 @@ func lanczos(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64,
 	// contribute nothing downstream, and the caller zero-pads them.
 	k := len(alphas)
 	if k == 0 {
-		return dense.NewMat(rows, 0), nil, dense.NewMat(cols, 0), nil
+		return dense.NewMat(rows, r), nil, dense.NewMat(cols, r), nil
 	}
 	// Small bidiagonal B (k x k): B[i][i] = alpha_i, B[i][i+1] = beta_i.
 	b := dense.NewMat(k, k)
@@ -430,10 +439,11 @@ func lanczos(p *problem, r int, opts Options, ck *clock) (*dense.Mat, []float64,
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("svd: lanczos small SVD: %w", err)
 	}
-	// A ≈ U_k B V_kᵀ = (U_k W) Σ (V_k Z)ᵀ.
+	// A ≈ U_k B V_kᵀ = (U_k W) Σ (V_k Z)ᵀ, carried for the leading r
+	// triplets (zero columns past the k found).
 	uk := basisMat(uBasis, rows, k)
 	vk := basisMat(vBasis, cols, k)
-	um, vm := dense.Mul(uk, small.U), dense.Mul(vk, small.V)
+	um, vm := dense.Mul(uk, leading(small.U, r)), dense.Mul(vk, leading(small.V, r))
 	ck.lap(&ck.Small)
 	return um, small.S, vm, nil
 }
