@@ -11,10 +11,10 @@ import (
 	"csrplus/internal/core"
 )
 
-// TestCompactedFileAnswersLikeDenseV2 is the cross-version half of the
-// format change: one index, as the v2 file the last v2 writer left of it
-// (every row stored, twelve of the 48 all zero) and as the v3 file that
-// leaves those rows out, answers /topk and /similarity with byte-identical
+// TestCompactedFileAnswersLikeDenseV2 is the file half of the compacted
+// format: one index, as a file that stores every row (twelve of the 48 all
+// zero) and as one that leaves those rows out, answers /topk and
+// /similarity with byte-identical
 // bodies — at K = 1 and through a router over three wire workers booted from
 // the compacted per-shard files — for sources, targets and excluded nodes
 // among the rows left out, and for k up to, at and past the rows stored.
@@ -22,8 +22,8 @@ import (
 // slots that store nothing, to the same answers.)
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
-	v2 := filepath.Join("..", "..", "internal", "core", "testdata", "index.v2-sparse.csrx")
-	dense, err := core.LoadIndex(v2)
+	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v4-sparse.csrx")
+	dense, err := core.LoadIndex(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	if dense.Stored() != n || compact.Stored() != stored {
 		t.Fatalf("fixture stores %d rows, %d compacted: want %d and %d", dense.Stored(), compact.Stored(), n, stored)
 	}
-	v3 := filepath.Join(t.TempDir(), "compact.csrx")
-	if err := core.SaveIndex(compact, v3); err != nil {
+	compacted := filepath.Join(t.TempDir(), "compact.csrx")
+	if err := core.SaveIndex(compact, compacted); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,9 +44,9 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 		s    *server
 	}
 	modes := []mode{
-		{"v2 file", bootFlags(t, append(base, "-index", v2)...)},
-		{"v3 file", bootFlags(t, append(base, "-index", v3)...)},
-		{"v3 shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil))},
+		{"every-row file", bootFlags(t, append(base, "-index", full)...)},
+		{"compacted file", bootFlags(t, append(base, "-index", compacted)...)},
+		{"compacted shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil))},
 	}
 
 	var paths []string
@@ -73,7 +73,8 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 		}
 	}
 
-	// What a generation stores is on /stats: the whole index's and each slot's.
+	// What a generation stores, and which build it is, is on /stats: the
+	// whole index's and each slot's.
 	for _, m := range modes[:2] {
 		srv := httptest.NewServer(m.s.mux())
 		_, stats := get(t, srv, "/stats")
@@ -83,6 +84,10 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 			wantStored, wantBytes = compact.Stored(), compact.IndexShard.Bytes()
 		}
 		slot := stats["shards"].([]interface{})[0].(map[string]interface{})
+		// One build, whichever rows a file stores: compacting keeps the id.
+		if build := fmt.Sprintf("%016x", dense.Build()); stats["build"] != build || slot["build"] != build || compact.Build() != dense.Build() {
+			t.Fatalf("%s: /stats build %v (slot %v), want %s", m.name, stats["build"], slot["build"], build)
+		}
 		if stats["rows_stored"] != float64(wantStored) || stats["n"] != float64(n) || stats["index_bytes"] != float64(wantBytes) ||
 			slot["rows_stored"] != float64(wantStored) || slot["bytes"] != float64(wantBytes) {
 			t.Fatalf("%s: /stats reports rows_stored=%v n=%v index_bytes=%v (slot: %v), want %d, %d, %d", m.name,

@@ -262,6 +262,20 @@ func indexSize(slots []shard.ShardStatus) (stored int, bytes int64) {
 	return stored, bytes
 }
 
+// servedBuild names the index build every slot serves, or "mixed" while a
+// roll has slots on different builds.
+func servedBuild(slots []shard.ShardStatus) string {
+	if len(slots) == 0 {
+		return ""
+	}
+	for _, sl := range slots[1:] {
+		if sl.Build != slots[0].Build {
+			return "mixed"
+		}
+	}
+	return slots[0].Build
+}
+
 // allMapped reports whether every slot serves its rows from a mapped file.
 func allMapped(slots []shard.ShardStatus) bool {
 	return len(slots) > 0 && !slices.ContainsFunc(slots, func(sl shard.ShardStatus) bool { return !sl.Mapped })
@@ -335,6 +349,7 @@ func (s *server) mux() *http.ServeMux {
 			"n":                  st.N,
 			"rows_stored":        stored,
 			"index_bytes":        indexBytes,
+			"build":              servedBuild(shards),
 			"m":                  st.M,
 			"generation":         st.Generation,
 			"source":             st.Source,

@@ -600,16 +600,18 @@ func TestSourceSnapshotResolution(t *testing.T) {
 
 // TestBuildClocks pins what the boot and reload log lines say about where
 // a generation's build time went: a precompute names the support it
-// decomposed, its seven stages and its CholeskyQR passes (nine: the test
+// decomposed, its seven stages, its CholeskyQR passes (nine: the test
 // graph's transition matrix has an empty row and two equal ones, so the
 // 6-wide sketch of it has dependent columns and each of the three
-// orthonormalisations shifts once), a publish is clocked after it with the
+// orthonormalisations shifts once) and the eigenvalues of ΣPΣ its Gram
+// factor clamped (none: the retained σ are positive), a publish is clocked
+// after it with the
 // read-back inside it, a rebuild over the live graph leads with the cut — as
 // a reload that had to read the flags' graph again leads with that — and a
 // generation that was only loaded clocks nothing.
 func TestBuildClocks(t *testing.T) {
 	dir := t.TempDir()
-	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ ortho_passes=9 eig=\S+ solve=\S+ z=\S+ draw=\S+ rest=\S+`
+	precompute := `precompute: support=\d+x\d+/\d+ sparse=\S+ ortho=\S+ ortho_passes=9 eig=\S+ solve=\S+ gram=\S+ gram_clamped=0 draw=\S+ rest=\S+`
 	for _, tc := range []struct {
 		name, want string
 		args       []string

@@ -149,21 +149,21 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 	}
 }
 
-// poisonZ rewrites entry (row, 0) of the Z factor in the snapshot file at
+// poisonF rewrites entry (row, 0) of the factor F in the snapshot file at
 // path — a whole index (CSRX), or with shard set one shard's file (CSRS),
 // which leads with no sigma section — as NaN and re-seals the section and
 // header checksums (layout: DESIGN.md §13), so the file loads — the way an
 // index published from a bad build would.
-func poisonZ(t *testing.T, path string, shard bool, row, rank int) {
+func poisonF(t *testing.T, path string, shard bool, row, rank int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const page, table, desc = 4096, 128, 24
-	zSection := 6 // v3: sigma, ids, zscale, uscale, zqerr, uqerr, z, u
+	zSection := 4 // sigma, ids, fscale, fqerr, f
 	if shard {
-		zSection = 5
+		zSection = 3
 	}
 	le := binary.LittleEndian
 	d := data[table+zSection*desc:]
@@ -193,7 +193,7 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := bootArgs(t, "-index", index, "-reloadretries", "1")
-		poisonZ(t, index, false, 1, 3) // the probes are nodes 0, 3 and 5
+		poisonF(t, index, false, 1, 3) // the probes are nodes 0, 3 and 5
 		st, err := s.reload(context.Background())
 		if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
 			t.Fatalf("reload of the poisoned index: err = %v, want ErrValidation naming a non-finite score", err)
@@ -214,7 +214,8 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 		}
 	})
 	// Three workers over two nodes each; the poisoned row is node 3, the
-	// second row of worker 1's shard file.
+	// second row of worker 1's shard file and one of its probes, whose row
+	// is the query side of the scan too.
 	t.Run("shards=3", func(t *testing.T) {
 		snaps := publishShards(t, coreIndex(testEngine(t)), 3)
 		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame", "-reloadretries", "1")
@@ -222,10 +223,10 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		poisonZ(t, path, true, 1, 3)
+		poisonF(t, path, true, 1, 3)
 		st, err := s.reload(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "non-finite score") {
-			t.Fatalf("roll onto the poisoned shard: err = %v, want worker 1's refusal naming a non-finite score", err)
+		if err == nil || !strings.Contains(err.Error(), "non-finite query row") {
+			t.Fatalf("roll onto the poisoned shard: err = %v, want worker 1's refusal naming its non-finite probe row", err)
 		}
 		if gens := st.ShardStatus(); st.Generation != 1 || gens[0].Generation != 2 || gens[1].Generation != 1 || gens[2].Generation != 1 {
 			t.Fatalf("after the refused roll: serve generation %d over slots %+v, want 1 over slot generations 2, 1, 1", st.Generation, gens)

@@ -8,7 +8,7 @@
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
-//	csrstat -index old-v2.csrx -convert new.csrx              # v1/v2 -> v3 migration, all-zero rows dropped
+//	csrstat -index old-v3.csrx -convert new.csrx              # exact two-factor v3 -> one-factor v4
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
 //	csrstat -index whole.csrx -convert /data/snaps -split 4   # publish shard-<s>/ generations for 4 -shardworkers
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"csrplus/internal/core"
 	"csrplus/internal/graph"
@@ -36,7 +37,7 @@ func main() {
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v3, mmap-able) layout, without its all-zero rows")
+	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v4, mmap-able, one-factor) layout, without its all-zero rows; an exact v3 index is converted")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	var split *int // nil unless given: -split 0 is refused, not read as "one file"
 	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
@@ -69,15 +70,18 @@ func main() {
 }
 
 // runIndex is index mode: print the metadata a persisted index carries,
-// and optionally rewrite it (v1/v2 -> v3 migration, tier conversion) as one
+// and optionally rewrite it (v3 -> v4 migration, tier conversion) as one
 // file or, with split (nil when -split was not given), as the per-shard
 // snapshot directories a cluster of *split workers boots from
-// (shard.PublishSnapshots). LoadIndex reads every
-// layout, so converting is load + save — less the rows that are all zero in
-// both factors, which only v3 can leave out (core.Index.Compact: the
-// answers do not move).
+// (shard.PublishSnapshots). An exact v3 index — two factors, which no
+// server loads — is read by core.ConvertIndex, which derives the one
+// factor; converting is that load + save, less the rows that are all zero
+// (core.Index.Compact: the answers do not move).
 func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	ix, err := core.LoadIndex(path)
+	if errors.Is(err, core.ErrFormat) {
+		ix, err = core.ConvertIndex(path)
+	}
 	if errors.Is(err, core.ErrCorrupt) {
 		// Not a whole index; a shard file is the same factors under the
 		// other header, and loads only as one.
@@ -99,6 +103,12 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	fmt.Fprintf(out, "rank:          %d\n", ix.Rank())
 	fmt.Fprintf(out, "damping:       %g\n", ix.Damping())
 	fmt.Fprintf(out, "iterations:    %d\n", ix.Iterations())
+	fmt.Fprintf(out, "build:         %016x\n", ix.Build())
+	fmt.Fprintf(out, "sigma:         %s\n", floats(ix.SingularValues()))
+	fmt.Fprintf(out, "lambda:        %s (eigenvalues of ΣPΣ, ‖F_j‖²)\n", floats(ix.Eigenvalues()))
+	if b := ix.ClampBound(); b > 0 {
+		fmt.Fprintf(out, "clamp bound:   %g (entrywise: negative eigenvalues served as 0)\n", b)
+	}
 	fmt.Fprintf(out, "tier:          %s\n", ix.Tier())
 	fmt.Fprintf(out, "mapped:        %t\n", ix.Mapped())
 	printSize(out, &ix.IndexShard, ix.Bytes())
@@ -162,6 +172,15 @@ func printFile(out io.Writer, path string, sh *core.IndexShard) error {
 	return nil
 }
 
+// floats renders a rank-length vector on one line.
+func floats(v []float64) string {
+	s := make([]string, len(v))
+	for i, x := range v {
+		s[i] = strconv.FormatFloat(x, 'g', 6, 64)
+	}
+	return strings.Join(s, " ")
+}
+
 // printSize prints how much of its node range the file stores and what
 // that costs: bytes is the resident size of what was loaded.
 func printSize(out io.Writer, sh *core.IndexShard, bytes int64) {
@@ -181,6 +200,7 @@ func runShard(out io.Writer, path string, f *core.ShardFile, rewrite bool) error
 		return err
 	}
 	fmt.Fprintf(out, "shard rows:    [%d, %d)\n", sh.Lo(), sh.Hi())
+	fmt.Fprintf(out, "build:         %016x\n", sh.Build())
 	fmt.Fprintf(out, "rank:          %d\n", sh.Rank())
 	fmt.Fprintf(out, "damping:       %g\n", sh.Damping())
 	fmt.Fprintf(out, "tier:          %s\n", sh.Tier())

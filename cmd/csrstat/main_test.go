@@ -135,6 +135,46 @@ func TestRunIndexOnShardFile(t *testing.T) {
 	}
 }
 
+// TestRunIndexConvertsV3: the two-factor v3 file of an exact index, which
+// no server loads, is inspected — σ and the λ of the factor derived from it
+// side by side — and converted to a v4 file that loads and answers; a
+// quantized v3 file and a v3 shard file are refused, naming what to do.
+func TestRunIndexConvertsV3(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	src := filepath.Join(testdata, "index.v3-f64.csrx")
+	if _, err := core.LoadIndex(src); !errors.Is(err, core.ErrFormat) {
+		t.Fatalf("LoadIndex of a v3 file: err = %v, want ErrFormat", err)
+	}
+	dst := filepath.Join(t.TempDir(), "v4.csrx")
+	var buf bytes.Buffer
+	if err := runIndex(&buf, src, dst, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"format:        v3", "nodes:         6", "sigma:         ", "lambda:        ", "build:         ", "written:       " + dst} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("conversion output missing %q:\n%s", want, out)
+		}
+	}
+	back, err := core.LoadIndex(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if _, err := back.QueryOne(3); err != nil || back.Build() == 0 {
+		t.Fatalf("converted index: build %x, query err %v", back.Build(), err)
+	}
+	buf.Reset()
+	if err := runIndex(&buf, dst, "", "", nil); err != nil || !strings.Contains(buf.String(), "format:        v4") {
+		t.Fatalf("inspecting the converted file: %v\n%s", err, buf.String())
+	}
+	for file, want := range map[string]string{"index.v3-int8.csrx": "re-quantize from the exact file", "shard.v3-f64.csrs": "csrstat -convert"} {
+		if err := runIndex(&buf, filepath.Join(testdata, file), dst, "", nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", file, err, want)
+		}
+	}
+}
+
 func TestRunIndexConvertQuantized(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "exact.csrx")

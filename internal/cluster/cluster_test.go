@@ -395,20 +395,19 @@ func (h *harness) wantSameAnswers(querySets []string, ks []int, targets string) 
 
 }
 
-// TestClusterCompactedMatchesDenseV2 is the cross-version run over the
-// wire: the monolithic server boots from the v2 file the last v2 writer
-// left of an index — every row stored, a quarter of them all zero — and the
-// workers from per-shard v3 files cut from the same index with those rows
-// left out. The two deployments must answer /topk and /similarity bit for
+// TestClusterCompactedMatchesDenseV2 is the compacted-format run over the
+// wire: the monolithic server boots from a file that stores every row of
+// an index — a quarter of them all zero — and the workers from per-shard
+// files cut from the same index with those rows left out. The two deployments must answer /topk and /similarity bit for
 // bit, for sources, targets and excluded nodes among the rows nobody
 // stores, and for k past what is stored.
 func TestClusterCompactedMatchesDenseV2(t *testing.T) {
 	h := newHarness(t)
-	v2, err := filepath.Abs(filepath.Join("..", "core", "testdata", "index.v2-sparse.csrx"))
+	full, err := filepath.Abs(filepath.Join("..", "core", "testdata", "index.v4-sparse.csrx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := core.LoadIndex(v2)
+	dense, err := core.LoadIndex(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +421,7 @@ func TestClusterCompactedMatchesDenseV2(t *testing.T) {
 	if err := os.WriteFile(graphPath, []byte("0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h.serve(compact, filepath.Join(tmp, "snapshots"), "-graph", graphPath, "-n", fmt.Sprint(dense.N()), "-index", v2)
+	h.serve(compact, filepath.Join(tmp, "snapshots"), "-graph", graphPath, "-n", fmt.Sprint(dense.N()), "-index", full)
 	// 3, 7, 11 and 47 are rows the workers do not store.
 	h.wantSameAnswers([]string{"0", "3", "47", "8,16", "3,8,47,8", "3,7,11", "46,0,3"},
 		[]int{1, 5, compact.Stored(), compact.Stored() + 1, dense.N()}, "0,3,7,8,16,46,47")

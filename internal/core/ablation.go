@@ -105,7 +105,7 @@ func SolveSubspaceLambda(u *dense.Mat, s []float64, v *dense.Mat, c float64) (*d
 }
 
 // QueryDense answers a multi-source query the un-optimised way, without
-// Theorem 3.5: the full n x n similarity matrix S = I + c·Z·Uᵀ is
+// Theorem 3.5: the full n x n similarity matrix S = I + c·F·Fᵀ is
 // materialised and the queried columns sliced out. O(n²r) time and O(n²)
 // memory — the cost the paper's fourth stage eliminates. Ablation use
 // only; the memory guard must be consulted before calling it on anything
@@ -124,8 +124,8 @@ func (ix *Index) QueryDense(queries []int) (*dense.Mat, error) {
 		// cost; a lossy tier would measure something else entirely.
 		return nil, fmt.Errorf("core: QueryDense requires an exact (f64) index, have %v: %w", ix.Tier(), ErrParams)
 	}
-	z, u := ix.denseF64()
-	full := dense.MulT(z, u).Scale(ix.c).AddEye(1)
+	f := ix.denseF64()
+	full := dense.MulT(f, f).Scale(ix.c).AddEye(1)
 	out := dense.NewMat(ix.n, len(queries))
 	for j, q := range queries {
 		for i := 0; i < ix.n; i++ {

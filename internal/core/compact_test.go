@@ -16,7 +16,7 @@ import (
 func TestCheckStored(t *testing.T) {
 	shard := func(lo, hi, rows int, ids []int32) *IndexShard {
 		m := &dense.Typed{Kind: dense.F64, Rows: rows, Cols: 2, F64: make([]float64, rows*2)}
-		return &IndexShard{n: 20, lo: lo, hi: hi, c: 0.6, rank: 2, ids: ids, z: m, u: m}
+		return &IndexShard{n: 20, lo: lo, hi: hi, c: 0.6, rank: 2, ids: ids, f: m}
 	}
 	for name, sh := range map[string]*IndexShard{
 		"every row, unlisted": shard(4, 9, 5, nil),
@@ -37,7 +37,6 @@ func TestCheckStored(t *testing.T) {
 		"below lo":                   shard(4, 9, 2, []int32{3, 6}),
 		"at hi":                      shard(4, 9, 2, []int32{6, 9}),
 		"negative":                   shard(4, 9, 2, []int32{-1, 6}),
-		"U shorter than Z":           {n: 20, lo: 4, hi: 9, rank: 2, z: shard(4, 9, 5, nil).z, u: shard(4, 9, 4, nil).z},
 		"nothing stored, unlisted":   shard(4, 9, 0, nil),
 		"listed rows beyond the end": shard(0, 20, 1, []int32{20}),
 	} {
@@ -49,22 +48,21 @@ func TestCheckStored(t *testing.T) {
 
 // TestCompactIsExact drops the all-zero rows of an index that stores every
 // row and holds the result to the original: same answers, bounds and
-// quantization by bits on every tier; only rows that are +0 in BOTH factors
-// go; an index with nothing to drop is returned as it is.
+// quantization by bits on every tier; only rows that are +0 throughout go;
+// an index with nothing to drop is returned as it is.
 func TestCompactIsExact(t *testing.T) {
 	full, compact := sparseScanFixture(syntheticIndex(600, 5, 9))
-	// A row of -0 in Z, a row that is zero in U only: both must stay.
+	// A row of -0, a row with a single non-zero entry: both must stay.
 	for j := 0; j < 5; j++ {
-		full.z.F64[2*5+j] = math.Copysign(0, -1)
-		full.u.F64[3*5+j] = 0
-		full.z.F64[3*5+j] = 1
+		full.f.F64[2*5+j] = math.Copysign(0, -1)
 	}
+	full.f.F64[3*5+4] = 1
 	compact = full.Compact()
 	if _, ok := compact.row(2); !ok || scanStored(2) {
 		t.Fatal("a row of negative zeros was dropped (or the fixture stores row 2 anyway)")
 	}
 	if _, ok := compact.row(3); !ok || scanStored(3) {
-		t.Fatal("a row that is zero in U alone was dropped (or the fixture stores row 3 anyway)")
+		t.Fatal("a row that is zero but for one entry was dropped (or the fixture stores row 3 anyway)")
 	}
 	if err := compact.CheckStored(); err != nil || compact.Stored() >= full.Stored() {
 		t.Fatalf("compacted %d rows to %d: %v", full.Stored(), compact.Stored(), err)
@@ -83,12 +81,8 @@ func TestCompactIsExact(t *testing.T) {
 		}
 		queries := []int{2, 3, 0, 599, 100}
 		wantBitwise(t, tier.String()+" answers", queryBits(t, got, queries), queryBits(t, want, queries))
-		wz, wu := want.ColMaxes()
-		gz, gu := got.ColMaxes()
-		wantBitwise(t, tier.String()+" Z column maxima", gz, wz)
-		wantBitwise(t, tier.String()+" U column maxima", gu, wu)
-		wantBitwise(t, tier.String()+" zqerr", got.zqerr, want.zqerr)
-		wantBitwise(t, tier.String()+" uqerr", got.uqerr, want.uqerr)
+		wantBitwise(t, tier.String()+" F column maxima", got.ColMaxes(), want.ColMaxes())
+		wantBitwise(t, tier.String()+" fqerr", got.fqerr, want.fqerr)
 		for rank := 0; rank <= 5; rank++ {
 			if g, w := got.TruncationBound(rank), want.TruncationBound(rank); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%v: TruncationBound(%d) = %v compacted, %v with every row", tier, rank, g, w)
@@ -104,14 +98,14 @@ func TestCompactIsExact(t *testing.T) {
 }
 
 // TestQueryRejectsNonFiniteRows pins the precondition the implicit rows
-// stand on: a zero row of Z scores +0 only against finite query rows, so
+// stand on: a zero row of F scores +0 only against finite query rows, so
 // every consumer refuses the others, whether or not it leaves rows out.
 func TestQueryRejectsNonFiniteRows(t *testing.T) {
 	full, compact := sparseScanFixture(syntheticIndex(300, 4, 2))
 	ctx := context.Background()
 	for _, ix := range []*Index{full, compact} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			uq := ix.gatherU([]int{0, 1})
+			uq := ix.gatherF([]int{0, 1})
 			uq.Data[5] = bad
 			if _, err := ix.PartialTopK(ctx, []int{0, 1}, uq, 3, 0); !errors.Is(err, ErrParams) {
 				t.Errorf("PartialTopK over a query row holding %v: err = %v, want ErrParams", bad, err)
@@ -132,9 +126,8 @@ func TestQueryRejectsNonFiniteRows(t *testing.T) {
 // the in-neighbour lists come out the same.
 func TestDynamicOverCompactedIndex(t *testing.T) {
 	compact := compactIndex(t)
-	z, u := compact.denseF64()
 	twin := &Index{IndexShard: compact.IndexShard}
-	twin.ids, twin.z, twin.u = nil, dense.TypedFromMat(z), dense.TypedFromMat(u)
+	twin.ids, twin.f = nil, dense.TypedFromMat(compact.denseF64())
 
 	g := compactGraph(t)
 	a, err := NewDynamic(g, compact)

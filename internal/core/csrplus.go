@@ -2,13 +2,18 @@
 // multi-source CoSimRank search algorithm (Algorithm 1) that runs in
 // O(r(m + n(r + |Q|))) time and O(rn) memory by combining a rank-r
 // truncated SVD of the transition matrix with a repeated-squaring solve of
-// the r x r subspace equation P = c H P Hᵀ + I_r (Theorems 3.1–3.5).
+// the r x r subspace equation P = c H P Hᵀ + I_r (Theorems 3.1–3.5). The
+// index serves S_r − I = c·U(ΣPΣ)Uᵀ in its symmetric form c·F·Fᵀ: one
+// n x r factor where Algorithm 1 stores two (THEORY.md §6).
 package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -81,14 +86,14 @@ func (o Options) validate(n int) error {
 	return nil
 }
 
-// Index holds CSR+'s precomputed state (Algorithm 1, phase I): the factors
-// Z and U such that [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ. Both are
-// n x r, giving the paper's O(rn) resident memory — less the rows that are
-// all zero, which are not stored (shard.go). Phase II is
-// row-separable, so the factors are nothing but the [0, n) IndexShard —
+// Index holds CSR+'s precomputed state (Algorithm 1, phase I): the factor F
+// such that [S]_{*,Q} = [I_n]_{*,Q} + c · F · [F]_{Q,*}ᵀ. F is n x r, the
+// paper's O(rn) resident memory at half its constant — less the rows that
+// are all zero, which are not stored (shard.go). Phase II is
+// row-separable, so the factor is nothing but the [0, n) IndexShard —
 // embedded, which is where N, Rank, Damping, Tier, ColMaxes and the banded
 // PartialInto live — and an Index adds the build metadata and whatever
-// owns the factors' memory.
+// owns the factor's memory.
 type Index struct {
 	IndexShard
 
@@ -104,7 +109,7 @@ type Index struct {
 	// counting; records at or below rebuild structure drift-free.
 	walSeq uint64
 
-	// mapped is non-nil when the factor slices are zero-copy views over
+	// mapped is non-nil when the factor slice is a zero-copy view over
 	// an mmap'd snapshot (MapIndex); Close releases it. Only the Index
 	// that mapped the file holds it — a Shard view aliases the pages but
 	// cannot close them — so the serving lifecycle must keep the Index
@@ -112,7 +117,7 @@ type Index struct {
 	mapped *mapping
 
 	// boundOnce lazily computes boundTail, the truncation error bounds of
-	// TruncationBound: boundTail[r'] = c · Σ_{j ≥ r'} max|Z_{*,j}|·max|U_{*,j}|.
+	// TruncationBound: boundTail[r'] = c · Σ_{j ≥ r'} max|F_{*,j}|².
 	boundOnce sync.Once
 	boundTail []float64
 
@@ -122,9 +127,8 @@ type Index struct {
 	quantBound float64
 }
 
-// WalSeq returns the last ingest-WAL sequence baked into the factors,
-// 0 for indexes built outside the ingestion path or loaded from v1
-// snapshots (which predate the field).
+// WalSeq returns the last ingest-WAL sequence baked into the factor, 0 for
+// indexes built outside the ingestion path.
 func (ix *Index) WalSeq() uint64 { return ix.walSeq }
 
 // SetWalSeq records the last WAL sequence covered by the factors; the
@@ -146,22 +150,23 @@ func (ix *Index) PrecomputeTime() time.Duration { return ix.precomp }
 // Stages splits PrecomputeTime by the layer of phase I that spent it:
 // the truncated SVD's three (sparse passes, orthonormalisation, the small
 // projected problem), then the subspace solve — with the gather of the rows
-// both factors hold — and the Z build, then what surrounds them: the SVD's
-// sketch draw, and in Rest the transition matrix and the support scan — so
-// the seven durations sum to PrecomputeTime. OrthoPasses counts the
-// CholeskyQR passes beside them. All zero for an index that was loaded, not
-// built.
+// both factors hold — and the Gram factor, then what surrounds them: the
+// SVD's sketch draw, and in Rest the transition matrix and the support
+// scan — so the seven durations sum to PrecomputeTime. OrthoPasses counts
+// the CholeskyQR passes beside them, and GramClamped the eigenvalues of
+// ΣPΣ served as 0. All zero for an index that was loaded, not built.
 type Stages struct {
 	svd.Stages
-	Subspace time.Duration // lines 3–5: P = c H P Hᵀ + I_r
-	BuildZ   time.Duration // line 6: Z = U (Σ P Σ)
+	Subspace    time.Duration // lines 3–5: P = c H P Hᵀ + I_r
+	Gram        time.Duration // line 6, symmetric: F = U E Λ^{1/2}, ΣPΣ = EΛEᵀ
+	GramClamped int           // eigenvalues of ΣPΣ served as 0 (Gram.Clamped)
 }
 
 // String renders the split for log lines.
 func (s Stages) String() string {
 	ms := func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
-	return fmt.Sprintf("sparse=%v ortho=%v ortho_passes=%d eig=%v solve=%v z=%v draw=%v rest=%v",
-		ms(s.Sparse), ms(s.Ortho), s.OrthoPasses, ms(s.Small), ms(s.Subspace), ms(s.BuildZ), ms(s.Draw), ms(s.Rest))
+	return fmt.Sprintf("sparse=%v ortho=%v ortho_passes=%d eig=%v solve=%v gram=%v gram_clamped=%d draw=%v rest=%v",
+		ms(s.Sparse), ms(s.Ortho), s.OrthoPasses, ms(s.Small), ms(s.Subspace), ms(s.Gram), s.GramClamped, ms(s.Draw), ms(s.Rest))
 }
 
 // Stages returns where PrecomputeTime went.
@@ -170,16 +175,31 @@ func (ix *Index) Stages() Stages { return ix.stages }
 // Support returns the shape of the block of Q that phase I decomposed: its
 // non-empty rows (nodes with an out-link) by its non-empty columns (nodes
 // with an in-link), or n x n when Q was decomposed as given. A node off the
-// column support has zero rows in Z and U, which the index does not store:
+// column support has a zero row in F, which the index does not store:
 // its similarity column is e_q. cols is therefore Stored(), and survives a
 // save and a load; rows is 0 for an index that was loaded, not built.
 func (ix *Index) Support() (rows, cols int) { return ix.qrows, ix.Stored() }
 
-// Bytes reports the resident memory of the index: the Z and U factors —
-// the O(rn) of Theorem 3.7 — at the tier's element width, plus the
-// rank-length metadata vectors.
+// Bytes reports the resident memory of the index: the factor F — the
+// O(rn) of Theorem 3.7 — at the tier's element width, plus the rank-length
+// metadata vectors.
 func (ix *Index) Bytes() int64 {
-	return ix.IndexShard.Bytes() + int64(len(ix.sigma)+len(ix.zqerr)+len(ix.uqerr))*8
+	return ix.IndexShard.Bytes() + int64(len(ix.sigma)+len(ix.fqerr))*8
+}
+
+// Eigenvalues returns the eigenvalues of W = ΣPΣ the factor serves, in
+// F's column order (descending, to rounding): λ_j = ‖F_{*,j}‖², because
+// F = (UE)·Λ^{1/2} and UE has orthonormal columns (THEORY.md §6). A clamped
+// eigenvalue reads 0, and a quantized tier's read within its quantisation.
+func (ix *Index) Eigenvalues() []float64 {
+	lambda := make([]float64, ix.rank)
+	row := make([]float64, ix.rank)
+	for i := 0; i < ix.Stored(); i++ {
+		for j, v := range ix.f.RowInto(i, row) {
+			lambda[j] += v * v
+		}
+	}
+	return lambda
 }
 
 // SquaringIterations returns the paper's iteration bound
@@ -258,23 +278,24 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Alloc("precompute/P", p.Bytes())
 	stages.Subspace = time.Since(lap)
 
-	// Line 6: Z = U (Σ P Σ), over the rows U has: the SVD's column support.
-	// Each row of Z is a function of its row of U alone, so these are the
-	// rows the full product would hold, bit for bit, and the rest would be
-	// +0.
+	// Line 6 in symmetric form: F = U E Λ^{1/2}, over the rows U has: the
+	// SVD's column support. Each row of F is a function of its row of U
+	// alone, so these are the rows the full product would hold, bit for
+	// bit, and the rest would be +0. U is not kept: F is the whole index.
 	lap = time.Now()
-	z := BuildZ(um, fac.S, p)
-	stages.BuildZ = time.Since(lap)
-	track.Alloc("precompute/Z", z.Bytes())
+	f, gram := BuildF(um, fac.S, p)
+	stages.Gram, stages.GramClamped = time.Since(lap), gram.Clamped
+	track.Alloc("precompute/F", f.Bytes())
 	track.Free("precompute/P", p.Bytes())
 
 	return &Index{
-		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, ids: fac.ColSupport, z: dense.TypedFromMat(z), u: dense.TypedFromMat(um)},
-		iters:      iters,
-		sigma:      fac.S,
-		precomp:    time.Since(start),
-		stages:     stages,
-		qrows:      fac.SupportRows,
+		IndexShard: IndexShard{n: n, hi: n, c: c, rank: r, ids: fac.ColSupport, f: dense.TypedFromMat(f),
+			build: buildID(n, r, c, fac.S, f.Data), clamp: c * gram.Mass},
+		iters:   iters,
+		sigma:   fac.S,
+		precomp: time.Since(start),
+		stages:  stages,
+		qrows:   fac.SupportRows,
 	}, nil
 }
 
@@ -350,20 +371,79 @@ func SolveSubspace(u *dense.Mat, s []float64, v *dense.Mat, c, eps float64) (*de
 	return p, kmax, nil
 }
 
-// BuildZ computes line 6 of Algorithm 1: Z = U (Σ P Σ).
-func BuildZ(u *dense.Mat, s []float64, p *dense.Mat) *dense.Mat {
+// Gram is what BuildF's eigensolve clamped: the eigenvalues of W = ΣPΣ that
+// came out negative and are served as 0.
+type Gram struct {
+	Clamped int     // how many
+	Mass    float64 // Σ|λ| over them
+}
+
+// BuildF computes line 6 of Algorithm 1 in symmetric form. Algorithm 1
+// stores Z = U W and U, W = ΣPΣ, and serves c·Z·U_Qᵀ = c·U W U_Qᵀ. W is
+// symmetric positive definite whenever σ_r > 0 (P = Σ_k cᵏHᵏ(Hᵏ)ᵀ ⪰ I), so
+// with W = EΛEᵀ the one factor F = U·(E Λ^{1/2}) serves the same matrix as
+// c·F·F_Qᵀ, at the cost of one r x r eigensolve beside the GEMM Z took. W is
+// symmetrised before the solve; an eigenvalue that comes out negative —
+// only possible when σ_r = 0 — is served as 0 and counted in Gram, and
+// its charge c·Mass joins every bound (THEORY.md §6). F's columns are
+// ordered by descending λ, so a rank-r' prefix is the best rank-r'
+// approximation of S_r − I.
+func BuildF(u *dense.Mat, s []float64, p *dense.Mat) (*dense.Mat, Gram) {
 	r := len(s)
-	sps := dense.NewMat(r, r)
+	w := dense.NewMat(r, r)
 	for i := 0; i < r; i++ {
 		for j := 0; j < r; j++ {
-			sps.Set(i, j, s[i]*p.At(i, j)*s[j])
+			w.Set(i, j, s[i]*p.At(i, j)*s[j])
 		}
 	}
-	return dense.Mul(u, sps)
+	return gramFactor(u, w)
+}
+
+// gramFactor is BuildF past W: symmetrise W, W = EΛEᵀ with λ clamped at 0,
+// F = U·(E Λ^{1/2}).
+func gramFactor(u, w *dense.Mat) (*dense.Mat, Gram) {
+	r := w.Rows
+	for i := 0; i < r; i++ {
+		for j := i + 1; j < r; j++ {
+			m := (w.At(i, j) + w.At(j, i)) / 2
+			w.Set(i, j, m)
+			w.Set(j, i, m)
+		}
+	}
+	lambda, e, _ := dense.SymEig(w) // square by construction
+	var g Gram
+	for j, l := range lambda {
+		root := 0.0
+		if l > 0 {
+			root = math.Sqrt(l)
+		} else if l < 0 {
+			g.Clamped++
+			g.Mass -= l
+		}
+		for i := 0; i < r; i++ {
+			e.Set(i, j, e.At(i, j)*root)
+		}
+	}
+	return dense.Mul(u, e), g
+}
+
+// buildID names an index build: FNV-1a over n, r, c, σ and the CRC-32 of F's
+// stored rows, so two identical rebuilds share it and any change to the
+// factor gives another. Shards and quantized copies keep their parent's.
+func buildID(n, r int, c float64, sigma, f []float64) uint64 {
+	fc := crc32.NewIEEE()
+	_ = f64Section(f).encode(fc) // a hash never fails a write
+	words := []uint64{uint64(n), uint64(r), math.Float64bits(c), uint64(fc.Sum32())}
+	for _, s := range sigma {
+		words = append(words, math.Float64bits(s))
+	}
+	h := fnv.New64a()
+	_ = binary.Write(h, binary.LittleEndian, words)
+	return h.Sum64()
 }
 
 // Query runs phase II of Algorithm 1: it returns the n x |Q| block
-// [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ. Column j of the result
+// [S]_{*,Q} = [I_n]_{*,Q} + c · F · [F]_{Q,*}ᵀ. Column j of the result
 // holds the CoSimRank similarity of every node with queries[j]. It returns
 // ErrQuery (wrapped) for out-of-range node ids and ErrParams for an empty
 // query set.
@@ -383,17 +463,18 @@ func (ix *Index) QueryInto(queries []int, scratch *dense.Mat, track *memtrack.Tr
 }
 
 // QueryRankInto is phase II answered from a rank-r' truncation of the
-// index, honouring ctx. Because the factor columns are ordered by
-// descending singular value, the truncated answer
+// index, honouring ctx. Because F's columns are the eigenvectors of S_r − I
+// ordered by descending eigenvalue, the truncated answer
 //
-//	S' = [I_n]_{*,Q} + c · Z_{*,<r'} · ([U]_{Q,<r'})ᵀ
+//	S' = [I_n]_{*,Q} + c · F_{*,<r'} · ([F]_{Q,<r'})ᵀ
 //
-// is a slice of the existing factors — no rebuild — and its entrywise
-// error against the full-rank answer is bounded by TruncationBound(rank).
-// rank ≤ 0 or ≥ the index rank answers at full rank (making this a strict
-// generalisation of QueryInto). It validates, gathers the query rows of U
-// and runs PartialInto on the [0, n) shard the index is — the monolithic
-// index is the K=1 partition. Returns ctx.Err() on cancellation.
+// is a slice of the existing factor — no rebuild — and the best rank-r'
+// approximation of S_r − I; its entrywise error against the full-rank
+// answer is bounded by TruncationBound(rank). rank ≤ 0 or ≥ the index rank
+// answers at full rank (making this a strict generalisation of QueryInto).
+// It validates, gathers the query rows of F and runs PartialInto on the
+// [0, n) shard the index is — the monolithic index is the K=1 partition.
+// Returns ctx.Err() on cancellation.
 func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
@@ -406,8 +487,8 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	uq := ix.gatherU(queries) // [U]_{Q,*} as float64, dequantised on a quantized tier
-	track.Alloc("query/UQ", uq.Bytes())
+	uq := ix.gatherF(queries) // [F]_{Q,*} as float64, dequantised on a quantized tier
+	track.Alloc("query/FQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())
 	if err := ix.PartialInto(ctx, queries, uq, rank, s); err != nil {
@@ -419,24 +500,25 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 // TruncationBound returns a rigorous bound on the entrywise error of a
 // rank-truncated query against the full-rank answer:
 //
-//	|S_ik − S'_ik| = c·|Σ_{j ≥ r'} Z_ij·U_kj| ≤ c·Σ_{j ≥ r'} max|Z_{*,j}|·max|U_{*,j}|
+//	|S_ik − S'_ik| = c·|Σ_{j ≥ r'} F_ij·F_kj| ≤ c·Σ_{j ≥ r'} max|F_{*,j}|²
 //
-// The per-column maxima are computed once and cached; because the columns
-// are ordered by singular value the tail sum shrinks monotonically as the
-// retained rank grows, mirroring the singular-value tail that governs the
-// approximation error of the low-rank literature. rank ≥ the index rank
-// (or ≤ 0, meaning "full") returns 0 for the exact tier; a quantized
-// tier additionally carries QuantizationBound at every rank, so the
-// reported bound stays rigorous against the exact full-rank answer.
+// The per-column maxima are computed once and cached; the tail sum shrinks
+// monotonically as the retained rank grows, and column j's maximum is at
+// most √λ_j, so it follows the eigenvalue tail of S_r − I. rank ≥ the index
+// rank (or ≤ 0, meaning "full") returns 0 for the exact tier; a quantized
+// tier additionally carries QuantizationBound, and an index whose Gram
+// clamp moved an eigenvalue its ClampBound, at every rank, so the reported
+// bound stays rigorous against the exact full-rank answer.
 func (ix *Index) TruncationBound(rank int) float64 {
+	fixed := ix.QuantizationBound() + ix.clamp // summed as the router sums them
 	if rank <= 0 || rank >= ix.rank {
-		return ix.QuantizationBound()
+		return fixed
 	}
 	ix.boundOnce.Do(func() {
-		zmax, umax := ix.ColMaxes()
-		ix.boundTail = TailBound(ix.c, zmax, umax)
+		fmax := ix.ColMaxes()
+		ix.boundTail = TailBound(ix.c, fmax, fmax)
 	})
-	return ix.boundTail[rank] + ix.QuantizationBound()
+	return ix.boundTail[rank] + fixed
 }
 
 // QueryOne returns the single-source similarity vector [S]_{*,q}.

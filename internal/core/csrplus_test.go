@@ -207,7 +207,7 @@ func TestOptionDefaults(t *testing.T) {
 		t.Fatal("PrecomputeTime not recorded")
 	}
 	st := ix.Stages()
-	if sum := st.Sparse + st.Ortho + st.Small + st.Subspace + st.BuildZ; sum <= 0 || sum > ix.PrecomputeTime() {
+	if sum := st.Sparse + st.Ortho + st.Small + st.Subspace + st.Gram; sum <= 0 || sum > ix.PrecomputeTime() {
 		t.Fatalf("stages %v sum to %v, PrecomputeTime is %v", st, sum, ix.PrecomputeTime())
 	}
 }
@@ -303,8 +303,8 @@ func TestMemoryAccounting(t *testing.T) {
 	if q := tr.PeakByPrefix("query/"); q <= 0 {
 		t.Fatalf("query net bytes = %d", q)
 	}
-	// Index bytes are O(rn): two 6x3 matrices + 3 sigmas.
-	want := int64(6*3*8*2 + 3*8)
+	// Index bytes are O(rn): one 6x3 factor + 3 sigmas.
+	want := int64(6*3*8 + 3*8)
 	if ix.Bytes() != want {
 		t.Fatalf("Index.Bytes = %d, want %d", ix.Bytes(), want)
 	}

@@ -39,9 +39,10 @@ func maxAbsDiff(a, b *dense.Mat) float64 {
 	return max
 }
 
-// scoresFrom evaluates ix's every score, S = I + c·Z·Uᵀ.
+// scoresFrom evaluates ix's every score, S = I + c·F·Fᵀ.
 func scoresFrom(ix *Index) *dense.Mat {
-	return dense.MulT(ix.z.Mat(), ix.u.Mat()).Scale(ix.c).AddEye(1)
+	f := ix.denseF64()
+	return dense.MulT(f, f).Scale(ix.c).AddEye(1)
 }
 
 // TestDynamicDriftBoundHolds is the honesty check behind the tagged

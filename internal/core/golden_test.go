@@ -1,24 +1,22 @@
 package core
 
 // golden_test.go holds the on-disk format to checked-in fixtures, so a
-// writer and a reader that drift together still fail. The v1 and v2 files
-// in testdata/ were generated from the paper's 6-node graph (rank 3, walSeq
-// 7, shard rows [2, 5)) by the commit BEFORE the persistence twins were
-// collapsed, with writers that no longer exist: nothing can rewrite them,
-// and the readers are held to them forever. The v3 files hold the same
-// index (decoded from the v2 fixture, so no build stands between the two)
-// plus one that leaves rows out; `go test ./internal/core -run Golden
-// -update` rewrites those from the current writer — only ever on a
-// deliberate format change, since the test then proves nothing about the
-// bytes already on operators' disks.
+// writer and a reader that drift together still fail. The v3 files in
+// testdata/ were written by the last writer of the two-factor format from
+// the paper's 6-node graph (rank 3, walSeq 7, shard rows [2, 5)) and from
+// compactIndex's graph; nothing can rewrite them, ConvertIndex is held to
+// them, and every loader must refuse them as stale (ErrFormat). The v4
+// files hold the exact v3 index as converted (so no build stands between
+// the two), its f32 and int8 tiers, and the compacted pair; `go test
+// ./internal/core -run Golden -update` rewrites those from the current
+// writer — only ever on a deliberate format change, since the test then
+// proves nothing about the bytes already on operators' disks.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -36,47 +34,54 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/ golden snapshot
 const (
 	goldenWalSeq       = 7
 	goldenLo, goldenHi = 2, 5
-	goldenIndexV1      = "index.v1.csrx"
-	goldenShardV1      = "shard.v1.csrs"
 
 	// The compacted pair: compactIndex's 48-node index, which stores 36
-	// rows, and its rows [5, 30). goldenSparseV2 is that index as the last
-	// commit that wrote v2 saved it (PR 20's SaveIndex over the same graph
-	// and options): every row stored, twelve of them all zero.
-	goldenCompactV3                  = "index.v3-compact.csrx"
-	goldenCompactShardV3             = "shard.v3-compact.csrs"
-	goldenSparseV2                   = "index.v2-sparse.csrx"
+	// rows, and its rows [5, 30); and the same index storing every row,
+	// twelve of them all zero — what other packages hold a compacted index
+	// to.
+	goldenCompactV4                  = "index.v4-compact.csrx"
+	goldenCompactShardV4             = "shard.v4-compact.csrs"
+	goldenSparseV4                   = "index.v4-sparse.csrx"
 	goldenCompactLo, goldenCompactHi = 5, 30
 	compactN, compactStored          = 48, 36
+
+	// The two-factor fixtures the converter and the stale rule are held
+	// to: the 6-node index exact and at int8, one shard of it, and the
+	// compacted index.
+	goldenIndexV3        = "index.v3-f64.csrx"
+	goldenIndexV3Int8    = "index.v3-int8.csrx"
+	goldenShardV3        = "shard.v3-f64.csrs"
+	goldenCompactIndexV3 = "index.v3-compact.csrx"
 )
 
 var goldenTiers = []Tier{TierF64, TierF32, TierI8}
 
-func goldenIndexV2(tier Tier) string { return "index.v2-" + tier.String() + ".csrx" }
-func goldenShardV2(tier Tier) string { return "shard.v2-" + tier.String() + ".csrs" }
-func goldenIndexV3(tier Tier) string { return "index.v3-" + tier.String() + ".csrx" }
-func goldenShardV3(tier Tier) string { return "shard.v3-" + tier.String() + ".csrs" }
+func goldenIndexV4(tier Tier) string { return "index.v4-" + tier.String() + ".csrx" }
+func goldenShardV4(tier Tier) string { return "shard.v4-" + tier.String() + ".csrs" }
 
 // goldenFiles lists every fixture with its kind, for the fuzz seeds and
 // the sweep tests.
 func goldenFiles() map[string]*snapKind {
-	files := goldenV3Files()
-	files[goldenIndexV1], files[goldenShardV1], files[goldenSparseV2] = indexKind, shardKind, indexKind
-	for _, tier := range goldenTiers {
-		files[goldenIndexV2(tier)] = indexKind
-		files[goldenShardV2(tier)] = shardKind
+	files := goldenV4Files()
+	for name, k := range goldenV3Files() {
+		files[name] = k
 	}
 	return files
 }
 
-// goldenV3Files lists the fixtures the current writer must reproduce.
-func goldenV3Files() map[string]*snapKind {
-	files := map[string]*snapKind{goldenCompactV3: indexKind, goldenCompactShardV3: shardKind}
+// goldenV4Files lists the fixtures the current writer must reproduce.
+func goldenV4Files() map[string]*snapKind {
+	files := map[string]*snapKind{goldenCompactV4: indexKind, goldenCompactShardV4: shardKind, goldenSparseV4: indexKind}
 	for _, tier := range goldenTiers {
-		files[goldenIndexV3(tier)] = indexKind
-		files[goldenShardV3(tier)] = shardKind
+		files[goldenIndexV4(tier)] = indexKind
+		files[goldenShardV4(tier)] = shardKind
 	}
 	return files
+}
+
+// goldenV3Files lists the two-factor fixtures every loader refuses.
+func goldenV3Files() map[string]*snapKind {
+	return map[string]*snapKind{goldenIndexV3: indexKind, goldenIndexV3Int8: indexKind, goldenShardV3: shardKind, goldenCompactIndexV3: indexKind}
 }
 
 func golden(tb testing.TB, name string) []byte {
@@ -88,44 +93,15 @@ func golden(tb testing.TB, name string) []byte {
 	return data
 }
 
-// goldenIndex decodes the exact-tier v2 index fixture: the index every
-// other fixture was cut or quantized from.
+// goldenIndex converts the exact-tier v3 index fixture: the index every v4
+// fixture but the compacted pair was cut or quantized from.
 func goldenIndex(tb testing.TB) *Index {
 	tb.Helper()
-	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV2(TierF64))))
+	ix, err := ConvertIndex(filepath.Join("testdata", goldenIndexV3))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return ix
-}
-
-// v1Bytes is the reference encoder of the decode-only v1 layout, for
-// tests and benchmarks that need a v1 image of an index other than the
-// fixture. TestGoldenV1Encoder holds it to the bytes the deleted
-// production writers produced.
-func v1Bytes(k *snapKind, words []uint64, blocks ...[]float64) []byte {
-	le := binary.LittleEndian
-	buf := append([]byte(nil), k.magic[:]...)
-	buf = le.AppendUint32(buf, indexVersion)
-	for _, w := range words {
-		buf = le.AppendUint64(buf, w)
-	}
-	for _, block := range blocks {
-		for _, v := range block {
-			buf = le.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
-}
-
-func v1IndexBytes(ix *Index) []byte {
-	words := []uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters)}
-	return v1Bytes(indexKind, words, ix.sigma, ix.z.F64, ix.u.F64)
-}
-
-func v1ShardBytes(sh *IndexShard) []byte {
-	words := []uint64{uint64(sh.n), uint64(sh.lo), uint64(sh.hi), uint64(sh.rank), math.Float64bits(sh.c)}
-	return v1Bytes(shardKind, words, sh.z.F64, sh.u.F64)
 }
 
 func wantSameBytes(t *testing.T, label string, got, want []byte) {
@@ -139,22 +115,19 @@ func wantSameBytes(t *testing.T, label string, got, want []byte) {
 // factor entries, bit for bit at whatever tier they share.
 func wantSameFactors(t *testing.T, label string, got, want *IndexShard) {
 	t.Helper()
-	if got.n != want.n || got.lo != want.lo || got.hi != want.hi || got.rank != want.rank || got.c != want.c {
-		t.Fatalf("%s: header %d [%d, %d) r=%d c=%v, want %d [%d, %d) r=%d c=%v", label,
-			got.n, got.lo, got.hi, got.rank, got.c, want.n, want.lo, want.hi, want.rank, want.c)
+	if got.n != want.n || got.lo != want.lo || got.hi != want.hi || got.rank != want.rank || got.c != want.c || got.build != want.build || got.clamp != want.clamp {
+		t.Fatalf("%s: header %d [%d, %d) r=%d c=%v build=%x clamp=%v, want %d [%d, %d) r=%d c=%v build=%x clamp=%v", label,
+			got.n, got.lo, got.hi, got.rank, got.c, got.build, got.clamp, want.n, want.lo, want.hi, want.rank, want.c, want.build, want.clamp)
 	}
 	if !reflect.DeepEqual(got.ids, want.ids) {
 		t.Fatalf("%s: stores rows %v, want %v", label, got.ids, want.ids)
 	}
-	for name, pair := range map[string][2]*dense.Typed{"Z": {got.z, want.z}, "U": {got.u, want.u}} {
-		if !reflect.DeepEqual(pair[0].F32, pair[1].F32) || !reflect.DeepEqual(pair[0].I8, pair[1].I8) {
-			t.Fatalf("%s: %s codes differ", label, name)
-		}
-		wantBitwise(t, label+" "+name, pair[0].F64, pair[1].F64)
-		wantBitwise(t, label+" "+name+" scale", pair[0].Scale, pair[1].Scale)
+	if !reflect.DeepEqual(got.f.F32, want.f.F32) || !reflect.DeepEqual(got.f.I8, want.f.I8) {
+		t.Fatalf("%s: F codes differ", label)
 	}
-	wantBitwise(t, label+" zqerr", got.zqerr, want.zqerr)
-	wantBitwise(t, label+" uqerr", got.uqerr, want.uqerr)
+	wantBitwise(t, label+" F", got.f.F64, want.f.F64)
+	wantBitwise(t, label+" F scale", got.f.Scale, want.f.Scale)
+	wantBitwise(t, label+" fqerr", got.fqerr, want.fqerr)
 }
 
 // compactGraph has 48 nodes, of which every fourth (3, 7, …, 47) links out
@@ -192,9 +165,10 @@ func compactIndex(t testing.TB) *Index {
 	return ix
 }
 
-// goldenV3 renders every v3 fixture from the current writer: the v2
-// fixture's index re-encoded at each tier, and the compacted pair.
-func goldenV3(t *testing.T) map[string][]byte {
+// goldenV4 renders every v4 fixture from the current writer: the v3
+// fixture's index converted and encoded at each tier, the compacted pair,
+// and the compacted index with its zero rows spread back in.
+func goldenV4(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	put := func(name string, writeTo func(io.Writer) (int64, error)) {
@@ -218,66 +192,110 @@ func goldenV3(t *testing.T) map[string][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair(q, goldenLo, goldenHi, goldenIndexV3(tier), goldenShardV3(tier))
+		pair(q, goldenLo, goldenHi, goldenIndexV4(tier), goldenShardV4(tier))
 	}
-	pair(compactIndex(t), goldenCompactLo, goldenCompactHi, goldenCompactV3, goldenCompactShardV3)
+	compact := compactIndex(t)
+	pair(compact, goldenCompactLo, goldenCompactHi, goldenCompactV4, goldenCompactShardV4)
+	put(goldenSparseV4, compact.withFactor(nil, dense.TypedFromMat(compact.denseF64()), nil).WriteTo)
 	return out
 }
 
-// TestGoldenUpdate regenerates the v3 fixtures under -update and is a
+// TestGoldenUpdate regenerates the v4 fixtures under -update and is a
 // no-op otherwise.
 func TestGoldenUpdate(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("fixtures are refreshed only by an explicit -update")
 	}
-	for name, data := range goldenV3(t) {
+	for name, data := range goldenV4(t) {
 		if err := os.WriteFile(filepath.Join("testdata", name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestGoldenV2DecodesLikeV3 pins v2 decode the way v1's is pinned: at every
-// tier the v2 and v3 files of one index (and of one shard) decode to
-// bitwise-equal factors and the same metadata, every row stored.
-func TestGoldenV2DecodesLikeV3(t *testing.T) {
-	for _, tier := range goldenTiers {
-		for v2, v3 := range map[string]string{goldenIndexV2(tier): goldenIndexV3(tier), goldenShardV2(tier): goldenShardV3(tier)} {
-			k := goldenFiles()[v2]
-			old, err := readSnapshot(bytes.NewReader(golden(t, v2)), k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur, err := readSnapshot(bytes.NewReader(golden(t, v3)), k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameFactors(t, v2+" vs "+v3, &old.IndexShard, &cur.IndexShard)
-			if old.ids != nil || old.Stored() != old.Rows() {
-				t.Fatalf("%s: stores %d of %d rows, ids %v", v2, old.Stored(), old.Rows(), old.ids)
-			}
-			if old.iters != cur.iters || old.walSeq != cur.walSeq {
-				t.Fatalf("%s: iters %d walSeq %d, %s has %d and %d", v2, old.iters, old.walSeq, v3, cur.iters, cur.walSeq)
-			}
-			wantBitwise(t, v2+" sigma", old.sigma, cur.sigma)
+// v3Answers is what a two-factor v3 index file served: I + c·Z·U_Qᵀ over
+// its stored rows, Q's columns for the given queries, from the file's own
+// Z and U.
+func v3Answers(t *testing.T, name string, queries []int) []float64 {
+	t.Helper()
+	f, err := parsePaged(golden(t, name), indexKind, true)
+	if err != nil || f.version != indexVersion3 || f.tier != TierF64 {
+		t.Fatalf("%s: parsed as v%d at %v: %v", name, f.version, f.tier, err)
+	}
+	ix, base, err := f.fromImage(indexKind, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := int(f.rank)
+	z := dense.NewMatFrom(int(f.stored), r, f.f64Of(base+4, false))
+	u := dense.NewMatFrom(int(f.stored), r, f.f64Of(base+5, false))
+	out := make([]float64, ix.n*len(queries))
+	for j, q := range queries {
+		out[q*len(queries)+j] = 1
+		at, ok := ix.row(q)
+		if !ok {
+			continue
+		}
+		for i := 0; i < int(f.stored); i++ {
+			out[ix.StoredNode(i)*len(queries)+j] += ix.c * dense.Dot(z.Row(i), u.Row(at))
 		}
 	}
+	return out
+}
+
+// TestGoldenV3ConvertsLikeV4 holds ConvertIndex to the two-factor files:
+// the exact v3 index and the compacted one convert to one factor that
+// serves their scores to rounding, carry their metadata, and — the 6-node
+// one — is bit for bit the v4 fixture written from it. A quantized v3 file
+// is refused as a format, not as corruption.
+func TestGoldenV3ConvertsLikeV4(t *testing.T) {
+	for name, queries := range map[string][]int{goldenIndexV3: {0, 1, 3, 5}, goldenCompactIndexV3: {0, 3, 7, 47, 9}} {
+		ix, err := ConvertIndex(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v3Answers(t, name, queries)
+		for i, v := range queryBits(t, ix, queries) {
+			if d := math.Abs(v - want[i]); !(d <= 1e-13) {
+				t.Fatalf("%s: converted score %d = %v, the v3 file's %v: differs by %g, more than rounding", name, i, v, want[i], d)
+			}
+		}
+		if ix.WalSeq() != goldenWalSeq || ix.Build() == 0 || ix.ClampBound() != 0 {
+			t.Fatalf("%s: walSeq %d, build %x, clamp %v", name, ix.WalSeq(), ix.Build(), ix.ClampBound())
+		}
+	}
+	v4, err := ReadIndex(bytes.NewReader(golden(t, goldenIndexV4(TierF64))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := goldenIndex(t)
+	wantSameFactors(t, "converted v3 vs v4 fixture", &ix.IndexShard, &v4.IndexShard)
+	wantBitwise(t, "sigma", ix.sigma, v4.sigma)
+	if ix.iters != v4.iters || ix.walSeq != v4.walSeq {
+		t.Fatalf("converted: iters %d walSeq %d, the v4 fixture %d and %d", ix.iters, ix.walSeq, v4.iters, v4.walSeq)
+	}
+	if _, err := ConvertIndex(filepath.Join("testdata", goldenIndexV3Int8)); !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("int8 v3 file: err = %v, want ErrFormat alone", err)
+	}
+	again, err := ConvertIndex(filepath.Join("testdata", goldenIndexV4(TierF64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameFactors(t, "a v4 file through ConvertIndex", &again.IndexShard, &v4.IndexShard)
 }
 
 // TestGoldenV3Compact reads the fixture that leaves rows out: the decoder,
 // the mapper and the index the file was written from hold the same 36 rows
-// and answer alike, and its shard file is rows [5, 30) of it. The v2 file
-// of the same graph and options, written when every row had to be stored,
-// predates CholeskyQR2 in phase I: it answers the fresh build's scores to
-// rounding, and compacting it leaves out exactly the rows the fresh build
-// leaves out and writes a file that answers its bits.
+// and answer alike, and its shard file is rows [5, 30) of it. The v3 file
+// of the same graph and options, written with two factors, converts to the
+// rows the fresh build stores and to its scores within rounding.
 func TestGoldenV3Compact(t *testing.T) {
 	want := compactIndex(t)
 	if want.Stored() != compactStored || want.ids == nil {
 		t.Fatalf("fixture stores %d of %d rows (ids %v), want %d listed", want.Stored(), want.N(), want.ids, compactStored)
 	}
-	path := filepath.Join("testdata", goldenCompactV3)
-	decoded, err := ReadIndex(bytes.NewReader(golden(t, goldenCompactV3)))
+	path := filepath.Join("testdata", goldenCompactV4)
+	decoded, err := ReadIndex(bytes.NewReader(golden(t, goldenCompactV4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,33 +316,29 @@ func TestGoldenV3Compact(t *testing.T) {
 		wantBitwise(t, label+" answers", queryBits(t, got, queries), queryBits(t, want, queries))
 	}
 
-	old, err := ReadIndex(bytes.NewReader(golden(t, goldenSparseV2)))
+	old, err := ConvertIndex(filepath.Join("testdata", goldenCompactIndexV3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Stored() != compactN || old.ids != nil {
-		t.Fatalf("v2 file stores %d rows, ids %v: want every row, unlisted", old.Stored(), old.ids)
+	if !reflect.DeepEqual(old.ids, want.ids) {
+		t.Fatalf("v3 fixture, converted: stores rows %v, the fresh build %v", old.ids, want.ids)
 	}
+	sparse, err := ReadIndex(bytes.NewReader(golden(t, goldenSparseV4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sparse.Stored() != compactN || sparse.ids != nil {
+		t.Fatalf("every-row fixture stores %d rows, ids %v", sparse.Stored(), sparse.ids)
+	}
+	wantSameFactors(t, "every-row fixture, compacted", &sparse.Compact().IndexShard, &want.IndexShard)
 	oldAnswers := queryBits(t, old, queries)
 	for i, v := range queryBits(t, want, queries) {
 		if d := math.Abs(v - oldAnswers[i]); !(d <= 1e-12) {
-			t.Fatalf("score %d = %v, the v2 file's %v: differs by %g, more than rounding", i, v, oldAnswers[i], d)
+			t.Fatalf("score %d = %v, the converted v3 file's %v: differs by %g, more than rounding", i, v, oldAnswers[i], d)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := old.Compact().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.ids, want.ids) {
-		t.Fatalf("v2 fixture, compacted: stores rows %v, the fresh build %v", back.ids, want.ids)
-	}
-	wantBitwise(t, "v2 fixture, compacted, written and read back", queryBits(t, back, queries), oldAnswers)
 
-	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV3)))
+	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,55 +352,8 @@ func TestGoldenV3Compact(t *testing.T) {
 	}
 }
 
-// TestGoldenV1DecodesLikeV2 pins v1 decode against the fixtures the old
-// writers left: the v1 and exact v2 files of one index (and of one shard)
-// decode to bitwise-equal factors and the same metadata.
-func TestGoldenV1DecodesLikeV2(t *testing.T) {
-	ix := goldenIndex(t)
-	old, err := ReadIndex(bytes.NewReader(golden(t, goldenIndexV1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSameFactors(t, "index v1 vs v2", &old.IndexShard, &ix.IndexShard)
-	if old.Iterations() != ix.Iterations() {
-		t.Fatalf("v1 iters %d, v2 %d", old.Iterations(), ix.Iterations())
-	}
-	wantBitwise(t, "sigma", old.SingularValues(), ix.SingularValues())
-	if old.WalSeq() != 0 || ix.WalSeq() != goldenWalSeq {
-		t.Fatalf("walSeq v1 %d (want 0: predates the field), v2 %d (want %d)", old.WalSeq(), ix.WalSeq(), goldenWalSeq)
-	}
-
-	sh, err := ReadShard(bytes.NewReader(golden(t, goldenShardV2(TierF64))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSh, err := ReadShard(bytes.NewReader(golden(t, goldenShardV1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSameFactors(t, "shard v1 vs v2", oldSh, sh)
-	// And the shard files hold exactly rows [lo, hi) of the index files.
-	view, err := ix.Shard(goldenLo, goldenHi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSameFactors(t, "shard file vs index view", sh, view)
-}
-
-// TestGoldenV1Encoder ties the test-only v1 encoder to the bytes the
-// deleted production writers produced.
-func TestGoldenV1Encoder(t *testing.T) {
-	ix := goldenIndex(t)
-	wantSameBytes(t, goldenIndexV1, v1IndexBytes(ix), golden(t, goldenIndexV1))
-	sh, err := ix.Shard(goldenLo, goldenHi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSameBytes(t, goldenShardV1, v1ShardBytes(sh), golden(t, goldenShardV1))
-}
-
 // TestGoldenWritersReproduceBytes is the writer half: every path that
-// puts a snapshot on disk — WriteTo re-encoding each decoded v3 fixture
+// puts a snapshot on disk — WriteTo re-encoding each decoded v4 fixture
 // and writing the indexes they were made from, and SaveIndex/SaveShard/
 // WriteSnapshot/WriteShardSnapshot over the fixture index at every tier —
 // emits the fixture's exact bytes.
@@ -404,11 +371,11 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 		}
 		return data
 	}
-	for name, data := range goldenV3(t) {
+	for name, data := range goldenV4(t) {
 		wantSameBytes(t, "written "+name, data, golden(t, name))
 	}
 	for _, tier := range goldenTiers {
-		wantIx, wantSh := golden(t, goldenIndexV3(tier)), golden(t, goldenShardV3(tier))
+		wantIx, wantSh := golden(t, goldenIndexV4(tier)), golden(t, goldenShardV4(tier))
 
 		decoded, err := ReadIndex(bytes.NewReader(wantIx))
 		if err != nil {
@@ -425,8 +392,8 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 		if _, err := decodedSh.WriteTo(&sb); err != nil {
 			t.Fatal(err)
 		}
-		wantSameBytes(t, "re-encoded "+goldenIndexV3(tier), ib.Bytes(), wantIx)
-		wantSameBytes(t, "re-encoded "+goldenShardV3(tier), sb.Bytes(), wantSh)
+		wantSameBytes(t, "re-encoded "+goldenIndexV4(tier), ib.Bytes(), wantIx)
+		wantSameBytes(t, "re-encoded "+goldenShardV4(tier), sb.Bytes(), wantSh)
 
 		q, err := exact.Quantize(tier)
 		if err != nil {
@@ -457,7 +424,7 @@ func TestGoldenWritersPortableEncoder(t *testing.T) {
 	defer func(le bool) { nativeLE = le }(nativeLE)
 	for _, le := range []bool{true, false} {
 		nativeLE = le
-		for name, k := range goldenV3Files() {
+		for name, k := range goldenV4Files() {
 			want := golden(t, name)
 			ix, err := readSnapshot(bytes.NewReader(want), k, 0)
 			if err != nil {
@@ -478,9 +445,12 @@ func TestGoldenWritersPortableEncoder(t *testing.T) {
 }
 
 // TestGoldenKindsDoNotCross pins that the shared reader still keeps the
-// two headers apart: every fixture loads as its own kind, through the
-// stream reader and the file loader, and is ErrCorrupt as the other.
+// two headers apart: every v4 fixture loads as its own kind, through the
+// stream reader and the file loader, and is ErrCorrupt as the other; every
+// v3 fixture is ErrFormat as its own kind — refused, not corrupt — and
+// ErrCorrupt as the other.
 func TestGoldenKindsDoNotCross(t *testing.T) {
+	v3 := goldenV3Files()
 	for name, kind := range goldenFiles() {
 		data := golden(t, name)
 		path := filepath.Join("testdata", name)
@@ -496,7 +466,9 @@ func TestGoldenKindsDoNotCross(t *testing.T) {
 			own, other = other, own
 		}
 		for _, err := range own {
-			if err != nil {
+			if _, stale := v3[name]; stale && (!errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt)) {
+				t.Errorf("%s as its own kind: err = %v, want wrapped ErrFormat alone", name, err)
+			} else if !stale && err != nil {
 				t.Errorf("%s as its own kind: %v", name, err)
 			}
 		}

@@ -5,36 +5,23 @@ package core
 // box) and the cheap phase II can be served from anywhere — the deployment
 // split the paper's preprocessing/query architecture implies.
 //
-// A snapshot file is one factor block (Z then U, row-major) under one of
-// two headers: "CSRX", a whole index with its build metadata, and "CSRS",
-// the row range [lo, hi) of one. Everything here and in persist2.go is
-// written once and takes the header kind as an argument. Files are written
-// in the mmap-able v3 layout (persist2.go); its predecessor v2 and v1, the
-// original streaming layout, are read-only and stay readable forever behind
-// the golden files in testdata/. v1:
-//
-//	magic   [4]byte  "CSRX" / "CSRS"
-//	version uint32   1
-//	CSRX:   n, rank uint64; c float64; iters uint64; sigma [rank]float64
-//	CSRS:   n, lo, hi, rank uint64; c float64
-//	z, u    [rows*rank]float64 each (rows = n, or hi-lo)
-//	crc     uint32   IEEE CRC-32 of everything after the magic
-//
-// DESIGN.md §13 has the v2 and v3 byte layouts.
+// A snapshot file is one factor block (F, row-major) under one of two
+// headers: "CSRX", a whole index with its build metadata, and "CSRS", the
+// row range [lo, hi) of one. Everything here and in persist2.go is written
+// once and takes the header kind as an argument. Files are written and
+// served in the mmap-able v4 layout (persist2.go; byte layout in DESIGN.md
+// §13); files of earlier versions are refused with ErrFormat.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 
-	"csrplus/internal/dense"
 	"csrplus/internal/fault"
 )
 
@@ -49,9 +36,6 @@ var (
 	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true}
 	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard"}
 )
-
-// indexVersion is the decode-only v1 format version.
-const indexVersion = 1
 
 // maxIndexElems caps n*rank at load time so a corrupt header cannot make
 // the reader attempt a multi-terabyte allocation.
@@ -72,14 +56,15 @@ var maxPlatformElems = uint64(math.MaxInt)
 // precompute could produce.
 const maxIndexIters = 1 << 16
 
-// snapHeader is the header of either kind in either version, decoded but
-// not yet trusted.
+// snapHeader is the header of either kind, decoded but not yet trusted.
 type snapHeader struct {
 	n, rank uint64
 	c       float64
 	lo, hi  uint64 // owned rows; [0, n) for an index
 	iters   uint64 // index only
-	walSeq  uint64 // index only, v2 only
+	walSeq  uint64 // index only
+	build   uint64
+	clamp   float64
 }
 
 // validate rejects every header a real writer could not have produced,
@@ -113,6 +98,11 @@ func (h *snapHeader) validate(k *snapKind) error {
 	if h.c <= 0 || h.c >= 1 || math.IsNaN(h.c) {
 		return fmt.Errorf("core: implausible damping %v: %w", h.c, ErrCorrupt)
 	}
+	// Like sigma, a NaN or negative charge is honest bytes that would
+	// poison every bound computed from it.
+	if !(h.clamp >= 0) || math.IsInf(h.clamp, 0) {
+		return fmt.Errorf("core: implausible clamp charge %v: %w", h.clamp, ErrCorrupt)
+	}
 	return nil
 }
 
@@ -120,11 +110,11 @@ func (h *snapHeader) validate(k *snapKind) error {
 func (h *snapHeader) rows() int { return int(h.hi - h.lo) }
 
 // index starts the Index a validated header describes; the caller fills
-// in the factors. For a shard file only the embedded IndexShard means
+// in the factor. For a shard file only the embedded IndexShard means
 // anything, and the shard-typed entry points return just that.
 func (h *snapHeader) index(sigma []float64) *Index {
 	return &Index{
-		IndexShard: IndexShard{n: int(h.n), lo: int(h.lo), hi: int(h.hi), c: h.c, rank: int(h.rank)},
+		IndexShard: IndexShard{n: int(h.n), lo: int(h.lo), hi: int(h.hi), c: h.c, rank: int(h.rank), build: h.build, clamp: h.clamp},
 		iters:      int(h.iters),
 		sigma:      sigma,
 		walSeq:     h.walSeq,
@@ -157,12 +147,12 @@ func corruptEOF(err error) error {
 	return err
 }
 
-// ReadIndex deserialises a CSRX stream of any version, validating magic,
-// version, shape bounds and checksums. Every validation failure — bad
-// magic, unknown version, implausible header, truncation in any section,
-// checksum mismatch — is reported as a wrapped ErrCorrupt. v2 and v3
-// streams are decoded into fresh allocations; use MapIndex for the
-// zero-copy path.
+// ReadIndex deserialises a CSRX stream, validating magic, version, shape
+// bounds and checksums. Every validation failure — bad magic, unknown
+// version, implausible header, truncation in any section, checksum
+// mismatch — is reported as a wrapped ErrCorrupt, and a stream in an
+// earlier format as a wrapped ErrFormat. The stream is decoded into fresh
+// allocations; use MapIndex for the zero-copy path.
 func ReadIndex(r io.Reader) (*Index, error) {
 	return readSnapshot(r, indexKind, 0)
 }
@@ -181,88 +171,24 @@ func shardOf(ix *Index, err error) (*IndexShard, error) {
 	return &ix.IndexShard, nil
 }
 
-// readSnapshot is the one stream reader: it sniffs the version and hands
-// v2 and v3 images to decodePaged and everything else to the v1 decoder
-// below. size is the stream's length where the caller knows it (a file's),
-// 0 where not.
+// readSnapshot is the one stream reader: it checks the magic and version
+// before reading further, so a stream of another kind or format is refused
+// unread, and hands the image to openPaged. size is the stream's length
+// where the caller knows it (a file's), 0 where not.
 func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	br := bufio.NewReader(r)
-	if head, err := br.Peek(8); err == nil {
-		if v := binary.LittleEndian.Uint32(head[4:]); v == indexVersion2 || v == indexVersion3 {
-			data, err := readImage(br, size)
-			if err != nil {
-				return nil, fmt.Errorf("core: reading v%d %s: %w", v, k.name, corruptEOF(err))
-			}
-			return decodePaged(data, k)
-		}
+	head, err := br.Peek(8)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading %s header: %w", k.name, corruptEOF(err))
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading %s magic: %w", k.name, corruptEOF(err))
-	}
-	if magic != k.magic {
-		return nil, fmt.Errorf("core: bad %s magic %q: %w", k.name, magic, ErrCorrupt)
-	}
-	crc := crc32.NewIEEE()
-	body := io.TeeReader(br, crc)
-	le := binary.LittleEndian
-	var version uint32
-	if err := binary.Read(body, le, &version); err != nil {
-		return nil, fmt.Errorf("core: reading %s version: %w", k.name, corruptEOF(err))
-	}
-	if version != indexVersion {
-		return nil, fmt.Errorf("core: %s version %d, want %d: %w", k.name, version, indexVersion, ErrCorrupt)
-	}
-	var h snapHeader
-	var cBits uint64
-	words := []*uint64{&h.n, &h.lo, &h.hi, &h.rank, &cBits}
-	if k.whole {
-		words = []*uint64{&h.n, &h.rank, &cBits, &h.iters}
-	}
-	for _, dst := range words {
-		if err := binary.Read(body, le, dst); err != nil {
-			return nil, fmt.Errorf("core: reading %s header: %w", k.name, corruptEOF(err))
-		}
-	}
-	h.c = math.Float64frombits(cBits)
-	if k.whole {
-		h.hi = h.n
-	}
-	if err := h.validate(k); err != nil {
+	if _, err := checkHead(head, k, false); err != nil {
 		return nil, err
 	}
-	var sigma []float64
-	if k.whole {
-		var err error
-		if sigma, err = readFloats(body, int(h.rank), size); err != nil {
-			return nil, fmt.Errorf("core: reading sigma: %w", corruptEOF(err))
-		}
-		if err := checkSigma(sigma); err != nil {
-			return nil, err
-		}
-	}
-	rows, rank := h.rows(), int(h.rank)
-	zdata, err := readFloats(body, rows*rank, size)
+	data, err := readImage(br, size)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading %s Z: %w", k.name, corruptEOF(err))
+		return nil, fmt.Errorf("core: reading %s: %w", k.name, corruptEOF(err))
 	}
-	udata, err := readFloats(body, rows*rank, size)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading %s U: %w", k.name, corruptEOF(err))
-	}
-	sum := crc.Sum32()
-	var want uint32
-	if err := binary.Read(br, le, &want); err != nil {
-		return nil, fmt.Errorf("core: reading %s checksum: %w", k.name, corruptEOF(err))
-	}
-	if sum != want {
-		return nil, fmt.Errorf("core: %s checksum %08x, want %08x: %w", k.name, sum, want, ErrCorrupt)
-	}
-	ix := h.index(sigma)
-	// Wrapped, not copied: the decoded slices are this index's alone.
-	ix.z = &dense.Typed{Kind: dense.F64, Rows: rows, Cols: rank, F64: zdata}
-	ix.u = &dense.Typed{Kind: dense.F64, Rows: rows, Cols: rank, F64: udata}
-	return ix, nil
+	return openPaged(data, k, false)
 }
 
 // SaveIndex writes the index to path atomically and crash-consistently:
@@ -271,8 +197,7 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 // path; the parent directory is fsynced afterwards so the rename itself
 // survives a crash. A kill at any point leaves either the old file, the
 // new file, or a stray temp file — never a truncated index at path.
-// Files are written in the mmap-able v3 layout (persist2.go); v1 and v2
-// files remain readable via LoadIndex/ReadIndex forever.
+// Files are written in the mmap-able v4 layout (persist2.go).
 func SaveIndex(ix *Index, path string) error {
 	return saveAtomic("SaveIndex", path, ix.WriteTo)
 }
@@ -336,13 +261,13 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// LoadIndex reads an index from path. v2 and v3 snapshots are memory-mapped
+// LoadIndex reads an index from path. The snapshot is memory-mapped
 // (verified, zero-copy — O(1) in index size) where the platform allows;
-// v1 files, non-mmap platforms, big-endian hosts and injected map
-// faults fall back to the buffered decode path. Corruption never falls
-// back: a bad mappable file fails here so the recovery ladder can move to an
-// older generation. Callers own Close on the returned index (a no-op
-// for decoded indexes).
+// non-mmap platforms, big-endian hosts and injected map faults fall back to
+// the buffered decode path. Corruption never falls back, and neither does an
+// earlier format (ErrFormat): a file that cannot serve fails here so the
+// recovery ladder can move to another generation. Callers own Close on the
+// returned index (a no-op for decoded indexes).
 func LoadIndex(path string) (*Index, error) {
 	return loadSnapshot(path, indexKind)
 }
@@ -368,7 +293,7 @@ type ShardFile struct {
 // decoded one and safe to call more than once.
 func (f *ShardFile) Close() error { return f.mapped.close() }
 
-// Mapped reports whether the shard's factors are views over a mapped file.
+// Mapped reports whether the shard's factor is a view over a mapped file.
 func (f *ShardFile) Mapped() bool { return f.mapped != nil }
 
 // shardFileOf hands what the shared loaders return for a shard file on with
@@ -380,9 +305,9 @@ func shardFileOf(ix *Index, err error) (*ShardFile, error) {
 	return &ShardFile{IndexShard: &ix.IndexShard, mapped: ix.mapped}, nil
 }
 
-// loadSnapshot is the one file loader: every v2 and v3 file maps, whole
-// indexes and shard files alike, and v1 files, non-mmap platforms,
-// big-endian hosts and injected map faults decode. The caller owns what
+// loadSnapshot is the one file loader: every v4 file maps, whole indexes
+// and shard files alike, and on non-mmap platforms, big-endian hosts and
+// under injected map faults it decodes. The caller owns what
 // was mapped — a whole index's generation closes it from Candidate.Release
 // after serve's swap has drained, a worker after Local.Swap has drained.
 func loadSnapshot(path string, k *snapKind) (*Index, error) {
@@ -423,7 +348,7 @@ func decodeFile(path string, k *snapKind) (*Index, error) {
 // on the decode fallback is most of a boot's heap. size comes from the file
 // system, never from the image's header, so a forged header cannot size the
 // allocation; a stream that turns out shorter or longer than size is still
-// returned whole, for decodePaged to reject against the length its header
+// returned whole, for openPaged to reject against the length its header
 // records. An unknown (or unrepresentable) size falls back to ReadAll.
 func readImage(r io.Reader, size int64) ([]byte, error) {
 	if size <= 0 || uint64(size) > maxPlatformElems {
@@ -439,57 +364,6 @@ func readImage(r io.Reader, size int64) ([]byte, error) {
 	}
 	rest, err := io.ReadAll(r) // empty unless the file grew since Stat
 	return append(buf, rest...), err
-}
-
-func writeFloats(w io.Writer, data []float64) error {
-	buf := make([]byte, 8*4096)
-	le := binary.LittleEndian
-	for len(data) > 0 {
-		chunk := len(data)
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		for i := 0; i < chunk; i++ {
-			le.PutUint64(buf[i*8:], math.Float64bits(data[i]))
-		}
-		if _, err := w.Write(buf[:chunk*8]); err != nil {
-			return err
-		}
-		data = data[chunk:]
-	}
-	return nil
-}
-
-// readFloats reads count float64s of a stream whose length is size bytes
-// where the caller knows it (a file's, from the file system), 0 where not.
-func readFloats(r io.Reader, count int, size int64) ([]float64, error) {
-	// Grow the slice only as bytes actually arrive: a forged header
-	// claiming a huge payload on a short stream must fail after one
-	// chunk, not commit a multi-gigabyte allocation up front. A payload the
-	// file is long enough to hold is no forgery of that kind, and is
-	// allocated once.
-	const chunkElems = 4096
-	capHint := count
-	if capHint > chunkElems && uint64(count)*8 > uint64(max(size, 0)) {
-		capHint = chunkElems
-	}
-	out := make([]float64, 0, capHint)
-	buf := make([]byte, 8*chunkElems)
-	le := binary.LittleEndian
-	for off := 0; off < count; {
-		chunk := count - off
-		if chunk > chunkElems {
-			chunk = chunkElems
-		}
-		if _, err := io.ReadFull(r, buf[:chunk*8]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, math.Float64frombits(le.Uint64(buf[i*8:])))
-		}
-		off += chunk
-	}
-	return out, nil
 }
 
 // countingWriter tracks bytes written for WriteTo's contract.

@@ -3,23 +3,24 @@ package core
 // persist2.go implements the page-aligned snapshot layout a server can
 // memory-map and serve from without decoding — reload latency becomes O(1)
 // in index size, pages fault in lazily, and two generations mapped during a
-// swap share the page cache instead of doubling RSS. It has two versions.
-// v3 is the one written: it records how many rows the factor block stores
-// and lists their ids, so the all-zero rows of a support-compacted index
-// (shard.go) cost no bytes on disk, in the mapping or on the way to a
-// worker. v2, which could only say "every row", is decode/map-only behind
-// its golden files, like v1.
+// swap share the page cache instead of doubling RSS. v4 is the one format
+// written and served: it holds the one factor F (csrplus.go), records how
+// many rows it stores and lists their ids, so the all-zero rows of a
+// support-compacted index (shard.go) cost no bytes on disk, in the mapping
+// or on the way to a worker. v3, which held two factors, Z and U, is parsed
+// here only for ConvertIndex; every earlier version is refused (ErrFormat).
 //
-// One 4 KiB header page (offsets in the v2*/v3* constants below and in
-// DESIGN.md §13), then page-aligned sections in a fixed order: sigma (CSRX
-// only), ids (v3 only; empty when every row is stored), then the factor
-// block — zscale, uscale, zqerr, uqerr, z, u — the same six sections under
-// either header and version. Quantisation metadata sections are empty (len
-// 0) for tiers that lack them: scales exist only for int8, the measured
-// per-column dequantisation errors for both quantized tiers. Every
-// non-empty section starts exactly at the next page boundary and its CRC
-// covers the section plus its zero padding up to the following boundary, so
-// every byte of the file outside the two CRC words is checksummed.
+// One 4 KiB header page (offsets in the constants below and in DESIGN.md
+// §13), then page-aligned sections in a fixed order: sigma (CSRX only),
+// ids (empty when every row is stored), then the factor block — fscale,
+// fqerr, f (v3: the scales, the qerrs, then the payloads of Z and U, each
+// pair in that order). Quantisation metadata
+// sections are empty (len 0) for tiers that lack them: scales exist only
+// for int8, the measured per-column dequantisation errors for both
+// quantized tiers. Every non-empty section starts exactly at the next page
+// boundary and its CRC covers the section plus its zero padding up to the
+// following boundary, so every byte of the file outside the two CRC words
+// is checksummed.
 //
 // Zero-copy rules: the float64/float32 factor views reinterpret mapped
 // bytes, which requires native little-endian byte order and the 8-byte
@@ -43,40 +44,36 @@ import (
 )
 
 const (
-	indexVersion2 = 2 // decode/map-only
-	indexVersion3 = 3 // what every writer emits
+	indexVersion3 = 3 // two factors, Z and U: read by ConvertIndex alone
+	indexVersion4 = 4 // what every writer emits and every loader serves
 
-	// Geometry both versions share.
-	v2Page      = 4096
-	v2DescSize  = 24
-	v2HeaderCRC = v2Page - 4
+	pageSize     = 4096
+	descSize     = 24
+	headerCRCOff = pageSize - 4
 
-	// v2FactorSections is the factor block both kinds share; a CSRX file
-	// puts its sigma section in front of it, and v3 its ids section.
-	v2FactorSections = 6
-
-	// v2: the section table follows the fixed words. v2WalSeqOff holds the
-	// index's last-applied ingest-WAL sequence. It sits past the section
-	// table (which ends at 64 + 7·24 = 232), inside the header CRC's
-	// coverage; files written before the field existed have zeros there,
-	// which reads back as walSeq 0 — exactly the "no WAL coverage" meaning.
-	// Shards always write 0.
-	v2TableOff  = 64
-	v2WalSeqOff = 240
-
-	// v3: an eighth section does not fit in front of byte 240, so the
-	// stored-row count and the WAL sequence follow the fixed words and the
-	// table moves behind them (8 entries end at 128 + 8·24 = 320).
-	v3StoredOff = 64
-	v3WalSeqOff = 72
-	v3TableOff  = 128
+	// Words past the fixed ones (magic, version, tier, section count, n,
+	// rank, c, iters|lo, 0|hi and the file size fill bytes 0–63). v3 wrote
+	// the first two and zeros where v4 keeps the build id and the Gram
+	// clamp charge; the section table follows at 128 in both.
+	storedOff = 64
+	walSeqOff = 72
+	buildOff  = 80
+	clampOff  = 88
+	tableOff  = 128
 )
+
+// ErrFormat is returned (wrapped) for a snapshot in a format this build does
+// not serve: v1–v3, which held two factors. It is not corruption — the
+// bytes may be intact — so a snapshot directory treats such a generation
+// as stale rather than damaged (snapshot.go), and csrstat -convert rewrites
+// an exact v3 index (ConvertIndex).
+var ErrFormat = errors.New("core: snapshot format not served")
 
 // errMapUnsupported reports that a file could not be memory-mapped for
 // an environmental (not data-corruption) reason: unsupported platform,
-// big-endian host, a v1 file, mmap syscall failure, or an injected map
-// fault. LoadIndex falls back to the decode path on it; real corruption
-// never wears it.
+// big-endian host, mmap syscall failure, or an injected map fault.
+// LoadIndex falls back to the decode path on it; real corruption never
+// wears it.
 var errMapUnsupported = errors.New("core: memory mapping unavailable")
 
 // nativeLE reports whether this host stores multi-byte words little-
@@ -86,106 +83,97 @@ var nativeLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-func alignPage(x uint64) uint64 { return (x + v2Page - 1) &^ (v2Page - 1) }
+func alignPage(x uint64) uint64 { return (x + pageSize - 1) &^ (pageSize - 1) }
 
-// v2section pairs a section's payload length with an encoder that can
+// section pairs a section's payload length with an encoder that can
 // replay the exact bytes — once into the CRC, once into the file.
-type v2section struct {
+type section struct {
 	length uint64
 	encode func(io.Writer) error
 }
 
-// f64Section is a section of little-endian float64s. On a little-endian
-// host that is the slice's own memory — what the mapper reinterprets on
-// load — so both passes hand it over as it lies; elsewhere writeFloats
-// encodes it, once per pass.
-func f64Section(data []float64) v2section {
-	if nativeLE && len(data) > 0 {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*8)
-		return v2section{uint64(len(raw)), func(w io.Writer) error { return writeChunked(w, raw) }}
-	}
-	return v2section{uint64(len(data)) * 8, func(w io.Writer) error { return writeFloats(w, data) }}
-}
+// writeChunk is the size of every write a section makes. Measured, not
+// assumed: handed to a file in one write(2), or in 1 MiB ones, a 16 MB
+// section stalled inside write for 0.3–6 s in 9 of 16 trials on a 2-vCPU
+// KVM guest (Linux 6.18, where ext4 backs a large write with large folios
+// and those come from memory the host has not backed yet); 32 KiB writes
+// of the same bytes stalled in none of 16 and cost 15 ms.
+const writeChunk = 32 << 10
 
-// writeChunked writes raw in pieces the size writeFloats encodes at a time.
-// Measured, not assumed: handed to a file in one write(2), or in 1 MiB ones,
-// a 16 MB section stalled inside write for 0.3–6 s in 9 of 16 trials on the VM
-// this is developed on (Linux 6.18, where ext4 backs a large write with
-// large folios and those come from memory the host has not backed yet);
-// 32 KiB writes of the same bytes — what writeFloats has always issued —
-// stalled in none of 16 and cost 15 ms.
-func writeChunked(w io.Writer, raw []byte) error {
-	const chunk = 8 * 4096
-	for len(raw) > 0 {
-		n := min(chunk, len(raw))
-		if _, err := w.Write(raw[:n]); err != nil {
-			return err
+// sectionOf is a section of little-endian elements, size bytes each. On a
+// little-endian host that is the slice's own memory — what the mapper
+// reinterprets on load — so both passes hand it over as it lies; elsewhere
+// put encodes one element, a chunk at a time, once per pass.
+func sectionOf[T any](data []T, size int, put func([]byte, T)) section {
+	if nativeLE && len(data) > 0 {
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*size)
+		return section{uint64(len(raw)), func(w io.Writer) error {
+			for rest := raw; len(rest) > 0; rest = rest[min(writeChunk, len(rest)):] {
+				if _, err := w.Write(rest[:min(writeChunk, len(rest))]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
+	}
+	return section{uint64(len(data) * size), func(w io.Writer) error {
+		buf := make([]byte, writeChunk)
+		for rest := data; len(rest) > 0; rest = rest[min(writeChunk/size, len(rest)):] {
+			chunk := rest[:min(writeChunk/size, len(rest))]
+			for i, v := range chunk {
+				put(buf[i*size:], v)
+			}
+			if _, err := w.Write(buf[:len(chunk)*size]); err != nil {
+				return err
+			}
 		}
-		raw = raw[n:]
-	}
-	return nil
-}
-
-func f32Section(data []float32) v2section {
-	return v2section{uint64(len(data)) * 4, func(w io.Writer) error { return writeFloats32(w, data) }}
-}
-
-func i8Section(data []int8) v2section {
-	return v2section{uint64(len(data)), func(w io.Writer) error { return writeInt8(w, data) }}
-}
-
-// i32Section is the ids section: little-endian int32s, the slice's own
-// memory where that is what they are.
-func i32Section(data []int32) v2section {
-	if nativeLE && len(data) > 0 {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*4)
-		return v2section{uint64(len(raw)), func(w io.Writer) error { return writeChunked(w, raw) }}
-	}
-	return v2section{uint64(len(data)) * 4, func(w io.Writer) error {
-		return binary.Write(w, binary.LittleEndian, data)
+		return nil
 	}}
 }
 
-var emptySection = v2section{0, func(io.Writer) error { return nil }}
+func f64Section(data []float64) section {
+	return sectionOf(data, 8, func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) })
+}
 
-// factorSections renders one factor matrix (and its quantisation
-// metadata) as the scale/qerr/payload section triple. Sections a tier
-// lacks are empty: scales exist only for int8, qerr for both quantized
-// tiers.
-func factorSections(t *dense.Typed, qerr []float64) (scale, qe, payload v2section) {
+var emptySection = section{0, func(io.Writer) error { return nil }}
+
+// factorSections renders the factor (and its quantisation metadata) as the
+// scale/qerr/payload section triple. Sections a tier lacks are empty:
+// scales exist only for int8, qerr for both quantized tiers.
+func factorSections(t *dense.Typed, qerr []float64) (scale, qe, payload section) {
 	switch t.Kind {
 	case dense.F64:
 		return emptySection, emptySection, f64Section(t.F64)
 	case dense.F32:
-		return emptySection, f64Section(qerr), f32Section(t.F32)
+		return emptySection, f64Section(qerr), sectionOf(t.F32, 4, func(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) })
 	default:
-		return f64Section(t.Scale), f64Section(qerr), i8Section(t.I8)
+		return f64Section(t.Scale), f64Section(qerr), sectionOf(t.I8, 1, func(b []byte, v int8) { b[0] = byte(v) })
 	}
 }
 
-// WriteTo serialises the index in the v3 layout (magic "CSRX").
+// WriteTo serialises the index in the v4 layout (magic "CSRX").
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	hdr := [5]uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters), 0}
-	return ix.writeV3(w, indexKind, hdr, ix.walSeq, f64Section(ix.sigma))
+	return ix.writeV4(w, indexKind, hdr, ix.walSeq, f64Section(ix.sigma))
 }
 
-// WriteTo serialises the shard in the v3 layout (magic "CSRS").
+// WriteTo serialises the shard in the v4 layout (magic "CSRS").
 func (sh *IndexShard) WriteTo(w io.Writer) (int64, error) {
 	hdr := [5]uint64{uint64(sh.n), uint64(sh.rank), math.Float64bits(sh.c), uint64(sh.lo), uint64(sh.hi)}
-	return sh.writeV3(w, shardKind, hdr, 0)
+	return sh.writeV4(w, shardKind, hdr, 0)
 }
 
-// writeV3 is the one writer. It lays out and writes a v3 file of the
+// writeV4 is the one writer. It lays out and writes a v4 file of the
 // shard's stored rows: header page, then the kind's leading sections, the
-// ids and the six factor-block sections, each at the next page boundary
+// ids and the three factor-block sections, each at the next page boundary
 // and followed by zero padding. Section CRCs are computed in a first encode
 // pass (over payload plus padding), so the writer streams — it never
 // materialises a quantized payload in memory.
-func (sh *IndexShard) writeV3(w io.Writer, k *snapKind, hdr [5]uint64, walSeq uint64, lead ...v2section) (int64, error) {
+func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq uint64, lead ...section) (int64, error) {
 	le := binary.LittleEndian
-	zscale, zqe, z := factorSections(sh.z, sh.zqerr)
-	uscale, uqe, u := factorSections(sh.u, sh.uqerr)
-	secs := append(lead, i32Section(sh.ids), zscale, uscale, zqe, uqe, z, u)
+	scale, qe, f := factorSections(sh.f, sh.fqerr)
+	ids := sectionOf(sh.ids, 4, func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) })
+	secs := append(lead, ids, scale, qe, f)
 
 	// Pass 1: place sections and checksum their padded extents.
 	type placed struct {
@@ -193,14 +181,14 @@ func (sh *IndexShard) writeV3(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 		crc         uint32
 	}
 	pl := make([]placed, len(secs))
-	cur := uint64(v2Page)
+	cur := uint64(pageSize)
 	for i, s := range secs {
 		pl[i].off = cur
 		pl[i].padded = alignPage(s.length)
 		if s.length > 0 {
 			h := crc32.NewIEEE()
 			if err := s.encode(h); err != nil {
-				return 0, fmt.Errorf("core: v3 checksum pass: %w", err)
+				return 0, fmt.Errorf("core: v4 checksum pass: %w", err)
 			}
 			if pad := pl[i].padded - s.length; pad > 0 {
 				h.Write(make([]byte, pad))
@@ -211,106 +199,126 @@ func (sh *IndexShard) writeV3(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 	}
 	fileSize := cur
 
-	head := make([]byte, v2Page)
+	head := make([]byte, pageSize)
 	copy(head, k.magic[:])
-	le.PutUint32(head[4:], indexVersion3)
+	le.PutUint32(head[4:], indexVersion4)
 	le.PutUint32(head[8:], uint32(sh.Tier()))
 	le.PutUint32(head[12:], uint32(len(secs)))
-	le.PutUint64(head[16:], hdr[0])
-	le.PutUint64(head[24:], hdr[1])
-	le.PutUint64(head[32:], hdr[2])
-	le.PutUint64(head[40:], hdr[3])
-	le.PutUint64(head[48:], hdr[4])
-	le.PutUint64(head[56:], fileSize)
-	le.PutUint64(head[v3StoredOff:], uint64(sh.Stored()))
-	le.PutUint64(head[v3WalSeqOff:], walSeq)
+	for i, word := range append(hdr[:], fileSize, uint64(sh.Stored()), walSeq, sh.build, math.Float64bits(sh.clamp)) {
+		le.PutUint64(head[16+8*i:], word)
+	}
 	for i, s := range secs {
-		d := head[v3TableOff+i*v2DescSize:]
+		d := head[tableOff+i*descSize:]
 		le.PutUint64(d, pl[i].off)
 		le.PutUint64(d[8:], s.length)
 		le.PutUint32(d[16:], pl[i].crc)
 	}
-	le.PutUint32(head[v2HeaderCRC:], crc32.ChecksumIEEE(head[:v2HeaderCRC]))
+	le.PutUint32(head[headerCRCOff:], crc32.ChecksumIEEE(head[:headerCRCOff]))
 
 	// Pass 2: write. No bufio — sections already stream in large chunks,
 	// and the padding writes batch through one zero page.
 	cw := &countingWriter{w: w}
 	if _, err := cw.Write(head); err != nil {
-		return cw.n, fmt.Errorf("core: writing v3 header: %w", err)
+		return cw.n, fmt.Errorf("core: writing v4 header: %w", err)
 	}
-	zeros := make([]byte, v2Page)
+	zeros := make([]byte, pageSize)
 	for i, s := range secs {
 		if s.length == 0 {
 			continue
 		}
 		if err := s.encode(cw); err != nil {
-			return cw.n, fmt.Errorf("core: writing v3 section %d: %w", i, err)
+			return cw.n, fmt.Errorf("core: writing v4 section %d: %w", i, err)
 		}
 		for pad := pl[i].padded - s.length; pad > 0; {
-			chunk := pad
-			if chunk > v2Page {
-				chunk = v2Page
-			}
+			chunk := min(pad, pageSize)
 			if _, err := cw.Write(zeros[:chunk]); err != nil {
-				return cw.n, fmt.Errorf("core: padding v3 section %d: %w", i, err)
+				return cw.n, fmt.Errorf("core: padding v4 section %d: %w", i, err)
 			}
 			pad -= chunk
 		}
 	}
 	if uint64(cw.n) != fileSize {
-		return cw.n, fmt.Errorf("core: v3 writer emitted %d bytes, laid out %d", cw.n, fileSize)
+		return cw.n, fmt.Errorf("core: v4 writer emitted %d bytes, laid out %d", cw.n, fileSize)
 	}
 	return cw.n, nil
 }
 
-// v2sec is one parsed section-table entry.
-type v2sec struct {
+// sectionDesc is one parsed section-table entry.
+type sectionDesc struct {
 	off, length uint64
 	crc         uint32
 }
 
-func (s v2sec) end() uint64 { return alignPage(s.off + s.length) }
+func (s sectionDesc) end() uint64 { return alignPage(s.off + s.length) }
 
-// pagedFile is a validated v2 or v3 header over its raw bytes.
+// pagedFile is a validated v4 (or, for ConvertIndex, v3) header over its
+// raw bytes.
 type pagedFile struct {
 	snapHeader
-	tier   Tier
-	stored uint64 // rows in the factor block: rows() in a v2 file
-	secs   []v2sec
-	data   []byte
+	version uint32
+	tier    Tier
+	stored  uint64 // rows in the factor block
+	secs    []sectionDesc
+	data    []byte
 }
 
-// parsePaged validates everything cheap about a v2 or v3 byte image of kind
-// k — magic, version, header CRC, fileSize against the actual length,
-// field plausibility, and the full section-table geometry (alignment, no
-// overlap with the header or each other, exact expected lengths) — and
-// eagerly CRC-checks every section except the two factor blocks, whose
-// verification cost is O(index size) and is the caller's choice.
-func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
-	le := binary.LittleEndian
-	if len(data) < v2Page {
-		return nil, fmt.Errorf("core: snapshot header truncated at %d bytes: %w", len(data), ErrCorrupt)
+// factors is how many factor matrices the file holds: F, or v3's Z and U.
+// Each brings a scale, a qerr and a payload section.
+func (f *pagedFile) factors() int {
+	if f.version == indexVersion3 {
+		return 2
+	}
+	return 1
+}
+
+// checkHead reads the magic and version a snapshot image starts with:
+// ErrCorrupt for a short image, the other kind's magic or a version no
+// writer produced, ErrFormat for a version this build does not serve —
+// save v3 when legacy (ConvertIndex reads it).
+func checkHead(data []byte, k *snapKind, legacy bool) (uint32, error) {
+	if len(data) < 8 {
+		return 0, fmt.Errorf("core: snapshot header truncated at %d bytes: %w", len(data), ErrCorrupt)
 	}
 	if !bytes.Equal(data[:4], k.magic[:]) {
-		return nil, fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
+		return 0, fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
 	}
-	version := le.Uint32(data[4:])
-	v3 := version == indexVersion3
-	tableOff, walSeqOff := v3TableOff, v3WalSeqOff
-	if !v3 {
-		if version != indexVersion2 {
-			return nil, fmt.Errorf("core: %s version %d, want %d or %d: %w", k.name, version, indexVersion2, indexVersion3, ErrCorrupt)
-		}
-		tableOff, walSeqOff = v2TableOff, v2WalSeqOff
+	switch v := binary.LittleEndian.Uint32(data[4:]); {
+	case v == indexVersion4, v == indexVersion3 && legacy:
+		return v, nil
+	case v >= 1 && v <= indexVersion3:
+		return v, fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v4: "+
+			"csrstat -convert rewrites an exact v3 index: %w", v, k.name, ErrFormat)
+	default:
+		return v, fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion4, ErrCorrupt)
 	}
-	if got, want := crc32.ChecksumIEEE(data[:v2HeaderCRC]), le.Uint32(data[v2HeaderCRC:]); got != want {
+}
+
+// parsePaged validates everything cheap about a v4 byte image of kind k —
+// or a v3 one when legacy — magic, version, header CRC, fileSize against
+// the actual length, field plausibility, and the full section-table
+// geometry (alignment, no overlap with the header or each other, exact
+// expected lengths) — and eagerly CRC-checks every section except the
+// factor payloads, whose verification cost is O(index size) and is the
+// caller's choice.
+func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
+	le := binary.LittleEndian
+	version, err := checkHead(data, k, legacy)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < pageSize {
+		return nil, fmt.Errorf("core: snapshot header truncated at %d bytes: %w", len(data), ErrCorrupt)
+	}
+	if got, want := crc32.ChecksumIEEE(data[:headerCRCOff]), le.Uint32(data[headerCRCOff:]); got != want {
 		return nil, fmt.Errorf("core: snapshot header checksum %08x, want %08x: %w", got, want, ErrCorrupt)
 	}
-	f := &pagedFile{data: data}
+	f := &pagedFile{data: data, version: version}
 	f.n = le.Uint64(data[16:])
 	f.rank = le.Uint64(data[24:])
 	f.c = math.Float64frombits(le.Uint64(data[32:]))
 	f.walSeq = le.Uint64(data[walSeqOff:])
+	f.build = le.Uint64(data[buildOff:])
+	f.clamp = math.Float64frombits(le.Uint64(data[clampOff:]))
 	// Words 4 and 5 are iters/0 for an index, lo/hi for a shard.
 	w4, w5 := le.Uint64(data[40:]), le.Uint64(data[48:])
 	if k.whole {
@@ -326,12 +334,9 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		return nil, fmt.Errorf("core: unknown tier %d: %w", tier, ErrCorrupt)
 	}
 	f.tier = Tier(tier)
-	wantSecs := v2FactorSections
+	wantSecs := 1 + 3*f.factors() // ids, then the factor block
 	if k.whole {
 		wantSecs++ // sigma
-	}
-	if v3 {
-		wantSecs++ // ids
 	}
 	if got := le.Uint32(data[12:]); got != uint32(wantSecs) {
 		return nil, fmt.Errorf("core: snapshot section count %d, want %d: %w", got, wantSecs, ErrCorrupt)
@@ -342,17 +347,24 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 	if err := f.validate(k); err != nil {
 		return nil, err
 	}
-	// The header is plausible, so rows() is a real row count; a v3 file may
+	// The header is plausible, so rows() is a real row count; a file may
 	// store fewer, never more.
-	f.stored = uint64(f.rows())
-	if v3 {
-		if f.stored = le.Uint64(data[v3StoredOff:]); f.stored > uint64(f.rows()) {
-			return nil, fmt.Errorf("core: %s stores %d rows of the %d in [%d, %d): %w", k.name, f.stored, f.rows(), f.lo, f.hi, ErrCorrupt)
-		}
+	if f.stored = le.Uint64(data[storedOff:]); f.stored > uint64(f.rows()) {
+		return nil, fmt.Errorf("core: %s stores %d rows of the %d in [%d, %d): %w", k.name, f.stored, f.rows(), f.lo, f.hi, ErrCorrupt)
 	}
 
 	// Expected section lengths from the validated header. Order matches
-	// the writer: [sigma,] [ids,] zscale, uscale, zqerr, uqerr, z, u.
+	// the writer: [sigma,] ids, then the scales, the qerrs and the payloads
+	// of each factor.
+	want := make([]uint64, 0, wantSecs)
+	if k.whole {
+		want = append(want, f.rank*8) // sigma
+	}
+	idsLen := uint64(0) // every row stored: the identity map, not listed
+	if f.stored < uint64(f.rows()) {
+		idsLen = f.stored * 4
+	}
+	want = append(want, idsLen)
 	factorLen := f.stored * f.rank * uint64(f.tier.kind().ElemSize())
 	metaLen := uint64(0) // scale/qerr vectors are rank float64s when present
 	if f.tier != TierF64 {
@@ -362,24 +374,17 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 	if f.tier == TierI8 {
 		scaleLen = f.rank * 8
 	}
-	want := make([]uint64, 0, wantSecs)
-	if k.whole {
-		want = append(want, f.rank*8) // sigma
-	}
-	if v3 {
-		idsLen := uint64(0) // every row stored: the identity map, not listed
-		if f.stored < uint64(f.rows()) {
-			idsLen = f.stored * 4
+	for _, l := range []uint64{scaleLen, metaLen, factorLen} {
+		for range f.factors() {
+			want = append(want, l)
 		}
-		want = append(want, idsLen)
 	}
-	want = append(want, scaleLen, scaleLen, metaLen, metaLen, factorLen, factorLen)
 
-	f.secs = make([]v2sec, wantSecs)
-	cur := uint64(v2Page)
+	f.secs = make([]sectionDesc, wantSecs)
+	cur := uint64(pageSize)
 	for i := range f.secs {
-		d := data[tableOff+i*v2DescSize:]
-		s := v2sec{off: le.Uint64(d), length: le.Uint64(d[8:]), crc: le.Uint32(d[16:])}
+		d := data[tableOff+i*descSize:]
+		s := sectionDesc{off: le.Uint64(d), length: le.Uint64(d[8:]), crc: le.Uint32(d[16:])}
 		if s.length != want[i] {
 			return nil, fmt.Errorf("core: snapshot section %d is %d bytes, want %d: %w", i, s.length, want[i], ErrCorrupt)
 		}
@@ -387,7 +392,7 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		// boundary, after the header, in order. Anything else — a
 		// misaligned offset, an offset pointing back into the header or
 		// a neighbour — is a forgery.
-		if s.off != cur || s.off%v2Page != 0 || s.off < v2Page || s.end() > uint64(len(data)) {
+		if s.off != cur || s.off%pageSize != 0 || s.off < pageSize || s.end() > uint64(len(data)) {
 			return nil, fmt.Errorf("core: snapshot section %d at offset %d, want %d: %w", i, s.off, cur, ErrCorrupt)
 		}
 		cur = s.end()
@@ -397,8 +402,8 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		return nil, fmt.Errorf("core: snapshot sections end at %d of %d bytes: %w", cur, len(data), ErrCorrupt)
 	}
 
-	// Eagerly verify everything except the two trailing factor blocks.
-	for i := 0; i < len(f.secs)-2; i++ {
+	// Eagerly verify everything except the trailing factor payloads.
+	for i := 0; i < len(f.secs)-f.factors(); i++ {
 		if err := f.verifySection(i); err != nil {
 			return nil, err
 		}
@@ -420,13 +425,13 @@ func (f *pagedFile) verifySection(i int) error {
 	return nil
 }
 
-// verifyFactors checks the two factor-block CRCs — the O(size) half of
+// verifyFactors checks the factor payload CRCs — the O(size) half of
 // validation.
 func (f *pagedFile) verifyFactors() error {
 	if err := fault.Hit(fault.SiteIndexVerify); err != nil {
 		return fmt.Errorf("core: verifying factor blocks: %w", err)
 	}
-	for i := len(f.secs) - 2; i < len(f.secs); i++ {
+	for i := len(f.secs) - f.factors(); i < len(f.secs); i++ {
 		if err := f.verifySection(i); err != nil {
 			return err
 		}
@@ -434,80 +439,28 @@ func (f *pagedFile) verifyFactors() error {
 	return nil
 }
 
-// bytesOf returns section i's payload bytes.
-func (f *pagedFile) bytesOf(i int) []byte {
+// viewOf materialises section i as size-byte little-endian elements — a
+// zero-copy reinterpret of the mapping when zeroCopy (page alignment gives
+// every element its alignment; parsePaged's callers only pass zeroCopy on
+// little-endian hosts), a copy decoded by get otherwise. nil for empty.
+func viewOf[T any](f *pagedFile, i int, zeroCopy bool, size int, get func([]byte) T) []T {
 	s := f.secs[i]
-	return f.data[s.off : s.off+s.length]
+	b := f.data[s.off : s.off+s.length]
+	if len(b) == 0 {
+		return nil
+	}
+	if zeroCopy {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size)
+	}
+	out := make([]T, len(b)/size)
+	for j := range out {
+		out[j] = get(b[j*size:])
+	}
+	return out
 }
 
-// f64Of materialises section i as []float64 — a zero-copy reinterpret
-// of the mapping when zeroCopy (page alignment gives the required
-// 8-byte alignment; parsePaged's callers only pass zeroCopy on
-// little-endian hosts), a decoded copy otherwise. nil for empty.
 func (f *pagedFile) f64Of(i int, zeroCopy bool) []float64 {
-	b := f.bytesOf(i)
-	if len(b) == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	le := binary.LittleEndian
-	out := make([]float64, len(b)/8)
-	for j := range out {
-		out[j] = math.Float64frombits(le.Uint64(b[j*8:]))
-	}
-	return out
-}
-
-func (f *pagedFile) f32Of(i int, zeroCopy bool) []float32 {
-	b := f.bytesOf(i)
-	if len(b) == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	le := binary.LittleEndian
-	out := make([]float32, len(b)/4)
-	for j := range out {
-		out[j] = math.Float32frombits(le.Uint32(b[j*4:]))
-	}
-	return out
-}
-
-// i32Of is f64Of for the ids section. An empty section is nil: the
-// identity map.
-func (f *pagedFile) i32Of(i int, zeroCopy bool) []int32 {
-	b := f.bytesOf(i)
-	if len(b) == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	le := binary.LittleEndian
-	out := make([]int32, len(b)/4)
-	for j := range out {
-		out[j] = int32(le.Uint32(b[j*4:]))
-	}
-	return out
-}
-
-// i8Of is always zero-copy capable: bytes have no endianness.
-func (f *pagedFile) i8Of(i int, zeroCopy bool) []int8 {
-	b := f.bytesOf(i)
-	if len(b) == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
-	}
-	out := make([]int8, len(b))
-	for j, v := range b {
-		out[j] = int8(v)
-	}
-	return out
+	return viewOf(f, i, zeroCopy, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
 // checkQuantVec validates a persisted scale or qerr vector: the bound
@@ -522,23 +475,22 @@ func checkQuantVec(name string, v []float64) error {
 	return nil
 }
 
-// factorsFrom materialises one factor matrix and its measured
-// dequantisation errors from its scale/qerr/payload sections (already
-// shape-validated). The payload is wrapped, never copied: f64Of and its
-// siblings already return either the mmap view (zeroCopy) or a fresh
-// decode, and copying here would put every factor entry back on the heap
-// — the exact cost mapping exists to avoid. The view is PROT_READ; queries
-// only read.
-func (f *pagedFile) factorsFrom(rows int, scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
-	t = &dense.Typed{Kind: f.tier.kind(), Rows: rows, Cols: int(f.rank)}
+// factorFrom materialises the factor and its measured dequantisation
+// errors from its scale/qerr/payload sections (already shape-validated).
+// The payload is wrapped, never copied: f64Of and its siblings already
+// return either the mmap view (zeroCopy) or a fresh decode, and copying here
+// would put every factor entry back on the heap — the exact cost mapping
+// exists to avoid. The view is PROT_READ; queries only read.
+func (f *pagedFile) factorFrom(scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
+	t = &dense.Typed{Kind: f.tier.kind(), Rows: int(f.stored), Cols: int(f.rank)}
 	switch f.tier {
 	case TierF64:
 		t.F64 = f.f64Of(payloadIdx, zeroCopy)
 		return t, nil, nil
 	case TierF32:
-		t.F32 = f.f32Of(payloadIdx, zeroCopy)
+		t.F32 = viewOf(f, payloadIdx, zeroCopy, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 	default:
-		t.I8 = f.i8Of(payloadIdx, zeroCopy)
+		t.I8 = viewOf(f, payloadIdx, zeroCopy, 1, func(b []byte) int8 { return int8(b[0]) })
 		t.Scale = f.f64Of(scaleIdx, zeroCopy)
 		if err := checkQuantVec("scale", t.Scale); err != nil {
 			return nil, nil, err
@@ -553,27 +505,43 @@ func (f *pagedFile) factorsFrom(rows int, scaleIdx, qerrIdx, payloadIdx int, zer
 
 // fromImage builds the Index (for a shard image, the IndexShard inside it)
 // over a parsed image — the one from-image constructor, shared by the
-// decoder (zeroCopy false: fresh allocations) and the mapper.
-func (f *pagedFile) fromImage(k *snapKind, zeroCopy bool) (*Index, error) {
-	base := len(f.secs) - v2FactorSections // sigma and ids lead, where present
+// decoder (zeroCopy false: fresh allocations) and the mapper. The factor is
+// left to the caller, who knows the version: its sections start at the
+// returned base.
+func (f *pagedFile) fromImage(k *snapKind, zeroCopy bool) (ix *Index, base int, err error) {
+	base = len(f.secs) - 3*f.factors() // sigma and ids lead
 	var sigma []float64
 	if k.whole {
 		sigma = f.f64Of(0, zeroCopy)
 		if err := checkSigma(sigma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	ix := f.index(sigma)
+	ix = f.index(sigma)
 	if f.stored < uint64(f.rows()) {
-		if ix.ids = f.i32Of(base-1, zeroCopy); ix.ids == nil {
+		if ix.ids = viewOf(f, base-1, zeroCopy, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }); ix.ids == nil {
 			ix.ids = []int32{} // a shard that stores nothing still lists its rows: none
 		}
 	}
-	var err error
-	if ix.z, ix.zqerr, err = f.factorsFrom(int(f.stored), base, base+2, base+4, zeroCopy); err != nil {
+	return ix, base, nil
+}
+
+// openPaged is the one v4 open, shared by the decoder and the mapper:
+// parse, verify the factor CRC, build the index over the image — views of
+// it when zeroCopy, fresh copies otherwise.
+func openPaged(data []byte, k *snapKind, zeroCopy bool) (*Index, error) {
+	f, err := parsePaged(data, k, false)
+	if err != nil {
 		return nil, err
 	}
-	if ix.u, ix.uqerr, err = f.factorsFrom(int(f.stored), base+1, base+3, base+5, zeroCopy); err != nil {
+	if err := f.verifyFactors(); err != nil {
+		return nil, err
+	}
+	ix, base, err := f.fromImage(k, zeroCopy)
+	if err != nil {
+		return nil, err
+	}
+	if ix.f, ix.fqerr, err = f.factorFrom(base, base+1, base+2, zeroCopy); err != nil {
 		return nil, err
 	}
 	if err := ix.CheckStored(); err != nil {
@@ -582,25 +550,54 @@ func (f *pagedFile) fromImage(k *snapKind, zeroCopy bool) (*Index, error) {
 	return ix, nil
 }
 
-// decodePaged is the copying read of a v2 or v3 byte image: full
-// validation including the factor CRCs, fresh allocations, no mapping to
-// manage.
-func decodePaged(data []byte, k *snapKind) (*Index, error) {
-	f, err := parsePaged(data, k)
+// ConvertIndex reads the whole index at path as this build serves it: a v4
+// file as LoadIndex would (decoded, not mapped), and an exact-tier v3 file
+// — Algorithm 1's two factors Z = U·W and U, W = ΣPΣ — converted to the one
+// factor a fresh build stores. U has orthonormal columns, so W = UᵀZ; it is
+// symmetrised and factored by BuildF's eigensolve, and F = U·E·Λ^{1/2}
+// serves the v3 file's scores to rounding. A quantized v3 file is refused:
+// its codes are not Z and U, so re-quantize from the exact file. csrstat
+// -convert is the one caller.
+func ConvertIndex(path string) (*Index, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: converting %s: %w", path, err)
 	}
-	if err := f.verifyFactors(); err != nil {
-		return nil, err
+	f, err := parsePaged(data, indexKind, true)
+	if err == nil && f.version == indexVersion4 {
+		return openPaged(data, indexKind, false)
 	}
-	return f.fromImage(k, false)
+	if err == nil {
+		err = f.verifyFactors()
+	}
+	if err == nil && f.tier != TierF64 {
+		err = fmt.Errorf("core: v3 index at tier %v: re-quantize from the exact file: %w", f.tier, ErrFormat)
+	}
+	var ix *Index
+	base := 0
+	if err == nil {
+		ix, base, err = f.fromImage(indexKind, false)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: converting %s: %w", path, err)
+	}
+	rows, r := int(f.stored), int(f.rank)
+	z := dense.NewMatFrom(rows, r, f.f64Of(base+4, false))
+	u := dense.NewMatFrom(rows, r, f.f64Of(base+5, false))
+	fm, gram := gramFactor(u, dense.TMul(u, z))
+	ix.f = dense.TypedFromMat(fm)
+	ix.build, ix.clamp = buildID(ix.n, r, ix.c, ix.sigma, fm.Data), ix.c*gram.Mass
+	if err := ix.CheckStored(); err != nil {
+		return nil, fmt.Errorf("core: converting %s: %v: %w", path, err, ErrCorrupt)
+	}
+	return ix, nil
 }
 
-// mapFile opens, sizes and maps path read-only, peeking the version
-// first so a v1 file reports errMapUnsupported (fall back to decode)
-// rather than a parse failure. The returned mapping owns the pages;
-// the file descriptor does not outlive the call.
-func mapFile(path string) ([]byte, *mapping, error) {
+// mapFile opens, sizes and maps path read-only, peeking the header first
+// so a file of another kind or format fails as it would decoded, before
+// anything is mapped. The returned mapping owns the pages; the file
+// descriptor does not outlive the call.
+func mapFile(path string, k *snapKind) ([]byte, *mapping, error) {
 	if !mmapSupported || !nativeLE {
 		return nil, nil, fmt.Errorf("%w (platform)", errMapUnsupported)
 	}
@@ -609,7 +606,7 @@ func mapFile(path string) ([]byte, *mapping, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	// The version peek goes through the injected read site like every
+	// The header peek goes through the injected read site like every
 	// other load-time disk read: a degraded disk (or an armed
 	// SiteIndexRead plan) fails the mapped load the same way it fails
 	// the buffered one — the decode fallback shares the disk, so
@@ -618,8 +615,8 @@ func mapFile(path string) ([]byte, *mapping, error) {
 	if _, err := io.ReadFull(fault.Reader(fault.SiteIndexRead, f), head[:]); err != nil {
 		return nil, nil, fmt.Errorf("core: reading header: %w", corruptEOF(err))
 	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != indexVersion2 && v != indexVersion3 {
-		return nil, nil, fmt.Errorf("%w (version %d file)", errMapUnsupported, v)
+	if _, err := checkHead(head[:], k, false); err != nil {
+		return nil, nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -643,15 +640,15 @@ func mapFile(path string) ([]byte, *mapping, error) {
 	return data, &mapping{data: data}, nil
 }
 
-// MapIndex memory-maps a v2 or v3 snapshot and returns an Index whose factor
-// matrices are zero-copy views over the mapping: the load copies nothing
-// (header and metadata validation plus one CRC pass over the factor
-// blocks), pages fault in on first access, and RSS is shared with any
-// other mapping of the same generation. The caller owns the mapping
-// lifetime: Close the index only after every query that might touch it
-// has drained (the serve layer's swap guarantees exactly this — see
-// DESIGN.md). Returns errMapUnsupported-wrapped errors for v1 files and
-// unmappable environments, ErrCorrupt-wrapped for bad bytes.
+// MapIndex memory-maps a v4 snapshot and returns an Index whose factor is a
+// zero-copy view over the mapping: the load copies nothing (header and
+// metadata validation plus one CRC pass over the factor block), pages fault
+// in on first access, and RSS is shared with any other mapping of the same
+// generation. The caller owns the mapping lifetime: Close the index only
+// after every query that might touch it has drained (the serve layer's
+// swap guarantees exactly this — see DESIGN.md). Returns
+// errMapUnsupported-wrapped errors for unmappable environments,
+// ErrFormat-wrapped for older formats and ErrCorrupt-wrapped for bad bytes.
 func MapIndex(path string) (*Index, error) {
 	ix, err := mapSnapshot(path, indexKind)
 	if err != nil {
@@ -661,62 +658,18 @@ func MapIndex(path string) (*Index, error) {
 }
 
 // mapSnapshot is the one mapper, for files of either kind: map, parse,
-// verify every factor CRC, build zero-copy views. The returned Index holds
+// verify the factor CRC, build zero-copy views. The returned Index holds
 // the mapping; for a shard file the caller hands it on as a ShardFile.
 func mapSnapshot(path string, k *snapKind) (*Index, error) {
-	data, m, err := mapFile(path)
+	data, m, err := mapFile(path, k)
 	if err != nil {
 		return nil, err
 	}
-	f, err := parsePaged(data, k)
-	if err == nil {
-		err = f.verifyFactors()
-	}
-	var ix *Index
-	if err == nil {
-		ix, err = f.fromImage(k, true)
-	}
+	ix, err := openPaged(data, k, true)
 	if err != nil {
 		m.close()
 		return nil, err
 	}
 	ix.mapped = m
 	return ix, nil
-}
-
-func writeFloats32(w io.Writer, data []float32) error {
-	buf := make([]byte, 4*4096)
-	le := binary.LittleEndian
-	for len(data) > 0 {
-		chunk := len(data)
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		for i := 0; i < chunk; i++ {
-			le.PutUint32(buf[i*4:], math.Float32bits(data[i]))
-		}
-		if _, err := w.Write(buf[:chunk*4]); err != nil {
-			return err
-		}
-		data = data[chunk:]
-	}
-	return nil
-}
-
-func writeInt8(w io.Writer, data []int8) error {
-	buf := make([]byte, 32768)
-	for len(data) > 0 {
-		chunk := len(data)
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		for i := 0; i < chunk; i++ {
-			buf[i] = byte(data[i])
-		}
-		if _, err := w.Write(buf[:chunk]); err != nil {
-			return err
-		}
-		data = data[chunk:]
-	}
-	return nil
 }

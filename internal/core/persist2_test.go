@@ -1,11 +1,11 @@
 package core
 
 // persist2_test.go pins the contract of the page-aligned snapshot layout
-// (written as v3; the TestV2 names date from its first version, whose
-// files golden_test.go keeps readable): mapped, decoded and v1 engines
-// answer bitwise-identically; every forgery the layout can express is
-// rejected as ErrCorrupt; quantized tiers round-trip with their measured
-// error vectors intact; rows an index leaves out stay out.
+// (written as v4; the TestV2 names date from its first version): mapped
+// and decoded engines answer bitwise-identically; every forgery the layout
+// can express is rejected as ErrCorrupt, and an older format as ErrFormat;
+// quantized tiers round-trip with their measured error vectors intact;
+// rows an index leaves out stay out.
 
 import (
 	"bytes"
@@ -20,10 +20,10 @@ import (
 	"testing"
 )
 
-// repatchV2HeaderCRC makes a forged v2 or v3 header self-consistent so the
+// repatchHeaderCRC makes a forged header self-consistent so the
 // validation under test — not the header checksum — rejects it.
-func repatchV2HeaderCRC(data []byte) {
-	binary.LittleEndian.PutUint32(data[v2HeaderCRC:], crc32.ChecksumIEEE(data[:v2HeaderCRC]))
+func repatchHeaderCRC(data []byte) {
+	binary.LittleEndian.PutUint32(data[headerCRCOff:], crc32.ChecksumIEEE(data[:headerCRCOff]))
 }
 
 func writeSnapFile(t *testing.T, ix *Index) string {
@@ -56,21 +56,14 @@ func wantBitwise(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestV2RoundTripBitwise is the core property: an index written as v2
+// TestV2RoundTripBitwise is the core property: an index written to disk
 // then (a) decoded through ReadIndex and (b) memory-mapped through
-// MapIndex answers every query bitwise-identically to the original and
-// to the v1 decode path.
+// MapIndex answers every query bitwise-identically to the original, and
+// carries its build id.
 func TestV2RoundTripBitwise(t *testing.T) {
 	ix := buildIndex(t)
 	queries := []int{0, 1, 3, ix.N() - 1}
 	want := queryBits(t, ix, queries)
-
-	// v1 path, for the cross-format leg of the property.
-	fromV1, err := ReadIndex(bytes.NewReader(v1IndexBytes(ix)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBitwise(t, "v1 decode", queryBits(t, fromV1, queries), want)
 
 	path := writeSnapFile(t, ix)
 	decoded, err := func() (*Index, error) {
@@ -85,7 +78,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBitwise(t, "v2 decode", queryBits(t, decoded, queries), want)
-	if decoded.N() != ix.N() || decoded.Rank() != ix.Rank() ||
+	if decoded.N() != ix.N() || decoded.Rank() != ix.Rank() || decoded.Build() != ix.Build() ||
 		decoded.Damping() != ix.Damping() || decoded.Iterations() != ix.Iterations() {
 		t.Fatal("v2 decode metadata mismatch")
 	}
@@ -109,7 +102,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	}
 	wantBitwise(t, "v2 mapped", queryBits(t, mapped, queries), want)
 	pair := func(ix *Index) uint64 {
-		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.gatherU([]int{3}), []int{1}, 0)
+		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.gatherF([]int{3}), []int{1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,29 +123,43 @@ func TestV2RoundTripBitwise(t *testing.T) {
 }
 
 // TestV2LoadIndexServesV2 pins that the default load path accepts what
-// the default save path writes, and that LoadIndex still reads v1.
+// the default save path writes, and refuses a file of the two-factor
+// format — an intact one, relabelled as such, and one cut to its first
+// bytes — as ErrFormat, before reading or mapping the rest of it.
 func TestV2LoadIndexServesV2(t *testing.T) {
 	ix := buildIndex(t)
 	queries := []int{2, 5}
 	want := queryBits(t, ix, queries)
 
-	back, err := LoadIndex(writeSnapFile(t, ix))
+	path := writeSnapFile(t, ix)
+	back, err := LoadIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	wantBitwise(t, "LoadIndex v2", queryBits(t, back, queries), want)
+	wantBitwise(t, "LoadIndex v4", queryBits(t, back, queries), want)
 
-	v1path := filepath.Join(t.TempDir(), "v1.csrx")
-	if err := os.WriteFile(v1path, v1IndexBytes(ix), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := LoadIndex(v1path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	wantBitwise(t, "LoadIndex v1", queryBits(t, old, queries), want)
+	for _, v := range []uint32{1, 2, 3} {
+		old := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(old[4:], v)
+		repatchHeaderCRC(old)
+		for label, image := range map[string][]byte{"whole": old, "header words only": old[:8]} {
+			p := filepath.Join(t.TempDir(), "old.csrx")
+			if err := os.WriteFile(p, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadIndex(p); !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
+				t.Errorf("v%d file, %s: LoadIndex err = %v, want ErrFormat alone", v, label, err)
+			}
+			if _, err := ReadIndex(bytes.NewReader(image)); !errors.Is(err, ErrFormat) {
+				t.Errorf("v%d stream, %s: ReadIndex err = %v, want ErrFormat", v, label, err)
+			}
+		}
+	}
 }
 
 // TestV2CorruptionMatrix drives the forgeries ISSUE 8 names: truncated
@@ -168,9 +175,9 @@ func TestV2CorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	// Section table offsets for the z section (index layout: sigma, ids,
-	// zscale, uscale, zqerr, uqerr, z, u — z is 6).
-	zDesc := v3TableOff + 6*v2DescSize
+	// Section table offsets for the f section (index layout: sigma, ids,
+	// fscale, fqerr, f — f is 4).
+	zDesc := tableOff + 4*descSize
 	zOff := le.Uint64(pristine[zDesc:])
 
 	corruptions := map[string]func([]byte) []byte{
@@ -182,19 +189,19 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			return d
 		},
 		"padding flip": func(d []byte) []byte {
-			// Last byte of the z section's padded extent — covered by the
+			// Last byte of the f section's padded extent — covered by the
 			// section CRC precisely so tampering here cannot hide.
 			d[alignPage(zOff+1)-1] ^= 0x01
 			return d
 		},
 		"misaligned section offset": func(d []byte) []byte {
 			le.PutUint64(d[zDesc:], zOff+8)
-			repatchV2HeaderCRC(d)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"offset overlapping header": func(d []byte) []byte {
 			le.PutUint64(d[zDesc:], 0)
-			repatchV2HeaderCRC(d)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"header flip unpatched": func(d []byte) []byte {
@@ -202,53 +209,62 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			return d
 		},
 		"forged fileSize": func(d []byte) []byte {
-			le.PutUint64(d[56:], uint64(len(d))+v2Page)
-			repatchV2HeaderCRC(d)
+			le.PutUint64(d[56:], uint64(len(d))+pageSize)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"forged section count": func(d []byte) []byte {
-			le.PutUint32(d[12:], v2FactorSections)
-			repatchV2HeaderCRC(d)
+			le.PutUint32(d[12:], 8) // a v3 index's
+			repatchHeaderCRC(d)
 			return d
 		},
 		"forged tier": func(d []byte) []byte {
 			le.PutUint32(d[8:], 99)
-			repatchV2HeaderCRC(d)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"forged iters": func(d []byte) []byte {
 			le.PutUint64(d[40:], 1<<63)
-			repatchV2HeaderCRC(d)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"NaN sigma": func(d []byte) []byte {
-			sOff := le.Uint64(d[v3TableOff:])
+			sOff := le.Uint64(d[tableOff:])
 			le.PutUint64(d[sOff:], math.Float64bits(math.NaN()))
 			// Re-checksum the sigma section's padded extent too: the NaN
 			// check, not the CRC, must fire.
-			resealSection(d, v3TableOff, 0)
+			resealSection(d, tableOff, 0)
 			return d
 		},
-		"forged version 2": func(d []byte) []byte {
-			// A v3 image relabelled v2: the reader looks for a v2 table.
-			le.PutUint32(d[4:], indexVersion2)
-			repatchV2HeaderCRC(d)
+		"forged version 0": func(d []byte) []byte {
+			le.PutUint32(d[4:], 0)
+			repatchHeaderCRC(d)
 			return d
 		},
-		"forged version 4": func(d []byte) []byte {
-			le.PutUint32(d[4:], 4)
-			repatchV2HeaderCRC(d)
+		"forged version 5": func(d []byte) []byte {
+			le.PutUint32(d[4:], 5)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"forged stored count above n": func(d []byte) []byte {
-			le.PutUint64(d[v3StoredOff:], uint64(ix.N())+1)
-			repatchV2HeaderCRC(d)
+			le.PutUint64(d[storedOff:], uint64(ix.N())+1)
+			repatchHeaderCRC(d)
 			return d
 		},
 		"forged stored count below n": func(d []byte) []byte {
-			// Fewer rows than the factor sections hold, and no ids for them.
-			le.PutUint64(d[v3StoredOff:], uint64(ix.N())-1)
-			repatchV2HeaderCRC(d)
+			// Fewer rows than the factor section holds, and no ids for them.
+			le.PutUint64(d[storedOff:], uint64(ix.N())-1)
+			repatchHeaderCRC(d)
+			return d
+		},
+		"NaN clamp charge": func(d []byte) []byte {
+			le.PutUint64(d[clampOff:], math.Float64bits(math.NaN()))
+			repatchHeaderCRC(d)
+			return d
+		},
+		"negative clamp charge": func(d []byte) []byte {
+			le.PutUint64(d[clampOff:], math.Float64bits(-1e-3))
+			repatchHeaderCRC(d)
 			return d
 		},
 	}
@@ -366,7 +382,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zOff := binary.LittleEndian.Uint64(data[v3TableOff+5*v2DescSize:]) // ids, 4 metadata sections, z
+	zOff := binary.LittleEndian.Uint64(data[tableOff+3*descSize:]) // ids, 2 metadata sections, f
 	data[zOff+1] ^= 0x10
 	bad := filepath.Join(dir, "bad.csrs")
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
@@ -403,23 +419,17 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	if back.Tier() != TierI8 {
 		t.Fatalf("loaded shard tier = %v, want int8", back.Tier())
 	}
-	zerr, uerr := back.QuantErrs()
-	wz, wu := sh.QuantErrs()
-	for j := range wz {
-		if zerr[j] != wz[j] || uerr[j] != wu[j] {
-			t.Fatal("quant error vectors not preserved")
-		}
-	}
-	zmax, umax := back.ColMaxes()
-	if got, want := QuantBound(back.Damping(), zmax, umax, zerr, uerr), q.QuantizationBound(); got != want {
+	ferr := back.QuantErrs()
+	wantBitwise(t, "quant error vector", ferr, sh.QuantErrs())
+	fmax := back.ColMaxes()
+	if got, want := QuantBound(back.Damping(), fmax, fmax, ferr, ferr), q.QuantizationBound(); got != want {
 		t.Fatalf("router-side QuantBound %g, want %g", got, want)
 	}
 }
 
 // TestV2WalSeqRoundTrip pins the walSeq header field: preserved through
-// the decode and map paths, absent (zero) through v1, zero-forgiving
-// for pre-field v2 files (zero bytes at the offset mean walSeq 0), and
-// rejected on shard files, which never carry one.
+// the decode and map paths, and rejected on shard files, which never carry
+// one.
 func TestV2WalSeqRoundTrip(t *testing.T) {
 	ix := buildIndex(t)
 	ix.SetWalSeq(0xdeadbeef12)
@@ -444,28 +454,6 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// v1 predates the field: it round-trips to zero, never an error.
-	fromV1, err := ReadIndex(bytes.NewReader(v1IndexBytes(ix)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromV1.WalSeq() != 0 {
-		t.Fatalf("v1 round-trip invented walSeq %d", fromV1.WalSeq())
-	}
-
-	// A pre-field v2 file has zeros at the offset; zeroing it in the v2
-	// fixture (and repatching the CRC) must read back as walSeq 0.
-	data := golden(t, goldenIndexV2(TierF64))
-	binary.LittleEndian.PutUint64(data[v2WalSeqOff:], 0)
-	repatchV2HeaderCRC(data)
-	old, err := decodePaged(data, indexKind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.WalSeq() != 0 {
-		t.Fatalf("pre-field image read walSeq %d", old.WalSeq())
-	}
-
 	// Shards never carry a WAL sequence; a forged one is corruption.
 	sh, err := ix.Shard(0, ix.N()/2)
 	if err != nil {
@@ -476,17 +464,10 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sdata := sb.Bytes()
-	binary.LittleEndian.PutUint64(sdata[v3WalSeqOff:], 7)
-	repatchV2HeaderCRC(sdata)
-	if _, err := decodePaged(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
+	binary.LittleEndian.PutUint64(sdata[walSeqOff:], 7)
+	repatchHeaderCRC(sdata)
+	if _, err := openPaged(sdata, shardKind, false); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged shard walSeq accepted: %v", err)
-	}
-	// So is one in a v2 shard file, where the word lives elsewhere.
-	sdata = golden(t, goldenShardV2(TierF64))
-	binary.LittleEndian.PutUint64(sdata[v2WalSeqOff:], 7)
-	repatchV2HeaderCRC(sdata)
-	if _, err := decodePaged(sdata, shardKind); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("forged v2 shard walSeq accepted: %v", err)
 	}
 }
 
@@ -495,10 +476,10 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 // only the validation under test can reject.
 func resealSection(d []byte, tableOff, i int) {
 	le := binary.LittleEndian
-	desc := d[tableOff+i*v2DescSize:]
+	desc := d[tableOff+i*descSize:]
 	off, length := le.Uint64(desc), le.Uint64(desc[8:])
 	le.PutUint32(desc[16:], crc32.ChecksumIEEE(d[off:alignPage(off+length)]))
-	repatchV2HeaderCRC(d)
+	repatchHeaderCRC(d)
 }
 
 // TestV3CompactCorruptionMatrix is the corruption matrix of what v3 added:
@@ -510,16 +491,16 @@ func TestV3CompactCorruptionMatrix(t *testing.T) {
 	// ids is section 1 of an index (behind sigma) and section 0 of a shard.
 	setID := func(section, i int, id int32) func([]byte) []byte {
 		return func(d []byte) []byte {
-			off := le.Uint64(d[v3TableOff+section*v2DescSize:])
+			off := le.Uint64(d[tableOff+section*descSize:])
 			le.PutUint32(d[off+uint64(i)*4:], uint32(id))
-			resealSection(d, v3TableOff, section)
+			resealSection(d, tableOff, section)
 			return d
 		}
 	}
 	setStored := func(stored uint64) func([]byte) []byte {
 		return func(d []byte) []byte {
-			le.PutUint64(d[v3StoredOff:], stored)
-			repatchV2HeaderCRC(d)
+			le.PutUint64(d[storedOff:], stored)
+			repatchHeaderCRC(d)
 			return d
 		}
 	}
@@ -529,22 +510,22 @@ func TestV3CompactCorruptionMatrix(t *testing.T) {
 		corrupt func([]byte) []byte
 	}{
 		// The fixture stores rows 0 1 2 4 5 6 8 … 46: 36 of 48.
-		{"ids flip under the section CRC", goldenCompactV3, func(d []byte) []byte {
-			d[le.Uint64(d[v3TableOff+v2DescSize:])+5] ^= 0x01
+		{"ids flip under the section CRC", goldenCompactV4, func(d []byte) []byte {
+			d[le.Uint64(d[tableOff+descSize:])+5] ^= 0x01
 			return d
 		}},
-		{"ids out of order", goldenCompactV3, setID(1, 3, 1)},
-		{"ids repeat", goldenCompactV3, setID(1, 3, 2)},
-		{"id at n", goldenCompactV3, setID(1, compactStored-1, compactN)},
-		{"id negative", goldenCompactV3, setID(1, 0, -1)},
-		{"stored count above n", goldenCompactV3, setStored(compactN + 1)},
-		{"stored count says every row", goldenCompactV3, setStored(compactN)},
-		{"stored count below the ids", goldenCompactV3, setStored(compactStored - 1)},
-		{"stored count zero", goldenCompactV3, setStored(0)},
+		{"ids out of order", goldenCompactV4, setID(1, 3, 1)},
+		{"ids repeat", goldenCompactV4, setID(1, 3, 2)},
+		{"id at n", goldenCompactV4, setID(1, compactStored-1, compactN)},
+		{"id negative", goldenCompactV4, setID(1, 0, -1)},
+		{"stored count above n", goldenCompactV4, setStored(compactN + 1)},
+		{"stored count says every row", goldenCompactV4, setStored(compactN)},
+		{"stored count below the ids", goldenCompactV4, setStored(compactStored - 1)},
+		{"stored count zero", goldenCompactV4, setStored(0)},
 		// The shard fixture is rows [5, 30): it stores 5 6 8 9 10 12 … 29.
-		{"shard id below lo", goldenCompactShardV3, setID(0, 0, 4)},
-		{"shard id at hi", goldenCompactShardV3, setID(0, 18, 30)},
-		{"shard stored count above its rows", goldenCompactShardV3, setStored(26)},
+		{"shard id below lo", goldenCompactShardV4, setID(0, 0, 4)},
+		{"shard id at hi", goldenCompactShardV4, setID(0, 18, 30)},
+		{"shard stored count above its rows", goldenCompactShardV4, setStored(26)},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {

@@ -3,26 +3,17 @@ package core
 // persist_fix_test.go pins the persist-layer bugfix sweep: the 32-bit
 // element-count wrap, the unvalidated iters header word, and non-finite
 // sigma entries. All three forge headers on otherwise-valid files, so
-// the trailing CRC is recomputed — the point is that validation must
+// the checksums are recomputed — the point is that validation must
 // reject them even when every byte is "honest".
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
 )
-
-// repatchV1CRC recomputes the trailing CRC of a forged v1 buffer so the
-// corruption under test — not a checksum mismatch — is what the reader
-// sees.
-func repatchV1CRC(data []byte) {
-	sum := crc32.ChecksumIEEE(data[4 : len(data)-4])
-	binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
-}
 
 // TestReadIndexPlatformElemBound simulates a 32-bit build by shrinking
 // maxPlatformElems to MaxInt32 and forging a header whose n*rank passes
@@ -33,12 +24,12 @@ func TestReadIndexPlatformElemBound(t *testing.T) {
 	defer func(prev uint64) { maxPlatformElems = prev }(maxPlatformElems)
 	maxPlatformElems = math.MaxInt32
 
-	data := golden(t, goldenIndexV1)
+	data := golden(t, goldenIndexV4(TierF64))
 	le := binary.LittleEndian
 	// n = 2^31, rank = 4: product 2^33 ≤ maxIndexElems but > MaxInt32.
-	le.PutUint64(data[8:], 1<<31)
-	le.PutUint64(data[16:], 4)
-	repatchV1CRC(data)
+	le.PutUint64(data[16:], 1<<31)
+	le.PutUint64(data[24:], 4)
+	repatchHeaderCRC(data)
 	_, err := ReadIndex(bytes.NewReader(data))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want wrapped ErrCorrupt", err)
@@ -55,14 +46,14 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 	maxPlatformElems = math.MaxInt32
 
 	le := binary.LittleEndian
-	// Shard header: magic 4, version 4, then n, lo, hi, rank, c.
+	// Shard header words: n at 16, rank at 24, lo and hi at 40 and 48.
 	forge := func(n, lo, hi, rank uint64) []byte {
-		data := golden(t, goldenShardV1)
-		le.PutUint64(data[8:], n)
-		le.PutUint64(data[16:], lo)
-		le.PutUint64(data[24:], hi)
-		le.PutUint64(data[32:], rank)
-		repatchV1CRC(data)
+		data := golden(t, goldenShardV4(TierF64))
+		le.PutUint64(data[16:], n)
+		le.PutUint64(data[24:], rank)
+		le.PutUint64(data[40:], lo)
+		le.PutUint64(data[48:], hi)
+		repatchHeaderCRC(data)
 		return data
 	}
 	cases := map[string][]byte{
@@ -82,9 +73,9 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 // TestReadIndexForgedIters pins the iters validation: a 2^63 header word
 // used to convert silently to a negative int and flow into Iterations().
 func TestReadIndexForgedIters(t *testing.T) {
-	data := golden(t, goldenIndexV1)
-	binary.LittleEndian.PutUint64(data[32:], 1<<63)
-	repatchV1CRC(data)
+	data := golden(t, goldenIndexV4(TierF64))
+	binary.LittleEndian.PutUint64(data[40:], 1<<63)
+	repatchHeaderCRC(data)
 	_, err := ReadIndex(bytes.NewReader(data))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want wrapped ErrCorrupt", err)
@@ -105,10 +96,10 @@ func TestReadIndexNonFiniteSigma(t *testing.T) {
 		"-Inf":     math.Float64bits(math.Inf(-1)),
 		"negative": math.Float64bits(-1.0),
 	} {
-		data := golden(t, goldenIndexV1)
-		// sigma[0] sits right after the header: magic 4 + version 4 + 4x8.
-		binary.LittleEndian.PutUint64(data[40:], bits)
-		repatchV1CRC(data)
+		data := golden(t, goldenIndexV4(TierF64))
+		// sigma is section 0, on the page after the header.
+		binary.LittleEndian.PutUint64(data[pageSize:], bits)
+		resealSection(data, tableOff, 0)
 		_, err := ReadIndex(bytes.NewReader(data))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s sigma: err = %v, want wrapped ErrCorrupt", name, err)

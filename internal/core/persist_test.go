@@ -85,7 +85,7 @@ func TestReadIndexBadMagic(t *testing.T) {
 }
 
 func TestReadIndexTruncated(t *testing.T) {
-	full := golden(t, goldenIndexV1)
+	full := golden(t, goldenIndexV4(TierF64))
 	for _, cut := range []int{3, 5, 20, len(full) / 2, len(full) - 2} {
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
@@ -94,7 +94,7 @@ func TestReadIndexTruncated(t *testing.T) {
 }
 
 func TestReadIndexBitFlip(t *testing.T) {
-	data := golden(t, goldenIndexV1)
+	data := golden(t, goldenIndexV4(TierF64))
 	// Flip a payload bit (past the header) — the CRC must catch it.
 	data[len(data)-20] ^= 0x40
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -103,19 +103,20 @@ func TestReadIndexBitFlip(t *testing.T) {
 }
 
 func TestReadIndexVersionMismatch(t *testing.T) {
-	data := golden(t, goldenIndexV1)
-	data[4] = 99 // version byte
+	data := golden(t, goldenIndexV4(TierF64))
+	data[4] = 99 // version byte; the check reads it before the header CRC
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestReadIndexImplausibleShape(t *testing.T) {
-	data := golden(t, goldenIndexV1)
-	// Overwrite n (offset 8: magic 4 + version 4) with an absurd value.
+	data := golden(t, goldenIndexV4(TierF64))
+	// Overwrite n (offset 16) with an absurd value under a valid header CRC.
 	for i := 0; i < 8; i++ {
-		data[8+i] = 0xFF
+		data[16+i] = 0xFF
 	}
+	repatchHeaderCRC(data)
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -133,29 +134,31 @@ type failingWriter struct{}
 func (failingWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestReadIndexCorruptionMatrix truncates a valid index at (and just
-// before) every section boundary of the format — magic, version, each
-// header word, sigma, Z, U, checksum — and demands a wrapped ErrCorrupt
-// every time, with no panic. This pins the contract the hot-reload
-// validator relies on: any torn file a crashed writer could leave behind
-// is rejected with one recognisable sentinel.
+// before) every boundary of the format — magic, version, each header word,
+// the section table, the header CRC, sigma, the ids, F — and demands a
+// wrapped ErrCorrupt every time, with no panic. This pins the contract the
+// hot-reload validator relies on: any torn file a crashed writer could
+// leave behind is rejected with one recognisable sentinel.
 func TestReadIndexCorruptionMatrix(t *testing.T) {
-	full := golden(t, goldenIndexV1)
+	full := golden(t, goldenIndexV4(TierF64))
 	ix := goldenIndex(t)
 	n, r := ix.N(), ix.Rank()
 	boundaries := map[string]int{
-		"empty":         0,
-		"after magic":   4,
-		"after version": 8,
-		"after n":       16,
-		"after rank":    24,
-		"after c":       32,
-		"after iters":   40,
-		"after sigma":   40 + 8*r,
-		"after Z":       40 + 8*r + 8*n*r,
-		"after U":       40 + 8*r + 16*n*r,
+		"empty":          0,
+		"after magic":    4,
+		"after version":  8,
+		"after n":        24,
+		"after c":        40,
+		"after the size": 64,
+		"after clamp":    96,
+		"after table":    tableOff + 5*descSize,
+		"before hdr CRC": headerCRCOff,
+		"after sigma":    pageSize + 8*r,
+		"sigma padded":   2 * pageSize,
+		"after F":        2*pageSize + 8*n*r,
 	}
-	if want := 40 + 8*r + 16*n*r + 4; len(full) != want {
-		t.Fatalf("serialised size %d, boundary math expects %d", len(full), want)
+	if want := 2*pageSize + int(alignPage(uint64(8*n*r))); len(full) != want || ix.Stored() != n {
+		t.Fatalf("serialised size %d, boundary math expects %d with every row stored (ids empty)", len(full), want)
 	}
 	for name, cut := range boundaries {
 		for _, at := range []int{cut, cut - 1} {
@@ -170,21 +173,22 @@ func TestReadIndexCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestReadIndexFlippedCRCByte corrupts the stored checksum itself (the
-// payload is intact) — the mismatch must still read as corruption.
+// TestReadIndexFlippedCRCByte corrupts the stored header checksum itself
+// (the payload is intact) — the mismatch must still read as corruption.
 func TestReadIndexFlippedCRCByte(t *testing.T) {
-	data := golden(t, goldenIndexV1)
-	data[len(data)-1] ^= 0x01
+	data := golden(t, goldenIndexV4(TierF64))
+	data[headerCRCOff] ^= 0x01
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestReadIndexFutureVersion pins forward-compatibility behaviour: a
-// higher version is rejected as ErrCorrupt, not misparsed as v1.
+// higher version is rejected as ErrCorrupt, not misparsed as v4.
 func TestReadIndexFutureVersion(t *testing.T) {
-	data := golden(t, goldenIndexV1)
-	binary.LittleEndian.PutUint32(data[4:], indexVersion+1)
+	data := golden(t, goldenIndexV4(TierF64))
+	binary.LittleEndian.PutUint32(data[4:], indexVersion4+1)
+	repatchHeaderCRC(data)
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -195,11 +199,12 @@ func TestReadIndexFutureVersion(t *testing.T) {
 // ErrCorrupt, no panic, and crucially no allocation proportional to the
 // forged sizes (bounded by a modest Alloc delta measurement).
 func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
-	pristine := golden(t, goldenIndexV1)
+	pristine := golden(t, goldenIndexV4(TierF64))
 	forge := func(n, rank uint64) []byte {
 		data := append([]byte(nil), pristine...)
-		binary.LittleEndian.PutUint64(data[8:], n)
-		binary.LittleEndian.PutUint64(data[16:], rank)
+		binary.LittleEndian.PutUint64(data[16:], n)
+		binary.LittleEndian.PutUint64(data[24:], rank)
+		repatchHeaderCRC(data)
 		return data
 	}
 	cases := map[string][]byte{
@@ -225,14 +230,17 @@ func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
 }
 
 // TestReadIndexForgedCountShortStream claims a large-but-capped payload
-// over a stream that ends immediately: readFloats must fail after one
-// chunk instead of committing the full forged allocation.
+// over a stream that ends after its header page: the reader must size
+// nothing by the header and refuse the stream against the file size the
+// header records, instead of committing the forged allocation.
 func TestReadIndexForgedCountShortStream(t *testing.T) {
-	data := golden(t, goldenIndexV1)[:40] // header only
+	data := golden(t, goldenIndexV4(TierF64))[:pageSize] // header only
 	// n=2^25, rank=512: n*rank = 2^34 = exactly the cap, so the header
 	// passes plausibility, but the stream holds no payload at all.
-	binary.LittleEndian.PutUint64(data[8:], 1<<25)
-	binary.LittleEndian.PutUint64(data[16:], 512)
+	binary.LittleEndian.PutUint64(data[16:], 1<<25)
+	binary.LittleEndian.PutUint64(data[24:], 512)
+	binary.LittleEndian.PutUint64(data[56:], 1<<40)
+	repatchHeaderCRC(data)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -11,17 +11,17 @@ import (
 	"csrplus/internal/topk"
 )
 
-// The fixture Test_Scan and Benchmark_Scan share: random factors with
+// The fixture Test_Scan and Benchmark_Scan share: a random factor with
 // signed zeros (syntheticIndex), two full single-source bands plus a ragged
-// 37-row tail, one all-NaN row of Z inside the first band and one row of
+// 37-row tail, one all-NaN row of F inside the first band and one row of
 // negative zeros on the band edge.
 const scanN, scanRank = 2*scanMaxBand + 37, 6
 
 func scanFixture() *Index {
 	ix := syntheticIndex(scanN, scanRank, 3)
 	for j := 0; j < scanRank; j++ {
-		ix.z.F64[1234*scanRank+j] = math.NaN()
-		ix.z.F64[scanMaxBand*scanRank+j] = math.Copysign(0, -1)
+		ix.f.F64[1234*scanRank+j] = math.NaN()
+		ix.f.F64[scanMaxBand*scanRank+j] = math.Copysign(0, -1)
 	}
 	return ix
 }
@@ -32,28 +32,35 @@ func scanFixture() *Index {
 // that a shard can be cut with none — and the two rows scanFixture marks.
 func scanStored(i int) bool { return i*19%100 < 29 || i == 1234 || i == scanMaxBand }
 
-// sparseScanFixture is ix with the rows scanStored drops zeroed in both
-// factors, as the index every consumer has always scanned, and its
-// compacted twin, which stores only the rest.
+// sparseScanFixture is ix with the rows scanStored drops zeroed, as the
+// index every consumer has always scanned, and its compacted twin, which
+// stores only the rest.
 func sparseScanFixture(ix *Index) (full, compact *Index) {
 	for i := 0; i < ix.n; i++ {
 		if !scanStored(i) {
-			clear(ix.z.F64[i*ix.rank : (i+1)*ix.rank])
-			clear(ix.u.F64[i*ix.rank : (i+1)*ix.rank])
+			clear(ix.f.F64[i*ix.rank : (i+1)*ix.rank])
 		}
 	}
 	return ix, ix.Compact()
 }
 
 // negativeScanFixture makes every score of a stored row negative or zero —
-// Z at or below zero, U at or above — so that the rows left out, at +0,
-// outrank them all.
+// F at or below zero, scanned against query rows flipped to at or above
+// (flipQueries) — so that the rows left out, at +0, outrank them all.
 func negativeScanFixture() (full, compact *Index) {
 	ix := syntheticIndex(scanN, scanRank, 5)
-	for i, v := range ix.z.F64 {
-		ix.z.F64[i], ix.u.F64[i] = -math.Abs(v), math.Abs(ix.u.F64[i])
+	for i, v := range ix.f.F64 {
+		ix.f.F64[i] = -math.Abs(v)
 	}
 	return sparseScanFixture(ix)
+}
+
+// flipQueries turns gathered query rows of negativeScanFixture non-negative.
+func flipQueries(uq *dense.Mat) *dense.Mat {
+	for i, v := range uq.Data {
+		uq.Data[i] = math.Abs(v)
+	}
+	return uq
 }
 
 func scanQuerySets() [][]int {
@@ -63,7 +70,7 @@ func scanQuerySets() [][]int {
 	}
 	return [][]int{
 		{4100},                            // a shard cut
-		{1234},                            // the NaN row queries itself
+		{1233},                            // beside the NaN row (as a query it is refused)
 		{17, 17, 4100, scanMaxBand, 8000}, // duplicates, a cut, a band edge
 		wide,
 		{4103},              // a row the sparse fixtures leave out, in a cut that stores nothing
@@ -93,12 +100,13 @@ func Test_Scan(t *testing.T) {
 	type fixture struct {
 		name          string
 		full, compact *Index // compact is nil where there is nothing to leave out
+		flip          bool   // scan against non-negative query rows
 	}
 	fixtures := []fixture{{name: "dense", full: scanFixture()}}
 	sparse, compact := sparseScanFixture(scanFixture())
-	fixtures = append(fixtures, fixture{"sparse", sparse, compact})
+	fixtures = append(fixtures, fixture{"sparse", sparse, compact, false})
 	sparse, compact = negativeScanFixture()
-	fixtures = append(fixtures, fixture{"negative", sparse, compact})
+	fixtures = append(fixtures, fixture{"negative", sparse, compact, true})
 	for _, fx := range fixtures[1:] {
 		want := 0
 		for i := 0; i < scanN; i++ {
@@ -128,9 +136,12 @@ func Test_Scan(t *testing.T) {
 				par.SetMaxWorkers(workers)
 				for _, rank := range []int{1, 3, 0} {
 					for _, queries := range scanQuerySets() {
-						uq := ix.gatherU(queries)
+						uq := ix.gatherF(queries)
 						if twin != nil {
-							wantBitwise(t, fx.name+" gathered U rows", twin.gatherU(queries).Data, uq.Data)
+							wantBitwise(t, fx.name+" gathered F rows", twin.gatherF(queries).Data, uq.Data)
+						}
+						if fx.flip {
+							uq = flipQueries(uq)
 						}
 						for _, bounds := range cuts {
 							for s := 0; s+1 < len(bounds); s++ {
@@ -168,7 +179,7 @@ func Test_Scan(t *testing.T) {
 			// miss (the GC emptied it, or -race dropped the Put) costs the
 			// scratch's five allocations once per scan, never once per band.
 			par.SetMaxWorkers(1)
-			uq := ix.gatherU([]int{5, 9})
+			uq := ix.gatherF([]int{5, 9})
 			visit := func(int, []float64) {}
 			for _, band := range []int{scanMinBand, scanN} {
 				allocs := testing.AllocsPerRun(20, func() {
@@ -278,7 +289,7 @@ func Benchmark_Scan(b *testing.B) {
 			}
 			for _, q := range []int{1, 16} {
 				queries := scanQuerySets()[3][:q]
-				uq := ix.gatherU(queries)
+				uq := ix.gatherF(queries)
 				block := dense.NewMat(scanN, q)
 				name := fmt.Sprintf("%v/q=%d%s", tier, q, fx.suffix)
 				b.Run("PartialInto/"+name, func(b *testing.B) {

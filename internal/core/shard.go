@@ -1,25 +1,25 @@
 package core
 
-// shard.go holds the one factor type and the one phase-II loop. Because
-// phase II is [S]_{*,Q} = [I_n]_{*,Q} + c · Z · [U]_{Q,*}ᵀ, output row i
-// depends only on row i of Z (plus the |Q| broadcast rows of U), so the
-// factor matrices partition cleanly by contiguous node range. An IndexShard
-// owns rows [lo, hi) of both Z and U and can score exactly its own nodes; a
-// router that gathers the U rows of the query nodes from their owner shards
-// and broadcasts them reproduces the monolithic answer bitwise. An Index is
-// its [0, n) shard plus build metadata (csrplus.go), so every method here
-// runs on whole indexes too.
+// shard.go holds the one factor type and the one phase-II loop. Phase II is
+// [S]_{*,Q} = [I_n]_{*,Q} + c · F · [F]_{Q,*}ᵀ with F the Gram factor of
+// S_r − I (csrplus.go, THEORY.md §6), so output row i depends only on row i
+// of F (plus the |Q| broadcast rows of F), and the factor partitions cleanly
+// by contiguous node range. An IndexShard owns rows [lo, hi) of F and can
+// score exactly its own nodes; a router that gathers the F rows of the query
+// nodes from their owner shards and broadcasts them reproduces the
+// monolithic answer bitwise. An Index is its [0, n) shard plus build
+// metadata (csrplus.go), so every method here runs on whole indexes too.
 //
 // A shard stores only the rows that can score. A node nobody links to is an
-// empty column of Q, so its rows of Z and U are all +0 (THEORY.md §5):
-// Precompute leaves them out and ids lists, ascending, the rows that are
-// there (nil: every row of [lo, hi), the identity map). A row left out is
-// implicit: its U row is zeros, and against finite query rows — checkQuery
-// holds every consumer to them — it scores exactly +0 under every kernel
-// (accumulators start at +0, +0 + ∓0 = +0, ×c keeps it), which is what
-// each consumer fills in without scanning it.
+// empty column of Q, so its row of F is all +0 (THEORY.md §5): Precompute
+// leaves it out and ids lists, ascending, the rows that are there (nil:
+// every row of [lo, hi), the identity map). A row left out is implicit: it
+// gathers as zeros, and against finite query rows — checkQuery holds every
+// consumer to them — it scores exactly +0 under every kernel (accumulators
+// start at +0, +0 + ∓0 = +0, ×c keeps it), which is what each consumer
+// fills in without scanning it.
 //
-// One scan, three consumers, one representation: the factors are stored
+// One scan, three consumers, one representation: the factor is stored
 // once, as dense.Typed at the tier's element width (the F64 kind is the
 // exact tier), and every score the package serves is produced by scan —
 // a band of rows through the dense row-range kernel, then ×c. PartialInto
@@ -30,9 +30,9 @@ package core
 // cut or worker count — what keeps them bitwise-equal to each other.
 //
 // Shards persist under the "CSRS" header of the snapshot format
-// (persist.go, persist2.go; byte layout in DESIGN.md §13). The global n
-// travels with every shard so a router can refuse to assemble shards cut
-// from different graphs.
+// (persist.go, persist2.go; byte layout in DESIGN.md §13). The global n and
+// the build id travel with every shard so a router can refuse to assemble
+// shards cut from different graphs.
 
 import (
 	"context"
@@ -46,32 +46,40 @@ import (
 	"csrplus/internal/topk"
 )
 
-// IndexShard is the contiguous node range [Lo, Hi) of the factors: the
-// corresponding rows of Z = U(ΣPΣ) and of the left singular vectors U,
-// plus the global metadata (n, c, rank) needed to answer queries and to
-// validate reassembly. It is immutable after construction, so any number
-// of goroutines may query it. A shard never owns the memory behind its
-// factors: they are heap slices, or views into an Index that does.
+// IndexShard is the contiguous node range [Lo, Hi) of the factor: the
+// corresponding rows of F, plus the global metadata (n, c, rank, build id,
+// Gram clamp charge) needed to answer queries, bound them and validate
+// reassembly. It is immutable after construction, so any number of
+// goroutines may query it. A shard never owns the memory behind its
+// factor: it is a heap slice, or a view into an Index that does.
 type IndexShard struct {
 	n      int // global node count
 	lo, hi int
 	c      float64
 	rank   int
 
-	// ids lists, ascending, the global ids of the rows z and u store; nil
-	// means every row of [lo, hi), in place. Rows left out are all +0 in
-	// both factors.
+	// build names the index build the rows come from (buildID); a shard
+	// carries its parent's.
+	build uint64
+	// clamp is c·Σ|λ| over the eigenvalues of W = ΣPΣ that came out
+	// negative and were served as 0: what the clamp may move a score by,
+	// charged to every bound (THEORY.md §6). 0 on every graph whose
+	// retained singular values are positive.
+	clamp float64
+
+	// ids lists, ascending, the global ids of the rows f stores; nil means
+	// every row of [lo, hi), in place. Rows left out are all +0.
 	ids []int32
 
-	// z and u are the stored rows of Z and U, Stored() x rank, at the tier's
-	// element width. The F64 kind is the exact tier: a view over the heap
-	// or mmap'd []float64. Quantized tiers (tier.go) carry their per-column
-	// scales inside the Typed, and zqerr/uqerr hold the measured per-column
+	// f is the stored rows of F, Stored() x rank, at the tier's element
+	// width. The F64 kind is the exact tier: a view over the heap or mmap'd
+	// []float64. Quantized tiers (tier.go) carry their per-column scales
+	// inside the Typed, and fqerr holds the measured per-column
 	// dequantisation errors that feed QuantBound (global per-column, shared
 	// by all shards cut from one index, so routers can recompose the
-	// bound); both are nil on the exact tier.
-	z, u         *dense.Typed
-	zqerr, uqerr []float64
+	// bound); nil on the exact tier.
+	f     *dense.Typed
+	fqerr []float64
 }
 
 // Shard slices the index to the node range [lo, hi). The shard is a
@@ -96,8 +104,7 @@ func (ix *Index) Shard(lo, hi int) (*IndexShard, error) {
 			sh.ids = nil
 		}
 	}
-	sh.z = ix.z.SliceRowsView(a, b)
-	sh.u = ix.u.SliceRowsView(a, b)
+	sh.f = ix.f.SliceRowsView(a, b)
 	return &sh, nil
 }
 
@@ -115,7 +122,7 @@ func (sh *IndexShard) Rows() int { return sh.hi - sh.lo }
 
 // Stored returns how many of its nodes the shard stores factor rows for;
 // the other Rows() - Stored() are implicit zero rows.
-func (sh *IndexShard) Stored() int { return sh.z.Rows }
+func (sh *IndexShard) Stored() int { return sh.f.Rows }
 
 // StoredNode returns the global id of the i-th stored row, ascending in i.
 func (sh *IndexShard) StoredNode(i int) int {
@@ -125,8 +132,8 @@ func (sh *IndexShard) StoredNode(i int) int {
 	return int(sh.ids[i])
 }
 
-// row returns where owned node q's factor rows are stored, false when they
-// are implicit.
+// row returns where owned node q's factor row is stored, false when it is
+// implicit.
 func (sh *IndexShard) row(q int) (int, bool) {
 	if sh.ids == nil {
 		return q - sh.lo, true
@@ -139,8 +146,8 @@ func (sh *IndexShard) row(q int) (int, bool) {
 // snapshot parser and reload.ValidateShard both refuse a shard that fails.
 func (sh *IndexShard) CheckStored() error {
 	stored, rows := sh.Stored(), sh.Rows()
-	if sh.u.Rows != stored || (sh.ids == nil && stored != rows) || (sh.ids != nil && (len(sh.ids) != stored || stored >= rows)) {
-		return fmt.Errorf("core: %d rows of Z, %d of U and %d ids stored for the %d nodes of [%d, %d)", stored, sh.u.Rows, len(sh.ids), rows, sh.lo, sh.hi)
+	if (sh.ids == nil && stored != rows) || (sh.ids != nil && (len(sh.ids) != stored || stored >= rows)) {
+		return fmt.Errorf("core: %d rows of F and %d ids stored for the %d nodes of [%d, %d)", stored, len(sh.ids), rows, sh.lo, sh.hi)
 	}
 	prev := sh.lo - 1
 	for i, id := range sh.ids {
@@ -152,20 +159,28 @@ func (sh *IndexShard) CheckStored() error {
 	return nil
 }
 
-// Rank returns the SVD rank of the shard's factors.
+// Rank returns the SVD rank of the shard's factor.
 func (sh *IndexShard) Rank() int { return sh.rank }
+
+// Build returns the id of the index build the shard's rows come from: the
+// same for every shard cut from one index, and for identical rebuilds.
+func (sh *IndexShard) Build() uint64 { return sh.build }
+
+// ClampBound returns the Gram clamp's charge c·Σ|λ_clamped|, which every
+// bound the index reports includes (0 when no eigenvalue was clamped).
+func (sh *IndexShard) ClampBound() float64 { return sh.clamp }
 
 // Damping returns the damping factor baked into the shard.
 func (sh *IndexShard) Damping() float64 { return sh.c }
 
-// Bytes reports the resident memory of the shard's factors — the stored
+// Bytes reports the resident memory of the shard's factor — the stored
 // rows of the 1/K slice of the index's O(rn) that lives on this shard, at
 // the tier's element width, plus their id list.
-func (sh *IndexShard) Bytes() int64 { return sh.z.Bytes() + sh.u.Bytes() + int64(len(sh.ids))*4 }
+func (sh *IndexShard) Bytes() int64 { return sh.f.Bytes() + int64(len(sh.ids))*4 }
 
-// Tier returns the storage tier of the factors.
+// Tier returns the storage tier of the factor.
 func (sh *IndexShard) Tier() Tier {
-	switch sh.z.Kind {
+	switch sh.f.Kind {
 	case dense.F32:
 		return TierF32
 	case dense.I8:
@@ -177,7 +192,8 @@ func (sh *IndexShard) Tier() Tier {
 // Owns reports whether global node q falls in the shard's range.
 func (sh *IndexShard) Owns(q int) bool { return q >= sh.lo && q < sh.hi }
 
-// URow returns the shard's U row for global node q, which must be owned.
+// URow returns the shard's F row for global node q, which must be owned —
+// the query side of c·F·Fᵀ is the same factor as the scanned side.
 // For the exact tier the slice aliases the shard's backing array and must
 // not be modified — it is the row a router gathers into its query
 // broadcast, and sharing the exact float64s is what keeps sharded scores
@@ -194,34 +210,31 @@ func (sh *IndexShard) URow(q int) []float64 {
 	switch {
 	case !ok:
 		return make([]float64, sh.rank)
-	case sh.u.Kind == dense.F64:
-		return sh.u.F64[i*sh.rank : (i+1)*sh.rank]
+	case sh.f.Kind == dense.F64:
+		return sh.f.F64[i*sh.rank : (i+1)*sh.rank]
 	}
-	return sh.u.RowInto(i, make([]float64, sh.rank))
+	return sh.f.RowInto(i, make([]float64, sh.rank))
 }
 
-// denseF64 returns the exact tier's factors with a row for every node of
-// [lo, hi): the stored matrices themselves under the identity map, else
-// copies with the stored rows spread over zeros. For the O(n²) ablation
-// baseline and the Galerkin refresh; nothing served calls it.
-func (sh *IndexShard) denseF64() (z, u *dense.Mat) {
-	z, u = sh.z.Mat(), sh.u.Mat()
+// denseF64 returns the exact tier's factor with a row for every node of
+// [lo, hi): the stored matrix itself under the identity map, else a copy
+// with the stored rows spread over zeros. For the O(n²) ablation baseline;
+// nothing served calls it.
+func (sh *IndexShard) denseF64() *dense.Mat {
+	f := sh.f.Mat()
 	if sh.ids == nil {
-		return z, u
+		return f
 	}
-	spread := func(m *dense.Mat) *dense.Mat {
-		out := dense.NewMat(sh.Rows(), sh.rank)
-		for i, id := range sh.ids {
-			copy(out.Row(int(id)-sh.lo), m.Row(i))
-		}
-		return out
+	out := dense.NewMat(sh.Rows(), sh.rank)
+	for i, id := range sh.ids {
+		copy(out.Row(int(id)-sh.lo), f.Row(i))
 	}
-	return spread(z), spread(u)
+	return out
 }
 
-// gatherU returns [U]_{Q,*}, row j the U row of owned node queries[j], as
+// gatherF returns [F]_{Q,*}, row j the F row of owned node queries[j], as
 // float64 (dequantised on a quantized tier).
-func (sh *IndexShard) gatherU(queries []int) *dense.Mat {
+func (sh *IndexShard) gatherF(queries []int) *dense.Mat {
 	uq := dense.NewMat(len(queries), sh.rank)
 	for j, q := range queries {
 		copy(uq.Row(j), sh.URow(q))
@@ -232,7 +245,7 @@ func (sh *IndexShard) gatherU(queries []int) *dense.Mat {
 // scanTileFloats bounds the scan's working set: a band is
 // scanTileFloats/|Q| rows (at most scanMaxBand, at least scanMinBand), so
 // its 256 KiB tile of scores is scaled — and, when ranked, summed and
-// selected — out of L2 while it is hot, and the band of Z behind it is the
+// selected — out of L2 while it is hot, and the band of F behind it is the
 // only thing streamed from memory. A band is also the cancellation
 // granule: an abandoned request releases its worker within one band.
 const (
@@ -262,9 +275,9 @@ type scanScratch struct {
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // scan is the one phase-II loop: it scores the shard's stored rows [lo, hi)
-// (positions in z; the identity map makes them node offsets) against the
+// (positions in f; the identity map makes them node offsets) against the
 // gathered query rows uq (|Q| x r, row j for the j-th query),
-// band rows at a time — Z_{band,<rank} · (uq_{*,<rank})ᵀ through the dense
+// band rows at a time — F_{band,<rank} · (uq_{*,<rank})ᵀ through the dense
 // row-range kernel, then ×c — checking ctx once per band, and finishes a
 // band one of two ways. With a dst ((hi-lo) x |Q|) the tile is the band's
 // view of dst: the scaled scores land where the caller wants them. With a
@@ -291,7 +304,7 @@ func (sh *IndexShard) scan(ctx context.Context, uq *dense.Mat, rank, lo, hi, ban
 			sc.view = dense.Mat{Rows: e - b, Cols: cols, Data: dst.Data[(b-lo)*cols : (e-lo)*cols]}
 			tile = &sc.view
 		}
-		tile, sc.deq = dense.MulTRankTypedRowsInto(tile, sh.z, uq, rank, b, e, sc.deq)
+		tile, sc.deq = dense.MulTRankTypedRowsInto(tile, sh.f, uq, rank, b, e, sc.deq)
 		if dst != nil {
 			tile.Scale(sh.c)
 		} else {
@@ -354,7 +367,7 @@ func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) erro
 
 // checkQuery validates a consumer's query set against its gathered rows
 // and resolves the rank to scan at (rank <= 0 or > the factors' is full).
-// The gathered rows must be finite: a zero row of Z scores +0 against those
+// The gathered rows must be finite: a zero row of F scores +0 against those
 // and NaN against anything else, and the rows a shard leaves out are only
 // ever given the +0.
 func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, error) {
@@ -366,7 +379,7 @@ func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, e
 	}
 	for i, v := range uq.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("core: non-finite query row: U[%d, %d] = %v: %w", queries[i/sh.rank], i%sh.rank, v, ErrParams)
+			return 0, fmt.Errorf("core: non-finite query row: F[%d, %d] = %v: %w", queries[i/sh.rank], i%sh.rank, v, ErrParams)
 		}
 	}
 	if rank <= 0 || rank > sh.rank {
@@ -376,10 +389,10 @@ func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, e
 }
 
 // PartialInto computes the shard's slice of a (possibly rank-truncated)
-// phase II answer: rows [lo, hi) of S' = [I]_{*,Q} + c · Z_{*,<r'} ·
-// (U_{Q,<r'})ᵀ, written into out (which must be (hi-lo) x |Q|; pass a
+// phase II answer: rows [lo, hi) of S' = [I]_{*,Q} + c · F_{*,<r'} ·
+// (F_{Q,<r'})ᵀ, written into out (which must be (hi-lo) x |Q|; pass a
 // band view of a shared n x |Q| matrix for zero-copy scatter). uq holds
-// the gathered U rows of the queries, row j for queries[j] — gathered
+// the gathered F rows of the queries, row j for queries[j] — gathered
 // globally by the router because query nodes usually live on other
 // shards. queries are global ids and are only used here to place the +1
 // self-similarity for query nodes this shard owns.
@@ -431,7 +444,7 @@ func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.
 // summed similarity Σ_j S'[i, queries[j]], every query node excluded,
 // without materialising anything of the shard's length: the scan hands over
 // each band as one score a row (rowScores) and the band goes straight into
-// a bounded selector. The +1 of S = I + c·Z·Uᵀ sits on query nodes only,
+// a bounded selector. The +1 of S = I + c·F·Fᵀ sits on query nodes only,
 // and those are never ranked, so it drops out.
 //
 // Per node that is the scan's dot, ×c for each column, then 0 + col₀ +
@@ -542,7 +555,7 @@ const maxScoreCells = 1 << 20
 // deployment, where materialising even one shard's full band for a
 // handful of (query, target) pairs would waste the worker's memory
 // bandwidth. out[i*|Q|+j] scores global row rows[i] against queries[j]:
-// s = 1{rows[i]==queries[j]} + c · Σ_{k<rank} Z[rows[i]][k]·uq[j][k].
+// s = 1{rows[i]==queries[j]} + c · Σ_{k<rank} F[rows[i]][k]·uq[j][k].
 //
 // Each stored row is a one-row band of the scan, so every element is
 // bitwise-equal to the same element of PartialInto's band: the dense
@@ -584,33 +597,45 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 	return out, nil
 }
 
-// ColMaxes returns the per-column maxima max|Z_{[lo:hi),j}| and
-// max|U_{[lo:hi),j}| over the shard's rows (an implicit row, all zeros,
-// never sets one). Because a max over the full
-// column is the max of the per-shard maxima, a router combines these and
-// runs Index.TruncationBound's recurrence to get a truncation bound
-// bitwise-equal to the monolithic one.
-func (sh *IndexShard) ColMaxes() (zmax, umax []float64) {
-	return sh.z.ColAbsMax(), sh.u.ColAbsMax()
-}
+// ColMaxes returns the per-column maxima max|F_{[lo:hi),j}| over the
+// shard's rows (an implicit row, all zeros, never sets one). Because a max
+// over the full column is the max of the per-shard maxima, a router
+// combines these and runs Index.TruncationBound's recurrence to get a
+// truncation bound bitwise-equal to the monolithic one.
+func (sh *IndexShard) ColMaxes() []float64 { return sh.f.ColAbsMax() }
 
-// QuantErrs returns the measured per-column dequantisation error vectors
-// of a quantized shard (nil, nil for the exact tier). They are global
-// per-column quantities — identical across every shard cut from one
-// index — so a router can feed any shard's copy into QuantBound.
-func (sh *IndexShard) QuantErrs() (zerr, uerr []float64) {
-	return sh.zqerr, sh.uqerr
-}
+// QuantErrs returns the measured per-column dequantisation errors of a
+// quantized shard (nil for the exact tier). They are global per-column
+// quantities — identical across every shard cut from one index — so a
+// router can feed any shard's copy into QuantBound.
+func (sh *IndexShard) QuantErrs() []float64 { return sh.fqerr }
 
 // TailBound runs Index.TruncationBound's recurrence over combined
-// per-column maxima: boundTail[j] = boundTail[j+1] + c·zmax[j]·umax[j],
-// returning boundTail so callers can index it by retained rank. Exposed
-// from core so the router and the Index share one formula.
-func TailBound(c float64, zmax, umax []float64) []float64 {
-	r := len(zmax)
+// per-column maxima of the two sides of the product: tail[j] = tail[j+1] +
+// c·amax[j]·bmax[j], returning tail so callers can index it by retained
+// rank. Both sides are F, so every caller passes its maxima twice: column j
+// of a row scores F_ij·F_qj ≤ fmax_j². Every truncated rank also carries
+// the rounding both compared scores may add (roundingSlack); tail[r], the
+// full rank, is 0. Exposed from core so the router and the Index share one
+// formula.
+func TailBound(c float64, amax, bmax []float64) []float64 {
+	r := len(amax)
 	tail := make([]float64, r+1)
 	for j := r - 1; j >= 0; j-- {
-		tail[j] = tail[j+1] + c*zmax[j]*umax[j]
+		tail[j] = tail[j+1] + c*amax[j]*bmax[j]
+	}
+	slack := roundingSlack(r, tail[0])
+	for j := range tail[:r] {
+		tail[j] += slack
 	}
 	return tail
+}
+
+// roundingSlack is what floating point may add to the difference of two
+// rank-r scores of magnitude at most size — the served one and the one a
+// bound holds it to — beyond the exact-arithmetic terms the bound counts:
+// each is a length-r dot product, scaled by c and shifted by the identity's
+// +1, so each is within (r+2)·u·(size+1) of its exact value, u = 2⁻⁵³.
+func roundingSlack(r int, size float64) float64 {
+	return float64(2*(r+2)) * 0x1p-53 * (size + 1)
 }

@@ -29,7 +29,7 @@ func bigIndex(t *testing.T, n int, rank int) *Index {
 	return ix
 }
 
-// gatherQueryRows assembles the |Q| x r broadcast matrix of U rows the
+// gatherQueryRows assembles the |Q| x r broadcast matrix of F rows the
 // router would gather before fanning out.
 func gatherQueryRows(t *testing.T, shards []*IndexShard, queries []int) *dense.Mat {
 	t.Helper()
@@ -143,20 +143,17 @@ func TestTailBoundMatchesTruncationBound(t *testing.T) {
 	const n, r = 97, 6
 	ix := bigIndex(t, n, r)
 	bounds := []int{0, 30, 31, 90, n}
-	zmax := make([]float64, r)
-	umax := make([]float64, r)
+	fmax := make([]float64, r)
 	for s := 0; s < len(bounds)-1; s++ {
 		sh, err := ix.Shard(bounds[s], bounds[s+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		zm, um := sh.ColMaxes()
-		for j := 0; j < r; j++ {
-			zmax[j] = math.Max(zmax[j], zm[j])
-			umax[j] = math.Max(umax[j], um[j])
+		for j, v := range sh.ColMaxes() {
+			fmax[j] = math.Max(fmax[j], v)
 		}
 	}
-	tail := TailBound(ix.Damping(), zmax, umax)
+	tail := TailBound(ix.Damping(), fmax, fmax)
 	for rank := 1; rank < r; rank++ {
 		if got, want := tail[rank], ix.TruncationBound(rank); got != want {
 			t.Fatalf("rank %d: combined tail bound %v != monolithic %v", rank, got, want)
@@ -208,7 +205,7 @@ func TestShardRoundTrip(t *testing.T) {
 }
 
 func TestReadShardRejectsCorruption(t *testing.T) {
-	good := golden(t, goldenShardV1)
+	good := golden(t, goldenShardV4(TierF64))
 
 	check := func(name string, raw []byte) {
 		t.Helper()
@@ -222,7 +219,7 @@ func TestReadShardRejectsCorruption(t *testing.T) {
 	check("truncated header", good[:10])
 	check("truncated payload", good[:len(good)-20])
 	bad = append([]byte(nil), good...)
-	bad[len(bad)/2] ^= 0xFF
+	bad[len(bad)-pageSize/2] ^= 0xFF
 	check("flipped payload byte", bad)
 }
 
@@ -307,8 +304,8 @@ func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
 	}
 
 	for name, data := range map[string][]byte{
-		"cut short": raw[:len(raw)-v2Page],
-		"grown":     append(append([]byte(nil), raw...), make([]byte, v2Page)...),
+		"cut short": raw[:len(raw)-pageSize],
+		"grown":     append(append([]byte(nil), raw...), make([]byte, pageSize)...),
 	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -18,8 +18,14 @@ package core
 // pointer flip are atomic, a reader racing a writer sees either the old
 // generation or the new one — never a torn index — and a crash mid-publish
 // leaves CURRENT pointing at the previous, intact generation.
+//
+// A generation written in a format this build does not serve (v1–v3,
+// ErrFormat) is stale, not corrupt: resolution and recovery skip it as if
+// it were absent, so a directory of stale generations reads as empty and a
+// server that can rebuild publishes the next generation over it.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -125,9 +131,46 @@ type Snapshot struct {
 	Path string
 }
 
-// ListSnapshots returns every snapshot in dir in ascending generation
-// order, ignoring files that do not follow the naming convention.
+// ListSnapshots returns every snapshot in dir this build can serve, in
+// ascending generation order, ignoring files that do not follow the naming
+// convention and stale generations.
 func ListSnapshots(dir string) ([]Snapshot, error) {
+	all, err := listGenerations(dir)
+	servable := all[:0]
+	for _, s := range all {
+		if staleFormat(s.Path) == nil {
+			servable = append(servable, s)
+		}
+	}
+	return servable, err
+}
+
+// staleFormat returns the ErrFormat-wrapped reason the snapshot at path is
+// in a format this build does not serve, naming it, or nil: for a current
+// file, and for one it cannot read that far (the loader says why).
+func staleFormat(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	var head [8]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return nil
+	}
+	k := indexKind
+	if binary.LittleEndian.Uint32(head[:]) == binary.LittleEndian.Uint32(shardKind.magic[:]) {
+		k = shardKind
+	}
+	if _, err := checkHead(head[:], k, false); errors.Is(err, ErrFormat) {
+		return err
+	}
+	return nil
+}
+
+// listGenerations returns every index-<gen>.csrx file in dir, stale or
+// not, in ascending generation order: what numbering and pruning count.
+func listGenerations(dir string) ([]Snapshot, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("core: ListSnapshots: %w", err)
@@ -195,7 +238,7 @@ func publishSnapshot(dir string, k *snapKind, save func(path string) error) (bac
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Snapshot{}, 0, fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
-	snaps, err := ListSnapshots(dir)
+	snaps, err := listGenerations(dir) // a stale generation keeps its number
 	if err != nil {
 		return nil, Snapshot{}, 0, err
 	}
@@ -258,8 +301,10 @@ func SetCurrent(dir string, gen uint64) error {
 
 // CurrentSnapshot resolves the snapshot a reload should serve: the one
 // CURRENT names, or — when no CURRENT exists (an operator rsync'd bare
-// index files into a fresh directory) — the highest generation present.
-// It returns ErrNoSnapshot (wrapped) when neither resolves.
+// index files into a fresh directory) — the highest servable generation
+// present. It returns ErrNoSnapshot (wrapped) when neither resolves,
+// including when CURRENT names a stale generation (then ErrFormat too,
+// naming the format).
 func CurrentSnapshot(dir string) (path string, gen uint64, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, CurrentFile))
 	switch {
@@ -272,6 +317,9 @@ func CurrentSnapshot(dir string) (path string, gen uint64, err error) {
 		p := filepath.Join(dir, name)
 		if _, err := os.Stat(p); err != nil {
 			return "", 0, fmt.Errorf("core: CURRENT names missing snapshot %s: %w", name, err)
+		}
+		if serr := staleFormat(p); serr != nil {
+			return "", 0, fmt.Errorf("core: %s: CURRENT names stale generation %d: %w: %w", dir, g, serr, ErrNoSnapshot)
 		}
 		return p, g, nil
 	case errors.Is(err, os.ErrNotExist):
@@ -293,14 +341,15 @@ func CurrentSnapshot(dir string) (path string, gen uint64, err error) {
 // surviving the crash/corruption states CurrentSnapshot alone cannot: a
 // CURRENT pointing at a missing or truncated index file (a torn publish, a
 // partial rsync), a torn CURRENT naming garbage, or a corrupt newest
-// generation. It tries CURRENT's target first; when that is absent or
-// fails to load, it walks the remaining generations newest-first and
+// generation. It tries CURRENT's target first; when that is absent, stale
+// or fails to load, it walks the remaining generations newest-first and
 // returns the first one that deserialises cleanly (CRC and shape checks
-// included). recovered reports that the returned snapshot is NOT the one
-// CURRENT names — the operator's cue to investigate and re-publish. When
-// nothing loads, the error wraps ErrNoSnapshot and names the last
-// failure so "empty directory" and "every generation corrupt" read
-// differently in logs.
+// included; a stale one never does). recovered reports that the returned
+// snapshot is NOT the one CURRENT names — the operator's cue to
+// investigate and re-publish. When nothing loads, the error wraps
+// ErrNoSnapshot and the last failure, so "empty directory", "every
+// generation corrupt" and "only stale generations" (ErrFormat, naming the
+// format) read differently in logs.
 func RecoverSnapshot(dir string) (ix *Index, snap Snapshot, recovered bool, err error) {
 	return recoverSnapshot(dir, indexKind)
 }
@@ -329,7 +378,7 @@ func recoverSnapshot(dir string, k *snapKind) (ix *Index, snap Snapshot, recover
 		// remember why, then fall back to the generation scan.
 		loadErr = cerr
 	}
-	snaps, lerr := ListSnapshots(dir)
+	snaps, lerr := listGenerations(dir)
 	if lerr != nil {
 		return nil, Snapshot{}, false, lerr
 	}
@@ -346,7 +395,7 @@ func recoverSnapshot(dir string, k *snapKind) (ix *Index, snap Snapshot, recover
 		return ix, s, true, nil
 	}
 	if loadErr != nil {
-		return nil, Snapshot{}, false, fmt.Errorf("core: %s: no loadable %s snapshot (last failure: %v): %w", dir, k.name, loadErr, ErrNoSnapshot)
+		return nil, Snapshot{}, false, fmt.Errorf("core: %s: no loadable %s snapshot (last failure: %w): %w", dir, k.name, loadErr, ErrNoSnapshot)
 	}
 	return nil, Snapshot{}, false, fmt.Errorf("core: %s: %w", dir, ErrNoSnapshot)
 }
@@ -368,7 +417,7 @@ func PruneSnapshots(dir string, keep int) (removed int, err error) {
 		keep = 1
 	}
 	sweepStaleTemps(dir)
-	snaps, err := ListSnapshots(dir)
+	snaps, err := listGenerations(dir)
 	if err != nil {
 		return 0, err
 	}

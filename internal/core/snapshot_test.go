@@ -269,8 +269,8 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 		name   string
 		damage func(data []byte) []byte
 	}{
-		{"cut short", func(data []byte) []byte { return data[:len(data)-v2Page] }},
-		{"factor byte flipped", func(data []byte) []byte { data[len(data)-v2Page-3] ^= 0x40; return data }},
+		{"cut short", func(data []byte) []byte { return data[:len(data)-pageSize] }},
+		{"factor byte flipped", func(data []byte) []byte { data[len(data)-pageSize-3] ^= 0x40; return data }},
 		{"header byte flipped", func(data []byte) []byte { data[20] ^= 1; return data }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,4 +328,52 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 	}
 	queries := []int{0, 3, ix.N() - 1}
 	wantBitwise(t, "the generation as published", queryBits(t, back, queries), queryBits(t, ix, queries))
+}
+
+// TestStaleGenerationsAreSkipped holds the stale rule: a generation in a
+// format this build does not serve is neither listed, resolved nor
+// recovered — CURRENT naming one falls back to the newest servable
+// generation with recovered set, and the error when none is left names the
+// format — while publishing still numbers past it and pruning still counts
+// it.
+func TestStaleGenerationsAreSkipped(t *testing.T) {
+	dir := t.TempDir()
+	ix := buildIndex(t)
+	if _, _, err := WriteSnapshot(dir, ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, SnapshotName(2)), golden(t, goldenIndexV3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := SetCurrent(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CurrentSnapshot(dir); !errors.Is(err, ErrNoSnapshot) || !errors.Is(err, ErrFormat) {
+		t.Fatalf("CURRENT naming a stale generation: err = %v, want ErrNoSnapshot and ErrFormat", err)
+	}
+	if snaps, err := ListSnapshots(dir); err != nil || len(snaps) != 1 || snaps[0].Gen != 1 {
+		t.Fatalf("ListSnapshots = %v, %v; want generation 1 alone", snaps, err)
+	}
+	back, snap, recovered, err := RecoverSnapshot(dir)
+	if err != nil || snap.Gen != 1 || !recovered {
+		t.Fatalf("RecoverSnapshot = gen %d recovered %v, %v; want generation 1, recovered", snap.Gen, recovered, err)
+	}
+	back.Close()
+	if gen, _, err := WriteSnapshot(dir, ix); err != nil || gen != 3 {
+		t.Fatalf("publish over a stale generation: gen %d, %v; want 3", gen, err)
+	}
+	if removed, err := PruneSnapshots(dir, 1); err != nil || removed != 2 {
+		t.Fatalf("PruneSnapshots(1) removed %d (%v), want the servable and the stale older generation", removed, err)
+	}
+
+	only := t.TempDir()
+	if err := os.WriteFile(filepath.Join(only, SnapshotName(4)), golden(t, goldenIndexV3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CurrentSnapshot(only); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("CurrentSnapshot over stale generations only: err = %v, want ErrNoSnapshot", err)
+	}
+	if _, _, _, err := RecoverSnapshot(only); !errors.Is(err, ErrNoSnapshot) || !errors.Is(err, ErrFormat) {
+		t.Errorf("RecoverSnapshot over stale generations only: err = %v, want ErrNoSnapshot naming the format", err)
+	}
 }

@@ -1,11 +1,11 @@
 package core
 
-// tier.go implements the quantized factor tiers: factors (an IndexShard,
-// and so an Index) whose Z and U are stored as float32 or int8 with
-// per-column scales instead of float64, cutting the O(rn) footprint 2x/8x
-// at a bounded, measured entrywise cost surfaced through TruncationBound. Tiers are
-// chosen at save time (csrstat -quantize, csrserver -quantize) and
-// travel in the CSRX v2 layout (persist2.go); serving code is oblivious —
+// tier.go implements the quantized factor tiers: a factor (an IndexShard,
+// and so an Index) whose F is stored as float32 or int8 with per-column
+// scales instead of float64, cutting the O(rn) footprint 2x/8x at a
+// bounded, measured entrywise cost surfaced through TruncationBound. Tiers
+// are chosen at save time (csrstat -quantize, csrserver -quantize) and
+// travel in the snapshot layout (persist2.go); serving code is oblivious —
 // every tier is a dense.Typed and the one scan (shard.go) reads them all
 // through the same kernel entry.
 //
@@ -76,32 +76,39 @@ func (t Tier) kind() dense.Kind {
 	}
 }
 
-// QuantBound is the shared entrywise quantisation bound: with measured
-// per-column dequantisation errors zerr/uerr and served column maxima
-// zmax/umax (so Z' = Z + ΔZ with |ΔZ_{*,j}| ≤ zerr_j, |Z'_{*,j}| ≤ zmax_j),
+// QuantBound is the shared entrywise quantisation bound of a product A'B'ᵀ
+// of two quantized factors: with measured per-column dequantisation errors
+// aerr/berr and served column maxima amax/bmax (so A' = A + ΔA with
+// |ΔA_{*,j}| ≤ aerr_j, |A'_{*,j}| ≤ amax_j),
 //
-//	|c·(Z'U'ᵀ − ZUᵀ)_ik| ≤ c·Σ_j (zmax_j·uerr_j + umax_j·zerr_j + zerr_j·uerr_j)
+//	|c·(A'B'ᵀ − ABᵀ)_ik| ≤ c·Σ_j (amax_j·berr_j + bmax_j·aerr_j + aerr_j·berr_j)
 //
-// (expand Z'U'ᵀ − ZUᵀ = Z'ΔUᵀ − ΔZ U'ᵀ + ΔZ ΔUᵀ and bound each term by
-// column). Index.QuantizationBound evaluates it over the whole factors;
-// the sharded router evaluates the identical formula from combined
-// per-shard maxima (ColMaxes) and any shard's QuantErrs.
-func QuantBound(c float64, zmax, umax, zerr, uerr []float64) float64 {
-	if zerr == nil && uerr == nil {
+// (expand A'B'ᵀ − ABᵀ = A'ΔBᵀ + ΔA B'ᵀ − ΔA ΔBᵀ and bound each term by
+// column). The served product is F'F'ᵀ, so every caller passes F's terms
+// twice: QuantBound(c, fmax, fmax, ferr, ferr). Index.QuantizationBound
+// evaluates it over the whole factor; the sharded router evaluates the
+// identical formula from combined per-shard maxima (ColMaxes) and any
+// shard's QuantErrs.
+//
+// Like TailBound it carries roundingSlack, over scores of size c·Σ_j
+// amax_j·bmax_j.
+func QuantBound(c float64, amax, bmax, aerr, berr []float64) float64 {
+	if aerr == nil && berr == nil {
 		return 0
 	}
-	b := 0.0
-	for j := range zmax {
-		var ze, ue float64
-		if zerr != nil {
-			ze = zerr[j]
+	b, size := 0.0, 0.0
+	for j := range amax {
+		size += amax[j] * bmax[j]
+		var ae, be float64
+		if aerr != nil {
+			ae = aerr[j]
 		}
-		if uerr != nil {
-			ue = uerr[j]
+		if berr != nil {
+			be = berr[j]
 		}
-		b += zmax[j]*ue + umax[j]*ze + ze*ue
+		b += amax[j]*be + bmax[j]*ae + ae*be
 	}
-	return c * b
+	return c*b + roundingSlack(len(amax), c*size)
 }
 
 // QuantizationBound returns a rigorous bound on the entrywise error a
@@ -112,17 +119,17 @@ func QuantBound(c float64, zmax, umax, zerr, uerr []float64) float64 {
 // for exactly the factors being served. The +1 self-similarity and the
 // ×c scale are applied identically in both tiers and cancel.
 func (ix *Index) QuantizationBound() float64 {
-	if ix.zqerr == nil && ix.uqerr == nil {
+	if ix.fqerr == nil {
 		return 0
 	}
 	ix.quantOnce.Do(func() {
-		zmax, umax := ix.ColMaxes()
-		ix.quantBound = QuantBound(ix.c, zmax, umax, ix.zqerr, ix.uqerr)
+		fmax := ix.ColMaxes()
+		ix.quantBound = QuantBound(ix.c, fmax, fmax, ix.fqerr, ix.fqerr)
 	})
 	return ix.quantBound
 }
 
-// Quantize returns a new Index whose factors are stored at tier,
+// Quantize returns a new Index whose factor is stored at tier,
 // quantized from ix's stored rows (an implicit row is zeros on every tier,
 // and a zero row moves neither a column's scale nor its measured error).
 // TierF64 returns ix unchanged. Quantizing
@@ -140,17 +147,22 @@ func (ix *Index) Quantize(tier Tier) (*Index, error) {
 	if tier == TierI8 {
 		quant = dense.QuantizeI8
 	}
-	z, zqerr := quant(ix.z.Mat())
-	u, uqerr := quant(ix.u.Mat())
+	f, fqerr := quant(ix.f.Mat())
+	return ix.withFactor(slices.Clone(ix.ids), f, fqerr), nil
+}
+
+// withFactor is ix's build metadata over another factor: a quantized or
+// compacted copy of ix's own, which keeps its build id.
+func (ix *Index) withFactor(ids []int32, f *dense.Typed, fqerr []float64) *Index {
 	return &Index{
-		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, ids: slices.Clone(ix.ids), z: z, u: u, zqerr: zqerr, uqerr: uqerr},
+		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, build: ix.build, clamp: ix.clamp, ids: ids, f: f, fqerr: fqerr},
 		iters:      ix.iters,
-		sigma:      append([]float64(nil), ix.sigma...),
+		sigma:      slices.Clone(ix.sigma),
 		precomp:    ix.precomp,
 		stages:     ix.stages,
 		qrows:      ix.qrows,
 		walSeq:     ix.walSeq,
-	}, nil
+	}
 }
 
 // QuantizeTo is Quantize at the tier a flag or an option names (see
@@ -163,34 +175,24 @@ func (ix *Index) QuantizeTo(tier string) (*Index, error) {
 	return ix.Quantize(t)
 }
 
-// Compact returns ix without the stored rows that are all +0 in both
-// factors — rows that score exactly +0 whether they are scanned or left
-// out (shard.go) — or ix itself when it stores none. Precompute never
-// stores them in the first place; this is how an index from a v1 or v2
-// file, which could not leave a row out, sheds them (csrstat -convert).
-// The result owns its memory: it outlives a mapping ix views.
+// Compact returns ix without the stored rows of F that are all +0 — rows
+// that score exactly +0 whether they are scanned or left out (shard.go) —
+// or ix itself when it stores none. Precompute never stores them in the
+// first place; this is how an index converted from a file that stored them
+// sheds them (csrstat -convert). The result owns its memory: it outlives a
+// mapping ix views.
 func (ix *Index) Compact() *Index {
 	keep := make([]int32, 0, ix.Stored())
 	ids := make([]int32, 0, ix.Stored())
 	for i := 0; i < ix.Stored(); i++ {
-		if !ix.z.RowIsZero(i) || !ix.u.RowIsZero(i) {
+		if !ix.f.RowIsZero(i) {
 			keep, ids = append(keep, int32(i)), append(ids, int32(ix.StoredNode(i)))
 		}
 	}
 	if len(keep) == ix.Stored() {
 		return ix
 	}
-	return &Index{
-		IndexShard: IndexShard{n: ix.n, hi: ix.n, c: ix.c, rank: ix.rank, ids: ids,
-			z: ix.z.GatherRows(keep), u: ix.u.GatherRows(keep),
-			zqerr: slices.Clone(ix.zqerr), uqerr: slices.Clone(ix.uqerr)},
-		iters:   ix.iters,
-		sigma:   slices.Clone(ix.sigma),
-		precomp: ix.precomp,
-		stages:  ix.stages,
-		qrows:   ix.qrows,
-		walSeq:  ix.walSeq,
-	}
+	return ix.withFactor(ids, ix.f.GatherRows(keep), slices.Clone(ix.fqerr))
 }
 
 // mapping owns one memory-mapped snapshot file. munmapFile is idempotent
@@ -211,13 +213,13 @@ func (m *mapping) close() error {
 
 // Close releases the memory mapping backing a mapped index (MapIndex);
 // it is a no-op for decoded indexes and safe to call more than once.
-// After Close, the factor matrices of a mapped index must not be touched:
+// After Close, the factor of a mapped index must not be touched:
 // the serving lifecycle guarantees this by draining in-flight queries
 // before releasing a generation (see DESIGN.md).
 func (ix *Index) Close() error {
 	return ix.mapped.close()
 }
 
-// Mapped reports whether the index's factors are zero-copy views over a
+// Mapped reports whether the index's factor is a zero-copy view over a
 // memory-mapped file (and therefore whether Close is load-bearing).
 func (ix *Index) Mapped() bool { return ix.mapped != nil }

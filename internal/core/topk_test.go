@@ -18,18 +18,17 @@ import (
 // bands for the price of a rand loop.
 func syntheticIndex(n, r int, seed int64) *Index {
 	rng := rand.New(rand.NewSource(seed))
-	z, u := dense.NewMat(n, r), dense.NewMat(n, r)
-	for i := range z.Data {
-		z.Data[i] = rng.NormFloat64()
-		u.Data[i] = rng.NormFloat64() / 8
+	f := dense.NewMat(n, r)
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64() / 3
 		switch rng.Intn(16) {
 		case 0:
-			u.Data[i] = 0
+			f.Data[i] = 0
 		case 1:
-			u.Data[i] = math.Copysign(0, -1)
+			f.Data[i] = math.Copysign(0, -1)
 		}
 	}
-	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.6, rank: r, z: dense.TypedFromMat(z), u: dense.TypedFromMat(u)}}
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.6, rank: r, f: dense.TypedFromMat(f)}}
 }
 
 func sameBits(a, b []topk.Item) bool {
@@ -112,7 +111,7 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 			}
 			for _, rank := range []int{0, 2, r} {
 				for _, queries := range querySets {
-					uq := ix.gatherU(queries)
+					uq := ix.gatherF(queries)
 					for _, k := range []int{1, 10, 100} {
 						want := columnTopK(t, ix, queries, k, rank)
 						for _, bounds := range cuts {
@@ -151,7 +150,7 @@ func TestTopKBand(t *testing.T) {
 func TestPartialTopKValidation(t *testing.T) {
 	ix := syntheticIndex(50, 4, 2)
 	ctx := context.Background()
-	uq := ix.gatherU([]int{1, 2})
+	uq := ix.gatherF([]int{1, 2})
 	if _, err := ix.PartialTopK(ctx, nil, uq, 3, 0); !errors.Is(err, ErrParams) {
 		t.Fatalf("empty query set: err = %v, want ErrParams", err)
 	}

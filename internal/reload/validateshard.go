@@ -19,10 +19,12 @@ import (
 // silently, cannot be — so every way a shard enters service runs it: a
 // worker's boot and reload, and csrserver's local boots and reloads (whole
 // index = the [0, n) shard). The probes are stored rows where the
-// shard has any, so each row of Z meets U rows that are not all zero, and
-// their U rows come from the candidate itself: validation is
-// self-contained — no cross-shard gather. A row's scores are checked as
-// their sum over the probes, which is finite only if each of them is.
+// shard has any, so each row of F meets query rows that are not all zero,
+// and those rows come from the candidate itself: validation is
+// self-contained — no cross-shard gather. A probe whose own row is not
+// finite fails as a non-finite query row; every other row's scores are
+// checked as their sum over the probes, which is finite only if each of
+// them is.
 func ValidateShard(sh *core.IndexShard) error {
 	if sh == nil {
 		return fmt.Errorf("%w: nil shard", ErrValidation)

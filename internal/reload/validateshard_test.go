@@ -33,13 +33,13 @@ func copyShard(ix *core.Index, lo, hi int) *core.IndexShard {
 }
 
 // TestValidateShardCompacted runs the shard gate over an index that leaves
-// its all-zero rows out (the v2 fixture of internal/core, compacted): the
+// its all-zero rows out (internal/core's every-row fixture, compacted): the
 // whole index and every cut of it pass — a cut that stores nothing
 // included, which has only implicit rows to probe — and a non-finite entry
 // in a stored row's factors is still refused, through the probes, which are
 // stored rows where there are any.
 func TestValidateShardCompacted(t *testing.T) {
-	dense, err := core.LoadIndex("../core/testdata/index.v2-sparse.csrx")
+	dense, err := core.LoadIndex("../core/testdata/index.v4-sparse.csrx")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // snapshot directories PublishSnapshots writes.
 //
 // The exactness argument has two halves. Scores: output row i of phase II
-// depends only on row i of Z plus the U rows of the query nodes, so a
+// depends only on row i of F plus the F rows of the query nodes, so a
 // shard holding rows [lo, hi) computes exactly the same float64 for every
 // node it owns as the monolithic engine — same kernel, same accumulation
 // order (core.IndexShard's one scan). Selection: each candidate node

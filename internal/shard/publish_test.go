@@ -56,9 +56,9 @@ func TestPublishSnapshots(t *testing.T) {
 	}
 }
 
-// TestCompactedIndexAnswersLikeDenseV2 is the router-level half of the v3
-// format change: one index, as the v2 file that stores every row (twelve of
-// the 48 all zero) and compacted to the 36 rows v3 stores, answers TopK and
+// TestCompactedIndexAnswersLikeDenseV2 is the router-level half of the
+// compacted format: one index, as the file that stores every row (twelve of
+// the 48 all zero) and compacted to the 36 rows it can score, answers TopK and
 // Scores with the same bits behind K = 1, 2, 3 and 7 even slots and behind a
 // cut whose slots [3, 4) and [47, 48) store no row at all — for sources,
 // targets and excluded nodes among the rows left out, and for k up to, at
@@ -66,7 +66,7 @@ func TestPublishSnapshots(t *testing.T) {
 // K = 1 and over wire workers.
 func TestCompactedIndexAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
-	dense, err := core.LoadIndex("../core/testdata/index.v2-sparse.csrx")
+	dense, err := core.LoadIndex("../core/testdata/index.v4-sparse.csrx")
 	if err != nil {
 		t.Fatal(err)
 	}

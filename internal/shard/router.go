@@ -192,6 +192,9 @@ type ShardStatus struct {
 	Bytes      int64  `json:"bytes"`
 	// Stored is how many of the slot's Hi-Lo nodes have factor rows stored.
 	Stored int `json:"rows_stored"`
+	// Build is the id of the index build the slot's rows come from, as
+	// 16 hex digits.
+	Build string `json:"build"`
 	// Mapped reports factors served from a memory-mapped snapshot file, not
 	// from the heap. Set by whoever owns the index behind the slot: a slot
 	// itself sees rows either way.
@@ -203,7 +206,7 @@ type ShardStatus struct {
 func (r *Router) Status() []ShardStatus {
 	out := make([]ShardStatus, r.K())
 	for s, sl := range r.slots {
-		out[s] = ShardStatus{Shard: s, Lo: sl.Lo(), Hi: sl.Hi(), Generation: sl.Generation(), Bytes: sl.Bytes(), Stored: sl.Stored()}
+		out[s] = ShardStatus{Shard: s, Lo: sl.Lo(), Hi: sl.Hi(), Generation: sl.Generation(), Bytes: sl.Bytes(), Stored: sl.Stored(), Build: fmt.Sprintf("%016x", sl.Build())}
 	}
 	return out
 }
@@ -245,13 +248,13 @@ func (r *Router) admit(ctx context.Context, queries []int) (*dense.Mat, error) {
 	return r.gatherU(ctx, queries)
 }
 
-// gatherU assembles the |Q| x r broadcast matrix of the query nodes' U
+// gatherU assembles the |Q| x r broadcast matrix of the query nodes' F
 // rows from their owner slots — the only cross-shard data a query needs.
-// The copied values are the exact float64s of the monolithic U, so the
+// The copied values are the exact float64s of the monolithic F, so the
 // downstream dot products are bitwise those of the single-engine path. A
 // failed owner fetch fails the query: a query node whose shard is down
 // cannot be degraded around, because every other shard's partial depends
-// on its U row.
+// on its F row.
 func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error) {
 	uq := dense.NewMat(len(queries), r.rank)
 	// Positions grouped by owner, so each owner answers one batched
@@ -272,10 +275,10 @@ func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error)
 		}
 		rows, err := r.slots[s].URows(ctx, nodes)
 		if err != nil {
-			return fmt.Errorf("shard: gathering U rows from shard %d: %w", s, err)
+			return fmt.Errorf("shard: gathering F rows from shard %d: %w", s, err)
 		}
 		if !rows.IsShape(len(js), r.rank) {
-			return fmt.Errorf("%w: shard %d returned %dx%d U rows, want %dx%d", ErrShard, s, rows.Rows, rows.Cols, len(js), r.rank)
+			return fmt.Errorf("%w: shard %d returned %dx%d F rows, want %dx%d", ErrShard, s, rows.Rows, rows.Cols, len(js), r.rank)
 		}
 		for i, j := range js {
 			copy(uq.Row(j), rows.Row(i))
@@ -372,7 +375,7 @@ type TopKResult struct {
 	// is the exact global top-k.
 	Missing int
 	// ErrorBound, when Missing > 0, bounds the aggregate similarity any
-	// omitted candidate could have had: |Q| · (c·Σ_j zmax_j·umax_j +
+	// omitted candidate could have had: |Q| · (c·Σ_j fmax_j² +
 	// quant). Scores of returned items are still exact (up to the usual
 	// rank/quantisation bound); the uncertainty is in set membership.
 	ErrorBound float64
@@ -547,10 +550,10 @@ func (r *Router) TruncationBound(rank int) float64 {
 
 // MissingShardBound returns the aggregate per-query score bound used to
 // inflate error_bound when a shard's partial top-k list is missing: no
-// single similarity can exceed c·Σ_j zmax_j·umax_j plus the quantisation
-// term (query nodes, the only +1 diagonal entries, are excluded from
-// top-k), so an omitted candidate's |Q|-query aggregate is bounded by |Q|
-// times this value.
+// single similarity can exceed c·Σ_j fmax_j² plus the quantisation and
+// clamp terms (query nodes, the only +1 diagonal entries, are excluded
+// from top-k), so an omitted candidate's |Q|-query aggregate is bounded by
+// |Q| times this value.
 func (r *Router) MissingShardBound() float64 {
 	e := r.bestBound()
 	if e == nil {
@@ -621,34 +624,30 @@ func (r *Router) rebuildBound() (*boundEntry, error) {
 	if err := errFirst(errs); err != nil {
 		return nil, err
 	}
-	zmax := make([]float64, r.rank)
-	umax := make([]float64, r.rank)
-	var zerr, uerr []float64
+	fmax := make([]float64, r.rank)
+	var ferr []float64
+	clamp := 0.0
 	for s, t := range terms {
-		if len(t.ZMax) != r.rank || len(t.UMax) != r.rank {
-			return nil, fmt.Errorf("%w: shard %d returned %d/%d bound columns, want %d", ErrShard, s, len(t.ZMax), len(t.UMax), r.rank)
+		if len(t.FMax) != r.rank {
+			return nil, fmt.Errorf("%w: shard %d returned %d bound columns, want %d", ErrShard, s, len(t.FMax), r.rank)
 		}
-		for j := 0; j < r.rank; j++ {
-			if t.ZMax[j] > zmax[j] {
-				zmax[j] = t.ZMax[j]
-			}
-			if t.UMax[j] > umax[j] {
-				umax[j] = t.UMax[j]
-			}
+		for j, v := range t.FMax {
+			fmax[j] = max(fmax[j], v)
 		}
 		// The dequantisation errors are global per-column vectors,
 		// identical across shards cut from one index; any shard's
 		// copy recomposes the monolithic quant term. Mid-roll, with
 		// exact and quantized generations mixed, including the term
 		// over-states the error for exact rows — conservative, never
-		// under-stated.
-		if t.ZErr != nil || t.UErr != nil {
-			zerr, uerr = t.ZErr, t.UErr
+		// under-stated. The clamp charge is global too.
+		if t.FErr != nil {
+			ferr = t.FErr
 		}
+		clamp = max(clamp, t.Clamp)
 	}
 	return &boundEntry{
 		gens:  gens,
-		tail:  core.TailBound(r.c, zmax, umax),
-		quant: core.QuantBound(r.c, zmax, umax, zerr, uerr),
+		tail:  core.TailBound(r.c, fmax, fmax),
+		quant: core.QuantBound(r.c, fmax, fmax, ferr, ferr) + clamp,
 	}, nil
 }

@@ -15,7 +15,7 @@ import (
 // Slot is one shard slot as the Router consumes it: the node range it
 // owns, its shape metadata, and the per-shard query primitives the
 // scatter–gather paths fan out to — each bounded by what the request asks
-// for (k items, |rows| x |Q| scores, |nodes| U rows), never by the slot's
+// for (k items, |rows| x |Q| scores, |nodes| F rows), never by the slot's
 // row count, so every one of them can cross a wire. Two implementations
 // exist — Local wraps an in-process *core.IndexShard behind an atomic
 // generation pointer, and wire.RemoteEngine speaks the same contract to a
@@ -50,16 +50,18 @@ type Slot interface {
 	Generation() uint64
 
 	// Bytes reports the resident factor bytes of the serving generation
-	// (last observed, for remote slots), and Stored how many of the slot's
+	// (last observed, for remote slots), Stored how many of the slot's
 	// Hi-Lo nodes it stores factor rows for — the rows a top-k scans; the
-	// rest are implicit zero rows (core.IndexShard).
+	// rest are implicit zero rows (core.IndexShard) — and Build the id of
+	// the index build its rows come from.
 	Bytes() int64
 	Stored() int
+	Build() uint64
 
-	// URows gathers the U rows of the given nodes — all of which must be
+	// URows gathers the F rows of the given nodes — all of which must be
 	// owned by this slot — as a |nodes| x Rank matrix, row i for
-	// nodes[i]. The returned float64s are bitwise those of the shard's
-	// own URow.
+	// nodes[i]: the query side of the scan. The returned float64s are
+	// bitwise those of the shard's own URow.
 	URows(ctx context.Context, nodes []int) (*dense.Mat, error)
 
 	// PartialTopK returns the slot's top-k candidates among the nodes it
@@ -74,20 +76,21 @@ type Slot interface {
 	ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error)
 
 	// BoundTerms returns the per-column factor maxima (and, for
-	// quantized tiers, the measured dequantisation errors) the router
-	// folds into the global truncation bound.
+	// quantized tiers, the measured dequantisation errors), the Gram clamp
+	// charge and the build id the router folds into the global bound.
 	BoundTerms(ctx context.Context) (BoundTerms, error)
 }
 
 // BoundTerms is one shard's contribution to the global truncation bound:
-// per-column |Z| and |U| maxima over the shard's rows, plus the global
-// per-column dequantisation error vectors for quantized tiers (nil for
-// the exact tier).
+// per-column |F| maxima over the shard's rows, plus the global per-column
+// dequantisation error vector for quantized tiers (nil for the exact
+// tier) and the index's Gram clamp charge. Build names the index build the
+// rows come from.
 type BoundTerms struct {
-	ZMax []float64
-	UMax []float64
-	ZErr []float64
-	UErr []float64
+	FMax  []float64
+	FErr  []float64
+	Clamp float64
+	Build uint64
 }
 
 // generation is one immutable shard engine generation: the loaded factors
@@ -210,7 +213,12 @@ func (l *Local) Stored() int {
 	return l.cur.Load().sh.Stored()
 }
 
-// URows gathers the U rows of owned nodes (see Slot).
+// Build reports the serving generation's index build.
+func (l *Local) Build() uint64 {
+	return l.cur.Load().sh.Build()
+}
+
+// URows gathers the F rows of owned nodes (see Slot).
 func (l *Local) URows(ctx context.Context, nodes []int) (*dense.Mat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -250,7 +258,5 @@ func (l *Local) BoundTerms(ctx context.Context) (BoundTerms, error) {
 	}
 	g := l.pin()
 	defer g.unpin()
-	zmax, umax := g.sh.ColMaxes()
-	zerr, uerr := g.sh.QuantErrs()
-	return BoundTerms{ZMax: zmax, UMax: umax, ZErr: slices.Clone(zerr), UErr: slices.Clone(uerr)}, nil
+	return BoundTerms{FMax: g.sh.ColMaxes(), FErr: slices.Clone(g.sh.QuantErrs()), Clamp: g.sh.ClampBound(), Build: g.sh.Build()}, nil
 }

@@ -124,6 +124,7 @@ type RemoteEngine struct {
 	gen    atomic.Uint64 // last generation observed in any response
 	bytes  atomic.Int64  // last resident-bytes figure from /shard/meta
 	stored atomic.Int64  // last stored-rows figure from /shard/meta
+	build  atomic.Uint64 // last build id from /shard/meta
 	mapped atomic.Bool   // last mapped flag from /shard/meta
 
 	// dialed holds the bound terms Dial's /shard/meta carried until the
@@ -197,6 +198,10 @@ func (e *RemoteEngine) Bytes() int64 { return e.bytes.Load() }
 
 // Stored returns the worker's last reported stored-row count.
 func (e *RemoteEngine) Stored() int { return int(e.stored.Load()) }
+
+// Build reports the index build of the worker's serving generation, as
+// last fetched from /shard/meta.
+func (e *RemoteEngine) Build() uint64 { return e.build.Load() }
 
 // Mapped reports whether the worker last said it serves its shard from a
 // mapped snapshot file.
@@ -288,6 +293,7 @@ func (e *RemoteEngine) fetchMeta(ctx context.Context) (MetaResponse, error) {
 	e.observeGen(meta.Generation)
 	e.bytes.Store(meta.Bytes)
 	e.stored.Store(int64(meta.Stored))
+	e.build.Store(meta.Build)
 	e.mapped.Store(meta.Mapped)
 	return meta, nil
 }

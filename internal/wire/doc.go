@@ -12,13 +12,13 @@
 // which round-trips every value bitwise by construction — the wire must
 // not be the place the bitwise-exactness contract dies. Every payload is
 // sized by the request, never by the shard: K·|Q|·k partial top-k items,
-// |T|·|Q| targeted scores, |Q|·r gathered U rows. No call of the
+// |T|·|Q| targeted scores, |Q|·r gathered F rows. No call of the
 // shard.Slot contract returns a column, so there is none to refuse.
 //
 //	GET  /healthz       liveness: the process is up.
 //	GET  /readyz        readiness: a generation is loaded and serving.
-//	GET  /shard/meta    shape, node range, generation, tier, mapped, bound terms.
-//	POST /shard/urows   U rows of owned nodes (the query-broadcast gather).
+//	GET  /shard/meta    shape, node range, build, generation, tier, mapped, bound terms.
+//	POST /shard/urows   F rows of owned nodes (the query-broadcast gather).
 //	POST /shard/query   partial top-k of owned nodes for a query set.
 //	POST /shard/scores  targeted row scores (the /similarity primitive).
 //	POST /admin/reload  bearer-authenticated snapshot reload (next
@@ -39,13 +39,13 @@
 // router, which skips the shard and tags the response degraded with an
 // inflated error_bound (shard.Router.TopKTagged); queries whose own query
 // nodes live on the dead shard still fail, because every other shard's
-// partial needs their U rows.
+// partial needs their F rows.
 //
 // A rolling reload (RollWorkers) walks the workers one at a time,
 // triggering each worker's own load→validate→swap (a worker that fails
 // validation keeps serving its old generation), and aborts on the first
 // failure. The mixed cluster it leaves keeps serving, but not exactly: a
-// query's U rows come from their owner's factors and each partial from its
+// query's F rows come from their owner's factors and each partial from its
 // own shard's, so when workers hold shards of different index builds an
 // answer mixes them, matches neither build, and is still tagged exact
 // (missing 0, bound 0). The router cannot see it: a slot's generation is

@@ -43,33 +43,35 @@ func (f *F64s) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// MetaResponse is GET /shard/meta: the slot's static shape, its current
-// generation, whether its factors are a mapped file, and the bound terms
-// the router folds into the global truncation bound. Damping rides as
-// plain JSON — Go's float64 encoding round-trips exactly, and it is a
-// single scalar compared for equality at assembly, not bulk payload.
+// MetaResponse is GET /shard/meta: the slot's static shape, the index
+// build its rows come from, its current generation, whether its factor is
+// a mapped file, and the bound terms the router folds into the global
+// truncation bound. Damping and the clamp charge ride as plain JSON — Go's
+// float64 encoding round-trips exactly, and they are single scalars, not
+// bulk payload.
 type MetaResponse struct {
 	N          int     `json:"n"`
 	Lo         int     `json:"lo"`
 	Hi         int     `json:"hi"`
 	Rank       int     `json:"rank"`
 	Damping    float64 `json:"damping"`
+	Build      uint64  `json:"build"`
 	Generation uint64  `json:"generation"`
 	Bytes      int64   `json:"bytes"`
 	Stored     int     `json:"rows_stored"`
 	Tier       string  `json:"tier"`
 	Mapped     bool    `json:"mapped"`
-	ZMax       F64s    `json:"zmax"`
-	UMax       F64s    `json:"umax"`
-	ZErr       F64s    `json:"zerr,omitempty"`
-	UErr       F64s    `json:"uerr,omitempty"`
+	FMax       F64s    `json:"fmax"`
+	FErr       F64s    `json:"ferr,omitempty"`
+	Clamp      float64 `json:"clamp,omitempty"`
 }
 
 func (m MetaResponse) boundTerms() shard.BoundTerms {
-	return shard.BoundTerms{ZMax: m.ZMax, UMax: m.UMax, ZErr: m.ZErr, UErr: m.UErr}
+	return shard.BoundTerms{FMax: m.FMax, FErr: m.FErr, Clamp: m.Clamp, Build: m.Build}
 }
 
-// URowsRequest is POST /shard/urows: gather the U rows of owned nodes.
+// URowsRequest is POST /shard/urows: gather the F rows of owned nodes (the
+// route keeps the name it had when the query side was U).
 type URowsRequest struct {
 	Nodes []int `json:"nodes"`
 }

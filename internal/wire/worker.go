@@ -152,12 +152,10 @@ func (w *Worker) handleMeta(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh, gen, release := w.slot.Pin()
-	zmax, umax := sh.ColMaxes()
-	zerr, uerr := sh.QuantErrs()
 	meta := MetaResponse{
-		N: sh.N(), Lo: sh.Lo(), Hi: sh.Hi(), Rank: sh.Rank(), Damping: sh.Damping(),
+		N: sh.N(), Lo: sh.Lo(), Hi: sh.Hi(), Rank: sh.Rank(), Damping: sh.Damping(), Build: sh.Build(),
 		Generation: gen, Bytes: sh.Bytes(), Stored: sh.Stored(), Tier: sh.Tier().String(), Mapped: w.mapped.Load(),
-		ZMax: zmax, UMax: umax, ZErr: slices.Clone(zerr), UErr: slices.Clone(uerr),
+		FMax: sh.ColMaxes(), FErr: slices.Clone(sh.QuantErrs()), Clamp: sh.ClampBound(),
 	}
 	release()
 	writeJSON(rw, http.StatusOK, meta)
