@@ -106,6 +106,8 @@ func TestAdminEdgesLifecycle(t *testing.T) {
 		t.Fatalf("stats missing ingest section: %v", body)
 	} else if ing := body["ingest"].(map[string]interface{}); ing["last_seq"].(float64) != 1 || ing["budget_exceeded"] != true {
 		t.Fatalf("ingest stats: %v", ing)
+	} else if b, ok := ing["graph_bytes"].(float64); !ok || b <= 0 {
+		t.Fatalf("ingest stats carry no live-graph size: graph_bytes = %v", ing["graph_bytes"])
 	}
 }
 

@@ -35,27 +35,44 @@ func DriftContribution(c, delta float64) float64 {
 	return c * (2*delta + delta*delta) / ((1 - c) * (1 - c))
 }
 
+// maxDynamicEdges bounds what the int32 offsets of Dynamic can address: the
+// boot graph's edge count and the streamed edge log's length. A variable so
+// tests can reach the limit.
+var maxDynamicEdges int64 = math.MaxInt32
+
 // Dynamic maintains the live in-neighbour lists and the cumulative drift
 // bound. It is not safe for concurrent use; the ingest service serializes
 // access.
 //
-// It holds what the live graph needs and nothing more: 4 B an edge plus a
-// slice header a node on an unweighted graph, where every weight is 1 and
-// Q's column normaliser is the list's length; the weights and their sums
+// It holds what the live graph needs and nothing more. The boot graph is
+// one CSC — v's in-neighbours are srcs[start[v]:start[v+1]], ascending —
+// and every streamed edge is one link of an arrival-ordered log, chained
+// per target from first[v]. v's list is its boot list, then its chain:
+// the order edges reached it. On an unweighted graph that is 4 B a boot
+// edge, 8 B a node and 8 B a streamed edge (Bytes): every weight is 1 and
+// Q's column normaliser is the list's length. The weights and their sums
 // exist only on a weighted one.
 type Dynamic struct {
 	n        int
 	c        float64
 	weighted bool
 
-	src  [][]int32   // src[v] = in-neighbours of v, each once, in arrival order
-	w    [][]float64 // w[v][i] = weight of src[v][i] -> v; nil unless weighted
-	totw []float64   // totw[v] = Σ w[v], Q's column normaliser; nil unless weighted
-	m    int64       // live edge count (distinct (u,v) pairs)
+	start []int32   // n+1 offsets into srcs
+	srcs  []int32   // boot in-neighbours, target-major, ascending by source
+	first []int32   // first[v] = 1 + the log index of v's first streamed in-edge; 0 for none
+	log   []link    // streamed edges, in arrival order
+	bw    []float64 // bw[p] = weight of srcs[p]'s edge; nil unless weighted
+	lw    []float64 // lw[i] = weight of log[i]'s edge; nil unless weighted
+	totw  []float64 // totw[v] = Σ of v's in-weights, Q's column normaliser; nil unless weighted
+	m     int64     // live edge count (distinct (u,v) pairs)
 
 	drift float64 // cumulative drift bound over drift-counted edges
 	edges int64   // drift-counted edge applications
 }
+
+// link is one streamed in-edge: its source and 1 + the log index of the
+// next streamed edge into the same target (0 ends the chain).
+type link struct{ src, next int32 }
 
 // NewDynamic builds the dynamic state for g served by ix's factors, which
 // must match g's node count. Only ix's n and damping are read and nothing
@@ -65,41 +82,40 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 	if g.N() != ix.n {
 		return nil, fmt.Errorf("core: dynamic state over n=%d graph for n=%d index: %w", g.N(), ix.n, ErrParams)
 	}
-	d := &Dynamic{n: ix.n, c: ix.c, weighted: g.Weighted(), src: make([][]int32, ix.n)}
-	adj := g.Adj()
-	// Every list is carved out of one backing array, in-degree long and
-	// with no capacity to spare: the fill below appends in place, and
-	// ApplyEdge's first append to a list copies it out instead of writing
-	// over the head of its neighbour's.
-	start := make([]int, d.n+1)
-	for _, v := range adj.ColIdx {
-		start[v+1]++
+	if g.M() > maxDynamicEdges {
+		return nil, fmt.Errorf("core: dynamic state over m=%d edges, at most %d: %w", g.M(), maxDynamicEdges, ErrParams)
 	}
-	for v := 0; v < d.n; v++ {
-		start[v+1] += start[v]
-	}
-	srcs := make([]int32, len(adj.ColIdx))
-	for v := range d.src {
-		d.src[v] = srcs[start[v]:start[v]:start[v+1]]
+	n, adj := ix.n, g.Adj()
+	d := &Dynamic{
+		n: n, c: ix.c, weighted: g.Weighted(), m: g.M(),
+		start: make([]int32, n+1), srcs: make([]int32, len(adj.ColIdx)), first: make([]int32, n),
 	}
 	if d.weighted {
-		d.w, d.totw = make([][]float64, d.n), make([]float64, d.n)
-		ws := make([]float64, len(adj.ColIdx))
-		for v := range d.w {
-			d.w[v] = ws[start[v]:start[v]:start[v+1]]
-		}
+		d.bw, d.totw = make([]float64, len(adj.ColIdx)), make([]float64, n)
 	}
-	for u := 0; u < d.n; u++ {
+	for _, v := range adj.ColIdx {
+		d.start[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		d.start[v+1] += d.start[v]
+	}
+	// Sources in ascending order fill each list in ascending order. start[v]
+	// is v's fill cursor until it reaches start[v+1]; the copy shifts the
+	// offsets back.
+	for u := 0; u < n; u++ {
 		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
-			v := int(adj.ColIdx[p])
-			d.src[v] = append(d.src[v], int32(u))
+			v := adj.ColIdx[p]
+			q := d.start[v]
+			d.start[v]++
+			d.srcs[q] = int32(u)
 			if d.weighted {
-				d.w[v] = append(d.w[v], adj.Val[p])
+				d.bw[q] = adj.Val[p]
 				d.totw[v] += adj.Val[p]
 			}
-			d.m++
 		}
 	}
+	copy(d.start[1:], d.start[:n])
+	d.start[0] = 0
 	return d, nil
 }
 
@@ -119,13 +135,26 @@ func (d *Dynamic) Drift() float64 { return d.drift }
 // Edges returns how many drift-counted edges have been applied.
 func (d *Dynamic) Edges() int64 { return d.edges }
 
+// Bytes returns the resident bytes of the live graph: the boot CSC, the
+// chain heads and the streamed edge log at its capacity, plus the weights
+// and column totals on a weighted graph.
+func (d *Dynamic) Bytes() int64 {
+	b := 4*int64(len(d.start)+len(d.srcs)+len(d.first)) + 8*int64(cap(d.log))
+	if d.weighted {
+		b += 8 * int64(len(d.bw)+cap(d.lw)+len(d.totw))
+	}
+	return b
+}
+
 // ApplyEdge inserts edge src -> dst with the given weight (weight 1 on
 // an unweighted graph; on a weighted graph duplicate edges accumulate
 // weight, mirroring NewWeighted's duplicate-sum semantics). It updates
 // the in-neighbour structure and — when countDrift is true — charges the
 // edge's drift contribution. On an
 // unweighted graph a duplicate edge is a no-op (parallel edges collapse,
-// mirroring graph.New), applied=false, zero drift.
+// mirroring graph.New), applied=false, zero drift. A new edge that would
+// take the streamed edge log past what an int32 offset addresses is
+// ErrParams, and nothing changes.
 //
 // countDrift=false is the boot-replay case: records at or below the
 // snapshot's WAL sequence are already inside the factors, so they
@@ -140,55 +169,88 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 		return false, 0, fmt.Errorf("core: edge (%d, %d) weight %v must be positive and finite: %w", src, dst, weight, ErrParams)
 	}
 
-	list := d.src[dst]
-	pos := -1
-	for i := range list {
-		if int(list[i]) == src {
-			pos = i
+	// Find src in dst's list — the boot entry bp or the chain link lp — and
+	// the chain's tail, where a new edge is linked in.
+	lo, hi := d.start[dst], d.start[dst+1]
+	bp, lp, tail := int32(-1), int32(-1), int32(-1)
+	for p := lo; p < hi; p++ {
+		if int(d.srcs[p]) == src {
+			bp = p
 			break
 		}
 	}
-	if pos >= 0 && !d.weighted {
+	deg := int(hi - lo)
+	for i := d.first[dst] - 1; i >= 0; i = d.log[i].next - 1 {
+		if int(d.log[i].src) == src {
+			lp = i
+		}
+		deg++
+		tail = i
+	}
+	found := bp >= 0 || lp >= 0
+	if found && !d.weighted {
 		return false, 0, nil
+	}
+	if !found && int64(len(d.log)) >= maxDynamicEdges {
+		return false, 0, fmt.Errorf("core: edge (%d, %d) would grow the streamed edge log past %d: %w", src, dst, maxDynamicEdges, ErrParams)
 	}
 	// On an unweighted graph every weight is 1 and a sum of ones is exact,
 	// so the terms below are the ones a stored weight list and its running
 	// total gave.
-	oldT := float64(len(list))
-	var ws []float64
+	oldT := float64(deg)
 	if d.weighted {
-		ws, oldT = d.w[dst], d.totw[dst]
+		oldT = d.totw[dst]
 	}
 
-	// Exact δ = ‖q'_dst − q_dst‖₁ for the column renormalisation.
+	// Exact δ = ‖q'_dst − q_dst‖₁ for the column renormalisation, summed
+	// over the list in its order: the boot entries, then the chain.
 	newT := oldT + weight
 	var delta float64
 	if oldT == 0 {
 		// First in-edge: the column goes from all-zero to e_src.
 		delta = 1
 	} else {
-		for i := range list {
+		for p := lo; p < hi; p++ {
 			wOld := 1.0
 			if d.weighted {
-				wOld = ws[i]
+				wOld = d.bw[p]
 			}
 			wNew := wOld
-			if i == pos {
+			if p == bp {
 				wNew += weight
 			}
 			delta += math.Abs(wNew/newT - wOld/oldT)
 		}
-		if pos < 0 {
+		for i := d.first[dst] - 1; i >= 0; i = d.log[i].next - 1 {
+			wOld := 1.0
+			if d.weighted {
+				wOld = d.lw[i]
+			}
+			wNew := wOld
+			if i == lp {
+				wNew += weight
+			}
+			delta += math.Abs(wNew/newT - wOld/oldT)
+		}
+		if !found {
 			delta += weight / newT
 		}
 	}
 
-	if pos >= 0 {
-		ws[pos] += weight
-	} else {
-		d.src[dst] = append(d.src[dst], int32(src))
+	switch {
+	case bp >= 0:
+		d.bw[bp] += weight
+	case lp >= 0:
+		d.lw[lp] += weight
+	default:
+		d.log = append(d.log, link{src: int32(src)})
 		if d.weighted {
-			d.w[dst] = append(ws, weight)
+			d.lw = append(d.lw, weight)
+		}
+		if next := int32(len(d.log)); tail < 0 {
+			d.first[dst] = next
+		} else {
+			d.log[tail].next = next
 		}
 		d.m++
 	}
@@ -204,39 +266,55 @@ func (d *Dynamic) ApplyEdge(src, dst int, weight float64, countDrift bool) (appl
 	return true, driftDelta, nil
 }
 
-// MaterializeCOO renders the live edge set as a COO adjacency. The COO
-// canonicalisation in ToCSR (sort by (row, col), merge duplicates) makes
-// the downstream graph — and therefore a rebuild's Precompute output —
-// bitwise-independent of the order edges were applied in. ToCSR sums
-// duplicates in insertion order, which would let that order show, but
-// none reach it from here: src[v] holds each source once (ApplyEdge folds a
-// repeated edge into its entry's weight), so every (row, col) is emitted
-// exactly once and only the sort decides the layout.
-func (d *Dynamic) MaterializeCOO() (*sparse.COO, error) {
-	coo := sparse.NewCOO(d.n, d.n)
+// MaterializeGraph renders the live edge set as a graph.Graph, the input a
+// drift-triggered full rebuild precomputes over. One counting pass sizes
+// the rows; the fill then visits targets in ascending order, so every row
+// comes out sorted by column with no sort, and a row holds each column once
+// (ApplyEdge folds a repeated edge into its entry's weight). The layout is
+// therefore a function of the edge set alone, never of the order edges
+// were applied in — which makes a rebuild's Precompute output
+// bitwise-independent of that order.
+func (d *Dynamic) MaterializeGraph() (*graph.Graph, error) {
+	rowPtr := make([]int64, d.n+1)
+	for _, u := range d.srcs {
+		rowPtr[u+1]++
+	}
+	for _, e := range d.log {
+		rowPtr[e.src+1]++
+	}
+	for u := 0; u < d.n; u++ {
+		rowPtr[u+1] += rowPtr[u]
+	}
+	colIdx := make([]int32, d.m)
+	val := make([]float64, d.m)
+	// rowPtr[u] is row u's fill cursor until it reaches rowPtr[u+1]; the
+	// copy shifts the pointers back.
 	for v := 0; v < d.n; v++ {
-		for i, u := range d.src[v] {
-			w := 1.0
+		for p := d.start[v]; p < d.start[v+1]; p++ {
+			q := &rowPtr[d.srcs[p]]
+			colIdx[*q], val[*q] = int32(v), 1
 			if d.weighted {
-				w = d.w[v][i]
+				val[*q] = d.bw[p]
 			}
-			if err := coo.Add(int(u), v, w); err != nil {
-				return nil, fmt.Errorf("core: materialize dynamic graph: %w", err)
+			*q++
+		}
+		for i := d.first[v] - 1; i >= 0; i = d.log[i].next - 1 {
+			q := &rowPtr[d.log[i].src]
+			colIdx[*q], val[*q] = int32(v), 1
+			if d.weighted {
+				val[*q] = d.lw[i]
 			}
+			*q++
 		}
 	}
-	return coo, nil
-}
-
-// MaterializeGraph renders the live edge set as a graph.Graph, the
-// input a drift-triggered full rebuild precomputes over.
-func (d *Dynamic) MaterializeGraph() (*graph.Graph, error) {
-	coo, err := d.MaterializeCOO()
+	copy(rowPtr[1:], rowPtr[:d.n])
+	rowPtr[0] = 0
+	adj, err := sparse.NewCSR(d.n, d.n, rowPtr, colIdx, val)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: materialize dynamic graph: %w", err)
 	}
 	if d.weighted {
-		return graph.NewWeighted(coo)
+		return graph.FromWeightedCSR(adj)
 	}
-	return graph.New(coo), nil
+	return graph.FromCSR(adj)
 }

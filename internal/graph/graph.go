@@ -50,11 +50,8 @@ func New(coo *sparse.COO) *Graph {
 // weights are rejected: they would break the random-surfer reading.
 func NewWeighted(coo *sparse.COO) (*Graph, error) {
 	m := coo.ToCSR()
-	for i, v := range m.Val {
-		// !(v > 0) also catches NaN, which v <= 0 would wave through.
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("graph: NewWeighted: entry %d has weight %v: %w", i, v, ErrBadWeight)
-		}
+	if err := checkWeights("NewWeighted", m); err != nil {
+		return nil, err
 	}
 	return &Graph{adj: m, weighted: true}, nil
 }
@@ -70,6 +67,31 @@ func FromCSR(m *sparse.CSR) (*Graph, error) {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", rows, cols)
 	}
 	return &Graph{adj: m}, nil
+}
+
+// FromWeightedCSR wraps an existing weighted CSR adjacency as a Graph,
+// refusing the weights NewWeighted refuses. The matrix is not copied.
+func FromWeightedCSR(m *sparse.CSR) (*Graph, error) {
+	g, err := FromCSR(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkWeights("FromWeightedCSR", m); err != nil {
+		return nil, err
+	}
+	g.weighted = true
+	return g, nil
+}
+
+// checkWeights rejects the weights with no random-surfer reading.
+func checkWeights(caller string, m *sparse.CSR) error {
+	for i, v := range m.Val {
+		// !(v > 0) also catches NaN, which v <= 0 would wave through.
+		if !(v > 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("graph: %s: entry %d has weight %v: %w", caller, i, v, ErrBadWeight)
+		}
+	}
+	return nil
 }
 
 // N returns the node count.

@@ -221,6 +221,35 @@ func TestNewWeightedRejectsNonFiniteSums(t *testing.T) {
 	}
 }
 
+// FromWeightedCSR refuses what NewWeighted refuses and keeps what it keeps.
+func TestFromWeightedCSR(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		coo := sparse.NewCOO(2, 2)
+		if err := coo.Add(0, 1, w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromWeightedCSR(coo.ToCSR()); !errors.Is(err, ErrBadWeight) {
+			t.Fatalf("FromWeightedCSR(weight %v) = %v, want ErrBadWeight", w, err)
+		}
+	}
+	coo := sparse.NewCOO(3, 3)
+	for _, e := range [][3]float64{{0, 1, 2.5}, {2, 0, 0.25}} {
+		if err := coo.Add(int(e[0]), int(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := FromWeightedCSR(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Weighted() || g.M() != 2 || g.Adj().At(0, 1) != 2.5 || g.Adj().At(2, 0) != 0.25 {
+		t.Fatalf("FromWeightedCSR: weighted=%v m=%d, (0,1)=%v, (2,0)=%v", g.Weighted(), g.M(), g.Adj().At(0, 1), g.Adj().At(2, 0))
+	}
+	if _, err := FromWeightedCSR(sparse.NewCOO(2, 3).ToCSR()); err == nil {
+		t.Fatal("FromWeightedCSR accepted a non-square adjacency")
+	}
+}
+
 func TestErdosRenyi(t *testing.T) {
 	g, err := ErdosRenyi(100, 500, 1)
 	if err != nil {

@@ -51,6 +51,7 @@ type Stats struct {
 	DurableSeq uint64  `json:"durable_seq"`
 	LiveEdges  int64   `json:"live_edges"`
 	Applied    int64   `json:"edges_since_factors"`
+	GraphBytes int64   `json:"graph_bytes"`
 	Drift      float64 `json:"drift_bound"`
 	Base       float64 `json:"drift_baseline"`
 	Budget     float64 `json:"drift_budget,omitempty"`
@@ -71,14 +72,16 @@ type Service struct {
 	cfg    Config
 	walSeq uint64 // WAL sequence the boot factors already cover
 
-	mu  sync.Mutex // guards dyn, base, pendingBase, and WAL-order of applies
+	mu  sync.Mutex // guards dyn, the baselines, and WAL-order of applies
 	dyn *core.Dynamic
 	wal *WAL
 	// base is the serving generation's drift baseline: the total drift
 	// at the cut its factors were built from (0 for the boot factors).
 	// pendingBase stages the next cut's baseline until its rebuild
-	// commits — a failed rebuild must leave base untouched.
-	base, pendingBase float64
+	// commits — a failed rebuild must leave base untouched. edgeBase and
+	// pendingEdges do the same for the drift-charged edge count.
+	base, pendingBase      float64
+	edgeBase, pendingEdges int64
 
 	driftBits   atomic.Uint64 // float64 bits of dyn's total drift
 	lastApplied atomic.Uint64
@@ -238,19 +241,19 @@ func (s *Service) Cut() (*graph.Graph, uint64, float64, error) {
 		return nil, 0, 0, err
 	}
 	d := s.dyn.Drift()
-	s.pendingBase = d
+	s.pendingBase, s.pendingEdges = d, s.dyn.Edges()
 	return g, s.lastApplied.Load(), d, nil
 }
 
 // RebuildDone ends a rebuild episode. committed=true promotes the last
-// Cut's drift baseline — the new generation's factors absorb everything
-// up to that cut; committed=false leaves the old baseline (and the old
-// generation's honest drift accounting) untouched so the next append
-// past budget re-fires the trigger.
+// Cut's drift baseline and edge count — the new generation's factors
+// absorb everything up to that cut; committed=false leaves the old
+// baselines (and the old generation's honest drift accounting) untouched
+// so the next append past budget re-fires the trigger.
 func (s *Service) RebuildDone(committed bool) {
 	s.mu.Lock()
 	if committed {
-		s.base = s.pendingBase
+		s.base, s.edgeBase = s.pendingBase, s.pendingEdges
 	}
 	s.mu.Unlock()
 	s.rebuilding.Store(false)
@@ -291,7 +294,8 @@ func (s *Service) Stats() Stats {
 	st.Drift = math.Float64frombits(s.driftBits.Load()) - s.base
 	if s.dyn != nil {
 		st.LiveEdges = s.dyn.M()
-		st.Applied = s.dyn.Edges()
+		st.Applied = s.dyn.Edges() - s.edgeBase
+		st.GraphBytes = s.dyn.Bytes()
 	}
 	if s.wal != nil {
 		st.DurableSeq = s.wal.DurableSeq()

@@ -233,7 +233,7 @@ func TestServiceRebuildTriggerSingleFlightAndBaseline(t *testing.T) {
 	}
 	waitFired(1)
 
-	// Failed rebuild: baseline unchanged, next append re-fires.
+	// Failed rebuild: baselines unchanged, next append re-fires.
 	cutDrift := svc.DriftBound()
 	if _, _, _, err := svc.Cut(); err != nil {
 		t.Fatal(err)
@@ -242,6 +242,9 @@ func TestServiceRebuildTriggerSingleFlightAndBaseline(t *testing.T) {
 	waitIdle()
 	if got := svc.DriftBound(); got < cutDrift {
 		t.Fatalf("failed rebuild moved the baseline: drift %g < %g", got, cutDrift)
+	}
+	if got := svc.Stats().Applied; got != 5 {
+		t.Fatalf("failed rebuild moved the edge count: edges_since_factors = %d, want 5", got)
 	}
 	if _, _, err := svc.Append(fresh[5:6]); err != nil {
 		t.Fatal(err)
@@ -260,6 +263,9 @@ func TestServiceRebuildTriggerSingleFlightAndBaseline(t *testing.T) {
 	if got := svc.DriftBound(); got > 1e-12 {
 		t.Fatalf("committed rebuild left serving drift %g", got)
 	}
+	if got := svc.Stats().Applied; got != 0 {
+		t.Fatalf("committed rebuild left edges_since_factors = %d, want 0", got)
+	}
 	if d, exceeded := driftFn(); d > 1e-12 || exceeded {
 		t.Fatalf("fresh generation's closure reports drift %g exceeded=%v", d, exceeded)
 	}
@@ -268,6 +274,9 @@ func TestServiceRebuildTriggerSingleFlightAndBaseline(t *testing.T) {
 	}
 	if d, exceeded := driftFn(); d <= 0 || !exceeded {
 		t.Fatalf("post-rebuild append not reflected: drift %g exceeded=%v", d, exceeded)
+	}
+	if got := svc.Stats().Applied; got != 1 {
+		t.Fatalf("post-rebuild append: edges_since_factors = %d, want 1", got)
 	}
 	waitFired(3)
 	release <- true
