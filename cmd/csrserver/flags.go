@@ -25,7 +25,7 @@ const (
 
 const (
 	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
-	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget degradequeue " +
+	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget " +
 		"reloadretries breakerfails breakercooldown "
 )
 
@@ -92,12 +92,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.walDir, "waldir", "", "write-ahead log directory for durable streaming edge ingestion; enables POST /admin/edges and boot-time crash replay")
 	fs.Float64Var(&c.driftBudget, "driftbudget", 0, "entrywise drift bound past which streamed edges mark answers degraded and trigger a live-graph rebuild (0 disables)")
 	fs.IntVar(&c.serve.Workers, "workers", 0, "concurrent engine calls (0 = GOMAXPROCS)")
-	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "admission queue bound; beyond it requests get 429")
+	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "requests that may wait for an engine call; beyond them requests get 429")
 	fs.IntVar(&c.serve.MaxK, "maxk", serve.DefaultMaxK, "server-side cap on requested k")
 	fs.DurationVar(&c.serve.Timeout, "timeout", 5*time.Second, "per-request deadline (0 disables)")
 	fs.IntVar(&c.serve.Degrade.Rank, "degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
 	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
-	fs.Float64Var(&c.serve.Degrade.QueueFraction, "degradequeue", serve.DefaultDegradeQueueFraction, "admission-queue fill fraction past which engine calls degrade")
 	fs.IntVar(&c.policy.MaxAttempts, "reloadretries", 3, "reload attempts per trigger (1 = no retry)")
 	fs.IntVar(&c.policy.BreakerThreshold, "breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")
 	fs.DurationVar(&c.policy.BreakerCooldown, "breakercooldown", 10*time.Second, "how long an open breaker rejects reload triggers")

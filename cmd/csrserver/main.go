@@ -2,10 +2,11 @@
 // "online multi-source query" phase of CSR+ as a long-lived service: the
 // index is precomputed once at startup, queries are answered from it.
 //
-// Requests are routed through internal/serve, which sheds load when the
-// admission queue fills (HTTP 429), bounds concurrent engine calls with a
-// worker pool, enforces per-request deadlines (504) and drains gracefully
-// on SIGINT/SIGTERM. Every request is its own engine call: /topk streams
+// Requests are routed through internal/serve, which answers each one on
+// its handler's goroutine: it sheds load once -workers + -pending requests
+// are held (HTTP 429), bounds concurrent engine calls at -workers,
+// enforces per-request deadlines (504) and drains gracefully on
+// SIGINT/SIGTERM. Every request is its own engine call: /topk streams
 // score bands into a selector and /similarity scores just the target rows,
 // so neither materialises a column for concurrent requests to share.
 //
@@ -59,8 +60,8 @@
 //
 // With -degraderank R the server degrades gracefully under pressure:
 // requests admitted with little deadline budget (-degradebudget) or
-// reaching a worker while the admission queue is past -degradequeue of
-// its bound are answered at truncated rank R — cheaper by roughly R/r — and
+// taking their engine slot while more than three quarters of -pending
+// are held are answered at truncated rank R — cheaper by roughly R/r — and
 // tagged with a "degraded" object carrying the effective rank and the
 // index's entrywise error bound. Reload failures retry with exponential
 // backoff (-reloadretries); persistent failure opens a

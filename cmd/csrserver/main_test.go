@@ -1275,8 +1275,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 26 {
-		t.Errorf("csrserver has %d flags, want 26", count)
+	if count != 25 {
+		t.Errorf("csrserver has %d flags, want 25", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

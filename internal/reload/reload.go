@@ -66,12 +66,12 @@ type Candidate struct {
 	Meta Meta
 	// Release, when set, frees resources the generation pins for its
 	// whole serving lifetime — typically the munmap of a memory-mapped
-	// v2 snapshot (core.MapIndex), whose factor slices alias the mapping
+	// v4 snapshot (core.MapIndex), whose factor slices alias the mapping
 	// and must stay valid for every in-flight query. The Manager calls
 	// it exactly once: immediately if the candidate fails validation or
 	// the swap is refused, otherwise only after a LATER generation's
-	// swap has returned — serve's swap blocks until the old generation's
-	// queue and worker pool have drained, whichever engine calls it made,
+	// swap has returned — serve's swap blocks until every request pinned
+	// to the old generation has returned, whichever engine call it made,
 	// so by then no query can still touch the old factors.
 	// Release must be idempotent-safe in its own right only against the
 	// Manager calling it once; core.(*Index).Close already tolerates
@@ -340,7 +340,7 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		return m.Current(), fmt.Errorf("reload: loading candidate: %w", err)
 	}
 	if err := Validate(cand); err != nil {
-		// The candidate never took traffic, so its resources (a v2
+		// The candidate never took traffic, so its resources (a v4
 		// mapping it pinned) can be freed right now. Validate rejects a
 		// nil candidate, hence the extra nil check.
 		if cand != nil && cand.Release != nil {
@@ -355,10 +355,10 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		}
 		return m.Current(), fmt.Errorf("reload: %w", serve.ErrClosed)
 	}
-	// The swap has returned, which means the previous generation's queue
-	// and workers are drained: no in-flight query references its factors
-	// any more, so this is the first moment its pinned resources (mmap)
-	// may be released. m.mu is held for the whole lifecycle, serialising
+	// The swap has returned, which means the previous generation's pins
+	// are drained: no in-flight query references its factors any more,
+	// so this is the first moment its pinned resources (mmap) may be
+	// released. m.mu is held for the whole lifecycle, serialising
 	// access to m.release.
 	if m.release != nil {
 		m.release()

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkSearchHotPath measures the full per-request serving path —
-// admission, the queue, the worker's engine call, tagging — over a
+// admission, the pin and the slot, the engine call, tagging — over a
 // trivial direct generation, so the framework itself (including the
 // fault-injection hook before every engine call) is what is timed. Run it
 // with and without -tags faultinject to confirm the instrumentation is

@@ -365,10 +365,10 @@ func TestDriftTaintsAnswers(t *testing.T) {
 	})
 }
 
-// Queue depth past QueueFraction x MaxPending is pressure on the
-// generation, whichever engine call its workers make: with the one
-// worker held, requests piling up behind it are answered truncated once
-// the worker reaches them.
+// Queue depth past three quarters of MaxPending is pressure on the
+// generation, whichever engine call it makes: with the one slot held,
+// requests piling up behind it are answered truncated once they take the
+// slot past that depth.
 func TestDegradeOnQueueDepth(t *testing.T) {
 	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
 		gate := make(chan struct{})
@@ -379,8 +379,8 @@ func TestDegradeOnQueueDepth(t *testing.T) {
 			return query(ctx, queries, rank, scratch)
 		}
 		sv := NewRanked(kind(e), Config{
-			Workers: 1, MaxPending: 8,
-			Degrade: DegradeConfig{Rank: 2, QueueFraction: 0.25}, // pressure past depth 2
+			Workers: 1, MaxPending: 4,
+			Degrade: DegradeConfig{Rank: 2}, // pressure past depth 3
 		})
 		defer sv.Close()
 
@@ -408,10 +408,10 @@ func TestDegradeOnQueueDepth(t *testing.T) {
 				t.Fatalf("degraded answer not a tagged rank-2 pass: %+v score=%v", res.Info, res.Matches[0].Score)
 			}
 		}
-		// The first request reached the worker at depth 1 and the last two
+		// The first request took the slot at depth 1 and the last three
 		// were answered with the queue back under the threshold.
 		if degraded == 0 || degraded == clients {
-			t.Fatalf("%d of %d queued requests degraded, want only those answered past depth 2", degraded, clients)
+			t.Fatalf("%d of %d queued requests degraded, want only those answered past depth 3", degraded, clients)
 		}
 		if got := sv.Metrics().DegradedBatches(); got != int64(degraded) {
 			t.Fatalf("degraded batches = %d, want %d", got, degraded)

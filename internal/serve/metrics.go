@@ -9,11 +9,11 @@ import (
 )
 
 // Metrics is the serving layer's registry of lock-free counters and
-// histograms. One instance is shared by every generation's queue and
-// workers and the admission gate, so a single Snapshot describes the whole
-// serving path. All methods are safe for concurrent use.
+// histograms. One instance is shared by every generation and the
+// admission gate, so a single Snapshot describes the whole serving path.
+// All methods are safe for concurrent use.
 type Metrics struct {
-	admitted   atomic.Int64 // requests accepted into the queue
+	admitted   atomic.Int64 // requests pinned to a generation
 	shed       atomic.Int64 // requests rejected with ErrOverloaded
 	rejected   atomic.Int64 // requests rejected with ErrBadRequest / ErrClosed
 	expired    atomic.Int64 // requests whose context ended before a result
@@ -25,7 +25,7 @@ type Metrics struct {
 	degradedBatches atomic.Int64 // engine calls run at truncated rank
 
 	generation     atomic.Uint64 // engine generation taking new requests
-	shards         atomic.Int64  // shard count of the serving backend; 0 = unsharded
+	shards         atomic.Int64  // slot count of the serving router; 1 = the whole index
 	reloads        atomic.Int64  // successful generation swaps after boot
 	reloadFailures atomic.Int64  // reload runs that never swapped
 	reloadRetries  atomic.Int64  // in-run retry attempts after a failed pass
@@ -72,8 +72,8 @@ func (m *Metrics) DegradedBatches() int64 { return m.degradedBatches.Load() }
 func (m *Metrics) SetGeneration(gen uint64) { m.generation.Store(gen) }
 func (m *Metrics) Generation() uint64       { return m.generation.Load() }
 
-// SetShards records the shard count of the serving backend (0 =
-// unsharded); Shards reads the gauge back.
+// SetShards records the slot count of the serving router (1 when one
+// slot holds the whole index); Shards reads the gauge back.
 func (m *Metrics) SetShards(k int) { m.shards.Store(int64(k)) }
 func (m *Metrics) Shards() int64   { return m.shards.Load() }
 

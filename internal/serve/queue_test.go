@@ -1,8 +1,9 @@
 package serve
 
-// The Batcher and Pool in these test names are the components PR 25
-// folded into a generation's queue and workers; each test now drives a
-// Server, and keeps its name so the suite's test IDs stay comparable.
+// The Batcher and Pool in these test names are earlier components that
+// became a generation's admission bound and Workers slots; each test now
+// drives a Server, and keeps its name so the suite's test IDs stay
+// comparable.
 
 import (
 	"context"
@@ -108,6 +109,66 @@ func TestBatcherOverload(t *testing.T) {
 	}
 }
 
+// A request that expires waiting for the one slot gives its admission
+// place back: with Workers 1 and MaxPending 1 held by a running call and
+// an expired waiter, the next request is admitted, not shed, and the
+// expired one never reaches the engine.
+func TestBatcherExpiredReleasesAdmission(t *testing.T) {
+	gate := make(chan struct{})
+	eng := &fakeEngine{n: 8, gate: gate}
+	s := NewRanked(plain(eng.n, eng.query), Config{Workers: 1, MaxPending: 1})
+	defer s.Close()
+	m := s.Metrics()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := s.Search(context.Background(), []int{0}, 2)
+		held <- err
+	}()
+	waitFor(t, func() bool { return eng.calls.Load() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := s.Search(ctx, []int{1}, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting request err = %v, want DeadlineExceeded", err)
+	}
+
+	next := make(chan error, 1)
+	go func() {
+		_, err := s.Search(context.Background(), []int{2}, 2)
+		next <- err
+	}()
+	waitFor(t, func() bool { return m.Admitted() == 3 || m.Shed() > 0 })
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-next; err != nil {
+		t.Fatalf("next request err = %v, want an answer: the expired request kept its admission place", err)
+	}
+	if calls, expired := eng.calls.Load(), m.Expired(); calls != 2 || expired != 1 {
+		t.Fatalf("engine calls = %d, expired = %d; want 2 and 1: the expired request reached the engine", calls, expired)
+	}
+}
+
+// A request that pins a generation after its close has begun — close
+// sets closed before it takes the pins, so pins are still free for a
+// moment — is refused with ErrClosed, gives its pin back and makes no
+// engine call, so admit can retry it on the successor.
+func TestBatcherRefusesPinAfterClose(t *testing.T) {
+	eng := &fakeEngine{n: 8}
+	s := NewRanked(plain(eng.n, eng.query), Config{Workers: 1, MaxPending: 1})
+	defer s.Close()
+	be := s.be.Load()
+	be.closed.Store(true) // close's first step, before it has taken a pin
+	if _, err := be.do(&request{ctx: context.Background(), nodes: []int{1}, k: 2}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if calls, pinned, admitted := eng.calls.Load(), len(be.pins), s.Metrics().Admitted(); calls != 0 || pinned != 0 || admitted != 0 {
+		t.Fatalf("engine calls = %d, pins held = %d, admitted = %d; want 0, 0, 0", calls, pinned, admitted)
+	}
+}
+
 // A request whose deadline expires while it is queued fails with
 // DeadlineExceeded, counts as expired, and never reaches the engine.
 func TestBatcherDeadline(t *testing.T) {
@@ -209,11 +270,13 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	}
 }
 
-// Workers bounds concurrent engine calls, and a generation runs Workers
-// goroutines and no other.
+// Workers bounds concurrent engine calls, and a generation starts no
+// goroutines: every request runs on its caller's, also while requests are
+// held in the engine and waiting for a slot.
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
+	gate := make(chan struct{})
 	e := plain(8, func(queries []int) ([][]float64, error) {
 		cur := inFlight.Add(1)
 		for {
@@ -222,13 +285,14 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 				break
 			}
 		}
+		<-gate
 		time.Sleep(time.Millisecond)
 		inFlight.Add(-1)
 		return (&fakeEngine{n: 8}).query(queries)
 	})
 	s := NewRanked(e, Config{Workers: workers})
 	defer s.Close()
-	waitFor(t, func() bool { return serveGoroutines() == workers })
+	waitFor(t, func() bool { return serveGoroutines() == 0 })
 
 	var wg sync.WaitGroup
 	for i := 0; i < 30; i++ {
@@ -240,6 +304,11 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, func() bool { return s.Metrics().Admitted() == 30 && inFlight.Load() == workers })
+	if n := serveGoroutines(); n != 0 {
+		t.Fatalf("%d goroutines started by serve with 30 requests held", n)
+	}
+	close(gate)
 	wg.Wait()
 	if got := peak.Load(); got > workers {
 		t.Fatalf("observed %d concurrent engine calls, bound is %d", got, workers)
@@ -270,7 +339,10 @@ func TestPoolMinimumOneWorker(t *testing.T) {
 	eng := &fakeEngine{n: 8}
 	s := NewRanked(plain(eng.n, eng.query), Config{Workers: -1})
 	defer s.Close()
-	waitFor(t, func() bool { return serveGoroutines() == 1 })
+	waitFor(t, func() bool { return serveGoroutines() == 0 })
+	if got := cap(s.be.Load().slots); got != 1 {
+		t.Fatalf("Workers -1 gave %d slots, want 1", got)
+	}
 	if _, err := s.Search(context.Background(), []int{3}, 2); err != nil {
 		t.Fatal(err)
 	}

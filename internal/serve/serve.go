@@ -1,11 +1,12 @@
 // Package serve is the production serving layer between an HTTP frontend
-// and a csrplus engine. Every request takes one path: it is validated
-// against the serving generation, given its deadline and its degradation
-// vote, admitted into the generation's bounded queue (shed with
-// ErrOverloaded beyond it, ErrClosed after Close), answered by one engine
-// call on one of the generation's Workers goroutines, tagged with how it
-// was answered, and counted in one metrics registry; Close and SwapRanked
-// drain whatever is queued or in flight. Nothing is memoised: an answer
+// and a csrplus engine. Every request takes one path, on its caller's
+// goroutine: it is validated against the serving generation, given its
+// deadline and its degradation vote, pinned to that generation (shed with
+// ErrOverloaded once it holds Workers + MaxPending requests, ErrClosed
+// after Close), waits for one of the generation's Workers slots, makes
+// one engine call, is tagged with how it was answered and counted in one
+// metrics registry, and unpins. Close and SwapRanked wait for the pins to
+// drain. The package starts no goroutines. Nothing is memoised: an answer
 // depends only on the generation that served it and the request.
 //
 // Every engine call answers exactly one request: Ranked.TopK for a top-k,
@@ -25,12 +26,12 @@
 //
 // Generations with rank structure additionally get graceful
 // degradation: under pressure — a request admitted with too little
-// deadline budget, the admission queue past a depth threshold, or
-// requests being shed — engine calls run at a truncated rank r' < r,
-// trading entrywise accuracy bounded by the factor tail for an r'/r cost
-// cut. Every degraded response is tagged with its effective rank and the
-// engine's advertised error bound, so clients can tell an exact answer
-// from a cheap one.
+// deadline budget, the queue depth (requests admitted and not yet
+// answered) past a threshold, or requests being shed — engine calls run
+// at a truncated rank r' < r, trading entrywise accuracy bounded by the
+// factor tail for an r'/r cost cut. Every degraded response is tagged
+// with its effective rank and the engine's advertised error bound, so
+// clients can tell an exact answer from a cheap one.
 package serve
 
 import (
@@ -52,10 +53,10 @@ import (
 // cannot demand a near-full sort of a massive graph's score vector.
 const DefaultMaxK = 1000
 
-// DefaultDegradeQueueFraction is the admission-queue fill fraction past
-// which engine calls degrade, when degradation is enabled without an
-// explicit threshold.
-const DefaultDegradeQueueFraction = 0.75
+// degradeQueueFraction is the admission-queue fill fraction (of
+// MaxPending) past which engine calls degrade when degradation is
+// enabled.
+const degradeQueueFraction = 0.75
 
 // DegradeConfig tunes graceful degradation. It only takes effect on
 // generations that advertise a Rank (Ranked.Rank 0 has nothing to
@@ -65,12 +66,6 @@ type DegradeConfig struct {
 	// degradation; values >= the engine's full rank also disable it
 	// (there is nothing to truncate to).
 	Rank int
-	// QueueFraction is the admission-queue fill fraction (of MaxPending)
-	// past which engine calls degrade. Default
-	// DefaultDegradeQueueFraction when Rank > 0; negative disables the
-	// queue-depth trigger (leaving only per-request budget votes and
-	// shed-pressure).
-	QueueFraction float64
 	// MinBudget degrades a request admitted with less than this much
 	// deadline budget remaining — it would rather answer cheap than miss
 	// its deadline answering exact. 0 disables the budget trigger.
@@ -85,10 +80,12 @@ type Config struct {
 	MaxBatch int
 	// Deprecated: ignored, like MaxBatch.
 	Linger time.Duration
-	// Workers is how many goroutines drain a generation's queue, which
-	// bounds its concurrent engine calls. Default GOMAXPROCS; at least 1.
+	// Workers bounds a generation's concurrent engine calls: each request
+	// makes its call on its own goroutine once it holds one of Workers
+	// slots. Default GOMAXPROCS; at least 1.
 	Workers int
-	// MaxPending bounds the admission queue; beyond it requests are shed
+	// MaxPending bounds how many requests may wait for a slot; a
+	// generation holding Workers + MaxPending requests sheds the next
 	// with ErrOverloaded. Default 1024.
 	MaxPending int
 	// MaxK caps the k a single request may ask for (400 to the client
@@ -114,9 +111,6 @@ func (c Config) withDefaults() Config {
 	c.MaxPending = max(c.MaxPending, 1)
 	if c.MaxK == 0 {
 		c.MaxK = DefaultMaxK
-	}
-	if c.Degrade.Rank > 0 && c.Degrade.QueueFraction == 0 {
-		c.Degrade.QueueFraction = DefaultDegradeQueueFraction
 	}
 	return c
 }
@@ -180,10 +174,10 @@ type PairsResult struct {
 // one admission, degradation and drain path. Safe for concurrent use.
 //
 // The engine is held behind an atomic generation pointer: SwapRanked
-// installs a replacement without pausing the worker pool, so callers never observe
-// downtime across an index reload. Every request resolves the generation
-// once at admission and completes entirely on it — node-id validation and
-// the engine call both derive from that one snapshot.
+// installs a replacement without pausing admission, so callers never
+// observe downtime across an index reload. Every request resolves the
+// generation once at admission and completes entirely on it — node-id
+// validation and the engine call both derive from that one snapshot.
 type Server struct {
 	cfg     Config
 	metrics *Metrics
@@ -198,7 +192,7 @@ type Server struct {
 // (0 or >= the engine's rank = full): the n x |Q| block, reusing
 // scratch's backing array when its capacity suffices (Ranked.Direct
 // always passes nil, so it allocates). It honours ctx between row bands
-// so an abandoned request stops consuming its worker mid-pass.
+// so an abandoned request stops consuming its slot mid-pass.
 // core.(*Index).QueryRankInto, less its tracker, satisfies it.
 type RankQueryFunc func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error)
 
@@ -231,7 +225,7 @@ type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int)
 
 // Ranked describes one engine generation — the single contract between
 // the server and whatever answers its queries. TopK and Scores are the
-// engine calls the generation's workers make, one per request;
+// engine calls the generation's requests make, one each;
 // admission, shedding, degradation, tagging and drain do not
 // depend on what is behind them.
 type Ranked struct {
@@ -338,10 +332,10 @@ func (e Ranked) Direct() Ranked {
 // number. Requests admitted after it returns are validated against e.N
 // and answered by e; engine calls already in flight finish on the old
 // engine (RCU-style: readers drain, they are never interrupted).
-// SwapRanked then closes the old generation — its queued requests are
-// answered and its workers exit, which is the drain barrier
-// reload.Candidate.Release relies on. Returns 0 without swapping when the
-// server is already closed.
+// SwapRanked then closes the old generation — it takes no new pins, and
+// SwapRanked returns once every request pinned to it has been answered,
+// which is the drain barrier reload.Candidate.Release relies on. Returns
+// 0 without swapping when the server is already closed.
 func (s *Server) SwapRanked(e Ranked) uint64 {
 	e = e.Direct()
 	if e.Bound == nil {
@@ -353,20 +347,17 @@ func (s *Server) SwapRanked(e Ranked) uint64 {
 		return 0
 	}
 	// Degradation only arms when the configured truncated rank is a real
-	// truncation of this engine; the queue-depth trigger needs a positive
-	// fraction of the admission bound.
+	// truncation of this engine.
 	degradedRank, overloadDepth := 0, int64(0)
 	if s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < e.Rank {
 		degradedRank = s.cfg.Degrade.Rank
-		if f := s.cfg.Degrade.QueueFraction; f > 0 {
-			overloadDepth = int64(f * float64(s.cfg.MaxPending))
-		}
+		overloadDepth = int64(degradeQueueFraction * float64(s.cfg.MaxPending))
 	}
 	s.gen++
 	old := s.be.Swap(newBackend(e, s.cfg.MaxPending, s.cfg.Workers, s.metrics, degradedRank, overloadDepth))
 	s.metrics.SetGeneration(s.gen)
 	if old != nil {
-		old.close() // graceful: queued requests are answered by the old engine
+		old.close() // graceful: pinned requests are answered by the old engine
 	}
 	return s.gen
 }
@@ -383,8 +374,9 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // MaxK reports the effective server-side k cap.
 func (s *Server) MaxK() int { return s.cfg.MaxK }
 
-// Close drains the server: admission stops (ErrClosed), queued requests
-// are answered, in-flight engine calls finish. Idempotent.
+// Close drains the server: admission stops (ErrClosed), and requests
+// already pinned — waiting for a slot or in their engine call — are
+// answered. Idempotent.
 func (s *Server) Close() {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -416,7 +408,7 @@ func validate(nodes, targets []int, n int) error {
 	return nil
 }
 
-// Validation failures are counted and never reach the queue.
+// Validation failures are counted and never pin a generation.
 func (s *Server) reject(err error) error {
 	s.metrics.rejected.Add(1)
 	return err
@@ -445,8 +437,8 @@ func (s *Server) degradeVote(ctx context.Context) bool {
 
 // admit gives the request its deadline and degradation vote, resolves
 // the current generation and runs the request on it. When the resolved
-// generation is superseded between the load and the enqueue — its queue
-// rejects with ErrClosed but the server as a whole is still open — the
+// generation is superseded between the load and the pin — it rejects
+// with ErrClosed but the server as a whole is still open — the
 // request transparently retries on the successor, so a reload in
 // progress never surfaces as a caller error. Each retry re-resolves the
 // generation, and the returned backend is the one that actually answered

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,14 +142,6 @@ func TestReloadUnderFire(t *testing.T) {
 						return
 					default:
 					}
-					// A caller and a worker handing each request back and
-					// forth through channels inherit one time slice (the
-					// scheduler's runnext slot), and on a single P that chain
-					// can starve the outgoing generation's workers, so a swap
-					// waits on the scheduler rather than on serve. Yielding
-					// between requests, as a caller doing any I/O would,
-					// keeps GOMAXPROCS=1 runs about serve.
-					runtime.Gosched()
 					floor := current.Load()
 					res, err := s.Search(context.Background(), []int{rng.Intn(8)}, 3)
 					if err != nil {
@@ -244,6 +235,63 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 		}
 		if g := scoreGen(t, res.Matches); g != 2 {
 			t.Fatalf("post-swap request answered by generation %d, want 2", g)
+		}
+	})
+}
+
+// A request that arrives while a swap waits for the old generation's
+// held slot is answered by the new generation at once: it neither waits
+// for the old slot nor lengthens the drain.
+func TestServerSwapAnswersArrivalsOnSuccessor(t *testing.T) {
+	eachEngine(t, func(t *testing.T, kind func(Ranked) Ranked) {
+		const n = 8
+		enter := make(chan struct{}, 1)
+		release := make(chan struct{})
+		var oldCalls atomic.Int64
+		slow := func(queries []int) ([][]float64, error) {
+			oldCalls.Add(1)
+			enter <- struct{}{}
+			<-release
+			return genQuery(n, 1)(queries)
+		}
+		s := NewRanked(kind(plain(n, slow)), Config{Workers: 1, MaxPending: 1})
+		defer s.Close()
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Search(context.Background(), []int{2}, 2)
+			done <- err
+		}()
+		<-enter // the old generation's one slot is held
+
+		swapped := make(chan struct{})
+		go func() {
+			s.SwapRanked(kind(plain(n, genQuery(n, 2))))
+			close(swapped)
+		}()
+		waitFor(t, func() bool { return s.Generation() == 2 })
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := s.Search(ctx, []int{3}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := scoreGen(t, res.Matches); g != 2 {
+			t.Fatalf("request arriving during the swap answered by generation %d, want 2", g)
+		}
+		select {
+		case <-swapped:
+			t.Fatal("Swap returned while a call was in flight on the old generation")
+		default:
+		}
+		close(release)
+		<-swapped
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if c := oldCalls.Load(); c != 1 {
+			t.Fatalf("old generation made %d engine calls, want 1", c)
 		}
 	})
 }
