@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,9 @@ import (
 // the compacted per-shard files — for sources, targets and excluded nodes
 // among the rows left out, and for k up to, at and past the rows stored.
 // (internal/shard holds the routers over K = 2, 3 and 7 slots, and over
-// slots that store nothing, to the same answers.)
+// slots that store nothing, to the same answers.) Each K = 1 server boots
+// the way a pre-built file is served: copied into its snapshot directory
+// with no CURRENT.
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
 	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v4-sparse.csrx")
@@ -39,14 +42,20 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 
 	// The flags must name a graph of the index's size; no boot below reads it.
 	base := []string{"-graph", graphFile(t), "-n", fmt.Sprint(n)}
+	fullDir, compactDir := bareSnapshot(t, t.TempDir(), full, 1), bareSnapshot(t, t.TempDir(), compacted, 1)
 	type mode struct {
 		name string
 		s    *server
 	}
 	modes := []mode{
-		{"every-row file", bootFlags(t, append(base, "-index", full)...)},
-		{"compacted file", bootFlags(t, append(base, "-index", compacted)...)},
+		{"every-row file", bootFlags(t, append(base, "-snapshots", fullDir)...)},
+		{"compacted file", bootFlags(t, append(base, "-snapshots", compactDir)...)},
 		{"compacted shard files over the wire", bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, compact, 3), 3, nil))},
+	}
+	for _, m := range modes[:2] {
+		if st := m.s.man.Current(); st.Source != "snapshot" || st.Recovered || st.SnapshotGen != 1 {
+			t.Fatalf("%s: boot from a bare file: source %q, recovered %t, snapshot generation %d; want snapshot generation 1, not recovered", m.name, st.Source, st.Recovered, st.SnapshotGen)
+		}
 	}
 
 	var paths []string
@@ -92,6 +101,31 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 			slot["rows_stored"] != float64(wantStored) || slot["bytes"] != float64(wantBytes) {
 			t.Fatalf("%s: /stats reports rows_stored=%v n=%v index_bytes=%v (slot: %v), want %d, %d, %d", m.name,
 				stats["rows_stored"], stats["n"], stats["index_bytes"], slot, wantStored, n, wantBytes)
+		}
+	}
+
+	// A second bare file is the next generation: a reload of the every-row
+	// server serves the compacted copy, and answers as before.
+	bareSnapshot(t, fullDir, compacted, 2)
+	st, err := modes[0].s.reload(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Source != "snapshot" || st.Recovered || st.SnapshotGen != 2 || st.Path != filepath.Join(fullDir, core.SnapshotName(2)) {
+		t.Fatalf("reload over a second bare file: source %q, recovered %t, snapshot generation %d at %s; want snapshot generation 2", st.Source, st.Recovered, st.SnapshotGen, st.Path)
+	}
+	if got := st.ShardStatus()[0].Stored; got != stored {
+		t.Fatalf("reloaded generation stores %d rows, want the compacted file's %d", got, stored)
+	}
+	for _, path := range paths {
+		bodies := make([][]byte, 2)
+		for i, m := range modes[:2] {
+			rec := httptest.NewRecorder()
+			m.s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			bodies[i] = rec.Body.Bytes()
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%s after the reload: %.400s\nbut the compacted boot answers\n%.400s", path, bodies[0], bodies[1])
 		}
 	}
 }

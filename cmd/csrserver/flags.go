@@ -24,7 +24,7 @@ const (
 )
 
 const (
-	graphFlags = "dataset dscale graph n r c index saveindex snapshots "
+	graphFlags = "dataset dscale graph n r c snapshots "
 	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget " +
 		"reloadretries breakerfails breakercooldown "
 )
@@ -33,7 +33,7 @@ const (
 // lists every flag it reads, and a flag set on the command line that the
 // mode does not list is rejected instead of silently ignored.
 var modes = [...]struct{ when, flags string }{
-	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags + "quantize"},
+	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags},
 	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
 	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs"},
 	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
@@ -56,14 +56,13 @@ type config struct {
 	dscale             int64
 	// n is the node count of the graph the flags name — -n for -graph,
 	// the descriptor's for -dataset — known without reading the graph.
-	n, rank                       int
-	damping                       float64
-	indexPath, saveIndex, snapDir string
-	quantize                      string
-	shardWorker                   int
-	shardAddrs                    string
-	walDir                        string
-	driftBudget                   float64
+	n, rank     int
+	damping     float64
+	snapDir     string
+	shardWorker int
+	shardAddrs  string
+	walDir      string
+	driftBudget float64
 
 	addr, adminToken string
 	serve            serve.Config
@@ -82,10 +81,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.rank, "r", 5, "SVD rank")
 	fs.Float64Var(&c.damping, "c", 0.6, "damping factor")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.indexPath, "index", "", "load a persisted CSR+ index instead of precomputing")
-	fs.StringVar(&c.saveIndex, "saveindex", "", "persist the boot index to this path")
-	fs.StringVar(&c.quantize, "quantize", "", "factor tier for -saveindex and snapshot publishes: f32 or int8 (default exact f64); the serving index stays exact")
-	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shardworker); boot from it when populated; every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
+	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shardworker); boot from it when populated (with no CURRENT, from the newest index-<gen>.csrx: copy a pre-built file in under that name); every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
 	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")

@@ -1,6 +1,7 @@
 // Command csrserver serves CoSimRank similarity search over HTTP — the
 // "online multi-source query" phase of CSR+ as a long-lived service: the
-// index is precomputed once at startup, queries are answered from it.
+// index is precomputed once at startup or loaded from -snapshots, and
+// queries are answered from it.
 //
 // Requests are routed through internal/serve, which answers each one on
 // its handler's goroutine: it sheds load once -workers + -pending requests
@@ -27,6 +28,14 @@
 // table (flags.go); a flag the mode does not read is rejected, never
 // ignored. Where generations come from, and who owns their memory, is
 // source.go.
+//
+// The snapshot directory (-snapshots) is the process's one on-disk
+// contract. A boot or reload serves the generation its CURRENT names — or,
+// with no CURRENT, the newest index-<gen>.csrx — and an index the process
+// builds is published there first and served from the file it was
+// published as. To serve a pre-built or quantized index, write it offline
+// (csrstat -convert [-quantize], Engine.SaveIndex) and copy it into the
+// directory as index-<gen>.csrx.
 //
 // The index hot-reloads with zero downtime: SIGHUP (or an authenticated
 // POST /admin/reload) loads the next generation off the serving path —

@@ -63,6 +63,24 @@ func graphFile(t testing.TB) string {
 	return path
 }
 
+// bareSnapshot copies the index file src into dir as generation gen's
+// snapshot and writes no CURRENT — how an operator serves a pre-built file —
+// and returns dir.
+func bareSnapshot(t testing.TB, dir, src string, gen uint64) string {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err == nil {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, core.SnapshotName(gen)), data, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // parse runs args through the real flag table.
 func parse(args ...string) (*config, error) {
 	fs := flag.NewFlagSet("csrserver", flag.ContinueOnError)
@@ -1172,16 +1190,20 @@ func TestModeTable(t *testing.T) {
 		}
 	}
 
-	snaps, indexFile := t.TempDir(), filepath.Join(t.TempDir(), "ix.csrx")
+	// A pre-built file is served by copying it into a snapshot directory.
+	snaps, bare := t.TempDir(), t.TempDir()
+	if err := eng.SaveIndex(filepath.Join(bare, core.SnapshotName(1))); err != nil {
+		t.Fatal(err)
+	}
 	boots := []struct {
 		name   string
 		args   []string
 		source string
 	}{
 		{"K=1", nil, "rebuild"},
-		{"K=1 priming -snapshots", []string{"-snapshots", snaps, "-saveindex", indexFile, "-quantize", "f64"}, "rebuild"},
+		{"K=1 priming -snapshots", []string{"-snapshots", snaps}, "rebuild"},
 		{"K=1 from the mapped snapshot", []string{"-snapshots", snaps}, "snapshot"},
-		{"K=1 from -index", []string{"-index", indexFile}, "index"},
+		{"K=1 from a bare snapshot file", []string{"-snapshots", bare}, "snapshot"},
 		{"-waldir", []string{"-waldir", t.TempDir(), "-driftbudget", "0", "-admintoken", "sesame"}, "rebuild"},
 		{"-waldir from the mapped snapshot", []string{"-waldir", t.TempDir(), "-snapshots", snaps}, "snapshot"},
 	}
@@ -1244,7 +1266,6 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-shardaddrs", "a:1", "-driftbudget", "0.1"}, "-driftbudget"},
 		{[]string{"-shardaddrs", "a:1", "-snapshots", "d"}, "-snapshots"},
 		{[]string{"-shardaddrs", "a:1", "-graph", "g", "-n", "6"}, "-graph"},
-		{[]string{"-dataset", "FB", "-waldir", "d", "-quantize", "int8"}, "-quantize"},
 		{[]string{"-dataset", "FB", "-driftbudget", "0.1"}, "-driftbudget"},
 		{[]string{"-dataset", "FB", "-algo", "CSR-NI"}, "-algo"}, // baselines live in csrquery/csrbench
 		// No mode coalesces, and sharding is a cluster (-shardaddrs): these
@@ -1256,6 +1277,11 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-cache", "0"}, "flag provided but not defined: -cache"},
 		// A shard call is one request: there is no hedge quantile to set.
 		{[]string{"-dataset", "FB", "-wirehedge", "0.5"}, "flag provided but not defined: -wirehedge"},
+		// The snapshot directory is the one on-disk path: a pre-built file
+		// is copied into it, and what is published there is what serves.
+		{[]string{"-dataset", "FB", "-index", "ix.csrx"}, "flag provided but not defined: -index"},
+		{[]string{"-dataset", "FB", "-saveindex", "ix.csrx"}, "flag provided but not defined: -saveindex"},
+		{[]string{"-dataset", "FB", "-snapshots", "d", "-quantize", "int8"}, "flag provided but not defined: -quantize"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1275,8 +1301,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 25 {
-		t.Errorf("csrserver has %d flags, want 25", count)
+	if count != 22 {
+		t.Errorf("csrserver has %d flags, want 22", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

@@ -188,11 +188,14 @@ func poisonF(t *testing.T, path string, shard bool, row, rank int) {
 // cluster over its own shard.
 func TestNonFiniteFactorRowRefused(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {
-		index := filepath.Join(t.TempDir(), "ix.csrx")
+		// A pre-built file, served as one: the only generation of a
+		// snapshot directory with no CURRENT.
+		dir := t.TempDir()
+		index := filepath.Join(dir, core.SnapshotName(1))
 		if err := testEngine(t).SaveIndex(index); err != nil {
 			t.Fatal(err)
 		}
-		s := bootArgs(t, "-index", index, "-reloadretries", "1")
+		s := bootArgs(t, "-snapshots", dir, "-reloadretries", "1")
 		poisonF(t, index, false, 1, 3) // the probes are nodes 0, 3 and 5
 		st, err := s.reload(context.Background())
 		if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
@@ -205,7 +208,7 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 			t.Fatalf("boot generation after the refused reload: %+v, %v", res, err)
 		}
 
-		cfg, err := parse("-graph", graphFile(t), "-n", "6", "-r", "3", "-index", index)
+		cfg, err := parse("-graph", graphFile(t), "-n", "6", "-r", "3", "-snapshots", dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ package main
 //     process found it there or has just written it, so the generation owns
 //     it and Candidate.Release closes it after serve's swap has drained the
 //     calls still running on it. Only an index nothing published (no
-//     -snapshots, or a lossy -quantize copy) is served from the heap.
+//     -snapshots) is served from the heap.
 //   - remote slots that outlive reloads (-shardaddrs): ONE router for the
 //     life of the process; a reload rolls the workers one at a time.
 //     Nothing to release — remote slots own nothing here.
@@ -46,8 +46,8 @@ type source struct {
 	// engines are the remote slots' clients (nil when every slot is local).
 	engines []*wire.RemoteEngine
 	// graphLoad is what loading or generating the graph cost: 0 when the
-	// boot did not read it (a router has none; a boot from a snapshot or an
-	// -index file has no use for it).
+	// boot did not read it (a router has none; a boot from a snapshot has
+	// no use for it).
 	graphLoad time.Duration
 }
 
@@ -172,11 +172,6 @@ func openRemote(ctx context.Context, cfg *config) (*source, error) {
 func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 	start := time.Now()
 	b, err := w.build(ctx)
-	if err == nil {
-		if err = saveIndex(w.cfg, b.ix); err != nil {
-			_ = b.ix.Close()
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +203,13 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 
 // wholeIndex resolves one whole CSR+ index per call, off the serving
 // path. Precedence mirrors the flags: the live graph once ingestion is
-// up, else the snapshot directory's CURRENT, else a pinned -index file,
-// else an in-process precompute over the graph. Only the last reads the
-// graph the flags name, and keeps it no longer than the call: a loaded
-// index is held to the flags' node count (cfg.n) instead, and a generation
-// rests at its published file, not at what it was computed from. Calls
-// never overlap: the boot makes the first, and reload.Manager runs one load
-// at a time.
+// up, else the snapshot directory (its CURRENT, or with none the newest
+// generation there), else an in-process precompute over the graph. Only
+// the last reads the graph the flags name, and keeps it no longer than the
+// call: a loaded index is held to the flags' node count (cfg.n) instead,
+// and a generation rests at its published file, not at what it was
+// computed from. Calls never overlap: the boot makes the first, and
+// reload.Manager runs one load at a time.
 type wholeIndex struct {
 	cfg *config
 	ing *ingest.Service // set by openIndex once the boot index exists
@@ -305,11 +300,10 @@ type built struct {
 // operators can roll back to the generation the server came up with) and
 // every live-graph rebuild lands on disk stamped with the WAL sequence
 // it covers, so the next boot replays only the tail. A generation is its
-// published file: an exact-tier publish hands back the file as a boot from
-// the directory would open it — mapped, every CRC checked before CURRENT
-// named it — and that, not the heap factors it was written from, is what
-// build returns. A lossy -quantize publish is a copy for other readers; the
-// exact index keeps serving.
+// published file: a publish hands back the file as a boot from the
+// directory would open it — mapped, every CRC checked before CURRENT named
+// it — and that, not the heap factors it was written from, is what build
+// returns.
 func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -353,10 +347,6 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 			log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
 		}
 		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m}
-	case cfg.indexPath != "":
-		log.Printf("loading index %s over %s ...", cfg.indexPath, w.shape())
-		b.ix, err = core.LoadIndex(cfg.indexPath)
-		b.meta = reload.Meta{Source: "index", Path: cfg.indexPath, M: w.m}
 	default:
 		if b.g, b.graphLoad, err = w.readGraph(); err != nil {
 			return nil, err
@@ -391,30 +381,21 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	return b, nil
 }
 
-// publish writes b.ix to the snapshot directory at the -quantize tier and,
-// when that is the exact tier, swaps b.ix for the generation as published
-// (see build); the index it replaces is closed — a mapped -index file — or
-// left to the collector. It returns its clocks: publish=, and the read-back
-// inside it as remap=.
+// publish writes b.ix to the snapshot directory and swaps b.ix for the
+// generation as published (see build); the heap index it replaces is
+// closed and left to the collector. It returns its clocks: publish=, and
+// the read-back inside it as remap=.
 func (w *wholeIndex) publish(b *built) (string, error) {
 	cfg := w.cfg
 	start := time.Now()
-	tix, err := b.ix.QuantizeTo(cfg.quantize)
-	if err != nil {
-		return "", err
-	}
-	served, snap, readBack, err := core.PublishSnapshot(cfg.snapDir, tix)
+	served, snap, readBack, err := core.PublishSnapshot(cfg.snapDir, b.ix)
 	if err != nil {
 		return "", err
 	}
 	b.meta.SnapshotGen, b.meta.Path = snap.Gen, snap.Path
-	log.Printf("index published as snapshot generation %d (%s, tier %s)", snap.Gen, snap.Path, tierName(cfg.quantize))
-	if tix == b.ix {
-		_ = b.ix.Close()
-		b.ix = served
-	} else {
-		_ = served.Close()
-	}
+	log.Printf("index published as snapshot generation %d (%s)", snap.Gen, snap.Path)
+	_ = b.ix.Close()
+	b.ix = served
 	// The new generation is already durable and live, so a failure to
 	// delete old ones is logged, never returned. A generation still mapped
 	// by this process keeps its pages after the unlink.
@@ -433,31 +414,6 @@ func clockSince(t time.Time) time.Duration { return clock(time.Since(t)) }
 func coreIndex(eng *csrplus.Engine) *core.Index {
 	ix, _ := eng.CoreIndex()
 	return ix
-}
-
-// saveIndex honours -saveindex for the boot index.
-func saveIndex(cfg *config, ix *core.Index) error {
-	if cfg.saveIndex == "" {
-		return nil
-	}
-	tix, err := ix.QuantizeTo(cfg.quantize)
-	if err == nil {
-		err = core.SaveIndex(tix, cfg.saveIndex)
-	}
-	if err != nil {
-		return err
-	}
-	log.Printf("index persisted to %s (tier %s)", cfg.saveIndex, tierName(cfg.quantize))
-	return nil
-}
-
-// tierName renders the -quantize flag value for logs ("" is the exact
-// f64 tier).
-func tierName(q string) string {
-	if q == "" {
-		return "f64"
-	}
-	return q
 }
 
 // snapshotAvailable reports whether dir holds anything a boot could

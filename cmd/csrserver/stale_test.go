@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,16 +15,7 @@ import (
 // published into looks like to this one.
 func staleDir(t *testing.T, dir, fixture string) string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, core.SnapshotName(1)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bareSnapshot(t, dir, filepath.Join("..", "..", "internal", "core", "testdata", fixture), 1)
 	if err := core.SetCurrent(dir, 1); err != nil {
 		t.Fatal(err)
 	}

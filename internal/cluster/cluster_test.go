@@ -397,7 +397,8 @@ func (h *harness) wantSameAnswers(querySets []string, ks []int, targets string) 
 
 // TestClusterCompactedMatchesDenseV2 is the compacted-format run over the
 // wire: the monolithic server boots from a file that stores every row of
-// an index — a quarter of them all zero — and the workers from per-shard
+// an index — a quarter of them all zero — copied into its snapshot
+// directory with no CURRENT, and the workers from per-shard
 // files cut from the same index with those rows left out. The two deployments must answer /topk and /similarity bit for
 // bit, for sources, targets and excluded nodes among the rows nobody
 // stores, and for k past what is stored.
@@ -417,11 +418,22 @@ func TestClusterCompactedMatchesDenseV2(t *testing.T) {
 		t.Fatalf("fixture compacts %d rows to %d: nothing was left out", dense.Stored(), compact.Stored())
 	}
 	tmp := t.TempDir()
-	graphPath := filepath.Join(tmp, "edges.txt") // named by the flags, read by no boot from an -index file
+	graphPath := filepath.Join(tmp, "edges.txt") // named by the flags, read by no boot from a snapshot
 	if err := os.WriteFile(graphPath, []byte("0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h.serve(compact, filepath.Join(tmp, "snapshots"), "-graph", graphPath, "-n", fmt.Sprint(dense.N()), "-index", full)
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monoDir := filepath.Join(tmp, "mono")
+	if err := os.Mkdir(monoDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(monoDir, core.SnapshotName(1)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h.serve(compact, filepath.Join(tmp, "snapshots"), "-graph", graphPath, "-n", fmt.Sprint(dense.N()), "-snapshots", monoDir)
 	// 3, 7, 11 and 47 are rows the workers do not store.
 	h.wantSameAnswers([]string{"0", "3", "47", "8,16", "3,8,47,8", "3,7,11", "46,0,3"},
 		[]int{1, 5, compact.Stored(), compact.Stored() + 1, dense.N()}, "0,3,7,8,16,46,47")

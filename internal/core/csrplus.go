@@ -515,8 +515,7 @@ func (ix *Index) TruncationBound(rank int) float64 {
 		return fixed
 	}
 	ix.boundOnce.Do(func() {
-		fmax := ix.ColMaxes()
-		ix.boundTail = TailBound(ix.c, fmax, fmax)
+		ix.boundTail = TailBound(ix.c, ix.ColMaxes())
 	})
 	return ix.boundTail[rank] + fixed
 }

@@ -421,8 +421,7 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	}
 	ferr := back.QuantErrs()
 	wantBitwise(t, "quant error vector", ferr, sh.QuantErrs())
-	fmax := back.ColMaxes()
-	if got, want := QuantBound(back.Damping(), fmax, fmax, ferr, ferr), q.QuantizationBound(); got != want {
+	if got, want := QuantBound(back.Damping(), back.ColMaxes(), ferr), q.QuantizationBound(); got != want {
 		t.Fatalf("router-side QuantBound %g, want %g", got, want)
 	}
 }

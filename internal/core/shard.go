@@ -610,19 +610,17 @@ func (sh *IndexShard) ColMaxes() []float64 { return sh.f.ColAbsMax() }
 // router can feed any shard's copy into QuantBound.
 func (sh *IndexShard) QuantErrs() []float64 { return sh.fqerr }
 
-// TailBound runs Index.TruncationBound's recurrence over combined
-// per-column maxima of the two sides of the product: tail[j] = tail[j+1] +
-// c·amax[j]·bmax[j], returning tail so callers can index it by retained
-// rank. Both sides are F, so every caller passes its maxima twice: column j
-// of a row scores F_ij·F_qj ≤ fmax_j². Every truncated rank also carries
-// the rounding both compared scores may add (roundingSlack); tail[r], the
-// full rank, is 0. Exposed from core so the router and the Index share one
-// formula.
-func TailBound(c float64, amax, bmax []float64) []float64 {
-	r := len(amax)
+// TailBound runs Index.TruncationBound's recurrence over F's combined
+// per-column maxima: column j of a score sums F_ij·F_qj ≤ fmax_j², so
+// tail[j] = tail[j+1] + c·fmax[j]·fmax[j], returning tail so callers can
+// index it by retained rank. Every truncated rank also carries the rounding
+// both compared scores may add (roundingSlack); tail[r], the full rank, is
+// 0. Exposed from core so the router and the Index share one formula.
+func TailBound(c float64, fmax []float64) []float64 {
+	r := len(fmax)
 	tail := make([]float64, r+1)
 	for j := r - 1; j >= 0; j-- {
-		tail[j] = tail[j+1] + c*amax[j]*bmax[j]
+		tail[j] = tail[j+1] + c*fmax[j]*fmax[j]
 	}
 	slack := roundingSlack(r, tail[0])
 	for j := range tail[:r] {

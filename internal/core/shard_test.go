@@ -153,7 +153,7 @@ func TestTailBoundMatchesTruncationBound(t *testing.T) {
 			fmax[j] = math.Max(fmax[j], v)
 		}
 	}
-	tail := TailBound(ix.Damping(), fmax, fmax)
+	tail := TailBound(ix.Damping(), fmax)
 	for rank := 1; rank < r; rank++ {
 		if got, want := tail[rank], ix.TruncationBound(rank); got != want {
 			t.Fatalf("rank %d: combined tail bound %v != monolithic %v", rank, got, want)

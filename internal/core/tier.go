@@ -76,39 +76,32 @@ func (t Tier) kind() dense.Kind {
 	}
 }
 
-// QuantBound is the shared entrywise quantisation bound of a product A'B'ᵀ
-// of two quantized factors: with measured per-column dequantisation errors
-// aerr/berr and served column maxima amax/bmax (so A' = A + ΔA with
-// |ΔA_{*,j}| ≤ aerr_j, |A'_{*,j}| ≤ amax_j),
+// QuantBound is the shared entrywise quantisation bound of the served
+// product F'F'ᵀ: with measured per-column dequantisation errors ferr and
+// served column maxima fmax (so F' = F + ΔF with |ΔF_{*,j}| ≤ ferr_j,
+// |F'_{*,j}| ≤ fmax_j),
 //
-//	|c·(A'B'ᵀ − ABᵀ)_ik| ≤ c·Σ_j (amax_j·berr_j + bmax_j·aerr_j + aerr_j·berr_j)
+//	|c·(F'F'ᵀ − FFᵀ)_ik| ≤ c·Σ_j (fmax_j·ferr_j + fmax_j·ferr_j + ferr_j·ferr_j)
 //
-// (expand A'B'ᵀ − ABᵀ = A'ΔBᵀ + ΔA B'ᵀ − ΔA ΔBᵀ and bound each term by
-// column). The served product is F'F'ᵀ, so every caller passes F's terms
-// twice: QuantBound(c, fmax, fmax, ferr, ferr). Index.QuantizationBound
+// (expand F'F'ᵀ − FFᵀ = F'ΔFᵀ + ΔF F'ᵀ − ΔF ΔFᵀ and bound each term by
+// column). A nil ferr is the exact tier: 0. Index.QuantizationBound
 // evaluates it over the whole factor; the sharded router evaluates the
 // identical formula from combined per-shard maxima (ColMaxes) and any
 // shard's QuantErrs.
 //
 // Like TailBound it carries roundingSlack, over scores of size c·Σ_j
-// amax_j·bmax_j.
-func QuantBound(c float64, amax, bmax, aerr, berr []float64) float64 {
-	if aerr == nil && berr == nil {
+// fmax_j².
+func QuantBound(c float64, fmax, ferr []float64) float64 {
+	if ferr == nil {
 		return 0
 	}
 	b, size := 0.0, 0.0
-	for j := range amax {
-		size += amax[j] * bmax[j]
-		var ae, be float64
-		if aerr != nil {
-			ae = aerr[j]
-		}
-		if berr != nil {
-			be = berr[j]
-		}
-		b += amax[j]*be + bmax[j]*ae + ae*be
+	for j, f := range fmax {
+		size += f * f
+		e := ferr[j]
+		b += f*e + f*e + e*e
 	}
-	return c*b + roundingSlack(len(amax), c*size)
+	return c*b + roundingSlack(len(fmax), c*size)
 }
 
 // QuantizationBound returns a rigorous bound on the entrywise error a
@@ -123,8 +116,7 @@ func (ix *Index) QuantizationBound() float64 {
 		return 0
 	}
 	ix.quantOnce.Do(func() {
-		fmax := ix.ColMaxes()
-		ix.quantBound = QuantBound(ix.c, fmax, fmax, ix.fqerr, ix.fqerr)
+		ix.quantBound = QuantBound(ix.c, ix.ColMaxes(), ix.fqerr)
 	})
 	return ix.quantBound
 }

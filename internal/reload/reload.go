@@ -81,10 +81,14 @@ type Candidate struct {
 
 // Meta is the provenance of one engine generation.
 type Meta struct {
-	// Source is where the engine came from: "snapshot", "index", or
-	// "rebuild" (and "boot" semantics come from the generation number).
+	// Source is where the engine came from: "snapshot" (loaded from the
+	// snapshot directory), "rebuild" (precomputed over the flags' graph),
+	// "ingest-rebuild" (precomputed over the live graph) or "wire" (remote
+	// slots).
 	Source string `json:"source"`
-	// Path is the snapshot or index file loaded, "" for in-process builds.
+	// Path is the snapshot file the generation serves (the one it was
+	// loaded from, or published as), the worker addresses of "wire", and ""
+	// for an in-process build nothing published.
 	Path string `json:"path,omitempty"`
 	// SnapshotGen is the generation parsed from a versioned snapshot
 	// name (core.ParseSnapshotName), 0 otherwise. Distinct from the

@@ -647,7 +647,7 @@ func (r *Router) rebuildBound() (*boundEntry, error) {
 	}
 	return &boundEntry{
 		gens:  gens,
-		tail:  core.TailBound(r.c, fmax, fmax),
-		quant: core.QuantBound(r.c, fmax, fmax, ferr, ferr) + clamp,
+		tail:  core.TailBound(r.c, fmax),
+		quant: core.QuantBound(r.c, fmax, ferr) + clamp,
 	}, nil
 }
