@@ -21,8 +21,7 @@ import (
 // among the rows left out, and for k up to, at and past the rows stored.
 // (internal/shard holds the routers over K = 2, 3 and 7 slots, and over
 // slots that store nothing, to the same answers.) Each K = 1 server boots
-// the way a pre-built file is served: copied into its snapshot directory
-// with no CURRENT.
+// from a pre-built file copied into its snapshot directory.
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
 	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v4-sparse.csrx")

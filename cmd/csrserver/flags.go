@@ -81,7 +81,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.rank, "r", 5, "SVD rank")
 	fs.Float64Var(&c.damping, "c", 0.6, "damping factor")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx + CURRENT, or shard-<s>/ of the same with -shardworker); boot from it when populated (with no CURRENT, from the newest index-<gen>.csrx: copy a pre-built file in under that name); every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
+	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx, or shard-<s>/ of the same with -shardworker); boot from its newest generation that loads when populated (csrstat -index FILE -convert DIR publishes a pre-built file or an old generation as the newest); every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
 	fs.StringVar(&c.shardAddrs, "shardaddrs", "", "comma-separated shard worker addresses; serve as the router over these remote slots")
 	fs.StringVar(&c.adminToken, "admintoken", "", "bearer token authorising the POST /admin/* routes (empty disables them)")

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -286,8 +287,8 @@ func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 // TestPublishPrunesSnapshots pins the retention rule on the server's
 // publish path (shard.TestPublishSnapshots holds the per-shard publisher to
 // the same): however many generations the server publishes, its snapshot
-// directory holds at most core.KeepSnapshots of them, and the one CURRENT
-// names is always among the survivors and still loads.
+// directory holds at most core.KeepSnapshots of them, and the newest is
+// always the last published and still loads.
 func TestPublishPrunesSnapshots(t *testing.T) {
 	const publishes = core.KeepSnapshots + 3
 	t.Run("drift rebuilds", func(t *testing.T) {
@@ -301,16 +302,16 @@ func TestPublishPrunesSnapshots(t *testing.T) {
 			if _, err := s.reload(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			snaps, err := core.ListSnapshots(snapDir)
+			snaps, err := filepath.Glob(filepath.Join(snapDir, "index-*.csrx"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(snaps) > core.KeepSnapshots {
 				t.Fatalf("%s holds %d generations, want at most %d", snapDir, len(snaps), core.KeepSnapshots)
 			}
-			path, _, err := core.CurrentSnapshot(snapDir)
-			if err != nil {
-				t.Fatalf("CURRENT's target was pruned: %v", err)
+			path, gen, err := core.CurrentSnapshot(snapDir)
+			if err != nil || gen != uint64(i+2) {
+				t.Fatalf("publish %d: the newest generation is %d (%v), want %d", i+2, gen, err, i+2)
 			}
 			ix, err := core.LoadIndex(path)
 			if err == nil {
@@ -321,7 +322,7 @@ func TestPublishPrunesSnapshots(t *testing.T) {
 			}
 		}
 		if _, gen, _ := core.CurrentSnapshot(snapDir); gen != publishes+1 {
-			t.Fatalf("CURRENT at generation %d after %d publishes", gen, publishes+1)
+			t.Fatalf("newest generation %d after %d publishes", gen, publishes+1)
 		}
 	})
 }

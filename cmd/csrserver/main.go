@@ -30,16 +30,15 @@
 // source.go.
 //
 // The snapshot directory (-snapshots) is the process's one on-disk
-// contract. A boot or reload serves the generation its CURRENT names — or,
-// with no CURRENT, the newest index-<gen>.csrx — and an index the process
-// builds is published there first and served from the file it was
-// published as. To serve a pre-built or quantized index, write it offline
-// (csrstat -convert [-quantize], Engine.SaveIndex) and copy it into the
-// directory as index-<gen>.csrx.
+// contract. A boot or reload serves its newest index-<gen>.csrx that loads,
+// and an index the process builds is published there first and served from
+// the file it was published as. To serve a pre-built or quantized index, or
+// to roll back to an older generation, publish it as the newest:
+// csrstat -index FILE -convert DIR [-quantize].
 //
 // The index hot-reloads with zero downtime: SIGHUP (or an authenticated
 // POST /admin/reload) loads the next generation off the serving path —
-// the snapshot -snapshots DIR's CURRENT names (index-<gen>.csrx), or
+// the newest snapshot in -snapshots DIR that loads (index-<gen>.csrx), or
 // every worker's own reload with -shardaddrs — scans its factors for a
 // non-finite score, validates it with a smoke query and swaps it in while
 // in-flight engine calls drain on the old one. The boot generation passes

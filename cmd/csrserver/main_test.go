@@ -64,8 +64,7 @@ func graphFile(t testing.TB) string {
 }
 
 // bareSnapshot copies the index file src into dir as generation gen's
-// snapshot and writes no CURRENT — how an operator serves a pre-built file —
-// and returns dir.
+// snapshot — a hand-provisioned directory — and returns dir.
 func bareSnapshot(t testing.TB, dir, src string, gen uint64) string {
 	t.Helper()
 	data, err := os.ReadFile(src)
@@ -877,9 +876,9 @@ func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
 	}
 }
 
-// Boot must survive a snapshot directory whose CURRENT points at a
-// missing generation: crash recovery serves the newest valid one and
-// flags it.
+// Boot must survive a snapshot directory whose newest generation is torn
+// (a partial copy): crash recovery serves the newest valid one and flags
+// it.
 func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 	eng := testEngine(t)
 	dir := t.TempDir()
@@ -888,13 +887,12 @@ func TestBootRecoversFromTornSnapshotDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A torn publish: CURRENT names a generation that never hit the disk.
-	if err := os.WriteFile(filepath.Join(dir, core.CurrentFile), []byte(core.SnapshotName(9)+"\n"), 0o644); err != nil {
+	if err := os.Truncate(filepath.Join(dir, core.SnapshotName(2)), 100); err != nil {
 		t.Fatal(err)
 	}
 	st := bootArgs(t, "-snapshots", dir).man.Current()
-	if st.Source != "snapshot" || !st.Recovered || st.SnapshotGen != 2 || st.Rank != 3 {
-		t.Fatalf("recovery boot status = %+v, want recovered snapshot gen 2 at rank 3", st)
+	if st.Source != "snapshot" || !st.Recovered || st.SnapshotGen != 1 || st.Rank != 3 {
+		t.Fatalf("recovery boot status = %+v, want recovered snapshot gen 1 at rank 3", st)
 	}
 }
 

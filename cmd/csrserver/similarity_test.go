@@ -189,7 +189,7 @@ func poisonF(t *testing.T, path string, shard bool, row, rank int) {
 func TestNonFiniteFactorRowRefused(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {
 		// A pre-built file, served as one: the only generation of a
-		// snapshot directory with no CURRENT.
+		// snapshot directory.
 		dir := t.TempDir()
 		index := filepath.Join(dir, core.SnapshotName(1))
 		if err := testEngine(t).SaveIndex(index); err != nil {

@@ -203,12 +203,12 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 
 // wholeIndex resolves one whole CSR+ index per call, off the serving
 // path. Precedence mirrors the flags: the live graph once ingestion is
-// up, else the snapshot directory (its CURRENT, or with none the newest
-// generation there), else an in-process precompute over the graph. Only
-// the last reads the graph the flags name, and keeps it no longer than the
-// call: a loaded index is held to the flags' node count (cfg.n) instead,
-// and a generation rests at its published file, not at what it was
-// computed from. Calls never overlap: the boot makes the first, and
+// up, else the snapshot directory (its newest generation that loads),
+// else an in-process precompute over the graph. Only the last reads the
+// graph the flags name, and keeps it no longer than the call: a loaded
+// index is held to the flags' node count (cfg.n) instead, and a
+// generation rests at its published file, not at what it was computed
+// from. Calls never overlap: the boot makes the first, and
 // reload.Manager runs one load at a time.
 type wholeIndex struct {
 	cfg *config
@@ -296,14 +296,14 @@ type built struct {
 
 // build produces the next whole index and, when it did not come from
 // the snapshot directory, publishes it there — so an empty directory is
-// primed with the boot index (the first SIGHUP has a CURRENT to resolve,
+// primed with the boot index (the first SIGHUP has a generation to load,
 // operators can roll back to the generation the server came up with) and
 // every live-graph rebuild lands on disk stamped with the WAL sequence
 // it covers, so the next boot replays only the tail. A generation is its
 // published file: a publish hands back the file as a boot from the
-// directory would open it — mapped, every CRC checked before CURRENT named
-// it — and that, not the heap factors it was written from, is what build
-// returns.
+// directory would open it — mapped, every CRC checked before the file got
+// its generation name — and that, not the heap factors it was written
+// from, is what build returns.
 func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -344,7 +344,7 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 		var recovered bool
 		b.ix, snap, recovered, err = core.RecoverSnapshot(cfg.snapDir)
 		if recovered {
-			log.Printf("WARNING: CURRENT unservable, recovered to snapshot generation %d (%s) — investigate and re-publish", snap.Gen, snap.Path)
+			log.Printf("WARNING: skipped a newer snapshot generation (%v), recovered to generation %d (%s) — investigate and re-publish", snap.Skipped, snap.Gen, snap.Path)
 		}
 		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m}
 	default:
@@ -416,17 +416,12 @@ func coreIndex(eng *csrplus.Engine) *core.Index {
 	return ix
 }
 
-// snapshotAvailable reports whether dir holds anything a boot could
-// serve — a resolvable CURRENT or, failing that, any index-<gen>.csrx
-// file crash recovery could fall back to. An empty or still-
-// unprovisioned directory falls through to the other sources instead of
-// failing the boot.
+// snapshotAvailable reports whether dir holds a generation in the format
+// this build serves. An empty, still-unprovisioned or stale-only directory
+// falls through to the other sources instead of failing the boot.
 func snapshotAvailable(dir string) bool {
-	if _, _, err := core.CurrentSnapshot(dir); err == nil {
-		return true
-	}
-	snaps, err := core.ListSnapshots(dir)
-	return err == nil && len(snaps) > 0
+	_, _, err := core.CurrentSnapshot(dir)
+	return err == nil
 }
 
 // loadGraph reads or generates the graph the flags name; parseFlags has

@@ -10,16 +10,12 @@ import (
 	"csrplus/internal/wire"
 )
 
-// staleDir is a snapshot directory whose one generation, CURRENT's, is the
-// committed two-factor v3 fixture file: what a directory an older binary
-// published into looks like to this one.
+// staleDir is a snapshot directory whose one generation is the committed
+// two-factor v3 fixture file: what a directory an older binary published
+// into looks like to this one.
 func staleDir(t *testing.T, dir, fixture string) string {
 	t.Helper()
-	bareSnapshot(t, dir, filepath.Join("..", "..", "internal", "core", "testdata", fixture), 1)
-	if err := core.SetCurrent(dir, 1); err != nil {
-		t.Fatal(err)
-	}
-	return dir
+	return bareSnapshot(t, dir, filepath.Join("..", "..", "internal", "core", "testdata", fixture), 1)
 }
 
 // TestStaleGenerationIsNeverServed: a generation in the two-factor format
@@ -32,9 +28,6 @@ func TestStaleGenerationIsNeverServed(t *testing.T) {
 	if _, _, err := core.CurrentSnapshot(dir); !errors.Is(err, core.ErrNoSnapshot) || !errors.Is(err, core.ErrFormat) {
 		t.Fatalf("CurrentSnapshot over a stale generation: err = %v, want ErrNoSnapshot and ErrFormat", err)
 	}
-	if snaps, err := core.ListSnapshots(dir); err != nil || len(snaps) != 0 {
-		t.Fatalf("ListSnapshots over a stale generation: %v, %v; want none", snaps, err)
-	}
 
 	st := bootArgs(t, "-snapshots", dir).man.Current()
 	if st.Source != "rebuild" || st.SnapshotGen != 2 {
@@ -42,7 +35,7 @@ func TestStaleGenerationIsNeverServed(t *testing.T) {
 	}
 	path, gen, err := core.CurrentSnapshot(dir)
 	if err != nil || gen != 2 {
-		t.Fatalf("after the boot: CURRENT resolves to generation %d (%v), want 2", gen, err)
+		t.Fatalf("after the boot: the newest generation is %d (%v), want 2", gen, err)
 	}
 	ix, err := core.LoadIndex(path)
 	if err != nil {

@@ -10,6 +10,8 @@
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
 //	csrstat -index old-v3.csrx -convert new.csrx              # exact two-factor v3 -> one-factor v4
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
+//	csrstat -index whole.csrx -convert /data/snaps            # publish as the directory's newest generation
+//	csrstat -index /data/snaps/index-00000003.csrx -convert /data/snaps  # roll back to generation 3
 //	csrstat -index whole.csrx -convert /data/snaps -split 4   # publish shard-<s>/ generations for 4 -shardworkers
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
 package main
@@ -37,7 +39,7 @@ func main() {
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v4, mmap-able, one-factor) layout, without its all-zero rows; an exact v3 index is converted")
+	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v4, mmap-able, one-factor) layout, without its all-zero rows; an exact v3 index is converted. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	var split *int // nil unless given: -split 0 is refused, not read as "one file"
 	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
@@ -71,9 +73,10 @@ func main() {
 
 // runIndex is index mode: print the metadata a persisted index carries,
 // and optionally rewrite it (v3 -> v4 migration, tier conversion) as one
-// file or, with split (nil when -split was not given), as the per-shard
-// snapshot directories a cluster of *split workers boots from
-// (shard.PublishSnapshots). An exact v3 index — two factors, which no
+// file, as the newest generation of the snapshot directory convert names
+// when it is an existing directory, or, with split (nil when -split was
+// not given), as the per-shard snapshot directories a cluster of *split
+// workers boots from (shard.PublishSnapshots). An exact v3 index — two factors, which no
 // server loads — is read by core.ConvertIndex, which derives the one
 // factor; converting is that load + save, less the rows that are all zero
 // (core.Index.Compact: the answers do not move).
@@ -140,6 +143,17 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 			return fmt.Errorf("-split %d: %w", *split, err)
 		}
 		fmt.Fprintf(out, "published:     %s/shard-{0..%d} (tier %s, %d of %d rows stored)\n", convert, *split-1, outIx.Tier(), outIx.Stored(), outIx.N())
+		return nil
+	}
+	if fi, err := os.Stat(convert); err == nil && fi.IsDir() {
+		gen, published, err := core.WriteSnapshot(convert, outIx)
+		if err != nil {
+			return err
+		}
+		if _, err := core.PruneSnapshots(convert, core.KeepSnapshots); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "published:     %s (generation %d, tier %s, %d of %d rows stored)\n", published, gen, outIx.Tier(), outIx.Stored(), outIx.N())
 		return nil
 	}
 	if err := core.SaveIndex(outIx, convert); err != nil {

@@ -211,6 +211,85 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 }
 
+// TestRunIndexConvertPublishesIntoSnapshotDir: -convert naming an existing
+// directory publishes the index as that directory's next generation —
+// generation 3 past two, generation 1 in an empty one — which answers as
+// the source does; republishing an old generation rolls the directory back
+// to it; and the directory is pruned to core.KeepSnapshots.
+func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "whole.csrx")
+	ix := buildTestIndex(t)
+	if err := core.SaveIndex(ix, src); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ErdosRenyi(40, 200, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := core.Precompute(g, core.Options{Rank: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if _, _, err := core.WriteSnapshot(dir, other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// newest loads dir's newest generation, which must be gen and answer
+	// like want.
+	newest := func(gen uint64, want *core.Index) {
+		t.Helper()
+		back, snap, recovered, err := core.RecoverSnapshot(dir)
+		if err != nil || recovered || snap.Gen != gen {
+			t.Fatalf("newest generation %d (recovered=%v, err=%v), want %d", snap.Gen, recovered, err, gen)
+		}
+		defer back.Close()
+		if back.Build() != want.Build() {
+			t.Fatalf("generation %d has build %x, want %x", gen, back.Build(), want.Build())
+		}
+		for _, q := range []int{0, 7, 39} {
+			got, err := back.QueryOne(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := want.QueryOne(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("generation %d: s(%d, %d) = %v, want %v", gen, q, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := runIndex(&buf, src, dir, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "published:     "+filepath.Join(dir, core.SnapshotName(3))) {
+		t.Fatalf("no publish reported:\n%s", buf.String())
+	}
+	newest(3, ix)
+
+	// Rolling back: generation 1 published again, as generation 4; the
+	// directory keeps its newest three.
+	if err := runIndex(&buf, filepath.Join(dir, core.SnapshotName(1)), dir, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	newest(4, other)
+	if names, _ := filepath.Glob(filepath.Join(dir, "index-*.csrx")); len(names) != core.KeepSnapshots {
+		t.Fatalf("%d generations after the rollback, want %d", len(names), core.KeepSnapshots)
+	}
+
+	dir = t.TempDir()
+	if err := runIndex(&buf, src, dir, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	newest(1, ix)
+}
+
 // TestRunIndexSplit: -convert DIR -split K publishes what a cluster of K
 // workers boots from — three wire.BootWorkers over the output, behind a
 // router, answer top-k and scores with the whole index's bits — and a

@@ -429,9 +429,10 @@ func (e *Engine) SaveIndexTier(path, tier string) error {
 }
 
 // SaveSnapshot persists a CSR+ engine's index as the next generation of
-// the versioned snapshot directory dir (index-<gen>.csrx) and atomically
-// repoints the CURRENT file at it — the publish half of the zero-downtime
-// reload cycle. It returns the generation number and the snapshot path.
+// the versioned snapshot directory dir (index-<gen>.csrx), read back
+// before its name appears — the publish half of the zero-downtime reload
+// cycle, whose reloads serve the newest generation. It returns the
+// generation number and the snapshot path.
 func (e *Engine) SaveSnapshot(dir string) (gen uint64, path string, err error) {
 	return e.SaveSnapshotTier(dir, "")
 }
@@ -491,18 +492,17 @@ type RecoveredSnapshot struct {
 	// Gen and Path identify the loaded index-<gen>.csrx file.
 	Gen  uint64
 	Path string
-	// Recovered reports the served snapshot is NOT the one the
-	// directory's CURRENT names — crash recovery fell back to an older
-	// generation, and the operator should investigate and re-publish.
+	// Recovered reports that a newer generation failed to load — crash
+	// recovery fell back to an older one, and the operator should
+	// investigate and re-publish.
 	Recovered bool
 }
 
 // RecoverEngine is LoadEngine over a versioned snapshot directory with
-// crash recovery: it serves the snapshot CURRENT names when that loads
-// cleanly, and otherwise falls back to the newest generation that still
-// deserialises (torn CURRENT writes, truncated or missing index files —
-// the states a crash mid-publish leaves behind). See core.RecoverSnapshot
-// for the exact fallback order. Like LoadEngine's, the graph may be nil.
+// crash recovery: it serves the newest generation that loads, walking down
+// past truncated or corrupt ones (a partial copy, bit rot). See
+// core.RecoverSnapshot for the exact fallback order. Like LoadEngine's,
+// the graph may be nil.
 func RecoverEngine(g *Graph, dir string) (*Engine, RecoveredSnapshot, error) {
 	ix, snap, recovered, err := core.RecoverSnapshot(dir)
 	if err != nil {

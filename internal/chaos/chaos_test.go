@@ -336,10 +336,11 @@ func TestChaosDegradedAnswersStayWithinAdvertisedBound(t *testing.T) {
 }
 
 // TestChaosTornSnapshotWritesAlwaysRecoverable tears and fails snapshot
-// publishes — short index writes, failed fsyncs, torn CURRENT pointers —
-// and after every attempt requires RecoverSnapshot to produce an intact
-// index that answers exactly. Disarming must restore clean publishes
-// with CURRENT pointing at the newest generation.
+// publishes — short index writes, failed fsyncs, failed placements under
+// the generation name — and after every attempt requires RecoverSnapshot
+// to produce an intact index that answers exactly, and a failed attempt to
+// leave the directory serving its previous newest generation. Disarming
+// must restore clean publishes, each the newest generation.
 func TestChaosTornSnapshotWritesAlwaysRecoverable(t *testing.T) {
 	ix, ref := fixture(t)
 	n := ix.N()
@@ -347,49 +348,65 @@ func TestChaosTornSnapshotWritesAlwaysRecoverable(t *testing.T) {
 	for _, seed := range seeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			if _, _, err := core.WriteSnapshot(dir, ix); err != nil {
+			newest, _, err := core.WriteSnapshot(dir, ix)
+			if err != nil {
 				t.Fatalf("seeding snapshot dir: %v", err)
 			}
 			fault.Enable(seed)
 			defer fault.Disable()
-			fault.Arm(fault.SiteIndexWrite, fault.Plan{TornProb: 0.4, TornBytes: 128, ErrProb: 0.2})
-			fault.Arm(fault.SiteIndexSync, fault.Plan{ErrProb: 0.3})
-			fault.Arm(fault.SiteCurrentWrite, fault.Plan{TornProb: 0.3, TornBytes: 3, ErrProb: 0.2})
-
-			for i := 0; i < 8; i++ {
-				_, _, werr := core.WriteSnapshot(dir, ix)
-				rix, _, _, err := core.RecoverSnapshot(dir)
-				if err != nil {
-					t.Fatalf("write attempt %d (err=%v) left the snapshot dir unrecoverable: %v", i, werr, err)
+			for _, phase := range []map[string]fault.Plan{
+				{
+					fault.SiteIndexWrite: {TornProb: 0.4, TornBytes: 128, ErrProb: 0.2},
+					fault.SiteIndexSync:  {ErrProb: 0.3},
+				},
+				// Written and read back, then refused its name.
+				{fault.SiteSnapshotLink: {ErrProb: 0.5}},
+			} {
+				for site, plan := range phase {
+					fault.Arm(site, plan)
 				}
-				if rix.N() != n {
-					t.Fatalf("recovered index has n=%d, want %d", rix.N(), n)
-				}
-				col, err := rix.QueryOne(probe)
-				if err != nil {
-					t.Fatalf("recovered index cannot answer: %v", err)
-				}
-				for node, s := range col {
-					if math.Abs(s-ref[probe][node]) > 1e-12 {
-						t.Fatalf("recovered index answers differently at node %d: %g vs %g", node, s, ref[probe][node])
+				for i := 0; i < 8; i++ {
+					gen, _, werr := core.WriteSnapshot(dir, ix)
+					if werr == nil {
+						newest = gen
+					}
+					rix, snap, recovered, err := core.RecoverSnapshot(dir)
+					if err != nil {
+						t.Fatalf("write attempt %d (err=%v) left the snapshot dir unrecoverable: %v", i, werr, err)
+					}
+					if recovered || snap.Gen != newest {
+						t.Fatalf("write attempt %d (err=%v): recovery serves generation %d (recovered=%v), want the newest published, %d", i, werr, snap.Gen, recovered, newest)
+					}
+					if rix.N() != n {
+						t.Fatalf("recovered index has n=%d, want %d", rix.N(), n)
+					}
+					col, err := rix.QueryOne(probe)
+					if err != nil {
+						t.Fatalf("recovered index cannot answer: %v", err)
+					}
+					for node, s := range col {
+						if math.Abs(s-ref[probe][node]) > 1e-12 {
+							t.Fatalf("recovered index answers differently at node %d: %g vs %g", node, s, ref[probe][node])
+						}
 					}
 				}
-			}
-			if fault.Injected(fault.SiteIndexWrite)+fault.Injected(fault.SiteIndexSync)+
-				fault.Injected(fault.SiteCurrentWrite) == 0 {
-				t.Fatalf("chaos never fired; the test asserted nothing")
+				var fired int64
+				for site := range phase {
+					fired += fault.Injected(site)
+					fault.Disarm(site)
+				}
+				if fired == 0 {
+					t.Fatalf("chaos never fired at %v; the test asserted nothing", phase)
+				}
 			}
 
-			fault.Disarm(fault.SiteIndexWrite)
-			fault.Disarm(fault.SiteIndexSync)
-			fault.Disarm(fault.SiteCurrentWrite)
 			gen, path, err := core.WriteSnapshot(dir, ix)
 			if err != nil {
 				t.Fatalf("clean publish after disarm: %v", err)
 			}
 			gotPath, gotGen, err := core.CurrentSnapshot(dir)
 			if err != nil || gotGen != gen || gotPath != path {
-				t.Fatalf("CURRENT after clean publish: (%q, %d, %v), want (%q, %d)", gotPath, gotGen, err, path, gen)
+				t.Fatalf("newest after clean publish: (%q, %d, %v), want (%q, %d)", gotPath, gotGen, err, path, gen)
 			}
 			if _, snap, recovered, err := core.RecoverSnapshot(dir); err != nil || recovered || snap.Gen != gen {
 				t.Fatalf("recovery after clean publish: gen=%d recovered=%v err=%v, want gen=%d recovered=false",

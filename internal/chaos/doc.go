@@ -19,8 +19,8 @@
 //     engine's advertised entrywise bound when served degraded.
 //   - A failing reload source never disturbs the serving generation; the
 //     old engine keeps answering exactly until a healthy candidate swaps in.
-//   - A snapshot directory survives torn writes, failed fsyncs and torn
-//     CURRENT pointers: recovery always finds the newest intact generation.
+//   - A snapshot directory survives torn writes, failed fsyncs and failed
+//     placements: recovery always finds the newest intact generation.
 //
 // A plain `go test ./...` compiles none of this (and the fault hooks in
 // production code compile to nothing), so the chaos suite can be as

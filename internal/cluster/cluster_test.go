@@ -398,7 +398,7 @@ func (h *harness) wantSameAnswers(querySets []string, ks []int, targets string) 
 // TestClusterCompactedMatchesDenseV2 is the compacted-format run over the
 // wire: the monolithic server boots from a file that stores every row of
 // an index — a quarter of them all zero — copied into its snapshot
-// directory with no CURRENT, and the workers from per-shard
+// directory, and the workers from per-shard
 // files cut from the same index with those rows left out. The two deployments must answer /topk and /similarity bit for
 // bit, for sources, targets and excluded nodes among the rows nobody
 // stores, and for k past what is stored.

@@ -63,7 +63,7 @@ func TestColdBootRestsLikeSnapshotBoot(t *testing.T) {
 		}
 	}
 	cold, coldURL := boot("rest-cold", ports[0])
-	warm, warmURL := boot("rest-snapshot", ports[1]) // CURRENT exists: the cold boot is ready
+	warm, warmURL := boot("rest-snapshot", ports[1]) // a generation exists: the cold boot is ready
 	var sources [2]struct {
 		Source string `json:"source"`
 	}

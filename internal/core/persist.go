@@ -211,39 +211,54 @@ func SaveShard(sh *IndexShard, path string) error {
 // by SaveIndex and SaveShard; op names the caller in error messages.
 func saveAtomic(op, path string, writeTo func(io.Writer) (int64, error)) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tempSavePrefix+"*")
+	tmp, err := writeTemp(op, dir, writeTo)
 	if err != nil {
-		return fmt.Errorf("core: %s: %w", op, err)
-	}
-	defer os.Remove(tmp.Name())
-	// The fault wrapper (chaos builds only) can tear or fail the payload
-	// write mid-file — upstream of the rename, so an injected "crash"
-	// must leave path untouched exactly like a real one.
-	if _, err := writeTo(fault.Writer(fault.SiteIndexWrite, tmp)); err != nil {
-		tmp.Close()
 		return err
 	}
-	// Data must hit stable storage before the rename can publish it:
-	// rename-then-crash without this fsync is exactly how a reboot yields
-	// a visible, complete-looking file full of zero pages.
-	if err := fault.Hit(fault.SiteIndexSync); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: %s: fsync: %w", op, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: %s: fsync: %w", op, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: %s: %w", op, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	defer os.Remove(tmp)
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("core: %s: %w", op, err)
 	}
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("core: %s: %w", op, err)
 	}
 	return nil
+}
+
+// writeTemp writes a file through writeTo to a fresh temp file in dir and
+// fsyncs it, returning its path: the durable half of every atomic write,
+// before the file gets its name (saveAtomic's rename, a publish's link).
+// On error nothing is left behind.
+func writeTemp(op, dir string, writeTo func(io.Writer) (int64, error)) (path string, err error) {
+	tmp, err := os.CreateTemp(dir, tempSavePrefix+"*")
+	if err != nil {
+		return "", fmt.Errorf("core: %s: %w", op, err)
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	// The fault wrapper (chaos builds only) can tear or fail the payload
+	// write mid-file — before the file has a name, so an injected "crash"
+	// must leave the directory untouched exactly like a real one.
+	if _, err := writeTo(fault.Writer(fault.SiteIndexWrite, tmp)); err != nil {
+		return "", err
+	}
+	// Data must hit stable storage before a name can publish it:
+	// rename-then-crash without this fsync is exactly how a reboot yields
+	// a visible, complete-looking file full of zero pages.
+	if err := fault.Hit(fault.SiteIndexSync); err != nil {
+		return "", fmt.Errorf("core: %s: fsync: %w", op, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return "", fmt.Errorf("core: %s: fsync: %w", op, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return "", fmt.Errorf("core: %s: %w", op, err)
+	}
+	return tmp.Name(), nil
 }
 
 // syncDir fsyncs a directory so a just-completed rename is durable. On

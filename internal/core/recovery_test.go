@@ -20,9 +20,9 @@ func truncateFile(t *testing.T, path string, keep int64) {
 // TestRecoverSnapshotMatrix is the crash-recovery matrix: every row is a
 // damaged snapshot directory and the recovery the serving layer must make
 // from it. The invariant throughout: RecoverSnapshot returns the newest
-// generation that still deserialises, flags when that is not the one
-// CURRENT advertises, and fails with a clear ErrNoSnapshot only when
-// nothing on disk can serve.
+// generation that still deserialises, flags — and says why — when a newer
+// one did not, and fails with a clear ErrNoSnapshot only when nothing on
+// disk can serve.
 func TestRecoverSnapshotMatrix(t *testing.T) {
 	ix := buildIndex(t)
 	setup := func(t *testing.T, gens int) string {
@@ -34,47 +34,79 @@ func TestRecoverSnapshotMatrix(t *testing.T) {
 		}
 		return dir
 	}
+	// fellBack asserts recovery served generation want, recovered, naming
+	// the generation it skipped.
+	fellBack := func(t *testing.T, dir string, want, skipped uint64) {
+		t.Helper()
+		got, snap, recovered, err := RecoverSnapshot(dir)
+		if err != nil || !recovered || snap.Gen != want {
+			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want fallback to gen %d", snap.Gen, recovered, err, want)
+		}
+		defer got.Close()
+		if snap.Skipped == nil || !strings.Contains(snap.Skipped.Error(), SnapshotName(skipped)) {
+			t.Fatalf("skipped = %v, want the reason generation %d did not load", snap.Skipped, skipped)
+		}
+	}
 
+	// The current generation is the newest one on disk; no pointer file
+	// names it.
 	t.Run("healthy directory serves CURRENT", func(t *testing.T) {
 		dir := setup(t, 2)
 		got, snap, recovered, err := RecoverSnapshot(dir)
-		if err != nil || recovered {
-			t.Fatalf("recover = gen %d, recovered=%v, err=%v", snap.Gen, recovered, err)
+		if err != nil || recovered || snap.Skipped != nil {
+			t.Fatalf("recover = gen %d, recovered=%v, skipped=%v, err=%v", snap.Gen, recovered, snap.Skipped, err)
 		}
+		defer got.Close()
 		if snap.Gen != 2 || got.N() != ix.N() {
 			t.Fatalf("served gen %d n=%d", snap.Gen, got.N())
 		}
 	})
 
-	t.Run("CURRENT names a missing file", func(t *testing.T) {
-		dir := setup(t, 2)
-		if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte(SnapshotName(9)+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, snap, recovered, err := RecoverSnapshot(dir)
-		if err != nil || !recovered || snap.Gen != 2 {
-			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want fallback to gen 2", snap.Gen, recovered, err)
-		}
-	})
-
-	t.Run("CURRENT names a truncated file", func(t *testing.T) {
-		dir := setup(t, 2)
-		truncateFile(t, filepath.Join(dir, SnapshotName(2)), 32) // header torn off mid-write
-		_, snap, recovered, err := RecoverSnapshot(dir)
-		if err != nil || !recovered || snap.Gen != 1 {
-			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want fallback to gen 1", snap.Gen, recovered, err)
-		}
-	})
-
-	t.Run("torn CURRENT write", func(t *testing.T) {
+	t.Run("no CURRENT at all falls back to newest", func(t *testing.T) {
 		dir := setup(t, 3)
-		// A torn pointer write: only a prefix of the snapshot name made it.
-		if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte("index-000"), 0o644); err != nil {
+		// Publishing writes no pointer file, so every directory is this row.
+		if _, err := os.Stat(filepath.Join(dir, "CURRENT")); !os.IsNotExist(err) {
+			t.Fatalf("publish left a CURRENT file (stat err = %v)", err)
+		}
+		got, snap, recovered, err := RecoverSnapshot(dir)
+		if err != nil || recovered || snap.Gen != 3 {
+			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want gen 3", snap.Gen, recovered, err)
+		}
+		got.Close()
+	})
+
+	t.Run("newest generation truncated", func(t *testing.T) {
+		dir := setup(t, 2)
+		truncateFile(t, filepath.Join(dir, SnapshotName(2)), 32) // header torn off
+		fellBack(t, dir, 1, 2)
+	})
+
+	t.Run("newest generation corrupt", func(t *testing.T) {
+		dir := setup(t, 3)
+		path := filepath.Join(dir, SnapshotName(3))
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, snap, recovered, err := RecoverSnapshot(dir)
-		if err != nil || !recovered || snap.Gen != 3 {
-			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want newest valid gen 3", snap.Gen, recovered, err)
+		data[len(data)-pageSize-3] ^= 0x40 // a flipped factor byte: only the CRC sees it
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fellBack(t, dir, 2, 3)
+	})
+
+	t.Run("a leftover CURRENT file is ignored", func(t *testing.T) {
+		dir := setup(t, 3)
+		// What an older binary's pointer — whole or torn — leaves behind.
+		for _, ptr := range []string{SnapshotName(1) + "\n", "index-000"} {
+			if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte(ptr), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, snap, recovered, err := RecoverSnapshot(dir)
+			if err != nil || recovered || snap.Gen != 3 {
+				t.Fatalf("CURRENT %q: recover = gen %d, recovered=%v, err=%v; want gen 3", ptr, snap.Gen, recovered, err)
+			}
+			got.Close()
 		}
 	})
 
@@ -85,19 +117,6 @@ func TestRecoverSnapshotMatrix(t *testing.T) {
 		_, snap, recovered, err := RecoverSnapshot(dir)
 		if err != nil || !recovered || snap.Gen != 1 {
 			t.Fatalf("recover = gen %d, recovered=%v, err=%v; want gen 1", snap.Gen, recovered, err)
-		}
-	})
-
-	t.Run("no CURRENT at all falls back to newest", func(t *testing.T) {
-		dir := setup(t, 2)
-		if err := os.Remove(filepath.Join(dir, CurrentFile)); err != nil {
-			t.Fatal(err)
-		}
-		// CurrentSnapshot already handles this case; recovered stays false
-		// because the served snapshot is the one the directory advertises.
-		_, snap, recovered, err := RecoverSnapshot(dir)
-		if err != nil || recovered || snap.Gen != 2 {
-			t.Fatalf("recover = gen %d, recovered=%v, err=%v", snap.Gen, recovered, err)
 		}
 	})
 

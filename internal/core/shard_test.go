@@ -247,23 +247,24 @@ func TestShardSnapshotDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if recovered || snap.Gen != 2 {
-		t.Fatalf("recovered=%v gen=%d, want clean CURRENT at gen 2", recovered, snap.Gen)
+		t.Fatalf("recovered=%v gen=%d, want a clean gen 2", recovered, snap.Gen)
 	}
 	if back.Lo() != sh.Lo() || back.Hi() != sh.Hi() {
 		t.Fatalf("recovered range [%d,%d), want [%d,%d)", back.Lo(), back.Hi(), sh.Lo(), sh.Hi())
 	}
 
-	// Torn publish: CURRENT names a generation that never hit the disk.
-	// Recovery falls back to the newest loadable snapshot and says so.
-	if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte(SnapshotName(9)+"\n"), 0o644); err != nil {
+	// A truncated newest generation: recovery falls back to the newest
+	// loadable snapshot and says so.
+	back.Close()
+	if err := os.Truncate(filepath.Join(dir, SnapshotName(2)), 100); err != nil {
 		t.Fatal(err)
 	}
 	_, snap, recovered, err = RecoverShardSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !recovered || snap.Gen != 2 {
-		t.Fatalf("torn CURRENT: recovered=%v gen=%d, want recovered gen 2", recovered, snap.Gen)
+	if !recovered || snap.Gen != 1 || snap.Skipped == nil {
+		t.Fatalf("truncated generation 2: recovered=%v gen=%d skipped=%v, want recovered gen 1", recovered, snap.Gen, snap.Skipped)
 	}
 
 	if _, _, _, err := RecoverShardSnapshot(t.TempDir()); !errors.Is(err, ErrNoSnapshot) {

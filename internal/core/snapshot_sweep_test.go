@@ -40,8 +40,8 @@ func mustBeGone(t *testing.T, p string) {
 
 // TestPruneSnapshotsSweepsStaleTemps pins satellite 3 of issue 8: temps
 // stranded by a crash between CreateTemp and the deferred remove are
-// cleaned up by housekeeping, while in-flight temps, snapshots, CURRENT
-// and foreign files are untouched.
+// cleaned up by housekeeping, while in-flight temps, snapshots and foreign
+// files are untouched.
 func TestPruneSnapshotsSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	ix := buildIndex(t)
@@ -50,10 +50,11 @@ func TestPruneSnapshotsSweepsStaleTemps(t *testing.T) {
 	}
 
 	staleSave := plantTemp(t, dir, tempSavePrefix+"dead1", true)
-	staleCur := plantTemp(t, dir, tempCurrentPrefix+"dead2", true)
 	freshSave := plantTemp(t, dir, tempSavePrefix+"inflight", false)
-	// A foreign dotfile older than the cutoff must not be collateral.
+	// Foreign files older than the cutoff must not be collateral: a
+	// dotfile, and the pointer temp an older binary's crash may have left.
 	foreign := plantTemp(t, dir, ".keep", true)
+	oldPointer := plantTemp(t, dir, ".current-dead2", true)
 
 	removed, err := PruneSnapshots(dir, 5)
 	if err != nil {
@@ -63,10 +64,9 @@ func TestPruneSnapshotsSweepsStaleTemps(t *testing.T) {
 		t.Fatalf("removed = %d snapshots, want 0 (temps are not counted)", removed)
 	}
 	mustBeGone(t, staleSave)
-	mustBeGone(t, staleCur)
 	mustExist(t, freshSave)
 	mustExist(t, foreign)
-	mustExist(t, filepath.Join(dir, CurrentFile))
+	mustExist(t, oldPointer)
 	if _, _, err := CurrentSnapshot(dir); err != nil {
 		t.Fatalf("snapshot no longer resolvable after sweep: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestRecoverSnapshotSweepsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := plantTemp(t, dir, tempSavePrefix+"dead", true)
-	fresh := plantTemp(t, dir, tempCurrentPrefix+"inflight", false)
+	fresh := plantTemp(t, dir, tempSavePrefix+"inflight", false)
 
 	got, _, recovered, err := RecoverSnapshot(dir)
 	if err != nil {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"csrplus/internal/fault"
+	"csrplus/internal/graph"
 )
 
 func TestSnapshotNameRoundTrip(t *testing.T) {
@@ -54,44 +58,54 @@ func TestWriteSnapshotLifecycle(t *testing.T) {
 		t.Fatalf("second snapshot gen=%d", gen2)
 	}
 	if p, g, _ := CurrentSnapshot(dir); g != 2 || p != path2 {
-		t.Fatalf("CURRENT not advanced: %s, %d", p, g)
+		t.Fatalf("newest not advanced: %s, %d", p, g)
 	}
 	// The first generation is still on disk and loadable (rollback path).
 	if _, err := LoadIndex(path1); err != nil {
 		t.Fatalf("old generation gone: %v", err)
 	}
-	snaps, err := ListSnapshots(dir)
+	snaps, err := listGenerations(dir)
 	if err != nil || len(snaps) != 2 || snaps[0].Gen != 1 || snaps[1].Gen != 2 {
-		t.Fatalf("ListSnapshots = %v, %v", snaps, err)
+		t.Fatalf("listGenerations = %v, %v", snaps, err)
 	}
 }
 
-func TestSetCurrentRollback(t *testing.T) {
-	ix := buildIndex(t)
+// TestRollbackPublishesOldGenerationAsNewest: a rollback publishes an
+// older generation's file again, as the newest, and that is what resolves
+// and recovers — answering as the old build, under its build id.
+func TestRollbackPublishesOldGenerationAsNewest(t *testing.T) {
+	old, newer := buildIndex(t), bigIndex(t, 40, 4)
 	dir := t.TempDir()
-	if _, _, err := WriteSnapshot(dir, ix); err != nil {
+	_, first, err := WriteSnapshot(dir, old)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := WriteSnapshot(dir, ix); err != nil {
+	if _, _, err := WriteSnapshot(dir, newer); err != nil {
 		t.Fatal(err)
 	}
-	// Roll back to generation 1 by repointing CURRENT.
-	if err := SetCurrent(dir, 1); err != nil {
+	back, err := LoadIndex(first)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, g, _ := CurrentSnapshot(dir); g != 1 {
-		t.Fatalf("rollback did not take: generation %d", g)
+	defer back.Close()
+	if gen, _, err := WriteSnapshot(dir, back); err != nil || gen != 3 {
+		t.Fatalf("republishing generation 1: gen %d, %v; want 3", gen, err)
 	}
-	// Pointing at a generation that does not exist must fail before
-	// publishing anything.
-	if err := SetCurrent(dir, 99); err == nil {
-		t.Fatal("SetCurrent accepted a missing generation")
+	served, snap, recovered, err := RecoverSnapshot(dir)
+	if err != nil || recovered || snap.Gen != 3 {
+		t.Fatalf("after the rollback: gen %d recovered=%v err=%v, want generation 3", snap.Gen, recovered, err)
 	}
-	if _, g, _ := CurrentSnapshot(dir); g != 1 {
-		t.Fatal("failed SetCurrent clobbered CURRENT")
+	defer served.Close()
+	if served.Build() != old.Build() {
+		t.Fatalf("generation 3 has build %x, want the rolled-back build %x", served.Build(), old.Build())
 	}
+	queries := []int{0, 3, old.N() - 1}
+	wantBitwise(t, "rolled back", queryBits(t, served, queries), queryBits(t, old, queries))
 }
 
+// TestCurrentSnapshotFallbacks: the highest generation resolves, whatever
+// order the files arrived in and whatever CURRENT file an older binary
+// left behind, and an empty directory is ErrNoSnapshot.
 func TestCurrentSnapshotFallbacks(t *testing.T) {
 	ix := buildIndex(t)
 	dir := t.TempDir()
@@ -99,8 +113,8 @@ func TestCurrentSnapshotFallbacks(t *testing.T) {
 	if _, _, err := CurrentSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
-	// Bare snapshot files without CURRENT (hand-provisioned directory):
-	// the highest generation wins.
+	// Bare snapshot files (a hand-provisioned directory): the highest
+	// generation wins.
 	for _, gen := range []uint64{3, 1, 2} {
 		if err := SaveIndex(ix, filepath.Join(dir, SnapshotName(gen))); err != nil {
 			t.Fatal(err)
@@ -110,20 +124,12 @@ func TestCurrentSnapshotFallbacks(t *testing.T) {
 	if err != nil || g != 3 || filepath.Base(p) != SnapshotName(3) {
 		t.Fatalf("fallback = %s, %d, %v", p, g, err)
 	}
-	// A CURRENT naming garbage is an error, not a silent fallback — the
-	// operator published something broken and should hear about it.
-	if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte("junk\n"), 0o644); err != nil {
+	// A pointer file naming an older generation does not move it.
+	if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte(SnapshotName(1)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CurrentSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("garbage CURRENT: err = %v, want ErrNoSnapshot", err)
-	}
-	// A CURRENT naming a missing file is an error too.
-	if err := os.WriteFile(filepath.Join(dir, CurrentFile), []byte(SnapshotName(9)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := CurrentSnapshot(dir); err == nil {
-		t.Fatal("CURRENT naming a missing snapshot resolved")
+	if p, g, err := CurrentSnapshot(dir); err != nil || g != 3 || filepath.Base(p) != SnapshotName(3) {
+		t.Fatalf("with a CURRENT naming generation 1 = %s, %d, %v; want generation 3", p, g, err)
 	}
 }
 
@@ -135,35 +141,31 @@ func TestPruneSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Roll CURRENT back to 2, then prune to 2 newest: generations 4 and 5
-	// survive by recency, 2 survives because CURRENT points at it.
-	if err := SetCurrent(dir, 2); err != nil {
-		t.Fatal(err)
-	}
+	// Prune to the 2 newest: generations 4 and 5 survive.
 	removed, err := PruneSnapshots(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 { // generations 1 and 3
-		t.Fatalf("removed %d, want 2", removed)
+	if removed != 3 {
+		t.Fatalf("removed %d, want 3", removed)
 	}
-	snaps, _ := ListSnapshots(dir)
+	snaps, _ := listGenerations(dir)
 	var gens []uint64
 	for _, s := range snaps {
 		gens = append(gens, s.Gen)
 	}
-	if len(gens) != 3 || gens[0] != 2 || gens[1] != 4 || gens[2] != 5 {
-		t.Fatalf("surviving generations %v, want [2 4 5]", gens)
+	if len(gens) != 2 || gens[0] != 4 || gens[1] != 5 {
+		t.Fatalf("surviving generations %v, want [4 5]", gens)
 	}
-	if _, g, err := CurrentSnapshot(dir); err != nil || g != 2 {
-		t.Fatalf("CURRENT broken after prune: %d, %v", g, err)
+	if _, g, err := CurrentSnapshot(dir); err != nil || g != 5 {
+		t.Fatalf("newest broken after prune: %d, %v", g, err)
 	}
 	// Pruning below 1 keeps at least the newest.
 	if _, err := PruneSnapshots(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if snaps, _ = ListSnapshots(dir); len(snaps) == 0 {
-		t.Fatal("prune emptied the directory")
+	if snaps, _ = listGenerations(dir); len(snaps) != 1 || snaps[0].Gen != 5 {
+		t.Fatalf("prune to 0 left %v, want generation 5 alone", snaps)
 	}
 }
 
@@ -224,10 +226,11 @@ func TestSaveIndexLeavesNoTempDebris(t *testing.T) {
 // TestPublishVerifiesBeforeCurrent: a publish whose file does not read back
 // — cut short, a flipped factor byte, and under -tags faultinject a torn
 // write, a failed read and a failed verify at the sites a real disk fails at
-// — returns an error with CURRENT still naming the previous generation and
-// the new file gone; the next clean publish takes the generation over and
-// hands back the file it wrote, mapped where mapping works (a refused mmap
-// degrades to the heap decode and still publishes).
+// — or that cannot be placed under its name returns an error with the
+// previous generation still the newest, no new name and no temp left; the
+// next clean publish takes the generation over and hands back the file it
+// wrote, mapped where mapping works (a refused mmap degrades to the heap
+// decode and still publishes).
 func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 	ix := buildIndex(t)
 	dir := t.TempDir()
@@ -242,27 +245,25 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 			t.Fatal("publish succeeded")
 		}
 		if p, g, cerr := CurrentSnapshot(dir); cerr != nil || g != 1 || p != first {
-			t.Fatalf("after %v: CURRENT = %s, %d, %v; want generation 1", err, p, g, cerr)
+			t.Fatalf("after %v: newest = %s, %d, %v; want generation 1", err, p, g, cerr)
 		}
-		if _, serr := os.Stat(second); !os.IsNotExist(serr) {
-			t.Fatalf("after %v: %s still there (stat: %v)", err, second, serr)
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("after %v: directory holds %d entries, want generation 1 alone", err, len(entries))
 		}
 		if _, snap, recovered, rerr := RecoverSnapshot(dir); rerr != nil || recovered || snap.Gen != 1 {
 			t.Fatalf("after %v: recovery serves generation %d (recovered=%v, err=%v)", err, snap.Gen, recovered, rerr)
 		}
 	}
-	// damaged saves ix to path whole, then damages the file in place: what a
-	// disk that lies about a write leaves behind.
-	damaged := func(damage func(data []byte) []byte) func(path string) error {
-		return func(path string) error {
-			if err := SaveIndex(ix, path); err != nil {
-				return err
+	// damaged writes ix whole, then damaged: what a disk that lies about a
+	// write leaves behind.
+	damaged := func(damage func(data []byte) []byte) func(w io.Writer) (int64, error) {
+		return func(w io.Writer) (int64, error) {
+			var buf bytes.Buffer
+			if _, err := ix.WriteTo(&buf); err != nil {
+				return 0, err
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, damage(data), 0o644)
+			n, err := w.Write(damage(buf.Bytes()))
+			return int64(n), err
 		}
 	}
 	for _, tc := range []struct {
@@ -292,6 +293,7 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 			{fault.SiteIndexWrite, fault.Plan{TornProb: 1, TornBytes: 100}},
 			{fault.SiteIndexRead, fault.Plan{ErrProb: 1}},
 			{fault.SiteIndexVerify, fault.Plan{ErrProb: 1}},
+			{fault.SiteSnapshotLink, fault.Plan{ErrProb: 1}},
 		} {
 			t.Run(tc.site, func(t *testing.T) {
 				fault.Arm(tc.site, tc.plan)
@@ -321,7 +323,7 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 	}
 	defer back.Close()
 	if p, g, cerr := CurrentSnapshot(dir); cerr != nil || g != 2 || p != second || snap != (Snapshot{Gen: 2, Path: second}) {
-		t.Fatalf("clean publish: CURRENT = %s, %d, %v and snap = %+v; want generation 2", p, g, cerr, snap)
+		t.Fatalf("clean publish: newest = %s, %d, %v and snap = %+v; want generation 2", p, g, cerr, snap)
 	}
 	if want := mmapSupported && nativeLE; back.Mapped() != want {
 		t.Fatalf("published generation Mapped() = %v, want %v", back.Mapped(), want)
@@ -331,11 +333,11 @@ func TestPublishVerifiesBeforeCurrent(t *testing.T) {
 }
 
 // TestStaleGenerationsAreSkipped holds the stale rule: a generation in a
-// format this build does not serve is neither listed, resolved nor
-// recovered — CURRENT naming one falls back to the newest servable
-// generation with recovered set, and the error when none is left names the
-// format — while publishing still numbers past it and pruning still counts
-// it.
+// format this build does not serve is neither resolved nor recovered, and
+// skipping it is not a recovery — a newer stale generation leaves the
+// newest servable one serving with recovered unset, and the error when none
+// is left names the format — while publishing still numbers past it and
+// pruning still counts it.
 func TestStaleGenerationsAreSkipped(t *testing.T) {
 	dir := t.TempDir()
 	ix := buildIndex(t)
@@ -345,18 +347,12 @@ func TestStaleGenerationsAreSkipped(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, SnapshotName(2)), golden(t, goldenIndexV3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := SetCurrent(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := CurrentSnapshot(dir); !errors.Is(err, ErrNoSnapshot) || !errors.Is(err, ErrFormat) {
-		t.Fatalf("CURRENT naming a stale generation: err = %v, want ErrNoSnapshot and ErrFormat", err)
-	}
-	if snaps, err := ListSnapshots(dir); err != nil || len(snaps) != 1 || snaps[0].Gen != 1 {
-		t.Fatalf("ListSnapshots = %v, %v; want generation 1 alone", snaps, err)
+	if _, g, err := CurrentSnapshot(dir); err != nil || g != 1 {
+		t.Fatalf("CurrentSnapshot past a stale generation 2 = %d, %v; want generation 1", g, err)
 	}
 	back, snap, recovered, err := RecoverSnapshot(dir)
-	if err != nil || snap.Gen != 1 || !recovered {
-		t.Fatalf("RecoverSnapshot = gen %d recovered %v, %v; want generation 1, recovered", snap.Gen, recovered, err)
+	if err != nil || snap.Gen != 1 || recovered || snap.Skipped != nil {
+		t.Fatalf("RecoverSnapshot = gen %d recovered %v (skipped %v), %v; want generation 1, not recovered", snap.Gen, recovered, snap.Skipped, err)
 	}
 	back.Close()
 	if gen, _, err := WriteSnapshot(dir, ix); err != nil || gen != 3 {
@@ -370,10 +366,89 @@ func TestStaleGenerationsAreSkipped(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(only, SnapshotName(4)), golden(t, goldenIndexV3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CurrentSnapshot(only); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("CurrentSnapshot over stale generations only: err = %v, want ErrNoSnapshot", err)
+	if _, _, err := CurrentSnapshot(only); !errors.Is(err, ErrNoSnapshot) || !errors.Is(err, ErrFormat) {
+		t.Errorf("CurrentSnapshot over stale generations only: err = %v, want ErrNoSnapshot and ErrFormat", err)
 	}
 	if _, _, _, err := RecoverSnapshot(only); !errors.Is(err, ErrNoSnapshot) || !errors.Is(err, ErrFormat) {
 		t.Errorf("RecoverSnapshot over stale generations only: err = %v, want ErrNoSnapshot naming the format", err)
+	}
+}
+
+// TestConcurrentPublishesTakeDistinctGenerations: a generation number names
+// one file, forever. Two publishers racing into one directory get two
+// generations, and each file loads as the build its publisher wrote — for
+// whole indexes and for shard slices alike.
+func TestConcurrentPublishesTakeDistinctGenerations(t *testing.T) {
+	var ixs [2]*Index
+	for i := range ixs {
+		g, err := graph.ErdosRenyi(120, 700, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ixs[i], err = Precompute(g, Options{Rank: 6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ixs[0].Build() == ixs[1].Build() {
+		t.Fatal("the two fixtures share a build id; the test could not tell their files apart")
+	}
+	kinds := map[string]struct {
+		publish func(dir string, ix *Index) (uint64, string, error)
+		build   func(path string) (uint64, error)
+	}{
+		"index": {
+			WriteSnapshot,
+			func(path string) (uint64, error) {
+				ix, err := LoadIndex(path)
+				if err != nil {
+					return 0, err
+				}
+				defer ix.Close()
+				return ix.Build(), nil
+			},
+		},
+		"shard": {
+			func(dir string, ix *Index) (uint64, string, error) {
+				return WriteShardSnapshot(dir, &ix.IndexShard)
+			},
+			func(path string) (uint64, error) {
+				f, err := LoadShard(path)
+				if err != nil {
+					return 0, err
+				}
+				defer f.Close()
+				return f.Build(), nil
+			},
+		},
+	}
+	for name, k := range kinds {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 40; round++ {
+				dir := t.TempDir()
+				var gens [2]uint64
+				var paths [2]string
+				var errs [2]error
+				var wg sync.WaitGroup
+				for i := range ixs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						gens[i], paths[i], errs[i] = k.publish(dir, ixs[i])
+					}()
+				}
+				wg.Wait()
+				if errs[0] != nil || errs[1] != nil {
+					t.Fatalf("round %d: publish errors %v, %v", round, errs[0], errs[1])
+				}
+				if gens[0] == gens[1] {
+					t.Fatalf("round %d: both publishes took generation %d", round, gens[0])
+				}
+				for i := range ixs {
+					if build, err := k.build(paths[i]); err != nil || build != ixs[i].Build() {
+						t.Fatalf("round %d: generation %d holds build %x (%v), want its publisher's %x", round, gens[i], build, err, ixs[i].Build())
+					}
+				}
+			}
+		})
 	}
 }

@@ -31,12 +31,13 @@ import (
 // Injection sites compiled into the serving stack. A site name is an
 // address: Arm(site, plan) makes the hooks at that site start firing.
 const (
-	// SiteIndexWrite guards every payload write of core.SaveIndex and
-	// core.SaveShard — torn/short writes and write errors land mid-file,
+	// SiteIndexWrite guards every payload write of core.SaveIndex,
+	// core.SaveShard and a snapshot publish — torn/short writes and write errors land mid-file,
 	// upstream of the CRC, exactly like a disk filling up or a kernel
 	// page-out failure.
 	SiteIndexWrite = "core/index.write"
-	// SiteIndexSync guards the pre-rename fsync in core.SaveIndex.
+	// SiteIndexSync guards the payload fsync of core.SaveIndex,
+	// core.SaveShard and a snapshot publish, before the file gets its name.
 	SiteIndexSync = "core/index.fsync"
 	// SiteIndexRead guards the payload reads of core.ReadIndex (via
 	// core.LoadIndex): probabilistic read errors and latency model a
@@ -53,10 +54,10 @@ const (
 	// cannot be trusted, so it fails the load and drives the recovery
 	// ladder.
 	SiteIndexVerify = "core/index.verify"
-	// SiteCurrentWrite guards the CURRENT pointer write in
-	// core.SetCurrent — the torn-CURRENT crash the recovery path must
-	// survive.
-	SiteCurrentWrite = "core/current.write"
+	// SiteSnapshotLink fires where a publish links its verified temp file
+	// in under its generation name — a failed placement, which must leave
+	// the directory serving its previous newest generation.
+	SiteSnapshotLink = "core/snapshot.link"
 	// SiteReloadLoad fires at the top of every reload.Manager load
 	// attempt, before the LoadFunc runs: a flapping snapshot source.
 	SiteReloadLoad = "reload/load"

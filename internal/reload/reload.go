@@ -95,8 +95,8 @@ type Meta struct {
 	// serving generation: snapshots number index files on disk, the
 	// server numbers swaps.
 	SnapshotGen uint64 `json:"snapshot_gen,omitempty"`
-	// Recovered reports the snapshot served is NOT the one CURRENT
-	// names — crash recovery fell back to an older generation and the
+	// Recovered reports that a newer generation in the served format
+	// failed to load — recovery fell back to an older one and the
 	// operator should investigate (core.RecoverSnapshot).
 	Recovered bool `json:"recovered,omitempty"`
 	// Algorithm, N, M, Rank describe the engine (csrplus.Engine.Stats).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"csrplus/internal/core"
@@ -13,8 +14,8 @@ import (
 // TestPublishSnapshots holds the one publisher of per-shard snapshot
 // directories: what it writes under root/shard-<s>/ recovers into a router
 // that answers like the index it was cut from; however often it publishes,
-// each directory holds at most core.KeepSnapshots generations with CURRENT's
-// among them; and a shard count the index cannot be cut into is refused.
+// each directory holds at most core.KeepSnapshots generations, the newest
+// the last published; and a shard count the index cannot be cut into is refused.
 func TestPublishSnapshots(t *testing.T) {
 	eng, ix := testEngineIndex(t, 1)
 	const k = 3
@@ -26,7 +27,7 @@ func TestPublishSnapshots(t *testing.T) {
 		shards := make([]*core.IndexShard, k)
 		for s := range shards {
 			dir := core.ShardDir(root, s)
-			snaps, err := core.ListSnapshots(dir)
+			snaps, err := filepath.Glob(filepath.Join(dir, "index-*.csrx"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +36,7 @@ func TestPublishSnapshots(t *testing.T) {
 			}
 			sh, snap, recovered, err := core.RecoverShardSnapshot(dir)
 			if err != nil || recovered || snap.Gen != uint64(publish) {
-				t.Fatalf("%s: generation %d (recovered=%v, err=%v), want CURRENT at %d", dir, snap.Gen, recovered, err, publish)
+				t.Fatalf("%s: generation %d (recovered=%v, err=%v), want a clean %d", dir, snap.Gen, recovered, err, publish)
 			}
 			t.Cleanup(func() { sh.Close() })
 			shards[s] = sh.IndexShard

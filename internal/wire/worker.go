@@ -77,7 +77,7 @@ func BootWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("wire: booting shard %d: %w", cfg.Shard, err)
 	}
 	if recovered {
-		logf(cfg.Log, "shard %d: recovered to snapshot generation %d (CURRENT was not loadable)", cfg.Shard, snap.Gen)
+		logf(cfg.Log, "shard %d: recovered to snapshot generation %d (skipped a newer one: %v)", cfg.Shard, snap.Gen, snap.Skipped)
 	}
 	w := NewWorker(f.IndexShard, snap.Gen, cfg)
 	w.file = f
