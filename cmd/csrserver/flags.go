@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"csrplus/internal/graph"
-	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/wire"
 )
@@ -25,8 +24,7 @@ const (
 
 const (
 	graphFlags = "dataset dscale graph n r c snapshots "
-	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget " +
-		"reloadretries breakerfails breakercooldown "
+	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget "
 )
 
 // modes is the whole compatibility contract between flags: each mode
@@ -66,7 +64,6 @@ type config struct {
 
 	addr, adminToken string
 	serve            serve.Config
-	policy           reload.Policy
 	wire             wire.Options
 }
 
@@ -93,9 +90,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.DurationVar(&c.serve.Timeout, "timeout", 5*time.Second, "per-request deadline (0 disables)")
 	fs.IntVar(&c.serve.Degrade.Rank, "degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
 	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
-	fs.IntVar(&c.policy.MaxAttempts, "reloadretries", 3, "reload attempts per trigger (1 = no retry)")
-	fs.IntVar(&c.policy.BreakerThreshold, "breakerfails", 5, "consecutive failed reloads that open the circuit breaker (0 disables)")
-	fs.DurationVar(&c.policy.BreakerCooldown, "breakercooldown", 10*time.Second, "how long an open breaker rejects reload triggers")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 	}
 	args := func(n string) []string {
 		return []string{"-graph", graphPath, "-n", n, "-r", "3",
-			"-snapshots", snaps, "-admintoken", "sesame", "-reloadretries", "1"}
+			"-snapshots", snaps, "-admintoken", "sesame"}
 	}
 	cold := bootFlags(t, args("6")...)
 	if m := cold.man.Current().M; m != 11 {

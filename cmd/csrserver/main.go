@@ -71,9 +71,10 @@
 // taking their engine slot while more than three quarters of -pending
 // are held are answered at truncated rank R — cheaper by roughly R/r — and
 // tagged with a "degraded" object carrying the effective rank and the
-// index's entrywise error bound. Reload failures retry with exponential
-// backoff (-reloadretries); persistent failure opens a
-// circuit breaker (-breakerfails, -breakercooldown) surfaced on /readyz.
+// index's entrywise error bound. A reload is one attempt; a failed one
+// leaves the old generation serving and is re-triggered by the operator.
+// Five consecutive failed reloads open a circuit breaker for ten seconds,
+// surfaced on /readyz.
 package main
 
 import (
@@ -187,7 +188,7 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 			return stats
 		})
 	}
-	man := reload.NewWithPolicy(sv, src.next, meta, cfg.policy)
+	man := reload.New(sv, src.next, meta)
 	// The boot generation may pin a snapshot mapping too; the Manager
 	// frees it after the first successful reload swaps it out.
 	man.SetBootRelease(src.boot.Release)

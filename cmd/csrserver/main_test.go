@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -709,15 +710,15 @@ func TestHealthzAndReadyz(t *testing.T) {
 
 // An open reload breaker must flip readiness to 503 while query traffic
 // keeps being answered by the old generation, and POST /admin/reload must
-// tell the caller how long the breaker stays open — the configured
-// cooldown, not a constant. /readyz and /stats say when it closes again
-// (retry_at) while it is open, and say nothing of the kind while it is not.
+// tell the caller how long the breaker stays open — what is left of its
+// ten-second cooldown. The fifth consecutive failed reload opens it, not
+// an earlier one. /readyz and /stats say when it closes again (retry_at)
+// while it is open, and say nothing of the kind while it is not.
 func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 	s := testStack(t, testEngine(t), serve.Config{}, "sesame", nil)
-	s.man = reload.NewWithPolicy(s.sv,
+	s.man = reload.New(s.sv,
 		func(context.Context) (*reload.Candidate, error) { return nil, errTestDown },
-		s.man.Current().Meta,
-		reload.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: 90 * time.Second})
+		s.man.Current().Meta)
 	srv := serveStack(t, s)
 	breaker := func(path string) map[string]interface{} {
 		t.Helper()
@@ -734,8 +735,13 @@ func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 		}
 	}
 
-	if _, err := s.man.Reload(context.Background()); err == nil {
-		t.Fatal("reload against a down source succeeded")
+	for i := 1; i <= 5; i++ {
+		if code, _ := get(t, srv, "/readyz"); code != http.StatusOK {
+			t.Fatalf("readyz after %d failed reloads: code=%d, want 200 until the fifth", i-1, code)
+		}
+		if _, err := s.man.Reload(context.Background()); err == nil {
+			t.Fatal("reload against a down source succeeded")
+		}
 	}
 	code, body := get(t, srv, "/readyz")
 	if code != http.StatusServiceUnavailable {
@@ -744,8 +750,8 @@ func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 	for _, path := range []string{"/readyz", "/stats"} {
 		b := breaker(path)
 		at, err := time.Parse(time.RFC3339Nano, fmt.Sprint(b["retry_at"]))
-		if b["open"] != true || err != nil || time.Until(at) < 80*time.Second || time.Until(at) > 90*time.Second {
-			t.Fatalf("%s breaker while open = %v, want open=true and a retry_at about 90 s away", path, b)
+		if b["open"] != true || err != nil || time.Until(at) <= 0 || time.Until(at) > 10*time.Second {
+			t.Fatalf("%s breaker while open = %v, want open=true and a retry_at at most 10 s away", path, b)
 		}
 	}
 	if code, _ := get(t, srv, "/topk?node=1&k=3"); code != http.StatusOK {
@@ -768,9 +774,8 @@ func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("reload against an open breaker: code=%d", resp.StatusCode)
 	}
-	// Milliseconds into a 90 s cooldown, the ceiling is still 90.
-	if got := resp.Header.Get("Retry-After"); got != "90" {
-		t.Fatalf("Retry-After = %q, want the 90 s left of -breakercooldown", got)
+	if got, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || got < 1 || got > 10 {
+		t.Fatalf("Retry-After = %q, want whole seconds in [1, 10]", resp.Header.Get("Retry-After"))
 	}
 }
 
@@ -1280,6 +1285,10 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-index", "ix.csrx"}, "flag provided but not defined: -index"},
 		{[]string{"-dataset", "FB", "-saveindex", "ix.csrx"}, "flag provided but not defined: -saveindex"},
 		{[]string{"-dataset", "FB", "-snapshots", "d", "-quantize", "int8"}, "flag provided but not defined: -quantize"},
+		// A reload is one attempt and the breaker's limits are constants.
+		{[]string{"-dataset", "FB", "-reloadretries", "1"}, "flag provided but not defined: -reloadretries"},
+		{[]string{"-dataset", "FB", "-breakerfails", "1"}, "flag provided but not defined: -breakerfails"},
+		{[]string{"-dataset", "FB", "-breakercooldown", "90s"}, "flag provided but not defined: -breakercooldown"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1299,8 +1308,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 22 {
-		t.Errorf("csrserver has %d flags, want 22", count)
+	if count != 19 {
+		t.Errorf("csrserver has %d flags, want 19", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

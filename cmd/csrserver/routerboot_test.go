@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"csrplus/internal/core"
+	"csrplus/internal/graph"
+	"csrplus/internal/wire"
 )
 
 // lockedBuffer is a log destination safe to read while servers log.
@@ -203,4 +206,140 @@ func TestRouterBootFailsAtFirstBadDial(t *testing.T) {
 		t.Fatal("boot still waiting on the hung worker 3s after the other dial failed")
 	}
 	t.Logf("boot failed in %v", time.Since(start))
+}
+
+// reloadCounter counts the POST /admin/reload requests each wrapped
+// worker receives.
+type reloadCounter struct{ calls [3]atomic.Int64 }
+
+func (c *reloadCounter) wrap(slot int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/admin/reload" {
+			c.calls[slot].Add(1)
+		}
+		h.ServeHTTP(rw, r)
+	})
+}
+
+func (c *reloadCounter) counts() string {
+	return fmt.Sprint([]int64{c.calls[0].Load(), c.calls[1].Load(), c.calls[2].Load()})
+}
+
+// erCluster publishes an Erdős–Rényi index as the shard directories of
+// three workers and returns their root, plus a function that publishes
+// slot's cut of the same index for four workers into slot's directory as
+// its newest generation: a shard of the wrong shape, which the worker
+// refuses.
+func erCluster(t *testing.T) (root string, misCut func(slot int)) {
+	t.Helper()
+	g, err := graph.ErdosRenyi(40, 160, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Precompute(g, core.Options{Rank: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, four := publishShards(t, ix, 3), publishShards(t, ix, 4)
+	return root, func(slot int) {
+		t.Helper()
+		path, _, err := core.CurrentSnapshot(core.ShardDir(four, slot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bareSnapshot(t, core.ShardDir(root, slot), path, 2)
+	}
+}
+
+// adminReload POSTs an authorised /admin/reload to base and returns the
+// status code.
+func adminReload(t *testing.T, base string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, base+"/admin/reload", nil)
+	req.Header.Set("Authorization", "Bearer sesame")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// workerGen reads a worker's slot generation off its /readyz.
+func workerGen(t *testing.T, addr string) uint64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ready wire.ReadyResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
+		t.Fatal(err)
+	}
+	return ready.Generation
+}
+
+// A worker that refuses a candidate (here a shard cut for another cluster
+// size) answers 409: the router asks it once per reload trigger, does not
+// charge the refusal to the breaker that also gates its queries, and keeps
+// answering from the old generation.
+func TestRefusedShardReloadIsOneRequest(t *testing.T) {
+	root, misCut := erCluster(t)
+	var c reloadCounter
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", wireWorkers(t, root, 3, c.wrap), "-admintoken", "sesame"))
+	before := rawGet(t, srv, "/topk?node=3&k=5")
+	misCut(0)
+
+	for i := 0; i < 2; i++ {
+		if code := adminReload(t, srv.URL); code == http.StatusOK {
+			t.Fatalf("trigger %d: a roll onto a refused shard answered 200", i)
+		}
+	}
+	if got := c.counts(); got != "[2 0 0]" {
+		t.Fatalf("two triggers sent %s POST /admin/reload per worker, want [2 0 0]", got)
+	}
+	var metrics struct {
+		Shards []struct {
+			BreakerOpen         bool `json:"breaker_open"`
+			ConsecutiveFailures int  `json:"consecutive_failures"`
+		} `json:"wire_shards"`
+	}
+	if err := json.Unmarshal([]byte(rawGet(t, srv, "/metrics")), &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if st := metrics.Shards[0]; st.BreakerOpen || st.ConsecutiveFailures != 0 {
+		t.Fatalf("worker 0's refusals charged its breaker: %+v", st)
+	}
+	if got := rawGet(t, srv, "/topk?node=3&k=5"); got != before {
+		t.Fatalf("/topk of a node on shard 0 after the refused roll: %s, want %s", got, before)
+	}
+}
+
+// A router reload asks each worker once, and a roll that stops at worker 1
+// has swapped worker 0 once: nothing re-runs the roll from worker 0.
+func TestRouterReloadIsOneRequestPerWorker(t *testing.T) {
+	root, misCut := erCluster(t)
+	var c reloadCounter
+	addrs := wireWorkers(t, root, 3, c.wrap)
+	srv := serveStack(t, bootFlags(t, "-shardaddrs", addrs, "-admintoken", "sesame"))
+	worker0 := strings.Split(addrs, ",")[0]
+
+	if code := adminReload(t, srv.URL); code != http.StatusOK {
+		t.Fatalf("router reload: HTTP %d", code)
+	}
+	if got := c.counts(); got != "[1 1 1]" {
+		t.Fatalf("one router reload sent %s POST /admin/reload per worker, want [1 1 1]", got)
+	}
+	gen := workerGen(t, worker0)
+	misCut(1)
+	if code := adminReload(t, srv.URL); code == http.StatusOK {
+		t.Fatal("a roll onto worker 1's refused shard answered 200")
+	}
+	if got := workerGen(t, worker0); got != gen+1 {
+		t.Fatalf("a roll that stopped at worker 1 moved worker 0 from generation %d to %d, want %d", gen, got, gen+1)
+	}
+	if got := c.counts(); got != "[2 2 1]" {
+		t.Fatalf("after the stopped roll: %s POST /admin/reload per worker, want [2 2 1]", got)
+	}
 }

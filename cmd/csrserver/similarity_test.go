@@ -195,7 +195,7 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 		if err := testEngine(t).SaveIndex(index); err != nil {
 			t.Fatal(err)
 		}
-		s := bootArgs(t, "-snapshots", dir, "-reloadretries", "1")
+		s := bootArgs(t, "-snapshots", dir)
 		poisonF(t, index, false, 1, 3) // the probes are nodes 0, 3 and 5
 		st, err := s.reload(context.Background())
 		if !errors.Is(err, reload.ErrValidation) || !strings.Contains(err.Error(), "non-finite score") {
@@ -221,7 +221,7 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 	// is the query side of the scan too.
 	t.Run("shards=3", func(t *testing.T) {
 		snaps := publishShards(t, coreIndex(testEngine(t)), 3)
-		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame", "-reloadretries", "1")
+		s := bootFlags(t, "-shardaddrs", wireWorkers(t, snaps, 3, nil), "-admintoken", "sesame")
 		path, _, err := core.CurrentSnapshot(core.ShardDir(snaps, 1))
 		if err != nil {
 			t.Fatal(err)

@@ -99,11 +99,7 @@ func TestChaosVerifyFailureFailsLoadAndKeepsOldGeneration(t *testing.T) {
 			sv := newServer(t, ix, serve.Config{Workers: 2, MaxPending: 128})
 			defer sv.Close()
 			boot := reload.Meta{Source: "boot", Algorithm: "csrplus", N: n, Rank: ix.Rank()}
-			man := reload.NewWithPolicy(sv, snapshotLoader(dir), boot, reload.Policy{
-				MaxAttempts: 2,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  4 * time.Millisecond,
-			})
+			man := reload.New(sv, snapshotLoader(dir), boot)
 			genBefore := sv.Metrics().Generation()
 			if _, err := man.Reload(context.Background()); err == nil {
 				t.Fatal("reload with failing verification unexpectedly succeeded")

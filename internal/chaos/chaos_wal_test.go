@@ -303,11 +303,7 @@ func TestChaosWALRebuildFailureKeepsServingAndLog(t *testing.T) {
 					},
 				}, nil
 			}
-			man := reload.NewWithPolicy(sv, loader, boot, reload.Policy{
-				MaxAttempts: 2,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  4 * time.Millisecond,
-			})
+			man := reload.New(sv, loader, boot)
 			// The commit protocol csrserver runs around every reload.
 			reloadCommit := func() error {
 				_, err := man.Reload(context.Background())

@@ -86,7 +86,7 @@ func TestReleaseOnValidationFailure(t *testing.T) {
 		c.N = 0 // fails Validate
 		return c, nil
 	}
-	m := NewWithPolicy(sv, load, Meta{Source: "boot"}, noRetry)
+	m := New(sv, load, Meta{Source: "boot"})
 	m.SetBootRelease(func() { servingFreed.Add(1) })
 
 	if _, err := m.Reload(context.Background()); err == nil {
@@ -110,7 +110,7 @@ func TestReleaseOnSwapRefused(t *testing.T) {
 	load := func(ctx context.Context) (*Candidate, error) {
 		return &Candidate{Ranked: ranked, Release: func() { freed.Add(1) }}, nil
 	}
-	m := NewWithPolicy(sv, load, Meta{Source: "boot"}, noRetry)
+	m := New(sv, load, Meta{Source: "boot"})
 
 	sv.Close() // swap will be refused with ErrClosed
 	if _, err := m.Reload(context.Background()); err == nil {

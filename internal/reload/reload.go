@@ -10,12 +10,13 @@
 // A reload that fails at any stage — load error, implausible candidate,
 // failing smoke query — leaves the serving generation untouched: the old
 // engine cannot be torn down before its replacement has proven it can
-// answer queries. Failures are retried with exponential backoff and
-// jitter (transient I/O — a snapshot mid-publish, a briefly degraded disk
-// — usually clears within a retry window), and a run of consecutive
-// failed reloads opens a circuit breaker that fails further triggers fast
-// until a cooldown elapses, so a persistently broken snapshot source
-// cannot keep burning load attempts.
+// answer queries. A reload is one attempt: every source it loads from
+// fails the same way until someone publishes again (or, for a router,
+// retries its own worker calls), so the caller re-triggers it rather than
+// the Manager re-running it on a timer. Five consecutive failed reloads
+// open a circuit breaker that fails further triggers fast for ten
+// seconds, so a persistently broken snapshot source cannot keep burning
+// load attempts.
 //
 // Reload triggers coalesce rather than queue: a SIGHUP or admin reload
 // arriving while another reload is in flight marks one pending re-run
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,55 +133,13 @@ type Status struct {
 // honour ctx for cancellation between expensive steps.
 type LoadFunc func(ctx context.Context) (*Candidate, error)
 
-// Policy tunes the retry and circuit-breaker behaviour of a Manager.
-type Policy struct {
-	// MaxAttempts bounds load->validate->swap attempts per reload run
-	// (1 = no retry). Default 3.
-	MaxAttempts int
-	// BaseBackoff is the first retry's nominal delay; attempt i waits
-	// BaseBackoff * 2^(i-1), halved-and-jittered. Default 50ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the nominal delay. Default 2s.
-	MaxBackoff time.Duration
-	// BreakerThreshold is how many consecutive failed reload runs (each
-	// already retried MaxAttempts times) open the breaker; 0 disables
-	// the breaker. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects triggers
-	// before allowing one probe run. Default 10s.
-	BreakerCooldown time.Duration
-}
-
-// DefaultPolicy returns the defaults documented on Policy.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:      3,
-		BaseBackoff:      50 * time.Millisecond,
-		MaxBackoff:       2 * time.Second,
-		BreakerThreshold: 5,
-		BreakerCooldown:  10 * time.Second,
-	}
-}
-
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.BreakerThreshold < 0 {
-		p.BreakerThreshold = 0
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = d.BreakerCooldown
-	}
-	return p
-}
+// The circuit breaker opens after breakerThreshold consecutive failed
+// reloads and then rejects triggers for breakerCooldown before admitting
+// one probe reload.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
 
 // Breaker is a point-in-time view of the circuit breaker for status
 // endpoints (/readyz, /stats).
@@ -203,7 +161,6 @@ type Breaker struct {
 type Manager struct {
 	server *serve.Server
 	load   LoadFunc
-	policy Policy
 
 	mu      sync.Mutex // held for the whole load→validate→swap sequence
 	pending atomic.Bool
@@ -218,18 +175,12 @@ type Manager struct {
 	breaker retry.Breaker
 }
 
-// New wires a Manager with DefaultPolicy over a server already serving
-// its boot generation, recording boot as the meta of the current status.
+// New wires a Manager over a server already serving its boot generation,
+// recording boot as the meta of the current status.
 func New(server *serve.Server, load LoadFunc, boot Meta) *Manager {
-	return NewWithPolicy(server, load, boot, DefaultPolicy())
-}
-
-// NewWithPolicy is New with explicit retry/breaker tuning.
-func NewWithPolicy(server *serve.Server, load LoadFunc, boot Meta, policy Policy) *Manager {
-	policy = policy.withDefaults()
 	m := &Manager{
-		server: server, load: load, policy: policy, clock: retry.System,
-		breaker: retry.Breaker{Threshold: policy.BreakerThreshold, Cooldown: policy.BreakerCooldown, Clock: retry.System},
+		server: server, load: load, clock: retry.System,
+		breaker: retry.Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldown, Clock: retry.System},
 	}
 	m.cur.Store(&Status{
 		Generation:   server.Generation(),
@@ -267,8 +218,8 @@ func (m *Manager) Breaker() Breaker {
 }
 
 // Reload runs one lifecycle pass: load a candidate, validate it, swap it
-// in, retrying per the Manager's Policy. On any failure the previous
-// generation keeps serving and the returned Status still describes it.
+// in. On any failure the previous generation keeps serving and the
+// returned Status still describes it.
 // The whole sequence runs on the calling goroutine — callers wanting an
 // async reload wrap it in one. A Reload entered while another is in
 // flight returns ErrCoalesced immediately; the in-flight reload runs the
@@ -281,7 +232,7 @@ func (m *Manager) Reload(ctx context.Context) (Status, error) {
 	}
 	defer m.mu.Unlock()
 
-	st, err := m.runWithRetry(ctx)
+	st, err := m.run(ctx)
 	// Honour triggers that coalesced while this run was in flight: each
 	// pass consumes the pending mark, and a mark set mid-pass (the world
 	// may have changed again) schedules one more. Context cancellation
@@ -290,46 +241,30 @@ func (m *Manager) Reload(ctx context.Context) (Status, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		st, err = m.runWithRetry(ctx)
+		st, err = m.run(ctx)
 	}
 	return st, err
 }
 
-// runWithRetry is one reload run: breaker gate, then up to MaxAttempts
-// lifecycle passes with backoff between them.
-func (m *Manager) runWithRetry(ctx context.Context) (Status, error) {
+// run is one reload run: the breaker gate, then one lifecycle pass. A
+// pass that fails because ctx ended is not charged to the breaker: a
+// caller giving up is no evidence that the source is broken.
+func (m *Manager) run(ctx context.Context) (Status, error) {
 	metrics := m.server.Metrics()
 	if b := m.Breaker(); b.Open {
 		metrics.ReloadFailed()
 		return m.Current(), fmt.Errorf("%w (retry after %s)", ErrBreakerOpen, b.RetryAt.Sub(m.clock.Now()).Round(time.Millisecond))
 	}
-	var lastErr error
-	for attempt := 1; attempt <= m.policy.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			metrics.ReloadRetried()
-			select {
-			case <-m.clock.After(retry.Backoff(m.policy.BaseBackoff, m.policy.MaxBackoff, attempt-1, rand.Float64())):
-			case <-ctx.Done():
-				m.breaker.Record(true)
-				metrics.ReloadFailed()
-				return m.Current(), fmt.Errorf("reload: %w (after %v)", ctx.Err(), lastErr)
-			}
-		}
-		st, err := m.runOnce(ctx)
-		if err == nil {
-			m.breaker.Record(false)
-			return st, nil
-		}
-		lastErr = err
-		// A closed server or cancelled context cannot be retried into
-		// working; stop burning attempts.
-		if errors.Is(err, serve.ErrClosed) || ctx.Err() != nil {
-			break
-		}
+	st, err := m.runOnce(ctx)
+	if err == nil {
+		m.breaker.Record(false)
+		return st, nil
 	}
-	m.breaker.Record(true)
+	if ctx.Err() == nil {
+		m.breaker.Record(true)
+	}
 	metrics.ReloadFailed()
-	return m.Current(), lastErr
+	return st, err
 }
 
 // runOnce is a single load→validate→swap pass.

@@ -29,8 +29,8 @@ func fakeEngine(n int, gen uint64) serve.RankQueryFunc {
 	}
 }
 
-// fakeClock is a manual clock for the breaker and backoff: Now moves only
-// through advance, and After fires at once so retries never sleep.
+// fakeClock is a manual clock for the breaker: Now moves only through
+// advance, and After fires at once.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -116,15 +116,11 @@ func TestManagerReloadSwapsGeneration(t *testing.T) {
 	}
 }
 
-// noRetry keeps legacy failure tests deterministic and fast: one attempt
-// per run, breaker disabled.
-var noRetry = Policy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
-
 func TestManagerLoadFailureKeepsServing(t *testing.T) {
 	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
 	defer sv.Close()
 	boom := errors.New("disk on fire")
-	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) { return nil, boom }, Meta{Source: "boot"}, noRetry)
+	m := New(sv, func(ctx context.Context) (*Candidate, error) { return nil, boom }, Meta{Source: "boot"})
 	st, err := m.Reload(context.Background())
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the loader's error", err)
@@ -170,7 +166,7 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
 			defer sv.Close()
-			m := NewWithPolicy(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{}, noRetry)
+			m := New(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{})
 			st, err := m.Reload(context.Background())
 			if !errors.Is(err, ErrValidation) {
 				t.Fatalf("err = %v, want ErrValidation", err)
@@ -224,61 +220,69 @@ func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
 	}
 }
 
-// A failing lifecycle pass must be retried with backoff inside one Reload
-// call — transient I/O clears, the operator never sees it.
-func TestManagerRetriesTransientFailure(t *testing.T) {
+// A reload is one attempt: a failing load is not re-run inside the
+// Reload call, and the next trigger is what tries again.
+func TestManagerFailedReloadIsOneAttempt(t *testing.T) {
 	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
 	defer sv.Close()
 	var calls atomic.Int32
-	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) {
-		if calls.Add(1) < 3 {
-			return nil, errors.New("transient: snapshot mid-publish")
+	m := New(sv, func(ctx context.Context) (*Candidate, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("no servable generation yet")
 		}
 		return candidate(8, 2), nil
-	}, Meta{}, Policy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	}, Meta{})
 
+	if _, err := m.Reload(context.Background()); err == nil {
+		t.Fatal("reload over a failing load succeeded")
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("one trigger ran the loader %d times, want 1", got)
+	}
 	st, err := m.Reload(context.Background())
 	if err != nil {
-		t.Fatalf("reload with transient failures: %v", err)
+		t.Fatalf("second trigger: %v", err)
 	}
-	if st.Generation != 2 || calls.Load() != 3 {
-		t.Fatalf("gen=%d after %d loads; want gen 2 after 3", st.Generation, calls.Load())
+	if st.Generation != 2 || calls.Load() != 2 {
+		t.Fatalf("gen=%d after %d loads; want gen 2 after 2", st.Generation, calls.Load())
 	}
 	mtr := sv.Metrics()
-	if mtr.ReloadRetries() != 2 || mtr.ReloadFailures() != 0 || mtr.Reloads() != 1 {
-		t.Fatalf("retries/failures/reloads = %d/%d/%d, want 2/0/1",
-			mtr.ReloadRetries(), mtr.ReloadFailures(), mtr.Reloads())
+	if mtr.ReloadFailures() != 1 || mtr.Reloads() != 1 {
+		t.Fatalf("failures/reloads = %d/%d, want 1/1", mtr.ReloadFailures(), mtr.Reloads())
+	}
+	if b := m.Breaker(); b.ConsecutiveFailures != 0 {
+		t.Fatalf("breaker after a success: %+v", b)
 	}
 }
 
-// Consecutive failed runs open the breaker: triggers fail fast without a
-// load attempt until the cooldown elapses, then one probe run closes it
+// Five consecutive failed runs open the breaker: triggers fail fast
+// without a load attempt for ten seconds, then one probe run closes it
 // again on success.
 func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
 	defer sv.Close()
 	var calls atomic.Int32
 	var healthy atomic.Bool
-	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) {
+	m := New(sv, func(ctx context.Context) (*Candidate, error) {
 		calls.Add(1)
 		if !healthy.Load() {
 			return nil, errors.New("snapshot source down")
 		}
 		return candidate(8, 2), nil
-	}, Meta{}, Policy{
-		MaxAttempts: 1, BaseBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
-	})
+	}, Meta{})
 	clk := &fakeClock{now: time.Unix(1, 0)}
 	m.setClock(clk)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 5; i++ {
+		if b := m.Breaker(); b.Open {
+			t.Fatalf("breaker open after %d failures: %+v", i, b)
+		}
 		if _, err := m.Reload(context.Background()); err == nil {
 			t.Fatalf("reload %d unexpectedly succeeded", i)
 		}
 	}
-	if b := m.Breaker(); !b.Open || b.ConsecutiveFailures != 2 || !b.RetryAt.Equal(clk.Now().Add(time.Hour)) {
-		t.Fatalf("breaker after threshold failures: %+v", b)
+	if b := m.Breaker(); !b.Open || b.ConsecutiveFailures != 5 || !b.RetryAt.Equal(clk.Now().Add(10*time.Second)) {
+		t.Fatalf("breaker after five failures: %+v", b)
 	}
 	before := calls.Load()
 	if _, err := m.Reload(context.Background()); !errors.Is(err, ErrBreakerOpen) {
@@ -292,7 +296,7 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	healthy.Store(true)
-	clk.advance(time.Hour) // cooldown elapses; next trigger is the probe
+	clk.advance(10 * time.Second) // cooldown elapses; next trigger is the probe
 	st, err := m.Reload(context.Background())
 	if err != nil {
 		t.Fatalf("probe reload after cooldown: %v", err)
@@ -302,6 +306,31 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if b := m.Breaker(); b.Open || b.ConsecutiveFailures != 0 {
 		t.Fatalf("breaker after recovery: %+v", b)
+	}
+}
+
+// A reload its caller cancelled is not evidence that the source is
+// broken: however many there are, they leave the breaker closed and
+// uncharged, so /readyz stays 200.
+func TestManagerCancelledReloadIsNotAFailedRun(t *testing.T) {
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
+	defer sv.Close()
+	m := New(sv, func(ctx context.Context) (*Candidate, error) {
+		<-ctx.Done() // the caller hangs up mid-load
+		return nil, ctx.Err()
+	}, Meta{})
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := m.Reload(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("reload %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	if b := m.Breaker(); b.Open || b.ConsecutiveFailures != 0 {
+		t.Fatalf("cancelled reloads charged the breaker: %+v", b)
+	}
+	if sv.Generation() != 1 {
+		t.Fatalf("cancelled reloads moved the generation: %d", sv.Generation())
 	}
 }
 
@@ -334,7 +363,7 @@ func TestManagerRankedCandidateSwap(t *testing.T) {
 		},
 		Meta: Meta{Source: "snapshot", Rank: fullRank},
 	}
-	m := NewWithPolicy(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{}, noRetry)
+	m := New(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{})
 	if _, err := m.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}

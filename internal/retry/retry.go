@@ -1,9 +1,9 @@
 // Package retry is the one jittered-exponential backoff and
-// consecutive-failure circuit breaker in the module. The reload manager
-// (a broken snapshot source) and the wire client (a struggling shard
-// worker) both retry with it and both fail fast through it; time comes
-// from an injectable Clock so their tests drive cooldowns without
-// sleeping.
+// consecutive-failure circuit breaker in the module. The wire client
+// retries a struggling shard worker with it, and both the wire client
+// and the reload manager (a broken snapshot source) fail fast through
+// its breaker; time comes from an injectable Clock so their tests drive
+// cooldowns without sleeping.
 package retry
 
 import (
@@ -29,11 +29,11 @@ func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d
 
 // Backoff returns the delay before retry attempt (1-based): nominally
 // base·2^(attempt-1) capped at limit, of which half is kept and half is
-// scaled by jitter in [0, 1) — enough spread that replicas retrying
-// against one failed publish or one struggling worker do not move in
-// lockstep, while the minimum wait still grows exponentially. The caller
-// supplies the jitter sample so it keeps control of its randomness
-// source (seeded in the wire client's tests).
+// scaled by jitter in [0, 1) — enough spread that routers retrying
+// against one struggling worker do not move in lockstep, while the
+// minimum wait still grows exponentially. The caller supplies the jitter
+// sample so it keeps control of its randomness source (seeded in the
+// wire client's tests).
 func Backoff(base, limit time.Duration, attempt int, jitter float64) time.Duration {
 	nominal := math.Min(float64(base)*math.Pow(2, float64(attempt-1)), float64(limit))
 	return time.Duration(nominal/2 + jitter*nominal/2)

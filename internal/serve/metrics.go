@@ -28,7 +28,6 @@ type Metrics struct {
 	shards         atomic.Int64  // slot count of the serving router; 1 = the whole index
 	reloads        atomic.Int64  // successful generation swaps after boot
 	reloadFailures atomic.Int64  // reload runs that never swapped
-	reloadRetries  atomic.Int64  // in-run retry attempts after a failed pass
 
 	// Latency covers admission -> response for answered requests, in
 	// seconds. BatchOccupancy counts query nodes per engine call: every
@@ -89,11 +88,6 @@ func (m *Metrics) ReloadFailed()         { m.reloadFailures.Add(1) }
 func (m *Metrics) Reloads() int64        { return m.reloads.Load() }
 func (m *Metrics) ReloadFailures() int64 { return m.reloadFailures.Load() }
 
-// ReloadRetried counts one in-run retry (a failed lifecycle pass that is
-// being attempted again after backoff); ReloadRetries reads it back.
-func (m *Metrics) ReloadRetried()       { m.reloadRetries.Add(1) }
-func (m *Metrics) ReloadRetries() int64 { return m.reloadRetries.Load() }
-
 // RegisterExtra merges a named producer into every Snapshot: fn runs at
 // snapshot time and its value lands under name. The wire router registers
 // its per-shard client stats this way, so /metrics describes the whole
@@ -132,7 +126,6 @@ func (m *Metrics) Snapshot() map[string]interface{} {
 		"shard_count":          m.shards.Load(),
 		"reloads":              m.reloads.Load(),
 		"reload_failures":      m.reloadFailures.Load(),
-		"reload_retries":       m.reloadRetries.Load(),
 		"reload_seconds":       m.ReloadDuration.Snapshot(),
 		"latency_seconds":      m.Latency.Snapshot(),
 		"batch_occupancy":      m.BatchOccupancy.Snapshot(),

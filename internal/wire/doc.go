@@ -22,7 +22,8 @@
 //	POST /shard/query   partial top-k of owned nodes for a query set.
 //	POST /shard/scores  targeted row scores (the /similarity primitive).
 //	POST /admin/reload  bearer-authenticated snapshot reload (next
-//	                    generation from the worker's shard-<s>/ dir).
+//	                    generation from the worker's shard-<s>/ dir;
+//	                    409, never retried, when the worker refuses it).
 //
 // Every data response carries the generation that answered it, so the
 // router's bound cache observes worker rolls the way it observes a local

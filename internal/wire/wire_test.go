@@ -407,16 +407,22 @@ func TestRollWorkersSnapshotLifecycle(t *testing.T) {
 	}
 
 	// A publish cut for a cluster of another size holds other ranges: the
-	// worker refuses it before the swap and the roll stops there, nothing
-	// swapped, index B still serving.
+	// worker refuses it before the swap (409) and the roll stops there,
+	// nothing swapped, index B still serving. A refusal is the worker's
+	// verdict, not a down slot: the client neither calls it ErrSlotDown
+	// nor charges it to the breaker that gates the worker's queries.
 	if err := shard.PublishSnapshots(root, ixA, k+1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := workers[0].Reload(); !errors.Is(err, shard.ErrShard) {
 		t.Fatalf("reload of a shard cut for another range: err = %v, want ErrShard", err)
 	}
-	if swapped, err := wire.RollWorkers(context.Background(), engines); err == nil || swapped != 0 {
-		t.Fatalf("roll onto shards cut for another range = %d, %v; want 0 and an error", swapped, err)
+	swapped, err = wire.RollWorkers(context.Background(), engines)
+	if err == nil || swapped != 0 || errors.Is(err, shard.ErrSlotDown) || !strings.Contains(err.Error(), "http 409") {
+		t.Fatalf("roll onto shards cut for another range = %d, %v; want 0 and the worker's 409", swapped, err)
+	}
+	if st := engines[0].Stats(); st.ConsecutiveFailures != 0 {
+		t.Fatalf("worker 0's refusal charged its breaker: %+v", st)
 	}
 	if got, err = rt.TopKTagged(context.Background(), queries, 10, 0); err != nil || got.Items[0].Node != want[0].Node || got.Items[0].Score != want[0].Score {
 		t.Fatalf("after the refused roll: %+v, %v; want index B's answer", got.Items, err)

@@ -271,11 +271,20 @@ func (w *Worker) handleReload(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := w.Reload()
-	if err != nil {
+	switch {
+	case err == nil:
+		writeJSON(rw, http.StatusOK, resp)
+	case errors.Is(err, shard.ErrShard) || errors.Is(err, reload.ErrValidation) || errors.Is(err, core.ErrNoSnapshot):
+		// The worker refused the snapshot directory — a wrong shape, a
+		// candidate that fails ValidateShard, no servable generation.
+		// Asking again before someone publishes gets the same answer, so
+		// this is not a transport failure a client should retry or charge
+		// to the breaker that also gates its queries. An error the worker
+		// did not decide, such as I/O, is a 500.
+		writeError(rw, http.StatusConflict, err)
+	default:
 		writeError(rw, http.StatusInternalServerError, err)
-		return
 	}
-	writeJSON(rw, http.StatusOK, resp)
 }
 
 func readJSON(rw http.ResponseWriter, r *http.Request, dst any) bool {
