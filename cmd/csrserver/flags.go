@@ -24,7 +24,7 @@ const (
 
 const (
 	graphFlags = "dataset dscale graph n r c snapshots "
-	frontFlags = "addr admintoken workers pending maxk timeout degraderank degradebudget "
+	frontFlags = "addr admintoken workers pending maxk timeout "
 )
 
 // modes is the whole compatibility contract between flags: each mode
@@ -88,8 +88,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.serve.MaxPending, "pending", 1024, "requests that may wait for an engine call; beyond them requests get 429")
 	fs.IntVar(&c.serve.MaxK, "maxk", serve.DefaultMaxK, "server-side cap on requested k")
 	fs.DurationVar(&c.serve.Timeout, "timeout", 5*time.Second, "per-request deadline (0 disables)")
-	fs.IntVar(&c.serve.Degrade.Rank, "degraderank", 0, "truncated SVD rank served under pressure (0 disables graceful degradation)")
-	fs.DurationVar(&c.serve.Degrade.MinBudget, "degradebudget", 0, "degrade requests admitted with less deadline budget than this (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -141,11 +141,10 @@ func TestDriftBudgetTriggersRebuild(t *testing.T) {
 // Nothing reads the boot index once the ingest service is built, so a boot
 // from a mapped snapshot releases that mapping after the first rebuild swap
 // like any other generation's — an append or a query that still read it
-// would be a SIGSEGV — and the snapshot may be of any tier: over an int8 one
-// the drift is added to the quantization bound exactly as it is to the
-// truncation bound. At full rank an int8 answer still carries its
-// quantization bound — |Q| times for a top-k — and sits within it of the
-// f64 answer; an f64 answer carries none.
+// would be a SIGSEGV — and the snapshot may be of any tier. Every answer is
+// at full rank: an int8 one carries its quantization bound — |Q| times for
+// a top-k — and sits within it of the f64 answer; an f64 answer carries
+// none; and the drift is added to that bound.
 func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
 	var f64Top []serve.Match // the f64 arm's full-rank answers, for the int8 arm
 	var f64Pair float64
@@ -164,9 +163,7 @@ func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
 			if quantized := served.QuantizationBound() > 0; quantized != (tier == "int8") {
 				t.Fatalf("snapshot at tier %s has quantization bound %v", served.Tier(), served.QuantizationBound())
 			}
-			// Every request's deadline is under the budget, so every one is
-			// answered at rank 2 and carries its bound.
-			s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir, "-degraderank", "2", "-degradebudget", "1h", "-timeout", "1m")
+			s := bootArgs(t, "-waldir", t.TempDir(), "-snapshots", snapDir)
 			defer s.ing.Close()
 			if st := s.man.Current(); st.Source != "snapshot" {
 				t.Fatalf("boot source %q, want the mapped snapshot", st.Source)
@@ -175,15 +172,12 @@ func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A deadline past -degradebudget is answered at full rank.
-			full, cancel := context.WithTimeout(context.Background(), 2*time.Hour)
-			defer cancel()
 			queries, qb := []int{5, 3}, served.QuantizationBound()
-			top, err := s.sv.Search(full, queries, 3)
+			top, err := s.sv.Search(context.Background(), queries, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pair, err := s.sv.Score(full, []int{5}, []int{3})
+			pair, err := s.sv.Score(context.Background(), []int{5}, []int{3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,9 +208,9 @@ func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if drift := res.Info.DriftBound; drift <= 0 || res.Info.ErrorBound != served.TruncationBound(2)+drift {
-				t.Fatalf("error_bound %v with drift %v, want the %s snapshot's rank-2 bound %v plus the drift",
-					res.Info.ErrorBound, drift, tier, served.TruncationBound(2))
+			if drift := res.Info.DriftBound; drift <= 0 || res.Info.ErrorBound != qb+drift {
+				t.Fatalf("error_bound %v with drift %v, want the %s snapshot's full-rank bound %v plus the drift",
+					res.Info.ErrorBound, drift, tier, qb)
 			}
 			for round := 0; round < 2; round++ {
 				if _, err := s.reload(context.Background()); err != nil {

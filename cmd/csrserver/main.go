@@ -66,12 +66,11 @@
 // A -shardworker serves /shard/* (internal/wire) plus /healthz, /readyz
 // and POST /admin/reload instead.
 //
-// With -degraderank R the server degrades gracefully under pressure:
-// requests admitted with little deadline budget (-degradebudget) or
-// taking their engine slot while more than three quarters of -pending
-// are held are answered at truncated rank R — cheaper by roughly R/r — and
-// tagged with a "degraded" object carrying the effective rank and the
-// index's entrywise error bound. A reload is one attempt; a failed one
+// Every answer is computed at the index's full rank r, whatever the load:
+// pressure sheds (429) or expires (504) a request, never changes its
+// scores. An answer is tagged with a "degraded" object only when a shard
+// could not contribute or the drift budget is exhausted. A reload is one
+// attempt; a failed one
 // leaves the old generation serving and is re-triggered by the operator.
 // Five consecutive failed reloads open a circuit breaker for ten seconds,
 // surfaced on /readyz.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -781,106 +780,6 @@ func TestOpenBreakerReadyzAndRetryAfter(t *testing.T) {
 
 var errTestDown = fmt.Errorf("snapshot source down")
 
-// A degraded answer must carry its provenance through the HTTP layer.
-func TestTopKDegradedTagging(t *testing.T) {
-	eng := testEngine(t)
-	st := eng.Stats()
-	srv := serveStack(t, testStack(t, eng, serve.Config{
-		// The server-imposed Timeout is the deadline the budget check
-		// sees; with MinBudget above it, every request votes to degrade.
-		Timeout: 5 * time.Second,
-		Degrade: serve.DegradeConfig{Rank: 1, MinBudget: time.Hour},
-	}, "", nil))
-
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/topk?node=1&k=3", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := http.DefaultClient.Do(req.WithContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("code=%d body=%v", resp.StatusCode, body)
-	}
-	deg, ok := body["degraded"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("deadline-pressured response not tagged: %v", body)
-	}
-	if deg["effective_rank"].(float64) != 1 || deg["full_rank"].(float64) != float64(st.Rank) {
-		t.Fatalf("degraded info = %v", deg)
-	}
-	if deg["error_bound"].(float64) <= 0 {
-		t.Fatalf("degraded response missing error bound: %v", deg)
-	}
-}
-
-// The advertised error_bound must hold for what /topk actually returns. A
-// multi-source score is a sum over |Q| columns of S, so a rank-truncated
-// answer may sit |Q| entrywise bounds away from the full-rank aggregate:
-// on a random graph, at every truncated rank and |Q| in {1, 3, 16}, every
-// served score is within error_bound of the full-rank column sum.
-func TestDegradedTopKWithinAdvertisedBound(t *testing.T) {
-	const n, fullRank = 240, 6
-	rng := rand.New(rand.NewSource(67))
-	edges := make([][2]int, 0, 5*n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, [2]int{i, (i + 1) % n})
-		for e := 0; e < 4; e++ {
-			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
-		}
-	}
-	g, err := csrplus.NewGraph(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: fullRank})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 1; rank < fullRank; rank++ {
-		s := testStack(t, eng, serve.Config{
-			Timeout: 5 * time.Second, // under MinBudget: every request degrades
-			Degrade: serve.DegradeConfig{Rank: rank, MinBudget: time.Hour},
-		}, "", nil)
-		for _, q := range []int{1, 3, 16} {
-			queries := make([]int, q)
-			for i := range queries {
-				queries[i] = rng.Intn(n)
-			}
-			cols, err := eng.Query(queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.sv.Search(context.Background(), queries, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Info.Degraded || res.Info.EffectiveRank != rank {
-				t.Fatalf("rank=%d |Q|=%d: answer not served truncated: %+v", rank, q, res.Info)
-			}
-			if want := float64(q) * coreIndex(eng).TruncationBound(rank); res.Info.ErrorBound != want {
-				t.Fatalf("rank=%d |Q|=%d: error_bound %v, want |Q| x TruncationBound = %v", rank, q, res.Info.ErrorBound, want)
-			}
-			for _, m := range res.Matches {
-				full := 0.0
-				for _, col := range cols {
-					full += col[m.Node]
-				}
-				if d := math.Abs(m.Score - full); d > res.Info.ErrorBound {
-					t.Fatalf("rank=%d |Q|=%d node %d: served %v, full-rank aggregate %v: off by %v, advertised bound %v",
-						rank, q, m.Node, m.Score, full, d, res.Info.ErrorBound)
-				}
-			}
-		}
-		s.sv.Close()
-	}
-}
-
 // Boot must survive a snapshot directory whose newest generation is torn
 // (a partial copy): crash recovery serves the newest valid one and flags
 // it.
@@ -1289,6 +1188,9 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-dataset", "FB", "-reloadretries", "1"}, "flag provided but not defined: -reloadretries"},
 		{[]string{"-dataset", "FB", "-breakerfails", "1"}, "flag provided but not defined: -breakerfails"},
 		{[]string{"-dataset", "FB", "-breakercooldown", "90s"}, "flag provided but not defined: -breakercooldown"},
+		// Every answer is at full rank, whatever the load.
+		{[]string{"-dataset", "FB", "-degraderank", "2"}, "flag provided but not defined: -degraderank"},
+		{[]string{"-dataset", "FB", "-degradebudget", "1h"}, "flag provided but not defined: -degradebudget"},
 	}
 	for _, tc := range rejects {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.flag) {
@@ -1308,8 +1210,8 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
-	if count != 19 {
-		t.Errorf("csrserver has %d flags, want 19", count)
+	if count != 17 {
+		t.Errorf("csrserver has %d flags, want 17", count)
 	}
 	for m := range modes {
 		for _, name := range strings.Fields(modes[m].flags) {

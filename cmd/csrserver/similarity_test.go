@@ -28,14 +28,14 @@ import (
 
 // TestSimilarityOneAnswerEveryMode holds /similarity to one answer: the
 // same request returns byte-identical bodies from a plain server and a
-// -shardaddrs router over three wire workers, at full and at degraded rank,
-// and every cell is, bit for bit, the entry of the library's n x |Q| block
+// -shardaddrs router over three wire workers, and every cell is, bit for
+// bit, the entry of the library's full-rank n x |Q| block
 // (core.Index.QueryRankInto). The last request
 // is one a column engine could not admit on this graph: 5600 query ids x
 // 6000 rows x 8 B is past the 256 MiB a column request may size, while the
 // answer is 16800 pairs.
 func TestSimilarityOneAnswerEveryMode(t *testing.T) {
-	const n, rank, degradedRank = 6000, 4, 2
+	const n, rank = 6000, 4
 	rng := rand.New(rand.NewSource(19))
 	var edges strings.Builder
 	for i := 0; i < n; i++ {
@@ -79,74 +79,64 @@ func TestSimilarityOneAnswerEveryMode(t *testing.T) {
 	graphArgs := []string{"-graph", graphPath, "-n", strconv.Itoa(n), "-r", strconv.Itoa(rank)}
 	addrs := wireWorkers(t, publishShards(t, ix, 3), 3, nil)
 
-	for _, depth := range []struct {
-		name string
-		args []string
-		rank int
-	}{
-		{"full rank", nil, 0},
-		// Every request's deadline is under the budget, so every one degrades.
-		{"degraded", []string{"-degraderank", strconv.Itoa(degradedRank), "-degradebudget", "1h", "-timeout", "1m"}, degradedRank},
-	} {
-		t.Run(depth.name, func(t *testing.T) {
-			modes := []struct {
-				name string
-				s    *server
-			}{
-				{"K=1", bootFlags(t, append(graphArgs, depth.args...)...)},
-				{"-shardaddrs", bootFlags(t, append([]string{"-shardaddrs", addrs}, depth.args...)...)},
-			}
-			for _, req := range requests {
-				var body []byte
-				for _, m := range modes {
-					rec := httptest.NewRecorder()
-					m.s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/similarity?nodes="+req.nodes+"&targets="+req.targets, nil))
-					if rec.Code != http.StatusOK {
-						t.Fatalf("%s, %s: HTTP %d %s", req.name, m.name, rec.Code, rec.Body)
-					}
-					if body == nil {
-						body = rec.Body.Bytes()
-					} else if !bytes.Equal(rec.Body.Bytes(), body) {
-						t.Fatalf("%s: %s answers\n%.300s\nbut %s answered\n%.300s", req.name, m.name, rec.Body, modes[0].name, body)
-					}
+	t.Run("full rank", func(t *testing.T) {
+		modes := []struct {
+			name string
+			s    *server
+		}{
+			{"K=1", bootFlags(t, graphArgs...)},
+			{"-shardaddrs", bootFlags(t, "-shardaddrs", addrs)},
+		}
+		for _, req := range requests {
+			var body []byte
+			for _, m := range modes {
+				rec := httptest.NewRecorder()
+				m.s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/similarity?nodes="+req.nodes+"&targets="+req.targets, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s, %s: HTTP %d %s", req.name, m.name, rec.Code, rec.Body)
 				}
+				if body == nil {
+					body = rec.Body.Bytes()
+				} else if !bytes.Equal(rec.Body.Bytes(), body) {
+					t.Fatalf("%s: %s answers\n%.300s\nbut %s answered\n%.300s", req.name, m.name, rec.Body, modes[0].name, body)
+				}
+			}
 
-				var got struct {
-					Pairs    []serve.Pair     `json:"pairs"`
-					Degraded *serve.QueryInfo `json:"degraded"`
-				}
-				if err := json.Unmarshal(body, &got); err != nil {
-					t.Fatal(err)
-				}
-				if (got.Degraded != nil) != (depth.rank > 0) || got.Degraded != nil && got.Degraded.EffectiveRank != depth.rank {
-					t.Fatalf("%s: degraded tag %+v, want effective rank %d", req.name, got.Degraded, depth.rank)
-				}
-				nodes, _ := parseIDs(req.nodes)
-				targets, _ := parseIDs(req.targets)
-				col := map[int]int{} // node -> its column of the oracle block
-				var distinct []int
-				for _, q := range nodes {
-					if _, ok := col[q]; !ok {
-						col[q] = len(distinct)
-						distinct = append(distinct, q)
-					}
-				}
-				want, err := ix.QueryRankInto(context.Background(), distinct, depth.rank, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got.Pairs) != len(nodes)*len(targets) {
-					t.Fatalf("%s: %d pairs, want %d", req.name, len(got.Pairs), len(nodes)*len(targets))
-				}
-				for i, p := range got.Pairs {
-					q, tgt := nodes[i/len(targets)], targets[i%len(targets)]
-					if w := want.At(tgt, col[q]); p.Query != q || p.Target != tgt || math.Float64bits(p.Score) != math.Float64bits(w) {
-						t.Fatalf("%s: pair %d = %+v, want (%d, %d) scoring %v (%#x)", req.name, i, p, q, tgt, w, math.Float64bits(w))
-					}
+			var got struct {
+				Pairs    []serve.Pair     `json:"pairs"`
+				Degraded *serve.QueryInfo `json:"degraded"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Degraded != nil {
+				t.Fatalf("%s: degraded tag %+v on a full-rank answer with every shard up", req.name, got.Degraded)
+			}
+			nodes, _ := parseIDs(req.nodes)
+			targets, _ := parseIDs(req.targets)
+			col := map[int]int{} // node -> its column of the oracle block
+			var distinct []int
+			for _, q := range nodes {
+				if _, ok := col[q]; !ok {
+					col[q] = len(distinct)
+					distinct = append(distinct, q)
 				}
 			}
-		})
-	}
+			want, err := ix.QueryRankInto(context.Background(), distinct, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Pairs) != len(nodes)*len(targets) {
+				t.Fatalf("%s: %d pairs, want %d", req.name, len(got.Pairs), len(nodes)*len(targets))
+			}
+			for i, p := range got.Pairs {
+				q, tgt := nodes[i/len(targets)], targets[i%len(targets)]
+				if w := want.At(tgt, col[q]); p.Query != q || p.Target != tgt || math.Float64bits(p.Score) != math.Float64bits(w) {
+					t.Fatalf("%s: pair %d = %+v, want (%d, %d) scoring %v (%#x)", req.name, i, p, q, tgt, w, math.Float64bits(w))
+				}
+			}
+		}
+	})
 }
 
 // poisonF rewrites entry (row, 0) of the factor F in the snapshot file at

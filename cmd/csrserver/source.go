@@ -57,7 +57,7 @@ type source struct {
 // the rows it owns (a band at a time into a selector, or just the target
 // rows), so no n x |Q| block exists anywhere, nothing crosses a wire that a
 // local slot would not also compute, and there is nothing for concurrent
-// requests to share. Admission, shedding, degradation and drain are serve's.
+// requests to share. Admission, shedding and drain are serve's.
 func newCandidate(rt *shard.Router, meta reload.Meta, drift serve.DriftFunc, release func()) *reload.Candidate {
 	ranked := rt.Ranked()
 	ranked.Drift = drift

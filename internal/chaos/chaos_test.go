@@ -125,7 +125,6 @@ func TestChaosQueryPathAnswersOrFailsTyped(t *testing.T) {
 			sv := newServer(t, ix, serve.Config{
 				Workers:    4,
 				MaxPending: 256,
-				Degrade:    serve.DegradeConfig{Rank: 3},
 			})
 			defer sv.Close()
 
@@ -271,59 +270,6 @@ func TestChaosFailedReloadKeepsOldGenerationServing(t *testing.T) {
 
 			close(stop)
 			hwg.Wait()
-		})
-	}
-}
-
-// TestChaosDegradedAnswersStayWithinAdvertisedBound forces every request
-// onto the degraded path (a deadline budget no request can meet at full
-// rank) with engine latency spikes armed, and checks the contract the
-// paper's truncation analysis promises: the response is tagged with the
-// effective rank and a bound, and every returned score is within that
-// bound of the exact full-rank answer.
-func TestChaosDegradedAnswersStayWithinAdvertisedBound(t *testing.T) {
-	ix, ref := fixture(t)
-	n := ix.N()
-	const degradedRank = 2
-	wantBound := ix.TruncationBound(degradedRank)
-	if wantBound <= 0 {
-		t.Fatalf("fixture has no truncation error at rank %d; the bound check would be vacuous", degradedRank)
-	}
-	for _, seed := range seeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			fault.Enable(seed)
-			defer fault.Disable()
-			fault.Arm(fault.SiteBatchQuery, fault.Plan{LatencyProb: 0.5, Latency: 200 * time.Microsecond})
-
-			sv := newServer(t, ix, serve.Config{
-				Workers:    2,
-				MaxPending: 128,
-				Timeout:    5 * time.Second,
-				Degrade:    serve.DegradeConfig{Rank: degradedRank, MinBudget: time.Hour},
-			})
-			defer sv.Close()
-
-			for i := 0; i < 25; i++ {
-				q := (i*17 + int(seed)) % n
-				res, err := sv.Search(context.Background(), []int{q}, 5)
-				if err != nil {
-					t.Fatalf("degraded search %d: %v", i, err)
-				}
-				info := res.Info
-				if !info.Degraded || info.EffectiveRank != degradedRank || info.FullRank != ix.Rank() {
-					t.Fatalf("budget-pressured answer not tagged degraded as configured: %+v", info)
-				}
-				if math.Abs(info.ErrorBound-wantBound) > 1e-12 {
-					t.Fatalf("advertised bound %g, want engine's TruncationBound(%d) = %g",
-						info.ErrorBound, degradedRank, wantBound)
-				}
-				for _, m := range res.Matches {
-					if d := math.Abs(m.Score - ref[q][m.Node]); d > info.ErrorBound+1e-12 {
-						t.Errorf("degraded score outside advertised bound: query %d node %d: |%g - %g| = %g > %g",
-							q, m.Node, m.Score, ref[q][m.Node], d, info.ErrorBound)
-					}
-				}
-			}
 		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package chaos holds the fault-injection test suite for the serving
 // stack. The package has no production code: its tests carry the
 // `faultinject` build tag and exercise the full stack — core index
-// persistence and snapshot recovery, the serve batching/degradation
-// path, and the reload lifecycle — while internal/fault delivers
+// persistence and snapshot recovery, the serve admission path, the wire
+// cluster, and the reload lifecycle — while internal/fault delivers
 // deterministic, seeded faults at the instrumented sites.
 //
 // Run it with:
@@ -15,8 +15,8 @@
 //
 //   - Every request gets an answer or a typed error — never a hang, never
 //     a silently dropped in-flight request.
-//   - Every successful answer is correct: exact at full rank, within the
-//     engine's advertised entrywise bound when served degraded.
+//   - Every successful answer is correct: within its advertised error
+//     bound — exact on an exact index when every shard answered.
 //   - A failing reload source never disturbs the serving generation; the
 //     old engine keeps answering exactly until a healthy candidate swaps in.
 //   - A snapshot directory survives torn writes, failed fsyncs and failed

@@ -223,8 +223,9 @@ func (m *Manager) Breaker() Breaker {
 // The whole sequence runs on the calling goroutine — callers wanting an
 // async reload wrap it in one. A Reload entered while another is in
 // flight returns ErrCoalesced immediately; the in-flight reload runs the
-// lifecycle again before releasing the lock, so the trigger is honoured,
-// just not by its own caller.
+// lifecycle again before releasing the lock — even when its own ctx has
+// ended by then — so the trigger is honoured, just not by its own caller.
+// The returned Status and error are those of the last pass run.
 func (m *Manager) Reload(ctx context.Context) (Status, error) {
 	if !m.mu.TryLock() {
 		m.pending.Store(true)
@@ -235,13 +236,12 @@ func (m *Manager) Reload(ctx context.Context) (Status, error) {
 	st, err := m.run(ctx)
 	// Honour triggers that coalesced while this run was in flight: each
 	// pass consumes the pending mark, and a mark set mid-pass (the world
-	// may have changed again) schedules one more. Context cancellation
-	// still wins.
+	// may have changed again) schedules one more. Those passes are owed to
+	// the triggers, not to this caller, so they run without its
+	// cancellation: a caller that gives up ends only its own pass.
+	owed := context.WithoutCancel(ctx)
 	for m.pending.Swap(false) {
-		if ctx.Err() != nil {
-			break
-		}
-		st, err = m.run(ctx)
+		st, err = m.run(owed)
 	}
 	return st, err
 }
@@ -329,8 +329,7 @@ func probeNodes(n int) []int {
 
 // Validate smoke-tests a candidate before it may take traffic: the shape
 // must be plausible and real engine calls against probe nodes (at full
-// rank — validation exercises the calls real traffic makes, and degraded
-// serving derives from the same factors) must come back with the right
+// rank, the only rank real traffic is served at) must come back with the right
 // dimensions, finite scores, and a positive self-similarity (CoSimRank
 // scores a node against itself as 1 plus a damped correction, so a zero
 // or negative diagonal means the factors are garbage — an index loaded

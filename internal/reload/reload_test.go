@@ -220,6 +220,51 @@ func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
 	}
 }
 
+// A trigger that coalesced into a reload is owed its own pass, and the
+// in-flight caller hanging up does not cancel it: ErrCoalesced promised
+// the reload will happen. The caller's own pass still ends with its ctx.
+func TestManagerCoalescedTriggerOutlivesCancelledCaller(t *testing.T) {
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{})
+	defer sv.Close()
+	var loads atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	m := New(sv, func(ctx context.Context) (*Candidate, error) {
+		if loads.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return candidate(8, 2), nil
+	}, Meta{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Reload(ctx)
+		done <- err
+	}()
+	<-entered // the first reload is mid-load and holds the lifecycle lock
+	if _, err := m.Reload(context.Background()); !errors.Is(err, ErrCoalesced) {
+		t.Fatalf("concurrent reload: err = %v, want ErrCoalesced", err)
+	}
+	cancel() // the first caller hangs up
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Reload returned %v, want the coalesced pass's success", err)
+	}
+	if got := loads.Load(); got != 2 {
+		t.Fatalf("loader ran %d times, want 2: the coalesced trigger was dropped with its carrier's ctx", got)
+	}
+	if st := m.Current(); st.Generation != 2 {
+		t.Fatalf("coalesced pass did not swap: %+v", st)
+	}
+	if b := m.Breaker(); b.ConsecutiveFailures != 0 {
+		t.Fatalf("the cancelled pass charged the breaker: %+v", b)
+	}
+}
+
 // A reload is one attempt: a failing load is not re-run inside the
 // Reload call, and the next trigger is what tries again.
 func TestManagerFailedReloadIsOneAttempt(t *testing.T) {
@@ -334,50 +379,62 @@ func TestManagerCancelledReloadIsNotAFailedRun(t *testing.T) {
 	}
 }
 
-// A candidate advertising a Rank must install a rank-aware generation:
-// degradation works after the swap.
+// A candidate's Bound is installed with its engine: after the swap every
+// answer carries the candidate's full-rank bound, Bound(0), and neither
+// its engine nor its Bound is asked for any other rank.
 func TestManagerRankedCandidateSwap(t *testing.T) {
-	const n, fullRank = 8, 6
-	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{
-		Degrade: serve.DegradeConfig{Rank: 2, MinBudget: time.Hour},
-	})
+	const n, quant = 8, 0.125
+	fullRank := func(rank int) {
+		if rank != 0 {
+			t.Errorf("candidate asked for rank %d, want full rank 0", rank)
+		}
+	}
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{})
 	defer sv.Close()
 	cand := &Candidate{
 		Ranked: serve.Ranked{
 			N:     n,
-			Rank:  fullRank,
-			Bound: func(rank int) float64 { return float64(fullRank - rank) },
+			Bound: func(rank int) float64 { fullRank(rank); return quant },
 			Query: func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
-				effective := fullRank
-				if rank > 0 && rank < fullRank {
-					effective = rank
-				}
+				fullRank(rank)
 				m := scratch.Reuse(n, len(queries))
 				for j := range queries {
 					for i := 0; i < n; i++ {
-						m.Set(i, j, float64(effective))
+						m.Set(i, j, 10+float64(i)/float64(2*n))
 					}
 				}
 				return m, nil
 			},
 		},
-		Meta: Meta{Source: "snapshot", Rank: fullRank},
+		Meta: Meta{Source: "snapshot", Rank: 6},
 	}
 	m := New(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{})
-	if _, err := m.Reload(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := sv.Search(ctx, []int{1}, 2)
+	res, err := sv.Search(context.Background(), []int{1, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Info.Degraded || res.Info.EffectiveRank != 2 || res.Info.FullRank != fullRank {
-		t.Fatalf("post-swap degradation info = %+v", res.Info)
+	if res.Info.ErrorBound != 0 {
+		t.Fatalf("boot generation without a Bound tagged %+v", res.Info)
 	}
-	if res.Info.ErrorBound != float64(fullRank-2) {
-		t.Fatalf("bound = %v, want %d", res.Info.ErrorBound, fullRank-2)
+	if _, err := m.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, err = sv.Search(context.Background(), []int{1, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (serve.QueryInfo{ErrorBound: 2 * quant}); res.Info != want {
+		t.Fatalf("post-swap top-k info = %+v, want %+v", res.Info, want)
+	}
+	if int(res.Matches[0].Score) != 2*10 {
+		t.Fatalf("post-swap aggregate %v did not come from the candidate", res.Matches[0].Score)
+	}
+	pr, err := sv.Score(context.Background(), []int{1}, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (serve.QueryInfo{ErrorBound: quant}); pr.Info != want {
+		t.Fatalf("post-swap pair info = %+v, want %+v", pr.Info, want)
 	}
 }
 

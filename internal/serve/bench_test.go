@@ -21,7 +21,7 @@ func BenchmarkSearchHotPath(b *testing.B) {
 	const n = 2048
 	items := make([]topk.Item, 10)
 	sv := NewRanked(
-		Ranked{N: n, Rank: 8, TopK: func(context.Context, []int, int, int) ([]topk.Item, TopKProvenance, error) {
+		Ranked{N: n, TopK: func(context.Context, []int, int, int) ([]topk.Item, TopKProvenance, error) {
 			return items, TopKProvenance{}, nil
 		}},
 		Config{Workers: 1, MaxPending: 64},

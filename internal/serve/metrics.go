@@ -21,8 +21,7 @@ type Metrics struct {
 	nodes      atomic.Int64 // query nodes across all engine calls
 	queueDepth atomic.Int64 // requests admitted but not yet answered
 
-	degraded        atomic.Int64 // requests answered at truncated rank
-	degradedBatches atomic.Int64 // engine calls run at truncated rank
+	degraded atomic.Int64 // requests answered without a shard or past the drift budget
 
 	generation     atomic.Uint64 // engine generation taking new requests
 	shards         atomic.Int64  // slot count of the serving router; 1 = the whole index
@@ -61,10 +60,9 @@ func (m *Metrics) Shed() int64     { return m.shed.Load() }
 func (m *Metrics) Expired() int64  { return m.expired.Load() }
 func (m *Metrics) Batches() int64  { return m.batches.Load() }
 
-// Degraded counts requests answered at a truncated rank;
-// DegradedBatches counts the engine calls that ran truncated.
-func (m *Metrics) Degraded() int64        { return m.degraded.Load() }
-func (m *Metrics) DegradedBatches() int64 { return m.degradedBatches.Load() }
+// Degraded counts requests answered with a shard missing or the drift
+// budget exhausted.
+func (m *Metrics) Degraded() int64 { return m.degraded.Load() }
 
 // SetGeneration records the engine generation now taking new requests;
 // Server.Swap is the only writer. Generation reads the gauge.
@@ -121,7 +119,6 @@ func (m *Metrics) Snapshot() map[string]interface{} {
 		"mean_batch_occupancy": mean,
 		"queue_depth":          m.queueDepth.Load(),
 		"requests_degraded":    m.degraded.Load(),
-		"degraded_batches":     m.degradedBatches.Load(),
 		"generation":           m.generation.Load(),
 		"shard_count":          m.shards.Load(),
 		"reloads":              m.reloads.Load(),

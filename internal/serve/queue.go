@@ -19,22 +19,12 @@ import (
 // Every request runs on its caller's goroutine: it pins the generation it
 // resolved (at most Workers + MaxPending at a time; the next is shed),
 // waits for one of Workers slots, makes its one engine call and unpins.
-// close stops new pins and waits for the held ones to drain.
-//
-// When a degraded rank is configured, a request's engine call runs
-// truncated — trading accuracy bounded by the factor tail for an r'/r
-// cost cut — if the request asked for it (deadline pressure, decided at
-// admission) or the generation is under load pressure when the request
-// takes its slot (queue depth past the threshold, or requests shed since
-// the last call). The effective rank travels back with the response so
-// the caller can tag what it served.
+// close stops new pins and waits for the held ones to drain. Every
+// engine call runs at full rank, whatever the load.
 type backend struct {
 	Ranked // Direct: TopK and Scores are the engine calls; Bound is non-nil
 
-	metrics       *Metrics
-	degradedRank  int   // truncated rank under pressure; 0 = never degrade
-	overloadDepth int64 // queue depth that counts as pressure; 0 = disabled
-	prevShed      atomic.Int64
+	metrics *Metrics
 
 	slots  chan struct{} // Workers tokens: one per engine call in flight
 	pins   chan struct{} // Workers + MaxPending tokens: one per request pinned to b
@@ -48,7 +38,6 @@ type request struct {
 	nodes   []int
 	k       int
 	targets []int
-	degrade bool // admission-time vote to answer truncated
 }
 
 // response is what the request's engine call produced: a top-k list with
@@ -57,22 +46,17 @@ type response struct {
 	items  []topk.Item
 	prov   TopKProvenance
 	scores *dense.Mat
-	rank   int     // effective rank of the answering call; 0 = full
-	bound  float64 // Bound(rank), taken while the request still pins the generation
+	bound  float64 // Bound(0), taken while the request still pins the generation
 }
 
 // newBackend readies e for workers concurrent engine calls and
-// workers + maxPending pinned requests; degradedRank and overloadDepth
-// wire the graceful-degradation policy (both 0 for generations without
-// rank structure).
-func newBackend(e Ranked, maxPending, workers int, m *Metrics, degradedRank int, overloadDepth int64) *backend {
+// workers + maxPending pinned requests.
+func newBackend(e Ranked, maxPending, workers int, m *Metrics) *backend {
 	return &backend{
-		Ranked:        e,
-		metrics:       m,
-		degradedRank:  degradedRank,
-		overloadDepth: overloadDepth,
-		slots:         make(chan struct{}, workers),
-		pins:          make(chan struct{}, workers+maxPending),
+		Ranked:  e,
+		metrics: m,
+		slots:   make(chan struct{}, workers),
+		pins:    make(chan struct{}, workers+maxPending),
 	}
 }
 
@@ -87,11 +71,8 @@ func (b *backend) close() {
 	}
 }
 
-// do answers req on the caller's goroutine. The response's rank is the
-// effective rank of the call that answered (0 = full) — it can be
-// truncated even when this caller did not vote for it (overload
-// pressure), and full when it did (degradation not configured on this
-// generation). A request the generation refused (ErrClosed,
+// do answers req on the caller's goroutine with one full-rank engine
+// call. A request the generation refused (ErrClosed,
 // ErrOverloaded, no engine call for it) made no engine call and holds no
 // pin, so the caller may offer the same req to another generation.
 //
@@ -131,23 +112,18 @@ func (b *backend) do(req *request) (response, error) {
 		b.metrics.expired.Add(1)
 		return response{}, err
 	}
-	rank := 0
-	if b.degradedRank > 0 && (req.degrade || b.overloaded()) {
-		rank = b.degradedRank
-		b.metrics.degradedBatches.Add(1)
-	}
 	b.metrics.batches.Add(1)
 	b.metrics.nodes.Add(int64(len(req.nodes)))
 	b.metrics.BatchOccupancy.Observe(float64(len(req.nodes)))
 
-	resp := response{rank: rank}
+	var resp response
 	err := fault.Hit(fault.SiteBatchQuery) // chaos builds: engine-level latency/failure
 	switch {
 	case err != nil:
 	case req.k > 0:
-		resp.items, resp.prov, err = b.TopK(req.ctx, req.nodes, req.k, rank)
+		resp.items, resp.prov, err = b.TopK(req.ctx, req.nodes, req.k, 0)
 	default:
-		resp.scores, err = b.Scores(req.ctx, req.nodes, req.targets, rank)
+		resp.scores, err = b.Scores(req.ctx, req.nodes, req.targets, 0)
 	}
 	if cerr := req.ctx.Err(); cerr != nil {
 		b.metrics.expired.Add(1)
@@ -156,21 +132,6 @@ func (b *backend) do(req *request) (response, error) {
 	if err != nil {
 		return response{}, err
 	}
-	resp.bound = b.Bound(rank)
+	resp.bound = b.Bound(0)
 	return resp, nil
-}
-
-// overloaded reports whether the generation is under enough pressure that
-// answering cheap beats answering exact: the admission queue is past the
-// configured depth, or requests were shed since the last call (admission
-// hit its hard bound — the strongest possible signal).
-func (b *backend) overloaded() bool {
-	if b.overloadDepth <= 0 {
-		return false
-	}
-	shed := b.metrics.shed.Load()
-	if b.prevShed.Swap(shed) < shed {
-		return true
-	}
-	return b.metrics.queueDepth.Load() > b.overloadDepth
 }

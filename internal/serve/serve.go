@@ -1,13 +1,16 @@
 // Package serve is the production serving layer between an HTTP frontend
 // and a csrplus engine. Every request takes one path, on its caller's
 // goroutine: it is validated against the serving generation, given its
-// deadline and its degradation vote, pinned to that generation (shed with
+// deadline, pinned to that generation (shed with
 // ErrOverloaded once it holds Workers + MaxPending requests, ErrClosed
 // after Close), waits for one of the generation's Workers slots, makes
 // one engine call, is tagged with how it was answered and counted in one
 // metrics registry, and unpins. Close and SwapRanked wait for the pins to
-// drain. The package starts no goroutines. Nothing is memoised: an answer
-// depends only on the generation that served it and the request.
+// drain. The package starts no goroutines. Nothing is memoised, and load
+// changes only whether a request is answered — shed (ErrOverloaded) or
+// expired (its deadline) — never how: every engine call runs at the
+// generation's full rank, so an answer depends only on the generation that
+// served it and the request.
 //
 // Every engine call answers exactly one request: Ranked.TopK for a top-k,
 // Ranked.Scores for targeted scores. Neither materialises n x |Q| — top-k
@@ -23,15 +26,6 @@
 // see the new engine while in-flight engine calls finish on the old one
 // — so an index rebuild or snapshot reload never pauses traffic (see
 // internal/reload for the lifecycle around it).
-//
-// Generations with rank structure additionally get graceful
-// degradation: under pressure — a request admitted with too little
-// deadline budget, the queue depth (requests admitted and not yet
-// answered) past a threshold, or requests being shed — engine calls run
-// at a truncated rank r' < r, trading entrywise accuracy bounded by the
-// factor tail for an r'/r cost cut. Every degraded response is tagged
-// with its effective rank and the engine's advertised error bound, so
-// clients can tell an exact answer from a cheap one.
 package serve
 
 import (
@@ -52,25 +46,6 @@ import (
 // unset: large enough for any ranking UI, small enough that one request
 // cannot demand a near-full sort of a massive graph's score vector.
 const DefaultMaxK = 1000
-
-// degradeQueueFraction is the admission-queue fill fraction (of
-// MaxPending) past which engine calls degrade when degradation is
-// enabled.
-const degradeQueueFraction = 0.75
-
-// DegradeConfig tunes graceful degradation. It only takes effect on
-// generations that advertise a Rank (Ranked.Rank 0 has nothing to
-// truncate).
-type DegradeConfig struct {
-	// Rank is the truncated rank served under pressure. 0 disables
-	// degradation; values >= the engine's full rank also disable it
-	// (there is nothing to truncate to).
-	Rank int
-	// MinBudget degrades a request admitted with less than this much
-	// deadline budget remaining — it would rather answer cheap than miss
-	// its deadline answering exact. 0 disables the budget trigger.
-	MinBudget time.Duration
-}
 
 // Config tunes a Server. The zero value selects sensible production
 // defaults (documented per field).
@@ -96,8 +71,6 @@ type Config struct {
 	Timeout time.Duration
 	// Deprecated: ignored, like MaxBatch. Nothing is memoised.
 	Cache *cache.LRU
-	// Degrade configures graceful degradation (see DegradeConfig).
-	Degrade DegradeConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -128,24 +101,21 @@ type Pair struct {
 	Score  float64 `json:"score"`
 }
 
-// QueryInfo tags a response with how it was answered. The zero value
-// means a full-rank (exact) answer.
+// QueryInfo tags a response with how it was answered. Every answer is
+// computed at the generation's full rank; the zero value means an exact
+// one.
 type QueryInfo struct {
-	// Degraded reports the answer was computed at a truncated rank.
+	// Degraded reports the answer was cut short: a shard could not
+	// contribute, or the drift budget is exhausted.
 	Degraded bool `json:"degraded"`
-	// EffectiveRank is the rank actually used; 0 when full.
-	EffectiveRank int `json:"effective_rank,omitempty"`
-	// FullRank is the engine's full rank, for r'/r context. 0 when the
-	// backend has no rank structure.
-	FullRank int `json:"full_rank,omitempty"`
 	// ErrorBound bounds |served score - exact score|; 0 for exact
 	// answers. A pair score is one entry of S, so it carries the engine's
-	// advertised entrywise bound for the rank that answered — at full rank
-	// too, where a quantized tier's bound is its quantization term — plus
-	// the drift. A top-k score is a sum over the |Q| query columns, so it
-	// carries |Q| times that. When shards are missing it additionally
-	// absorbs the missing-shard inflation. A non-zero bound alone does not
-	// make an answer Degraded.
+	// advertised entrywise bound at full rank — a quantized tier's
+	// quantization term, 0 for an exact tier — plus the drift. A top-k
+	// score is a sum over the |Q| query columns, so it carries |Q| times
+	// that. When shards are missing it additionally absorbs the
+	// missing-shard inflation. A non-zero bound alone does not make an
+	// answer Degraded.
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// MissingShards counts shards that could not contribute to this
 	// answer (wire backends only); > 0 implies Degraded.
@@ -171,7 +141,7 @@ type PairsResult struct {
 }
 
 // Server answers top-k and similarity requests over one engine through
-// one admission, degradation and drain path. Safe for concurrent use.
+// one admission and drain path. Safe for concurrent use.
 //
 // The engine is held behind an atomic generation pointer: SwapRanked
 // installs a replacement without pausing admission, so callers never
@@ -189,9 +159,9 @@ type Server struct {
 }
 
 // RankQueryFunc answers one multi-source column pass at a chosen rank
-// (0 or >= the engine's rank = full): the n x |Q| block, reusing
-// scratch's backing array when its capacity suffices (Ranked.Direct
-// always passes nil, so it allocates). It honours ctx between row bands
+// (0 or >= the engine's rank = full; serve always passes 0): the n x |Q|
+// block, reusing scratch's backing array when its capacity suffices
+// (Ranked.Direct always passes nil, so it allocates). It honours ctx between row bands
 // so an abandoned request stops consuming its slot mid-pass.
 // core.(*Index).QueryRankInto, less its tracker, satisfies it.
 type RankQueryFunc func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error)
@@ -213,30 +183,31 @@ type TopKProvenance struct {
 // contract a scatter–gather router satisfies (shard.Router.TopKTagged):
 // shards return rank-limited partial top-k lists and the router merges
 // them exactly, so no n x |Q| matrix ever materialises and there is
-// nothing to coalesce. rank <= 0 means full rank.
+// nothing to coalesce. rank <= 0 means full rank; serve always passes 0.
 type DirectTopKFunc func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, TopKProvenance, error)
 
 // DirectScoreFunc answers targeted (query, target) scores in one engine
 // call, returning a |queries| x |targets| matrix (shard.Router.Scores
-// satisfies it). Unlike DirectTopKFunc there is no degraded variant: a
-// targeted score from a dead shard has no meaningful substitute, so
-// missing shards fail the call.
+// satisfies it); rank is as for DirectTopKFunc. Unlike DirectTopKFunc
+// there is no missing-shard variant: a targeted score from a dead shard
+// has no meaningful substitute, so missing shards fail the call.
 type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error)
 
 // Ranked describes one engine generation — the single contract between
 // the server and whatever answers its queries. TopK and Scores are the
-// engine calls the generation's requests make, one each;
-// admission, shedding, degradation, tagging and drain do not
-// depend on what is behind them.
+// engine calls the generation's requests make, one each, always at full
+// rank; admission, shedding, tagging and drain do not depend on what is
+// behind them.
 type Ranked struct {
 	// N is the node count requests are validated against.
 	N int
-	// Rank is the engine's full SVD rank; 0 disables degradation for
-	// this generation.
+	// Deprecated: ignored. Every call runs at full rank; the field stays
+	// only until the benchmark harness (csrload/layers.go) stops setting it.
 	Rank int
-	// Bound reports the entrywise error bound of answering at a rank,
-	// 0 or >= Rank meaning full (shard.(*Router).TruncationBound: the
-	// tier's quantization term at full rank). nil reports 0.
+	// Bound reports the entrywise error bound of answering at a rank;
+	// serve asks only for Bound(0), full rank
+	// (shard.(*Router).TruncationBound: the tier's quantization term).
+	// nil reports 0.
 	Bound func(rank int) float64
 	// Query, when TopK or Scores is nil, stands in for it: Direct answers
 	// the request out of one column pass of its own. csrserver's
@@ -346,15 +317,8 @@ func (s *Server) SwapRanked(e Ranked) uint64 {
 	if s.closed {
 		return 0
 	}
-	// Degradation only arms when the configured truncated rank is a real
-	// truncation of this engine.
-	degradedRank, overloadDepth := 0, int64(0)
-	if s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < e.Rank {
-		degradedRank = s.cfg.Degrade.Rank
-		overloadDepth = int64(degradeQueueFraction * float64(s.cfg.MaxPending))
-	}
 	s.gen++
-	old := s.be.Swap(newBackend(e, s.cfg.MaxPending, s.cfg.Workers, s.metrics, degradedRank, overloadDepth))
+	old := s.be.Swap(newBackend(e, s.cfg.MaxPending, s.cfg.Workers, s.metrics))
 	s.metrics.SetGeneration(s.gen)
 	if old != nil {
 		old.close() // graceful: pinned requests are answered by the old engine
@@ -432,30 +396,17 @@ func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// degradeVote is the admission-time degradation decision: a request
-// arriving with less than MinBudget of deadline left votes to be answered
-// cheap rather than risk answering late.
-func (s *Server) degradeVote(ctx context.Context) bool {
-	mb := s.cfg.Degrade.MinBudget
-	if mb <= 0 {
-		return false
-	}
-	dl, ok := ctx.Deadline()
-	return ok && time.Until(dl) < mb
-}
-
-// admit gives the request its deadline and degradation vote, resolves
-// the current generation and runs the request on it. When the resolved
-// generation is superseded between the load and the pin — it rejects
-// with ErrClosed but the server as a whole is still open — the
-// request transparently retries on the successor, so a reload in
-// progress never surfaces as a caller error. Each retry re-resolves the
-// generation, and the returned backend is the one that actually answered
-// (its rank structure interprets the response's effective rank).
+// admit gives the request its deadline, resolves the current generation
+// and runs the request on it. When the resolved generation is superseded
+// between the load and the pin — it rejects with ErrClosed but the server
+// as a whole is still open — the request transparently retries on the
+// successor, so a reload in progress never surfaces as a caller error.
+// Each retry re-resolves the generation, and the returned backend is the
+// one that actually answered (its Drift tags the response).
 func (s *Server) admit(ctx context.Context, req request) (*backend, response, error) {
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
-	req.ctx, req.degrade = ctx, s.degradeVote(ctx)
+	req.ctx = ctx
 	for {
 		be := s.be.Load()
 		// This may not be the generation the caller validated against: a
@@ -472,29 +423,23 @@ func (s *Server) admit(ctx context.Context, req request) (*backend, response, er
 	}
 }
 
-// info tags a response with the rank that answered it, the generation's
-// live ingestion drift and the shards a top-k had to do without, counting
-// degraded answers in the metrics registry. The bound at the answering
-// rank (truncation, with the tier's quantization term inside it — that
-// term alone at full rank) and drift are entrywise bounds on S, and cols
-// is how many entries of S one reported score sums: 1 for a pair score,
-// |Q| for a top-k aggregate (duplicates counted — they weigh double in
-// the score too), so each is charged cols times. The missing-shard
-// inflation arrives already scaled by |Q|. The terms compose additively
-// into ErrorBound. Degraded says the answer was cut short — a truncated
-// rank, an exhausted drift budget or a missing shard — not that its bound
-// is non-zero.
+// info tags a response with the generation's live ingestion drift and the
+// shards a top-k had to do without, counting degraded answers in the
+// metrics registry. The full-rank bound (the tier's quantization term) and
+// drift are entrywise bounds on S, and cols is how many entries of S one
+// reported score sums: 1 for a pair score, |Q| for a top-k aggregate
+// (duplicates counted — they weigh double in the score too), so each is
+// charged cols times. The missing-shard inflation arrives already scaled
+// by |Q|. The terms compose additively into ErrorBound. Degraded says the
+// answer was cut short — an exhausted drift budget or a missing shard —
+// not that its bound is non-zero.
 func (s *Server) info(be *backend, resp response, cols int) QueryInfo {
-	info := QueryInfo{FullRank: be.Rank, ErrorBound: float64(cols) * resp.bound}
-	if resp.rank > 0 {
-		info.Degraded = true
-		info.EffectiveRank = resp.rank
-	}
+	info := QueryInfo{ErrorBound: float64(cols) * resp.bound}
 	if be.Drift != nil {
 		if d, exceeded := be.Drift(); d > 0 || exceeded {
 			info.DriftBound = d
 			info.ErrorBound += float64(cols) * d
-			info.Degraded = info.Degraded || exceeded
+			info.Degraded = exceeded
 		}
 	}
 	if resp.prov.MissingShards > 0 {
@@ -511,8 +456,7 @@ func (s *Server) info(be *backend, resp response, cols int) QueryInfo {
 // Search returns the k nodes most similar to the query set (aggregate
 // similarity for multi-node sets, each query node excluded), with response
 // provenance: the advertised error bound and, when the answering engine
-// call ran degraded or without some shards, the effective rank and the
-// missing-shard count. k is clamped to n and rejected beyond Config.MaxK.
+// call ran without some shards, the missing-shard count. k is clamped to n and rejected beyond Config.MaxK.
 func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult, error) {
 	start := time.Now()
 	be := s.be.Load()

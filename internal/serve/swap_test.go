@@ -308,7 +308,6 @@ func TestServerSwapWaitsForBound(t *testing.T) {
 			enter := make(chan struct{}, 1)
 			release := make(chan struct{})
 			e := plain(n, genQuery(n, 1))
-			e.Rank = 4
 			e.Bound = func(int) float64 {
 				enter <- struct{}{}
 				<-release

@@ -20,7 +20,7 @@ import (
 // entirely on that snapshot — so it is safe for concurrent use, including
 // concurrently with a slot's swap (Local.Swap, a remote worker's roll). The
 // router is csrserver's one serving backend — a monolithic index is the
-// K=1 router — with admission, degradation and generation swaps on top:
+// K=1 router — with admission, missing-shard tagging and generation swaps on top:
 // TopKTagged answers /topk and Scores answers /similarity, in every mode,
 // over local slots and remote ones (see internal/wire) alike. The two are
 // one skeleton — admit (validate, ctx, gather the query rows of U), fan a
@@ -397,10 +397,11 @@ func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (To
 
 // Ranked is the serving generation over r: TopKTagged answers each top-k
 // with its missing-shard provenance, Scores each targeted score, and
-// TruncationBound reports the bound at a rank.
+// TruncationBound reports the bound at full rank, the only one serve asks
+// for.
 func (r *Router) Ranked() serve.Ranked {
 	return serve.Ranked{
-		N: r.N(), Rank: r.Rank(), Bound: r.TruncationBound, Scores: r.Scores,
+		N: r.N(), Bound: r.TruncationBound, Scores: r.Scores,
 		TopK: func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
 			res, err := r.TopKTagged(ctx, queries, k, rank)
 			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err

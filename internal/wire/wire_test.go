@@ -15,6 +15,7 @@ import (
 	"csrplus"
 
 	"csrplus/internal/core"
+	"csrplus/internal/dense"
 	"csrplus/internal/shard"
 	"csrplus/internal/wire"
 )
@@ -223,6 +224,55 @@ func TestWireRouterMatchesMonolithic(t *testing.T) {
 		}
 		if got, want := remote.MissingShardBound(), local.MissingShardBound(); got != want || got <= 0 {
 			t.Fatalf("K=%d MissingShardBound = %v, want %v (> 0)", k, got, want)
+		}
+	}
+}
+
+// A request the worker's scan refuses — here a NaN in the broadcast uq
+// row, which only the scan checks — is the caller's error on both scans:
+// /shard/query answers it 400 as /shard/scores does, so the client sends
+// it once, leaves the slot's breaker (which also gates queries) uncharged
+// and does not report the slot down, which would make a router skip the
+// shard as missing.
+func TestRefusedScanIsOneRequest(t *testing.T) {
+	_, ix := testEngineIndex(t, 1)
+	shards, err := shard.Split(ix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts atomic.Int64
+	inner := wire.NewWorker(shards[0], 0, wire.WorkerConfig{Shard: 0}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard/query" || r.URL.Path == "/shard/scores" {
+			posts.Add(1)
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+	e, err := wire.Dial(context.Background(), srv.URL, wire.Options{Shard: 0}) // default retries
+	if err != nil {
+		t.Fatal(err)
+	}
+	uq := dense.NewMat(1, tRank)
+	uq.Set(0, 0, math.NaN())
+	ctx := context.Background()
+	for _, tc := range []struct {
+		path string
+		call func() error
+	}{
+		{"/shard/query", func() error { _, err := e.PartialTopK(ctx, []int{1}, uq, 3, 0); return err }},
+		{"/shard/scores", func() error { _, err := e.ScoreRows(ctx, []int{1}, uq, []int{shards[0].Lo()}, 0); return err }},
+	} {
+		before := posts.Load()
+		err := tc.call()
+		if err == nil || errors.Is(err, shard.ErrSlotDown) || !strings.Contains(err.Error(), "http 400") {
+			t.Fatalf("%s with a NaN uq row: err = %v, want the worker's http 400, not ErrSlotDown", tc.path, err)
+		}
+		if got := posts.Load() - before; got != 1 {
+			t.Fatalf("%s with a NaN uq row was sent %d times, want once", tc.path, got)
+		}
+		if st := e.Stats(); st.BreakerOpen || st.ConsecutiveFailures != 0 || st.Retries != 0 {
+			t.Fatalf("%s refusal charged the slot: %+v", tc.path, st)
 		}
 	}
 }

@@ -225,7 +225,7 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	items, err := sh.PartialTopK(r.Context(), req.Queries, uq, req.K, req.Rank)
 	release()
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, err)
+		writeScanError(rw, err)
 		return
 	}
 	resp := QueryResponse{Generation: gen, Nodes: make([]int, len(items)), Scores: make(F64s, len(items))}
@@ -250,14 +250,22 @@ func (w *Worker) handleScores(rw http.ResponseWriter, r *http.Request) {
 	scores, err := sh.ScoreRows(r.Context(), req.Queries, uq, req.Rows, req.Rank)
 	release()
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, core.ErrParams) || errors.Is(err, core.ErrQuery) {
-			code = http.StatusBadRequest
-		}
-		writeError(rw, code, err)
+		writeScanError(rw, err)
 		return
 	}
 	writeJSON(rw, http.StatusOK, ScoresResponse{Generation: gen, Scores: scores})
+}
+
+// writeScanError answers a failed /shard/query or /shard/scores scan. A
+// request the scan refused — core.ErrParams or core.ErrQuery, such as a
+// non-finite uq row — is the caller's 400, which the client neither
+// retries nor charges to the slot's breaker; anything else is a 500.
+func writeScanError(rw http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, core.ErrParams) || errors.Is(err, core.ErrQuery) {
+		code = http.StatusBadRequest
+	}
+	writeError(rw, code, err)
 }
 
 func (w *Worker) handleReload(rw http.ResponseWriter, r *http.Request) {
