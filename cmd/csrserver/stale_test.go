@@ -22,7 +22,8 @@ func staleDir(t *testing.T, dir, fixture string) string {
 // is stale, not corrupt, and never reaches a boot. A directory holding only
 // that reads as empty, so a server with a graph rebuilds and publishes the
 // next generation over it as v4 — and serves that — while a shard worker,
-// which cannot build, refuses to boot and names the converter.
+// which cannot build, refuses to boot and names the publish that cuts a
+// v4 shard directory.
 func TestStaleGenerationIsNeverServed(t *testing.T) {
 	dir := staleDir(t, t.TempDir(), "index.v3-f64.csrx")
 	if _, _, err := core.CurrentSnapshot(dir); !errors.Is(err, core.ErrNoSnapshot) || !errors.Is(err, core.ErrFormat) {
@@ -48,7 +49,7 @@ func TestStaleGenerationIsNeverServed(t *testing.T) {
 
 	shardDir := staleDir(t, core.ShardDir(t.TempDir(), 0), "shard.v3-f64.csrs")
 	_, err = wire.BootWorker(wire.WorkerConfig{Shard: 0, SnapshotDir: shardDir})
-	if !errors.Is(err, core.ErrNoSnapshot) || !strings.Contains(err.Error(), "csrstat -convert") || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("worker boot over a stale shard directory: err = %v, want ErrNoSnapshot naming the v3 format and csrstat -convert", err)
+	if !errors.Is(err, core.ErrNoSnapshot) || !strings.Contains(err.Error(), "-convert ROOT -split K") || !strings.Contains(err.Error(), "v3") {
+		t.Fatalf("worker boot over a stale shard directory: err = %v, want ErrNoSnapshot naming the v3 format and csrstat -split", err)
 	}
 }

@@ -8,7 +8,6 @@
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
-//	csrstat -index old-v3.csrx -convert new.csrx              # exact two-factor v3 -> one-factor v4
 //	csrstat -index exact.csrx -convert small.csrx -quantize int8
 //	csrstat -index whole.csrx -convert /data/snaps            # publish as the directory's newest generation
 //	csrstat -index /data/snaps/index-00000003.csrx -convert /data/snaps  # roll back to generation 3
@@ -18,7 +17,6 @@ package main
 
 import (
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +37,7 @@ func main() {
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v4, mmap-able, one-factor) layout, without its all-zero rows; an exact v3 index is converted. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves")
+	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v4, mmap-able, one-factor) layout, without its all-zero rows. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	var split *int // nil unless given: -split 0 is refused, not read as "one file"
 	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
@@ -72,29 +70,25 @@ func main() {
 }
 
 // runIndex is index mode: print the metadata a persisted index carries,
-// and optionally rewrite it (v3 -> v4 migration, tier conversion) as one
-// file, as the newest generation of the snapshot directory convert names
-// when it is an existing directory, or, with split (nil when -split was
-// not given), as the per-shard snapshot directories a cluster of *split
-// workers boots from (shard.PublishSnapshots). An exact v3 index — two factors, which no
-// server loads — is read by core.ConvertIndex, which derives the one
-// factor; converting is that load + save, less the rows that are all zero
-// (core.Index.Compact: the answers do not move).
+// and optionally rewrite it (tier conversion) as one file, as the newest
+// generation of the snapshot directory convert names when it is an
+// existing directory, or, with split (nil when -split was not given), as
+// the per-shard snapshot directories a cluster of *split workers boots
+// from (shard.PublishSnapshots). Rewriting is load + save, less the rows
+// that are all zero (core.Index.Compact: the answers do not move). The
+// file's magic picks the reader, so a shard file fails with the shard
+// reader's own error. A file in an older format is refused (core.ErrFormat):
+// nothing converts it.
 func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
-	ix, err := core.LoadIndex(path)
-	if errors.Is(err, core.ErrFormat) {
-		ix, err = core.ConvertIndex(path)
-	}
-	if errors.Is(err, core.ErrCorrupt) {
-		// Not a whole index; a shard file is the same factors under the
-		// other header, and loads only as one.
-		f, serr := core.LoadShard(path)
-		if serr == nil {
-			defer f.Close()
-			return runShard(out, path, f, convert != "" || quantize != "" || split != nil)
+	if isShardFile(path) {
+		f, err := core.LoadShard(path)
+		if err != nil {
+			return err
 		}
-		err = fmt.Errorf("%w; as a shard file: %v", err, serr)
+		defer f.Close()
+		return runShard(out, path, f, convert != "" || quantize != "" || split != nil)
 	}
+	ix, err := core.LoadIndex(path)
 	if err != nil {
 		return err
 	}
@@ -161,6 +155,20 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	}
 	fmt.Fprintf(out, "written:       %s (tier %s, %d of %d rows stored)\n", convert, outIx.Tier(), outIx.Stored(), outIx.N())
 	return nil
+}
+
+// isShardFile reports whether the file at path starts with a shard file's
+// magic, "CSRS"; anything else is read as a whole index ("CSRX"), whose
+// reader says what is wrong with it.
+func isShardFile(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var magic [4]byte
+	_, err = io.ReadFull(f, magic[:])
+	return err == nil && string(magic[:]) == "CSRS"
 }
 
 // printFile prints what every snapshot file starts its report with: the

@@ -124,54 +124,49 @@ func TestRunIndexOnShardFile(t *testing.T) {
 	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), "", nil); err == nil {
 		t.Fatal("-convert of a shard file accepted")
 	}
-	// A file that loads as neither kind reports both failures, so a torn
-	// shard file names its failing check, not just "not an index".
-	if err := os.Truncate(path, 5000); err != nil {
-		t.Fatal(err)
-	}
-	err = runIndex(&buf, path, "", "", nil)
-	if !errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), "as a shard file") {
-		t.Fatalf("torn shard file: err = %v, want wrapped ErrCorrupt naming the shard load", err)
-	}
 }
 
-// TestRunIndexConvertsV3: the two-factor v3 file of an exact index, which
-// no server loads, is inspected — σ and the λ of the factor derived from it
-// side by side — and converted to a v4 file that loads and answers; a
-// quantized v3 file and a v3 shard file are refused, naming what to do.
-func TestRunIndexConvertsV3(t *testing.T) {
+// TestRunIndexReadsEachKindAsItself: the file's magic picks the reader,
+// so a file fails with its own kind's error. Every two-factor v3 file is
+// refused as a format (ErrFormat, never ErrCorrupt), inspected or
+// converted, naming what to do instead — a stale shard file is not
+// reported as a corrupt index — and a torn v4 shard file is ErrCorrupt,
+// naming the shard check that failed.
+func TestRunIndexReadsEachKindAsItself(t *testing.T) {
 	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	src := filepath.Join(testdata, "index.v3-f64.csrx")
-	if _, err := core.LoadIndex(src); !errors.Is(err, core.ErrFormat) {
-		t.Fatalf("LoadIndex of a v3 file: err = %v, want ErrFormat", err)
-	}
 	dst := filepath.Join(t.TempDir(), "v4.csrx")
-	var buf bytes.Buffer
-	if err := runIndex(&buf, src, dst, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"format:        v3", "nodes:         6", "sigma:         ", "lambda:        ", "build:         ", "written:       " + dst} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("conversion output missing %q:\n%s", want, out)
+	for file, want := range map[string]string{
+		"index.v3-f64.csrx":     "rebuild it from the graph",
+		"index.v3-int8.csrx":    "rebuild it from the graph",
+		"index.v3-compact.csrx": "rebuild it from the graph",
+		"shard.v3-f64.csrs":     "-split K",
+	} {
+		for _, convert := range []string{"", dst} {
+			var buf bytes.Buffer
+			err := runIndex(&buf, filepath.Join(testdata, file), convert, "", nil)
+			if !errors.Is(err, core.ErrFormat) || errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s (convert %q): err = %v, want ErrFormat alone, naming %q", file, convert, err, want)
+			}
 		}
 	}
-	back, err := core.LoadIndex(dst)
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Fatalf("a refused conversion wrote %s: %v", dst, err)
+	}
+
+	sh, err := buildTestIndex(t).Shard(10, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
-	if _, err := back.QueryOne(3); err != nil || back.Build() == 0 {
-		t.Fatalf("converted index: build %x, query err %v", back.Build(), err)
+	_, path, err := core.WriteShardSnapshot(core.ShardDir(t.TempDir(), 1), sh)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := runIndex(&buf, dst, "", "", nil); err != nil || !strings.Contains(buf.String(), "format:        v4") {
-		t.Fatalf("inspecting the converted file: %v\n%s", err, buf.String())
+	if err := os.Truncate(path, 5000); err != nil {
+		t.Fatal(err)
 	}
-	for file, want := range map[string]string{"index.v3-int8.csrx": "re-quantize from the exact file", "shard.v3-f64.csrs": "csrstat -convert"} {
-		if err := runIndex(&buf, filepath.Join(testdata, file), dst, "", nil); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: err = %v, want a refusal naming %q", file, err, want)
-		}
+	err = runIndex(&bytes.Buffer{}, path, "", "", nil)
+	if !errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), "loading shard") || strings.Contains(err.Error(), "index magic") {
+		t.Fatalf("torn shard file: err = %v, want the shard load's ErrCorrupt alone", err)
 	}
 }
 

@@ -4,10 +4,10 @@ package core
 // writer and a reader that drift together still fail. The v3 files in
 // testdata/ were written by the last writer of the two-factor format from
 // the paper's 6-node graph (rank 3, walSeq 7, shard rows [2, 5)) and from
-// compactIndex's graph; nothing can rewrite them, ConvertIndex is held to
-// them, and every loader must refuse them as stale (ErrFormat). The v4
-// files hold the exact v3 index as converted (so no build stands between
-// the two), its f32 and int8 tiers, and the compacted pair; `go test
+// compactIndex's graph; nothing can rewrite them, and every loader must
+// refuse them as stale (ErrFormat). The v4 files hold the exact 6-node
+// index (index.v4-f64.csrx, the one factor of the v3 file's Z and U), its
+// f32 and int8 tiers cut from it, and the compacted pair; `go test
 // ./internal/core -run Golden -update` rewrites those from the current
 // writer — only ever on a deliberate format change, since the test then
 // proves nothing about the bytes already on operators' disks.
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,8 +44,8 @@ const (
 	goldenCompactLo, goldenCompactHi = 5, 30
 	compactN, compactStored          = 48, 36
 
-	// The two-factor fixtures the converter and the stale rule are held
-	// to: the 6-node index exact and at int8, one shard of it, and the
+	// The two-factor fixtures the stale rule is held to, and fuzz seeds:
+	// the 6-node index exact and at int8, one shard of it, and the
 	// compacted index.
 	goldenIndexV3        = "index.v3-f64.csrx"
 	goldenIndexV3Int8    = "index.v3-int8.csrx"
@@ -93,11 +92,11 @@ func golden(tb testing.TB, name string) []byte {
 	return data
 }
 
-// goldenIndex converts the exact-tier v3 index fixture: the index every v4
+// goldenIndex decodes the exact-tier v4 index fixture: the index every v4
 // fixture but the compacted pair was cut or quantized from.
 func goldenIndex(tb testing.TB) *Index {
 	tb.Helper()
-	ix, err := ConvertIndex(filepath.Join("testdata", goldenIndexV3))
+	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV4(TierF64))))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -165,8 +164,8 @@ func compactIndex(t testing.TB) *Index {
 	return ix
 }
 
-// goldenV4 renders every v4 fixture from the current writer: the v3
-// fixture's index converted and encoded at each tier, the compacted pair,
+// goldenV4 renders every v4 fixture from the current writer: the exact
+// fixture's index encoded at each tier, the compacted pair,
 // and the compacted index with its zero rows spread back in.
 func goldenV4(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -213,82 +212,9 @@ func TestGoldenUpdate(t *testing.T) {
 	}
 }
 
-// v3Answers is what a two-factor v3 index file served: I + c·Z·U_Qᵀ over
-// its stored rows, Q's columns for the given queries, from the file's own
-// Z and U.
-func v3Answers(t *testing.T, name string, queries []int) []float64 {
-	t.Helper()
-	f, err := parsePaged(golden(t, name), indexKind, true)
-	if err != nil || f.version != indexVersion3 || f.tier != TierF64 {
-		t.Fatalf("%s: parsed as v%d at %v: %v", name, f.version, f.tier, err)
-	}
-	ix, base, err := f.fromImage(indexKind, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := int(f.rank)
-	z := dense.NewMatFrom(int(f.stored), r, f.f64Of(base+4, false))
-	u := dense.NewMatFrom(int(f.stored), r, f.f64Of(base+5, false))
-	out := make([]float64, ix.n*len(queries))
-	for j, q := range queries {
-		out[q*len(queries)+j] = 1
-		at, ok := ix.row(q)
-		if !ok {
-			continue
-		}
-		for i := 0; i < int(f.stored); i++ {
-			out[ix.StoredNode(i)*len(queries)+j] += ix.c * dense.Dot(z.Row(i), u.Row(at))
-		}
-	}
-	return out
-}
-
-// TestGoldenV3ConvertsLikeV4 holds ConvertIndex to the two-factor files:
-// the exact v3 index and the compacted one convert to one factor that
-// serves their scores to rounding, carry their metadata, and — the 6-node
-// one — is bit for bit the v4 fixture written from it. A quantized v3 file
-// is refused as a format, not as corruption.
-func TestGoldenV3ConvertsLikeV4(t *testing.T) {
-	for name, queries := range map[string][]int{goldenIndexV3: {0, 1, 3, 5}, goldenCompactIndexV3: {0, 3, 7, 47, 9}} {
-		ix, err := ConvertIndex(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := v3Answers(t, name, queries)
-		for i, v := range queryBits(t, ix, queries) {
-			if d := math.Abs(v - want[i]); !(d <= 1e-13) {
-				t.Fatalf("%s: converted score %d = %v, the v3 file's %v: differs by %g, more than rounding", name, i, v, want[i], d)
-			}
-		}
-		if ix.WalSeq() != goldenWalSeq || ix.Build() == 0 || ix.ClampBound() != 0 {
-			t.Fatalf("%s: walSeq %d, build %x, clamp %v", name, ix.WalSeq(), ix.Build(), ix.ClampBound())
-		}
-	}
-	v4, err := ReadIndex(bytes.NewReader(golden(t, goldenIndexV4(TierF64))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := goldenIndex(t)
-	wantSameFactors(t, "converted v3 vs v4 fixture", &ix.IndexShard, &v4.IndexShard)
-	wantBitwise(t, "sigma", ix.sigma, v4.sigma)
-	if ix.iters != v4.iters || ix.walSeq != v4.walSeq {
-		t.Fatalf("converted: iters %d walSeq %d, the v4 fixture %d and %d", ix.iters, ix.walSeq, v4.iters, v4.walSeq)
-	}
-	if _, err := ConvertIndex(filepath.Join("testdata", goldenIndexV3Int8)); !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("int8 v3 file: err = %v, want ErrFormat alone", err)
-	}
-	again, err := ConvertIndex(filepath.Join("testdata", goldenIndexV4(TierF64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSameFactors(t, "a v4 file through ConvertIndex", &again.IndexShard, &v4.IndexShard)
-}
-
 // TestGoldenV3Compact reads the fixture that leaves rows out: the decoder,
 // the mapper and the index the file was written from hold the same 36 rows
-// and answer alike, and its shard file is rows [5, 30) of it. The v3 file
-// of the same graph and options, written with two factors, converts to the
-// rows the fresh build stores and to its scores within rounding.
+// and answer alike, and its shard file is rows [5, 30) of it.
 func TestGoldenV3Compact(t *testing.T) {
 	want := compactIndex(t)
 	if want.Stored() != compactStored || want.ids == nil {
@@ -316,13 +242,6 @@ func TestGoldenV3Compact(t *testing.T) {
 		wantBitwise(t, label+" answers", queryBits(t, got, queries), queryBits(t, want, queries))
 	}
 
-	old, err := ConvertIndex(filepath.Join("testdata", goldenCompactIndexV3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.ids, want.ids) {
-		t.Fatalf("v3 fixture, converted: stores rows %v, the fresh build %v", old.ids, want.ids)
-	}
 	sparse, err := ReadIndex(bytes.NewReader(golden(t, goldenSparseV4)))
 	if err != nil {
 		t.Fatal(err)
@@ -331,12 +250,6 @@ func TestGoldenV3Compact(t *testing.T) {
 		t.Fatalf("every-row fixture stores %d rows, ids %v", sparse.Stored(), sparse.ids)
 	}
 	wantSameFactors(t, "every-row fixture, compacted", &sparse.Compact().IndexShard, &want.IndexShard)
-	oldAnswers := queryBits(t, old, queries)
-	for i, v := range queryBits(t, want, queries) {
-		if d := math.Abs(v - oldAnswers[i]); !(d <= 1e-12) {
-			t.Fatalf("score %d = %v, the converted v3 file's %v: differs by %g, more than rounding", i, v, oldAnswers[i], d)
-		}
-	}
 
 	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV4)))
 	if err != nil {

@@ -27,14 +27,17 @@ import (
 
 // snapKind is one of the two headers a snapshot file can carry.
 type snapKind struct {
-	magic [4]byte
-	name  string // names the kind in error messages
-	whole bool   // CSRX: rows are [0, n) and sigma, iters and walSeq travel along
+	magic  [4]byte
+	name   string // names the kind in error messages
+	whole  bool   // CSRX: rows are [0, n) and sigma, iters and walSeq travel along
+	remedy string // what ErrFormat names to do: nothing converts a two-factor file
 }
 
 var (
-	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true}
-	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard"}
+	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true,
+		remedy: "rebuild it from the graph (csrserver with a graph rebuilds over a -snapshots directory of stale generations and publishes v4)"}
+	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard",
+		remedy: "publish the shard directory again from a v4 index (csrstat -index INDEX -convert ROOT -split K)"}
 )
 
 // maxIndexElems caps n*rank at load time so a corrupt header cannot make
@@ -181,7 +184,7 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading %s header: %w", k.name, corruptEOF(err))
 	}
-	if _, err := checkHead(head, k, false); err != nil {
+	if err := checkHead(head, k); err != nil {
 		return nil, err
 	}
 	data, err := readImage(br, size)

@@ -7,14 +7,14 @@ package core
 // written and served: it holds the one factor F (csrplus.go), records how
 // many rows it stores and lists their ids, so the all-zero rows of a
 // support-compacted index (shard.go) cost no bytes on disk, in the mapping
-// or on the way to a worker. v3, which held two factors, Z and U, is parsed
-// here only for ConvertIndex; every earlier version is refused (ErrFormat).
+// or on the way to a worker. It is the one format this package parses:
+// v1–v3, which held two factors, are refused as stale (ErrFormat) and are
+// rebuilt, not converted.
 //
 // One 4 KiB header page (offsets in the constants below and in DESIGN.md
 // §13), then page-aligned sections in a fixed order: sigma (CSRX only),
 // ids (empty when every row is stored), then the factor block — fscale,
-// fqerr, f (v3: the scales, the qerrs, then the payloads of Z and U, each
-// pair in that order). Quantisation metadata
+// fqerr, f. Quantisation metadata
 // sections are empty (len 0) for tiers that lack them: scales exist only
 // for int8, the measured per-column dequantisation errors for both
 // quantized tiers. Every non-empty section starts exactly at the next page
@@ -44,17 +44,19 @@ import (
 )
 
 const (
-	indexVersion3 = 3 // two factors, Z and U: read by ConvertIndex alone
 	indexVersion4 = 4 // what every writer emits and every loader serves
+
+	// factorSecs is the factor block that ends every file: the scale, qerr
+	// and payload sections of F, in that order.
+	factorSecs = 3
 
 	pageSize     = 4096
 	descSize     = 24
 	headerCRCOff = pageSize - 4
 
 	// Words past the fixed ones (magic, version, tier, section count, n,
-	// rank, c, iters|lo, 0|hi and the file size fill bytes 0–63). v3 wrote
-	// the first two and zeros where v4 keeps the build id and the Gram
-	// clamp charge; the section table follows at 128 in both.
+	// rank, c, iters|lo, 0|hi and the file size fill bytes 0–63); the
+	// section table follows at 128.
 	storedOff = 64
 	walSeqOff = 72
 	buildOff  = 80
@@ -65,8 +67,9 @@ const (
 // ErrFormat is returned (wrapped) for a snapshot in a format this build does
 // not serve: v1–v3, which held two factors. It is not corruption — the
 // bytes may be intact — so a snapshot directory treats such a generation
-// as stale rather than damaged (snapshot.go), and csrstat -convert rewrites
-// an exact v3 index (ConvertIndex).
+// as stale rather than damaged (snapshot.go). Nothing converts one: an
+// index is rebuilt from its graph, and a shard directory is published
+// again from a v4 index.
 var ErrFormat = errors.New("core: snapshot format not served")
 
 // errMapUnsupported reports that a file could not be memory-mapped for
@@ -251,59 +254,45 @@ type sectionDesc struct {
 
 func (s sectionDesc) end() uint64 { return alignPage(s.off + s.length) }
 
-// pagedFile is a validated v4 (or, for ConvertIndex, v3) header over its
-// raw bytes.
+// pagedFile is a validated v4 header over its raw bytes.
 type pagedFile struct {
 	snapHeader
-	version uint32
-	tier    Tier
-	stored  uint64 // rows in the factor block
-	secs    []sectionDesc
-	data    []byte
-}
-
-// factors is how many factor matrices the file holds: F, or v3's Z and U.
-// Each brings a scale, a qerr and a payload section.
-func (f *pagedFile) factors() int {
-	if f.version == indexVersion3 {
-		return 2
-	}
-	return 1
+	tier   Tier
+	stored uint64 // rows in the factor block
+	secs   []sectionDesc
+	data   []byte
 }
 
 // checkHead reads the magic and version a snapshot image starts with:
 // ErrCorrupt for a short image, the other kind's magic or a version no
-// writer produced, ErrFormat for a version this build does not serve —
-// save v3 when legacy (ConvertIndex reads it).
-func checkHead(data []byte, k *snapKind, legacy bool) (uint32, error) {
+// writer produced, ErrFormat for a version this build does not serve.
+func checkHead(data []byte, k *snapKind) error {
 	if len(data) < 8 {
-		return 0, fmt.Errorf("core: snapshot header truncated at %d bytes: %w", len(data), ErrCorrupt)
+		return fmt.Errorf("core: snapshot header truncated at %d bytes: %w", len(data), ErrCorrupt)
 	}
 	if !bytes.Equal(data[:4], k.magic[:]) {
-		return 0, fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
+		return fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
 	}
 	switch v := binary.LittleEndian.Uint32(data[4:]); {
-	case v == indexVersion4, v == indexVersion3 && legacy:
-		return v, nil
-	case v >= 1 && v <= indexVersion3:
-		return v, fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v4: "+
-			"csrstat -convert rewrites an exact v3 index: %w", v, k.name, ErrFormat)
+	case v == indexVersion4:
+		return nil
+	case v >= 1 && v < indexVersion4:
+		return fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v4: %s: %w",
+			v, k.name, k.remedy, ErrFormat)
 	default:
-		return v, fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion4, ErrCorrupt)
+		return fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion4, ErrCorrupt)
 	}
 }
 
 // parsePaged validates everything cheap about a v4 byte image of kind k —
-// or a v3 one when legacy — magic, version, header CRC, fileSize against
-// the actual length, field plausibility, and the full section-table
-// geometry (alignment, no overlap with the header or each other, exact
-// expected lengths) — and eagerly CRC-checks every section except the
-// factor payloads, whose verification cost is O(index size) and is the
-// caller's choice.
-func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
+// magic, version, header CRC, fileSize against the actual length, field
+// plausibility, and the full section-table geometry (alignment, no overlap
+// with the header or each other, exact expected lengths) — and eagerly
+// CRC-checks every section except the factor payload, whose verification
+// cost is O(index size) and is the caller's choice.
+func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 	le := binary.LittleEndian
-	version, err := checkHead(data, k, legacy)
-	if err != nil {
+	if err := checkHead(data, k); err != nil {
 		return nil, err
 	}
 	if len(data) < pageSize {
@@ -312,7 +301,7 @@ func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
 	if got, want := crc32.ChecksumIEEE(data[:headerCRCOff]), le.Uint32(data[headerCRCOff:]); got != want {
 		return nil, fmt.Errorf("core: snapshot header checksum %08x, want %08x: %w", got, want, ErrCorrupt)
 	}
-	f := &pagedFile{data: data, version: version}
+	f := &pagedFile{data: data}
 	f.n = le.Uint64(data[16:])
 	f.rank = le.Uint64(data[24:])
 	f.c = math.Float64frombits(le.Uint64(data[32:]))
@@ -334,7 +323,7 @@ func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
 		return nil, fmt.Errorf("core: unknown tier %d: %w", tier, ErrCorrupt)
 	}
 	f.tier = Tier(tier)
-	wantSecs := 1 + 3*f.factors() // ids, then the factor block
+	wantSecs := 1 + factorSecs // ids, then the factor block
 	if k.whole {
 		wantSecs++ // sigma
 	}
@@ -354,8 +343,7 @@ func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
 	}
 
 	// Expected section lengths from the validated header. Order matches
-	// the writer: [sigma,] ids, then the scales, the qerrs and the payloads
-	// of each factor.
+	// the writer: [sigma,] ids, then the factor block.
 	want := make([]uint64, 0, wantSecs)
 	if k.whole {
 		want = append(want, f.rank*8) // sigma
@@ -374,11 +362,7 @@ func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
 	if f.tier == TierI8 {
 		scaleLen = f.rank * 8
 	}
-	for _, l := range []uint64{scaleLen, metaLen, factorLen} {
-		for range f.factors() {
-			want = append(want, l)
-		}
-	}
+	want = append(want, scaleLen, metaLen, factorLen)
 
 	f.secs = make([]sectionDesc, wantSecs)
 	cur := uint64(pageSize)
@@ -402,8 +386,8 @@ func parsePaged(data []byte, k *snapKind, legacy bool) (*pagedFile, error) {
 		return nil, fmt.Errorf("core: snapshot sections end at %d of %d bytes: %w", cur, len(data), ErrCorrupt)
 	}
 
-	// Eagerly verify everything except the trailing factor payloads.
-	for i := 0; i < len(f.secs)-f.factors(); i++ {
+	// Eagerly verify everything except the trailing factor payload.
+	for i := range len(f.secs) - 1 {
 		if err := f.verifySection(i); err != nil {
 			return nil, err
 		}
@@ -425,18 +409,13 @@ func (f *pagedFile) verifySection(i int) error {
 	return nil
 }
 
-// verifyFactors checks the factor payload CRCs — the O(size) half of
+// verifyFactor checks the factor payload CRC — the O(size) half of
 // validation.
-func (f *pagedFile) verifyFactors() error {
+func (f *pagedFile) verifyFactor() error {
 	if err := fault.Hit(fault.SiteIndexVerify); err != nil {
-		return fmt.Errorf("core: verifying factor blocks: %w", err)
+		return fmt.Errorf("core: verifying the factor block: %w", err)
 	}
-	for i := len(f.secs) - f.factors(); i < len(f.secs); i++ {
-		if err := f.verifySection(i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.verifySection(len(f.secs) - 1)
 }
 
 // viewOf materialises section i as size-byte little-endian elements — a
@@ -476,12 +455,14 @@ func checkQuantVec(name string, v []float64) error {
 }
 
 // factorFrom materialises the factor and its measured dequantisation
-// errors from its scale/qerr/payload sections (already shape-validated).
+// errors from the factor block (already shape-validated).
 // The payload is wrapped, never copied: f64Of and its siblings already
 // return either the mmap view (zeroCopy) or a fresh decode, and copying here
 // would put every factor entry back on the heap — the exact cost mapping
 // exists to avoid. The view is PROT_READ; queries only read.
-func (f *pagedFile) factorFrom(scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
+func (f *pagedFile) factorFrom(zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
+	scaleIdx := len(f.secs) - factorSecs
+	qerrIdx, payloadIdx := scaleIdx+1, scaleIdx+2
 	t = &dense.Typed{Kind: f.tier.kind(), Rows: int(f.stored), Cols: int(f.rank)}
 	switch f.tier {
 	case TierF64:
@@ -503,92 +484,37 @@ func (f *pagedFile) factorFrom(scaleIdx, qerrIdx, payloadIdx int, zeroCopy bool)
 	return t, qerr, nil
 }
 
-// fromImage builds the Index (for a shard image, the IndexShard inside it)
-// over a parsed image — the one from-image constructor, shared by the
-// decoder (zeroCopy false: fresh allocations) and the mapper. The factor is
-// left to the caller, who knows the version: its sections start at the
-// returned base.
-func (f *pagedFile) fromImage(k *snapKind, zeroCopy bool) (ix *Index, base int, err error) {
-	base = len(f.secs) - 3*f.factors() // sigma and ids lead
+// openPaged is the one v4 open, shared by the decoder and the mapper:
+// parse, verify the factor CRC, build the index over the image — views of
+// it when zeroCopy, fresh copies otherwise. For a shard image the Index is
+// the IndexShard inside it.
+func openPaged(data []byte, k *snapKind, zeroCopy bool) (*Index, error) {
+	f, err := parsePaged(data, k)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.verifyFactor(); err != nil {
+		return nil, err
+	}
 	var sigma []float64
 	if k.whole {
 		sigma = f.f64Of(0, zeroCopy)
 		if err := checkSigma(sigma); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	ix = f.index(sigma)
+	ix := f.index(sigma)
 	if f.stored < uint64(f.rows()) {
-		if ix.ids = viewOf(f, base-1, zeroCopy, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }); ix.ids == nil {
+		// ids is the section before the factor block.
+		if ix.ids = viewOf(f, len(f.secs)-factorSecs-1, zeroCopy, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }); ix.ids == nil {
 			ix.ids = []int32{} // a shard that stores nothing still lists its rows: none
 		}
 	}
-	return ix, base, nil
-}
-
-// openPaged is the one v4 open, shared by the decoder and the mapper:
-// parse, verify the factor CRC, build the index over the image — views of
-// it when zeroCopy, fresh copies otherwise.
-func openPaged(data []byte, k *snapKind, zeroCopy bool) (*Index, error) {
-	f, err := parsePaged(data, k, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.verifyFactors(); err != nil {
-		return nil, err
-	}
-	ix, base, err := f.fromImage(k, zeroCopy)
-	if err != nil {
-		return nil, err
-	}
-	if ix.f, ix.fqerr, err = f.factorFrom(base, base+1, base+2, zeroCopy); err != nil {
+	if ix.f, ix.fqerr, err = f.factorFrom(zeroCopy); err != nil {
 		return nil, err
 	}
 	if err := ix.CheckStored(); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
-	}
-	return ix, nil
-}
-
-// ConvertIndex reads the whole index at path as this build serves it: a v4
-// file as LoadIndex would (decoded, not mapped), and an exact-tier v3 file
-// — Algorithm 1's two factors Z = U·W and U, W = ΣPΣ — converted to the one
-// factor a fresh build stores. U has orthonormal columns, so W = UᵀZ; it is
-// symmetrised and factored by BuildF's eigensolve, and F = U·E·Λ^{1/2}
-// serves the v3 file's scores to rounding. A quantized v3 file is refused:
-// its codes are not Z and U, so re-quantize from the exact file. csrstat
-// -convert is the one caller.
-func ConvertIndex(path string) (*Index, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: converting %s: %w", path, err)
-	}
-	f, err := parsePaged(data, indexKind, true)
-	if err == nil && f.version == indexVersion4 {
-		return openPaged(data, indexKind, false)
-	}
-	if err == nil {
-		err = f.verifyFactors()
-	}
-	if err == nil && f.tier != TierF64 {
-		err = fmt.Errorf("core: v3 index at tier %v: re-quantize from the exact file: %w", f.tier, ErrFormat)
-	}
-	var ix *Index
-	base := 0
-	if err == nil {
-		ix, base, err = f.fromImage(indexKind, false)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: converting %s: %w", path, err)
-	}
-	rows, r := int(f.stored), int(f.rank)
-	z := dense.NewMatFrom(rows, r, f.f64Of(base+4, false))
-	u := dense.NewMatFrom(rows, r, f.f64Of(base+5, false))
-	fm, gram := gramFactor(u, dense.TMul(u, z))
-	ix.f = dense.TypedFromMat(fm)
-	ix.build, ix.clamp = buildID(ix.n, r, ix.c, ix.sigma, fm.Data), ix.c*gram.Mass
-	if err := ix.CheckStored(); err != nil {
-		return nil, fmt.Errorf("core: converting %s: %v: %w", path, err, ErrCorrupt)
 	}
 	return ix, nil
 }
@@ -615,7 +541,7 @@ func mapFile(path string, k *snapKind) ([]byte, *mapping, error) {
 	if _, err := io.ReadFull(fault.Reader(fault.SiteIndexRead, f), head[:]); err != nil {
 		return nil, nil, fmt.Errorf("core: reading header: %w", corruptEOF(err))
 	}
-	if _, err := checkHead(head[:], k, false); err != nil {
+	if err := checkHead(head[:], k); err != nil {
 		return nil, nil, err
 	}
 	fi, err := f.Stat()

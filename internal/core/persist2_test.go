@@ -122,11 +122,11 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	}
 }
 
-// TestV2LoadIndexServesV2 pins that the default load path accepts what
-// the default save path writes, and refuses a file of the two-factor
-// format — an intact one, relabelled as such, and one cut to its first
-// bytes — as ErrFormat, before reading or mapping the rest of it.
-func TestV2LoadIndexServesV2(t *testing.T) {
+// TestLoadIndexRefusesStaleFormats pins that the default load path
+// accepts what the default save path writes, and refuses a file of the
+// two-factor format — an intact one, relabelled as such, and one cut to
+// its first bytes — as ErrFormat, before reading or mapping the rest of it.
+func TestLoadIndexRefusesStaleFormats(t *testing.T) {
 	ix := buildIndex(t)
 	queries := []int{2, 5}
 	want := queryBits(t, ix, queries)
@@ -481,11 +481,11 @@ func resealSection(d []byte, tableOff, i int) {
 	repatchHeaderCRC(d)
 }
 
-// TestV3CompactCorruptionMatrix is the corruption matrix of what v3 added:
-// the stored-row count and the ids section, forged every way the layout can
-// express over an index (and a shard) that leaves rows out. Decoder, mapper
-// and loader must each refuse with a wrapped ErrCorrupt.
-func TestV3CompactCorruptionMatrix(t *testing.T) {
+// TestCompactCorruptionMatrix is the corruption matrix of the stored-row
+// count and the ids section, forged every way the layout can express over
+// an index (and a shard) that leaves rows out. Decoder, mapper and loader
+// must each refuse with a wrapped ErrCorrupt.
+func TestCompactCorruptionMatrix(t *testing.T) {
 	le := binary.LittleEndian
 	// ids is section 1 of an index (behind sigma) and section 0 of a shard.
 	setID := func(section, i int, id int32) func([]byte) []byte {
@@ -546,10 +546,10 @@ func TestV3CompactCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestV3EmptyShardRoundTrip saves a cut that stores nothing — every node
+// TestEmptyShardRoundTrip saves a cut that stores nothing — every node
 // in it is implicit — and one that stores everything: the first comes back
 // listing no rows (not "every row"), the second as the identity map.
-func TestV3EmptyShardRoundTrip(t *testing.T) {
+func TestEmptyShardRoundTrip(t *testing.T) {
 	ix := compactIndex(t)
 	for _, cut := range []struct{ lo, hi, stored int }{{3, 4, 0}, {47, 48, 0}, {8, 11, 3}, {7, 8, 0}} {
 		sh, err := ix.Shard(cut.lo, cut.hi)

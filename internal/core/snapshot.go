@@ -145,7 +145,7 @@ func staleFormat(path string) error {
 	if binary.LittleEndian.Uint32(head[:]) == binary.LittleEndian.Uint32(shardKind.magic[:]) {
 		k = shardKind
 	}
-	if _, err := checkHead(head[:], k, false); errors.Is(err, ErrFormat) {
+	if err := checkHead(head[:], k); errors.Is(err, ErrFormat) {
 		return err
 	}
 	return nil

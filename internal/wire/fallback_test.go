@@ -165,7 +165,7 @@ func TestWorkerCorruptShardNeverMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-100] ^= 0x10 // inside U, the last factor block
+	data[len(data)-100] ^= 0x10 // inside F, the last section
 	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
