@@ -24,7 +24,13 @@ import (
 // to s in order.
 func bodySetDigest(t *testing.T, s *server, n int) string {
 	t.Helper()
-	rng := rand.New(rand.NewSource(23))
+	return seededBodySetDigest(t, s, n, 23)
+}
+
+// seededBodySetDigest is bodySetDigest over the request set seed draws.
+func seededBodySetDigest(t *testing.T, s *server, n int, seed int64) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	ids := func(c int) string {
 		out := make([]string, c)
 		for i := range out {

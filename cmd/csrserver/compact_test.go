@@ -24,7 +24,7 @@ import (
 // from a pre-built file copied into its snapshot directory.
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
-	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v4-sparse.csrx")
+	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v5-sparse.csrx")
 	dense, err := core.LoadIndex(full)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,8 @@ type config struct {
 	dataset, graphPath string
 	dscale             int64
 	// n is the node count of the graph the flags name — -n for -graph,
-	// the descriptor's for -dataset — known without reading the graph.
+	// the descriptor's for -dataset — known without reading the graph; 0
+	// when they name none, and the boot must serve a snapshot.
 	n, rank     int
 	damping     float64
 	snapDir     string
@@ -71,9 +72,9 @@ type config struct {
 // holds the command line to that mode's row of the table.
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{}
-	fs.StringVar(&c.dataset, "dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
+	fs.StringVar(&c.dataset, "dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB; the graph a cold build precomputes over (a snapshot carries its own)")
 	fs.Int64Var(&c.dscale, "dscale", 0, "dataset downscale factor (0 = default)")
-	fs.StringVar(&c.graphPath, "graph", "", "edge-list file")
+	fs.StringVar(&c.graphPath, "graph", "", "edge-list file; the graph a cold build precomputes over (a snapshot carries its own)")
 	fs.IntVar(&c.n, "n", 0, "node count for -graph")
 	fs.IntVar(&c.rank, "r", 5, "SVD rank")
 	fs.Float64Var(&c.damping, "c", 0.6, "damping factor")
@@ -119,8 +120,15 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
 	}
 	if c.mode == modeLocal || c.mode == modeIngest {
-		if err := c.nameGraph(); err != nil {
-			return nil, err
+		switch {
+		case c.dataset != "" || c.graphPath != "" || c.snapDir == "":
+			if err := c.nameGraph(); err != nil {
+				return nil, err
+			}
+		case c.n != 0:
+			return nil, fmt.Errorf("-n requires -graph")
+		case c.dscale != 0:
+			return nil, fmt.Errorf("-dscale requires -dataset")
 		}
 	}
 	c.wire.AdminToken = c.adminToken
@@ -129,7 +137,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 
 // nameGraph holds the flags to naming exactly one graph and resolves its
 // node count without reading it: most boots never do (source.go), and a
-// loaded index is checked against c.n instead.
+// loaded index is checked against c.n instead. Only a cold build reads the
+// graph, so a boot over -snapshots may name none: it serves the newest
+// generation that loads, whose graph section is its graph.
 func (c *config) nameGraph() error {
 	switch {
 	case c.dataset != "" && c.graphPath != "":
@@ -145,7 +155,7 @@ func (c *config) nameGraph() error {
 		}
 		c.n = d.Nodes(scale)
 	case c.graphPath == "":
-		return fmt.Errorf("one of -dataset or -graph is required")
+		return fmt.Errorf("one of -dataset or -graph is required without -snapshots (a cold build precomputes over it)")
 	case c.n <= 0:
 		return fmt.Errorf("-graph requires -n")
 	}

@@ -16,6 +16,7 @@
 //	csrserver -dataset WT -addr :8080
 //	csrserver -graph edges.txt -n 100000 -r 8 -snapshots /var/lib/csr
 //	csrserver -dataset WT -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T
+//	csrserver -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T   # a restart: the snapshot carries the graph
 //	csrserver -shardworker 2 -snapshots /var/lib/csr -addr :9102
 //	csrserver -shardaddrs host0:9100,host1:9101,host2:9102 -addr :8080
 //
@@ -48,7 +49,9 @@
 // batches to a write-ahead log (the 200 means fsynced), applies them to
 // the live graph, and charges the drift they cause to every answer's
 // error_bound; past -driftbudget a rebuild from the live graph is
-// triggered. A restart replays the log tail the snapshot does not cover.
+// triggered. A restart starts the live graph from the snapshot's graph
+// section and replays only the log tail past it; each publish prunes the
+// log segments every kept generation already holds.
 //
 // Endpoints:
 //

@@ -167,8 +167,8 @@ func openRemote(ctx context.Context, cfg *config) (*source, error) {
 }
 
 // openIndex serves a fresh K=1 router over one whole index per
-// generation. With -waldir the boot index's shape also anchors the ingest
-// service, after which every reload rebuilds from the live graph.
+// generation. With -waldir the boot index's graph also starts the ingest
+// service's live graph, after which every reload rebuilds from it.
 func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 	start := time.Now()
 	b, err := w.build(ctx)
@@ -180,19 +180,17 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 		return nil, err
 	}
 	if w.cfg.mode == modeIngest {
-		// The live graph starts from the flags' graph whatever the index
-		// came from: an ingest boot always reads it, once — a build that
-		// precomputed over it hands it on.
-		if b.g == nil {
-			b.g, b.graphLoad, err = w.readGraph()
-		}
-		if err == nil {
-			w.ing, err = ingest.NewService(b.g.CoreGraph(), b.ix, ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
-		}
+		// The live graph is the graph the serving index carries — its
+		// snapshot's graph section, read with pread, or the graph a build
+		// here precomputed over — at the index's WAL sequence, so Recover
+		// replays only the records past it. Nothing regenerates the graph.
+		liveStart := time.Now()
+		w.ing, err = ingest.NewService(nil, b.ix, ingest.Config{Dir: w.cfg.walDir, DriftBudget: w.cfg.driftBudget})
 		if err != nil {
 			boot.Release()
 			return nil, err
 		}
+		boot.Meta.Clocks = strings.TrimSpace(fmt.Sprintf("%s live=%v", boot.Meta.Clocks, clockSince(liveStart)))
 		// Anchored at baseline zero: Recover charges exactly the WAL tail
 		// past the snapshot's recorded sequence, which is exactly what the
 		// boot factors don't cover.
@@ -206,10 +204,10 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 // up, else the snapshot directory (its newest generation that loads),
 // else an in-process precompute over the graph. Only the last reads the
 // graph the flags name, and keeps it no longer than the call: a loaded
-// index is held to the flags' node count (cfg.n) instead, and a
-// generation rests at its published file, not at what it was computed
-// from. Calls never overlap: the boot makes the first, and
-// reload.Manager runs one load at a time.
+// index carries its own graph and is held to the flags' node count (cfg.n,
+// when they name a graph) instead, and a generation rests at its published
+// file, not at what it was computed from. Calls never overlap: the boot
+// makes the first, and reload.Manager runs one load at a time.
 type wholeIndex struct {
 	cfg *config
 	ing *ingest.Service // set by openIndex once the boot index exists
@@ -248,7 +246,7 @@ func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.g != nil {
+	if b.meta.Source == "rebuild" {
 		// A reload that found nothing on disk read the graph again.
 		b.meta.Clocks = fmt.Sprintf("graph=%v %s", clock(b.graphLoad), b.meta.Clocks)
 	}
@@ -288,9 +286,8 @@ type built struct {
 	// drift is the generation's ingest drift closure, anchored at the cut
 	// its factors were built from (nil without ingestion).
 	drift serve.DriftFunc
-	// g is the graph the flags name and graphLoad what reading it cost, nil
-	// and 0 unless this build had to read it.
-	g         *csrplus.Graph
+	// graphLoad is what reading the graph the flags name cost, 0 unless
+	// this build had to read it.
 	graphLoad time.Duration
 }
 
@@ -347,15 +344,18 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 			log.Printf("WARNING: skipped a newer snapshot generation (%v), recovered to generation %d (%s) — investigate and re-publish", snap.Skipped, snap.Gen, snap.Path)
 		}
 		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m}
+	case cfg.n == 0:
+		return nil, fmt.Errorf("no generation in -snapshots %s to serve, and no -dataset or -graph to build one from", cfg.snapDir)
 	default:
-		if b.g, b.graphLoad, err = w.readGraph(); err != nil {
+		var g *csrplus.Graph
+		if g, b.graphLoad, err = w.readGraph(); err != nil {
 			return nil, err
 		}
-		log.Printf("precomputing index over n=%d m=%d ...", b.g.N(), b.g.M())
+		log.Printf("precomputing index over n=%d m=%d ...", g.N(), g.M())
 		b.meta = reload.Meta{Source: "rebuild"}
-		err = precompute(b.g)
+		err = precompute(g)
 	}
-	if err == nil && b.ix.N() != cfg.n {
+	if err == nil && cfg.n != 0 && b.ix.N() != cfg.n {
 		// What csrplus.LoadEngine checks against a graph in hand, checked
 		// against the node count the flags name with the graph unread.
 		err = fmt.Errorf("index built for %d nodes, graph has %d", b.ix.N(), cfg.n)
@@ -401,6 +401,17 @@ func (w *wholeIndex) publish(b *built) (string, error) {
 	// by this process keeps its pages after the unlink.
 	if _, perr := core.PruneSnapshots(cfg.snapDir, core.KeepSnapshots); perr != nil {
 		log.Printf("WARNING: pruning old snapshot generations: %v", perr)
+	}
+	if w.ing != nil {
+		// Every generation left holds the WAL records at or below the
+		// floor in its graph section, so no boot needs them from the log.
+		floor, err := core.WalFloor(cfg.snapDir)
+		if err == nil {
+			_, err = w.ing.PruneWAL(floor)
+		}
+		if err != nil {
+			log.Printf("WARNING: pruning the WAL: %v", err)
+		}
 	}
 	return fmt.Sprintf("publish=%v remap=%v", clockSince(start), clock(readBack)), nil
 }

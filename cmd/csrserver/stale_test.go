@@ -18,14 +18,20 @@ func staleDir(t *testing.T, dir, fixture string) string {
 	return bareSnapshot(t, dir, filepath.Join("..", "..", "internal", "core", "testdata", fixture), 1)
 }
 
-// TestStaleGenerationIsNeverServed: a generation in the two-factor format
-// is stale, not corrupt, and never reaches a boot. A directory holding only
-// that reads as empty, so a server with a graph rebuilds and publishes the
-// next generation over it as v4 — and serves that — while a shard worker,
-// which cannot build, refuses to boot and names the publish that cuts a
-// v4 shard directory.
+// TestStaleGenerationIsNeverServed: a generation in the two-factor format,
+// or in v4, which carries no graph, is stale, not corrupt, and never
+// reaches a boot. A directory holding only that reads as empty, so a
+// server with a graph rebuilds and publishes the next generation over it
+// as v5 — and serves that — while a shard worker, which cannot build,
+// refuses to boot and names the publish that cuts a v5 shard directory.
 func TestStaleGenerationIsNeverServed(t *testing.T) {
-	dir := staleDir(t, t.TempDir(), "index.v3-f64.csrx")
+	for _, v := range []string{"v3", "v4"} {
+		t.Run(v, func(t *testing.T) { staleGenerationIsNeverServed(t, v) })
+	}
+}
+
+func staleGenerationIsNeverServed(t *testing.T, v string) {
+	dir := staleDir(t, t.TempDir(), "index."+v+"-f64.csrx")
 	if _, _, err := core.CurrentSnapshot(dir); !errors.Is(err, core.ErrNoSnapshot) || !errors.Is(err, core.ErrFormat) {
 		t.Fatalf("CurrentSnapshot over a stale generation: err = %v, want ErrNoSnapshot and ErrFormat", err)
 	}
@@ -47,9 +53,9 @@ func TestStaleGenerationIsNeverServed(t *testing.T) {
 		t.Fatalf("second boot: source %q, generation %d; want snapshot generation 2", st.Source, st.SnapshotGen)
 	}
 
-	shardDir := staleDir(t, core.ShardDir(t.TempDir(), 0), "shard.v3-f64.csrs")
+	shardDir := staleDir(t, core.ShardDir(t.TempDir(), 0), "shard."+v+"-f64.csrs")
 	_, err = wire.BootWorker(wire.WorkerConfig{Shard: 0, SnapshotDir: shardDir})
-	if !errors.Is(err, core.ErrNoSnapshot) || !strings.Contains(err.Error(), "-convert ROOT -split K") || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("worker boot over a stale shard directory: err = %v, want ErrNoSnapshot naming the v3 format and csrstat -split", err)
+	if !errors.Is(err, core.ErrNoSnapshot) || !strings.Contains(err.Error(), "-convert ROOT -split K") || !strings.Contains(err.Error(), v) {
+		t.Fatalf("worker boot over a stale shard directory: err = %v, want ErrNoSnapshot naming the %s format and csrstat -split", err, v)
 	}
 }

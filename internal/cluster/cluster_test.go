@@ -404,7 +404,7 @@ func (h *harness) wantSameAnswers(querySets []string, ks []int, targets string) 
 // stores, and for k past what is stored.
 func TestClusterCompactedMatchesDenseV2(t *testing.T) {
 	h := newHarness(t)
-	full, err := filepath.Abs(filepath.Join("..", "core", "testdata", "index.v4-sparse.csrx"))
+	full, err := filepath.Abs(filepath.Join("..", "core", "testdata", "index.v5-sparse.csrx"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,10 +104,15 @@ type Index struct {
 	qrows   int // non-empty rows of Q that phase I decomposed; see Support
 
 	// walSeq is the last ingest-WAL sequence number whose edge is baked
-	// into the factors (0 for indexes built outside the ingestion path).
-	// Boot recovery replays only WAL records above it with drift
-	// counting; records at or below rebuild structure drift-free.
+	// into the factors (0 for indexes built outside the ingestion path),
+	// and so into the graph the index carries: an ingest boot replays only
+	// the WAL records above it, with drift counting.
 	walSeq uint64
+
+	// graph is the graph the factors were computed over — Q's in-link CSC,
+	// what a snapshot's graph section holds (graphsec.go) — nil for an
+	// index assembled by hand, which no snapshot can hold.
+	graph carriedGraph
 
 	// mapped is non-nil when the factor slice is a zero-copy view over
 	// an mmap'd snapshot (MapIndex); Close releases it. Only the Index
@@ -296,6 +301,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		precomp: time.Since(start),
 		stages:  stages,
 		qrows:   fac.SupportRows,
+		graph:   carry(g),
 	}, nil
 }
 

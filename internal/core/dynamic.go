@@ -75,48 +75,52 @@ type Dynamic struct {
 type link struct{ src, next int32 }
 
 // NewDynamic builds the dynamic state for g served by ix's factors, which
-// must match g's node count. Only ix's n and damping are read and nothing
-// of it or of g is retained, so any tier serves and the caller may close ix
-// and drop g.
+// must match g's node count; g nil builds it from the graph ix carries —
+// its snapshot's graph section, read with pread into memory the Dynamic
+// owns (graphsec.go), or the graph ix was precomputed over. Only ix's n,
+// damping and graph are read and nothing of ix or g is retained, so any
+// tier serves and the caller may close ix and drop g.
 func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
+	if g == nil {
+		cg := &ix.graph
+		if cg.none() {
+			return nil, fmt.Errorf("core: dynamic state from an index that carries no graph: %w", ErrParams)
+		}
+		if cg.m > maxDynamicEdges {
+			return nil, fmt.Errorf("core: dynamic state over m=%d edges, at most %d: %w", cg.m, maxDynamicEdges, ErrParams)
+		}
+		l, err := cg.links(ix.n)
+		if err != nil {
+			return nil, err
+		}
+		return newDynamic(ix.n, ix.c, l, cg.weighted), nil
+	}
 	if g.N() != ix.n {
 		return nil, fmt.Errorf("core: dynamic state over n=%d graph for n=%d index: %w", g.N(), ix.n, ErrParams)
 	}
 	if g.M() > maxDynamicEdges {
 		return nil, fmt.Errorf("core: dynamic state over m=%d edges, at most %d: %w", g.M(), maxDynamicEdges, ErrParams)
 	}
-	n, adj := ix.n, g.Adj()
+	return newDynamic(ix.n, ix.c, inLinksOf(g), g.Weighted()), nil
+}
+
+// newDynamic is the one constructor: the dynamic state over an n-node
+// graph whose in-link CSC is l, which it takes over.
+func newDynamic(n int, c float64, l *inLinks, weighted bool) *Dynamic {
 	d := &Dynamic{
-		n: n, c: ix.c, weighted: g.Weighted(), m: g.M(),
-		start: make([]int32, n+1), srcs: make([]int32, len(adj.ColIdx)), first: make([]int32, n),
+		n: n, c: c, weighted: weighted, m: int64(len(l.srcs)),
+		start: l.start, srcs: l.srcs, bw: l.w, first: make([]int32, n),
 	}
-	if d.weighted {
-		d.bw, d.totw = make([]float64, len(adj.ColIdx)), make([]float64, n)
-	}
-	for _, v := range adj.ColIdx {
-		d.start[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		d.start[v+1] += d.start[v]
-	}
-	// Sources in ascending order fill each list in ascending order. start[v]
-	// is v's fill cursor until it reaches start[v+1]; the copy shifts the
-	// offsets back.
-	for u := 0; u < n; u++ {
-		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
-			v := adj.ColIdx[p]
-			q := d.start[v]
-			d.start[v]++
-			d.srcs[q] = int32(u)
-			if d.weighted {
-				d.bw[q] = adj.Val[p]
-				d.totw[v] += adj.Val[p]
+	if weighted {
+		// Summed in list order, as a weight list and its running total are.
+		d.totw = make([]float64, n)
+		for v := 0; v < n; v++ {
+			for _, w := range l.w[l.start[v]:l.start[v+1]] {
+				d.totw[v] += w
 			}
 		}
 	}
-	copy(d.start[1:], d.start[:n])
-	d.start[0] = 0
-	return d, nil
+	return d
 }
 
 // N returns the node count.

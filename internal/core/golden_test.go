@@ -4,13 +4,15 @@ package core
 // writer and a reader that drift together still fail. The v3 files in
 // testdata/ were written by the last writer of the two-factor format from
 // the paper's 6-node graph (rank 3, walSeq 7, shard rows [2, 5)) and from
-// compactIndex's graph; nothing can rewrite them, and every loader must
-// refuse them as stale (ErrFormat). The v4 files hold the exact 6-node
-// index (index.v4-f64.csrx, the one factor of the v3 file's Z and U), its
-// f32 and int8 tiers cut from it, and the compacted pair; `go test
-// ./internal/core -run Golden -update` rewrites those from the current
-// writer — only ever on a deliberate format change, since the test then
-// proves nothing about the bytes already on operators' disks.
+// compactIndex's graph, and the v4 files by the last writer without the
+// graph section: the exact 6-node index (index.v4-f64.csrx, the one factor
+// of the v3 file's Z and U), its f32 and int8 tiers cut from it, the
+// compacted pair and the every-row twin. Nothing can rewrite them, and
+// every loader must refuse them as stale (ErrFormat). The v5 files are the
+// v4 ones with the graph each was built from, plus an index over a weighted
+// graph; `go test ./internal/core -run Golden -update` rewrites those from
+// the current writer — only ever on a deliberate format change, since the
+// test then proves nothing about the bytes already on operators' disks.
 
 import (
 	"bytes"
@@ -38,11 +40,22 @@ const (
 	// rows, and its rows [5, 30); and the same index storing every row,
 	// twelve of them all zero — what other packages hold a compacted index
 	// to.
-	goldenCompactV4                  = "index.v4-compact.csrx"
-	goldenCompactShardV4             = "shard.v4-compact.csrs"
-	goldenSparseV4                   = "index.v4-sparse.csrx"
+	goldenCompactV5                  = "index.v5-compact.csrx"
+	goldenCompactShardV5             = "shard.v5-compact.csrs"
+	goldenSparseV5                   = "index.v5-sparse.csrx"
 	goldenCompactLo, goldenCompactHi = 5, 30
 	compactN, compactStored          = 48, 36
+
+	// The index over weightedGraph: its graph section stores weights.
+	goldenWeightedV5 = "index.v5-weighted.csrx"
+
+	// The fixtures without a graph section, which ConvertV4 reads: only the
+	// last, the exact index at WAL sequence 0, converts.
+	goldenIndexV4F64     = "index.v4-f64.csrx"
+	goldenIndexV4Wal0    = "index.v4-f64-wal0.csrx"
+	goldenCompactV4      = "index.v4-compact.csrx"
+	goldenCompactShardV4 = "shard.v4-compact.csrs"
+	goldenSparseV4       = "index.v4-sparse.csrx"
 
 	// The two-factor fixtures the stale rule is held to, and fuzz seeds:
 	// the 6-node index exact and at int8, one shard of it, and the
@@ -55,32 +68,38 @@ const (
 
 var goldenTiers = []Tier{TierF64, TierF32, TierI8}
 
-func goldenIndexV4(tier Tier) string { return "index.v4-" + tier.String() + ".csrx" }
-func goldenShardV4(tier Tier) string { return "shard.v4-" + tier.String() + ".csrs" }
+func goldenIndexV5(tier Tier) string { return "index.v5-" + tier.String() + ".csrx" }
+func goldenShardV5(tier Tier) string { return "shard.v5-" + tier.String() + ".csrs" }
 
 // goldenFiles lists every fixture with its kind, for the fuzz seeds and
 // the sweep tests.
 func goldenFiles() map[string]*snapKind {
-	files := goldenV4Files()
-	for name, k := range goldenV3Files() {
+	files := goldenV5Files()
+	for name, k := range goldenStaleFiles() {
 		files[name] = k
 	}
 	return files
 }
 
-// goldenV4Files lists the fixtures the current writer must reproduce.
-func goldenV4Files() map[string]*snapKind {
-	files := map[string]*snapKind{goldenCompactV4: indexKind, goldenCompactShardV4: shardKind, goldenSparseV4: indexKind}
+// goldenV5Files lists the fixtures the current writer must reproduce.
+func goldenV5Files() map[string]*snapKind {
+	files := map[string]*snapKind{goldenCompactV5: indexKind, goldenCompactShardV5: shardKind, goldenSparseV5: indexKind, goldenWeightedV5: indexKind}
 	for _, tier := range goldenTiers {
-		files[goldenIndexV4(tier)] = indexKind
-		files[goldenShardV4(tier)] = shardKind
+		files[goldenIndexV5(tier)] = indexKind
+		files[goldenShardV5(tier)] = shardKind
 	}
 	return files
 }
 
-// goldenV3Files lists the two-factor fixtures every loader refuses.
-func goldenV3Files() map[string]*snapKind {
-	return map[string]*snapKind{goldenIndexV3: indexKind, goldenIndexV3Int8: indexKind, goldenShardV3: shardKind, goldenCompactIndexV3: indexKind}
+// goldenStaleFiles lists the v3 and v4 fixtures every loader refuses.
+func goldenStaleFiles() map[string]*snapKind {
+	files := map[string]*snapKind{goldenIndexV3: indexKind, goldenIndexV3Int8: indexKind, goldenShardV3: shardKind, goldenCompactIndexV3: indexKind,
+		goldenCompactV4: indexKind, goldenCompactShardV4: shardKind, goldenSparseV4: indexKind, goldenIndexV4Wal0: indexKind}
+	for _, tier := range goldenTiers {
+		files["index.v4-"+tier.String()+".csrx"] = indexKind
+		files["shard.v4-"+tier.String()+".csrs"] = shardKind
+	}
+	return files
 }
 
 func golden(tb testing.TB, name string) []byte {
@@ -92,11 +111,28 @@ func golden(tb testing.TB, name string) []byte {
 	return data
 }
 
-// goldenIndex decodes the exact-tier v4 index fixture: the index every v4
-// fixture but the compacted pair was cut or quantized from.
+// goldenIndex decodes the exact-tier v5 index fixture: the index every v5
+// fixture but the compacted pair and the weighted index was cut or
+// quantized from.
 func goldenIndex(tb testing.TB) *Index {
 	tb.Helper()
-	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV4(TierF64))))
+	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV5(TierF64))))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// readV4 decodes a v4 fixture as ConvertV4 does, less the graph, which the
+// caller attaches.
+func readV4(tb testing.TB, name string) *Index {
+	tb.Helper()
+	data := golden(tb, name)
+	f, err := parsePaged(data, uint64(len(data)), indexKind, indexVersionNoGraph)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := openPaged(f, false, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -164,10 +200,32 @@ func compactIndex(t testing.TB) *Index {
 	return ix
 }
 
-// goldenV4 renders every v4 fixture from the current writer: the exact
-// fixture's index encoded at each tier, the compacted pair,
-// and the compacted index with its zero rows spread back in.
-func goldenV4(t *testing.T) map[string][]byte {
+// weightedGraph is the paper's 6-node graph with edge weights 1, 1.5, 2, ….
+func weightedGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	adj := paperGraph(t).Adj()
+	n, _ := adj.Dims()
+	coo := sparse.NewCOO(n, n)
+	for u := 0; u < n; u++ {
+		for p := adj.RowPtr[u]; p < adj.RowPtr[u+1]; p++ {
+			if err := coo.Add(u, int(adj.ColIdx[p]), 1+float64(p)/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := graph.NewWeighted(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// goldenV5 renders every v5 fixture from the current writer: the v4
+// fixture's exact index carrying the paper's graph, encoded at each tier,
+// the compacted pair, the compacted index with its zero rows spread back
+// in, and the index over the weighted graph; and the exact index at WAL
+// sequence 0 as v4, the one v4 fixture ConvertV4 converts.
+func goldenV5(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	put := func(name string, writeTo func(io.Writer) (int64, error)) {
@@ -185,27 +243,37 @@ func goldenV4(t *testing.T) map[string][]byte {
 		put(ixName, ix.WriteTo)
 		put(shName, sh.WriteTo)
 	}
-	exact := goldenIndex(t)
+	exact := readV4(t, goldenIndexV4F64)
+	exact.graph = carry(paperGraph(t))
 	for _, tier := range goldenTiers {
 		q, err := exact.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair(q, goldenLo, goldenHi, goldenIndexV4(tier), goldenShardV4(tier))
+		pair(q, goldenLo, goldenHi, goldenIndexV5(tier), goldenShardV5(tier))
 	}
 	compact := compactIndex(t)
-	pair(compact, goldenCompactLo, goldenCompactHi, goldenCompactV4, goldenCompactShardV4)
-	put(goldenSparseV4, compact.withFactor(nil, dense.TypedFromMat(compact.denseF64()), nil).WriteTo)
+	pair(compact, goldenCompactLo, goldenCompactHi, goldenCompactV5, goldenCompactShardV5)
+	put(goldenSparseV5, compact.withFactor(nil, dense.TypedFromMat(compact.denseF64()), nil).WriteTo)
+	weighted, err := Precompute(weightedGraph(t), Options{Rank: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted.SetWalSeq(goldenWalSeq)
+	put(goldenWeightedV5, weighted.WriteTo)
+	exact.SetWalSeq(0)
+	put(goldenIndexV4Wal0, exact.WriteTo)
+	out[goldenIndexV4Wal0] = asV4(out[goldenIndexV4Wal0])
 	return out
 }
 
-// TestGoldenUpdate regenerates the v4 fixtures under -update and is a
+// TestGoldenUpdate regenerates the v5 fixtures under -update and is a
 // no-op otherwise.
 func TestGoldenUpdate(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("fixtures are refreshed only by an explicit -update")
 	}
-	for name, data := range goldenV4(t) {
+	for name, data := range goldenV5(t) {
 		if err := os.WriteFile(filepath.Join("testdata", name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +288,8 @@ func TestGoldenV3Compact(t *testing.T) {
 	if want.Stored() != compactStored || want.ids == nil {
 		t.Fatalf("fixture stores %d of %d rows (ids %v), want %d listed", want.Stored(), want.N(), want.ids, compactStored)
 	}
-	path := filepath.Join("testdata", goldenCompactV4)
-	decoded, err := ReadIndex(bytes.NewReader(golden(t, goldenCompactV4)))
+	path := filepath.Join("testdata", goldenCompactV5)
+	decoded, err := ReadIndex(bytes.NewReader(golden(t, goldenCompactV5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +310,7 @@ func TestGoldenV3Compact(t *testing.T) {
 		wantBitwise(t, label+" answers", queryBits(t, got, queries), queryBits(t, want, queries))
 	}
 
-	sparse, err := ReadIndex(bytes.NewReader(golden(t, goldenSparseV4)))
+	sparse, err := ReadIndex(bytes.NewReader(golden(t, goldenSparseV5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +319,7 @@ func TestGoldenV3Compact(t *testing.T) {
 	}
 	wantSameFactors(t, "every-row fixture, compacted", &sparse.Compact().IndexShard, &want.IndexShard)
 
-	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV4)))
+	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +334,7 @@ func TestGoldenV3Compact(t *testing.T) {
 }
 
 // TestGoldenWritersReproduceBytes is the writer half: every path that
-// puts a snapshot on disk — WriteTo re-encoding each decoded v4 fixture
+// puts a snapshot on disk — WriteTo re-encoding each decoded v5 fixture
 // and writing the indexes they were made from, and SaveIndex/SaveShard/
 // WriteSnapshot/WriteShardSnapshot over the fixture index at every tier —
 // emits the fixture's exact bytes.
@@ -284,11 +352,11 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 		}
 		return data
 	}
-	for name, data := range goldenV4(t) {
+	for name, data := range goldenV5(t) {
 		wantSameBytes(t, "written "+name, data, golden(t, name))
 	}
 	for _, tier := range goldenTiers {
-		wantIx, wantSh := golden(t, goldenIndexV4(tier)), golden(t, goldenShardV4(tier))
+		wantIx, wantSh := golden(t, goldenIndexV5(tier)), golden(t, goldenShardV5(tier))
 
 		decoded, err := ReadIndex(bytes.NewReader(wantIx))
 		if err != nil {
@@ -305,8 +373,8 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 		if _, err := decodedSh.WriteTo(&sb); err != nil {
 			t.Fatal(err)
 		}
-		wantSameBytes(t, "re-encoded "+goldenIndexV4(tier), ib.Bytes(), wantIx)
-		wantSameBytes(t, "re-encoded "+goldenShardV4(tier), sb.Bytes(), wantSh)
+		wantSameBytes(t, "re-encoded "+goldenIndexV5(tier), ib.Bytes(), wantIx)
+		wantSameBytes(t, "re-encoded "+goldenShardV5(tier), sb.Bytes(), wantSh)
 
 		q, err := exact.Quantize(tier)
 		if err != nil {
@@ -328,16 +396,21 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 	}
 }
 
-// TestGoldenWritersPortableEncoder holds the two float64 (and the two ids)
-// section encoders to each other: a little-endian host writes a section's
-// own memory, any other host encodes it element by element, and both must
-// emit the golden bytes. The portable encoder is reached here by telling
-// the writer the host is not little-endian.
+// TestGoldenWritersPortableEncoder holds the two float64 (and the two
+// int32: ids, and the graph's offsets and sources) section encoders to each
+// other: a little-endian host writes a section's own memory, any other host
+// encodes it element by element, and both must emit the golden bytes —
+// re-encoding a decoded fixture, and writing each fixture from the graph it
+// was built from. The portable encoder is reached here by telling the
+// writer the host is not little-endian.
 func TestGoldenWritersPortableEncoder(t *testing.T) {
 	defer func(le bool) { nativeLE = le }(nativeLE)
 	for _, le := range []bool{true, false} {
 		nativeLE = le
-		for name, k := range goldenV4Files() {
+		for name, data := range goldenV5(t) {
+			wantSameBytes(t, fmt.Sprintf("%s written with nativeLE=%v", name, le), data, golden(t, name))
+		}
+		for name, k := range goldenV5Files() {
 			want := golden(t, name)
 			ix, err := readSnapshot(bytes.NewReader(want), k, 0)
 			if err != nil {
@@ -358,12 +431,12 @@ func TestGoldenWritersPortableEncoder(t *testing.T) {
 }
 
 // TestGoldenKindsDoNotCross pins that the shared reader still keeps the
-// two headers apart: every v4 fixture loads as its own kind, through the
+// two headers apart: every v5 fixture loads as its own kind, through the
 // stream reader and the file loader, and is ErrCorrupt as the other; every
-// v3 fixture is ErrFormat as its own kind — refused, not corrupt — and
-// ErrCorrupt as the other.
+// v3 and v4 fixture is ErrFormat as its own kind — refused, not corrupt —
+// and ErrCorrupt as the other.
 func TestGoldenKindsDoNotCross(t *testing.T) {
-	v3 := goldenV3Files()
+	v3 := goldenStaleFiles()
 	for name, kind := range goldenFiles() {
 		data := golden(t, name)
 		path := filepath.Join("testdata", name)

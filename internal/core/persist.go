@@ -9,8 +9,9 @@ package core
 // headers: "CSRX", a whole index with its build metadata, and "CSRS", the
 // row range [lo, hi) of one. Everything here and in persist2.go is written
 // once and takes the header kind as an argument. Files are written and
-// served in the mmap-able v4 layout (persist2.go; byte layout in DESIGN.md
-// §13); files of earlier versions are refused with ErrFormat.
+// served in the mmap-able v5 layout (persist2.go; byte layout in DESIGN.md
+// §13), which also carries the graph the factor was built from
+// (graphsec.go); files of earlier versions are refused with ErrFormat.
 
 import (
 	"bufio"
@@ -23,21 +24,26 @@ import (
 	"runtime"
 
 	"csrplus/internal/fault"
+	"csrplus/internal/graph"
 )
 
 // snapKind is one of the two headers a snapshot file can carry.
 type snapKind struct {
-	magic  [4]byte
-	name   string // names the kind in error messages
-	whole  bool   // CSRX: rows are [0, n) and sigma, iters and walSeq travel along
-	remedy string // what ErrFormat names to do: nothing converts a two-factor file
+	magic [4]byte
+	name  string // names the kind in error messages
+	whole bool   // CSRX: rows are [0, n) and sigma, iters, walSeq and the graph travel along
+	// What ErrFormat names to do with a stale file: one of v1–v3, which
+	// hold two factors, and one of v4, which carries no graph.
+	twoFactors, noGraph string
 }
 
 var (
 	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true,
-		remedy: "rebuild it from the graph (csrserver with a graph rebuilds over a -snapshots directory of stale generations and publishes v4)"}
+		twoFactors: "rebuild it from the graph (csrserver with a graph rebuilds over a -snapshots directory of stale generations and publishes v5)",
+		noGraph:    "convert it with the graph it was built from (csrstat -index FILE -convert DIR with -dataset or -graph and -n)"}
 	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard",
-		remedy: "publish the shard directory again from a v4 index (csrstat -index INDEX -convert ROOT -split K)"}
+		twoFactors: "publish the shard directory again from a v5 index (csrstat -index INDEX -convert ROOT -split K)",
+		noGraph:    "publish the shard directory again from a v5 index (csrstat -index INDEX -convert ROOT -split K)"}
 )
 
 // maxIndexElems caps n*rank at load time so a corrupt header cannot make
@@ -68,6 +74,9 @@ type snapHeader struct {
 	walSeq  uint64 // index only
 	build   uint64
 	clamp   float64
+	// m and weighted size an index's graph section; 0 and false in a shard.
+	m        uint64
+	weighted bool
 }
 
 // validate rejects every header a real writer could not have produced,
@@ -191,7 +200,47 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading %s: %w", k.name, corruptEOF(err))
 	}
-	return openPaged(data, k, false)
+	f, err := parsePaged(data, uint64(len(data)), k, indexVersion)
+	if err != nil {
+		return nil, err
+	}
+	return openPaged(f, false, nil)
+}
+
+// ConvertV4 reads the v4 index file at path — v5 without the graph
+// section, stale to every loader — into the heap, carrying g, the graph it
+// was built from, for a writer to publish as v5. g is bound to the factor
+// as a load binds a v5 file's graph section: by node count, and by Q's
+// in-link support against the stored rows. A factor that covers streamed
+// edges (a WAL sequence above 0) was built from a live graph that g, the
+// graph before them, is not, and is refused: rebuild that one instead.
+func ConvertV4(path string, g *graph.Graph) (*Index, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("core: ConvertV4: %w", err)
+	}
+	if checkHead(data, indexKind) == nil {
+		return nil, fmt.Errorf("core: ConvertV4 %s: already v5, with its graph: %w", path, ErrParams)
+	}
+	f, err := parsePaged(data, uint64(len(data)), indexKind, indexVersionNoGraph)
+	var ix *Index
+	if err == nil {
+		ix, err = openPaged(f, false, nil)
+	}
+	switch {
+	case err != nil:
+	case ix.walSeq != 0:
+		err = fmt.Errorf("its factor covers WAL records up to seq %d that the graph lacks: rebuild it: %w", ix.walSeq, ErrParams)
+	case g.N() != ix.n:
+		err = fmt.Errorf("index built for %d nodes, graph has %d: %w", ix.n, g.N(), ErrParams)
+	default:
+		err = checkSupport(inLinksOf(g), ix.ids)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: ConvertV4 %s: %w", path, err)
+	}
+	ix.graph = carry(g)
+	return ix, nil
 }
 
 // SaveIndex writes the index to path atomically and crash-consistently:
@@ -200,7 +249,7 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 // path; the parent directory is fsynced afterwards so the rename itself
 // survives a crash. A kill at any point leaves either the old file, the
 // new file, or a stray temp file — never a truncated index at path.
-// Files are written in the mmap-able v4 layout (persist2.go).
+// Files are written in the mmap-able v5 layout (persist2.go).
 func SaveIndex(ix *Index, path string) error {
 	return saveAtomic("SaveIndex", path, ix.WriteTo)
 }

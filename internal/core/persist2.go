@@ -3,18 +3,19 @@ package core
 // persist2.go implements the page-aligned snapshot layout a server can
 // memory-map and serve from without decoding — reload latency becomes O(1)
 // in index size, pages fault in lazily, and two generations mapped during a
-// swap share the page cache instead of doubling RSS. v4 is the one format
+// swap share the page cache instead of doubling RSS. v5 is the one format
 // written and served: it holds the one factor F (csrplus.go), records how
 // many rows it stores and lists their ids, so the all-zero rows of a
 // support-compacted index (shard.go) cost no bytes on disk, in the mapping
-// or on the way to a worker. It is the one format this package parses:
-// v1–v3, which held two factors, are refused as stale (ErrFormat) and are
-// rebuilt, not converted.
+// or on the way to a worker, and it carries the graph the factor was built
+// from (graphsec.go). v1–v3, which held two factors, are refused as stale
+// (ErrFormat) and are rebuilt; v4, v5 without the graph, is stale too, and
+// ConvertV4 reads it only to publish it again with the graph it is handed.
 //
 // One 4 KiB header page (offsets in the constants below and in DESIGN.md
 // §13), then page-aligned sections in a fixed order: sigma (CSRX only),
-// ids (empty when every row is stored), then the factor block — fscale,
-// fqerr, f. Quantisation metadata
+// ids (empty when every row is stored), the factor block — fscale, fqerr,
+// f — and the graph (empty in a CSRS file). Quantisation metadata
 // sections are empty (len 0) for tiers that lack them: scales exist only
 // for int8, the measured per-column dequantisation errors for both
 // quantized tiers. Every non-empty section starts exactly at the next page
@@ -44,10 +45,13 @@ import (
 )
 
 const (
-	indexVersion4 = 4 // what every writer emits and every loader serves
+	indexVersion = 5 // what every writer emits and every loader serves
+	// indexVersionNoGraph is v5 without its graph section: stale, read only
+	// by ConvertV4.
+	indexVersionNoGraph = 4
 
-	// factorSecs is the factor block that ends every file: the scale, qerr
-	// and payload sections of F, in that order.
+	// factorSecs is the factor block after the ids: the scale, qerr and
+	// payload sections of F, in that order.
 	factorSecs = 3
 
 	pageSize     = 4096
@@ -57,19 +61,21 @@ const (
 	// Words past the fixed ones (magic, version, tier, section count, n,
 	// rank, c, iters|lo, 0|hi and the file size fill bytes 0–63); the
 	// section table follows at 128.
-	storedOff = 64
-	walSeqOff = 72
-	buildOff  = 80
-	clampOff  = 88
-	tableOff  = 128
+	storedOff   = 64
+	walSeqOff   = 72
+	buildOff    = 80
+	clampOff    = 88
+	edgesOff    = 96  // m, the graph section's edge count (0 in a CSRS file)
+	weightedOff = 104 // 1 when the graph section stores weights
+	tableOff    = 128
 )
 
 // ErrFormat is returned (wrapped) for a snapshot in a format this build does
-// not serve: v1–v3, which held two factors. It is not corruption — the
-// bytes may be intact — so a snapshot directory treats such a generation
-// as stale rather than damaged (snapshot.go). Nothing converts one: an
-// index is rebuilt from its graph, and a shard directory is published
-// again from a v4 index.
+// not serve: v1–v3, which held two factors, and v4, which carries no graph.
+// It is not corruption — the bytes may be intact — so a snapshot directory
+// treats such a generation as stale rather than damaged (snapshot.go). A
+// v1–v3 index is rebuilt from its graph, a v4 one converted with it
+// (ConvertV4), and a shard directory is published again from a v5 index.
 var ErrFormat = errors.New("core: snapshot format not served")
 
 // errMapUnsupported reports that a file could not be memory-mapped for
@@ -154,29 +160,41 @@ func factorSections(t *dense.Typed, qerr []float64) (scale, qe, payload section)
 	}
 }
 
-// WriteTo serialises the index in the v4 layout (magic "CSRX").
+// WriteTo serialises the index in the v5 layout (magic "CSRX"), with the
+// graph it carries: an index that carries none (one assembled by hand) has
+// nothing a v5 file can hold and is refused.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+	if ix.graph.none() {
+		return 0, fmt.Errorf("core: the index carries no graph for its snapshot's graph section: %w", ErrParams)
+	}
 	hdr := [5]uint64{uint64(ix.n), uint64(ix.rank), math.Float64bits(ix.c), uint64(ix.iters), 0}
-	return ix.writeV4(w, indexKind, hdr, ix.walSeq, f64Section(ix.sigma))
+	return ix.write(w, indexKind, hdr, ix.walSeq, &ix.graph, f64Section(ix.sigma))
 }
 
-// WriteTo serialises the shard in the v4 layout (magic "CSRS").
+// WriteTo serialises the shard in the v5 layout (magic "CSRS"), whose
+// graph section is empty.
 func (sh *IndexShard) WriteTo(w io.Writer) (int64, error) {
 	hdr := [5]uint64{uint64(sh.n), uint64(sh.rank), math.Float64bits(sh.c), uint64(sh.lo), uint64(sh.hi)}
-	return sh.writeV4(w, shardKind, hdr, 0)
+	return sh.write(w, shardKind, hdr, 0, nil)
 }
 
-// writeV4 is the one writer. It lays out and writes a v4 file of the
-// shard's stored rows: header page, then the kind's leading sections, the
-// ids and the three factor-block sections, each at the next page boundary
-// and followed by zero padding. Section CRCs are computed in a first encode
-// pass (over payload plus padding), so the writer streams — it never
-// materialises a quantized payload in memory.
-func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq uint64, lead ...section) (int64, error) {
+// write is the one writer. It lays out and writes a v5 file of the shard's
+// stored rows: header page, then the kind's leading sections, the ids, the
+// three factor-block sections and the graph g (nil: empty), each at the
+// next page boundary and followed by zero padding. Section CRCs are
+// computed in a first encode pass (over payload plus padding), so the
+// writer streams — it never materialises a quantized payload in memory.
+func (sh *IndexShard) write(w io.Writer, k *snapKind, hdr [5]uint64, walSeq uint64, g *carriedGraph, lead ...section) (int64, error) {
 	le := binary.LittleEndian
 	scale, qe, f := factorSections(sh.f, sh.fqerr)
-	ids := sectionOf(sh.ids, 4, func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) })
-	secs := append(lead, ids, scale, qe, f)
+	graph, edges, weighted := emptySection, uint64(0), uint64(0)
+	if g != nil {
+		graph, edges = g.section(), uint64(g.m)
+		if g.weighted {
+			weighted = 1
+		}
+	}
+	secs := append(lead, i32Section(sh.ids), scale, qe, f, graph)
 
 	// Pass 1: place sections and checksum their padded extents.
 	type placed struct {
@@ -191,7 +209,7 @@ func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 		if s.length > 0 {
 			h := crc32.NewIEEE()
 			if err := s.encode(h); err != nil {
-				return 0, fmt.Errorf("core: v4 checksum pass: %w", err)
+				return 0, fmt.Errorf("core: v5 checksum pass: %w", err)
 			}
 			if pad := pl[i].padded - s.length; pad > 0 {
 				h.Write(make([]byte, pad))
@@ -204,10 +222,10 @@ func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 
 	head := make([]byte, pageSize)
 	copy(head, k.magic[:])
-	le.PutUint32(head[4:], indexVersion4)
+	le.PutUint32(head[4:], indexVersion)
 	le.PutUint32(head[8:], uint32(sh.Tier()))
 	le.PutUint32(head[12:], uint32(len(secs)))
-	for i, word := range append(hdr[:], fileSize, uint64(sh.Stored()), walSeq, sh.build, math.Float64bits(sh.clamp)) {
+	for i, word := range append(hdr[:], fileSize, uint64(sh.Stored()), walSeq, sh.build, math.Float64bits(sh.clamp), edges, weighted) {
 		le.PutUint64(head[16+8*i:], word)
 	}
 	for i, s := range secs {
@@ -222,7 +240,7 @@ func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 	// and the padding writes batch through one zero page.
 	cw := &countingWriter{w: w}
 	if _, err := cw.Write(head); err != nil {
-		return cw.n, fmt.Errorf("core: writing v4 header: %w", err)
+		return cw.n, fmt.Errorf("core: writing v5 header: %w", err)
 	}
 	zeros := make([]byte, pageSize)
 	for i, s := range secs {
@@ -230,18 +248,18 @@ func (sh *IndexShard) writeV4(w io.Writer, k *snapKind, hdr [5]uint64, walSeq ui
 			continue
 		}
 		if err := s.encode(cw); err != nil {
-			return cw.n, fmt.Errorf("core: writing v4 section %d: %w", i, err)
+			return cw.n, fmt.Errorf("core: writing v5 section %d: %w", i, err)
 		}
 		for pad := pl[i].padded - s.length; pad > 0; {
 			chunk := min(pad, pageSize)
 			if _, err := cw.Write(zeros[:chunk]); err != nil {
-				return cw.n, fmt.Errorf("core: padding v4 section %d: %w", i, err)
+				return cw.n, fmt.Errorf("core: padding v5 section %d: %w", i, err)
 			}
 			pad -= chunk
 		}
 	}
 	if uint64(cw.n) != fileSize {
-		return cw.n, fmt.Errorf("core: v4 writer emitted %d bytes, laid out %d", cw.n, fileSize)
+		return cw.n, fmt.Errorf("core: v5 writer emitted %d bytes, laid out %d", cw.n, fileSize)
 	}
 	return cw.n, nil
 }
@@ -254,13 +272,34 @@ type sectionDesc struct {
 
 func (s sectionDesc) end() uint64 { return alignPage(s.off + s.length) }
 
-// pagedFile is a validated v4 header over its raw bytes.
+// pagedFile is a validated header over its raw bytes.
 type pagedFile struct {
 	snapHeader
-	tier   Tier
-	stored uint64 // rows in the factor block
-	secs   []sectionDesc
-	data   []byte
+	kind    *snapKind
+	version uint32 // indexVersion, or indexVersionNoGraph for ConvertV4
+	tier    Tier
+	stored  uint64 // rows in the factor block
+	secs    []sectionDesc
+	data    []byte
+}
+
+// The sections of a file, in order: [sigma,] ids, the factor block —
+// scale, qerr, payload — and, in v5, the graph. ids is section 1 of an
+// index (behind sigma) and 0 of a shard.
+func (f *pagedFile) idsAt() int {
+	if f.kind.whole {
+		return 1
+	}
+	return 0
+}
+func (f *pagedFile) payloadAt() int { return f.idsAt() + factorSecs }
+
+// graphAt is the graph section's index, -1 in a v4 file.
+func (f *pagedFile) graphAt() int {
+	if f.version == indexVersionNoGraph {
+		return -1
+	}
+	return f.payloadAt() + 1
 }
 
 // checkHead reads the magic and version a snapshot image starts with:
@@ -274,25 +313,31 @@ func checkHead(data []byte, k *snapKind) error {
 		return fmt.Errorf("core: bad %s magic %q: %w", k.name, data[:4], ErrCorrupt)
 	}
 	switch v := binary.LittleEndian.Uint32(data[4:]); {
-	case v == indexVersion4:
+	case v == indexVersion:
 		return nil
-	case v >= 1 && v < indexVersion4:
-		return fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v4: %s: %w",
-			v, k.name, k.remedy, ErrFormat)
+	case v == indexVersionNoGraph:
+		return fmt.Errorf("core: v4 %s file carries no graph, and this build serves v5: %s: %w", k.name, k.noGraph, ErrFormat)
+	case v >= 1 && v < indexVersionNoGraph:
+		return fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v5: %s: %w",
+			v, k.name, k.twoFactors, ErrFormat)
 	default:
-		return fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion4, ErrCorrupt)
+		return fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion, ErrCorrupt)
 	}
 }
 
-// parsePaged validates everything cheap about a v4 byte image of kind k —
-// magic, version, header CRC, fileSize against the actual length, field
-// plausibility, and the full section-table geometry (alignment, no overlap
-// with the header or each other, exact expected lengths) — and eagerly
-// CRC-checks every section except the factor payload, whose verification
-// cost is O(index size) and is the caller's choice.
-func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
+// parsePaged validates everything cheap about a byte image of kind k in
+// layout version — indexVersion for every loader, indexVersionNoGraph for
+// ConvertV4 alone — magic, version, header CRC, fileSize against the
+// file's size, field plausibility, and the full section-table geometry
+// (alignment, no overlap with the header or each other, exact expected
+// lengths) — and eagerly CRC-checks every section but two: the factor
+// payload, whose verification cost is O(index size) and is the caller's
+// choice, and the graph, which is never read through a mapping (see
+// openPaged). data is the file's first bytes: all size of them, or — a
+// mapping — all but the graph section, which ends the file.
+func parsePaged(data []byte, size uint64, k *snapKind, version uint32) (*pagedFile, error) {
 	le := binary.LittleEndian
-	if err := checkHead(data, k); err != nil {
+	if err := checkHead(data, k); err != nil && !(errors.Is(err, ErrFormat) && le.Uint32(data[4:]) == version) {
 		return nil, err
 	}
 	if len(data) < pageSize {
@@ -301,13 +346,15 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 	if got, want := crc32.ChecksumIEEE(data[:headerCRCOff]), le.Uint32(data[headerCRCOff:]); got != want {
 		return nil, fmt.Errorf("core: snapshot header checksum %08x, want %08x: %w", got, want, ErrCorrupt)
 	}
-	f := &pagedFile{data: data}
+	f := &pagedFile{kind: k, version: version, data: data}
 	f.n = le.Uint64(data[16:])
 	f.rank = le.Uint64(data[24:])
 	f.c = math.Float64frombits(le.Uint64(data[32:]))
 	f.walSeq = le.Uint64(data[walSeqOff:])
 	f.build = le.Uint64(data[buildOff:])
 	f.clamp = math.Float64frombits(le.Uint64(data[clampOff:]))
+	f.m = le.Uint64(data[edgesOff:])
+	weighted := le.Uint64(data[weightedOff:])
 	// Words 4 and 5 are iters/0 for an index, lo/hi for a shard.
 	w4, w5 := le.Uint64(data[40:]), le.Uint64(data[48:])
 	if k.whole {
@@ -323,16 +370,30 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		return nil, fmt.Errorf("core: unknown tier %d: %w", tier, ErrCorrupt)
 	}
 	f.tier = Tier(tier)
-	wantSecs := 1 + factorSecs // ids, then the factor block
+	wantSecs := 1 + factorSecs + 1 // ids, the factor block, the graph
+	if version == indexVersionNoGraph {
+		wantSecs--
+	}
 	if k.whole {
 		wantSecs++ // sigma
 	}
 	if got := le.Uint32(data[12:]); got != uint32(wantSecs) {
 		return nil, fmt.Errorf("core: snapshot section count %d, want %d: %w", got, wantSecs, ErrCorrupt)
 	}
-	if size := le.Uint64(data[56:]); size != uint64(len(data)) {
-		return nil, fmt.Errorf("core: snapshot file is %d bytes, header says %d: %w", len(data), size, ErrCorrupt)
+	if words := le.Uint64(data[56:]); words != size {
+		return nil, fmt.Errorf("core: snapshot file is %d bytes, header says %d: %w", size, words, ErrCorrupt)
 	}
+	// The graph words: a shard carries no graph, an index's offsets are
+	// int32 and the weight flag is a flag.
+	switch {
+	case weighted > 1:
+		return nil, fmt.Errorf("core: %s graph weight flag %d: %w", k.name, weighted, ErrCorrupt)
+	case !k.whole && (f.m != 0 || weighted != 0):
+		return nil, fmt.Errorf("core: shard carries a graph of %d edges: %w", f.m, ErrCorrupt)
+	case f.m > math.MaxInt32:
+		return nil, fmt.Errorf("core: graph of %d edges, past int32 offsets: %w", f.m, ErrCorrupt)
+	}
+	f.weighted = weighted == 1
 	if err := f.validate(k); err != nil {
 		return nil, err
 	}
@@ -343,7 +404,7 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 	}
 
 	// Expected section lengths from the validated header. Order matches
-	// the writer: [sigma,] ids, then the factor block.
+	// the writer: [sigma,] ids, the factor block, the graph.
 	want := make([]uint64, 0, wantSecs)
 	if k.whole {
 		want = append(want, f.rank*8) // sigma
@@ -363,6 +424,13 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		scaleLen = f.rank * 8
 	}
 	want = append(want, scaleLen, metaLen, factorLen)
+	if version == indexVersion {
+		graphLen := uint64(0)
+		if k.whole {
+			graphLen = graphSectionLen(f.n, f.m, f.weighted)
+		}
+		want = append(want, graphLen)
+	}
 
 	f.secs = make([]sectionDesc, wantSecs)
 	cur := uint64(pageSize)
@@ -375,19 +443,22 @@ func parsePaged(data []byte, k *snapKind) (*pagedFile, error) {
 		// Sections sit exactly where the writer puts them: next page
 		// boundary, after the header, in order. Anything else — a
 		// misaligned offset, an offset pointing back into the header or
-		// a neighbour — is a forgery.
-		if s.off != cur || s.off%pageSize != 0 || s.off < pageSize || s.end() > uint64(len(data)) {
+		// a neighbour — is a forgery. Every one but the graph lies in data.
+		if s.off != cur || s.off%pageSize != 0 || s.off < pageSize || s.end() > size || (i != f.graphAt() && s.end() > uint64(len(data))) {
 			return nil, fmt.Errorf("core: snapshot section %d at offset %d, want %d: %w", i, s.off, cur, ErrCorrupt)
 		}
 		cur = s.end()
 		f.secs[i] = s
 	}
-	if cur != uint64(len(data)) {
-		return nil, fmt.Errorf("core: snapshot sections end at %d of %d bytes: %w", cur, len(data), ErrCorrupt)
+	if cur != size {
+		return nil, fmt.Errorf("core: snapshot sections end at %d of %d bytes: %w", cur, size, ErrCorrupt)
 	}
 
-	// Eagerly verify everything except the trailing factor payload.
-	for i := range len(f.secs) - 1 {
+	// Eagerly verify everything except the factor payload and the graph.
+	for i := range f.secs {
+		if i == f.payloadAt() || (i == f.graphAt() && f.secs[i].length > 0) {
+			continue
+		}
 		if err := f.verifySection(i); err != nil {
 			return nil, err
 		}
@@ -415,7 +486,7 @@ func (f *pagedFile) verifyFactor() error {
 	if err := fault.Hit(fault.SiteIndexVerify); err != nil {
 		return fmt.Errorf("core: verifying the factor block: %w", err)
 	}
-	return f.verifySection(len(f.secs) - 1)
+	return f.verifySection(f.payloadAt())
 }
 
 // viewOf materialises section i as size-byte little-endian elements — a
@@ -461,7 +532,7 @@ func checkQuantVec(name string, v []float64) error {
 // would put every factor entry back on the heap — the exact cost mapping
 // exists to avoid. The view is PROT_READ; queries only read.
 func (f *pagedFile) factorFrom(zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
-	scaleIdx := len(f.secs) - factorSecs
+	scaleIdx := f.idsAt() + 1
 	qerrIdx, payloadIdx := scaleIdx+1, scaleIdx+2
 	t = &dense.Typed{Kind: f.tier.kind(), Rows: int(f.stored), Cols: int(f.rank)}
 	switch f.tier {
@@ -484,20 +555,23 @@ func (f *pagedFile) factorFrom(zeroCopy bool) (t *dense.Typed, qerr []float64, e
 	return t, qerr, nil
 }
 
-// openPaged is the one v4 open, shared by the decoder and the mapper:
-// parse, verify the factor CRC, build the index over the image — views of
-// it when zeroCopy, fresh copies otherwise. For a shard image the Index is
-// the IndexShard inside it.
-func openPaged(data []byte, k *snapKind, zeroCopy bool) (*Index, error) {
-	f, err := parsePaged(data, k)
-	if err != nil {
-		return nil, err
-	}
+// openPaged is the one open of a parsed file, shared by the decoder, the
+// mapper and ConvertV4: verify the factor CRC, build the index over the
+// image — views of it when zeroCopy, fresh copies otherwise — and check the
+// graph section, which the index then carries. For a shard image the Index
+// is the IndexShard inside it.
+//
+// The graph section is read through graphAt, never through data: a mapper
+// passes the file it mapped, so the pass that checksums the section and
+// binds it to the factor (carriedGraph.check) reads it with pread and no
+// page of it is faulted into the mapping. graphAt nil reads it out of
+// data, a heap image.
+func openPaged(f *pagedFile, zeroCopy bool, graphAt io.ReaderAt) (*Index, error) {
 	if err := f.verifyFactor(); err != nil {
 		return nil, err
 	}
 	var sigma []float64
-	if k.whole {
+	if f.kind.whole {
 		sigma = f.f64Of(0, zeroCopy)
 		if err := checkSigma(sigma); err != nil {
 			return nil, err
@@ -505,70 +579,105 @@ func openPaged(data []byte, k *snapKind, zeroCopy bool) (*Index, error) {
 	}
 	ix := f.index(sigma)
 	if f.stored < uint64(f.rows()) {
-		// ids is the section before the factor block.
-		if ix.ids = viewOf(f, len(f.secs)-factorSecs-1, zeroCopy, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }); ix.ids == nil {
+		if ix.ids = viewOf(f, f.idsAt(), zeroCopy, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }); ix.ids == nil {
 			ix.ids = []int32{} // a shard that stores nothing still lists its rows: none
 		}
 	}
+	var err error
 	if ix.f, ix.fqerr, err = f.factorFrom(zeroCopy); err != nil {
 		return nil, err
 	}
 	if err := ix.CheckStored(); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
+	if gi := f.graphAt(); gi >= 0 && f.kind.whole {
+		s := f.secs[gi]
+		ix.graph = carriedGraph{m: int64(f.m), weighted: f.weighted, at: graphAt, off: int64(s.off), length: s.length, crc: s.crc}
+		if graphAt == nil {
+			ix.graph.at, ix.graph.off = fromImage(f.data, s), 0
+		}
+		if err := ix.graph.check(ix.n, ix.ids); err != nil {
+			return nil, err
+		}
+	}
 	return ix, nil
 }
 
 // mapFile opens, sizes and maps path read-only, peeking the header first
 // so a file of another kind or format fails as it would decoded, before
-// anything is mapped. The returned mapping owns the pages; the file
-// descriptor does not outlive the call.
-func mapFile(path string, k *snapKind) ([]byte, *mapping, error) {
+// anything is mapped. It maps the file up to its last section, the graph,
+// which no query reads and a load reads with pread: so not even the
+// kernel's fault-around, which maps page-cached neighbours of a faulted
+// page, can make a page of it resident in the mapping. The returned mapping
+// owns the pages and the open file, which the graph section is read
+// through (openPaged); size is the file's.
+func mapFile(path string, k *snapKind) (_ []byte, size uint64, _ *mapping, err error) {
 	if !mmapSupported || !nativeLE {
-		return nil, nil, fmt.Errorf("%w (platform)", errMapUnsupported)
+		return nil, 0, nil, fmt.Errorf("%w (platform)", errMapUnsupported)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	// The header peek goes through the injected read site like every
 	// other load-time disk read: a degraded disk (or an armed
 	// SiteIndexRead plan) fails the mapped load the same way it fails
 	// the buffered one — the decode fallback shares the disk, so
 	// degrading to it could not help.
-	var head [8]byte
-	if _, err := io.ReadFull(fault.Reader(fault.SiteIndexRead, f), head[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: reading header: %w", corruptEOF(err))
+	var head [descSize]byte
+	r := fault.Reader(fault.SiteIndexRead, f)
+	if _, err := io.ReadFull(r, head[:8]); err != nil {
+		return nil, 0, nil, fmt.Errorf("core: reading header: %w", corruptEOF(err))
 	}
-	if err := checkHead(head[:], k); err != nil {
-		return nil, nil, err
+	if err := checkHead(head[:8], k); err != nil {
+		return nil, 0, nil, err
+	}
+	if _, err := io.ReadFull(r, head[8:16]); err != nil { // tier and section count
+		return nil, 0, nil, fmt.Errorf("core: reading header: %w", corruptEOF(err))
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		// Environmental, not corruption — degrade to the buffered decode
 		// like every other unmappable condition in this function.
-		return nil, nil, fmt.Errorf("%w (stat: %v)", errMapUnsupported, err)
+		return nil, 0, nil, fmt.Errorf("%w (stat: %v)", errMapUnsupported, err)
 	}
 	if fi.Size() <= 0 || uint64(fi.Size()) > maxPlatformElems {
-		return nil, nil, fmt.Errorf("%w (size %d)", errMapUnsupported, fi.Size())
+		return nil, 0, nil, fmt.Errorf("%w (size %d)", errMapUnsupported, fi.Size())
+	}
+	size = uint64(fi.Size())
+	// The graph section's offset, from the last entry of the section table:
+	// unvalidated here, so one that is not a page boundary inside the file
+	// maps the whole file, for parsePaged to refuse.
+	mapped := size
+	if secs := binary.LittleEndian.Uint32(head[12:]); secs >= 1 && tableOff+int64(secs)*descSize <= headerCRCOff {
+		if _, err := f.ReadAt(head[:8], tableOff+int64(secs-1)*descSize); err == nil {
+			if off := binary.LittleEndian.Uint64(head[:8]); off >= pageSize && off < size && off%pageSize == 0 {
+				mapped = off
+			}
+		}
 	}
 	// An injected map fault models mmap refusal (ulimit, fragmentation):
 	// an environmental failure, so it degrades to the decode path rather
 	// than failing the load.
 	if err := fault.Hit(fault.SiteIndexMap); err != nil {
-		return nil, nil, fmt.Errorf("%w (injected: %v)", errMapUnsupported, err)
+		return nil, 0, nil, fmt.Errorf("%w (injected: %v)", errMapUnsupported, err)
 	}
-	data, err := mmapFile(f, fi.Size())
+	data, err := mmapFile(f, int64(mapped))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w (mmap: %v)", errMapUnsupported, err)
+		return nil, 0, nil, fmt.Errorf("%w (mmap: %v)", errMapUnsupported, err)
 	}
-	return data, &mapping{data: data}, nil
+	return data, size, &mapping{data: data, file: f}, nil
 }
 
-// MapIndex memory-maps a v4 snapshot and returns an Index whose factor is a
+// MapIndex memory-maps a v5 snapshot and returns an Index whose factor is a
 // zero-copy view over the mapping: the load copies nothing (header and
-// metadata validation plus one CRC pass over the factor block), pages fault
+// metadata validation plus one CRC pass over the factor block, and one over
+// the graph section read with pread, never through the mapping), pages fault
 // in on first access, and RSS is shared with any other mapping of the same
 // generation. The caller owns the mapping lifetime: Close the index only
 // after every query that might touch it has drained (the serve layer's
@@ -587,11 +696,15 @@ func MapIndex(path string) (*Index, error) {
 // verify the factor CRC, build zero-copy views. The returned Index holds
 // the mapping; for a shard file the caller hands it on as a ShardFile.
 func mapSnapshot(path string, k *snapKind) (*Index, error) {
-	data, m, err := mapFile(path, k)
+	data, size, m, err := mapFile(path, k)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := openPaged(data, k, true)
+	f, err := parsePaged(data, size, k, indexVersion)
+	var ix *Index
+	if err == nil {
+		ix, err = openPaged(f, true, m.file)
+	}
 	if err != nil {
 		m.close()
 		return nil, err

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// TestMappedLoadAllocs holds the verified map of a v4 file to a fixed
+// TestMappedLoadAllocs holds the verified map of a v5 file to a fixed
 // handful of allocations, whatever its tier, rows stored or kind: the
 // header, the section table, the views and the mapping handle, never
-// anything the size of the factor (BENCH_snapshot.json: 1216 B a load).
+// anything the size of the factor or of the graph section
+// (BENCH_snapshot.json: 1328 B a load).
 // It counts allocations, not time, so a busy box cannot move it. It skips
 // where the file is decoded, not mapped.
 func TestMappedLoadAllocs(t *testing.T) {
@@ -23,10 +24,10 @@ func TestMappedLoadAllocs(t *testing.T) {
 		Close() error
 	}
 	for file, limit := range map[string]float64{
-		goldenIndexV4(TierF64): 11,
-		goldenCompactV4:        11,
-		goldenIndexV4(TierI8):  11,
-		goldenShardV4(TierF64): 12,
+		goldenIndexV5(TierF64): 11,
+		goldenCompactV5:        11,
+		goldenIndexV5(TierI8):  11,
+		goldenShardV5(TierF64): 12,
 	} {
 		path, kind := filepath.Join("testdata", file), goldenFiles()[file]
 		load := func() loaded {

@@ -1,8 +1,9 @@
 package core
 
 // Reload-latency benchmark behind BENCH_snapshot.json: the verified map of
-// the layout that is written (v4), at two index sizes. It walks the factor
-// bytes once for the CRC pass but allocates nothing for them.
+// the layout that is written (v5), at two index sizes. It walks the factor
+// bytes once for the CRC pass, and the graph section once with pread, but
+// allocates nothing for them.
 
 import (
 	"fmt"
@@ -10,11 +11,13 @@ import (
 	"testing"
 
 	"csrplus/internal/dense"
+	"csrplus/internal/graph"
 )
 
 // synthBenchIndex builds an exact-tier index with a deterministic
 // pseudo-random factor directly — Precompute cost would dwarf the load
-// path under measurement, and the load path never looks at the values.
+// path under measurement, and the load path never looks at the values —
+// carrying an Erdős–Rényi graph of 8 edges a node for its graph section.
 func synthBenchIndex(n, rank int) *Index {
 	f := dense.NewMat(n, rank)
 	state := uint64(0x9E3779B97F4A7C15)
@@ -26,7 +29,11 @@ func synthBenchIndex(n, rank int) *Index {
 	for i := range sigma {
 		sigma[i] = float64(rank-i) * 0.5
 	}
-	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, f: dense.TypedFromMat(f)}, iters: 8, sigma: sigma}
+	g, err := graph.ErdosRenyi(n, 8*int64(n), 1)
+	if err != nil {
+		panic(err)
+	}
+	return &Index{IndexShard: IndexShard{n: n, hi: n, c: 0.8, rank: rank, f: dense.TypedFromMat(f)}, iters: 8, sigma: sigma, graph: carry(g)}
 }
 
 func BenchmarkSnapshotLoadMapVerified(b *testing.B) {

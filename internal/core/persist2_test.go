@@ -241,8 +241,8 @@ func TestV2CorruptionMatrix(t *testing.T) {
 			repatchHeaderCRC(d)
 			return d
 		},
-		"forged version 5": func(d []byte) []byte {
-			le.PutUint32(d[4:], 5)
+		"forged version 6": func(d []byte) []byte {
+			le.PutUint32(d[4:], 6)
 			repatchHeaderCRC(d)
 			return d
 		},
@@ -465,7 +465,7 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 	sdata := sb.Bytes()
 	binary.LittleEndian.PutUint64(sdata[walSeqOff:], 7)
 	repatchHeaderCRC(sdata)
-	if _, err := openPaged(sdata, shardKind, false); !errors.Is(err, ErrCorrupt) {
+	if _, err := parsePaged(sdata, uint64(len(sdata)), shardKind, indexVersion); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged shard walSeq accepted: %v", err)
 	}
 }
@@ -509,22 +509,22 @@ func TestCompactCorruptionMatrix(t *testing.T) {
 		corrupt func([]byte) []byte
 	}{
 		// The fixture stores rows 0 1 2 4 5 6 8 … 46: 36 of 48.
-		{"ids flip under the section CRC", goldenCompactV4, func(d []byte) []byte {
+		{"ids flip under the section CRC", goldenCompactV5, func(d []byte) []byte {
 			d[le.Uint64(d[tableOff+descSize:])+5] ^= 0x01
 			return d
 		}},
-		{"ids out of order", goldenCompactV4, setID(1, 3, 1)},
-		{"ids repeat", goldenCompactV4, setID(1, 3, 2)},
-		{"id at n", goldenCompactV4, setID(1, compactStored-1, compactN)},
-		{"id negative", goldenCompactV4, setID(1, 0, -1)},
-		{"stored count above n", goldenCompactV4, setStored(compactN + 1)},
-		{"stored count says every row", goldenCompactV4, setStored(compactN)},
-		{"stored count below the ids", goldenCompactV4, setStored(compactStored - 1)},
-		{"stored count zero", goldenCompactV4, setStored(0)},
+		{"ids out of order", goldenCompactV5, setID(1, 3, 1)},
+		{"ids repeat", goldenCompactV5, setID(1, 3, 2)},
+		{"id at n", goldenCompactV5, setID(1, compactStored-1, compactN)},
+		{"id negative", goldenCompactV5, setID(1, 0, -1)},
+		{"stored count above n", goldenCompactV5, setStored(compactN + 1)},
+		{"stored count says every row", goldenCompactV5, setStored(compactN)},
+		{"stored count below the ids", goldenCompactV5, setStored(compactStored - 1)},
+		{"stored count zero", goldenCompactV5, setStored(0)},
 		// The shard fixture is rows [5, 30): it stores 5 6 8 9 10 12 … 29.
-		{"shard id below lo", goldenCompactShardV4, setID(0, 0, 4)},
-		{"shard id at hi", goldenCompactShardV4, setID(0, 18, 30)},
-		{"shard stored count above its rows", goldenCompactShardV4, setStored(26)},
+		{"shard id below lo", goldenCompactShardV5, setID(0, 0, 4)},
+		{"shard id at hi", goldenCompactShardV5, setID(0, 18, 30)},
+		{"shard stored count above its rows", goldenCompactShardV5, setStored(26)},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {

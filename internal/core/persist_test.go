@@ -85,7 +85,7 @@ func TestReadIndexBadMagic(t *testing.T) {
 }
 
 func TestReadIndexTruncated(t *testing.T) {
-	full := golden(t, goldenIndexV4(TierF64))
+	full := golden(t, goldenIndexV5(TierF64))
 	for _, cut := range []int{3, 5, 20, len(full) / 2, len(full) - 2} {
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
@@ -94,7 +94,7 @@ func TestReadIndexTruncated(t *testing.T) {
 }
 
 func TestReadIndexBitFlip(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))
+	data := golden(t, goldenIndexV5(TierF64))
 	// Flip a payload bit (past the header) — the CRC must catch it.
 	data[len(data)-20] ^= 0x40
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -103,7 +103,7 @@ func TestReadIndexBitFlip(t *testing.T) {
 }
 
 func TestReadIndexVersionMismatch(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))
+	data := golden(t, goldenIndexV5(TierF64))
 	data[4] = 99 // version byte; the check reads it before the header CRC
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -111,7 +111,7 @@ func TestReadIndexVersionMismatch(t *testing.T) {
 }
 
 func TestReadIndexImplausibleShape(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))
+	data := golden(t, goldenIndexV5(TierF64))
 	// Overwrite n (offset 16) with an absurd value under a valid header CRC.
 	for i := 0; i < 8; i++ {
 		data[16+i] = 0xFF
@@ -135,12 +135,12 @@ func (failingWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestReadIndexCorruptionMatrix truncates a valid index at (and just
 // before) every boundary of the format — magic, version, each header word,
-// the section table, the header CRC, sigma, the ids, F — and demands a
+// the section table, the header CRC, sigma, the ids, F, the graph — and demands a
 // wrapped ErrCorrupt every time, with no panic. This pins the contract the
 // hot-reload validator relies on: any torn file a crashed writer could
 // leave behind is rejected with one recognisable sentinel.
 func TestReadIndexCorruptionMatrix(t *testing.T) {
-	full := golden(t, goldenIndexV4(TierF64))
+	full := golden(t, goldenIndexV5(TierF64))
 	ix := goldenIndex(t)
 	n, r := ix.N(), ix.Rank()
 	boundaries := map[string]int{
@@ -151,13 +151,17 @@ func TestReadIndexCorruptionMatrix(t *testing.T) {
 		"after c":        40,
 		"after the size": 64,
 		"after clamp":    96,
-		"after table":    tableOff + 5*descSize,
+		"after m":        weightedOff,
+		"after table":    tableOff + 6*descSize,
 		"before hdr CRC": headerCRCOff,
 		"after sigma":    pageSize + 8*r,
 		"sigma padded":   2 * pageSize,
 		"after F":        2*pageSize + 8*n*r,
+		"F padded":       2*pageSize + int(alignPage(uint64(8*n*r))),
+		"after start":    2*pageSize + int(alignPage(uint64(8*n*r))) + 4*(n+1),
 	}
-	if want := 2*pageSize + int(alignPage(uint64(8*n*r))); len(full) != want || ix.Stored() != n {
+	graphLen := int(graphSectionLen(uint64(n), uint64(ix.graph.m), false))
+	if want := 2*pageSize + int(alignPage(uint64(8*n*r))) + int(alignPage(uint64(graphLen))); len(full) != want || ix.Stored() != n {
 		t.Fatalf("serialised size %d, boundary math expects %d with every row stored (ids empty)", len(full), want)
 	}
 	for name, cut := range boundaries {
@@ -176,7 +180,7 @@ func TestReadIndexCorruptionMatrix(t *testing.T) {
 // TestReadIndexFlippedCRCByte corrupts the stored header checksum itself
 // (the payload is intact) — the mismatch must still read as corruption.
 func TestReadIndexFlippedCRCByte(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))
+	data := golden(t, goldenIndexV5(TierF64))
 	data[headerCRCOff] ^= 0x01
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -186,8 +190,8 @@ func TestReadIndexFlippedCRCByte(t *testing.T) {
 // TestReadIndexFutureVersion pins forward-compatibility behaviour: a
 // higher version is rejected as ErrCorrupt, not misparsed as v4.
 func TestReadIndexFutureVersion(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))
-	binary.LittleEndian.PutUint32(data[4:], indexVersion4+1)
+	data := golden(t, goldenIndexV5(TierF64))
+	binary.LittleEndian.PutUint32(data[4:], indexVersion+1)
 	repatchHeaderCRC(data)
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -199,7 +203,7 @@ func TestReadIndexFutureVersion(t *testing.T) {
 // ErrCorrupt, no panic, and crucially no allocation proportional to the
 // forged sizes (bounded by a modest Alloc delta measurement).
 func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
-	pristine := golden(t, goldenIndexV4(TierF64))
+	pristine := golden(t, goldenIndexV5(TierF64))
 	forge := func(n, rank uint64) []byte {
 		data := append([]byte(nil), pristine...)
 		binary.LittleEndian.PutUint64(data[16:], n)
@@ -234,7 +238,7 @@ func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
 // nothing by the header and refuse the stream against the file size the
 // header records, instead of committing the forged allocation.
 func TestReadIndexForgedCountShortStream(t *testing.T) {
-	data := golden(t, goldenIndexV4(TierF64))[:pageSize] // header only
+	data := golden(t, goldenIndexV5(TierF64))[:pageSize] // header only
 	// n=2^25, rank=512: n*rank = 2^34 = exactly the cap, so the header
 	// passes plausibility, but the stream holds no payload at all.
 	binary.LittleEndian.PutUint64(data[16:], 1<<25)

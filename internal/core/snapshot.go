@@ -21,7 +21,7 @@ package core
 // published (bit rot, a partial rsync) fails its load, and recovery serves
 // the next one down and says so.
 //
-// A generation written in a format this build does not serve (v1–v3,
+// A generation written in a format this build does not serve (v1–v4,
 // ErrFormat) is stale, not corrupt: resolution and recovery skip it as if
 // it were absent, so a directory of stale generations reads as empty and a
 // server that can rebuild publishes the next generation over it.
@@ -30,7 +30,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -374,4 +376,39 @@ func PruneSnapshots(dir string, keep int) (removed int, err error) {
 		removed++
 	}
 	return removed, nil
+}
+
+// WalFloor returns the ingest-WAL sequence every generation in dir holds:
+// the smallest WAL sequence in their headers, which each generation's graph
+// section covers. A WAL may delete the records at or below it, since a boot
+// or a recovery serves one of these generations and replays only what lies
+// past its own sequence. A generation whose header does not read as one
+// this build serves holds nothing, and neither does an empty directory: the
+// floor is then 0.
+func WalFloor(dir string) (uint64, error) {
+	snaps, err := listGenerations(dir)
+	if err != nil || len(snaps) == 0 {
+		return 0, err
+	}
+	floor := uint64(math.MaxUint64)
+	for _, s := range snaps {
+		floor = min(floor, headerWalSeq(s.Path))
+	}
+	return floor, nil
+}
+
+// headerWalSeq reads the WAL sequence from the checksummed header of the
+// index file at path, 0 when it cannot.
+func headerWalSeq(path string) uint64 {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	head := make([]byte, pageSize)
+	if _, err := io.ReadFull(f, head); err != nil || checkHead(head, indexKind) != nil ||
+		crc32.ChecksumIEEE(head[:headerCRCOff]) != binary.LittleEndian.Uint32(head[headerCRCOff:]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(head[walSeqOff:])
 }

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sync"
 
@@ -154,6 +155,7 @@ func (ix *Index) withFactor(ids []int32, f *dense.Typed, fqerr []float64) *Index
 		stages:     ix.stages,
 		qrows:      ix.qrows,
 		walSeq:     ix.walSeq,
+		graph:      ix.graph,
 	}
 }
 
@@ -171,8 +173,9 @@ func (ix *Index) QuantizeTo(tier string) (*Index, error) {
 // that score exactly +0 whether they are scanned or left out (shard.go) —
 // or ix itself when it stores none. Precompute never stores them in the
 // first place; this is how an index converted from a file that stored them
-// sheds them (csrstat -convert). The result owns its memory: it outlives a
-// mapping ix views.
+// sheds them (csrstat -convert). The result owns its factor: it outlives a
+// mapping ix views. It carries ix's graph, which a file-backed ix reads
+// through its open file, so write it before closing ix.
 func (ix *Index) Compact() *Index {
 	keep := make([]int32, 0, ix.Stored())
 	ids := make([]int32, 0, ix.Stored())
@@ -191,6 +194,7 @@ func (ix *Index) Compact() *Index {
 // through the Once so double-Close is safe.
 type mapping struct {
 	data []byte
+	file *os.File // the mapped file, open for pread of the graph section
 	once sync.Once
 	err  error
 }
@@ -199,7 +203,14 @@ func (m *mapping) close() error {
 	if m == nil {
 		return nil
 	}
-	m.once.Do(func() { m.err = munmapFile(m.data) })
+	m.once.Do(func() {
+		m.err = munmapFile(m.data)
+		if m.file != nil {
+			if err := m.file.Close(); m.err == nil {
+				m.err = err
+			}
+		}
+	})
 	return m.err
 }
 

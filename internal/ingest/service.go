@@ -58,6 +58,9 @@ type Stats struct {
 	Exceeded   bool    `json:"budget_exceeded"`
 	Rebuilding bool    `json:"rebuilding"`
 	TornBytes  int64   `json:"torn_bytes,omitempty"`
+	// Replayed is how many logged edges Recover applied: the records past
+	// the boot graph's WAL sequence.
+	Replayed int64 `json:"replayed"`
 }
 
 // Service is the durable streaming-ingestion pipeline: validate →
@@ -65,12 +68,14 @@ type Stats struct {
 // state → accrue drift → trigger a rebuild when the budget is spent.
 //
 // Lifecycle: NewService (cold, rejects appends) → Recover (opens the
-// WAL, replays it onto the boot factors' graph, turns ready) → Append /
-// Cut / rebuilds → Close. The recovery split exists so a server can
-// expose /readyz as not-ready while a long tail replays.
+// WAL, replays the records past the boot graph onto it, turns ready) →
+// Append / Cut / rebuilds / PruneWAL → Close. The recovery split exists so
+// a server can expose /readyz as not-ready while a long tail replays.
 type Service struct {
-	cfg    Config
-	walSeq uint64 // WAL sequence the boot factors already cover
+	cfg      Config
+	graphSeq uint64 // WAL sequence the boot graph already holds
+	walSeq   uint64 // WAL sequence the boot factors already cover
+	replayed int64  // records Recover applied
 
 	mu  sync.Mutex // guards dyn, the baselines, and WAL-order of applies
 	dyn *core.Dynamic
@@ -90,26 +95,35 @@ type Service struct {
 	trigger     atomic.Pointer[func()]
 }
 
-// NewService builds the cold service over the boot graph and the factors
-// serving it. The graph must be the same static base the factors'
-// lineage started from — the WAL replay in Recover layers every
-// streamed edge back on top of it. Of ix only the shape and the WAL
-// sequence it covers are read; the service does not retain it.
+// NewService builds the cold service over a boot graph and the factors
+// serving it. g nil boots from the graph ix carries — its snapshot's graph
+// section, the live graph at ix's WAL sequence — so Recover replays only
+// the records past that sequence: what every csrserver ingest boot does.
+// Otherwise g must be the static base the factors' lineage started from,
+// and Recover layers every streamed edge back on top of it. Of ix only the
+// shape, the graph and the WAL sequence it covers are read; the service
+// does not retain it.
 func NewService(g *graph.Graph, ix *core.Index, cfg Config) (*Service, error) {
 	dyn, err := core.NewDynamic(g, ix)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	return &Service{cfg: cfg, walSeq: ix.WalSeq(), dyn: dyn}, nil
+	s := &Service{cfg: cfg, walSeq: ix.WalSeq(), dyn: dyn}
+	if g == nil {
+		s.graphSeq = s.walSeq
+	}
+	return s, nil
 }
 
 // Recover opens the WAL and replays it in sequence order onto the
-// dynamic state: records the boot factors already cover (seq at or
-// below the snapshot's recorded WAL sequence) rebuild graph structure
-// without charging drift; the tail above it is charged like live
-// traffic. On return the service is ready and appendable. Replay is
-// idempotent against at-least-once delivery because unweighted
-// duplicate edges are no-ops and the graph materialisation is
+// dynamic state: records the boot graph holds (seq at or below its WAL
+// sequence) are skipped; records the boot factors cover but the graph
+// does not (only a static base graph has any) rebuild graph structure
+// without charging drift; the tail past both is charged like live
+// traffic. A log pruned past the boot graph's sequence has lost records
+// this boot needs and is refused. On return the service is ready and
+// appendable. Replay is idempotent against at-least-once delivery because
+// unweighted duplicate edges are no-ops and the graph materialisation is
 // order-canonical.
 func (s *Service) Recover() error {
 	s.mu.Lock()
@@ -117,16 +131,29 @@ func (s *Service) Recover() error {
 	if s.wal != nil {
 		return errors.New("ingest: Recover called twice")
 	}
+	s.replayed = 0 // a Recover that failed part-way is retried from the top
 	wal, err := Open(s.cfg.Dir, s.cfg.WAL, func(rec Record) error {
-		src, dst := int(rec.Src), int(rec.Dst)
-		if _, _, err := s.dyn.ApplyEdge(src, dst, rec.Weight, rec.Seq > s.walSeq); err != nil {
-			return fmt.Errorf("replaying seq %d (%d -> %d): %w", rec.Seq, src, dst, err)
+		if rec.Seq > s.graphSeq {
+			src, dst := int(rec.Src), int(rec.Dst)
+			if _, _, err := s.dyn.ApplyEdge(src, dst, rec.Weight, rec.Seq > s.walSeq); err != nil {
+				return fmt.Errorf("replaying seq %d (%d -> %d): %w", rec.Seq, src, dst, err)
+			}
+			s.replayed++
 		}
 		s.lastApplied.Store(rec.Seq)
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if p := wal.Pruned(); p > s.graphSeq {
+		_ = wal.Close()
+		return fmt.Errorf("ingest: the WAL was pruned through seq %d, and the boot graph holds only seq %d: boot from the snapshot directory it was pruned against", p, s.graphSeq)
+	}
+	// A log that ends below what the boot state covers continues past it.
+	wal.Advance(max(s.graphSeq, s.walSeq))
+	if s.lastApplied.Load() < s.graphSeq {
+		s.lastApplied.Store(s.graphSeq)
 	}
 	s.wal = wal
 	s.driftBits.Store(math.Float64bits(s.dyn.Drift()))
@@ -297,6 +324,7 @@ func (s *Service) Stats() Stats {
 		st.Applied = s.dyn.Edges() - s.edgeBase
 		st.GraphBytes = s.dyn.Bytes()
 	}
+	st.Replayed = s.replayed
 	if s.wal != nil {
 		st.DurableSeq = s.wal.DurableSeq()
 		st.TornBytes = s.wal.TornBytes()
@@ -304,6 +332,19 @@ func (s *Service) Stats() Stats {
 	s.mu.Unlock()
 	st.Exceeded = st.Budget > 0 && st.Drift > st.Budget
 	return st
+}
+
+// PruneWAL deletes the WAL segments whose records all lie at or below seq
+// (WAL.Prune) and returns how many it deleted: the caller vouches that every
+// snapshot generation a boot could serve holds them.
+func (s *Service) PruneWAL(seq uint64) (int, error) {
+	s.mu.Lock()
+	wal := s.wal
+	s.mu.Unlock()
+	if wal == nil {
+		return 0, ErrNotReady
+	}
+	return wal.Prune(seq)
 }
 
 // Close closes the WAL; further appends fail with ErrClosed.

@@ -57,8 +57,9 @@ const (
 
 	// defaultSegmentBytes rotates segments at 4 MiB (~130k records) —
 	// large enough that rotation fsyncs are rare, small enough that
-	// inspection works in segment-sized units. Segments are never
-	// pruned: the WAL is the only durable copy of streamed edges.
+	// inspection works in segment-sized units, and the unit Prune deletes:
+	// a sealed segment goes once every snapshot generation a boot could
+	// serve holds its records.
 	defaultSegmentBytes = 4 << 20
 )
 
@@ -94,6 +95,9 @@ type WAL struct {
 	durable atomic.Uint64 // highest seq known fsynced
 
 	torn int64 // bytes truncated from the tail at Open, for inspection
+	// pruned is the sequence at or below which Prune may have deleted
+	// records: one less than the first segment's first sequence.
+	pruned uint64
 }
 
 // SegmentInfo describes one WAL segment, as replayed or inspected.
@@ -126,6 +130,9 @@ func Open(dir string, opts WALOptions, fn func(Record) error) (*WAL, error) {
 	w := &WAL{dir: dir, segBytes: opts.SegmentBytes}
 	if w.segBytes <= 0 {
 		w.segBytes = defaultSegmentBytes
+	}
+	if len(segs) > 0 {
+		w.pruned = max(segmentFirst(segs[0]), 1) - 1
 	}
 	var lastSeq uint64
 	for i, name := range segs {
@@ -178,6 +185,57 @@ func Open(dir string, opts WALOptions, fn func(Record) error) (*WAL, error) {
 
 // TornBytes reports how many unacknowledged tail bytes Open discarded.
 func (w *WAL) TornBytes() int64 { return w.torn }
+
+// Pruned returns the sequence at or below which records may have been
+// deleted by Prune: a reader that needs any of them cannot use this log.
+func (w *WAL) Pruned() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pruned
+}
+
+// Advance moves the last assigned sequence up to seq when the log ends
+// below it, burning the sequences between (gaps are legal): a log younger
+// than the snapshot it is replayed against — a fresh directory, or one
+// removed and re-bootstrapped — must not hand out sequences the snapshot
+// already claims, or a restart from that snapshot would take the new
+// records for ones it holds.
+func (w *WAL) Advance(seq uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.seq < seq {
+		w.seq = seq
+		w.written.Store(seq)
+		w.durable.Store(seq)
+	}
+}
+
+// Prune deletes every sealed segment whose records all lie at or below
+// seq — the sequence every snapshot generation a boot could serve already
+// holds (core.WalFloor) — oldest first, and returns how many it deleted.
+// A segment's records lie below the first sequence of the segment after it,
+// which names it; the active segment is never deleted.
+func (w *WAL) Prune(seq uint64) (removed int, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	segs, err := listSegments(w.dir)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i+1 < len(segs) && segmentFirst(segs[i+1])-1 <= seq; i++ {
+		if err := os.Remove(filepath.Join(w.dir, segs[i])); err != nil {
+			return removed, fmt.Errorf("ingest: prune WAL: %w", err)
+		}
+		w.pruned = segmentFirst(segs[i+1]) - 1
+		removed++
+	}
+	if removed > 0 {
+		if err := syncDir(w.dir); err != nil {
+			return removed, fmt.Errorf("ingest: prune WAL: %w", err)
+		}
+	}
+	return removed, nil
+}
 
 // LastSeq returns the highest assigned sequence number.
 func (w *WAL) LastSeq() uint64 {
@@ -498,6 +556,12 @@ func decodeRecord(payload []byte) Record {
 // lexicographic directory order is the replay order.
 func segmentName(firstSeq uint64) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix)
+}
+
+// segmentFirst is the first sequence of a segment listSegments returned.
+func segmentFirst(name string) uint64 {
+	seq, _ := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 16, 64)
+	return seq
 }
 
 func listSegments(dir string) ([]string, error) {

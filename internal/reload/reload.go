@@ -66,7 +66,7 @@ type Candidate struct {
 	Meta Meta
 	// Release, when set, frees resources the generation pins for its
 	// whole serving lifetime — typically the munmap of a memory-mapped
-	// v4 snapshot (core.MapIndex), whose factor slices alias the mapping
+	// v5 snapshot (core.MapIndex), whose factor slices alias the mapping
 	// and must stay valid for every in-flight query. The Manager calls
 	// it exactly once: immediately if the candidate fails validation or
 	// the swap is refused, otherwise only after a LATER generation's
@@ -279,7 +279,7 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		return m.Current(), fmt.Errorf("reload: loading candidate: %w", err)
 	}
 	if err := Validate(cand); err != nil {
-		// The candidate never took traffic, so its resources (a v4
+		// The candidate never took traffic, so its resources (a v5
 		// mapping it pinned) can be freed right now. Validate rejects a
 		// nil candidate, hence the extra nil check.
 		if cand != nil && cand.Release != nil {

@@ -39,7 +39,7 @@ func copyShard(ix *core.Index, lo, hi int) *core.IndexShard {
 // in a stored row's factors is still refused, through the probes, which are
 // stored rows where there are any.
 func TestValidateShardCompacted(t *testing.T) {
-	dense, err := core.LoadIndex("../core/testdata/index.v4-sparse.csrx")
+	dense, err := core.LoadIndex("../core/testdata/index.v5-sparse.csrx")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestPublishSnapshots(t *testing.T) {
 // K = 1 and over wire workers.
 func TestCompactedIndexAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
-	dense, err := core.LoadIndex("../core/testdata/index.v4-sparse.csrx")
+	dense, err := core.LoadIndex("../core/testdata/index.v5-sparse.csrx")
 	if err != nil {
 		t.Fatal(err)
 	}
