@@ -29,7 +29,6 @@ func main() {
 	scale := flag.Int64("scale", 1, "extra downscale factor applied to every dataset")
 	memGiB := flag.Float64("membudget", 10, "analytic memory budget in GiB (0 disables the guard)")
 	flops := flag.Float64("flopbudget", 4e10, "flop budget per cell (0 disables the guard)")
-	cacheDir := flag.String("cachedir", "", "directory for cached generated graphs (empty disables)")
 	verbose := flag.Bool("v", false, "print a heartbeat line per executed cell to stderr")
 	jsonOut := flag.String("jsonout", "", "also write raw results as JSON to this path (for plotting)")
 	flag.Parse()
@@ -43,7 +42,6 @@ func main() {
 	}
 	env.MemBudget = int64(*memGiB * float64(1<<30))
 	env.FlopBudget = int64(*flops)
-	env.CacheDir = *cacheDir
 	if *verbose {
 		env.Progress = os.Stderr
 	}

@@ -12,13 +12,11 @@
 //	csrstat -index whole.csrx -convert /data/snaps            # publish as the directory's newest generation
 //	csrstat -index /data/snaps/index-00000003.csrx -convert /data/snaps  # roll back to generation 3
 //	csrstat -index whole.csrx -convert /data/snaps -split 4   # publish shard-<s>/ generations for 4 -shardworkers
-//	csrstat -index v4.csrx -convert /data/snaps -dataset WT   # a v4 file, which carries no graph, published as v5 with it
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
 package main
 
 import (
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +37,7 @@ func main() {
 	n := flag.Int("n", 0, "node count for -graph")
 	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v5, mmap-able, one-factor, graph-carrying) layout, without its all-zero rows. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves. A v4 file carries no graph: name the one it was built from with -dataset or -graph")
+	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v5, mmap-able, one-factor, graph-carrying) layout, without its all-zero rows. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves")
 	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	var split *int // nil unless given: -split 0 is refused, not read as "one file"
 	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
@@ -59,11 +57,11 @@ func main() {
 			err = runWal(os.Stdout, *walDir)
 		}
 	case *indexPath != "":
-		var graphOf func() (*graph.Graph, error)
 		if *dataset != "" || *graphPath != "" {
-			graphOf = func() (*graph.Graph, error) { return load(*dataset, *scale, *graphPath, *n) }
+			err = fmt.Errorf("-index reads no graph: a v5 index carries its own, and csrserver rebuilds a stale (v1–v4) one from its graph")
+		} else {
+			err = runIndex(os.Stdout, *indexPath, *convert, *quantize, split)
 		}
-		err = runIndex(os.Stdout, *indexPath, *convert, *quantize, split, graphOf)
 	case *convert != "" || *quantize != "" || split != nil:
 		err = fmt.Errorf("-convert, -quantize and -split require -index")
 	default:
@@ -83,34 +81,17 @@ func main() {
 // from (shard.PublishSnapshots). Rewriting is load + save, less the rows
 // that are all zero (core.Index.Compact: the answers do not move). The
 // file's magic picks the reader, so a shard file fails with the shard
-// reader's own error. A v4 file carries no graph: with graphOf (nil unless
-// -dataset or -graph was given) and convert it is read with that graph,
-// bound to its factor as a load binds a v5 file's (core.ConvertV4), and
-// written as v5; without, it is refused like v1–v3 (core.ErrFormat).
-func runIndex(out io.Writer, path, convert, quantize string, split *int, graphOf func() (*graph.Graph, error)) error {
+// reader's own error, and a v1–v4 file is refused as stale (core.ErrFormat).
+func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	if isShardFile(path) {
 		f, err := core.LoadShard(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		return runShard(out, path, f, convert != "" || quantize != "" || split != nil || graphOf != nil)
+		return runShard(out, path, f, convert != "" || quantize != "" || split != nil)
 	}
 	ix, err := core.LoadIndex(path)
-	switch {
-	case graphOf == nil:
-	case err == nil:
-		ix.Close()
-		return fmt.Errorf("%s is v5 and carries its graph: -dataset and -graph apply to converting a v4 file", path)
-	case !errors.Is(err, core.ErrFormat):
-	case convert == "":
-		return fmt.Errorf("-dataset and -graph apply to converting a v4 file: give -convert")
-	default:
-		var g *graph.Graph
-		if g, err = graphOf(); err == nil {
-			ix, err = core.ConvertV4(path, g)
-		}
-	}
 	if err != nil {
 		return err
 	}
@@ -131,10 +112,8 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int, graphOf
 	fmt.Fprintf(out, "tier:          %s\n", ix.Tier())
 	fmt.Fprintf(out, "mapped:        %t\n", ix.Mapped())
 	printSize(out, &ix.IndexShard, ix.Bytes())
-	if gi, ok := ix.Graph(); ok && gi.Bytes > 0 {
+	if gi, ok := ix.Graph(); ok {
 		fmt.Fprintf(out, "graph:         m=%d weighted=%t bytes=%d crc=%08x (Q's in-link CSC; read by ingest boots)\n", gi.M, gi.Weighted, gi.Bytes, gi.CRC)
-	} else if ok {
-		fmt.Fprintf(out, "graph:         m=%d weighted=%t (from -dataset/-graph; written with -convert)\n", gi.M, gi.Weighted)
 	}
 	if b := ix.QuantizationBound(); b > 0 {
 		fmt.Fprintf(out, "quant bound:   %g (entrywise, vs the exact index)\n", b)
@@ -256,7 +235,7 @@ func runShard(out io.Writer, path string, f *core.ShardFile, rewrite bool) error
 	fmt.Fprintf(out, "mapped:        %t\n", f.Mapped())
 	printSize(out, sh, sh.Bytes())
 	if rewrite {
-		return fmt.Errorf("%s is a shard file: -convert, -quantize, -split, -dataset and -graph need a whole index", path)
+		return fmt.Errorf("%s is a shard file: -convert, -quantize and -split need a whole index", path)
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func TestRunIndexInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runIndex(&buf, path, "", "", nil, nil); err != nil {
+	if err := runIndex(&buf, path, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -96,56 +96,8 @@ func TestRunIndexInspect(t *testing.T) {
 			t.Fatalf("index output missing %q:\n%s", want, out)
 		}
 	}
-	if err := runIndex(&buf, path, "", "int8", nil, nil); err == nil {
+	if err := runIndex(&buf, path, "", "int8", nil); err == nil {
 		t.Fatal("-quantize without -convert accepted")
-	}
-}
-
-// TestRunIndexConvertV4NeedsItsGraph: a v4 file carries no graph, so
-// -convert publishes it as v5 only with the graph it was built from, bound
-// to its factor; the graph flags convert nothing else.
-func TestRunIndexConvertV4NeedsItsGraph(t *testing.T) {
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	v4 := filepath.Join(testdata, "index.v4-f64-wal0.csrx")
-	edges := filepath.Join(t.TempDir(), "edges.txt")
-	if err := os.WriteFile(edges, []byte("3 0\n0 1\n2 1\n4 1\n3 2\n0 3\n4 3\n5 3\n2 4\n5 4\n3 5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	paper := func() (*graph.Graph, error) { return graph.Load(edges, 6) }
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := runIndex(&buf, v4, dir, "", nil, paper); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"format:        v4", "graph:         m=11 weighted=false (from -dataset/-graph", "published:"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("conversion output missing %q:\n%s", want, buf.String())
-		}
-	}
-	buf.Reset()
-	if err := runIndex(&buf, filepath.Join(dir, core.SnapshotName(1)), "", "", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "format:        v5") || !strings.Contains(buf.String(), "graph:         m=11 weighted=false bytes=72 crc=") {
-		t.Fatalf("the converted generation reads:\n%s", buf.String())
-	}
-
-	other := func() (*graph.Graph, error) { return graph.ErdosRenyi(7, 4, 1) }
-	for name, tc := range map[string]struct {
-		path, convert string
-		graphOf       func() (*graph.Graph, error)
-		want          string
-	}{
-		"a graph that does not bind": {v4, t.TempDir(), other, "built for 6 nodes, graph has 7"},
-		"a factor past WAL seq 0":    {filepath.Join(testdata, "index.v4-f64.csrx"), t.TempDir(), paper, "WAL records up to seq 7"},
-		"no -convert":                {v4, "", paper, "give -convert"},
-		"a v5 file":                  {filepath.Join(dir, core.SnapshotName(1)), t.TempDir(), paper, "carries its graph"},
-		"a shard file":               {filepath.Join(testdata, "shard.v5-f64.csrs"), t.TempDir(), paper, "need a whole index"},
-		"a v3 file, which holds two": {filepath.Join(testdata, "index.v3-f64.csrx"), t.TempDir(), paper, "two factors"},
-	} {
-		if err := runIndex(&bytes.Buffer{}, tc.path, tc.convert, "", nil, tc.graphOf); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
-		}
 	}
 }
 
@@ -161,7 +113,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runIndex(&buf, path, "", "", nil, nil); err != nil {
+	if err := runIndex(&buf, path, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"nodes:         40", "shard rows:    [10, 25)", "rank:          4", "tier:          f64"} {
@@ -169,15 +121,15 @@ func TestRunIndexOnShardFile(t *testing.T) {
 			t.Fatalf("shard output missing %q:\n%s", want, buf.String())
 		}
 	}
-	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), "", nil, nil); err == nil {
+	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), "", nil); err == nil {
 		t.Fatal("-convert of a shard file accepted")
 	}
 }
 
 // TestRunIndexReadsEachKindAsItself: the file's magic picks the reader,
-// so a file fails with its own kind's error. Every two-factor v3 file, and
-// every v4 file given no graph, is refused as a format (ErrFormat, never
-// ErrCorrupt), inspected or converted, naming what to do instead — a stale
+// so a file fails with its own kind's error. Every v3 and v4 file is
+// refused as a format (ErrFormat, never ErrCorrupt), inspected or
+// converted, naming what to do instead — a stale
 // shard file is not reported as a corrupt index — and a torn v5 shard file
 // is ErrCorrupt, naming the shard check that failed.
 func TestRunIndexReadsEachKindAsItself(t *testing.T) {
@@ -188,13 +140,13 @@ func TestRunIndexReadsEachKindAsItself(t *testing.T) {
 		"index.v3-int8.csrx":    "rebuild it from the graph",
 		"index.v3-compact.csrx": "rebuild it from the graph",
 		"shard.v3-f64.csrs":     "-split K",
-		"index.v4-f64.csrx":     "-convert DIR with -dataset or -graph",
-		"index.v4-sparse.csrx":  "-convert DIR with -dataset or -graph",
+		"index.v4-f64.csrx":     "rebuild it from the graph",
+		"index.v4-sparse.csrx":  "rebuild it from the graph",
 		"shard.v4-f64.csrs":     "-split K",
 	} {
 		for _, convert := range []string{"", dst} {
 			var buf bytes.Buffer
-			err := runIndex(&buf, filepath.Join(testdata, file), convert, "", nil, nil)
+			err := runIndex(&buf, filepath.Join(testdata, file), convert, "", nil)
 			if !errors.Is(err, core.ErrFormat) || errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s (convert %q): err = %v, want ErrFormat alone, naming %q", file, convert, err, want)
 			}
@@ -215,7 +167,7 @@ func TestRunIndexReadsEachKindAsItself(t *testing.T) {
 	if err := os.Truncate(path, 5000); err != nil {
 		t.Fatal(err)
 	}
-	err = runIndex(&bytes.Buffer{}, path, "", "", nil, nil)
+	err = runIndex(&bytes.Buffer{}, path, "", "", nil)
 	if !errors.Is(err, core.ErrCorrupt) || !strings.Contains(err.Error(), "loading shard") || strings.Contains(err.Error(), "index magic") {
 		t.Fatalf("torn shard file: err = %v, want the shard load's ErrCorrupt alone", err)
 	}
@@ -230,7 +182,7 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 	dst := filepath.Join(dir, "small.csrx")
 	var buf bytes.Buffer
-	if err := runIndex(&buf, src, dst, "int8", nil, nil); err != nil {
+	if err := runIndex(&buf, src, dst, "int8", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "written:") {
@@ -249,7 +201,7 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 	// Inspecting the quantized file surfaces tier and bound.
 	buf.Reset()
-	if err := runIndex(&buf, dst, "", "", nil, nil); err != nil {
+	if err := runIndex(&buf, dst, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "tier:          int8") || !strings.Contains(buf.String(), "quant bound:") {
@@ -311,7 +263,7 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := runIndex(&buf, src, dir, "", nil, nil); err != nil {
+	if err := runIndex(&buf, src, dir, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "published:     "+filepath.Join(dir, core.SnapshotName(3))) {
@@ -321,7 +273,7 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 
 	// Rolling back: generation 1 published again, as generation 4; the
 	// directory keeps its newest three.
-	if err := runIndex(&buf, filepath.Join(dir, core.SnapshotName(1)), dir, "", nil, nil); err != nil {
+	if err := runIndex(&buf, filepath.Join(dir, core.SnapshotName(1)), dir, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	newest(4, other)
@@ -330,7 +282,7 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 	}
 
 	dir = t.TempDir()
-	if err := runIndex(&buf, src, dir, "", nil, nil); err != nil {
+	if err := runIndex(&buf, src, dir, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	newest(1, ix)
@@ -349,7 +301,7 @@ func TestRunIndexSplit(t *testing.T) {
 	root := t.TempDir()
 	var buf bytes.Buffer
 	k := 3
-	if err := runIndex(&buf, src, root, "", &k, nil); err != nil {
+	if err := runIndex(&buf, src, root, "", &k); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "published:") {
@@ -407,14 +359,14 @@ func TestRunIndexSplit(t *testing.T) {
 	}
 
 	// -quantize composes as with any -convert.
-	if err := runIndex(&buf, src, t.TempDir(), "int8", &k, nil); err != nil {
+	if err := runIndex(&buf, src, t.TempDir(), "int8", &k); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		convert string
 		k       int
 	}{{"", 3}, {t.TempDir(), 0}, {t.TempDir(), -2}, {t.TempDir(), ix.N() + 1}} {
-		if err := runIndex(&buf, src, tc.convert, "", &tc.k, nil); err == nil || !strings.Contains(err.Error(), "-split") {
+		if err := runIndex(&buf, src, tc.convert, "", &tc.k); err == nil || !strings.Contains(err.Error(), "-split") {
 			t.Errorf("-convert %q -split %d: err = %v, want a refusal naming -split", tc.convert, tc.k, err)
 		}
 	}

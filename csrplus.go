@@ -395,7 +395,7 @@ func (e *Engine) CoreIndex() (*core.Index, bool) {
 var ErrNotCSRPlus = errors.New("csrplus: index persistence requires the CSR+ algorithm")
 
 // Close releases resources the engine's index pins for its lifetime —
-// the memory mapping of a v4 snapshot loaded zero-copy by LoadEngine or
+// the memory mapping of a v5 snapshot loaded zero-copy by LoadEngine or
 // RecoverEngine. Call it only after every query that might touch the
 // engine has finished (a server's swap-and-drain provides exactly that
 // point; see reload.Candidate.Release). Safe to call more than once and
@@ -408,7 +408,7 @@ func (e *Engine) Close() error {
 }
 
 // SaveIndex persists a CSR+ engine's precomputed index to path (binary,
-// checksummed, mmap-able v4 layout; see internal/core's format doc).
+// checksummed, mmap-able v5 layout; see internal/core's format doc).
 // Only AlgoCSRPlus engines carry a persistable index.
 func (e *Engine) SaveIndex(path string) error {
 	return e.SaveIndexTier(path, "")

@@ -10,15 +10,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"csrplus/internal/baseline"
 	"csrplus/internal/graph"
 	"csrplus/internal/memtrack"
-	"csrplus/internal/sparse"
 	"csrplus/internal/svd"
 )
 
@@ -47,10 +44,6 @@ type Env struct {
 	ExtraScale int64
 	// QuerySeed fixes the sampled query workloads.
 	QuerySeed int64
-	// CacheDir, when non-empty, persists generated stand-in graphs as
-	// checksummed binary CSR files so repeated csrbench invocations skip
-	// regeneration (R-MAT at TW/WB scale costs tens of seconds).
-	CacheDir string
 	// Progress, when non-nil, receives one line per executed cell — the
 	// heartbeat of multi-minute full-scale runs.
 	Progress io.Writer
@@ -101,68 +94,12 @@ func (e *Env) Dataset(key string) (*graph.Graph, error) {
 	for scale > 1 && d.PaperN/scale < 400 {
 		scale /= 2
 	}
-	if g, ok := e.loadCached(key, scale); ok {
-		e.cache[key] = g
-		return g, nil
-	}
 	g, err := d.GenerateScaled(scale)
 	if err != nil {
 		return nil, fmt.Errorf("bench: dataset %s at scale %d: %w", key, scale, err)
 	}
-	e.storeCached(key, scale, g)
 	e.cache[key] = g
 	return g, nil
-}
-
-// cachePath names the on-disk cache entry for (dataset, scale).
-func (e *Env) cachePath(key string, scale int64) string {
-	return filepath.Join(e.CacheDir, fmt.Sprintf("%s-s%d.csrm", key, scale))
-}
-
-// loadCached tries the disk cache; any failure (missing, corrupt, stale
-// format) falls through to regeneration.
-func (e *Env) loadCached(key string, scale int64) (*graph.Graph, bool) {
-	if e.CacheDir == "" {
-		return nil, false
-	}
-	f, err := os.Open(e.cachePath(key, scale))
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	m, err := sparse.ReadBinary(f)
-	if err != nil {
-		return nil, false
-	}
-	g, err := graph.FromCSR(m)
-	if err != nil {
-		return nil, false
-	}
-	return g, true
-}
-
-// storeCached writes the generated graph to the disk cache; failures are
-// silent (the cache is an optimisation, not a dependency).
-func (e *Env) storeCached(key string, scale int64, g *graph.Graph) {
-	if e.CacheDir == "" {
-		return
-	}
-	if err := os.MkdirAll(e.CacheDir, 0o755); err != nil {
-		return
-	}
-	f, err := os.CreateTemp(e.CacheDir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(f.Name())
-	if err := sparse.WriteBinary(f, g.Adj()); err != nil {
-		f.Close()
-		return
-	}
-	if err := f.Close(); err != nil {
-		return
-	}
-	_ = os.Rename(f.Name(), e.cachePath(key, scale))
 }
 
 // SampleQueries draws q distinct node ids, deterministic in the Env seed.

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -411,43 +409,6 @@ func TestRenderDatasets(t *testing.T) {
 	// The social/web stand-ins must register as heavy-tailed.
 	if !strings.Contains(out, "true") {
 		t.Fatal("no heavy-tailed stand-in detected")
-	}
-}
-
-func TestDatasetDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	e1 := quickEnv(nil)
-	e1.CacheDir = dir
-	g1, err := e1.Dataset("P2P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second Env with the same CacheDir must load from disk and get the
-	// identical structure.
-	e2 := quickEnv(nil)
-	e2.CacheDir = dir
-	g2, err := e2.Dataset("P2P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.N() != g2.N() || g1.M() != g2.M() {
-		t.Fatalf("cache round trip changed graph: %d/%d vs %d/%d",
-			g1.N(), g1.M(), g2.N(), g2.M())
-	}
-	// Corrupt cache entries are ignored, not fatal.
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache files written (err=%v)", err)
-	}
-	for _, ent := range entries {
-		if err := os.WriteFile(filepath.Join(dir, ent.Name()), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e3 := quickEnv(nil)
-	e3.CacheDir = dir
-	if _, err := e3.Dataset("P2P"); err != nil {
-		t.Fatalf("corrupt cache broke generation: %v", err)
 	}
 }
 

@@ -49,9 +49,9 @@ const (
 	// The index over weightedGraph: its graph section stores weights.
 	goldenWeightedV5 = "index.v5-weighted.csrx"
 
-	// The fixtures without a graph section, which ConvertV4 reads: only the
-	// last, the exact index at WAL sequence 0, converts.
-	goldenIndexV4F64     = "index.v4-f64.csrx"
+	// The fixtures without a graph section, refused as stale like the v3
+	// ones: the exact index at WAL sequence 7 and at 0, the compacted pair
+	// and its every-row twin.
 	goldenIndexV4Wal0    = "index.v4-f64-wal0.csrx"
 	goldenCompactV4      = "index.v4-compact.csrx"
 	goldenCompactShardV4 = "shard.v4-compact.csrs"
@@ -117,22 +117,6 @@ func golden(tb testing.TB, name string) []byte {
 func goldenIndex(tb testing.TB) *Index {
 	tb.Helper()
 	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV5(TierF64))))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ix
-}
-
-// readV4 decodes a v4 fixture as ConvertV4 does, less the graph, which the
-// caller attaches.
-func readV4(tb testing.TB, name string) *Index {
-	tb.Helper()
-	data := golden(tb, name)
-	f, err := parsePaged(data, uint64(len(data)), indexKind, indexVersionNoGraph)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ix, err := openPaged(f, false, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -220,11 +204,10 @@ func weightedGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// goldenV5 renders every v5 fixture from the current writer: the v4
-// fixture's exact index carrying the paper's graph, encoded at each tier,
-// the compacted pair, the compacted index with its zero rows spread back
-// in, and the index over the weighted graph; and the exact index at WAL
-// sequence 0 as v4, the one v4 fixture ConvertV4 converts.
+// goldenV5 renders every v5 fixture from the current writer: the exact
+// v5 fixture's index carrying the paper's graph, encoded at each tier, the
+// compacted pair, the compacted index with its zero rows spread back in,
+// and the index over the weighted graph.
 func goldenV5(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
@@ -243,7 +226,7 @@ func goldenV5(t *testing.T) map[string][]byte {
 		put(ixName, ix.WriteTo)
 		put(shName, sh.WriteTo)
 	}
-	exact := readV4(t, goldenIndexV4F64)
+	exact := goldenIndex(t)
 	exact.graph = carry(paperGraph(t))
 	for _, tier := range goldenTiers {
 		q, err := exact.Quantize(tier)
@@ -261,9 +244,6 @@ func goldenV5(t *testing.T) map[string][]byte {
 	}
 	weighted.SetWalSeq(goldenWalSeq)
 	put(goldenWeightedV5, weighted.WriteTo)
-	exact.SetWalSeq(0)
-	put(goldenIndexV4Wal0, exact.WriteTo)
-	out[goldenIndexV4Wal0] = asV4(out[goldenIndexV4Wal0])
 	return out
 }
 

@@ -264,16 +264,6 @@ func (s *supportCheck) end(m int64) error {
 	return nil
 }
 
-// checkSupport runs supportCheck over an in-memory CSC: the converter's
-// binding of a graph it was handed to a factor that carries none.
-func checkSupport(l *inLinks, ids []int32) error {
-	sc := supportCheck{ids: ids}
-	if err := sc.scan(l.start); err != nil {
-		return err
-	}
-	return sc.end(int64(len(l.srcs)))
-}
-
 // readLinks decodes the section into fresh memory — with pread straight
 // into the slices it returns on a little-endian host — checks its CRC and
 // holds it to the CSC layout, so a Dynamic can own it.

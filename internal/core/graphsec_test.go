@@ -28,23 +28,6 @@ func graphDesc(d []byte) sectionDesc {
 	return sectionDesc{off: le.Uint64(e), length: le.Uint64(e[8:]), crc: le.Uint32(e[16:])}
 }
 
-// asV4 is the v4 file a v5 image would have been: the graph section, its
-// table entry and its header words dropped.
-func asV4(d []byte) []byte {
-	le := binary.LittleEndian
-	g := graphDesc(d)
-	v4 := bytes.Clone(d[:g.off])
-	secs := le.Uint32(v4[12:]) - 1
-	le.PutUint32(v4[4:], indexVersionNoGraph)
-	le.PutUint32(v4[12:], secs)
-	le.PutUint64(v4[56:], uint64(len(v4)))
-	le.PutUint64(v4[edgesOff:], 0)
-	le.PutUint64(v4[weightedOff:], 0)
-	clear(v4[tableOff+int(secs)*descSize : tableOff+int(secs+1)*descSize])
-	repatchHeaderCRC(v4)
-	return v4
-}
-
 // TestSnapshotV5FactorBlockIsV4s pins that v5 added a section and moved
 // nothing: past the header page, every v4 fixture's bytes are the start of
 // its v5 twin's — sigma, ids and the factor block byte for byte — and a
@@ -264,80 +247,6 @@ func decreasing(t *testing.T) []byte {
 	i := int(le.Uint32(data[12:])) - 1
 	resealSection(data, tableOff, i)
 	return data
-}
-
-// TestSnapshotConvertV4 reads a v4 file with the graph it was built from
-// and writes the v5 file it would have been, bit for bit; and refuses a
-// graph that does not bind, a factor past WAL seq 0, and files that are not
-// v4.
-func TestSnapshotConvertV4(t *testing.T) {
-	ix := compactIndex(t)
-	ix.SetWalSeq(0)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v4 := filepath.Join(dir, "v4.csrx")
-	if err := os.WriteFile(v4, asV4(buf.Bytes()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIndex(v4); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "carries no graph") {
-		t.Fatalf("loading a v4 file: err = %v, want wrapped ErrFormat naming the missing graph", err)
-	}
-	conv, err := ConvertV4(v4, compactGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if _, err := conv.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	wantSameBytes(t, "converted v4", out.Bytes(), buf.Bytes())
-
-	v5 := filepath.Join(dir, "v5.csrx")
-	if err := os.WriteFile(v5, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	staleWalSeq := filepath.Join(dir, "walseq.csrx")
-	if err := os.WriteFile(staleWalSeq, golden(t, goldenCompactV4), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, tc := range map[string]struct {
-		path string
-		g    *graph.Graph
-		want string
-	}{
-		"another graph":      {v4, paperGraphN(t, compactN), "no in-link"},
-		"another node count": {v4, paperGraph(t), "nodes"},
-		"a WAL sequence":     {staleWalSeq, compactGraph(t), "WAL records up to seq 7"},
-		"a v5 file":          {v5, compactGraph(t), "already v5"},
-		"a v3 file":          {filepath.Join("testdata", goldenCompactIndexV3), compactGraph(t), "two factors"},
-	} {
-		if _, err := ConvertV4(tc.path, tc.g); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
-		}
-	}
-}
-
-// paperGraphN is the paper's 6-node graph padded to n nodes.
-func paperGraphN(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	adj := paperGraph(t).Adj()
-	rowPtr := make([]int64, n+1)
-	copy(rowPtr, adj.RowPtr)
-	for i := len(adj.RowPtr); i <= n; i++ {
-		rowPtr[i] = adj.RowPtr[len(adj.RowPtr)-1]
-	}
-	m, err := sparse.NewCSR(n, n, rowPtr, append([]int32(nil), adj.ColIdx...), append([]float64(nil), adj.Val...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.FromCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }
 
 // TestSnapshotWalFloor reads the WAL sequence every generation of a

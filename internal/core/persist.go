@@ -24,7 +24,6 @@ import (
 	"runtime"
 
 	"csrplus/internal/fault"
-	"csrplus/internal/graph"
 )
 
 // snapKind is one of the two headers a snapshot file can carry.
@@ -32,18 +31,14 @@ type snapKind struct {
 	magic [4]byte
 	name  string // names the kind in error messages
 	whole bool   // CSRX: rows are [0, n) and sigma, iters, walSeq and the graph travel along
-	// What ErrFormat names to do with a stale file: one of v1–v3, which
-	// hold two factors, and one of v4, which carries no graph.
-	twoFactors, noGraph string
+	stale string // what ErrFormat names to do with a v1–v4 file of this kind
 }
 
 var (
 	indexKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'X'}, name: "index", whole: true,
-		twoFactors: "rebuild it from the graph (csrserver with a graph rebuilds over a -snapshots directory of stale generations and publishes v5)",
-		noGraph:    "convert it with the graph it was built from (csrstat -index FILE -convert DIR with -dataset or -graph and -n)"}
+		stale: "rebuild it from the graph (csrserver with a graph rebuilds over a -snapshots directory of stale generations and publishes v5)"}
 	shardKind = &snapKind{magic: [4]byte{'C', 'S', 'R', 'S'}, name: "shard",
-		twoFactors: "publish the shard directory again from a v5 index (csrstat -index INDEX -convert ROOT -split K)",
-		noGraph:    "publish the shard directory again from a v5 index (csrstat -index INDEX -convert ROOT -split K)"}
+		stale: "publish the shard directory again from a v5 index (csrstat -index INDEX -convert ROOT -split K)"}
 )
 
 // maxIndexElems caps n*rank at load time so a corrupt header cannot make
@@ -200,47 +195,11 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading %s: %w", k.name, corruptEOF(err))
 	}
-	f, err := parsePaged(data, uint64(len(data)), k, indexVersion)
+	f, err := parsePaged(data, uint64(len(data)), k)
 	if err != nil {
 		return nil, err
 	}
 	return openPaged(f, false, nil)
-}
-
-// ConvertV4 reads the v4 index file at path — v5 without the graph
-// section, stale to every loader — into the heap, carrying g, the graph it
-// was built from, for a writer to publish as v5. g is bound to the factor
-// as a load binds a v5 file's graph section: by node count, and by Q's
-// in-link support against the stored rows. A factor that covers streamed
-// edges (a WAL sequence above 0) was built from a live graph that g, the
-// graph before them, is not, and is refused: rebuild that one instead.
-func ConvertV4(path string, g *graph.Graph) (*Index, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: ConvertV4: %w", err)
-	}
-	if checkHead(data, indexKind) == nil {
-		return nil, fmt.Errorf("core: ConvertV4 %s: already v5, with its graph: %w", path, ErrParams)
-	}
-	f, err := parsePaged(data, uint64(len(data)), indexKind, indexVersionNoGraph)
-	var ix *Index
-	if err == nil {
-		ix, err = openPaged(f, false, nil)
-	}
-	switch {
-	case err != nil:
-	case ix.walSeq != 0:
-		err = fmt.Errorf("its factor covers WAL records up to seq %d that the graph lacks: rebuild it: %w", ix.walSeq, ErrParams)
-	case g.N() != ix.n:
-		err = fmt.Errorf("index built for %d nodes, graph has %d: %w", ix.n, g.N(), ErrParams)
-	default:
-		err = checkSupport(inLinksOf(g), ix.ids)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: ConvertV4 %s: %w", path, err)
-	}
-	ix.graph = carry(g)
-	return ix, nil
 }
 
 // SaveIndex writes the index to path atomically and crash-consistently:
@@ -372,7 +331,7 @@ func shardFileOf(ix *Index, err error) (*ShardFile, error) {
 	return &ShardFile{IndexShard: &ix.IndexShard, mapped: ix.mapped}, nil
 }
 
-// loadSnapshot is the one file loader: every v4 file maps, whole indexes
+// loadSnapshot is the one file loader: every v5 file maps, whole indexes
 // and shard files alike, and on non-mmap platforms, big-endian hosts and
 // under injected map faults it decodes. The caller owns what
 // was mapped — a whole index's generation closes it from Candidate.Release

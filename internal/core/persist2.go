@@ -8,9 +8,8 @@ package core
 // many rows it stores and lists their ids, so the all-zero rows of a
 // support-compacted index (shard.go) cost no bytes on disk, in the mapping
 // or on the way to a worker, and it carries the graph the factor was built
-// from (graphsec.go). v1–v3, which held two factors, are refused as stale
-// (ErrFormat) and are rebuilt; v4, v5 without the graph, is stale too, and
-// ConvertV4 reads it only to publish it again with the graph it is handed.
+// from (graphsec.go). v1–v4 are refused as stale (ErrFormat) and are
+// rebuilt from the graph.
 //
 // One 4 KiB header page (offsets in the constants below and in DESIGN.md
 // §13), then page-aligned sections in a fixed order: sigma (CSRX only),
@@ -46,9 +45,6 @@ import (
 
 const (
 	indexVersion = 5 // what every writer emits and every loader serves
-	// indexVersionNoGraph is v5 without its graph section: stale, read only
-	// by ConvertV4.
-	indexVersionNoGraph = 4
 
 	// factorSecs is the factor block after the ids: the scale, qerr and
 	// payload sections of F, in that order.
@@ -71,11 +67,10 @@ const (
 )
 
 // ErrFormat is returned (wrapped) for a snapshot in a format this build does
-// not serve: v1–v3, which held two factors, and v4, which carries no graph.
-// It is not corruption — the bytes may be intact — so a snapshot directory
-// treats such a generation as stale rather than damaged (snapshot.go). A
-// v1–v3 index is rebuilt from its graph, a v4 one converted with it
-// (ConvertV4), and a shard directory is published again from a v5 index.
+// not serve: v1–v4. It is not corruption — the bytes may be intact — so a
+// snapshot directory treats such a generation as stale rather than damaged
+// (snapshot.go). A stale index is rebuilt from its graph, and a shard
+// directory is published again from a v5 index.
 var ErrFormat = errors.New("core: snapshot format not served")
 
 // errMapUnsupported reports that a file could not be memory-mapped for
@@ -275,17 +270,16 @@ func (s sectionDesc) end() uint64 { return alignPage(s.off + s.length) }
 // pagedFile is a validated header over its raw bytes.
 type pagedFile struct {
 	snapHeader
-	kind    *snapKind
-	version uint32 // indexVersion, or indexVersionNoGraph for ConvertV4
-	tier    Tier
-	stored  uint64 // rows in the factor block
-	secs    []sectionDesc
-	data    []byte
+	kind   *snapKind
+	tier   Tier
+	stored uint64 // rows in the factor block
+	secs   []sectionDesc
+	data   []byte
 }
 
 // The sections of a file, in order: [sigma,] ids, the factor block —
-// scale, qerr, payload — and, in v5, the graph. ids is section 1 of an
-// index (behind sigma) and 0 of a shard.
+// scale, qerr, payload — and the graph. ids is section 1 of an index
+// (behind sigma) and 0 of a shard.
 func (f *pagedFile) idsAt() int {
 	if f.kind.whole {
 		return 1
@@ -293,14 +287,7 @@ func (f *pagedFile) idsAt() int {
 	return 0
 }
 func (f *pagedFile) payloadAt() int { return f.idsAt() + factorSecs }
-
-// graphAt is the graph section's index, -1 in a v4 file.
-func (f *pagedFile) graphAt() int {
-	if f.version == indexVersionNoGraph {
-		return -1
-	}
-	return f.payloadAt() + 1
-}
+func (f *pagedFile) graphAt() int   { return f.payloadAt() + 1 }
 
 // checkHead reads the magic and version a snapshot image starts with:
 // ErrCorrupt for a short image, the other kind's magic or a version no
@@ -315,29 +302,25 @@ func checkHead(data []byte, k *snapKind) error {
 	switch v := binary.LittleEndian.Uint32(data[4:]); {
 	case v == indexVersion:
 		return nil
-	case v == indexVersionNoGraph:
-		return fmt.Errorf("core: v4 %s file carries no graph, and this build serves v5: %s: %w", k.name, k.noGraph, ErrFormat)
-	case v >= 1 && v < indexVersionNoGraph:
-		return fmt.Errorf("core: v%d %s file holds two factors, and this build serves the one-factor v5: %s: %w",
-			v, k.name, k.twoFactors, ErrFormat)
+	case v >= 1 && v < indexVersion:
+		return fmt.Errorf("core: v%d %s file is stale, and this build serves v5: %s: %w", v, k.name, k.stale, ErrFormat)
 	default:
 		return fmt.Errorf("core: %s version %d, want %d: %w", k.name, v, indexVersion, ErrCorrupt)
 	}
 }
 
-// parsePaged validates everything cheap about a byte image of kind k in
-// layout version — indexVersion for every loader, indexVersionNoGraph for
-// ConvertV4 alone — magic, version, header CRC, fileSize against the
-// file's size, field plausibility, and the full section-table geometry
-// (alignment, no overlap with the header or each other, exact expected
-// lengths) — and eagerly CRC-checks every section but two: the factor
-// payload, whose verification cost is O(index size) and is the caller's
-// choice, and the graph, which is never read through a mapping (see
-// openPaged). data is the file's first bytes: all size of them, or — a
-// mapping — all but the graph section, which ends the file.
-func parsePaged(data []byte, size uint64, k *snapKind, version uint32) (*pagedFile, error) {
+// parsePaged validates everything cheap about a byte image of kind k —
+// magic, version, header CRC, fileSize against the file's size, field
+// plausibility, and the full section-table geometry (alignment, no overlap
+// with the header or each other, exact expected lengths) — and eagerly
+// CRC-checks every section but two: the factor payload, whose verification
+// cost is O(index size) and is the caller's choice, and the graph, which is
+// never read through a mapping (see openPaged). data is the file's first
+// bytes: all size of them, or — a mapping — all but the graph section,
+// which ends the file.
+func parsePaged(data []byte, size uint64, k *snapKind) (*pagedFile, error) {
 	le := binary.LittleEndian
-	if err := checkHead(data, k); err != nil && !(errors.Is(err, ErrFormat) && le.Uint32(data[4:]) == version) {
+	if err := checkHead(data, k); err != nil {
 		return nil, err
 	}
 	if len(data) < pageSize {
@@ -346,7 +329,7 @@ func parsePaged(data []byte, size uint64, k *snapKind, version uint32) (*pagedFi
 	if got, want := crc32.ChecksumIEEE(data[:headerCRCOff]), le.Uint32(data[headerCRCOff:]); got != want {
 		return nil, fmt.Errorf("core: snapshot header checksum %08x, want %08x: %w", got, want, ErrCorrupt)
 	}
-	f := &pagedFile{kind: k, version: version, data: data}
+	f := &pagedFile{kind: k, data: data}
 	f.n = le.Uint64(data[16:])
 	f.rank = le.Uint64(data[24:])
 	f.c = math.Float64frombits(le.Uint64(data[32:]))
@@ -371,9 +354,6 @@ func parsePaged(data []byte, size uint64, k *snapKind, version uint32) (*pagedFi
 	}
 	f.tier = Tier(tier)
 	wantSecs := 1 + factorSecs + 1 // ids, the factor block, the graph
-	if version == indexVersionNoGraph {
-		wantSecs--
-	}
 	if k.whole {
 		wantSecs++ // sigma
 	}
@@ -423,14 +403,11 @@ func parsePaged(data []byte, size uint64, k *snapKind, version uint32) (*pagedFi
 	if f.tier == TierI8 {
 		scaleLen = f.rank * 8
 	}
-	want = append(want, scaleLen, metaLen, factorLen)
-	if version == indexVersion {
-		graphLen := uint64(0)
-		if k.whole {
-			graphLen = graphSectionLen(f.n, f.m, f.weighted)
-		}
-		want = append(want, graphLen)
+	graphLen := uint64(0)
+	if k.whole {
+		graphLen = graphSectionLen(f.n, f.m, f.weighted)
 	}
+	want = append(want, scaleLen, metaLen, factorLen, graphLen)
 
 	f.secs = make([]sectionDesc, wantSecs)
 	cur := uint64(pageSize)
@@ -555,8 +532,8 @@ func (f *pagedFile) factorFrom(zeroCopy bool) (t *dense.Typed, qerr []float64, e
 	return t, qerr, nil
 }
 
-// openPaged is the one open of a parsed file, shared by the decoder, the
-// mapper and ConvertV4: verify the factor CRC, build the index over the
+// openPaged is the one open of a parsed file, shared by the decoder and
+// the mapper: verify the factor CRC, build the index over the
 // image — views of it when zeroCopy, fresh copies otherwise — and check the
 // graph section, which the index then carries. For a shard image the Index
 // is the IndexShard inside it.
@@ -590,8 +567,8 @@ func openPaged(f *pagedFile, zeroCopy bool, graphAt io.ReaderAt) (*Index, error)
 	if err := ix.CheckStored(); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
-	if gi := f.graphAt(); gi >= 0 && f.kind.whole {
-		s := f.secs[gi]
+	if f.kind.whole {
+		s := f.secs[f.graphAt()]
 		ix.graph = carriedGraph{m: int64(f.m), weighted: f.weighted, at: graphAt, off: int64(s.off), length: s.length, crc: s.crc}
 		if graphAt == nil {
 			ix.graph.at, ix.graph.off = fromImage(f.data, s), 0
@@ -700,7 +677,7 @@ func mapSnapshot(path string, k *snapKind) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := parsePaged(data, size, k, indexVersion)
+	f, err := parsePaged(data, size, k)
 	var ix *Index
 	if err == nil {
 		ix, err = openPaged(f, true, m.file)

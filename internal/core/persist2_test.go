@@ -465,7 +465,7 @@ func TestV2WalSeqRoundTrip(t *testing.T) {
 	sdata := sb.Bytes()
 	binary.LittleEndian.PutUint64(sdata[walSeqOff:], 7)
 	repatchHeaderCRC(sdata)
-	if _, err := parsePaged(sdata, uint64(len(sdata)), shardKind, indexVersion); !errors.Is(err, ErrCorrupt) {
+	if _, err := parsePaged(sdata, uint64(len(sdata)), shardKind); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged shard walSeq accepted: %v", err)
 	}
 }

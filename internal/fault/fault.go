@@ -49,7 +49,7 @@ const (
 	// environmental failure, so core.LoadIndex and core.LoadShard degrade
 	// to the buffered decode path instead of failing the load.
 	SiteIndexMap = "core/index.mmap"
-	// SiteIndexVerify fires before the factor-block CRC pass of a v4
+	// SiteIndexVerify fires before the factor-block CRC pass of a v5
 	// snapshot. Unlike a map fault, a verify failure means the bytes
 	// cannot be trusted, so it fails the load and drives the recovery
 	// ladder.

@@ -342,8 +342,9 @@ func probeNodes(n int) []int {
 // taken through serve.Ranked.Direct, exactly as the server will install
 // them, so a Query-only generation is smoke-tested through the same
 // adapter that will serve it. This is the gate that turns "the file
-// parsed" into "the engine answers"; CRC and header checks live below it
-// in core.ReadIndex.
+// parsed" into "the engine answers"; CRC and header checks live below it,
+// in core's snapshot loaders (LoadIndex, LoadShard) and the mapper they
+// load through.
 func Validate(c *Candidate) error {
 	if c == nil || (c.Query == nil && c.TopK == nil) {
 		return fmt.Errorf("%w: no query engine", ErrValidation)

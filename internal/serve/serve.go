@@ -353,20 +353,21 @@ func (s *Server) Close() {
 	}
 }
 
-// maxQueryNodes caps |Q|, the caller's query set, duplicates counted. A
+// MaxQueryNodes caps |Q|, the caller's query set, duplicates counted. A
 // top-k scan tile is 64 rows × |Q| float64s per worker, so the cap holds
-// it at 4 MiB; the paper's largest query set is 1000 nodes.
-const maxQueryNodes = 8192
+// it at 4 MiB; the paper's largest query set is 1000 nodes. A shard worker
+// holds a router's broadcast to the same cap.
+const MaxQueryNodes = 8192
 
 // validate checks a request's node ids against one generation: the
-// query set must be non-empty and at most maxQueryNodes long, and every
+// query set must be non-empty and at most MaxQueryNodes long, and every
 // query and target in [0, n).
 func validate(nodes, targets []int, n int) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("%w: empty query set", ErrBadRequest)
 	}
-	if len(nodes) > maxQueryNodes {
-		return fmt.Errorf("%w: %d query nodes exceeds %d per request", ErrBadRequest, len(nodes), maxQueryNodes)
+	if len(nodes) > MaxQueryNodes {
+		return fmt.Errorf("%w: %d query nodes exceeds %d per request", ErrBadRequest, len(nodes), MaxQueryNodes)
 	}
 	for _, q := range nodes {
 		if q < 0 || q >= n {

@@ -159,8 +159,8 @@ func TestServerValidation(t *testing.T) {
 		func() error { _, err := s.Score(ctx, []int{1}, []int{99}); return err },
 		func() error { _, err := s.Score(ctx, []int{99}, []int{1}); return err },
 		func() error { _, err := s.Score(ctx, make([]int, 1025), make([]int, 1024)); return err }, // one pair past maxScorePairs
-		func() error { _, err := s.Search(ctx, make([]int, maxQueryNodes+1), 3); return err },     // one node past maxQueryNodes
-		func() error { _, err := s.Score(ctx, make([]int, maxQueryNodes+1), []int{1}); return err },
+		func() error { _, err := s.Search(ctx, make([]int, MaxQueryNodes+1), 3); return err },     // one node past MaxQueryNodes
+		func() error { _, err := s.Score(ctx, make([]int, MaxQueryNodes+1), []int{1}); return err },
 	}
 	for i, call := range cases {
 		if err := call(); !errors.Is(err, ErrBadRequest) {
@@ -174,11 +174,11 @@ func TestServerValidation(t *testing.T) {
 		t.Fatalf("rejected = %d, want %d", got, len(cases))
 	}
 	// A query set at the cap is answered.
-	if _, err := s.Search(ctx, make([]int, maxQueryNodes), 3); err != nil {
-		t.Fatalf("%d query nodes: %v", maxQueryNodes, err)
+	if _, err := s.Search(ctx, make([]int, MaxQueryNodes), 3); err != nil {
+		t.Fatalf("%d query nodes: %v", MaxQueryNodes, err)
 	}
-	if _, err := s.Score(ctx, make([]int, maxQueryNodes), []int{1}); err != nil {
-		t.Fatalf("%d query nodes: %v", maxQueryNodes, err)
+	if _, err := s.Score(ctx, make([]int, MaxQueryNodes), []int{1}); err != nil {
+		t.Fatalf("%d query nodes: %v", MaxQueryNodes, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
-	"csrplus/internal/par"
 	"csrplus/internal/serve"
 	"csrplus/internal/topk"
 )
@@ -35,11 +34,6 @@ type Router struct {
 	plan Plan
 
 	slots []Slot
-
-	// remote selects the fan-out strategy: goroutine-per-slot for
-	// network-bound slots (sequential RPCs would serialise latency),
-	// par.Do with its flop gate for CPU-bound local slots.
-	remote bool
 
 	// bound caches the global truncation-bound tail, keyed by the shard
 	// generation vector that produced it; a slot's swap invalidates it by
@@ -74,20 +68,6 @@ func NewRouter(shards []*core.IndexShard) (*Router, error) {
 // NewRouter. Remote slots must have resolved their metadata before
 // assembly (wire.Dial does).
 func NewRouterSlots(slots []Slot) (*Router, error) {
-	r, err := assemble(slots)
-	if err != nil {
-		return nil, err
-	}
-	for _, sl := range slots {
-		if _, ok := sl.(*Local); !ok {
-			r.remote = true
-			break
-		}
-	}
-	return r, nil
-}
-
-func assemble(slots []Slot) (*Router, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("%w: no shards", ErrPlan)
 	}
@@ -285,48 +265,20 @@ func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error)
 		}
 		return nil
 	}
-	if !r.remote {
-		for s := range r.slots {
-			if err := fetch(s); err != nil {
-				return nil, err
-			}
-		}
-		return uq, nil
-	}
-	errs := make([]error, r.K())
-	var wg sync.WaitGroup
-	for s := range r.slots {
-		if len(byOwner[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fetch(s)
-		}(s)
-	}
-	wg.Wait()
-	if err := errFirst(errs); err != nil {
+	if err := errFirst(r.fanout(fetch)); err != nil {
 		return nil, err
 	}
 	return uq, nil
 }
 
-// fanout runs body for every slot and returns the per-slot errors. Local
-// fan-outs go through par.Do (worker-bounded — the slots are CPU-bound —
-// and gated on rows, the factor rows the legs multiply between them, times
-// the r·|Q| multiply-adds each costs: two target rows do not spin up the
-// pool); remote fan-outs get a goroutine per slot, because a serialised RPC
-// chain would stack network latencies.
-func (r *Router) fanout(rows, cols int, body func(s int) error) []error {
+// fanout runs body for every slot and returns the per-slot errors: inline
+// at K = 1, and at K > 1 on one goroutine per slot, local or remote, so
+// that legs waiting on the network overlap instead of stacking their
+// latencies. A body with nothing to do for a slot returns nil at once.
+func (r *Router) fanout(body func(s int) error) []error {
 	errs := make([]error, r.K())
-	if !r.remote {
-		flops := int64(rows) * int64(r.rank) * int64(cols)
-		par.Do(r.K(), flops, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				errs[s] = body(s)
-			}
-		})
+	if r.K() == 1 {
+		errs[0] = body(0)
 		return errs
 	}
 	var wg sync.WaitGroup
@@ -419,11 +371,7 @@ func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade b
 	}
 	cols := len(queries)
 	lists := make([][]topk.Item, r.K())
-	stored := 0 // a top-k scans every row the slots store
-	for _, sl := range r.slots {
-		stored += sl.Stored()
-	}
-	errs := r.fanout(stored, cols, func(s int) error {
+	errs := r.fanout(func(s int) error {
 		items, err := r.slots[s].PartialTopK(ctx, queries, uq, k, rank)
 		if err != nil {
 			return err
@@ -497,7 +445,7 @@ func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (
 		byOwner[s] = append(byOwner[s], j)
 	}
 	out := dense.NewMat(len(queries), len(targets))
-	errs := r.fanout(len(targets), len(queries), func(s int) error {
+	errs := r.fanout(func(s int) error {
 		js := byOwner[s]
 		if len(js) == 0 {
 			return nil
@@ -606,15 +554,15 @@ func (r *Router) gensMatch(gens []uint64) bool {
 	return true
 }
 
-// rebuildBound fetches every slot's bound terms in one round — concurrent
-// over remote slots, like every other fan-out — and folds them.
+// rebuildBound fetches every slot's bound terms in one fan-out and folds
+// them.
 func (r *Router) rebuildBound() (*boundEntry, error) {
 	// Gens are captured before the term fetch: if a slot rolls mid-fetch,
 	// the entry lands keyed to the pre-roll vector and the next call
 	// refreshes again — transiently stale, never wedged.
 	gens := r.Generations()
 	terms := make([]BoundTerms, r.K())
-	errs := r.fanout(0, 0, func(s int) error {
+	errs := r.fanout(func(s int) error {
 		t, err := r.slots[s].BoundTerms(context.Background())
 		if err != nil {
 			return fmt.Errorf("shard: bound terms from shard %d: %w", s, err)

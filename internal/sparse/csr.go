@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -18,6 +19,10 @@ type CSR struct {
 	ColIdx     []int32
 	Val        []float64
 }
+
+// ErrCorrupt is returned (wrapped) when the arrays handed to NewCSR fail
+// validation.
+var ErrCorrupt = errors.New("sparse: corrupt matrix")
 
 // NewCSR returns the rows x cols matrix over the given arrays, which it
 // keeps, once they hold the format's structural invariants: one row pointer

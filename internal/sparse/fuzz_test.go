@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -9,7 +8,7 @@ import (
 // Fuzz targets for every reader in the package: whatever the input, the
 // parsers must return an error or a structurally valid matrix — never
 // panic, never hand back out-of-range indices. `go test` runs the seed
-// corpus; `go test -fuzz=FuzzReadBinary ./internal/sparse` explores.
+// corpus; `go test -fuzz=FuzzReadEdgeList ./internal/sparse` explores.
 
 func checkValid(t *testing.T, m *CSR) {
 	t.Helper()
@@ -43,28 +42,5 @@ func FuzzReadEdgeList(f *testing.F) {
 			return
 		}
 		checkValid(t, coo.ToCSR())
-	})
-}
-
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid serialisation plus mutations of its prefix.
-	coo := NewCOO(3, 3)
-	_ = coo.Add(0, 1, 2.5)
-	_ = coo.Add(2, 0, -1)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, coo.ToCSR()); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte("CSRM junk"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		checkValid(t, m)
 	})
 }

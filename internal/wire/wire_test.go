@@ -16,6 +16,7 @@ import (
 
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
+	"csrplus/internal/serve"
 	"csrplus/internal/shard"
 	"csrplus/internal/wire"
 )
@@ -228,12 +229,14 @@ func TestWireRouterMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// A request the worker's scan refuses — here a NaN in the broadcast uq
-// row, which only the scan checks — is the caller's error on both scans:
-// /shard/query answers it 400 as /shard/scores does, so the client sends
-// it once, leaves the slot's breaker (which also gates queries) uncharged
-// and does not report the slot down, which would make a router skip the
-// shard as missing.
+// A request the worker refuses — a NaN in the broadcast uq row, which only
+// the scan checks, or a query set past serve.MaxQueryNodes, which the
+// frontend never forwards — is the caller's error on both scans and on the
+// query-row gather: /shard/query answers it 400 as /shard/scores and
+// /shard/urows do, so the client sends it once, leaves the slot's breaker
+// (which also gates queries) uncharged and does not report the slot down,
+// which would make a router skip the shard as missing. A query set at the
+// cap is served.
 func TestRefusedScanIsOneRequest(t *testing.T) {
 	_, ix := testEngineIndex(t, 1)
 	shards, err := shard.Split(ix, 2)
@@ -243,7 +246,7 @@ func TestRefusedScanIsOneRequest(t *testing.T) {
 	var posts atomic.Int64
 	inner := wire.NewWorker(shards[0], 0, wire.WorkerConfig{Shard: 0}).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/query" || r.URL.Path == "/shard/scores" {
+		if r.URL.Path == "/shard/query" || r.URL.Path == "/shard/scores" || r.URL.Path == "/shard/urows" {
 			posts.Add(1)
 		}
 		inner.ServeHTTP(rw, r)
@@ -255,24 +258,39 @@ func TestRefusedScanIsOneRequest(t *testing.T) {
 	}
 	uq := dense.NewMat(1, tRank)
 	uq.Set(0, 0, math.NaN())
+	atCap, atCapUQ := make([]int, serve.MaxQueryNodes), dense.NewMat(serve.MaxQueryNodes, tRank)
+	over, overUQ := make([]int, serve.MaxQueryNodes+1), dense.NewMat(serve.MaxQueryNodes+1, tRank)
 	ctx := context.Background()
+	row := []int{shards[0].Lo()}
+	if _, err := e.PartialTopK(ctx, atCap, atCapUQ, 3, 0); err != nil {
+		t.Fatalf("/shard/query with |Q| = %d: %v", len(atCap), err)
+	}
+	if _, err := e.ScoreRows(ctx, atCap, atCapUQ, row, 0); err != nil {
+		t.Fatalf("/shard/scores with |Q| = %d: %v", len(atCap), err)
+	}
+	if _, err := e.URows(ctx, atCap); err != nil {
+		t.Fatalf("/shard/urows for %d query nodes: %v", len(atCap), err)
+	}
 	for _, tc := range []struct {
-		path string
+		name string
 		call func() error
 	}{
-		{"/shard/query", func() error { _, err := e.PartialTopK(ctx, []int{1}, uq, 3, 0); return err }},
-		{"/shard/scores", func() error { _, err := e.ScoreRows(ctx, []int{1}, uq, []int{shards[0].Lo()}, 0); return err }},
+		{"/shard/query with a NaN uq row", func() error { _, err := e.PartialTopK(ctx, []int{1}, uq, 3, 0); return err }},
+		{"/shard/scores with a NaN uq row", func() error { _, err := e.ScoreRows(ctx, []int{1}, uq, row, 0); return err }},
+		{"/shard/query with |Q| past the cap", func() error { _, err := e.PartialTopK(ctx, over, overUQ, 3, 0); return err }},
+		{"/shard/scores with |Q| past the cap", func() error { _, err := e.ScoreRows(ctx, over, overUQ, row, 0); return err }},
+		{"/shard/urows with |Q| past the cap", func() error { _, err := e.URows(ctx, over); return err }},
 	} {
 		before := posts.Load()
 		err := tc.call()
 		if err == nil || errors.Is(err, shard.ErrSlotDown) || !strings.Contains(err.Error(), "http 400") {
-			t.Fatalf("%s with a NaN uq row: err = %v, want the worker's http 400, not ErrSlotDown", tc.path, err)
+			t.Fatalf("%s: err = %v, want the worker's http 400, not ErrSlotDown", tc.name, err)
 		}
 		if got := posts.Load() - before; got != 1 {
-			t.Fatalf("%s with a NaN uq row was sent %d times, want once", tc.path, got)
+			t.Fatalf("%s was sent %d times, want once", tc.name, got)
 		}
 		if st := e.Stats(); st.BreakerOpen || st.ConsecutiveFailures != 0 || st.Retries != 0 {
-			t.Fatalf("%s refusal charged the slot: %+v", tc.path, st)
+			t.Fatalf("%s: the refusal charged the slot: %+v", tc.name, st)
 		}
 	}
 }

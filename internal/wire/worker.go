@@ -14,6 +14,7 @@ import (
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
 	"csrplus/internal/reload"
+	"csrplus/internal/serve"
 	"csrplus/internal/shard"
 )
 
@@ -175,6 +176,10 @@ func (w *Worker) handleURows(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, errors.New("empty node set"))
 		return
 	}
+	if len(req.Nodes) > serve.MaxQueryNodes {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("%d query nodes exceeds %d per request", len(req.Nodes), serve.MaxQueryNodes))
+		return
+	}
 	for _, q := range req.Nodes {
 		if q < w.slot.Lo() || q >= w.slot.Hi() {
 			writeError(rw, http.StatusBadRequest, fmt.Errorf("node %d outside shard [%d, %d)", q, w.slot.Lo(), w.slot.Hi()))
@@ -191,10 +196,13 @@ func (w *Worker) handleURows(rw http.ResponseWriter, r *http.Request) {
 }
 
 // decodeUQ validates and shapes the query broadcast common to /shard/query
-// and /shard/scores.
+// and /shard/scores, under the frontend's cap on |Q|.
 func decodeUQ(sl *shard.Local, queries []int, uq F64s) (*dense.Mat, error) {
 	if len(queries) == 0 {
 		return nil, errors.New("empty query set")
+	}
+	if len(queries) > serve.MaxQueryNodes {
+		return nil, fmt.Errorf("%d query nodes exceeds %d per request", len(queries), serve.MaxQueryNodes)
 	}
 	for _, q := range queries {
 		if q < 0 || q >= sl.N() {
