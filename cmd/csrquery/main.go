@@ -5,6 +5,8 @@
 //	csrquery -dataset FB -q 12,99 -k 10            # top-10 per aggregate
 //	csrquery -graph edges.txt -n 5000 -q 7 -k 5    # from an edge-list file
 //	csrquery -dataset P2P -algo CSR-IT -q 3 -json  # pick the algorithm
+//	csrquery -dataset FB -q 12 -saveindex snaps    # publish the index as snaps/index-00000001.csrx
+//	csrquery -dataset FB -q 99 -index snaps/index-00000001.csrx
 //
 // With one query node the output is that node's top-k most similar nodes;
 // with several, the top-k by aggregate similarity to the whole set (the
@@ -21,78 +23,118 @@ import (
 	"strings"
 
 	"csrplus"
+	"csrplus/internal/flagmode"
 )
 
-func main() {
-	dataset := flag.String("dataset", "", "generate a paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
-	scale := flag.Int64("dscale", 0, "dataset downscale factor (0 = dataset default)")
-	graphPath := flag.String("graph", "", "edge-list file (src dst per line)")
-	n := flag.Int("n", 0, "node count for -graph")
-	algo := flag.String("algo", csrplus.AlgoCSRPlus, "algorithm: "+strings.Join(csrplus.Algorithms(), ", "))
-	rank := flag.Int("r", 5, "SVD rank / iteration count")
-	damping := flag.Float64("c", 0.6, "damping factor in (0, 1)")
-	queryList := flag.String("q", "", "comma-separated query node ids (required)")
-	k := flag.Int("k", 10, "result count")
-	asJSON := flag.Bool("json", false, "emit JSON instead of a table")
-	indexPath := flag.String("index", "", "load a persisted CSR+ index instead of precomputing")
-	saveIndex := flag.String("saveindex", "", "persist the precomputed CSR+ index to this path")
-	flag.Parse()
+// The modes, by where the engine comes from: precomputed over the graph,
+// or loaded from a persisted CSR+ index.
+const (
+	modeBuild = iota
+	modeIndex
+)
 
-	if err := run(os.Stdout, *dataset, *scale, *graphPath, *n, *algo, *rank, *damping, *queryList, *k, *asJSON, *indexPath, *saveIndex); err != nil {
+// modes lists every flag each mode reads: a flag set on the command line
+// that its mode does not list is refused instead of silently ignored.
+var modes = []flagmode.Mode{
+	modeBuild: {When: "without -index", Flags: "dataset dscale graph n q k json saveindex algo r c"},
+	modeIndex: {When: "with -index", Flags: "dataset dscale graph n q k json saveindex index"},
+}
+
+func main() {
+	if err := run(os.Stdout, flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "csrquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, dataset string, scale int64, graphPath string, n int, algo string, rank int, damping float64, queryList string, k int, asJSON bool, indexPath, saveIndex string) error {
-	queries, err := parseQueries(queryList)
+// published is the snapshot -saveindex wrote.
+type published struct {
+	Gen  uint64 `json:"generation"`
+	Path string `json:"path"`
+}
+
+// run registers every flag on fs, parses args, holds them to their mode's
+// row of the table and answers the query.
+func run(out io.Writer, fs *flag.FlagSet, args []string) error {
+	dataset := fs.String("dataset", "", "generate a paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
+	scale := fs.Int64("dscale", 0, "dataset downscale factor (0 = dataset default)")
+	graphPath := fs.String("graph", "", "edge-list file (src dst per line)")
+	n := fs.Int("n", 0, "node count for -graph")
+	algo := fs.String("algo", csrplus.AlgoCSRPlus, "algorithm: "+strings.Join(csrplus.Algorithms(), ", "))
+	rank := fs.Int("r", 5, "SVD rank / iteration count")
+	damping := fs.Float64("c", 0.6, "damping factor in (0, 1)")
+	queryList := fs.String("q", "", "comma-separated query node ids (required)")
+	k := fs.Int("k", 10, "result count")
+	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
+	indexPath := fs.String("index", "", "load a persisted CSR+ index file instead of precomputing")
+	saveIndex := fs.String("saveindex", "", "publish the CSR+ index as the next generation of this snapshot directory (created if missing); -index loads the published file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode := modeBuild
+	if *indexPath != "" {
+		mode = modeIndex
+	}
+	if err := flagmode.Check(fs, modes, mode); err != nil {
+		return err
+	}
+
+	queries, err := parseQueries(*queryList)
 	if err != nil {
 		return err
 	}
-	g, err := loadGraph(dataset, scale, graphPath, n)
+	g, err := loadGraph(*dataset, *scale, *graphPath, *n)
 	if err != nil {
 		return err
 	}
 	var eng *csrplus.Engine
-	if indexPath != "" {
-		eng, err = csrplus.LoadEngine(g, indexPath)
+	if mode == modeIndex {
+		eng, err = csrplus.LoadEngine(g, *indexPath)
 	} else {
 		eng, err = csrplus.NewEngine(g, csrplus.Options{
-			Algorithm: algo,
-			Rank:      rank,
-			Damping:   damping,
+			Algorithm: *algo,
+			Rank:      *rank,
+			Damping:   *damping,
 		})
 	}
 	if err != nil {
 		return err
 	}
-	if saveIndex != "" {
-		if err := eng.SaveIndex(saveIndex); err != nil {
+	defer eng.Close()
+	var pub *published
+	if *saveIndex != "" {
+		gen, path, err := eng.SaveSnapshot(*saveIndex)
+		if err != nil {
 			return err
 		}
+		pub = &published{gen, path}
 	}
 	var matches []csrplus.Match
 	if len(queries) == 1 {
-		matches, err = eng.TopK(queries[0], k)
+		matches, err = eng.TopK(queries[0], *k)
 	} else {
-		matches, err = eng.TopKMulti(queries, k)
+		matches, err = eng.TopKMulti(queries, *k)
 	}
 	if err != nil {
 		return err
 	}
 	st := eng.Stats()
-	if asJSON {
+	if *asJSON {
 		return json.NewEncoder(out).Encode(struct {
 			Algorithm string          `json:"algorithm"`
 			N         int             `json:"n"`
 			M         int64           `json:"m"`
 			Queries   []int           `json:"queries"`
 			Matches   []csrplus.Match `json:"matches"`
-		}{st.Algorithm, st.N, st.M, queries, matches})
+			Published *published      `json:"published,omitempty"`
+		}{st.Algorithm, st.N, st.M, queries, matches, pub})
 	}
 	fmt.Fprintf(out, "graph: n=%d m=%d | algorithm: %s | precompute: %v\n",
 		st.N, st.M, st.Algorithm, st.PrecomputeTime.Round(1000))
-	fmt.Fprintf(out, "top-%d nodes similar to %v:\n", k, queries)
+	if pub != nil {
+		fmt.Fprintf(out, "published: %s (generation %d)\n", pub.Path, pub.Gen)
+	}
+	fmt.Fprintf(out, "top-%d nodes similar to %v:\n", *k, queries)
 	for i, m := range matches {
 		fmt.Fprintf(out, "%3d. node %-8d score %.6f\n", i+1, m.Node, m.Score)
 	}

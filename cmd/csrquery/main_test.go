@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"csrplus/internal/flagmode"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -45,10 +51,17 @@ func TestLoadGraphValidation(t *testing.T) {
 	}
 }
 
+// runArgs runs one csrquery command line, printing into out.
+func runArgs(out io.Writer, args ...string) error {
+	fs := flag.NewFlagSet("csrquery", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return run(out, fs, args)
+}
+
 func TestRunTableOutput(t *testing.T) {
 	path := writeTestGraph(t)
 	var buf bytes.Buffer
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "1", 3, false, "", ""); err != nil {
+	if err := runArgs(&buf, "-graph", path, "-n", "6", "-r", "3", "-q", "1", "-k", "3"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -60,25 +73,38 @@ func TestRunTableOutput(t *testing.T) {
 	}
 }
 
-func TestRunJSONOutput(t *testing.T) {
-	path := writeTestGraph(t)
+// jsonBody is csrquery's -json output.
+type jsonBody struct {
+	Algorithm string `json:"algorithm"`
+	N         int    `json:"n"`
+	Queries   []int  `json:"queries"`
+	Matches   []struct {
+		Node  int     `json:"node"`
+		Score float64 `json:"score"`
+	} `json:"matches"`
+	Published *struct {
+		Gen  uint64 `json:"generation"`
+		Path string `json:"path"`
+	} `json:"published"`
+}
+
+// runJSON runs a -json command line and decodes its output.
+func runJSON(t *testing.T, args ...string) jsonBody {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "1,3", 2, true, "", ""); err != nil {
+	if err := runArgs(&buf, append(args, "-json")...); err != nil {
 		t.Fatal(err)
 	}
-	var body struct {
-		Algorithm string `json:"algorithm"`
-		N         int    `json:"n"`
-		Queries   []int  `json:"queries"`
-		Matches   []struct {
-			Node  int     `json:"node"`
-			Score float64 `json:"score"`
-		} `json:"matches"`
-	}
+	var body jsonBody
 	if err := json.Unmarshal(buf.Bytes(), &body); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
 	}
-	if body.Algorithm != "CSR+" || body.N != 6 || len(body.Matches) != 2 {
+	return body
+}
+
+func TestRunJSONOutput(t *testing.T) {
+	body := runJSON(t, "-graph", writeTestGraph(t), "-n", "6", "-r", "3", "-q", "1,3", "-k", "2")
+	if body.Algorithm != "CSR+" || body.N != 6 || len(body.Matches) != 2 || body.Published != nil {
 		t.Fatalf("body = %+v", body)
 	}
 }
@@ -86,20 +112,20 @@ func TestRunJSONOutput(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	path := writeTestGraph(t)
 	var buf bytes.Buffer
-	if err := run(&buf, "", 0, path, 6, "bogus", 3, 0.6, "1", 3, false, "", ""); err == nil {
+	if err := runArgs(&buf, "-graph", path, "-n", "6", "-algo", "bogus", "-q", "1"); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "99", 3, false, "", ""); err == nil {
+	if err := runArgs(&buf, "-graph", path, "-n", "6", "-q", "99"); err == nil {
 		t.Fatal("out-of-range query accepted")
 	}
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "", 3, false, "", ""); err == nil {
+	if err := runArgs(&buf, "-graph", path, "-n", "6"); err == nil {
 		t.Fatal("missing queries accepted")
 	}
 }
 
 func TestRunDataset(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "P2P", 64, "", 0, "CSR+", 3, 0.6, "0,1", 2, false, "", ""); err != nil {
+	if err := runArgs(&buf, "-dataset", "P2P", "-dscale", "64", "-r", "3", "-q", "0,1", "-k", "2"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "top-2") {
@@ -107,22 +133,77 @@ func TestRunDataset(t *testing.T) {
 	}
 }
 
+// TestRunIndexRoundTrip: -saveindex DIR publishes the precomputed index as
+// DIR's generation 1, and -index on that file answers exactly what the
+// fresh engine answered; a loaded index republished is generation 2.
 func TestRunIndexRoundTrip(t *testing.T) {
-	path := writeTestGraph(t)
-	ixPath := filepath.Join(t.TempDir(), "g.csrx")
+	graph := []string{"-graph", writeTestGraph(t), "-n", "6", "-q", "1,4", "-k", "4"}
+	dir := filepath.Join(t.TempDir(), "snaps")
+	fresh := runJSON(t, append(graph, "-r", "3", "-saveindex", dir)...)
+	if p := fresh.Published; p == nil || p.Gen != 1 || p.Path != filepath.Join(dir, "index-00000001.csrx") {
+		t.Fatalf("published %+v, want generation 1 in %s", p, dir)
+	}
+	loaded := runJSON(t, append(graph, "-index", fresh.Published.Path, "-saveindex", dir)...)
+	if p := loaded.Published; p == nil || p.Gen != 2 {
+		t.Fatalf("republished %+v, want generation 2", p)
+	}
+	fresh.Published, loaded.Published = nil, nil
+	if !reflect.DeepEqual(loaded, fresh) || len(fresh.Matches) != 4 {
+		t.Fatalf("-index answers %+v, the fresh engine answered %+v", loaded, fresh)
+	}
+
 	var buf bytes.Buffer
-	// Build and persist.
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "1", 3, false, "", ixPath); err != nil {
+	if err := runArgs(&buf, append(graph, "-saveindex", dir)...); err != nil {
 		t.Fatal(err)
 	}
-	first := buf.String()
-	// Serve from the persisted index.
-	buf.Reset()
-	if err := run(&buf, "", 0, path, 6, "CSR+", 3, 0.6, "1", 3, false, ixPath, ""); err != nil {
-		t.Fatal(err)
+	if want := "published: " + filepath.Join(dir, "index-00000003.csrx") + " (generation 3)"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("table output lacks %q:\n%s", want, buf.String())
 	}
-	if !strings.Contains(buf.String(), "node 3") {
-		t.Fatalf("index-served output wrong:\n%s", buf.String())
+}
+
+// TestModeTable: -index refuses the flags only a precompute reads, naming
+// them, instead of silently serving the loaded index; each mode accepts
+// its whole row; and the table and the flag set describe each other
+// exactly.
+func TestModeTable(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-index", "F", "-algo", "CSR-IT"}, "-algo"},
+		{[]string{"-index", "F", "-r", "9"}, "-r"},
+		{[]string{"-index", "F", "-c", "0.3"}, "-c"},
+		{[]string{"-dataset", "FB", "-q", "1", "-index", "F", "-algo", "CSR-IT", "-r", "9", "-c", "0.3"}, "-algo"},
+	} {
+		err := runArgs(io.Discard, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" is not supported with -index") || !strings.Contains(err.Error(), "it applies without -index") {
+			t.Errorf("%v: err = %v, want a refusal naming %s and the mode it applies to", tc.args, err, tc.flag)
+		}
 	}
-	_ = first
+	// Each row whole gets past the table, to the graph the flags name.
+	for _, args := range [][]string{
+		{"-dataset", "FB", "-dscale", "2", "-graph", "g", "-n", "6", "-q", "1", "-k", "3", "-json", "-saveindex", "d", "-algo", "CSR-IT", "-r", "9", "-c", "0.3"},
+		{"-dataset", "FB", "-dscale", "2", "-graph", "g", "-n", "6", "-q", "1", "-k", "3", "-json", "-saveindex", "d", "-index", "F"},
+	} {
+		if err := runArgs(io.Discard, args...); err == nil || !strings.Contains(err.Error(), "either -dataset or -graph") {
+			t.Errorf("%v: err = %v, want the graph flags' refusal", args, err)
+		}
+	}
+
+	fs := flag.NewFlagSet("csrquery", flag.ContinueOnError)
+	if err := run(io.Discard, fs, nil); err == nil {
+		t.Fatal("a command line without -q answered")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !slices.ContainsFunc(modes, func(m flagmode.Mode) bool { return m.Reads(f.Name) }) {
+			t.Errorf("flag -%s is read by no mode", f.Name)
+		}
+	})
+	for _, m := range modes {
+		for _, name := range strings.Fields(m.Flags) {
+			if fs.Lookup(name) == nil {
+				t.Errorf("mode table names -%s, which is not a flag", name)
+			}
+		}
+	}
 }

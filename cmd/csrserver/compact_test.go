@@ -21,7 +21,8 @@ import (
 // among the rows left out, and for k up to, at and past the rows stored.
 // (internal/shard holds the routers over K = 2, 3 and 7 slots, and over
 // slots that store nothing, to the same answers.) Each K = 1 server boots
-// from a pre-built file copied into its snapshot directory.
+// from a pre-built file in its snapshot directory: the committed fixture
+// copied in, or its compacted copy published there.
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
 	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v5-sparse.csrx")
@@ -34,14 +35,14 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	if dense.Stored() != n || compact.Stored() != stored {
 		t.Fatalf("fixture stores %d rows, %d compacted: want %d and %d", dense.Stored(), compact.Stored(), n, stored)
 	}
-	compacted := filepath.Join(t.TempDir(), "compact.csrx")
-	if err := core.SaveIndex(compact, compacted); err != nil {
+	compactDir := t.TempDir()
+	if _, _, err := core.WriteSnapshot(compactDir, compact); err != nil {
 		t.Fatal(err)
 	}
 
 	// The flags must name a graph of the index's size; no boot below reads it.
 	base := []string{"-graph", graphFile(t), "-n", fmt.Sprint(n)}
-	fullDir, compactDir := bareSnapshot(t, t.TempDir(), full, 1), bareSnapshot(t, t.TempDir(), compacted, 1)
+	fullDir := bareSnapshot(t, t.TempDir(), full, 1)
 	type mode struct {
 		name string
 		s    *server
@@ -103,9 +104,11 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 		}
 	}
 
-	// A second bare file is the next generation: a reload of the every-row
-	// server serves the compacted copy, and answers as before.
-	bareSnapshot(t, fullDir, compacted, 2)
+	// The compacted index published into the every-row server's directory
+	// is its next generation: a reload serves it, and answers as before.
+	if gen, _, err := core.WriteSnapshot(fullDir, compact); err != nil || gen != 2 {
+		t.Fatalf("publishing the compacted index: generation %d, %v; want 2", gen, err)
+	}
 	st, err := modes[0].s.reload(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
+	"csrplus/internal/flagmode"
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
 	"csrplus/internal/wire"
@@ -30,20 +30,11 @@ const (
 // modes is the whole compatibility contract between flags: each mode
 // lists every flag it reads, and a flag set on the command line that the
 // mode does not list is rejected instead of silently ignored.
-var modes = [...]struct{ when, flags string }{
-	modeLocal:  {"without -waldir, -shardaddrs or -shardworker", graphFlags + frontFlags},
-	modeIngest: {"with -waldir", graphFlags + frontFlags + "waldir driftbudget"},
-	modeRouter: {"with -shardaddrs", frontFlags + "shardaddrs"},
-	modeWorker: {"with -shardworker", "shardworker snapshots addr admintoken"},
-}
-
-func (m mode) reads(name string) bool {
-	for _, f := range strings.Fields(modes[m].flags) {
-		if f == name {
-			return true
-		}
-	}
-	return false
+var modes = []flagmode.Mode{
+	modeLocal:  {When: "without -waldir, -shardaddrs or -shardworker", Flags: graphFlags + frontFlags},
+	modeIngest: {When: "with -waldir", Flags: graphFlags + frontFlags + "waldir driftbudget"},
+	modeRouter: {When: "with -shardaddrs", Flags: frontFlags + "shardaddrs"},
+	modeWorker: {When: "with -shardworker", Flags: "shardworker snapshots addr admintoken"},
 }
 
 // config is the parsed command line.
@@ -101,22 +92,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	case c.walDir != "":
 		c.mode = modeIngest
 	}
-	var stray error
-	fs.Visit(func(f *flag.Flag) {
-		if stray == nil && !c.mode.reads(f.Name) {
-			var where []string
-			for m := range modes {
-				if mode(m).reads(f.Name) {
-					where = append(where, modes[m].when)
-				}
-			}
-			stray = fmt.Errorf("-%s is not supported %s (it applies %s)", f.Name, modes[c.mode].when, strings.Join(where, "; "))
-		}
-	})
-	switch {
-	case stray != nil:
-		return nil, stray
-	case c.mode == modeWorker && c.snapDir == "":
+	if err := flagmode.Check(fs, modes, int(c.mode)); err != nil {
+		return nil, err
+	}
+	if c.mode == modeWorker && c.snapDir == "" {
 		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
 	}
 	if c.mode == modeLocal || c.mode == modeIngest {

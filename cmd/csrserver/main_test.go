@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,6 +25,7 @@ import (
 
 	"csrplus/internal/core"
 	"csrplus/internal/dense"
+	"csrplus/internal/flagmode"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
@@ -1092,9 +1094,9 @@ func TestModeTable(t *testing.T) {
 		}
 	}
 
-	// A pre-built file is served by copying it into a snapshot directory.
+	// A pre-built file is served by publishing it into a snapshot directory.
 	snaps, bare := t.TempDir(), t.TempDir()
-	if err := eng.SaveIndex(filepath.Join(bare, core.SnapshotName(1))); err != nil {
+	if _, _, err := eng.SaveSnapshot(bare); err != nil {
 		t.Fatal(err)
 	}
 	boots := []struct {
@@ -1206,15 +1208,15 @@ func TestModeTable(t *testing.T) {
 	count := 0
 	fs.VisitAll(func(f *flag.Flag) {
 		count++
-		if !(modeLocal.reads(f.Name) || modeIngest.reads(f.Name) || modeRouter.reads(f.Name) || modeWorker.reads(f.Name)) {
+		if !slices.ContainsFunc(modes, func(m flagmode.Mode) bool { return m.Reads(f.Name) }) {
 			t.Errorf("flag -%s is read by no mode", f.Name)
 		}
 	})
 	if count != 17 {
 		t.Errorf("csrserver has %d flags, want 17", count)
 	}
-	for m := range modes {
-		for _, name := range strings.Fields(modes[m].flags) {
+	for _, m := range modes {
+		for _, name := range strings.Fields(m.Flags) {
 			if fs.Lookup(name) == nil {
 				t.Errorf("mode table names -%s, which is not a flag", name)
 			}

@@ -181,8 +181,8 @@ func TestNonFiniteFactorRowRefused(t *testing.T) {
 		// A pre-built file, served as one: the only generation of a
 		// snapshot directory.
 		dir := t.TempDir()
-		index := filepath.Join(dir, core.SnapshotName(1))
-		if err := testEngine(t).SaveIndex(index); err != nil {
+		_, index, err := testEngine(t).SaveSnapshot(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
 		s := bootArgs(t, "-snapshots", dir)

@@ -1,15 +1,16 @@
 // Command csrstat prints structural statistics of a graph — the numbers
 // needed to sanity-check a dataset before indexing it (and the evidence
 // behind DESIGN.md §5's stand-in matching) — and, in index mode,
-// inspects and converts persisted CSR+ index files.
+// inspects persisted CSR+ index files and publishes them, rewritten, into
+// snapshot directories.
 //
 // Usage:
 //
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
-//	csrstat -index exact.csrx -convert small.csrx -quantize int8
 //	csrstat -index whole.csrx -convert /data/snaps            # publish as the directory's newest generation
+//	csrstat -index whole.csrx -convert /data/small -quantize int8
 //	csrstat -index /data/snaps/index-00000003.csrx -convert /data/snaps  # roll back to generation 3
 //	csrstat -index whole.csrx -convert /data/snaps -split 4   # publish shard-<s>/ generations for 4 -shardworkers
 //	csrstat -wal /var/lib/csrserver/wal                       # inspect an ingestion log
@@ -25,63 +26,84 @@ import (
 	"strings"
 
 	"csrplus/internal/core"
+	"csrplus/internal/flagmode"
 	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
 	"csrplus/internal/shard"
 )
 
-func main() {
-	dataset := flag.String("dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
-	scale := flag.Int64("dscale", 0, "dataset downscale factor (0 = default)")
-	graphPath := flag.String("graph", "", "edge-list file")
-	n := flag.Int("n", 0, "node count for -graph")
-	hubs := flag.Int("hubs", 5, "number of top in-degree hubs to list")
-	indexPath := flag.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := flag.String("convert", "", "with -index: rewrite the index to this path in the current (v5, mmap-able, one-factor, graph-carrying) layout, without its all-zero rows. An existing directory is a snapshot directory: the index is published as its newest generation, which csrserver serves")
-	quantize := flag.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
-	var split *int // nil unless given: -split 0 is refused, not read as "one file"
-	flag.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
-		k, err := strconv.Atoi(s)
-		split = &k
-		return err
-	})
-	walDir := flag.String("wal", "", "inspect a streaming-ingestion WAL directory instead of a graph")
-	flag.Parse()
+// The modes, by what a run inspects: a graph's structure, a snapshot
+// file (and its rewrite), an ingestion log.
+const (
+	modeGraph = iota
+	modeIndex
+	modeWAL
+)
 
-	var err error
-	switch {
-	case *walDir != "":
-		if *indexPath != "" {
-			err = fmt.Errorf("-wal and -index are different modes; pick one")
-		} else {
-			err = runWal(os.Stdout, *walDir)
-		}
-	case *indexPath != "":
-		if *dataset != "" || *graphPath != "" {
-			err = fmt.Errorf("-index reads no graph: a v5 index carries its own, and csrserver rebuilds a stale (v1–v4) one from its graph")
-		} else {
-			err = runIndex(os.Stdout, *indexPath, *convert, *quantize, split)
-		}
-	case *convert != "" || *quantize != "" || split != nil:
-		err = fmt.Errorf("-convert, -quantize and -split require -index")
-	default:
-		err = run(os.Stdout, *dataset, *scale, *graphPath, *n, *hubs)
-	}
-	if err != nil {
+// modes lists every flag each mode reads: a flag set on the command line
+// that its mode does not list is refused instead of silently ignored.
+var modes = []flagmode.Mode{
+	modeGraph: {When: "without -index or -wal", Flags: "dataset dscale graph n hubs"},
+	modeIndex: {When: "with -index", Flags: "index convert quantize split"},
+	modeWAL:   {When: "with -wal", Flags: "wal"},
+}
+
+func main() {
+	if err := run(os.Stdout, flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "csrstat:", err)
 		os.Exit(1)
 	}
 }
 
+// run registers every flag on fs, parses args, holds them to their mode's
+// row of the table and runs that mode.
+func run(out io.Writer, fs *flag.FlagSet, args []string) error {
+	dataset := fs.String("dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
+	scale := fs.Int64("dscale", 0, "dataset downscale factor (0 = default)")
+	graphPath := fs.String("graph", "", "edge-list file")
+	n := fs.Int("n", 0, "node count for -graph")
+	hubs := fs.Int("hubs", 5, "number of top in-degree hubs to list")
+	indexPath := fs.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
+	convert := fs.String("convert", "", "with -index: a snapshot directory (created if missing); the index is published as its newest generation, which csrserver serves, in the current (v5, mmap-able, one-factor, graph-carrying) layout without its all-zero rows")
+	quantize := fs.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
+	var split *int // nil unless given: -split 0 is refused, not read as "one file"
+	fs.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
+		k, err := strconv.Atoi(s)
+		split = &k
+		return err
+	})
+	walDir := fs.String("wal", "", "inspect a streaming-ingestion WAL directory instead of a graph")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode := modeGraph
+	switch {
+	case *walDir != "":
+		mode = modeWAL
+	case *indexPath != "":
+		mode = modeIndex
+	}
+	if err := flagmode.Check(fs, modes, mode); err != nil {
+		return err
+	}
+	switch mode {
+	case modeWAL:
+		return runWal(out, *walDir)
+	case modeIndex:
+		return runIndex(out, *indexPath, *convert, *quantize, split)
+	}
+	return runGraph(out, *dataset, *scale, *graphPath, *n, *hubs)
+}
+
 // runIndex is index mode: print the metadata a persisted index carries,
-// and optionally rewrite it (tier conversion) as one file, as the newest
-// generation of the snapshot directory convert names when it is an
-// existing directory, or, with split (nil when -split was not given), as
-// the per-shard snapshot directories a cluster of *split workers boots
-// from (shard.PublishSnapshots). Rewriting is load + save, less the rows
-// that are all zero (core.Index.Compact: the answers do not move). The
-// file's magic picks the reader, so a shard file fails with the shard
-// reader's own error, and a v1–v4 file is refused as stale (core.ErrFormat).
+// and optionally rewrite it (tier conversion) as the newest generation of
+// the snapshot directory convert names or, with split (nil when -split
+// was not given), as the per-shard snapshot directories a cluster of
+// *split workers boots from (shard.PublishSnapshots). Rewriting is load +
+// publish, less the rows that are all zero (core.Index.Compact: the
+// answers do not move). The file's magic picks the reader, so a shard
+// file fails with the shard reader's own error, and a v1–v4 file is
+// refused as stale (core.ErrFormat).
 func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	if isShardFile(path) {
 		f, err := core.LoadShard(path)
@@ -145,21 +167,14 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 		fmt.Fprintf(out, "published:     %s/shard-{0..%d} (tier %s, %d of %d rows stored)\n", convert, *split-1, outIx.Tier(), outIx.Stored(), outIx.N())
 		return nil
 	}
-	if fi, err := os.Stat(convert); err == nil && fi.IsDir() {
-		gen, published, err := core.WriteSnapshot(convert, outIx)
-		if err != nil {
-			return err
-		}
-		if _, err := core.PruneSnapshots(convert, core.KeepSnapshots); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "published:     %s (generation %d, tier %s, %d of %d rows stored)\n", published, gen, outIx.Tier(), outIx.Stored(), outIx.N())
-		return nil
-	}
-	if err := core.SaveIndex(outIx, convert); err != nil {
+	gen, published, err := core.WriteSnapshot(convert, outIx)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "written:       %s (tier %s, %d of %d rows stored)\n", convert, outIx.Tier(), outIx.Stored(), outIx.N())
+	if _, err := core.PruneSnapshots(convert, core.KeepSnapshots); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "published:     %s (generation %d, tier %s, %d of %d rows stored)\n", published, gen, outIx.Tier(), outIx.Stored(), outIx.N())
 	return nil
 }
 
@@ -279,7 +294,7 @@ func runWal(out io.Writer, dir string) error {
 	return nil
 }
 
-func run(out io.Writer, dataset string, scale int64, graphPath string, n, hubs int) error {
+func runGraph(out io.Writer, dataset string, scale int64, graphPath string, n, hubs int) error {
 	g, err := load(dataset, scale, graphPath, n)
 	if err != nil {
 		return err

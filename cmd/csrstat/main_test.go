@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"io"
 	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"csrplus/internal/core"
+	"csrplus/internal/flagmode"
 	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
 	"csrplus/internal/shard"
@@ -26,7 +30,7 @@ func TestRunOnFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "", 0, path, 4, 2); err != nil {
+	if err := runGraph(&buf, "", 0, path, 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -43,7 +47,7 @@ func TestRunOnFile(t *testing.T) {
 
 func TestRunOnDataset(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "P2P", 64, "", 0, 0); err != nil {
+	if err := runGraph(&buf, "P2P", 64, "", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "heavy-tailed:  false") {
@@ -81,9 +85,8 @@ func buildTestIndex(t *testing.T) *core.Index {
 }
 
 func TestRunIndexInspect(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.csrx")
-	if err := core.SaveIndex(buildTestIndex(t), path); err != nil {
+	_, path, err := core.WriteSnapshot(t.TempDir(), buildTestIndex(t))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -121,7 +124,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 			t.Fatalf("shard output missing %q:\n%s", want, buf.String())
 		}
 	}
-	if err := runIndex(&buf, path, filepath.Join(t.TempDir(), "out.csrx"), "", nil); err == nil {
+	if err := runIndex(&buf, path, t.TempDir(), "", nil); err == nil {
 		t.Fatal("-convert of a shard file accepted")
 	}
 }
@@ -134,7 +137,7 @@ func TestRunIndexOnShardFile(t *testing.T) {
 // is ErrCorrupt, naming the shard check that failed.
 func TestRunIndexReadsEachKindAsItself(t *testing.T) {
 	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	dst := filepath.Join(t.TempDir(), "v4.csrx")
+	dst := filepath.Join(t.TempDir(), "snaps")
 	for file, want := range map[string]string{
 		"index.v3-f64.csrx":     "rebuild it from the graph",
 		"index.v3-int8.csrx":    "rebuild it from the graph",
@@ -174,18 +177,16 @@ func TestRunIndexReadsEachKindAsItself(t *testing.T) {
 }
 
 func TestRunIndexConvertQuantized(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "exact.csrx")
-	ix := buildTestIndex(t)
-	if err := core.SaveIndex(ix, src); err != nil {
+	_, src, err := core.WriteSnapshot(t.TempDir(), buildTestIndex(t))
+	if err != nil {
 		t.Fatal(err)
 	}
-	dst := filepath.Join(dir, "small.csrx")
+	dst := filepath.Join(t.TempDir(), core.SnapshotName(1))
 	var buf bytes.Buffer
-	if err := runIndex(&buf, src, dst, "int8", nil); err != nil {
+	if err := runIndex(&buf, src, filepath.Dir(dst), "int8", nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "written:") {
+	if !strings.Contains(buf.String(), "published:     "+dst+" (generation 1, tier int8") {
 		t.Fatalf("no conversion reported:\n%s", buf.String())
 	}
 	back, err := core.LoadIndex(dst)
@@ -209,15 +210,16 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 	}
 }
 
-// TestRunIndexConvertPublishesIntoSnapshotDir: -convert naming an existing
-// directory publishes the index as that directory's next generation —
-// generation 3 past two, generation 1 in an empty one — which answers as
-// the source does; republishing an old generation rolls the directory back
-// to it; and the directory is pruned to core.KeepSnapshots.
+// TestRunIndexConvertPublishesIntoSnapshotDir: -convert publishes the
+// index as the named directory's next generation — generation 3 past two,
+// generation 1 in an empty one or in one it creates — which answers as the
+// source does; republishing an old generation rolls the directory back to
+// it; the directory is pruned to core.KeepSnapshots; and a -convert path
+// that is a regular file is refused, not written over.
 func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "whole.csrx")
 	ix := buildTestIndex(t)
-	if err := core.SaveIndex(ix, src); err != nil {
+	_, src, err := core.WriteSnapshot(t.TempDir(), ix)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := graph.ErdosRenyi(40, 200, 9)
@@ -281,11 +283,24 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 		t.Fatalf("%d generations after the rollback, want %d", len(names), core.KeepSnapshots)
 	}
 
-	dir = t.TempDir()
-	if err := runIndex(&buf, src, dir, "", nil); err != nil {
+	for _, fresh := range []string{t.TempDir(), filepath.Join(t.TempDir(), "new", "snaps")} {
+		dir = fresh
+		if err := runIndex(&buf, src, dir, "", nil); err != nil {
+			t.Fatal(err)
+		}
+		newest(1, ix)
+	}
+
+	before, err := os.ReadFile(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	newest(1, ix)
+	if err := runIndex(&buf, src, src, "", nil); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("-convert naming a regular file: err = %v, want a refusal saying it is not a directory", err)
+	}
+	if after, err := os.ReadFile(src); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused -convert changed %s: %v", src, err)
+	}
 }
 
 // TestRunIndexSplit: -convert DIR -split K publishes what a cluster of K
@@ -293,9 +308,9 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 // router, answer top-k and scores with the whole index's bits — and a
 // -split that cannot be honoured is refused by name.
 func TestRunIndexSplit(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "whole.csrx")
 	ix := buildTestIndex(t)
-	if err := core.SaveIndex(ix, src); err != nil {
+	_, src, err := core.WriteSnapshot(t.TempDir(), ix)
+	if err != nil {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
@@ -441,5 +456,70 @@ func TestRunWal(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "CORRUPT") {
 		t.Fatalf("corrupt status not printed:\n%s", buf.String())
+	}
+}
+
+// TestModeTable: a flag set outside its mode's row is refused, naming
+// itself and the mode it applies to, instead of silently ignored — the
+// rows csrstat's hand-written refusals used to be among them — and every
+// mode accepts its whole row. The table and the flag set describe each
+// other exactly.
+func TestModeTable(t *testing.T) {
+	runArgs := func(fs *flag.FlagSet, args ...string) error {
+		fs.SetOutput(io.Discard)
+		return run(io.Discard, fs, args)
+	}
+	for _, tc := range []struct {
+		args       []string
+		flag, mode string
+	}{
+		{[]string{"-index", "F", "-n", "5"}, "-n", "without -index or -wal"},
+		{[]string{"-index", "F", "-hubs", "3"}, "-hubs", "without -index or -wal"},
+		{[]string{"-index", "F", "-dscale", "4"}, "-dscale", "without -index or -wal"},
+		{[]string{"-index", "F", "-dataset", "WT"}, "-dataset", "without -index or -wal"},
+		{[]string{"-index", "F", "-graph", "g.txt"}, "-graph", "without -index or -wal"},
+		{[]string{"-wal", "D", "-dataset", "WT"}, "-dataset", "without -index or -wal"},
+		{[]string{"-wal", "D", "-graph", "nope"}, "-graph", "without -index or -wal"},
+		{[]string{"-wal", "D", "-index", "F"}, "-index", "with -index"},
+		{[]string{"-wal", "D", "-convert", "snaps"}, "-convert", "with -index"},
+		{[]string{"-dataset", "WT", "-convert", "snaps"}, "-convert", "with -index"},
+		{[]string{"-dataset", "WT", "-quantize", "int8"}, "-quantize", "with -index"},
+		{[]string{"-split", "3"}, "-split", "with -index"},
+		{[]string{"-dataset", "WT", "-wal", "D"}, "-dataset", "without -index or -wal"},
+	} {
+		err := runArgs(flag.NewFlagSet("csrstat", flag.ContinueOnError), tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" is not supported") || !strings.Contains(err.Error(), "it applies "+tc.mode) {
+			t.Errorf("%v: err = %v, want a refusal naming %s and the mode %q", tc.args, err, tc.flag, tc.mode)
+		}
+	}
+	// Each row whole gets past the table, to what the mode then reads:
+	// the graph flags' own check, a missing index file, an empty log.
+	dir := t.TempDir()
+	for args, want := range map[string]string{
+		"-dataset WT -dscale 4 -graph g.txt -n 5 -hubs 3":             "either -dataset or -graph",
+		"-index " + dir + "/F -convert snaps -quantize int8 -split 3": "no such file",
+		"-wal " + dir: "",
+	} {
+		err := runArgs(flag.NewFlagSet("csrstat", flag.ContinueOnError), strings.Fields(args)...)
+		if (want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", args, err, want)
+		}
+	}
+
+	fs := flag.NewFlagSet("csrstat", flag.ContinueOnError)
+	if err := runArgs(fs); err == nil {
+		t.Fatal("a command line naming nothing to inspect succeeded")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !slices.ContainsFunc(modes, func(m flagmode.Mode) bool { return m.Reads(f.Name) }) {
+			t.Errorf("flag -%s is read by no mode", f.Name)
+		}
+	})
+	for _, m := range modes {
+		for _, name := range strings.Fields(m.Flags) {
+			if fs.Lookup(name) == nil {
+				t.Errorf("mode table names -%s, which is not a flag", name)
+			}
+		}
 	}
 }

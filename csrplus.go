@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"csrplus/internal/baseline"
@@ -280,54 +278,6 @@ func (e *Engine) Query(queries []int) ([][]float64, error) {
 	return out, nil
 }
 
-// QueryBatch answers a large query set with a pool of worker goroutines,
-// splitting the set into per-worker chunks and merging the columns in
-// order. Results are identical to Query; the speed-up applies to the
-// per-query algorithms (Exact, CSR-RLS, RP-CoSim), whose query cost is
-// linear in |Q|. workers < 1 selects GOMAXPROCS.
-func (e *Engine) QueryBatch(queries []int, workers int) ([][]float64, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		return e.Query(queries)
-	}
-	out := make([][]float64, len(queries))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(queries) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cols, err := e.Query(queries[lo:hi])
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			copy(out[lo:hi], cols)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // QueryOne returns the single-source similarity vector [S]_{*,q}.
 func (e *Engine) QueryOne(q int) ([]float64, error) {
 	cols, err := e.Query([]int{q})
@@ -407,27 +357,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// SaveIndex persists a CSR+ engine's precomputed index to path (binary,
-// checksummed, mmap-able v5 layout; see internal/core's format doc).
-// Only AlgoCSRPlus engines carry a persistable index.
-func (e *Engine) SaveIndex(path string) error {
-	return e.SaveIndexTier(path, "")
-}
-
-// SaveIndexTier is SaveIndex with a quantized factor tier selected at
-// save time: "" or "f64" writes the exact index, "f32" and "int8" write
-// narrowed factors (2x and 8x smaller) whose measured per-column
-// quantization errors ship in the file, so a loaded index reports the
-// entrywise error of its answers through core.Index.TruncationBound. The
-// engine's own in-memory index stays exact.
-func (e *Engine) SaveIndexTier(path, tier string) error {
-	ix, err := e.tieredIndex(tier)
-	if err != nil {
-		return err
-	}
-	return core.SaveIndex(ix, path)
-}
-
 // SaveSnapshot persists a CSR+ engine's index as the next generation of
 // the versioned snapshot directory dir (index-<gen>.csrx), read back
 // before its name appears — the publish half of the zero-downtime reload
@@ -437,30 +366,29 @@ func (e *Engine) SaveSnapshot(dir string) (gen uint64, path string, err error) {
 	return e.SaveSnapshotTier(dir, "")
 }
 
-// SaveSnapshotTier is SaveSnapshot with a quantized factor tier (see
-// SaveIndexTier).
+// SaveSnapshotTier is SaveSnapshot with a quantized factor tier selected
+// at save time: "" or "f64" writes the exact index, "f32" and "int8"
+// write narrowed factors (2x and 8x smaller) whose measured per-column
+// quantization errors ship in the file, so a loaded index reports the
+// entrywise error of its answers through core.Index.TruncationBound. The
+// engine's own in-memory index stays exact.
 func (e *Engine) SaveSnapshotTier(dir, tier string) (gen uint64, path string, err error) {
-	ix, err := e.tieredIndex(tier)
+	cp, ok := e.runner.(*baseline.CSRPlus)
+	if !ok {
+		return 0, "", fmt.Errorf("%w (engine runs %s)", ErrNotCSRPlus, e.algo)
+	}
+	ix, err := cp.Index().QuantizeTo(tier)
 	if err != nil {
 		return 0, "", err
 	}
 	return core.WriteSnapshot(dir, ix)
 }
 
-// tieredIndex resolves the engine's index at the requested tier,
-// quantizing a copy when the tier is lossy.
-func (e *Engine) tieredIndex(tier string) (*core.Index, error) {
-	cp, ok := e.runner.(*baseline.CSRPlus)
-	if !ok {
-		return nil, fmt.Errorf("%w (engine runs %s)", ErrNotCSRPlus, e.algo)
-	}
-	return cp.Index().QuantizeTo(tier)
-}
-
-// LoadEngine builds a query-ready CSR+ engine from an index previously
-// written by SaveIndex. The graph is only consulted for Stats (it must be
-// the one the index was built from; a node-count mismatch is rejected) and
-// may be nil: Stats then reports the index's node count and M = 0.
+// LoadEngine builds a query-ready CSR+ engine from an index file
+// previously published by SaveSnapshot. The graph is only consulted for
+// Stats (it must be the one the index was built from; a node-count
+// mismatch is rejected) and may be nil: Stats then reports the index's
+// node count and M = 0.
 func LoadEngine(g *Graph, path string) (*Engine, error) {
 	ix, err := core.LoadIndex(path)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Offline/online split — deploying CSR+ the way its two-phase design
 // intends: phase I (SVD + subspace solve) runs once, offline; the
-// resulting index is persisted; query serving loads it in milliseconds
-// and never touches the expensive path again.
+// resulting index is published into a snapshot directory; query serving
+// loads the published file in milliseconds and never touches the
+// expensive path again.
 //
 //	go run ./examples/offlineindex
 package main
@@ -22,10 +23,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	indexPath := filepath.Join(dir, "wt.csrx")
 
 	// --- Offline: build the graph, precompute, persist. ---
-	g, err := csrplus.GenerateDataset("WT", 200) // ~12k-node talk graph
+	g, err := csrplus.GenerateDataset("WT", 200) // 16k-node talk graph
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,15 +35,16 @@ func main() {
 		log.Fatal(err)
 	}
 	precompute := time.Since(start)
-	if err := eng.SaveIndex(indexPath); err != nil {
+	gen, indexPath, err := eng.SaveSnapshot(dir)
+	if err != nil {
 		log.Fatal(err)
 	}
 	info, err := os.Stat(indexPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("offline: graph n=%d m=%d, precompute %v, index file %d KiB\n",
-		g.N(), g.M(), precompute.Round(time.Millisecond), info.Size()/1024)
+	fmt.Printf("offline: graph n=%d m=%d, precompute %v, published %s (generation %d, %d KiB)\n",
+		g.N(), g.M(), precompute.Round(time.Millisecond), filepath.Base(indexPath), gen, info.Size()/1024)
 
 	// --- Online: load and serve. ---
 	start = time.Now()

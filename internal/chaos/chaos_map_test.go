@@ -32,8 +32,8 @@ import (
 // fragmentation) is an environmental condition, not data corruption.
 func TestChaosMmapRefusalDegradesToDecode(t *testing.T) {
 	ix, ref := fixture(t)
-	path := filepath.Join(t.TempDir(), "ix.csrx")
-	if err := core.SaveIndex(ix, path); err != nil {
+	_, path, err := core.WriteSnapshot(t.TempDir(), ix)
+	if err != nil {
 		t.Fatal(err)
 	}
 	probe := 11 % ix.N()

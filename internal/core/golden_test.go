@@ -315,7 +315,7 @@ func TestGoldenV3Compact(t *testing.T) {
 
 // TestGoldenWritersReproduceBytes is the writer half: every path that
 // puts a snapshot on disk — WriteTo re-encoding each decoded v5 fixture
-// and writing the indexes they were made from, and SaveIndex/SaveShard/
+// and writing the indexes they were made from, and the publishes
 // WriteSnapshot/WriteShardSnapshot over the fixture index at every tier —
 // emits the fixture's exact bytes.
 func TestGoldenWritersReproduceBytes(t *testing.T) {
@@ -365,11 +365,7 @@ func TestGoldenWritersReproduceBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := tier.String()
-		p := filepath.Join(dir, name+".csrx")
-		wantSameBytes(t, "SaveIndex "+name, fileBytes(p, SaveIndex(q, p)), wantIx)
-		p = filepath.Join(dir, name+".csrs")
-		wantSameBytes(t, "SaveShard "+name, fileBytes(p, SaveShard(qs, p)), wantSh)
-		_, p, err = WriteSnapshot(filepath.Join(dir, "snap-"+name), q)
+		_, p, err := WriteSnapshot(filepath.Join(dir, "snap-"+name), q)
 		wantSameBytes(t, "WriteSnapshot "+name, fileBytes(p, err), wantIx)
 		_, p, err = WriteShardSnapshot(ShardDir(filepath.Join(dir, "snap-"+name), 0), qs)
 		wantSameBytes(t, "WriteShardSnapshot "+name, fileBytes(p, err), wantSh)

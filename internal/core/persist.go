@@ -20,7 +20,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"csrplus/internal/fault"
@@ -202,48 +201,14 @@ func readSnapshot(r io.Reader, k *snapKind, size int64) (*Index, error) {
 	return openPaged(f, false, nil)
 }
 
-// SaveIndex writes the index to path atomically and crash-consistently:
-// the bytes go to a temp file in the same directory, are fsynced so they
-// are durable before they can become visible, and only then renamed over
-// path; the parent directory is fsynced afterwards so the rename itself
-// survives a crash. A kill at any point leaves either the old file, the
-// new file, or a stray temp file — never a truncated index at path.
-// Files are written in the mmap-able v5 layout (persist2.go).
-func SaveIndex(ix *Index, path string) error {
-	return saveAtomic("SaveIndex", path, ix.WriteTo)
-}
-
-// SaveShard is SaveIndex for one shard, under the CSRS header.
-func SaveShard(sh *IndexShard, path string) error {
-	return saveAtomic("SaveShard", path, sh.WriteTo)
-}
-
-// saveAtomic is the write-temp/fsync/rename/fsync-dir discipline shared
-// by SaveIndex and SaveShard; op names the caller in error messages.
-func saveAtomic(op, path string, writeTo func(io.Writer) (int64, error)) error {
-	dir := filepath.Dir(path)
-	tmp, err := writeTemp(op, dir, writeTo)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: %s: %w", op, err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("core: %s: %w", op, err)
-	}
-	return nil
-}
-
 // writeTemp writes a file through writeTo to a fresh temp file in dir and
-// fsyncs it, returning its path: the durable half of every atomic write,
-// before the file gets its name (saveAtomic's rename, a publish's link).
+// fsyncs it, returning its path: the durable half of a publish, before
+// the file is read back and linked in under its generation name.
 // On error nothing is left behind.
-func writeTemp(op, dir string, writeTo func(io.Writer) (int64, error)) (path string, err error) {
+func writeTemp(dir string, writeTo func(io.Writer) (int64, error)) (path string, err error) {
 	tmp, err := os.CreateTemp(dir, tempSavePrefix+"*")
 	if err != nil {
-		return "", fmt.Errorf("core: %s: %w", op, err)
+		return "", fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
 	defer func() {
 		if err != nil {
@@ -258,23 +223,23 @@ func writeTemp(op, dir string, writeTo func(io.Writer) (int64, error)) (path str
 		return "", err
 	}
 	// Data must hit stable storage before a name can publish it:
-	// rename-then-crash without this fsync is exactly how a reboot yields
+	// link-then-crash without this fsync is exactly how a reboot yields
 	// a visible, complete-looking file full of zero pages.
 	if err := fault.Hit(fault.SiteIndexSync); err != nil {
-		return "", fmt.Errorf("core: %s: fsync: %w", op, err)
+		return "", fmt.Errorf("core: WriteSnapshot: fsync: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		return "", fmt.Errorf("core: %s: fsync: %w", op, err)
+		return "", fmt.Errorf("core: WriteSnapshot: fsync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("core: %s: %w", op, err)
+		return "", fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
 	return tmp.Name(), nil
 }
 
-// syncDir fsyncs a directory so a just-completed rename is durable. On
+// syncDir fsyncs a directory so a just-completed link is durable. On
 // platforms whose filesystems reject directory fsync (notably Windows)
-// it is a no-op: the rename is still atomic, just not crash-durable.
+// it is a no-op: the link is still atomic, just not crash-durable.
 func syncDir(dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil

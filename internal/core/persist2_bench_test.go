@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"csrplus/internal/dense"
@@ -38,10 +37,7 @@ func synthBenchIndex(n, rank int) *Index {
 
 func BenchmarkSnapshotLoadMapVerified(b *testing.B) {
 	for _, n := range []int{2500, 20000} {
-		path := filepath.Join(b.TempDir(), "ix.csrx")
-		if err := SaveIndex(synthBenchIndex(n, 16), path); err != nil {
-			b.Fatal(err)
-		}
+		path := writeSnapFile(b, synthBenchIndex(n, 16))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			probe, err := LoadIndex(path)
 			if err != nil {

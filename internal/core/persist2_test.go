@@ -26,10 +26,22 @@ func repatchHeaderCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[headerCRCOff:], crc32.ChecksumIEEE(data[:headerCRCOff]))
 }
 
-func writeSnapFile(t *testing.T, ix *Index) string {
+// writeSnapFile publishes ix as generation 1 of a fresh snapshot
+// directory and returns the file's path.
+func writeSnapFile(t testing.TB, ix *Index) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ix.csrx")
-	if err := SaveIndex(ix, path); err != nil {
+	_, path, err := WriteSnapshot(t.TempDir(), ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeShardFile is writeSnapFile for a shard.
+func writeShardFile(t testing.TB, sh *IndexShard) string {
+	t.Helper()
+	_, path, err := WriteShardSnapshot(t.TempDir(), sh)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -352,11 +364,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sh.csrs")
-	if err := SaveShard(sh, path); err != nil {
-		t.Fatal(err)
-	}
+	path := writeShardFile(t, sh)
 	back, err := LoadShard(path)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +392,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 	}
 	zOff := binary.LittleEndian.Uint64(data[tableOff+3*descSize:]) // ids, 2 metadata sections, f
 	data[zOff+1] ^= 0x10
-	bad := filepath.Join(dir, "bad.csrs")
+	bad := filepath.Join(t.TempDir(), "bad.csrs")
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +416,7 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	if sh.Tier() != TierI8 {
 		t.Fatalf("shard tier = %v, want int8", sh.Tier())
 	}
-	path := filepath.Join(t.TempDir(), "q.csrs")
-	if err := SaveShard(sh, path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadShard(path)
+	back, err := LoadShard(writeShardFile(t, sh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,11 +560,7 @@ func TestEmptyShardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "sh.csrs")
-		if err := SaveShard(sh, path); err != nil {
-			t.Fatal(err)
-		}
-		back, err := LoadShard(path)
+		back, err := LoadShard(writeShardFile(t, sh))
 		if err != nil {
 			t.Fatalf("[%d, %d): %v", cut.lo, cut.hi, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -59,11 +58,7 @@ func TestIndexRoundTrip(t *testing.T) {
 
 func TestSaveLoadIndexFile(t *testing.T) {
 	ix := buildIndex(t)
-	path := filepath.Join(t.TempDir(), "fb.csrx")
-	if err := SaveIndex(ix, path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadIndex(path)
+	back, err := LoadIndex(writeSnapFile(t, ix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,36 +250,5 @@ func TestReadIndexForgedCountShortStream(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("short stream with forged count allocated %d bytes", grew)
-	}
-}
-
-// TestSaveIndexCrashConsistency simulates the torn-write window the
-// fsync+rename dance closes: a partially written temp file must never be
-// visible at the destination path, and an interrupted save must leave a
-// previously published index untouched and loadable.
-func TestSaveIndexCrashConsistency(t *testing.T) {
-	ix := buildIndex(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index.csrx")
-	if err := SaveIndex(ix, path); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a writer killed mid-write: a stray temp file with a
-	// truncated payload sits next to the published index.
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tornPath := filepath.Join(dir, ".csrx-torn")
-	if err := os.WriteFile(tornPath, buf.Bytes()[:buf.Len()/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The published path still loads — the torn temp never replaced it.
-	if _, err := LoadIndex(path); err != nil {
-		t.Fatalf("published index damaged by torn write: %v", err)
-	}
-	// And the torn file itself is rejected as corrupt, not half-loaded.
-	if _, err := LoadIndex(tornPath); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn temp file: err = %v, want ErrCorrupt", err)
 	}
 }

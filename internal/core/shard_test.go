@@ -284,10 +284,7 @@ func TestLoadShardReadsIntoOneBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "shard.csrs")
-	if err := SaveShard(sh, path); err != nil {
-		t.Fatal(err)
-	}
+	path := writeShardFile(t, sh)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -223,7 +223,7 @@ func publishSnapshot(dir string, k *snapKind, writeTo func(io.Writer) (int64, er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Snapshot{}, 0, fmt.Errorf("core: WriteSnapshot: %w", err)
 	}
-	tmp, err := writeTemp("WriteSnapshot", dir, writeTo)
+	tmp, err := writeTemp(dir, writeTo)
 	if err != nil {
 		return nil, Snapshot{}, 0, err
 	}

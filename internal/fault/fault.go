@@ -31,17 +31,19 @@ import (
 // Injection sites compiled into the serving stack. A site name is an
 // address: Arm(site, plan) makes the hooks at that site start firing.
 const (
-	// SiteIndexWrite guards every payload write of core.SaveIndex,
-	// core.SaveShard and a snapshot publish — torn/short writes and write errors land mid-file,
-	// upstream of the CRC, exactly like a disk filling up or a kernel
-	// page-out failure.
+	// SiteIndexWrite guards every payload write of a snapshot publish
+	// (core.WriteSnapshot, core.WriteShardSnapshot, core.PublishSnapshot)
+	// — torn/short writes and write errors land mid-file, upstream of the
+	// CRC, exactly like a disk filling up or a kernel page-out failure.
 	SiteIndexWrite = "core/index.write"
-	// SiteIndexSync guards the payload fsync of core.SaveIndex,
-	// core.SaveShard and a snapshot publish, before the file gets its name.
+	// SiteIndexSync guards the payload fsync of a snapshot publish, before
+	// the file is read back and gets its name.
 	SiteIndexSync = "core/index.fsync"
-	// SiteIndexRead guards the payload reads of core.ReadIndex (via
-	// core.LoadIndex): probabilistic read errors and latency model a
-	// degraded disk or a network filesystem hiccup during reload.
+	// SiteIndexRead guards the disk reads of every snapshot file load
+	// (core.LoadIndex, core.LoadShard, a publish's read-back): the mapped
+	// load's header read and the buffered decode. Probabilistic read
+	// errors and latency model a degraded disk or a network filesystem
+	// hiccup during reload.
 	SiteIndexRead = "core/index.read"
 	// SiteIndexMap fires immediately before the mmap syscall of every
 	// snapshot map, whole index or shard file. An injected fault models

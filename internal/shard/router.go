@@ -22,7 +22,7 @@ import (
 // K=1 router — with admission, missing-shard tagging and generation swaps on top:
 // TopKTagged answers /topk and Scores answers /similarity, in every mode,
 // over local slots and remote ones (see internal/wire) alike. The two are
-// one skeleton — admit (validate, ctx, gather the query rows of U), fan a
+// one skeleton — admit (validate, ctx, gather the query rows of F), fan a
 // leg out to every slot, fold the per-slot errors — over the two consumers
 // of core's one phase-II scan that never touch a whole column
 // (PartialTopK, ScoreRows). The n x |Q| block itself is the library's
@@ -215,7 +215,7 @@ func (r *Router) validate(what string, ids []int) error {
 }
 
 // admit is the entry topK and Scores share: it validates the query ids,
-// refuses a context that is already done and gathers the query rows of U.
+// refuses a context that is already done and gathers the query rows of F.
 // The two then differ only in the leg they fan out to the slots and in how
 // they fold its per-slot errors.
 func (r *Router) admit(ctx context.Context, queries []int) (*dense.Mat, error) {
@@ -225,17 +225,17 @@ func (r *Router) admit(ctx context.Context, queries []int) (*dense.Mat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.gatherU(ctx, queries)
+	return r.gatherF(ctx, queries)
 }
 
-// gatherU assembles the |Q| x r broadcast matrix of the query nodes' F
+// gatherF assembles the |Q| x r broadcast matrix of the query nodes' F
 // rows from their owner slots — the only cross-shard data a query needs.
 // The copied values are the exact float64s of the monolithic F, so the
 // downstream dot products are bitwise those of the single-engine path. A
 // failed owner fetch fails the query: a query node whose shard is down
 // cannot be degraded around, because every other shard's partial depends
 // on its F row.
-func (r *Router) gatherU(ctx context.Context, queries []int) (*dense.Mat, error) {
+func (r *Router) gatherF(ctx context.Context, queries []int) (*dense.Mat, error) {
 	uq := dense.NewMat(len(queries), r.rank)
 	// Positions grouped by owner, so each owner answers one batched
 	// gather per query instead of one RPC per query node.
@@ -341,7 +341,7 @@ type TopKResult struct {
 // provenance the serving layer folds into its degraded/error_bound
 // response tagging. Context cancellation and invalid queries still fail
 // the whole query, as does every slot failing at once (nothing answered)
-// or a failed U-row gather (a query node's own shard being down poisons
+// or a failed F-row gather (a query node's own shard being down poisons
 // every partial, so there is nothing exact to serve).
 func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (TopKResult, error) {
 	return r.topK(ctx, queries, k, rank, true)

@@ -25,7 +25,7 @@ import (
 //
 // Each method resolves the slot's current generation independently (a
 // remote process cannot pin a generation across calls), so a query whose
-// U-gather and partial legs straddle a rolling swap may combine rows
+// F-row gather and partial legs straddle a rolling swap may combine rows
 // from adjacent generations of one shard. Every generation is cut from a
 // validated index, but when two generations come from different index
 // builds such an answer mixes their factors and is exact for neither —
