@@ -6,7 +6,7 @@
 //	csrquery -graph edges.txt -n 5000 -q 7 -k 5    # from an edge-list file
 //	csrquery -dataset P2P -algo CSR-IT -q 3 -json  # pick the algorithm
 //	csrquery -dataset FB -q 12 -saveindex snaps    # publish the index as snaps/index-00000001.csrx
-//	csrquery -dataset FB -q 99 -index snaps/index-00000001.csrx
+//	csrquery -index snaps/index-00000001.csrx -q 99  # answer from the file alone
 //
 // With one query node the output is that node's top-k most similar nodes;
 // with several, the top-k by aggregate similarity to the whole set (the
@@ -27,7 +27,7 @@ import (
 )
 
 // The modes, by where the engine comes from: precomputed over the graph,
-// or loaded from a persisted CSR+ index.
+// or loaded from a published CSR+ index alone, which carries its n and m.
 const (
 	modeBuild = iota
 	modeIndex
@@ -37,7 +37,7 @@ const (
 // that its mode does not list is refused instead of silently ignored.
 var modes = []flagmode.Mode{
 	modeBuild: {When: "without -index", Flags: "dataset dscale graph n q k json saveindex algo r c"},
-	modeIndex: {When: "with -index", Flags: "dataset dscale graph n q k json saveindex index"},
+	modeIndex: {When: "with -index", Flags: "index q k json"},
 }
 
 func main() {
@@ -66,7 +66,7 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 	queryList := fs.String("q", "", "comma-separated query node ids (required)")
 	k := fs.Int("k", 10, "result count")
 	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	indexPath := fs.String("index", "", "load a persisted CSR+ index file instead of precomputing")
+	indexPath := fs.String("index", "", "answer from a published CSR+ index file instead of a graph")
 	saveIndex := fs.String("saveindex", "", "publish the CSR+ index as the next generation of this snapshot directory (created if missing); -index loads the published file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -83,19 +83,18 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := loadGraph(*dataset, *scale, *graphPath, *n)
-	if err != nil {
-		return err
-	}
 	var eng *csrplus.Engine
 	if mode == modeIndex {
-		eng, err = csrplus.LoadEngine(g, *indexPath)
+		eng, err = csrplus.LoadEngine(nil, *indexPath)
 	} else {
-		eng, err = csrplus.NewEngine(g, csrplus.Options{
-			Algorithm: *algo,
-			Rank:      *rank,
-			Damping:   *damping,
-		})
+		var g *csrplus.Graph
+		if g, err = loadGraph(*dataset, *scale, *graphPath, *n); err == nil {
+			eng, err = csrplus.NewEngine(g, csrplus.Options{
+				Algorithm: *algo,
+				Rank:      *rank,
+				Damping:   *damping,
+			})
+		}
 	}
 	if err != nil {
 		return err

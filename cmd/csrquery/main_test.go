@@ -77,6 +77,7 @@ func TestRunTableOutput(t *testing.T) {
 type jsonBody struct {
 	Algorithm string `json:"algorithm"`
 	N         int    `json:"n"`
+	M         int64  `json:"m"`
 	Queries   []int  `json:"queries"`
 	Matches   []struct {
 		Node  int     `json:"node"`
@@ -134,37 +135,35 @@ func TestRunDataset(t *testing.T) {
 }
 
 // TestRunIndexRoundTrip: -saveindex DIR publishes the precomputed index as
-// DIR's generation 1, and -index on that file answers exactly what the
-// fresh engine answered; a loaded index republished is generation 2.
+// DIR's generation 1, and -index on that file, with no graph flag, answers
+// exactly what the fresh engine answered and reports the same n and m; a
+// second -saveindex DIR is generation 2.
 func TestRunIndexRoundTrip(t *testing.T) {
-	graph := []string{"-graph", writeTestGraph(t), "-n", "6", "-q", "1,4", "-k", "4"}
+	query := []string{"-q", "12,99", "-k", "5"}
 	dir := filepath.Join(t.TempDir(), "snaps")
-	fresh := runJSON(t, append(graph, "-r", "3", "-saveindex", dir)...)
+	fresh := runJSON(t, append([]string{"-dataset", "FB", "-saveindex", dir}, query...)...)
 	if p := fresh.Published; p == nil || p.Gen != 1 || p.Path != filepath.Join(dir, "index-00000001.csrx") {
 		t.Fatalf("published %+v, want generation 1 in %s", p, dir)
 	}
-	loaded := runJSON(t, append(graph, "-index", fresh.Published.Path, "-saveindex", dir)...)
-	if p := loaded.Published; p == nil || p.Gen != 2 {
-		t.Fatalf("republished %+v, want generation 2", p)
-	}
-	fresh.Published, loaded.Published = nil, nil
-	if !reflect.DeepEqual(loaded, fresh) || len(fresh.Matches) != 4 {
+	loaded := runJSON(t, append([]string{"-index", fresh.Published.Path}, query...)...)
+	fresh.Published = nil
+	if !reflect.DeepEqual(loaded, fresh) || fresh.N != 4039 || fresh.M == 0 || len(fresh.Matches) != 5 {
 		t.Fatalf("-index answers %+v, the fresh engine answered %+v", loaded, fresh)
 	}
 
 	var buf bytes.Buffer
-	if err := runArgs(&buf, append(graph, "-saveindex", dir)...); err != nil {
+	if err := runArgs(&buf, "-graph", writeTestGraph(t), "-n", "6", "-q", "1", "-saveindex", dir); err != nil {
 		t.Fatal(err)
 	}
-	if want := "published: " + filepath.Join(dir, "index-00000003.csrx") + " (generation 3)"; !strings.Contains(buf.String(), want) {
+	if want := "published: " + filepath.Join(dir, "index-00000002.csrx") + " (generation 2)"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("table output lacks %q:\n%s", want, buf.String())
 	}
 }
 
-// TestModeTable: -index refuses the flags only a precompute reads, naming
-// them, instead of silently serving the loaded index; each mode accepts
-// its whole row; and the table and the flag set describe each other
-// exactly.
+// TestModeTable: -index refuses the flags only a precompute reads — the
+// graph's, the algorithm's and -saveindex — naming them, instead of
+// silently serving the loaded index; each mode accepts its whole row; and
+// the table and the flag set describe each other exactly.
 func TestModeTable(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -173,6 +172,11 @@ func TestModeTable(t *testing.T) {
 		{[]string{"-index", "F", "-algo", "CSR-IT"}, "-algo"},
 		{[]string{"-index", "F", "-r", "9"}, "-r"},
 		{[]string{"-index", "F", "-c", "0.3"}, "-c"},
+		{[]string{"-index", "F", "-dataset", "FB"}, "-dataset"},
+		{[]string{"-index", "F", "-dscale", "2"}, "-dscale"},
+		{[]string{"-index", "F", "-graph", "g"}, "-graph"},
+		{[]string{"-index", "F", "-n", "6"}, "-n"},
+		{[]string{"-index", "F", "-saveindex", "d"}, "-saveindex"},
 		{[]string{"-dataset", "FB", "-q", "1", "-index", "F", "-algo", "CSR-IT", "-r", "9", "-c", "0.3"}, "-algo"},
 	} {
 		err := runArgs(io.Discard, tc.args...)
@@ -180,13 +184,13 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("%v: err = %v, want a refusal naming %s and the mode it applies to", tc.args, err, tc.flag)
 		}
 	}
-	// Each row whole gets past the table, to the graph the flags name.
-	for _, args := range [][]string{
-		{"-dataset", "FB", "-dscale", "2", "-graph", "g", "-n", "6", "-q", "1", "-k", "3", "-json", "-saveindex", "d", "-algo", "CSR-IT", "-r", "9", "-c", "0.3"},
-		{"-dataset", "FB", "-dscale", "2", "-graph", "g", "-n", "6", "-q", "1", "-k", "3", "-json", "-saveindex", "d", "-index", "F"},
+	// Each row whole gets past the table, to the input the flags name.
+	for want, args := range map[string][]string{
+		"either -dataset or -graph": {"-dataset", "FB", "-dscale", "2", "-graph", "g", "-n", "6", "-q", "1", "-k", "3", "-json", "-saveindex", "d", "-algo", "CSR-IT", "-r", "9", "-c", "0.3"},
+		"open F":                    {"-index", "F", "-q", "1", "-k", "3", "-json"},
 	} {
-		if err := runArgs(io.Discard, args...); err == nil || !strings.Contains(err.Error(), "either -dataset or -graph") {
-			t.Errorf("%v: err = %v, want the graph flags' refusal", args, err)
+		if err := runArgs(io.Discard, args...); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %v, want %q", args, err, want)
 		}
 	}
 

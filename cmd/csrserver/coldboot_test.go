@@ -162,8 +162,8 @@ func TestColdBootServesWhatItPublished(t *testing.T) {
 
 // loaderKeepsNoGraph: the graph lives for the boot call that reads it.
 // wholeIndex outlives the boot as the reload loader, so it may hold no graph
-// — no field of a graph type at all — and what it remembers of the one it
-// read is the edge count.
+// — no field of a graph type at all — and the edge count the boot reports is
+// the one its index carries.
 func loaderKeepsNoGraph(t *testing.T) {
 	for _, args := range [][]string{
 		{"-snapshots", t.TempDir()},
@@ -183,8 +183,8 @@ func loaderKeepsNoGraph(t *testing.T) {
 		if src.ing != nil {
 			src.ing.Close()
 		}
-		if w.m != 11 || src.graphLoad <= 0 {
-			t.Fatalf("%v: edge count %d and graph clock %v after a boot that read the graph, want 11 and > 0", args, w.m, src.graphLoad)
+		if m := src.boot.Meta.M; m != 11 || src.graphLoad <= 0 {
+			t.Fatalf("%v: edge count %d and graph clock %v after a boot that read the graph, want 11 and > 0", args, m, src.graphLoad)
 		}
 		graphs := []reflect.Type{reflect.TypeOf(&csrplus.Graph{}), reflect.TypeOf(&graph.Graph{})}
 		v := reflect.ValueOf(w).Elem()

@@ -15,11 +15,12 @@ import (
 // TestSnapshotBootSkipsGraph holds a boot that finds its index on disk to
 // not reading the graph: with the -graph file overwritten by bytes the
 // edge-list reader rejects, the same flags still boot, serve the bodies the
-// cold boot served and report m = 0; the file is read — and its parse error
-// surfaces — only once nothing on disk can serve, off the serving path when
-// that is a reload; and a snapshot for another node count is refused at boot
-// with the file still unread. A router over three workers names no graph at
-// all: it serves the same bodies with m = 0.
+// cold boot served and report the m the snapshot's header carries; the file
+// is read — and its parse error surfaces — only once nothing on disk can
+// serve, off the serving path when that is a reload; and a snapshot for
+// another node count is refused at boot with the file still unread. A router
+// over three workers names no graph at all, and its shard files carry none:
+// it serves the same bodies with m = 0.
 func TestSnapshotBootSkipsGraph(t *testing.T) {
 	const poison = "3 0\n0 potato\n"
 	requests := []string{"/topk?node=1&k=4", "/topk?nodes=1,3,3&k=3", "/similarity?nodes=0,5&targets=1,2,5"}
@@ -68,11 +69,11 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 	if err := os.WriteFile(graphPath, []byte(poison), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	skipped := func(t *testing.T, s *server) {
+	skipped := func(t *testing.T, s *server, m string) {
 		t.Helper()
 		same(t, "boot over the poisoned graph file", bodies(t, s), want)
-		if code, stats := do(t, s, http.MethodGet, "/stats"); code != http.StatusOK || !strings.Contains(stats, `"m":0,`) {
-			t.Fatalf("/stats of a boot that skipped the graph: HTTP %d %s, want m = 0", code, stats)
+		if code, stats := do(t, s, http.MethodGet, "/stats"); code != http.StatusOK || !strings.Contains(stats, `"m":`+m+`,`) {
+			t.Fatalf("/stats of a boot that skipped the graph: HTTP %d %s, want m = %s", code, stats, m)
 		}
 	}
 
@@ -86,12 +87,12 @@ func TestSnapshotBootSkipsGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ix.Close()
-		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil)))
+		skipped(t, bootFlags(t, "-shardaddrs", wireWorkers(t, publishShards(t, ix, 3), 3, nil)), "0")
 	})
 
 	t.Run("shards=1", func(t *testing.T) {
 		warm := bootFlags(t, args("6")...)
-		skipped(t, warm)
+		skipped(t, warm, "11")
 
 		// A snapshot for another node count is refused from the flags alone.
 		cfg, err := parse(args("7")...)

@@ -211,32 +211,17 @@ func openIndex(ctx context.Context, w *wholeIndex) (*source, error) {
 type wholeIndex struct {
 	cfg *config
 	ing *ingest.Service // set by openIndex once the boot index exists
-
-	// m is the edge count of the graph as last read, 0 until it has been: a
-	// boot that skipped it reports m = 0, as a router always has.
-	m int64
 }
 
 // readGraph reads or generates the graph the flags name and clocks it. The
-// graph is the caller's for the one call that needs it; only its edge count
-// is remembered.
+// graph is the caller's for the one call that needs it.
 func (w *wholeIndex) readGraph() (*csrplus.Graph, time.Duration, error) {
 	start := time.Now()
 	g, err := loadGraph(w.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	w.m = g.M()
 	return g, time.Since(start), nil
-}
-
-// shape renders what is known of the graph for the log lines: n from the
-// flags, m once the graph has been read.
-func (w *wholeIndex) shape() string {
-	if w.m == 0 {
-		return fmt.Sprintf("n=%d", w.cfg.n)
-	}
-	return fmt.Sprintf("n=%d m=%d", w.cfg.n, w.m)
 }
 
 // load is the reload.LoadFunc of a whole-index source.
@@ -315,7 +300,7 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 		if err != nil {
 			return err
 		}
-		b.ix, b.meta.M, b.meta.PeakBytes = coreIndex(eng), g.M(), eng.Stats().PeakBytes
+		b.ix, b.meta.PeakBytes = coreIndex(eng), eng.Stats().PeakBytes
 		return nil
 	}
 	switch {
@@ -336,14 +321,14 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 		}
 		b.drift = w.ing.DriftFrom(d0)
 	case cfg.snapDir != "" && snapshotAvailable(cfg.snapDir):
-		log.Printf("loading snapshot directory %s over %s ...", cfg.snapDir, w.shape())
+		log.Printf("loading snapshot directory %s ...", cfg.snapDir)
 		var snap core.Snapshot
 		var recovered bool
 		b.ix, snap, recovered, err = core.RecoverSnapshot(cfg.snapDir)
 		if recovered {
 			log.Printf("WARNING: skipped a newer snapshot generation (%v), recovered to generation %d (%s) — investigate and re-publish", snap.Skipped, snap.Gen, snap.Path)
 		}
-		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered, M: w.m}
+		b.meta = reload.Meta{Source: "snapshot", Path: snap.Path, SnapshotGen: snap.Gen, Recovered: recovered}
 	case cfg.n == 0:
 		return nil, fmt.Errorf("no generation in -snapshots %s to serve, and no -dataset or -graph to build one from", cfg.snapDir)
 	default:
@@ -377,7 +362,10 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 		}
 		clocks = append(clocks, published)
 	}
-	b.meta.Clocks = strings.Join(clocks, " ")
+	// m is what the returned index carries, so a snapshot boot reports it
+	// without reading the graph.
+	carried, _ := b.ix.Graph()
+	b.meta.M, b.meta.Clocks = carried.M, strings.Join(clocks, " ")
 	return b, nil
 }
 

@@ -222,7 +222,7 @@ type Stats struct {
 // scratch, so an Engine is safe for concurrent Query/TopK calls.
 type Engine struct {
 	n       int
-	m       int64 // 0 when the engine was loaded without its graph
+	m       int64
 	runner  baseline.Runner
 	tracker *memtrack.Tracker
 	algo    string
@@ -385,10 +385,10 @@ func (e *Engine) SaveSnapshotTier(dir, tier string) (gen uint64, path string, er
 }
 
 // LoadEngine builds a query-ready CSR+ engine from an index file
-// previously published by SaveSnapshot. The graph is only consulted for
-// Stats (it must be the one the index was built from; a node-count
-// mismatch is rejected) and may be nil: Stats then reports the index's
-// node count and M = 0.
+// previously published by SaveSnapshot. The file carries the graph it was
+// built over, so Stats reports its n and m and no graph is needed; g is an
+// optional check, nil to skip it, that the index was built for g's node
+// count.
 func LoadEngine(g *Graph, path string) (*Engine, error) {
 	ix, err := core.LoadIndex(path)
 	if err != nil {
@@ -398,21 +398,18 @@ func LoadEngine(g *Graph, path string) (*Engine, error) {
 }
 
 func engineFromIndex(g *Graph, ix *core.Index) (*Engine, error) {
-	var m int64
-	if g != nil && g.g != nil {
-		if ix.N() != g.N() {
-			_ = ix.Close()
-			return nil, fmt.Errorf("csrplus: index built for %d nodes, graph has %d", ix.N(), g.N())
-		}
-		m = g.M()
+	if g != nil && g.g != nil && ix.N() != g.N() {
+		_ = ix.Close()
+		return nil, fmt.Errorf("csrplus: index built for %d nodes, graph has %d", ix.N(), g.N())
 	}
+	carried, _ := ix.Graph()
 	tracker := memtrack.New()
 	runner := baseline.CSRPlusFromIndex(ix, baseline.Config{
 		Damping: ix.Damping(),
 		Rank:    ix.Rank(),
 		Tracker: tracker,
 	})
-	return &Engine{n: ix.N(), m: m, runner: runner, tracker: tracker, algo: AlgoCSRPlus}, nil
+	return &Engine{n: ix.N(), m: carried.M, runner: runner, tracker: tracker, algo: AlgoCSRPlus}, nil
 }
 
 // RecoveredSnapshot describes the snapshot RecoverEngine actually served.
@@ -429,8 +426,8 @@ type RecoveredSnapshot struct {
 // RecoverEngine is LoadEngine over a versioned snapshot directory with
 // crash recovery: it serves the newest generation that loads, walking down
 // past truncated or corrupt ones (a partial copy, bit rot). See
-// core.RecoverSnapshot for the exact fallback order. Like LoadEngine's,
-// the graph may be nil.
+// core.RecoverSnapshot for the exact fallback order. As with LoadEngine,
+// g is an optional node-count check.
 func RecoverEngine(g *Graph, dir string) (*Engine, RecoveredSnapshot, error) {
 	ix, snap, recovered, err := core.RecoverSnapshot(dir)
 	if err != nil {

@@ -392,8 +392,8 @@ func TestLoadEngineNodeCountMismatch(t *testing.T) {
 }
 
 // An index can be served without the graph it was built from: the loaded
-// engine answers like the one that built it and reports the index's node
-// count with m = 0.
+// engine answers like the one that built it and reports the n and m its
+// file carries.
 func TestLoadEngineWithoutGraph(t *testing.T) {
 	g := paperGraph(t)
 	eng, err := NewEngine(g, Options{Rank: 3})
@@ -420,8 +420,8 @@ func TestLoadEngineWithoutGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, back := range map[string]*Engine{"LoadEngine": loaded, "RecoverEngine": recovered} {
-		if st := back.Stats(); st.N != g.N() || st.M != 0 || st.Rank != 3 {
-			t.Fatalf("%s(nil, ...).Stats() = %+v, want n = %d, m = 0, rank 3", name, st, g.N())
+		if st := back.Stats(); st.N != g.N() || st.M != 11 || st.Rank != 3 {
+			t.Fatalf("%s(nil, ...).Stats() = %+v, want n = %d, m = 11, rank 3", name, st, g.N())
 		}
 		got, err := back.TopKMulti([]int{1, 4}, 3)
 		if err != nil || !slices.Equal(got, want) {

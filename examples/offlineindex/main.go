@@ -1,8 +1,8 @@
 // Offline/online split — deploying CSR+ the way its two-phase design
 // intends: phase I (SVD + subspace solve) runs once, offline; the
 // resulting index is published into a snapshot directory; query serving
-// loads the published file in milliseconds and never touches the
-// expensive path again.
+// loads the published file in milliseconds, needs no graph — the file
+// carries its n and m — and never touches the expensive path again.
 //
 //	go run ./examples/offlineindex
 package main
@@ -46,9 +46,9 @@ func main() {
 	fmt.Printf("offline: graph n=%d m=%d, precompute %v, published %s (generation %d, %d KiB)\n",
 		g.N(), g.M(), precompute.Round(time.Millisecond), filepath.Base(indexPath), gen, info.Size()/1024)
 
-	// --- Online: load and serve. ---
+	// --- Online: load and serve, from the published file alone. ---
 	start = time.Now()
-	server, err := csrplus.LoadEngine(g, indexPath)
+	server, err := csrplus.LoadEngine(nil, indexPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,8 +61,12 @@ func main() {
 		log.Fatal(err)
 	}
 	query := time.Since(start)
-	fmt.Printf("online:  index load %v, |Q|=%d multi-source query %v\n",
-		load.Round(time.Microsecond), len(queries), query.Round(time.Microsecond))
+	st := server.Stats()
+	if st.N != g.N() || st.M != g.M() {
+		log.Fatalf("loaded index reports n=%d m=%d, the graph has n=%d m=%d", st.N, st.M, g.N(), g.M())
+	}
+	fmt.Printf("online:  graph n=%d m=%d, index load %v, |Q|=%d multi-source query %v\n",
+		st.N, st.M, load.Round(time.Microsecond), len(queries), query.Round(time.Microsecond))
 
 	// Answers from the loaded index must match the freshly built engine.
 	fresh, err := eng.Query(queries)

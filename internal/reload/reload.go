@@ -99,7 +99,8 @@ type Meta struct {
 	// failed to load — recovery fell back to an older one and the
 	// operator should investigate (core.RecoverSnapshot).
 	Recovered bool `json:"recovered,omitempty"`
-	// Algorithm, N, M, Rank describe the engine (csrplus.Engine.Stats).
+	// Algorithm, N, M, Rank describe the engine (csrplus.Engine.Stats); M is
+	// the edge count its index carries, 0 for a router (shard files carry none).
 	Algorithm string `json:"algorithm"`
 	N         int    `json:"n"`
 	M         int64  `json:"m"`
