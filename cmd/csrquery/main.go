@@ -128,8 +128,13 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 			Published *published      `json:"published,omitempty"`
 		}{st.Algorithm, st.N, st.M, queries, matches, pub})
 	}
-	fmt.Fprintf(out, "graph: n=%d m=%d | algorithm: %s | precompute: %v\n",
-		st.N, st.M, st.Algorithm, st.PrecomputeTime.Round(1000))
+	// A loaded index ran no precompute here: say where it came from instead
+	// of timing a build that did not happen.
+	origin := fmt.Sprintf("precompute: %v", st.PrecomputeTime.Round(1000))
+	if mode == modeIndex {
+		origin = "index: loaded from " + *indexPath
+	}
+	fmt.Fprintf(out, "graph: n=%d m=%d | algorithm: %s | %s\n", st.N, st.M, st.Algorithm, origin)
 	if pub != nil {
 		fmt.Fprintf(out, "published: %s (generation %d)\n", pub.Path, pub.Gen)
 	}

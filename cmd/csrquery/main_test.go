@@ -160,6 +160,29 @@ func TestRunIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunIndexTableSaysLoaded: the table header of an -index run says the
+// index was loaded from the file, not that a precompute took 0s; a run that
+// builds still times its precompute.
+func TestRunIndexTableSaysLoaded(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snaps")
+	var built bytes.Buffer
+	if err := runArgs(&built, "-graph", writeTestGraph(t), "-n", "6", "-q", "1", "-saveindex", dir); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(built.String(), "| precompute: ") {
+		t.Fatalf("a build's table does not time its precompute:\n%s", built.String())
+	}
+	path := filepath.Join(dir, "index-00000001.csrx")
+	var loaded bytes.Buffer
+	if err := runArgs(&loaded, "-index", path, "-q", "1"); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(loaded.String(), "\n")
+	if want := "| index: loaded from " + path; !strings.HasSuffix(header, want) || strings.Contains(header, "precompute") {
+		t.Fatalf("-index table header %q, want it to end %q and time no precompute", header, want)
+	}
+}
+
 // TestModeTable: -index refuses the flags only a precompute reads — the
 // graph's, the algorithm's and -saveindex — naming them, instead of
 // silently serving the loaded index; each mode accepts its whole row; and

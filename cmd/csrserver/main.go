@@ -101,6 +101,7 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/simd"
 	"csrplus/internal/wire"
 )
 
@@ -176,8 +177,10 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	// set-up time as a caller polling /readyz sees it, less exec and flags.
 	// validate= is the boot generation's smoke test, the last thing before
 	// ready; the source's own clocks come before it.
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t peak %d bytes VmHWM %d bytes) graph=%v%s validate=%v", time.Since(start),
-		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta), clockSince(validateStart))
+	// kernels= is the tier of register tiles the CPU check chose for the
+	// dense and sparse kernels (simd.Detected): what the precompute ran on.
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t kernels=%v peak %d bytes VmHWM %d bytes) graph=%v%s validate=%v", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), simd.Detected(), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta), clockSince(validateStart))
 
 	sv := serve.NewRanked(src.boot.Ranked, cfg.serve)
 	sv.Metrics().SetShards(shards)
@@ -370,6 +373,7 @@ func (s *server) mux() *http.ServeMux {
 			"shards":             shards,
 			"serving":            sv.Metrics().Snapshot(),
 			"reload_breaker":     man.Breaker(),
+			"kernels":            simd.Detected().String(),
 		}
 		if svc != nil {
 			body["ingest"] = svc.Stats()

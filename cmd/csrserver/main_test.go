@@ -29,6 +29,7 @@ import (
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
+	"csrplus/internal/simd"
 	"csrplus/internal/topk"
 	"csrplus/internal/wire"
 )
@@ -1221,5 +1222,24 @@ func TestModeTable(t *testing.T) {
 				t.Errorf("mode table names -%s, which is not a flag", name)
 			}
 		}
+	}
+}
+
+// TestKernelTierReported: the ready line names, inside its parenthesis, the
+// tier of register tiles the CPU check chose, and /stats carries the same
+// name — what the boot's precompute ran on.
+func TestKernelTierReported(t *testing.T) {
+	logs := captureLog(t)
+	srv := serveStack(t, bootArgs(t))
+	want := simd.Detected().String()
+	ready := regexp.MustCompile(`ready in \S+ \(.* mapped=\w+ kernels=(\w+) peak \d+ bytes VmHWM \d+ bytes\) graph=`).FindStringSubmatch(logs.String())
+	if ready == nil {
+		t.Fatalf("no ready line naming the kernel tier in:\n%s", logs)
+	}
+	if ready[1] != want {
+		t.Fatalf("ready line says kernels=%s, the CPU check chose %s", ready[1], want)
+	}
+	if _, body := get(t, srv, "/stats"); body["kernels"] != want {
+		t.Fatalf("/stats kernels=%v, want %s", body["kernels"], want)
 	}
 }

@@ -9,18 +9,8 @@ import (
 	"csrplus/internal/dense"
 	"csrplus/internal/dense/reftest"
 	"csrplus/internal/par"
+	"csrplus/internal/simd"
 )
-
-// kernelPaths enumerates the kernel implementations compiled into this
-// build: the default path and, when the assembly micro-kernels exist,
-// the forced pure-Go path. Each differential test runs under every
-// path, so both implementations are held to the references bit for bit.
-func kernelPaths() []bool {
-	if dense.DotAsmAvailable {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
 
 // specials cycled into test matrices so every kernel path crosses NaN,
 // infinities, signed zero and subnormals, not just round numbers.
@@ -47,19 +37,19 @@ var tileSizes = []int{0, 1, 3, 4, 5, 11}
 
 // TestTiledKernelsMatchReferenceAllShapes sweeps the full m×n×k grid of
 // tile-boundary shapes with IEEE-special-laden inputs and holds Mul,
-// MulT and TMul bitwise to their frozen references, on every compiled
-// kernel path. Shapes are far below the parallel threshold, so this
+// MulT and TMul bitwise to their frozen references, at every kernel
+// tier the CPU runs (simd.Tiers). Shapes are far below the parallel threshold, so this
 // pins the serial micro-kernels and their edge cases.
 func TestTiledKernelsMatchReferenceAllShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, generic := range kernelPaths() {
-		prev := dense.SetGenericKernels(generic)
+	for _, tier := range simd.Tiers() {
+		prev := dense.SetKernelTier(tier)
 		for _, m := range tileSizes {
 			for _, n := range tileSizes {
 				for _, k := range tileSizes {
 					a := ieeeMat(rng, m, k)
 					b := ieeeMat(rng, n, k)
-					tag := fmt.Sprintf("generic=%v m=%d n=%d k=%d", generic, m, n, k)
+					tag := fmt.Sprintf("tier=%v m=%d n=%d k=%d", tier, m, n, k)
 					bitEq(t, "MulT "+tag, dense.MulT(a, b), reftest.MulT(a, b))
 					c := ieeeMat(rng, k, n)
 					bitEq(t, "Mul "+tag, dense.Mul(a, c), reftest.Mul(a, c))
@@ -68,7 +58,7 @@ func TestTiledKernelsMatchReferenceAllShapes(t *testing.T) {
 				}
 			}
 		}
-		dense.SetGenericKernels(prev)
+		dense.SetKernelTier(prev)
 	}
 }
 
@@ -78,8 +68,8 @@ func TestTiledKernelsMatchReferenceAllShapes(t *testing.T) {
 // overwritten, comparing bitwise against reftest.MulTRank.
 func TestMulTRankIntoRankPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, generic := range kernelPaths() {
-		prev := dense.SetGenericKernels(generic)
+	for _, tier := range simd.Tiers() {
+		prev := dense.SetKernelTier(tier)
 		for _, cols := range []int{1, 4, 5, 11} {
 			a, b := ieeeMat(rng, 11, cols), ieeeMat(rng, 7, cols)
 			ranks := []int{0, 1, cols - 1, cols, cols + 3}
@@ -93,10 +83,10 @@ func TestMulTRankIntoRankPoints(t *testing.T) {
 					t.Fatalf("rank=%d: scratch not reused", rank)
 				}
 				want := reftest.MulTRank(a, b, min(rank, cols))
-				bitEq(t, fmt.Sprintf("MulTRankInto generic=%v cols=%d rank=%d", generic, cols, rank), got, want)
+				bitEq(t, fmt.Sprintf("MulTRankInto tier=%v cols=%d rank=%d", tier, cols, rank), got, want)
 			}
 		}
-		dense.SetGenericKernels(prev)
+		dense.SetKernelTier(prev)
 	}
 
 	defer func() {
@@ -116,21 +106,21 @@ func TestZeroTimesNaNPropagatesInProductionKernels(t *testing.T) {
 	zrow := dense.NewMatFrom(1, 2, []float64{0, 0})
 	poison := dense.NewMatFrom(1, 2, []float64{math.NaN(), 1})
 	infRow := dense.NewMatFrom(1, 2, []float64{math.Inf(1), 1})
-	for _, generic := range kernelPaths() {
-		prev := dense.SetGenericKernels(generic)
+	for _, tier := range simd.Tiers() {
+		prev := dense.SetKernelTier(tier)
 		if got := dense.MulT(zrow, poison).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("generic=%v: MulT dropped 0·NaN, got %v", generic, got)
+			t.Errorf("tier=%v: MulT dropped 0·NaN, got %v", tier, got)
 		}
 		if got := dense.MulT(zrow, infRow).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("generic=%v: MulT dropped 0·Inf, got %v", generic, got)
+			t.Errorf("tier=%v: MulT dropped 0·Inf, got %v", tier, got)
 		}
 		if got := dense.Mul(zrow, poison.T()).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("generic=%v: Mul dropped 0·NaN, got %v", generic, got)
+			t.Errorf("tier=%v: Mul dropped 0·NaN, got %v", tier, got)
 		}
 		if got := dense.TMul(zrow.T(), poison.T()).At(0, 0); !math.IsNaN(got) {
-			t.Errorf("generic=%v: TMul dropped 0·NaN, got %v", generic, got)
+			t.Errorf("tier=%v: TMul dropped 0·NaN, got %v", tier, got)
 		}
-		dense.SetGenericKernels(prev)
+		dense.SetKernelTier(prev)
 	}
 }
 
@@ -150,17 +140,17 @@ func TestKernelsWorkerSweepBitwiseVsReference(t *testing.T) {
 	wantMul := reftest.Mul(x, y)
 	g, h := randMat(rng, 70001, 15), randMat(rng, 70001, 13)
 	wantTMul := reftest.TMulChunked(g, h, dense.TMulChunkFor(g, h))
-	for _, generic := range kernelPaths() {
-		prevG := dense.SetGenericKernels(generic)
+	for _, tier := range simd.Tiers() {
+		prevG := dense.SetKernelTier(tier)
 		for _, w := range []int{1, 2, 3, 7} {
 			prev := par.SetMaxWorkers(w)
-			tag := fmt.Sprintf("generic=%v workers=%d", generic, w)
+			tag := fmt.Sprintf("tier=%v workers=%d", tier, w)
 			bitEq(t, "MulT "+tag, dense.MulT(a, b), wantMulT)
 			bitEq(t, "Mul "+tag, dense.Mul(x, y), wantMul)
 			bitEq(t, "TMul "+tag, dense.TMul(g, h), wantTMul)
 			par.SetMaxWorkers(prev)
 		}
-		dense.SetGenericKernels(prevG)
+		dense.SetKernelTier(prevG)
 	}
 }
 
@@ -179,8 +169,8 @@ func TestTriangularKernelsMatchReference(t *testing.T) {
 		}
 		return m
 	}
-	for _, generic := range kernelPaths() {
-		prev := dense.SetGenericKernels(generic)
+	for _, tier := range simd.Tiers() {
+		prev := dense.SetKernelTier(tier)
 		for _, k := range []int{1, 2, 3, 4, 5, 11, 24, 58, 130} {
 			b := finite(k, k)
 			for i := 0; i < k; i++ {
@@ -190,39 +180,35 @@ func TestTriangularKernelsMatchReference(t *testing.T) {
 			}
 			for _, rows := range []int{0, 1, 3, 4, 5, 11, 300} {
 				a := finite(rows, k)
-				bitEq(t, fmt.Sprintf("MulTLower generic=%v %dx%d", generic, rows, k), dense.MulTLower(a, b), reftest.MulT(a, b))
+				bitEq(t, fmt.Sprintf("MulTLower tier=%v %dx%d", tier, rows, k), dense.MulTLower(a, b), reftest.MulT(a, b))
 			}
 		}
 		for _, sh := range [][2]int{{11, 5}, {300, 24}, {70001, 15}} {
 			a := finite(sh[0], sh[1])
-			bitEq(t, fmt.Sprintf("Gram generic=%v %dx%d", generic, sh[0], sh[1]), dense.Gram(a), dense.TMul(a, a))
+			bitEq(t, fmt.Sprintf("Gram tier=%v %dx%d", tier, sh[0], sh[1]), dense.Gram(a), dense.TMul(a, a))
 		}
-		dense.SetGenericKernels(prev)
+		dense.SetKernelTier(prev)
 	}
 }
 
-// TestAsmAndGenericKernelsAgree pins the two compiled implementations
-// against each other directly on panel-crossing shapes (a stronger
-// statement than each-vs-reference when the reference shapes are
-// smaller). Skipped on builds with a single implementation.
+// TestAsmAndGenericKernelsAgree pins each assembly tier against the
+// pure-Go tiles directly on panel-crossing shapes (a stronger statement
+// than each-vs-reference when the reference shapes are smaller). Skipped
+// where the pure-Go tiles are the only tier.
 func TestAsmAndGenericKernelsAgree(t *testing.T) {
-	if !dense.DotAsmAvailable {
+	tiers := simd.Tiers()
+	if len(tiers) == 1 {
 		t.Skip("single kernel implementation in this build")
 	}
 	rng := rand.New(rand.NewSource(73))
 	a, b := ieeeMat(rng, 137, 261), ieeeMat(rng, 131, 261)
-	prev := dense.SetGenericKernels(false)
-	asm := dense.MulT(a, b)
-	dense.SetGenericKernels(true)
-	gen := dense.MulT(a, b)
-	dense.SetGenericKernels(prev)
-	bitEq(t, "asm MulT vs generic MulT", asm, gen)
-
 	g, h := ieeeMat(rng, 4099, 9), ieeeMat(rng, 4099, 6)
-	dense.SetGenericKernels(false)
-	asmT := dense.TMul(g, h)
-	dense.SetGenericKernels(true)
-	genT := dense.TMul(g, h)
-	dense.SetGenericKernels(prev)
-	bitEq(t, "asm TMul vs generic TMul", asmT, genT)
+	prev := dense.SetKernelTier(simd.Go)
+	gen, genT := dense.MulT(a, b), dense.TMul(g, h)
+	for _, tier := range tiers[1:] {
+		dense.SetKernelTier(tier)
+		bitEq(t, fmt.Sprintf("%v MulT vs generic MulT", tier), dense.MulT(a, b), gen)
+		bitEq(t, fmt.Sprintf("%v TMul vs generic TMul", tier), dense.TMul(g, h), genT)
+	}
+	dense.SetKernelTier(prev)
 }

@@ -1,10 +1,5 @@
 package dense
 
-// dotAsmAvailable gates the SSE2 packed micro-kernel in dot_amd64.s.
-// SSE2 is the amd64 baseline (GOAMD64=v1), so no runtime feature
-// detection is needed; every amd64 build may use it.
-const dotAsmAvailable = true
-
 // dotKernel4x2 accumulates the 4×2 output tile {o0, o1, o2, o3}[0:2]
 // from four a rows of length k and a packed b pair bp (k interleaved
 // [b0[t], b1[t]] couples, as laid out by packBPairs). acc != 0 loads the
@@ -18,6 +13,14 @@ const dotAsmAvailable = true
 //go:noescape
 func dotKernel4x2(o0, o1, o2, o3, a0, a1, a2, a3, bp *float64, k, acc int64)
 
+// dotKernel4x8 is dotKernel4x2 on AVX2: the 4×8 tile {o0..o3}[0:8] against
+// a packed b octet bp (k groups [b0[t] … b7[t]], as laid out by
+// packBOctets), each YMM lane one output column. Bitwise-identical to
+// eight dotTile4x1 columns. Call only at tier AVX2.
+//
+//go:noescape
+func dotKernel4x8(o0, o1, o2, o3, a0, a1, a2, a3, bp *float64, k, acc int64)
+
 // tmulKernel4x2 accumulates the 4×2 tile {d0..d3}[0:2] of aᵀ·b over k
 // steps, reading a at astride-spaced scalars from a0 (column i, rows
 // ascending) and b as contiguous [j, j+1] pairs at bstride-spaced rows.
@@ -26,3 +29,9 @@ func dotKernel4x2(o0, o1, o2, o3, a0, a1, a2, a3, bp *float64, k, acc int64)
 //
 //go:noescape
 func tmulKernel4x2(d0, d1, d2, d3, a0, b0 *float64, astride, bstride, k int64)
+
+// tmulKernel4x8 is tmulKernel4x2 on AVX2, over b's contiguous [j, j+8)
+// octet: the 4×8 tile {d0..d3}[0:8]. Call only at tier AVX2.
+//
+//go:noescape
+func tmulKernel4x8(d0, d1, d2, d3, a0, b0 *float64, astride, bstride, k int64)

@@ -1,17 +1,24 @@
 package dense
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// dotAsmDisabled lets tests force the pure-Go micro-kernels on builds
-// that carry the assembly ones, so the two implementations can be
-// differentially compared bit for bit (see SetGenericKernels in
-// export_test.go). Atomic because kernels run inside par workers while
-// a test may flip the flag between cases.
-var dotAsmDisabled atomic.Bool
+	"csrplus/internal/simd"
+)
 
-// useDotAsm reports whether the packed SSE2 micro-kernels should be
-// used: compiled in (amd64) and not disabled by a test.
-func useDotAsm() bool { return dotAsmAvailable && !dotAsmDisabled.Load() }
+// kernelTier is the tier the GEMMs dispatch on: simd.Detected unless a test
+// lowers it (SetKernelTier in export_test.go) to hold every tier to the
+// same references bit for bit. Atomic because kernels run inside par
+// workers while a test may switch tiers between cases.
+var kernelTier atomic.Uint32
+
+func init() { kernelTier.Store(uint32(simd.Detected())) }
+
+func tier() simd.Tier { return simd.Tier(kernelTier.Load()) }
+
+// useDotAsm reports whether the packed assembly micro-kernels should be
+// used: SSE2 pairs, and AVX2 octets beside them at the top tier.
+func useDotAsm() bool { return tier() >= simd.SSE2 }
 
 // packBPairs interleaves `pairs` couples of adjacent b rows, restricted
 // to k ∈ [klo, khi), into dst: couple p (rows jlo+2p, jlo+2p+1)
@@ -34,13 +41,31 @@ func packBPairs(dst []float64, b *Mat, jlo, pairs, klo, khi int) {
 	}
 }
 
+// packBOctets is packBPairs for dotKernel4x8: octet p (rows jlo+8p …
+// jlo+8p+7) occupies dst[p·8·kk : (p+1)·8·kk] as kk groups [b0[t] … b7[t]].
+func packBOctets(dst []float64, b *Mat, jlo, octets, klo, khi int) {
+	bn := b.Cols
+	kk := khi - klo
+	for p := 0; p < octets; p++ {
+		out := dst[p*8*kk : (p+1)*8*kk]
+		for c := 0; c < 8; c++ {
+			j := jlo + 8*p + c
+			for t, v := range b.Data[j*bn+klo : j*bn+khi] {
+				out[8*t+c] = v
+			}
+		}
+	}
+}
+
 // mulTDotAsm is mulTDot's amd64 body: the same MC×NC×KC panelling, but
-// the full 4×2 tiles run the packed SSE2 micro-kernel. The j and k
-// panel loops are hoisted outside the i sweep so each packed b panel is
-// built once and reused by every row band; for an output element the k
-// panels still arrive in ascending order with exact accumulator spills
-// into out, so per-element accumulation order — and hence every bit —
-// matches the pure-Go path and the reference. lower is mulTDotLower's.
+// the full tiles run the packed micro-kernels — at tier AVX2 every full
+// block of eight output columns takes dotKernel4x8, and the columns left
+// over take dotKernel4x2 pairs, then the Go 4×1 edge. The j and k panel
+// loops are hoisted outside the i sweep so each packed b panel is built
+// once and reused by every row band; for an output element the k panels
+// still arrive in ascending order with exact accumulator spills into out,
+// so per-element accumulation order — and hence every bit — matches the
+// pure-Go path and the reference. lower is mulTDotLower's.
 func mulTDotAsm(out, a, b *Mat, rank, lo, hi int, lower bool) {
 	m := b.Rows
 	fast := rank <= kcPanel && m <= ncPanel
@@ -52,17 +77,22 @@ func mulTDotAsm(out, a, b *Mat, rank, lo, hi int, lower bool) {
 			}
 		}
 	}
-	// Serving shapes (|Q| pairs × rank ≤ 64) pack into a few KiB; keep
+	wide := tier() >= simd.AVX2
+	// Serving shapes (|Q| columns × rank ≤ 64) pack into a few KiB; keep
 	// that on the stack so the query hot path stays allocation-free.
 	var stack [4096]float64
 	var pack []float64
 	for jlo := 0; jlo < m; jlo += ncPanel {
 		jhi := min(jlo+ncPanel, m)
-		pairs := (jhi - jlo) / 2
+		octets := 0
+		if wide {
+			octets = (jhi - jlo) / 8
+		}
+		pairs := (jhi - jlo - 8*octets) / 2
 		for klo := 0; klo < rank; klo += kcPanel {
 			khi := min(klo+kcPanel, rank)
 			kk := khi - klo
-			need := pairs * 2 * kk
+			need := (8*octets + 2*pairs) * kk
 			switch {
 			case need <= len(stack):
 				pack = stack[:need]
@@ -71,28 +101,38 @@ func mulTDotAsm(out, a, b *Mat, rank, lo, hi int, lower bool) {
 			default:
 				pack = make([]float64, need)
 			}
-			packBPairs(pack, b, jlo, pairs, klo, khi)
+			packBOctets(pack, b, jlo, octets, klo, khi)
+			packBPairs(pack[8*octets*kk:], b, jlo+8*octets, pairs, klo, khi)
 			for ilo := lo; ilo < hi; ilo += mcPanel {
 				ihi := min(ilo+mcPanel, hi)
-				mulTBlockAsm(out, a, b, pack, ilo, ihi, jlo, jhi, klo, khi, fast, lower)
+				mulTBlockAsm(out, a, b, pack, octets, ilo, ihi, jlo, jhi, klo, khi, fast, lower)
 			}
 		}
 	}
 }
 
-// mulTBlockAsm is mulTBlock with the full 4×2 tiles dispatched to
-// dotKernel4x2 against the packed b panel. Column and row edges reuse
-// the pure-Go edge kernels — they are bitwise-identical by the same
-// structural argument, so mixing implementations inside one output is
-// sound. lower is mulTDotLower's.
-func mulTBlockAsm(out, a, b *Mat, pack []float64, ilo, ihi, jlo, jhi, klo, khi int, zero, lower bool) {
+// mulTBlockAsm is mulTBlock with the full tiles dispatched to the packed
+// kernels against the packed b panel: octets (dotKernel4x8) from jlo, then
+// pairs (dotKernel4x2). Column and row edges reuse the pure-Go edge
+// kernels — they are bitwise-identical by the same structural argument, so
+// mixing implementations inside one output is sound. lower is
+// mulTDotLower's: the tile of columns [j, j+w) reduces over k < j+w.
+func mulTBlockAsm(out, a, b *Mat, pack []float64, octets, ilo, ihi, jlo, jhi, klo, khi int, zero, lower bool) {
 	an, m := a.Cols, b.Rows
 	kk := khi - klo
 	acc := int64(1)
 	if zero {
 		acc = 0
 	}
-	pairs := (jhi - jlo) / 2
+	reach := func(j, w int) int64 {
+		if lower {
+			return int64(min(j+w, kk))
+		}
+		return int64(kk)
+	}
+	jp := jlo + 8*octets // first column of the pairs
+	pairs := (jhi - jp) / 2
+	pairPack := pack[8*octets*kk:]
 	i := ilo
 	for ; i+mr <= ihi; i += mr {
 		a0 := a.Data[(i+0)*an+klo : (i+0)*an+khi]
@@ -103,15 +143,17 @@ func mulTBlockAsm(out, a, b *Mat, pack []float64, ilo, ihi, jlo, jhi, klo, khi i
 		o1 := out.Data[(i+1)*m : (i+1)*m+m]
 		o2 := out.Data[(i+2)*m : (i+2)*m+m]
 		o3 := out.Data[(i+3)*m : (i+3)*m+m]
-		for p := 0; p < pairs; p++ {
-			j, k := jlo+2*p, kk
-			if lower {
-				k = min(j+2, kk)
-			}
-			dotKernel4x2(&o0[j], &o1[j], &o2[j], &o3[j], &a0[0], &a1[0], &a2[0], &a3[0],
-				&pack[p*2*kk], int64(k), acc)
+		for p := 0; p < octets; p++ {
+			j := jlo + 8*p
+			dotKernel4x8(&o0[j], &o1[j], &o2[j], &o3[j], &a0[0], &a1[0], &a2[0], &a3[0],
+				&pack[p*8*kk], reach(j, 8), acc)
 		}
-		if j := jlo + 2*pairs; j < jhi {
+		for p := 0; p < pairs; p++ {
+			j := jp + 2*p
+			dotKernel4x2(&o0[j], &o1[j], &o2[j], &o3[j], &a0[0], &a1[0], &a2[0], &a3[0],
+				&pairPack[p*2*kk], reach(j, 2), acc)
+		}
+		if j := jp + 2*pairs; j < jhi {
 			bj := b.Data[j*b.Cols+klo : j*b.Cols+khi]
 			dotTile4x1(o0, o1, o2, o3, j, a0, a1, a2, a3, bj, zero)
 		}

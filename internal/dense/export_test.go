@@ -1,19 +1,19 @@
 package dense
 
-import "csrplus/internal/par"
+import (
+	"csrplus/internal/par"
+	"csrplus/internal/simd"
+)
 
-// DotAsmAvailable reports whether this build carries the amd64 assembly
-// micro-kernels (false elsewhere, where only the pure-Go tiles exist).
-const DotAsmAvailable = dotAsmAvailable
-
-// SetGenericKernels forces (true) or lifts (false) the pure-Go
-// micro-kernel path on builds that have the assembly kernels, so the
-// differential suites can hold both implementations to the references
-// bit for bit. It returns the previous setting for deferred restore.
-func SetGenericKernels(disabled bool) bool {
-	prev := dotAsmDisabled.Load()
-	dotAsmDisabled.Store(disabled)
-	return prev
+// SetKernelTier makes the GEMMs dispatch on tier t — go, sse2 or avx2,
+// one of simd.Tiers() — so the differential suites can hold every tier
+// this CPU runs to the references bit for bit. It returns the previous tier
+// for deferred restore.
+func SetKernelTier(t simd.Tier) simd.Tier {
+	if t > simd.Detected() {
+		panic("dense: SetKernelTier above the tier this CPU runs")
+	}
+	return simd.Tier(kernelTier.Swap(uint32(t)))
 }
 
 // MulTLower is mulTDotLower over every row of a: a·bᵀ for a square, lower

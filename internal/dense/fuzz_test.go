@@ -7,6 +7,7 @@ import (
 	"csrplus/internal/dense"
 	"csrplus/internal/dense/reftest"
 	"csrplus/internal/par"
+	"csrplus/internal/simd"
 )
 
 // Differential fuzzing of the tiled GEMM kernels against the frozen
@@ -17,8 +18,8 @@ import (
 // garbage exponents — exactly the values a "looks right on random
 // normals" kernel bug hides behind. `go test` replays the checked-in
 // corpus under testdata/fuzz; `go test -fuzz=FuzzMulT ./internal/dense`
-// explores. Every case is checked on every compiled kernel path
-// (assembly and pure Go).
+// explores. Every case is checked at every kernel tier this CPU runs
+// (simd.Tiers: avx2, sse2 and go where all three exist).
 
 // fuzzDims caps fuzzed matrix sides: big enough to cross every 4×2
 // register-tile edge several times, small enough to replay thousands of
@@ -75,10 +76,10 @@ func FuzzMulT(f *testing.F) {
 		want := reftest.MulTRank(a, b, min(r, k))
 		prevW := par.SetMaxWorkers(1 + int(workers)%4)
 		defer par.SetMaxWorkers(prevW)
-		for _, generic := range kernelPaths() {
-			prev := dense.SetGenericKernels(generic)
+		for _, tier := range simd.Tiers() {
+			prev := dense.SetKernelTier(tier)
 			fuzzBitEq(t, "MulTRankInto vs reftest.MulTRank", dense.MulTRankInto(nil, a, b, r), want)
-			dense.SetGenericKernels(prev)
+			dense.SetKernelTier(prev)
 		}
 	})
 }
@@ -96,10 +97,10 @@ func FuzzMul(f *testing.F) {
 		want := reftest.Mul(a, b)
 		prevW := par.SetMaxWorkers(1 + int(workers)%4)
 		defer par.SetMaxWorkers(prevW)
-		for _, generic := range kernelPaths() {
-			prev := dense.SetGenericKernels(generic)
+		for _, tier := range simd.Tiers() {
+			prev := dense.SetKernelTier(tier)
 			fuzzBitEq(t, "Mul vs reftest.Mul", dense.Mul(a, b), want)
-			dense.SetGenericKernels(prev)
+			dense.SetKernelTier(prev)
 		}
 	})
 }
@@ -119,10 +120,10 @@ func FuzzTMul(f *testing.F) {
 		want := reftest.TMulChunked(a, b, dense.TMulChunkFor(a, b))
 		prevW := par.SetMaxWorkers(1 + int(workers)%4)
 		defer par.SetMaxWorkers(prevW)
-		for _, generic := range kernelPaths() {
-			prev := dense.SetGenericKernels(generic)
+		for _, tier := range simd.Tiers() {
+			prev := dense.SetKernelTier(tier)
 			fuzzBitEq(t, "TMul vs reftest.TMulChunked", dense.TMul(a, b), want)
-			dense.SetGenericKernels(prev)
+			dense.SetKernelTier(prev)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"csrplus/internal/dense"
 	"csrplus/internal/dense/reftest"
 	"csrplus/internal/par"
+	"csrplus/internal/simd"
 )
 
 // randMat fills a fresh matrix with unit normals. (The internal test
@@ -253,11 +254,10 @@ func BenchmarkKernelMulTQueryShapeWorkers(b *testing.B) {
 // cost on the same shape, so the assembly micro-kernel's margin is
 // visible in the same benchstat table.
 func BenchmarkKernelMulTQueryShapeGeneric(b *testing.B) {
-	if !dense.DotAsmAvailable {
+	if simd.Detected() == simd.Go {
 		b.Skip("generic kernels are already the default path")
 	}
-	prev := dense.SetGenericKernels(true)
-	defer dense.SetGenericKernels(prev)
+	defer dense.SetKernelTier(dense.SetKernelTier(simd.Go))
 	rng := rand.New(rand.NewSource(1))
 	z, uq := randMat(rng, 100000, 32), randMat(rng, 32, 32)
 	var scratch *dense.Mat

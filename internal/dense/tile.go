@@ -1,5 +1,7 @@
 package dense
 
+import "csrplus/internal/simd"
+
 // This file holds the cache-tiled, register-blocked micro-kernels behind
 // the public GEMM entry points in blas.go. All of them compute families
 // of dot products in the "dot layout": both operands row-major with the
@@ -33,8 +35,9 @@ package dense
 // eight independent accumulator chains are enough to hide scalar add
 // latency, and eight accumulators plus six loaded operands still fit
 // without spilling (a 4×4 tile's sixteen accumulators measurably spill
-// to the stack every iteration). Panels: a micro-kernel call streams
-// mr+nr rows of length ≤ kcPanel — 6·256·8 B ≈ 12 KiB, inside L1d —
+// to the stack every iteration). The AVX2 tier's 4×8 tile (dot_amd64.s)
+// is the same eight accumulator registers, four lanes wide. Panels: a
+// micro-kernel call streams mr+nr rows of length ≤ kcPanel — 6·256·8 B ≈ 12 KiB, inside L1d —
 // while an ncPanel×kcPanel slab of b (256 KiB) stays L2-resident across
 // the mcPanel-row sweep of a.
 const (
@@ -274,11 +277,13 @@ func tmulKBlock(ac, bc int) int {
 // tiles of 4×4 output elements traverse k panels; each element's
 // accumulator is spilled exactly between panels, so per-element
 // accumulation stays in ascending-k order — bitwise the reference
-// scatter loop's order. upper skips the tiles wholly below the diagonal.
+// scatter loop's order. At tier AVX2 each row band's columns go to 4×8
+// octet tiles first, then 4×2 pairs and the 4×1 edge. upper skips the
+// tiles wholly below the diagonal.
 func tmulRangeTiled(dst []float64, a, b *Mat, klo, khi int, upper bool) {
 	ac, bc := a.Cols, b.Cols
 	kb := tmulKBlock(ac, bc)
-	asm := useDotAsm()
+	asm, wide := useDotAsm(), tier() >= simd.AVX2
 	for kplo := klo; kplo < khi; kplo += kb {
 		kphi := min(kplo+kb, khi)
 		i := 0
@@ -286,6 +291,12 @@ func tmulRangeTiled(dst []float64, a, b *Mat, klo, khi int, upper bool) {
 			j := 0
 			if upper {
 				j = i // a multiple of mr, so of nr: columns left of it are below rows i..i+3
+			}
+			for ; wide && j+8 <= bc; j += 8 {
+				tmulKernel4x8(
+					&dst[(i+0)*bc+j], &dst[(i+1)*bc+j], &dst[(i+2)*bc+j], &dst[(i+3)*bc+j],
+					&a.Data[kplo*ac+i], &b.Data[kplo*bc+j],
+					int64(ac), int64(bc), int64(kphi-kplo))
 			}
 			for ; j+nr <= bc; j += nr {
 				if asm {

@@ -7,6 +7,7 @@ import (
 
 	"csrplus/internal/dense"
 	"csrplus/internal/par"
+	"csrplus/internal/simd"
 )
 
 // CSR is a compressed-sparse-row matrix: row i's entries live at positions
@@ -235,10 +236,12 @@ func (m *CSR) MulDense(b *dense.Mat) *dense.Mat {
 	return out
 }
 
-// spmmAsmDisabled lets tests force the pure-Go row body on builds that
-// carry the assembly kernel (SetGenericKernels in export_test.go). Atomic
-// because kernels run inside par workers while a test may flip it.
-var spmmAsmDisabled atomic.Bool
+// kernelTier is the tier MulDenseInto's row body runs: simd.Detected unless
+// a test lowers it (SetKernelTier in export_test.go). Atomic because
+// kernels run inside par workers while a test may switch it.
+var kernelTier atomic.Uint32
+
+func init() { kernelTier.Store(uint32(simd.Detected())) }
 
 // MulDenseInto computes out = m * b. out must be rows x b.Cols and share no
 // storage with b; every element of it is written and none is read, so it
@@ -251,10 +254,11 @@ var spmmAsmDisabled atomic.Bool
 // Each row is written by exactly one goroutine in a fixed order, so the
 // result is bitwise-deterministic at every worker count.
 //
-// Within a row, output columns are taken in groups — eight at a time by the
-// SSE2 kernel spmmRow8 where there is one, then four at a time, then singly
-// — with the group's accumulators held in registers across one sweep of the
-// row's stored entries (whose index/value slices are L1-resident on the
+// Within a row, output columns are taken in groups — blocks of eight by an
+// assembly kernel where there is one (spmmRowY sweeps three blocks at a
+// time at tier AVX2, spmmRow8 one at tier SSE2), then four at a time, then
+// singly — with the group's accumulators held in registers across one sweep
+// of the row's stored entries (whose index/value slices are L1-resident on the
 // repeat sweeps), instead of streaming read-modify-write traffic through
 // the output row once per entry. Each output element still sums its
 // products from +0 in storage (ascending-p) order with no value-dependent
@@ -265,8 +269,9 @@ func (m *CSR) MulDenseInto(out, b *dense.Mat) {
 	if m.cols != b.Rows || out.Rows != m.rows || out.Cols != k || len(b.Data) != b.Rows*k || len(out.Data) != m.rows*k {
 		panic(fmt.Sprintf("sparse: MulDenseInto %dx%d = %dx%d * %dx%d", out.Rows, out.Cols, m.rows, m.cols, b.Rows, b.Cols))
 	}
+	tier := simd.Tier(kernelTier.Load())
 	blocks := 0 // groups of eight columns the assembly kernel takes
-	if spmmAsmAvailable && !spmmAsmDisabled.Load() {
+	if tier >= simd.SSE2 {
 		blocks = k / 8
 	}
 	par.DoWeighted(m.RowPtr[:m.rows+1], m.NNZ()*int64(k), func(lo, hi int) {
@@ -279,7 +284,11 @@ func (m *CSR) MulDenseInto(out, b *dense.Mat) {
 				clear(orow)
 				continue
 			}
-			if blocks > 0 {
+			switch {
+			case blocks == 0:
+			case tier >= simd.AVX2:
+				spmmRowY(&orow[0], &b.Data[0], &val[0], &idx[0], int64(len(val)), int64(k), int64(blocks))
+			default:
 				spmmRow8(&orow[0], &b.Data[0], &val[0], &idx[0], int64(len(val)), int64(k), int64(blocks))
 			}
 			c := 8 * blocks

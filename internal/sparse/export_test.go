@@ -1,13 +1,14 @@
 package sparse
 
-// SpmmAsmAvailable reports whether this build carries the amd64 assembly
-// row kernel (false elsewhere, where only the pure-Go loop exists).
-const SpmmAsmAvailable = spmmAsmAvailable
+import "csrplus/internal/simd"
 
-// SetGenericKernels forces (true) or lifts (false) the pure-Go row body of
-// MulDenseInto on builds that have the assembly kernel, so the differential
-// suites can hold both to the reference bit for bit. It returns the previous
-// setting for deferred restore.
-func SetGenericKernels(disabled bool) bool {
-	return spmmAsmDisabled.Swap(disabled)
+// SetKernelTier makes MulDenseInto's row body the one of tier t — go, sse2
+// or avx2, one of simd.Tiers() — so the differential suites can hold every
+// tier this CPU runs to the reference bit for bit. It returns the previous
+// tier for deferred restore.
+func SetKernelTier(t simd.Tier) simd.Tier {
+	if t > simd.Detected() {
+		panic("sparse: SetKernelTier above the tier this CPU runs")
+	}
+	return simd.Tier(kernelTier.Swap(uint32(t)))
 }

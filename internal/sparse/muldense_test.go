@@ -10,6 +10,7 @@ import (
 	"csrplus/internal/dense"
 	"csrplus/internal/dense/reftest"
 	"csrplus/internal/par"
+	"csrplus/internal/simd"
 )
 
 // mulDenseCase is one product of the fixture table Test_MulDense,
@@ -110,14 +111,15 @@ func (tc mulDenseCase) operand(m *CSR, k int) *dense.Mat {
 	return b
 }
 
-// eachKernel runs body under the assembly row kernel, where the build has
-// one, and under the forced pure-Go body.
+// eachKernel runs body under the row body of every tier this build and CPU
+// run — avx2, sse2 and go where all three exist — naming the tier.
 func eachKernel(body func(kernel string)) {
-	if SpmmAsmAvailable {
-		body("kernel")
+	defer SetKernelTier(SetKernelTier(simd.Detected()))
+	tiers := simd.Tiers()
+	for i := len(tiers) - 1; i >= 0; i-- {
+		SetKernelTier(tiers[i])
+		body(tiers[i].String())
 	}
-	defer SetGenericKernels(SetGenericKernels(true))
-	body("generic")
 }
 
 // checkMulDense holds m·b — into a fresh matrix and into a dirty one — to
@@ -153,6 +155,23 @@ func Test_MulDense(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// TestMulDenseTierWidths: every width from 1 to 49 — up to six blocks of
+// eight, so the AVX2 body's three-block sweeps with their two- and
+// one-block remainders, and the four-column and single-column tails of
+// every body — on IEEE specials and on a parallel-sized matrix, at every
+// tier.
+func TestMulDenseTierWidths(t *testing.T) {
+	specials, hubs := csrFromBytes(13, 11, specialBits), hubCSR()
+	for k := 1; k <= 49; k++ {
+		b := fuzzMat(11, k, specialBits[5:], k)
+		h := mulDenseCase{}.operand(hubs, k)
+		eachKernel(func(kernel string) {
+			checkMulDense(t, fmt.Sprintf("specials k=%d %s", k, kernel), specials, b)
+			checkMulDense(t, fmt.Sprintf("hub rows k=%d %s", k, kernel), hubs, h)
 		})
 	}
 }
@@ -240,4 +259,33 @@ func FuzzMulDense(f *testing.F) {
 		sparseBitEq(t, "DenseMulCSR vs reftest.DenseMulCSR",
 			DenseMulCSR(left, m), reftest.DenseMulCSR(left, m.RowPtr, m.ColIdx, m.Val, c))
 	})
+}
+
+// TestMulDenseNaNPayloads: reftest.Diff counts any NaN equal to any other,
+// so the suites above cannot see which payload survives a product or sum of
+// two NaNs. Both assembly row bodies form the product with b's value first
+// and add it to the accumulator, so they agree on the payload bit for bit.
+// (The Go body's order is the compiler's: -race builds, for one, reorder.)
+func TestMulDenseNaNPayloads(t *testing.T) {
+	if simd.Detected() < simd.AVX2 {
+		t.Skip("one assembly tier on this CPU")
+	}
+	c := NewCOO(1, 2)
+	_ = c.Add(0, 0, math.Float64frombits(0x7ff8000000000abc))
+	_ = c.Add(0, 1, math.Float64frombits(0xfff8000000000001))
+	m := c.ToCSR()
+	b := dense.NewMat(2, 49)
+	for i := range b.Data {
+		b.Data[i] = math.Float64frombits(0x7ff80000000f0000 + uint64(i))
+	}
+	b.Data[5], b.Data[49+30] = 1, -2
+	defer SetKernelTier(SetKernelTier(simd.SSE2))
+	want := m.MulDense(b)
+	SetKernelTier(simd.AVX2)
+	got := m.MulDense(b)
+	for p := range want.Data {
+		if g, w := math.Float64bits(got.Data[p]), math.Float64bits(want.Data[p]); g != w {
+			t.Errorf("column %d: avx2 payload %x, sse2 %x", p, g, w)
+		}
+	}
 }

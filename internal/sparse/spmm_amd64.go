@@ -1,9 +1,5 @@
 package sparse
 
-// spmmAsmAvailable gates the SSE2 row kernel in spmm_amd64.s. SSE2 is the
-// amd64 baseline, so every amd64 build may use it.
-const spmmAsmAvailable = true
-
 // spmmRow8 writes the leading 8*blocks elements of one output row of m·b:
 // out[c] = Σ_p val[p]·b[idx[p]*stride+c], p ascending over the row's nnz
 // stored entries, each sum started from +0. Eight columns share one sweep
@@ -12,3 +8,10 @@ const spmmAsmAvailable = true
 //
 //go:noescape
 func spmmRow8(out, b, val *float64, idx *int32, nnz, stride, blocks int64)
+
+// spmmRowY is spmmRow8 on AVX2: up to three blocks of eight columns share
+// one sweep of the entries, one YMM lane per column. Call only at tier
+// AVX2.
+//
+//go:noescape
+func spmmRowY(out, b, val *float64, idx *int32, nnz, stride, blocks int64)
