@@ -10,8 +10,9 @@
 // the row is bitwise the pure-Go loop's and reftest.CSRMulDense's — NaN,
 // ±Inf, signed zeros and subnormals included. The product is formed in the
 // register that holds b's values and added into the accumulator, the
-// operand order the compiler gives the four-accumulator Go loop, so when
-// both operands are NaN the same one's payload survives.
+// operand order the compiler gives the four-accumulator Go loop in a
+// normal build (a -race build orders it otherwise), so when both operands
+// are NaN the same one's payload survives in both assembly kernels.
 //
 // spmmRow8 is SSE2 only (the amd64 baseline, GOAMD64=v1): no CPU feature
 // gate. spmmRowY is reached only when internal/simd's CPU check found AVX2
