@@ -200,6 +200,7 @@ func BenchmarkPrecomputeWT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Precompute(g, core.Options{Rank: 16, Damping: 0.6}); err != nil {

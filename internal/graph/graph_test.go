@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +86,59 @@ func TestTransitionEmptyGraph(t *testing.T) {
 	g := New(sparse.NewCOO(0, 0))
 	if _, err := g.Transition(); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
+	}
+}
+
+// TestSupportTransitionIsTransitionsSupport holds the support block phase I
+// decomposes, built straight from the adjacency, to the block Support cuts
+// out of Transition — shape, ids, and every stored index and value bit for
+// bit — on the paper's graph, a seeded R-MAT graph with many empty rows and
+// columns, and a weighted graph; and without writing to the adjacency.
+func TestSupportTransitionIsTransitionsSupport(t *testing.T) {
+	rmat, err := RMAT(10, 3000, DefaultRMAT, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coo := sparse.NewCOO(5, 5)
+	for _, e := range [][3]float64{{0, 1, 2.5}, {2, 1, 0.5}, {2, 4, 3}, {4, 1, 1.0 / 3}} {
+		if err := coo.Add(int(e[0]), int(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weighted, err := FromWeightedCSR(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"paper": paperGraph(t), "rmat": rmat, "weighted": weighted} {
+		adj := g.Adj().Clone()
+		q, err := g.Transition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRows, wantCols := q.Support()
+		got, rows, cols, err := g.SupportTransition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, wc := want.Dims()
+		if gr, gc := got.Dims(); gr != wr || gc != wc || !slices.Equal(rows, wantRows) || !slices.Equal(cols, wantCols) ||
+			(rows == nil) != (wantRows == nil) || (cols == nil) != (wantCols == nil) {
+			t.Fatalf("%s: support %dx%d ids %v / %v, want %dx%d ids %v / %v", name, gr, gc, rows, cols, wr, wc, wantRows, wantCols)
+		}
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || len(got.Val) != len(want.Val) {
+			t.Fatalf("%s: index arrays differ from Transition().Support()'s", name)
+		}
+		for p := range got.Val {
+			if math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
+				t.Fatalf("%s: value %d is %v, Transition's %v", name, p, got.Val[p], want.Val[p])
+			}
+		}
+		if a := g.Adj(); !slices.Equal(a.Val, adj.Val) || !slices.Equal(a.ColIdx, adj.ColIdx) || !slices.Equal(a.RowPtr, adj.RowPtr) {
+			t.Fatalf("%s: SupportTransition wrote to the adjacency", name)
+		}
+	}
+	if _, _, _, err := New(sparse.NewCOO(0, 0)).SupportTransition(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("empty graph: err = %v, want ErrEmpty", err)
 	}
 }
 

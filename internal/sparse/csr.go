@@ -134,6 +134,24 @@ func (m *CSR) Transpose() *CSR {
 // empty row or column is returned as it is. An explicitly stored zero counts
 // as an entry. O(nnz + rows + cols).
 func (m *CSR) Support() (s *CSR, rows, cols []int32) {
+	return m.support(nil)
+}
+
+// ScaledSupport is Support of m·diag(scale) — column j of m times scale[j]
+// — built without touching m or copying it whole: s's values are a new
+// array, each m's value times its column's factor (the one product
+// ScaleColumns would have made), in m's order; everything else is as
+// Support returns it. It panics unless scale has one factor per column.
+func (m *CSR) ScaledSupport(scale []float64) (s *CSR, rows, cols []int32) {
+	if len(scale) != m.cols {
+		panic(fmt.Sprintf("sparse: ScaledSupport len %d on %d cols", len(scale), m.cols))
+	}
+	return m.support(scale)
+}
+
+// support is Support, with the values scaled by column into a new array
+// when scale is non-nil.
+func (m *CSR) support(scale []float64) (s *CSR, rows, cols []int32) {
 	renum := make([]int32, m.cols) // 1 marks a column seen, then its new id
 	for _, j := range m.ColIdx {
 		renum[j] = 1
@@ -148,10 +166,19 @@ func (m *CSR) Support() (s *CSR, rows, cols []int32) {
 			nr++
 		}
 	}
-	if nr == m.rows && nc == m.cols {
-		return m, nil, nil
-	}
 	s = &CSR{rows: nr, cols: nc, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: m.Val}
+	if scale != nil {
+		s.Val = make([]float64, len(m.Val))
+		for p, j := range m.ColIdx {
+			s.Val[p] = m.Val[p] * scale[j]
+		}
+	}
+	if nr == m.rows && nc == m.cols {
+		if scale == nil {
+			return m, nil, nil
+		}
+		return s, nil, nil
+	}
 	if nr < m.rows {
 		rows = make([]int32, 0, nr)
 		s.RowPtr = make([]int64, 1, nr+1)
@@ -176,6 +203,40 @@ func (m *CSR) Support() (s *CSR, rows, cols []int32) {
 		}
 	}
 	return s, rows, cols
+}
+
+// Embed is Support's inverse: m read as the support block of a rows x cols
+// matrix, its row i being row rowIdx[i] and its column j column colIdx[j]
+// (nil: that side in place), returned as that matrix. The entries keep m's
+// order and Val is shared, so Embed of what Support returned stores the
+// original's entries bit for bit. m itself comes back when both maps are
+// nil. It panics on a map that does not fit the shapes.
+func (m *CSR) Embed(rows, cols int, rowIdx, colIdx []int32) *CSR {
+	if (rowIdx == nil && m.rows != rows) || (rowIdx != nil && len(rowIdx) != m.rows) ||
+		(colIdx == nil && m.cols != cols) || (colIdx != nil && len(colIdx) != m.cols) {
+		panic(fmt.Sprintf("sparse: Embed %dx%d with %d row and %d column ids into %dx%d", m.rows, m.cols, len(rowIdx), len(colIdx), rows, cols))
+	}
+	if rowIdx == nil && colIdx == nil {
+		return m
+	}
+	e := &CSR{rows: rows, cols: cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: m.Val}
+	if rowIdx != nil {
+		e.RowPtr = make([]int64, rows+1)
+		next := 0
+		for i := 0; i < rows; i++ {
+			if next < len(rowIdx) && int(rowIdx[next]) == i {
+				next++
+			}
+			e.RowPtr[i+1] = m.RowPtr[next]
+		}
+	}
+	if colIdx != nil {
+		e.ColIdx = make([]int32, len(m.ColIdx))
+		for p, j := range m.ColIdx {
+			e.ColIdx[p] = colIdx[j]
+		}
+	}
+	return e
 }
 
 // MulVec computes y = m * x, reusing y when it has the right length.

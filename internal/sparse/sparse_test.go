@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -448,6 +449,31 @@ func TestSupport(t *testing.T) {
 			}
 			if len(s.Val) > 0 && &s.Val[0] != &tc.m.Val[0] {
 				t.Fatal("values were copied, not shared")
+			}
+			rows0, cols0 := tc.m.Dims()
+			back := s.Embed(rows0, cols0, rows, cols)
+			if r, c := back.Dims(); r != rows0 || c != cols0 || !slices.Equal(back.RowPtr, tc.m.RowPtr) ||
+				!slices.Equal(back.ColIdx, tc.m.ColIdx) || !slices.Equal(back.Val, tc.m.Val) {
+				t.Fatalf("Embed of the support is %dx%d %v %v %v, want the original %v %v %v", r, c,
+					back.RowPtr, back.ColIdx, back.Val, tc.m.RowPtr, tc.m.ColIdx, tc.m.Val)
+			}
+			checkValid(t, back)
+			scale := make([]float64, cols0)
+			for j := range scale {
+				scale[j] = 1 / float64(j+3)
+			}
+			ss, srows, scols := tc.m.ScaledSupport(scale)
+			if !slices.Equal(srows, rows) || !slices.Equal(scols, cols) || (srows == nil) != (rows == nil) ||
+				(scols == nil) != (cols == nil) || !slices.Equal(ss.RowPtr, s.RowPtr) || !slices.Equal(ss.ColIdx, s.ColIdx) {
+				t.Fatal("ScaledSupport's shape and ids are not Support's")
+			}
+			for p, j := range tc.m.ColIdx {
+				if want := tc.m.Val[p] * scale[j]; math.Float64bits(ss.Val[p]) != math.Float64bits(want) {
+					t.Fatalf("scaled value %d = %v, want %v", p, ss.Val[p], want)
+				}
+			}
+			if len(ss.Val) > 0 && &ss.Val[0] == &tc.m.Val[0] {
+				t.Fatal("ScaledSupport scaled the receiver's values")
 			}
 		})
 	}

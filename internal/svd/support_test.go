@@ -1,6 +1,7 @@
 package svd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -495,5 +496,38 @@ func TestRandomizedAllocatesFourPanels(t *testing.T) {
 	t.Logf("allocated %d bytes: the factors' %d + %.2f panels of %d", got, res.Bytes(), float64(got-res.Bytes())/float64(panel), panel)
 	if got > bound {
 		t.Fatalf("Truncated allocated %d bytes, want at most the factors' %d + 4 panels of %d + 1 MiB = %d", got, res.Bytes(), panel, bound)
+	}
+}
+
+// TestTruncatedSupportIsTruncated holds the entry point for a caller that
+// built the support block itself to Truncated, bit for bit and support for
+// support: on restricted shapes, on one with nothing to restrict, and on a
+// support too narrow for the sketch, which must be embedded back and
+// decomposed as given.
+func TestTruncatedSupportIsTruncated(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, sh := range []struct{ rows, cols, nr, nc int }{
+		{160, 160, 60, 50}, {90, 200, 90, 70}, {80, 80, 80, 80}, {60, 60, 11, 40},
+	} {
+		a, _, _ := embedded(rng, sh.rows, sh.cols, sh.nr, sh.nc, 0.15, 0)
+		for _, method := range []Method{Randomized, Lanczos} {
+			opts := Options{Method: method, Seed: 3}
+			want, err := Truncated(a, 4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, rowIdx, colIdx := a.Support()
+			got, err := TruncatedSupport(s, sh.rows, sh.cols, rowIdx, colIdx, 4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) || got.SupportRows != want.SupportRows || got.SupportCols != want.SupportCols ||
+				!slices.Equal(got.RowSupport, want.RowSupport) || !slices.Equal(got.ColSupport, want.ColSupport) {
+				t.Fatalf("%v %dx%d (support %dx%d): TruncatedSupport is not Truncated", method, sh.rows, sh.cols, sh.nr, sh.nc)
+			}
+		}
+	}
+	if _, err := TruncatedSupport(sparse.NewCOO(3, 3).ToCSR(), 3, 3, nil, nil, 4, Options{}); !errors.Is(err, ErrRank) {
+		t.Fatalf("rank 4 of a 3x3 matrix: err = %v, want ErrRank", err)
 	}
 }
