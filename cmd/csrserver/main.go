@@ -179,8 +179,10 @@ func boot(ctx context.Context, cfg *config) (*server, error) {
 	// ready; the source's own clocks come before it.
 	// kernels= is the tier of register tiles the CPU check chose for the
 	// dense and sparse kernels (simd.Detected): what the precompute ran on.
-	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d mapped=%t kernels=%v peak %d bytes VmHWM %d bytes) graph=%v%s validate=%v", time.Since(start),
-		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, allMapped(slots), simd.Detected(), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta), clockSince(validateStart))
+	// faults= is the minor page faults since exec, where getrusage has them:
+	// the first touches of fresh memory, which no stage clock shows.
+	log.Printf("ready in %v (source=%s shards=%d n=%d r=%d rows_stored=%d index_bytes=%d%s mapped=%t kernels=%v peak %d bytes VmHWM %d bytes) graph=%v%s validate=%v", time.Since(start),
+		meta.Source, shards, meta.N, meta.Rank, stored, indexBytes, faultsField(), allMapped(slots), simd.Detected(), meta.PeakBytes, vmHWM(), src.graphLoad, clocksSuffix(meta), clockSince(validateStart))
 
 	sv := serve.NewRanked(src.boot.Ranked, cfg.serve)
 	sv.Metrics().SetShards(shards)
@@ -265,6 +267,16 @@ func vmHWM() int64 {
 	}
 	kb, _ := strconv.ParseInt(fields[0], 10, 64)
 	return kb << 10
+}
+
+// faultsField renders minorFaults for the ready line, " faults=N", or
+// nothing where the platform does not count them.
+func faultsField() string {
+	n, ok := minorFaults()
+	if !ok {
+		return ""
+	}
+	return fmt.Sprintf(" faults=%d", n)
 }
 
 // indexSize sums what the slots hold: the factor rows stored — of the n the

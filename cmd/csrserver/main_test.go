@@ -1243,3 +1243,31 @@ func TestKernelTierReported(t *testing.T) {
 		t.Fatalf("/stats kernels=%v, want %s", body["kernels"], want)
 	}
 }
+
+// TestReadyLineCountsFaults: where getrusage counts minor faults the ready
+// line carries them, inside its parenthesis before mapped=, as the count
+// since exec — at least the pages the boot has touched — and where it does
+// not the field is left out rather than printed as 0.
+func TestReadyLineCountsFaults(t *testing.T) {
+	logs := captureLog(t)
+	bootArgs(t)
+	line := regexp.MustCompile(`ready in \S+ \(.*\) graph=.*`).FindString(logs.String())
+	if line == "" {
+		t.Fatalf("no ready line in:\n%s", logs)
+	}
+	m := regexp.MustCompile(` index_bytes=\d+ faults=(\d+) mapped=`).FindStringSubmatch(line)
+	want, ok := minorFaults()
+	if !ok {
+		if strings.Contains(line, "faults=") {
+			t.Fatalf("ready line %q prints faults= on a platform that does not count them", line)
+		}
+		return
+	}
+	if m == nil {
+		t.Fatalf("ready line %q carries no faults=N before mapped=", line)
+	}
+	got, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil || got <= 0 || got > want {
+		t.Fatalf("ready line says faults=%s; the process has taken %d since exec, and booting touched memory", m[1], want)
+	}
+}

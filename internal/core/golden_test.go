@@ -10,9 +10,13 @@ package core
 // compacted pair and the every-row twin. Nothing can rewrite them, and
 // every loader must refuse them as stale (ErrFormat). The v5 files are the
 // v4 ones with the graph each was built from, plus an index over a weighted
-// graph; `go test ./internal/core -run Golden -update` rewrites those from
-// the current writer — only ever on a deliberate format change, since the
-// test then proves nothing about the bytes already on operators' disks.
+// graph — the compacted pair, the every-row twin and the weighted index as
+// phase I computes them now: the keyed sketch re-pinned their factors, so
+// the v4 compacted files hold other numbers in the same layout
+// (TestSnapshotV5FactorBlockIsV4s). `go test ./internal/core -run Golden
+// -update` rewrites the v5 files from the current writer — only ever on a
+// deliberate format change or re-pin, since the test then proves nothing
+// about the bytes already on operators' disks.
 
 import (
 	"bytes"

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,23 +29,81 @@ func graphDesc(d []byte) sectionDesc {
 	return sectionDesc{off: le.Uint64(e), length: le.Uint64(e[8:]), crc: le.Uint32(e[16:])}
 }
 
+// v4Rewritten is the v5 file the current writer makes of the index (or
+// shard) an exact-tier v4 fixture holds: its header words and its sigma,
+// ids and factor sections, read through the section table the two versions
+// share, with g as the index's graph.
+func v4Rewritten(t *testing.T, name string, g *graph.Graph) []byte {
+	t.Helper()
+	d, le := golden(t, name), binary.LittleEndian
+	if v, tier := le.Uint32(d[4:]), le.Uint32(d[8:]); v != 4 || tier != uint32(TierF64) {
+		t.Fatalf("%s: version %d tier %d, want an exact-tier v4 file", name, v, tier)
+	}
+	sec := func(i int) []byte {
+		e := d[tableOff+i*descSize:]
+		off := le.Uint64(e)
+		return d[off : off+le.Uint64(e[8:])]
+	}
+	f64s := func(b []byte) []float64 {
+		out := make([]float64, len(b)/8)
+		for i := range out {
+			out[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+		return out
+	}
+	whole := strings.HasSuffix(name, ".csrx")
+	first := 0
+	if whole {
+		first = 1 // sigma leads an index
+	}
+	var ids []int32
+	for b := sec(first); len(b) > 0; b = b[4:] {
+		ids = append(ids, int32(le.Uint32(b)))
+	}
+	n, rank, stored := int(le.Uint64(d[16:])), int(le.Uint64(d[24:])), int(le.Uint64(d[storedOff:]))
+	sh := IndexShard{n: n, hi: n, c: math.Float64frombits(le.Uint64(d[32:])), rank: rank, ids: ids,
+		f:     dense.TypedFromMat(dense.NewMatFrom(stored, rank, f64s(sec(first+1+factorSecs-1)))),
+		build: le.Uint64(d[buildOff:]), clamp: math.Float64frombits(le.Uint64(d[clampOff:]))}
+	var buf bytes.Buffer
+	var err error
+	if whole {
+		ix := &Index{IndexShard: sh, iters: int(le.Uint64(d[40:])), sigma: f64s(sec(0)), walSeq: le.Uint64(d[walSeqOff:]), graph: carry(g)}
+		_, err = ix.WriteTo(&buf)
+	} else {
+		sh.lo, sh.hi = int(le.Uint64(d[40:])), int(le.Uint64(d[48:]))
+		_, err = sh.WriteTo(&buf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestSnapshotV5FactorBlockIsV4s pins that v5 added a section and moved
 // nothing: past the header page, every v4 fixture's bytes are the start of
 // its v5 twin's — sigma, ids and the factor block byte for byte — and a
 // shard file, whose graph section is empty, is its v4 twin past the header.
+// The 6-node fixtures' twins are the v5 fixtures, cut from the index the v4
+// ones were. The compacted pair and the every-row twin hold Precompute's
+// factor on compactGraph, which a re-pin of phase I moves (the keyed sketch
+// did) while the v4 files stay as the last v4 writer left them; their twin
+// is what the current writer makes of the index the v4 file holds.
 func TestSnapshotV5FactorBlockIsV4s(t *testing.T) {
-	pairs := map[string]string{goldenCompactV4: goldenCompactV5, goldenCompactShardV4: goldenCompactShardV5, goldenSparseV4: goldenSparseV5}
-	for _, tier := range goldenTiers {
-		pairs["index.v4-"+tier.String()+".csrx"] = goldenIndexV5(tier)
-		pairs["shard.v4-"+tier.String()+".csrs"] = goldenShardV5(tier)
+	pairs := map[string][]byte{}
+	for _, v4 := range []string{goldenCompactV4, goldenCompactShardV4, goldenSparseV4} {
+		pairs[v4] = v4Rewritten(t, v4, compactGraph(t))
 	}
-	for v4, v5 := range pairs {
-		old, cur := golden(t, v4), golden(t, v5)
+	for _, tier := range goldenTiers {
+		pairs["index.v4-"+tier.String()+".csrx"] = golden(t, goldenIndexV5(tier))
+		pairs["shard.v4-"+tier.String()+".csrs"] = golden(t, goldenShardV5(tier))
+	}
+	for v4, cur := range pairs {
+		old := golden(t, v4)
 		if len(cur) < len(old) || !bytes.Equal(cur[pageSize:len(old)], old[pageSize:]) {
-			t.Errorf("%s past its header is not %s's prefix", v4, v5)
+			t.Errorf("%s past its header is not its v5 twin's prefix", v4)
 		}
-		if strings.HasSuffix(v5, ".csrs") && len(cur) != len(old) {
-			t.Errorf("%s is %d bytes, %s %d: a shard's graph section is empty", v5, len(cur), v4, len(old))
+		if strings.HasSuffix(v4, ".csrs") && len(cur) != len(old) {
+			t.Errorf("%s's v5 twin is %d bytes, it %d: a shard's graph section is empty", v4, len(cur), len(old))
 		}
 	}
 }

@@ -93,14 +93,18 @@ func SVDJacobi(a *Mat) (*SVDResult, error) {
 			break
 		}
 	}
-	// Extract singular values and normalise U's columns.
+	// Extract singular values and normalise U's columns. σ is the norm of
+	// the rotated column itself: the cached squared norms drift by rounding
+	// in every update, eps·‖A‖² in absolute terms, so a singular value read
+	// from them is only good to √eps·‖A‖ — a rank-deficient matrix's zero
+	// would come back near 1e-8 of its largest.
 	type col struct {
 		sigma float64
 		idx   int
 	}
 	cols := make([]col, n)
 	for i := 0; i < n; i++ {
-		cols[i] = col{math.Sqrt(math.Max(sq[i], 0)), i}
+		cols[i] = col{math.Sqrt(colDot(i, i)), i}
 	}
 	sort.SliceStable(cols, func(a, b int) bool { return cols[a].sigma > cols[b].sigma })
 	res := &SVDResult{U: NewMat(m, n), S: make([]float64, n), V: NewMat(n, n)}
