@@ -1012,7 +1012,7 @@ func (downSlot) URows(context.Context, []int) (*dense.Mat, error) { return nil, 
 func (downSlot) PartialTopK(context.Context, []int, *dense.Mat, int, int) ([]topk.Item, error) {
 	return nil, shard.ErrSlotDown
 }
-func (downSlot) ScoreRows(context.Context, []int, *dense.Mat, []int, int) ([]float64, error) {
+func (downSlot) ScoreRows(context.Context, []int, *dense.Mat, []int) ([]float64, error) {
 	return nil, shard.ErrSlotDown
 }
 

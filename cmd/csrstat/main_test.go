@@ -358,11 +358,11 @@ func TestRunIndexSplit(t *testing.T) {
 			t.Fatalf("top-10 of %v over the split = %v, want %v", queries, got, want)
 		}
 		targets := []int{0, 13, 14, 26, 27, 39}
-		wantS, err := whole.Scores(ctx, queries, targets, 0)
+		wantS, err := whole.Scores(ctx, queries, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotS, err := cluster.Scores(ctx, queries, targets, 0)
+		gotS, err := cluster.Scores(ctx, queries, targets)
 		if err != nil {
 			t.Fatal(err)
 		}

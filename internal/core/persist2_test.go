@@ -114,7 +114,7 @@ func TestV2RoundTripBitwise(t *testing.T) {
 	}
 	wantBitwise(t, "v2 mapped", queryBits(t, mapped, queries), want)
 	pair := func(ix *Index) uint64 {
-		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.gatherF([]int{3}), []int{1}, 0)
+		s, err := ix.ScoreRows(context.Background(), []int{3}, ix.gatherF([]int{3}), []int{1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,8 +81,7 @@ func scanQuerySets() [][]int {
 // Test_Scan holds the three consumers of the one phase-II loop to each
 // other by bits: ScoreRows over every owned row is PartialInto's band, and
 // PartialTopK is a selection over PartialInto's columns summed in query
-// order — on every tier, at rank 1, truncated and full, on one worker and
-// three, for shard cuts that land on query nodes. It then holds a
+// order — on every tier, on one worker and three, for shard cuts that land on query nodes. It then holds a
 // compacted index to the scan of its uncompacted twin the same way: every
 // block, every pair and every list, for k up to, one past and far past the
 // rows stored, with sources and excluded nodes among the rows left out,
@@ -134,39 +133,37 @@ func Test_Scan(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				par.SetMaxWorkers(workers)
-				for _, rank := range []int{1, 3, 0} {
-					for _, queries := range scanQuerySets() {
-						uq := ix.gatherF(queries)
-						if twin != nil {
-							wantBitwise(t, fx.name+" gathered F rows", twin.gatherF(queries).Data, uq.Data)
-						}
-						if fx.flip {
-							uq = flipQueries(uq)
-						}
-						for _, bounds := range cuts {
-							for s := 0; s+1 < len(bounds); s++ {
-								sh, err := ix.Shard(bounds[s], bounds[s+1])
-								if err != nil {
-									t.Fatal(err)
-								}
-								label := fmt.Sprintf("%s tier=%v workers=%d rank=%d queries=%v shard=[%d, %d)", fx.name, tier, workers, rank, queries[:min(5, len(queries))], sh.lo, sh.hi)
-								if twin == nil {
-									checkScanConsumers(t, ctx, label, sh, queries, uq, rank, 10)
-									continue
-								}
-								csh, err := twin.Shard(bounds[s], bounds[s+1])
-								if err != nil {
-									t.Fatal(err)
-								}
-								// One past the rows stored: the first list that
-								// must reach into the rows left out.
-								want := checkScanConsumers(t, ctx, label, sh, queries, uq, rank, csh.Stored()+1)
-								got := checkScanConsumers(t, ctx, label+" compacted", csh, queries, uq, rank, csh.Stored()+1)
-								wantBitwise(t, label+": compacted PartialInto", got.block, want.block)
-								for i := range want.lists {
-									if !sameBits(got.lists[i], want.lists[i]) {
-										t.Fatalf("%s list %d:\ncompacted   %v\nuncompacted %v", label, i, got.lists[i], want.lists[i])
-									}
+				for _, queries := range scanQuerySets() {
+					uq := ix.gatherF(queries)
+					if twin != nil {
+						wantBitwise(t, fx.name+" gathered F rows", twin.gatherF(queries).Data, uq.Data)
+					}
+					if fx.flip {
+						uq = flipQueries(uq)
+					}
+					for _, bounds := range cuts {
+						for s := 0; s+1 < len(bounds); s++ {
+							sh, err := ix.Shard(bounds[s], bounds[s+1])
+							if err != nil {
+								t.Fatal(err)
+							}
+							label := fmt.Sprintf("%s tier=%v workers=%d queries=%v shard=[%d, %d)", fx.name, tier, workers, queries[:min(5, len(queries))], sh.lo, sh.hi)
+							if twin == nil {
+								checkScanConsumers(t, ctx, label, sh, queries, uq, 10)
+								continue
+							}
+							csh, err := twin.Shard(bounds[s], bounds[s+1])
+							if err != nil {
+								t.Fatal(err)
+							}
+							// One past the rows stored: the first list that
+							// must reach into the rows left out.
+							want := checkScanConsumers(t, ctx, label, sh, queries, uq, csh.Stored()+1)
+							got := checkScanConsumers(t, ctx, label+" compacted", csh, queries, uq, csh.Stored()+1)
+							wantBitwise(t, label+": compacted PartialInto", got.block, want.block)
+							for i := range want.lists {
+								if !sameBits(got.lists[i], want.lists[i]) {
+									t.Fatalf("%s list %d:\ncompacted   %v\nuncompacted %v", label, i, got.lists[i], want.lists[i])
 								}
 							}
 						}
@@ -183,7 +180,7 @@ func Test_Scan(t *testing.T) {
 			visit := func(int, []float64) {}
 			for _, band := range []int{scanMinBand, scanN} {
 				allocs := testing.AllocsPerRun(20, func() {
-					if err := ix.scan(ctx, uq, 0, 0, ix.Stored(), band, nil, visit); err != nil {
+					if err := ix.scan(ctx, uq, 0, ix.Stored(), band, nil, visit); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -216,14 +213,14 @@ type scanAnswers struct {
 // checkScanConsumers compares the three consumers on one shard — the
 // lists at k = 1, 10, k, and more than any shard holds — and returns what
 // they agreed on.
-func checkScanConsumers(t *testing.T, ctx context.Context, label string, sh *IndexShard, queries []int, uq *dense.Mat, rank, k int) scanAnswers {
+func checkScanConsumers(t *testing.T, ctx context.Context, label string, sh *IndexShard, queries []int, uq *dense.Mat, k int) scanAnswers {
 	t.Helper()
 	cols := len(queries)
 	block := dense.NewMat(sh.Rows(), cols)
 	for i := range block.Data {
 		block.Data[i] = math.Inf(1) // whatever PartialInto leaves alone shows
 	}
-	if err := sh.PartialInto(ctx, queries, uq, rank, block); err != nil {
+	if err := sh.PartialInto(ctx, queries, uq, 0, block); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +228,7 @@ func checkScanConsumers(t *testing.T, ctx context.Context, label string, sh *Ind
 	for i := range rows {
 		rows[i] = sh.lo + i
 	}
-	scores, err := sh.ScoreRows(ctx, queries, uq, rows, rank)
+	scores, err := sh.ScoreRows(ctx, queries, uq, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +251,7 @@ func checkScanConsumers(t *testing.T, ctx context.Context, label string, sh *Ind
 	answers := scanAnswers{block: block.Data}
 	for _, k := range []int{1, 10, k, math.MaxInt} {
 		want := topk.SelectRange(ranked, min(k, sh.Rows()), sh.lo, excludeSet(queries))
-		got, err := sh.PartialTopK(ctx, queries, uq, k, rank)
+		got, err := sh.PartialTopK(ctx, queries, uq, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +300,7 @@ func Benchmark_Scan(b *testing.B) {
 				b.Run("PartialTopK/"+name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := ix.PartialTopK(ctx, queries, uq, 100, 0); err != nil {
+						if _, err := ix.PartialTopK(ctx, queries, uq, 100); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -311,7 +308,7 @@ func Benchmark_Scan(b *testing.B) {
 				b.Run("ScoreRows/"+name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := ix.ScoreRows(ctx, queries, uq, rows, 0); err != nil {
+						if _, err := ix.ScoreRows(ctx, queries, uq, rows); err != nil {
 							b.Fatal(err)
 						}
 					}

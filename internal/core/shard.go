@@ -277,13 +277,13 @@ var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // scan is the one phase-II loop: it scores the shard's stored rows [lo, hi)
 // (positions in f; the identity map makes them node offsets) against the
 // gathered query rows uq (|Q| x r, row j for the j-th query),
-// band rows at a time — F_{band,<rank} · (uq_{*,<rank})ᵀ through the dense
-// row-range kernel, then ×c — checking ctx once per band, and finishes a
-// band one of two ways. With a dst ((hi-lo) x |Q|) the tile is the band's
+// band rows at a time — F_band · uqᵀ through the dense row-range kernel,
+// then ×c — checking ctx once per band, and finishes a band one of two
+// ways. With a dst ((hi-lo) x |Q|) the tile is the band's
 // view of dst: the scaled scores land where the caller wants them. With a
 // visit func the tile is pooled scratch and visit gets the band's first
 // row and one score a row (rowScores), valid until it returns.
-func (sh *IndexShard) scan(ctx context.Context, uq *dense.Mat, rank, lo, hi, band int, dst *dense.Mat, visit func(b int, scores []float64)) error {
+func (sh *IndexShard) scan(ctx context.Context, uq *dense.Mat, lo, hi, band int, dst *dense.Mat, visit func(b int, scores []float64)) error {
 	sc := scanPool.Get().(*scanScratch)
 	defer func() {
 		sc.view = dense.Mat{} // the pool must not keep the caller's dst alive
@@ -304,7 +304,7 @@ func (sh *IndexShard) scan(ctx context.Context, uq *dense.Mat, rank, lo, hi, ban
 			sc.view = dense.Mat{Rows: e - b, Cols: cols, Data: dst.Data[(b-lo)*cols : (e-lo)*cols]}
 			tile = &sc.view
 		}
-		tile, sc.deq = dense.MulTRankTypedRowsInto(tile, sh.f, uq, rank, b, e, sc.deq)
+		tile, sc.deq = dense.MulTTypedRowsInto(tile, sh.f, uq, b, e, sc.deq)
 		if dst != nil {
 			tile.Scale(sh.c)
 		} else {
@@ -346,13 +346,13 @@ func (sh *IndexShard) rowScores(sc *scanScratch) []float64 {
 // boundaries (above par's flop threshold on the work they are), runs body
 // once per worker range and returns the first error. A shard that stores
 // nothing runs no body.
-func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) error) error {
+func (sh *IndexShard) eachRange(cols int, body func(lo, hi, band int) error) error {
 	var first struct {
 		sync.Mutex
 		err error
 	}
 	band := scanBand(cols)
-	flops := int64(sh.Stored()) * int64(rank) * int64(cols)
+	flops := int64(sh.Stored()) * int64(sh.rank) * int64(cols)
 	par.DoAligned(sh.Stored(), band, flops, func(lo, hi int) {
 		if err := body(lo, hi, band); err != nil {
 			first.Lock()
@@ -365,33 +365,29 @@ func (sh *IndexShard) eachRange(cols, rank int, body func(lo, hi, band int) erro
 	return first.err
 }
 
-// checkQuery validates a consumer's query set against its gathered rows
-// and resolves the rank to scan at (rank <= 0 or > the factors' is full).
+// checkQuery validates a consumer's query set against its gathered rows.
 // The gathered rows must be finite: a zero row of F scores +0 against those
 // and NaN against anything else, and the rows a shard leaves out are only
 // ever given the +0.
-func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, error) {
+func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat) error {
 	if len(queries) == 0 {
-		return 0, fmt.Errorf("core: empty query set: %w", ErrParams)
+		return fmt.Errorf("core: empty query set: %w", ErrParams)
 	}
 	if !uq.IsShape(len(queries), sh.rank) {
-		return 0, fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, len(queries), sh.rank, ErrParams)
+		return fmt.Errorf("core: uq is %dx%d, want %dx%d: %w", uq.Rows, uq.Cols, len(queries), sh.rank, ErrParams)
 	}
 	for i, v := range uq.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("core: non-finite query row: F[%d, %d] = %v: %w", queries[i/sh.rank], i%sh.rank, v, ErrParams)
+			return fmt.Errorf("core: non-finite query row: F[%d, %d] = %v: %w", queries[i/sh.rank], i%sh.rank, v, ErrParams)
 		}
 	}
-	if rank <= 0 || rank > sh.rank {
-		rank = sh.rank
-	}
-	return rank, nil
+	return nil
 }
 
-// PartialInto computes the shard's slice of a (possibly rank-truncated)
-// phase II answer: rows [lo, hi) of S' = [I]_{*,Q} + c · F_{*,<r'} ·
-// (F_{Q,<r'})ᵀ, written into out (which must be (hi-lo) x |Q|; pass a
-// band view of a shared n x |Q| matrix for zero-copy scatter). uq holds
+// PartialInto computes the shard's slice of the phase II answer: rows
+// [lo, hi) of S = [I]_{*,Q} + c · F · F_Qᵀ, written into out (which must
+// be (hi-lo) x |Q|; pass a band view of a shared n x |Q| matrix for
+// zero-copy scatter). uq holds
 // the gathered F rows of the queries, row j for queries[j] — gathered
 // globally by the router because query nodes usually live on other
 // shards. queries are global ids and are only used here to place the +1
@@ -402,19 +398,19 @@ func (sh *IndexShard) checkQuery(queries []int, uq *dense.Mat, rank int) (int, e
 // monolithic answer bitwise. The scan writes each scaled band straight
 // into out, split across par workers — the stored rows packed at out's
 // head, then spread to their own rows over zeros when some are implicit;
-// returns ctx.Err() on cancellation.
-func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, rank int, out *dense.Mat) error {
-	rank, err := sh.checkQuery(queries, uq, rank)
-	if err != nil {
+// returns ctx.Err() on cancellation. The int is ignored; it stays only
+// because the benchmark harness (csrload) passes it (ROADMAP item 1 Step B).
+func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.Mat, _ int, out *dense.Mat) error {
+	if err := sh.checkQuery(queries, uq); err != nil {
 		return err
 	}
 	cols := len(queries)
 	if !out.IsShape(sh.Rows(), cols) {
 		return fmt.Errorf("core: out is %dx%d, want %dx%d: %w", out.Rows, out.Cols, sh.Rows(), cols, ErrParams)
 	}
-	err = sh.eachRange(cols, rank, func(lo, hi, band int) error {
+	err := sh.eachRange(cols, func(lo, hi, band int) error {
 		dst := &dense.Mat{Rows: hi - lo, Cols: cols, Data: out.Data[lo*cols : hi*cols]}
-		return sh.scan(ctx, uq, rank, lo, hi, band, dst, nil)
+		return sh.scan(ctx, uq, lo, hi, band, dst, nil)
 	})
 	if err != nil {
 		return err
@@ -459,9 +455,8 @@ func (sh *IndexShard) PartialInto(ctx context.Context, queries []int, uq *dense.
 // whenever one of them could place. uq
 // is the gathered |Q| x r query broadcast (see PartialInto); items carry
 // global node ids. Honours ctx between bands.
-func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
-	rank, err := sh.checkQuery(queries, uq, rank)
-	if err != nil {
+func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k int) ([]topk.Item, error) {
+	if err := sh.checkQuery(queries, uq); err != nil {
 		return nil, err
 	}
 	cols := len(queries)
@@ -473,9 +468,9 @@ func (sh *IndexShard) PartialTopK(ctx context.Context, queries []int, uq *dense.
 		sync.Mutex
 		lists [][]topk.Item
 	}
-	err = sh.eachRange(cols, rank, func(lo, hi, band int) error {
+	err := sh.eachRange(cols, func(lo, hi, band int) error {
 		sel := topk.NewSelector(min(k, hi-lo), exclude)
-		err := sh.scan(ctx, uq, rank, lo, hi, band, nil, func(b int, scores []float64) {
+		err := sh.scan(ctx, uq, lo, hi, band, nil, func(b int, scores []float64) {
 			if sh.ids == nil {
 				sel.Push(sh.lo+b, scores)
 			} else {
@@ -535,12 +530,11 @@ func (sh *IndexShard) implicitTopK(k int, exclude map[int]bool) []topk.Item {
 // query order, query nodes included, without the +1 of the identity — band
 // by band on the calling goroutine. Implicit rows score +0 and are not
 // visited. It is the every-stored-row pass reload.ValidateShard makes.
-func (sh *IndexShard) VisitScores(ctx context.Context, queries []int, uq *dense.Mat, rank int, visit func(node int, score float64)) error {
-	rank, err := sh.checkQuery(queries, uq, rank)
-	if err != nil {
+func (sh *IndexShard) VisitScores(ctx context.Context, queries []int, uq *dense.Mat, visit func(node int, score float64)) error {
+	if err := sh.checkQuery(queries, uq); err != nil {
 		return err
 	}
-	return sh.scan(ctx, uq, rank, 0, sh.Stored(), scanBand(len(queries)), nil, func(b int, scores []float64) {
+	return sh.scan(ctx, uq, 0, sh.Stored(), scanBand(len(queries)), nil, func(b int, scores []float64) {
 		for i, v := range scores {
 			visit(sh.StoredNode(b+i), v)
 		}
@@ -555,16 +549,15 @@ const maxScoreCells = 1 << 20
 // deployment, where materialising even one shard's full band for a
 // handful of (query, target) pairs would waste the worker's memory
 // bandwidth. out[i*|Q|+j] scores global row rows[i] against queries[j]:
-// s = 1{rows[i]==queries[j]} + c · Σ_{k<rank} F[rows[i]][k]·uq[j][k].
+// s = 1{rows[i]==queries[j]} + c · Σ_k F[rows[i]][k]·uq[j][k].
 //
 // Each stored row is a one-row band of the scan, so every element is
 // bitwise-equal to the same element of PartialInto's band: the dense
 // kernels accumulate every output element independently in ascending
 // column order, whatever the band height, and ×c, +1 follow in the same
 // order. An implicit row keeps the +0 out was made with.
-func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
-	rank, err := sh.checkQuery(queries, uq, rank)
-	if err != nil {
+func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int) ([]float64, error) {
+	if err := sh.checkQuery(queries, uq); err != nil {
 		return nil, err
 	}
 	cols := len(queries)
@@ -584,7 +577,7 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 	for i, t := range rows {
 		dst = dense.Mat{Rows: 1, Cols: cols, Data: out[i*cols : (i+1)*cols]}
 		if at, ok := sh.row(t); ok {
-			if err := sh.scan(ctx, uq, rank, at, at+1, 1, &dst, nil); err != nil {
+			if err := sh.scan(ctx, uq, at, at+1, 1, &dst, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -600,8 +593,8 @@ func (sh *IndexShard) ScoreRows(ctx context.Context, queries []int, uq *dense.Ma
 // ColMaxes returns the per-column maxima max|F_{[lo:hi),j}| over the
 // shard's rows (an implicit row, all zeros, never sets one). Because a max
 // over the full column is the max of the per-shard maxima, a router
-// combines these and runs Index.TruncationBound's recurrence to get a
-// truncation bound bitwise-equal to the monolithic one.
+// combines these into the monolithic index's ScoreBound and QuantBound,
+// bit for bit.
 func (sh *IndexShard) ColMaxes() []float64 { return sh.f.ColAbsMax() }
 
 // QuantErrs returns the measured per-column dequantisation errors of a
@@ -610,23 +603,18 @@ func (sh *IndexShard) ColMaxes() []float64 { return sh.f.ColAbsMax() }
 // router can feed any shard's copy into QuantBound.
 func (sh *IndexShard) QuantErrs() []float64 { return sh.fqerr }
 
-// TailBound runs Index.TruncationBound's recurrence over F's combined
-// per-column maxima: column j of a score sums F_ij·F_qj ≤ fmax_j², so
-// tail[j] = tail[j+1] + c·fmax[j]·fmax[j], returning tail so callers can
-// index it by retained rank. Every truncated rank also carries the rounding
-// both compared scores may add (roundingSlack); tail[r], the full rank, is
-// 0. Exposed from core so the router and the Index share one formula.
-func TailBound(c float64, fmax []float64) []float64 {
-	r := len(fmax)
-	tail := make([]float64, r+1)
-	for j := r - 1; j >= 0; j-- {
-		tail[j] = tail[j+1] + c*fmax[j]*fmax[j]
+// ScoreBound bounds the magnitude of any one score's product term from
+// F's combined per-column maxima: column j of a score sums F_ij·F_qj ≤
+// fmax_j², so |c·Σ_j F_ij·F_qj| ≤ c·Σ_j fmax_j², summed from the last
+// column down, plus the rounding both compared scores may add
+// (roundingSlack). Exposed from core so the router and the Index share one
+// formula.
+func ScoreBound(c float64, fmax []float64) float64 {
+	size := 0.0
+	for j := len(fmax) - 1; j >= 0; j-- {
+		size += c * fmax[j] * fmax[j]
 	}
-	slack := roundingSlack(r, tail[0])
-	for j := range tail[:r] {
-		tail[j] += slack
-	}
-	return tail
+	return size + roundingSlack(len(fmax), size)
 }
 
 // roundingSlack is what floating point may add to the difference of two

@@ -45,8 +45,7 @@ func gatherQueryRows(t *testing.T, shards []*IndexShard, queries []int) *dense.M
 }
 
 // Stitching every shard's PartialInto band together must reproduce the
-// monolithic QueryRankInto answer bitwise, at any boundary placement and
-// any retained rank.
+// monolithic QueryRankInto answer bitwise, at any boundary placement.
 func TestShardPartialIntoMatchesQueryInto(t *testing.T) {
 	const n, r = 97, 6
 	ix := bigIndex(t, n, r)
@@ -58,30 +57,28 @@ func TestShardPartialIntoMatchesQueryInto(t *testing.T) {
 		{0, 30, 31, 90, n},         // uneven
 		{0, 13, 14, 52, 53, 96, n}, // boundaries on query nodes
 	}
-	for _, rank := range []int{0, 1, 3, r} {
-		want, err := ix.QueryRankInto(context.Background(), queries, rank, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+	want, err := ix.QueryRankInto(context.Background(), queries, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bounds := range cuts {
+		shards := make([]*IndexShard, len(bounds)-1)
+		for s := range shards {
+			if shards[s], err = ix.Shard(bounds[s], bounds[s+1]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, bounds := range cuts {
-			shards := make([]*IndexShard, len(bounds)-1)
-			for s := range shards {
-				if shards[s], err = ix.Shard(bounds[s], bounds[s+1]); err != nil {
-					t.Fatal(err)
-				}
+		uq := gatherQueryRows(t, shards, queries)
+		got := dense.NewMat(n, len(queries))
+		cols := len(queries)
+		for _, sh := range shards {
+			band := &dense.Mat{Rows: sh.Rows(), Cols: cols, Data: got.Data[sh.Lo()*cols : sh.Hi()*cols]}
+			if err := sh.PartialInto(context.Background(), queries, uq, 0, band); err != nil {
+				t.Fatal(err)
 			}
-			uq := gatherQueryRows(t, shards, queries)
-			got := dense.NewMat(n, len(queries))
-			cols := len(queries)
-			for _, sh := range shards {
-				band := &dense.Mat{Rows: sh.Rows(), Cols: cols, Data: got.Data[sh.Lo()*cols : sh.Hi()*cols]}
-				if err := sh.PartialInto(context.Background(), queries, uq, rank, band); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !got.Equal(want, 0) {
-				t.Fatalf("rank=%d cuts=%v: stitched shard answer differs from monolithic", rank, bounds)
-			}
+		}
+		if !got.Equal(want, 0) {
+			t.Fatalf("cuts=%v: stitched shard answer differs from monolithic", bounds)
 		}
 	}
 }
@@ -136,31 +133,43 @@ func TestShardPartialIntoRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// Per-shard ColMaxes combined with TailBound must reproduce the
-// monolithic TruncationBound bitwise: max over a column is the max of
-// the per-shard maxima, and the recurrence is shared code.
-func TestTailBoundMatchesTruncationBound(t *testing.T) {
+// ScoreBound over the per-shard ColMaxes combined must reproduce the
+// whole index's bits at every cut — max over a column is the max of the
+// per-shard maxima — and bound the product term of every score.
+func TestScoreBoundCutInvariant(t *testing.T) {
 	const n, r = 97, 6
 	ix := bigIndex(t, n, r)
-	bounds := []int{0, 30, 31, 90, n}
-	fmax := make([]float64, r)
-	for s := 0; s < len(bounds)-1; s++ {
-		sh, err := ix.Shard(bounds[s], bounds[s+1])
-		if err != nil {
-			t.Fatal(err)
+	want := ScoreBound(ix.Damping(), ix.ColMaxes())
+	for _, bounds := range [][]int{{0, n}, {0, 48, n}, {0, 1, 2, n}, {0, 30, 31, 90, n}} {
+		fmax := make([]float64, r)
+		for s := 0; s < len(bounds)-1; s++ {
+			sh, err := ix.Shard(bounds[s], bounds[s+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range sh.ColMaxes() {
+				fmax[j] = math.Max(fmax[j], v)
+			}
 		}
-		for j, v := range sh.ColMaxes() {
-			fmax[j] = math.Max(fmax[j], v)
+		if got := ScoreBound(ix.Damping(), fmax); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("cuts=%v: combined bound %v != whole index's %v", bounds, got, want)
 		}
 	}
-	tail := TailBound(ix.Damping(), fmax)
-	for rank := 1; rank < r; rank++ {
-		if got, want := tail[rank], ix.TruncationBound(rank); got != want {
-			t.Fatalf("rank %d: combined tail bound %v != monolithic %v", rank, got, want)
-		}
+	queries := []int{0, 13, 52, 96}
+	s, err := ix.Query(queries, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tail[r] != 0 {
-		t.Fatalf("full-rank tail = %v, want 0", tail[r])
+	for i := 0; i < n; i++ {
+		for j, q := range queries {
+			v := s.At(i, j)
+			if i == q {
+				v-- // the identity's +1
+			}
+			if math.Abs(v) > want {
+				t.Fatalf("S[%d, %d] - I = %v exceeds ScoreBound %v", i, q, v, want)
+			}
+		}
 	}
 }
 

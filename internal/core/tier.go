@@ -90,7 +90,7 @@ func (t Tier) kind() dense.Kind {
 // identical formula from combined per-shard maxima (ColMaxes) and any
 // shard's QuantErrs.
 //
-// Like TailBound it carries roundingSlack, over scores of size c·Σ_j
+// Like ScoreBound it carries roundingSlack, over scores of size c·Σ_j
 // fmax_j².
 func QuantBound(c float64, fmax, ferr []float64) float64 {
 	if ferr == nil {

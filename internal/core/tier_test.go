@@ -32,8 +32,7 @@ func TestParseTier(t *testing.T) {
 // TestQuantizedErrorWithinBoundOnEvalGraph is the tier acceptance
 // criterion at evaluation scale: on a generated graph the measured
 // entrywise deviation of every quantized answer from the exact one stays
-// within QuantizationBound, and the composed TruncationBound (tail +
-// quantization) holds for truncated queries on a quantized index.
+// within QuantizationBound.
 func TestQuantizedErrorWithinBoundOnEvalGraph(t *testing.T) {
 	g, err := graph.ErdosRenyi(200, 1400, 3)
 	if err != nil {
@@ -76,28 +75,6 @@ func TestQuantizedErrorWithinBoundOnEvalGraph(t *testing.T) {
 		}
 		if worst == 0 && tier == TierI8 {
 			t.Fatalf("int8 quantization changed nothing; the bound check is vacuous")
-		}
-
-		// Composed bound: truncated rank on a quantized index. The
-		// deviation from the exact FULL-rank answer must stay within
-		// tail + quantization.
-		const trunc = 4
-		composed := q.TruncationBound(trunc)
-		if composed <= bound {
-			t.Fatalf("%v: TruncationBound(%d) = %g does not compose the tail on top of quant bound %g",
-				tier, trunc, composed, bound)
-		}
-		tg, err := q.QueryRankInto(context.Background(), queries, trunc, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < tg.Rows; i++ {
-			for j := 0; j < tg.Cols; j++ {
-				if d := math.Abs(tg.At(i, j) - ref.At(i, j)); d > composed {
-					t.Fatalf("%v: truncated quantized entry (%d,%d) deviates %g > composed bound %g",
-						tier, i, j, d, composed)
-				}
-			}
 		}
 	}
 }

@@ -55,9 +55,9 @@ func excludeSet(queries []int) map[int]bool {
 // its columns summed onto zeros in query order (csrplus.Engine.TopKMulti's
 // loop), one selection over the full vector. A single source selects from
 // its column as it stands, as Engine.TopK does.
-func columnTopK(t *testing.T, ix *Index, queries []int, k, rank int) []topk.Item {
+func columnTopK(t *testing.T, ix *Index, queries []int, k int) []topk.Item {
 	t.Helper()
-	s, err := ix.QueryRankInto(context.Background(), queries, rank, nil, nil)
+	s, err := ix.QueryInto(queries, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,8 @@ func columnTopK(t *testing.T, ix *Index, queries []int, k, rank int) []topk.Item
 }
 
 // The fused scan — banded tile, row sums, streaming selector, per-worker
-// merge — must equal the unfused column path bit for bit on every tier, at
-// full and truncated rank, wherever the shard cuts, the band edges and the
-// worker boundaries fall.
+// merge — must equal the unfused column path bit for bit on every tier,
+// wherever the shard cuts, the band edges and the worker boundaries fall.
 func Test_PartialTopKMatchesUnfused(t *testing.T) {
 	const n, r = 2*scanMaxBand + 37, 6
 	exact := syntheticIndex(n, r, 1)
@@ -109,27 +108,25 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rank := range []int{0, 2, r} {
-				for _, queries := range querySets {
-					uq := ix.gatherF(queries)
-					for _, k := range []int{1, 10, 100} {
-						want := columnTopK(t, ix, queries, k, rank)
-						for _, bounds := range cuts {
-							var lists [][]topk.Item
-							for s := 0; s+1 < len(bounds); s++ {
-								sh, err := ix.Shard(bounds[s], bounds[s+1])
-								if err != nil {
-									t.Fatal(err)
-								}
-								items, err := sh.PartialTopK(ctx, queries, uq, k, rank)
-								if err != nil {
-									t.Fatal(err)
-								}
-								lists = append(lists, items)
+			for _, queries := range querySets {
+				uq := ix.gatherF(queries)
+				for _, k := range []int{1, 10, 100} {
+					want := columnTopK(t, ix, queries, k)
+					for _, bounds := range cuts {
+						var lists [][]topk.Item
+						for s := 0; s+1 < len(bounds); s++ {
+							sh, err := ix.Shard(bounds[s], bounds[s+1])
+							if err != nil {
+								t.Fatal(err)
 							}
-							if got := topk.Merge(k, lists...); !sameBits(got, want) {
-								t.Fatalf("workers=%d tier=%v rank=%d queries=%v k=%d cuts=%v:\nfused   %v\nunfused %v", workers, tier, rank, queries, k, bounds, got, want)
+							items, err := sh.PartialTopK(ctx, queries, uq, k)
+							if err != nil {
+								t.Fatal(err)
 							}
+							lists = append(lists, items)
+						}
+						if got := topk.Merge(k, lists...); !sameBits(got, want) {
+							t.Fatalf("workers=%d tier=%v queries=%v k=%d cuts=%v:\nfused   %v\nunfused %v", workers, tier, queries, k, bounds, got, want)
 						}
 					}
 				}
@@ -151,22 +148,22 @@ func TestPartialTopKValidation(t *testing.T) {
 	ix := syntheticIndex(50, 4, 2)
 	ctx := context.Background()
 	uq := ix.gatherF([]int{1, 2})
-	if _, err := ix.PartialTopK(ctx, nil, uq, 3, 0); !errors.Is(err, ErrParams) {
+	if _, err := ix.PartialTopK(ctx, nil, uq, 3); !errors.Is(err, ErrParams) {
 		t.Fatalf("empty query set: err = %v, want ErrParams", err)
 	}
-	if _, err := ix.PartialTopK(ctx, []int{1}, uq, 3, 0); !errors.Is(err, ErrParams) {
+	if _, err := ix.PartialTopK(ctx, []int{1}, uq, 3); !errors.Is(err, ErrParams) {
 		t.Fatalf("uq of the wrong shape: err = %v, want ErrParams", err)
 	}
-	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, 0, 0); err != nil || len(items) != 0 {
+	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, 0); err != nil || len(items) != 0 {
 		t.Fatalf("k=0: items=%v err=%v", items, err)
 	}
 	// k is an upper bound, never an allocation size: 2^63 used to be handed to make().
-	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, math.MaxInt, 0); err != nil || len(items) != 48 {
+	if items, err := ix.PartialTopK(ctx, []int{1, 2}, uq, math.MaxInt); err != nil || len(items) != 48 {
 		t.Fatalf("k=MaxInt over 50 rows, 2 of them queries: %d items, err=%v", len(items), err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := ix.PartialTopK(cancelled, []int{1, 2}, uq, 3, 0); !errors.Is(err, context.Canceled) {
+	if _, err := ix.PartialTopK(cancelled, []int{1, 2}, uq, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v", err)
 	}
 }

@@ -113,32 +113,22 @@ func MulT(a, b *Mat) *Mat {
 // every output element keeps one accumulator advancing in ascending-k
 // order inside exactly one goroutine, so results are bitwise-
 // deterministic at every worker count and bitwise-equal to reftest.MulT.
+// It is the parallel wrapper over the row-range kernel
+// (MulTTypedRowsInto, typed.go).
 func MulTInto(out, a, b *Mat) *Mat {
-	return MulTRankInto(out, a, b, a.Cols)
-}
-
-// MulTRankInto computes a[:, :rank] * (b[:, :rank])ᵀ into out — the
-// rank-truncated variant of MulTInto, reading only the leading rank
-// columns of both operands (which must share a column count ≥ rank). With
-// factor columns ordered by singular value this is how a degraded query
-// answers from a cheaper low-rank slice of the same index without
-// rebuilding anything. rank ≥ a.Cols is the full product; rank 0 yields
-// the zero matrix; negative rank panics. It is the parallel wrapper over
-// the row-range kernel (MulTRankTypedRowsInto, typed.go): output rows are
-// partitioned across par workers on register-tile boundaries, and each
-// output element is one dot product accumulated in index order by exactly
-// one goroutine.
-func MulTRankInto(out, a, b *Mat, rank int) *Mat {
 	ta := TypedFromMat(a)
-	out, rank = mulTRankPrep(out, ta, b, rank, 0, a.Rows)
-	if rank == 0 {
-		return out
-	}
-	flops := int64(a.Rows) * int64(b.Rows) * int64(rank)
+	out = mulTPrep(out, ta, b, 0, a.Rows)
+	flops := int64(a.Rows) * int64(b.Rows) * int64(a.Cols)
 	par.DoAligned(a.Rows, mr, flops, func(lo, hi int) {
-		mulTRows(out, 0, ta, b, rank, lo, hi, nil)
+		mulTRows(out, 0, ta, b, lo, hi, nil)
 	})
 	return out
+}
+
+// MulTRankInto is MulTInto. rank is ignored; it stays only because the
+// benchmark harness (csrload) passes it (ROADMAP item 1 Step B).
+func MulTRankInto(out, a, b *Mat, _ int) *Mat {
+	return MulTInto(out, a, b)
 }
 
 // tmulMaxChunks bounds TMul's reduction grid: at most this many partial

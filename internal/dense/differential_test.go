@@ -62,40 +62,27 @@ func TestTiledKernelsMatchReferenceAllShapes(t *testing.T) {
 	}
 }
 
-// TestMulTRankIntoRankPoints drives the rank-truncated kernel through
-// every interesting truncation point — 0, 1, cols−1, cols — plus the
-// beyond-cols clamp, into NaN-poisoned scratch that must be fully
-// overwritten, comparing bitwise against reftest.MulTRank.
-func TestMulTRankIntoRankPoints(t *testing.T) {
+// TestMulTIntoInnerWidths drives MulTInto over inner widths either side of
+// the register tile, the empty one included, into NaN-poisoned scratch
+// that must be fully overwritten, comparing bitwise against reftest.MulT.
+func TestMulTIntoInnerWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, tier := range simd.Tiers() {
 		prev := dense.SetKernelTier(tier)
-		for _, cols := range []int{1, 4, 5, 11} {
+		for _, cols := range []int{0, 1, 4, 5, 11} {
 			a, b := ieeeMat(rng, 11, cols), ieeeMat(rng, 7, cols)
-			ranks := []int{0, 1, cols - 1, cols, cols + 3}
-			for _, rank := range ranks {
-				scratch := dense.NewMat(11, 7)
-				for i := range scratch.Data {
-					scratch.Data[i] = math.NaN()
-				}
-				got := dense.MulTRankInto(scratch, a, b, rank)
-				if got != scratch {
-					t.Fatalf("rank=%d: scratch not reused", rank)
-				}
-				want := reftest.MulTRank(a, b, min(rank, cols))
-				bitEq(t, fmt.Sprintf("MulTRankInto tier=%v cols=%d rank=%d", tier, cols, rank), got, want)
+			scratch := dense.NewMat(11, 7)
+			for i := range scratch.Data {
+				scratch.Data[i] = math.NaN()
 			}
+			got := dense.MulTInto(scratch, a, b)
+			if got != scratch {
+				t.Fatalf("cols=%d: scratch not reused", cols)
+			}
+			bitEq(t, fmt.Sprintf("MulTInto tier=%v cols=%d", tier, cols), got, reftest.MulT(a, b))
 		}
 		dense.SetKernelTier(prev)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulTRankInto(rank<0) must panic")
-		}
-	}()
-	a := dense.NewMat(2, 2)
-	dense.MulTRankInto(nil, a, a, -1)
 }
 
 // TestZeroTimesNaNPropagatesInProductionKernels is the regression test

@@ -11,10 +11,9 @@ import (
 )
 
 // Differential fuzzing of the tiled GEMM kernels against the frozen
-// references in internal/dense/reftest. Dimensions, the rank truncation
-// point and the worker count come from the fuzzed scalars; matrix
-// payloads are raw fuzz bytes reinterpreted as float64 bit patterns, so
-// the corpus explores NaNs, infinities, signed zeros, subnormals and
+// references in internal/dense/reftest. Dimensions and the worker count
+// come from the fuzzed scalars; matrix payloads are raw fuzz bytes
+// reinterpreted as float64 bit patterns, so the corpus explores NaNs, infinities, signed zeros, subnormals and
 // garbage exponents — exactly the values a "looks right on random
 // normals" kernel bug hides behind. `go test` replays the checked-in
 // corpus under testdata/fuzz; `go test -fuzz=FuzzMulT ./internal/dense`
@@ -64,21 +63,21 @@ var fuzzSeeds = [][]byte{
 
 func FuzzMulT(f *testing.F) {
 	for _, raw := range fuzzSeeds {
-		f.Add(uint8(4), uint8(2), uint8(32), uint8(33), uint8(1), raw) // serving-ish shape, rank clamp
-		f.Add(uint8(5), uint8(3), uint8(4), uint8(3), uint8(2), raw)   // tile edges, truncated rank
-		f.Add(uint8(0), uint8(7), uint8(1), uint8(0), uint8(0), raw)   // empty row side, rank 0
+		f.Add(uint8(4), uint8(2), uint8(32), uint8(1), raw) // serving-ish shape
+		f.Add(uint8(5), uint8(3), uint8(4), uint8(2), raw)  // tile edges
+		f.Add(uint8(0), uint8(7), uint8(1), uint8(0), raw)  // empty row side
+		f.Add(uint8(5), uint8(3), uint8(0), uint8(1), raw)  // empty inner dimension
 	}
-	f.Fuzz(func(t *testing.T, ar, br, cols, rank, workers uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, ar, br, cols, workers uint8, raw []byte) {
 		m, n, k := int(ar)%fuzzDims, int(br)%fuzzDims, int(cols)%fuzzDims
-		r := int(rank) % (k + 2) // hits 0, interior, cols and the clamp region
 		a := matFromBytes(m, k, raw, 0)
 		b := matFromBytes(n, k, raw, 3)
-		want := reftest.MulTRank(a, b, min(r, k))
+		want := reftest.MulT(a, b)
 		prevW := par.SetMaxWorkers(1 + int(workers)%4)
 		defer par.SetMaxWorkers(prevW)
 		for _, tier := range simd.Tiers() {
 			prev := dense.SetKernelTier(tier)
-			fuzzBitEq(t, "MulTRankInto vs reftest.MulTRank", dense.MulTRankInto(nil, a, b, r), want)
+			fuzzBitEq(t, "MulTInto vs reftest.MulT", dense.MulTInto(nil, a, b), want)
 			dense.SetKernelTier(prev)
 		}
 	})

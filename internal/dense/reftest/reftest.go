@@ -47,18 +47,11 @@ func Mul(a, b *dense.Mat) *dense.Mat {
 // MulT returns a·bᵀ: one dot product per output element, accumulated
 // over k ascending.
 func MulT(a, b *dense.Mat) *dense.Mat {
-	return MulTRank(a, b, a.Cols)
-}
-
-// MulTRank returns a[:, :rank]·(b[:, :rank])ᵀ — the rank-truncated
-// a·bᵀ, the serving hot path's degraded-query kernel. rank must be in
-// [0, a.Cols]; rank 0 yields the zero matrix.
-func MulTRank(a, b *dense.Mat, rank int) *dense.Mat {
 	out := dense.NewMat(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Rows; j++ {
 			s := 0.0
-			for k := 0; k < rank; k++ {
+			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(j, k)
 			}
 			out.Data[i*b.Rows+j] = s

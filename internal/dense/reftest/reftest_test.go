@@ -50,17 +50,6 @@ func TestReferencesPropagateNaNThroughZero(t *testing.T) {
 	}
 }
 
-func TestMulTRankEndpoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a, b := randMat(rng, 6, 5), randMat(rng, 4, 5)
-	if got := MulTRank(a, b, 0); !BitEqual(got, dense.NewMat(6, 4)) {
-		t.Fatal("MulTRank(rank=0) is not the zero matrix")
-	}
-	if got := MulTRank(a, b, 5); !BitEqual(got, MulT(a, b)) {
-		t.Fatal("MulTRank(rank=cols) differs from MulT")
-	}
-}
-
 func TestTMulChunkedIsFixedReorderingOfSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := randMat(rng, 103, 4), randMat(rng, 103, 3)

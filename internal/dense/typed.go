@@ -3,9 +3,9 @@ package dense
 // typed.go holds the factor representation phase II reads — a read-only
 // matrix whose elements are stored as float64, float32, or int8 with
 // per-column dequantisation scales — and the one kernel that multiplies a
-// row range of it: MulTRankTypedRowsInto, which every phase-II product goes
+// row range of it: MulTTypedRowsInto, which every phase-II product goes
 // through (core's banded scan directly, whole float64 matrices via
-// MulTRankInto in blas.go).
+// MulTInto in blas.go).
 //
 // The float64 kind is the exact tier: a zero-cost view over a []float64
 // (heap factors, or the mmap'd snapshot blocks) fed to the register-tiled
@@ -299,62 +299,55 @@ func QuantizeI8(m *Mat) (*Typed, []float64) {
 // dequantisation pass over the |Q| dot products each row feeds.
 const dequantBandRows = 512
 
-// MulTRankTypedRowsInto computes rows [lo, hi) of a[:, :rank] *
-// (b[:, :rank])ᵀ into out, reshaped to (hi-lo) x b.Rows, on the calling
-// goroutine — the one kernel entry behind phase II: core's banded scan
-// partitions a's rows itself and calls it once per band, and MulTRankInto
-// is its parallel wrapper for a whole float64 matrix. The F64 kind runs
-// the register-tiled micro-kernels straight over the stored rows;
-// quantised kinds dequantise dequantBandRows rows at a time into deq — the
-// caller's scratch, grown when too small and returned for the next call,
-// so a banded caller allocates nothing per band — and run the same
-// micro-kernels over that. Every element is one dot product in index
-// order over elementwise-dequantised inputs: bit for bit the product of
-// the fully dequantised matrix, whatever the banding or the partition.
-func MulTRankTypedRowsInto(out *Mat, a *Typed, b *Mat, rank, lo, hi int, deq []float64) (*Mat, []float64) {
-	out, rank = mulTRankPrep(out, a, b, rank, lo, hi)
-	if rank == 0 {
-		return out, deq
-	}
+// MulTTypedRowsInto computes rows [lo, hi) of a * bᵀ into out, reshaped
+// to (hi-lo) x b.Rows, on the calling goroutine — the one kernel entry
+// behind phase II: core's banded scan partitions a's rows itself and calls
+// it once per band, and MulTInto is its parallel wrapper for a whole
+// float64 matrix. The F64 kind runs the register-tiled micro-kernels
+// straight over the stored rows; quantised kinds dequantise
+// dequantBandRows rows at a time into deq — the caller's scratch, grown
+// when too small and returned for the next call, so a banded caller
+// allocates nothing per band — and run the same micro-kernels over that.
+// Every element is one dot product in index order over
+// elementwise-dequantised inputs: bit for bit the product of the fully
+// dequantised matrix, whatever the banding or the partition.
+func MulTTypedRowsInto(out *Mat, a *Typed, b *Mat, lo, hi int, deq []float64) (*Mat, []float64) {
+	out = mulTPrep(out, a, b, lo, hi)
 	if need := min(dequantBandRows, hi-lo) * a.Cols; a.Kind != F64 && cap(deq) < need {
 		deq = make([]float64, need)
 	}
-	mulTRows(out, lo, a, b, rank, lo, hi, deq[:cap(deq)])
+	mulTRows(out, lo, a, b, lo, hi, deq[:cap(deq)])
 	return out, deq
 }
 
-// mulTRankPrep is the one preamble of the rank-truncated a·bᵀ family: it
-// panics on mismatched column counts, a negative rank or a row range
-// outside a, clamps rank to the shared column count, shapes out to
-// (hi-lo) x b.Rows and — at rank 0, where nothing is left to multiply —
-// zero-fills it.
-func mulTRankPrep(out *Mat, a *Typed, b *Mat, rank, lo, hi int) (*Mat, int) {
+// mulTPrep is the one preamble of the a·bᵀ family: it panics on
+// mismatched column counts or a row range outside a and shapes out to
+// (hi-lo) x b.Rows. An empty inner dimension zero-fills out: the kernels
+// would write nothing, leaving a reused out's old values.
+func mulTPrep(out *Mat, a *Typed, b *Mat, lo, hi int) *Mat {
 	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulTRank %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
+		panic(fmt.Sprintf("dense: MulT %dx%d * (%dx%d)ᵀ: %v", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape))
 	}
-	if rank < 0 || lo < 0 || hi > a.Rows || lo > hi {
-		panic(fmt.Sprintf("dense: MulTRank rank %d rows [%d, %d) of %d: %v", rank, lo, hi, a.Rows, ErrShape))
+	if lo < 0 || hi > a.Rows || lo > hi {
+		panic(fmt.Sprintf("dense: MulT rows [%d, %d) of %d: %v", lo, hi, a.Rows, ErrShape))
 	}
-	rank = min(rank, a.Cols)
 	out = out.Reuse(hi-lo, b.Rows)
-	if rank == 0 {
-		for i := range out.Data {
-			out.Data[i] = 0
-		}
+	if a.Cols == 0 {
+		clear(out.Data)
 	}
-	return out, rank
+	return out
 }
 
-// mulTRows writes rows [lo, hi) of a[:, :rank] * (b[:, :rank])ᵀ to rows
+// mulTRows writes rows [lo, hi) of a * bᵀ to rows
 // [lo-outLo, hi-outLo) of out. A quantised a goes through buf
 // dequantBandRows rows at a time; buf then holds at least
 // min(dequantBandRows, hi-lo) * a.Cols floats.
-func mulTRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, buf []float64) {
+func mulTRows(out *Mat, outLo int, a *Typed, b *Mat, lo, hi int, buf []float64) {
 	m := b.Rows
 	if a.Kind == F64 { // nothing to dequantise: one band, the stored rows
 		aBand := Mat{Rows: hi - lo, Cols: a.Cols, Data: a.F64[lo*a.Cols : hi*a.Cols]}
 		outBand := Mat{Rows: hi - lo, Cols: m, Data: out.Data[(lo-outLo)*m : (hi-outLo)*m]}
-		mulTDot(&outBand, &aBand, b, rank, 0, hi-lo)
+		mulTDot(&outBand, &aBand, b, a.Cols, 0, hi-lo)
 		return
 	}
 	var aBand, outBand Mat
@@ -366,6 +359,6 @@ func mulTRows(out *Mat, outLo int, a *Typed, b *Mat, rank, lo, hi int, buf []flo
 			a.RowInto(i, aBand.Row(i-bl))
 		}
 		outBand = Mat{Rows: rows, Cols: m, Data: out.Data[(bl-outLo)*m : (bh-outLo)*m]}
-		mulTDot(&outBand, &aBand, b, rank, 0, rows)
+		mulTDot(&outBand, &aBand, b, a.Cols, 0, rows)
 	}
 }

@@ -23,16 +23,14 @@ func TestTypedF64Delegates(t *testing.T) {
 	if &ty.F64[0] != &a.Data[0] {
 		t.Fatal("TypedFromMat copied instead of aliasing")
 	}
-	for _, rank := range []int{0, 1, 7, 32, 100} {
-		want := MulTRankInto(nil, a, b, rank)
-		got, _ := MulTRankTypedRowsInto(nil, ty, b, rank, 0, ty.Rows, nil)
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("rank %d: shape %dx%d, want %dx%d", rank, got.Rows, got.Cols, want.Rows, want.Cols)
-		}
-		for i, v := range want.Data {
-			if got.Data[i] != v {
-				t.Fatalf("rank %d: elem %d = %g, want %g (must be bitwise-identical)", rank, i, got.Data[i], v)
-			}
+	want := MulTInto(nil, a, b)
+	got, _ := MulTTypedRowsInto(nil, ty, b, 0, ty.Rows, nil)
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range want.Data {
+		if got.Data[i] != v {
+			t.Fatalf("elem %d = %g, want %g (must be bitwise-identical)", i, got.Data[i], v)
 		}
 	}
 }
@@ -54,23 +52,20 @@ func TestTypedQuantizedMatchesDequantReference(t *testing.T) {
 		for i := 0; i < ty.Rows; i++ {
 			ty.RowInto(i, deq.Row(i))
 		}
-		for _, rank := range []int{0, 5, 24} {
-			want := MulTRankInto(nil, deq, b, rank)
-			got, _ := MulTRankTypedRowsInto(nil, ty, b, rank, 0, ty.Rows, nil)
-			for i, v := range want.Data {
-				if got.Data[i] != v {
-					t.Fatalf("%s rank %d: elem %d = %g, want %g", name, rank, i, got.Data[i], v)
-				}
+		want := MulTInto(nil, deq, b)
+		got, _ := MulTTypedRowsInto(nil, ty, b, 0, ty.Rows, nil)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%s: elem %d = %g, want %g", name, i, got.Data[i], v)
 			}
 		}
 	}
 }
 
 // TestRowsKernelsMatchWholeProduct holds the serial row-range entry point
-// to the whole-matrix kernel (MulTRankInto over the dequantised rows) bit
-// for bit, on every kind, for ranges that start and end inside
-// dequantisation bands, at rank 0, truncated and full, with the output and
-// the dequantisation scratch reused across calls — and checks that the
+// to the whole-matrix kernel (MulTInto over the dequantised rows) bit for
+// bit, on every kind, for ranges that start and end inside dequantisation
+// bands, with the output and the dequantisation scratch reused across calls — and checks that the
 // reuse really allocates nothing.
 func TestRowsKernelsMatchWholeProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -86,23 +81,21 @@ func TestRowsKernelsMatchWholeProduct(t *testing.T) {
 		for i := 0; i < ty.Rows; i++ {
 			ty.RowInto(i, dequantised.Row(i))
 		}
-		for _, rank := range []int{0, 5, 24, 100} {
-			whole := MulTRankInto(nil, dequantised, b, rank)
-			for _, r := range ranges {
-				lo, hi := r[0], r[1]
-				out, deq = MulTRankTypedRowsInto(out, ty, b, rank, lo, hi, deq)
-				if out.Rows != hi-lo || out.Cols != b.Rows {
-					t.Fatalf("%s rows [%d, %d): shape %dx%d", name, lo, hi, out.Rows, out.Cols)
-				}
-				for i, v := range out.Data {
-					if w := whole.Data[lo*b.Rows+i]; math.Float64bits(v) != math.Float64bits(w) {
-						t.Fatalf("%s rank %d rows [%d, %d): elem %d = %g, whole product has %g", name, rank, lo, hi, i, v, w)
-					}
+		whole := MulTInto(nil, dequantised, b)
+		for _, r := range ranges {
+			lo, hi := r[0], r[1]
+			out, deq = MulTTypedRowsInto(out, ty, b, lo, hi, deq)
+			if out.Rows != hi-lo || out.Cols != b.Rows {
+				t.Fatalf("%s rows [%d, %d): shape %dx%d", name, lo, hi, out.Rows, out.Cols)
+			}
+			for i, v := range out.Data {
+				if w := whole.Data[lo*b.Rows+i]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s rows [%d, %d): elem %d = %g, whole product has %g", name, lo, hi, i, v, w)
 				}
 			}
 		}
 		if n := testing.AllocsPerRun(10, func() {
-			out, deq = MulTRankTypedRowsInto(out, ty, b, 24, 3, dequantBandRows+2, deq)
+			out, deq = MulTTypedRowsInto(out, ty, b, 3, dequantBandRows+2, deq)
 		}); n != 0 {
 			t.Errorf("%s: %v allocations per call with reused out and scratch, want 0", name, n)
 		}

@@ -237,13 +237,6 @@ func (w *WAL) Prune(seq uint64) (removed int, err error) {
 	return removed, nil
 }
 
-// LastSeq returns the highest assigned sequence number.
-func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // DurableSeq returns the highest sequence known to be fsynced.
 func (w *WAL) DurableSeq() uint64 { return w.durable.Load() }
 

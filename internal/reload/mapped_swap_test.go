@@ -229,9 +229,9 @@ func TestViewRouterReloadUnderFire(t *testing.T) {
 					defer enter()()
 					return topK(ctx, queries, k, rank)
 				}
-				ranked.Scores = func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
+				ranked.Scores = func(ctx context.Context, queries, targets []int) (*dense.Mat, error) {
 					defer enter()()
-					return scores(ctx, queries, targets, rank)
+					return scores(ctx, queries, targets)
 				}
 				return &Candidate{
 					Ranked: ranked,

@@ -329,9 +329,8 @@ func probeNodes(n int) []int {
 }
 
 // Validate smoke-tests a candidate before it may take traffic: the shape
-// must be plausible and real engine calls against probe nodes (at full
-// rank, the only rank real traffic is served at) must come back with the right
-// dimensions, finite scores, and a positive self-similarity (CoSimRank
+// must be plausible and real engine calls against probe nodes must come
+// back with the right dimensions, finite scores, and a positive self-similarity (CoSimRank
 // scores a node against itself as 1 plus a damped correction, so a zero
 // or negative diagonal means the factors are garbage — an index loaded
 // against the wrong graph orientation, a cluster whose shards disagree
@@ -356,7 +355,7 @@ func Validate(c *Candidate) error {
 	e, ctx, probes := c.Ranked.Direct(), context.Background(), probeNodes(c.N)
 	if e.Scores != nil {
 		// mat holds the probes' scores: row i is probe i, column j probe j.
-		mat, err := e.Scores(ctx, probes, probes, 0)
+		mat, err := e.Scores(ctx, probes, probes)
 		switch {
 		case err != nil:
 			return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)

@@ -49,7 +49,7 @@ func ValidateShard(sh *core.IndexShard) error {
 	}
 	ctx := context.Background()
 	var bad error
-	err := sh.VisitScores(ctx, probes, uq, 0, func(node int, score float64) {
+	err := sh.VisitScores(ctx, probes, uq, func(node int, score float64) {
 		if bad == nil && (math.IsNaN(score) || math.IsInf(score, 0)) {
 			bad = fmt.Errorf("%w: non-finite score %v for node %d against probes %v", ErrValidation, score, node, probes)
 		}
@@ -60,7 +60,7 @@ func ValidateShard(sh *core.IndexShard) error {
 	if bad != nil {
 		return bad
 	}
-	self, err := sh.ScoreRows(ctx, probes, uq, probes, 0)
+	self, err := sh.ScoreRows(ctx, probes, uq, probes)
 	if err != nil {
 		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
 	}

@@ -53,12 +53,11 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Admitted, Shed, Expired and Batches expose the counters the tests and the
-// /stats endpoint read directly.
+// Admitted, Shed and Expired expose the counters the tests and the /stats
+// endpoint read directly.
 func (m *Metrics) Admitted() int64 { return m.admitted.Load() }
 func (m *Metrics) Shed() int64     { return m.shed.Load() }
 func (m *Metrics) Expired() int64  { return m.expired.Load() }
-func (m *Metrics) Batches() int64  { return m.batches.Load() }
 
 // Degraded counts requests answered with a shard missing or the drift
 // budget exhausted.

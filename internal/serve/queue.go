@@ -123,7 +123,7 @@ func (b *backend) do(req *request) (response, error) {
 	case req.k > 0:
 		resp.items, resp.prov, err = b.TopK(req.ctx, req.nodes, req.k, 0)
 	default:
-		resp.scores, err = b.Scores(req.ctx, req.nodes, req.targets, 0)
+		resp.scores, err = b.Scores(req.ctx, req.nodes, req.targets)
 	}
 	if cerr := req.ctx.Err(); cerr != nil {
 		b.metrics.expired.Add(1)

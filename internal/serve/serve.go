@@ -158,13 +158,14 @@ type Server struct {
 	closed bool       // guarded by swapMu
 }
 
-// RankQueryFunc answers one multi-source column pass at a chosen rank
-// (0 or >= the engine's rank = full; serve always passes 0): the n x |Q|
-// block, reusing scratch's backing array when its capacity suffices
-// (Ranked.Direct always passes nil, so it allocates). It honours ctx between row bands
-// so an abandoned request stops consuming its slot mid-pass.
-// core.(*Index).QueryRankInto, less its tracker, satisfies it.
-type RankQueryFunc func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error)
+// RankQueryFunc answers one multi-source column pass: the n x |Q| block,
+// reusing scratch's backing array when its capacity suffices
+// (Ranked.Direct always passes nil, so it allocates). It honours ctx
+// between row bands so an abandoned request stops consuming its slot
+// mid-pass. core.(*Index).QueryRankInto, less its tracker, satisfies it.
+// The int is ignored (serve passes 0); it stays only because the
+// benchmark harness (csrload) passes it (ROADMAP item 1 Step B).
+type RankQueryFunc func(ctx context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error)
 
 // TopKProvenance reports how a direct top-k answer was assembled: how
 // many shards could not contribute and the bound inflation their absence
@@ -181,34 +182,35 @@ type TopKProvenance struct {
 
 // DirectTopKFunc answers one top-k request in one engine call — the
 // contract a scatter–gather router satisfies (shard.Router.TopKTagged):
-// shards return rank-limited partial top-k lists and the router merges
-// them exactly, so no n x |Q| matrix ever materialises and there is
-// nothing to coalesce. rank <= 0 means full rank; serve always passes 0.
-type DirectTopKFunc func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, TopKProvenance, error)
+// shards return partial top-k lists and the router merges them exactly,
+// so no n x |Q| matrix ever materialises and there is nothing to
+// coalesce. The int is ignored (serve passes 0); it stays only because
+// the benchmark harness (csrload) passes it (ROADMAP item 1 Step B).
+type DirectTopKFunc func(ctx context.Context, queries []int, k, _ int) ([]topk.Item, TopKProvenance, error)
 
 // DirectScoreFunc answers targeted (query, target) scores in one engine
 // call, returning a |queries| x |targets| matrix (shard.Router.Scores
-// satisfies it); rank is as for DirectTopKFunc. Unlike DirectTopKFunc
-// there is no missing-shard variant: a targeted score from a dead shard
-// has no meaningful substitute, so missing shards fail the call.
-type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error)
+// satisfies it). Unlike DirectTopKFunc there is no missing-shard variant:
+// a targeted score from a dead shard has no meaningful substitute, so
+// missing shards fail the call.
+type DirectScoreFunc func(ctx context.Context, queries, targets []int) (*dense.Mat, error)
 
 // Ranked describes one engine generation — the single contract between
 // the server and whatever answers its queries. TopK and Scores are the
-// engine calls the generation's requests make, one each, always at full
-// rank; admission, shedding, tagging and drain do not depend on what is
-// behind them.
+// engine calls the generation's requests make, one each; admission,
+// shedding, tagging and drain do not depend on what is behind them.
 type Ranked struct {
 	// N is the node count requests are validated against.
 	N int
 	// Deprecated: ignored. Every call runs at full rank; the field stays
 	// only until the benchmark harness (csrload/layers.go) stops setting it.
 	Rank int
-	// Bound reports the entrywise error bound of answering at a rank;
-	// serve asks only for Bound(0), full rank
-	// (shard.(*Router).TruncationBound: the tier's quantization term).
-	// nil reports 0.
-	Bound func(rank int) float64
+	// Bound reports the entrywise error bound of an answer
+	// (shard.(*Router).TruncationBound: the tier's quantization term);
+	// nil reports 0. The int is ignored (serve passes 0); it stays only
+	// because the benchmark harness (csrload) sets Bound to
+	// core.(*Index).TruncationBound (ROADMAP item 1 Step B).
+	Bound func(int) float64
 	// Query, when TopK or Scores is nil, stands in for it: Direct answers
 	// the request out of one column pass of its own. csrserver's
 	// generations never set it.
@@ -255,11 +257,11 @@ func (e Ranked) Direct() Ranked {
 	if query == nil {
 		return e
 	}
-	columns := func(ctx context.Context, queries []int, rank int) (map[int][]float64, error) {
+	columns := func(ctx context.Context, queries []int) (map[int][]float64, error) {
 		if block := int64(len(queries)) * int64(n) * 8; block > maxColumnBlockBytes {
 			return nil, fmt.Errorf("%w: %d nodes x %d rows is a %d MiB column block, over the %d MiB one request may ask for", ErrBadRequest, len(queries), n, block>>20, maxColumnBlockBytes>>20)
 		}
-		m, err := query(ctx, queries, rank, nil)
+		m, err := query(ctx, queries, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -273,8 +275,8 @@ func (e Ranked) Direct() Ranked {
 		return cols, nil
 	}
 	if e.TopK == nil {
-		e.TopK = func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, TopKProvenance, error) {
-			cols, err := columns(ctx, queries, rank)
+		e.TopK = func(ctx context.Context, queries []int, k, _ int) ([]topk.Item, TopKProvenance, error) {
+			cols, err := columns(ctx, queries)
 			if err != nil {
 				return nil, TopKProvenance{}, err
 			}
@@ -282,8 +284,8 @@ func (e Ranked) Direct() Ranked {
 		}
 	}
 	if e.Scores == nil {
-		e.Scores = func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
-			cols, err := columns(ctx, queries, rank)
+		e.Scores = func(ctx context.Context, queries, targets []int) (*dense.Mat, error) {
+			cols, err := columns(ctx, queries)
 			if err != nil {
 				return nil, err
 			}

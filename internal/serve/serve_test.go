@@ -323,7 +323,7 @@ func TestServerColumnBlockBudget(t *testing.T) {
 		t.Fatalf("over-budget requests reached the engine %d times", reached.Load())
 	}
 
-	e.Scores = func(_ context.Context, queries, targets []int, _ int) (*dense.Mat, error) {
+	e.Scores = func(_ context.Context, queries, targets []int) (*dense.Mat, error) {
 		return dense.NewMat(len(queries), len(targets)), nil
 	}
 	s.SwapRanked(e)

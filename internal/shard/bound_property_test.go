@@ -57,9 +57,8 @@ func boundGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestBoundsHoldProperty checks every bound the one factor re-derives
-// against the full-rank f64 answer: for each graph, rank r' ∈ {1, 2, 4, 8,
-// full} and tier {f64, f32, int8}, every entry a monolith serves is within
-// its TruncationBound; and behind a K = 3 router whose middle slot cannot
+// against the f64 answer: for each graph and tier {f64, f32, int8}, every
+// entry a monolith serves is within its TruncationBound; and behind a K = 3 router whose middle slot cannot
 // answer, every listed item's summed score is within |Q|·TruncationBound of
 // the f64 sum, the router's bound is the monolith's bit for bit, and no
 // node of the missing slot could have summed past the ErrorBound the
@@ -104,53 +103,51 @@ func TestBoundsHoldProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rank := range []int{1, 2, 4, 8, 0} {
-				label := fmt.Sprintf("%s tier=%v r'=%d", name, tier, rank)
-				bound := ix.TruncationBound(rank)
-				if rb := rt.TruncationBound(rank); math.Float64bits(rb) != math.Float64bits(bound) {
-					t.Fatalf("%s: router bound %v, monolith %v", label, rb, bound)
+			label := fmt.Sprintf("%s tier=%v", name, tier)
+			bound := ix.TruncationBound(0)
+			if rb := rt.TruncationBound(0); math.Float64bits(rb) != math.Float64bits(bound) {
+				t.Fatalf("%s: router bound %v, monolith %v", label, rb, bound)
+			}
+			got, err := ix.QueryRankInto(ctx, queries, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := 0.0
+			for j, q := range queries {
+				for i := 0; i < n; i++ {
+					worst = math.Max(worst, math.Abs(got.At(i, j)-ref.At(i, q)))
 				}
-				got, err := ix.QueryRankInto(ctx, queries, rank, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				worst := 0.0
-				for j, q := range queries {
-					for i := 0; i < n; i++ {
-						worst = math.Max(worst, math.Abs(got.At(i, j)-ref.At(i, q)))
-					}
-				}
-				if worst > bound {
-					t.Errorf("%s: monolith within %g of the f64 answer, bound %g", label, worst, bound)
-				}
+			}
+			if worst > bound {
+				t.Errorf("%s: monolith within %g of the f64 answer, bound %g", label, worst, bound)
+			}
 
-				sum := func(i int) float64 {
-					s := 0.0
-					for _, q := range queries {
-						s += ref.At(i, q)
-					}
-					return s
+			sum := func(i int) float64 {
+				s := 0.0
+				for _, q := range queries {
+					s += ref.At(i, q)
 				}
-				res, err := rt.TopKTagged(ctx, queries, n, rank)
-				if err != nil {
-					t.Fatal(err)
+				return s
+			}
+			res, err := rt.TopKTagged(ctx, queries, n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Missing != 1 || !(res.ErrorBound > 0) {
+				t.Fatalf("%s: %d slots missing, error bound %v", label, res.Missing, res.ErrorBound)
+			}
+			listed := float64(len(queries)) * bound
+			for _, it := range res.Items {
+				if it.Node >= lo1 && it.Node < hi1 {
+					t.Fatalf("%s: item %d from the slot that did not answer", label, it.Node)
 				}
-				if res.Missing != 1 || !(res.ErrorBound > 0) {
-					t.Fatalf("%s: %d slots missing, error bound %v", label, res.Missing, res.ErrorBound)
+				if d := math.Abs(it.Score - sum(it.Node)); d > listed {
+					t.Errorf("%s: item %d scores %v, the f64 sum is %v: off by %g, bound %g", label, it.Node, it.Score, sum(it.Node), d, listed)
 				}
-				listed := float64(len(queries)) * bound
-				for _, it := range res.Items {
-					if it.Node >= lo1 && it.Node < hi1 {
-						t.Fatalf("%s: item %d from the slot that did not answer", label, it.Node)
-					}
-					if d := math.Abs(it.Score - sum(it.Node)); d > listed {
-						t.Errorf("%s: item %d scores %v, the f64 sum is %v: off by %g, bound %g", label, it.Node, it.Score, sum(it.Node), d, listed)
-					}
-				}
-				for i := lo1; i < hi1; i++ {
-					if s := sum(i); math.Abs(s) > res.ErrorBound {
-						t.Errorf("%s: omitted node %d sums to %v, past the error bound %v", label, i, s, res.ErrorBound)
-					}
+			}
+			for i := lo1; i < hi1; i++ {
+				if s := sum(i); math.Abs(s) > res.ErrorBound {
+					t.Errorf("%s: omitted node %d sums to %v, past the error bound %v", label, i, s, res.ErrorBound)
 				}
 			}
 		}

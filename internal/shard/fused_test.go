@@ -18,12 +18,12 @@ import (
 )
 
 // unfusedTopK is the reference every fused answer is held to: the column
-// path at the given rank — the n x |Q| block, its columns summed in query
-// order, one selection over the full vector (columnTopK below; at full
-// rank it is csrplus.Engine.TopK / TopKMulti).
-func unfusedTopK(t testing.TB, ix *core.Index, queries []int, k, rank int) []topk.Item {
+// path — the n x |Q| block, its columns summed in query order, one
+// selection over the full vector (columnTopK below; it is
+// csrplus.Engine.TopK / TopKMulti).
+func unfusedTopK(t testing.TB, ix *core.Index, queries []int, k int) []topk.Item {
 	t.Helper()
-	_, items, err := columnTopK(ix, queries, k, rank, nil)
+	_, items, err := columnTopK(ix, queries, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func assertSameBits(t testing.TB, label string, got, want []topk.Item) {
 
 // TestRouterTopKMatchesUnfused holds the served top-k path — gather,
 // banded scan, row sums, streaming selection, merge — to the unfused reference bit
-// for bit across tier x retained rank x shard count x query shape (single,
+// for bit across tier x shard count x query shape (single,
 // boundary, multi-source, duplicates; at K > 1 every set has nodes the
 // answering shard does not own). SHARD_K pins the shard count, so CI's
 // shard matrix runs it once per K.
@@ -62,15 +62,13 @@ func TestRouterTopKMatchesUnfused(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, queries := range querySets() {
-				for _, rank := range []int{0, 2, testRank} {
-					for _, k := range []int{1, 10, testN} {
-						got, err := rt.TopKRank(ctx, queries, k, rank)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("tier=%v K=%d queries=%v rank=%d k=%d", tier, shards, queries, rank, k)
-						assertSameBits(t, label, got, unfusedTopK(t, ix, queries, k, rank))
+				for _, k := range []int{1, 10, testN} {
+					got, err := rt.TopK(ctx, queries, k)
+					if err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("tier=%v K=%d queries=%v k=%d", tier, shards, queries, k)
+					assertSameBits(t, label, got, unfusedTopK(t, ix, queries, k))
 				}
 			}
 		}
@@ -131,7 +129,7 @@ func Test_TopKFused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := unfusedTopK(t, ix, queries, 100, 0)
+		want := unfusedTopK(t, ix, queries, 100)
 		for _, shards := range []int{1, 2} {
 			rt, err := shard.NewRouterFromIndex(ix, shards)
 			if err != nil {
@@ -166,8 +164,8 @@ func Test_TopKFused(t *testing.T) {
 // columnTopK is the path /topk was served from before the fused scan, kept
 // as the benchmark's baseline: the n x |Q| block into a reused scratch,
 // one copy per column, the columns summed into an n-vector, one selection.
-func columnTopK(ix *core.Index, queries []int, k, rank int, scratch *dense.Mat) (*dense.Mat, []topk.Item, error) {
-	s, err := ix.QueryRankInto(context.Background(), queries, rank, scratch, nil)
+func columnTopK(ix *core.Index, queries []int, k int, scratch *dense.Mat) (*dense.Mat, []topk.Item, error) {
+	s, err := ix.QueryInto(queries, scratch, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,7 +212,7 @@ func Benchmark_TopKFused(b *testing.B) {
 				var scratch *dense.Mat
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s, _, err := columnTopK(ix, queries, k, 0, scratch)
+					s, _, err := columnTopK(ix, queries, k, scratch)
 					if err != nil {
 						b.Fatal(err)
 					}

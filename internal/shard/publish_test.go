@@ -131,12 +131,12 @@ func TestCompactedIndexAnswersLikeDenseV2(t *testing.T) {
 				}
 			}
 		}
-		want, err := ref.Scores(ctx, queries, targets, 0)
+		want, err := ref.Scores(ctx, queries, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rt := range routers {
-			got, err := rt.Scores(ctx, queries, targets, 0)
+			got, err := rt.Scores(ctx, queries, targets)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ type Router struct {
 
 type boundEntry struct {
 	gens  []uint64
-	tail  []float64
+	score float64 // core.ScoreBound over the combined column maxima
 	quant float64
 }
 
@@ -304,17 +304,10 @@ func (r *Router) fanout(body func(s int) error) []error {
 // ever allocated. Answers are bitwise csrplus.Engine.TopK for a single
 // query (its own column, itself excluded) and bitwise
 // csrplus.Engine.TopKMulti (the materialised columns, summed) for a set,
-// at every shard count, tier and retained rank.
-func (r *Router) TopK(ctx context.Context, queries []int, k int) ([]topk.Item, error) {
-	return r.TopKRank(ctx, queries, k, 0)
-}
-
-// TopKRank is TopK answered from a rank-r' truncation of the index (rank
-// <= 0 or >= the index rank is full). The merge stays exact for whatever
-// scores the truncation produces. Any slot failure fails the query; for
+// at every shard count and tier. Any slot failure fails the query; for
 // the degrading variant a wire deployment serves from, see TopKTagged.
-func (r *Router) TopKRank(ctx context.Context, queries []int, k, rank int) ([]topk.Item, error) {
-	res, err := r.topK(ctx, queries, k, rank, false) // the zero result on error
+func (r *Router) TopK(ctx context.Context, queries []int, k int) ([]topk.Item, error) {
+	res, err := r.topK(ctx, queries, k, false) // the zero result on error
 	return res.Items, err
 }
 
@@ -329,11 +322,11 @@ type TopKResult struct {
 	// ErrorBound, when Missing > 0, bounds the aggregate similarity any
 	// omitted candidate could have had: |Q| · (c·Σ_j fmax_j² +
 	// quant). Scores of returned items are still exact (up to the usual
-	// rank/quantisation bound); the uncertainty is in set membership.
+	// quantisation bound); the uncertainty is in set membership.
 	ErrorBound float64
 }
 
-// TopKTagged is TopKRank with graceful shard-failure degradation: a slot
+// TopKTagged is TopK with graceful shard-failure degradation: a slot
 // whose partial list cannot be fetched (after the wire client's retries)
 // is skipped, the merge runs over the shards that answered,
 // and the result is tagged with how many shards are missing plus a bound
@@ -342,26 +335,27 @@ type TopKResult struct {
 // response tagging. Context cancellation and invalid queries still fail
 // the whole query, as does every slot failing at once (nothing answered)
 // or a failed F-row gather (a query node's own shard being down poisons
-// every partial, so there is nothing exact to serve).
-func (r *Router) TopKTagged(ctx context.Context, queries []int, k, rank int) (TopKResult, error) {
-	return r.topK(ctx, queries, k, rank, true)
+// every partial, so there is nothing exact to serve). The int is ignored;
+// it stays only because the benchmark harness (csrload) passes it (ROADMAP
+// item 1 Step B).
+func (r *Router) TopKTagged(ctx context.Context, queries []int, k, _ int) (TopKResult, error) {
+	return r.topK(ctx, queries, k, true)
 }
 
 // Ranked is the serving generation over r: TopKTagged answers each top-k
 // with its missing-shard provenance, Scores each targeted score, and
-// TruncationBound reports the bound at full rank, the only one serve asks
-// for.
+// TruncationBound reports the bound.
 func (r *Router) Ranked() serve.Ranked {
 	return serve.Ranked{
 		N: r.N(), Bound: r.TruncationBound, Scores: r.Scores,
-		TopK: func(ctx context.Context, queries []int, k, rank int) ([]topk.Item, serve.TopKProvenance, error) {
-			res, err := r.TopKTagged(ctx, queries, k, rank)
+		TopK: func(ctx context.Context, queries []int, k, _ int) ([]topk.Item, serve.TopKProvenance, error) {
+			res, err := r.TopKTagged(ctx, queries, k, 0)
 			return res.Items, serve.TopKProvenance{MissingShards: res.Missing, ErrorBound: res.ErrorBound}, err
 		},
 	}
 }
 
-func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade bool) (TopKResult, error) {
+func (r *Router) topK(ctx context.Context, queries []int, k int, degrade bool) (TopKResult, error) {
 	if k <= 0 {
 		return TopKResult{}, r.validate("query", queries)
 	}
@@ -372,7 +366,7 @@ func (r *Router) topK(ctx context.Context, queries []int, k, rank int, degrade b
 	cols := len(queries)
 	lists := make([][]topk.Item, r.K())
 	errs := r.fanout(func(s int) error {
-		items, err := r.slots[s].PartialTopK(ctx, queries, uq, k, rank)
+		items, err := r.slots[s].PartialTopK(ctx, queries, uq, k, 0)
 		if err != nil {
 			return err
 		}
@@ -431,7 +425,7 @@ func errFirst(errs []error) error {
 // result is |Q| x |T|, element (i, j) scoring queries[i] against
 // targets[j]. Any owner failure fails the call — a targeted score has no
 // degraded form, unlike top-k set membership.
-func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error) {
+func (r *Router) Scores(ctx context.Context, queries, targets []int) (*dense.Mat, error) {
 	if err := r.validate("target", targets); err != nil {
 		return nil, err
 	}
@@ -454,7 +448,7 @@ func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (
 		for i, j := range js {
 			rows[i] = targets[j]
 		}
-		scores, err := r.slots[s].ScoreRows(ctx, queries, uq, rows, rank)
+		scores, err := r.slots[s].ScoreRows(ctx, queries, uq, rows)
 		if err != nil {
 			return fmt.Errorf("shard: scoring rows on shard %d: %w", s, err)
 		}
@@ -474,27 +468,23 @@ func (r *Router) Scores(ctx context.Context, queries, targets []int, rank int) (
 	return out, nil
 }
 
-// TruncationBound bounds the entrywise error of a rank-truncated answer,
-// bitwise-equal to core.Index.TruncationBound on the unsharded index: a
-// column maximum over all rows is the maximum of the per-shard column
-// maxima, and both the tail recurrence (core.TailBound) and the
-// quantisation term (core.QuantBound) are shared code. Quantized shards
-// carry the quant term at every rank — including full rank — exactly
-// like the monolithic bound, so the report stays rigorous against the
-// exact full-rank answer. The result is cached against the shard
-// generation vector, so it is recomputed only after a swap; the hit path
-// allocates nothing. If a remote slot's bound terms cannot be refreshed
-// after a roll, the previous entry keeps answering (conservative for the
-// usual same-tier roll) until a refresh succeeds.
-func (r *Router) TruncationBound(rank int) float64 {
+// TruncationBound bounds the entrywise error of an answer, bitwise-equal
+// to core.Index.TruncationBound on the unsharded index: the quantisation
+// term (core.QuantBound, shared code) over the per-shard column maxima
+// combined — a column maximum over all rows is the maximum of the
+// per-shard maxima — plus the Gram clamp charge. The result is cached
+// against the shard generation vector, so it is recomputed only after a
+// swap; the hit path allocates nothing. If a remote slot's bound terms
+// cannot be refreshed after a roll, the previous entry keeps answering
+// (conservative for the usual same-tier roll) until a refresh succeeds.
+// The int is ignored; it stays only because the benchmark harness
+// (csrload) passes serve.Ranked.Bound (ROADMAP item 1 Step B).
+func (r *Router) TruncationBound(_ int) float64 {
 	e := r.bestBound()
 	if e == nil {
 		return 0
 	}
-	if rank <= 0 || rank >= r.rank {
-		return e.quant
-	}
-	return e.tail[rank] + e.quant
+	return e.quant
 }
 
 // MissingShardBound returns the aggregate per-query score bound used to
@@ -508,7 +498,7 @@ func (r *Router) MissingShardBound() float64 {
 	if e == nil {
 		return 0
 	}
-	return e.tail[0] + e.quant
+	return e.score + e.quant
 }
 
 // PrimeBound eagerly builds the bound cache, failing if any slot's bound
@@ -596,7 +586,7 @@ func (r *Router) rebuildBound() (*boundEntry, error) {
 	}
 	return &boundEntry{
 		gens:  gens,
-		tail:  core.TailBound(r.c, fmax),
+		score: core.ScoreBound(r.c, fmax),
 		quant: core.QuantBound(r.c, fmax, ferr) + clamp,
 	}, nil
 }

@@ -88,9 +88,9 @@ func querySets() [][]int {
 }
 
 // TestRouterMatchesMonolithic is the central equivalence property: at
-// every shard count, every worker count, every retained rank and every
-// query shape, the router's scatter-gather answers are bitwise-identical
-// to the single-engine path — scores, top-k lists, and truncation bounds.
+// every shard count, every worker count and every query shape, the
+// router's scatter-gather answers are bitwise-identical to the
+// single-engine path — scores, top-k lists, and bounds.
 func TestRouterMatchesMonolithic(t *testing.T) {
 	eng, ix := testEngineIndex(t, 1)
 	for _, workers := range []int{1, 0} { // serial and GOMAXPROCS fan-out
@@ -136,18 +136,16 @@ func assertRouterMatches(t *testing.T, rt *shard.Router, eng *csrplus.Engine, ix
 	t.Helper()
 	ctx := context.Background()
 	for _, queries := range querySets() {
-		for _, rank := range []int{0, 1, 3, testRank} {
-			want, err := ix.QueryRankInto(ctx, queries, rank, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := shardtest.Columns(ctx, rt, queries, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want, 0) {
-				t.Fatalf("K=%d queries=%v rank=%d: scores differ from monolithic", rt.K(), queries, rank)
-			}
+		want, err := ix.QueryRankInto(ctx, queries, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := shardtest.Columns(ctx, rt, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want, 0) {
+			t.Fatalf("K=%d queries=%v: scores differ from monolithic", rt.K(), queries)
 		}
 		for _, k := range []int{1, 10, testN} {
 			items, err := rt.TopK(ctx, queries, k)
@@ -166,10 +164,8 @@ func assertRouterMatches(t *testing.T, rt *shard.Router, eng *csrplus.Engine, ix
 			assertSameMatches(t, rt.K(), queries, items, want)
 		}
 	}
-	for rank := 0; rank <= testRank; rank++ {
-		if got, want := rt.TruncationBound(rank), ix.TruncationBound(rank); got != want {
-			t.Fatalf("K=%d TruncationBound(%d) = %v, want %v", rt.K(), rank, got, want)
-		}
+	if got, want := rt.TruncationBound(0), ix.TruncationBound(0); got != want {
+		t.Fatalf("K=%d TruncationBound = %v, want %v", rt.K(), got, want)
 	}
 }
 
@@ -214,10 +210,10 @@ func TestRouterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shardtest.Columns(context.Background(), rt, nil, 0); !errors.Is(err, core.ErrParams) {
+	if _, err := shardtest.Columns(context.Background(), rt, nil); !errors.Is(err, core.ErrParams) {
 		t.Fatalf("empty queries: err = %v, want ErrParams", err)
 	}
-	if _, err := shardtest.Columns(context.Background(), rt, []int{testN}, 0); !errors.Is(err, core.ErrQuery) {
+	if _, err := shardtest.Columns(context.Background(), rt, []int{testN}); !errors.Is(err, core.ErrQuery) {
 		t.Fatalf("out-of-range query: err = %v, want ErrQuery", err)
 	}
 	// Scores names the list that is wrong: an empty target list is not an
@@ -232,7 +228,7 @@ func TestRouterValidation(t *testing.T) {
 		{[]int{1}, []int{testN}, core.ErrQuery, "target node"},
 		{[]int{-1}, []int{2}, core.ErrQuery, "query node"},
 	} {
-		if _, err := rt.Scores(context.Background(), tc.queries, tc.targets, 0); !errors.Is(err, tc.is) || !strings.Contains(err.Error(), tc.names) {
+		if _, err := rt.Scores(context.Background(), tc.queries, tc.targets); !errors.Is(err, tc.is) || !strings.Contains(err.Error(), tc.names) {
 			t.Fatalf("Scores(%v, %v): err = %v, want %v naming the %s", tc.queries, tc.targets, err, tc.is, tc.names)
 		}
 	}
@@ -249,7 +245,7 @@ func TestRouterValidation(t *testing.T) {
 	}
 	// Scores shares the entry: refused before any slot is asked, so the
 	// error is ctx's own, not one a slot's gather wrapped.
-	if _, err := rt.Scores(ctx, []int{1}, []int{2}, 0); err != context.Canceled {
+	if _, err := rt.Scores(ctx, []int{1}, []int{2}); err != context.Canceled {
 		t.Fatalf("Scores on a cancelled ctx: err = %v, want bare context.Canceled", err)
 	}
 }
@@ -306,11 +302,11 @@ func TestMixedGenerationsStayExact(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, queries := range querySets() {
-		want, err := shardtest.Columns(ctx, ref, queries, 0)
+		want, err := shardtest.Columns(ctx, ref, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := shardtest.Columns(ctx, rt, queries, 0)
+		got, err := shardtest.Columns(ctx, rt, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +375,7 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 						return
 					}
 				}
-				got, err := shardtest.Columns(context.Background(), rt, queries, 0)
+				got, err := shardtest.Columns(context.Background(), rt, queries)
 				if err != nil {
 					t.Error(err)
 					return
@@ -397,10 +393,9 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 }
 
 // TestRouterQuantizedBound pins the quantized-tier error bound through
-// the router: at every shard count and every rank — including full rank,
-// where truncation contributes nothing — the router's TruncationBound
-// equals the monolithic quantized index's, which carries the
-// quantisation term everywhere. A swap must invalidate the cached bound.
+// the router: at every shard count the router's TruncationBound equals
+// the monolithic quantized index's, which carries the quantisation term.
+// A swap must invalidate the cached bound.
 func TestRouterQuantizedBound(t *testing.T) {
 	_, ix := testEngineIndex(t, 1)
 	q, err := ix.Quantize(core.TierI8)
@@ -415,10 +410,8 @@ func TestRouterQuantizedBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for rank := 0; rank <= testRank; rank++ {
-			if got, want := rt.TruncationBound(rank), q.TruncationBound(rank); got != want {
-				t.Fatalf("K=%d quantized TruncationBound(%d) = %v, want %v", k, rank, got, want)
-			}
+		if got, want := rt.TruncationBound(0), q.TruncationBound(0); got != want {
+			t.Fatalf("K=%d quantized TruncationBound = %v, want %v", k, got, want)
 		}
 	}
 
@@ -438,11 +431,6 @@ func TestRouterQuantizedBound(t *testing.T) {
 	}
 	if got := rt.TruncationBound(0); got != 0 {
 		t.Fatalf("exact-tier full-rank bound %v, want 0 after roll", got)
-	}
-	for rank := 1; rank < testRank; rank++ {
-		if got, want := rt.TruncationBound(rank), ix.TruncationBound(rank); got != want {
-			t.Fatalf("post-roll TruncationBound(%d) = %v, want %v", rank, got, want)
-		}
 	}
 }
 
@@ -464,13 +452,10 @@ func TestTruncationBoundHitPathNoAlloc(t *testing.T) {
 	if err := rt.PrimeBound(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rank := range []int{0, 2, testRank} {
-		rank := rank
-		if allocs := testing.AllocsPerRun(100, func() {
-			_ = rt.TruncationBound(rank)
-		}); allocs != 0 {
-			t.Fatalf("TruncationBound(%d) cache hit allocates %.1f times per call", rank, allocs)
-		}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = rt.TruncationBound(0)
+	}); allocs != 0 {
+		t.Fatalf("TruncationBound cache hit allocates %.1f times per call", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		_ = rt.MissingShardBound()
@@ -514,17 +499,15 @@ func TestRankedIsTheServingGeneration(t *testing.T) {
 		if r.N != testN {
 			t.Fatalf("Ranked N=%d, want %d", r.N, testN)
 		}
-		for rank := 0; rank <= testRank; rank++ {
-			if got, want := r.Bound(rank), rt.TruncationBound(rank); got != want {
-				t.Fatalf("Bound(%d) = %v, want %v", rank, got, want)
-			}
+		if got, want := r.Bound(0), rt.TruncationBound(0); got != want {
+			t.Fatalf("Bound = %v, want %v", got, want)
 		}
 		for _, queries := range [][]int{{7}, {13, 42, 42}} {
-			want, err := rt.TopKTagged(ctx, queries, 10, 2)
+			want, err := rt.TopKTagged(ctx, queries, 10, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			items, prov, err := r.TopK(ctx, queries, 10, 2)
+			items, prov, err := r.TopK(ctx, queries, 10, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -540,11 +523,11 @@ func TestRankedIsTheServingGeneration(t *testing.T) {
 				}
 			}
 		}
-		got, err := r.Scores(ctx, []int{7, 99}, []int{0, 50, 100}, 0)
+		got, err := r.Scores(ctx, []int{7, 99}, []int{0, 50, 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := rt.Scores(ctx, []int{7, 99}, []int{0, 50, 100}, 0)
+		want, err := rt.Scores(ctx, []int{7, 99}, []int{0, 50, 100})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,16 +12,15 @@ import (
 	"csrplus/internal/shard"
 )
 
-// Columns returns S[:, queries] at the given rank (<= 0 is full) as rt
-// serves it: every node scored against every query by Router.Scores — the
+// Columns returns S[:, queries] as rt serves it: every node scored against every query by Router.Scores — the
 // call behind /similarity — laid out n x |Q| like
 // core.Index.QueryRankInto's answer, so the two compare entry by entry.
-func Columns(ctx context.Context, rt *shard.Router, queries []int, rank int) (*dense.Mat, error) {
+func Columns(ctx context.Context, rt *shard.Router, queries []int) (*dense.Mat, error) {
 	all := make([]int, rt.N())
 	for i := range all {
 		all[i] = i
 	}
-	scores, err := rt.Scores(ctx, queries, all, rank)
+	scores, err := rt.Scores(ctx, queries, all)
 	if err != nil {
 		return nil, err
 	}

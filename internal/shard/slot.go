@@ -65,15 +65,17 @@ type Slot interface {
 	URows(ctx context.Context, nodes []int) (*dense.Mat, error)
 
 	// PartialTopK returns the slot's top-k candidates among the nodes it
-	// owns, scored against the gathered query rows uq at the given rank,
-	// with every query node excluded. Items carry global node ids.
-	PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error)
+	// owns, scored against the gathered query rows uq, with every query
+	// node excluded. Items carry global node ids. The int is ignored; it
+	// stays only because the benchmark harness (csrload) wraps a Slot and
+	// passes it (ROADMAP item 1 Step B).
+	PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, _ int) ([]topk.Item, error)
 
 	// ScoreRows returns the scores of the owned global rows for every
 	// query column, row-major |rows| x |queries| (out[i*|Q|+j] scores
 	// rows[i] against queries[j]), bitwise-equal to the same elements of
 	// the full column matrix.
-	ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error)
+	ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int) ([]float64, error)
 
 	// BoundTerms returns the per-column factor maxima (and, for
 	// quantized tiers, the measured dequantisation errors), the Gram clamp
@@ -236,18 +238,19 @@ func (l *Local) URows(ctx context.Context, nodes []int) (*dense.Mat, error) {
 	return out, nil
 }
 
-// PartialTopK selects the slot's top-k candidates (see Slot).
-func (l *Local) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
+// PartialTopK selects the slot's top-k candidates (see Slot). The int is
+// ignored, as Slot says.
+func (l *Local) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, _ int) ([]topk.Item, error) {
 	g := l.pin()
 	defer g.unpin()
-	return g.sh.PartialTopK(ctx, queries, uq, k, rank)
+	return g.sh.PartialTopK(ctx, queries, uq, k)
 }
 
 // ScoreRows scores owned rows against the query columns (see Slot).
-func (l *Local) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
+func (l *Local) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int) ([]float64, error) {
 	g := l.pin()
 	defer g.unpin()
-	return g.sh.ScoreRows(ctx, queries, uq, rows, rank)
+	return g.sh.ScoreRows(ctx, queries, uq, rows)
 }
 
 // BoundTerms returns the serving generation's bound inputs (see Slot),

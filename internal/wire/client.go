@@ -236,10 +236,11 @@ func (e *RemoteEngine) URows(ctx context.Context, nodes []int) (*dense.Mat, erro
 	return dense.NewMatFrom(len(nodes), e.rank, resp.Rows), nil
 }
 
-// PartialTopK implements shard.Slot over POST /shard/query.
-func (e *RemoteEngine) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
+// PartialTopK implements shard.Slot over POST /shard/query. The int is
+// ignored, as Slot says.
+func (e *RemoteEngine) PartialTopK(ctx context.Context, queries []int, uq *dense.Mat, k, _ int) ([]topk.Item, error) {
 	var resp QueryResponse
-	req := QueryRequest{Queries: queries, UQ: uq.Data, K: k, Rank: rank}
+	req := QueryRequest{Queries: queries, UQ: uq.Data, K: k}
 	if err := e.call(ctx, http.MethodPost, "/shard/query", req, &resp); err != nil {
 		return nil, err
 	}
@@ -255,9 +256,9 @@ func (e *RemoteEngine) PartialTopK(ctx context.Context, queries []int, uq *dense
 }
 
 // ScoreRows implements shard.Slot over POST /shard/scores.
-func (e *RemoteEngine) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int, rank int) ([]float64, error) {
+func (e *RemoteEngine) ScoreRows(ctx context.Context, queries []int, uq *dense.Mat, rows []int) ([]float64, error) {
 	var resp ScoresResponse
-	req := ScoresRequest{Queries: queries, UQ: uq.Data, Rows: rows, Rank: rank}
+	req := ScoresRequest{Queries: queries, UQ: uq.Data, Rows: rows}
 	if err := e.call(ctx, http.MethodPost, "/shard/scores", req, &resp); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func newRemoteFixture(tb testing.TB) remoteFixture {
 func Test_RemoteEnginePartialTopK(t *testing.T) {
 	f := newRemoteFixture(t)
 	ctx := context.Background()
-	want, err := f.shard.PartialTopK(ctx, f.queries, f.uq, remoteK, 0)
+	want, err := f.shard.PartialTopK(ctx, f.queries, f.uq, remoteK)
 	if err != nil {
 		t.Fatal(err)
 	}

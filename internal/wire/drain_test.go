@@ -140,7 +140,7 @@ func TestWorkerReloadDrainsBeforeClose(t *testing.T) {
 					var resp QueryResponse
 					if sent, err = post("/shard/query", QueryRequest{Queries: []int{q}, UQ: uq, K: 5}, &resp); err == nil {
 						gen = resp.Generation
-						want, _ := ref.PartialTopK(context.Background(), []int{q}, dense1(uq), 5, 0)
+						want, _ := ref.PartialTopK(context.Background(), []int{q}, dense1(uq), 5)
 						for j, it := range want {
 							if resp.Nodes[j] != it.Node || math.Float64bits(resp.Scores[j]) != math.Float64bits(it.Score) {
 								t.Errorf("partial top-k of %d item %d = (%d, %x), want (%d, %x)", q, j, resp.Nodes[j], resp.Scores[j], it.Node, it.Score)
@@ -152,7 +152,7 @@ func TestWorkerReloadDrainsBeforeClose(t *testing.T) {
 					var resp ScoresResponse
 					if sent, err = post("/shard/scores", ScoresRequest{Queries: []int{q}, UQ: uq, Rows: rows}, &resp); err == nil {
 						gen = resp.Generation
-						want, _ := ref.ScoreRows(context.Background(), []int{q}, dense1(uq), rows, 0)
+						want, _ := ref.ScoreRows(context.Background(), []int{q}, dense1(uq), rows)
 						for j, v := range want {
 							if math.Float64bits(resp.Scores[j]) != math.Float64bits(v) {
 								t.Errorf("score of row %d against %d = %x, want %x", rows[j], q, resp.Scores[j], v)

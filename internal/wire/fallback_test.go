@@ -9,11 +9,8 @@ package wire_test
 // recovery ladder and are never left mapped.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -36,22 +33,6 @@ func bootWith(t *testing.T, root string, s int, site string, plan fault.Plan) (*
 		fault.Arm(site, plan)
 	}
 	return wire.BootWorker(wire.WorkerConfig{Shard: s, SnapshotDir: core.ShardDir(root, s), AdminToken: "sesame"})
-}
-
-// rawPost returns the body a worker answers one request with.
-func rawPost(t *testing.T, url, path string, req any) string {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: HTTP %d %s (%v)", path, resp.StatusCode, out, err)
-	}
-	return string(out)
 }
 
 func TestWorkerDecodeFallbackServesMappedBits(t *testing.T) {
@@ -93,7 +74,6 @@ func TestWorkerDecodeFallbackServesMappedBits(t *testing.T) {
 			}{
 				{"/shard/urows", wire.URowsRequest{Nodes: []int{q, lo, hi - 1}}},
 				{"/shard/query", wire.QueryRequest{Queries: []int{q}, UQ: u.Rows, K: 10}},
-				{"/shard/query", wire.QueryRequest{Queries: []int{q}, UQ: u.Rows, K: 10, Rank: 2}},
 				{"/shard/scores", wire.ScoresRequest{Queries: []int{q}, UQ: u.Rows, Rows: []int{lo, q, hi - 1}}},
 			} {
 				m := rawPost(t, servers["mapped"].URL, call.path, call.req)

@@ -83,14 +83,15 @@ type URowsResponse struct {
 	Rows       F64s   `json:"rows"`
 }
 
-// QueryRequest is POST /shard/query: the rank-limited partial top-k of
-// the worker's owned nodes for a query set. UQ is the router-gathered
-// query broadcast, |queries| x rank row-major.
+// QueryRequest is POST /shard/query: the partial top-k of the worker's
+// owned nodes for a query set. UQ is the router-gathered query broadcast,
+// |queries| x rank row-major. A body from an older router may still carry
+// a "rank" field; it is ignored like any unknown field, and every such
+// router sent 0, the full rank every answer is computed at.
 type QueryRequest struct {
 	Queries []int `json:"queries"`
 	UQ      F64s  `json:"uq"`
 	K       int   `json:"k"`
-	Rank    int   `json:"rank"`
 }
 
 // QueryResponse carries the partial top-k as parallel arrays (global
@@ -103,12 +104,12 @@ type QueryResponse struct {
 }
 
 // ScoresRequest is POST /shard/scores: targeted scores of owned rows
-// against the query columns.
+// against the query columns. A legacy "rank" field is ignored, as for
+// QueryRequest.
 type ScoresRequest struct {
 	Queries []int `json:"queries"`
 	UQ      F64s  `json:"uq"`
 	Rows    []int `json:"rows"`
-	Rank    int   `json:"rank"`
 }
 
 // ScoresResponse carries |rows| x |queries| scores row-major:

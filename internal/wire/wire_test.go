@@ -1,9 +1,11 @@
 package wire_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -142,7 +144,7 @@ func TestF64sRoundTrip(t *testing.T) {
 // TestWireRouterMatchesMonolithic is the wire-split equivalence property:
 // a router over HTTP shard workers answers bitwise-identically to the
 // in-process router over the same shards and to the monolithic engine —
-// top-k at several k, truncated ranks, and targeted scores.
+// top-k at several k, and targeted scores.
 func TestWireRouterMatchesMonolithic(t *testing.T) {
 	eng, ix := testEngineIndex(t, 1)
 	querySets := [][]int{{7}, {0}, {tN - 1}, {0, tN - 1}, {13, 42, 99}, {3, 50, 50, 77}}
@@ -157,28 +159,26 @@ func TestWireRouterMatchesMonolithic(t *testing.T) {
 		remote, _ := wireRouter(t, servers, testOptions())
 		for _, queries := range querySets {
 			for _, topN := range []int{1, 10, tN} {
-				for _, rank := range []int{0, 2} {
-					want, err := local.TopKRank(ctx, queries, topN, rank)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := remote.TopKTagged(ctx, queries, topN, rank)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Missing != 0 || got.ErrorBound != 0 {
-						t.Fatalf("K=%d healthy cluster tagged missing=%d bound=%v", k, got.Missing, got.ErrorBound)
-					}
-					if len(got.Items) != len(want) {
-						t.Fatalf("K=%d queries=%v k=%d rank=%d: %d items, want %d", k, queries, topN, rank, len(got.Items), len(want))
-					}
-					for i := range want {
-						if got.Items[i] != want[i] {
-							t.Fatalf("K=%d queries=%v k=%d rank=%d item %d: got (%d, %x), want (%d, %x)",
-								k, queries, topN, rank, i,
-								got.Items[i].Node, math.Float64bits(got.Items[i].Score),
-								want[i].Node, math.Float64bits(want[i].Score))
-						}
+				want, err := local.TopK(ctx, queries, topN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := remote.TopKTagged(ctx, queries, topN, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Missing != 0 || got.ErrorBound != 0 {
+					t.Fatalf("K=%d healthy cluster tagged missing=%d bound=%v", k, got.Missing, got.ErrorBound)
+				}
+				if len(got.Items) != len(want) {
+					t.Fatalf("K=%d queries=%v k=%d: %d items, want %d", k, queries, topN, len(got.Items), len(want))
+				}
+				for i := range want {
+					if got.Items[i] != want[i] {
+						t.Fatalf("K=%d queries=%v k=%d item %d: got (%d, %x), want (%d, %x)",
+							k, queries, topN, i,
+							got.Items[i].Node, math.Float64bits(got.Items[i].Score),
+							want[i].Node, math.Float64bits(want[i].Score))
 					}
 				}
 			}
@@ -198,30 +198,26 @@ func TestWireRouterMatchesMonolithic(t *testing.T) {
 					}
 				}
 			}
-			for _, rank := range []int{0, 2} {
-				want, err := local.Scores(ctx, queries, targets, rank)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := remote.Scores(ctx, queries, targets, rank)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.IsShape(want.Rows, want.Cols) {
-					t.Fatalf("K=%d scores shape %dx%d, want %dx%d", k, got.Rows, got.Cols, want.Rows, want.Cols)
-				}
-				for i := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("K=%d queries=%v rank=%d: score %d differs over the wire", k, queries, rank, i)
-					}
+			want, err := local.Scores(ctx, queries, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := remote.Scores(ctx, queries, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.IsShape(want.Rows, want.Cols) {
+				t.Fatalf("K=%d scores shape %dx%d, want %dx%d", k, got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("K=%d queries=%v: score %d differs over the wire", k, queries, i)
 				}
 			}
 		}
 		// Bounds fetched over the wire must equal the in-process ones.
-		for rank := 0; rank <= tRank; rank++ {
-			if got, want := remote.TruncationBound(rank), local.TruncationBound(rank); got != want {
-				t.Fatalf("K=%d TruncationBound(%d) = %v, want %v", k, rank, got, want)
-			}
+		if got, want := remote.TruncationBound(0), local.TruncationBound(0); got != want {
+			t.Fatalf("K=%d TruncationBound = %v, want %v", k, got, want)
 		}
 		if got, want := remote.MissingShardBound(), local.MissingShardBound(); got != want || got <= 0 {
 			t.Fatalf("K=%d MissingShardBound = %v, want %v (> 0)", k, got, want)
@@ -265,7 +261,7 @@ func TestRefusedScanIsOneRequest(t *testing.T) {
 	if _, err := e.PartialTopK(ctx, atCap, atCapUQ, 3, 0); err != nil {
 		t.Fatalf("/shard/query with |Q| = %d: %v", len(atCap), err)
 	}
-	if _, err := e.ScoreRows(ctx, atCap, atCapUQ, row, 0); err != nil {
+	if _, err := e.ScoreRows(ctx, atCap, atCapUQ, row); err != nil {
 		t.Fatalf("/shard/scores with |Q| = %d: %v", len(atCap), err)
 	}
 	if _, err := e.URows(ctx, atCap); err != nil {
@@ -276,9 +272,9 @@ func TestRefusedScanIsOneRequest(t *testing.T) {
 		call func() error
 	}{
 		{"/shard/query with a NaN uq row", func() error { _, err := e.PartialTopK(ctx, []int{1}, uq, 3, 0); return err }},
-		{"/shard/scores with a NaN uq row", func() error { _, err := e.ScoreRows(ctx, []int{1}, uq, row, 0); return err }},
+		{"/shard/scores with a NaN uq row", func() error { _, err := e.ScoreRows(ctx, []int{1}, uq, row); return err }},
 		{"/shard/query with |Q| past the cap", func() error { _, err := e.PartialTopK(ctx, over, overUQ, 3, 0); return err }},
-		{"/shard/scores with |Q| past the cap", func() error { _, err := e.ScoreRows(ctx, over, overUQ, row, 0); return err }},
+		{"/shard/scores with |Q| past the cap", func() error { _, err := e.ScoreRows(ctx, over, overUQ, row); return err }},
 		{"/shard/urows with |Q| past the cap", func() error { _, err := e.URows(ctx, over); return err }},
 	} {
 		before := posts.Load()
@@ -291,6 +287,53 @@ func TestRefusedScanIsOneRequest(t *testing.T) {
 		}
 		if st := e.Stats(); st.BreakerOpen || st.ConsecutiveFailures != 0 || st.Retries != 0 {
 			t.Fatalf("%s: the refusal charged the slot: %+v", tc.name, st)
+		}
+	}
+}
+
+// rawPost returns the body a worker answers one request with.
+func rawPost(t *testing.T, url, path string, req any) string {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: HTTP %d %s (%v)", path, resp.StatusCode, out, err)
+	}
+	return string(out)
+}
+
+// TestWorkerIgnoresLegacyRank is a router from before the query-time rank
+// went talking to a worker after it: its /shard/query and /shard/scores
+// bodies carry a "rank" field, which the worker must ignore, answering bit
+// for bit as it answers the same body without the field.
+func TestWorkerIgnoresLegacyRank(t *testing.T) {
+	_, ix := testEngineIndex(t, 1)
+	servers, _ := startWorkers(t, ix, 1)
+	url, q := servers[0].URL, 7
+	var u wire.URowsResponse
+	if err := json.Unmarshal([]byte(rawPost(t, url, "/shard/urows", wire.URowsRequest{Nodes: []int{q}})), &u); err != nil {
+		t.Fatal(err)
+	}
+	for path, req := range map[string]any{
+		"/shard/query":  wire.QueryRequest{Queries: []int{q}, UQ: u.Rows, K: tN},
+		"/shard/scores": wire.ScoresRequest{Queries: []int{q}, UQ: u.Rows, Rows: []int{0, q, 50, tN - 1}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var legacy map[string]json.RawMessage
+		if err := json.Unmarshal(body, &legacy); err != nil {
+			t.Fatal(err)
+		}
+		legacy["rank"] = json.RawMessage("3")
+		if got, want := rawPost(t, url, path, legacy), rawPost(t, url, path, req); got != want {
+			t.Fatalf("%s with \"rank\": 3 answered\n%s\nwithout it\n%s", path, got, want)
 		}
 	}
 }
@@ -567,7 +610,7 @@ func TestSlowWorkerIsAskedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := local.TopKRank(ctx, queries, 10, 0)
+	want, err := local.TopK(ctx, queries, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

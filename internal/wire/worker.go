@@ -230,7 +230,7 @@ func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh, gen, release := w.slot.Pin()
-	items, err := sh.PartialTopK(r.Context(), req.Queries, uq, req.K, req.Rank)
+	items, err := sh.PartialTopK(r.Context(), req.Queries, uq, req.K)
 	release()
 	if err != nil {
 		writeScanError(rw, err)
@@ -255,7 +255,7 @@ func (w *Worker) handleScores(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh, gen, release := w.slot.Pin()
-	scores, err := sh.ScoreRows(r.Context(), req.Queries, uq, req.Rows, req.Rank)
+	scores, err := sh.ScoreRows(r.Context(), req.Queries, uq, req.Rows)
 	release()
 	if err != nil {
 		writeScanError(rw, err)
