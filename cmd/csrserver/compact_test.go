@@ -21,24 +21,26 @@ import (
 // among the rows left out, and for k up to, at and past the rows stored.
 // (internal/shard holds the routers over K = 2, 3 and 7 slots, and over
 // slots that store nothing, to the same answers.) Each K = 1 server boots
-// from a pre-built file in its snapshot directory: the committed fixture
-// copied in, or its compacted copy published there.
+// from one of the committed pair of fixtures, copied bare into its snapshot
+// directory.
 func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 	const n, stored = 48, 36
-	full := filepath.Join("..", "..", "internal", "core", "testdata", "index.v5-sparse.csrx")
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	full, compactFile := filepath.Join(testdata, "index.v5-sparse.csrx"), filepath.Join(testdata, "index.v5-compact.csrx")
 	dense, err := core.LoadIndex(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dense.Close()
-	compact := dense.Compact()
-	if dense.Stored() != n || compact.Stored() != stored {
-		t.Fatalf("fixture stores %d rows, %d compacted: want %d and %d", dense.Stored(), compact.Stored(), n, stored)
-	}
-	compactDir := t.TempDir()
-	if _, _, err := core.WriteSnapshot(compactDir, compact); err != nil {
+	compact, err := core.LoadIndex(compactFile)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer compact.Close()
+	if dense.Stored() != n || compact.Stored() != stored {
+		t.Fatalf("fixtures store %d and %d rows: want %d and %d", dense.Stored(), compact.Stored(), n, stored)
+	}
+	compactDir := bareSnapshot(t, t.TempDir(), compactFile, 1)
 
 	// The flags must name a graph of the index's size; no boot below reads it.
 	base := []string{"-graph", graphFile(t), "-n", fmt.Sprint(n)}
@@ -93,7 +95,7 @@ func TestCompactedFileAnswersLikeDenseV2(t *testing.T) {
 			wantStored, wantBytes = compact.Stored(), compact.IndexShard.Bytes()
 		}
 		slot := stats["shards"].([]interface{})[0].(map[string]interface{})
-		// One build, whichever rows a file stores: compacting keeps the id.
+		// One build, whichever rows a file stores.
 		if build := fmt.Sprintf("%016x", dense.Build()); stats["build"] != build || slot["build"] != build || compact.Build() != dense.Build() {
 			t.Fatalf("%s: /stats build %v (slot %v), want %s", m.name, stats["build"], slot["build"], build)
 		}

@@ -64,7 +64,7 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 	n := fs.Int("n", 0, "node count for -graph")
 	hubs := fs.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := fs.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
-	convert := fs.String("convert", "", "with -index: a snapshot directory (created if missing); the index is published as its newest generation, which csrserver serves, in the current (v5, mmap-able, one-factor, graph-carrying) layout without its all-zero rows")
+	convert := fs.String("convert", "", "with -index: a snapshot directory (created if missing); the index is published as its newest generation, which csrserver serves, in the current (v5, mmap-able, one-factor, graph-carrying) layout")
 	quantize := fs.String("quantize", "", "with -convert: factor tier of the written index, f32 or int8 (default: keep the source tier)")
 	var split *int // nil unless given: -split 0 is refused, not read as "one file"
 	fs.Func("split", "with -convert: the cluster's size K; -convert then names a snapshot root, and shard s of an even K-way split is published as the next generation of <root>/shard-<s>/, where csrserver -shardworker s boots and reloads", func(s string) error {
@@ -99,11 +99,11 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 // and optionally rewrite it (tier conversion) as the newest generation of
 // the snapshot directory convert names or, with split (nil when -split
 // was not given), as the per-shard snapshot directories a cluster of
-// *split workers boots from (shard.PublishSnapshots). Rewriting is load +
-// publish, less the rows that are all zero (core.Index.Compact: the
-// answers do not move). The file's magic picks the reader, so a shard
-// file fails with the shard reader's own error, and a v1–v4 file is
-// refused as stale (core.ErrFormat).
+// *split workers boots from (shard.PublishSnapshots). Rewriting is load,
+// quantize when asked, publish: the new files store the rows the source
+// stores. The file's magic picks the reader, so a shard file fails with
+// the shard reader's own error, and a v1–v4 file is refused as stale
+// (core.ErrFormat).
 func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 	if isShardFile(path) {
 		f, err := core.LoadShard(path)
@@ -150,15 +150,13 @@ func runIndex(out io.Writer, path, convert, quantize string, split *int) error {
 		}
 		return nil
 	}
-	outIx := ix.Compact()
-	if quantize != "" {
-		tier, err := core.ParseTier(quantize)
-		if err != nil {
-			return err
-		}
-		if outIx, err = outIx.Quantize(tier); err != nil {
-			return err
-		}
+	tier, err := core.ParseTier(quantize) // "" is dense.F64, for which Quantize returns ix: the source tier
+	if err != nil {
+		return err
+	}
+	outIx, err := ix.Quantize(tier)
+	if err != nil {
+		return err
 	}
 	if split != nil {
 		if err := shard.PublishSnapshots(convert, outIx, *split); err != nil {

@@ -16,10 +16,12 @@ import (
 	"testing"
 
 	"csrplus/internal/core"
+	"csrplus/internal/dense"
 	"csrplus/internal/flagmode"
 	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
 	"csrplus/internal/shard"
+	"csrplus/internal/topk"
 	"csrplus/internal/wire"
 )
 
@@ -194,7 +196,7 @@ func TestRunIndexConvertQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if back.Tier() != core.TierI8 {
+	if back.Tier() != dense.I8 {
 		t.Fatalf("converted tier = %v, want int8", back.Tier())
 	}
 	if back.QuantizationBound() <= 0 {
@@ -301,6 +303,119 @@ func TestRunIndexConvertPublishesIntoSnapshotDir(t *testing.T) {
 	if after, err := os.ReadFile(src); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("a refused -convert changed %s: %v", src, err)
 	}
+}
+
+// TestRunIndexRepublishKeepsEveryTier: a file -convert published, at any
+// tier, publishes again as it is — whole (the rollback README prescribes)
+// and split 2 ways — and the copies load and answer top-k with its bits.
+// P2P at int8 stores in-linked rows whose codes are all zero; a rewrite
+// that drops them leaves a whole file its own read-back refuses, since the
+// graph section says those nodes have in-links.
+func TestRunIndexRepublishKeepsEveryTier(t *testing.T) {
+	g, err := load("P2P", 0, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := core.Precompute(g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, src, err := core.WriteSnapshot(t.TempDir(), exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	topK := func(rt *shard.Router, queries []int) []topk.Item {
+		t.Helper()
+		items, err := rt.TopK(ctx, queries, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return items
+	}
+	var buf bytes.Buffer
+	for _, tier := range []string{"", "f32", "int8"} {
+		dir := t.TempDir()
+		if err := runIndex(&buf, src, dir, tier, nil); err != nil {
+			t.Fatalf("-quantize %q: %v", tier, err)
+		}
+		path := filepath.Join(dir, core.SnapshotName(1))
+		ix, err := core.LoadIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		queries := [][]int{{0}, {1, 2}, {100, 5000, ix.N() - 1}}
+		zero := 0
+		for i := 0; i < ix.Stored(); i++ {
+			if q := ix.StoredNode(i); !slices.ContainsFunc(ix.URow(q), func(v float64) bool { return v != 0 }) {
+				if zero == 0 {
+					queries = append(queries, []int{q}, []int{q, ix.StoredNode(0)})
+				}
+				zero++
+			}
+		}
+		t.Logf("%s: %d of %d rows stored, %d of them all zero", ix.Tier(), ix.Stored(), ix.N(), zero)
+		if tier == "int8" && zero == 0 {
+			t.Fatal("the int8 file stores no all-zero row: the case under test is gone")
+		}
+		want, err := shard.NewRouterFromIndex(ix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		again := t.TempDir()
+		if err := runIndex(&buf, path, again, "", nil); err != nil {
+			t.Fatalf("%s file (%d all-zero rows stored) published again: %v", ix.Tier(), zero, err)
+		}
+		back, err := core.LoadIndex(filepath.Join(again, core.SnapshotName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		if back.Tier() != ix.Tier() || back.Stored() != ix.Stored() {
+			t.Fatalf("%s file published again: tier %s storing %d rows, want %d", ix.Tier(), back.Tier(), back.Stored(), ix.Stored())
+		}
+		whole, err := shard.NewRouterFromIndex(back, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		root, k := t.TempDir(), 2
+		if err := runIndex(&buf, path, root, "", &k); err != nil {
+			t.Fatalf("%s file split %d ways: %v", ix.Tier(), k, err)
+		}
+		shards := make([]*core.IndexShard, k)
+		for s := range shards {
+			f, _, _, err := core.RecoverShardSnapshot(core.ShardDir(root, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			shards[s] = f.IndexShard
+		}
+		split, err := shard.NewRouter(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, q := range queries {
+			ref := topK(want, q)
+			for name, rt := range map[string]*shard.Router{"whole": whole, "split": split} {
+				if got := topK(rt, q); !sameItems(got, ref) {
+					t.Fatalf("%s file published again %s: top-10 of %v = %v, want %v", ix.Tier(), name, q, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// sameItems reports whether two top-k lists hold the same nodes at the
+// same score bits.
+func sameItems(a, b []topk.Item) bool {
+	return slices.EqualFunc(a, b, func(x, y topk.Item) bool {
+		return x.Node == y.Node && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
 }
 
 // TestRunIndexSplit: -convert DIR -split K publishes what a cluster of K

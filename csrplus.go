@@ -377,7 +377,11 @@ func (e *Engine) SaveSnapshotTier(dir, tier string) (gen uint64, path string, er
 	if !ok {
 		return 0, "", fmt.Errorf("%w (engine runs %s)", ErrNotCSRPlus, e.algo)
 	}
-	ix, err := cp.Index().QuantizeTo(tier)
+	kind, err := core.ParseTier(tier)
+	if err != nil {
+		return 0, "", err
+	}
+	ix, err := cp.Index().Quantize(kind)
 	if err != nil {
 		return 0, "", err
 	}

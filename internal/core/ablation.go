@@ -119,7 +119,7 @@ func (ix *Index) QueryDense(queries []int) (*dense.Mat, error) {
 			return nil, fmt.Errorf("core: node %d not in [0, %d): %w", q, ix.n, ErrQuery)
 		}
 	}
-	if ix.Tier() != TierF64 {
+	if ix.Tier() != dense.F64 {
 		// The ablation baseline exists to measure the exact algorithm's
 		// cost; a lossy tier would measure something else entirely.
 		return nil, fmt.Errorf("core: QueryDense requires an exact (f64) index, have %v: %w", ix.Tier(), ErrParams)

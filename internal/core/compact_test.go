@@ -45,55 +45,6 @@ func TestCheckStored(t *testing.T) {
 	}
 }
 
-// TestCompactIsExact drops the all-zero rows of an index that stores every
-// row and holds the result to the original: same answers, bounds and
-// quantization by bits on every tier; only rows that are +0 throughout go;
-// an index with nothing to drop is returned as it is.
-func TestCompactIsExact(t *testing.T) {
-	full, compact := sparseScanFixture(syntheticIndex(600, 5, 9))
-	// A row of -0, a row with a single non-zero entry: both must stay.
-	for j := 0; j < 5; j++ {
-		full.f.F64[2*5+j] = math.Copysign(0, -1)
-	}
-	full.f.F64[3*5+4] = 1
-	compact = full.Compact()
-	if _, ok := compact.row(2); !ok || scanStored(2) {
-		t.Fatal("a row of negative zeros was dropped (or the fixture stores row 2 anyway)")
-	}
-	if _, ok := compact.row(3); !ok || scanStored(3) {
-		t.Fatal("a row that is zero but for one entry was dropped (or the fixture stores row 3 anyway)")
-	}
-	if err := compact.CheckStored(); err != nil || compact.Stored() >= full.Stored() {
-		t.Fatalf("compacted %d rows to %d: %v", full.Stored(), compact.Stored(), err)
-	}
-	if again := compact.Compact(); again != compact {
-		t.Fatal("compacting a compacted index built a new one")
-	}
-	for _, tier := range []Tier{TierF64, TierF32, TierI8} {
-		want, err := full.Quantize(tier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := compact.Quantize(tier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries := []int{2, 3, 0, 599, 100}
-		wantBitwise(t, tier.String()+" answers", queryBits(t, got, queries), queryBits(t, want, queries))
-		wantBitwise(t, tier.String()+" F column maxima", got.ColMaxes(), want.ColMaxes())
-		wantBitwise(t, tier.String()+" fqerr", got.fqerr, want.fqerr)
-		if g, w := got.TruncationBound(0), want.TruncationBound(0); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%v: TruncationBound = %v compacted, %v with every row", tier, g, w)
-		}
-		if got.Bytes() >= want.Bytes() {
-			t.Fatalf("%v: compacted index is %d bytes, with every row %d", tier, got.Bytes(), want.Bytes())
-		}
-		// Compacting after quantizing drops at least the same rows (more,
-		// where small entries round to zero codes) and answers the same.
-		wantBitwise(t, tier.String()+" compacted after quantizing", queryBits(t, want.Compact(), queries), queryBits(t, want, queries))
-	}
-}
-
 // TestQueryRejectsNonFiniteRows pins the precondition the implicit rows
 // stand on: a zero row of F scores +0 only against finite query rows, so
 // every consumer refuses the others, whether or not it leaves rows out.

@@ -70,10 +70,10 @@ const (
 	goldenCompactIndexV3 = "index.v3-compact.csrx"
 )
 
-var goldenTiers = []Tier{TierF64, TierF32, TierI8}
+var goldenTiers = []dense.Kind{dense.F64, dense.F32, dense.I8}
 
-func goldenIndexV5(tier Tier) string { return "index.v5-" + tier.String() + ".csrx" }
-func goldenShardV5(tier Tier) string { return "shard.v5-" + tier.String() + ".csrs" }
+func goldenIndexV5(tier dense.Kind) string { return "index.v5-" + tier.String() + ".csrx" }
+func goldenShardV5(tier dense.Kind) string { return "shard.v5-" + tier.String() + ".csrs" }
 
 // goldenFiles lists every fixture with its kind, for the fuzz seeds and
 // the sweep tests.
@@ -120,7 +120,7 @@ func golden(tb testing.TB, name string) []byte {
 // quantized from.
 func goldenIndex(tb testing.TB) *Index {
 	tb.Helper()
-	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV5(TierF64))))
+	ix, err := ReadIndex(bytes.NewReader(golden(tb, goldenIndexV5(dense.F64))))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -301,7 +301,8 @@ func TestGoldenV3Compact(t *testing.T) {
 	if sparse.Stored() != compactN || sparse.ids != nil {
 		t.Fatalf("every-row fixture stores %d rows, ids %v", sparse.Stored(), sparse.ids)
 	}
-	wantSameFactors(t, "every-row fixture, compacted", &sparse.Compact().IndexShard, &want.IndexShard)
+	twin := want.withFactor(nil, dense.TypedFromMat(want.denseF64()), nil)
+	wantSameFactors(t, "every-row fixture", &sparse.IndexShard, &twin.IndexShard)
 
 	sh, err := ReadShard(bytes.NewReader(golden(t, goldenCompactShardV5)))
 	if err != nil {

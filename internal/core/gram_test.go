@@ -27,8 +27,7 @@ func twoFactors(t *testing.T, g *graph.Graph, r int, c float64) (z, u *dense.Mat
 	uh, vh := fac.V, fac.U
 	if fac.ColSupport != nil || fac.RowSupport != nil {
 		iu, iv := commonRows(fac.ColSupport, fac.RowSupport, g.N())
-		uh = dense.TypedFromMat(fac.V).GatherRows(iu).Mat()
-		vh = dense.TypedFromMat(fac.U).GatherRows(iv).Mat()
+		uh, vh = gatherRows(fac.V, iu, nil), gatherRows(fac.U, iv, nil)
 	}
 	p, _, err := SolveSubspace(uh, fac.S, vh, c, DefaultEps)
 	if err != nil {

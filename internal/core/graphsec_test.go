@@ -36,7 +36,7 @@ func graphDesc(d []byte) sectionDesc {
 func v4Rewritten(t *testing.T, name string, g *graph.Graph) []byte {
 	t.Helper()
 	d, le := golden(t, name), binary.LittleEndian
-	if v, tier := le.Uint32(d[4:]), le.Uint32(d[8:]); v != 4 || tier != uint32(TierF64) {
+	if v, tier := le.Uint32(d[4:]), le.Uint32(d[8:]); v != 4 || tier != uint32(dense.F64) {
 		t.Fatalf("%s: version %d tier %d, want an exact-tier v4 file", name, v, tier)
 	}
 	sec := func(i int) []byte {
@@ -205,7 +205,7 @@ func TestSnapshotGraphDecodeFallbackIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]*graph.Graph{goldenCompactV5: compactGraph(t), goldenWeightedV5: weightedGraph(t), goldenIndexV5(TierF64): paperGraph(t)} {
+	for name, src := range map[string]*graph.Graph{goldenCompactV5: compactGraph(t), goldenWeightedV5: weightedGraph(t), goldenIndexV5(dense.F64): paperGraph(t)} {
 		want := inLinksOf(src)
 		mapped, err := LoadIndex(filepath.Join("testdata", name))
 		if err != nil {

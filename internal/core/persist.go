@@ -237,10 +237,12 @@ func writeTemp(dir string, writeTo func(io.Writer) (int64, error)) (path string,
 	return tmp.Name(), nil
 }
 
-// syncDir fsyncs a directory so a just-completed link is durable. On
-// platforms whose filesystems reject directory fsync (notably Windows)
-// it is a no-op: the link is still atomic, just not crash-durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-completed link, create or unlink in
+// it is durable: a snapshot's placement here, a WAL segment's create or
+// prune in ingest. On platforms whose filesystems reject directory fsync
+// (notably Windows) it is a no-op: the change is still atomic, just not
+// crash-durable.
+func SyncDir(dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil
 	}

@@ -271,7 +271,7 @@ func (s sectionDesc) end() uint64 { return alignPage(s.off + s.length) }
 type pagedFile struct {
 	snapHeader
 	kind   *snapKind
-	tier   Tier
+	tier   dense.Kind
 	stored uint64 // rows in the factor block
 	secs   []sectionDesc
 	data   []byte
@@ -349,10 +349,10 @@ func parsePaged(data []byte, size uint64, k *snapKind) (*pagedFile, error) {
 		f.lo, f.hi = w4, w5
 	}
 	tier := le.Uint32(data[8:])
-	if tier > uint32(TierI8) {
+	if tier > uint32(dense.I8) {
 		return nil, fmt.Errorf("core: unknown tier %d: %w", tier, ErrCorrupt)
 	}
-	f.tier = Tier(tier)
+	f.tier = dense.Kind(tier)
 	wantSecs := 1 + factorSecs + 1 // ids, the factor block, the graph
 	if k.whole {
 		wantSecs++ // sigma
@@ -394,13 +394,13 @@ func parsePaged(data []byte, size uint64, k *snapKind) (*pagedFile, error) {
 		idsLen = f.stored * 4
 	}
 	want = append(want, idsLen)
-	factorLen := f.stored * f.rank * uint64(f.tier.kind().ElemSize())
+	factorLen := f.stored * f.rank * uint64(f.tier.ElemSize())
 	metaLen := uint64(0) // scale/qerr vectors are rank float64s when present
-	if f.tier != TierF64 {
+	if f.tier != dense.F64 {
 		metaLen = f.rank * 8
 	}
 	scaleLen := uint64(0)
-	if f.tier == TierI8 {
+	if f.tier == dense.I8 {
 		scaleLen = f.rank * 8
 	}
 	graphLen := uint64(0)
@@ -511,12 +511,12 @@ func checkQuantVec(name string, v []float64) error {
 func (f *pagedFile) factorFrom(zeroCopy bool) (t *dense.Typed, qerr []float64, err error) {
 	scaleIdx := f.idsAt() + 1
 	qerrIdx, payloadIdx := scaleIdx+1, scaleIdx+2
-	t = &dense.Typed{Kind: f.tier.kind(), Rows: int(f.stored), Cols: int(f.rank)}
+	t = &dense.Typed{Kind: f.tier, Rows: int(f.stored), Cols: int(f.rank)}
 	switch f.tier {
-	case TierF64:
+	case dense.F64:
 		t.F64 = f.f64Of(payloadIdx, zeroCopy)
 		return t, nil, nil
-	case TierF32:
+	case dense.F32:
 		t.F32 = viewOf(f, payloadIdx, zeroCopy, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 	default:
 		t.I8 = viewOf(f, payloadIdx, zeroCopy, 1, func(b []byte) int8 { return int8(b[0]) })

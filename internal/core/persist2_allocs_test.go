@@ -9,6 +9,8 @@ package core
 import (
 	"path/filepath"
 	"testing"
+
+	"csrplus/internal/dense"
 )
 
 // TestMappedLoadAllocs holds the verified map of a v5 file to a fixed
@@ -24,10 +26,10 @@ func TestMappedLoadAllocs(t *testing.T) {
 		Close() error
 	}
 	for file, limit := range map[string]float64{
-		goldenIndexV5(TierF64): 11,
-		goldenCompactV5:        11,
-		goldenIndexV5(TierI8):  11,
-		goldenShardV5(TierF64): 12,
+		goldenIndexV5(dense.F64): 11,
+		goldenCompactV5:          11,
+		goldenIndexV5(dense.I8):  11,
+		goldenShardV5(dense.F64): 12,
 	} {
 		path, kind := filepath.Join("testdata", file), goldenFiles()[file]
 		load := func() loaded {

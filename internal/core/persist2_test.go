@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"csrplus/internal/dense"
 )
 
 // repatchHeaderCRC makes a forged header self-consistent so the
@@ -309,7 +311,7 @@ func TestV2CorruptionMatrix(t *testing.T) {
 func TestV2QuantizedRoundTrip(t *testing.T) {
 	exact := buildIndex(t)
 	queries := []int{0, 4}
-	for _, tier := range []Tier{TierF32, TierI8} {
+	for _, tier := range []dense.Kind{dense.F32, dense.I8} {
 		q, err := exact.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)
@@ -349,8 +351,8 @@ func TestV2QuantizedRoundTrip(t *testing.T) {
 		back.Close()
 	}
 	// Re-quantization would compound errors invisibly.
-	q, _ := exact.Quantize(TierI8)
-	if _, err := q.Quantize(TierF32); !errors.Is(err, ErrParams) {
+	q, _ := exact.Quantize(dense.I8)
+	if _, err := q.Quantize(dense.F32); !errors.Is(err, ErrParams) {
 		t.Fatalf("re-quantize: err = %v, want ErrParams", err)
 	}
 }
@@ -405,7 +407,7 @@ func TestV2ShardRoundTrip(t *testing.T) {
 // the error vectors a router needs to recompose the bound.
 func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	exact := buildIndex(t)
-	q, err := exact.Quantize(TierI8)
+	q, err := exact.Quantize(dense.I8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +415,14 @@ func TestV2QuantizedShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Tier() != TierI8 {
+	if sh.Tier() != dense.I8 {
 		t.Fatalf("shard tier = %v, want int8", sh.Tier())
 	}
 	back, err := LoadShard(writeShardFile(t, sh))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tier() != TierI8 {
+	if back.Tier() != dense.I8 {
 		t.Fatalf("loaded shard tier = %v, want int8", back.Tier())
 	}
 	ferr := back.QuantErrs()

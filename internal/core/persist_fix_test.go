@@ -13,6 +13,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"csrplus/internal/dense"
 )
 
 // TestReadIndexPlatformElemBound simulates a 32-bit build by shrinking
@@ -24,7 +26,7 @@ func TestReadIndexPlatformElemBound(t *testing.T) {
 	defer func(prev uint64) { maxPlatformElems = prev }(maxPlatformElems)
 	maxPlatformElems = math.MaxInt32
 
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	le := binary.LittleEndian
 	// n = 2^31, rank = 4: product 2^33 ≤ maxIndexElems but > MaxInt32.
 	le.PutUint64(data[16:], 1<<31)
@@ -48,7 +50,7 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 	le := binary.LittleEndian
 	// Shard header words: n at 16, rank at 24, lo and hi at 40 and 48.
 	forge := func(n, lo, hi, rank uint64) []byte {
-		data := golden(t, goldenShardV5(TierF64))
+		data := golden(t, goldenShardV5(dense.F64))
 		le.PutUint64(data[16:], n)
 		le.PutUint64(data[24:], rank)
 		le.PutUint64(data[40:], lo)
@@ -73,7 +75,7 @@ func TestReadShardPlatformElemBound(t *testing.T) {
 // TestReadIndexForgedIters pins the iters validation: a 2^63 header word
 // used to convert silently to a negative int and flow into Iterations().
 func TestReadIndexForgedIters(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	binary.LittleEndian.PutUint64(data[40:], 1<<63)
 	repatchHeaderCRC(data)
 	_, err := ReadIndex(bytes.NewReader(data))
@@ -96,7 +98,7 @@ func TestReadIndexNonFiniteSigma(t *testing.T) {
 		"-Inf":     math.Float64bits(math.Inf(-1)),
 		"negative": math.Float64bits(-1.0),
 	} {
-		data := golden(t, goldenIndexV5(TierF64))
+		data := golden(t, goldenIndexV5(dense.F64))
 		// sigma is section 0, on the page after the header.
 		binary.LittleEndian.PutUint64(data[pageSize:], bits)
 		resealSection(data, tableOff, 0)

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"csrplus/internal/dense"
 )
 
 func buildIndex(t *testing.T) *Index {
@@ -80,7 +82,7 @@ func TestReadIndexBadMagic(t *testing.T) {
 }
 
 func TestReadIndexTruncated(t *testing.T) {
-	full := golden(t, goldenIndexV5(TierF64))
+	full := golden(t, goldenIndexV5(dense.F64))
 	for _, cut := range []int{3, 5, 20, len(full) / 2, len(full) - 2} {
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
@@ -89,7 +91,7 @@ func TestReadIndexTruncated(t *testing.T) {
 }
 
 func TestReadIndexBitFlip(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	// Flip a payload bit (past the header) — the CRC must catch it.
 	data[len(data)-20] ^= 0x40
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -98,7 +100,7 @@ func TestReadIndexBitFlip(t *testing.T) {
 }
 
 func TestReadIndexVersionMismatch(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	data[4] = 99 // version byte; the check reads it before the header CRC
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -106,7 +108,7 @@ func TestReadIndexVersionMismatch(t *testing.T) {
 }
 
 func TestReadIndexImplausibleShape(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	// Overwrite n (offset 16) with an absurd value under a valid header CRC.
 	for i := 0; i < 8; i++ {
 		data[16+i] = 0xFF
@@ -135,7 +137,7 @@ func (failingWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 // hot-reload validator relies on: any torn file a crashed writer could
 // leave behind is rejected with one recognisable sentinel.
 func TestReadIndexCorruptionMatrix(t *testing.T) {
-	full := golden(t, goldenIndexV5(TierF64))
+	full := golden(t, goldenIndexV5(dense.F64))
 	ix := goldenIndex(t)
 	n, r := ix.N(), ix.Rank()
 	boundaries := map[string]int{
@@ -175,7 +177,7 @@ func TestReadIndexCorruptionMatrix(t *testing.T) {
 // TestReadIndexFlippedCRCByte corrupts the stored header checksum itself
 // (the payload is intact) — the mismatch must still read as corruption.
 func TestReadIndexFlippedCRCByte(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	data[headerCRCOff] ^= 0x01
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -185,7 +187,7 @@ func TestReadIndexFlippedCRCByte(t *testing.T) {
 // TestReadIndexFutureVersion pins forward-compatibility behaviour: a
 // higher version is rejected as ErrCorrupt, not misparsed as v4.
 func TestReadIndexFutureVersion(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))
+	data := golden(t, goldenIndexV5(dense.F64))
 	binary.LittleEndian.PutUint32(data[4:], indexVersion+1)
 	repatchHeaderCRC(data)
 	if _, err := ReadIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -198,7 +200,7 @@ func TestReadIndexFutureVersion(t *testing.T) {
 // ErrCorrupt, no panic, and crucially no allocation proportional to the
 // forged sizes (bounded by a modest Alloc delta measurement).
 func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
-	pristine := golden(t, goldenIndexV5(TierF64))
+	pristine := golden(t, goldenIndexV5(dense.F64))
 	forge := func(n, rank uint64) []byte {
 		data := append([]byte(nil), pristine...)
 		binary.LittleEndian.PutUint64(data[16:], n)
@@ -233,7 +235,7 @@ func TestReadIndexAbsurdShapeNoOverAllocation(t *testing.T) {
 // nothing by the header and refuse the stream against the file size the
 // header records, instead of committing the forged allocation.
 func TestReadIndexForgedCountShortStream(t *testing.T) {
-	data := golden(t, goldenIndexV5(TierF64))[:pageSize] // header only
+	data := golden(t, goldenIndexV5(dense.F64))[:pageSize] // header only
 	// n=2^25, rank=512: n*rank = 2^34 = exactly the cap, so the header
 	// passes plausibility, but the stream holds no payload at all.
 	binary.LittleEndian.PutUint64(data[16:], 1<<25)

@@ -36,12 +36,17 @@ func scanStored(i int) bool { return i*19%100 < 29 || i == 1234 || i == scanMaxB
 // index every consumer has always scanned, and its compacted twin, which
 // stores only the rest.
 func sparseScanFixture(ix *Index) (full, compact *Index) {
+	var ids []int32
+	var rows []float64
 	for i := 0; i < ix.n; i++ {
-		if !scanStored(i) {
-			clear(ix.f.F64[i*ix.rank : (i+1)*ix.rank])
+		row := ix.f.F64[i*ix.rank : (i+1)*ix.rank]
+		if scanStored(i) {
+			ids, rows = append(ids, int32(i)), append(rows, row...)
+		} else {
+			clear(row)
 		}
 	}
-	return ix, ix.Compact()
+	return ix, ix.withFactor(ids, &dense.Typed{Kind: dense.F64, Rows: len(ids), Cols: ix.rank, F64: rows}, nil)
 }
 
 // negativeScanFixture makes every score of a stored row negative or zero —
@@ -120,7 +125,7 @@ func Test_Scan(t *testing.T) {
 
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
 	for _, fx := range fixtures {
-		for _, tier := range []Tier{TierF64, TierF32, TierI8} {
+		for _, tier := range []dense.Kind{dense.F64, dense.F32, dense.I8} {
 			ix, err := fx.full.Quantize(tier)
 			if err != nil {
 				t.Fatal(err)
@@ -279,7 +284,7 @@ func Benchmark_Scan(b *testing.B) {
 		suffix string
 		ix     *Index
 	}{{"", scanFixture()}, {"/stored=29%", compact}} {
-		for _, tier := range []Tier{TierF64, TierI8} {
+		for _, tier := range []dense.Kind{dense.F64, dense.I8} {
 			ix, err := fx.ix.Quantize(tier)
 			if err != nil {
 				b.Fatal(err)

@@ -178,16 +178,8 @@ func (sh *IndexShard) Damping() float64 { return sh.c }
 // the tier's element width, plus their id list.
 func (sh *IndexShard) Bytes() int64 { return sh.f.Bytes() + int64(len(sh.ids))*4 }
 
-// Tier returns the storage tier of the factor.
-func (sh *IndexShard) Tier() Tier {
-	switch sh.f.Kind {
-	case dense.F32:
-		return TierF32
-	case dense.I8:
-		return TierI8
-	}
-	return TierF64
-}
+// Tier returns the storage tier of the factor: its element kind.
+func (sh *IndexShard) Tier() dense.Kind { return sh.f.Kind }
 
 // Owns reports whether global node q falls in the shard's range.
 func (sh *IndexShard) Owns(q int) bool { return q >= sh.lo && q < sh.hi }

@@ -214,7 +214,7 @@ func TestShardRoundTrip(t *testing.T) {
 }
 
 func TestReadShardRejectsCorruption(t *testing.T) {
-	good := golden(t, goldenShardV5(TierF64))
+	good := golden(t, goldenShardV5(dense.F64))
 
 	check := func(name string, raw []byte) {
 		t.Helper()

@@ -270,7 +270,7 @@ func placeSnapshot(dir, tmp string) (Snapshot, error) {
 		case err != nil:
 			return Snapshot{}, fmt.Errorf("core: WriteSnapshot: placing generation %d: %w", gen, err)
 		}
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			_ = os.Remove(path) // best effort: the name is not durable
 			return Snapshot{}, fmt.Errorf("core: WriteSnapshot: placing generation %d: %w", gen, err)
 		}

@@ -11,10 +11,10 @@ import (
 )
 
 func TestParseTier(t *testing.T) {
-	good := map[string]Tier{
-		"": TierF64, "none": TierF64, "f64": TierF64, "float64": TierF64,
-		"f32": TierF32, "float32": TierF32,
-		"int8": TierI8, "i8": TierI8,
+	good := map[string]dense.Kind{
+		"": dense.F64, "none": dense.F64, "f64": dense.F64, "float64": dense.F64,
+		"f32": dense.F32, "float32": dense.F32,
+		"int8": dense.I8, "i8": dense.I8,
 	}
 	for s, want := range good {
 		got, err := ParseTier(s)
@@ -49,7 +49,7 @@ func TestQuantizedErrorWithinBoundOnEvalGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tier := range []Tier{TierF32, TierI8} {
+	for _, tier := range []dense.Kind{dense.F32, dense.I8} {
 		q, err := exact.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestQuantizedErrorWithinBoundOnEvalGraph(t *testing.T) {
 		if worst > bound {
 			t.Fatalf("%v: measured error %g exceeds reported bound %g", tier, worst, bound)
 		}
-		if worst == 0 && tier == TierI8 {
+		if worst == 0 && tier == dense.I8 {
 			t.Fatalf("int8 quantization changed nothing; the bound check is vacuous")
 		}
 	}
@@ -91,7 +91,7 @@ func TestQuantizedShardPartialMatchesQuantizedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := exact.Quantize(TierI8)
+	q, err := exact.Quantize(dense.I8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func Test_PartialTopKMatchesUnfused(t *testing.T) {
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
 	for _, workers := range []int{1, 3} {
 		par.SetMaxWorkers(workers)
-		for _, tier := range []Tier{TierF64, TierF32, TierI8} {
+		for _, tier := range []dense.Kind{dense.F64, dense.F32, dense.I8} {
 			ix, err := exact.Quantize(tier)
 			if err != nil {
 				t.Fatal(err)

@@ -22,7 +22,6 @@ package dense
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Kind enumerates the element storage of a Typed matrix.
@@ -98,18 +97,6 @@ func (t *Typed) Bytes() int64 {
 	return int64(t.Rows)*int64(t.Cols)*int64(t.Kind.ElemSize()) + int64(len(t.Scale))*8
 }
 
-// At dequantises element (i, j).
-func (t *Typed) At(i, j int) float64 {
-	switch t.Kind {
-	case F64:
-		return t.F64[i*t.Cols+j]
-	case F32:
-		return float64(t.F32[i*t.Cols+j])
-	default:
-		return float64(t.I8[i*t.Cols+j]) * t.Scale[j]
-	}
-}
-
 // RowInto dequantises row i into dst, which must have length ≥ Cols, and
 // returns dst[:Cols].
 func (t *Typed) RowInto(i int, dst []float64) []float64 {
@@ -130,58 +117,6 @@ func (t *Typed) RowInto(i int, dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// RowIsZero reports whether every element of row i is stored as +0 — the
-// bit pattern, so a row holding -0 is not.
-func (t *Typed) RowIsZero(i int) bool {
-	c := t.Cols
-	switch t.Kind {
-	case F64:
-		for _, v := range t.F64[i*c : (i+1)*c] {
-			if math.Float64bits(v) != 0 {
-				return false
-			}
-		}
-	case F32:
-		for _, v := range t.F32[i*c : (i+1)*c] {
-			if math.Float32bits(v) != 0 {
-				return false
-			}
-		}
-	default:
-		for _, v := range t.I8[i*c : (i+1)*c] {
-			if v != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// GatherRows returns a fresh matrix of the same kind holding the rows idx,
-// in order, as they are stored; it shares nothing with t.
-func (t *Typed) GatherRows(idx []int32) *Typed {
-	c := t.Cols
-	out := &Typed{Kind: t.Kind, Rows: len(idx), Cols: c, Scale: slices.Clone(t.Scale)}
-	switch t.Kind {
-	case F64:
-		out.F64 = make([]float64, len(idx)*c)
-		for k, i := range idx {
-			copy(out.F64[k*c:(k+1)*c], t.F64[int(i)*c:])
-		}
-	case F32:
-		out.F32 = make([]float32, len(idx)*c)
-		for k, i := range idx {
-			copy(out.F32[k*c:(k+1)*c], t.F32[int(i)*c:])
-		}
-	default:
-		out.I8 = make([]int8, len(idx)*c)
-		for k, i := range idx {
-			copy(out.I8[k*c:(k+1)*c], t.I8[int(i)*c:])
-		}
-	}
-	return out
 }
 
 // SliceRowsView returns a view (no copy) of rows [lo, hi). The view

@@ -109,9 +109,10 @@ func TestQuantizeF32ErrorMeasured(t *testing.T) {
 	if ty.Kind != F32 || ty.Scale != nil {
 		t.Fatalf("kind %v scale %v", ty.Kind, ty.Scale)
 	}
+	row := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			e := math.Abs(m.Data[i*m.Cols+j] - ty.At(i, j))
+		for j, v := range ty.RowInto(i, row) {
+			e := math.Abs(m.Data[i*m.Cols+j] - v)
 			if e > errs[j] {
 				t.Fatalf("elem (%d,%d): error %g exceeds measured column bound %g", i, j, e, errs[j])
 			}
@@ -134,9 +135,10 @@ func TestQuantizeI8ErrorWithinHalfScale(t *testing.T) {
 	if ty.Scale[3] != 0 || errs[3] != 0 {
 		t.Fatalf("zero column: scale %g err %g", ty.Scale[3], errs[3])
 	}
+	row := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			e := math.Abs(m.Data[i*m.Cols+j] - ty.At(i, j))
+		for j, v := range ty.RowInto(i, row) {
+			e := math.Abs(m.Data[i*m.Cols+j] - v)
 			if e > errs[j] {
 				t.Fatalf("elem (%d,%d): error %g exceeds measured bound %g", i, j, e, errs[j])
 			}
@@ -156,22 +158,23 @@ func TestTypedAccessors(t *testing.T) {
 	if view.Rows != 20 || view.Kind != I8 {
 		t.Fatalf("view %dx%d kind %v", view.Rows, view.Cols, view.Kind)
 	}
-	for j := 0; j < ty.Cols; j++ {
-		if view.At(0, j) != ty.At(10, j) {
+	want := ty.RowInto(10, make([]float64, ty.Cols))
+	for j, v := range view.RowInto(0, make([]float64, ty.Cols)) {
+		if v != want[j] {
 			t.Fatalf("view row 0 col %d mismatch", j)
 		}
 	}
 
-	mx := ty.ColAbsMax()
-	for j, want := range mx {
-		got := 0.0
-		for i := 0; i < ty.Rows; i++ {
-			if a := math.Abs(ty.At(i, j)); a > got {
-				got = a
-			}
+	got := make([]float64, ty.Cols)
+	row := make([]float64, ty.Cols)
+	for i := 0; i < ty.Rows; i++ {
+		for j, v := range ty.RowInto(i, row) {
+			got[j] = math.Max(got[j], math.Abs(v))
 		}
-		if got != want {
-			t.Fatalf("ColAbsMax[%d] = %g, want %g", j, want, got)
+	}
+	for j, want := range ty.ColAbsMax() {
+		if got[j] != want {
+			t.Fatalf("ColAbsMax[%d] = %g, want %g", j, want, got[j])
 		}
 	}
 

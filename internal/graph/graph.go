@@ -122,9 +122,6 @@ func (g *Graph) InDegrees() []int {
 	return deg
 }
 
-// Bytes reports the adjacency's memory footprint.
-func (g *Graph) Bytes() int64 { return g.adj.Bytes() }
-
 // Transition returns the column-normalised adjacency matrix Q of Eq. (1):
 // column a is the distribution over a's in-neighbours — uniform
 // (1/indeg(a)) for unweighted graphs, weight-proportional for weighted

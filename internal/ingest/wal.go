@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"csrplus/internal/core"
 	"csrplus/internal/fault"
 )
 
@@ -230,7 +231,7 @@ func (w *WAL) Prune(seq uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(w.dir); err != nil {
+		if err := core.SyncDir(w.dir); err != nil {
 			return removed, fmt.Errorf("ingest: prune WAL: %w", err)
 		}
 	}
@@ -350,7 +351,7 @@ func (w *WAL) openSegmentLocked(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("ingest: WAL segment: %w", err)
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := core.SyncDir(w.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("ingest: WAL segment: %w", err)
 	}
@@ -586,18 +587,4 @@ func syncFile(f *os.File) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// syncDir fsyncs a directory so a just-created segment's dirent is
-// durable (best-effort on filesystems that reject directory fsync).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
 }

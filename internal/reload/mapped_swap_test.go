@@ -330,7 +330,7 @@ func TestShardOfMappedIndexIsAView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tier := range []core.Tier{core.TierF64, core.TierI8} {
+	for _, tier := range []dense.Kind{dense.F64, dense.I8} {
 		q, err := ix.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)
@@ -357,7 +357,7 @@ func TestShardOfMappedIndexIsAView(t *testing.T) {
 		}
 		a, _ := mapped.Shard(10, 20)
 		b, _ := mapped.Shard(10, 20)
-		if tier == core.TierF64 && &a.URow(10)[0] != &b.URow(10)[0] {
+		if tier == dense.F64 && &a.URow(10)[0] != &b.URow(10)[0] {
 			t.Error("two shards of one mapped range do not alias the same U rows: Shard copied")
 		}
 	}

@@ -33,18 +33,17 @@ func copyShard(ix *core.Index, lo, hi int) *core.IndexShard {
 }
 
 // TestValidateShardCompacted runs the shard gate over an index that leaves
-// its all-zero rows out (internal/core's every-row fixture, compacted): the
+// its all-zero rows out (internal/core's compacted fixture): the
 // whole index and every cut of it pass — a cut that stores nothing
 // included, which has only implicit rows to probe — and a non-finite entry
 // in a stored row's factors is still refused, through the probes, which are
 // stored rows where there are any.
 func TestValidateShardCompacted(t *testing.T) {
-	dense, err := core.LoadIndex("../core/testdata/index.v5-sparse.csrx")
+	ix, err := core.LoadIndex("../core/testdata/index.v5-compact.csrx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dense.Close()
-	ix := dense.Compact()
+	defer ix.Close()
 	if ix.Stored() != 36 || ix.StoredNode(3) != 4 {
 		t.Fatalf("fixture stores %d rows, the fourth node %d: want 36 and 4", ix.Stored(), ix.StoredNode(3))
 	}

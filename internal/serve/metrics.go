@@ -69,9 +69,8 @@ func (m *Metrics) SetGeneration(gen uint64) { m.generation.Store(gen) }
 func (m *Metrics) Generation() uint64       { return m.generation.Load() }
 
 // SetShards records the slot count of the serving router (1 when one
-// slot holds the whole index); Shards reads the gauge back.
+// slot holds the whole index).
 func (m *Metrics) SetShards(k int) { m.shards.Store(int64(k)) }
-func (m *Metrics) Shards() int64   { return m.shards.Load() }
 
 // ReloadSucceeded counts one completed hot reload and its duration;
 // ReloadFailed counts an attempt that was abandoned before the swap (the

@@ -337,9 +337,6 @@ func (s *Server) N() int { return s.be.Load().N }
 // Metrics exposes the registry shared by every component of this server.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// MaxK reports the effective server-side k cap.
-func (s *Server) MaxK() int { return s.cfg.MaxK }
-
 // Close drains the server: admission stops (ErrClosed), and requests
 // already pinned — waiting for a slot or in their engine call — are
 // answered. Idempotent.

@@ -88,7 +88,7 @@ func TestBoundsHoldProperty(t *testing.T) {
 		// beside each cut, and a repeat.
 		lo2, _ := plan.Range(2)
 		queries := []int{0, lo1 - 1, lo2, n - 1, 0}
-		for _, tier := range []core.Tier{core.TierF64, core.TierF32, core.TierI8} {
+		for _, tier := range []dense.Kind{dense.F64, dense.F32, dense.I8} {
 			ix, err := exact.Quantize(tier)
 			if err != nil {
 				t.Fatal(err)

@@ -51,7 +51,7 @@ func assertSameBits(t testing.TB, label string, got, want []topk.Item) {
 func TestRouterTopKMatchesUnfused(t *testing.T) {
 	_, exact := testEngineIndex(t, 1)
 	ctx := context.Background()
-	for _, tier := range []core.Tier{core.TierF64, core.TierF32, core.TierI8} {
+	for _, tier := range []dense.Kind{dense.F64, dense.F32, dense.I8} {
 		ix, err := exact.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func Test_TopKFused(t *testing.T) {
 	exact := fusedIndex(t)
 	ctx := context.Background()
 	queries := fusedQueries(16)
-	for _, tier := range []core.Tier{core.TierF64, core.TierI8} {
+	for _, tier := range []dense.Kind{dense.F64, dense.I8} {
 		ix, err := exact.Quantize(tier)
 		if err != nil {
 			t.Fatal(err)

@@ -154,9 +154,6 @@ func (r *Router) N() int { return r.n }
 // Rank returns the SVD rank of the sharded index.
 func (r *Router) Rank() int { return r.rank }
 
-// Damping returns the damping factor.
-func (r *Router) Damping() float64 { return r.c }
-
 // K returns the shard count.
 func (r *Router) K() int { return r.plan.K() }
 

@@ -398,7 +398,7 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 // A swap must invalidate the cached bound.
 func TestRouterQuantizedBound(t *testing.T) {
 	_, ix := testEngineIndex(t, 1)
-	q, err := ix.Quantize(core.TierI8)
+	q, err := ix.Quantize(dense.I8)
 	if err != nil {
 		t.Fatal(err)
 	}
