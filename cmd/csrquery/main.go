@@ -4,6 +4,7 @@
 //
 //	csrquery -dataset FB -q 12,99 -k 10            # top-10 per aggregate
 //	csrquery -graph edges.txt -n 5000 -q 7 -k 5    # from an edge-list file
+//	csrquery -dataset WT -dscale 200 -q 7          # -dscale goes with -dataset, -n with -graph
 //	csrquery -dataset P2P -algo CSR-IT -q 3 -json  # pick the algorithm
 //	csrquery -dataset FB -q 12 -saveindex snaps    # publish the index as snaps/index-00000001.csrx
 //	csrquery -index snaps/index-00000001.csrx -q 99  # answer from the file alone
@@ -23,7 +24,9 @@ import (
 	"strings"
 
 	"csrplus"
+	"csrplus/internal/core"
 	"csrplus/internal/flagmode"
+	"csrplus/internal/graph"
 )
 
 // The modes, by where the engine comes from: precomputed over the graph,
@@ -56,13 +59,11 @@ type published struct {
 // run registers every flag on fs, parses args, holds them to their mode's
 // row of the table and answers the query.
 func run(out io.Writer, fs *flag.FlagSet, args []string) error {
-	dataset := fs.String("dataset", "", "generate a paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
-	scale := fs.Int64("dscale", 0, "dataset downscale factor (0 = dataset default)")
-	graphPath := fs.String("graph", "", "edge-list file (src dst per line)")
-	n := fs.Int("n", 0, "node count for -graph")
+	var src graph.Source
+	src.Flags(fs)
 	algo := fs.String("algo", csrplus.AlgoCSRPlus, "algorithm: "+strings.Join(csrplus.Algorithms(), ", "))
-	rank := fs.Int("r", 5, "SVD rank / iteration count")
-	damping := fs.Float64("c", 0.6, "damping factor in (0, 1)")
+	rank := fs.Int("r", core.DefaultRank, "SVD rank / iteration count")
+	damping := fs.Float64("c", core.DefaultDamping, "damping factor in (0, 1)")
 	queryList := fs.String("q", "", "comma-separated query node ids (required)")
 	k := fs.Int("k", 10, "result count")
 	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
@@ -87,9 +88,9 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 	if mode == modeIndex {
 		eng, err = csrplus.LoadEngine(nil, *indexPath)
 	} else {
-		var g *csrplus.Graph
-		if g, err = loadGraph(*dataset, *scale, *graphPath, *n); err == nil {
-			eng, err = csrplus.NewEngine(g, csrplus.Options{
+		var g *graph.Graph
+		if g, err = src.Load(); err == nil {
+			eng, err = csrplus.NewEngine(csrplus.FromCoreGraph(g), csrplus.Options{
 				Algorithm: *algo,
 				Rank:      *rank,
 				Damping:   *damping,
@@ -159,20 +160,4 @@ func parseQueries(list string) ([]int, error) {
 		queries = append(queries, id)
 	}
 	return queries, nil
-}
-
-func loadGraph(dataset string, scale int64, graphPath string, n int) (*csrplus.Graph, error) {
-	switch {
-	case dataset != "" && graphPath != "":
-		return nil, fmt.Errorf("use either -dataset or -graph, not both")
-	case dataset != "":
-		return csrplus.GenerateDataset(dataset, scale)
-	case graphPath != "":
-		if n <= 0 {
-			return nil, fmt.Errorf("-graph requires -n (node count)")
-		}
-		return csrplus.LoadGraph(graphPath, n)
-	default:
-		return nil, fmt.Errorf("one of -dataset or -graph is required")
-	}
 }

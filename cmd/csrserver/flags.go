@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"csrplus/internal/core"
 	"csrplus/internal/flagmode"
 	"csrplus/internal/graph"
 	"csrplus/internal/serve"
@@ -41,11 +42,9 @@ var modes = []flagmode.Mode{
 type config struct {
 	mode mode
 
-	dataset, graphPath string
-	dscale             int64
-	// n is the node count of the graph the flags name — -n for -graph,
-	// the descriptor's for -dataset — known without reading the graph; 0
-	// when they name none, and the boot must serve a snapshot.
+	src graph.Source // the graph a cold build precomputes over; a snapshot carries its own
+	// n is the node count of the graph src names, known without reading
+	// it; 0 when it names none, and the boot must serve a snapshot.
 	n, rank     int
 	damping     float64
 	snapDir     string
@@ -63,12 +62,9 @@ type config struct {
 // holds the command line to that mode's row of the table.
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{}
-	fs.StringVar(&c.dataset, "dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB; the graph a cold build precomputes over (a snapshot carries its own)")
-	fs.Int64Var(&c.dscale, "dscale", 0, "dataset downscale factor (0 = default)")
-	fs.StringVar(&c.graphPath, "graph", "", "edge-list file; the graph a cold build precomputes over (a snapshot carries its own)")
-	fs.IntVar(&c.n, "n", 0, "node count for -graph")
-	fs.IntVar(&c.rank, "r", 5, "SVD rank")
-	fs.Float64Var(&c.damping, "c", 0.6, "damping factor")
+	c.src.Flags(fs)
+	fs.IntVar(&c.rank, "r", core.DefaultRank, "SVD rank")
+	fs.Float64Var(&c.damping, "c", core.DefaultDamping, "damping factor")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.snapDir, "snapshots", "", "versioned snapshot directory (index-<gen>.csrx, or shard-<s>/ of the same with -shardworker); boot from its newest generation that loads when populated (csrstat -index FILE -convert DIR publishes a pre-built file or an old generation as the newest); every index the server builds (boot, drift rebuilds) is published into it, and each publish prunes all but the newest generations")
 	fs.IntVar(&c.shardWorker, "shardworker", -1, "serve ONE shard over the wire protocol: boot from <snapshots>/shard-<s> and answer /shard/* requests")
@@ -99,44 +95,19 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 		return nil, fmt.Errorf("-shardworker requires -snapshots (the worker boots from <snapshots>/shard-<s>)")
 	}
 	if c.mode == modeLocal || c.mode == modeIngest {
-		switch {
-		case c.dataset != "" || c.graphPath != "" || c.snapDir == "":
-			if err := c.nameGraph(); err != nil {
-				return nil, err
-			}
-		case c.n != 0:
-			return nil, fmt.Errorf("-n requires -graph")
-		case c.dscale != 0:
-			return nil, fmt.Errorf("-dscale requires -dataset")
+		// Only a cold build reads the graph, and c.n is its node count known
+		// without reading it: most boots never do (source.go), and a loaded
+		// index is checked against c.n instead. A boot over -snapshots may
+		// name none: it serves the newest generation that loads, whose graph
+		// section is its graph.
+		var err error
+		if c.n, err = c.src.Nodes(); err != nil {
+			return nil, err
+		}
+		if c.n == 0 && c.snapDir == "" {
+			return nil, fmt.Errorf("one of -dataset or -graph is required without -snapshots (a cold build precomputes over it)")
 		}
 	}
 	c.wire.AdminToken = c.adminToken
 	return c, nil
-}
-
-// nameGraph holds the flags to naming exactly one graph and resolves its
-// node count without reading it: most boots never do (source.go), and a
-// loaded index is checked against c.n instead. Only a cold build reads the
-// graph, so a boot over -snapshots may name none: it serves the newest
-// generation that loads, whose graph section is its graph.
-func (c *config) nameGraph() error {
-	switch {
-	case c.dataset != "" && c.graphPath != "":
-		return fmt.Errorf("use either -dataset or -graph, not both")
-	case c.dataset != "":
-		d, err := graph.DatasetByKey(c.dataset)
-		if err != nil {
-			return err
-		}
-		scale := c.dscale
-		if scale <= 0 {
-			scale = d.Scale // as csrplus.GenerateDataset reads -dscale
-		}
-		c.n = d.Nodes(scale)
-	case c.graphPath == "":
-		return fmt.Errorf("one of -dataset or -graph is required without -snapshots (a cold build precomputes over it)")
-	case c.n <= 0:
-		return fmt.Errorf("-graph requires -n")
-	}
-	return nil
 }

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	csrserver -dataset WT -addr :8080
-//	csrserver -graph edges.txt -n 100000 -r 8 -snapshots /var/lib/csr
+//	csrserver -graph edges.txt -n 100000 -r 8 -snapshots /var/lib/csr   # -n goes with -graph, -dscale with -dataset
 //	csrserver -dataset WT -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T
 //	csrserver -snapshots /var/lib/csr -waldir /var/lib/csr/wal -admintoken T   # a restart: the snapshot carries the graph
 //	csrserver -shardworker 2 -snapshots /var/lib/csr -addr :9102
@@ -405,7 +405,7 @@ func (s *server) mux() *http.ServeMux {
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("reload requires POST"))
 			return
 		}
-		if !auth.Require(w, r, adminToken, failAuth) {
+		if !auth.Require(w, r, adminToken) {
 			return
 		}
 		st, err := s.reload(r.Context())
@@ -441,7 +441,7 @@ func (s *server) mux() *http.ServeMux {
 				writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("edge ingestion requires POST"))
 				return
 			}
-			if !auth.Require(w, r, adminToken, failAuth) {
+			if !auth.Require(w, r, adminToken) {
 				return
 			}
 			var req struct {
@@ -580,9 +580,4 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// failAuth adapts writeError to the shared Bearer-auth helper.
-func failAuth(w http.ResponseWriter, status int, msg string) {
-	writeError(w, status, errors.New(msg))
 }

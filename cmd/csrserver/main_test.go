@@ -55,6 +55,12 @@ func testEngine(t testing.TB) *csrplus.Engine {
 	return eng
 }
 
+// coreIndex unwraps the CSR+ index every engine the tests precompute has.
+func coreIndex(eng *csrplus.Engine) *core.Index {
+	ix, _ := eng.CoreIndex()
+	return ix
+}
+
 // graphFile writes testGraph's edge list where -graph can load it.
 func graphFile(t testing.TB) string {
 	t.Helper()
@@ -435,6 +441,11 @@ func TestLoadGraphValidation(t *testing.T) {
 		{"use either -dataset or -graph, not both", []string{"-dataset", "FB", "-graph", "x.txt", "-n", "5"}},
 		{"-graph requires -n", []string{"-graph", "x.txt"}},
 		{`unknown dataset "NOPE"`, []string{"-dataset", "NOPE"}},
+		// -n and -dscale belong to one kind of graph each: beside the
+		// other they are refused, not ignored or read as an override.
+		{"-n requires -graph", []string{"-dataset", "WT", "-n", "7"}},
+		{"-n requires -graph", []string{"-dataset", "FB", "-n", "5"}},
+		{"-dscale requires -dataset", []string{"-graph", "g.txt", "-n", "6", "-dscale", "4"}},
 	} {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
@@ -445,7 +456,6 @@ func TestLoadGraphValidation(t *testing.T) {
 		args []string
 	}{
 		{4039, []string{"-dataset", "FB"}},
-		{131072, []string{"-dataset", "WT", "-n", "7"}},
 		{2048, []string{"-dataset", "WT", "-dscale", "1200", "-waldir", "d"}},
 		{6, []string{"-graph", "x.txt", "-n", "6"}},
 	} {

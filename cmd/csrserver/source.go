@@ -28,7 +28,9 @@ import (
 	"csrplus"
 
 	"csrplus/internal/core"
+	"csrplus/internal/graph"
 	"csrplus/internal/ingest"
+	"csrplus/internal/memtrack"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
@@ -70,10 +72,10 @@ func openSource(ctx context.Context, cfg *config) (*source, error) {
 	if cfg.mode == modeRouter {
 		return openRemote(ctx, cfg)
 	}
-	if cfg.graphPath != "" {
+	if cfg.src.Path != "" {
 		// The file may not be opened until a reload finds no snapshot: a
 		// mistyped path fails the boot, not that reload.
-		if _, err := os.Stat(cfg.graphPath); err != nil {
+		if _, err := os.Stat(cfg.src.Path); err != nil {
 			return nil, fmt.Errorf("-graph: %w", err)
 		}
 	}
@@ -213,17 +215,6 @@ type wholeIndex struct {
 	ing *ingest.Service // set by openIndex once the boot index exists
 }
 
-// readGraph reads or generates the graph the flags name and clocks it. The
-// graph is the caller's for the one call that needs it.
-func (w *wholeIndex) readGraph() (*csrplus.Graph, time.Duration, error) {
-	start := time.Now()
-	g, err := loadGraph(w.cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return g, time.Since(start), nil
-}
-
 // load is the reload.LoadFunc of a whole-index source.
 func (w *wholeIndex) load(ctx context.Context) (*reload.Candidate, error) {
 	start := time.Now()
@@ -295,13 +286,11 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	var err error
 	var clocks []string // meta.Clocks, in the order the work ran
 	// precompute runs Phase I over g in this process.
-	precompute := func(g *csrplus.Graph) error {
-		eng, err := csrplus.NewEngine(g, csrplus.Options{Rank: cfg.rank, Damping: cfg.damping})
-		if err != nil {
-			return err
-		}
-		b.ix, b.meta.PeakBytes = coreIndex(eng), eng.Stats().PeakBytes
-		return nil
+	precompute := func(g *graph.Graph) (err error) {
+		track := memtrack.New()
+		b.ix, err = core.Precompute(g, core.Options{Rank: cfg.rank, Damping: cfg.damping, Tracker: track})
+		b.meta.PeakBytes = track.Peak()
+		return err
 	}
 	switch {
 	case w.ing != nil:
@@ -316,7 +305,7 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 		clocks = append(clocks, fmt.Sprintf("graph=%v", clockSince(cutStart)))
 		log.Printf("rebuilding index over live graph n=%d m=%d (wal seq %d, drift %.3g) ...", live.N(), live.M(), seq, d0)
 		b.meta = reload.Meta{Source: "ingest-rebuild"}
-		if err = precompute(csrplus.FromCoreGraph(live)); err == nil {
+		if err = precompute(live); err == nil {
 			b.ix.SetWalSeq(seq)
 		}
 		b.drift = w.ing.DriftFrom(d0)
@@ -332,10 +321,12 @@ func (w *wholeIndex) build(ctx context.Context) (*built, error) {
 	case cfg.n == 0:
 		return nil, fmt.Errorf("no generation in -snapshots %s to serve, and no -dataset or -graph to build one from", cfg.snapDir)
 	default:
-		var g *csrplus.Graph
-		if g, b.graphLoad, err = w.readGraph(); err != nil {
+		readStart := time.Now()
+		var g *graph.Graph
+		if g, err = cfg.src.Load(); err != nil {
 			return nil, err
 		}
+		b.graphLoad = time.Since(readStart)
 		log.Printf("precomputing index over n=%d m=%d ...", g.N(), g.M())
 		b.meta = reload.Meta{Source: "rebuild"}
 		err = precompute(g)
@@ -408,26 +399,10 @@ func (w *wholeIndex) publish(b *built) (string, error) {
 func clock(d time.Duration) time.Duration  { return d.Round(100 * time.Microsecond) }
 func clockSince(t time.Time) time.Duration { return clock(time.Since(t)) }
 
-// coreIndex unwraps the CSR+ index every engine precomputed here has: the
-// server runs no other algorithm.
-func coreIndex(eng *csrplus.Engine) *core.Index {
-	ix, _ := eng.CoreIndex()
-	return ix
-}
-
 // snapshotAvailable reports whether dir holds a generation in the format
 // this build serves. An empty, still-unprovisioned or stale-only directory
 // falls through to the other sources instead of failing the boot.
 func snapshotAvailable(dir string) bool {
 	_, _, err := core.CurrentSnapshot(dir)
 	return err == nil
-}
-
-// loadGraph reads or generates the graph the flags name; parseFlags has
-// held them to naming exactly one.
-func loadGraph(cfg *config) (*csrplus.Graph, error) {
-	if cfg.dataset != "" {
-		return csrplus.GenerateDataset(cfg.dataset, cfg.dscale)
-	}
-	return csrplus.LoadGraph(cfg.graphPath, cfg.n)
 }

@@ -8,6 +8,7 @@
 //
 //	csrstat -dataset TW
 //	csrstat -graph edges.txt -n 100000 -hubs 10
+//	csrstat -dataset WT -dscale 200                           # -dscale goes with -dataset, -n with -graph
 //	csrstat -index snap.csrx                                  # whole index or one shard's file
 //	csrstat -index whole.csrx -convert /data/snaps            # publish as the directory's newest generation
 //	csrstat -index whole.csrx -convert /data/small -quantize int8
@@ -58,10 +59,8 @@ func main() {
 // run registers every flag on fs, parses args, holds them to their mode's
 // row of the table and runs that mode.
 func run(out io.Writer, fs *flag.FlagSet, args []string) error {
-	dataset := fs.String("dataset", "", "paper dataset stand-in: FB, P2P, YT, WT, TW, WB")
-	scale := fs.Int64("dscale", 0, "dataset downscale factor (0 = default)")
-	graphPath := fs.String("graph", "", "edge-list file")
-	n := fs.Int("n", 0, "node count for -graph")
+	var src graph.Source
+	src.Flags(fs)
 	hubs := fs.Int("hubs", 5, "number of top in-degree hubs to list")
 	indexPath := fs.String("index", "", "inspect a persisted CSR+ index or shard file instead of a graph")
 	convert := fs.String("convert", "", "with -index: a snapshot directory (created if missing); the index is published as its newest generation, which csrserver serves, in the current (v5, mmap-able, one-factor, graph-carrying) layout")
@@ -92,7 +91,7 @@ func run(out io.Writer, fs *flag.FlagSet, args []string) error {
 	case modeIndex:
 		return runIndex(out, *indexPath, *convert, *quantize, split)
 	}
-	return runGraph(out, *dataset, *scale, *graphPath, *n, *hubs)
+	return runGraph(out, src, *hubs)
 }
 
 // runIndex is index mode: print the metadata a persisted index carries,
@@ -292,8 +291,8 @@ func runWal(out io.Writer, dir string) error {
 	return nil
 }
 
-func runGraph(out io.Writer, dataset string, scale int64, graphPath string, n, hubs int) error {
-	g, err := load(dataset, scale, graphPath, n)
+func runGraph(out io.Writer, src graph.Source, hubs int) error {
+	g, err := src.Load()
 	if err != nil {
 		return err
 	}
@@ -333,27 +332,4 @@ func nonzero(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-func load(dataset string, scale int64, graphPath string, n int) (*graph.Graph, error) {
-	switch {
-	case dataset != "" && graphPath != "":
-		return nil, fmt.Errorf("use either -dataset or -graph, not both")
-	case dataset != "":
-		d, err := graph.DatasetByKey(dataset)
-		if err != nil {
-			return nil, err
-		}
-		if scale <= 0 {
-			scale = d.Scale
-		}
-		return d.GenerateScaled(scale)
-	case graphPath != "":
-		if n <= 0 {
-			return nil, fmt.Errorf("-graph requires -n")
-		}
-		return graph.Load(graphPath, n)
-	default:
-		return nil, fmt.Errorf("one of -dataset or -graph is required")
-	}
 }

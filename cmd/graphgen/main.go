@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	graphgen -dataset WT -out wt.txt             # a paper dataset stand-in
+//	graphgen -dataset WT -dscale 200 -out wt.txt # a paper dataset stand-in (-dscale 0: its default)
 //	graphgen -gen er -n 1000 -m 5000 -out g.txt  # raw generators
 //	graphgen -gen ba -n 1000 -k 8 -out g.txt
 //	graphgen -gen rmat -logn 14 -m 200000 -out g.txt
@@ -58,14 +58,7 @@ func build(dataset string, scale int64, gen string, n int, m int64, k int, beta 
 	case dataset != "" && gen != "":
 		return nil, fmt.Errorf("use either -dataset or -gen, not both")
 	case dataset != "":
-		d, err := graph.DatasetByKey(dataset)
-		if err != nil {
-			return nil, err
-		}
-		if scale <= 0 {
-			scale = d.Scale
-		}
-		return d.GenerateScaled(scale)
+		return graph.Source{Dataset: dataset, Scale: scale}.Load()
 	case gen == "er":
 		return graph.ErdosRenyi(n, m, seed)
 	case gen == "ba":

@@ -148,12 +148,9 @@ func (gr *Graph) InDegrees() []int { return gr.g.InDegrees() }
 // datasets: FB, P2P, YT, WT, TW or WB. scale <= 0 selects the dataset's
 // default downscale factor (see DESIGN.md §5); scale = 1 is original size.
 func GenerateDataset(key string, scale int64) (*Graph, error) {
-	d, err := graph.DatasetByKey(key)
+	d, scale, err := graph.Source{Dataset: key, Scale: scale}.Stand()
 	if err != nil {
 		return nil, err
-	}
-	if scale <= 0 {
-		scale = d.Scale
 	}
 	g, err := d.GenerateScaled(scale)
 	if err != nil {

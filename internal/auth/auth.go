@@ -8,6 +8,7 @@ package auth
 
 import (
 	"crypto/subtle"
+	"encoding/json"
 	"net/http"
 	"strings"
 )
@@ -45,20 +46,23 @@ func CheckBearer(header, want string) Verdict {
 }
 
 // Require checks r's bearer token against want and reports whether the
-// handler may proceed. On failure it writes the standard response
-// through fail — 403 for a disabled surface or a wrong token, 401 (with
-// a WWW-Authenticate challenge) for a missing one — and returns false.
-func Require(w http.ResponseWriter, r *http.Request, want string, fail func(w http.ResponseWriter, status int, msg string)) bool {
+// handler may proceed. On failure it writes the standard response — 403
+// for a disabled surface or a wrong token, 401 (with a WWW-Authenticate
+// challenge) for a missing one, each with a {"error": msg} JSON body —
+// and returns false.
+func Require(w http.ResponseWriter, r *http.Request, want string) bool {
+	status, msg := http.StatusForbidden, "bad token"
 	switch CheckBearer(r.Header.Get("Authorization"), want) {
 	case OK:
 		return true
 	case Disabled:
-		fail(w, http.StatusForbidden, "admin endpoints disabled: no admin token configured")
+		msg = "admin endpoints disabled: no admin token configured"
 	case Missing:
 		w.Header().Set("WWW-Authenticate", "Bearer")
-		fail(w, http.StatusUnauthorized, "missing bearer token")
-	default:
-		fail(w, http.StatusForbidden, "bad token")
+		status, msg = http.StatusUnauthorized, "missing bearer token"
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 	return false
 }

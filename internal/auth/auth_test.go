@@ -32,9 +32,6 @@ func TestCheckBearer(t *testing.T) {
 }
 
 func TestRequireWritesStandardResponses(t *testing.T) {
-	fail := func(w http.ResponseWriter, status int, msg string) {
-		http.Error(w, msg, status)
-	}
 	cases := []struct {
 		name      string
 		header    string
@@ -42,11 +39,12 @@ func TestRequireWritesStandardResponses(t *testing.T) {
 		ok        bool
 		status    int
 		challenge bool
+		body      string
 	}{
-		{"ok", "Bearer tok", "tok", true, http.StatusOK, false},
-		{"disabled", "Bearer tok", "", false, http.StatusForbidden, false},
-		{"missing", "", "tok", false, http.StatusUnauthorized, true},
-		{"bad", "Bearer wrong", "tok", false, http.StatusForbidden, false},
+		{"ok", "Bearer tok", "tok", true, http.StatusOK, false, ""},
+		{"disabled", "Bearer tok", "", false, http.StatusForbidden, false, `{"error":"admin endpoints disabled: no admin token configured"}` + "\n"},
+		{"missing", "", "tok", false, http.StatusUnauthorized, true, `{"error":"missing bearer token"}` + "\n"},
+		{"bad", "Bearer wrong", "tok", false, http.StatusForbidden, false, `{"error":"bad token"}` + "\n"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -54,7 +52,7 @@ func TestRequireWritesStandardResponses(t *testing.T) {
 		if tc.header != "" {
 			req.Header.Set("Authorization", tc.header)
 		}
-		got := Require(rec, req, tc.want, fail)
+		got := Require(rec, req, tc.want)
 		if got != tc.ok {
 			t.Errorf("%s: Require = %v, want %v", tc.name, got, tc.ok)
 		}
@@ -63,6 +61,12 @@ func TestRequireWritesStandardResponses(t *testing.T) {
 		}
 		if hasChallenge := rec.Header().Get("WWW-Authenticate") != ""; hasChallenge != tc.challenge {
 			t.Errorf("%s: WWW-Authenticate present=%v, want %v", tc.name, hasChallenge, tc.challenge)
+		}
+		if got := rec.Body.String(); got != tc.body {
+			t.Errorf("%s: body %q, want %q", tc.name, got, tc.body)
+		}
+		if !tc.ok && rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", tc.name, rec.Header().Get("Content-Type"))
 		}
 	}
 }

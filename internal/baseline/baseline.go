@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"csrplus/internal/core"
 	"csrplus/internal/dense"
 	"csrplus/internal/graph"
 	"csrplus/internal/memtrack"
@@ -55,13 +56,13 @@ type Config struct {
 // WithDefaults fills zero fields with the paper's defaults.
 func (c Config) WithDefaults() Config {
 	if c.Damping == 0 {
-		c.Damping = 0.6
+		c.Damping = core.DefaultDamping
 	}
 	if c.Rank == 0 {
-		c.Rank = 5
+		c.Rank = core.DefaultRank
 	}
 	if c.Eps == 0 {
-		c.Eps = 1e-5
+		c.Eps = core.DefaultEps
 	}
 	if c.SketchDim == 0 {
 		c.SketchDim = 128

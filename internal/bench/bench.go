@@ -81,11 +81,10 @@ func (e *Env) Dataset(key string) (*graph.Graph, error) {
 	if g, ok := e.cache[key]; ok {
 		return g, nil
 	}
-	d, err := graph.DatasetByKey(key)
+	d, scale, err := graph.Source{Dataset: key}.Stand()
 	if err != nil {
 		return nil, err
 	}
-	scale := d.Scale
 	if e.ExtraScale > 1 {
 		scale *= e.ExtraScale
 	}

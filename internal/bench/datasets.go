@@ -19,7 +19,7 @@ func (e *Env) RenderDatasets() error {
 			"ours n", "ours m", "ours m/n", "max-in", "zero-in", "wcc", "heavy-tail"},
 	}
 	for _, key := range GridDatasets {
-		d, err := graph.DatasetByKey(key)
+		d, _, err := graph.Source{Dataset: key}.Stand()
 		if err != nil {
 			return err
 		}

@@ -124,47 +124,38 @@ func Open(dir string, opts WALOptions, fn func(Record) error) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: open WAL: %w", err)
 	}
-	segs, err := listSegments(dir)
+	info, err := walk(dir, fn, true)
 	if err != nil {
 		return nil, err
+	}
+	if info.Corrupt != "" {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, info.Corrupt)
 	}
 	w := &WAL{dir: dir, segBytes: opts.SegmentBytes}
 	if w.segBytes <= 0 {
 		w.segBytes = defaultSegmentBytes
 	}
+	segs := info.Segments
 	if len(segs) > 0 {
-		w.pruned = max(segmentFirst(segs[0]), 1) - 1
+		w.pruned = max(segmentFirst(segs[0].Name), 1) - 1
 	}
-	var lastSeq uint64
-	for i, name := range segs {
-		last := i == len(segs)-1
-		info, err := replaySegment(filepath.Join(dir, name), lastSeq, fn)
-		if err != nil {
+	if info.TornTail > 0 {
+		// A damaged tail on the final segment is the crash the format
+		// promises to absorb: drop the unacknowledged bytes.
+		final := segs[len(segs)-1]
+		if err := truncateSegment(filepath.Join(dir, final.Name), final.Bytes); err != nil {
 			return nil, err
 		}
-		if info.Corrupt != "" {
-			if !last {
-				return nil, fmt.Errorf("%w: segment %s: %s (not the final segment)", ErrCorrupt, name, info.Corrupt)
-			}
-			// A damaged tail on the final segment is the crash the
-			// format promises to absorb: drop the unacknowledged bytes.
-			if err := truncateSegment(filepath.Join(dir, name), info.Bytes); err != nil {
-				return nil, err
-			}
-			w.torn = info.TornTail
-		}
-		if info.Records > 0 {
-			lastSeq = info.LastSeq
-		}
+		w.torn = info.TornTail
 	}
-	w.seq = lastSeq
-	w.written.Store(lastSeq)
-	w.durable.Store(lastSeq)
+	w.seq = info.LastSeq
+	w.written.Store(info.LastSeq)
+	w.durable.Store(info.LastSeq)
 
 	// Append into the final segment if there is one and it has room;
 	// otherwise start a fresh segment for the next sequence.
 	if len(segs) > 0 {
-		path := filepath.Join(dir, segs[len(segs)-1])
+		path := filepath.Join(dir, segs[len(segs)-1].Name)
 		st, err := os.Stat(path)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: open WAL: %w", err)
@@ -178,7 +169,7 @@ func Open(dir string, opts WALOptions, fn func(Record) error) (*WAL, error) {
 			return w, nil
 		}
 	}
-	if err := w.openSegmentLocked(lastSeq + 1); err != nil {
+	if err := w.openSegmentLocked(info.LastSeq + 1); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -397,36 +388,47 @@ type Info struct {
 // sequence range, per-segment CRC validation, and torn-tail report.
 // Damage is reported in the returned Info, not as an error; the error
 // covers only I/O problems reading the directory.
-func Inspect(dir string) (Info, error) {
+func Inspect(dir string) (Info, error) { return walk(dir, nil, false) }
+
+// walk replays dir's segments in order, calling fn (which may be nil) for
+// each valid record, and reports them as an Info. Each segment is checked
+// against the last sequence of the segments before it. Damage in the final
+// segment is its torn tail (Info.TornTail), the crash the format absorbs;
+// a sequence regression anywhere, or damage in any other segment, is
+// fatal (Info.Corrupt), and with stop the walk ends there. The error
+// covers I/O and fn failures only.
+func walk(dir string, fn func(Record) error, stop bool) (Info, error) {
 	info := Info{Dir: dir}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return info, err
 	}
-	var lastSeq uint64
 	for i, name := range segs {
-		si, err := replaySegment(filepath.Join(dir, name), lastSeq, nil)
-		if err != nil && !errors.Is(err, ErrCorrupt) {
+		si, err := replaySegment(filepath.Join(dir, name), info.LastSeq, fn)
+		switch {
+		case errors.Is(err, ErrCorrupt) && si.Corrupt != "":
+			// A sequence regression: intact bytes, wrong wherever they are.
+			if info.Corrupt == "" {
+				info.Corrupt = fmt.Sprintf("segment %s: %s", name, si.Corrupt)
+			}
+		case err != nil:
 			return info, err
+		case si.Corrupt == "":
+		case i == len(segs)-1:
+			info.TornTail = si.TornTail
+		case info.Corrupt == "":
+			info.Corrupt = fmt.Sprintf("segment %s: %s (not the final segment)", name, si.Corrupt)
 		}
 		info.Segments = append(info.Segments, si)
-		if errors.Is(err, ErrCorrupt) && info.Corrupt == "" {
-			info.Corrupt = fmt.Sprintf("segment %s: %s", name, si.Corrupt)
-		}
 		if si.Records > 0 {
 			if info.FirstSeq == 0 {
 				info.FirstSeq = si.FirstSeq
 			}
 			info.LastSeq = si.LastSeq
-			lastSeq = si.LastSeq
 		}
 		info.Records += si.Records
-		if si.Corrupt != "" {
-			if i == len(segs)-1 {
-				info.TornTail = si.TornTail
-			} else if info.Corrupt == "" {
-				info.Corrupt = fmt.Sprintf("segment %s: %s (not the final segment)", name, si.Corrupt)
-			}
+		if stop && info.Corrupt != "" {
+			break
 		}
 	}
 	return info, nil

@@ -45,9 +45,7 @@ type Metrics struct {
 // NewMetrics returns a registry with the default bucket layouts.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		Latency: NewHistogram(
-			100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3,
-			10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1),
+		Latency:        NewLatencyHistogram(),
 		BatchOccupancy: NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256),
 		ReloadDuration: NewHistogram(0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60, 300),
 	}
@@ -141,6 +139,14 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1, last = +Inf
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+}
+
+// NewLatencyHistogram returns a histogram over the one request-latency
+// layout, 100µs to 1s in seconds, that serving and wire clients share.
+func NewLatencyHistogram() *Histogram {
+	return NewHistogram(
+		100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3,
+		10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1)
 }
 
 // NewHistogram builds a histogram over ascending upper bounds.

@@ -154,9 +154,7 @@ func Dial(ctx context.Context, addr string, opt Options) (*RemoteEngine, error) 
 		httpc:   opt.Client,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		breaker: retry.Breaker{Threshold: opt.BreakerThreshold, Cooldown: opt.BreakerCooldown, Clock: opt.Clock},
-		lat: serve.NewHistogram(
-			100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3,
-			10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1),
+		lat:     serve.NewLatencyHistogram(),
 	}
 	meta, err := e.fetchMeta(ctx)
 	if err != nil {

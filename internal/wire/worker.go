@@ -281,9 +281,7 @@ func (w *Worker) handleReload(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	if !auth.Require(rw, r, w.cfg.AdminToken, func(rw http.ResponseWriter, status int, msg string) {
-		writeError(rw, status, errors.New(msg))
-	}) {
+	if !auth.Require(rw, r, w.cfg.AdminToken) {
 		return
 	}
 	resp, err := w.Reload()
