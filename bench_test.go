@@ -247,26 +247,23 @@ func BenchmarkSpMV(b *testing.B) {
 	_ = y
 }
 
-// BenchmarkTruncatedSVD measures the rank-5 decomposition both drivers.
+// BenchmarkTruncatedSVD measures the rank-5 decomposition.
 func BenchmarkTruncatedSVD(b *testing.B) {
 	g := benchGraph(b)
 	q, err := g.Transition()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, method := range []svd.Method{svd.Randomized, svd.Lanczos} {
-		b.Run(method.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := svd.Truncated(q, 5, svd.Options{Method: method}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svd.Truncated(q, 5, svd.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkAblation runs the design-choice ablation study (solver
-// variants, query routes, SVD drivers).
+// variants, query routes).
 func BenchmarkAblation(b *testing.B) {
 	env := quickEnv(b)
 	for i := 0; i < b.N; i++ {

@@ -6,8 +6,7 @@ package bench
 //   - subspace solver: repeated squaring vs plain iteration vs an
 //     explicitly materialised r² x r² Λ (Theorems 3.3/3.4's target);
 //   - query route: Theorem 3.5's O(nr|Q|) slice vs materialising the full
-//     n x n similarity matrix;
-//   - SVD driver: randomized subspace iteration vs Lanczos.
+//     n x n similarity matrix.
 //
 // The full "no optimisation at all" end of the spectrum is the CSR-NI
 // baseline, measured by the main grid.
@@ -35,11 +34,9 @@ type AblationResult struct {
 	Ranks    []int
 	Datasets []string
 	// Solver[dataset] holds solver-variant cells (3 per rank, grouped);
-	// Query[dataset] holds the two query routes; SVD[dataset] the two
-	// SVD drivers.
+	// Query[dataset] holds the two query routes.
 	Solver map[string][]AblationCell
 	Query  map[string][]AblationCell
-	SVD    map[string][]AblationCell
 }
 
 // AblationDatasets keeps the study on the two full-size graphs.
@@ -59,7 +56,6 @@ func (e *Env) RunAblation(ranks []int) (*AblationResult, error) {
 		Datasets: AblationDatasets,
 		Solver:   make(map[string][]AblationCell),
 		Query:    make(map[string][]AblationCell),
-		SVD:      make(map[string][]AblationCell),
 	}
 	for _, ds := range res.Datasets {
 		g, err := e.Dataset(ds)
@@ -105,16 +101,6 @@ func (e *Env) RunAblation(ranks []int) (*AblationResult, error) {
 			}
 			res.Query[ds] = append(res.Query[ds], AblationCell{
 				Variant: "dense-materialise", Rank: DefaultRank, Time: time.Since(start)})
-		}
-		// SVD drivers at the default rank.
-		for _, method := range []svd.Method{svd.Randomized, svd.Lanczos} {
-			start := time.Now()
-			if _, err := core.Precompute(g, core.Options{
-				Rank: DefaultRank, SVD: svd.Options{Method: method, Seed: 42}}); err != nil {
-				return nil, err
-			}
-			res.SVD[ds] = append(res.SVD[ds], AblationCell{
-				Variant: "svd-" + method.String(), Rank: DefaultRank, Time: time.Since(start)})
 		}
 	}
 	return res, nil
@@ -178,18 +164,6 @@ func (r *AblationResult) Render(e *Env) {
 			} else {
 				row = append(row, fmtDuration(c.Time))
 			}
-		}
-		t.AddRow(row...)
-	}
-	t.Render(e.Out)
-	t = &Table{
-		Title:  "Ablation: truncated SVD driver (total precompute time, r=5)",
-		Header: []string{"Dataset", "svd-randomized", "svd-lanczos"},
-	}
-	for _, ds := range r.Datasets {
-		row := []string{ds}
-		for _, c := range r.SVD[ds] {
-			row = append(row, fmtDuration(c.Time))
 		}
 		t.AddRow(row...)
 	}

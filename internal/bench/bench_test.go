@@ -350,13 +350,13 @@ func TestRunAblation(t *testing.T) {
 				t.Fatalf("%s: unmeasured cell %+v", ds, c)
 			}
 		}
-		if len(res.Query[ds]) != 2 || len(res.SVD[ds]) != 2 {
-			t.Fatalf("%s: query/svd cells %d/%d", ds, len(res.Query[ds]), len(res.SVD[ds]))
+		if len(res.Query[ds]) != 2 {
+			t.Fatalf("%s: %d query cells", ds, len(res.Query[ds]))
 		}
 	}
 	res.Render(e)
 	out := buf.String()
-	for _, want := range []string{"subspace solver", "query route", "SVD driver"} {
+	for _, want := range []string{"subspace solver", "query route"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablation render missing %q", want)
 		}

@@ -50,7 +50,7 @@ type Options struct {
 	Rank int
 	// Eps is the desired accuracy of the subspace solve. Default 1e-5.
 	Eps float64
-	// SVD tunes the truncated SVD driver.
+	// SVD tunes the truncated SVD.
 	SVD svd.Options
 	// Solver selects the subspace solve; the zero value is the paper's
 	// repeated squaring. The alternatives exist for the ablation study

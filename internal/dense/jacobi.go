@@ -26,12 +26,12 @@ type SVDResult struct {
 //
 // Columns whose singular value underflows below ulp-scale are returned with
 // zero U columns; callers that need a full orthonormal U must
-// re-orthonormalise (the truncated-SVD driver discards those columns
-// anyway).
+// re-orthonormalise.
 //
-// The rotations walk columns of the row-major matrix. The one caller (the
-// Lanczos driver) hands in the k x k bidiagonal factor, k = rank +
-// oversampling, which sits in L1/L2, so the stride costs nothing.
+// The rotations walk columns of the row-major matrix, a stride that costs
+// nothing on the small factors it is meant for. The truncated SVD finishes
+// through a Gram eigensolve instead; this is the full-SVD reference its
+// tests hold it to.
 func SVDJacobi(a *Mat) (*SVDResult, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {

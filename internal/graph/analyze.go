@@ -6,11 +6,8 @@ package graph
 // that the substitution preserves the behaviour the experiments depend on.
 
 import (
-	"fmt"
 	"math"
 	"sort"
-
-	"csrplus/internal/sparse"
 )
 
 // Reverse returns the graph with every edge flipped. CoSimRank propagates
@@ -154,16 +151,6 @@ func (g *Graph) InDegreeHistogram() DegreeHistogram {
 	return histogram(g.InDegrees())
 }
 
-// OutDegreeHistogram summarises the out-degree distribution.
-func (g *Graph) OutDegreeHistogram() DegreeHistogram {
-	n := g.N()
-	deg := make([]int, n)
-	for u := 0; u < n; u++ {
-		deg[u] = g.OutDegree(u)
-	}
-	return histogram(deg)
-}
-
 func histogram(deg []int) DegreeHistogram {
 	h := DegreeHistogram{}
 	var sum int64
@@ -220,67 +207,4 @@ func (g *Graph) TopHubs(k int) []int {
 		out[i] = hubs[i].node
 	}
 	return out
-}
-
-// Subgraph returns the induced subgraph over the given nodes, relabelled
-// 0..len(nodes)-1 in the given order, plus the mapping from new id to old.
-// Duplicate or out-of-range ids are rejected.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int, error) {
-	n := g.N()
-	newID := make(map[int]int, len(nodes))
-	for i, u := range nodes {
-		if u < 0 || u >= n {
-			return nil, nil, fmt.Errorf("graph: Subgraph: node %d not in [0, %d)", u, n)
-		}
-		if _, dup := newID[u]; dup {
-			return nil, nil, fmt.Errorf("graph: Subgraph: duplicate node %d", u)
-		}
-		newID[u] = i
-	}
-	coo := sparse.NewCOO(len(nodes), len(nodes))
-	for i, u := range nodes {
-		for p := g.adj.RowPtr[u]; p < g.adj.RowPtr[u+1]; p++ {
-			if j, ok := newID[int(g.adj.ColIdx[p])]; ok {
-				if err := coo.Add(i, j, 1); err != nil {
-					return nil, nil, fmt.Errorf("graph: Subgraph: %w", err)
-				}
-			}
-		}
-	}
-	return New(coo), append([]int(nil), nodes...), nil
-}
-
-// LargestWCC returns the induced subgraph of the largest weakly-connected
-// component and the new-id -> old-id mapping. Similarity experiments often
-// restrict to it so every query has a nonzero neighbourhood.
-func (g *Graph) LargestWCC() (*Graph, []int, error) {
-	labels, count := g.WeakComponents()
-	if count == 0 {
-		return nil, nil, fmt.Errorf("graph: LargestWCC: %w", ErrEmpty)
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for l, s := range sizes {
-		if s > sizes[best] {
-			best = l
-		}
-	}
-	var nodes []int
-	for u, l := range labels {
-		if l == best {
-			nodes = append(nodes, u)
-		}
-	}
-	return g.Subgraph(nodes)
-}
-
-// Describe renders a one-line structural summary (the dataset table row).
-func (g *Graph) Describe() string {
-	s := g.ComputeStats()
-	_, wcc := g.WeakComponents()
-	return fmt.Sprintf("n=%d m=%d m/n=%.1f max-in=%d max-out=%d zero-in=%d wcc=%d",
-		s.N, s.M, s.AvgDegree, s.MaxInDeg, s.MaxOutDeg, s.ZeroInDeg, wcc)
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"csrplus/internal/sparse"
@@ -146,14 +145,6 @@ func TestPowerLawishDistinguishesGenerators(t *testing.T) {
 	}
 }
 
-func TestOutDegreeHistogram(t *testing.T) {
-	g := buildGraph(t, 3, [][2]int{{0, 1}, {0, 2}})
-	h := g.OutDegreeHistogram()
-	if h.Max != 2 || h.Zeros != 2 {
-		t.Fatalf("hist = %+v", h)
-	}
-}
-
 func TestTopHubs(t *testing.T) {
 	g := buildGraph(t, 5, [][2]int{{0, 1}, {2, 1}, {3, 1}, {0, 2}, {3, 2}, {4, 0}})
 	hubs := g.TopHubs(2)
@@ -162,68 +153,5 @@ func TestTopHubs(t *testing.T) {
 	}
 	if got := g.TopHubs(100); len(got) != 5 {
 		t.Fatalf("clamp failed: %v", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	g := buildGraph(t, 3, [][2]int{{0, 1}})
-	d := g.Describe()
-	for _, want := range []string{"n=3", "m=1", "wcc=2"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("Describe() = %q missing %q", d, want)
-		}
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := buildGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	sub, mapping, err := g.Subgraph([]int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("n=%d m=%d", sub.N(), sub.M())
-	}
-	// Edges 1->2, 2->3 survive as 0->1, 1->2.
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(2, 0) {
-		t.Fatal("subgraph edges wrong")
-	}
-	if mapping[0] != 1 || mapping[2] != 3 {
-		t.Fatalf("mapping = %v", mapping)
-	}
-}
-
-func TestSubgraphErrors(t *testing.T) {
-	g := buildGraph(t, 3, [][2]int{{0, 1}})
-	if _, _, err := g.Subgraph([]int{0, 5}); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-	if _, _, err := g.Subgraph([]int{0, 0}); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-}
-
-func TestLargestWCC(t *testing.T) {
-	// Components {0,1,2} and {3,4}; isolated 5.
-	g := buildGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	sub, mapping, err := g.LargestWCC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 {
-		t.Fatalf("largest WCC n=%d", sub.N())
-	}
-	want := []int{0, 1, 2}
-	for i, u := range want {
-		if mapping[i] != u {
-			t.Fatalf("mapping = %v", mapping)
-		}
-	}
-}
-
-func TestLargestWCCEmpty(t *testing.T) {
-	g := New(sparse.NewCOO(0, 0))
-	if _, _, err := g.LargestWCC(); err == nil {
-		t.Fatal("empty graph accepted")
 	}
 }

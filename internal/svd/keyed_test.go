@@ -28,7 +28,7 @@ func sketchRows(tb testing.TB, g *graph.Graph, k int, seed int64, restricted boo
 		}
 	}
 	_, cols := p.a.Dims()
-	omega := keyed(dense.NewMat(cols, k), seed, 0, p.colIdx)
+	omega := keyed(dense.NewMat(cols, k), seed, p.colIdx)
 	rows := make(map[int32][]float64, cols)
 	for i := 0; i < cols; i++ {
 		id := int32(i)
@@ -133,7 +133,7 @@ func TestKeyedSketchGolden(t *testing.T) {
 		{0, 0, [4]uint64{0x3fe221104171427c, 0xbfe398c2363d3eb2, 0x3fe2e06ae02832f5, 0xbfd78a6ea7f586ec}},
 		{20240914, 131071, [4]uint64{0x3fee8dbb28dc6a6f, 0xbfec39e0739a7519, 0x3ff5bb60a7f4aaeb, 0x3ff3780fe14018ac}},
 	} {
-		row := keyed(dense.NewMat(1, 4), tc.seed, 0, []int32{tc.node}).Row(0)
+		row := keyed(dense.NewMat(1, 4), tc.seed, []int32{tc.node}).Row(0)
 		for j, v := range row {
 			if math.Float64bits(v) != tc.want[j] {
 				t.Errorf("seed %d node %d: value %d = %v (%#016x), want %v (%#016x)", tc.seed, tc.node, j, v, math.Float64bits(v), math.Float64frombits(tc.want[j]), tc.want[j])
