@@ -262,12 +262,12 @@ func BenchmarkTruncatedSVD(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation runs the design-choice ablation study (solver
-// variants, query routes).
+// BenchmarkAblation runs the design-choice ablation study (the two query
+// routes).
 func BenchmarkAblation(b *testing.B) {
 	env := quickEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := env.RunAblation([]int{3, 8}); err != nil {
+		if _, err := env.RunAblation(); err != nil {
 			b.Fatal(err)
 		}
 	}

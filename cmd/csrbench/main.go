@@ -146,7 +146,7 @@ func run(env *bench.Env, exp string, results map[string]interface{}) error {
 		results["csweep"] = res
 		res.Render(env)
 	case "ablation":
-		res, err := env.RunAblation(nil)
+		res, err := env.RunAblation()
 		if err != nil {
 			return err
 		}
@@ -197,7 +197,7 @@ func run(env *bench.Env, exp string, results map[string]interface{}) error {
 		}
 		results["rankeval"] = re
 		re.Render(env)
-		ab, err := env.RunAblation(nil)
+		ab, err := env.RunAblation()
 		if err != nil {
 			return err
 		}

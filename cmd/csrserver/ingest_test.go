@@ -151,7 +151,16 @@ func TestIngestOutlivesMappedBootGeneration(t *testing.T) {
 	for _, tier := range []string{"f64", "int8"} {
 		t.Run(tier, func(t *testing.T) {
 			snapDir := t.TempDir()
-			_, path, err := testEngine(t).SaveSnapshotTier(snapDir, tier)
+			exact, _ := testEngine(t).CoreIndex()
+			kind, err := core.ParseTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := exact.Quantize(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, path, err := core.WriteSnapshot(snapDir, ix)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,20 +66,22 @@ func run(stdout io.Writer, fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// A command line that picks no mode is refused by build.
 	mode, picked := gens[*gen]
-	if *dataset != "" {
-		mode, picked = modeDataset, true
+	switch {
+	case *dataset != "":
+		mode = modeDataset
+	case *gen != "" && !picked:
+		return fmt.Errorf("unknown -gen %q (want er, ba, ws or rmat)", *gen)
+	case !picked:
+		return fmt.Errorf("one of -dataset or -gen {er, ba, ws, rmat} is required")
 	}
-	if picked {
-		if err := flagmode.Check(fs, modes, mode); err != nil {
-			return err
-		}
+	if err := flagmode.Check(fs, modes, mode); err != nil {
+		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	g, err := build(*dataset, *scale, *gen, *n, *m, *k, *beta, *logn, *seed)
+	g, err := build(mode, *dataset, *scale, *n, *m, *k, *beta, *logn, *seed)
 	if err != nil {
 		return err
 	}
@@ -92,21 +94,18 @@ func run(stdout io.Writer, fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-func build(dataset string, scale int64, gen string, n int, m int64, k int, beta float64, logn int, seed int64) (*graph.Graph, error) {
-	switch {
-	case dataset != "" && gen != "":
-		return nil, fmt.Errorf("use either -dataset or -gen, not both")
-	case dataset != "":
-		return graph.Source{Dataset: dataset, Scale: scale}.Load()
-	case gen == "er":
+// build makes the graph of the mode run picked.
+func build(mode int, dataset string, scale int64, n int, m int64, k int, beta float64, logn int, seed int64) (*graph.Graph, error) {
+	switch mode {
+	case modeER:
 		return graph.ErdosRenyi(n, m, seed)
-	case gen == "ba":
+	case modeBA:
 		return graph.BarabasiAlbert(n, k, seed)
-	case gen == "ws":
+	case modeWS:
 		return graph.WattsStrogatz(n, k, beta, seed)
-	case gen == "rmat":
+	case modeRMAT:
 		return graph.RMAT(logn, m, graph.DefaultRMAT, seed)
 	default:
-		return nil, fmt.Errorf("one of -dataset or -gen {er, ba, ws, rmat} is required")
+		return graph.Source{Dataset: dataset, Scale: scale}.Load()
 	}
 }

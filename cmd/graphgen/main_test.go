@@ -29,7 +29,7 @@ func TestBuildGenerators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := build("", 0, tc.gen, 100, 400, 4, 0.1, 7, 1)
+			g, err := build(gens[tc.gen], "", 0, 100, 400, 4, 0.1, 7, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestBuildGenerators(t *testing.T) {
 }
 
 func TestBuildDataset(t *testing.T) {
-	g, err := build("P2P", 64, "", 0, 0, 0, 0, 0, 0)
+	g, err := build(modeDataset, "P2P", 64, 0, 0, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,22 @@ func TestBuildDataset(t *testing.T) {
 	}
 }
 
+// TestBuildValidation: a command line that picks no source, or a -gen that
+// names no generator, is refused by name; so is an unknown dataset.
 func TestBuildValidation(t *testing.T) {
-	if _, err := build("", 0, "", 0, 0, 0, 0, 0, 0); err == nil {
-		t.Fatal("no source accepted")
+	out := filepath.Join(t.TempDir(), "g.txt")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "one of -dataset or -gen"},
+		{[]string{"-gen", "bogus"}, `unknown -gen "bogus"`},
+	} {
+		if err := runArgs(io.Discard, append(tc.args, "-out", out)...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
-	if _, err := build("FB", 0, "er", 10, 10, 0, 0, 0, 0); err == nil {
-		t.Fatal("both sources accepted")
-	}
-	if _, err := build("NOPE", 0, "", 0, 0, 0, 0, 0, 0); err == nil {
+	if _, err := build(modeDataset, "NOPE", 0, 0, 0, 0, 0, 0, 0); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }

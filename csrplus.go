@@ -358,31 +358,14 @@ func (e *Engine) Close() error {
 // the versioned snapshot directory dir (index-<gen>.csrx), read back
 // before its name appears — the publish half of the zero-downtime reload
 // cycle, whose reloads serve the newest generation. It returns the
-// generation number and the snapshot path.
+// generation number and the snapshot path. The file holds the exact (f64)
+// factor; `csrstat -convert -quantize` writes an f32 or int8 copy.
 func (e *Engine) SaveSnapshot(dir string) (gen uint64, path string, err error) {
-	return e.SaveSnapshotTier(dir, "")
-}
-
-// SaveSnapshotTier is SaveSnapshot with a quantized factor tier selected
-// at save time: "" or "f64" writes the exact index, "f32" and "int8"
-// write narrowed factors (2x and 8x smaller) whose measured per-column
-// quantization errors ship in the file, so a loaded index reports the
-// entrywise error of its answers through core.Index.TruncationBound. The
-// engine's own in-memory index stays exact.
-func (e *Engine) SaveSnapshotTier(dir, tier string) (gen uint64, path string, err error) {
 	cp, ok := e.runner.(*baseline.CSRPlus)
 	if !ok {
 		return 0, "", fmt.Errorf("%w (engine runs %s)", ErrNotCSRPlus, e.algo)
 	}
-	kind, err := core.ParseTier(tier)
-	if err != nil {
-		return 0, "", err
-	}
-	ix, err := cp.Index().Quantize(kind)
-	if err != nil {
-		return 0, "", err
-	}
-	return core.WriteSnapshot(dir, ix)
+	return core.WriteSnapshot(dir, cp.Index())
 }
 
 // LoadEngine builds a query-ready CSR+ engine from an index file

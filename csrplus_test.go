@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"csrplus/internal/core"
 )
 
 // paperEdges is the 6-node graph of the paper's Figure 1 (a..f = 0..5).
@@ -309,6 +311,20 @@ func TestSaveLoadEngineIndex(t *testing.T) {
 	if back.Stats().Algorithm != AlgoCSRPlus {
 		t.Fatal("loaded engine algorithm wrong")
 	}
+	// Close releases the mapping once and is a no-op after that, on a
+	// precomputed (unmapped) engine and on baselines.
+	for _, e := range []*Engine{back, back, eng} {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rls, err := NewEngine(g, Options{Algorithm: AlgoRLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rls.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSaveSnapshotLifecycle(t *testing.T) {
@@ -356,8 +372,8 @@ func TestSaveSnapshotLifecycle(t *testing.T) {
 	}
 }
 
-// Baselines have no persistable index to snapshot, at any tier. The
-// name predates the one index writer.
+// Baselines have no persistable index to snapshot. The name predates the
+// one index writer.
 func TestSaveIndexRejectsBaselines(t *testing.T) {
 	eng, err := NewEngine(paperGraph(t), Options{Algorithm: AlgoIT, Rank: 3})
 	if err != nil {
@@ -366,9 +382,6 @@ func TestSaveIndexRejectsBaselines(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := eng.SaveSnapshot(dir); !errors.Is(err, ErrNotCSRPlus) {
 		t.Fatalf("err = %v, want ErrNotCSRPlus", err)
-	}
-	if _, _, err := eng.SaveSnapshotTier(dir, "int8"); !errors.Is(err, ErrNotCSRPlus) {
-		t.Fatalf("int8: err = %v, want ErrNotCSRPlus", err)
 	}
 }
 
@@ -495,8 +508,31 @@ func TestLoadWeightedGraph(t *testing.T) {
 	}
 }
 
-// SaveSnapshotTier publishes f32 and int8 files that load and answer;
-// an unknown tier is refused. The name predates SaveSnapshotTier.
+// publishTier publishes eng's index at a quantized tier the way csrstat
+// -convert -quantize does: Quantize, then WriteSnapshot.
+func publishTier(t *testing.T, eng *Engine, dir, tier string) (gen uint64, path string) {
+	t.Helper()
+	exact, ok := eng.CoreIndex()
+	if !ok {
+		t.Fatal("not a CSR+ engine")
+	}
+	kind, err := core.ParseTier(tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := exact.Quantize(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, path, err = core.WriteSnapshot(dir, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen, path
+}
+
+// f32 and int8 files load as engines that answer within their bound. The
+// name predates the one publisher, SaveSnapshot, which writes f64.
 func TestSaveIndexTierQuantizedRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	eng, err := NewEngine(g, Options{Rank: 3})
@@ -508,10 +544,7 @@ func TestSaveIndexTierQuantizedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tier := range []string{"f32", "int8"} {
-		_, path, err := eng.SaveSnapshotTier(t.TempDir(), tier)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, path := publishTier(t, eng, t.TempDir(), tier)
 		back, err := LoadEngine(g, path)
 		if err != nil {
 			t.Fatal(err)
@@ -535,31 +568,11 @@ func TestSaveIndexTierQuantizedRoundTrip(t *testing.T) {
 		if err := back.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := back.Close(); err != nil {
-			t.Fatal("double Close must be safe:", err)
-		}
-	}
-	// Unknown tiers are rejected before touching the disk.
-	dir := filepath.Join(t.TempDir(), "snaps")
-	if _, _, err := eng.SaveSnapshotTier(dir, "fp7"); err == nil {
-		t.Fatal("bogus tier accepted")
-	}
-	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a refused tier touched the disk: stat %s: %v", dir, err)
-	}
-	// Close on a precomputed (unmapped) engine and on baselines is a no-op.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rls, err := NewEngine(g, Options{Algorithm: AlgoRLS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rls.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// A quantized generation recovers with its quantization bound. The name
+// predates the one publisher.
 func TestSaveSnapshotTierPublishesQuantized(t *testing.T) {
 	g := paperGraph(t)
 	eng, err := NewEngine(g, Options{Rank: 3})
@@ -567,11 +580,7 @@ func TestSaveSnapshotTierPublishesQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	gen, _, err := eng.SaveSnapshotTier(dir, "int8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 1 {
+	if gen, _ := publishTier(t, eng, dir, "int8"); gen != 1 {
 		t.Fatalf("first snapshot generation = %d, want 1", gen)
 	}
 	back, snap, err := RecoverEngine(g, dir)

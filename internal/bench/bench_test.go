@@ -337,29 +337,23 @@ func TestFmtDuration(t *testing.T) {
 func TestRunAblation(t *testing.T) {
 	var buf bytes.Buffer
 	e := quickEnv(&buf)
-	res, err := e.RunAblation([]int{3, 8})
+	res, err := e.RunAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ds := range res.Datasets {
-		if len(res.Solver[ds]) != 6 { // 2 ranks x 3 solvers
-			t.Fatalf("%s: %d solver cells", ds, len(res.Solver[ds]))
+		if len(res.Query[ds]) != 2 {
+			t.Fatalf("%s: %d query cells", ds, len(res.Query[ds]))
 		}
-		for _, c := range res.Solver[ds] {
+		for _, c := range res.Query[ds] {
 			if !c.Skipped && c.Time <= 0 {
 				t.Fatalf("%s: unmeasured cell %+v", ds, c)
 			}
 		}
-		if len(res.Query[ds]) != 2 {
-			t.Fatalf("%s: %d query cells", ds, len(res.Query[ds]))
-		}
 	}
 	res.Render(e)
-	out := buf.String()
-	for _, want := range []string{"subspace solver", "query route"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablation render missing %q", want)
-		}
+	if out := buf.String(); !strings.Contains(out, "query route") {
+		t.Fatalf("ablation render missing %q", "query route")
 	}
 }
 

@@ -52,10 +52,6 @@ type Options struct {
 	Eps float64
 	// SVD tunes the truncated SVD.
 	SVD svd.Options
-	// Solver selects the subspace solve; the zero value is the paper's
-	// repeated squaring. The alternatives exist for the ablation study
-	// (see ablation.go).
-	Solver SubspaceSolver
 	// Tracker, when non-nil, receives analytic memory accounting.
 	Tracker *memtrack.Tracker
 }
@@ -249,9 +245,9 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 	track.Alloc("precompute/USV", fac.Bytes())
 	track.Free("precompute/Q", q.Bytes()) // Q not needed past the SVD
 
-	// Lines 3–5: subspace solve (variant-selectable for the ablation).
-	// H₀ = VᵀUΣ sums over nodes, and a node outside either support is +0
-	// in one factor and adds nothing, so the solvers see the rows both hold.
+	// Lines 3–5: subspace solve. H₀ = VᵀUΣ sums over nodes, and a node
+	// outside either support is +0 in one factor and adds nothing, so the
+	// solve sees the rows both hold.
 	// V is read by nothing else: its common rows are compacted in place and
 	// U's gathered into the room left behind them (the SVD's dead panel
 	// space, svd.Result), fresh memory only when that is too short.
@@ -264,18 +260,7 @@ func Precompute(g *graph.Graph, opts Options) (*Index, error) {
 		vh = gatherRows(vm, iv, vm.Data)
 		uh = gatherRows(um, iu, vm.Data[len(vh.Data):cap(vm.Data)])
 	}
-	var p *dense.Mat
-	var iters int
-	switch opts.Solver {
-	case SolverSquaring:
-		p, iters, err = SolveSubspace(uh, fac.S, vh, c, opts.Eps)
-	case SolverPlain:
-		p, iters, err = SolveSubspacePlain(uh, fac.S, vh, c, opts.Eps)
-	case SolverExplicitLambda:
-		p, err = SolveSubspaceLambda(uh, fac.S, vh, c)
-	default:
-		err = fmt.Errorf("core: unknown solver %d: %w", int(opts.Solver), ErrParams)
-	}
+	p, iters, err := SolveSubspace(uh, fac.S, vh, c, opts.Eps)
 	if err != nil {
 		return nil, fmt.Errorf("core: precompute: %w", err)
 	}
@@ -378,30 +363,24 @@ func SolveSubspace(u *dense.Mat, s []float64, v *dense.Mat, c, eps float64) (*de
 	return p, kmax, nil
 }
 
-// Gram is what BuildF's eigensolve clamped: the eigenvalues of W = ΣPΣ that
-// came out negative and are served as 0.
+// Gram is what gramRoot's eigensolve clamped: the eigenvalues of W = ΣPΣ
+// that came out negative and are served as 0.
 type Gram struct {
 	Clamped int     // how many
 	Mass    float64 // Σ|λ| over them
 }
 
-// BuildF computes line 6 of Algorithm 1 in symmetric form. Algorithm 1
-// stores Z = U W and U, W = ΣPΣ, and serves c·Z·U_Qᵀ = c·U W U_Qᵀ. W is
-// symmetric positive definite whenever σ_r > 0 (P = Σ_k cᵏHᵏ(Hᵏ)ᵀ ⪰ I), so
-// with W = EΛEᵀ the one factor F = U·(E Λ^{1/2}) serves the same matrix as
-// c·F·F_Qᵀ, at the cost of one r x r eigensolve beside the GEMM Z took. W is
-// symmetrised before the solve; an eigenvalue that comes out negative —
-// only possible when σ_r = 0 — is served as 0 and counted in Gram, and
-// its charge c·Mass joins every bound (THEORY.md §6). F's columns are
-// ordered by descending λ, so a rank-r' prefix is the best rank-r'
+// gramRoot computes line 6 of Algorithm 1 in symmetric form, short of its
+// GEMM. Algorithm 1 stores Z = U W and U, W = ΣPΣ, and serves
+// c·Z·U_Qᵀ = c·U W U_Qᵀ. W is symmetric positive definite whenever σ_r > 0
+// (P = Σ_k cᵏHᵏ(Hᵏ)ᵀ ⪰ I), so with W = EΛEᵀ the one factor
+// F = U·(E Λ^{1/2}) serves the same matrix as c·F·F_Qᵀ, at the cost of one
+// r x r eigensolve beside the GEMM Z took. W is symmetrised before the
+// solve; an eigenvalue that comes out negative — only possible when
+// σ_r = 0 — is served as 0 and counted in Gram, and its charge c·Mass joins
+// every bound (THEORY.md §6). It returns the r x r E Λ^{1/2}, columns
+// ordered by descending λ, so a rank-r' prefix of F is the best rank-r'
 // approximation of S_r − I.
-func BuildF(u *dense.Mat, s []float64, p *dense.Mat) (*dense.Mat, Gram) {
-	e, g := gramRoot(s, p)
-	return dense.Mul(u, e), g
-}
-
-// gramRoot is BuildF short of its GEMM: W = ΣPΣ, symmetrised, W = EΛEᵀ with
-// λ clamped at 0, and the r x r E Λ^{1/2} that F = U·(E Λ^{1/2}) needs.
 func gramRoot(s []float64, p *dense.Mat) (*dense.Mat, Gram) {
 	r := len(s)
 	w := dense.NewMat(r, r)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"csrplus/internal/dense"
+	"csrplus/internal/dense/reftest"
 	"csrplus/internal/graph"
 	"csrplus/internal/svd"
 )
@@ -92,7 +93,7 @@ func TestGramFactorServesZU(t *testing.T) {
 					want = 1
 				}
 				if row[i] >= 0 && row[q] >= 0 {
-					want += c * dense.Dot(z.Row(row[i]), u.Row(row[q]))
+					want += c * reftest.Dot(z.Row(row[i]), u.Row(row[q]))
 				}
 				if d := math.Abs(got.At(i, j) - want); !(d <= 1e-12) {
 					t.Fatalf("%s: S[%d, %d] = %v, the two factors serve %v: differs by %g", name, i, q, got.At(i, j), want, d)
@@ -129,7 +130,8 @@ func TestGramClampChargesTheBound(t *testing.T) {
 	p.Set(4, 4, -0.5) // W = ΣPΣ gets one eigenvalue near -0.005
 	p.Set(0, 4, 0.2)
 	p.Set(4, 0, 0.2)
-	f, g := BuildF(u, s, p)
+	e, g := gramRoot(s, p)
+	f := dense.Mul(u, e)
 	if g.Clamped != 1 || !(g.Mass > 0) {
 		t.Fatalf("gram %+v: want one eigenvalue clamped, its |λ| as the mass", g)
 	}

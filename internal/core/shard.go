@@ -208,22 +208,6 @@ func (sh *IndexShard) URow(q int) []float64 {
 	return sh.f.RowInto(i, make([]float64, sh.rank))
 }
 
-// denseF64 returns the exact tier's factor with a row for every node of
-// [lo, hi): the stored matrix itself under the identity map, else a copy
-// with the stored rows spread over zeros. For the O(n²) ablation baseline;
-// nothing served calls it.
-func (sh *IndexShard) denseF64() *dense.Mat {
-	f := sh.f.Mat()
-	if sh.ids == nil {
-		return f
-	}
-	out := dense.NewMat(sh.Rows(), sh.rank)
-	for i, id := range sh.ids {
-		copy(out.Row(int(id)-sh.lo), f.Row(i))
-	}
-	return out
-}
-
 // gatherF returns [F]_{Q,*}, row j the F row of owned node queries[j], as
 // float64 (dequantised on a quantized tier).
 func (sh *IndexShard) gatherF(queries []int) *dense.Mat {

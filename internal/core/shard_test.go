@@ -29,6 +29,21 @@ func bigIndex(t *testing.T, n int, rank int) *Index {
 	return ix
 }
 
+// denseF64 returns the exact tier's factor with a row for every node of
+// [lo, hi): the stored matrix itself under the identity map, else a copy
+// with the stored rows spread over zeros.
+func (sh *IndexShard) denseF64() *dense.Mat {
+	f := sh.f.Mat()
+	if sh.ids == nil {
+		return f
+	}
+	out := dense.NewMat(sh.Rows(), sh.rank)
+	for i, id := range sh.ids {
+		copy(out.Row(int(id)-sh.lo), f.Row(i))
+	}
+	return out
+}
+
 // gatherQueryRows assembles the |Q| x r broadcast matrix of F rows the
 // router would gather before fanning out.
 func gatherQueryRows(t *testing.T, shards []*IndexShard, queries []int) *dense.Mat {

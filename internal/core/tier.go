@@ -4,8 +4,8 @@ package core
 // and so an Index) whose F is stored as float32 or int8 with per-column
 // scales instead of float64, cutting the O(rn) footprint 2x/8x at a
 // bounded, measured entrywise cost surfaced through TruncationBound. A
-// tier is a dense.Kind, chosen at save time (csrstat -quantize, or the
-// library's Engine.SaveSnapshotTier) and carried in the snapshot header's
+// tier is a dense.Kind, chosen at save time (csrstat -convert -quantize,
+// or Quantize then WriteSnapshot) and carried in the snapshot header's
 // tier word (persist2.go); serving code is oblivious — every tier is a
 // dense.Typed and the one scan (shard.go) reads them all through the same
 // kernel entry.

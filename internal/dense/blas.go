@@ -234,18 +234,6 @@ func MulVec(a *Mat, x []float64) []float64 {
 	return y
 }
 
-// Dot returns the inner product of x and y. It panics on length mismatch.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("dense: Dot len %d vs %d: %v", len(x), len(y), ErrShape))
-	}
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	scale, ssq := 0.0, 1.0

@@ -34,75 +34,6 @@ func TestOrthonormalizeRankDeficient(t *testing.T) {
 	checkOrthonormalCols(t, q, 1e-8)
 }
 
-func TestSVDJacobiReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, dims := range [][2]int{{1, 1}, {6, 4}, {10, 10}, {50, 8}} {
-		a := randMat(rng, dims[0], dims[1])
-		res, err := SVDJacobi(a)
-		if err != nil {
-			t.Fatalf("SVDJacobi(%v): %v", dims, err)
-		}
-		checkOrthonormalCols(t, res.U, 1e-9)
-		checkOrthonormalCols(t, res.V, 1e-9)
-		for i := 1; i < len(res.S); i++ {
-			if res.S[i] > res.S[i-1]+1e-12 {
-				t.Fatalf("singular values not sorted: %v", res.S)
-			}
-		}
-		recon := Mul(Mul(res.U, Diag(res.S)), res.V.T())
-		if !recon.Equal(a, 1e-9) {
-			t.Fatalf("U S Vᵀ != A at dims %v (maxdiff %g)", dims, recon.Sub(a).MaxAbs())
-		}
-	}
-}
-
-func TestSVDJacobiKnownValues(t *testing.T) {
-	// diag(3, 2, 1) has those exact singular values.
-	res, err := SVDJacobi(Diag([]float64{1, 3, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 2, 1}
-	for i, s := range res.S {
-		if math.Abs(s-want[i]) > 1e-12 {
-			t.Fatalf("S = %v, want %v", res.S, want)
-		}
-	}
-}
-
-func TestSVDJacobiRankDeficient(t *testing.T) {
-	// Rank-1 matrix: outer product.
-	a := NewMat(5, 3)
-	u := []float64{1, 2, 3, 4, 5}
-	v := []float64{1, -1, 2}
-	for i := range u {
-		for j := range v {
-			a.Set(i, j, u[i]*v[j])
-		}
-	}
-	res, err := SVDJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantS1 := Norm2(u) * Norm2(v)
-	if math.Abs(res.S[0]-wantS1) > 1e-10 {
-		t.Fatalf("S[0] = %v, want %v", res.S[0], wantS1)
-	}
-	if res.S[1] > 1e-10 || res.S[2] > 1e-10 {
-		t.Fatalf("tail singular values not ~0: %v", res.S)
-	}
-	recon := Mul(Mul(res.U, Diag(res.S)), res.V.T())
-	if !recon.Equal(a, 1e-9) {
-		t.Fatal("rank-1 reconstruction failed")
-	}
-}
-
-func TestSVDJacobiWideRejected(t *testing.T) {
-	if _, err := SVDJacobi(NewMat(2, 5)); !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
 func TestSymEig(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	b := randMat(rng, 8, 8)
@@ -215,6 +146,18 @@ func TestKronMixedProductProperty(t *testing.T) {
 }
 
 // Property (Theorem 3.4's underpinnings): (A⊗B)vec(X) = vec(B X Aᵀ).
+// vec stacks the columns of x, per the paper's Definition 2.1:
+// vec(X)[j·rows+i] = X[i, j].
+func vec(x *Mat) []float64 {
+	v := make([]float64, 0, x.Rows*x.Cols)
+	for j := 0; j < x.Cols; j++ {
+		for i := 0; i < x.Rows; i++ {
+			v = append(v, x.At(i, j))
+		}
+	}
+	return v
+}
+
 func TestKronVecProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -222,8 +165,8 @@ func TestKronVecProperty(t *testing.T) {
 		s, u := 1+r.Intn(5), 1+r.Intn(5)
 		a, b := randMat(r, p, q), randMat(r, s, u)
 		x := randMat(r, u, q)
-		lhs := MulVec(Kron(a, b), Vec(x))
-		rhs := Vec(Mul(Mul(b, x), a.T()))
+		lhs := MulVec(Kron(a, b), vec(x))
+		rhs := vec(Mul(Mul(b, x), a.T()))
 		if len(lhs) != len(rhs) {
 			return false
 		}
@@ -236,23 +179,5 @@ func TestKronVecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVecUnvecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	m := randMat(rng, 4, 6)
-	if got := Unvec(Vec(m), 4, 6); !got.Equal(m, 0) {
-		t.Fatal("Unvec(Vec(m)) != m")
-	}
-}
-
-func TestVecEye(t *testing.T) {
-	v := VecEye(3)
-	want := Vec(Eye(3))
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("VecEye mismatch at %d", i)
-		}
 	}
 }

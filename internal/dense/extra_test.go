@@ -55,9 +55,7 @@ func TestBinaryOpShapePanics(t *testing.T) {
 		{"MulT", func() { MulT(a, NewMat(2, 4)) }},
 		{"TMul", func() { TMul(a, NewMat(3, 2)) }},
 		{"MulVec", func() { MulVec(a, make([]float64, 2)) }},
-		{"Dot", func() { Dot(make([]float64, 2), make([]float64, 3)) }},
 		{"Axpy", func() { Axpy(1, make([]float64, 2), make([]float64, 3)) }},
-		{"Unvec", func() { Unvec(make([]float64, 5), 2, 3) }},
 		{"ScaleColumns-mismatch", func() { NewMat(2, 2).Set(9, 9, 1) }},
 	}
 	for _, tc := range cases {

